@@ -18,6 +18,13 @@ cargo test -q --workspace
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark package (separate workspace; path-depends on the crates' public API)"
+# Nothing above compiles benchmark/: it has its own [workspace] and
+# lockfile, so a change that removes or renames a public item it calls
+# would otherwise only be noticed when the benchmark is next run.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke: bench harness e1 (quick, json artifact)"
 SMOKE_DIR="$(mktemp -d)"
 PIVOTD_PID=""
@@ -39,7 +46,7 @@ trap cleanup EXIT
 cargo run -p storypivot-bench --bin harness --release -- e1 --quick --json "$SMOKE_DIR/bench"
 test -s "$SMOKE_DIR/bench/BENCH_e1.json"
 
-echo "==> smoke: bench harness hotpath (E17 before/after, partition equality asserted in-run)"
+echo "==> smoke: bench harness hotpath (E17 cache off vs on, partition equality asserted in-run)"
 # The harness itself asserts the cache-on and cache-off partitions are
 # identical; CI just checks the artifact landed with a timing column.
 cargo run -p storypivot-bench --bin harness --release -- hotpath --quick --json "$SMOKE_DIR/bench"

@@ -21,8 +21,8 @@
 //!   conns (e14) many-connection serving memory/rtt (serving runtime)
 //!   replica (e15) read fan-out across followers + snapshot staleness
 //!   chaos (e16) adversarial scenario quality under load  (robustness)
-//!   hotpath (e17) similarity inner-loop before/after: flat kernels,
-//!                 allocation-free scoring, hot-story cache
+//!   hotpath (e17) similarity inner loop: flat kernels with the
+//!                 hot-story cache off vs on
 
 use std::time::{Duration, Instant};
 
@@ -1161,27 +1161,23 @@ fn e16_chaos(scale: &Scale, seed: u64) -> Table {
     table
 }
 
-/// E17 — the similarity hot path before/after the kernel rework.
+/// E17 — the similarity hot path: what the hot-story cache buys.
 ///
-/// Three configurations over the identical seeded Zipf corpus, driving
+/// Two configurations over the identical seeded Zipf corpus, driving
 /// the store and per-source identifiers directly so only the identify
-/// inner loop sits inside the timer:
+/// inner loop (`Identifier::score_probe`) sits inside the timer:
 ///
-/// * **legacy scoring (before)** — the pre-rework loop preserved in
-///   `storypivot_bench::legacy`: full-pass norms per cosine and a fresh
-///   allocation per candidate. Timed per probe against the same
-///   evolving story state (the state evolves via untimed real assigns).
-/// * **flat kernels, cache off** — `Identifier::assign` with
-///   `hot_cache_capacity = 0`: cached norms, batch kernels, scratch
-///   accumulators.
+/// * **flat kernels, cache off** — `hot_cache_capacity = 0`: cached
+///   norms, batch kernels, scratch accumulators. The baseline row.
 /// * **flat kernels + hot cache** — the default configuration.
 ///
+/// The pre-rework scorer these replaced is no longer in the tree; its
+/// number is frozen in `data/BENCH_hotpath.json` (EXPERIMENTS.md E17).
 /// The run also asserts live that the cache-off and cache-on partitions
 /// are byte-identical.
 fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     use std::collections::HashMap;
 
-    use storypivot_bench::legacy;
     use storypivot_core::identify::Identifier;
     use storypivot_store::EventStore;
     use storypivot_types::{SourceId, StoryId};
@@ -1202,12 +1198,10 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     }
 
     // Drive one full pass over the corpus. Only the candidate-scoring
-    // loop sits inside the timer in every configuration — the legacy
-    // row times `legacy::score_probe`, the modern rows time
-    // `Identifier::score_probe` — and the (identical) decision
-    // bookkeeping evolves the story state untimed, so the rows compare
-    // exactly the work the rework changed.
-    let drive = |hot_cache_capacity: usize, legacy_timing: bool| -> Run {
+    // loop sits inside the timer; the (identical) decision bookkeeping
+    // evolves the story state untimed, so the rows compare exactly the
+    // work the cache changes.
+    let drive = |hot_cache_capacity: usize| -> Run {
         let mut cfg = base.clone();
         cfg.identify.hot_cache_capacity = hot_cache_capacity;
         let mut store = EventStore::new();
@@ -1226,20 +1220,12 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         for s in &corpus.snippets {
             store.insert(s.clone()).expect("valid corpus snippet");
             let ident = idents.get_mut(&s.source).expect("registered source");
-            if legacy_timing {
-                let t = Instant::now();
-                let (best, _compared) = legacy::score_probe(&cfg.identify, s, &store, ident);
-                timed += t.elapsed();
-                std::hint::black_box(best);
-                ident.assign(s, &store); // untimed: evolve the shared state
-            } else {
-                let t = Instant::now();
-                let (_, h, m) = ident.score_probe(s, &store);
-                timed += t.elapsed();
-                hits += h as u64;
-                misses += m as u64;
-                ident.assign(s, &store); // untimed: commit the decision
-            }
+            let t = Instant::now();
+            let (_, h, m) = ident.score_probe(s, &store);
+            timed += t.elapsed();
+            hits += h as u64;
+            misses += m as u64;
+            ident.assign(s, &store); // untimed: commit the decision
             if ident.maintenance_due() {
                 ident.maintain(&store); // untimed in every configuration
             }
@@ -1264,16 +1250,14 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         }
     };
 
-    let default_capacity = base.identify.hot_cache_capacity;
-    let configs: [(&str, usize, bool); 3] = [
-        ("legacy scoring (before)", default_capacity, true),
-        ("flat kernels, cache off", 0, false),
-        ("flat kernels + hot cache", default_capacity, false),
+    let configs: [(&str, usize); 2] = [
+        ("flat kernels, cache off", 0),
+        ("flat kernels + hot cache", base.identify.hot_cache_capacity),
     ];
-    let mut best: [Option<Run>; 3] = [None, None, None];
+    let mut best: [Option<Run>; 2] = [None, None];
     for _ in 0..TRIALS {
-        for (slot, &(_, capacity, legacy_timing)) in configs.iter().enumerate() {
-            let run = drive(capacity, legacy_timing);
+        for (slot, &(_, capacity)) in configs.iter().enumerate() {
+            let run = drive(capacity);
             let better = best[slot]
                 .as_ref()
                 .is_none_or(|b| run.ns_per_event < b.ns_per_event);
@@ -1284,7 +1268,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     }
     let best = best.map(|r| r.expect("ran"));
     assert_eq!(
-        best[1].partition, best[2].partition,
+        best[0].partition, best[1].partition,
         "hot-story cache changed the identification partition"
     );
     println!("best of {TRIALS} trials per configuration\n");
@@ -1293,13 +1277,13 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         "config",
         "events",
         "ns/event",
-        "speedup vs legacy",
+        "speedup vs cache off",
         "cache hits",
         "cache misses",
         "hit rate",
     ]);
-    let legacy_ns = best[0].ns_per_event;
-    for (slot, &(name, _, legacy_timing)) in configs.iter().enumerate() {
+    let baseline_ns = best[0].ns_per_event;
+    for (slot, &(name, _)) in configs.iter().enumerate() {
         let r = &best[slot];
         let folds = r.cache_hits + r.cache_misses;
         let hit_rate = if folds == 0 {
@@ -1314,10 +1298,10 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             if slot == 0 {
                 "baseline".to_string()
             } else {
-                format!("{:.2}x", legacy_ns / r.ns_per_event)
+                format!("{:.2}x", baseline_ns / r.ns_per_event)
             },
-            if legacy_timing { "-".into() } else { r.cache_hits.to_string() },
-            if legacy_timing { "-".into() } else { r.cache_misses.to_string() },
+            r.cache_hits.to_string(),
+            r.cache_misses.to_string(),
             hit_rate,
         ]);
     }

@@ -12,8 +12,6 @@ use storypivot_core::pivot::StoryPivot;
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_types::DAY;
 
-pub mod legacy;
-
 /// The default identification window ω used across experiments.
 pub const OMEGA: i64 = 14 * DAY;
 

@@ -71,10 +71,9 @@ impl StoryPivot {
             let ident = &self.identifiers[&source];
             out.extend_from_slice(&source.raw().to_le_bytes());
             out.extend_from_slice(&ident.next_story_id_raw().to_le_bytes());
-            let mut assignments: Vec<(SnippetId, StoryId)> = ident.assignments().collect();
-            assignments.sort_unstable();
-            out.extend_from_slice(&(assignments.len() as u32).to_le_bytes());
-            for (snippet, story) in assignments {
+            out.extend_from_slice(&(ident.assigned_count() as u32).to_le_bytes());
+            // Ascending by snippet id, so equal engines write equal bytes.
+            for (snippet, story) in ident.assignments() {
                 out.extend_from_slice(&snippet.raw().to_le_bytes());
                 out.extend_from_slice(&story.raw().to_le_bytes());
             }

@@ -21,10 +21,10 @@ use std::collections::HashMap;
 use storypivot_sketch::HashFamily;
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
-use storypivot_types::{kernel, EntityId, Snippet, SnippetId, SourceId, SparseVec, StoryId, TermId};
+use storypivot_types::{kernel, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
-use crate::hotcache::HotStoryCache;
+use crate::hotcache::{CacheEntry, HotStoryCache};
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
 
@@ -32,6 +32,13 @@ use crate::unionfind::UnionFind;
 /// partitioned by source so identifiers can run in parallel without a
 /// shared allocator).
 pub const STORY_ID_STRIDE: u32 = 1 << 24;
+
+/// "No story" in [`Identifier`]'s snippet → story table. No live story
+/// id equals it: story ids are `source · 2²⁴ + n`, and
+/// `StoryPivot::add_source_with_lag` / `add_source_registered` reject
+/// sources ≥ 255, so every id is below `255 · 2²⁴ < u32::MAX`
+/// (`record_assignment` asserts it for ids forced in from outside).
+const UNASSIGNED: u32 = u32::MAX;
 
 /// What happened when a snippet was identified.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +120,7 @@ struct ScoreScratch {
     slots: Vec<Slot>,
     live: usize,
     /// Pool of fold buffers for stories that could not use the cache.
-    locals: Vec<(SparseVec<EntityId>, SparseVec<TermId>)>,
+    locals: Vec<CacheEntry>,
     live_locals: usize,
     /// Batch cosine outputs, indexed like `slots`.
     ent_scores: Vec<f64>,
@@ -165,6 +172,20 @@ impl ScoreScratch {
     }
 }
 
+/// Append the candidates at `idx` (in that order) to `entry`'s fold.
+/// Every fold in phase 2 goes through here, so the order of f32
+/// additions — and with it every score — cannot differ between the
+/// cached, extended, refolded and local paths.
+#[inline]
+fn fold_members(entry: &mut CacheEntry, candidates: &[&Snippet], idx: &[u32]) {
+    for &ci in idx {
+        let c = candidates[ci as usize];
+        entry.entities.merge_add(c.entities());
+        entry.terms.merge_add(c.terms());
+        entry.members.push(c.id);
+    }
+}
+
 /// Incremental story identifier for one data source.
 #[derive(Debug, Clone)]
 pub struct Identifier {
@@ -173,12 +194,11 @@ pub struct Identifier {
     sketch_cfg: SketchConfig,
     family: HashFamily,
     stories: HashMap<StoryId, StoryState>,
-    assignment: HashMap<SnippetId, StoryId>,
-    /// Dense mirror of `assignment` indexed by snippet raw id, for the
-    /// per-candidate lookup on the scoring hot path (`u32::MAX` ⇒ not
-    /// assigned, or — pathologically — a story whose raw id is
-    /// `u32::MAX`; lookups fall back to the map for that value).
-    assign_dense: Vec<u32>,
+    /// The snippet → story table: raw story id indexed by snippet raw
+    /// id, [`UNASSIGNED`] where the snippet has no story here.
+    assignment: Vec<u32>,
+    /// Number of entries of `assignment` that hold a story.
+    assigned: usize,
     ids: IdGen<StoryId>,
     since_maintenance: usize,
     cache: HotStoryCache,
@@ -192,8 +212,8 @@ impl Identifier {
             source,
             family: HashFamily::new(sketch_cfg.seed, sketch_cfg.minhash_k),
             stories: HashMap::new(),
-            assignment: HashMap::new(),
-            assign_dense: Vec::new(),
+            assignment: Vec::new(),
+            assigned: 0,
             ids: IdGen::starting_at(source.raw().wrapping_mul(STORY_ID_STRIDE)),
             since_maintenance: 0,
             cache: HotStoryCache::new(cfg.hot_cache_capacity),
@@ -231,18 +251,27 @@ impl Identifier {
     }
 
     /// The story a snippet is assigned to.
+    #[inline]
     pub fn story_of(&self, snippet: SnippetId) -> Option<StoryId> {
-        self.assignment.get(&snippet).copied()
+        match self.assignment.get(snippet.index()) {
+            Some(&raw) if raw != UNASSIGNED => Some(StoryId::new(raw)),
+            _ => None,
+        }
     }
 
     /// Number of assigned snippets.
     pub fn assigned_count(&self) -> usize {
-        self.assignment.len()
+        self.assigned
     }
 
-    /// Iterate all `(snippet, story)` assignments (arbitrary order).
+    /// Iterate all `(snippet, story)` assignments, ascending by snippet
+    /// id.
     pub fn assignments(&self) -> impl Iterator<Item = (SnippetId, StoryId)> + '_ {
-        self.assignment.iter().map(|(&s, &c)| (s, c))
+        self.assignment
+            .iter()
+            .enumerate()
+            .filter(|&(_, &raw)| raw != UNASSIGNED)
+            .map(|(i, &raw)| (SnippetId::new(i as u32), StoryId::new(raw)))
     }
 
     /// Raw value of the next story id this identifier would allocate
@@ -261,25 +290,25 @@ impl Identifier {
         &self.family
     }
 
-    /// Record `snippet → story` in both the map and the dense mirror.
-    /// Every assignment mutation must go through this or
-    /// [`Identifier::erase_assignment`] to keep the mirror truthful.
+    /// Record `snippet → story`, replacing any previous assignment.
     fn record_assignment(&mut self, snippet: SnippetId, story: StoryId) {
-        self.assignment.insert(snippet, story);
+        assert_ne!(story.raw(), UNASSIGNED, "story id {story} is the unassigned sentinel");
         let off = snippet.index();
-        if off >= self.assign_dense.len() {
-            self.assign_dense.resize(off + 1, u32::MAX);
+        if off >= self.assignment.len() {
+            self.assignment.resize(off + 1, UNASSIGNED);
         }
-        self.assign_dense[off] = story.raw();
+        if self.assignment[off] == UNASSIGNED {
+            self.assigned += 1;
+        }
+        self.assignment[off] = story.raw();
     }
 
-    /// Remove `snippet` from both the map and the dense mirror.
+    /// Forget `snippet`'s assignment, returning the story it had.
     fn erase_assignment(&mut self, snippet: SnippetId) -> Option<StoryId> {
-        let prev = self.assignment.remove(&snippet);
-        if prev.is_some() {
-            self.assign_dense[snippet.index()] = u32::MAX;
-        }
-        prev
+        let prev = self.story_of(snippet)?;
+        self.assignment[snippet.index()] = UNASSIGNED;
+        self.assigned -= 1;
+        Some(prev)
     }
 
     /// Identify one snippet. The snippet must already be stored in
@@ -304,7 +333,7 @@ impl Identifier {
     /// cache_misses)`.
     ///
     /// Public so the benchmark harness can time the similarity hot path
-    /// in isolation, symmetric with the preserved legacy scorer.
+    /// in isolation.
     pub fn score_probe(&mut self, snippet: &Snippet, store: &EventStore) -> (usize, usize, usize) {
         debug_assert_eq!(snippet.source, self.source);
 
@@ -328,13 +357,8 @@ impl Identifier {
             if cand.id == snippet.id {
                 continue;
             }
-            let story = match self.assign_dense.get(cand.id.index()) {
-                Some(&raw) if raw != u32::MAX => StoryId::new(raw),
-                // Sentinel collision or unmirrored id: the map decides.
-                _ => match self.assignment.get(&cand.id) {
-                    Some(&s) => s,
-                    None => continue, // not yet identified (later batch position)
-                },
+            let Some(story) = self.story_of(cand.id) else {
+                continue; // not yet identified (later batch position)
             };
             compared += 1;
             let s = scorer.score(&cand.content);
@@ -383,12 +407,8 @@ impl Identifier {
                     if is_prefix {
                         // Exact hit or trailing-edge growth: fold only
                         // the members beyond the cached list.
-                        for &ci in &slot.cand_idx[entry.members.len()..] {
-                            let c = candidates[ci as usize];
-                            entry.entities.merge_add(c.entities());
-                            entry.terms.merge_add(c.terms());
-                            entry.members.push(c.id);
-                        }
+                        let cached = entry.members.len();
+                        fold_members(entry, &candidates, &slot.cand_idx[cached..]);
                         entry.uses += 1;
                         cache_hits += 1;
                     } else {
@@ -397,12 +417,7 @@ impl Identifier {
                         let uses = entry.uses;
                         entry.reset();
                         entry.uses = uses + 1;
-                        for &ci in &slot.cand_idx {
-                            let c = candidates[ci as usize];
-                            entry.entities.merge_add(c.entities());
-                            entry.terms.merge_add(c.terms());
-                            entry.members.push(c.id);
-                        }
+                        fold_members(entry, &candidates, &slot.cand_idx);
                         cache_misses += 1;
                     }
                     slot.fold = Fold::Cached(idx);
@@ -410,12 +425,7 @@ impl Identifier {
                 }
                 if let Some((idx, entry)) = self.cache.admit(slot.story, &in_probe) {
                     entry.uses = 1;
-                    for &ci in &slot.cand_idx {
-                        let c = candidates[ci as usize];
-                        entry.entities.merge_add(c.entities());
-                        entry.terms.merge_add(c.terms());
-                        entry.members.push(c.id);
-                    }
+                    fold_members(entry, &candidates, &slot.cand_idx);
                     cache_misses += 1;
                     slot.fold = Fold::Cached(idx);
                     continue;
@@ -425,16 +435,10 @@ impl Identifier {
                 let li = *live_locals;
                 *live_locals += 1;
                 if li == locals.len() {
-                    locals.push((SparseVec::new(), SparseVec::new()));
+                    locals.push(CacheEntry::default());
                 }
-                let (ents, terms) = &mut locals[li];
-                ents.clear();
-                terms.clear();
-                for &ci in &slot.cand_idx {
-                    let c = candidates[ci as usize];
-                    ents.merge_add(c.entities());
-                    terms.merge_add(c.terms());
-                }
+                locals[li].reset();
+                fold_members(&mut locals[li], &candidates, &slot.cand_idx);
                 cache_misses += 1;
                 slot.fold = Fold::Local(li as u32);
             }
@@ -452,14 +456,15 @@ impl Identifier {
                 ..
             } = &mut self.scratch;
             let cache = &self.cache;
+            let fold_of = |slot: &Slot| match slot.fold {
+                Fold::Local(li) => &locals[li as usize],
+                Fold::Cached(ci) => cache.by_index(ci),
+            };
             kernel::cosine_batch(
                 snippet.entities().as_slice(),
                 snippet.entities().norm(),
                 slots[..*live].iter().map(|slot| {
-                    let v = match slot.fold {
-                        Fold::Local(li) => &locals[li as usize].0,
-                        Fold::Cached(ci) => &cache.by_index(ci).entities,
-                    };
+                    let v = &fold_of(slot).entities;
                     (v.as_slice(), v.norm())
                 }),
                 ent_scores,
@@ -468,10 +473,7 @@ impl Identifier {
                 snippet.terms().as_slice(),
                 snippet.terms().norm(),
                 slots[..*live].iter().map(|slot| {
-                    let v = match slot.fold {
-                        Fold::Local(li) => &locals[li as usize].1,
-                        Fold::Cached(ci) => &cache.by_index(ci).terms,
-                    };
+                    let v = &fold_of(slot).terms;
                     (v.as_slice(), v.norm())
                 }),
                 term_scores,

@@ -604,7 +604,9 @@ impl StoryPivot {
     ///
     /// Checked invariants:
     /// 1. every stored snippet is assigned to exactly one story of its
-    ///    source, and every story member is a stored snippet;
+    ///    source, every story member is a stored snippet, and the
+    ///    snippet → story table and the stories' member lists agree in
+    ///    both directions;
     /// 2. story lifespans cover their members' timestamps;
     /// 3. when an alignment outcome exists, its global stories partition
     ///    the per-source stories (modulo stories changed since).
@@ -627,7 +629,10 @@ impl StoryPivot {
                         return fail(format!("snippet {m} of {} in story of {source}", sn.source));
                     }
                     if ident.story_of(m) != Some(story_id) {
-                        return fail(format!("assignment map disagrees for {m}"));
+                        return fail(format!(
+                            "snippet {m} is a member of story {story_id} but assigned to {:?}",
+                            ident.story_of(m)
+                        ));
                     }
                     if !state.lifespan().contains(sn.timestamp) {
                         return fail(format!(
@@ -640,6 +645,22 @@ impl StoryPivot {
                         return fail(format!("snippet {m} belongs to two stories"));
                     }
                 }
+            }
+            // Every member agreed with the table above, so a count
+            // mismatch means surplus table entries: snippets still
+            // assigned to a story that merged away or was dropped.
+            let listed: usize = ident.stories().map(|s| s.len()).sum();
+            if ident.assigned_count() != listed {
+                let stale = ident.assignments().find(|(m, _)| !assigned.contains(m));
+                return fail(match stale {
+                    Some((m, story)) => {
+                        format!("snippet {m} is assigned to story {story}, which does not list it")
+                    }
+                    None => format!(
+                        "source {source} has {} assignments but {listed} story members",
+                        ident.assigned_count()
+                    ),
+                });
             }
         }
         for sn in self.store.iter() {
@@ -966,6 +987,33 @@ mod tests {
         pivot.align();
         pivot.check_invariants().unwrap();
         assert_eq!(pivot.global_stories().len(), 1);
+    }
+
+    #[test]
+    fn invariants_catch_an_assignment_no_story_lists() {
+        // The bridge joins a+b into one story without merging anything
+        // (nothing else exists yet), then vanishes from the store behind
+        // the identifier's back. The split that follows rebuilds both
+        // fragments from stored members only, so the bridge stays in the
+        // snippet → story table while no story lists it.
+        let mut cfg = PivotConfig::complete();
+        cfg.identify.match_threshold = 0.2;
+        cfg.identify.split_threshold = 0.3;
+        cfg.identify.maintenance_every = 0;
+        let mut pivot = StoryPivot::new(cfg);
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        let bridge = snip(&mut pivot, a, 1, &[1, 2, 3, 4], &[10, 11, 12, 13]);
+        for day in [0, 2] {
+            snip(&mut pivot, a, day, &[1, 2], &[10, 11]);
+            snip(&mut pivot, a, day, &[3, 4], &[12, 13]);
+        }
+        assert_eq!(pivot.story_count(), 1);
+        pivot.check_invariants().unwrap();
+
+        pivot.store.remove(bridge).unwrap();
+        assert_eq!(pivot.run_maintenance().len(), 1);
+        let err = pivot.check_invariants().unwrap_err().to_string();
+        assert!(err.contains(&format!("snippet {bridge} is assigned to story")), "{err}");
     }
 
     #[test]

@@ -105,7 +105,6 @@ use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, S
 use storypivot_substrate::net;
 use storypivot_substrate::pool::{BufferPool, PooledBuf};
 use storypivot_substrate::queue::{Bounded, PushError};
-use storypivot_substrate::timing::Histogram;
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
 use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
@@ -1865,7 +1864,6 @@ struct ShardWorker {
     /// Engine config + pipeline policy, kept for rebuilds.
     pivot_cfg: PivotConfig,
     policy: PipelinePolicy,
-    hist: Histogram,
     ingested: u64,
     /// Shared with the I/O workers, which bump it on the snapshot read
     /// path; the shard only reads it for STATS.
@@ -1975,7 +1973,6 @@ impl ShardWorker {
             engine: DynamicPivot::new(cfg.pivot.clone(), policy),
             pivot_cfg: cfg.pivot.clone(),
             policy,
-            hist: Histogram::new(),
             ingested: 0,
             queries,
             busy,
@@ -2445,7 +2442,6 @@ impl ShardWorker {
         match self.mutate(ReplayOp::Ingest(snippet)) {
             Ok(Applied::Story(story)) => {
                 let elapsed = t.elapsed().as_nanos() as u64;
-                self.hist.record(elapsed);
                 self.serve_metrics.ingest_latency.record(elapsed);
                 self.note_service(elapsed);
                 self.ingested += 1;
@@ -2463,7 +2459,6 @@ impl ShardWorker {
             match self.mutate(ReplayOp::Ingest(snippet)) {
                 Ok(Applied::Story(_)) => {
                     let elapsed = t.elapsed().as_nanos() as u64;
-                    self.hist.record(elapsed);
                     self.serve_metrics.ingest_latency.record(elapsed);
                     self.note_service(elapsed);
                     self.ingested += 1;
@@ -2644,10 +2639,10 @@ impl ShardWorker {
                 ingested: self.ingested,
                 queries: self.queries.load(Ordering::Relaxed),
                 busy_rejections: self.busy.load(Ordering::Relaxed),
-                ingest_count: self.hist.count(),
-                ingest_p50_ns: self.hist.percentile(0.50),
-                ingest_p95_ns: self.hist.percentile(0.95),
-                ingest_p99_ns: self.hist.percentile(0.99),
+                ingest_count: self.serve_metrics.ingest_latency.count(),
+                ingest_p50_ns: self.serve_metrics.ingest_latency.percentile(0.50),
+                ingest_p95_ns: self.serve_metrics.ingest_latency.percentile(0.95),
+                ingest_p99_ns: self.serve_metrics.ingest_latency.percentile(0.99),
                 wal_bytes: self.wal.as_ref().map_or(0, |w| w.len()),
                 last_checkpoint_age_ops: self.ops_since_checkpoint,
                 restarts: self.restarts,

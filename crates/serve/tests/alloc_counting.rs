@@ -9,25 +9,29 @@
 //! `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use storypivot_serve::proto::{frame, frame_into, frame_ready, Request, RequestRef, Response};
 use storypivot_types::{DocId, SourceKind, StoryId};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the tests in this binary run on parallel threads, and
+    // one test's warm-up must not count against the other's steady state.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,9 +41,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations observed while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.get() - before
 }
 
 #[test]

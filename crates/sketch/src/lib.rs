@@ -11,7 +11,6 @@
 //! * [`minhash`] — fixed-size MinHash signatures estimating Jaccard
 //!   similarity of entity/term sets; signatures of snippets *merge* into
 //!   signatures of stories in `O(k)`.
-//! * [`countmin`] — Count-Min sketches for approximate term frequencies.
 //! * [`topk`] — Space-Saving heavy-hitter tracking (drives the
 //!   `{crash,3}; {plane,3}; …` story digests of the paper's Figures 4–6).
 //! * [`temporal`] — bucketed activity signatures whose lag-tolerant
@@ -21,13 +20,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod countmin;
 pub mod hash;
 pub mod minhash;
 pub mod temporal;
 pub mod topk;
 
-pub use countmin::CountMin;
 pub use hash::{mix64, HashFamily};
 pub use minhash::MinHash;
 pub use temporal::TemporalSignature;

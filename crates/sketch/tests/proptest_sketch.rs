@@ -1,57 +1,9 @@
 //! Property tests for the sketch layer.
 
-use storypivot_sketch::{CountMin, HashFamily, MinHash, TemporalSignature, TopK};
+use storypivot_sketch::{HashFamily, MinHash, TemporalSignature, TopK};
 use storypivot_substrate::prop;
 use storypivot_substrate::rng::RngExt;
 use storypivot_types::{Timestamp, DAY};
-
-// ---- count-min: one-sided error -------------------------------
-
-#[test]
-fn countmin_never_undercounts() {
-    prop::run(256, |rng| {
-        let adds = prop::vec_with(rng, 1, 99, |r| {
-            (r.random_range(0u64..200), r.random_range(1u64..20))
-        });
-        let mut cm = CountMin::new(5, 128, 4);
-        let mut exact = std::collections::HashMap::new();
-        for &(item, count) in &adds {
-            cm.add(item, count);
-            *exact.entry(item).or_insert(0u64) += count;
-        }
-        for (&item, &count) in &exact {
-            assert!(cm.estimate(item) >= count, "item {item}");
-        }
-        assert_eq!(cm.total(), adds.iter().map(|&(_, c)| c).sum::<u64>());
-    });
-}
-
-#[test]
-fn countmin_merge_equals_combined_stream() {
-    prop::run(128, |rng| {
-        let a = prop::vec_with(rng, 0, 39, |r| {
-            (r.random_range(0u64..100), r.random_range(1u64..10))
-        });
-        let b = prop::vec_with(rng, 0, 39, |r| {
-            (r.random_range(0u64..100), r.random_range(1u64..10))
-        });
-        let mut ca = CountMin::new(9, 64, 4);
-        let mut cb = CountMin::new(9, 64, 4);
-        let mut combined = CountMin::new(9, 64, 4);
-        for &(i, c) in &a {
-            ca.add(i, c);
-            combined.add(i, c);
-        }
-        for &(i, c) in &b {
-            cb.add(i, c);
-            combined.add(i, c);
-        }
-        ca.merge(&cb);
-        for item in 0u64..100 {
-            assert_eq!(ca.estimate(item), combined.estimate(item));
-        }
-    });
-}
 
 // ---- space-saving: heavy hitters survive ------------------------
 

@@ -14,12 +14,12 @@
 //! * [`inverted`] — a generic inverted index with overlap-counted
 //!   candidate retrieval.
 //! * [`codec`] — a hand-rolled length-prefixed binary codec (on
-//!   [`bytes`]) for snippets and whole-store snapshots.
-//! * [`shared`] — a thread-safe shared handle (readers–writer lock) so
-//!   interactive queries can run while ingestion writes;
-//! * [`snapshot`] — durable save/load of an [`EventStore`];
-//! * [`wal`] — a CRC-framed write-ahead log for incremental durability
-//!   between snapshots (torn tails are detected and discarded).
+//!   `storypivot_substrate::buf`) for snippets, sources and whole-store
+//!   images.
+//!
+//! Durability is not this crate's job: the journal is
+//! `storypivot_substrate::wal` and the on-disk image is
+//! `storypivot_core::checkpoint`, which embeds [`codec::encode_store`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,13 +27,8 @@
 pub mod codec;
 pub mod event_store;
 pub mod inverted;
-pub mod shared;
-pub mod snapshot;
-pub mod wal;
 pub mod window;
 
 pub use event_store::{EventStore, StoreStats};
-pub use shared::SharedEventStore;
 pub use inverted::InvertedIndex;
-pub use wal::{replay, ReplayReport, Wal};
 pub use window::WindowIndex;

@@ -4,10 +4,9 @@
 //! readers, exclusive writers. Unlike raw [`std::sync::RwLock`] it does
 //! not surface poisoning — a panic while holding the lock leaves the
 //! value in whatever state the panicking writer produced, and later
-//! accessors simply proceed. That matches `parking_lot` semantics,
-//! which the store's concurrency layer was originally written against:
-//! an invariant-checking reader is still able to inspect (and tests are
-//! able to assert on) state after a writer panics.
+//! accessors simply proceed (`parking_lot` semantics). Its one user,
+//! `serve`'s snapshot slot, only ever swaps a whole `Arc` in or clones
+//! it out, so there is no half-written state for a reader to see.
 
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -43,16 +42,6 @@ impl<T> Shared<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Run a closure with read access (keeps the guard scoped).
-    pub fn with_read<U>(&self, f: impl FnOnce(&T) -> U) -> U {
-        f(&self.read())
-    }
-
-    /// Run a closure with write access.
-    pub fn with_write<U>(&self, f: impl FnOnce(&mut T) -> U) -> U {
-        f(&mut self.write())
-    }
 }
 
 #[cfg(test)]
@@ -68,15 +57,6 @@ mod tests {
     }
 
     #[test]
-    fn with_read_and_with_write_scope_guards() {
-        let s = Shared::new(vec![1, 2, 3]);
-        let sum: i32 = s.with_read(|v| v.iter().sum());
-        assert_eq!(sum, 6);
-        s.with_write(|v| v.push(4));
-        assert_eq!(s.with_read(Vec::len), 4);
-    }
-
-    #[test]
     fn concurrent_readers_and_writers_agree_on_the_final_state() {
         let shared = Shared::new(Vec::<u32>::new());
         let writers = 4u32;
@@ -86,7 +66,7 @@ mod tests {
                 let handle = shared.clone();
                 scope.spawn(move || {
                     for i in 0..per_writer {
-                        handle.with_write(|v| v.push(w * per_writer + i));
+                        handle.write().push(w * per_writer + i);
                     }
                 });
             }
@@ -94,13 +74,13 @@ mod tests {
                 let handle = shared.clone();
                 scope.spawn(move || {
                     for _ in 0..200 {
-                        let n = handle.with_read(Vec::len);
+                        let n = handle.read().len();
                         assert!(n <= (writers * per_writer) as usize);
                     }
                 });
             }
         });
-        let mut got = shared.with_read(Vec::clone);
+        let mut got = shared.read().clone();
         got.sort_unstable();
         let expected: Vec<u32> = (0..writers * per_writer).collect();
         assert_eq!(got, expected);

@@ -1,11 +1,12 @@
 //! Consistency of the incremental machinery: incremental alignment vs
-//! full alignment, source onboarding, and snapshot persistence.
+//! full alignment, source onboarding, and store-image persistence.
 
 use std::collections::HashSet;
 
 use storypivot::core::config::PivotConfig;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
+use storypivot::store::codec::{decode_store, encode_store};
 use storypivot::types::DAY;
 
 fn corpus(target: usize, sources: u32, seed: u64) -> storypivot::gen::Corpus {
@@ -96,12 +97,8 @@ fn store_snapshot_round_trips_and_rebuilds_identically() {
     }
     pivot.align();
 
-    // Persist the event store, reload, rebuild a pivot from it.
-    let mut path = std::env::temp_dir();
-    path.push(format!("storypivot-it-{}.snap", std::process::id()));
-    storypivot::store::snapshot::save(pivot.store(), &path).unwrap();
-    let loaded = storypivot::store::snapshot::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    // Encode the event store, decode it, rebuild a pivot from it.
+    let loaded = decode_store(&encode_store(pivot.store())).unwrap();
 
     assert_eq!(loaded.len(), pivot.store().len());
     assert_eq!(loaded.stats(), pivot.store().stats());
@@ -176,4 +173,104 @@ fn dirty_tracking_is_conservative() {
     let p1 = partition(&pivot);
     pivot.align_incremental();
     assert_eq!(p1, partition(&pivot));
+}
+
+/// Every op kind that rewrites the snippet → story table, on one
+/// engine, with the table checked against the stories' own member
+/// lists after each op.
+#[test]
+fn assignment_table_tracks_member_lists_through_every_op() {
+    use std::collections::HashMap;
+
+    fn check(pivot: &StoryPivot, after: &str) {
+        pivot
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("after {after}: {e}"));
+        let mut listed: HashMap<SnippetId, StoryId> = HashMap::new();
+        for (story, members) in pivot.story_partition() {
+            for m in members {
+                assert!(
+                    listed.insert(m, story).is_none(),
+                    "after {after}: snippet {m} is listed by two stories"
+                );
+            }
+        }
+        assert_eq!(listed.len(), pivot.store().len(), "after {after}");
+        for sn in pivot.store().iter() {
+            assert_eq!(
+                pivot.story_of(sn.id),
+                listed.get(&sn.id).copied(),
+                "after {after}: snippet {}",
+                sn.id
+            );
+        }
+    }
+
+    let c = corpus(360, 3, 54);
+    let mut config = PivotConfig::temporal(14 * DAY);
+    config.identify.maintenance_every = 0; // maintenance is its own op below
+    let mut pivot = StoryPivot::new(config.clone());
+    for s in &c.sources {
+        pivot.add_source_with_lag(s.name.clone(), s.kind, s.typical_lag);
+    }
+
+    // Ingest, in and out of timestamp order; bridging snippets merge.
+    let (mut late, mut merges) = (0, 0);
+    let mut newest: HashMap<SourceId, Timestamp> = HashMap::new();
+    for (i, s) in c.snippets.iter().enumerate() {
+        let seen = newest.entry(s.source).or_insert(s.timestamp);
+        late += usize::from(s.timestamp < *seen);
+        *seen = (*seen).max(s.timestamp);
+        merges += pivot.ingest_detailed(s.clone()).unwrap().merged.len();
+        check(&pivot, "ingest");
+        if i == c.len() / 2 {
+            // Restart from a checkpoint mid-stream.
+            pivot = StoryPivot::load_checkpoint(config.clone(), &pivot.save_checkpoint()).unwrap();
+            check(&pivot, "checkpoint load");
+        }
+    }
+    assert!(late > 0, "no out-of-order arrival");
+    assert!(merges > 0, "no merge");
+
+    // Move every `stride`-th snippet into another story of its source.
+    let misplace = |pivot: &mut StoryPivot, stride: usize| {
+        for s in c.snippets.iter().step_by(stride) {
+            let original = pivot.story_of(s.id).expect("ingested above");
+            let other = pivot
+                .stories_of_source(s.source)
+                .iter()
+                .map(|st| st.id())
+                .find(|&id| id != original)
+                .expect("every source has several stories");
+            pivot.reassign_snippet(s.id, other).unwrap();
+            check(pivot, "reassign_snippet");
+        }
+    };
+
+    // Maintenance splits the misplaced snippets off their host stories.
+    misplace(&mut pivot, 9);
+    let splits = pivot.run_maintenance().len();
+    check(&pivot, "maintenance");
+    assert!(splits > 0, "no split");
+
+    // Refinement moves misplaced snippets back across stories.
+    misplace(&mut pivot, 7);
+    pivot.align();
+    let moves = pivot.refine().move_count();
+    check(&pivot, "refine");
+    assert!(moves > 0, "refinement moved nothing");
+
+    // Remove one story's snippets one by one until the story is gone.
+    let victim = pivot
+        .stories_of_source(c.sources[0].id)
+        .into_iter()
+        .max_by_key(|st| st.len())
+        .expect("source 0 has stories");
+    let (victim, members) = (victim.id(), victim.story.members.clone());
+    assert!(members.len() > 1);
+    for m in members {
+        pivot.remove_snippet(m).unwrap();
+        check(&pivot, "remove_snippet");
+    }
+    assert!(pivot.story(victim).is_none(), "emptied story still alive");
 }

@@ -1,19 +1,13 @@
-//! Durability integration: snapshot, write-ahead log, and engine
-//! checkpoint working together across a simulated restart.
+//! Durability integration: engine checkpoints across a simulated
+//! restart. (Journal + checkpoint recovery of the served system is
+//! covered by `crates/serve/tests/crash_recovery.rs`.)
 
 use storypivot::core::config::PivotConfig;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
-use storypivot::store::{replay, EventStore, Wal};
 use storypivot::substrate::prop;
 use storypivot::substrate::rng::RngExt;
 use storypivot::types::DAY;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("storypivot-persist-{name}-{}", std::process::id()));
-    p
-}
 
 fn corpus(target: usize, seed: u64) -> storypivot::gen::Corpus {
     CorpusBuilder::new(
@@ -23,50 +17,6 @@ fn corpus(target: usize, seed: u64) -> storypivot::gen::Corpus {
             .with_target_snippets(target),
     )
     .build()
-}
-
-/// The deployment pattern from the WAL docs: snapshot + log replay
-/// reconstruct the live store exactly.
-#[test]
-fn snapshot_plus_wal_reconstructs_the_store() {
-    let c = corpus(300, 71);
-    let snap_path = tmp("snap");
-    let wal_path = tmp("wal");
-    std::fs::remove_file(&wal_path).ok();
-
-    // Live store: first half snapshotted, second half WAL-logged.
-    let mut live = EventStore::new();
-    let mut wal = Wal::open(&wal_path).unwrap();
-    for s in &c.sources {
-        live.register_source(s.clone()).unwrap();
-    }
-    let half = c.len() / 2;
-    for s in &c.snippets[..half] {
-        live.insert(s.clone()).unwrap();
-    }
-    storypivot::store::snapshot::save(&live, &snap_path).unwrap();
-    for s in &c.snippets[half..] {
-        live.insert(s.clone()).unwrap();
-        wal.log_insert(s).unwrap();
-    }
-    // Also delete something after the snapshot.
-    let victim = c.snippets[0].id;
-    live.remove(victim).unwrap();
-    wal.log_remove(victim).unwrap();
-    wal.sync().unwrap();
-
-    // "Restart": snapshot + replay.
-    let mut restored = storypivot::store::snapshot::load(&snap_path).unwrap();
-    let report = replay(&wal_path, &mut restored).unwrap();
-    assert!(!report.torn_tail);
-    assert_eq!(restored.len(), live.len());
-    assert_eq!(restored.stats(), live.stats());
-    for s in live.iter() {
-        assert_eq!(restored.get(s.id), Some(s));
-    }
-
-    std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&wal_path).ok();
 }
 
 /// Full engine restart via checkpoint: identified state carries over and

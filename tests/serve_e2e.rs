@@ -322,7 +322,11 @@ fn metrics_exposition_matches_in_process_engine() {
     assert!(text.contains("# HELP storypivot_ingest_total"));
     assert!(text.contains("# TYPE storypivot_ingest_total counter"));
     assert!(text.contains("storypivot_shard_queue_capacity{shard=\"0\"}"));
-    assert!(text.contains("storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"));
+    // STATS reads the same histogram METRICS exposes, not a second one.
+    assert_eq!(
+        exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
+        Some(client.stats().unwrap().shards[0].ingest_count),
+    );
 
     client.shutdown().unwrap();
     handle.join();
