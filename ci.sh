@@ -53,6 +53,13 @@ cargo run -p storypivot-bench --bin harness --release -- hotpath --quick --json 
 test -s "$SMOKE_DIR/bench/BENCH_hotpath.json"
 grep -q '"ns/event"' "$SMOKE_DIR/bench/BENCH_hotpath.json"
 
+echo "==> smoke: bench harness refine (E18 Refiner vs reference sweep, move-list equality asserted in-run)"
+# The harness asserts every refine() report equals refine_reference()'s
+# on a lockstep twin; CI checks the artifact landed with its columns.
+cargo run -p storypivot-bench --bin harness --release -- refine --quick --json "$SMOKE_DIR/bench"
+test -s "$SMOKE_DIR/bench/BENCH_refine.json"
+grep -q '"cache hit ratio"' "$SMOKE_DIR/bench/BENCH_refine.json"
+
 # Poll a pivotd --port-file until the daemon binds; dies if the daemon does.
 wait_port() { # args: port_file pid
     for _ in $(seq 1 100); do
@@ -85,6 +92,10 @@ grep -q '^storypivot_pool_bytes_highwater ' "$SMOKE_DIR/metrics.txt"
 # The hot-story-cache hit/miss counters are registered and exported.
 grep -q '^storypivot_story_cache_hits_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_story_cache_misses_total' "$SMOKE_DIR/metrics.txt"
+# So are refinement's work and cohesion-cache counters.
+grep -q '^storypivot_refine_pairs_scored_total' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_refine_cohesion_cache_hits_total' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_refine_cohesion_cache_misses_total' "$SMOKE_DIR/metrics.txt"
 # SHUTDOWN must terminate the daemon gracefully (exit 0) and leave one
 # generation-numbered checkpoint per shard.
 wait "$PIVOTD_PID"

@@ -54,6 +54,16 @@ pub struct EngineMetrics {
     pub refine_moves_total: Counter,
     /// `storypivot_refine_rounds_total` — refinement rounds executed.
     pub refine_rounds_total: Counter,
+    /// `storypivot_refine_pairs_scored_total` — snippet-pair similarity
+    /// scorings performed by refinement sweeps.
+    pub refine_pairs_scored_total: Counter,
+    /// `storypivot_refine_cohesion_cache_hits_total` — `(snippet, global
+    /// story)` cohesions a sweep reused because the story's member list
+    /// had not changed since the snippet was last judged against it.
+    pub refine_cohesion_cache_hits_total: Counter,
+    /// `storypivot_refine_cohesion_cache_misses_total` — `(snippet,
+    /// global story)` cohesions a sweep had to score.
+    pub refine_cohesion_cache_misses_total: Counter,
     /// `storypivot_identify_duration_ns` — per-snippet identification
     /// time.
     pub identify_duration: HistogramMetric,
@@ -130,6 +140,18 @@ impl EngineMetrics {
             refine_rounds_total: registry.counter(
                 "storypivot_refine_rounds_total",
                 "Refinement rounds executed.",
+            ),
+            refine_pairs_scored_total: registry.counter(
+                "storypivot_refine_pairs_scored_total",
+                "Snippet-pair similarity scorings performed by refinement sweeps.",
+            ),
+            refine_cohesion_cache_hits_total: registry.counter(
+                "storypivot_refine_cohesion_cache_hits_total",
+                "Snippet-story cohesions reused from the refiner's version-keyed cache.",
+            ),
+            refine_cohesion_cache_misses_total: registry.counter(
+                "storypivot_refine_cohesion_cache_misses_total",
+                "Snippet-story cohesions the refiner had to score.",
             ),
             identify_duration: registry.histogram(
                 "storypivot_identify_duration_ns",

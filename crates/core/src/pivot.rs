@@ -14,7 +14,7 @@ use crate::align::{AlignOutcome, Aligner};
 use crate::config::PivotConfig;
 use crate::identify::{Identifier, IdentifyDecision, STORY_ID_STRIDE};
 use crate::metrics::EngineMetrics;
-use crate::refine::{refine_once, RefineReport};
+use crate::refine::{apply_moves, plan_reference, RefineReport, Refiner};
 use crate::state::StoryState;
 
 /// The story detection engine described by the paper's Figure 1:
@@ -53,6 +53,7 @@ pub struct StoryPivot {
     pub(crate) aligner: Aligner,
     pub(crate) outcome: Option<AlignOutcome>,
     pub(crate) dirty: HashSet<StoryId>,
+    pub(crate) refiner: Refiner,
     pub(crate) source_ids: IdGen<SourceId>,
     pub(crate) snippet_ids: IdGen<SnippetId>,
     pub(crate) doc_ids: IdGen<DocId>,
@@ -79,6 +80,7 @@ impl StoryPivot {
             identifiers: HashMap::new(),
             outcome: None,
             dirty: HashSet::new(),
+            refiner: Refiner::default(),
             source_ids: IdGen::new(),
             snippet_ids: IdGen::new(),
             doc_ids: IdGen::new(),
@@ -180,6 +182,7 @@ impl StoryPivot {
             self.dirty.insert(story);
         }
         let evicted = self.store.remove_source(id)?;
+        self.refiner.forget(); // the evicted ids may come back with other content
         Ok(evicted.len())
     }
 
@@ -322,6 +325,7 @@ impl StoryPivot {
     /// snippet just vanished.
     pub fn remove_snippet(&mut self, id: SnippetId) -> Result<()> {
         let snippet = self.store.remove(id)?;
+        self.refiner.forget(); // `id` may come back with other content
         if let Some(ident) = self.identifiers.get_mut(&snippet.source) {
             if let Some(story) = ident.remove_snippet(&snippet, &self.store) {
                 self.dirty.insert(story);
@@ -490,20 +494,41 @@ impl StoryPivot {
     /// between rounds, until a round makes no move or the configured
     /// round budget is exhausted.
     pub fn refine(&mut self) -> RefineReport {
+        self.refine_with(false)
+    }
+
+    /// [`StoryPivot::refine`] with every sweep planned by the original,
+    /// uncached planner ([`crate::refine`]'s reference). Same round loop,
+    /// same apply step; it exists so tests and `harness refine` can hold
+    /// `refine` to "the identical move list".
+    #[doc(hidden)]
+    pub fn refine_reference(&mut self) -> RefineReport {
+        self.refine_with(true)
+    }
+
+    fn refine_with(&mut self, reference: bool) -> RefineReport {
         let timer = self.metrics.refine_duration.start();
         let mut report = RefineReport::default();
         for _ in 0..self.config.refine.max_rounds {
             if self.outcome.is_none() || !self.dirty.is_empty() {
                 self.align_incremental();
             }
-            let outcome = self.outcome.as_ref().expect("aligned above").clone();
-            let moves = refine_once(
-                &self.store,
-                &mut self.identifiers,
-                &outcome,
-                &self.config.refine,
-                &self.config.identify.weights,
-            );
+            // Out of `self` for the sweep, so planning can borrow it
+            // beside the refiner and the identifiers without a clone.
+            let outcome = self.outcome.take().expect("aligned above");
+            let cfg = &self.config.refine;
+            let weights = &self.config.identify.weights;
+            let (planned, stats) = if reference {
+                plan_reference(&self.store, &self.identifiers, &outcome, cfg, weights)
+            } else {
+                self.refiner
+                    .plan(&self.store, &self.identifiers, &outcome, cfg, weights)
+            };
+            let moves = apply_moves(&self.store, &mut self.identifiers, &outcome, planned);
+            self.outcome = Some(outcome);
+            self.metrics.refine_pairs_scored_total.add(stats.pairs_scored);
+            self.metrics.refine_cohesion_cache_hits_total.add(stats.cache_hits);
+            self.metrics.refine_cohesion_cache_misses_total.add(stats.cache_misses);
             report.rounds += 1;
             if moves.is_empty() {
                 break;
@@ -1040,11 +1065,137 @@ mod tests {
             8
         );
         assert_eq!(m.align_runs_total.get(), 1);
+        // One global story, so each sweep judges every snippet against
+        // its own story and nothing else: one slot per snippet.
+        let judged = 8 * m.refine_rounds_total.get();
+        assert_eq!(
+            m.refine_cohesion_cache_hits_total.get() + m.refine_cohesion_cache_misses_total.get(),
+            judged
+        );
+        assert!(m.refine_pairs_scored_total.get() > 0);
+        // Nothing changed, so a second call answers every slot from the cache.
+        let (hits, pairs) = (
+            m.refine_cohesion_cache_hits_total.get(),
+            m.refine_pairs_scored_total.get(),
+        );
+        pivot.refine();
+        let m = pivot.metrics();
+        assert_eq!(m.refine_cohesion_cache_hits_total.get(), hits + 8);
+        assert_eq!(m.refine_pairs_scored_total.get(), pairs);
         assert!(m.identify_duration.count() == 8);
         let save = pivot.save_checkpoint();
         assert!(!save.is_empty());
         assert_eq!(m.checkpoint_save_duration.count(), 1);
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("storypivot_ingest_total", &[]), Some(8));
+    }
+
+    /// `refine()` on `pivot` must report what the reference planner
+    /// reports on an identical engine, and leave the same stories.
+    fn assert_refine_matches_reference(pivot: &mut StoryPivot) -> RefineReport {
+        let mut reference = pivot.clone();
+        let report = pivot.refine();
+        assert_eq!(report, reference.refine_reference());
+        assert_eq!(pivot.story_partition(), reference.story_partition());
+        report
+    }
+
+    /// Crash and sports stories in two sources, refined once so the
+    /// refiner's cache is warm. Returns the sources and a's crash snippets.
+    fn refined_two_story_engine() -> (StoryPivot, SourceId, SourceId, Vec<SnippetId>) {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        let b = pivot.add_source("b", SourceKind::Newspaper);
+        let mut crash = Vec::new();
+        for day in 0..4 {
+            crash.push(snip(&mut pivot, a, day, &[1, 2], &[10, 11]));
+            snip(&mut pivot, a, day, &[7, 8], &[20, 21]);
+            snip(&mut pivot, b, day, &[1, 2], &[10, 11]);
+            snip(&mut pivot, b, day, &[7, 8], &[20, 21]);
+        }
+        assert_eq!(assert_refine_matches_reference(&mut pivot).move_count(), 0);
+        assert_eq!(pivot.global_stories().len(), 2);
+        (pivot, a, b, crash)
+    }
+
+    #[test]
+    fn reused_snippet_id_is_not_answered_from_the_cohesion_cache() {
+        let (mut pivot, a, _, crash) = refined_two_story_engine();
+        let lists = |p: &StoryPivot| -> Vec<Vec<SnippetId>> {
+            let stories = p.global_stories().iter();
+            stories.map(|g| g.members.iter().map(|&(m, _)| m).collect()).collect()
+        };
+        let before = lists(&pivot);
+
+        // The same id comes back as a sports report, forced into the
+        // crash story: every global member list repeats id for id, but
+        // what the cache knew about that id is now wrong.
+        let (victim, crash_story) = (crash[1], pivot.story_of(crash[1]).unwrap());
+        pivot.remove_snippet(victim).unwrap();
+        let reborn = Snippet::builder(victim, a, Timestamp::from_secs(DAY))
+            .event_type(EventType::Accident)
+            .entity(EntityId::new(7), 1.0)
+            .entity(EntityId::new(8), 1.0)
+            .term(TermId::new(20), 1.0)
+            .term(TermId::new(21), 1.0)
+            .build();
+        pivot.ingest(reborn).unwrap();
+        pivot.reassign_snippet(victim, crash_story).unwrap();
+        pivot.align_incremental();
+        assert_eq!(lists(&pivot), before);
+
+        let report = assert_refine_matches_reference(&mut pivot);
+        assert!(report.moves.iter().any(|m| m.snippet == victim), "{report:?}");
+        pivot.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn reassignment_inside_one_global_story_keeps_refine_exact() {
+        let (mut pivot, a, _, crash) = refined_two_story_engine();
+        // Split a's crash story in two; both halves align with b's.
+        let half = pivot.fresh_story_id_for(a).unwrap();
+        pivot.reassign_snippet(crash[2], half).unwrap();
+        pivot.reassign_snippet(crash[3], half).unwrap();
+        assert_refine_matches_reference(&mut pivot);
+        assert_eq!(pivot.global_of(crash[0]), pivot.global_of(crash[3]));
+
+        // Now a move that changes per-source stories but no global list.
+        let target = pivot.story_of(crash[3]).unwrap();
+        assert_ne!(pivot.story_of(crash[1]), Some(target));
+        pivot.reassign_snippet(crash[1], target).unwrap();
+        assert_refine_matches_reference(&mut pivot);
+        pivot.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn restored_engine_refines_from_an_empty_cohesion_cache() {
+        use storypivot_substrate::metrics::Registry;
+
+        let (mut pivot, a, _, crash) = refined_two_story_engine();
+        let sports_story = pivot
+            .stories_of_source(a)
+            .iter()
+            .map(|s| s.id())
+            .find(|&sid| Some(sid) != pivot.story_of(crash[0]))
+            .unwrap();
+        pivot.reassign_snippet(crash[2], sports_story).unwrap();
+
+        // One sweep per call, so the counters below describe the first
+        // sweep after the restore and nothing else.
+        let mut one_sweep = PivotConfig::default();
+        one_sweep.refine.max_rounds = 1;
+        let bytes = pivot.save_checkpoint();
+        let mut restored = StoryPivot::load_checkpoint(one_sweep, &bytes).unwrap();
+        let registry = Registry::new();
+        restored.set_metrics(EngineMetrics::register(&registry));
+        let report = assert_refine_matches_reference(&mut restored);
+        assert!(report.moves.iter().any(|m| m.snippet == crash[2]), "{report:?}");
+        let m = restored.metrics();
+        assert_eq!(m.refine_cohesion_cache_hits_total.get(), 0, "nothing to reuse yet");
+        assert!(m.refine_cohesion_cache_misses_total.get() >= 16);
+        // The move changed both global stories; once they repeat, so do hits.
+        assert_refine_matches_reference(&mut restored);
+        assert_refine_matches_reference(&mut restored);
+        assert!(restored.metrics().refine_cohesion_cache_hits_total.get() > 0);
     }
 }

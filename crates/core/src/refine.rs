@@ -13,12 +13,12 @@
 use std::collections::HashMap;
 
 use storypivot_store::EventStore;
-use storypivot_types::{GlobalStoryId, SnippetId, SourceId, StoryId};
+use storypivot_types::{GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::align::AlignOutcome;
 use crate::config::RefineConfig;
 use crate::identify::{Identifier, STORY_ID_STRIDE};
-use crate::sim::SimWeights;
+use crate::sim::{ProbeScorer, SimWeights};
 
 /// One corrective move performed by refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,23 +58,332 @@ pub fn story_source(story: StoryId) -> SourceId {
     SourceId::new(story.raw() / STORY_ID_STRIDE)
 }
 
+/// What one planning sweep cost. Both planners report it, so the
+/// engine's refine counters mean the same thing whichever ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SweepStats {
+    /// Snippet-pair similarity scorings performed.
+    pub pairs_scored: u64,
+    /// `(snippet, global story)` cohesions answered from the cache.
+    pub cache_hits: u64,
+    /// `(snippet, global story)` cohesions that had to be scored.
+    pub cache_misses: u64,
+}
+
+/// How many alternative global stories a snippet is judged against.
+const MAX_ALTERNATIVES: usize = 8;
+
+/// The hysteresis rule: move only to a story that is cohesive enough in
+/// absolute terms *and* beats the current one by the margin.
+#[inline]
+fn should_move(current: f64, alternative: f64, cfg: &RefineConfig) -> bool {
+    alternative >= cfg.min_target_cohesion && alternative - current > cfg.move_margin
+}
+
+// ---- the production planner ----------------------------------------------
+
+/// "None yet" in the [`Refiner`]'s dense snippet-indexed tables.
+const NONE: u32 = u32::MAX;
+
+/// The `(version, cohesion)` of the stories a snippet was last judged
+/// against: its own plus [`MAX_ALTERNATIVES`]. Version 0 is never issued
+/// and marks an empty slot.
+type JudgedRow = [(u32, f64); MAX_ALTERNATIVES + 1];
+
+const EMPTY_ROW: JudgedRow = [(0, 0.0); MAX_ALTERNATIVES + 1];
+
+/// Plans refinement moves; owned by [`crate::pivot::StoryPivot`] so its
+/// cohesion cache survives from sweep to sweep and from call to call.
+///
+/// It produces exactly the move list of [`plan_reference`] (the old
+/// sweep, kept as the test oracle) from three changes:
+///
+/// 1. **Dense tables.** One `snippet → global-story index` table and one
+///    resolved `&Snippet` list per global story are built once per sweep;
+///    no scoring goes through a hash map.
+/// 2. **Story-level candidate probe.** The reference sorts every snippet
+///    sharing an entity with `v` by `(overlap desc, id asc)` and keeps the
+///    first eight distinct global stories it meets. The position of a
+///    story in that order is the smallest key of any of its snippets, so
+///    the probe counts overlaps into a stamped dense counter, folds each
+///    touched snippet into its story's smallest key and sorts the ≤ 40
+///    stories instead of the ~500 snippets.
+/// 3. **Version-keyed cohesion cache.** `cohesion(v, G)` is a pure
+///    function of `v` and of `G`'s member-id list (a stored snippet's
+///    content never changes). Every distinct member list gets a *version*:
+///    a list that is element-for-element equal to a list of the previous
+///    sweep keeps that list's version, any other list gets a number never
+///    issued before. A snippet's row keeps the cohesions of the versions
+///    it was last judged against; a version found there is reused, any
+///    other is scored. The move *decision* is recomputed from the scores
+///    on every sweep — nothing remembers a decision.
+///
+/// The one way a version could outlive its meaning is snippet-id reuse
+/// (remove, then ingest different content under the same id, landing in
+/// an identical id list), so every removal calls [`Refiner::forget`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Refiner {
+    /// Member-id list and version of each global story of the previous
+    /// sweep, by that sweep's story index.
+    lists: Vec<(Vec<SnippetId>, u32)>,
+    /// Snippet (raw id) → index into `lists`, [`NONE`] where the snippet
+    /// is in no global story.
+    story_of: Vec<u32>,
+    /// The last version issued; 0 ("never judged") is not one.
+    last_version: u32,
+    /// Snippet (raw id) → its row in `rows`, [`NONE`] before the snippet
+    /// is first judged. The indirection keeps the 144 B rows to snippets
+    /// this engine refined (a shard sees a fraction of the id space).
+    row_of: Vec<u32>,
+    /// What each snippet was last judged against.
+    rows: Vec<JudgedRow>,
+    /// Probe scratch: per snippet `(stamp, shared entities)`, valid for
+    /// the current probe iff the stamp equals `probe`.
+    overlap: Vec<(u32, u32)>,
+    /// Probe scratch: per story `(stamp, smallest candidate key)`.
+    story_key: Vec<(u32, u64)>,
+    probe: u32,
+    touched: Vec<u32>,
+    ranked: Vec<(u64, u32)>,
+}
+
+impl Refiner {
+    /// Forget the previous sweep's lists and every cached cohesion: the
+    /// next sweep issues new versions and scores everything afresh.
+    pub(crate) fn forget(&mut self) {
+        self.lists.clear();
+        self.story_of.clear();
+        self.row_of.clear();
+        self.rows.clear();
+    }
+
+    /// Version every global story of `outcome` against the previous
+    /// sweep's lists and rebuild the dense tables for this sweep.
+    fn begin_sweep(&mut self, outcome: &AlignOutcome) {
+        let stories = outcome.global_stories.len();
+        if u32::MAX - self.last_version < stories as u32 {
+            // Version space exhausted (once per 2³² changed lists).
+            self.forget();
+            self.last_version = 0;
+        }
+        let mut lists = Vec::with_capacity(stories);
+        let mut table_len = 0usize;
+        for g in &outcome.global_stories {
+            let ids: Vec<SnippetId> = g.members.iter().map(|&(id, _)| id).collect();
+            // Non-empty lists partition the snippets, so the list of the
+            // previous sweep that held the first member is the only one
+            // that can be equal.
+            let unchanged = ids
+                .first()
+                .and_then(|first| self.story_of.get(first.index()))
+                .and_then(|&prev| self.lists.get(prev as usize))
+                .filter(|(prev_ids, _)| *prev_ids == ids);
+            let version = match unchanged {
+                Some(&(_, version)) => version,
+                None => {
+                    self.last_version += 1;
+                    self.last_version
+                }
+            };
+            if let Some(max) = ids.iter().max() {
+                table_len = table_len.max(max.index() + 1);
+            }
+            lists.push((ids, version));
+        }
+        self.lists = lists;
+
+        self.story_of.clear();
+        self.story_of.resize(table_len, NONE);
+        for (gi, (ids, _)) in self.lists.iter().enumerate() {
+            for id in ids {
+                self.story_of[id.index()] = gi as u32;
+            }
+        }
+        if self.row_of.len() < table_len {
+            self.row_of.resize(table_len, NONE);
+        }
+        if self.overlap.len() < table_len {
+            self.overlap.resize(table_len, (0, 0));
+        }
+        if self.story_key.len() < stories {
+            self.story_key.resize(stories, (0, 0));
+        }
+    }
+
+    /// Leave in `self.ranked` the first [`MAX_ALTERNATIVES`] global
+    /// stories other than `current` in the order the reference meets them
+    /// when it walks `candidates_by_entities(v)`.
+    fn probe_alternatives(&mut self, v: &Snippet, current: u32, store: &EventStore) {
+        self.probe = self.probe.wrapping_add(1);
+        if self.probe == 0 {
+            // Stamp wrapped: old stamps could collide, so reset them all.
+            self.overlap.fill((0, 0));
+            self.story_key.fill((0, 0));
+            self.probe = 1;
+        }
+        let probe = self.probe;
+
+        self.touched.clear();
+        for entity in v.entities().keys() {
+            for cand in store.entity_postings(entity) {
+                let i = cand.index();
+                match self.story_of.get(i) {
+                    Some(&g) if g != NONE && g != current => {}
+                    _ => continue,
+                }
+                let slot = &mut self.overlap[i];
+                if slot.0 == probe {
+                    slot.1 += 1;
+                } else {
+                    *slot = (probe, 1);
+                    self.touched.push(i as u32);
+                }
+            }
+        }
+
+        // Ascending key == (overlap desc, snippet id asc).
+        self.ranked.clear();
+        for &i in &self.touched {
+            let key = u64::from(u32::MAX - self.overlap[i as usize].1) << 32 | u64::from(i);
+            let g = self.story_of[i as usize];
+            let best = &mut self.story_key[g as usize];
+            if best.0 != probe {
+                *best = (probe, key);
+                self.ranked.push((0, g));
+            } else if key < best.1 {
+                best.1 = key;
+            }
+        }
+        for entry in &mut self.ranked {
+            entry.0 = self.story_key[entry.1 as usize].1;
+        }
+        self.ranked.sort_unstable();
+        self.ranked.truncate(MAX_ALTERNATIVES);
+    }
+
+    /// Plan one sweep's moves on the frozen state (nothing is applied).
+    pub(crate) fn plan(
+        &mut self,
+        store: &EventStore,
+        identifiers: &HashMap<SourceId, Identifier>,
+        outcome: &AlignOutcome,
+        cfg: &RefineConfig,
+        weights: &SimWeights,
+    ) -> (Vec<RefineMove>, SweepStats) {
+        self.begin_sweep(outcome);
+        let members: Vec<Vec<&Snippet>> = self
+            .lists
+            .iter()
+            .map(|(ids, _)| ids.iter().filter_map(|&id| store.get(id)).collect())
+            .collect();
+
+        let versions: Vec<u32> = self.lists.iter().map(|&(_, version)| version).collect();
+
+        let mut stats = SweepStats::default();
+        let mut planned: Vec<RefineMove> = Vec::new();
+        for (gi, g) in outcome.global_stories.iter().enumerate() {
+            for &v in &members[gi] {
+                let scorer = weights.probe(&v.content);
+                let at = self.row_of[v.id.index()];
+                let judged = self.rows.get(at as usize).copied().unwrap_or(EMPTY_ROW);
+                let mut row = EMPTY_ROW;
+                let mut judge = |slot: usize, story: u32| {
+                    let version = versions[story as usize];
+                    let cohesion = match judged.iter().find(|&&(ver, _)| ver == version) {
+                        Some(&(_, cohesion)) => {
+                            stats.cache_hits += 1;
+                            cohesion
+                        }
+                        None => {
+                            stats.cache_misses += 1;
+                            score_cohesion(&scorer, v.id, &members[story as usize], &mut stats)
+                        }
+                    };
+                    row[slot] = (version, cohesion);
+                    cohesion
+                };
+
+                let current = judge(0, gi as u32);
+                self.probe_alternatives(v, gi as u32, store);
+                let mut best_alt: Option<(u32, f64)> = None;
+                for (k, &(_, alt)) in self.ranked.iter().enumerate() {
+                    let score = judge(k + 1, alt);
+                    if best_alt.is_none_or(|(_, s)| score > s) {
+                        best_alt = Some((alt, score));
+                    }
+                }
+                if at == NONE {
+                    self.row_of[v.id.index()] = self.rows.len() as u32;
+                    self.rows.push(row);
+                } else {
+                    self.rows[at as usize] = row;
+                }
+
+                let Some((alt, alt_score)) = best_alt else { continue };
+                if !should_move(current, alt_score, cfg) {
+                    continue;
+                }
+                let Some(from_story) = identifiers.get(&v.source).and_then(|i| i.story_of(v.id))
+                else {
+                    continue;
+                };
+                planned.push(RefineMove {
+                    snippet: v.id,
+                    from_story,
+                    to_story: from_story, // fixed up at apply time
+                    from_global: g.id,
+                    to_global: outcome.global_stories[alt as usize].id,
+                });
+            }
+        }
+        (planned, stats)
+    }
+}
+
+/// Cohesion of the snippet bound in `scorer` with `members`: the maximum
+/// content similarity to any *other* member.
+fn score_cohesion(
+    scorer: &ProbeScorer<'_>,
+    v: SnippetId,
+    members: &[&Snippet],
+    stats: &mut SweepStats,
+) -> f64 {
+    let mut best = 0.0f64;
+    for m in members {
+        if m.id == v {
+            continue;
+        }
+        stats.pairs_scored += 1;
+        let s = scorer.score(&m.content);
+        if s > best {
+            best = s;
+        }
+    }
+    best
+}
+
+// ---- the reference planner (test oracle) ----------------------------------
+
 /// Cohesion of snippet `v` with a set of member snippets: the maximum
 /// content similarity to any *other* member (single-link, mirroring the
 /// identification criterion).
 fn cohesion(
-    v: &storypivot_types::Snippet,
+    v: &Snippet,
     members: &[SnippetId],
     store: &EventStore,
     weights: &SimWeights,
+    stats: &mut SweepStats,
 ) -> f64 {
     // Bind the probe once; the loop only pays the per-member merge.
     let scorer = weights.probe(&v.content);
     let mut best = 0.0f64;
+    stats.cache_misses += 1;
     for &m in members {
         if m == v.id {
             continue;
         }
         if let Some(other) = store.get(m) {
+            stats.pairs_scored += 1;
             let s = scorer.score(&other.content);
             if s > best {
                 best = s;
@@ -84,27 +393,29 @@ fn cohesion(
     best
 }
 
-/// One refinement sweep against a fixed alignment outcome. Returns the
-/// moves applied to `identifiers` (callers re-align afterwards).
-pub fn refine_once(
+/// The original planning sweep: every cohesion scored from scratch
+/// through the store, every candidate snippet sorted. It defines what a
+/// sweep must plan; [`Refiner::plan`] is checked against it and it runs
+/// nowhere else ([`crate::pivot::StoryPivot::refine_reference`]).
+pub(crate) fn plan_reference(
     store: &EventStore,
-    identifiers: &mut HashMap<SourceId, Identifier>,
+    identifiers: &HashMap<SourceId, Identifier>,
     outcome: &AlignOutcome,
     cfg: &RefineConfig,
     weights: &SimWeights,
-) -> Vec<RefineMove> {
+) -> (Vec<RefineMove>, SweepStats) {
     // Member snippet lists per global story.
     let mut members_of: HashMap<GlobalStoryId, Vec<SnippetId>> = HashMap::new();
     for g in &outcome.global_stories {
         members_of.insert(g.id, g.members.iter().map(|&(id, _)| id).collect());
     }
 
-    // ---- plan moves on the frozen state ---------------------------
+    let mut stats = SweepStats::default();
     let mut planned: Vec<RefineMove> = Vec::new();
     for g in &outcome.global_stories {
         for &(snippet_id, _) in &g.members {
             let Some(v) = store.get(snippet_id) else { continue };
-            let current = cohesion(v, &members_of[&g.id], store, weights);
+            let current = cohesion(v, &members_of[&g.id], store, weights, &mut stats);
 
             // Candidate alternative global stories: wherever snippets
             // sharing entities with v live.
@@ -119,17 +430,17 @@ pub fn refine_once(
                     continue;
                 }
                 seen.push(alt_g);
-                if seen.len() > 8 {
+                if seen.len() > MAX_ALTERNATIVES {
                     break; // cap candidate evaluation
                 }
-                let score = cohesion(v, &members_of[&alt_g], store, weights);
+                let score = cohesion(v, &members_of[&alt_g], store, weights, &mut stats);
                 if best_alt.is_none_or(|(_, s)| score > s) {
                     best_alt = Some((alt_g, score));
                 }
             }
 
             if let Some((to_global, alt_score)) = best_alt {
-                if alt_score >= cfg.min_target_cohesion && alt_score - current > cfg.move_margin {
+                if should_move(current, alt_score, cfg) {
                     let Some(from_story) = identifiers
                         .get(&v.source)
                         .and_then(|i| i.story_of(v.id))
@@ -147,36 +458,39 @@ pub fn refine_once(
             }
         }
     }
+    (planned, stats)
+}
 
-    // ---- apply ------------------------------------------------------
+// ---- apply (shared) --------------------------------------------------------
+
+/// Apply a sweep's planned moves to `identifiers`, skipping any whose
+/// snippet an earlier move of the same sweep already displaced. Returns
+/// the moves applied (callers re-align afterwards).
+pub(crate) fn apply_moves(
+    store: &EventStore,
+    identifiers: &mut HashMap<SourceId, Identifier>,
+    outcome: &AlignOutcome,
+    planned: Vec<RefineMove>,
+) -> Vec<RefineMove> {
     let mut applied = Vec::with_capacity(planned.len());
     for mut mv in planned {
-        let Some(v) = store.get(mv.snippet).cloned() else { continue };
+        let Some(v) = store.get(mv.snippet) else { continue };
         let Some(ident) = identifiers.get_mut(&v.source) else { continue };
         if ident.story_of(v.id) != Some(mv.from_story) {
             continue; // a previous move already touched this story
         }
         // Target per-source story: the target global story's member
         // story in v's source, or a fresh story.
-        let target_global = outcome
-            .global_stories
-            .iter()
-            .find(|g| g.id == mv.to_global)
-            .expect("global story exists");
-        let to_story = target_global
+        let to_story = outcome
+            .global_story(mv.to_global)
+            .expect("global story exists")
             .member_stories
             .iter()
             .copied()
             .find(|&s| story_source(s) == v.source)
-            .unwrap_or_else(|| {
-                identifiers
-                    .get_mut(&v.source)
-                    .expect("identifier exists")
-                    .fresh_story_id()
-            });
-        let ident = identifiers.get_mut(&v.source).expect("identifier exists");
-        ident.remove_snippet(&v, store);
-        ident.force_assign(&v, to_story);
+            .unwrap_or_else(|| ident.fresh_story_id());
+        ident.remove_snippet(v, store);
+        ident.force_assign(v, to_story);
         mv.to_story = to_story;
         applied.push(mv);
     }
@@ -187,10 +501,23 @@ pub fn refine_once(
 mod tests {
     use super::*;
     use crate::align::Aligner;
-    use crate::config::{AlignConfig, IdentifyConfig, MatchMode, SketchConfig};
-    use storypivot_types::{
-        EntityId, EventType, Snippet, Source, SourceKind, TermId, Timestamp, DAY,
-    };
+    use crate::config::{AlignConfig, IdentifyConfig, MatchMode, PivotConfig, SketchConfig};
+    use crate::pivot::StoryPivot;
+    use storypivot_types::{EntityId, EventType, Source, SourceKind, TermId, Timestamp, DAY};
+
+    /// One sweep on default settings, planned by both planners (which
+    /// must agree) and then applied.
+    fn sweep(
+        store: &EventStore,
+        identifiers: &mut HashMap<SourceId, Identifier>,
+        outcome: &AlignOutcome,
+    ) -> Vec<RefineMove> {
+        let (cfg, weights) = (RefineConfig::default(), SimWeights::default());
+        let (reference, _) = plan_reference(store, identifiers, outcome, &cfg, &weights);
+        let (planned, _) = Refiner::default().plan(store, identifiers, outcome, &cfg, &weights);
+        assert_eq!(planned, reference);
+        apply_moves(store, identifiers, outcome, planned)
+    }
 
     fn snip(id: u32, source: u32, day: i64, entities: &[u32], terms: &[u32]) -> Snippet {
         let mut b = Snippet::builder(
@@ -283,13 +610,7 @@ mod tests {
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);
 
-        let moves = refine_once(
-            &store,
-            &mut identifiers,
-            &outcome,
-            &RefineConfig::default(),
-            &SimWeights::default(),
-        );
+        let moves = sweep(&store, &mut identifiers, &outcome);
 
         assert!(
             moves.iter().any(|m| m.snippet == SnippetId::new(2)),
@@ -322,13 +643,45 @@ mod tests {
         let states: Vec<&crate::state::StoryState> =
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);
-        let moves = refine_once(
-            &store,
-            &mut identifiers,
-            &outcome,
-            &RefineConfig::default(),
-            &SimWeights::default(),
-        );
+        let moves = sweep(&store, &mut identifiers, &outcome);
         assert!(moves.is_empty(), "no spurious moves: {moves:?}");
+    }
+
+    /// The trap on `harness e2`'s 18 k corpus, in miniature: a lone
+    /// snippet is most cohesive with a story its source has no part in,
+    /// so it moves into a *fresh* story — which aligns exactly as its old
+    /// one did, so every global member list repeats and the same move is
+    /// planned again, round after round. Unchanged inputs must not be
+    /// read as "it stayed".
+    #[test]
+    fn move_into_a_fresh_story_is_replanned_every_round() {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        let b = pivot.add_source("b", SourceKind::Newspaper);
+        // Three months apart, so the two stories never align (§2.3), yet
+        // the lone snippet's content matches b's story exactly.
+        let lone = pivot.fresh_snippet_id();
+        pivot.ingest(snip(lone.raw(), a.raw(), 0, &[1, 2], &[10, 11])).unwrap();
+        for day in 90..93 {
+            let id = pivot.fresh_snippet_id();
+            pivot.ingest(snip(id.raw(), b.raw(), day, &[1, 2], &[10, 11])).unwrap();
+        }
+        pivot.align();
+        assert_eq!(pivot.global_stories().len(), 2);
+
+        let mut reference = pivot.clone();
+        let report = pivot.refine();
+        assert_eq!(report, reference.refine_reference());
+        assert_eq!(pivot.story_partition(), reference.story_partition());
+
+        let rounds = pivot.config().refine.max_rounds;
+        assert_eq!(report.rounds, rounds);
+        assert_eq!(report.move_count(), rounds, "moves: {:?}", report.moves);
+        for (i, m) in report.moves.iter().enumerate() {
+            assert_eq!(m.snippet, lone);
+            assert_ne!(m.to_story, m.from_story);
+            assert!(report.moves[..i].iter().all(|p| p.to_story != m.to_story));
+        }
+        assert_eq!(pivot.global_stories().len(), 2, "the member lists repeat");
     }
 }

@@ -265,6 +265,13 @@ impl EventStore {
         self.entity_index.candidates(entities)
     }
 
+    /// The snippets mentioning `entity`, ascending by id: one posting
+    /// list of the index [`Self::candidates_by_entities`] ranks over, for
+    /// callers that count overlaps into a table of their own.
+    pub fn entity_postings(&self, entity: EntityId) -> impl Iterator<Item = SnippetId> + '_ {
+        self.entity_index.postings(entity)
+    }
+
     /// Tight time range covered by a source's snippets.
     pub fn source_coverage(&self, source: SourceId) -> TimeRange {
         self.windows.get(&source).map_or(TimeRange::EMPTY, WindowIndex::coverage)

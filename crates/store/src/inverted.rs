@@ -88,18 +88,6 @@ impl<K: Eq + Hash + Copy, P: Ord + Copy + Eq + Hash> InvertedIndex<K, P> {
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
-
-    /// Like [`Self::candidates`] but keeps only postings sharing at least
-    /// `min_overlap` keys.
-    pub fn candidates_with_min<I: IntoIterator<Item = K>>(
-        &self,
-        keys: I,
-        min_overlap: usize,
-    ) -> Vec<(P, usize)> {
-        let mut v = self.candidates(keys);
-        v.retain(|&(_, c)| c >= min_overlap);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -135,15 +123,6 @@ mod tests {
         idx.insert(e(9), v(3));
         let cands = idx.candidates([e(1), e(2), e(3)]);
         assert_eq!(cands, vec![(v(1), 2), (v(2), 1)]);
-    }
-
-    #[test]
-    fn candidates_with_min_filters() {
-        let mut idx = InvertedIndex::new();
-        idx.insert_all([e(1), e(2)], v(1));
-        idx.insert(e(1), v(2));
-        let cands = idx.candidates_with_min([e(1), e(2)], 2);
-        assert_eq!(cands, vec![(v(1), 2)]);
     }
 
     #[test]
