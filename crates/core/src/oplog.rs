@@ -101,14 +101,19 @@ impl ReplayOp {
     /// the encoded bytes, so the same logical op hashes identically
     /// across process restarts (unlike `std`'s randomized hasher).
     pub fn fingerprint(&self) -> u64 {
-        let bytes = self.to_bytes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fingerprint_of(&self.to_bytes())
     }
+}
+
+/// [`ReplayOp::fingerprint`] of an op whose encoding the caller already
+/// holds (the journal payload), without encoding it again.
+pub fn fingerprint_of(encoded: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in encoded {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 /// Apply one op during recovery. Returns `true` when the op changed
@@ -185,6 +190,7 @@ mod tests {
         let a = ReplayOp::Ingest(snip(1));
         let b = ReplayOp::Ingest(snip(2));
         assert_eq!(a.fingerprint(), ReplayOp::decode(&a.to_bytes()).unwrap().fingerprint());
+        assert_eq!(a.fingerprint(), fingerprint_of(&a.to_bytes()));
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 

@@ -17,6 +17,35 @@ use crate::metrics::EngineMetrics;
 use crate::refine::{apply_moves, plan_reference, RefineReport, Refiner};
 use crate::state::StoryState;
 
+/// The stories mutations have touched, for two consumers with different
+/// clocks: `dirty` is what the next alignment must rescore (cleared by
+/// every alignment), `log` is what a subscriber has not yet drained
+/// (see [`StoryPivot::log_changes`]). Every mutation site reports through
+/// [`Touched::insert`] / [`Touched::extend`], so neither can miss one
+/// the other sees.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Touched {
+    pub(crate) dirty: HashSet<StoryId>,
+    /// Detached by default, like [`EngineMetrics`]: `None` costs one
+    /// branch per touched story and retains nothing.
+    log: Option<Vec<StoryId>>,
+}
+
+impl Touched {
+    pub(crate) fn insert(&mut self, story: StoryId) {
+        self.dirty.insert(story);
+        if let Some(log) = &mut self.log {
+            log.push(story);
+        }
+    }
+
+    pub(crate) fn extend(&mut self, stories: impl IntoIterator<Item = StoryId>) {
+        for story in stories {
+            self.insert(story);
+        }
+    }
+}
+
 /// The story detection engine described by the paper's Figure 1:
 /// extraction results go in as [`Snippet`]s, per-source stories come out
 /// of identification, and integrated global stories come out of
@@ -52,7 +81,7 @@ pub struct StoryPivot {
     pub(crate) identifiers: HashMap<SourceId, Identifier>,
     pub(crate) aligner: Aligner,
     pub(crate) outcome: Option<AlignOutcome>,
-    pub(crate) dirty: HashSet<StoryId>,
+    pub(crate) touched: Touched,
     pub(crate) refiner: Refiner,
     pub(crate) source_ids: IdGen<SourceId>,
     pub(crate) snippet_ids: IdGen<SnippetId>,
@@ -79,7 +108,7 @@ impl StoryPivot {
             store: EventStore::new(),
             identifiers: HashMap::new(),
             outcome: None,
-            dirty: HashSet::new(),
+            touched: Touched::default(),
             refiner: Refiner::default(),
             source_ids: IdGen::new(),
             snippet_ids: IdGen::new(),
@@ -178,9 +207,7 @@ impl StoryPivot {
     /// invalidated incrementally (§2.4: sources can disappear).
     pub fn remove_source(&mut self, id: SourceId) -> Result<usize> {
         let ident = self.identifiers.remove(&id).ok_or(Error::UnknownSource(id))?;
-        for story in ident.story_ids() {
-            self.dirty.insert(story);
-        }
+        self.touched.extend(ident.story_ids());
         let evicted = self.store.remove_source(id)?;
         self.refiner.forget(); // the evicted ids may come back with other content
         Ok(evicted.len())
@@ -234,17 +261,15 @@ impl StoryPivot {
         self.metrics.identify_merge_total.add(decision.merged.len() as u64);
         self.metrics.story_cache_hits_total.add(decision.cache_hits as u64);
         self.metrics.story_cache_misses_total.add(decision.cache_misses as u64);
-        self.dirty.insert(decision.story);
-        for &m in &decision.merged {
-            self.dirty.insert(m);
-        }
+        self.touched.insert(decision.story);
+        self.touched.extend(decision.merged.iter().copied());
         if ident.maintenance_due() {
             self.metrics.maintenance_runs_total.inc();
             let report = ident.maintain(&self.store);
             self.metrics.identify_split_total.add(report.splits.len() as u64);
             for (orig, fragments) in report.splits {
-                self.dirty.insert(orig);
-                self.dirty.extend(fragments);
+                self.touched.insert(orig);
+                self.touched.extend(fragments);
             }
         }
         Ok(decision)
@@ -306,9 +331,7 @@ impl StoryPivot {
                 touched.push(h.join().expect("identification thread panicked"));
             }
         });
-        for t in touched.into_iter().flatten() {
-            self.dirty.insert(t);
-        }
+        self.touched.extend(touched.into_iter().flatten());
         // The parallel path records only the ingest count; per-decision
         // counters stay on the sequential (serving) path.
         self.metrics.ingest_total.add(total as u64);
@@ -328,7 +351,7 @@ impl StoryPivot {
         self.refiner.forget(); // `id` may come back with other content
         if let Some(ident) = self.identifiers.get_mut(&snippet.source) {
             if let Some(story) = ident.remove_snippet(&snippet, &self.store) {
-                self.dirty.insert(story);
+                self.touched.insert(story);
                 let story_died = ident.story(story).is_none();
                 self.scrub_outcome(id, story, story_died);
             }
@@ -394,10 +417,10 @@ impl StoryPivot {
             .get_mut(&snippet.source)
             .ok_or(Error::UnknownSource(snippet.source))?;
         if let Some(old) = ident.remove_snippet(&snippet, &self.store) {
-            self.dirty.insert(old);
+            self.touched.insert(old);
         }
         ident.force_assign(&snippet, story);
-        self.dirty.insert(story);
+        self.touched.insert(story);
         Ok(())
     }
 
@@ -425,8 +448,8 @@ impl StoryPivot {
             let report = ident.maintain(&self.store);
             self.metrics.identify_split_total.add(report.splits.len() as u64);
             for (orig, fragments) in report.splits {
-                self.dirty.insert(orig);
-                self.dirty.extend(fragments.iter().copied());
+                self.touched.insert(orig);
+                self.touched.extend(fragments.iter().copied());
                 splits.push((orig, fragments));
             }
         }
@@ -456,7 +479,7 @@ impl StoryPivot {
         drop(timer);
         self.metrics.align_runs_total.inc();
         self.metrics.align_pairs_total.add(outcome.pairs_scored as u64);
-        self.dirty.clear();
+        self.touched.dirty.clear();
         self.outcome = Some(outcome);
         self.outcome.as_ref().expect("just set")
     }
@@ -471,14 +494,14 @@ impl StoryPivot {
                 &self.collect_states(),
                 &self.store,
                 prev,
-                &self.dirty,
+                &self.touched.dirty,
             ),
             None => self.aligner.align(&self.collect_states(), &self.store),
         };
         drop(timer);
         self.metrics.align_runs_total.inc();
         self.metrics.align_pairs_total.add(outcome.pairs_scored as u64);
-        self.dirty.clear();
+        self.touched.dirty.clear();
         self.outcome = Some(outcome);
         self.outcome.as_ref().expect("just set")
     }
@@ -486,7 +509,28 @@ impl StoryPivot {
     /// Number of stories currently marked dirty (ingested/changed since
     /// the last alignment).
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.touched.dirty.len()
+    }
+
+    /// Start recording which stories change, for
+    /// [`StoryPivot::drain_changes`]. Off by default and after
+    /// [`StoryPivot::load_checkpoint`]: an engine nobody drains must not
+    /// grow a log. Calling it again keeps what is already logged.
+    pub fn log_changes(&mut self) {
+        self.touched.log.get_or_insert_with(Vec::new);
+    }
+
+    /// Every story whose member list or lifespan may have changed —
+    /// created, grown, shrunk, merged away, split, emptied — since the
+    /// previous drain (or since [`StoryPivot::log_changes`]), ascending
+    /// and deduplicated. A listed id that [`StoryPivot::story`] no
+    /// longer knows is a story that ceased to exist. Alignment does not
+    /// clear this. Empty when logging was never started.
+    pub fn drain_changes(&mut self) -> Vec<StoryId> {
+        let mut changed = self.touched.log.as_mut().map(std::mem::take).unwrap_or_default();
+        changed.sort_unstable();
+        changed.dedup();
+        changed
     }
 
     /// Run story refinement (Figure 1d): repeatedly move snippets whose
@@ -510,7 +554,7 @@ impl StoryPivot {
         let timer = self.metrics.refine_duration.start();
         let mut report = RefineReport::default();
         for _ in 0..self.config.refine.max_rounds {
-            if self.outcome.is_none() || !self.dirty.is_empty() {
+            if self.outcome.is_none() || !self.touched.dirty.is_empty() {
                 self.align_incremental();
             }
             // Out of `self` for the sweep, so planning can borrow it
@@ -534,8 +578,8 @@ impl StoryPivot {
                 break;
             }
             for m in &moves {
-                self.dirty.insert(m.from_story);
-                self.dirty.insert(m.to_story);
+                self.touched.insert(m.from_story);
+                self.touched.insert(m.to_story);
             }
             report.moves.extend(moves);
             self.align_incremental();
@@ -696,7 +740,7 @@ impl StoryPivot {
 
         // (3) — only meaningful right after alignment (dirty == 0).
         if let Some(outcome) = &self.outcome {
-            if self.dirty.is_empty() {
+            if self.touched.dirty.is_empty() {
                 let mut covered = std::collections::HashSet::new();
                 for g in &outcome.global_stories {
                     for &s in &g.member_stories {
@@ -782,6 +826,37 @@ mod tests {
         assert_eq!(pivot.dirty_count(), 1);
         pivot.align_incremental();
         assert_eq!(pivot.global_stories().len(), 1);
+    }
+
+    #[test]
+    fn change_log_is_detached_until_asked_for_and_survives_alignment() {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        for i in 0..1000 {
+            snip(&mut pivot, a, i / 50, &[i as u32 % 7, 100], &[i as u32 % 5]);
+        }
+        assert!(pivot.touched.log.is_none(), "nobody asked: nothing is retained");
+        assert!(pivot.drain_changes().is_empty());
+
+        // A checkpoint-restored engine starts detached as well, whatever
+        // the engine that wrote the checkpoint was doing.
+        pivot.log_changes();
+        let mut restored =
+            StoryPivot::load_checkpoint(PivotConfig::default(), &pivot.save_checkpoint()).unwrap();
+        snip(&mut restored, a, 21, &[1, 100], &[1]);
+        assert!(restored.touched.log.is_none());
+        assert!(restored.drain_changes().is_empty());
+
+        // Logging: alignment clears the dirty set but not the log; a
+        // drain empties it and hands the ids out sorted, once each.
+        let first = snip(&mut pivot, a, 21, &[1, 100], &[1]);
+        let again = snip(&mut pivot, a, 21, &[1, 100], &[1]);
+        let story = pivot.story_of(first).unwrap();
+        assert_eq!(pivot.story_of(again), Some(story));
+        pivot.align();
+        assert_eq!(pivot.dirty_count(), 0);
+        assert_eq!(pivot.drain_changes(), vec![story]);
+        assert!(pivot.drain_changes().is_empty());
     }
 
     #[test]
@@ -888,8 +963,8 @@ mod tests {
             ident.remove_snippet(&victim, &pivot.store);
             ident.force_assign(&victim, sports_story);
         }
-        pivot.dirty.insert(sports_story);
-        pivot.dirty.insert(right_story);
+        pivot.touched.insert(sports_story);
+        pivot.touched.insert(right_story);
 
         let report = pivot.refine();
         assert!(report.move_count() >= 1, "refinement must correct the error");

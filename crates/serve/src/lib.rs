@@ -24,9 +24,10 @@
 //!   one Prometheus-style text exposition.
 //! - [`snapshot`] — epoch-versioned, immutable per-shard read
 //!   snapshots. Shard workers publish them on a freshness policy
-//!   (`--snapshot-every-ops` / `--snapshot-max-age-ms`); I/O workers
-//!   answer QUERY_STORIES and GET_STORY straight from the snapshots,
-//!   so reads never ride the shard write queues.
+//!   (`--snapshot-every-ops` / `--snapshot-max-age-ms`), patching only
+//!   the stories the engine reports changed; I/O workers answer
+//!   QUERY_STORIES and GET_STORY straight from the snapshots, so reads
+//!   never ride the shard write queues.
 //! - [`replica`] — WAL-shipped follower replicas: `pivotd --leader
 //!   <addr>` bootstraps from the leader's newest checkpoint, tails its
 //!   WAL over REPL_SUBSCRIBE, serves reads only (writes get a

@@ -871,6 +871,30 @@ fn encode_summary(buf: &mut impl BufMut, s: &StorySummary) {
     }
 }
 
+/// Encode a STORIES response from borrowed summaries. This *is* the
+/// encoder behind `Response::Stories(..).encode`, so the server can
+/// answer from shared snapshot entries without copying them into a
+/// `Response` first.
+pub fn encode_stories<'a, I>(buf: &mut impl BufMut, stories: I)
+where
+    I: IntoIterator<Item = &'a StorySummary>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let stories = stories.into_iter();
+    buf.put_u8(OP_STORIES);
+    buf.put_u32_le(stories.len() as u32);
+    for s in stories {
+        encode_summary(buf, s);
+    }
+}
+
+/// Encode a STORY response from a borrowed summary (the encoder behind
+/// `Response::Story(..).encode`).
+pub fn encode_story(buf: &mut impl BufMut, story: &StorySummary) {
+    buf.put_u8(OP_STORY);
+    encode_summary(buf, story);
+}
+
 fn decode_summary(buf: &mut impl Buf) -> Result<StorySummary> {
     let id = StoryId::new(get_u32(buf, "story id")?);
     let source = SourceId::new(get_u32(buf, "story source")?);
@@ -1035,17 +1059,8 @@ impl Response {
                 buf.put_u8(OP_BATCH_INGESTED);
                 buf.put_u32_le(*n);
             }
-            Response::Stories(stories) => {
-                buf.put_u8(OP_STORIES);
-                buf.put_u32_le(stories.len() as u32);
-                for s in stories {
-                    encode_summary(buf, s);
-                }
-            }
-            Response::Story(s) => {
-                buf.put_u8(OP_STORY);
-                encode_summary(buf, s);
-            }
+            Response::Stories(stories) => encode_stories(buf, stories),
+            Response::Story(s) => encode_story(buf, s),
             Response::Removed(n) => {
                 buf.put_u8(OP_REMOVED);
                 buf.put_u32_le(*n);
@@ -1369,6 +1384,36 @@ mod tests {
             generation: 1 << 40,
             wal_offset: 123_456_789,
         });
+    }
+
+    /// The server answers reads through the by-reference encoders, from
+    /// `Arc`'d snapshot entries it never copies into a `Response`.
+    #[test]
+    fn by_reference_story_encoders_match_the_owned_responses() {
+        let story = |id: u32, members: &[u32]| StorySummary {
+            id: StoryId::new(id),
+            source: SourceId::new(id >> 24),
+            lifespan: TimeRange::new(Timestamp::from_secs(-5), Timestamp::from_secs(id as i64)),
+            members: members.iter().map(|&m| SnippetId::new(m)).collect(),
+        };
+        let owned = vec![story(7, &[1, 2, 9]), story(1 << 24, &[]), story((1 << 24) + 3, &[4])];
+        let shared: Vec<std::sync::Arc<StorySummary>> =
+            owned.iter().cloned().map(std::sync::Arc::new).collect();
+
+        let by_ref = frame(|b| encode_stories(b, shared.iter().map(|s| &**s)));
+        assert_eq!(by_ref, frame(|b| Response::Stories(owned.clone()).encode(b)));
+        assert_eq!(
+            Response::decode(&by_ref[4..]).unwrap(),
+            Response::Stories(owned.clone())
+        );
+        assert_eq!(
+            frame(|b| encode_stories(b, &[])),
+            frame(|b| Response::Stories(Vec::new()).encode(b))
+        );
+
+        let by_ref = frame(|b| encode_story(b, &shared[0]));
+        assert_eq!(by_ref, frame(|b| Response::Story(owned[0].clone()).encode(b)));
+        round_trip_response(Response::Story(owned[0].clone()));
     }
 
     #[test]

@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 use storypivot_core::checkpoint;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_core::oplog::{replay_op, ReplayOp};
+use storypivot_core::oplog::{fingerprint_of, replay_op, ReplayOp};
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot_core::refine::story_source;
 use storypivot_substrate::fault::FaultHook;
@@ -109,9 +109,12 @@ use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
 use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
 
-use crate::proto::{frame_into, frame_ready, Request, RequestRef, Response, StorySummary};
+use crate::proto::{
+    encode_stories, encode_story, frame_into, frame_ready, Request, RequestRef, Response,
+    StorySummary,
+};
 use crate::replica;
-use crate::snapshot::{ShardSnapshot, SnapshotSlot};
+use crate::snapshot::{self, SnapshotSlot, StoryTable};
 use crate::stats::{ServeStats, ShardStats};
 
 /// The maximum number of sources the story-id partitioning scheme
@@ -182,9 +185,12 @@ pub struct ServerConfig {
     pub leader: Option<String>,
     /// Publish a fresh read snapshot after this many applied
     /// mutations. The default of 1 republishes after every op, which
-    /// preserves exact read-your-writes; raising it trades staleness
-    /// (bounded by `snapshot_max_age_ms`) for less copying on hot
-    /// write paths.
+    /// preserves exact read-your-writes. Raising it trades staleness
+    /// (bounded by `snapshot_max_age_ms`) for fewer publishes; a
+    /// publish patches only the stories changed since the last one and
+    /// otherwise bumps one reference count per story (≈ 3 µs at ~300
+    /// stories per shard), so that buys little until a shard holds
+    /// very many stories.
     pub snapshot_every_ops: u64,
     /// Also republish whenever the current snapshot is older than this
     /// many milliseconds *and* ops have been applied since it was
@@ -1415,25 +1421,32 @@ impl IoWorker {
             // ingest. `dest` is unused — the response is finished
             // synchronously in this call.
             RequestRef::QueryStories => {
-                let mut stories = Vec::new();
-                for (shard, slot) in self.shared.snapshots.iter().enumerate() {
-                    let snap = slot.load();
-                    stories.extend_from_slice(&snap.stories);
+                let snaps: Vec<_> = self.shared.snapshots.iter().map(SnapshotSlot::load).collect();
+                for shard in 0..snaps.len() {
                     self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
                     self.shared.note_degraded_read(shard);
                 }
-                stories.sort_unstable_by_key(|s: &StorySummary| s.id);
-                self.finish(id, seq, Response::Stories(stories), false);
+                // Encoded straight from the loaded snapshots: nothing
+                // is copied but the references being sorted.
+                let mut stories: Vec<&StorySummary> = snaps
+                    .iter()
+                    .flat_map(|snap| snap.stories.iter().map(|s| &**s))
+                    .collect();
+                stories.sort_unstable_by_key(|s| s.id);
+                self.finish_with(id, seq, false, |b| encode_stories(b, stories));
             }
             RequestRef::GetStory(story) => {
                 let shard = self.shared.shard_of_source(story_source(story));
                 self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
                 self.shared.note_degraded_read(shard);
-                let resp = match self.shared.snapshots[shard].load().get(story) {
-                    Some(summary) => Response::Story(summary.clone()),
-                    None => Response::from_error(&Error::UnknownStory(story)),
-                };
-                self.finish(id, seq, resp, false);
+                let snap = self.shared.snapshots[shard].load();
+                match snap.get(story) {
+                    Some(summary) => self.finish_with(id, seq, false, |b| encode_story(b, summary)),
+                    None => {
+                        let e = Error::UnknownStory(story);
+                        self.finish(id, seq, Response::from_error(&e), false);
+                    }
+                }
             }
             RequestRef::ReplSubscribe {
                 shard,
@@ -1604,13 +1617,18 @@ impl IoWorker {
     /// buffer, park it in the reorder map, move every in-order entry to
     /// the outbox, and opportunistically flush.
     fn finish(&mut self, id: u64, seq: u64, resp: Response, close: bool) {
+        self.finish_with(id, seq, close, |b| resp.encode(b));
+    }
+
+    /// [`IoWorker::finish`] for a response encoded from borrowed data.
+    fn finish_with(&mut self, id: u64, seq: u64, close: bool, encode: impl FnOnce(&mut Vec<u8>)) {
         {
             let Some(conn) = self.conns.get_mut(&id) else { return };
             if seq < conn.next_write || conn.ready.contains_key(&seq) {
                 return; // stale or duplicate completion
             }
             let mut buf = self.shared.pool.checkout();
-            frame_into(buf.as_mut_vec(), |b| resp.encode(b));
+            frame_into(buf.as_mut_vec(), encode);
             conn.ready.insert(seq, (buf, close));
             while let Some((buf, close)) = conn.ready.remove(&conn.next_write) {
                 conn.outbox.push_back(buf);
@@ -1801,6 +1819,8 @@ struct ShardServeMetrics {
     ingest_latency: HistogramMetric,
     snapshot_epoch: Gauge,
     snapshot_age_ops: Gauge,
+    snapshot_publish_duration: HistogramMetric,
+    snapshot_stories_patched: Counter,
 }
 
 impl ShardServeMetrics {
@@ -1854,6 +1874,17 @@ impl ShardServeMetrics {
                 "Mutations applied since the current read snapshot was published.",
                 labels,
             ),
+            snapshot_publish_duration: registry.histogram_with(
+                "storypivot_shard_snapshot_publish_duration_ns",
+                "Duration of each read-snapshot publish (drain the change log, patch, \
+                 clone the story vector, swap) in nanoseconds.",
+                labels,
+            ),
+            snapshot_stories_patched: registry.counter_with(
+                "storypivot_shard_snapshot_stories_patched_total",
+                "Story entries replaced, inserted or removed by read-snapshot publishes.",
+                labels,
+            ),
         }
     }
 }
@@ -1882,6 +1913,9 @@ struct ShardWorker {
     queue: Bounded<Job>,
     /// Where published read snapshots go (shared with I/O workers).
     slot: SnapshotSlot,
+    /// The story vector the next publish hands out, patched from the
+    /// engine's change log.
+    stories: StoryTable,
     snapshot_epoch: u64,
     /// Mutations applied since the last publish.
     snapshot_age_ops: u64,
@@ -1907,6 +1941,9 @@ struct ShardWorker {
     worker_delay: Duration,
     wal: Option<Wal>,
     wal_path: Option<PathBuf>,
+    /// The op being applied, encoded once: fingerprinted, then
+    /// journaled as the same bytes.
+    op_buf: Vec<u8>,
     /// Dead-letter file for quarantined ops (next to the WAL, or the
     /// checkpoint dir when journaling is off).
     dead_path: Option<PathBuf>,
@@ -1986,6 +2023,7 @@ impl ShardWorker {
                 .unwrap_or_else(FaultHook::inert),
             queue,
             slot,
+            stories: StoryTable::default(),
             snapshot_epoch: 0,
             snapshot_age_ops: 0,
             snapshot_every_ops: cfg.snapshot_every_ops,
@@ -2002,6 +2040,7 @@ impl ShardWorker {
             worker_delay: cfg.worker_delay,
             wal: None,
             wal_path: None,
+            op_buf: Vec::with_capacity(256),
             dead_path,
             dead: None,
             generation: 0,
@@ -2113,7 +2152,9 @@ impl ShardWorker {
     /// engine from durable state and replies with an error instead of
     /// killing the worker; the op's strike count decides quarantine.
     fn mutate(&mut self, op: ReplayOp) -> Result<Applied> {
-        let fp = op.fingerprint();
+        self.op_buf.clear();
+        op.encode(&mut self.op_buf);
+        let fp = fingerprint_of(&self.op_buf);
         self.trace.push(op_label(&op), format!("fp={fp:#018x}"));
         if self.quarantine.contains(&fp) {
             return Err(Error::Invariant(format!(
@@ -2123,7 +2164,7 @@ impl ShardWorker {
             )));
         }
         if let Some(w) = &mut self.wal {
-            w.append(&op.to_bytes())
+            w.append(&self.op_buf)
                 .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
         }
         let engine = &mut self.engine;
@@ -2196,18 +2237,25 @@ impl ShardWorker {
         m.snapshot_age_ops.set(self.snapshot_age_ops as i64);
     }
 
-    /// Build an immutable, id-sorted copy of the current partition and
-    /// swap it into the shared slot. Runs on the shard thread *before*
-    /// the triggering op's reply is delivered, so acked writes are
-    /// always visible to the next read.
+    /// Patch the stories the engine reports changed since the last
+    /// publish and swap the resulting id-sorted view into the shared
+    /// slot. Runs on the shard thread *before* the triggering op's reply
+    /// is delivered, so acked writes are always visible to the next
+    /// read.
     fn publish_snapshot(&mut self) {
+        let timer = self.serve_metrics.snapshot_publish_duration.start();
         self.snapshot_epoch += 1;
-        let mut stories = self.summaries();
-        stories.sort_unstable_by_key(|s| s.id);
-        self.slot.publish(Arc::new(ShardSnapshot {
-            epoch: self.snapshot_epoch,
-            stories,
-        }));
+        let changed = self.engine.pivot_mut().drain_changes();
+        let pivot = self.engine.pivot();
+        let patched = self.stories.patch(&changed, |id| snapshot::summary_of(pivot, id));
+        self.slot.publish(Arc::new(self.stories.snapshot(self.snapshot_epoch)));
+        drop(timer);
+        self.serve_metrics.snapshot_stories_patched.add(patched as u64);
+        debug_assert!(
+            self.stories.matches(&snapshot::summaries(pivot)),
+            "shard {}: patched snapshot differs from a rebuild (changed: {changed:?})",
+            self.idx
+        );
         self.snapshot_age_ops = 0;
         self.last_publish = Instant::now();
         self.serve_metrics.snapshot_epoch.set(self.snapshot_epoch as i64);
@@ -2282,16 +2330,25 @@ impl ShardWorker {
                 }
             }
             if !repanicked {
-                self.engine = engine;
-                // A rebuilt engine starts with detached handles; point
-                // it back at the shard's registry.
-                self.engine.pivot_mut().set_metrics(self.engine_metrics.clone());
                 // Readers must see the rebuilt partition, not the
                 // pre-panic (or pre-recovery empty) one.
-                self.publish_snapshot();
+                self.install_engine(engine);
                 return;
             }
         }
+    }
+
+    /// Adopt a replacement engine object: point its detached metric
+    /// handles at the shard's registry, start its change log, re-seed
+    /// the story table from scratch (the old table described the old
+    /// object) and publish.
+    fn install_engine(&mut self, engine: DynamicPivot) {
+        self.engine = engine;
+        let pivot = self.engine.pivot_mut();
+        pivot.set_metrics(self.engine_metrics.clone());
+        pivot.log_changes();
+        self.stories.seed(snapshot::summaries(pivot));
+        self.publish_snapshot();
     }
 
     /// Newest valid checkpoint generation, or a fresh engine.
@@ -2476,20 +2533,6 @@ impl ShardWorker {
         Response::BatchIngested(count)
     }
 
-    fn summaries(&self) -> Vec<StorySummary> {
-        let pivot = self.engine.pivot();
-        pivot
-            .story_partition()
-            .into_iter()
-            .map(|(id, members)| StorySummary {
-                id,
-                source: story_source(id),
-                lifespan: pivot.story(id).expect("partitioned story exists").lifespan(),
-                members,
-            })
-            .collect()
-    }
-
     /// Leader side of one replication poll. The handler runs on the
     /// shard thread, so `generation`, `ops_since_checkpoint`, and the
     /// WAL length are mutually consistent — there is no race with a
@@ -2561,13 +2604,11 @@ impl ShardWorker {
             w.reset()
                 .map_err(|e| Error::Io(format!("shard {} wal reset: {e}", self.idx)))?;
         }
-        self.engine = engine;
-        self.engine.pivot_mut().set_metrics(self.engine_metrics.clone());
         self.generation = generation;
         self.ops_since_checkpoint = 0;
         self.trace
             .push("repl_bootstrap", format!("generation {generation}"));
-        self.publish_snapshot();
+        self.install_engine(engine);
         Ok(self.repl_cursor())
     }
 

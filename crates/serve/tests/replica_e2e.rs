@@ -3,7 +3,6 @@
 //! partition, redirect writes with NOT_LEADER, expose replication lag,
 //! and — after `kill -9` mid-tail — converge again on restart.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -90,17 +89,6 @@ fn spawn_leader(dirs: &Path, shards: usize) -> ServerHandle {
     .unwrap()
 }
 
-fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
-    stories
-        .iter()
-        .map(|s| {
-            let mut members: Vec<u32> = s.members.iter().map(|m| m.raw()).collect();
-            members.sort_unstable();
-            (s.id.raw(), members)
-        })
-        .collect()
-}
-
 fn corpus(seed: u64, events: usize) -> Corpus {
     CorpusBuilder::new(
         GenConfig::default()
@@ -128,13 +116,16 @@ fn register_sources(client: &mut Client, corpus: &Corpus) {
     }
 }
 
-/// Poll the follower until its served partition equals `want`.
-fn await_convergence(addr: SocketAddr, want: &BTreeMap<u32, Vec<u32>>) {
+/// Poll the follower until its QUERY_STORIES answer equals the
+/// leader's `want` — ids, sources, lifespans and member lists. The
+/// follower's snapshot is seeded at bootstrap and patched per tailed
+/// batch; the leader's is patched per op.
+fn await_convergence(addr: SocketAddr, want: &[StorySummary]) {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut client = Client::connect(addr).unwrap();
     loop {
-        let got = partition_of_summaries(&client.query_stories().unwrap());
-        if &got == want {
+        let got = client.query_stories().unwrap();
+        if got == want {
             return;
         }
         assert!(
@@ -162,12 +153,14 @@ fn replica_converges_redirects_writes_and_reports_lag() {
 
     // The follower bootstraps from a leader that already has state.
     let (mut child, replica_addr) = spawn_replica(leader_addr, &rdir, "2");
-    let want = partition_of_summaries(&lc.query_stories().unwrap());
+    let want = lc.query_stories().unwrap();
     await_convergence(replica_addr, &want);
 
-    // Keep ingesting while the follower tails live.
+    // Keep ingesting while the follower tails live; a replicated
+    // removal shrinks (or drops) stories on the follower too.
     ingest_slice(&mut lc, &corpus, half..corpus.snippets.len());
-    let want = partition_of_summaries(&lc.query_stories().unwrap());
+    assert!(lc.remove_doc(corpus.snippets[0].doc).unwrap() > 0);
+    let want = lc.query_stories().unwrap();
     await_convergence(replica_addr, &want);
 
     // Writes are redirected, and the redirect names the leader.
@@ -220,7 +213,7 @@ fn replica_killed_mid_tail_converges_after_restart() {
     // Start the follower and let it reach the first third, so the kill
     // lands after bootstrap with real tailing state on disk.
     let (mut child, replica_addr) = spawn_replica(leader_addr, &rdir, "2");
-    let want = partition_of_summaries(&lc.query_stories().unwrap());
+    let want = lc.query_stories().unwrap();
     await_convergence(replica_addr, &want);
 
     // SIGKILL the follower while the leader keeps moving: no drain, no
@@ -230,7 +223,7 @@ fn replica_killed_mid_tail_converges_after_restart() {
     ingest_slice(&mut lc, &corpus, third..corpus.snippets.len());
 
     let (mut child2, replica_addr2) = spawn_replica(leader_addr, &rdir, "2");
-    let want = partition_of_summaries(&lc.query_stories().unwrap());
+    let want = lc.query_stories().unwrap();
     await_convergence(replica_addr2, &want);
 
     let mut rc = Client::connect(replica_addr2).unwrap();

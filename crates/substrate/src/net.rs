@@ -16,11 +16,11 @@
 //!   Registration is rebuilt per tick (O(fds) of plain memory writes),
 //!   which keeps the API trivially safe: no fd lifetime is retained
 //!   across calls.
-//! * [`wake_pair`] — a loopback-TCP socketpair acting as a cross-thread
-//!   wake channel: [`Waker::wake`] is a nonblocking one-byte write any
+//! * [`wake_pair`] — a `socketpair(2)` acting as a cross-thread wake
+//!   channel: [`Waker::wake`] is a nonblocking one-byte write any
 //!   thread can call, and the [`WakeReceiver`]'s fd is registered in a
-//!   `Poller` so a sleeping worker wakes. Built on `std` TCP because
-//!   `pipe(2)` would need more FFI surface for no gain.
+//!   `Poller` so a sleeping worker wakes. `std`'s `UnixStream::pair`
+//!   gives the pair with no FFI, no listener and no port.
 
 use std::io;
 use std::time::Duration;
@@ -206,11 +206,17 @@ impl std::fmt::Debug for Poller {
     }
 }
 
+#[cfg(unix)]
+type WakeStream = std::os::unix::net::UnixStream;
+/// Never constructed: [`wake_pair`] is unsupported off unix.
+#[cfg(not(unix))]
+type WakeStream = std::net::TcpStream;
+
 /// The sending half of a wake channel; cloneable and usable from any
 /// thread.
 #[derive(Clone)]
 pub struct Waker {
-    tx: std::sync::Arc<std::net::TcpStream>,
+    tx: std::sync::Arc<WakeStream>,
 }
 
 impl Waker {
@@ -236,7 +242,7 @@ impl std::fmt::Debug for Waker {
 /// The receiving half of a wake channel: register its fd for
 /// [`READABLE`] and [`WakeReceiver::drain`] when it fires.
 pub struct WakeReceiver {
-    rx: std::net::TcpStream,
+    rx: WakeStream,
 }
 
 impl WakeReceiver {
@@ -275,23 +281,27 @@ impl std::fmt::Debug for WakeReceiver {
     }
 }
 
-/// Build a connected wake channel over a loopback TCP socketpair. Both
-/// ends are nonblocking with Nagle disabled so a wake is visible to the
-/// poller immediately.
+/// Build a connected wake channel over a unix socketpair, both ends
+/// nonblocking.
+#[cfg(unix)]
 pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
-    let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let tx = std::net::TcpStream::connect(addr)?;
-    let (rx, _) = listener.accept()?;
+    let (tx, rx) = WakeStream::pair()?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
-    rx.set_nodelay(true)?;
     Ok((
         Waker {
             tx: std::sync::Arc::new(tx),
         },
         WakeReceiver { rx },
+    ))
+}
+
+/// Unsupported off unix, like [`Poller::poll`].
+#[cfg(not(unix))]
+pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "readiness polling requires a unix platform",
     ))
 }
 

@@ -370,10 +370,14 @@ mod wire_faults {
 mod shard_supervision {
     use std::path::{Path, PathBuf};
 
+    use storypivot::core::config::PivotConfig;
+    use storypivot::core::pivot::StoryPivot;
     use storypivot::serve::client::Client;
     use storypivot::serve::server::{serve, ServerConfig, POISON_HEADLINE};
     use storypivot::substrate::wal::SyncPolicy;
-    use storypivot::types::{EntityId, Snippet, SnippetId, SourceId, SourceKind, Timestamp};
+    use storypivot::types::{
+        EntityId, Snippet, SnippetId, SourceId, SourceKind, StoryId, Timestamp,
+    };
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -414,6 +418,18 @@ mod shard_supervision {
         client.ingest_retry(&snippet(0, 0, "fine"), 10).unwrap();
         client.ingest_retry(&snippet(1, 1, "fine too"), 10).unwrap();
 
+        // The in-process twin sees the good snippets only. Per-source
+        // partitions do not depend on the sharding.
+        let mut twin = StoryPivot::new(PivotConfig::default());
+        twin.add_source("victim", SourceKind::Wire);
+        twin.add_source("bystander", SourceKind::Wire);
+        twin.ingest(snippet(0, 0, "fine")).unwrap();
+        twin.ingest(snippet(1, 1, "fine too")).unwrap();
+        let served = |client: &mut Client| -> Vec<(StoryId, Vec<SnippetId>)> {
+            let stories = client.query_stories().unwrap();
+            stories.into_iter().map(|s| (s.id, s.members)).collect()
+        };
+
         // Strike 1: the live apply panics. Strike 2: the op re-panics
         // out of the WAL during the rebuild replay. One submission is
         // therefore enough to dead-letter it.
@@ -422,8 +438,15 @@ mod shard_supervision {
         let msg = err.to_string();
         assert!(msg.contains("panicked"), "unexpected error: {msg}");
 
+        // The rebuilt engine's read snapshot was seeded from scratch...
+        assert_eq!(served(&mut client), twin.story_partition());
         // The poisoned shard restarted and keeps serving its queue...
-        client.ingest_retry(&snippet(3, 0, "still alive"), 10).unwrap();
+        let (story, _) = client.ingest_retry(&snippet(3, 0, "still alive"), 10).unwrap();
+        // ...and that snapshot is patched, not stale: the next read
+        // sees the write.
+        twin.ingest(snippet(3, 0, "still alive")).unwrap();
+        assert!(client.get_story(story).unwrap().members.contains(&SnippetId::new(3)));
+        assert_eq!(served(&mut client), twin.story_partition());
         // ...and the sibling shard never noticed.
         client.ingest_retry(&snippet(4, 1, "unaffected"), 10).unwrap();
 

@@ -177,12 +177,16 @@ fn dirty_tracking_is_conservative() {
 
 /// Every op kind that rewrites the snippet → story table, on one
 /// engine, with the table checked against the stories' own member
-/// lists after each op.
+/// lists after each op — and a shadow partition, patched *only* from
+/// the engine's drained change log, that must equal `story_partition()`
+/// after each op (a mutation site that stops reporting breaks it).
 #[test]
 fn assignment_table_tracks_member_lists_through_every_op() {
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
-    fn check(pivot: &StoryPivot, after: &str) {
+    type Shadow = BTreeMap<StoryId, Vec<SnippetId>>;
+
+    fn check(pivot: &mut StoryPivot, shadow: &mut Shadow, after: &str) {
         pivot
             .check_invariants()
             .unwrap_or_else(|e| panic!("after {after}: {e}"));
@@ -204,37 +208,68 @@ fn assignment_table_tracks_member_lists_through_every_op() {
                 sn.id
             );
         }
+
+        let changed = pivot.drain_changes();
+        assert!(changed.windows(2).all(|w| w[0] < w[1]), "after {after}: {changed:?}");
+        for id in changed {
+            match pivot.story(id) {
+                Some(state) => {
+                    let mut members = state.story.members.clone();
+                    members.sort_unstable();
+                    shadow.insert(id, members);
+                }
+                None => {
+                    shadow.remove(&id);
+                }
+            }
+        }
+        let patched: Vec<(StoryId, Vec<SnippetId>)> =
+            shadow.iter().map(|(&id, members)| (id, members.clone())).collect();
+        assert_eq!(
+            patched,
+            pivot.story_partition(),
+            "after {after}: the change log missed a story"
+        );
     }
 
     let c = corpus(360, 3, 54);
     let mut config = PivotConfig::temporal(14 * DAY);
     config.identify.maintenance_every = 0; // maintenance is its own op below
     let mut pivot = StoryPivot::new(config.clone());
+    pivot.log_changes();
+    let mut shadow = Shadow::new();
     for s in &c.sources {
         pivot.add_source_with_lag(s.name.clone(), s.kind, s.typical_lag);
     }
+    // The tail of the stream is held back for the two ingest paths
+    // exercised after the single-snippet one.
+    let (stream, held_back) = c.snippets.split_at(c.len() - 40);
+    let (for_maintenance, for_batch) = held_back.split_at(10);
 
     // Ingest, in and out of timestamp order; bridging snippets merge.
     let (mut late, mut merges) = (0, 0);
     let mut newest: HashMap<SourceId, Timestamp> = HashMap::new();
-    for (i, s) in c.snippets.iter().enumerate() {
+    for (i, s) in stream.iter().enumerate() {
         let seen = newest.entry(s.source).or_insert(s.timestamp);
         late += usize::from(s.timestamp < *seen);
         *seen = (*seen).max(s.timestamp);
         merges += pivot.ingest_detailed(s.clone()).unwrap().merged.len();
-        check(&pivot, "ingest");
-        if i == c.len() / 2 {
-            // Restart from a checkpoint mid-stream.
+        check(&mut pivot, &mut shadow, "ingest");
+        if i == stream.len() / 2 {
+            // Restart from a checkpoint mid-stream. The restored engine
+            // logs nothing until asked; the partition is the one the
+            // shadow already mirrors.
             pivot = StoryPivot::load_checkpoint(config.clone(), &pivot.save_checkpoint()).unwrap();
-            check(&pivot, "checkpoint load");
+            pivot.log_changes();
+            check(&mut pivot, &mut shadow, "checkpoint load");
         }
     }
     assert!(late > 0, "no out-of-order arrival");
     assert!(merges > 0, "no merge");
 
     // Move every `stride`-th snippet into another story of its source.
-    let misplace = |pivot: &mut StoryPivot, stride: usize| {
-        for s in c.snippets.iter().step_by(stride) {
+    let misplace = |pivot: &mut StoryPivot, shadow: &mut Shadow, stride: usize| {
+        for s in stream.iter().step_by(stride) {
             let original = pivot.story_of(s.id).expect("ingested above");
             let other = pivot
                 .stories_of_source(s.source)
@@ -243,21 +278,42 @@ fn assignment_table_tracks_member_lists_through_every_op() {
                 .find(|&id| id != original)
                 .expect("every source has several stories");
             pivot.reassign_snippet(s.id, other).unwrap();
-            check(pivot, "reassign_snippet");
+            check(pivot, shadow, "reassign_snippet");
         }
     };
 
     // Maintenance splits the misplaced snippets off their host stories.
-    misplace(&mut pivot, 9);
+    misplace(&mut pivot, &mut shadow, 9);
     let splits = pivot.run_maintenance().len();
-    check(&pivot, "maintenance");
+    check(&mut pivot, &mut shadow, "maintenance");
     assert!(splits > 0, "no split");
 
+    // The same split, found by the maintenance pass an ingest triggers
+    // (a checkpoint may be loaded under another policy).
+    misplace(&mut pivot, &mut shadow, 11);
+    let mut eager = config.clone();
+    eager.identify.maintenance_every = 1;
+    pivot = StoryPivot::load_checkpoint(eager, &pivot.save_checkpoint()).unwrap();
+    pivot.log_changes();
+    let mut split_on_ingest = 0;
+    for s in for_maintenance {
+        let before = pivot.story_count();
+        let d = pivot.ingest_detailed(s.clone()).unwrap();
+        let after = pivot.story_count() + d.merged.len();
+        split_on_ingest += after - before - usize::from(d.created);
+        check(&mut pivot, &mut shadow, "ingest with maintenance");
+    }
+    assert!(split_on_ingest > 0, "no split during ingest");
+
+    // Parallel per-source identification of a batch.
+    pivot.ingest_batch_parallel(for_batch.to_vec()).unwrap();
+    check(&mut pivot, &mut shadow, "ingest_batch_parallel");
+
     // Refinement moves misplaced snippets back across stories.
-    misplace(&mut pivot, 7);
+    misplace(&mut pivot, &mut shadow, 7);
     pivot.align();
     let moves = pivot.refine().move_count();
-    check(&pivot, "refine");
+    check(&mut pivot, &mut shadow, "refine");
     assert!(moves > 0, "refinement moved nothing");
 
     // Remove one story's snippets one by one until the story is gone.
@@ -270,7 +326,12 @@ fn assignment_table_tracks_member_lists_through_every_op() {
     assert!(members.len() > 1);
     for m in members {
         pivot.remove_snippet(m).unwrap();
-        check(&pivot, "remove_snippet");
+        check(&mut pivot, &mut shadow, "remove_snippet");
     }
     assert!(pivot.story(victim).is_none(), "emptied story still alive");
+
+    // A source leaves with all of its stories.
+    pivot.remove_source(c.sources[1].id).unwrap();
+    check(&mut pivot, &mut shadow, "remove_source");
+    assert!(!shadow.is_empty() && shadow.len() == pivot.story_count());
 }

@@ -28,6 +28,14 @@ fn partition_of_engine(pivot: &StoryPivot) -> Partition {
         .collect()
 }
 
+/// The union of per-shard in-process engines' partitions.
+fn partition_of_engines(engines: &[DynamicPivot]) -> Partition {
+    let mut all: Partition =
+        engines.iter().flat_map(|dp| partition_of_engine(dp.pivot())).collect();
+    all.sort();
+    all
+}
+
 fn partition_of_summaries(summaries: &[storypivot::serve::StorySummary]) -> Partition {
     let mut out: Partition = summaries
         .iter()
@@ -155,11 +163,7 @@ fn sharded_server_matches_sharded_in_process_replica() {
         let shard = snippet.source.raw() as usize % shards;
         replicas[shard].ingest(snippet.clone()).unwrap();
     }
-    let mut expected: Partition = replicas
-        .iter()
-        .flat_map(|dp| partition_of_engine(dp.pivot()))
-        .collect();
-    expected.sort();
+    let expected = partition_of_engines(&replicas);
 
     let mut client = Client::connect(addr).unwrap();
     let served = partition_of_summaries(&client.query_stories().unwrap());
@@ -515,4 +519,172 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
 
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// The read snapshot is patched from the engine's change log, not
+/// rebuilt; every kind of change the wire can cause must reach it. (In
+/// this debug build every publish also asserts patched == rebuilt.)
+#[test]
+fn snapshot_patching_follows_merges_splits_removals_batches_and_refinement() {
+    use storypivot::serve::{Request, Response};
+    use storypivot::types::{DocId, Error, EventType, SourceId, StoryId, DAY};
+
+    let corpus = CorpusBuilder::new(
+        GenConfig::default().with_seed(60).with_sources(6).with_target_snippets(900),
+    )
+    .build();
+    let shards = 2;
+    let ckpt = scratch_dir("patched");
+    let handle = serve("127.0.0.1:0", flush_only_config(shards, Some(ckpt.clone()))).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Per-shard in-process twins, each counting into its own registry.
+    let registry = storypivot::substrate::metrics::Registry::new();
+    let metrics = storypivot::core::EngineMetrics::register(&registry);
+    let mut twins: Vec<DynamicPivot> = (0..shards)
+        .map(|_| {
+            let mut twin = DynamicPivot::new(
+                PivotConfig::default(),
+                PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
+            );
+            twin.pivot_mut().set_metrics(metrics.clone());
+            twin
+        })
+        .collect();
+    for source in &corpus.sources {
+        let id = client.add_source(&source.name, source.kind, source.typical_lag).unwrap();
+        assert_eq!(id, source.id);
+        let shard = id.raw() as usize % shards;
+        twins[shard].pivot_mut().add_source_registered(source.clone()).unwrap();
+    }
+    fn ingest_twin(twins: &mut [DynamicPivot], snippet: &Snippet) {
+        let shard = snippet.source.raw() as usize % twins.len();
+        twins[shard].ingest(snippet.clone()).unwrap();
+    }
+    fn remove_doc_twin(twins: &mut [DynamicPivot], doc: DocId) -> usize {
+        twins
+            .iter_mut()
+            .map(|t| match t.pivot_mut().remove_document(doc) {
+                Ok(n) => n,
+                Err(Error::UnknownDocument(_)) => 0,
+                Err(e) => panic!("{e}"),
+            })
+            .sum()
+    }
+
+    // Two unrelated threads in source 0 and a bridge that merges them;
+    // entity/term/doc/snippet ids far above the generator's.
+    let source0 = SourceId::new(0);
+    let t0 = corpus.snippets[0].timestamp.secs();
+    let crafted = |n: u32, entities: &[u32], terms: &[u32]| {
+        let mut b = Snippet::builder(
+            SnippetId::new(1_000_000 + n),
+            source0,
+            Timestamp::from_secs(t0 + n as i64 * DAY / 4),
+        )
+        .doc(DocId::new(1_000_000 + n))
+        .event_type(EventType::Accident);
+        for &e in entities {
+            b = b.entity(EntityId::new(2_000_000 + e), 1.0);
+        }
+        for &t in terms {
+            b = b.term(TermId::new(2_000_000 + t), 1.0);
+        }
+        b.build()
+    };
+    let mut prologue = Vec::new();
+    for n in 0..3 {
+        prologue.push(crafted(2 * n, &[1, 2], &[10, 11]));
+        prologue.push(crafted(2 * n + 1, &[3, 4], &[12, 13]));
+    }
+    let bridge = crafted(6, &[1, 2, 3, 4], &[10, 11, 12, 13]);
+    prologue.push(bridge.clone());
+    let (left, right) = (prologue[0].id, prologue[1].id);
+
+    let third = corpus.len() / 3;
+    let (first, rest) = corpus.snippets.split_at(third);
+    let (second, last) = rest.split_at(third);
+
+    // Phase 1 — single ingests with merges (the bridge, and the
+    // generator's own).
+    for snippet in prologue.iter().chain(first) {
+        assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
+        ingest_twin(&mut twins, snippet);
+    }
+    assert!(metrics.identify_merge_total.get() >= 1, "no merge");
+    assert_eq!(twins[0].pivot().story_of(left), twins[0].pivot().story_of(right));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+
+    // Phase 2 — the bridge's document goes, and enough events follow on
+    // source 0 for its maintenance pass to split the two threads apart.
+    assert_eq!(client.remove_doc(bridge.doc).unwrap() as usize, remove_doc_twin(&mut twins, bridge.doc));
+    for snippet in second {
+        assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
+        ingest_twin(&mut twins, snippet);
+    }
+    assert!(metrics.identify_split_total.get() >= 1, "no maintenance split");
+    assert_ne!(twins[0].pivot().story_of(left), twins[0].pivot().story_of(right));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+
+    // Phase 3 — a REMOVE_DOC that empties a story.
+    let (doomed, doc) = twins
+        .iter()
+        .flat_map(|t| {
+            t.pivot().story_partition().into_iter().filter(|(_, m)| m.len() == 1).map(|(id, m)| {
+                (id, t.pivot().store().get(m[0]).expect("member is stored").doc)
+            })
+        })
+        .next()
+        .expect("some story has a single member");
+    assert!(client.get_story(doomed).is_ok());
+    assert_eq!(client.remove_doc(doc).unwrap() as usize, remove_doc_twin(&mut twins, doc));
+    assert!(twins.iter().all(|t| t.pivot().story(doomed).is_none()));
+    assert_eq!(
+        client.request(&Request::GetStory(doomed)).unwrap(),
+        Response::from_error(&Error::UnknownStory(doomed)),
+    );
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+
+    // Phase 4 — one INGEST_BATCH, split across both shards.
+    assert_eq!(client.ingest_batch(last.to_vec()).unwrap() as usize, last.len());
+    for snippet in last {
+        ingest_twin(&mut twins, snippet);
+    }
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+
+    // One publish per epoch, each patching a story or two — not the
+    // hundreds a rebuild per publish would touch.
+    let text = client.metrics().unwrap();
+    for shard in 0..shards {
+        let series = |name: &str| {
+            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}"))
+                .unwrap_or_else(|| panic!("missing {name} for shard {shard}"))
+        };
+        let publishes = series("storypivot_shard_snapshot_publish_duration_ns_count");
+        assert_eq!(publishes, series("storypivot_shard_snapshot_epoch"));
+        let patched = series("storypivot_shard_snapshot_stories_patched_total");
+        assert!(patched >= publishes / 2 && patched < 3 * publishes, "{patched} / {publishes}");
+    }
+
+    // Phase 5 — SHUTDOWN flushes: refinement moves snippets between
+    // live stories. The restarted server reads the flushed partition.
+    client.shutdown().unwrap();
+    handle.join();
+    let moves: usize = twins.iter_mut().map(DynamicPivot::flush).sum();
+    assert!(moves >= 1, "the flush must move at least one snippet");
+    let handle = serve("127.0.0.1:0", flush_only_config(shards, Some(ckpt.clone()))).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    // ...and its re-seeded snapshot keeps following writes.
+    let late = crafted(7, &[1, 2], &[10, 11]);
+    let story: StoryId = match client.ingest(&late).unwrap() {
+        IngestReply::Assigned(id) => id,
+        other => panic!("expected assignment, got {other:?}"),
+    };
+    ingest_twin(&mut twins, &late);
+    assert!(client.get_story(story).unwrap().members.contains(&late.id));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
