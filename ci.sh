@@ -96,6 +96,9 @@ grep -q '^storypivot_story_cache_misses_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_pairs_scored_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_cohesion_cache_hits_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_cohesion_cache_misses_total' "$SMOKE_DIR/metrics.txt"
+# And what the maintenance passes looked at.
+grep -q '^storypivot_maintenance_stories_checked_total' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_maintenance_pairs_scored_total' "$SMOKE_DIR/metrics.txt"
 # And the read-snapshot publish clock: what a publish costs and how many
 # story entries it patched, per shard.
 grep -q '^storypivot_shard_snapshot_publish_duration_ns_count{shard="0"}' "$SMOKE_DIR/metrics.txt"

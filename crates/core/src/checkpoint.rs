@@ -4,11 +4,13 @@
 //! A repository like GDELT is updated "over fixed time intervals (e.g.,
 //! daily)" (paper §1); a long-running pivot therefore needs restarts
 //! without replaying months of history. The checkpoint contains the
-//! store snapshot plus, per source, the snippet→story assignment and
-//! the story-id allocator position. Story aggregates (centroids,
-//! sketches, signatures, lifespans) are *recomputed* from the snippets
-//! on load — they are derived state, and rebuilding them keeps the
-//! format small and version-stable.
+//! store snapshot plus, per source, the snippet→story assignment, the
+//! story-id allocator position and the maintenance phase (snippets
+//! identified since the last pass — without it a restored engine would
+//! split at other events than one that kept running). Story aggregates
+//! (centroids, sketches, signatures, lifespans) are *recomputed* from
+//! the snippets on load — they are derived state, and rebuilding them
+//! keeps the format small and version-stable.
 //!
 //! The configuration is **not** stored: the caller supplies it on load
 //! (configs contain policy, not data; loading under a different config
@@ -19,7 +21,8 @@
 //! ```text
 //! magic "SPVC" | version u32 | store_len u64 | store snapshot
 //!   | ident_count u32
-//!   | per ident: source u32, next_story u32, n u32, (snippet u32, story u32)×n
+//!   | per ident: source u32, next_story u32, since_maintenance u32,
+//!       n u32, (snippet u32, story u32)×n
 //!   | snippet_ids u32 | doc_ids u32 | source_ids u32
 //! ```
 
@@ -33,7 +36,7 @@ use crate::pivot::StoryPivot;
 /// Checkpoint file magic.
 pub const MAGIC: &[u8; 4] = b"SPVC";
 /// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
     if buf.len() < 4 {
@@ -71,6 +74,9 @@ impl StoryPivot {
             let ident = &self.identifiers[&source];
             out.extend_from_slice(&source.raw().to_le_bytes());
             out.extend_from_slice(&ident.next_story_id_raw().to_le_bytes());
+            // Saturating: the count is only ever compared with `maintenance_every`.
+            let since = u32::try_from(ident.since_maintenance()).unwrap_or(u32::MAX);
+            out.extend_from_slice(&since.to_le_bytes());
             out.extend_from_slice(&(ident.assigned_count() as u32).to_le_bytes());
             // Ascending by snippet id, so equal engines write equal bytes.
             for (snippet, story) in ident.assignments() {
@@ -121,6 +127,7 @@ impl StoryPivot {
                 )));
             }
             let next_story = get_u32(&mut buf, "story allocator")?;
+            let since_maintenance = get_u32(&mut buf, "maintenance phase")?;
             let n = get_u32(&mut buf, "assignment count")?;
             let mut ident = Identifier::new(
                 source,
@@ -152,6 +159,7 @@ impl StoryPivot {
                 ident.force_assign(&sn, story);
             }
             ident.restore_next_story_id(next_story);
+            ident.restore_since_maintenance(since_maintenance as usize);
             pivot.identifiers.insert(source, ident);
         }
         pivot.snippet_ids = IdGen::starting_at(get_u32(&mut buf, "snippet allocator")?);

@@ -15,13 +15,47 @@
 //! are one) and **split** (a maintenance pass that breaks a story whose
 //! member-similarity graph has fallen apart) — the incremental record
 //! linkage behaviour the paper cites.
+//!
+//! # Maintenance is proportional to what changed
+//!
+//! Whether a story splits, and into which fragments, is a pure function
+//! of its member list: `Story::members` is sorted by snippet id, two
+//! members share an edge iff they lie within `2ω` of each other (temporal
+//! mode) and their `snippet_sim` reaches `split_threshold`, and
+//! [`UnionFind::groups`] orders the components by smallest member before
+//! the stable sort by size hands out fresh ids. Stored snippets never
+//! change, so a verdict stays true until the member list changes. The
+//! identifier therefore keeps the set of stories *not known connected*
+//! (`pending`), and [`Identifier::maintain`] looks at nothing else.
+//!
+//! **Invariant.** A story absent from `pending` has fewer than 3 members
+//! or a connected member graph; for a *grew-by* entry, the members it
+//! does not list are one component. Who keeps it:
+//!
+//! * a join onto a story of ≥ 3 members held as connected records the
+//!   newcomer (*grew-by*); onto anything smaller, *unknown* — a story
+//!   that never had 3 members has never been swept, so its first two
+//!   are not known connected;
+//! * a merge makes the survivor *unknown* (the bridge cleared
+//!   `merge_threshold` on a blended story-level score, which is no
+//!   pairwise edge) and the absorbed id leaves the set;
+//! * [`Identifier::remove_snippet`] (a bridge may be gone) and
+//!   [`Identifier::force_assign`] (refinement moves, reassignment, every
+//!   member on checkpoint load) make the story *unknown*; an emptied
+//!   story leaves the set;
+//! * after a split the survivor and every fragment are components, hence
+//!   connected; a pass leaves the set empty.
+//!
+//! `StoryPivot::check_invariants` re-derives this from scratch
+//! ([`Identifier::check_pending`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use storypivot_sketch::HashFamily;
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
-use storypivot_types::{kernel, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{kernel, Error, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::hotcache::{CacheEntry, HotStoryCache};
@@ -67,6 +101,75 @@ pub struct MaintenanceReport {
     /// Each entry: a story that split, with the ids of the fragments
     /// (the original id is reused for the largest fragment).
     pub splits: Vec<(StoryId, Vec<StoryId>)>,
+    /// Stories of ≥ 3 members whose member graph the pass examined.
+    pub stories_checked: usize,
+    /// Snippet-pair similarities the pass evaluated.
+    pub pairs_scored: usize,
+}
+
+/// What the next maintenance pass must still establish about a story
+/// (the module docs state the invariant).
+#[derive(Debug, Clone)]
+enum Pending {
+    /// Nothing is known about the member graph.
+    Unknown,
+    /// The story was held as connected and has only gained these members
+    /// since: the members not listed are one component.
+    Grew(Vec<SnippetId>),
+}
+
+/// Connected components of `members`' similarity graph — an edge joins
+/// two members within `2ω` of each other (temporal mode) whose
+/// similarity reaches `split_threshold` — and the number of similarities
+/// evaluated to find them.
+///
+/// With `grew`, the members it does not list are taken as one component
+/// and only pairs involving a listed one are looked at. Either way the
+/// scan skips pairs already in one component and stops once a single
+/// component is left, newest members first (a joiner's best pair is
+/// recent): neither can change which components come out, only how many
+/// similarities it takes.
+fn member_components(
+    cfg: &IdentifyConfig,
+    members: &[&Snippet],
+    grew: Option<&[SnippetId]>,
+) -> (UnionFind, usize) {
+    let n = members.len();
+    let mut uf = UnionFind::new(n);
+    let fresh: Vec<bool> = members
+        .iter()
+        .map(|m| grew.is_none_or(|new| new.contains(&m.id)))
+        .collect();
+    let mut settled = (0..n).filter(|&i| !fresh[i]);
+    if let Some(first) = settled.next() {
+        for i in settled {
+            uf.union(first, i);
+        }
+    }
+    let max_gap = cfg.mode.omega().map(|w| 2 * w);
+    let mut pairs = 0usize;
+    for i in (0..n).rev().filter(|&i| fresh[i]) {
+        // Bit-identical to `snippet_sim` per pair, in either argument
+        // order: every kernel behind it is symmetric term by term.
+        let scorer = cfg.weights.probe(&members[i].content);
+        for j in (0..n).rev() {
+            // Two fresh members meet in the row of the newer one.
+            if j == i || (fresh[j] && j > i) || uf.connected(i, j) {
+                continue;
+            }
+            if max_gap.is_some_and(|gap| members[i].timestamp.distance(members[j].timestamp) > gap) {
+                continue;
+            }
+            pairs += 1;
+            if scorer.score(&members[j].content) >= cfg.split_threshold {
+                uf.union(i, j);
+                if uf.component_count() == 1 {
+                    return (uf, pairs);
+                }
+            }
+        }
+    }
+    (uf, pairs)
 }
 
 /// Where a candidate story's windowed fold lives for the current probe.
@@ -201,6 +304,9 @@ pub struct Identifier {
     assigned: usize,
     ids: IdGen<StoryId>,
     since_maintenance: usize,
+    /// Stories not known connected (module docs). Holds at most one
+    /// entry per story joined or forced since the last pass.
+    pending: HashMap<StoryId, Pending>,
     cache: HotStoryCache,
     scratch: ScoreScratch,
 }
@@ -216,6 +322,7 @@ impl Identifier {
             assigned: 0,
             ids: IdGen::starting_at(source.raw().wrapping_mul(STORY_ID_STRIDE)),
             since_maintenance: 0,
+            pending: HashMap::new(),
             cache: HotStoryCache::new(cfg.hot_cache_capacity),
             scratch: ScoreScratch::default(),
             cfg,
@@ -283,6 +390,18 @@ impl Identifier {
     /// Restore the story-id allocator position (checkpoint load).
     pub fn restore_next_story_id(&mut self, raw: u32) {
         self.ids = IdGen::starting_at(raw);
+    }
+
+    /// Snippets identified since the last maintenance pass
+    /// (checkpointing: a restored engine must split at the same events
+    /// as the one that kept running).
+    pub fn since_maintenance(&self) -> usize {
+        self.since_maintenance
+    }
+
+    /// Restore the maintenance phase (checkpoint load).
+    pub fn restore_since_maintenance(&mut self, n: usize) {
+        self.since_maintenance = n;
     }
 
     /// The hash family used by this identifier's sketches.
@@ -532,6 +651,7 @@ impl Identifier {
                                 .expect("best story exists")
                                 .absorb(&other_state);
                             self.cache.invalidate(other);
+                            self.pending.remove(&other);
                             merged.push(other);
                         }
                     }
@@ -540,6 +660,17 @@ impl Identifier {
                     self.cache.invalidate(best_story);
                 }
                 let state = self.stories.get_mut(&best_story).expect("best story exists");
+                let pending = self.pending.entry(best_story).or_insert_with(|| {
+                    if state.len() >= 3 {
+                        Pending::Grew(Vec::new())
+                    } else {
+                        Pending::Unknown
+                    }
+                });
+                match pending {
+                    Pending::Grew(new) if merged.is_empty() => new.push(snippet.id),
+                    _ => *pending = Pending::Unknown,
+                }
                 state.add_snippet(snippet, &self.family);
                 self.record_assignment(snippet.id, best_story);
                 IdentifyDecision {
@@ -601,10 +732,14 @@ impl Identifier {
     pub fn remove_snippet(&mut self, snippet: &Snippet, store: &EventStore) -> Option<StoryId> {
         let story_id = self.erase_assignment(snippet.id)?;
         self.cache.invalidate(story_id);
-        let state = self.stories.get_mut(&story_id)?;
+        let Entry::Occupied(mut entry) = self.stories.entry(story_id) else {
+            return None;
+        };
+        let state = entry.get_mut();
         state.story.remove_member(snippet.id);
         if state.story.is_empty() {
-            self.stories.remove(&story_id);
+            entry.remove();
+            self.pending.remove(&story_id);
         } else {
             let members: Vec<&Snippet> = state
                 .story
@@ -612,12 +747,8 @@ impl Identifier {
                 .iter()
                 .filter_map(|&m| store.get(m))
                 .collect();
-            let family = self.family.clone();
-            let cfg = self.sketch_cfg;
-            self.stories
-                .get_mut(&story_id)
-                .expect("story exists")
-                .rebuild(members, &family, &cfg);
+            state.rebuild(members, &self.family, &self.sketch_cfg);
+            self.pending.insert(story_id, Pending::Unknown);
         }
         Some(story_id)
     }
@@ -639,6 +770,7 @@ impl Identifier {
         });
         state.add_snippet(snippet, &self.family);
         self.record_assignment(snippet.id, story);
+        self.pending.insert(story, Pending::Unknown);
     }
 
     /// Allocate a fresh story id (for refinement moves that need a new
@@ -653,42 +785,44 @@ impl Identifier {
     /// their pairwise similarity reaches `split_threshold` *and* (in
     /// temporal mode) they lie within `2ω` of each other. Stories whose
     /// member graph decomposes are split into their components.
+    ///
+    /// Only the stories in the pending set are examined (module docs):
+    /// every other story has the member list a sweep already found
+    /// connected, and would be found connected again. The pass walks the
+    /// set in ascending story id, the order the walk over every story
+    /// took, so fresh fragment ids are allocated in the same order; and a
+    /// *grew-by* scan yields the same components as all pairs would,
+    /// because the pairs it leaves out lie inside one component. When
+    /// the pass runs is not this function's business: the cadence
+    /// (`maintenance_every`, [`Identifier::maintenance_due`]) decides at
+    /// which event a split fires, and with it the partition.
     pub fn maintain(&mut self, store: &EventStore) -> MaintenanceReport {
         self.since_maintenance = 0;
         let mut report = MaintenanceReport::default();
-        let story_ids = self.story_ids();
-        for story_id in story_ids {
-            let members: Vec<&Snippet> = {
-                let state = &self.stories[&story_id];
-                if state.len() < 3 {
-                    continue;
-                }
-                state
-                    .story
-                    .members
-                    .iter()
-                    .filter_map(|&m| store.get(m))
-                    .collect()
-            };
+        let mut pending: Vec<(StoryId, Pending)> = self.pending.drain().collect();
+        pending.sort_unstable_by_key(|&(id, _)| id);
+        for (story_id, known) in pending {
+            let state = &self.stories[&story_id];
+            if state.len() < 3 {
+                continue;
+            }
+            let members: Vec<&Snippet> = state
+                .story
+                .members
+                .iter()
+                .filter_map(|&m| store.get(m))
+                .collect();
             if members.len() < 3 {
                 continue;
             }
-            let mut uf = UnionFind::new(members.len());
-            let max_gap = self.cfg.mode.omega().map(|w| 2 * w);
-            for i in 0..members.len() {
-                for j in (i + 1)..members.len() {
-                    if let Some(gap) = max_gap {
-                        if members[i].timestamp.distance(members[j].timestamp) > gap {
-                            continue;
-                        }
-                    }
-                    if self.cfg.weights.snippet_sim(members[i], members[j])
-                        >= self.cfg.split_threshold
-                    {
-                        uf.union(i, j);
-                    }
-                }
-            }
+            let grew = match &known {
+                // A member the store no longer has voids what was known.
+                Pending::Grew(new) if members.len() == state.len() => Some(new.as_slice()),
+                _ => None,
+            };
+            let (mut uf, pairs) = member_components(&self.cfg, &members, grew);
+            report.stories_checked += 1;
+            report.pairs_scored += pairs;
             if uf.component_count() == 1 {
                 continue;
             }
@@ -696,29 +830,28 @@ impl Identifier {
             self.cache.invalidate(story_id);
             let mut groups = uf.groups();
             groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
-            let family = self.family.clone();
-            let sketch_cfg = self.sketch_cfg;
-            let mut fragment_ids = Vec::new();
+            let mut fragment_ids = vec![story_id];
 
             // Rebuild the surviving story from the largest group.
-            let keep: Vec<&Snippet> = groups[0].iter().map(|&i| members[i]).collect();
-            self.stories
-                .get_mut(&story_id)
-                .expect("story exists")
-                .rebuild(keep.iter().copied(), &family, &sketch_cfg);
-            fragment_ids.push(story_id);
+            self.stories.get_mut(&story_id).expect("story exists").rebuild(
+                groups[0].iter().map(|&i| members[i]),
+                &self.family,
+                &self.sketch_cfg,
+            );
 
             for group in &groups[1..] {
                 let new_id = self.ids.next_id();
                 let mut state = StoryState::new(
                     new_id,
                     self.source,
-                    &family,
-                    &sketch_cfg,
+                    &self.family,
+                    &self.sketch_cfg,
                     storypivot_types::DAY,
                 );
                 for &i in group {
-                    state.add_snippet(members[i], &family);
+                    state.add_snippet(members[i], &self.family);
+                }
+                for &i in group {
                     self.record_assignment(members[i].id, new_id);
                 }
                 self.stories.insert(new_id, state);
@@ -727,6 +860,50 @@ impl Identifier {
             report.splits.push((story_id, fragment_ids));
         }
         report
+    }
+
+    /// [`Identifier::maintain`] as the sweep over every story it used to
+    /// be: forget what is known, then run the same pass. The oracle for
+    /// `maintain` — the two differ only in which pairs get evaluated.
+    #[doc(hidden)]
+    pub fn maintain_reference(&mut self, store: &EventStore) -> MaintenanceReport {
+        self.pending = self.stories.keys().map(|&id| (id, Pending::Unknown)).collect();
+        self.maintain(store)
+    }
+
+    /// Check the pending set against a sweep from scratch (the module
+    /// docs' invariant), describing the first violation: every member
+    /// list maintenance would skip, or take as one component, must be
+    /// connected, and no entry may outlive its story.
+    pub fn check_pending(&self, store: &EventStore) -> Result<()> {
+        if let Some(dead) = self.pending.keys().find(|id| !self.stories.contains_key(id)) {
+            return Err(Error::Invariant(format!("story {dead} is gone but pending maintenance")));
+        }
+        for story_id in self.story_ids() {
+            // Stories under 3 members are never swept, so nothing is
+            // claimed about them — unless a grew-by entry says so.
+            let (grew, claimed_from) = match self.pending.get(&story_id) {
+                Some(Pending::Unknown) => continue,
+                Some(Pending::Grew(new)) => (new.as_slice(), 2),
+                None => (&[][..], 3),
+            };
+            let held: Vec<&Snippet> = self.stories[&story_id]
+                .story
+                .members
+                .iter()
+                .filter(|m| !grew.contains(m))
+                .filter_map(|&m| store.get(m))
+                .collect();
+            if held.len() >= claimed_from
+                && member_components(&self.cfg, &held, None).0.component_count() > 1
+            {
+                return Err(Error::Invariant(format!(
+                    "story {story_id}: maintenance holds {} members as connected, and they are not",
+                    held.len()
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1026,5 +1203,243 @@ mod tests {
         id.force_assign(&s, target);
         assert_eq!(id.story_of(SnippetId::new(0)), Some(target));
         assert_eq!(id.story(target).unwrap().len(), 1);
+    }
+
+    // ---- maintenance proportional to what changed ------------------------
+    //
+    // Same event type everywhere, default weights: sim = 0.10 + 0.45 ·
+    // weighted Jaccard(entities) + 0.45 · cosine(terms).
+
+    /// Complete mode, no periodic maintenance; joins are easy (0.2) so a
+    /// snippet can join a story without sharing an edge with any member.
+    fn splitter(merge_threshold: f64, split_threshold: f64) -> Identifier {
+        let cfg = IdentifyConfig {
+            mode: MatchMode::Complete,
+            match_threshold: 0.2,
+            merge_threshold,
+            split_threshold,
+            maintenance_every: 0,
+            ..IdentifyConfig::default()
+        };
+        Identifier::new(SourceId::new(0), cfg, SketchConfig::default())
+    }
+
+    /// `x`: the crash report every "clean" story below is made of.
+    fn x(id: u32) -> Snippet {
+        snip(id, 0, &[1, 2], &[10, 11])
+    }
+
+    /// Similar enough to `x` to join its story (blended 0.51), not enough
+    /// for an edge at 0.5 (pairwise 0.475).
+    fn near_x(id: u32) -> Snippet {
+        snip(id, 0, &[1, 3], &[10, 12])
+    }
+
+    fn partition(id: &Identifier) -> Vec<(StoryId, Vec<SnippetId>)> {
+        let stories = id.story_ids().into_iter();
+        stories.map(|s| (s, id.story(s).unwrap().story.members.clone())).collect()
+    }
+
+    /// `maintain` on `id` against the full sweep on a clone of it: same
+    /// splits, same fragment ids, same stories; the pending set holds its
+    /// invariant before and after.
+    fn maintain_like_reference(id: &mut Identifier, st: &EventStore) -> MaintenanceReport {
+        id.check_pending(st).unwrap();
+        let mut reference = id.clone();
+        let report = id.maintain(st);
+        assert_eq!(report.splits, reference.maintain_reference(st).splits);
+        assert_eq!(partition(id), partition(&reference));
+        id.check_pending(st).unwrap();
+        assert!(id.pending.is_empty(), "a pass leaves nothing pending");
+        report
+    }
+
+    #[test]
+    fn a_pair_that_was_never_swept_is_not_known_connected() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.5);
+        ingest(&mut st, &mut id, x(0));
+        ingest(&mut st, &mut id, near_x(1));
+        // A pass in between must not leave the pair looking verified.
+        assert_eq!(maintain_like_reference(&mut id, &st).stories_checked, 0);
+        // The third member has an edge to the second only.
+        ingest(&mut st, &mut id, near_x(2));
+        assert_eq!(id.story_count(), 1);
+        let report = maintain_like_reference(&mut id, &st);
+        assert_eq!(report.splits.len(), 1, "the first member was never connected");
+        assert_ne!(id.story_of(SnippetId::new(0)), id.story_of(SnippetId::new(1)));
+    }
+
+    #[test]
+    fn a_merge_makes_the_survivor_unknown_and_forgets_the_absorbed_story() {
+        let mut st = store();
+        let mut id = splitter(0.3, 0.6);
+        for i in 0..3 {
+            ingest(&mut st, &mut id, x(i));
+        }
+        assert_eq!(maintain_like_reference(&mut id, &st).stories_checked, 1);
+        // A second story, pending because it has only just got a second member.
+        let other = ingest(&mut st, &mut id, snip(3, 0, &[5, 6], &[20, 21])).story;
+        ingest(&mut st, &mut id, snip(4, 0, &[5, 6], &[20, 21]));
+        assert!(id.pending.contains_key(&other));
+        // The bridge has an edge to the first story (0.77) and clears
+        // `merge_threshold` against the second on the blended score
+        // (0.43) without an edge to either of its members (0.40).
+        let d = ingest(&mut st, &mut id, snip(5, 0, &[1, 2, 5], &[10, 11, 20]));
+        assert_eq!(d.merged, vec![other]);
+        assert!(!id.pending.contains_key(&other), "the absorbed id must leave the set");
+        let report = maintain_like_reference(&mut id, &st);
+        assert_eq!(report.splits.len(), 1, "a merge is no pairwise edge");
+        assert_eq!(id.story(report.splits[0].1[1]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn removing_a_bridge_makes_a_verified_story_unknown() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.3);
+        ingest(&mut st, &mut id, snip(0, 0, &[1, 2], &[10, 11]));
+        ingest(&mut st, &mut id, snip(1, 0, &[1, 2], &[10, 11]));
+        ingest(&mut st, &mut id, snip(2, 1, &[1, 2, 3, 4], &[10, 11, 12, 13]));
+        ingest(&mut st, &mut id, snip(3, 2, &[3, 4], &[12, 13]));
+        ingest(&mut st, &mut id, snip(4, 2, &[3, 4], &[12, 13]));
+        assert_eq!(id.story_count(), 1);
+        let verified = maintain_like_reference(&mut id, &st);
+        assert_eq!((verified.stories_checked, verified.splits.len()), (1, 0));
+
+        let bridge = st.remove(SnippetId::new(2)).unwrap();
+        id.remove_snippet(&bridge, &st);
+        assert_eq!(maintain_like_reference(&mut id, &st).splits.len(), 1);
+    }
+
+    #[test]
+    fn an_emptied_story_leaves_the_pending_set() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.3);
+        ingest(&mut st, &mut id, x(0));
+        ingest(&mut st, &mut id, x(1));
+        for i in 0..2 {
+            let s = st.remove(SnippetId::new(i)).unwrap();
+            id.remove_snippet(&s, &st);
+        }
+        assert_eq!(id.story_count(), 0);
+        // Would index a dead story otherwise.
+        assert_eq!(maintain_like_reference(&mut id, &st), MaintenanceReport::default());
+    }
+
+    #[test]
+    fn forced_members_are_not_known_connected() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.5);
+        for i in 0..3 {
+            ingest(&mut st, &mut id, x(i));
+        }
+        let story = id.story_of(SnippetId::new(0)).unwrap();
+        maintain_like_reference(&mut id, &st);
+        // Refinement or a what-if forces a stranger into the verified story.
+        let stranger = snip(3, 0, &[7, 8], &[30, 31]);
+        st.insert(stranger.clone()).unwrap();
+        id.force_assign(&stranger, story);
+        let report = maintain_like_reference(&mut id, &st);
+        assert_eq!(report.splits.len(), 1);
+
+        // A checkpoint load forces every member: nothing carries over.
+        let mut restored = splitter(0.99, 0.5);
+        for s in [x(0), near_x(1), near_x(2)] {
+            restored.force_assign(&s, story);
+        }
+        let mut st = store();
+        for s in [x(0), near_x(1), near_x(2)] {
+            st.insert(s).unwrap();
+        }
+        assert_eq!(maintain_like_reference(&mut restored, &st).splits.len(), 1);
+    }
+
+    #[test]
+    fn a_newcomer_without_an_edge_splits_off_as_under_the_reference() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.5);
+        for i in 0..3 {
+            ingest(&mut st, &mut id, x(i));
+        }
+        maintain_like_reference(&mut id, &st);
+        let d = ingest(&mut st, &mut id, near_x(3));
+        assert!(!d.created, "joined on the blended score");
+        // The clone inside must know the newcomer is unverified too.
+        let report = maintain_like_reference(&mut id, &st);
+        assert_eq!(report.stories_checked, 1);
+        assert_eq!(report.pairs_scored, 3, "the newcomer against each old member");
+        assert_eq!(report.splits.len(), 1);
+        assert_eq!(id.story(report.splits[0].1[1]).unwrap().story.members, vec![SnippetId::new(3)]);
+    }
+
+    #[test]
+    fn a_second_pass_in_a_row_checks_nothing_and_a_split_leaves_clean_stories() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.5);
+        for i in 0..3 {
+            ingest(&mut st, &mut id, x(i));
+        }
+        ingest(&mut st, &mut id, near_x(3));
+        let first = maintain_like_reference(&mut id, &st);
+        assert_eq!((first.stories_checked, first.splits.len()), (1, 1));
+        let second = maintain_like_reference(&mut id, &st);
+        assert_eq!((second.stories_checked, second.pairs_scored), (0, 0));
+        // The survivor is held as connected: one more join costs one pair.
+        ingest(&mut st, &mut id, x(4));
+        let third = maintain_like_reference(&mut id, &st);
+        assert_eq!((third.stories_checked, third.pairs_scored), (1, 1));
+    }
+
+    #[test]
+    fn joins_onto_verified_stories_cost_a_few_pairs_each() {
+        let mut st = store();
+        let cfg = IdentifyConfig {
+            mode: MatchMode::Temporal { omega: 5 * DAY },
+            maintenance_every: 0,
+            ..IdentifyConfig::default()
+        };
+        let mut id = Identifier::new(SourceId::new(0), cfg, SketchConfig::default());
+        // Four stories of 20 members each, ten days apart.
+        let member = |i: u32| {
+            let story = i % 4;
+            snip(i, 10 * story as i64 + (i / 4 % 3) as i64, &[10 * story, 10 * story + 1], &[story])
+        };
+        for i in 0..80 {
+            ingest(&mut st, &mut id, member(i));
+        }
+        assert_eq!(id.story_count(), 4);
+        let sweep = maintain_like_reference(&mut id, &st);
+        assert_eq!(sweep.stories_checked, 4);
+        for i in 80..144 {
+            ingest(&mut st, &mut id, member(i));
+        }
+        let mut reference = id.clone();
+        let report = id.maintain(&st);
+        assert_eq!((report.stories_checked, report.splits.len()), (4, 0));
+        assert!(report.pairs_scored <= 2 * 64, "{} pairs for 64 joins", report.pairs_scored);
+        // What the sweep over everything pays to say the same.
+        let full = reference.maintain_reference(&st);
+        assert_eq!(full.splits, report.splits);
+        assert_eq!(full.stories_checked, 4);
+    }
+
+    #[test]
+    fn check_pending_catches_a_story_wrongly_held_as_connected() {
+        let mut st = store();
+        let mut id = splitter(0.99, 0.5);
+        for i in 0..3 {
+            ingest(&mut st, &mut id, x(i));
+        }
+        maintain_like_reference(&mut id, &st);
+        ingest(&mut st, &mut id, near_x(3));
+        id.check_pending(&st).unwrap();
+        // Forget the newcomer: the story now counts as verified, and is not.
+        let forgotten = std::mem::take(&mut id.pending);
+        let err = id.check_pending(&st).unwrap_err().to_string();
+        assert!(err.contains("holds 4 members as connected"), "{err}");
+        // An entry for a story that no longer exists is caught as well.
+        id.pending = forgotten;
+        id.pending.insert(StoryId::new(99), Pending::Unknown);
+        assert!(id.check_pending(&st).unwrap_err().to_string().contains("is gone"));
     }
 }

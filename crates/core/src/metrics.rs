@@ -45,6 +45,13 @@ pub struct EngineMetrics {
     /// `storypivot_maintenance_runs_total` — merge/split maintenance
     /// passes executed.
     pub maintenance_runs_total: Counter,
+    /// `storypivot_maintenance_stories_checked_total` — stories whose
+    /// member graph a maintenance pass examined (only those changed
+    /// since a pass last found them connected).
+    pub maintenance_stories_checked_total: Counter,
+    /// `storypivot_maintenance_pairs_scored_total` — snippet-pair
+    /// similarities maintenance passes evaluated.
+    pub maintenance_pairs_scored_total: Counter,
     /// `storypivot_align_runs_total` — alignment passes (full or
     /// incremental).
     pub align_runs_total: Counter,
@@ -124,6 +131,14 @@ impl EngineMetrics {
             maintenance_runs_total: registry.counter(
                 "storypivot_maintenance_runs_total",
                 "Merge/split maintenance passes executed.",
+            ),
+            maintenance_stories_checked_total: registry.counter(
+                "storypivot_maintenance_stories_checked_total",
+                "Stories whose member graph a maintenance pass examined.",
+            ),
+            maintenance_pairs_scored_total: registry.counter(
+                "storypivot_maintenance_pairs_scored_total",
+                "Snippet-pair similarities evaluated by maintenance passes.",
             ),
             align_runs_total: registry.counter(
                 "storypivot_align_runs_total",

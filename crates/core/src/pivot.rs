@@ -12,7 +12,7 @@ use storypivot_types::{
 
 use crate::align::{AlignOutcome, Aligner};
 use crate::config::PivotConfig;
-use crate::identify::{Identifier, IdentifyDecision, STORY_ID_STRIDE};
+use crate::identify::{Identifier, IdentifyDecision, MaintenanceReport, STORY_ID_STRIDE};
 use crate::metrics::EngineMetrics;
 use crate::refine::{apply_moves, plan_reference, RefineReport, Refiner};
 use crate::state::StoryState;
@@ -242,6 +242,19 @@ impl StoryPivot {
     /// Like [`StoryPivot::ingest`] but returns the full identification
     /// decision (creation flag, best score, merges, comparison count).
     pub fn ingest_detailed(&mut self, snippet: Snippet) -> Result<IdentifyDecision> {
+        self.ingest_with(snippet, false)
+    }
+
+    /// [`StoryPivot::ingest_detailed`] with the maintenance pass it may
+    /// trigger run as the sweep over every story
+    /// ([`Identifier::maintain_reference`]); the lockstep oracle of
+    /// `tests/maintain_equivalence.rs`.
+    #[doc(hidden)]
+    pub fn ingest_reference(&mut self, snippet: Snippet) -> Result<IdentifyDecision> {
+        self.ingest_with(snippet, true)
+    }
+
+    fn ingest_with(&mut self, snippet: Snippet, reference: bool) -> Result<IdentifyDecision> {
         let source = snippet.source;
         let ident = self
             .identifiers
@@ -264,15 +277,27 @@ impl StoryPivot {
         self.touched.insert(decision.story);
         self.touched.extend(decision.merged.iter().copied());
         if ident.maintenance_due() {
-            self.metrics.maintenance_runs_total.inc();
-            let report = ident.maintain(&self.store);
-            self.metrics.identify_split_total.add(report.splits.len() as u64);
-            for (orig, fragments) in report.splits {
-                self.touched.insert(orig);
-                self.touched.extend(fragments);
-            }
+            let report = if reference {
+                ident.maintain_reference(&self.store)
+            } else {
+                ident.maintain(&self.store)
+            };
+            Self::record_pass(&self.metrics, &mut self.touched, &report);
         }
         Ok(decision)
+    }
+
+    /// Book one source's maintenance pass: the counters, and every
+    /// split story and fragment as touched.
+    fn record_pass(metrics: &EngineMetrics, touched: &mut Touched, report: &MaintenanceReport) {
+        metrics.maintenance_runs_total.inc();
+        metrics.identify_split_total.add(report.splits.len() as u64);
+        metrics.maintenance_stories_checked_total.add(report.stories_checked as u64);
+        metrics.maintenance_pairs_scored_total.add(report.pairs_scored as u64);
+        for (orig, fragments) in &report.splits {
+            touched.insert(*orig);
+            touched.extend(fragments.iter().copied());
+        }
     }
 
     /// Ingest a batch sequentially (in the given order).
@@ -307,7 +332,7 @@ impl StoryPivot {
         }
 
         let store = &self.store;
-        let mut touched: Vec<Vec<StoryId>> = Vec::new();
+        let mut touched: Vec<(Vec<StoryId>, MaintenanceReport)> = Vec::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (source, ident) in self.identifiers.iter_mut() {
@@ -319,21 +344,20 @@ impl StoryPivot {
                         touched.push(d.story);
                         touched.extend(d.merged);
                     }
-                    let report = ident.maintain(store);
-                    for (orig, fragments) in report.splits {
-                        touched.push(orig);
-                        touched.extend(fragments);
-                    }
-                    touched
+                    (touched, ident.maintain(store))
                 }));
             }
             for h in handles {
                 touched.push(h.join().expect("identification thread panicked"));
             }
         });
-        self.touched.extend(touched.into_iter().flatten());
-        // The parallel path records only the ingest count; per-decision
-        // counters stay on the sequential (serving) path.
+        for (stories, report) in touched {
+            self.touched.extend(stories);
+            Self::record_pass(&self.metrics, &mut self.touched, &report);
+        }
+        // Beyond the maintenance passes the parallel path records only
+        // the ingest count; per-decision counters stay on the sequential
+        // (serving) path.
         self.metrics.ingest_total.add(total as u64);
         Ok(total)
     }
@@ -444,14 +468,9 @@ impl StoryPivot {
         sources.sort_unstable();
         for source in sources {
             let ident = self.identifiers.get_mut(&source).expect("listed source");
-            self.metrics.maintenance_runs_total.inc();
             let report = ident.maintain(&self.store);
-            self.metrics.identify_split_total.add(report.splits.len() as u64);
-            for (orig, fragments) in report.splits {
-                self.touched.insert(orig);
-                self.touched.extend(fragments.iter().copied());
-                splits.push((orig, fragments));
-            }
+            Self::record_pass(&self.metrics, &mut self.touched, &report);
+            splits.extend(report.splits);
         }
         splits
     }
@@ -678,7 +697,10 @@ impl StoryPivot {
     ///    both directions;
     /// 2. story lifespans cover their members' timestamps;
     /// 3. when an alignment outcome exists, its global stories partition
-    ///    the per-source stories (modulo stories changed since).
+    ///    the per-source stories (modulo stories changed since);
+    /// 4. every story of ≥ 3 members that its identifier does not hold
+    ///    as pending maintenance has a connected member graph, found by
+    ///    a sweep from scratch ([`Identifier::check_pending`]).
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |msg: String| Err(Error::Invariant(msg));
 
@@ -757,6 +779,11 @@ impl StoryPivot {
                     }
                 }
             }
+        }
+
+        // (4)
+        for ident in self.identifiers.values() {
+            ident.check_pending(&self.store)?;
         }
         Ok(())
     }

@@ -180,6 +180,10 @@ fn dirty_tracking_is_conservative() {
 /// lists after each op — and a shadow partition, patched *only* from
 /// the engine's drained change log, that must equal `story_partition()`
 /// after each op (a mutation site that stops reporting breaks it).
+/// `check_invariants` also sweeps, after each op, every story the
+/// identifier would skip at its next maintenance pass (clause 4: a
+/// mutation site that stops marking its story as changed breaks that);
+/// passes run mid-stream so that there are verified stories to skip.
 #[test]
 fn assignment_table_tracks_member_lists_through_every_op() {
     use std::collections::{BTreeMap, HashMap};
@@ -255,6 +259,10 @@ fn assignment_table_tracks_member_lists_through_every_op() {
         *seen = (*seen).max(s.timestamp);
         merges += pivot.ingest_detailed(s.clone()).unwrap().merged.len();
         check(&mut pivot, &mut shadow, "ingest");
+        if i % 48 == 47 {
+            pivot.run_maintenance();
+            check(&mut pivot, &mut shadow, "maintenance mid-stream");
+        }
         if i == stream.len() / 2 {
             // Restart from a checkpoint mid-stream. The restored engine
             // logs nothing until asked; the partition is the one the

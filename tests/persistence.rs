@@ -105,3 +105,62 @@ fn checkpoints_round_trip_arbitrary_engine_states() {
         restored.check_invariants().unwrap();
     });
 }
+
+/// Restored mid-stream == uninterrupted, *with splits occurring*. The
+/// maintenance phase (snippets identified since the last pass) is part
+/// of the checkpoint: an engine that restarted its count at the reload
+/// would run its passes — and fire its splits — at other events than its
+/// twin, and the two partitions drift apart. Default thresholds rarely
+/// split, so the corpora here drift and the split threshold is raised
+/// (0.45 splits ~20 times per corpus; at 0.35 these seeds never do).
+#[test]
+fn restored_engine_splits_at_the_same_events_as_its_uninterrupted_twin() {
+    use storypivot::core::metrics::EngineMetrics;
+    use storypivot::substrate::metrics::Registry;
+
+    let mut config = PivotConfig::temporal(7 * DAY);
+    config.identify.split_threshold = 0.45;
+    let mut splits = 0;
+    for seed in 0..8u64 {
+        let c = CorpusBuilder::new(
+            GenConfig { drift: 0.4, ..GenConfig::default() }
+                .with_sources(2)
+                .with_seed(seed)
+                .with_target_snippets(500),
+        )
+        .build();
+        let registry = Registry::new();
+        let mut uninterrupted = StoryPivot::new(config.clone());
+        uninterrupted.set_metrics(EngineMetrics::register(&registry));
+        for s in &c.sources {
+            uninterrupted.add_source_with_lag(s.name.clone(), s.kind, s.typical_lag);
+        }
+        let mut restored = uninterrupted.clone();
+        restored.set_metrics(EngineMetrics::default());
+        for (i, s) in c.snippets.iter().enumerate() {
+            if i == 100 {
+                // Not a multiple of `maintenance_every` per source: both
+                // identifiers are mid-count.
+                restored =
+                    StoryPivot::load_checkpoint(config.clone(), &restored.save_checkpoint()).unwrap();
+            }
+            uninterrupted.ingest(s.clone()).unwrap();
+            restored.ingest(s.clone()).unwrap();
+        }
+        assert_eq!(restored.story_partition(), uninterrupted.story_partition(), "seed {seed}");
+        restored.check_invariants().unwrap();
+        splits += uninterrupted.metrics().identify_split_total.get();
+    }
+    assert!(splits >= 50, "the corpora must split for the phase to matter; split {splits}");
+}
+
+#[test]
+fn version_one_checkpoints_are_rejected_not_misread() {
+    let mut pivot = StoryPivot::new(PivotConfig::default());
+    pivot.add_source("a", SourceKind::Newspaper);
+    let mut bytes = pivot.save_checkpoint();
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let err = StoryPivot::load_checkpoint(PivotConfig::default(), &bytes).unwrap_err();
+    assert!(err.to_string().contains("unsupported checkpoint version 1"), "{err}");
+}
