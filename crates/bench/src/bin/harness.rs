@@ -19,7 +19,7 @@
 //!   wal (e12) journal fsync cost + recovery replay (durability)
 //!   metrics (e13) instrumentation overhead         (observability)
 //!   conns (e14) many-connection serving memory/rtt (serving runtime)
-//!   replica (e15) read fan-out across followers + snapshot staleness
+//!   replica (e15) read fan-out across followers
 //!   chaos (e16) adversarial scenario quality under load  (robustness)
 //!   hotpath (e17) similarity inner loop: flat kernels with the
 //!                 hot-story cache off vs on
@@ -904,15 +904,13 @@ fn e14_conns(scale: &Scale) -> Table {
 }
 
 /// E15 — replication: aggregate QUERY_STORIES throughput as follower
-/// replicas join the read path, and snapshot staleness under the
-/// `--snapshot-every-ops` freshness policy. Long-format table so both
-/// phases share one artifact (`BENCH_replica.json`).
+/// replicas join the read path (`BENCH_replica.json`, long format).
 fn e15_replica(scale: &Scale, seed: u64) -> Table {
     use storypivot_serve::client::Client;
     use storypivot_serve::load::{query_fanout, replay, LoadOptions, QueryOptions};
     use storypivot_serve::server::{serve, ServerConfig};
 
-    println!("\n## E15 — follower read fan-out and snapshot staleness\n");
+    println!("\n## E15 — follower read fan-out\n");
     let mut table = Table::new(["phase", "config", "metric", "value"]);
     let base = std::env::temp_dir().join(format!("storypivot-e15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -925,15 +923,13 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
             .with_target_snippets(scale.mid),
     )
     .build();
-    let server_cfg = |dir: std::path::PathBuf, every_ops: u64, leader: Option<String>| {
+    let server_cfg = |dir: std::path::PathBuf, leader: Option<String>| {
         std::fs::create_dir_all(&dir).expect("e15 wal dir");
         ServerConfig {
             shards,
             align_every: 0,
             wal_dir: Some(dir),
             fsync: SyncPolicy::Never,
-            snapshot_every_ops: every_ops,
-            snapshot_max_age_ms: 3_600_000,
             leader,
             ..ServerConfig::default()
         }
@@ -956,7 +952,7 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
     };
 
     // ---- phase 1: read throughput vs replica count -------------------
-    let leader = serve("127.0.0.1:0", server_cfg(base.join("leader"), 1, None))
+    let leader = serve("127.0.0.1:0", server_cfg(base.join("leader"), None))
         .expect("start e15 leader");
     let leader_addr = leader.addr();
     replay(
@@ -981,7 +977,6 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
                 "127.0.0.1:0",
                 server_cfg(
                     base.join(format!("replica-{extra}")),
-                    1,
                     Some(leader_addr.to_string()),
                 ),
             )
@@ -1037,43 +1032,6 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
     lc.shutdown().expect("leader shutdown");
     leader.join();
 
-    // ---- phase 2: snapshot staleness vs freshness policy -------------
-    // Sum/max of a shard-labeled gauge in the merged exposition.
-    let labeled = |text: &str, name: &str| -> Vec<u64> {
-        let prefix = format!("{name}{{");
-        text.lines()
-            .filter(|l| l.starts_with(&prefix))
-            .filter_map(|l| l.rsplit(' ').next()?.parse().ok())
-            .collect()
-    };
-    for every_ops in [1u64, 64] {
-        let dir = base.join(format!("stale-{every_ops}"));
-        let handle = serve("127.0.0.1:0", server_cfg(dir, every_ops, None))
-            .expect("start e15 staleness leader");
-        replay(
-            handle.addr(),
-            &corpus,
-            &LoadOptions { connections: shards, ..LoadOptions::default() },
-        )
-        .expect("staleness preload");
-        let mut client = Client::connect(handle.addr()).expect("staleness client");
-        let text = client.metrics().expect("staleness metrics");
-        let publishes: u64 = labeled(&text, "storypivot_shard_snapshot_epoch").iter().sum();
-        let max_age: u64 = labeled(&text, "storypivot_shard_snapshot_age_ops")
-            .into_iter()
-            .max()
-            .unwrap_or(0);
-        let ops = (corpus.len() + corpus.sources.len()) as u64;
-        let config = format!("every_ops={every_ops}");
-        println!("  {config}: {publishes} publishes over {ops} ops, max staleness {max_age} ops");
-        table.row(["staleness".into(), config.clone(), "ops".into(), ops.to_string()]);
-        table.row([
-            "staleness".into(), config.clone(), "snapshot_publishes".into(), publishes.to_string(),
-        ]);
-        table.row(["staleness".into(), config, "max_age_ops".into(), max_age.to_string()]);
-        client.shutdown().expect("staleness shutdown");
-        handle.join();
-    }
     let _ = std::fs::remove_dir_all(&base);
     print!("{}", table.to_markdown());
     table

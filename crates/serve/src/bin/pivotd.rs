@@ -22,8 +22,8 @@
 //! the leader's WAL, serves QUERY_STORIES/GET_STORY from local read
 //! snapshots, and redirects writes with NOT_LEADER. `--wal-dir` is
 //! required in this mode (the byte-identical WAL copy is the durable
-//! replication cursor). `--snapshot-every-ops` / `--snapshot-max-age-ms`
-//! tune read-snapshot freshness on leaders and replicas alike.
+//! replication cursor). Leaders and replicas alike publish a fresh read
+//! snapshot after every applied op, before its reply.
 //!
 //! `--deadline-ms N` turns on deadline shedding: a single-snippet
 //! ingest that waited in its shard queue longer than N milliseconds is
@@ -46,7 +46,6 @@ fn usage() -> ! {
          [--max-pipeline N] [--idle-timeout-ms N] [--checkpoint-dir DIR] \
          [--wal-dir DIR] [--fsync always|never|every:N] \
          [--checkpoint-every-bytes N] [--port-file PATH] \
-         [--snapshot-every-ops N] [--snapshot-max-age-ms N] \
          [--replica] [--leader HOST:PORT]"
     );
     std::process::exit(2);
@@ -92,12 +91,6 @@ fn main() {
                 cfg.checkpoint_every_bytes = parse(&mut args, "--checkpoint-every-bytes")
             }
             "--port-file" => port_file = Some(parse::<PathBuf>(&mut args, "--port-file")),
-            "--snapshot-every-ops" => {
-                cfg.snapshot_every_ops = parse(&mut args, "--snapshot-every-ops")
-            }
-            "--snapshot-max-age-ms" => {
-                cfg.snapshot_max_age_ms = parse(&mut args, "--snapshot-max-age-ms")
-            }
             "--replica" => replica = true,
             "--leader" => cfg.leader = Some(parse(&mut args, "--leader")),
             _ => usage(),

@@ -245,26 +245,6 @@ impl Client {
         }
     }
 
-    /// Ingest one snippet, sleeping out BUSY replies up to `max_retries`
-    /// times. Returns the story id and how many retries were needed.
-    pub fn ingest_retry(&mut self, snippet: &Snippet, max_retries: u32) -> Result<(StoryId, u32)> {
-        let mut retries = 0;
-        loop {
-            match self.ingest(snippet)? {
-                IngestReply::Assigned(story) => return Ok((story, retries)),
-                IngestReply::Busy { retry_after_ms } | IngestReply::Shed { retry_after_ms } => {
-                    if retries >= max_retries {
-                        return Err(Error::Io(format!(
-                            "shard still busy after {max_retries} retries"
-                        )));
-                    }
-                    retries += 1;
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.max(1) as u64));
-                }
-            }
-        }
-    }
-
     /// Ingest one snippet with jittered exponential backoff on BUSY and
     /// SHED. Returns the story id and the per-kind retry counts; once
     /// `policy.max_attempts` tries all came back pushed-back the typed

@@ -183,19 +183,6 @@ pub struct ServerConfig {
     /// Requires `wal_dir` (the follower keeps a byte-identical WAL
     /// copy as its durable replication cursor).
     pub leader: Option<String>,
-    /// Publish a fresh read snapshot after this many applied
-    /// mutations. The default of 1 republishes after every op, which
-    /// preserves exact read-your-writes. Raising it trades staleness
-    /// (bounded by `snapshot_max_age_ms`) for fewer publishes; a
-    /// publish patches only the stories changed since the last one and
-    /// otherwise bumps one reference count per story (≈ 3 µs at ~300
-    /// stories per shard), so that buys little until a shard holds
-    /// very many stories.
-    pub snapshot_every_ops: u64,
-    /// Also republish whenever the current snapshot is older than this
-    /// many milliseconds *and* ops have been applied since it was
-    /// built (checked as the worker processes jobs).
-    pub snapshot_max_age_ms: u64,
     /// Per-request deadline budget for single-snippet ingests, in
     /// milliseconds. A write that has already waited in its shard queue
     /// longer than this is shed (SHED reply, counted in
@@ -226,8 +213,6 @@ impl Default for ServerConfig {
             max_pipeline: 64,
             idle_timeout: None,
             leader: None,
-            snapshot_every_ops: 1,
-            snapshot_max_age_ms: 100,
             deadline_ms: 0,
             faults: None,
         }
@@ -571,7 +556,7 @@ pub(crate) struct Shared {
     busy_counters: Vec<Arc<AtomicU64>>,
     /// One published read snapshot per shard; I/O workers answer
     /// QUERY_STORIES/GET_STORY from these without touching the queues.
-    snapshots: Vec<SnapshotSlot>,
+    snapshots: Vec<Arc<SnapshotSlot>>,
     /// Per-shard query counters, bumped by I/O workers on the
     /// snapshot-read path and folded into STATS by the shard.
     query_counters: Vec<Arc<AtomicU64>>,
@@ -706,11 +691,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     if cfg.max_pipeline == 0 {
         return Err(Error::InvalidConfig("serve: max_pipeline must be >= 1".into()));
     }
-    if cfg.snapshot_every_ops == 0 {
-        return Err(Error::InvalidConfig(
-            "serve: snapshot_every_ops must be >= 1".into(),
-        ));
-    }
     if cfg.leader.is_some() && cfg.wal_dir.is_none() {
         return Err(Error::InvalidConfig(
             "serve: replica mode requires --wal-dir (the follower's WAL copy \
@@ -726,7 +706,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     let queues: Vec<Bounded<Job>> = (0..cfg.shards).map(|_| Bounded::new(cfg.queue_depth)).collect();
     let busy_counters: Vec<Arc<AtomicU64>> =
         (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let snapshots: Vec<SnapshotSlot> = (0..cfg.shards).map(|_| SnapshotSlot::new()).collect();
+    let snapshots: Vec<Arc<SnapshotSlot>> =
+        (0..cfg.shards).map(|_| Arc::new(SnapshotSlot::new())).collect();
     let query_counters: Vec<Arc<AtomicU64>> =
         (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let service_ewma_ns: Vec<Arc<AtomicU64>> =
@@ -744,7 +725,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
             Arc::clone(&busy_counters[idx]),
             queue.clone(),
             Arc::clone(&query_counters[idx]),
-            snapshots[idx].clone(),
+            Arc::clone(&snapshots[idx]),
             Arc::clone(&service_ewma_ns[idx]),
         )?);
     }
@@ -1421,7 +1402,7 @@ impl IoWorker {
             // ingest. `dest` is unused — the response is finished
             // synchronously in this call.
             RequestRef::QueryStories => {
-                let snaps: Vec<_> = self.shared.snapshots.iter().map(SnapshotSlot::load).collect();
+                let snaps: Vec<_> = self.shared.snapshots.iter().map(|s| s.load()).collect();
                 for shard in 0..snaps.len() {
                     self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
                     self.shared.note_degraded_read(shard);
@@ -1818,7 +1799,6 @@ struct ShardServeMetrics {
     shed: Counter,
     ingest_latency: HistogramMetric,
     snapshot_epoch: Gauge,
-    snapshot_age_ops: Gauge,
     snapshot_publish_duration: HistogramMetric,
     snapshot_stories_patched: Counter,
 }
@@ -1869,11 +1849,6 @@ impl ShardServeMetrics {
                 "Publication count of the shard's lock-free read snapshot.",
                 labels,
             ),
-            snapshot_age_ops: registry.gauge_with(
-                "storypivot_shard_snapshot_age_ops",
-                "Mutations applied since the current read snapshot was published.",
-                labels,
-            ),
             snapshot_publish_duration: registry.histogram_with(
                 "storypivot_shard_snapshot_publish_duration_ns",
                 "Duration of each read-snapshot publish (drain the change log, patch, \
@@ -1912,16 +1887,11 @@ struct ShardWorker {
     checkpoint_fault: FaultHook,
     queue: Bounded<Job>,
     /// Where published read snapshots go (shared with I/O workers).
-    slot: SnapshotSlot,
+    slot: Arc<SnapshotSlot>,
     /// The story vector the next publish hands out, patched from the
     /// engine's change log.
     stories: StoryTable,
     snapshot_epoch: u64,
-    /// Mutations applied since the last publish.
-    snapshot_age_ops: u64,
-    snapshot_every_ops: u64,
-    snapshot_max_age: Duration,
-    last_publish: Instant,
     /// Follower replica: skip local checkpoint scheduling (generation
     /// and WAL position are the leader's to advance).
     replica: bool,
@@ -1970,7 +1940,7 @@ impl ShardWorker {
         busy: Arc<AtomicU64>,
         queue: Bounded<Job>,
         queries: Arc<AtomicU64>,
-        slot: SnapshotSlot,
+        slot: Arc<SnapshotSlot>,
         service_ewma: Arc<AtomicU64>,
     ) -> Result<ShardWorker> {
         let policy = PipelinePolicy {
@@ -2025,10 +1995,6 @@ impl ShardWorker {
             slot,
             stories: StoryTable::default(),
             snapshot_epoch: 0,
-            snapshot_age_ops: 0,
-            snapshot_every_ops: cfg.snapshot_every_ops,
-            snapshot_max_age: Duration::from_millis(cfg.snapshot_max_age_ms),
-            last_publish: Instant::now(),
             replica: cfg.leader.is_some(),
             registry,
             engine_metrics,
@@ -2102,12 +2068,6 @@ impl ShardWorker {
             if !self.worker_delay.is_zero() {
                 std::thread::sleep(self.worker_delay);
             }
-            // Time half of the freshness policy: ops held back by a
-            // large `snapshot_every_ops` still reach readers once the
-            // snapshot outlives `snapshot_max_age`.
-            if self.snapshot_age_ops > 0 && self.last_publish.elapsed() >= self.snapshot_max_age {
-                self.publish_snapshot();
-            }
             match job {
                 Job::AddSource(source, reply) => reply(self.add_source(source)),
                 Job::Ingest(snippet, reply, enqueued) => {
@@ -2173,7 +2133,7 @@ impl ShardWorker {
                 if result.is_ok() {
                     self.ops_since_checkpoint += 1;
                     self.maybe_checkpoint();
-                    self.note_applied();
+                    self.publish_snapshot();
                 }
                 result
             }
@@ -2234,7 +2194,6 @@ impl ShardWorker {
         m.quarantined.set(self.quarantined as i64);
         m.busy_rejections.set(self.busy.load(Ordering::Relaxed) as i64);
         m.snapshot_epoch.set(self.snapshot_epoch as i64);
-        m.snapshot_age_ops.set(self.snapshot_age_ops as i64);
     }
 
     /// Patch the stories the engine reports changed since the last
@@ -2256,24 +2215,7 @@ impl ShardWorker {
             "shard {}: patched snapshot differs from a rebuild (changed: {changed:?})",
             self.idx
         );
-        self.snapshot_age_ops = 0;
-        self.last_publish = Instant::now();
         self.serve_metrics.snapshot_epoch.set(self.snapshot_epoch as i64);
-        self.serve_metrics.snapshot_age_ops.set(0);
-    }
-
-    /// Freshness policy after one applied mutation: republish every
-    /// `snapshot_every_ops` ops, or sooner once the snapshot is older
-    /// than `snapshot_max_age`.
-    fn note_applied(&mut self) {
-        self.snapshot_age_ops += 1;
-        if self.snapshot_age_ops >= self.snapshot_every_ops
-            || self.last_publish.elapsed() >= self.snapshot_max_age
-        {
-            self.publish_snapshot();
-        } else {
-            self.serve_metrics.snapshot_age_ops.set(self.snapshot_age_ops as i64);
-        }
     }
 
     /// Reconstruct the engine from the newest valid checkpoint plus the

@@ -35,11 +35,10 @@
 //! saw its ingest acked is guaranteed the next query reflects it,
 //! because the worker publishes before it replies.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::proto::StorySummary;
 use storypivot_core::StoryPivot;
-use storypivot_substrate::Shared;
 use storypivot_types::StoryId;
 
 /// An immutable snapshot of one shard's story partition.
@@ -149,36 +148,39 @@ impl StoryTable {
     }
 }
 
-/// A cloneable slot holding a shard's newest published snapshot.
+/// The slot holding a shard's newest published snapshot.
 ///
 /// The shard worker is the only publisher; I/O workers (and tests) are
 /// the readers. Swap-on-publish means a reader that loaded the old
 /// `Arc` keeps a consistent view for as long as it likes without
-/// holding any lock.
-#[derive(Clone, Debug, Default)]
+/// holding any lock. The lock is only ever held for an `Arc` clone or a
+/// `mem::replace`, so there is no half-written state behind a poisoned
+/// one and both sides ride through poisoning.
+#[derive(Debug, Default)]
 pub struct SnapshotSlot {
-    inner: Shared<Arc<ShardSnapshot>>,
+    inner: RwLock<Arc<ShardSnapshot>>,
 }
 
 impl SnapshotSlot {
     /// An empty epoch-0 slot (what readers see before recovery ends).
     pub fn new() -> SnapshotSlot {
-        SnapshotSlot {
-            inner: Shared::new(Arc::new(ShardSnapshot::default())),
-        }
+        SnapshotSlot::default()
     }
 
     /// Swap in a new snapshot. The previous one is released after the
     /// lock: when no reader holds it, that walks its whole story vector.
     pub fn publish(&self, snap: Arc<ShardSnapshot>) {
-        let previous = std::mem::replace(&mut *self.inner.write(), snap);
+        let previous = {
+            let mut current = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, snap)
+        };
         drop(previous);
     }
 
     /// Clone out the current snapshot; the lock is held only for the
     /// `Arc` clone.
     pub fn load(&self) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.inner.read())
+        Arc::clone(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -211,17 +213,30 @@ mod tests {
     }
 
     #[test]
-    fn publish_swaps_for_every_clone_and_old_readers_keep_their_view() {
-        let slot = SnapshotSlot::new();
-        let reader = slot.clone();
+    fn publish_swaps_for_every_handle_and_old_readers_keep_their_view() {
+        let slot = Arc::new(SnapshotSlot::new());
+        let reader = Arc::clone(&slot);
         assert_eq!(reader.load().epoch, 0);
         let old = reader.load();
         slot.publish(Arc::new(table(&[summary(3, &[3])]).snapshot(1)));
-        // The clone sees the new epoch; the Arc loaded earlier still
-        // reads the old, consistent view.
+        // The other handle sees the new epoch; the Arc loaded earlier
+        // still reads the old, consistent view.
         assert_eq!(reader.load().epoch, 1);
         assert_eq!(old.epoch, 0);
         assert!(old.stories.is_empty());
+
+        // A thread that dies holding the lock poisons it; the slot only
+        // ever holds a whole `Arc`, so both sides carry on.
+        let poisoner = Arc::clone(&slot);
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.inner.write();
+            panic!("poison the slot");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(reader.load().epoch, 1);
+        slot.publish(Arc::new(table(&[]).snapshot(2)));
+        assert_eq!(reader.load().epoch, 2);
     }
 
     /// Two sources on one shard: ids are `source·2²⁴ + n`, so source 0's

@@ -125,6 +125,16 @@ fn ingest_all(client: &mut Client, corpus: &Corpus) {
     }
 }
 
+/// The snapshot-freshness flags are gone, not silently accepted.
+#[test]
+fn removed_snapshot_flags_are_usage_errors() {
+    for flag in ["--snapshot-every-ops", "--snapshot-max-age-ms"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pivotd")).args([flag, "1"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: pivotd"), "{flag}");
+    }
+}
+
 #[test]
 fn sigkill_mid_stream_recovers_the_exact_partition() {
     let wal = scratch("wal-basic");

@@ -1,12 +1,12 @@
-//! Overload behavior of the read and write paths: snapshot staleness
-//! stays inside the freshness policy across a worker stall, concurrent
-//! degraded reads never observe a torn snapshot, and deadline-expired
-//! writes are shed before the WAL or engine see them.
+//! Overload behavior of the read and write paths: an acked write is
+//! visible to the next read on any connection, concurrent degraded
+//! reads never observe a torn snapshot, and deadline-expired writes are
+//! shed before the WAL or engine see them.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::{BackoffPolicy, Client};
@@ -14,10 +14,14 @@ use storypivot_serve::server::{serve, ServerConfig};
 use storypivot_serve::IngestReply;
 
 fn corpus(seed: u64, events: usize) -> Corpus {
+    corpus_of(seed, 1, events)
+}
+
+fn corpus_of(seed: u64, sources: u32, events: usize) -> Corpus {
     CorpusBuilder::new(
         GenConfig::default()
             .with_seed(seed)
-            .with_sources(1)
+            .with_sources(sources)
             .with_target_snippets(events),
     )
     .build()
@@ -47,55 +51,86 @@ fn metric_total(exposition: &str, name: &str) -> u64 {
         .sum()
 }
 
-/// `snapshot_every_ops` large enough to never trigger on its own: reads
-/// go stale while writes land. The moment the worker touches its next
-/// job past `snapshot_max_age_ms`, everything applied so far must be
-/// published — a stalled-then-resumed worker cannot exceed the bound.
+/// Every snippet id visible through the served partition.
+fn visible_ids(client: &mut Client) -> BTreeSet<u32> {
+    let stories = client.query_stories().unwrap();
+    stories.iter().flat_map(|s| s.members.iter().map(|m| m.raw())).collect()
+}
+
+/// One shard's sample of a `shard="N"`-labeled series, if exposed.
+fn shard_metric(exposition: &str, name: &str, shard: usize) -> Option<u64> {
+    let series = format!("{name}{{shard=\"{shard}\"}} ");
+    let line = exposition.lines().find(|l| l.starts_with(&series))?;
+    line[series.len()..].trim().parse::<f64>().ok().map(|v| v as u64)
+}
+
+/// A publish follows every applied op and precedes its reply: whatever
+/// connection A saw acked — a single ingest, each snippet of a batch
+/// spanning both shards, a document removal — connection B's very next
+/// read shows, with no clock involved (an idle gap changes nothing).
+/// One publish per applied op, plus the post-recovery one, is exactly
+/// what the epoch gauge counts; there is no "ops since publish" series.
 #[test]
-fn held_back_writes_republish_within_the_freshness_bound() {
-    let cfg = ServerConfig {
-        shards: 1,
-        align_every: 0,
-        snapshot_every_ops: 1_000_000,
-        snapshot_max_age_ms: 40,
-        ..ServerConfig::default()
-    };
+fn acked_writes_are_visible_to_the_next_read_on_any_connection() {
+    let cfg = ServerConfig { shards: 2, align_every: 0, ..ServerConfig::default() };
     let handle = serve("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut a = Client::connect(handle.addr()).unwrap();
+    let mut b = Client::connect(handle.addr()).unwrap();
 
-    let corpus = corpus(29, 12);
-    register_all(&mut client, &corpus);
-    let (first, last) = corpus.snippets.split_at(corpus.snippets.len() - 1);
-    for snippet in first {
-        client.ingest_backoff(snippet, Default::default()).unwrap();
+    let corpus = corpus_of(29, 2, 40);
+    register_all(&mut a, &corpus);
+    let shard_of = |source: u32| source as usize % 2;
+    let mut applied = [0u64; 2];
+    for source in &corpus.sources {
+        applied[shard_of(source.id.raw())] += 1;
     }
 
-    // Stall: no jobs arrive while the snapshot goes stale past the bound.
-    std::thread::sleep(Duration::from_millis(80));
-
-    // Resume with one more write. The worker must publish the held-back
-    // ops (stale past 40ms) *before* applying it, so everything acked
-    // before the stall is immediately visible.
-    client.ingest_backoff(&last[0], Default::default()).unwrap();
-    assert!(
-        visible_members(&mut client) >= first.len(),
-        "resume must republish every write acked before the stall"
-    );
-
-    // Any job past the bound flushes the remainder — a read-only stats
-    // probe is enough; no further writes are required.
-    std::thread::sleep(Duration::from_millis(80));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let _ = client.stats().unwrap();
-        if visible_members(&mut client) == corpus.snippets.len() {
-            break;
+    let (singles, batch) = corpus.snippets.split_at(corpus.snippets.len() / 2);
+    let mut expected = BTreeSet::new();
+    for (i, snippet) in singles.iter().enumerate() {
+        let (story, _) = a.ingest_backoff(snippet, Default::default()).unwrap();
+        applied[shard_of(snippet.source.raw())] += 1;
+        expected.insert(snippet.id.raw());
+        if i == singles.len() / 2 {
+            std::thread::sleep(Duration::from_millis(80));
         }
-        assert!(Instant::now() < deadline, "final write never became visible");
-        std::thread::sleep(Duration::from_millis(10));
+        let seen = b.get_story(story).unwrap();
+        assert!(seen.members.contains(&snippet.id), "GET_STORY misses acked snippet {}", snippet.id);
+        assert_eq!(visible_ids(&mut b), expected, "QUERY_STORIES after ack {i}");
     }
 
-    client.shutdown().unwrap();
+    for snippet in batch {
+        applied[shard_of(snippet.source.raw())] += 1;
+        expected.insert(snippet.id.raw());
+    }
+    let per_shard: BTreeSet<usize> = batch.iter().map(|s| shard_of(s.source.raw())).collect();
+    assert_eq!(per_shard.len(), 2, "the batch must span both shards");
+    assert_eq!(a.ingest_batch(batch.to_vec()).unwrap() as usize, batch.len());
+    assert_eq!(visible_ids(&mut b), expected, "QUERY_STORIES after the batch ack");
+
+    // REMOVE_DOC is broadcast: one applied op on every shard, whether or
+    // not the shard holds any of the document.
+    let doc = singles[0].doc;
+    let gone: Vec<u32> =
+        corpus.snippets.iter().filter(|s| s.doc == doc).map(|s| s.id.raw()).collect();
+    assert_eq!(a.remove_doc(doc).unwrap() as usize, gone.len());
+    for id in &gone {
+        expected.remove(id);
+    }
+    applied.iter_mut().for_each(|n| *n += 1);
+    assert_eq!(visible_ids(&mut b), expected, "QUERY_STORIES after the removal ack");
+
+    let exposition = b.metrics().unwrap();
+    for (shard, ops) in applied.iter().enumerate() {
+        assert_eq!(
+            shard_metric(&exposition, "storypivot_shard_snapshot_epoch", shard),
+            Some(ops + 1),
+            "shard {shard}: one publish per applied op plus the post-recovery one"
+        );
+    }
+    assert!(!exposition.contains("storypivot_shard_snapshot_age_ops"));
+
+    a.shutdown().unwrap();
     handle.join();
 }
 

@@ -1,10 +1,13 @@
 //! Property tests: every wire-protocol frame round-trips through
 //! encode → frame → read_frame → decode for randomized contents, the
-//! borrowed decode path accepts/rejects exactly what the owned path
-//! does, and the frame reader never panics on arbitrary byte soup.
+//! request decoder accepts nothing shorter or longer than what the
+//! encoder wrote and never hands the server a snippet it cannot
+//! materialise, and the frame reader never panics on arbitrary byte
+//! soup. Each direction has one decoder; the encoder is its reference.
 
 use storypivot_serve::proto::{
-    frame, frame_ready, read_frame, Request, Response, StorySummary, MAX_FRAME_LEN,
+    frame, frame_ready, read_frame, Request, RequestRef, Response, StorySummary, MAX_FRAME_LEN,
+    OP_INGEST_BATCH, OP_INGEST_SNIPPET,
 };
 use storypivot_serve::stats::{ServeStats, ShardStats};
 use storypivot_substrate::prop;
@@ -140,6 +143,8 @@ fn prop_requests_round_trip() {
         let bytes = frame(|b| req.encode(b));
         let mut r: &[u8] = &bytes;
         let payload = read_frame(&mut r).expect("well-formed frame").expect("non-empty");
+        // `Request::decode` is `decode_borrowed(..).to_owned()`: the
+        // server's decoder, materialised.
         assert_eq!(Request::decode(&payload).expect("decodes"), req);
         assert!(r.is_empty(), "no bytes left after one frame");
     });
@@ -174,59 +179,84 @@ fn prop_back_to_back_frames_stream_cleanly() {
 }
 
 #[test]
-fn prop_borrowed_request_decode_matches_owned() {
-    prop::run(256, |rng| {
-        let req = random_request(rng);
-        let bytes = frame(|b| req.encode(b));
-        let payload = &bytes[4..];
-        let owned = Request::decode(payload).expect("owned decodes");
-        let borrowed = Request::decode_borrowed(payload).expect("borrowed decodes");
-        assert_eq!(borrowed.to_owned(), owned, "borrowed == owned for {req:?}");
-    });
-}
-
-#[test]
-fn prop_borrowed_response_decode_matches_owned() {
-    prop::run(256, |rng| {
-        let resp = random_response(rng);
-        let bytes = frame(|b| resp.encode(b));
-        let payload = &bytes[4..];
-        let owned = Response::decode(payload).expect("owned decodes");
-        let borrowed = Response::decode_borrowed(payload).expect("borrowed decodes");
-        assert_eq!(borrowed.to_owned(), owned, "borrowed == owned for {resp:?}");
-    });
-}
-
-#[test]
-fn prop_borrowed_and_owned_agree_on_rejects() {
-    // The two decode paths must agree not only on valid frames but on
-    // every truncation of a valid frame and on arbitrary garbage: a
-    // payload is accepted by both or rejected by both (the server uses
-    // the borrowed path, clients the owned one — a disagreement would
-    // be a protocol fork).
+fn prop_strict_prefixes_and_trailing_bytes_are_rejected() {
+    // The encoder is the reference: no strict prefix of what it wrote
+    // is a request, and neither is what it wrote plus one byte.
     prop::run(256, |rng| {
         let req = random_request(rng);
         let valid = frame(|b| req.encode(b));
         let payload = &valid[4..];
         for cut in 0..payload.len() {
-            let torn = &payload[..cut];
             assert!(
-                Request::decode(torn).is_err() == Request::decode_borrowed(torn).is_err(),
-                "owned/borrowed disagree on truncation at {cut} of {req:?}"
+                Request::decode_borrowed(&payload[..cut]).is_err(),
+                "prefix {cut} of {req:?} accepted"
             );
         }
-        let garbage: Vec<u8> = prop::vec_with(rng, 0, 64, |r| r.random());
-        assert_eq!(
-            Request::decode(&garbage).is_err(),
-            Request::decode_borrowed(&garbage).is_err(),
-            "owned/borrowed disagree on garbage request payload"
-        );
-        assert_eq!(
-            Response::decode(&garbage).is_err(),
-            Response::decode_borrowed(&garbage).is_err(),
-            "owned/borrowed disagree on garbage response payload"
-        );
+        let mut longer = payload.to_vec();
+        longer.push(rng.random());
+        assert!(Request::decode_borrowed(&longer).is_err(), "{req:?} + 1 byte accepted");
     });
+}
+
+/// Materialise an accepted request every way the server does and check
+/// it against itself: `to_owned` must not panic (`SnippetRef::to_owned`
+/// `expect`s that what `skip_snippet` validated `decode_snippet` takes),
+/// the routing header must be the materialised snippet's, and the
+/// encoder must reproduce the value. (Not the bytes: `decode_snippet`
+/// canonicalises sparse vectors — sorts, merges duplicate keys, drops
+/// non-positive weights — so a corrupt-but-accepted payload re-encodes
+/// to its canonical form.)
+fn check_accepted(r: RequestRef<'_>) {
+    let owned = r.to_owned();
+    match (r, &owned) {
+        (RequestRef::IngestSnippet(sref), Request::IngestSnippet(s)) => {
+            assert_eq!((sref.id, sref.source), (s.id, s.source));
+        }
+        (RequestRef::IngestBatch(b), Request::IngestBatch(batch)) => {
+            assert_eq!(b.iter().count(), b.len());
+            let each: Vec<Snippet> = b.iter().map(|s| s.to_owned()).collect();
+            assert_eq!(&each, batch);
+            for (r, s) in b.iter().zip(batch) {
+                assert_eq!((r.id, r.source), (s.id, s.source));
+            }
+        }
+        _ => {}
+    }
+    let again = frame(|b| owned.encode(b));
+    assert_eq!(Request::decode(&again[4..]).expect("re-encoding decodes"), owned);
+}
+
+#[test]
+fn prop_accepted_corrupt_ingest_payloads_materialise_without_panicking() {
+    let mut accepted = 0u32;
+    prop::run(256, |rng| {
+        // Single-byte mutations of valid INGEST / INGEST_BATCH payloads.
+        let req = if rng.random() {
+            Request::IngestSnippet(random_snippet(rng))
+        } else {
+            Request::IngestBatch(prop::vec_with(rng, 1, 4, random_snippet))
+        };
+        let valid = frame(|b| req.encode(b));
+        for _ in 0..16 {
+            let mut bad = valid[4..].to_vec();
+            let at = rng.random_range(0..bad.len());
+            bad[at] ^= rng.random_range(1..=255u8);
+            if let Ok(r) = Request::decode_borrowed(&bad) {
+                accepted += 1;
+                check_accepted(r);
+            }
+        }
+        // Byte soup behind an ingest opcode (and with none at all).
+        let mut soup: Vec<u8> = prop::vec_with(rng, 1, 96, |r| r.random());
+        if let Ok(r) = Request::decode_borrowed(&soup) {
+            check_accepted(r);
+        }
+        soup[0] = if rng.random() { OP_INGEST_SNIPPET } else { OP_INGEST_BATCH };
+        if let Ok(r) = Request::decode_borrowed(&soup) {
+            check_accepted(r);
+        }
+    });
+    assert!(accepted > 1000, "most single-byte mutations still decode ({accepted})");
 }
 
 #[test]

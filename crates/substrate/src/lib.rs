@@ -11,10 +11,6 @@
 //!   helpers. Replaces `rand`.
 //! * [`buf`] — little-endian, length-prefixed byte reading/writing via
 //!   the [`buf::Buf`]/[`buf::BufMut`] traits. Replaces `bytes`.
-//! * [`shared`] — [`shared::Shared<T>`], a cloneable readers–writer
-//!   handle on [`std::sync::RwLock`] that recovers from poisoning.
-//!   Replaces `parking_lot` (and, with [`std::thread::scope`],
-//!   `crossbeam`).
 //! * [`prop`] — a minimal property-testing harness: deterministic
 //!   per-case seeds, generator helpers, and failing-seed replay via an
 //!   environment variable. Replaces `proptest`.
@@ -65,7 +61,6 @@ pub mod pool;
 pub mod prop;
 pub mod queue;
 pub mod rng;
-pub mod shared;
 pub mod timing;
 pub mod trace;
 pub mod wal;
@@ -77,6 +72,5 @@ pub use pool::BufferPool;
 pub use queue::Bounded;
 pub use timing::Histogram;
 pub use rng::{RngCore, RngExt, SliceRandom, StdRng, Zipf};
-pub use shared::Shared;
 pub use trace::TraceRing;
 pub use wal::{SyncPolicy, Wal, WalFaults};

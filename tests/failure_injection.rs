@@ -173,7 +173,7 @@ mod wire_faults {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    use storypivot::serve::client::Client;
+    use storypivot::serve::client::{BackoffPolicy, Client};
     use storypivot::serve::proto::{frame, read_frame, Request, Response, MAX_FRAME_LEN};
     use storypivot::serve::server::{serve, ServerConfig, ServerHandle};
     use storypivot::types::{EntityId, Snippet, SnippetId, SourceId, SourceKind, Timestamp};
@@ -199,7 +199,8 @@ mod wire_faults {
         let snippet = Snippet::builder(SnippetId::new(0), SourceId::new(0), Timestamp::EPOCH)
             .entity(EntityId::new(1), 1.0)
             .build();
-        client.ingest_retry(&snippet, 100).unwrap();
+        let policy = BackoffPolicy { max_attempts: 101, ..Default::default() };
+        client.ingest_backoff(&snippet, policy).unwrap();
         assert_eq!(client.query_stories().unwrap().len(), 1);
         client.shutdown().unwrap();
         handle.join();
@@ -372,7 +373,7 @@ mod shard_supervision {
 
     use storypivot::core::config::PivotConfig;
     use storypivot::core::pivot::StoryPivot;
-    use storypivot::serve::client::Client;
+    use storypivot::serve::client::{BackoffPolicy, Client};
     use storypivot::serve::server::{serve, ServerConfig, POISON_HEADLINE};
     use storypivot::substrate::wal::SyncPolicy;
     use storypivot::types::{
@@ -405,6 +406,10 @@ mod shard_supervision {
             .build()
     }
 
+    fn ten_retries() -> BackoffPolicy {
+        BackoffPolicy { max_attempts: 11, ..Default::default() }
+    }
+
     #[test]
     fn poisoned_shard_restarts_quarantines_and_keeps_siblings_serving() {
         let wal = scratch("wal");
@@ -415,8 +420,8 @@ mod shard_supervision {
         // Source 0 → shard 0, source 1 → shard 1.
         client.add_source("victim", SourceKind::Wire, 0).unwrap();
         client.add_source("bystander", SourceKind::Wire, 0).unwrap();
-        client.ingest_retry(&snippet(0, 0, "fine"), 10).unwrap();
-        client.ingest_retry(&snippet(1, 1, "fine too"), 10).unwrap();
+        client.ingest_backoff(&snippet(0, 0, "fine"), ten_retries()).unwrap();
+        client.ingest_backoff(&snippet(1, 1, "fine too"), ten_retries()).unwrap();
 
         // The in-process twin sees the good snippets only. Per-source
         // partitions do not depend on the sharding.
@@ -441,14 +446,14 @@ mod shard_supervision {
         // The rebuilt engine's read snapshot was seeded from scratch...
         assert_eq!(served(&mut client), twin.story_partition());
         // The poisoned shard restarted and keeps serving its queue...
-        let (story, _) = client.ingest_retry(&snippet(3, 0, "still alive"), 10).unwrap();
+        let (story, _) = client.ingest_backoff(&snippet(3, 0, "still alive"), ten_retries()).unwrap();
         // ...and that snapshot is patched, not stale: the next read
         // sees the write.
         twin.ingest(snippet(3, 0, "still alive")).unwrap();
         assert!(client.get_story(story).unwrap().members.contains(&SnippetId::new(3)));
         assert_eq!(served(&mut client), twin.story_partition());
         // ...and the sibling shard never noticed.
-        client.ingest_retry(&snippet(4, 1, "unaffected"), 10).unwrap();
+        client.ingest_backoff(&snippet(4, 1, "unaffected"), ten_retries()).unwrap();
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.shards.len(), 2);
@@ -488,7 +493,7 @@ mod shard_supervision {
             let handle = serve("127.0.0.1:0", durable_config(&wal, &ckpt)).unwrap();
             let mut client = Client::connect(handle.addr()).unwrap();
             client.add_source("victim", SourceKind::Wire, 0).unwrap();
-            client.ingest_retry(&snippet(0, 0, "good"), 10).unwrap();
+            client.ingest_backoff(&snippet(0, 0, "good"), ten_retries()).unwrap();
             client.ingest(&snippet(1, 0, POISON_HEADLINE)).expect_err("poison");
             client.shutdown().unwrap();
             handle.join();
@@ -505,7 +510,7 @@ mod shard_supervision {
         // Recovered data intact, engine fully serviceable.
         let stories = client.query_stories().unwrap();
         assert_eq!(stories.iter().map(|s| s.members.len()).sum::<usize>(), 1);
-        client.ingest_retry(&snippet(2, 0, "fresh"), 10).unwrap();
+        client.ingest_backoff(&snippet(2, 0, "fresh"), ten_retries()).unwrap();
         client.shutdown().unwrap();
         handle.join();
         let _ = std::fs::remove_dir_all(&wal);

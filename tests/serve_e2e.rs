@@ -9,7 +9,7 @@ use storypivot::core::config::PivotConfig;
 use storypivot::core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot::core::pivot::StoryPivot;
 use storypivot::gen::{CorpusBuilder, GenConfig};
-use storypivot::serve::client::Client;
+use storypivot::serve::client::{BackoffPolicy, Client};
 use storypivot::serve::load::{replay, LoadOptions};
 use storypivot::serve::server::{serve, ServerConfig};
 use storypivot::serve::IngestReply;
@@ -226,7 +226,8 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
                         busy += 1;
                         assert!(retry_after_ms > 0, "BUSY must carry a retry hint");
                         std::thread::sleep(std::time::Duration::from_millis(retry_after_ms as u64));
-                        client.ingest_retry(&snippet, 1_000).unwrap();
+                        let policy = BackoffPolicy { max_attempts: 1_001, ..Default::default() };
+                        client.ingest_backoff(&snippet, policy).unwrap();
                     }
                 }
             }
