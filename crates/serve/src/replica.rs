@@ -37,7 +37,6 @@ use std::time::Duration;
 
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::Gauge;
-use storypivot_substrate::queue::Bounded;
 
 use crate::client::{Client, ReplDelivery};
 use crate::server::{Job, ReplAck, ReplCursor, Shared};
@@ -54,7 +53,6 @@ const IO_TIMEOUT: Duration = Duration::from_millis(1000);
 pub(crate) struct PullerCtx {
     pub(crate) shard: usize,
     pub(crate) leader: String,
-    pub(crate) queue: Bounded<Job>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) lag_ops: Gauge,
     pub(crate) lag_bytes: Gauge,
@@ -78,7 +76,7 @@ impl PullerCtx {
         make: impl FnOnce(ReplAck) -> Job,
     ) -> Option<storypivot_types::Result<ReplCursor>> {
         let (tx, rx) = sync_channel(1);
-        if self.queue.push(make(tx)).is_err() {
+        if self.shared.shards[self.shard].queue.push(make(tx)).is_err() {
             return None; // shutting down
         }
         rx.recv().ok()

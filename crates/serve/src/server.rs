@@ -549,29 +549,59 @@ impl IoMetrics {
     }
 }
 
+/// What one shard worker shares with the rest of the server: its job
+/// queue, its published read snapshot, and the three counters that
+/// cross the I/O-worker / shard-worker boundary.
+pub(crate) struct ShardPort {
+    pub(crate) queue: Bounded<Job>,
+    /// The shard's published read snapshot; I/O workers answer
+    /// QUERY_STORIES/GET_STORY from it without touching the queue.
+    snapshot: SnapshotSlot,
+    /// BUSY rejections, bumped by I/O workers at admission and reported
+    /// by the shard (STATS, METRICS).
+    busy: AtomicU64,
+    /// Snapshot reads, bumped by I/O workers and folded into STATS by
+    /// the shard.
+    queries: AtomicU64,
+    /// EWMA of single-snippet ingest service time in nanoseconds,
+    /// maintained by the shard worker. BUSY and SHED multiply it by the
+    /// queue depth to turn the flat retry-after hint into one
+    /// proportional to the actual backlog drain time.
+    service_ewma_ns: AtomicU64,
+}
+
+impl ShardPort {
+    fn new(queue_depth: usize) -> ShardPort {
+        ShardPort {
+            queue: Bounded::new(queue_depth),
+            snapshot: SnapshotSlot::new(),
+            busy: AtomicU64::new(0),
+            queries: AtomicU64::new(0),
+            service_ewma_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Queue-depth-proportional retry hint: the estimated drain time of
+    /// the jobs already queued (depth × EWMA of observed per-snippet
+    /// service time). Floored at the configured flat `retry_after_ms` —
+    /// which is also the exact hint before the first ingest has seeded
+    /// the EWMA — and capped so a hostile queue depth can never park
+    /// clients for minutes.
+    fn retry_hint(&self, floor_ms: u32) -> u32 {
+        retry_hint(self.queue.len(), self.service_ewma_ns.load(Ordering::Relaxed), floor_ms)
+    }
+}
+
 /// State shared between the acceptor, I/O workers, shard workers,
 /// replica pullers, and [`ServerHandle`].
 pub(crate) struct Shared {
-    queues: Vec<Bounded<Job>>,
-    busy_counters: Vec<Arc<AtomicU64>>,
-    /// One published read snapshot per shard; I/O workers answer
-    /// QUERY_STORIES/GET_STORY from these without touching the queues.
-    snapshots: Vec<Arc<SnapshotSlot>>,
-    /// Per-shard query counters, bumped by I/O workers on the
-    /// snapshot-read path and folded into STATS by the shard.
-    query_counters: Vec<Arc<AtomicU64>>,
-    /// `Some(addr)` when this server is a read-only follower replica:
-    /// writes are answered with a NOT_LEADER redirect to `addr`.
-    leader: Option<String>,
+    /// The one copy of the configuration; `cfg.leader` being `Some`
+    /// makes this server a read-only follower replica.
+    cfg: Arc<ServerConfig>,
+    pub(crate) shards: Vec<Arc<ShardPort>>,
     next_source: AtomicU32,
     shutting_down: AtomicBool,
     done: AtomicBool,
-    retry_after_ms: u32,
-    /// Per-shard EWMA of single-snippet ingest service time in
-    /// nanoseconds, maintained by the shard workers. The BUSY path
-    /// multiplies it by the queue depth to turn the flat retry-after
-    /// hint into one proportional to the actual backlog drain time.
-    service_ewma_ns: Vec<Arc<AtomicU64>>,
     inboxes: Vec<Arc<Inbox>>,
     /// Frame buffers for reads and encoded responses.
     pool: BufferPool,
@@ -590,7 +620,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn shard_of_source(&self, source: SourceId) -> usize {
-        source.raw() as usize % self.queues.len()
+        source.raw() as usize % self.shards.len()
     }
 
     /// Whether a SHUTDOWN has completed (replica pullers poll this to
@@ -599,26 +629,12 @@ impl Shared {
         self.done.load(Ordering::SeqCst)
     }
 
-    /// Queue-depth-proportional retry hint for a shard: the estimated
-    /// drain time of the jobs already queued (depth × EWMA of observed
-    /// per-snippet service time). Floored at the configured flat
-    /// `retry_after_ms` — which is also the exact hint before the first
-    /// ingest has seeded the EWMA — and capped so a hostile queue depth
-    /// can never park clients for minutes.
-    fn busy_hint(&self, shard: usize) -> u32 {
-        retry_hint(
-            self.queues[shard].len(),
-            self.service_ewma_ns[shard].load(Ordering::Relaxed),
-            self.retry_after_ms,
-        )
-    }
-
     /// Degraded-read accounting: a snapshot read served while the
     /// target shard's write queue is saturated would have stalled (or
     /// been rejected) if reads went through the queue. Counting them
     /// makes the degraded mode observable at METRICS.
     fn note_degraded_read(&self, shard: usize) {
-        let q = &self.queues[shard];
+        let q = &self.shards[shard].queue;
         if q.len() >= q.capacity() {
             self.io_metrics.degraded_reads.inc();
         }
@@ -699,35 +715,21 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         ));
     }
     cfg.pivot.validate()?;
+    let cfg = Arc::new(cfg);
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let queues: Vec<Bounded<Job>> = (0..cfg.shards).map(|_| Bounded::new(cfg.queue_depth)).collect();
-    let busy_counters: Vec<Arc<AtomicU64>> =
-        (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let snapshots: Vec<Arc<SnapshotSlot>> =
-        (0..cfg.shards).map(|_| Arc::new(SnapshotSlot::new())).collect();
-    let query_counters: Vec<Arc<AtomicU64>> =
-        (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let service_ewma_ns: Vec<Arc<AtomicU64>> =
-        (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let shards: Vec<Arc<ShardPort>> =
+        (0..cfg.shards).map(|_| Arc::new(ShardPort::new(cfg.queue_depth))).collect();
 
     // Recover every shard before serving: clients must never observe a
     // partially recovered partition. Each worker publishes its first
     // snapshot at the end of recovery, so the read path is live (and
     // consistent) before the listener accepts anyone.
     let mut shard_workers = Vec::with_capacity(cfg.shards);
-    for (idx, queue) in queues.iter().enumerate() {
-        shard_workers.push(ShardWorker::recover(
-            idx,
-            &cfg,
-            Arc::clone(&busy_counters[idx]),
-            queue.clone(),
-            Arc::clone(&query_counters[idx]),
-            Arc::clone(&snapshots[idx]),
-            Arc::clone(&service_ewma_ns[idx]),
-        )?);
+    for (idx, port) in shards.iter().enumerate() {
+        shard_workers.push(ShardWorker::recover(idx, &cfg, Arc::clone(port))?);
     }
     // Resume source-id allocation past everything the checkpoints and
     // WALs brought back.
@@ -753,16 +755,11 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     let registry = Registry::new();
     let io_metrics = IoMetrics::register(&registry);
     let shared = Arc::new(Shared {
-        queues: queues.clone(),
-        busy_counters,
-        snapshots,
-        query_counters,
-        leader: cfg.leader.clone(),
+        cfg: Arc::clone(&cfg),
+        shards,
         next_source: AtomicU32::new(next_source),
         shutting_down: AtomicBool::new(false),
         done: AtomicBool::new(false),
-        retry_after_ms: cfg.retry_after_ms,
-        service_ewma_ns,
         inboxes,
         pool: BufferPool::new(8 * 1024, 1024),
         registry,
@@ -795,8 +792,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
             pending: Vec::new(),
             events_buf: Vec::new(),
             scratch: vec![0u8; 64 * 1024],
-            max_pipeline: cfg.max_pipeline,
-            idle_timeout: cfg.idle_timeout,
             last_reap: Instant::now(),
             done_seen: None,
         };
@@ -817,13 +812,12 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     // Follower replica: one puller thread per shard tails the leader's
     // WAL and feeds ReplBootstrap/ReplApply jobs to the local worker.
     if let Some(leader) = &cfg.leader {
-        for (i, queue) in queues.iter().enumerate() {
+        for i in 0..cfg.shards {
             let sid = i.to_string();
             let labels: &[(&str, &str)] = &[("shard", &sid)];
             let ctx = replica::PullerCtx {
                 shard: i,
                 leader: leader.clone(),
-                queue: queue.clone(),
                 shared: Arc::clone(&shared),
                 lag_ops: shared.registry.gauge_with(
                     "storypivot_replica_lag_ops",
@@ -930,15 +924,15 @@ fn hand_off(shared: &Arc<Shared>, stream: TcpStream) {
 /// acks, close the queues, mark done, then ack the initiator and every
 /// parked waiter.
 fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
-    let mut pending = Vec::with_capacity(shared.queues.len());
-    for queue in &shared.queues {
+    let mut pending = Vec::with_capacity(shared.shards.len());
+    for port in &shared.shards {
         let (tx, rx) = std::sync::mpsc::sync_channel::<Response>(1);
         let reply: Reply = Box::new(move |resp| {
             let _ = tx.send(resp);
         });
         // The Drain sits behind all previously accepted work: by the
         // time a shard replies, its queue prefix has been fully applied.
-        if queue.push(Job::Drain(reply)).is_ok() {
+        if port.queue.push(Job::Drain(reply)).is_ok() {
             pending.push(rx);
         }
     }
@@ -950,8 +944,8 @@ fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
             Err(_) => failure = Some(unavailable()),
         }
     }
-    for queue in &shared.queues {
-        queue.close();
+    for port in &shared.shards {
+        port.queue.close();
     }
     shared.done.store(true, Ordering::SeqCst);
     initiator.deliver(failure.unwrap_or(Response::ShutdownAck), true);
@@ -1038,8 +1032,6 @@ struct IoWorker {
     pending: Vec<PendingPush>,
     events_buf: Vec<IoEvent>,
     scratch: Vec<u8>,
-    max_pipeline: usize,
-    idle_timeout: Option<Duration>,
     last_reap: Instant,
     done_seen: Option<Instant>,
 }
@@ -1066,7 +1058,7 @@ impl IoWorker {
             }
 
             let mut timeout = Duration::from_millis(200);
-            if let Some(idle) = self.idle_timeout {
+            if let Some(idle) = self.shared.cfg.idle_timeout {
                 timeout = timeout.min(std::cmp::max(idle / 4, Duration::from_millis(10)));
             }
             if !self.pending.is_empty() {
@@ -1076,7 +1068,7 @@ impl IoWorker {
                 timeout = timeout.min(Duration::from_millis(20));
             }
 
-            let max_pipeline = self.max_pipeline as u64;
+            let max_pipeline = self.shared.cfg.max_pipeline as u64;
             self.poller.clear();
             self.poller.register(self.wake_rx.fd(), WAKE_TOKEN, net::READABLE);
             for (&id, conn) in &self.conns {
@@ -1241,7 +1233,7 @@ impl IoWorker {
     /// until the buffer runs dry, the pipeline cap is hit, or a push
     /// stalls the connection.
     fn parse_conn(&mut self, id: u64) {
-        let max_pipeline = self.max_pipeline as u64;
+        let max_pipeline = self.shared.cfg.max_pipeline as u64;
         loop {
             let (seq, total, mut rd) = {
                 let Some(conn) = self.conns.get_mut(&id) else { return };
@@ -1307,7 +1299,7 @@ impl IoWorker {
         // A follower replica serves reads only: every mutation (and a
         // replication subscribe — replicas don't chain) is answered
         // with a redirect to the leader, without touching the queues.
-        if let Some(leader) = &self.shared.leader {
+        if let Some(leader) = &self.shared.cfg.leader {
             if matches!(
                 req,
                 RequestRef::AddSource { .. }
@@ -1342,16 +1334,13 @@ impl IoWorker {
                 // the hint), never the server's memory.
                 let shard = self.shared.shard_of_source(sref.source);
                 let job = Job::Ingest(sref.to_owned(), direct_reply(dest), Instant::now());
-                match self.shared.queues[shard].try_push(job) {
+                let port = &self.shared.shards[shard];
+                match port.queue.try_push(job) {
                     Ok(()) => {}
                     Err(PushError::Full(job)) => {
-                        self.shared.busy_counters[shard].fetch_add(1, Ordering::Relaxed);
-                        fail_job(
-                            job,
-                            Response::Busy {
-                                retry_after_ms: self.shared.busy_hint(shard),
-                            },
-                        );
+                        port.busy.fetch_add(1, Ordering::Relaxed);
+                        let retry_after_ms = port.retry_hint(self.shared.cfg.retry_after_ms);
+                        fail_job(job, Response::Busy { retry_after_ms });
                     }
                     Err(PushError::Closed(job)) => fail_job_closed(job),
                 }
@@ -1359,7 +1348,7 @@ impl IoWorker {
             RequestRef::IngestBatch(batch) => {
                 // Split by shard (preserving order within each shard);
                 // the fan-in sums the per-shard counts.
-                let n_shards = self.shared.queues.len();
+                let n_shards = self.shared.shards.len();
                 let mut by_shard: Vec<Vec<Snippet>> = vec![Vec::new(); n_shards];
                 for sref in batch.iter() {
                     by_shard[self.shared.shard_of_source(sref.source)].push(sref.to_owned());
@@ -1402,9 +1391,10 @@ impl IoWorker {
             // ingest. `dest` is unused — the response is finished
             // synchronously in this call.
             RequestRef::QueryStories => {
-                let snaps: Vec<_> = self.shared.snapshots.iter().map(|s| s.load()).collect();
-                for shard in 0..snaps.len() {
-                    self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
+                let snaps: Vec<_> =
+                    self.shared.shards.iter().map(|port| port.snapshot.load()).collect();
+                for (shard, port) in self.shared.shards.iter().enumerate() {
+                    port.queries.fetch_add(1, Ordering::Relaxed);
                     self.shared.note_degraded_read(shard);
                 }
                 // Encoded straight from the loaded snapshots: nothing
@@ -1418,9 +1408,9 @@ impl IoWorker {
             }
             RequestRef::GetStory(story) => {
                 let shard = self.shared.shard_of_source(story_source(story));
-                self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
+                self.shared.shards[shard].queries.fetch_add(1, Ordering::Relaxed);
                 self.shared.note_degraded_read(shard);
-                let snap = self.shared.snapshots[shard].load();
+                let snap = self.shared.shards[shard].snapshot.load();
                 match snap.get(story) {
                     Some(summary) => self.finish_with(id, seq, false, |b| encode_story(b, summary)),
                     None => {
@@ -1434,7 +1424,7 @@ impl IoWorker {
                 generation,
                 wal_offset,
             } => {
-                let n = self.shared.queues.len();
+                let n = self.shared.shards.len();
                 if shard as usize >= n {
                     let e = Error::InvalidConfig(format!(
                         "REPL_SUBSCRIBE for shard {shard}, but the leader has {n} shards"
@@ -1491,7 +1481,7 @@ impl IoWorker {
             RequestRef::Metrics => {
                 // Snapshot every shard's registry plus the I/O layer's
                 // own, merge, and render one exposition.
-                let n = self.shared.queues.len();
+                let n = self.shared.shards.len();
                 let shared = Arc::clone(&self.shared);
                 let fan = FanIn::new(
                     dest,
@@ -1524,7 +1514,7 @@ impl IoWorker {
         make_job: impl Fn(Reply) -> Job,
         merge: MergeFn<Response>,
     ) {
-        let n = self.shared.queues.len();
+        let n = self.shared.shards.len();
         let fan = FanIn::new(dest, n, merge);
         let mut jobs = VecDeque::with_capacity(n);
         for shard in 0..n {
@@ -1546,7 +1536,7 @@ impl IoWorker {
     /// error.
     fn push_jobs(&mut self, conn_id: u64, mut jobs: VecDeque<(usize, Job)>) {
         while let Some((shard, job)) = jobs.pop_front() {
-            match self.shared.queues[shard].try_push(job) {
+            match self.shared.shards[shard].queue.try_push(job) {
                 Ok(()) => {}
                 Err(PushError::Full(job)) => {
                     jobs.push_front((shard, job));
@@ -1714,7 +1704,7 @@ impl IoWorker {
     /// completing a frame never advances the progress clock, so it is
     /// reaped on the same schedule.
     fn maybe_reap(&mut self) {
-        let Some(idle) = self.idle_timeout else { return };
+        let Some(idle) = self.shared.cfg.idle_timeout else { return };
         let now = Instant::now();
         if now.duration_since(self.last_reap) < Duration::from_millis(100) {
             return;
@@ -1866,35 +1856,18 @@ impl ShardServeMetrics {
 
 struct ShardWorker {
     idx: usize,
+    cfg: Arc<ServerConfig>,
+    /// The queue this worker drains, the slot it publishes into and the
+    /// counters it shares with the I/O workers.
+    port: Arc<ShardPort>,
     engine: DynamicPivot,
-    /// Engine config + pipeline policy, kept for rebuilds.
-    pivot_cfg: PivotConfig,
-    policy: PipelinePolicy,
     ingested: u64,
-    /// Shared with the I/O workers, which bump it on the snapshot read
-    /// path; the shard only reads it for STATS.
-    queries: Arc<AtomicU64>,
-    busy: Arc<AtomicU64>,
-    /// EWMA of single-snippet ingest service time in nanoseconds,
-    /// shared with the I/O workers so BUSY/SHED retry hints scale with
-    /// how long the queued work will actually take to drain.
-    service_ewma: Arc<AtomicU64>,
-    /// Per-request queueing budget; zero disables deadline shedding.
-    deadline: Duration,
-    /// Floor for retry-after hints (the configured flat value).
-    retry_floor_ms: u32,
     /// Debug/test-gated fault consulted before each checkpoint write.
     checkpoint_fault: FaultHook,
-    queue: Bounded<Job>,
-    /// Where published read snapshots go (shared with I/O workers).
-    slot: Arc<SnapshotSlot>,
     /// The story vector the next publish hands out, patched from the
     /// engine's change log.
     stories: StoryTable,
     snapshot_epoch: u64,
-    /// Follower replica: skip local checkpoint scheduling (generation
-    /// and WAL position are the leader's to advance).
-    replica: bool,
     /// The shard's private metrics registry; engine, WAL, and serving
     /// gauges all record here, and `METRICS` snapshots it.
     registry: Registry,
@@ -1906,9 +1879,6 @@ struct ShardWorker {
     /// Where the panic-time trace dump is written (next to the WAL or
     /// checkpoints); `None` keeps the dump on stderr only.
     trace_path: Option<PathBuf>,
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_every_bytes: u64,
-    worker_delay: Duration,
     wal: Option<Wal>,
     wal_path: Option<PathBuf>,
     /// The op being applied, encoded once: fingerprinted, then
@@ -1934,19 +1904,7 @@ impl ShardWorker {
     /// Build shard `idx` from durable state: load the dead-letter set,
     /// open (and tail-repair) the WAL, restore the newest valid
     /// checkpoint generation, and replay the WAL tail on top.
-    fn recover(
-        idx: usize,
-        cfg: &ServerConfig,
-        busy: Arc<AtomicU64>,
-        queue: Bounded<Job>,
-        queries: Arc<AtomicU64>,
-        slot: Arc<SnapshotSlot>,
-        service_ewma: Arc<AtomicU64>,
-    ) -> Result<ShardWorker> {
-        let policy = PipelinePolicy {
-            align_every: cfg.align_every,
-            ..PipelinePolicy::default()
-        };
+    fn recover(idx: usize, cfg: &Arc<ServerConfig>, port: Arc<ShardPort>) -> Result<ShardWorker> {
         let state_dir = cfg.wal_dir.as_ref().or(cfg.checkpoint_dir.as_ref());
         let dead_path = state_dir.map(|d| d.join(format!("shard{idx}.dead")));
         let trace_path = state_dir.map(|d| d.join(format!("shard{idx}.trace")));
@@ -1977,33 +1935,22 @@ impl ShardWorker {
 
         let mut worker = ShardWorker {
             idx,
-            engine: DynamicPivot::new(cfg.pivot.clone(), policy),
-            pivot_cfg: cfg.pivot.clone(),
-            policy,
+            cfg: Arc::clone(cfg),
+            port,
+            engine: fresh_engine(cfg),
             ingested: 0,
-            queries,
-            busy,
-            service_ewma,
-            deadline: Duration::from_millis(cfg.deadline_ms),
-            retry_floor_ms: cfg.retry_after_ms,
             checkpoint_fault: cfg
                 .faults
                 .as_ref()
                 .map(|p| p.hook("checkpoint", idx as u64))
                 .unwrap_or_else(FaultHook::inert),
-            queue,
-            slot,
             stories: StoryTable::default(),
             snapshot_epoch: 0,
-            replica: cfg.leader.is_some(),
             registry,
             engine_metrics,
             serve_metrics,
             trace: TraceRing::new(256),
             trace_path,
-            checkpoint_dir: cfg.checkpoint_dir.clone(),
-            checkpoint_every_bytes: cfg.checkpoint_every_bytes,
-            worker_delay: cfg.worker_delay,
             wal: None,
             wal_path: None,
             op_buf: Vec::with_capacity(256),
@@ -2064,9 +2011,9 @@ impl ShardWorker {
     }
 
     fn run(mut self) {
-        while let Some(job) = self.queue.pop() {
-            if !self.worker_delay.is_zero() {
-                std::thread::sleep(self.worker_delay);
+        while let Some(job) = self.port.queue.pop() {
+            if !self.cfg.worker_delay.is_zero() {
+                std::thread::sleep(self.cfg.worker_delay);
             }
             match job {
                 Job::AddSource(source, reply) => reply(self.add_source(source)),
@@ -2078,7 +2025,8 @@ impl ShardWorker {
                     // still waiting for. Only single-snippet ingests
                     // carry a budget; batches and control ops park for
                     // backpressure at admission instead.
-                    if !self.deadline.is_zero() && enqueued.elapsed() > self.deadline {
+                    let deadline = Duration::from_millis(self.cfg.deadline_ms);
+                    if !deadline.is_zero() && enqueued.elapsed() > deadline {
                         reply(self.shed(snippet));
                     } else {
                         reply(self.ingest(snippet));
@@ -2188,11 +2136,11 @@ impl ShardWorker {
 
     fn sync_gauges(&self) {
         let m = &self.serve_metrics;
-        m.queue_depth.set(self.queue.len() as i64);
-        m.queue_capacity.set(self.queue.capacity() as i64);
+        m.queue_depth.set(self.port.queue.len() as i64);
+        m.queue_capacity.set(self.port.queue.capacity() as i64);
         m.restarts.set(self.restarts as i64);
         m.quarantined.set(self.quarantined as i64);
-        m.busy_rejections.set(self.busy.load(Ordering::Relaxed) as i64);
+        m.busy_rejections.set(self.port.busy.load(Ordering::Relaxed) as i64);
         m.snapshot_epoch.set(self.snapshot_epoch as i64);
     }
 
@@ -2207,7 +2155,7 @@ impl ShardWorker {
         let changed = self.engine.pivot_mut().drain_changes();
         let pivot = self.engine.pivot();
         let patched = self.stories.patch(&changed, |id| snapshot::summary_of(pivot, id));
-        self.slot.publish(Arc::new(self.stories.snapshot(self.snapshot_epoch)));
+        self.port.snapshot.publish(Arc::new(self.stories.snapshot(self.snapshot_epoch)));
         drop(timer);
         self.serve_metrics.snapshot_stories_patched.add(patched as u64);
         debug_assert!(
@@ -2295,13 +2243,13 @@ impl ShardWorker {
 
     /// Newest valid checkpoint generation, or a fresh engine.
     fn engine_from_checkpoint(&mut self) -> DynamicPivot {
-        if let Some(dir) = &self.checkpoint_dir {
+        if let Some(dir) = &self.cfg.checkpoint_dir {
             let timer = self.engine_metrics.checkpoint_load_duration.start();
-            match checkpoint::load_newest(dir, self.idx, self.pivot_cfg.clone()) {
+            match checkpoint::load_newest(dir, self.idx, self.cfg.pivot.clone()) {
                 Ok(Some((pivot, generation))) => {
                     drop(timer);
                     self.generation = self.generation.max(generation);
-                    return DynamicPivot::from_pivot(pivot, self.policy);
+                    return DynamicPivot::from_pivot(pivot, pipeline_policy(&self.cfg));
                 }
                 Ok(None) => timer.discard(),
                 Err(e) => {
@@ -2313,7 +2261,7 @@ impl ShardWorker {
                 }
             }
         }
-        DynamicPivot::new(self.pivot_cfg.clone(), self.policy)
+        fresh_engine(&self.cfg)
     }
 
     /// Dead-letter an op: remember its fingerprint and append its bytes
@@ -2356,16 +2304,16 @@ impl ShardWorker {
         // A replica never checkpoints on its own: its generation is
         // the leader's, and truncating the WAL would desync the
         // byte-identical copy that serves as the replication cursor.
-        if self.replica {
+        if self.cfg.leader.is_some() {
             return;
         }
-        if self.checkpoint_every_bytes == 0 || self.checkpoint_dir.is_none() {
+        if self.cfg.checkpoint_every_bytes == 0 || self.cfg.checkpoint_dir.is_none() {
             return;
         }
         let due = self
             .wal
             .as_ref()
-            .is_some_and(|w| w.len() >= self.checkpoint_every_bytes);
+            .is_some_and(|w| w.len() >= self.cfg.checkpoint_every_bytes);
         if due {
             if let Err(e) = self.checkpoint_now() {
                 eprintln!("pivotd: shard {}: periodic checkpoint failed: {e}", self.idx);
@@ -2377,7 +2325,7 @@ impl ShardWorker {
     /// then truncate the WAL. Crashing between the two is safe: replay
     /// of the stale tail is idempotent.
     fn checkpoint_now(&mut self) -> Result<()> {
-        let Some(dir) = self.checkpoint_dir.clone() else {
+        let Some(dir) = self.cfg.checkpoint_dir.clone() else {
             return Ok(());
         };
         // Injected checkpoint failure: fails before the generation
@@ -2417,23 +2365,19 @@ impl ShardWorker {
         self.trace.push("shed", format!("doc={}", snippet.doc.raw()));
         self.serve_metrics.shed.inc();
         Response::Shed {
-            retry_after_ms: retry_hint(
-                self.queue.len(),
-                self.service_ewma.load(Ordering::Relaxed),
-                self.retry_floor_ms,
-            ),
+            retry_after_ms: self.port.retry_hint(self.cfg.retry_after_ms),
         }
     }
 
     /// Fold one observed service time into the shared EWMA (α = 1/8).
     fn note_service(&self, elapsed_ns: u64) {
-        let prev = self.service_ewma.load(Ordering::Relaxed);
+        let prev = self.port.service_ewma_ns.load(Ordering::Relaxed);
         let next = if prev == 0 {
             elapsed_ns
         } else {
             prev - prev / 8 + elapsed_ns / 8
         };
-        self.service_ewma.store(next, Ordering::Relaxed);
+        self.port.service_ewma_ns.store(next, Ordering::Relaxed);
     }
 
     fn ingest(&mut self, snippet: Snippet) -> Response {
@@ -2507,6 +2451,7 @@ impl ShardWorker {
             // offset): re-bootstrap it from the newest checkpoint,
             // shipped verbatim so both sides agree on the bytes.
             match self
+                .cfg
                 .checkpoint_dir
                 .as_deref()
                 .map(|d| checkpoint::newest_generation_bytes(d, self.idx))
@@ -2532,12 +2477,12 @@ impl ShardWorker {
     /// and publish the bootstrapped partition.
     fn repl_bootstrap(&mut self, generation: u64, bytes: Vec<u8>) -> Result<ReplCursor> {
         let engine = if bytes.is_empty() {
-            DynamicPivot::new(self.pivot_cfg.clone(), self.policy)
+            fresh_engine(&self.cfg)
         } else {
-            let pivot = storypivot_core::StoryPivot::load_checkpoint(self.pivot_cfg.clone(), &bytes)?;
-            DynamicPivot::from_pivot(pivot, self.policy)
+            let pivot = storypivot_core::StoryPivot::load_checkpoint(self.cfg.pivot.clone(), &bytes)?;
+            DynamicPivot::from_pivot(pivot, pipeline_policy(&self.cfg))
         };
-        if let Some(dir) = &self.checkpoint_dir {
+        if let Some(dir) = &self.cfg.checkpoint_dir {
             if !bytes.is_empty() {
                 checkpoint::write_generation(dir, self.idx, generation, &bytes)?;
             }
@@ -2615,13 +2560,13 @@ impl ShardWorker {
             shards: vec![ShardStats {
                 shard: self.idx as u32,
                 sources: pivot.sources().len() as u32,
-                queue_depth: self.queue.len() as u32,
-                queue_capacity: self.queue.capacity() as u32,
+                queue_depth: self.port.queue.len() as u32,
+                queue_capacity: self.port.queue.capacity() as u32,
                 stories: pivot.story_count() as u64,
                 snippets: pivot.store().len() as u64,
                 ingested: self.ingested,
-                queries: self.queries.load(Ordering::Relaxed),
-                busy_rejections: self.busy.load(Ordering::Relaxed),
+                queries: self.port.queries.load(Ordering::Relaxed),
+                busy_rejections: self.port.busy.load(Ordering::Relaxed),
                 ingest_count: self.serve_metrics.ingest_latency.count(),
                 ingest_p50_ns: self.serve_metrics.ingest_latency.percentile(0.50),
                 ingest_p95_ns: self.serve_metrics.ingest_latency.percentile(0.95),
@@ -2643,7 +2588,7 @@ impl ShardWorker {
         // A replica's durable state is already exactly the leader's
         // checkpoint + WAL copy; writing a local generation would
         // desync the replication cursor.
-        if !self.replica && self.checkpoint_dir.is_some() {
+        if self.cfg.leader.is_none() && self.cfg.checkpoint_dir.is_some() {
             if let Err(e) = self.checkpoint_now() {
                 return Response::Error {
                     code: 7,
@@ -2660,6 +2605,18 @@ impl ShardWorker {
 fn replay_with_poison(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
     poison_check(op);
     replay_op(engine, op)
+}
+
+/// The pipeline policy every engine of a shard runs under.
+fn pipeline_policy(cfg: &ServerConfig) -> PipelinePolicy {
+    PipelinePolicy {
+        align_every: cfg.align_every,
+        ..PipelinePolicy::default()
+    }
+}
+
+fn fresh_engine(cfg: &ServerConfig) -> DynamicPivot {
+    DynamicPivot::new(cfg.pivot.clone(), pipeline_policy(cfg))
 }
 
 fn internal_shape_error() -> Response {
