@@ -18,6 +18,9 @@ cargo test -q --workspace
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> benchmark package (separate workspace; path-depends on the crates' public API)"
 # Nothing above compiles benchmark/: it has its own [workspace] and
 # lockfile, so a change that removes or renames a public item it calls

@@ -25,7 +25,7 @@
 
 use storypivot_store::codec::{decode_snippet, decode_source, encode_snippet, encode_source};
 use storypivot_substrate::buf::{Buf, BufMut};
-use storypivot_types::{DocId, Error, Result, Snippet, Source};
+use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
 
 use crate::pipeline::DynamicPivot;
 
@@ -116,20 +116,39 @@ pub fn fingerprint_of(encoded: &[u8]) -> u64 {
     h
 }
 
+/// What a successfully applied op produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// The registered source.
+    Source(SourceId),
+    /// The per-source story the ingested snippet joined.
+    Story(StoryId),
+    /// How many snippets the document removal evicted.
+    Removed(u32),
+}
+
+/// Apply one op to an engine, consuming it. This is the only place an
+/// op meets the engine: the live serving path and recovery replay both
+/// come through here, which is what makes recovered == uninterrupted.
+pub fn apply(engine: &mut DynamicPivot, op: ReplayOp) -> Result<Applied> {
+    match op {
+        ReplayOp::AddSource(source) => {
+            engine.pivot_mut().add_source_registered(source).map(Applied::Source)
+        }
+        ReplayOp::Ingest(snippet) => engine.ingest(snippet).map(Applied::Story),
+        ReplayOp::RemoveDoc(doc) => engine
+            .pivot_mut()
+            .remove_document(doc)
+            .map(|n| Applied::Removed(n as u32)),
+    }
+}
+
 /// Apply one op during recovery. Returns `true` when the op changed
 /// state, `false` when it was an idempotent no-op (already applied via
 /// the checkpoint it rode behind); corruption-class errors propagate.
 pub fn replay_op(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
-    let outcome = match op {
-        ReplayOp::AddSource(source) => engine
-            .pivot_mut()
-            .add_source_registered(source.clone())
-            .map(|_| ()),
-        ReplayOp::Ingest(snippet) => engine.ingest(snippet.clone()).map(|_| ()),
-        ReplayOp::RemoveDoc(doc) => engine.pivot_mut().remove_document(*doc).map(|_| ()),
-    };
-    match outcome {
-        Ok(()) => Ok(true),
+    match apply(engine, op.clone()) {
+        Ok(_) => Ok(true),
         // The checkpoint this journal tail rides behind already holds
         // the effect (crash landed between checkpoint and truncate).
         Err(Error::Duplicate(_)) | Err(Error::UnknownDocument(_)) => Ok(false),
@@ -142,7 +161,7 @@ mod tests {
     use super::*;
     use crate::config::PivotConfig;
     use crate::pipeline::PipelinePolicy;
-    use storypivot_types::{EntityId, SnippetId, SourceId, SourceKind, TermId, Timestamp};
+    use storypivot_types::{EntityId, SnippetId, SourceKind, TermId, Timestamp};
 
     fn fresh_engine() -> DynamicPivot {
         DynamicPivot::new(
@@ -207,5 +226,17 @@ mod tests {
         assert!(replay_op(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
         assert!(!replay_op(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
         assert_eq!(engine.pivot().store().len(), 0);
+        // `apply` is the same match, reporting what the op produced and
+        // leaving "already there / already gone" to the caller.
+        let story = match apply(&mut engine, ReplayOp::Ingest(snip(2))).unwrap() {
+            Applied::Story(story) => story,
+            other => panic!("an ingest yields a story, got {other:?}"),
+        };
+        assert_eq!(engine.pivot().story(story).unwrap().story.members, [SnippetId::new(2)]);
+        assert_eq!(apply(&mut engine, ReplayOp::RemoveDoc(DocId::new(1))), Ok(Applied::Removed(1)));
+        assert!(matches!(
+            apply(&mut engine, ReplayOp::RemoveDoc(DocId::new(1))),
+            Err(Error::UnknownDocument(_))
+        ));
     }
 }

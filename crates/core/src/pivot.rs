@@ -255,14 +255,15 @@ impl StoryPivot {
     }
 
     fn ingest_with(&mut self, snippet: Snippet, reference: bool) -> Result<IdentifyDecision> {
-        let source = snippet.source;
+        let (id, source) = (snippet.id, snippet.source);
         let ident = self
             .identifiers
             .get_mut(&source)
             .ok_or(Error::UnknownSource(source))?;
-        self.store.insert(snippet.clone())?;
+        self.store.insert(snippet)?;
+        let snippet = self.store.get(id).expect("inserted on the line above");
         let timer = self.metrics.identify_duration.start();
-        let decision = ident.assign(&snippet, &self.store);
+        let decision = ident.assign(snippet, &self.store);
         drop(timer);
         self.metrics.ingest_total.inc();
         self.metrics.identify_compared_total.add(decision.compared as u64);

@@ -37,6 +37,7 @@ use std::time::Duration;
 
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::Gauge;
+use storypivot_substrate::rng::splitmix64;
 
 use crate::client::{Client, ReplDelivery};
 use crate::server::{Job, ReplAck, ReplCursor, Shared};
@@ -97,20 +98,10 @@ impl PullerCtx {
     }
 }
 
-/// One splitmix64 step: the deterministic jitter source for reconnect
-/// backoff (seeded per shard so pullers spread out without sharing
-/// state).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Jitter a nominal backoff into `[delay/2, delay)`: half the delay is
 /// kept so backoff still backs off, the other half is randomized so no
-/// two pullers retry on the same beat.
+/// two pullers retry on the same beat (`state` is seeded per shard, so
+/// pullers spread out without sharing any).
 fn jittered(delay_ms: u64, state: &mut u64) -> u64 {
     let half = (delay_ms / 2).max(1);
     half + splitmix64(state) % half

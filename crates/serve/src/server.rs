@@ -11,9 +11,9 @@
 //! # The serving runtime
 //!
 //! Connections are nonblocking sockets owned by I/O workers; each
-//! worker drives its set through a [`substrate::net`] `poll(2)` loop
+//! worker drives its set through a [`storypivot_substrate::net`] `poll(2)` loop
 //! and a per-connection state machine: accumulate bytes into a pooled
-//! read buffer ([`substrate::pool`]), peel complete frames with
+//! read buffer ([`storypivot_substrate::pool`]), peel complete frames with
 //! [`frame_ready`], decode them *in place* with
 //! [`Request::decode_borrowed`] (zero heap allocations for small
 //! frames), dispatch, and stream responses back through queued
@@ -25,8 +25,8 @@
 //! complete no frame for the configured window, which also bounds
 //! slow-loris readers.
 //!
-//! I/O workers never block: every frame becomes a [`Job`] routed to
-//! its shard through a bounded queue ([`substrate::queue::Bounded`]),
+//! I/O workers never block: every frame becomes a `Job` routed to
+//! its shard through a bounded queue ([`storypivot_substrate::queue::Bounded`]),
 //! and the shard replies by posting a completion event back to the
 //! owning worker's inbox (a wake-channel nudges the poller). When an
 //! ingest hits a full queue the worker replies BUSY with a retry-after
@@ -40,8 +40,8 @@
 //! # Durability
 //!
 //! With a `wal_dir` configured, every state-changing job is journaled
-//! to the shard's write-ahead log ([`substrate::wal`], payloads are
-//! [`core::oplog::ReplayOp`]) *before* it touches the engine. On
+//! to the shard's write-ahead log ([`storypivot_substrate::wal`], payloads are
+//! [`storypivot_core::oplog::ReplayOp`]) *before* it touches the engine. On
 //! startup each shard loads its newest valid generation checkpoint
 //! (`shard{i}.g{N}.spvc`, written atomically via temp file + rename)
 //! and replays the WAL tail on top; replay is idempotent, so the crash
@@ -69,7 +69,7 @@
 //!
 //! # Observability
 //!
-//! Each shard owns a private [`substrate::metrics::Registry`]; its
+//! Each shard owns a private [`storypivot_substrate::metrics::Registry`]; its
 //! engine, WAL, and the per-shard serving gauges (queue depth,
 //! restarts, quarantined ops, BUSY rejections — labeled `shard="N"`)
 //! all record into it. The server additionally keeps one registry for
@@ -78,7 +78,7 @@
 //! `METRICS` opcode snapshots every shard's registry plus the server
 //! registry, merges the snapshots (counters add, histograms merge
 //! bucket-wise), and renders one Prometheus-style text exposition.
-//! Each shard also keeps a fixed-capacity [`substrate::trace::TraceRing`]
+//! Each shard also keeps a fixed-capacity [`storypivot_substrate::trace::TraceRing`]
 //! of recent engine events; when an apply panics, the ring is dumped to
 //! stderr (and `shard{i}.trace` next to the durable state) *before* the
 //! engine is rebuilt, preserving the lead-up to the crash.
@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 use storypivot_core::checkpoint;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_core::oplog::{fingerprint_of, replay_op, ReplayOp};
+use storypivot_core::oplog::{self, fingerprint_of, replay_op, Applied, ReplayOp};
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot_core::refine::story_source;
 use storypivot_substrate::fault::FaultHook;
@@ -105,9 +105,10 @@ use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, S
 use storypivot_substrate::net;
 use storypivot_substrate::pool::{BufferPool, PooledBuf};
 use storypivot_substrate::queue::{Bounded, PushError};
+use storypivot_substrate::rng::splitmix64;
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
-use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
+use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId};
 
 use crate::proto::{
     encode_stories, encode_story, frame_into, frame_ready, Request, RequestRef, Response,
@@ -861,9 +862,9 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut backoff = Duration::from_millis(1);
-    // Small deterministic LCG for backoff jitter: persistent accept
-    // errors (EMFILE across many servers on one host) must not march
-    // every acceptor in lockstep.
+    // Deterministic backoff jitter: persistent accept errors (EMFILE
+    // across many servers on one host) must not march every acceptor in
+    // lockstep.
     let mut jitter_state: u64 = 0x9e37_79b9_7f4a_7c15;
     loop {
         if shared.done.load(Ordering::SeqCst) {
@@ -896,10 +897,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 // back off exponentially with jitter instead of
                 // hot-spinning the accept loop.
                 shared.io_metrics.accept_errors.inc();
-                jitter_state = jitter_state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let jitter = (jitter_state >> 56) as u32; // 0..=255
+                let jitter = (splitmix64(&mut jitter_state) >> 56) as u32; // 0..=255
                 std::thread::sleep(backoff + backoff * jitter / 512); // +0..50%
                 backoff = (backoff * 2).min(Duration::from_millis(100));
             }
@@ -1728,13 +1726,6 @@ impl IoWorker {
 }
 // ---- shard worker ----------------------------------------------------
 
-/// What a successfully applied mutation produced.
-enum Applied {
-    Source(SourceId),
-    Story(StoryId),
-    Removed(u32),
-}
-
 /// The debug-only failure-injection hook: runs in both the live apply
 /// path and the rebuild replay path, so an injected panic is
 /// deterministic across restarts (which is what earns it a second
@@ -1755,26 +1746,6 @@ fn op_label(op: &ReplayOp) -> &'static str {
         ReplayOp::AddSource(_) => "add_source",
         ReplayOp::Ingest(_) => "ingest",
         ReplayOp::RemoveDoc(_) => "remove_doc",
-    }
-}
-
-/// Apply one mutation to a live engine. Shared by the serving path and
-/// (via [`replay_op`]'s equivalent semantics) mirrored by recovery.
-fn apply_live(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<Applied> {
-    poison_check(op);
-    match op {
-        ReplayOp::AddSource(source) => engine
-            .pivot_mut()
-            .add_source_registered(source.clone())
-            .map(Applied::Source),
-        ReplayOp::Ingest(snippet) => engine.ingest(snippet.clone()).map(Applied::Story),
-        ReplayOp::RemoveDoc(doc) => match engine.pivot_mut().remove_document(*doc) {
-            Ok(n) => Ok(Applied::Removed(n as u32)),
-            // Sharding splits documents across engines: "unknown here"
-            // just means zero local snippets; the router sums.
-            Err(Error::UnknownDocument(_)) => Ok(Applied::Removed(0)),
-            Err(e) => Err(e),
-        },
     }
 }
 
@@ -2056,9 +2027,11 @@ impl ShardWorker {
         }
     }
 
-    /// Journal, then apply under `catch_unwind`. A panic rebuilds the
-    /// engine from durable state and replies with an error instead of
-    /// killing the worker; the op's strike count decides quarantine.
+    /// Journal, then hand the op to the engine under `catch_unwind`
+    /// ([`oplog::apply`] behind the poison hook — replay runs the same
+    /// two behind [`replay_op`]). A panic rebuilds the engine from
+    /// durable state and replies with an error instead of killing the
+    /// worker; the op's strike count decides quarantine.
     fn mutate(&mut self, op: ReplayOp) -> Result<Applied> {
         self.op_buf.clear();
         op.encode(&mut self.op_buf);
@@ -2076,8 +2049,18 @@ impl ShardWorker {
                 .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
         }
         let engine = &mut self.engine;
-        match catch_unwind(AssertUnwindSafe(|| apply_live(engine, &op))) {
+        let applied = catch_unwind(AssertUnwindSafe(|| {
+            poison_check(&op);
+            oplog::apply(engine, op)
+        }));
+        match applied {
             Ok(result) => {
+                // Sharding splits documents across engines: "unknown
+                // here" just means zero local snippets; the router sums.
+                let result = match result {
+                    Err(Error::UnknownDocument(_)) => Ok(Applied::Removed(0)),
+                    other => other,
+                };
                 if result.is_ok() {
                     self.ops_since_checkpoint += 1;
                     self.maybe_checkpoint();
@@ -2201,7 +2184,11 @@ impl ShardWorker {
                 if self.quarantine.contains(&fp) {
                     continue;
                 }
-                match catch_unwind(AssertUnwindSafe(|| replay_with_poison(&mut engine, &op))) {
+                let replayed = catch_unwind(AssertUnwindSafe(|| {
+                    poison_check(&op);
+                    replay_op(&mut engine, &op)
+                }));
+                match replayed {
                     Ok(Ok(_)) => {}
                     Ok(Err(e)) => eprintln!(
                         "pivotd: shard {}: replay error (op skipped): {e}",
@@ -2338,11 +2325,14 @@ impl ShardWorker {
                 self.idx
             )));
         }
+        // The generation advances only once its file exists: a failed
+        // write must leave the in-memory number equal to the newest one
+        // on disk, or `repl()` would treat every follower as stale.
         let bytes = self.engine.pivot().save_checkpoint();
-        self.generation += 1;
-        self.trace
-            .push("checkpoint", format!("generation {}", self.generation));
-        checkpoint::write_generation(&dir, self.idx, self.generation, &bytes)?;
+        let next = self.generation + 1;
+        checkpoint::write_generation(&dir, self.idx, next, &bytes)?;
+        self.generation = next;
+        self.trace.push("checkpoint", format!("generation {next}"));
         if let Some(w) = &mut self.wal {
             w.reset()
                 .map_err(|e| Error::Io(format!("shard {} wal reset: {e}", self.idx)))?;
@@ -2598,13 +2588,6 @@ impl ShardWorker {
         }
         Response::ShutdownAck
     }
-}
-
-/// Recovery-side apply: same idempotent semantics as [`replay_op`],
-/// plus the poison hook so an injected panic reproduces during replay.
-fn replay_with_poison(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
-    poison_check(op);
-    replay_op(engine, op)
 }
 
 /// The pipeline policy every engine of a shard runs under.

@@ -2,7 +2,9 @@
 //! prove the restarted daemon serves exactly the partition an
 //! uninterrupted in-process run produces. Exercises the whole
 //! durability stack — WAL append/fsync, torn-tail repair, checkpoint
-//! generations, startup replay — through the public binary.
+//! generations, startup replay — through the public binary. One case
+//! runs in process instead: a checkpoint write that fails must not move
+//! the generation the leader tells its followers about.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -13,8 +15,10 @@ use std::time::{Duration, Instant};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
-use storypivot_serve::client::Client;
+use storypivot_serve::client::{Client, ReplDelivery};
 use storypivot_serve::proto::StorySummary;
+use storypivot_serve::server::{serve, ServerConfig};
+use storypivot_substrate::wal::SyncPolicy;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("storypivot-crash-{tag}-{}", std::process::id()));
@@ -249,6 +253,92 @@ fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
     client.shutdown().unwrap();
     let status = child2.wait().unwrap();
     assert!(status.success());
+    let _ = std::fs::remove_dir_all(&wal);
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// A checkpoint write that fails (ENOSPC — here: a directory squatting
+/// on the temp-file name) must not advance the generation. If it did,
+/// the leader would hold N+1 in memory with N newest on disk, see every
+/// follower's `(N, offset)` cursor as stale, and answer each poll with
+/// the whole generation-N checkpoint instead of the WAL records the
+/// follower is missing.
+#[test]
+fn failed_checkpoint_write_does_not_advance_the_generation() {
+    const EVERY_BYTES: u64 = 4096;
+    let wal = scratch("wal-ckptfail");
+    let ckpt = scratch("ckpt-ckptfail");
+    let cfg = ServerConfig {
+        shards: 1,
+        align_every: 0,
+        wal_dir: Some(wal.clone()),
+        checkpoint_dir: Some(ckpt.clone()),
+        fsync: SyncPolicy::Never,
+        checkpoint_every_bytes: EVERY_BYTES,
+        ..ServerConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let corpus = CorpusBuilder::new(
+        GenConfig::default().with_seed(5).with_sources(1).with_target_snippets(300),
+    )
+    .build();
+    let source = &corpus.sources[0];
+    client.add_source(&source.name, source.kind, source.typical_lag).unwrap();
+    let mut stream = corpus.snippets.iter();
+    let mut ingest_one = |client: &mut Client| {
+        let snippet = stream.next().expect("corpus outlasts the test");
+        client.ingest_backoff(snippet, Default::default()).expect("acked ingest");
+    };
+    let generation_path = |g: u64| ckpt.join(format!("shard0.g{g:010}.spvc"));
+
+    // Until the first size-triggered generation exists; a follower that
+    // has nothing learns its number from the checkpoint it is offered.
+    while std::fs::read_dir(&ckpt).unwrap().count() == 0 {
+        ingest_one(&mut client);
+    }
+    let n = match client.repl_subscribe(0, u64::MAX, 0).unwrap() {
+        ReplDelivery::Checkpoint { generation, checkpoint } => {
+            assert!(!checkpoint.is_empty());
+            generation
+        }
+        ReplDelivery::Frame { .. } => panic!("a stale cursor must be offered a checkpoint"),
+    };
+    assert!(generation_path(n).exists());
+
+    // Make every write of generations N+1.. fail: `File::create` on a
+    // directory errors for root too (unlike a read-only mode bit).
+    let blockers: Vec<PathBuf> =
+        (1..=64).map(|k| generation_path(n + k).with_extension("spvc.tmp")).collect();
+    for b in &blockers {
+        std::fs::create_dir(b).unwrap();
+    }
+    // The journal stops resetting while checkpoints fail.
+    while client.stats().unwrap().shards[0].wal_bytes < EVERY_BYTES * 3 / 2 {
+        ingest_one(&mut client);
+    }
+
+    // A follower on generation N is still current: it gets records.
+    match client.repl_subscribe(0, n, 0).unwrap() {
+        ReplDelivery::Frame { generation, records, .. } => {
+            assert_eq!(generation, n);
+            assert!(!records.is_empty());
+        }
+        ReplDelivery::Checkpoint { generation, .. } => panic!(
+            "follower on the newest on-disk generation {n} was offered checkpoint {generation}"
+        ),
+    }
+
+    // Disk healthy again: the very next op writes N+1, not N+13.
+    for b in &blockers {
+        std::fs::remove_dir(b).unwrap();
+    }
+    ingest_one(&mut client);
+    assert!(generation_path(n + 1).exists(), "generation numbers must not skip");
+    assert!(client.stats().unwrap().shards[0].wal_bytes < EVERY_BYTES);
+
+    client.shutdown().unwrap();
+    handle.join();
     let _ = std::fs::remove_dir_all(&wal);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
