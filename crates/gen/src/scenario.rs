@@ -418,8 +418,8 @@ pub fn retraction_storm(events: usize, seed: u64) -> Script {
 }
 
 /// Long-dormant story resurgence: most of the stream lands, then the
-/// feed goes quiet past the server's snapshot freshness window, then
-/// the tail of the longest-lived stories floods back in unpaced.
+/// feed goes quiet for a while, then the tail of the longest-lived
+/// stories floods back in unpaced.
 pub fn resurgence(events: usize, seed: u64) -> Script {
     Scenario {
         name: "resurgence",

@@ -23,11 +23,10 @@
 //!   and merged — counters summed, histograms merged bucket-wise — into
 //!   one Prometheus-style text exposition.
 //! - [`snapshot`] — epoch-versioned, immutable per-shard read
-//!   snapshots. Shard workers publish them on a freshness policy
-//!   (`--snapshot-every-ops` / `--snapshot-max-age-ms`), patching only
-//!   the stories the engine reports changed; I/O workers answer
-//!   QUERY_STORIES and GET_STORY straight from the snapshots, so reads
-//!   never ride the shard write queues.
+//!   snapshots. Shard workers publish one after every applied op,
+//!   before its reply, patching only the stories the engine reports
+//!   changed; I/O workers answer QUERY_STORIES and GET_STORY straight
+//!   from the snapshots, so reads never ride the shard write queues.
 //! - [`replica`] — WAL-shipped follower replicas: `pivotd --leader
 //!   <addr>` bootstraps from the leader's newest checkpoint, tails its
 //!   WAL over REPL_SUBSCRIBE, serves reads only (writes get a

@@ -30,6 +30,10 @@
 //! leader is away — jitter keeps a fleet of shard pullers from
 //! stampeding a recovering leader in lockstep — and exit when the
 //! replica itself is shut down.
+//!
+//! This file is the puller; what the shard worker does with a
+//! `Repl`/`ReplBootstrap`/`ReplApply` job (it needs the worker's engine,
+//! WAL and generation) is `server/shard/repl.rs`.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;

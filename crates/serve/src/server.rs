@@ -2,7 +2,7 @@
 //!
 //! Topology: one acceptor thread, a fixed pool of connection-
 //! multiplexing *I/O worker* threads, and N *shard* worker threads.
-//! Each shard owns a full [`storypivot_core::pipeline::DynamicPivot`] engine holding a disjoint
+//! Each shard owns a full [`DynamicPivot`] engine holding a disjoint
 //! subset of sources (`source id mod N`), so identification — which is
 //! per-source by construction (paper §2.1) — is embarrassingly
 //! parallel across shards, and alignment runs per shard over its own
@@ -11,11 +11,11 @@
 //! # The serving runtime
 //!
 //! Connections are nonblocking sockets owned by I/O workers; each
-//! worker drives its set through a [`storypivot_substrate::net`] `poll(2)` loop
+//! worker drives its set through a [`substrate::net`] `poll(2)` loop
 //! and a per-connection state machine: accumulate bytes into a pooled
-//! read buffer ([`storypivot_substrate::pool`]), peel complete frames with
-//! [`crate::proto::frame_ready`], decode them *in place* with
-//! [`crate::proto::Request::decode_borrowed`] (zero heap allocations for small
+//! read buffer ([`substrate::pool`]), peel complete frames with
+//! [`frame_ready`], decode them *in place* with
+//! [`Request::decode_borrowed`] (zero heap allocations for small
 //! frames), dispatch, and stream responses back through queued
 //! vectored writes. Requests pipeline: a connection may have up to
 //! `max_pipeline` requests in flight, and responses are re-sequenced
@@ -26,7 +26,7 @@
 //! slow-loris readers.
 //!
 //! I/O workers never block: every frame becomes a `Job` routed to
-//! its shard through a bounded queue ([`storypivot_substrate::queue::Bounded`]),
+//! its shard through a bounded queue ([`substrate::queue::Bounded`]),
 //! and the shard replies by posting a completion event back to the
 //! owning worker's inbox (a wake-channel nudges the poller). When an
 //! ingest hits a full queue the worker replies BUSY with a retry-after
@@ -40,8 +40,8 @@
 //! # Durability
 //!
 //! With a `wal_dir` configured, every state-changing job is journaled
-//! to the shard's write-ahead log ([`storypivot_substrate::wal`], payloads are
-//! [`storypivot_core::oplog::ReplayOp`]) *before* it touches the engine. On
+//! to the shard's write-ahead log ([`substrate::wal`], payloads are
+//! [`core::oplog::ReplayOp`]) *before* it touches the engine. On
 //! startup each shard loads its newest valid generation checkpoint
 //! (`shard{i}.g{N}.spvc`, written atomically via temp file + rename)
 //! and replays the WAL tail on top; replay is idempotent, so the crash
@@ -69,7 +69,7 @@
 //!
 //! # Observability
 //!
-//! Each shard owns a private [`storypivot_substrate::metrics::Registry`]; its
+//! Each shard owns a private [`substrate::metrics::Registry`]; its
 //! engine, WAL, and the per-shard serving gauges (queue depth,
 //! restarts, quarantined ops, BUSY rejections — labeled `shard="N"`)
 //! all record into it. The server additionally keeps one registry for
@@ -78,10 +78,33 @@
 //! `METRICS` opcode snapshots every shard's registry plus the server
 //! registry, merges the snapshots (counters add, histograms merge
 //! bucket-wise), and renders one Prometheus-style text exposition.
-//! Each shard also keeps a fixed-capacity [`storypivot_substrate::trace::TraceRing`]
+//! Each shard also keeps a fixed-capacity [`substrate::trace::TraceRing`]
 //! of recent engine events; when an apply panics, the ring is dumped to
 //! stderr (and `shard{i}.trace` next to the durable state) *before* the
 //! engine is rebuilt, preserving the lead-up to the crash.
+//!
+//! # Where things live
+//!
+//! This file: [`ServerConfig`], the state the threads share
+//! (`Shared`, one `ShardPort` per shard), [`serve`], the acceptor and
+//! the SHUTDOWN orchestrator.
+//! `job.rs`: `Job`, the reply callbacks with their drop-guards, `FanIn`.
+//! `io.rs`: `IoWorker` and the connection state machine;
+//! `io/dispatch.rs`: request decode and dispatch, push/park/retry.
+//! `shard.rs`: `ShardWorker` — queue loop, journal + apply, publish, the
+//! request handlers; `shard/recovery.rs`: recover, rebuild, checkpoints,
+//! quarantine; `shard/repl.rs`: both shard-side ends of WAL shipping.
+//!
+//! [`DynamicPivot`]: storypivot_core::pipeline::DynamicPivot
+//! [`substrate::net`]: storypivot_substrate::net
+//! [`substrate::pool`]: storypivot_substrate::pool
+//! [`frame_ready`]: crate::proto::frame_ready
+//! [`Request::decode_borrowed`]: crate::proto::Request::decode_borrowed
+//! [`substrate::queue::Bounded`]: storypivot_substrate::queue::Bounded
+//! [`substrate::wal`]: storypivot_substrate::wal
+//! [`core::oplog::ReplayOp`]: storypivot_core::oplog::ReplayOp
+//! [`substrate::metrics::Registry`]: storypivot_substrate::metrics::Registry
+//! [`substrate::trace::TraceRing`]: storypivot_substrate::trace::TraceRing
 
 mod io;
 mod job;
@@ -130,7 +153,7 @@ pub struct ServerConfig {
     /// Engine configuration applied to every shard.
     pub pivot: PivotConfig,
     /// Per-shard incremental re-alignment period (snippets); see
-    /// [`storypivot_core::pipeline::PipelinePolicy::align_every`].
+    /// [`PipelinePolicy::align_every`](storypivot_core::pipeline::PipelinePolicy::align_every).
     pub align_every: usize,
     /// Where checkpoint generations are written
     /// (`shard{i}.g{N}.spvc`, atomic temp-file + rename); `None`
@@ -242,14 +265,18 @@ impl ShardPort {
         }
     }
 
-    /// Queue-depth-proportional retry hint: the estimated drain time of
-    /// the jobs already queued (depth × EWMA of observed per-snippet
-    /// service time). Floored at the configured flat `retry_after_ms` —
-    /// which is also the exact hint before the first ingest has seeded
-    /// the EWMA — and capped so a hostile queue depth can never park
+    /// Queue-depth-proportional retry hint, in milliseconds: the
+    /// estimated drain time of the jobs already queued (depth × EWMA of
+    /// observed per-snippet service time). Floored at the configured
+    /// flat `retry_after_ms` — which is also the exact hint before the
+    /// first ingest has seeded the EWMA — and capped at
+    /// `max(10 s, floor_ms)` so a hostile queue depth can never park
     /// clients for minutes.
     fn retry_hint(&self, floor_ms: u32) -> u32 {
-        retry_hint(self.queue.len(), self.service_ewma_ns.load(Ordering::Relaxed), floor_ms)
+        let ewma_ns = self.service_ewma_ns.load(Ordering::Relaxed);
+        let est_ms = (self.queue.len() as u64).saturating_mul(ewma_ns) / 1_000_000;
+        let cap = 10_000u64.max(floor_ms as u64);
+        est_ms.max(floor_ms as u64).min(cap) as u32
     }
 }
 
@@ -583,13 +610,4 @@ fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
     for inbox in &shared.inboxes {
         inbox.waker.wake();
     }
-}
-
-/// Expected queue drain time as a retry-after hint, in milliseconds:
-/// `depth × ewma_ns`, clamped to `[floor_ms, max(10s, floor_ms)]`.
-/// A zero EWMA (no ingest observed yet) degenerates to the floor.
-fn retry_hint(depth: usize, ewma_ns: u64, floor_ms: u32) -> u32 {
-    let est_ms = (depth as u64).saturating_mul(ewma_ns) / 1_000_000;
-    let cap = 10_000u64.max(floor_ms as u64);
-    est_ms.max(floor_ms as u64).min(cap) as u32
 }

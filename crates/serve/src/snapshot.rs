@@ -27,13 +27,13 @@
 //! it is the oracle — debug builds assert patched == rebuilt on every
 //! publish.
 //!
-//! Freshness is a policy, not an accident: the worker republishes
-//! after every `snapshot_every_ops` applied mutations or whenever the
-//! current snapshot is older than `snapshot_max_age_ms`, whichever
-//! trips first (see [`crate::server::ServerConfig`]). The default of
-//! one op per epoch preserves read-your-writes exactly: a client that
-//! saw its ingest acked is guaranteed the next query reflects it,
-//! because the worker publishes before it replies.
+//! A snapshot is published after every applied op, before that op's
+//! reply: per snippet inside an INGEST_BATCH, once per shipped batch on
+//! a follower, once more after a drain's final flush and whenever the
+//! engine object is replaced. That ordering *is* read-your-writes — a
+//! client that saw its write acked is guaranteed the next read, on any
+//! connection, reflects it — and it needs no clock and no knob: at
+//! ≈ 3 µs a publish there is nothing to amortise.
 
 use std::sync::{Arc, PoisonError, RwLock};
 
