@@ -52,13 +52,6 @@ fn visible_ids(client: &mut Client) -> BTreeSet<u32> {
     stories.iter().flat_map(|s| s.members.iter().map(|m| m.raw())).collect()
 }
 
-/// One shard's sample of a `shard="N"`-labeled series, if exposed.
-fn shard_metric(exposition: &str, name: &str, shard: usize) -> Option<u64> {
-    let series = format!("{name}{{shard=\"{shard}\"}} ");
-    let line = exposition.lines().find(|l| l.starts_with(&series))?;
-    line[series.len()..].trim().parse::<f64>().ok().map(|v| v as u64)
-}
-
 /// A publish follows every applied op and precedes its reply: whatever
 /// connection A saw acked — a single ingest, each snippet of a batch
 /// spanning both shards, a document removal — connection B's very next
@@ -117,9 +110,10 @@ fn acked_writes_are_visible_to_the_next_read_on_any_connection() {
 
     let exposition = b.metrics().unwrap();
     for (shard, ops) in applied.iter().enumerate() {
+        let series = format!("storypivot_shard_snapshot_epoch{{shard=\"{shard}\"}} ");
         assert_eq!(
-            shard_metric(&exposition, "storypivot_shard_snapshot_epoch", shard),
-            Some(ops + 1),
+            metric_total(&exposition, &series),
+            ops + 1,
             "shard {shard}: one publish per applied op plus the post-recovery one"
         );
     }
