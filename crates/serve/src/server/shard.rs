@@ -224,7 +224,7 @@ impl ShardWorker {
 
     /// Journal, then hand the op to the engine under `catch_unwind`
     /// ([`oplog::apply`] behind the poison hook — replay runs the same
-    /// two behind [`replay_op`]). A panic rebuilds the engine from
+    /// two through `oplog::replay_op`). A panic rebuilds the engine from
     /// durable state and replies with an error instead of killing the
     /// worker; the op's strike count decides quarantine.
     fn mutate(&mut self, op: ReplayOp) -> Result<Applied> {
