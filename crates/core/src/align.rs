@@ -20,7 +20,8 @@ use std::collections::{HashMap, HashSet};
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
 use storypivot_types::{
-    EntityId, GlobalStory, GlobalStoryId, SnippetId, SnippetRole, StoryId,
+    EntityId, GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId,
+    TimeRange,
 };
 
 use crate::config::AlignConfig;
@@ -124,8 +125,13 @@ impl Aligner {
                 .collect()
         };
 
+        // Size first: asking the OS for the CPU count is a syscall plus
+        // cgroup file reads, and most alignments are small.
+        if pairs.len() < PARALLEL_THRESHOLD {
+            return score_chunk(pairs);
+        }
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if pairs.len() < PARALLEL_THRESHOLD || workers < 2 {
+        if workers < 2 {
             return score_chunk(pairs);
         }
         let chunk_size = pairs.len().div_ceil(workers);
@@ -144,12 +150,16 @@ impl Aligner {
 
     /// Full alignment over all per-source stories.
     pub fn align(&self, states: &[&StoryState], store: &EventStore) -> AlignOutcome {
-        self.align_internal(states, store, None, None)
+        self.align_internal(states, store, None)
     }
 
     /// Incremental alignment: pairs between two *clean* stories reuse
-    /// their accept/reject decision from `previous`; only pairs with at
-    /// least one endpoint in `dirty` are (re)scored.
+    /// their accept/reject decision from `previous`, and a global story
+    /// made of the same clean stories as in `previous` keeps its member
+    /// roles; only pairs with at least one endpoint in `dirty` are
+    /// (re)scored and only the other groups re-classified. `dirty` must
+    /// hold every story whose member list changed since `previous` was
+    /// computed (see `Touched` in [`crate::pivot`]).
     pub fn align_incremental(
         &self,
         states: &[&StoryState],
@@ -157,72 +167,83 @@ impl Aligner {
         previous: &AlignOutcome,
         dirty: &HashSet<StoryId>,
     ) -> AlignOutcome {
-        self.align_internal(states, store, Some(previous), Some(dirty))
+        self.align_internal(states, store, Some((previous, dirty)))
     }
 
-    fn align_internal(
-        &self,
-        states: &[&StoryState],
-        store: &EventStore,
-        previous: Option<&AlignOutcome>,
-        dirty: Option<&HashSet<StoryId>>,
-    ) -> AlignOutcome {
-        let live: HashSet<StoryId> = states.iter().map(|s| s.id()).collect();
-        let index_of: HashMap<StoryId, usize> =
-            states.iter().enumerate().map(|(i, s)| (s.id(), i)).collect();
-
-        // ---- candidate generation via shared entities ----------------
+    /// The cross-source story pairs `(i, j)`, `i < j`, with at least one
+    /// end marked in `rescore`, that share at least
+    /// `min_shared_entities` entities — each exactly once, in no
+    /// particular order. Same-source pairs are identification's job.
+    ///
+    /// Every marked story walks its entities through an entity → stories
+    /// index into a stamped dense counter; a pair with both ends marked
+    /// is counted from its smaller index only. Full alignment marks
+    /// every story, incremental alignment the dirty ones, so the cost
+    /// follows the marked stories' postings, not the number of pairs
+    /// that exist.
+    fn candidate_pairs(&self, states: &[&StoryState], rescore: &[bool]) -> Vec<(usize, usize)> {
         let mut entity_index: HashMap<EntityId, Vec<usize>> = HashMap::new();
         for (i, s) in states.iter().enumerate() {
             for e in s.entities.keys() {
                 entity_index.entry(e).or_default().push(i);
             }
         }
-        let mut shared: HashMap<(usize, usize), usize> = HashMap::new();
-        for posting in entity_index.values() {
-            for (pi, &i) in posting.iter().enumerate() {
-                for &j in &posting[pi + 1..] {
-                    let key = if i < j { (i, j) } else { (j, i) };
-                    // Cross-source pairs only: same-source grouping is
-                    // identification's job.
-                    if states[i].source() != states[j].source() {
-                        *shared.entry(key).or_insert(0) += 1;
+        // Per story `(stamp, shared entities)`, valid for marked story
+        // `d` iff the stamp is `d + 1`.
+        let mut shared: Vec<(usize, usize)> = vec![(0, 0); states.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut pairs = Vec::new();
+        for (d, state) in states.iter().enumerate() {
+            if !rescore[d] {
+                continue;
+            }
+            touched.clear();
+            for e in state.entities.keys() {
+                for &j in &entity_index[&e] {
+                    if j == d || (rescore[j] && j < d) || states[j].source() == state.source() {
+                        continue;
+                    }
+                    let slot = &mut shared[j];
+                    if slot.0 == d + 1 {
+                        slot.1 += 1;
+                    } else {
+                        *slot = (d + 1, 1);
+                        touched.push(j);
                     }
                 }
             }
+            for &j in &touched {
+                if shared[j].1 >= self.cfg.min_shared_entities {
+                    pairs.push((d.min(j), d.max(j)));
+                }
+            }
         }
+        pairs
+    }
+
+    fn align_internal(
+        &self,
+        states: &[&StoryState],
+        store: &EventStore,
+        incremental: Option<(&AlignOutcome, &HashSet<StoryId>)>,
+    ) -> AlignOutcome {
+        let index_of: HashMap<StoryId, usize> =
+            states.iter().enumerate().map(|(i, s)| (s.id(), i)).collect();
+        // The stories whose pairs and roles are computed in this pass.
+        let rescore: Vec<bool> = match incremental {
+            Some((_, dirty)) => states.iter().map(|s| dirty.contains(&s.id())).collect(),
+            None => vec![true; states.len()],
+        };
 
         // ---- pair scoring (incremental reuse where possible) ----------
-        let mut accepted: Vec<(StoryId, StoryId)> = Vec::new();
-
-        // Collect the pairs that actually need scoring this pass.
-        let mut to_score: Vec<(usize, usize)> = Vec::new();
-        if let (Some(prev), Some(dirty)) = (previous, dirty) {
-            // Reuse accepted pairs between clean, still-live stories.
-            for &(a, b) in &prev.accepted_pairs {
-                if live.contains(&a) && live.contains(&b) && !dirty.contains(&a) && !dirty.contains(&b)
-                {
-                    accepted.push((a, b));
-                }
-            }
-            for (&(i, j), &overlap) in &shared {
-                if overlap < self.cfg.min_shared_entities {
-                    continue;
-                }
-                if !dirty.contains(&states[i].id()) && !dirty.contains(&states[j].id()) {
-                    continue; // decision reused above
-                }
-                to_score.push((i, j));
-            }
-        } else {
-            for (&(i, j), &overlap) in &shared {
-                if overlap >= self.cfg.min_shared_entities {
-                    to_score.push((i, j));
-                }
-            }
-        }
+        let to_score = self.candidate_pairs(states, &rescore);
         let pairs_scored = to_score.len();
-        accepted.extend(self.score_pairs(states, &to_score));
+        let mut accepted = self.score_pairs(states, &to_score);
+        if let Some((prev, _)) = incremental {
+            // Reuse accepted pairs between clean, still-live stories.
+            let clean = |s: &StoryId| index_of.get(s).is_some_and(|&i| !rescore[i]);
+            accepted.extend(prev.accepted_pairs.iter().filter(|(a, b)| clean(a) && clean(b)));
+        }
 
         // Deterministic order for downstream grouping.
         accepted.sort_unstable();
@@ -245,40 +266,93 @@ impl Aligner {
         let mut ids = IdGen::<GlobalStoryId>::new();
         for group in uf.groups() {
             let gid = ids.next_id();
-            let mut global = GlobalStory::new(gid);
-            for &i in &group {
-                let state = states[i];
-                global.member_stories.push(state.id());
-                global.add_source(state.source());
-                outcome.story_to_global.insert(state.id(), gid);
+            let mut member_stories: Vec<StoryId> = group.iter().map(|&i| states[i].id()).collect();
+            member_stories.sort_unstable();
+            for &story in &member_stories {
+                outcome.story_to_global.insert(story, gid);
             }
-            global.member_stories.sort_unstable();
 
-            // ---- aligning/enriching classification --------------------
-            // Collect (snippet, source, timestamp) for all members.
-            let mut members: Vec<&storypivot_types::Snippet> = Vec::new();
-            for &i in &group {
-                for &m in &states[i].story.members {
-                    if let Some(sn) = store.get(m) {
-                        members.push(sn);
-                    }
+            // The same clean stories as one global story of the previous
+            // outcome: the same members, hence the same roles.
+            let unchanged = incremental.and_then(|(prev, _)| {
+                if group.iter().any(|&i| rescore[i]) {
+                    return None;
                 }
-            }
-            members.sort_by_key(|s| (s.timestamp, s.id));
-            for (mi, &sn) in members.iter().enumerate() {
-                let role = if global.sources.len() > 1
-                    && self.has_counterpart(sn, mi, &members)
-                {
-                    SnippetRole::Aligning
-                } else {
-                    SnippetRole::Enriching
-                };
-                global.add_member(sn.id, role, sn.timestamp);
-                outcome.snippet_to_global.insert(sn.id, gid);
+                let before = prev.global_story(*prev.story_to_global.get(&member_stories[0])?)?;
+                (before.member_stories == member_stories).then_some(before)
+            });
+            let global = match unchanged {
+                Some(before) => {
+                    let global = GlobalStory {
+                        id: gid,
+                        member_stories,
+                        sources: before.sources.clone(),
+                        members: before.members.clone(),
+                        lifespan: before.lifespan,
+                    };
+                    if cfg!(debug_assertions) {
+                        let stories = global.member_stories.clone();
+                        let fresh = self.integrate(gid, stories, &group, states, store);
+                        debug_assert_eq!(global, fresh, "reused global story differs from a recomputed one");
+                    }
+                    global
+                }
+                None => self.integrate(gid, member_stories, &group, states, store),
+            };
+            for &(m, _) in &global.members {
+                outcome.snippet_to_global.insert(m, gid);
             }
             outcome.global_stories.push(global);
         }
         outcome
+    }
+
+    /// Build the global story of one group of aligned stories
+    /// (`group` indexes `states`): sources, lifespan and the
+    /// aligning/enriching role of every member snippet.
+    fn integrate(
+        &self,
+        id: GlobalStoryId,
+        member_stories: Vec<StoryId>,
+        group: &[usize],
+        states: &[&StoryState],
+        store: &EventStore,
+    ) -> GlobalStory {
+        let mut sources: Vec<SourceId> = group.iter().map(|&i| states[i].source()).collect();
+        sources.sort_unstable();
+        sources.dedup();
+
+        // Counterparts are looked for among temporal neighbours.
+        let mut by_time: Vec<&Snippet> = group
+            .iter()
+            .flat_map(|&i| &states[i].story.members)
+            .filter_map(|&m| store.get(m))
+            .collect();
+        by_time.sort_unstable_by_key(|s| (s.timestamp, s.id));
+        let lifespan = match (by_time.first(), by_time.last()) {
+            (Some(first), Some(last)) => TimeRange::new(first.timestamp, last.timestamp),
+            _ => TimeRange::EMPTY,
+        };
+        let mut members: Vec<(SnippetId, SnippetRole)> = by_time
+            .iter()
+            .enumerate()
+            .map(|(pos, &sn)| {
+                let role = if sources.len() > 1 && self.has_counterpart(sn, pos, &by_time) {
+                    SnippetRole::Aligning
+                } else {
+                    SnippetRole::Enriching
+                };
+                (sn.id, role)
+            })
+            .collect();
+        members.sort_unstable_by_key(|&(id, _)| id);
+        GlobalStory {
+            id,
+            member_stories,
+            sources,
+            members,
+            lifespan,
+        }
     }
 
     /// Whether `sn` (at sorted position `pos` in `members`) has a
@@ -286,9 +360,9 @@ impl Aligner {
     /// within the counterpart lag.
     fn has_counterpart(
         &self,
-        sn: &storypivot_types::Snippet,
+        sn: &Snippet,
         pos: usize,
-        members: &[&storypivot_types::Snippet],
+        members: &[&Snippet],
     ) -> bool {
         let lag = self.cfg.counterpart_lag;
         // Bind the probe once: the outward scans re-score `sn` against
@@ -298,7 +372,7 @@ impl Aligner {
         let term_norm = sn.terms().norm();
         // members is sorted by timestamp: scan outwards until the lag
         // bound is exceeded in both directions.
-        let check = |other: &storypivot_types::Snippet| -> bool {
+        let check = |other: &Snippet| -> bool {
             other.source != sn.source
                 && other.timestamp.distance(sn.timestamp) <= lag
                 && scorer.score(&other.content) >= self.cfg.counterpart_threshold
@@ -525,6 +599,73 @@ mod tests {
         assert_eq!(partition(&incremental), partition(&full1));
         // And the incremental pass scored fewer or equal pairs.
         assert!(incremental.pairs_scored <= full1.pairs_scored);
+    }
+
+    /// The candidate routine against a brute-force count of shared
+    /// entities over all story pairs: the same pairs, each once, for
+    /// every, some and adjacent marked stories — and `pairs_scored` of
+    /// both alignment entry points is that count.
+    #[test]
+    fn candidate_pairs_match_a_brute_force_shared_entity_count() {
+        let mut f = Fixture::new(3);
+        // Story k of every source is about entities {k, k+1, k+2}: it
+        // shares two with its neighbours' k±1 and one with their k±2.
+        for k in 0..6u32 {
+            for source in 0..3 {
+                for day in 0..2 {
+                    f.ingest(source, day, &[k, k + 1, k + 2], &[100 + k]);
+                }
+            }
+        }
+        let states = f.states();
+        assert_eq!(states.len(), 18);
+
+        for min_shared in 1..=3 {
+            let cfg = AlignConfig {
+                min_shared_entities: min_shared,
+                ..AlignConfig::default()
+            };
+            let aligner = Aligner::new(cfg, SimWeights::default());
+            let brute = |rescore: &[bool]| -> Vec<(usize, usize)> {
+                let mut pairs = Vec::new();
+                for i in 0..states.len() {
+                    for j in i + 1..states.len() {
+                        let shared = states[i]
+                            .entities
+                            .keys()
+                            .filter(|e| states[j].entities.get(e).is_some())
+                            .count();
+                        if states[i].source() != states[j].source()
+                            && shared >= min_shared
+                            && (rescore[i] || rescore[j])
+                        {
+                            pairs.push((i, j));
+                        }
+                    }
+                }
+                pairs
+            };
+            let all = vec![true; states.len()];
+            let some: Vec<bool> = (0..states.len()).map(|i| i % 5 == 0).collect();
+            // Both ends of one candidate pair marked.
+            let (a, b) = brute(&all)[0];
+            let both_ends: Vec<bool> = (0..states.len()).map(|i| i == a || i == b).collect();
+            for rescore in [&all, &some, &both_ends] {
+                let mut pairs = aligner.candidate_pairs(&states, rescore);
+                pairs.sort_unstable();
+                let expected = brute(rescore);
+                assert!(!expected.is_empty());
+                assert_eq!(pairs, expected, "min_shared {min_shared}, marked {rescore:?}");
+            }
+
+            let full = aligner.align(&states, &f.store);
+            assert_eq!(full.pairs_scored, brute(&all).len());
+            let dirty: HashSet<StoryId> = [states[a].id(), states[b].id()].into_iter().collect();
+            let incremental = aligner.align_incremental(&states, &f.store, &full, &dirty);
+            assert_eq!(incremental.pairs_scored, brute(&both_ends).len());
+            assert_eq!(incremental.global_stories, full.global_stories);
+            assert_eq!(incremental.accepted_pairs, full.accepted_pairs);
+        }
     }
 
     #[test]

@@ -23,6 +23,16 @@ use crate::state::StoryState;
 /// (see [`StoryPivot::log_changes`]). Every mutation site reports through
 /// [`Touched::insert`] / [`Touched::extend`], so neither can miss one
 /// the other sees.
+///
+/// The invariant incremental alignment is built on: **a story absent
+/// from `dirty` has the member list it had at the last alignment** —
+/// ingest (the joined story and every story merged away), maintenance
+/// splits (the original and each fragment), `remove_snippet`, both ends
+/// of `reassign_snippet` and of every refine move, and `remove_source`
+/// all report here. Reusing a clean pair's accept/reject decision and a
+/// clean global story's member roles both rest on it, so
+/// `scrub_outcome`, the one place that edits a cached outcome, also
+/// marks every story whose global story it changed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Touched {
     pub(crate) dirty: HashSet<StoryId>,
@@ -404,6 +414,10 @@ impl StoryPivot {
                     sources.sort_unstable();
                     sources.dedup();
                     g.sources = sources;
+                    // What is left of `g` is no longer what an alignment
+                    // computed for these stories (a member may have lost
+                    // its counterpart), so none of them may pass as clean.
+                    self.touched.extend(g.member_stories.iter().copied());
                 }
                 if g.member_stories.is_empty() {
                     outcome.global_stories.remove(idx);
