@@ -71,6 +71,15 @@ pub struct EngineMetrics {
     /// `storypivot_refine_cohesion_cache_misses_total` — `(snippet,
     /// global story)` cohesions a sweep had to score.
     pub refine_cohesion_cache_misses_total: Counter,
+    /// `storypivot_refine_cohesion_extended_total` — the misses among
+    /// them answered from the snippet's cohesion with the story's
+    /// previous member list, by scoring only the members the story
+    /// gained.
+    pub refine_cohesion_extended_total: Counter,
+    /// `storypivot_refine_probes_reused_total` — snippets whose
+    /// alternative stories a sweep carried over from the previous one
+    /// because nothing sharing an entity with them had moved.
+    pub refine_probes_reused_total: Counter,
     /// `storypivot_identify_duration_ns` — per-snippet identification
     /// time.
     pub identify_duration: HistogramMetric,
@@ -167,6 +176,14 @@ impl EngineMetrics {
             refine_cohesion_cache_misses_total: registry.counter(
                 "storypivot_refine_cohesion_cache_misses_total",
                 "Snippet-story cohesions the refiner had to score.",
+            ),
+            refine_cohesion_extended_total: registry.counter(
+                "storypivot_refine_cohesion_extended_total",
+                "Cohesion cache misses answered by scoring only the members a story gained.",
+            ),
+            refine_probes_reused_total: registry.counter(
+                "storypivot_refine_probes_reused_total",
+                "Snippets whose alternative stories were carried over from the previous sweep.",
             ),
             identify_duration: registry.histogram(
                 "storypivot_identify_duration_ns",

@@ -607,6 +607,7 @@ impl StoryPivot {
             self.metrics.refine_pairs_scored_total.add(stats.pairs_scored);
             self.metrics.refine_cohesion_cache_hits_total.add(stats.cache_hits);
             self.metrics.refine_cohesion_cache_misses_total.add(stats.cache_misses);
+            self.metrics.refine_cohesion_extended_total.add(stats.extended);
             report.rounds += 1;
             if moves.is_empty() {
                 break;

@@ -68,6 +68,9 @@ pub(crate) struct SweepStats {
     pub cache_hits: u64,
     /// `(snippet, global story)` cohesions that had to be scored.
     pub cache_misses: u64,
+    /// The misses among them answered by extending the cohesion with
+    /// the story's parent list over the members the story gained.
+    pub extended: u64,
 }
 
 /// How many alternative global stories a snippet is judged against.
@@ -85,18 +88,54 @@ fn should_move(current: f64, alternative: f64, cfg: &RefineConfig) -> bool {
 /// "None yet" in the [`Refiner`]'s dense snippet-indexed tables.
 const NONE: u32 = u32::MAX;
 
-/// The `(version, cohesion)` of the stories a snippet was last judged
-/// against: its own plus [`MAX_ALTERNATIVES`]. Version 0 is never issued
-/// and marks an empty slot.
-type JudgedRow = [(u32, f64); MAX_ALTERNATIVES + 1];
+/// A snippet's cohesion with one member list.
+#[derive(Debug, Clone, Copy)]
+struct Judged {
+    /// The list's version; 0 is never issued and marks an empty slot.
+    version: u32,
+    /// Raw id of a member the cohesion is attained by, [`NONE`] when
+    /// the cohesion is 0.0 (no member scored above it).
+    argmax: u32,
+    cohesion: f64,
+}
 
-const EMPTY_ROW: JudgedRow = [(0, 0.0); MAX_ALTERNATIVES + 1];
+/// What a snippet was last judged against: its own story plus
+/// [`MAX_ALTERNATIVES`]. 16 B a slot, 144 B a row.
+type JudgedRow = [Judged; MAX_ALTERNATIVES + 1];
+
+const EMPTY_ROW: JudgedRow = [Judged {
+    version: 0,
+    argmax: NONE,
+    cohesion: 0.0,
+}; MAX_ALTERNATIVES + 1];
+
+/// How a changed member list differs from its *parent*: the previous
+/// sweep's list that held its first member.
+#[derive(Debug, Clone)]
+struct Delta {
+    parent_version: u32,
+    /// Members whose previous list was not the parent (new snippets
+    /// included).
+    added: Vec<SnippetId>,
+    /// The parent's members that are not in this list, ascending.
+    removed: Vec<SnippetId>,
+}
+
+/// One global story's member list in a sweep.
+#[derive(Debug, Clone)]
+struct MemberList {
+    /// Ascending, as [`storypivot_types::GlobalStory::members`] is.
+    ids: Vec<SnippetId>,
+    version: u32,
+    /// `None` for a list equal to its parent, and for one without.
+    delta: Option<Delta>,
+}
 
 /// Plans refinement moves; owned by [`crate::pivot::StoryPivot`] so its
 /// cohesion cache survives from sweep to sweep and from call to call.
 ///
 /// It produces exactly the move list of [`plan_reference`] (the old
-/// sweep, kept as the test oracle) from three changes:
+/// sweep, kept as the test oracle) from four changes:
 ///
 /// 1. **Dense tables.** One `snippet → global-story index` table and one
 ///    resolved `&Snippet` list per global story are built once per sweep;
@@ -117,18 +156,36 @@ const EMPTY_ROW: JudgedRow = [(0, 0.0); MAX_ALTERNATIVES + 1];
 ///    it was last judged against; a version found there is reused, any
 ///    other is scored. The move *decision* is recomputed from the scores
 ///    on every sweep — nothing remembers a decision.
+/// 4. **Deltas.** `cohesion(v, G) = max over G's members other than v`,
+///    and a maximum does not care in which order it is taken. A changed
+///    list records what it gained and lost against its parent
+///    ([`Delta`]), a row remembers a member each cohesion is attained by,
+///    and a miss on a list whose parent's version is in the row — with
+///    that member not among the lost — is answered by continuing the
+///    same `if s > best` loop over the gained members only. The old
+///    maximum is attained by a member that stayed, so
+///    `max(stayed ∪ gained) = max(old, max(gained))` bit for bit; NaN
+///    scores never pass `>` on either route; `v` itself is skipped on
+///    both and is never its own argmax, so `v` having just joined or
+///    left the list changes nothing. When the remembered member left
+///    (or a tied one did and happened to be the one remembered) the
+///    list is scored in full, as is one with no parent in the row.
 ///
 /// The one way a version could outlive its meaning is snippet-id reuse
 /// (remove, then ingest different content under the same id, landing in
 /// an identical id list), so every removal calls [`Refiner::forget`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Refiner {
-    /// Member-id list and version of each global story of the previous
-    /// sweep, by that sweep's story index.
-    lists: Vec<(Vec<SnippetId>, u32)>,
+    /// The global stories' member lists of the previous sweep, by that
+    /// sweep's story index.
+    lists: Vec<MemberList>,
     /// Snippet (raw id) → index into `lists`, [`NONE`] where the snippet
     /// is in no global story.
     story_of: Vec<u32>,
+    /// The `story_of` of the sweep before, kept for its allocation:
+    /// a sweep fills it with the new table, reads the old one beside it
+    /// and swaps the two.
+    story_of_spare: Vec<u32>,
     /// The last version issued; 0 ("never judged") is not one.
     last_version: u32,
     /// Snippet (raw id) → its row in `rows`, [`NONE`] before the snippet
@@ -158,7 +215,8 @@ impl Refiner {
     }
 
     /// Version every global story of `outcome` against the previous
-    /// sweep's lists and rebuild the dense tables for this sweep.
+    /// sweep's lists, record what each changed list gained and lost, and
+    /// rebuild the dense tables for this sweep.
     fn begin_sweep(&mut self, outcome: &AlignOutcome) {
         let stories = outcome.global_stories.len();
         if u32::MAX - self.last_version < stories as u32 {
@@ -166,39 +224,59 @@ impl Refiner {
             self.forget();
             self.last_version = 0;
         }
-        let mut lists = Vec::with_capacity(stories);
+
+        // The new snippet → story table first: a list's losses are its
+        // parent's members that the new table puts elsewhere.
+        let mut lists: Vec<MemberList> = Vec::with_capacity(stories);
         let mut table_len = 0usize;
         for g in &outcome.global_stories {
             let ids: Vec<SnippetId> = g.members.iter().map(|&(id, _)| id).collect();
+            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "members are sorted by id");
+            if let Some(max) = ids.last() {
+                table_len = table_len.max(max.index() + 1);
+            }
+            lists.push(MemberList {
+                ids,
+                version: 0,
+                delta: None,
+            });
+        }
+        let mut story_of = std::mem::take(&mut self.story_of_spare);
+        story_of.clear();
+        story_of.resize(table_len, NONE);
+        for (gi, list) in lists.iter().enumerate() {
+            for id in &list.ids {
+                story_of[id.index()] = gi as u32;
+            }
+        }
+
+        let previously = |id: &SnippetId| self.story_of.get(id.index()).copied().unwrap_or(NONE);
+        for (gi, list) in lists.iter_mut().enumerate() {
             // Non-empty lists partition the snippets, so the list of the
             // previous sweep that held the first member is the only one
             // that can be equal.
-            let unchanged = ids
-                .first()
-                .and_then(|first| self.story_of.get(first.index()))
-                .and_then(|&prev| self.lists.get(prev as usize))
-                .filter(|(prev_ids, _)| *prev_ids == ids);
-            let version = match unchanged {
-                Some(&(_, version)) => version,
-                None => {
-                    self.last_version += 1;
-                    self.last_version
-                }
-            };
-            if let Some(max) = ids.iter().max() {
-                table_len = table_len.max(max.index() + 1);
+            let parent_at = list.ids.first().map_or(NONE, previously);
+            let parent = self.lists.get(parent_at as usize);
+            if let Some(parent) = parent.filter(|p| p.ids == list.ids) {
+                list.version = parent.version;
+                continue;
             }
-            lists.push((ids, version));
+            self.last_version += 1;
+            list.version = self.last_version;
+            list.delta = parent.map(|parent| Delta {
+                parent_version: parent.version,
+                added: list.ids.iter().copied().filter(|m| previously(m) != parent_at).collect(),
+                removed: parent
+                    .ids
+                    .iter()
+                    .copied()
+                    .filter(|m| story_of.get(m.index()) != Some(&(gi as u32)))
+                    .collect(),
+            });
         }
         self.lists = lists;
+        self.story_of_spare = std::mem::replace(&mut self.story_of, story_of);
 
-        self.story_of.clear();
-        self.story_of.resize(table_len, NONE);
-        for (gi, (ids, _)) in self.lists.iter().enumerate() {
-            for id in ids {
-                self.story_of[id.index()] = gi as u32;
-            }
-        }
         if self.row_of.len() < table_len {
             self.row_of.resize(table_len, NONE);
         }
@@ -271,13 +349,17 @@ impl Refiner {
         weights: &SimWeights,
     ) -> (Vec<RefineMove>, SweepStats) {
         self.begin_sweep(outcome);
-        let members: Vec<Vec<&Snippet>> = self
-            .lists
+        // Out of `self` for the sweep, so judging can read them while the
+        // probe borrows the scratch tables.
+        let lists = std::mem::take(&mut self.lists);
+        let resolve = |ids: &[SnippetId]| -> Vec<&Snippet> {
+            ids.iter().filter_map(|&id| store.get(id)).collect()
+        };
+        let members: Vec<Vec<&Snippet>> = lists.iter().map(|l| resolve(&l.ids)).collect();
+        let gained: Vec<Vec<&Snippet>> = lists
             .iter()
-            .map(|(ids, _)| ids.iter().filter_map(|&id| store.get(id)).collect())
+            .map(|l| l.delta.as_ref().map_or_else(Vec::new, |d| resolve(&d.added)))
             .collect();
-
-        let versions: Vec<u32> = self.lists.iter().map(|&(_, version)| version).collect();
 
         let mut stats = SweepStats::default();
         let mut planned: Vec<RefineMove> = Vec::new();
@@ -288,18 +370,46 @@ impl Refiner {
                 let judged = self.rows.get(at as usize).copied().unwrap_or(EMPTY_ROW);
                 let mut row = EMPTY_ROW;
                 let mut judge = |slot: usize, story: u32| {
-                    let version = versions[story as usize];
-                    let cohesion = match judged.iter().find(|&&(ver, _)| ver == version) {
-                        Some(&(_, cohesion)) => {
-                            stats.cache_hits += 1;
-                            cohesion
-                        }
-                        None => {
-                            stats.cache_misses += 1;
-                            score_cohesion(&scorer, v.id, &members[story as usize], &mut stats)
+                    let list = &lists[story as usize];
+                    let known = |version: u32| judged.iter().find(|j| j.version == version);
+                    let (argmax, cohesion) = if let Some(hit) = known(list.version) {
+                        stats.cache_hits += 1;
+                        (hit.argmax, hit.cohesion)
+                    } else {
+                        stats.cache_misses += 1;
+                        let all = &members[story as usize];
+                        // A cohesion with the parent list whose argmax
+                        // is still a member.
+                        let from = list.delta.as_ref().and_then(|d| {
+                            known(d.parent_version).filter(|j| {
+                                d.removed.binary_search_by_key(&j.argmax, |m| m.raw()).is_err()
+                            })
+                        });
+                        match from {
+                            Some(j) => {
+                                stats.extended += 1;
+                                let start = (j.argmax, j.cohesion);
+                                let new = &gained[story as usize];
+                                let extended = score_cohesion(&scorer, v.id, start, new, &mut stats);
+                                if cfg!(debug_assertions) {
+                                    let full = score_all(&scorer, v.id, all);
+                                    debug_assert_eq!(
+                                        extended.1.to_bits(),
+                                        full.to_bits(),
+                                        "extended cohesion of {} with story {story} differs",
+                                        v.id
+                                    );
+                                }
+                                extended
+                            }
+                            None => score_cohesion(&scorer, v.id, (NONE, 0.0), all, &mut stats),
                         }
                     };
-                    row[slot] = (version, cohesion);
+                    row[slot] = Judged {
+                        version: list.version,
+                        argmax,
+                        cohesion,
+                    };
                     cohesion
                 };
 
@@ -336,19 +446,23 @@ impl Refiner {
                 });
             }
         }
+        self.lists = lists;
         (planned, stats)
     }
 }
 
-/// Cohesion of the snippet bound in `scorer` with `members`: the maximum
-/// content similarity to any *other* member.
+/// The running maximum `start = (argmax, best)` carried on over
+/// `members`: content similarity of the snippet bound in `scorer` to
+/// every member other than `v` itself, with a member attaining it.
+/// Started from `(NONE, 0.0)` over a whole list this is the cohesion.
 fn score_cohesion(
     scorer: &ProbeScorer<'_>,
     v: SnippetId,
+    start: (u32, f64),
     members: &[&Snippet],
     stats: &mut SweepStats,
-) -> f64 {
-    let mut best = 0.0f64;
+) -> (u32, f64) {
+    let (mut argmax, mut best) = start;
     for m in members {
         if m.id == v {
             continue;
@@ -357,9 +471,15 @@ fn score_cohesion(
         let s = scorer.score(&m.content);
         if s > best {
             best = s;
+            argmax = m.id.raw();
         }
     }
-    best
+    (argmax, best)
+}
+
+/// The cohesion scored in full and counted nowhere (debug oracle).
+fn score_all(scorer: &ProbeScorer<'_>, v: SnippetId, members: &[&Snippet]) -> f64 {
+    score_cohesion(scorer, v, (NONE, 0.0), members, &mut SweepStats::default()).1
 }
 
 // ---- the reference planner (test oracle) ----------------------------------
