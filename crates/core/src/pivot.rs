@@ -608,6 +608,7 @@ impl StoryPivot {
             self.metrics.refine_cohesion_cache_hits_total.add(stats.cache_hits);
             self.metrics.refine_cohesion_cache_misses_total.add(stats.cache_misses);
             self.metrics.refine_cohesion_extended_total.add(stats.extended);
+            self.metrics.refine_probes_reused_total.add(stats.probes_reused);
             report.rounds += 1;
             if moves.is_empty() {
                 break;

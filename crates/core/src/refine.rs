@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use storypivot_store::EventStore;
-use storypivot_types::{GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{EntityId, GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::align::AlignOutcome;
 use crate::config::RefineConfig;
@@ -71,6 +71,9 @@ pub(crate) struct SweepStats {
     /// The misses among them answered by extending the cohesion with
     /// the story's parent list over the members the story gained.
     pub extended: u64,
+    /// Snippets whose alternative stories were carried over from the
+    /// previous sweep instead of probed.
+    pub probes_reused: u64,
 }
 
 /// How many alternative global stories a snippet is judged against.
@@ -170,6 +173,24 @@ struct MemberList {
 ///    left the list changes nothing. When the remembered member left
 ///    (or a tied one did and happened to be the one remembered) the
 ///    list is scored in full, as is one with no parent in the row.
+/// 5. **Clean snippets.** The probe's answer for `v` is a function of
+///    which snippets share an entity with `v` and of how they are
+///    grouped into lists. Every sweep stamps the entities of every
+///    snippet that changed lists: those in some [`Delta`], the members of
+///    a changed list without a parent, and the members of a previous
+///    list that no current list has as parent. A snippet whose row the
+///    previous sweep wrote and none of whose entities is stamped is
+///    *clean*: no snippet sharing an entity with it — itself included —
+///    is in any delta, so all of a previous list's `v`-sharing members
+///    sit in the one child that has it as parent, no two previous lists
+///    with `v`-sharing members merged, and none moved into or out of
+///    `v`'s own story. The partition of `v`'s candidates, their overlaps
+///    and ids — hence every key and the first eight — repeat, so the
+///    alternatives are the stories now holding the *key snippets*
+///    remembered beside the row, in the remembered order, and the
+///    posting walk is skipped. They are still judged through the row: a
+///    clean snippet's alternative can have gained members that share
+///    nothing with it, which is what step 4 is for.
 ///
 /// The one way a version could outlive its meaning is snippet-id reuse
 /// (remove, then ingest different content under the same id, landing in
@@ -194,6 +215,16 @@ pub(crate) struct Refiner {
     row_of: Vec<u32>,
     /// What each snippet was last judged against.
     rows: Vec<JudgedRow>,
+    /// Beside each row: the key snippet (smallest `(overlap desc, id
+    /// asc)` candidate) of each alternative last ranked, in rank order
+    /// and [`NONE`]-padded, and the sweep that wrote them.
+    alternatives: Vec<([u32; MAX_ALTERNATIVES], u32)>,
+    /// The current sweep's number; 0 is before the first.
+    sweep: u32,
+    /// Entity → the last sweep in which a snippet mentioning it changed
+    /// lists. Keyed like the store's entity index: entity ids are
+    /// client-chosen, not dense.
+    entity_moved: HashMap<EntityId, u32>,
     /// Probe scratch: per snippet `(stamp, shared entities)`, valid for
     /// the current probe iff the stamp equals `probe`.
     overlap: Vec<(u32, u32)>,
@@ -212,17 +243,26 @@ impl Refiner {
         self.story_of.clear();
         self.row_of.clear();
         self.rows.clear();
+        self.alternatives.clear();
+        self.entity_moved.clear();
     }
 
     /// Version every global story of `outcome` against the previous
-    /// sweep's lists, record what each changed list gained and lost, and
+    /// sweep's lists, record what each changed list gained and lost,
+    /// stamp the entities of every snippet that changed lists, and
     /// rebuild the dense tables for this sweep.
-    fn begin_sweep(&mut self, outcome: &AlignOutcome) {
+    fn begin_sweep(&mut self, outcome: &AlignOutcome, store: &EventStore) {
         let stories = outcome.global_stories.len();
         if u32::MAX - self.last_version < stories as u32 {
             // Version space exhausted (once per 2³² changed lists).
             self.forget();
             self.last_version = 0;
+        }
+        self.sweep = self.sweep.wrapping_add(1);
+        if self.sweep == 0 {
+            // Stamp wrapped: old stamps could collide, so drop them all.
+            self.forget();
+            self.sweep = 1;
         }
 
         // The new snippet → story table first: a list's losses are its
@@ -250,20 +290,37 @@ impl Refiner {
             }
         }
 
+        let sweep = self.sweep;
+        let entity_moved = &mut self.entity_moved;
+        let mut moved = |ids: &[SnippetId]| {
+            for s in ids.iter().filter_map(|&id| store.get(id)) {
+                for entity in s.entities().keys() {
+                    entity_moved.insert(entity, sweep);
+                }
+            }
+        };
         let previously = |id: &SnippetId| self.story_of.get(id.index()).copied().unwrap_or(NONE);
+        let mut has_child = vec![false; self.lists.len()];
         for (gi, list) in lists.iter_mut().enumerate() {
             // Non-empty lists partition the snippets, so the list of the
             // previous sweep that held the first member is the only one
             // that can be equal.
             let parent_at = list.ids.first().map_or(NONE, previously);
             let parent = self.lists.get(parent_at as usize);
+            if parent.is_some() {
+                has_child[parent_at as usize] = true;
+            }
             if let Some(parent) = parent.filter(|p| p.ids == list.ids) {
                 list.version = parent.version;
                 continue;
             }
             self.last_version += 1;
             list.version = self.last_version;
-            list.delta = parent.map(|parent| Delta {
+            let Some(parent) = parent else {
+                moved(&list.ids);
+                continue;
+            };
+            let delta = Delta {
                 parent_version: parent.version,
                 added: list.ids.iter().copied().filter(|m| previously(m) != parent_at).collect(),
                 removed: parent
@@ -272,7 +329,13 @@ impl Refiner {
                     .copied()
                     .filter(|m| story_of.get(m.index()) != Some(&(gi as u32)))
                     .collect(),
-            });
+            };
+            moved(&delta.added);
+            moved(&delta.removed);
+            list.delta = Some(delta);
+        }
+        for (orphaned, _) in self.lists.iter().zip(&has_child).filter(|&(_, &child)| !child) {
+            moved(&orphaned.ids);
         }
         self.lists = lists;
         self.story_of_spare = std::mem::replace(&mut self.story_of, story_of);
@@ -348,7 +411,7 @@ impl Refiner {
         cfg: &RefineConfig,
         weights: &SimWeights,
     ) -> (Vec<RefineMove>, SweepStats) {
-        self.begin_sweep(outcome);
+        self.begin_sweep(outcome, store);
         // Out of `self` for the sweep, so judging can read them while the
         // probe borrows the scratch tables.
         let lists = std::mem::take(&mut self.lists);
@@ -362,6 +425,7 @@ impl Refiner {
             .collect();
 
         let mut stats = SweepStats::default();
+        let mut probes_reused = 0u64; // (`judge` holds `stats`)
         let mut planned: Vec<RefineMove> = Vec::new();
         for (gi, g) in outcome.global_stories.iter().enumerate() {
             for &v in &members[gi] {
@@ -414,9 +478,38 @@ impl Refiner {
                 };
 
                 let current = judge(0, gi as u32);
-                self.probe_alternatives(v, gi as u32, store);
+                // Written by the previous sweep, and nothing sharing an
+                // entity with `v` changed lists since: the alternatives
+                // are where the remembered key snippets are now.
+                let carried = self.alternatives.get(at as usize).filter(|&&(_, written)| {
+                    written == self.sweep - 1
+                        && v.entities().keys().all(|e| self.entity_moved.get(&e) != Some(&self.sweep))
+                });
+                match carried {
+                    Some(&(keys, _)) => {
+                        probes_reused += 1;
+                        self.ranked.clear();
+                        for &key in keys.iter().take_while(|&&key| key != NONE) {
+                            self.ranked.push((u64::from(key), self.story_of[key as usize]));
+                        }
+                        if cfg!(debug_assertions) {
+                            let stories = |r: &[(u64, u32)]| r.iter().map(|&(_, g)| g).collect::<Vec<_>>();
+                            let carried = stories(&self.ranked);
+                            self.probe_alternatives(v, gi as u32, store);
+                            debug_assert_eq!(
+                                carried,
+                                stories(&self.ranked),
+                                "carried-over alternatives of {} differ from a fresh probe",
+                                v.id
+                            );
+                        }
+                    }
+                    None => self.probe_alternatives(v, gi as u32, store),
+                }
                 let mut best_alt: Option<(u32, f64)> = None;
-                for (k, &(_, alt)) in self.ranked.iter().enumerate() {
+                let mut keys = [NONE; MAX_ALTERNATIVES];
+                for (k, &(key, alt)) in self.ranked.iter().enumerate() {
+                    keys[k] = key as u32; // the low half: the key snippet
                     let score = judge(k + 1, alt);
                     if best_alt.is_none_or(|(_, s)| score > s) {
                         best_alt = Some((alt, score));
@@ -425,8 +518,10 @@ impl Refiner {
                 if at == NONE {
                     self.row_of[v.id.index()] = self.rows.len() as u32;
                     self.rows.push(row);
+                    self.alternatives.push((keys, self.sweep));
                 } else {
                     self.rows[at as usize] = row;
+                    self.alternatives[at as usize] = (keys, self.sweep);
                 }
 
                 let Some((alt, alt_score)) = best_alt else { continue };
@@ -447,6 +542,7 @@ impl Refiner {
             }
         }
         self.lists = lists;
+        stats.probes_reused = probes_reused;
         (planned, stats)
     }
 }
@@ -803,5 +899,223 @@ mod tests {
             assert!(report.moves[..i].iter().all(|p| p.to_story != m.to_story));
         }
         assert_eq!(pivot.global_stories().len(), 2, "the member lists repeat");
+    }
+
+    // ---- what extending a cohesion and carrying a probe over can get wrong ----
+
+    /// An engine with counters attached and `n` newspaper sources.
+    fn engine(n: u32) -> (StoryPivot, Vec<SourceId>) {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        pivot.set_metrics(crate::metrics::EngineMetrics::register(
+            &storypivot_substrate::metrics::Registry::new(),
+        ));
+        let sources = (0..n).map(|i| pivot.add_source(format!("s{i}"), SourceKind::Newspaper)).collect();
+        (pivot, sources)
+    }
+
+    /// Ingest one snippet per id, a day apart, all with the same content;
+    /// they must land in one story, which is returned.
+    fn story(pivot: &mut StoryPivot, source: SourceId, ids: &[u32], entities: &[u32], terms: &[u32]) -> StoryId {
+        let stories: Vec<StoryId> = ids
+            .iter()
+            .enumerate()
+            .map(|(day, &id)| pivot.ingest(snip(id, source.raw(), day as i64, entities, terms)).unwrap())
+            .collect();
+        assert!(stories.iter().all(|&s| s == stories[0]), "one story: {stories:?}");
+        stories[0]
+    }
+
+    /// What the production planner's sweeps of one `refine()` did:
+    /// `(cohesions extended, probes carried over)`.
+    fn refine_vs_reference(pivot: &mut StoryPivot) -> (RefineReport, u64, u64) {
+        let mut reference = pivot.clone();
+        reference.set_metrics(crate::metrics::EngineMetrics::default());
+        let m = pivot.metrics().clone();
+        let before = (m.refine_cohesion_extended_total.get(), m.refine_probes_reused_total.get());
+        let report = pivot.refine();
+        assert_eq!(report, reference.refine_reference());
+        assert_eq!(pivot.story_partition(), reference.story_partition());
+        assert_eq!(pivot.global_stories(), reference.global_stories());
+        pivot.check_invariants().unwrap();
+        let extended = m.refine_cohesion_extended_total.get() - before.0;
+        let reused = m.refine_probes_reused_total.get() - before.1;
+        (report, extended, reused)
+    }
+
+    /// Sports (snippets 0–2 and 30–32) and crash stories in two sources.
+    /// Snippets 10 (`v`) and 11 are a near-duplicate pair inside source
+    /// 0's crash story; the other crash reports resemble them less.
+    /// Returns source 0's sports story.
+    fn near_duplicates_in_the_crash_story() -> (StoryPivot, StoryId) {
+        let (mut pivot, s) = engine(2);
+        let sports = story(&mut pivot, s[0], &[0, 1, 2], &[7, 8], &[20, 21]);
+        let crash = story(&mut pivot, s[0], &[10, 11], &[1, 2], &[10, 11, 30, 31]);
+        for id in [12, 13] {
+            let day = i64::from(id - 10);
+            assert_eq!(pivot.ingest(snip(id, 0, day, &[1, 2], &[10, 12])).unwrap(), crash);
+        }
+        story(&mut pivot, s[1], &[20, 21, 22], &[1, 2], &[10, 12]);
+        story(&mut pivot, s[1], &[30, 31, 32], &[7, 8], &[20, 21]);
+        let (warm, ..) = refine_vs_reference(&mut pivot);
+        assert_eq!(warm.move_count(), 0);
+        assert_eq!(pivot.global_stories().len(), 2);
+        (pivot, sports)
+    }
+
+    /// `v`'s cohesion with its own story is attained by its near
+    /// duplicate. When that one is thrown into the sports story, `v`'s
+    /// cohesion with what is left must be scored again — kept, it would
+    /// hold `v` in place, while the truth is that `v` now resembles the
+    /// sports story (which holds its twin) more than its own.
+    #[test]
+    fn the_member_a_cohesion_was_attained_by_leaves() {
+        let (mut pivot, sports) = near_duplicates_in_the_crash_story();
+        pivot.reassign_snippet(SnippetId::new(11), sports).unwrap();
+        let (report, ..) = refine_vs_reference(&mut pivot);
+        let first = report.moves.iter().find(|m| m.snippet == SnippetId::new(10));
+        assert_eq!(first.map(|m| m.to_story), Some(sports), "{report:?}");
+    }
+
+    /// Three identical reports (10 = `v`, 11, 12): whichever of `v`'s
+    /// twins is thrown into the sports story, `v`'s cohesion stays 1.0
+    /// through the other. The one remembered (11, the first in id order)
+    /// leaving costs `v` a full re-score of the four that are left; 12
+    /// leaving is an extension over nothing.
+    #[test]
+    fn one_of_two_members_tied_for_the_maximum_leaves() {
+        for (leaver, stayer) in [(11u32, 12u32), (12, 11)] {
+            let (mut pivot, s) = engine(2);
+            let sports = story(&mut pivot, s[0], &[0, 1, 2], &[7, 8], &[20, 21]);
+            let crash = story(&mut pivot, s[0], &[10, 11, 12], &[1, 2], &[10, 11]);
+            story(&mut pivot, s[1], &[20, 21, 22], &[1, 2], &[10, 12]);
+            story(&mut pivot, s[1], &[30, 31, 32], &[7, 8], &[20, 21]);
+            assert_eq!(refine_vs_reference(&mut pivot).0.move_count(), 0);
+
+            pivot.reassign_snippet(SnippetId::new(leaver), sports).unwrap();
+            let mut one_sweep = pivot.clone();
+            let (report, ..) = refine_vs_reference(&mut pivot);
+            // The leaver is pulled back; `v` never moves.
+            assert!(report.moves.iter().all(|m| m.snippet == SnippetId::new(leaver)), "{report:?}");
+            assert_eq!(pivot.story_of(SnippetId::new(leaver)), Some(crash));
+
+            // The first of those sweeps, counted. Scored in full: the
+            // sports story with the leaver in it, by the leaver (6) and
+            // by the five crash reports whose alternative it now is (7
+            // each). Extended: the sports story by its six old members
+            // (1 pair each), the crash story by the leaver looking back
+            // and by its members — except by `v` when 11 left.
+            one_sweep.align_incremental();
+            let outcome = one_sweep.outcome.take().unwrap();
+            let (cfg, weights) = (RefineConfig::default(), SimWeights::default());
+            let refiner = &mut one_sweep.refiner;
+            let (_, stats) = refiner.plan(&one_sweep.store, &one_sweep.identifiers, &outcome, &cfg, &weights);
+            let own = refiner.rows[refiner.row_of[10] as usize][0];
+            assert!(own.cohesion > 0.99, "a twin is still there: {own:?}");
+            assert_eq!(own.argmax, stayer);
+            let (extended, pairs) = if leaver == 11 { (11, 4 + 47) } else { (12, 47) };
+            assert_eq!((stats.extended, stats.pairs_scored), (extended, pairs), "{stats:?}");
+        }
+    }
+
+    /// Crash story G1 (sources 0 and 1), a story G2 in source 2 that
+    /// shares entity 1 with it but is not similar enough to align, and
+    /// an unrelated sports story. `v` (snippet 0) mentions entity 1 only,
+    /// so G2 is its one alternative.
+    fn crash_story_with_an_unaligned_neighbour() -> (StoryPivot, Vec<SourceId>) {
+        let (mut pivot, s) = engine(4);
+        let crash = pivot.ingest(snip(0, 0, 0, &[1], &[10, 11])).unwrap();
+        for id in [1, 2, 3] {
+            let day = i64::from(id);
+            assert_eq!(pivot.ingest(snip(id, 0, day, &[1, 2], &[10, 11])).unwrap(), crash);
+        }
+        story(&mut pivot, s[1], &[20, 21, 22], &[1, 2], &[10, 11]);
+        story(&mut pivot, s[2], &[40, 41, 42], &[1, 3], &[20, 21]);
+        story(&mut pivot, s[0], &[90, 91], &[7, 8], &[50, 51]);
+        story(&mut pivot, s[1], &[92, 93], &[7, 8], &[50, 51]);
+        let (warm, ..) = refine_vs_reference(&mut pivot);
+        assert_eq!(warm.move_count(), 0);
+        assert_eq!(pivot.global_stories().len(), 3);
+        assert_ne!(pivot.global_of(SnippetId::new(0)), pivot.global_of(SnippetId::new(40)));
+        (pivot, s)
+    }
+
+    /// A story in a fourth source bridges G1 and G2 into one global
+    /// story without mentioning entity 1. G2's members keep their list
+    /// mates but arrive in `v`'s own list: `v` must probe again, or it
+    /// would weigh its own story as an alternative.
+    #[test]
+    fn an_alternative_merges_into_the_snippets_own_story() {
+        let (mut pivot, s) = crash_story_with_an_unaligned_neighbour();
+        story(&mut pivot, s[3], &[60, 61, 62], &[2, 3], &[10, 11, 20, 21]);
+        pivot.align_incremental();
+        assert_eq!(pivot.global_stories().len(), 2);
+        assert_eq!(pivot.global_of(SnippetId::new(0)), pivot.global_of(SnippetId::new(40)));
+        let (_, _, reused) = refine_vs_reference(&mut pivot);
+        // The sports story is untouched: its four snippets are clean in
+        // every sweep; nobody in the merged story is in the first.
+        assert!(reused >= 4, "probes reused: {reused}");
+        let mut again = pivot.clone();
+        again.config.refine.max_rounds = 1;
+        assert_eq!(refine_vs_reference(&mut again).2, 4 + 13, "all lists repeat");
+    }
+
+    /// G2 grows to two aligned stories (sources 2 and 3), both sharing
+    /// entity 1 with `v`; then source 3's is diluted by reports about
+    /// something else until the two no longer align. `v` remembers one
+    /// key snippet for the pair and now faces two alternatives.
+    #[test]
+    fn an_alternative_splits_and_both_children_share_an_entity_with_the_snippet() {
+        let (mut pivot, s) = crash_story_with_an_unaligned_neighbour();
+        let twin = story(&mut pivot, s[3], &[50, 51, 52], &[1, 3], &[20, 21]);
+        refine_vs_reference(&mut pivot);
+        assert_eq!(pivot.global_stories().len(), 3);
+        assert_eq!(pivot.global_of(SnippetId::new(40)), pivot.global_of(SnippetId::new(50)));
+
+        for id in 70..82 {
+            pivot.ingest(snip(id, 3, 1, &[5, 6], &[40, 41])).unwrap();
+            pivot.reassign_snippet(SnippetId::new(id), twin).unwrap();
+        }
+        pivot.align_incremental();
+        assert_eq!(pivot.global_stories().len(), 4);
+        assert_ne!(pivot.global_of(SnippetId::new(40)), pivot.global_of(SnippetId::new(50)));
+        let (_, _, reused) = refine_vs_reference(&mut pivot);
+        assert!(reused >= 4, "the sports story is clean; probes reused: {reused}");
+    }
+
+    /// A report that shares no entity with `v` joins `v`'s alternative:
+    /// `v` is clean (its alternatives are carried over) and the
+    /// alternative's version is new (its cohesion is extended by the
+    /// one newcomer).
+    #[test]
+    fn a_newcomer_sharing_nothing_with_the_snippet_joins_its_alternative() {
+        let (mut pivot, _) = crash_story_with_an_unaligned_neighbour();
+        let neighbour = pivot.story_of(SnippetId::new(40)).unwrap();
+        assert_eq!(pivot.ingest(snip(43, 2, 3, &[3], &[20, 21])).unwrap(), neighbour);
+        pivot.config.refine.max_rounds = 1;
+        let (_, extended, reused) = refine_vs_reference(&mut pivot);
+        // Entity 3 moved: G2's old members re-probe, everyone else is
+        // clean. G2 is an alternative of all seven crash reports (each
+        // extends by the newcomer) and its own three members extend too.
+        assert_eq!(reused, 7 + 4);
+        assert_eq!(extended, 7 + 3);
+    }
+
+    /// Snippet ids are the client's: a late report with an id below all
+    /// of its story's becomes the list's first member, so the list has
+    /// no parent — everything about it is scored and probed afresh.
+    #[test]
+    fn a_list_whose_first_member_is_new_has_no_parent() {
+        let (mut pivot, s) = engine(2);
+        let crash = story(&mut pivot, s[0], &[5, 6, 7], &[1, 2], &[10, 11]);
+        story(&mut pivot, s[1], &[20, 21, 22], &[1, 2], &[10, 11]);
+        story(&mut pivot, s[0], &[90, 91], &[7, 8], &[50, 51]);
+        story(&mut pivot, s[1], &[92, 93], &[7, 8], &[50, 51]);
+        assert_eq!(refine_vs_reference(&mut pivot).0.move_count(), 0);
+
+        assert_eq!(pivot.ingest(snip(0, 0, 3, &[1, 2], &[10, 11])).unwrap(), crash);
+        pivot.config.refine.max_rounds = 1;
+        let (_, extended, reused) = refine_vs_reference(&mut pivot);
+        assert_eq!(extended, 0);
+        assert_eq!(reused, 4, "the sports story only");
     }
 }
