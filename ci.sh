@@ -62,6 +62,12 @@ echo "==> smoke: bench harness refine (E18 Refiner vs reference sweep, move-list
 cargo run -p storypivot-bench --bin harness --release -- refine --quick --json "$SMOKE_DIR/bench"
 test -s "$SMOKE_DIR/bench/BENCH_refine.json"
 grep -q '"cache hit ratio"' "$SMOKE_DIR/bench/BENCH_refine.json"
+# E18's counts repeat exactly for a seed, so they gate what timings
+# cannot: the 1 721-snippet row must plan today's moves in today's sweeps
+# and score exactly this many snippet pairs doing it. A change that moves
+# a count changes this line in the same diff and says why.
+grep -q '"snippets": 1721, "refine calls": 7, "sweeps": 11, "moves": 10, "pairs scored (reference)": 3265117, "pairs scored": 692192,' \
+    "$SMOKE_DIR/bench/BENCH_refine.json"
 
 # Poll a pivotd --port-file until the daemon binds; dies if the daemon does.
 wait_port() { # args: port_file pid
@@ -99,6 +105,8 @@ grep -q '^storypivot_story_cache_misses_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_pairs_scored_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_cohesion_cache_hits_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_refine_cohesion_cache_misses_total' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_refine_cohesion_extended_total' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_refine_probes_reused_total' "$SMOKE_DIR/metrics.txt"
 # And what the maintenance passes looked at.
 grep -q '^storypivot_maintenance_stories_checked_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_maintenance_pairs_scored_total' "$SMOKE_DIR/metrics.txt"

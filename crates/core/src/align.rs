@@ -14,6 +14,19 @@
 //! adding a new data source cheap (paper §2.1: "as new sources become
 //! available, we first identify the stories associated with them and
 //! then align them with existing stories").
+//!
+//! Both are one routine over a set of stories to (re)score — every
+//! story, or the dirty ones. Candidate pairs come from walking each such
+//! story's entities through an entity → stories index (`candidate_pairs`),
+//! so finding them costs those stories' postings, not the number of
+//! pairs that exist. Incremental alignment copies the decision of every
+//! pair of clean stories from the previous outcome, and a group made of
+//! the same clean stories as one of its global stories keeps that
+//! story's member roles; only the other groups are classified again.
+//! Both reuses rest on one invariant, kept by the engine (`Touched` in
+//! [`crate::pivot`]): a story that is not dirty has the member list it
+//! had when the previous outcome was computed. Debug builds recompute
+//! every reused group and compare.
 
 use std::collections::{HashMap, HashSet};
 

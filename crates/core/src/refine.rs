@@ -9,6 +9,20 @@
 //! The rule is conservative (hysteresis): a snippet only moves when its
 //! cohesion in the best competing global story exceeds cohesion in its
 //! current one by a configurable margin.
+//!
+//! Two planners live here. `plan_reference` is the sweep as first
+//! written — every cohesion scored through the store, every candidate
+//! snippet sorted — and runs only as the oracle. The private `Refiner`
+//! plans the identical move list at a cost that follows what changed
+//! since the previous sweep rather than what exists: a cohesion with an
+//! unchanged member list is read from a version-keyed cache, one with a
+//! changed list is extended over the members the list gained (a maximum
+//! does not care in which order it is taken), and a snippet none of
+//! whose entity-sharing neighbours changed lists keeps the alternatives
+//! it was last judged against without walking a posting list. Why each
+//! of these is exact is argued step by step on `Refiner`; in debug
+//! builds every extended cohesion is re-scored in full and every
+//! carried-over probe is run anyway, and both must agree.
 
 use std::collections::HashMap;
 
@@ -102,15 +116,30 @@ struct Judged {
     cohesion: f64,
 }
 
-/// What a snippet was last judged against: its own story plus
-/// [`MAX_ALTERNATIVES`]. 16 B a slot, 144 B a row.
-type JudgedRow = [Judged; MAX_ALTERNATIVES + 1];
+/// What a sweep remembers of one snippet: 184 B.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// The stories it was judged against — its own, then its
+    /// alternatives in rank order. 16 B a slot, 144 B.
+    judged: [Judged; MAX_ALTERNATIVES + 1],
+    /// The key snippet (smallest `(overlap desc, id asc)` candidate) of
+    /// each of those alternatives, [`NONE`]-padded.
+    keys: [u32; MAX_ALTERNATIVES],
+    /// The sweep that wrote the row; no sweep is number 0.
+    written: u32,
+}
 
-const EMPTY_ROW: JudgedRow = [Judged {
-    version: 0,
-    argmax: NONE,
-    cohesion: 0.0,
-}; MAX_ALTERNATIVES + 1];
+impl Row {
+    const EMPTY: Row = Row {
+        judged: [Judged {
+            version: 0,
+            argmax: NONE,
+            cohesion: 0.0,
+        }; MAX_ALTERNATIVES + 1],
+        keys: [NONE; MAX_ALTERNATIVES],
+        written: 0,
+    };
+}
 
 /// How a changed member list differs from its *parent*: the previous
 /// sweep's list that held its first member.
@@ -210,15 +239,11 @@ pub(crate) struct Refiner {
     /// The last version issued; 0 ("never judged") is not one.
     last_version: u32,
     /// Snippet (raw id) → its row in `rows`, [`NONE`] before the snippet
-    /// is first judged. The indirection keeps the 144 B rows to snippets
+    /// is first judged. The indirection keeps the 184 B rows to snippets
     /// this engine refined (a shard sees a fraction of the id space).
     row_of: Vec<u32>,
     /// What each snippet was last judged against.
-    rows: Vec<JudgedRow>,
-    /// Beside each row: the key snippet (smallest `(overlap desc, id
-    /// asc)` candidate) of each alternative last ranked, in rank order
-    /// and [`NONE`]-padded, and the sweep that wrote them.
-    alternatives: Vec<([u32; MAX_ALTERNATIVES], u32)>,
+    rows: Vec<Row>,
     /// The current sweep's number; 0 is before the first.
     sweep: u32,
     /// Entity → the last sweep in which a snippet mentioning it changed
@@ -243,7 +268,6 @@ impl Refiner {
         self.story_of.clear();
         self.row_of.clear();
         self.rows.clear();
-        self.alternatives.clear();
         self.entity_moved.clear();
     }
 
@@ -431,11 +455,14 @@ impl Refiner {
             for &v in &members[gi] {
                 let scorer = weights.probe(&v.content);
                 let at = self.row_of[v.id.index()];
-                let judged = self.rows.get(at as usize).copied().unwrap_or(EMPTY_ROW);
-                let mut row = EMPTY_ROW;
+                let last = self.rows.get(at as usize).copied().unwrap_or(Row::EMPTY);
+                let mut row = Row {
+                    written: self.sweep,
+                    ..Row::EMPTY
+                };
                 let mut judge = |slot: usize, story: u32| {
                     let list = &lists[story as usize];
-                    let known = |version: u32| judged.iter().find(|j| j.version == version);
+                    let known = |version: u32| last.judged.iter().find(|j| j.version == version);
                     let (argmax, cohesion) = if let Some(hit) = known(list.version) {
                         stats.cache_hits += 1;
                         (hit.argmax, hit.cohesion)
@@ -469,7 +496,7 @@ impl Refiner {
                             None => score_cohesion(&scorer, v.id, (NONE, 0.0), all, &mut stats),
                         }
                     };
-                    row[slot] = Judged {
+                    row.judged[slot] = Judged {
                         version: list.version,
                         argmax,
                         cohesion,
@@ -481,47 +508,40 @@ impl Refiner {
                 // Written by the previous sweep, and nothing sharing an
                 // entity with `v` changed lists since: the alternatives
                 // are where the remembered key snippets are now.
-                let carried = self.alternatives.get(at as usize).filter(|&&(_, written)| {
-                    written == self.sweep - 1
-                        && v.entities().keys().all(|e| self.entity_moved.get(&e) != Some(&self.sweep))
-                });
-                match carried {
-                    Some(&(keys, _)) => {
-                        probes_reused += 1;
-                        self.ranked.clear();
-                        for &key in keys.iter().take_while(|&&key| key != NONE) {
-                            self.ranked.push((u64::from(key), self.story_of[key as usize]));
-                        }
-                        if cfg!(debug_assertions) {
-                            let stories = |r: &[(u64, u32)]| r.iter().map(|&(_, g)| g).collect::<Vec<_>>();
-                            let carried = stories(&self.ranked);
-                            self.probe_alternatives(v, gi as u32, store);
-                            debug_assert_eq!(
-                                carried,
-                                stories(&self.ranked),
-                                "carried-over alternatives of {} differ from a fresh probe",
-                                v.id
-                            );
-                        }
+                let clean = at != NONE
+                    && last.written == self.sweep - 1
+                    && v.entities().keys().all(|e| self.entity_moved.get(&e) != Some(&self.sweep));
+                if clean {
+                    probes_reused += 1;
+                    self.ranked.clear();
+                    for &key in last.keys.iter().take_while(|&&key| key != NONE) {
+                        self.ranked.push((u64::from(key), self.story_of[key as usize]));
                     }
-                    None => self.probe_alternatives(v, gi as u32, store),
+                    if cfg!(debug_assertions) {
+                        let carried: Vec<u32> = self.ranked.iter().map(|&(_, g)| g).collect();
+                        self.probe_alternatives(v, gi as u32, store);
+                        debug_assert!(
+                            self.ranked.iter().map(|&(_, g)| g).eq(carried),
+                            "carried-over alternatives of {} differ from a fresh probe",
+                            v.id
+                        );
+                    }
+                } else {
+                    self.probe_alternatives(v, gi as u32, store);
                 }
                 let mut best_alt: Option<(u32, f64)> = None;
-                let mut keys = [NONE; MAX_ALTERNATIVES];
                 for (k, &(key, alt)) in self.ranked.iter().enumerate() {
-                    keys[k] = key as u32; // the low half: the key snippet
                     let score = judge(k + 1, alt);
                     if best_alt.is_none_or(|(_, s)| score > s) {
                         best_alt = Some((alt, score));
                     }
+                    row.keys[k] = key as u32; // the low half: the key snippet
                 }
                 if at == NONE {
                     self.row_of[v.id.index()] = self.rows.len() as u32;
                     self.rows.push(row);
-                    self.alternatives.push((keys, self.sweep));
                 } else {
                     self.rows[at as usize] = row;
-                    self.alternatives[at as usize] = (keys, self.sweep);
                 }
 
                 let Some((alt, alt_score)) = best_alt else { continue };
@@ -1009,7 +1029,7 @@ mod tests {
             let (cfg, weights) = (RefineConfig::default(), SimWeights::default());
             let refiner = &mut one_sweep.refiner;
             let (_, stats) = refiner.plan(&one_sweep.store, &one_sweep.identifiers, &outcome, &cfg, &weights);
-            let own = refiner.rows[refiner.row_of[10] as usize][0];
+            let own = refiner.rows[refiner.row_of[10] as usize].judged[0];
             assert!(own.cohesion > 0.99, "a twin is still there: {own:?}");
             assert_eq!(own.argmax, stayer);
             let (extended, pairs) = if leaver == 11 { (11, 4 + 47) } else { (12, 47) };
