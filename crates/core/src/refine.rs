@@ -153,16 +153,6 @@ struct Delta {
     removed: Vec<SnippetId>,
 }
 
-/// One global story's member list in a sweep.
-#[derive(Debug, Clone)]
-struct MemberList {
-    /// Ascending, as [`storypivot_types::GlobalStory::members`] is.
-    ids: Vec<SnippetId>,
-    version: u32,
-    /// `None` for a list equal to its parent, and for one without.
-    delta: Option<Delta>,
-}
-
 /// Plans refinement moves; owned by [`crate::pivot::StoryPivot`] so its
 /// cohesion cache survives from sweep to sweep and from call to call.
 ///
@@ -226,9 +216,10 @@ struct MemberList {
 /// an identical id list), so every removal calls [`Refiner::forget`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Refiner {
-    /// The global stories' member lists of the previous sweep, by that
+    /// Member-id list (ascending, as a global story's members are) and
+    /// version of each global story of the previous sweep, by that
     /// sweep's story index.
-    lists: Vec<MemberList>,
+    lists: Vec<(Vec<SnippetId>, u32)>,
     /// Snippet (raw id) → index into `lists`, [`NONE`] where the snippet
     /// is in no global story.
     story_of: Vec<u32>,
@@ -272,10 +263,11 @@ impl Refiner {
     }
 
     /// Version every global story of `outcome` against the previous
-    /// sweep's lists, record what each changed list gained and lost,
-    /// stamp the entities of every snippet that changed lists, and
-    /// rebuild the dense tables for this sweep.
-    fn begin_sweep(&mut self, outcome: &AlignOutcome, store: &EventStore) {
+    /// sweep's lists, stamp the entities of every snippet that changed
+    /// lists, and rebuild the dense tables for this sweep. Returns, per
+    /// story, what its list gained and lost — `None` for a list equal to
+    /// its parent, and for one without.
+    fn begin_sweep(&mut self, outcome: &AlignOutcome, store: &EventStore) -> Vec<Option<Delta>> {
         let stories = outcome.global_stories.len();
         if u32::MAX - self.last_version < stories as u32 {
             // Version space exhausted (once per 2³² changed lists).
@@ -291,7 +283,7 @@ impl Refiner {
 
         // The new snippet → story table first: a list's losses are its
         // parent's members that the new table puts elsewhere.
-        let mut lists: Vec<MemberList> = Vec::with_capacity(stories);
+        let mut lists: Vec<(Vec<SnippetId>, u32)> = Vec::with_capacity(stories);
         let mut table_len = 0usize;
         for g in &outcome.global_stories {
             let ids: Vec<SnippetId> = g.members.iter().map(|&(id, _)| id).collect();
@@ -299,17 +291,13 @@ impl Refiner {
             if let Some(max) = ids.last() {
                 table_len = table_len.max(max.index() + 1);
             }
-            lists.push(MemberList {
-                ids,
-                version: 0,
-                delta: None,
-            });
+            lists.push((ids, 0));
         }
         let mut story_of = std::mem::take(&mut self.story_of_spare);
         story_of.clear();
         story_of.resize(table_len, NONE);
-        for (gi, list) in lists.iter().enumerate() {
-            for id in &list.ids {
+        for (gi, (ids, _)) in lists.iter().enumerate() {
+            for id in ids {
                 story_of[id.index()] = gi as u32;
             }
         }
@@ -325,30 +313,32 @@ impl Refiner {
         };
         let previously = |id: &SnippetId| self.story_of.get(id.index()).copied().unwrap_or(NONE);
         let mut has_child = vec![false; self.lists.len()];
-        for (gi, list) in lists.iter_mut().enumerate() {
+        let mut deltas = Vec::with_capacity(stories);
+        for (gi, (ids, version)) in lists.iter_mut().enumerate() {
             // Non-empty lists partition the snippets, so the list of the
             // previous sweep that held the first member is the only one
             // that can be equal.
-            let parent_at = list.ids.first().map_or(NONE, previously);
+            let parent_at = ids.first().map_or(NONE, previously);
             let parent = self.lists.get(parent_at as usize);
             if parent.is_some() {
                 has_child[parent_at as usize] = true;
             }
-            if let Some(parent) = parent.filter(|p| p.ids == list.ids) {
-                list.version = parent.version;
+            if let Some(&(_, unchanged)) = parent.filter(|(parent_ids, _)| parent_ids == ids) {
+                *version = unchanged;
+                deltas.push(None);
                 continue;
             }
             self.last_version += 1;
-            list.version = self.last_version;
-            let Some(parent) = parent else {
-                moved(&list.ids);
+            *version = self.last_version;
+            let Some((parent_ids, parent_version)) = parent else {
+                moved(ids);
+                deltas.push(None);
                 continue;
             };
             let delta = Delta {
-                parent_version: parent.version,
-                added: list.ids.iter().copied().filter(|m| previously(m) != parent_at).collect(),
-                removed: parent
-                    .ids
+                parent_version: *parent_version,
+                added: ids.iter().copied().filter(|m| previously(m) != parent_at).collect(),
+                removed: parent_ids
                     .iter()
                     .copied()
                     .filter(|m| story_of.get(m.index()) != Some(&(gi as u32)))
@@ -356,10 +346,10 @@ impl Refiner {
             };
             moved(&delta.added);
             moved(&delta.removed);
-            list.delta = Some(delta);
+            deltas.push(Some(delta));
         }
-        for (orphaned, _) in self.lists.iter().zip(&has_child).filter(|&(_, &child)| !child) {
-            moved(&orphaned.ids);
+        for ((orphaned, _), _) in self.lists.iter().zip(&has_child).filter(|&(_, &child)| !child) {
+            moved(orphaned);
         }
         self.lists = lists;
         self.story_of_spare = std::mem::replace(&mut self.story_of, story_of);
@@ -373,6 +363,7 @@ impl Refiner {
         if self.story_key.len() < stories {
             self.story_key.resize(stories, (0, 0));
         }
+        deltas
     }
 
     /// Leave in `self.ranked` the first [`MAX_ALTERNATIVES`] global
@@ -435,18 +426,16 @@ impl Refiner {
         cfg: &RefineConfig,
         weights: &SimWeights,
     ) -> (Vec<RefineMove>, SweepStats) {
-        self.begin_sweep(outcome, store);
-        // Out of `self` for the sweep, so judging can read them while the
-        // probe borrows the scratch tables.
-        let lists = std::mem::take(&mut self.lists);
+        let deltas = self.begin_sweep(outcome, store);
         let resolve = |ids: &[SnippetId]| -> Vec<&Snippet> {
             ids.iter().filter_map(|&id| store.get(id)).collect()
         };
-        let members: Vec<Vec<&Snippet>> = lists.iter().map(|l| resolve(&l.ids)).collect();
-        let gained: Vec<Vec<&Snippet>> = lists
+        let members: Vec<Vec<&Snippet>> = self.lists.iter().map(|(ids, _)| resolve(ids)).collect();
+        let gained: Vec<Vec<&Snippet>> = deltas
             .iter()
-            .map(|l| l.delta.as_ref().map_or_else(Vec::new, |d| resolve(&d.added)))
+            .map(|d| d.as_ref().map_or_else(Vec::new, |d| resolve(&d.added)))
             .collect();
+        let versions: Vec<u32> = self.lists.iter().map(|&(_, version)| version).collect();
 
         let mut stats = SweepStats::default();
         let mut probes_reused = 0u64; // (`judge` holds `stats`)
@@ -461,9 +450,9 @@ impl Refiner {
                     ..Row::EMPTY
                 };
                 let mut judge = |slot: usize, story: u32| {
-                    let list = &lists[story as usize];
-                    let known = |version: u32| last.judged.iter().find(|j| j.version == version);
-                    let (argmax, cohesion) = if let Some(hit) = known(list.version) {
+                    let version = versions[story as usize];
+                    let known = |wanted: u32| last.judged.iter().find(|j| j.version == wanted);
+                    let (argmax, cohesion) = if let Some(hit) = known(version) {
                         stats.cache_hits += 1;
                         (hit.argmax, hit.cohesion)
                     } else {
@@ -471,7 +460,7 @@ impl Refiner {
                         let all = &members[story as usize];
                         // A cohesion with the parent list whose argmax
                         // is still a member.
-                        let from = list.delta.as_ref().and_then(|d| {
+                        let from = deltas[story as usize].as_ref().and_then(|d| {
                             known(d.parent_version).filter(|j| {
                                 d.removed.binary_search_by_key(&j.argmax, |m| m.raw()).is_err()
                             })
@@ -483,10 +472,11 @@ impl Refiner {
                                 let new = &gained[story as usize];
                                 let extended = score_cohesion(&scorer, v.id, start, new, &mut stats);
                                 if cfg!(debug_assertions) {
-                                    let full = score_all(&scorer, v.id, all);
+                                    let uncounted = &mut SweepStats::default();
+                                    let full = score_cohesion(&scorer, v.id, (NONE, 0.0), all, uncounted);
                                     debug_assert_eq!(
                                         extended.1.to_bits(),
-                                        full.to_bits(),
+                                        full.1.to_bits(),
                                         "extended cohesion of {} with story {story} differs",
                                         v.id
                                     );
@@ -497,7 +487,7 @@ impl Refiner {
                         }
                     };
                     row.judged[slot] = Judged {
-                        version: list.version,
+                        version,
                         argmax,
                         cohesion,
                     };
@@ -561,7 +551,6 @@ impl Refiner {
                 });
             }
         }
-        self.lists = lists;
         stats.probes_reused = probes_reused;
         (planned, stats)
     }
@@ -591,11 +580,6 @@ fn score_cohesion(
         }
     }
     (argmax, best)
-}
-
-/// The cohesion scored in full and counted nowhere (debug oracle).
-fn score_all(scorer: &ProbeScorer<'_>, v: SnippetId, members: &[&Snippet]) -> f64 {
-    score_cohesion(scorer, v, (NONE, 0.0), members, &mut SweepStats::default()).1
 }
 
 // ---- the reference planner (test oracle) ----------------------------------
