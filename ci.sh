@@ -69,6 +69,22 @@ grep -q '"cache hit ratio"' "$SMOKE_DIR/bench/BENCH_refine.json"
 grep -q '"snippets": 1721, "refine calls": 7, "sweeps": 11, "moves": 10, "pairs scored (reference)": 3265117, "pairs scored": 692192,' \
     "$SMOKE_DIR/bench/BENCH_refine.json"
 
+echo "==> smoke: bench harness e4 (exact vs derived MinHash sketches, counts pinned)"
+# E4 is the one experiment that turns `align.use_sketches` on, i.e. the
+# one reader of the signatures alignment derives from story centroids.
+# Which pairs it scores and the alignment F1 per signature length repeat
+# exactly for a seed (the two timing columns in between do not): a
+# change to what a story's signature is made from changes these lines in
+# the same diff and says why.
+cargo run -p storypivot-bench --bin harness --release -- e4 --quick --json "$SMOKE_DIR/bench"
+for row in '"exact", .*"sketch build ms": "-", "pairs scored": 9500, "SA F1": 0.868' \
+    '"minhash k=32", .*"pairs scored": 9500, "SA F1": 0.870' \
+    '"minhash k=64", .*"pairs scored": 9500, "SA F1": 0.870' \
+    '"minhash k=128", .*"pairs scored": 9500, "SA F1": 0.869' \
+    '"minhash k=256", .*"pairs scored": 9500, "SA F1": 0.869'; do
+    grep -q "\"comparison\": $row" "$SMOKE_DIR/bench/BENCH_e4.json"
+done
+
 # Poll a pivotd --port-file until the daemon binds; dies if the daemon does.
 wait_port() { # args: port_file pid
     for _ in $(seq 1 100); do
@@ -110,6 +126,9 @@ grep -q '^storypivot_refine_probes_reused_total' "$SMOKE_DIR/metrics.txt"
 # And what the maintenance passes looked at.
 grep -q '^storypivot_maintenance_stories_checked_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_maintenance_pairs_scored_total' "$SMOKE_DIR/metrics.txt"
+# And the memory account, one series per part of the engine.
+grep -q '^storypivot_mem_bytes{structure="store.arena"}' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_mem_bytes{structure="identify.stories"}' "$SMOKE_DIR/metrics.txt"
 # And the read-snapshot publish clock: what a publish costs and how many
 # story entries it patched, per shard.
 grep -q '^storypivot_shard_snapshot_publish_duration_ns_count{shard="0"}' "$SMOKE_DIR/metrics.txt"

@@ -27,17 +27,26 @@
 //! [`crate::pivot`]): a story that is not dirty has the member list it
 //! had when the previous outcome was computed. Debug builds recompute
 //! every reused group and compare.
+//!
+//! With `use_sketches` on (§2.4), content is compared through MinHash
+//! signatures instead of the exact centroids. A signature is derived
+//! from a story's state when a pass first scores the story
+//! ([`StoryState::sketch`]) and kept by the aligner from round to round;
+//! the same invariant says when it is stale, so a pass drops the
+//! signatures of the stories it rescores and derives them again. With
+//! the flag off — the default — no signature is ever built.
 
 use std::collections::{HashMap, HashSet};
 
+use storypivot_sketch::{HashFamily, MinHash};
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
 use storypivot_types::{
-    EntityId, GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId,
+    mem, EntityId, GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId,
     TimeRange,
 };
 
-use crate::config::AlignConfig;
+use crate::config::{AlignConfig, SketchConfig};
 use crate::sim::SimWeights;
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
@@ -68,10 +77,27 @@ impl AlignOutcome {
             .map(|i| &self.global_stories[i])
     }
 
+    /// Heap bytes of the outcome (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        mem::vec_bytes(&self.global_stories)
+            + self.global_stories.iter().map(GlobalStory::heap_bytes).sum::<usize>()
+            + mem::hash_map_bytes(&self.story_to_global)
+            + mem::hash_map_bytes(&self.snippet_to_global)
+            + mem::vec_bytes(&self.accepted_pairs)
+    }
+
     /// Global stories corroborated by more than one source.
     pub fn cross_source_stories(&self) -> impl Iterator<Item = &GlobalStory> + '_ {
         self.global_stories.iter().filter(|g| g.is_cross_source())
     }
+}
+
+/// The signatures a sketching aligner has materialised.
+#[derive(Debug, Clone)]
+struct Sketches {
+    family: HashFamily,
+    /// Signature of every story scored since it last changed.
+    kept: HashMap<StoryId, MinHash>,
 }
 
 /// Cross-source story aligner.
@@ -79,12 +105,19 @@ impl AlignOutcome {
 pub struct Aligner {
     cfg: AlignConfig,
     weights: SimWeights,
+    /// `Some` iff `cfg.use_sketches`.
+    sketches: Option<Sketches>,
 }
 
 impl Aligner {
-    /// Build an aligner from configuration.
-    pub fn new(cfg: AlignConfig, weights: SimWeights) -> Self {
-        Aligner { cfg, weights }
+    /// Build an aligner from configuration; `sketch` is read only when
+    /// `cfg.use_sketches` is on.
+    pub fn new(cfg: AlignConfig, weights: SimWeights, sketch: SketchConfig) -> Self {
+        let sketches = cfg.use_sketches.then(|| Sketches {
+            family: HashFamily::new(sketch.seed, sketch.minhash_k),
+            kept: HashMap::new(),
+        });
+        Aligner { cfg, weights, sketches }
     }
 
     /// The configuration in use.
@@ -92,19 +125,53 @@ impl Aligner {
         &self.cfg
     }
 
-    /// Combined story–story similarity: content (exact or sketched)
-    /// gated by lag-tolerant evolution similarity.
-    pub fn story_pair_score(&self, a: &StoryState, b: &StoryState) -> f64 {
+    /// The signatures kept from the passes so far (empty unless
+    /// `use_sketches` is on), in no particular order.
+    pub fn kept_sketches(&self) -> impl Iterator<Item = (StoryId, &MinHash)> + '_ {
+        self.sketches.iter().flat_map(|s| s.kept.iter().map(|(&id, sig)| (id, sig)))
+    }
+
+    /// Heap bytes of the kept signatures (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        self.sketches.as_ref().map_or(0, |s| {
+            mem::hash_map_bytes(&s.kept) + s.kept.values().map(MinHash::heap_bytes).sum::<usize>()
+        })
+    }
+
+    /// Bring the kept signatures up to date for scoring `pairs`: drop
+    /// those of rescored and vanished stories — a story that is not
+    /// rescored has the member list, hence the centroids, its signature
+    /// was derived from — and derive the missing ones among `pairs`.
+    fn materialise_sketches(
+        &mut self,
+        states: &[&StoryState],
+        rescore: &[bool],
+        index_of: &HashMap<StoryId, usize>,
+        pairs: &[(usize, usize)],
+    ) {
+        let Some(Sketches { family, kept }) = &mut self.sketches else { return };
+        kept.retain(|id, _| index_of.get(id).is_some_and(|&i| !rescore[i]));
+        for &(i, j) in pairs {
+            for state in [states[i], states[j]] {
+                let sig = kept.entry(state.id()).or_insert_with(|| state.sketch(family));
+                debug_assert_eq!(*sig, state.sketch(family), "stale signature of {}", state.id());
+            }
+        }
+    }
+
+    /// Combined story–story similarity: content (exact, or sketched from
+    /// the materialised signatures) gated by lag-tolerant evolution
+    /// similarity.
+    fn story_pair_score(&self, a: &StoryState, b: &StoryState) -> f64 {
         // Cheap temporal prune first: stories whose lifespans are
         // further apart than the lag tolerance cannot align.
         let max_gap = (self.cfg.max_lag_buckets + 1) * self.cfg.bucket_width;
         if a.lifespan().gap(b.lifespan()) > max_gap {
             return 0.0;
         }
-        let content = if self.cfg.use_sketches {
-            a.content_sim_sketch(b)
-        } else {
-            a.content_sim_exact(b)
+        let content = match &self.sketches {
+            Some(s) => s.kept[&a.id()].estimate_jaccard(&s.kept[&b.id()]),
+            None => a.content_sim_exact(b),
         };
         if content == 0.0 {
             return 0.0;
@@ -162,7 +229,7 @@ impl Aligner {
     }
 
     /// Full alignment over all per-source stories.
-    pub fn align(&self, states: &[&StoryState], store: &EventStore) -> AlignOutcome {
+    pub fn align(&mut self, states: &[&StoryState], store: &EventStore) -> AlignOutcome {
         self.align_internal(states, store, None)
     }
 
@@ -174,7 +241,7 @@ impl Aligner {
     /// hold every story whose member list changed since `previous` was
     /// computed (see `Touched` in [`crate::pivot`]).
     pub fn align_incremental(
-        &self,
+        &mut self,
         states: &[&StoryState],
         store: &EventStore,
         previous: &AlignOutcome,
@@ -235,7 +302,7 @@ impl Aligner {
     }
 
     fn align_internal(
-        &self,
+        &mut self,
         states: &[&StoryState],
         store: &EventStore,
         incremental: Option<(&AlignOutcome, &HashSet<StoryId>)>,
@@ -251,6 +318,7 @@ impl Aligner {
         // ---- pair scoring (incremental reuse where possible) ----------
         let to_score = self.candidate_pairs(states, &rescore);
         let pairs_scored = to_score.len();
+        self.materialise_sketches(states, &rescore, &index_of, &to_score);
         let mut accepted = self.score_pairs(states, &to_score);
         if let Some((prev, _)) = incremental {
             // Reuse accepted pairs between clean, still-live stories.
@@ -478,7 +546,7 @@ mod tests {
         }
 
         fn align(&self) -> AlignOutcome {
-            Aligner::new(AlignConfig::default(), SimWeights::default())
+            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default())
                 .align(&self.states(), &self.store)
         }
     }
@@ -588,7 +656,8 @@ mod tests {
             f.ingest(0, day, &[1, 2], &[10, 11]);
             f.ingest(1, day, &[1, 2], &[10, 11]);
         }
-        let aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
+        let mut aligner =
+            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
         let full0 = aligner.align(&f.states(), &f.store);
 
         // New snippets arrive in source 1 (dirtying its story).
@@ -638,7 +707,7 @@ mod tests {
                 min_shared_entities: min_shared,
                 ..AlignConfig::default()
             };
-            let aligner = Aligner::new(cfg, SimWeights::default());
+            let mut aligner = Aligner::new(cfg, SimWeights::default(), SketchConfig::default());
             let brute = |rescore: &[bool]| -> Vec<(usize, usize)> {
                 let mut pairs = Vec::new();
                 for i in 0..states.len() {
@@ -693,7 +762,8 @@ mod tests {
             use_sketches: true,
             ..AlignConfig::default()
         };
-        let out = Aligner::new(cfg, SimWeights::default()).align(&f.states(), &f.store);
+        let out = Aligner::new(cfg, SimWeights::default(), SketchConfig::default())
+            .align(&f.states(), &f.store);
         assert_eq!(out.cross_source_stories().count(), 1);
     }
 

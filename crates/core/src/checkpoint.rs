@@ -8,7 +8,7 @@
 //! story-id allocator position and the maintenance phase (snippets
 //! identified since the last pass — without it a restored engine would
 //! split at other events than one that kept running). Story aggregates
-//! (centroids, sketches, signatures, lifespans) are *recomputed* from
+//! (centroids, activity signatures, lifespans) are *recomputed* from
 //! the snippets on load — they are derived state, and rebuilding them
 //! keeps the format small and version-stable.
 //!

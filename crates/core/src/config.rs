@@ -139,11 +139,8 @@ pub struct SketchConfig {
     /// MinHash signature length `k` (estimation error ≈ `1/√k`).
     pub minhash_k: usize,
     /// Seed of the shared hash family; all sketches in one pivot must
-    /// agree on it so they can be compared and merged.
+    /// agree on it so they can be compared.
     pub seed: u64,
-    /// Capacity of the per-story heavy-hitter trackers driving the demo
-    /// digests (`{crash,3}; {plane,3}; …`).
-    pub topk_capacity: usize,
 }
 
 impl Default for SketchConfig {
@@ -151,7 +148,6 @@ impl Default for SketchConfig {
         SketchConfig {
             minhash_k: 128,
             seed: 0x5357_4f52_5950_5654, // "STORYPVT"
-            topk_capacity: 64,
         }
     }
 }
@@ -255,9 +251,6 @@ impl PivotConfig {
         }
         if self.sketch.minhash_k == 0 {
             return Err(Error::InvalidConfig("sketch.minhash_k must be positive".into()));
-        }
-        if self.sketch.topk_capacity == 0 {
-            return Err(Error::InvalidConfig("sketch.topk_capacity must be positive".into()));
         }
         self.identify.weights.validate()?;
         Ok(())

@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use storypivot_types::{EntityId, SnippetId, SparseVec, StoryId, TermId};
+use storypivot_types::{mem, EntityId, SnippetId, SparseVec, StoryId, TermId};
 
 /// One cached story: the windowed member list a fold was computed from,
 /// and the folded entity/term sums.
@@ -62,6 +62,11 @@ impl CacheEntry {
         self.entities.clear();
         self.terms.clear();
         self.uses = 0;
+    }
+
+    /// Heap bytes of the member list and both folds.
+    pub fn heap_bytes(&self) -> usize {
+        mem::vec_bytes(&self.members) + self.entities.heap_bytes() + self.terms.heap_bytes()
     }
 }
 
@@ -107,6 +112,15 @@ impl HotStoryCache {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Heap bytes of the index, the slab and every slot's buffers, live
+    /// or kept for reuse.
+    pub fn heap_bytes(&self) -> usize {
+        mem::hash_map_bytes(&self.index)
+            + mem::vec_bytes(&self.slots)
+            + mem::vec_bytes(&self.free)
+            + self.slots.iter().map(|s| s.entry.heap_bytes()).sum::<usize>()
     }
 
     /// Number of resident entries.

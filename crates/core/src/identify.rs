@@ -52,10 +52,9 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use storypivot_sketch::HashFamily;
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
-use storypivot_types::{kernel, Error, Result, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{kernel, mem, Error, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::hotcache::{CacheEntry, HotStoryCache};
@@ -294,8 +293,6 @@ fn fold_members(entry: &mut CacheEntry, candidates: &[&Snippet], idx: &[u32]) {
 pub struct Identifier {
     source: SourceId,
     cfg: IdentifyConfig,
-    sketch_cfg: SketchConfig,
-    family: HashFamily,
     stories: HashMap<StoryId, StoryState>,
     /// The snippet → story table: raw story id indexed by snippet raw
     /// id, [`UNASSIGNED`] where the snippet has no story here.
@@ -312,11 +309,12 @@ pub struct Identifier {
 }
 
 impl Identifier {
-    /// A fresh identifier for `source`.
-    pub fn new(source: SourceId, cfg: IdentifyConfig, sketch_cfg: SketchConfig) -> Self {
+    /// A fresh identifier for `source`. Identification keeps no
+    /// sketches — alignment derives them ([`StoryState::sketch`]) — so
+    /// the sketch settings are not used here.
+    pub fn new(source: SourceId, cfg: IdentifyConfig, _sketch_cfg: SketchConfig) -> Self {
         Identifier {
             source,
-            family: HashFamily::new(sketch_cfg.seed, sketch_cfg.minhash_k),
             stories: HashMap::new(),
             assignment: Vec::new(),
             assigned: 0,
@@ -326,7 +324,6 @@ impl Identifier {
             cache: HotStoryCache::new(cfg.hot_cache_capacity),
             scratch: ScoreScratch::default(),
             cfg,
-            sketch_cfg,
         }
     }
 
@@ -371,6 +368,40 @@ impl Identifier {
         self.assigned
     }
 
+    /// Heap bytes by part (the memory account): the story table with
+    /// every state's buffers and the snippet → story table, the hot-story
+    /// cache, the pending-maintenance set, and the pooled probe scratch.
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
+        let stories = mem::hash_map_bytes(&self.stories)
+            + self.stories.values().map(StoryState::heap_bytes).sum::<usize>()
+            + mem::vec_bytes(&self.assignment);
+        let pending = mem::hash_map_bytes(&self.pending)
+            + self
+                .pending
+                .values()
+                .map(|p| match p {
+                    Pending::Unknown => 0,
+                    Pending::Grew(new) => mem::vec_bytes(new),
+                })
+                .sum::<usize>();
+        let s = &self.scratch;
+        let scratch = mem::vec_bytes(&s.stamp)
+            + mem::vec_bytes(&s.si_of)
+            + mem::vec_bytes(&s.slots)
+            + s.slots.iter().map(|slot| mem::vec_bytes(&slot.cand_idx)).sum::<usize>()
+            + mem::vec_bytes(&s.locals)
+            + s.locals.iter().map(CacheEntry::heap_bytes).sum::<usize>()
+            + mem::vec_bytes(&s.ent_scores)
+            + mem::vec_bytes(&s.term_scores)
+            + mem::vec_bytes(&s.ranked);
+        [
+            ("identify.stories", stories),
+            ("identify.hot_cache", self.cache.heap_bytes()),
+            ("identify.pending", pending),
+            ("identify.scratch", scratch),
+        ]
+    }
+
     /// Iterate all `(snippet, story)` assignments, ascending by snippet
     /// id.
     pub fn assignments(&self) -> impl Iterator<Item = (SnippetId, StoryId)> + '_ {
@@ -402,11 +433,6 @@ impl Identifier {
     /// Restore the maintenance phase (checkpoint load).
     pub fn restore_since_maintenance(&mut self, n: usize) {
         self.since_maintenance = n;
-    }
-
-    /// The hash family used by this identifier's sketches.
-    pub fn family(&self) -> &HashFamily {
-        &self.family
     }
 
     /// Record `snippet → story`, replacing any previous assignment.
@@ -671,7 +697,7 @@ impl Identifier {
                     Pending::Grew(new) if merged.is_empty() => new.push(snippet.id),
                     _ => *pending = Pending::Unknown,
                 }
-                state.add_snippet(snippet, &self.family);
+                state.add_snippet(snippet);
                 self.record_assignment(snippet.id, best_story);
                 IdentifyDecision {
                     story: best_story,
@@ -686,14 +712,8 @@ impl Identifier {
             other => {
                 let best_score = other.map_or(0.0, |(_, s)| s);
                 let id = self.ids.next_id();
-                let mut state = StoryState::new(
-                    id,
-                    self.source,
-                    &self.family,
-                    &self.sketch_cfg,
-                    self.cfg_bucket_width(),
-                );
-                state.add_snippet(snippet, &self.family);
+                let mut state = StoryState::new(id, self.source, storypivot_types::DAY);
+                state.add_snippet(snippet);
                 self.stories.insert(id, state);
                 self.record_assignment(snippet.id, id);
                 IdentifyDecision {
@@ -720,12 +740,6 @@ impl Identifier {
         self.cfg.maintenance_every > 0 && self.since_maintenance >= self.cfg.maintenance_every
     }
 
-    /// Bucket width for story evolution signatures. Identification keeps
-    /// day-granularity signatures; alignment may rebucket.
-    fn cfg_bucket_width(&self) -> i64 {
-        storypivot_types::DAY
-    }
-
     /// Remove a snippet from its story (document removal / refinement).
     /// Rebuilds the story's aggregates exactly; drops the story when it
     /// becomes empty. Returns the story it was removed from.
@@ -747,7 +761,7 @@ impl Identifier {
                 .iter()
                 .filter_map(|&m| store.get(m))
                 .collect();
-            state.rebuild(members, &self.family, &self.sketch_cfg);
+            state.rebuild(members);
             self.pending.insert(story_id, Pending::Unknown);
         }
         Some(story_id)
@@ -759,16 +773,11 @@ impl Identifier {
     pub fn force_assign(&mut self, snippet: &Snippet, story: StoryId) {
         debug_assert_eq!(snippet.source, self.source);
         self.cache.invalidate(story);
-        let state = self.stories.entry(story).or_insert_with(|| {
-            StoryState::new(
-                story,
-                self.source,
-                &self.family,
-                &self.sketch_cfg,
-                storypivot_types::DAY,
-            )
-        });
-        state.add_snippet(snippet, &self.family);
+        let state = self
+            .stories
+            .entry(story)
+            .or_insert_with(|| StoryState::new(story, self.source, storypivot_types::DAY));
+        state.add_snippet(snippet);
         self.record_assignment(snippet.id, story);
         self.pending.insert(story, Pending::Unknown);
     }
@@ -833,23 +842,16 @@ impl Identifier {
             let mut fragment_ids = vec![story_id];
 
             // Rebuild the surviving story from the largest group.
-            self.stories.get_mut(&story_id).expect("story exists").rebuild(
-                groups[0].iter().map(|&i| members[i]),
-                &self.family,
-                &self.sketch_cfg,
-            );
+            self.stories
+                .get_mut(&story_id)
+                .expect("story exists")
+                .rebuild(groups[0].iter().map(|&i| members[i]));
 
             for group in &groups[1..] {
                 let new_id = self.ids.next_id();
-                let mut state = StoryState::new(
-                    new_id,
-                    self.source,
-                    &self.family,
-                    &self.sketch_cfg,
-                    storypivot_types::DAY,
-                );
+                let mut state = StoryState::new(new_id, self.source, storypivot_types::DAY);
                 for &i in group {
-                    state.add_snippet(members[i], &self.family);
+                    state.add_snippet(members[i]);
                 }
                 for &i in group {
                     self.record_assignment(members[i].id, new_id);

@@ -113,7 +113,7 @@ impl StoryPivot {
     pub fn try_new(config: PivotConfig) -> Result<Self> {
         config.validate()?;
         Ok(StoryPivot {
-            aligner: Aligner::new(config.align.clone(), config.identify.weights),
+            aligner: Aligner::new(config.align.clone(), config.identify.weights, config.sketch),
             config,
             store: EventStore::new(),
             identifiers: HashMap::new(),
@@ -492,12 +492,14 @@ impl StoryPivot {
 
     // ---- alignment ----------------------------------------------------------
 
-    fn collect_states(&self) -> Vec<&StoryState> {
-        let mut ids: Vec<SourceId> = self.identifiers.keys().copied().collect();
+    /// Every story state, by source then story id. Takes the field, not
+    /// `&self`: the aligner is borrowed mutably beside it.
+    fn collect_states(identifiers: &HashMap<SourceId, Identifier>) -> Vec<&StoryState> {
+        let mut ids: Vec<SourceId> = identifiers.keys().copied().collect();
         ids.sort_unstable();
         ids.iter()
             .flat_map(|id| {
-                let ident = &self.identifiers[id];
+                let ident = &identifiers[id];
                 ident
                     .story_ids()
                     .into_iter()
@@ -509,7 +511,8 @@ impl StoryPivot {
     /// Run story alignment from scratch and return the outcome.
     pub fn align(&mut self) -> &AlignOutcome {
         let timer = self.metrics.align_duration.start();
-        let outcome = self.aligner.align(&self.collect_states(), &self.store);
+        let states = Self::collect_states(&self.identifiers);
+        let outcome = self.aligner.align(&states, &self.store);
         drop(timer);
         self.metrics.align_runs_total.inc();
         self.metrics.align_pairs_total.add(outcome.pairs_scored as u64);
@@ -523,14 +526,13 @@ impl StoryPivot {
     /// Falls back to a full pass when no previous outcome exists.
     pub fn align_incremental(&mut self) -> &AlignOutcome {
         let timer = self.metrics.align_duration.start();
+        let states = Self::collect_states(&self.identifiers);
         let outcome = match &self.outcome {
-            Some(prev) => self.aligner.align_incremental(
-                &self.collect_states(),
-                &self.store,
-                prev,
-                &self.touched.dirty,
-            ),
-            None => self.aligner.align(&self.collect_states(), &self.store),
+            Some(prev) => {
+                self.aligner
+                    .align_incremental(&states, &self.store, prev, &self.touched.dirty)
+            }
+            None => self.aligner.align(&states, &self.store),
         };
         drop(timer);
         self.metrics.align_runs_total.inc();
@@ -538,6 +540,48 @@ impl StoryPivot {
         self.touched.dirty.clear();
         self.outcome = Some(outcome);
         self.outcome.as_ref().expect("just set")
+    }
+
+    // ---- memory ------------------------------------------------------------------
+
+    /// Heap bytes held by each part of the engine: the store's four
+    /// parts, the identifiers' four summed over sources, the aligner's
+    /// materialised signatures, the cached alignment outcome and the
+    /// refiner. Computed from the collections' layouts
+    /// ([`storypivot_types::mem`]) in time linear in the number of
+    /// stories and snippets; `tests/memory_account.rs` holds the sum to
+    /// what a counting allocator saw.
+    pub fn memory_account(&self) -> Vec<(&'static str, usize)> {
+        let mut account = self.store.heap_bytes().to_vec();
+        let per_source = self.identifiers.values().map(Identifier::heap_bytes);
+        let identify = per_source.reduce(|mut sum, parts| {
+            for (total, part) in sum.iter_mut().zip(parts) {
+                total.1 += part.1;
+            }
+            sum
+        });
+        account.extend(identify.into_iter().flatten());
+        account.push(("align.sketches", self.aligner.heap_bytes()));
+        account.push(("align.outcome", self.outcome.as_ref().map_or(0, AlignOutcome::heap_bytes)));
+        account.push(("refine.rows", self.refiner.heap_bytes()));
+        account
+    }
+
+    /// Set the `storypivot_mem_bytes{structure=…}` gauges of the
+    /// attached metrics from [`StoryPivot::memory_account`]. Nothing on
+    /// the ingest path calls this; whoever renders the exposition does.
+    pub fn record_memory(&self) {
+        if self.metrics.is_attached() {
+            self.metrics.record_memory(&self.memory_account());
+        }
+    }
+
+    /// The MinHash signatures the aligner has materialised and kept
+    /// (none unless `align.use_sketches` is on); for tests that hold
+    /// them to a derivation from scratch.
+    #[doc(hidden)]
+    pub fn kept_sketches(&self) -> impl Iterator<Item = (StoryId, &storypivot_sketch::MinHash)> + '_ {
+        self.aligner.kept_sketches()
     }
 
     /// Number of stories currently marked dirty (ingested/changed since

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use storypivot_store::EventStore;
-use storypivot_types::{EntityId, GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{mem, EntityId, GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::align::AlignOutcome;
 use crate::config::RefineConfig;
@@ -252,6 +252,22 @@ pub(crate) struct Refiner {
 }
 
 impl Refiner {
+    /// Heap bytes of the remembered lists, tables, rows and probe
+    /// scratch (the memory account).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        mem::vec_bytes(&self.lists)
+            + self.lists.iter().map(|(ids, _)| mem::vec_bytes(ids)).sum::<usize>()
+            + mem::vec_bytes(&self.story_of)
+            + mem::vec_bytes(&self.story_of_spare)
+            + mem::vec_bytes(&self.row_of)
+            + mem::vec_bytes(&self.rows)
+            + mem::hash_map_bytes(&self.entity_moved)
+            + mem::vec_bytes(&self.overlap)
+            + mem::vec_bytes(&self.story_key)
+            + mem::vec_bytes(&self.touched)
+            + mem::vec_bytes(&self.ranked)
+    }
+
     /// Forget the previous sweep's lists and every cached cohesion: the
     /// next sweep issues new versions and scores everything afresh.
     pub(crate) fn forget(&mut self) {
@@ -825,7 +841,8 @@ mod tests {
             ident.force_assign(&victim, wrong_story);
         }
 
-        let aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
+        let mut aligner =
+            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
         let states: Vec<&crate::state::StoryState> =
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);
@@ -859,7 +876,8 @@ mod tests {
             store.insert(s.clone()).unwrap();
             identifiers.get_mut(&SourceId::new(0)).unwrap().assign(&s, &store);
         }
-        let aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
+        let mut aligner =
+            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
         let states: Vec<&crate::state::StoryState> =
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);

@@ -2,17 +2,19 @@
 //!
 //! A [`StoryState`] carries everything the matching phases need to know
 //! about one per-source story without touching its member snippets:
-//! centroid entity/term vectors, a MinHash sketch, a temporal evolution
-//! signature, heavy-hitter digests, and the event-type histogram. All of
-//! it updates incrementally in `O(content + k)` per added snippet — the
-//! "sketch" abstraction of paper §2.4.
+//! centroid entity/term vectors, a temporal evolution signature, and the
+//! event-type histogram. All of it updates incrementally in `O(content)`
+//! per added snippet.
+//!
+//! The MinHash sketch of paper §2.4 is *not* kept here: it is a function
+//! of the centroids' key sets ([`StoryState::sketch`]), so alignment
+//! derives it for the stories it compares and identification never pays
+//! for it.
 
-use storypivot_sketch::{HashFamily, MinHash, TemporalSignature, TopK};
+use storypivot_sketch::{HashFamily, MinHash, TemporalSignature};
 use storypivot_types::{
-    kernel, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
+    kernel, mem, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
 };
-
-use crate::config::SketchConfig;
 
 /// Map an entity id into the shared 64-bit sketch item space.
 #[inline]
@@ -35,14 +37,8 @@ pub struct StoryState {
     pub entities: SparseVec<EntityId>,
     /// Summed term weights over all member snippets.
     pub terms: SparseVec<TermId>,
-    /// MinHash sketch of the union of member entity/term sets.
-    pub sketch: MinHash,
     /// Bucketed activity curve of the story's evolution.
     pub signature: TemporalSignature,
-    /// Heavy-hitter entity digest (`{UKR,5}; {NTH,2}; …` in Figure 4).
-    pub entity_counts: TopK,
-    /// Heavy-hitter description-term digest.
-    pub term_counts: TopK,
     /// Histogram of member event types.
     pub event_types: [u32; EventType::COUNT],
     /// Cached argmax of `event_types` (ties break by discriminant),
@@ -53,15 +49,12 @@ pub struct StoryState {
 
 impl StoryState {
     /// A new empty story in `source`.
-    pub fn new(id: StoryId, source: SourceId, family: &HashFamily, cfg: &SketchConfig, bucket_width: i64) -> Self {
+    pub fn new(id: StoryId, source: SourceId, bucket_width: i64) -> Self {
         StoryState {
             story: storypivot_types::Story::new(id, source),
             entities: SparseVec::new(),
             terms: SparseVec::new(),
-            sketch: MinHash::empty(family.len()),
             signature: TemporalSignature::new(bucket_width),
-            entity_counts: TopK::new(cfg.topk_capacity),
-            term_counts: TopK::new(cfg.topk_capacity),
             event_types: [0; EventType::COUNT],
             dominant: EventType::Other,
         }
@@ -98,54 +91,26 @@ impl StoryState {
     }
 
     /// Fold a snippet into every aggregate.
-    pub fn add_snippet(&mut self, snippet: &Snippet, family: &HashFamily) {
+    pub fn add_snippet(&mut self, snippet: &Snippet) {
         debug_assert_eq!(snippet.source, self.story.source, "cross-source story member");
         self.story.add_member(snippet.id, snippet.timestamp);
         self.entities.merge_add(snippet.entities());
         self.terms.merge_add(snippet.terms());
-        for e in snippet.entities().keys() {
-            self.sketch.insert(family, entity_item(e));
-            self.entity_counts.add(e.raw() as u64, 1);
-        }
-        for t in snippet.terms().keys() {
-            self.sketch.insert(family, term_item(t));
-            self.term_counts.add(t.raw() as u64, 1);
-        }
         self.signature.add(snippet.timestamp, 1.0);
         self.event_types[snippet.content.event_type.code() as usize] += 1;
         self.refresh_dominant();
     }
 
-    /// Remove a snippet from the *subtractable* aggregates. MinHash and
-    /// TopK cannot subtract; callers that need them tight after removal
-    /// rebuild via [`StoryState::rebuild`]. Returns whether the snippet
-    /// was a member.
-    pub fn remove_snippet(&mut self, snippet: &Snippet) -> bool {
-        if !self.story.remove_member(snippet.id) {
-            return false;
-        }
-        self.entities.merge_sub(snippet.entities());
-        self.terms.merge_sub(snippet.terms());
-        self.signature.remove(snippet.timestamp, 1.0);
-        let ty = snippet.content.event_type.code() as usize;
-        self.event_types[ty] = self.event_types[ty].saturating_sub(1);
-        self.refresh_dominant();
-        true
-    }
-
     /// Rebuild every aggregate exactly from the given member snippets
     /// (used after removals and splits). The membership list is replaced
     /// by the snippets passed in.
-    pub fn rebuild<'a, I>(&mut self, members: I, family: &HashFamily, cfg: &SketchConfig)
+    pub fn rebuild<'a, I>(&mut self, members: I)
     where
         I: IntoIterator<Item = &'a Snippet>,
     {
-        let id = self.story.id;
-        let source = self.story.source;
-        let bucket_width = self.signature.bucket_width();
-        *self = StoryState::new(id, source, family, cfg, bucket_width);
+        *self = StoryState::new(self.story.id, self.story.source, self.signature.bucket_width());
         for s in members {
-            self.add_snippet(s, family);
+            self.add_snippet(s);
         }
     }
 
@@ -160,10 +125,7 @@ impl StoryState {
         self.story.lifespan = self.story.lifespan.cover(other.story.lifespan);
         self.entities.merge_add(&other.entities);
         self.terms.merge_add(&other.terms);
-        self.sketch.merge(&other.sketch);
         self.signature.merge(&other.signature);
-        self.entity_counts.merge(&other.entity_counts);
-        self.term_counts.merge(&other.term_counts);
         for (a, &b) in self.event_types.iter_mut().zip(&other.event_types) {
             *a += b;
         }
@@ -212,28 +174,24 @@ impl StoryState {
         0.6 * e + 0.4 * t
     }
 
-    /// Sketched content similarity: MinHash Jaccard estimate over the
-    /// union item sets (entities + terms).
-    pub fn content_sim_sketch(&self, other: &StoryState) -> f64 {
-        self.sketch.estimate_jaccard(&other.sketch)
+    /// The story's MinHash sketch under `family` (§2.4), derived from the
+    /// centroids: a snippet's vectors hold only positive weights and
+    /// folding them in only adds, so the centroids' keys are exactly the
+    /// union of the members' entity and term sets — the item set a
+    /// signature maintained per ingest would have seen.
+    pub fn sketch(&self, family: &HashFamily) -> MinHash {
+        MinHash::from_items(
+            family,
+            self.entities.keys().map(entity_item).chain(self.terms.keys().map(term_item)),
+        )
     }
 
-    /// Top `n` entities with (approximate) occurrence counts.
-    pub fn top_entities(&self, n: usize) -> Vec<(EntityId, u64)> {
-        self.entity_counts
-            .top(n)
-            .into_iter()
-            .map(|(item, c)| (EntityId::new(item as u32), c))
-            .collect()
-    }
-
-    /// Top `n` description terms with (approximate) occurrence counts.
-    pub fn top_terms(&self, n: usize) -> Vec<(TermId, u64)> {
-        self.term_counts
-            .top(n)
-            .into_iter()
-            .map(|(item, c)| (TermId::new(item as u32), c))
-            .collect()
+    /// Heap bytes held by this state (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        mem::vec_bytes(&self.story.members)
+            + self.entities.heap_bytes()
+            + self.terms.heap_bytes()
+            + self.signature.heap_bytes()
     }
 }
 
@@ -243,11 +201,11 @@ mod tests {
     use storypivot_types::{SnippetId, Timestamp, DAY};
 
     fn family() -> HashFamily {
-        HashFamily::new(SketchConfig::default().seed, 64)
+        HashFamily::new(7, 64)
     }
 
     fn state() -> StoryState {
-        StoryState::new(StoryId::new(0), SourceId::new(0), &family(), &SketchConfig::default(), DAY)
+        StoryState::new(StoryId::new(0), SourceId::new(0), DAY)
     }
 
     fn snip(id: u32, day: i64, entities: &[u32], terms: &[u32]) -> Snippet {
@@ -267,17 +225,15 @@ mod tests {
 
     #[test]
     fn add_updates_all_aggregates() {
-        let f = family();
         let mut s = state();
-        s.add_snippet(&snip(0, 0, &[1, 2], &[10]), &f);
-        s.add_snippet(&snip(1, 2, &[1], &[10, 11]), &f);
+        s.add_snippet(&snip(0, 0, &[1, 2], &[10]));
+        s.add_snippet(&snip(1, 2, &[1], &[10, 11]));
         assert_eq!(s.len(), 2);
         assert_eq!(s.entities.get(&EntityId::new(1)), Some(2.0));
         assert_eq!(s.terms.get(&TermId::new(10)), Some(2.0));
-        assert!(!s.sketch.is_empty());
+        assert!(!s.sketch(&family()).is_empty());
         assert_eq!(s.signature.total(), 2.0);
         assert_eq!(s.dominant_event_type(), EventType::Accident);
-        assert_eq!(s.top_entities(1), vec![(EntityId::new(1), 2)]);
         assert_eq!(
             s.lifespan(),
             TimeRange::new(Timestamp::from_secs(0), Timestamp::from_secs(2 * DAY))
@@ -285,36 +241,16 @@ mod tests {
     }
 
     #[test]
-    fn remove_subtracts() {
-        let f = family();
-        let mut s = state();
-        let a = snip(0, 0, &[1, 2], &[10]);
-        let b = snip(1, 1, &[1], &[11]);
-        s.add_snippet(&a, &f);
-        s.add_snippet(&b, &f);
-        assert!(s.remove_snippet(&a));
-        assert!(!s.remove_snippet(&a), "second removal is a no-op");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.entities.get(&EntityId::new(2)), None);
-        assert_eq!(s.entities.get(&EntityId::new(1)), Some(1.0));
-        assert_eq!(s.signature.total(), 1.0);
-    }
-
-    #[test]
     fn rebuild_restores_exact_state() {
-        let f = family();
-        let cfg = SketchConfig::default();
         let mut s = state();
         let a = snip(0, 0, &[1], &[10]);
         let b = snip(1, 1, &[2], &[11]);
-        s.add_snippet(&a, &f);
-        s.add_snippet(&b, &f);
-        s.remove_snippet(&a);
-        // Sketch is stale (still contains a's items); rebuild fixes it.
-        s.rebuild([&b], &f, &cfg);
+        s.add_snippet(&a);
+        s.add_snippet(&b);
+        s.rebuild([&b]);
         let mut fresh = state();
-        fresh.add_snippet(&b, &f);
-        assert_eq!(s.sketch, fresh.sketch);
+        fresh.add_snippet(&b);
+        assert_eq!(s.sketch(&family()), fresh.sketch(&family()));
         assert_eq!(s.entities, fresh.entities);
         assert_eq!(s.story.members, fresh.story.members);
         assert_eq!(s.lifespan(), fresh.lifespan());
@@ -322,15 +258,18 @@ mod tests {
 
     #[test]
     fn absorb_merges_everything() {
-        let f = family();
         let mut a = state();
-        a.add_snippet(&snip(0, 0, &[1], &[10]), &f);
-        let mut b = StoryState::new(StoryId::new(1), SourceId::new(0), &f, &SketchConfig::default(), DAY);
-        b.add_snippet(&snip(1, 5, &[2], &[11]), &f);
+        a.add_snippet(&snip(0, 0, &[1], &[10]));
+        let mut b = StoryState::new(StoryId::new(1), SourceId::new(0), DAY);
+        b.add_snippet(&snip(1, 5, &[2], &[11]));
         a.absorb(&b);
         assert_eq!(a.len(), 2);
         assert!(a.story.contains(SnippetId::new(1)));
         assert_eq!(a.entities.len(), 2);
+        let items = [entity_item(EntityId::new(1)), entity_item(EntityId::new(2))]
+            .into_iter()
+            .chain([term_item(TermId::new(10)), term_item(TermId::new(11))]);
+        assert_eq!(a.sketch(&family()), MinHash::from_items(&family(), items));
         assert_eq!(a.signature.total(), 2.0);
         assert_eq!(
             a.lifespan(),
@@ -340,34 +279,33 @@ mod tests {
 
     #[test]
     fn similar_stories_have_high_content_sim() {
-        let f = family();
         let mut a = state();
-        let mut b = StoryState::new(StoryId::new(1), SourceId::new(1), &f, &SketchConfig::default(), DAY);
+        let mut b = StoryState::new(StoryId::new(1), SourceId::new(1), DAY);
         for i in 0..5 {
-            a.add_snippet(&snip(i, i as i64, &[1, 2, 3], &[10, 11]), &f);
+            a.add_snippet(&snip(i, i as i64, &[1, 2, 3], &[10, 11]));
         }
         for i in 5..10 {
             let mut s = snip(i, (i - 5) as i64, &[1, 2, 3], &[10, 11]);
             s.source = SourceId::new(1);
-            b.add_snippet(&s, &f);
+            b.add_snippet(&s);
         }
         assert!(a.content_sim_exact(&b) > 0.8);
-        assert!(a.content_sim_sketch(&b) > 0.8);
+        let f = family();
+        assert!(a.sketch(&f).estimate_jaccard(&b.sketch(&f)) > 0.8);
 
-        let mut c = StoryState::new(StoryId::new(2), SourceId::new(1), &f, &SketchConfig::default(), DAY);
+        let mut c = StoryState::new(StoryId::new(2), SourceId::new(1), DAY);
         let mut s = snip(20, 0, &[7, 8], &[20]);
         s.source = SourceId::new(1);
-        c.add_snippet(&s, &f);
+        c.add_snippet(&s);
         assert!(a.content_sim_exact(&c) < 0.1);
-        assert!(a.content_sim_sketch(&c) < 0.2);
+        assert!(a.sketch(&f).estimate_jaccard(&c.sketch(&f)) < 0.2);
     }
 
     #[test]
     fn centroid_divides_by_member_count() {
-        let f = family();
         let mut s = state();
-        s.add_snippet(&snip(0, 0, &[1], &[]), &f);
-        s.add_snippet(&snip(1, 0, &[1], &[]), &f);
+        s.add_snippet(&snip(0, 0, &[1], &[]));
+        s.add_snippet(&snip(1, 0, &[1], &[]));
         let c = s.entity_centroid();
         assert!((c.get(&EntityId::new(1)).unwrap() - 1.0).abs() < 1e-6);
     }

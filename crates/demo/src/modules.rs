@@ -6,12 +6,13 @@
 //! overview (Fig. 4), stories per source (Fig. 5), snippets per story
 //! (Fig. 6), and the statistics module (Fig. 7).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use storypivot_core::pivot::StoryPivot;
 use storypivot_core::state::StoryState;
 use storypivot_extract::Document;
-use storypivot_types::{GlobalStory, GlobalStoryId, SnippetId, SnippetRole, SourceId, StoryId};
+use storypivot_types::{GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId};
 
 use crate::names::NameSource;
 
@@ -23,36 +24,46 @@ fn source_name(pivot: &StoryPivot, id: SourceId) -> String {
         .unwrap_or_else(|| id.to_string())
 }
 
-/// Digest of entity codes like `{UKR,5}; {NTH,2}` (Figure 4 style).
-fn entity_digest(states: &[&StoryState], names: &dyn NameSource, k: usize) -> String {
-    let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for st in states {
-        for (e, c) in st.top_entities(k * 2) {
-            *counts.entry(e.raw() as u64).or_insert(0) += c;
+/// Exact occurrence counts of the items `items_of` yields over the
+/// member snippets of `states`, read from the store at render time: the
+/// `k` most frequent, ties by ascending id.
+fn top_counts<'a, K, I>(
+    pivot: &'a StoryPivot,
+    states: &[&StoryState],
+    k: usize,
+    items_of: impl Fn(&'a Snippet) -> I,
+) -> Vec<(K, u64)>
+where
+    K: Copy + Ord,
+    I: Iterator<Item = K>,
+{
+    let mut counts: BTreeMap<K, u64> = BTreeMap::new();
+    let members = states.iter().flat_map(|st| &st.story.members);
+    for snippet in members.filter_map(|&m| pivot.store().get(m)) {
+        for item in items_of(snippet) {
+            *counts.entry(item).or_insert(0) += 1;
         }
     }
-    let mut v: Vec<(u64, u64)> = counts.into_iter().collect();
+    let mut v: Vec<(K, u64)> = counts.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v.truncate(k);
-    v.iter()
-        .map(|&(e, c)| format!("{{{},{c}}}", names.entity_code(storypivot_types::EntityId::new(e as u32))))
+    v
+}
+
+/// Digest of entity codes like `{UKR,5}; {NTH,2}` (Figure 4 style).
+fn entity_digest(pivot: &StoryPivot, states: &[&StoryState], names: &dyn NameSource, k: usize) -> String {
+    top_counts(pivot, states, k, |s| s.entities().keys())
+        .iter()
+        .map(|&(e, c)| format!("{{{},{c}}}", names.entity_code(e)))
         .collect::<Vec<_>>()
         .join("; ")
 }
 
 /// Digest of description terms like `{crash,3}; {plane,3}` (Figure 4).
-fn term_digest(states: &[&StoryState], names: &dyn NameSource, k: usize) -> String {
-    let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for st in states {
-        for (t, c) in st.top_terms(k * 2) {
-            *counts.entry(t.raw() as u64).or_insert(0) += c;
-        }
-    }
-    let mut v: Vec<(u64, u64)> = counts.into_iter().collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v.iter()
-        .map(|&(t, c)| format!("{{{},{c}}}", names.term_name(storypivot_types::TermId::new(t as u32))))
+fn term_digest(pivot: &StoryPivot, states: &[&StoryState], names: &dyn NameSource, k: usize) -> String {
+    top_counts(pivot, states, k, |s| s.terms().keys())
+        .iter()
+        .map(|&(t, c)| format!("{{{},{c}}}", names.term_name(t)))
         .collect::<Vec<_>>()
         .join("; ")
 }
@@ -106,8 +117,8 @@ pub fn story_overview(pivot: &StoryPivot, names: &dyn NameSource) -> String {
             "{:<6} {:<28} {:<30} {}",
             g.id.to_string(),
             sources,
-            entity_digest(&states, names, 3),
-            term_digest(&states, names, 3),
+            entity_digest(pivot, &states, names, 3),
+            term_digest(pivot, &states, names, 3),
         );
     }
     out
@@ -130,8 +141,8 @@ pub fn story_information(pivot: &StoryPivot, id: GlobalStoryId, names: &dyn Name
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let _ = writeln!(out, "Entities    {}", entity_digest(&states, names, 6));
-    let _ = writeln!(out, "Description {}", term_digest(&states, names, 9));
+    let _ = writeln!(out, "Entities    {}", entity_digest(pivot, &states, names, 6));
+    let _ = writeln!(out, "Description {}", term_digest(pivot, &states, names, 9));
     let _ = writeln!(out, "Start Date  {}", g.lifespan.start);
     let _ = writeln!(out, "End Date    {}", g.lifespan.end);
     let _ = writeln!(
@@ -157,7 +168,7 @@ pub fn stories_per_source(pivot: &StoryPivot, source: SourceId, names: &dyn Name
             st.lifespan().start,
             st.lifespan().end,
             st.len(),
-            entity_digest(&[st], names, 4),
+            entity_digest(pivot, &[st], names, 4),
         );
         for &m in &st.story.members {
             if let Some(sn) = pivot.store().get(m) {
@@ -322,6 +333,57 @@ mod tests {
         // The crash story digest features UKR and crash-like terms.
         assert!(view.contains("UKR"), "view:\n{view}");
         assert!(view.contains("New York Times, Wall Street Journal"), "view:\n{view}");
+    }
+
+    /// Past 64 distinct terms a fixed-capacity heavy-hitter digest has to
+    /// evict; counting the members' terms at render time does not.
+    #[test]
+    fn digest_of_a_story_with_many_distinct_terms_is_exact_and_repeats() {
+        use storypivot_core::config::PivotConfig;
+        use storypivot_types::{EntityId, SourceKind, TermId, Timestamp, HOUR};
+
+        struct RawIds;
+        impl NameSource for RawIds {
+            fn entity_name(&self, e: EntityId) -> String {
+                e.to_string()
+            }
+            fn term_name(&self, t: TermId) -> String {
+                t.to_string()
+            }
+        }
+        let render = || {
+            let mut pivot = StoryPivot::new(PivotConfig::default());
+            let source = pivot.add_source("Wire", SourceKind::Wire);
+            for i in 0..40u32 {
+                let mut b = Snippet::builder(SnippetId::new(i), source, Timestamp::from_secs(i as i64 * HOUR))
+                    .entity(EntityId::new(1), 1.0)
+                    .entity(EntityId::new(2), 1.0)
+                    .term(TermId::new(0), 1.0)
+                    // Two terms nobody else uses: 83 distinct in all.
+                    .term(TermId::new(100 + 2 * i), 0.2)
+                    .term(TermId::new(101 + 2 * i), 0.2);
+                if i < 30 {
+                    b = b.term(TermId::new(1), 1.0);
+                }
+                if i < 20 {
+                    b = b.term(TermId::new(2), 1.0);
+                }
+                pivot.ingest(b.build()).unwrap();
+            }
+            assert_eq!(pivot.story_count(), 1);
+            assert_eq!(pivot.stories_of_source(source)[0].terms.len(), 83);
+            pivot.align();
+            let story = pivot.global_stories()[0].id;
+            story_overview(&pivot, &RawIds) + &story_information(&pivot, story, &RawIds)
+        };
+        let view = render();
+        assert!(view.contains("{E1,40}; {E2,40}"), "view:\n{view}");
+        assert!(view.contains("{t0,40}; {t1,30}; {t2,20}\n"), "view:\n{view}");
+        // The nine-term panel reaches into the terms seen once each: the
+        // first six by id, every count exact.
+        let singles: String = (100..106).map(|t| format!("; {{t{t},1}}")).collect();
+        assert!(view.contains(&format!("{{t0,40}}; {{t1,30}}; {{t2,20}}{singles}\n")), "view:\n{view}");
+        assert_eq!(view, render());
     }
 
     #[test]

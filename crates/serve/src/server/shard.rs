@@ -286,6 +286,7 @@ impl ShardWorker {
     /// Refresh the serving gauges and snapshot the shard's registry.
     fn metrics_snapshot(&mut self) -> Snapshot {
         self.sync_gauges();
+        self.engine.pivot().record_memory();
         self.registry.snapshot()
     }
 

@@ -9,10 +9,8 @@
 //! This crate provides the sketch toolbox:
 //!
 //! * [`minhash`] — fixed-size MinHash signatures estimating Jaccard
-//!   similarity of entity/term sets; signatures of snippets *merge* into
-//!   signatures of stories in `O(k)`.
-//! * [`topk`] — Space-Saving heavy-hitter tracking (drives the
-//!   `{crash,3}; {plane,3}; …` story digests of the paper's Figures 4–6).
+//!   similarity of entity/term sets; the engine derives a story's
+//!   signature from its centroids when alignment compares it.
 //! * [`temporal`] — bucketed activity signatures whose lag-tolerant
 //!   similarity compares *story evolution* over time (paper §2.3).
 //! * [`hash`] — the seeded 64-bit hash family everything above shares.
@@ -23,9 +21,7 @@
 pub mod hash;
 pub mod minhash;
 pub mod temporal;
-pub mod topk;
 
 pub use hash::{mix64, HashFamily};
 pub use minhash::MinHash;
 pub use temporal::TemporalSignature;
-pub use topk::TopK;

@@ -102,6 +102,11 @@ impl TemporalSignature {
         }
     }
 
+    /// Heap bytes of the bucket array (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Activity in the bucket containing `t`.
     pub fn activity_at(&self, t: Timestamp) -> f32 {
         let b = self.bucket_of(t);

@@ -1,28 +1,9 @@
 //! Property tests for the sketch layer.
 
-use storypivot_sketch::{HashFamily, MinHash, TemporalSignature, TopK};
+use storypivot_sketch::{HashFamily, MinHash, TemporalSignature};
 use storypivot_substrate::prop;
 use storypivot_substrate::rng::RngExt;
 use storypivot_types::{Timestamp, DAY};
-
-// ---- space-saving: heavy hitters survive ------------------------
-
-#[test]
-fn topk_tracked_items_never_undercount() {
-    prop::run(256, |rng| {
-        let adds = prop::vec_with(rng, 1, 199, |r| r.random_range(0u64..30));
-        let mut tk = TopK::new(8);
-        let mut exact = std::collections::HashMap::new();
-        for &item in &adds {
-            tk.add(item, 1);
-            *exact.entry(item).or_insert(0u64) += 1;
-        }
-        for (item, est) in tk.ranked() {
-            assert!(est >= exact[&item], "item {item}: {est} < {}", exact[&item]);
-        }
-        assert_eq!(tk.total(), adds.len() as u64);
-    });
-}
 
 // ---- minhash ------------------------------------------------------
 

@@ -11,10 +11,11 @@
 //! * source registration, because "any story detection system should
 //!   allow the addition or removal of data sources" (§2.4).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use storypivot_types::{
-    DocId, EntityId, Error, Result, Snippet, SnippetId, Source, SourceId, TimeRange, Timestamp,
+    mem, DocId, EntityId, Error, Result, Snippet, SnippetId, Source, SourceId, TimeRange,
+    Timestamp,
 };
 
 use crate::inverted::InvertedIndex;
@@ -50,7 +51,9 @@ pub struct EventStore {
     sources: BTreeMap<SourceId, Source>,
     windows: HashMap<SourceId, WindowIndex>,
     entity_index: InvertedIndex<EntityId, SnippetId>,
-    doc_index: HashMap<DocId, BTreeSet<SnippetId>>,
+    /// Document → its snippets, ascending by id. Most documents yield a
+    /// snippet or two, so a posting is one small sorted buffer.
+    doc_index: HashMap<DocId, Vec<SnippetId>>,
 }
 
 impl EventStore {
@@ -127,7 +130,10 @@ impl EventStore {
         window.insert(snippet.timestamp, snippet.id, slot);
         self.entity_index
             .insert_all(snippet.entities().keys(), snippet.id);
-        self.doc_index.entry(snippet.doc).or_default().insert(snippet.id);
+        let posting = self.doc_index.entry(snippet.doc).or_default();
+        if let Err(at) = posting.binary_search(&snippet.id) {
+            posting.insert(at, snippet.id);
+        }
         self.slot_of.insert(snippet.id, slot);
         self.arena[slot as usize] = Some(snippet);
         Ok(())
@@ -158,9 +164,11 @@ impl EventStore {
         self.free.push(slot);
         self.entity_index
             .remove_all(snippet.entities().keys(), id);
-        if let Some(set) = self.doc_index.get_mut(&snippet.doc) {
-            set.remove(&id);
-            if set.is_empty() {
+        if let Some(posting) = self.doc_index.get_mut(&snippet.doc) {
+            if let Ok(at) = posting.binary_search(&id) {
+                posting.remove(at);
+            }
+            if posting.is_empty() {
                 self.doc_index.remove(&snippet.doc);
             }
         }
@@ -169,13 +177,7 @@ impl EventStore {
 
     /// Remove every snippet of a document; returns them sorted by id.
     pub fn remove_document(&mut self, doc: DocId) -> Result<Vec<Snippet>> {
-        let ids: Vec<SnippetId> = self
-            .doc_index
-            .get(&doc)
-            .ok_or(Error::UnknownDocument(doc))?
-            .iter()
-            .copied()
-            .collect();
+        let ids = self.doc_index.get(&doc).ok_or(Error::UnknownDocument(doc))?.clone();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             out.push(self.remove(id)?);
@@ -249,10 +251,7 @@ impl EventStore {
 
     /// Snippet ids of a document, ascending.
     pub fn snippets_of_doc(&self, doc: DocId) -> Vec<SnippetId> {
-        self.doc_index
-            .get(&doc)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.doc_index.get(&doc).cloned().unwrap_or_default()
     }
 
     /// Snippets sharing at least one entity with the query set, ranked
@@ -275,6 +274,27 @@ impl EventStore {
     /// Tight time range covered by a source's snippets.
     pub fn source_coverage(&self, source: SourceId) -> TimeRange {
         self.windows.get(&source).map_or(TimeRange::EMPTY, WindowIndex::coverage)
+    }
+
+    /// Heap bytes by part (the memory account): the snippet arena with
+    /// every snippet's buffers and the id → slot map, the per-source
+    /// window indexes, the entity postings, and the document index. The
+    /// B-tree parts are estimates ([`storypivot_types::mem`]).
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
+        let arena = mem::vec_bytes(&self.arena)
+            + self.iter().map(Snippet::heap_bytes).sum::<usize>()
+            + mem::hash_map_bytes(&self.slot_of)
+            + mem::vec_bytes(&self.free);
+        let windows = mem::hash_map_bytes(&self.windows)
+            + self.windows.values().map(WindowIndex::heap_bytes).sum::<usize>();
+        let doc_index = mem::hash_map_bytes(&self.doc_index)
+            + self.doc_index.values().map(mem::vec_bytes).sum::<usize>();
+        [
+            ("store.arena", arena),
+            ("store.windows", windows),
+            ("store.entity_postings", self.entity_index.heap_bytes()),
+            ("store.doc_index", doc_index),
+        ]
     }
 
     /// Aggregate statistics.

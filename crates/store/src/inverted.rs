@@ -8,6 +8,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
+use storypivot_types::mem;
+
 /// An inverted index from keys `K` to posting ids `P`.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex<K, P> {
@@ -31,6 +33,13 @@ impl<K: Eq + Hash + Copy, P: Ord + Copy + Eq + Hash> InvertedIndex<K, P> {
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         self.postings.len()
+    }
+
+    /// Estimated heap bytes of the key table and every posting set (the
+    /// memory account).
+    pub fn heap_bytes(&self) -> usize {
+        mem::hash_map_bytes(&self.postings)
+            + self.postings.values().map(mem::btree_set_bytes).sum::<usize>()
     }
 
     /// Add `posting` under `key`.

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use storypivot_types::{SnippetId, TimeRange, Timestamp};
+use storypivot_types::{mem, SnippetId, TimeRange, Timestamp};
 
 /// An ordered index from `(timestamp, snippet)` to the snippet's arena
 /// slot in the owning store — a sorted map with range scans. Carrying
@@ -36,6 +36,11 @@ impl WindowIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Estimated heap bytes of the tree (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        mem::btree_map_bytes(&self.entries)
     }
 
     /// Index a snippet at its event timestamp, remembering its arena

@@ -24,6 +24,7 @@ pub mod error;
 pub mod event_type;
 pub mod ids;
 pub mod kernel;
+pub mod mem;
 pub mod snippet;
 pub mod source;
 pub mod sparse;

@@ -70,6 +70,14 @@ impl Snippet {
     pub fn terms(&self) -> &SparseVec<TermId> {
         &self.content.terms
     }
+
+    /// Heap bytes behind this snippet — its three allocations: entity
+    /// vector, term vector, headline (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        self.content.entities.heap_bytes()
+            + self.content.terms.heap_bytes()
+            + self.content.headline.capacity()
+    }
 }
 
 /// Fluent builder for [`Snippet`] used by the extraction pipeline, the

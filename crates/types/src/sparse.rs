@@ -268,6 +268,11 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
     pub fn as_slice(&self) -> &[(K, f32)] {
         &self.entries
     }
+
+    /// Heap bytes of the entry buffer (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        crate::mem::vec_bytes(&self.entries)
+    }
 }
 
 /// Whether every key of `sub` occurs in `sup` (both sorted by key).
