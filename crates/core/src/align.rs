@@ -79,8 +79,11 @@ impl AlignOutcome {
 
     /// Heap bytes of the outcome (the memory account).
     pub fn heap_bytes(&self) -> usize {
+        let lists = |g: &GlobalStory| {
+            mem::vec_bytes(&g.member_stories) + mem::vec_bytes(&g.sources) + mem::vec_bytes(&g.members)
+        };
         mem::vec_bytes(&self.global_stories)
-            + self.global_stories.iter().map(GlobalStory::heap_bytes).sum::<usize>()
+            + self.global_stories.iter().map(lists).sum::<usize>()
             + mem::hash_map_bytes(&self.story_to_global)
             + mem::hash_map_bytes(&self.snippet_to_global)
             + mem::vec_bytes(&self.accepted_pairs)

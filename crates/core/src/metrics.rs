@@ -80,10 +80,6 @@ pub struct EngineMetrics {
     /// alternative stories a sweep carried over from the previous one
     /// because nothing sharing an entity with them had moved.
     pub refine_probes_reused_total: Counter,
-    /// The registry the handles came from (disabled while detached):
-    /// [`EngineMetrics::record_memory`] registers one
-    /// `storypivot_mem_bytes` series per part it is handed.
-    registry: Registry,
     /// `storypivot_identify_duration_ns` — per-snippet identification
     /// time.
     pub identify_duration: HistogramMetric,
@@ -189,7 +185,6 @@ impl EngineMetrics {
                 "storypivot_refine_probes_reused_total",
                 "Snippets whose alternative stories were carried over from the previous sweep.",
             ),
-            registry: registry.clone(),
             identify_duration: registry.histogram(
                 "storypivot_identify_duration_ns",
                 "Per-snippet identification time in nanoseconds.",
@@ -214,27 +209,20 @@ impl EngineMetrics {
     }
 }
 
-impl EngineMetrics {
-    /// Whether the handles record anything (a live registry is attached).
-    pub fn is_attached(&self) -> bool {
-        self.registry.is_enabled()
-    }
-
-    /// Export a memory account
-    /// ([`crate::pivot::StoryPivot::memory_account`]) as
-    /// `storypivot_mem_bytes{structure=…}`, one gauge per named part.
-    /// Like every name here the parts are per-source or per-engine
-    /// sums, so the shard registries add up.
-    pub fn record_memory(&self, account: &[(&'static str, usize)]) {
-        for &(structure, bytes) in account {
-            self.registry
-                .gauge_with(
-                    "storypivot_mem_bytes",
-                    "Heap bytes held by one part of the engine, computed from its collections.",
-                    &[("structure", structure)],
-                )
-                .set(bytes as i64);
-        }
+/// Export a memory account
+/// ([`crate::pivot::StoryPivot::memory_account`]) to `registry` as
+/// `storypivot_mem_bytes{structure=…}`, one gauge per named part. Like
+/// every name here the parts are per-source or per-engine sums, so the
+/// shard registries add up.
+pub fn record_memory(registry: &Registry, account: &[(&'static str, usize)]) {
+    for &(structure, bytes) in account {
+        registry
+            .gauge_with(
+                "storypivot_mem_bytes",
+                "Heap bytes held by one part of the engine, computed from its collections.",
+                &[("structure", structure)],
+            )
+            .set(bytes as i64);
     }
 }
 

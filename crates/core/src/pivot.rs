@@ -567,15 +567,6 @@ impl StoryPivot {
         account
     }
 
-    /// Set the `storypivot_mem_bytes{structure=…}` gauges of the
-    /// attached metrics from [`StoryPivot::memory_account`]. Nothing on
-    /// the ingest path calls this; whoever renders the exposition does.
-    pub fn record_memory(&self) {
-        if self.metrics.is_attached() {
-            self.metrics.record_memory(&self.memory_account());
-        }
-    }
-
     /// The MinHash signatures the aligner has materialised and kept
     /// (none unless `align.use_sketches` is on); for tests that hold
     /// them to a derivation from scratch.

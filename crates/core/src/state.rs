@@ -101,6 +101,25 @@ impl StoryState {
         self.refresh_dominant();
     }
 
+    /// Remove a snippet by subtracting it from the aggregates. Float
+    /// subtraction can leave a centroid key the remaining members no
+    /// longer carry (or drop one they do), so [`StoryState::sketch`] is
+    /// not valid until [`StoryState::rebuild`] runs (the engine's removal
+    /// paths rebuild instead of calling this). Returns whether the snippet
+    /// was a member.
+    pub fn remove_snippet(&mut self, snippet: &Snippet) -> bool {
+        if !self.story.remove_member(snippet.id) {
+            return false;
+        }
+        self.entities.merge_sub(snippet.entities());
+        self.terms.merge_sub(snippet.terms());
+        self.signature.remove(snippet.timestamp, 1.0);
+        let ty = snippet.content.event_type.code() as usize;
+        self.event_types[ty] = self.event_types[ty].saturating_sub(1);
+        self.refresh_dominant();
+        true
+    }
+
     /// Rebuild every aggregate exactly from the given member snippets
     /// (used after removals and splits). The membership list is replaced
     /// by the snippets passed in.
@@ -241,12 +260,28 @@ mod tests {
     }
 
     #[test]
+    fn remove_subtracts() {
+        let mut s = state();
+        let a = snip(0, 0, &[1, 2], &[10]);
+        let b = snip(1, 1, &[1], &[11]);
+        s.add_snippet(&a);
+        s.add_snippet(&b);
+        assert!(s.remove_snippet(&a));
+        assert!(!s.remove_snippet(&a), "second removal is a no-op");
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.entities.get(&EntityId::new(2)), None);
+        assert_eq!(s.entities.get(&EntityId::new(1)), Some(1.0));
+        assert_eq!(s.signature.total(), 1.0);
+    }
+
+    #[test]
     fn rebuild_restores_exact_state() {
         let mut s = state();
         let a = snip(0, 0, &[1], &[10]);
         let b = snip(1, 1, &[2], &[11]);
         s.add_snippet(&a);
         s.add_snippet(&b);
+        s.remove_snippet(&a);
         s.rebuild([&b]);
         let mut fresh = state();
         fresh.add_snippet(&b);

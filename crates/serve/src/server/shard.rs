@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use storypivot_core::metrics::EngineMetrics;
+use storypivot_core::metrics::{self, EngineMetrics};
 use storypivot_core::oplog::{self, fingerprint_of, Applied, ReplayOp};
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot_substrate::fault::FaultHook;
@@ -286,7 +286,7 @@ impl ShardWorker {
     /// Refresh the serving gauges and snapshot the shard's registry.
     fn metrics_snapshot(&mut self) -> Snapshot {
         self.sync_gauges();
-        self.engine.pivot().record_memory();
+        metrics::record_memory(&self.registry, &self.engine.pivot().memory_account());
         self.registry.snapshot()
     }
 

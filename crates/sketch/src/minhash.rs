@@ -87,6 +87,16 @@ impl MinHash {
         agree as f64 / self.sig.len() as f64
     }
 
+    /// Raw signature words (for codecs).
+    pub fn words(&self) -> &[u64] {
+        &self.sig
+    }
+
+    /// Rebuild from raw signature words.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        MinHash { sig: words }
+    }
+
     /// Heap bytes of the signature (the memory account).
     pub fn heap_bytes(&self) -> usize {
         self.sig.capacity() * std::mem::size_of::<u64>()
@@ -179,6 +189,14 @@ mod tests {
         for i in [3u64, 9, 1, 5] {
             b.insert(&f, i);
         }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn words_round_trip() {
+        let f = family(16);
+        let a = MinHash::from_items(&f, 0..10);
+        let b = MinHash::from_words(a.words().to_vec());
         assert_eq!(a, b);
     }
 

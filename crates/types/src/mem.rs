@@ -17,7 +17,11 @@ pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
 
 /// Bytes of a `HashMap`'s table (not of what its keys and values own):
 /// a power-of-two number of buckets at a 7/8 load limit, one control
-/// byte per bucket plus one trailing group of 16.
+/// byte per bucket plus one trailing group of 16. This is hashbrown's
+/// layout as this toolchain's `std` builds it on x86-64 (SSE2 groups;
+/// the group is 8 bytes on aarch64 and the generic fallback);
+/// `tests/memory_account.rs` holds it to what the allocator handed out
+/// for one map, so a layout change fails there by name.
 pub fn hash_map_bytes<K, V, S>(m: &HashMap<K, V, S>) -> usize {
     let buckets = match m.capacity() {
         0 => return 0,

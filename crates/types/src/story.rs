@@ -160,13 +160,6 @@ impl GlobalStory {
         self.lifespan = self.lifespan.extend(at);
     }
 
-    /// Heap bytes of the three member lists (the memory account).
-    pub fn heap_bytes(&self) -> usize {
-        crate::mem::vec_bytes(&self.member_stories)
-            + crate::mem::vec_bytes(&self.sources)
-            + crate::mem::vec_bytes(&self.members)
-    }
-
     /// Member snippets that align the story across sources.
     pub fn aligning(&self) -> impl Iterator<Item = SnippetId> + '_ {
         self.members

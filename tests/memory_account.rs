@@ -17,10 +17,12 @@
 //! Its own binary, one test: a global allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
+use storypivot::types::mem;
 
 struct Counting;
 
@@ -54,12 +56,28 @@ static GLOBAL: Counting = Counting;
 /// Engine bytes per ingested snippet the build must stay under.
 const CEILING_PER_SNIPPET: f64 = 1.2 * 1024.0;
 
+/// `mem::hash_map_bytes` restates hashbrown's table layout; hold it to
+/// one real allocation per size class so a `std` that lays tables out
+/// differently fails here and not as a drift in the ratio below.
+#[cfg(target_arch = "x86_64")]
+fn assert_table_formula_matches_the_allocator() {
+    for capacity in [1, 3, 7, 8, 100, 5_000] {
+        let before = LIVE.load(Ordering::Relaxed);
+        let map: HashMap<u32, u64> = HashMap::with_capacity(capacity);
+        let took = (LIVE.load(Ordering::Relaxed) - before) as usize;
+        assert_eq!(mem::hash_map_bytes(&map), took, "table for capacity {capacity}");
+    }
+}
+
 #[test]
 fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
     let corpus = CorpusBuilder::new(
         GenConfig::default().with_seed(21).with_sources(24).with_target_snippets(9_000),
     )
     .build();
+
+    #[cfg(target_arch = "x86_64")]
+    assert_table_formula_matches_the_allocator();
 
     let before = LIVE.load(Ordering::Relaxed);
     let mut pivot = StoryPivot::new(PivotConfig::temporal(7 * DAY));
@@ -71,7 +89,9 @@ fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
     }
     let live = (LIVE.load(Ordering::Relaxed) - before) as f64;
 
+    let walk = std::time::Instant::now();
     let account = pivot.memory_account();
+    println!("account walked in {:?}", walk.elapsed());
     let snippets = corpus.snippets.len() as f64;
     println!("{} snippets, {} stories", corpus.snippets.len(), pivot.story_count());
     for (structure, bytes) in &account {
