@@ -88,7 +88,6 @@ fn f3(x: f64) -> String {
 
 fn main() {
     let mut quick = false;
-    let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut seed: u64 = 0;
     let mut wanted: Vec<String> = Vec::new();
@@ -96,12 +95,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--csv" => {
-                csv_dir = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                }))
-            }
             "--json" => {
                 json_dir = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--json needs a directory");
@@ -120,7 +113,7 @@ fn main() {
             }
             other if other.starts_with("--") => {
                 eprintln!(
-                    "unknown flag {other:?} (flags: --quick, --seed <u64>, --csv <dir>, --json <dir>)"
+                    "unknown flag {other:?} (flags: --quick, --seed <u64>, --json <dir>)"
                 );
                 std::process::exit(2);
             }
@@ -135,9 +128,6 @@ fn main() {
         ]
         .map(String::from)
         .to_vec();
-    }
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create --csv directory");
     }
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create --json directory");
@@ -170,11 +160,6 @@ fn main() {
                 continue;
             }
         };
-        if let Some(dir) = &csv_dir {
-            let path = format!("{dir}/{exp}.csv");
-            std::fs::write(&path, table.to_csv()).expect("write CSV");
-            eprintln!("wrote {path}");
-        }
         if let Some(dir) = &json_dir {
             let path = format!("{dir}/BENCH_{exp}.json");
             std::fs::write(&path, table.to_json()).expect("write JSON");
@@ -1154,9 +1139,8 @@ fn e16_chaos(scale: &Scale, seed: u64) -> Table {
 /// * **flat kernels + hot cache** — the default configuration.
 ///
 /// The pre-rework scorer these replaced is no longer in the tree; its
-/// number is frozen in `data/BENCH_hotpath.json` (EXPERIMENTS.md E17).
-/// The run also asserts live that the cache-off and cache-on partitions
-/// are byte-identical.
+/// number is a dated record in EXPERIMENTS.md E17. The run also asserts
+/// live that the cache-off and cache-on partitions are byte-identical.
 fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     use std::collections::HashMap;
 

@@ -1,8 +1,9 @@
-//! Shared fixtures for the benchmark suite and the experiment harness.
+//! Shared fixtures for the experiment harness.
 //!
-//! Every experiment (E1–E9, see `DESIGN.md`) draws its workload from
-//! here so the criterion benches and the `harness` binary measure the
-//! same corpora.
+//! Every experiment of the `harness` binary (see `DESIGN.md` §4) draws
+//! its corpus from here. The harness reproduces the paper's figures and
+//! is gated on its counts (`data/expected-counts.txt`); clocks are
+//! `benchmark/`'s job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

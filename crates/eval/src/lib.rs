@@ -1,5 +1,5 @@
-//! Evaluation toolkit: clustering quality metrics, latency recording,
-//! and the experiment runner that regenerates the paper's Figure 7
+//! Evaluation toolkit: clustering quality metrics, result tables, and
+//! the experiment runner that regenerates the paper's Figure 7
 //! measurements (execution time and F-measure as functions of the
 //! number of processed events, per SI/SA method).
 
@@ -9,9 +9,7 @@
 pub mod metrics;
 pub mod run;
 pub mod table;
-pub mod timing;
 
 pub use metrics::{adjusted_rand_index, bcubed, nmi, pairwise, purity, Clustering, Scores};
 pub use run::{run, RunOptions, RunResult};
 pub use table::Table;
-pub use timing::LatencyRecorder;

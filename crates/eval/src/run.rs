@@ -9,7 +9,6 @@ use storypivot_gen::Corpus;
 use storypivot_types::SourceId;
 
 use crate::metrics::{pairwise_counts, Clustering, PairCounts, Scores};
-use crate::timing::LatencyRecorder;
 
 /// What to run and measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,14 +98,17 @@ pub fn run(corpus: &Corpus, config: PivotConfig, opts: RunOptions) -> RunResult 
 
     // ---- identification ------------------------------------------------
     let mut comparisons = 0u64;
-    let mut latency = LatencyRecorder::new();
+    let mut per_event: Vec<u64> = Vec::with_capacity(stream.len());
     let start = Instant::now();
     for s in stream {
-        let d = latency.time(|| pivot.ingest_detailed(s).expect("corpus snippets are valid"));
+        let t = Instant::now();
+        let d = pivot.ingest_detailed(s).expect("corpus snippets are valid");
+        per_event.push(t.elapsed().as_nanos() as u64);
         comparisons += d.compared as u64;
     }
     let ingest_nanos = start.elapsed().as_nanos() as u64;
     let snippets = corpus.len();
+    per_event.sort_unstable();
 
     // ---- alignment / refinement -----------------------------------------
     let mut align_nanos = 0u64;
@@ -140,8 +142,8 @@ pub fn run(corpus: &Corpus, config: PivotConfig, opts: RunOptions) -> RunResult 
         } else {
             0.0
         },
-        p50_nanos: latency.p50_nanos(),
-        p95_nanos: latency.p95_nanos(),
+        p50_nanos: nearest_rank(&per_event, 0.5),
+        p95_nanos: nearest_rank(&per_event, 0.95),
         align_nanos,
         refine_nanos,
         comparisons,
@@ -151,6 +153,15 @@ pub fn run(corpus: &Corpus, config: PivotConfig, opts: RunOptions) -> RunResult 
         sa_scores,
         refine_moves,
     }
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of ascending `sorted` samples by
+/// nearest rank; 0 when there are none.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[(q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize]
 }
 
 /// Micro-averaged per-source identification quality: within each source,
@@ -226,6 +237,16 @@ mod tests {
             ..GenConfig::default()
         })
         .build()
+    }
+
+    #[test]
+    fn nearest_rank_picks_a_sample_and_is_calm_when_empty() {
+        let sorted = [1, 2, 3, 4, 100];
+        assert_eq!(nearest_rank(&sorted, 0.0), 1);
+        assert_eq!(nearest_rank(&sorted, 0.5), 3);
+        assert_eq!(nearest_rank(&sorted, 0.95), 100);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100);
+        assert_eq!(nearest_rank(&[], 0.95), 0);
     }
 
     #[test]

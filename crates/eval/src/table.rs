@@ -75,18 +75,6 @@ impl Table {
         out
     }
 
-    /// Render as CSV (no quoting; cells must not contain commas).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render as a JSON array of row objects keyed by header. Numeric
     /// cells become numbers; everything else is an escaped string.
     pub fn to_json(&self) -> String {
@@ -148,19 +136,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Format a nanosecond count as a human-readable duration.
-pub fn fmt_nanos(nanos: f64) -> String {
-    if nanos < 1_000.0 {
-        format!("{nanos:.0}ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.1}µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2}ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2}s", nanos / 1_000_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,13 +151,6 @@ mod tests {
         assert_eq!(md.lines().count(), 4);
         // Separator row present.
         assert!(md.lines().nth(1).unwrap().starts_with("|--"));
-    }
-
-    #[test]
-    fn csv_renders_rows() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]
@@ -206,13 +174,5 @@ mod tests {
         assert!(json.contains("\"f1\": \"-\""));
         assert!(json.contains("\"note\": \"inf\""));
         assert_eq!(json.matches('{').count(), 2);
-    }
-
-    #[test]
-    fn fmt_nanos_scales() {
-        assert_eq!(fmt_nanos(500.0), "500ns");
-        assert_eq!(fmt_nanos(1_500.0), "1.5µs");
-        assert_eq!(fmt_nanos(2_500_000.0), "2.50ms");
-        assert_eq!(fmt_nanos(3_200_000_000.0), "3.20s");
     }
 }

@@ -14,9 +14,9 @@
 //! * [`prop`] — a minimal property-testing harness: deterministic
 //!   per-case seeds, generator helpers, and failing-seed replay via an
 //!   environment variable. Replaces `proptest`.
-//! * [`timing`] — a micro-benchmark runner (warmup + timed iterations,
-//!   median/p95 reporting) plus a log-bucketed latency
-//!   [`timing::Histogram`]. Replaces `criterion`.
+//! * [`timing`] — [`timing::Histogram`], a log-bucketed, mergeable
+//!   latency histogram (the metrics registry's and the serving layer's
+//!   percentile recorder).
 //! * [`queue`] — [`queue::Bounded<T>`], a bounded MPMC queue with depth
 //!   gauges and close-and-drain semantics (the slice of
 //!   `crossbeam-channel` the serving layer needs).

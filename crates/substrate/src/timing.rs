@@ -1,198 +1,10 @@
-//! A micro-benchmark timer.
+//! A latency histogram — and nothing else.
 //!
-//! Criterion's role in this workspace was modest — run a closure many
-//! times, report robust per-iteration statistics — so this module
-//! provides exactly that: warmup, auto-calibrated batching (so
-//! nanosecond-scale closures are timed in batches long enough for the
-//! clock to resolve), and a median/p95/min summary printed as a
-//! markdown table.
-//!
-//! Bench targets (`crates/bench/benches/*.rs`, built with
-//! `harness = false`) construct a [`BenchGroup`], call
-//! [`BenchGroup::bench`] per configuration, and [`BenchGroup::finish`]
-//! to print. `cargo bench` passes `--bench`; a `--quick` argument or
-//! `STORYPIVOT_BENCH_QUICK=1` cuts sample counts for smoke runs.
-
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-/// Statistics over per-iteration wall-clock times, in nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stats {
-    /// Total timed iterations.
-    pub iters: u64,
-    /// Mean ns/iter.
-    pub mean_ns: f64,
-    /// Median ns/iter (over batch samples).
-    pub median_ns: f64,
-    /// 95th-percentile ns/iter.
-    pub p95_ns: f64,
-    /// Fastest observed ns/iter.
-    pub min_ns: f64,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-/// Measurement options.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Number of timed samples (each sample is a batch of iterations).
-    pub samples: u32,
-    /// Wall-clock budget spent warming up.
-    pub warmup: Duration,
-    /// Target duration of one timed batch; the batch's iteration count
-    /// is calibrated during warmup so a batch takes roughly this long.
-    pub batch_target: Duration,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            samples: 20,
-            warmup: Duration::from_millis(200),
-            batch_target: Duration::from_millis(10),
-        }
-    }
-}
-
-impl Options {
-    /// Reduced settings for smoke runs (`--quick`).
-    pub fn quick() -> Self {
-        Options {
-            samples: 5,
-            warmup: Duration::from_millis(20),
-            batch_target: Duration::from_millis(2),
-        }
-    }
-}
-
-/// Measure `f`, returning per-iteration statistics. The closure's
-/// return value is passed through [`black_box`] so the work is not
-/// optimized away.
-pub fn measure<T>(opts: &Options, mut f: impl FnMut() -> T) -> Stats {
-    // Warmup + calibration: run until the warmup budget is spent,
-    // tracking how long one call takes.
-    let warmup_start = Instant::now();
-    let mut calls = 0u64;
-    loop {
-        black_box(f());
-        calls += 1;
-        if warmup_start.elapsed() >= opts.warmup {
-            break;
-        }
-    }
-    let per_call = warmup_start.elapsed().as_nanos() as f64 / calls as f64;
-    let batch = ((opts.batch_target.as_nanos() as f64 / per_call.max(1.0)).ceil() as u64).max(1);
-
-    let mut samples_ns: Vec<f64> = Vec::with_capacity(opts.samples as usize);
-    let mut total_iters = 0u64;
-    for _ in 0..opts.samples {
-        let t = Instant::now();
-        for _ in 0..batch {
-            black_box(f());
-        }
-        let elapsed = t.elapsed().as_nanos() as f64;
-        samples_ns.push(elapsed / batch as f64);
-        total_iters += batch;
-    }
-    samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-    Stats {
-        iters: total_iters,
-        mean_ns: mean,
-        median_ns: percentile(&samples_ns, 0.5),
-        p95_ns: percentile(&samples_ns, 0.95),
-        min_ns: samples_ns.first().copied().unwrap_or(0.0),
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.3} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// A named collection of measurements printed as one table.
-#[derive(Debug)]
-pub struct BenchGroup {
-    name: String,
-    opts: Options,
-    rows: Vec<(String, Stats)>,
-}
-
-impl BenchGroup {
-    /// A group configured from the process arguments/environment:
-    /// `--quick` (or `STORYPIVOT_BENCH_QUICK=1`) selects
-    /// [`Options::quick`]. Unrecognized arguments (such as cargo's
-    /// `--bench`) are ignored.
-    pub fn from_env(name: &str) -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("STORYPIVOT_BENCH_QUICK").is_ok_and(|v| v != "0");
-        let opts = if quick { Options::quick() } else { Options::default() };
-        Self::with_options(name, opts)
-    }
-
-    /// A group with explicit options.
-    pub fn with_options(name: &str, opts: Options) -> Self {
-        println!("\n## bench group: {name}\n");
-        BenchGroup {
-            name: name.to_string(),
-            opts,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Override the options for subsequent [`BenchGroup::bench`] calls.
-    pub fn set_options(&mut self, opts: Options) {
-        self.opts = opts;
-    }
-
-    /// Measure one labelled configuration.
-    pub fn bench<T>(&mut self, label: &str, f: impl FnMut() -> T) -> &Stats {
-        let stats = measure(&self.opts, f);
-        eprintln!(
-            "  {}/{label}: median {} (p95 {}, {} iters)",
-            self.name,
-            fmt_ns(stats.median_ns),
-            fmt_ns(stats.p95_ns),
-            stats.iters
-        );
-        self.rows.push((label.to_string(), stats));
-        &self.rows.last().expect("just pushed").1
-    }
-
-    /// Print the summary table. Call once at the end of `main`.
-    pub fn finish(self) {
-        println!("| benchmark | median | p95 | mean | min | iters |");
-        println!("|---|---|---|---|---|---|");
-        for (label, s) in &self.rows {
-            println!(
-                "| {}/{label} | {} | {} | {} | {} | {} |",
-                self.name,
-                fmt_ns(s.median_ns),
-                fmt_ns(s.p95_ns),
-                fmt_ns(s.mean_ns),
-                fmt_ns(s.min_ns),
-                s.iters
-            );
-        }
-        println!();
-    }
-}
-
-// ---- latency histogram ------------------------------------------------
+//! [`Histogram`] is a fixed-size log-bucketed recorder; it backs the
+//! metrics registry's histogram families and the serving layer's
+//! p50/p95/p99 reporting. There is deliberately no micro-benchmark
+//! timer here: end-to-end and per-layer clocks are `benchmark/`'s job
+//! (`BENCHMARK.json`), and the experiment harness gates on counts.
 
 /// Sub-bucket resolution bits: 16 sub-buckets per power of two, i.e.
 /// recorded values are resolved to within ~6%.
@@ -429,54 +241,5 @@ mod hist_tests {
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.max(), 0);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fast_opts() -> Options {
-        Options {
-            samples: 4,
-            warmup: Duration::from_millis(1),
-            batch_target: Duration::from_micros(100),
-        }
-    }
-
-    #[test]
-    fn measure_produces_ordered_statistics() {
-        let mut acc = 0u64;
-        let stats = measure(&fast_opts(), || {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            acc
-        });
-        assert!(stats.iters > 0);
-        assert!(stats.min_ns <= stats.median_ns + 1e-9);
-        assert!(stats.median_ns <= stats.p95_ns + 1e-9);
-        assert!(stats.mean_ns > 0.0);
-    }
-
-    #[test]
-    fn slow_closures_get_small_batches() {
-        let stats = measure(
-            &Options {
-                samples: 3,
-                warmup: Duration::from_millis(1),
-                batch_target: Duration::from_micros(1),
-            },
-            || std::thread::sleep(Duration::from_micros(200)),
-        );
-        // One iteration per batch: the sleep dominates the batch target.
-        assert_eq!(stats.iters, 3);
-        assert!(stats.median_ns >= 200_000.0, "median {}", stats.median_ns);
-    }
-
-    #[test]
-    fn formatting_picks_sensible_units() {
-        assert_eq!(fmt_ns(500.0), "500.0 ns");
-        assert_eq!(fmt_ns(1_500.0), "1.50 µs");
-        assert_eq!(fmt_ns(2_000_000.0), "2.000 ms");
-        assert_eq!(fmt_ns(3_000_000_000.0), "3.000 s");
     }
 }
