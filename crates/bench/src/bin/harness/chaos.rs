@@ -1,6 +1,14 @@
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::{f3, Scale};
+use super::{f3, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "chaos",
+    alias: Some("e16"),
+    title: "E16 — ground-truth F-measure under adversarial load",
+    run: e16_chaos,
+};
 
 /// E16 — adversarial scenario engine: each builtin chaos script (flash
 /// crowd, duplicate flood, source churn, retraction storm, dormant
@@ -8,17 +16,24 @@ use super::{f3, Scale};
 /// backpressure and deadline shedding, and the served partition is
 /// scored against the script's ground truth — F-measure *under load*,
 /// not in a quiet in-process loop.
-pub(super) fn e16_chaos(scale: &Scale, seed: u64) -> Table {
+fn e16_chaos(scale: &Scale, seed: u64) -> Table {
     use storypivot_eval::metrics::{pairwise_counts, Clustering, PairCounts};
     use storypivot_serve::client::Client;
     use storypivot_serve::load::{replay_script, LoadOptions};
     use storypivot_serve::server::{serve, ServerConfig};
     use storypivot_gen::scenario;
 
-    println!("\n## E16 — ground-truth F-measure under adversarial load\n");
     let mut table = Table::new([
-        "scenario", "events", "removed", "segments", "busy", "shed", "events_per_s", "pair F1",
-        "precision", "recall",
+        Count("scenario"),
+        Count("events"),
+        Count("removed"),
+        Count("segments"),
+        Count("busy"),
+        Count("shed"),
+        Clock("events_per_s"),
+        Count("pair F1"),
+        Count("precision"),
+        Count("recall"),
     ]);
     for name in scenario::BUILTIN {
         let script = scenario::by_name(name, scale.mid, seed ^ 0xE16)
@@ -86,6 +101,5 @@ pub(super) fn e16_chaos(scale: &Scale, seed: u64) -> Table {
         client.shutdown().expect("e16 shutdown");
         handle.join();
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -1,8 +1,16 @@
 use std::time::Duration;
 
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::Scale;
+use super::{Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "conns",
+    alias: Some("e14"),
+    title: "E14 — many-connection serving: memory per connection and rtt tails",
+    run: e14_conns,
+};
 
 /// Resident-set size of this process in KiB, from `/proc/self/status`.
 fn vm_rss_kib() -> u64 {
@@ -39,7 +47,7 @@ fn fd_soft_limit() -> u64 {
 /// server-side cost (the client side is a raw unbuffered socket).
 /// Tiers that would exceed the fd ulimit (two descriptors per
 /// connection in-process) are skipped, not failed.
-pub(super) fn e14_conns(scale: &Scale) -> Table {
+fn e14_conns(scale: &Scale, _seed: u64) -> Table {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -47,7 +55,6 @@ pub(super) fn e14_conns(scale: &Scale) -> Table {
     use storypivot_serve::server::{serve, ServerConfig};
     use storypivot_serve::{conn_storm, StormOptions};
 
-    println!("\n## E14 — many-connection serving: memory per connection and rtt tails\n");
     let handle = serve(
         "127.0.0.1:0",
         ServerConfig { shards: 2, align_every: 0, io_workers: 2, ..ServerConfig::default() },
@@ -57,15 +64,15 @@ pub(super) fn e14_conns(scale: &Scale) -> Table {
     let fd_limit = fd_soft_limit();
 
     let mut table = Table::new([
-        "connections",
-        "requests",
-        "connect s",
-        "storm s",
-        "peak ΔRSS KiB",
-        "KiB/conn",
-        "p50 µs",
-        "p95 µs",
-        "p99 µs",
+        Count("connections"),
+        Count("requests"),
+        Clock("connect s"),
+        Clock("storm s"),
+        Clock("peak ΔRSS KiB"),
+        Clock("KiB/conn"),
+        Clock("p50 µs"),
+        Clock("p95 µs"),
+        Clock("p99 µs"),
     ]);
     for &conns in &scale.conn_tiers {
         // In-process storm: every connection is two descriptors (client
@@ -127,6 +134,5 @@ pub(super) fn e14_conns(scale: &Scale) -> Table {
     let mut client = Client::connect(addr).expect("shutdown client");
     client.shutdown().expect("graceful shutdown");
     handle.join();
-    print!("{}", table.to_markdown());
     table
 }

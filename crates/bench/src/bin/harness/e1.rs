@@ -1,16 +1,29 @@
 use storypivot_bench::{corpus_constant_density, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::{ms, Scale};
+use super::{ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e1",
+    alias: None,
+    title: "E1 — identification cost vs #events (Fig 7, performance)",
+    run: e1,
+};
 
 /// E1 — Figure 7, performance panel: per-event identification time as
 /// the number of events grows, at constant event density.
-pub(super) fn e1(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E1 — identification cost vs #events (Fig 7, performance)\n");
+fn e1(scale: &Scale, seed: u64) -> Table {
     let mut table = Table::new([
-        "events", "SI method", "ms/event", "p50 ms", "p95 ms", "comparisons", "stories",
+        Count("events"),
+        Count("SI method"),
+        Clock("ms/event"),
+        Clock("p50 ms"),
+        Clock("p95 ms"),
+        Count("comparisons"),
+        Count("stories"),
     ]);
     for &n in &scale.e1_sizes {
         let corpus = corpus_constant_density(n, 10, seed ^ 7);
@@ -38,6 +51,5 @@ pub(super) fn e1(scale: &Scale, seed: u64) -> Table {
             ]);
         }
     }
-    print!("{}", table.to_markdown());
     table
 }

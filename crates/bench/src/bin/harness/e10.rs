@@ -3,13 +3,19 @@ use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
 use storypivot_eval::Table;
 
-use super::{f3, Scale};
+use super::{f3, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e10",
+    alias: None,
+    title: "E10 — identification scoring ablation (design choice)",
+    run: e10,
+};
 
 /// E10 — ablation of the snippet–story scoring blend: pure single-link
 /// (pair_blend = 1.0) vs pure windowed centroid (0.0) vs the default
 /// blend (0.5). The design-choice ablation called out in DESIGN.md.
-pub(super) fn e10(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E10 — identification scoring ablation (design choice)\n");
+fn e10(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid * 2, 10, seed ^ 41);
     let mut table = Table::new(["scoring", "SI F1", "SI precision", "SI recall", "stories"]);
     for (name, blend) in [
@@ -30,6 +36,5 @@ pub(super) fn e10(scale: &Scale, seed: u64) -> Table {
             r.stories.to_string(),
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -3,12 +3,18 @@ use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
 use storypivot_eval::Table;
 
-use super::{f3, Scale};
+use super::{f3, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e2",
+    alias: None,
+    title: "E2 — F-measure vs #events (Fig 7, quality)",
+    run: e2,
+};
 
 /// E2 — Figure 7, quality panel: F-measure vs #events for each SI
 /// method, with and without alignment/refinement.
-pub(super) fn e2(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E2 — F-measure vs #events (Fig 7, quality)\n");
+fn e2(scale: &Scale, seed: u64) -> Table {
     let mut table = Table::new(["events", "SI method", "SI F1", "SA F1", "SA NMI", "SA+refine F1"]);
     for &n in &scale.e2_sizes {
         let corpus = corpus_fixed_period(n, 10, seed ^ 11);
@@ -41,6 +47,5 @@ pub(super) fn e2(scale: &Scale, seed: u64) -> Table {
             ]);
         }
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -1,17 +1,30 @@
 use storypivot_bench::corpus_fixed_period;
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_types::DAY;
 
-use super::{f3, ms, Scale};
+use super::{f3, ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e3",
+    alias: None,
+    title: "E3 — window size ω sweep (§2.2)",
+    run: e3,
+};
 
 /// E3 — sliding-window sweep: runtime and quality as ω varies; the
 /// complete mode is the ω → ∞ limit.
-pub(super) fn e3(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E3 — window size ω sweep (§2.2)\n");
+fn e3(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 10, seed ^ 13);
-    let mut table = Table::new(["omega", "ms/event", "comparisons", "SI F1", "SA F1"]);
+    let mut table = Table::new([
+        Count("omega"),
+        Clock("ms/event"),
+        Count("comparisons"),
+        Count("SI F1"),
+        Count("SA F1"),
+    ]);
     for days in [1i64, 3, 7, 14, 30, 90] {
         let r = run(&corpus, PivotConfig::temporal(days * DAY), RunOptions::default());
         table.row([
@@ -30,6 +43,5 @@ pub(super) fn e3(scale: &Scale, seed: u64) -> Table {
         f3(r.si_f1()),
         f3(r.sa_f1()),
     ]);
-    print!("{}", table.to_markdown());
     table
 }

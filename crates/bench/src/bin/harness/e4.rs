@@ -3,21 +3,33 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::alignment_scores;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_sketch::HashFamily;
 
-use super::{f3, ms, Scale};
+use super::{f3, ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e4",
+    alias: None,
+    title: "E4 — sketch vs exact story comparison (§2.4)",
+    run: e4,
+};
 
 /// E4 — sketch ablation: exact centroid comparison vs MinHash sketches
 /// of several sizes during alignment. Signatures are derived inside the
 /// alignment pass, so `align ms` includes building them; `sketch build
 /// ms` is that share, measured by deriving every story's signature once
 /// more beside the pass.
-pub(super) fn e4(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E4 — sketch vs exact story comparison (§2.4)\n");
+fn e4(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 20, seed ^ 17);
-    let mut table =
-        Table::new(["comparison", "align ms", "sketch build ms", "pairs scored", "SA F1"]);
+    let mut table = Table::new([
+        Count("comparison"),
+        Clock("align ms"),
+        Clock("sketch build ms"),
+        Count("pairs scored"),
+        Count("SA F1"),
+    ]);
     let mut configs = vec![("exact".to_string(), false, 128usize)];
     for k in [32usize, 64, 128, 256] {
         configs.push((format!("minhash k={k}"), true, k));
@@ -51,6 +63,5 @@ pub(super) fn e4(scale: &Scale, seed: u64) -> Table {
             f3(sa.f1),
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

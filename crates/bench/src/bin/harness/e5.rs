@@ -5,12 +5,18 @@ use storypivot_eval::Table;
 use storypivot_gen::{CorpusBuilder, GenConfig};
 use storypivot_types::HOUR;
 
-use super::{f3, Scale};
+use super::{f3, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e5",
+    alias: None,
+    title: "E5 — out-of-order delivery (§2.4)",
+    run: e5,
+};
 
 /// E5 — out-of-order robustness: publication lag scrambles delivery
 /// order; quality must degrade gracefully.
-pub(super) fn e5(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E5 — out-of-order delivery (§2.4)\n");
+fn e5(scale: &Scale, seed: u64) -> Table {
     let mut table = Table::new(["mean pub lag", "inversion frac", "order", "SI F1", "SA F1"]);
     for lag_hours in [0i64, 6, 24, 72, 168] {
         let mut gen = GenConfig::default().with_seed(seed ^ 19).with_target_snippets(scale.mid);
@@ -34,6 +40,5 @@ pub(super) fn e5(scale: &Scale, seed: u64) -> Table {
             ]);
         }
     }
-    print!("{}", table.to_markdown());
     table
 }

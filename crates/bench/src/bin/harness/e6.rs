@@ -2,20 +2,27 @@ use std::time::Instant;
 
 use storypivot_bench::{corpus_fixed_period, pivot_for, OMEGA};
 use storypivot_core::config::PivotConfig;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::{ms, Scale};
+use super::{ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e6",
+    alias: None,
+    title: "E6 — source onboarding (§2.1)",
+    run: e6,
+};
 
 /// E6 — incremental source onboarding vs full re-alignment.
-pub(super) fn e6(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E6 — source onboarding (§2.1)\n");
+fn e6(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 12, seed ^ 23);
     let mut table = Table::new([
-        "step",
-        "align ms",
-        "pairs scored",
-        "global stories",
-        "same partition",
+        Count("step"),
+        Clock("align ms"),
+        Count("pairs scored"),
+        Count("global stories"),
+        Count("same partition"),
     ]);
 
     // Ingest the first 10 sources, align.
@@ -85,6 +92,5 @@ pub(super) fn e6(scale: &Scale, seed: u64) -> Table {
         full.global_stories().len().to_string(),
         "-".into(),
     ]);
-    print!("{}", table.to_markdown());
     table
 }

@@ -5,12 +5,18 @@ use storypivot_eval::Table;
 use storypivot_substrate::rng::{RngExt, StdRng};
 use storypivot_types::SnippetId;
 
-use super::{f3, Scale};
+use super::{f3, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e7",
+    alias: None,
+    title: "E7 — refinement corrects injected SI errors (§2.3, Fig 1d)",
+    run: e7,
+};
 
 /// E7 — refinement error-correction: inject identification errors, then
 /// measure how many the alignment+refinement loop repairs (Fig 1d).
-pub(super) fn e7(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E7 — refinement corrects injected SI errors (§2.3, Fig 1d)\n");
+fn e7(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid / 2, 6, seed ^ 29);
     let mut table = Table::new([
         "injected",
@@ -63,6 +69,5 @@ pub(super) fn e7(scale: &Scale, seed: u64) -> Table {
             format!("{restored}/{}", injected.len()),
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

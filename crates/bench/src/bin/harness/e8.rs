@@ -3,21 +3,28 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::{f3, ms, Scale};
+use super::{f3, ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e8",
+    alias: None,
+    title: "E8 — scaling with #sources (Fig 7 inset)",
+    run: e8,
+};
 
 /// E8 — scaling with the number of sources (the Figure 7 dataset panel
 /// lists 50 sources).
-pub(super) fn e8(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E8 — scaling with #sources (Fig 7 inset)\n");
+fn e8(scale: &Scale, seed: u64) -> Table {
     let mut table = Table::new([
-        "sources",
-        "events",
-        "ingest ms/event",
-        "align ms",
-        "pairs scored",
-        "SA F1",
+        Count("sources"),
+        Count("events"),
+        Clock("ingest ms/event"),
+        Clock("align ms"),
+        Count("pairs scored"),
+        Count("SA F1"),
     ]);
     for &n_sources in &scale.e8_sources {
         let target = scale.per_source * n_sources as usize;
@@ -36,6 +43,5 @@ pub(super) fn e8(scale: &Scale, seed: u64) -> Table {
             f3(r.sa_f1()),
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

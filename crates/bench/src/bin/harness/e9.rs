@@ -3,14 +3,21 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::identification_scores;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
-use super::{f3, ms};
+use super::{f3, ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "e9",
+    alias: None,
+    title: "E9 — document add/remove latency (§4.2.1)",
+    run: e9,
+};
 
 /// E9 — interactive document add/remove (§4.2.1): incremental update
 /// latency vs recomputing from scratch.
-pub(super) fn e9(seed: u64) -> Table {
-    println!("\n## E9 — document add/remove latency (§4.2.1)\n");
+fn e9(_scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(1_000, 6, seed ^ 37);
     let mut pivot = ingest_all(&corpus, PivotConfig::temporal(OMEGA));
     pivot.align();
@@ -48,7 +55,7 @@ pub(super) fn e9(seed: u64) -> Table {
     let rebuild_nanos = t.elapsed().as_nanos() as f64;
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let mut table = Table::new(["operation", "mean ms", "SI F1 impact"]);
+    let mut table = Table::new([Count("operation"), Clock("mean ms"), Count("SI F1 impact")]);
     table.row([
         "remove doc + realign (incremental)".to_string(),
         ms(mean(&remove_nanos)),
@@ -60,6 +67,5 @@ pub(super) fn e9(seed: u64) -> Table {
         format!("{} -> {}", f3(si_before), f3(si_after)),
     ]);
     table.row(["full rebuild + align".to_string(), ms(rebuild_nanos), "-".into()]);
-    print!("{}", table.to_markdown());
     table
 }

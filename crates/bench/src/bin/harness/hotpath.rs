@@ -2,10 +2,18 @@ use std::time::{Duration, Instant};
 
 use storypivot_bench::{corpus_fixed_period, OMEGA};
 use storypivot_core::config::PivotConfig;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_types::SnippetId;
 
-use super::Scale;
+use super::{Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "hotpath",
+    alias: Some("e17"),
+    title: "E17 — similarity hot path: flat kernels + hot-story cache",
+    run: e17_hotpath,
+};
 
 /// E17 — the similarity hot path: what the hot-story cache buys.
 ///
@@ -20,14 +28,13 @@ use super::Scale;
 /// The pre-rework scorer these replaced is no longer in the tree; its
 /// number is a dated record in EXPERIMENTS.md E17. The run also asserts
 /// live that the cache-off and cache-on partitions are byte-identical.
-pub(super) fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
+fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     use std::collections::HashMap;
 
     use storypivot_core::identify::Identifier;
     use storypivot_store::EventStore;
     use storypivot_types::{SourceId, StoryId};
 
-    println!("\n## E17 — similarity hot path: flat kernels + hot-story cache\n");
     const TRIALS: usize = 3;
     // Few sources for the same corpus → denser per-source windows,
     // which is exactly what stresses the quadratic fold the rework
@@ -119,13 +126,13 @@ pub(super) fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     println!("best of {TRIALS} trials per configuration\n");
 
     let mut table = Table::new([
-        "config",
-        "events",
-        "ns/event",
-        "speedup vs cache off",
-        "cache hits",
-        "cache misses",
-        "hit rate",
+        Count("config"),
+        Count("events"),
+        Clock("ns/event"),
+        Clock("speedup vs cache off"),
+        Count("cache hits"),
+        Count("cache misses"),
+        Count("hit rate"),
     ]);
     let baseline_ns = best[0].ns_per_event;
     for (slot, &(name, _)) in configs.iter().enumerate() {
@@ -150,6 +157,5 @@ pub(super) fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             hit_rate,
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -1,30 +1,22 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: the paper-figure reproducer. It regenerates
+//! every table of EXPERIMENTS.md and is gated on their counts.
 //!
 //! ```text
 //! cargo run -p storypivot-bench --release --bin harness -- all
 //! cargo run -p storypivot-bench --release --bin harness -- e1 e3 --quick
+//! cargo run -p storypivot-bench --release --bin harness -- e4 refine --quick --json DIR
 //! ```
 //!
-//! Experiments (see DESIGN.md §4):
-//!   e1  per-event identification cost vs #events   (Fig 7, performance)
-//!   e2  F-measure vs #events per SI/SA method      (Fig 7, quality)
-//!   e3  sliding-window size ω sweep                (§2.2)
-//!   e4  sketch vs exact alignment ablation         (§2.4)
-//!   e5  out-of-order delivery robustness           (§2.4)
-//!   e6  incremental source onboarding              (§2.1)
-//!   e7  refinement error-correction                (§2.3, Fig 1d)
-//!   e8  scaling with the number of sources         (Fig 7 inset)
-//!   e9  document add/remove latency                (§4.2.1)
-//!   e10 identification scoring ablation            (design choice)
-//!   wal (e12) journal fsync cost + recovery replay (durability)
-//!   metrics (e13) instrumentation overhead         (observability)
-//!   conns (e14) many-connection serving memory/rtt (serving runtime)
-//!   replica (e15) read fan-out across followers
-//!   chaos (e16) adversarial scenario quality under load  (robustness)
-//!   hotpath (e17) similarity inner loop: flat kernels with the
-//!                 hot-story cache off vs on
-//!   refine (e18) refinement cost vs corpus size: the reference sweep
-//!                beside the probing, caching Refiner
+//! One module per experiment, each contributing one [`Experiment`] to
+//! [`REGISTRY`]; `all`, the name/alias lookup and the usage text (run
+//! the binary with any unknown name to read the list) are derived from
+//! it. `--json DIR` writes each table as `DIR/BENCH_<name>.json` and the
+//! count columns of all of them as `DIR/counts.txt`, one line per row;
+//! `ci.sh` diffs that file against `data/expected-counts.txt`. Clock
+//! columns (`Column::Clock` in each header) are printed and written to
+//! the JSON but never gated: timing claims are `benchmark/`'s job.
+
+use storypivot_eval::Table;
 
 mod chaos;
 mod conns;
@@ -42,50 +34,78 @@ mod hotpath;
 mod metrics;
 mod refine;
 mod replica;
+mod scale;
 mod wal;
 
-struct Scale {
-    e1_sizes: Vec<usize>,
-    e2_sizes: Vec<usize>,
-    mid: usize,
-    e8_sources: Vec<u32>,
-    per_source: usize,
-    conn_tiers: Vec<usize>,
-    refine_sizes: Vec<usize>,
+use scale::{f3, ms, Scale};
+
+/// One experiment: its command-line name (and `eNN` alias where the
+/// name is a word), the heading printed above its table, and the
+/// function that runs it.
+struct Experiment {
+    name: &'static str,
+    alias: Option<&'static str>,
+    title: &'static str,
+    run: fn(&Scale, u64) -> Table,
 }
 
-impl Scale {
-    fn quick() -> Self {
-        Scale {
-            e1_sizes: vec![500, 1_000, 2_000],
-            e2_sizes: vec![500, 1_000, 2_000],
-            mid: 1_200,
-            e8_sources: vec![2, 5, 10],
-            per_source: 60,
-            conn_tiers: vec![200, 500],
-            refine_sizes: vec![400, 800, 1_600],
-        }
+/// Every experiment, in the order `all` runs them.
+const REGISTRY: [Experiment; 17] = [
+    e1::EXPERIMENT,
+    e2::EXPERIMENT,
+    e3::EXPERIMENT,
+    e4::EXPERIMENT,
+    e5::EXPERIMENT,
+    e6::EXPERIMENT,
+    e7::EXPERIMENT,
+    e8::EXPERIMENT,
+    e9::EXPERIMENT,
+    e10::EXPERIMENT,
+    wal::EXPERIMENT,
+    metrics::EXPERIMENT,
+    conns::EXPERIMENT,
+    replica::EXPERIMENT,
+    chaos::EXPERIMENT,
+    hotpath::EXPERIMENT,
+    refine::EXPERIMENT,
+];
+
+/// The experiments `wanted` names (by name or alias), in the order
+/// given; nothing or `all` selects the whole registry. `Err` carries the
+/// first name that is not in the registry.
+fn resolve(wanted: &[String]) -> Result<Vec<&'static Experiment>, &str> {
+    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        return Ok(REGISTRY.iter().collect());
     }
+    wanted
+        .iter()
+        .map(|w| {
+            REGISTRY
+                .iter()
+                .find(|e| e.name == w || e.alias == Some(w.as_str()))
+                .ok_or(w.as_str())
+        })
+        .collect()
+}
 
-    fn full() -> Self {
-        Scale {
-            e1_sizes: vec![1_000, 2_000, 4_000, 8_000, 16_000],
-            e2_sizes: vec![1_000, 2_000, 4_000, 8_000, 16_000],
-            mid: 4_000,
-            e8_sources: vec![2, 5, 10, 20, 50],
-            per_source: 120,
-            conn_tiers: vec![1_000, 5_000, 10_000],
-            refine_sizes: vec![1_700, 5_000, 15_000],
-        }
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: harness [EXPERIMENT... | all] [--quick] [--seed <u64>] [--json <dir>]\nexperiments:\n",
+    );
+    for e in &REGISTRY {
+        let names = match e.alias {
+            Some(alias) => format!("{} ({alias})", e.name),
+            None => e.name.to_string(),
+        };
+        out.push_str(&format!("  {names:<14} {}\n", e.title));
     }
+    out
 }
 
-fn ms(nanos: f64) -> String {
-    format!("{:.4}", nanos / 1e6)
-}
-
-fn f3(x: f64) -> String {
-    format!("{x:.3}")
+/// Print `message` and the usage text, then exit 2.
+fn reject(message: String) -> ! {
+    eprintln!("{message}\n{}", usage());
+    std::process::exit(2);
 }
 
 fn main() {
@@ -98,74 +118,72 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--json" => {
-                json_dir = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a directory");
-                    std::process::exit(2);
-                }))
+                json_dir =
+                    Some(args.next().unwrap_or_else(|| reject("--json needs a directory".into())))
             }
             "--seed" => {
-                let raw = args.next().unwrap_or_else(|| {
-                    eprintln!("--seed needs a u64 value");
-                    std::process::exit(2);
-                });
-                seed = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be a u64, got {raw:?}");
-                    std::process::exit(2);
-                });
+                let raw = args.next().unwrap_or_else(|| reject("--seed needs a u64 value".into()));
+                seed = raw
+                    .parse()
+                    .unwrap_or_else(|_| reject(format!("--seed must be a u64, got {raw:?}")));
             }
-            other if other.starts_with("--") => {
-                eprintln!(
-                    "unknown flag {other:?} (flags: --quick, --seed <u64>, --json <dir>)"
-                );
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => reject(format!("unknown flag {other:?}")),
             other => wanted.push(other.to_string()),
         }
     }
+    // Every name is checked against the registry before anything runs.
+    let experiments = resolve(&wanted)
+        .unwrap_or_else(|unknown| reject(format!("unknown experiment {unknown:?}")));
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "wal", "metrics", "conns",
-            "replica", "chaos", "hotpath", "refine",
-        ]
-        .map(String::from)
-        .to_vec();
-    }
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create --json directory");
     }
     println!("seed: {seed} (corpora and injections are fully determined by it)");
-    for exp in &wanted {
-        let table = match exp.as_str() {
-            "e1" => e1::e1(&scale, seed),
-            "e2" => e2::e2(&scale, seed),
-            "e3" => e3::e3(&scale, seed),
-            "e4" => e4::e4(&scale, seed),
-            "e5" => e5::e5(&scale, seed),
-            "e6" => e6::e6(&scale, seed),
-            "e7" => e7::e7(&scale, seed),
-            "e8" => e8::e8(&scale, seed),
-            "e9" => e9::e9(seed),
-            "e10" => e10::e10(&scale, seed),
-            "wal" | "e12" => wal::e12_wal(&scale, seed),
-            "metrics" | "e13" => metrics::e13_metrics(&scale, seed),
-            "conns" | "e14" => conns::e14_conns(&scale),
-            "replica" | "e15" => replica::e15_replica(&scale, seed),
-            "chaos" | "e16" => chaos::e16_chaos(&scale, seed),
-            "hotpath" | "e17" => hotpath::e17_hotpath(&scale, seed),
-            "refine" | "e18" => refine::e18_refine(&scale, seed),
-            other => {
-                eprintln!(
-                    "unknown experiment {other:?} (use e1..e10, wal, metrics, conns, replica, \
-                     chaos, hotpath, refine, or all)"
-                );
-                continue;
-            }
-        };
+    let mut counts = String::new();
+    for exp in experiments {
+        println!("\n## {}\n", exp.title);
+        let table = (exp.run)(&scale, seed);
+        print!("{}", table.to_markdown());
         if let Some(dir) = &json_dir {
-            let path = format!("{dir}/BENCH_{exp}.json");
+            let path = format!("{dir}/BENCH_{}.json", exp.name);
             std::fs::write(&path, table.to_json()).expect("write JSON");
             eprintln!("wrote {path}");
+            counts.push_str(&table.to_counts(exp.name));
         }
+    }
+    if let Some(dir) = &json_dir {
+        let path = format!("{dir}/counts.txt");
+        std::fs::write(&path, counts).expect("write counts");
+        eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_and_aliases_are_pairwise_distinct() {
+        let mut seen = std::collections::HashSet::new();
+        for e in &REGISTRY {
+            for name in std::iter::once(e.name).chain(e.alias) {
+                assert!(seen.insert(name), "{name:?} names two experiments");
+                assert_ne!(name, "all", "`all` is reserved");
+            }
+        }
+    }
+
+    #[test]
+    fn all_is_the_registry_in_order() {
+        let names = |wanted: &[&str]| -> Vec<&str> {
+            let wanted: Vec<String> = wanted.iter().map(|w| w.to_string()).collect();
+            resolve(&wanted).expect("known names").iter().map(|e| e.name).collect()
+        };
+        let registry: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        assert_eq!(names(&["all"]), registry);
+        assert_eq!(names(&[]), registry);
+        assert_eq!(names(&["e3", "all"]), registry);
+        assert_eq!(names(&["refine", "e12", "e1"]), ["refine", "wal", "e1"]);
+        assert_eq!(resolve(&["e1".to_string(), "bogus".to_string()]).err(), Some("bogus"));
     }
 }

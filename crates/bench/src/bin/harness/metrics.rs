@@ -3,10 +3,18 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, pivot_for, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::metrics::Registry;
 
-use super::Scale;
+use super::{Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "metrics",
+    alias: Some("e13"),
+    title: "E13 — metrics instrumentation overhead (observability)",
+    run: e13_metrics,
+};
 
 /// E13 — instrumentation overhead: the same ingest stream into three
 /// engines — metrics detached (the default), attached to a *disabled*
@@ -14,8 +22,7 @@ use super::Scale;
 /// configuration), and attached to a live registry (atomic counters +
 /// mutexed histograms). Best-of-N per configuration to suppress
 /// scheduler noise; DESIGN.md §8 budgets the live overhead at < 5%.
-pub(super) fn e13_metrics(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E13 — metrics instrumentation overhead (observability)\n");
+fn e13_metrics(scale: &Scale, seed: u64) -> Table {
     const TRIALS: usize = 5;
     let corpus = corpus_fixed_period(scale.mid, 10, seed ^ 47);
     let cfg = PivotConfig::temporal(OMEGA);
@@ -50,7 +57,12 @@ pub(super) fn e13_metrics(scale: &Scale, seed: u64) -> Table {
         }
     }
     println!("best of {TRIALS} trials per configuration\n");
-    let mut table = Table::new(["config", "events", "ns/event", "overhead vs detached"]);
+    let mut table = Table::new([
+        Count("config"),
+        Count("events"),
+        Clock("ns/event"),
+        Clock("overhead vs detached"),
+    ]);
     for (slot, name) in names.iter().enumerate() {
         let overhead = if slot == 0 {
             "baseline".to_string()
@@ -64,6 +76,5 @@ pub(super) fn e13_metrics(scale: &Scale, seed: u64) -> Table {
             overhead,
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -3,10 +3,18 @@ use std::time::{Duration, Instant};
 use storypivot_bench::{corpus_fixed_period, pivot_for};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::metrics::Registry;
 
-use super::{f3, ms, Scale};
+use super::{f3, ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "refine",
+    alias: Some("e18"),
+    title: "E18 — refinement cost vs corpus size (§2.3, Fig 1d)",
+    run: e18_refine,
+};
 
 /// E18 — refinement cost vs corpus size. Two engines ingest the same
 /// stream in lockstep under the `align_refine` workload's policy
@@ -14,23 +22,22 @@ use super::{f3, ms, Scale};
 /// with `StoryPivot::refine`, the other with `refine_reference`, the
 /// original sweep. Every call's report must be equal — the run asserts
 /// it — so the rows compare two ways of computing one move list.
-pub(super) fn e18_refine(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E18 — refinement cost vs corpus size (§2.3, Fig 1d)\n");
+fn e18_refine(scale: &Scale, seed: u64) -> Table {
     const ALIGN_EVERY: usize = 256;
     let mut table = Table::new([
-        "snippets",
-        "refine calls",
-        "sweeps",
-        "moves",
-        "pairs scored (reference)",
-        "pairs scored",
-        "cache hit ratio",
-        "extended",
-        "probes reused",
-        "ms/call (reference)",
-        "ms/call",
-        "final call ms (reference)",
-        "final call ms",
+        Count("snippets"),
+        Count("refine calls"),
+        Count("sweeps"),
+        Count("moves"),
+        Count("pairs scored (reference)"),
+        Count("pairs scored"),
+        Count("cache hit ratio"),
+        Count("extended"),
+        Count("probes reused"),
+        Clock("ms/call (reference)"),
+        Clock("ms/call"),
+        Clock("final call ms (reference)"),
+        Clock("final call ms"),
     ]);
     for &n in &scale.refine_sizes {
         let corpus = corpus_fixed_period(n, 10, seed ^ 59);
@@ -92,6 +99,5 @@ pub(super) fn e18_refine(scale: &Scale, seed: u64) -> Table {
             ms(last[0].as_nanos() as f64),
         ]);
     }
-    print!("{}", table.to_markdown());
     table
 }

@@ -1,20 +1,27 @@
 use std::time::{Duration, Instant};
 
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_gen::{CorpusBuilder, GenConfig};
 use storypivot_substrate::wal::SyncPolicy;
 
-use super::Scale;
+use super::{Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "replica",
+    alias: Some("e15"),
+    title: "E15 — follower read fan-out",
+    run: e15_replica,
+};
 
 /// E15 — replication: aggregate QUERY_STORIES throughput as follower
 /// replicas join the read path (`BENCH_replica.json`, long format).
-pub(super) fn e15_replica(scale: &Scale, seed: u64) -> Table {
+fn e15_replica(scale: &Scale, seed: u64) -> Table {
     use storypivot_serve::client::Client;
     use storypivot_serve::load::{query_fanout, replay, LoadOptions, QueryOptions};
     use storypivot_serve::server::{serve, ServerConfig};
 
-    println!("\n## E15 — follower read fan-out\n");
-    let mut table = Table::new(["phase", "config", "metric", "value"]);
+    let mut table = Table::new([Count("phase"), Count("config"), Count("metric"), Clock("value")]);
     let base = std::env::temp_dir().join(format!("storypivot-e15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("e15 scratch dir");
@@ -136,6 +143,5 @@ pub(super) fn e15_replica(scale: &Scale, seed: u64) -> Table {
     leader.join();
 
     let _ = std::fs::remove_dir_all(&base);
-    print!("{}", table.to_markdown());
     table
 }

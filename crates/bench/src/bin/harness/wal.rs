@@ -4,22 +4,36 @@ use storypivot_bench::corpus_fixed_period;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::oplog::{replay_op, ReplayOp};
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal};
 
-use super::{ms, Scale};
+use super::{ms, Experiment, Scale};
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    name: "wal",
+    alias: Some("e12"),
+    title: "E12 — WAL fsync cost and recovery replay (durability)",
+    run: e12_wal,
+};
 
 /// E12 — durability cost and recovery speed: journaled ingest under each
 /// fsync policy vs the unjournaled baseline, and scan+replay time as a
 /// function of journal length. Measures the same WAL + oplog machinery
 /// pivotd runs, without the network in the way.
-pub(super) fn e12_wal(scale: &Scale, seed: u64) -> Table {
-    println!("\n## E12 — WAL fsync cost and recovery replay (durability)\n");
+fn e12_wal(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 8, seed ^ 43);
     let dir = std::env::temp_dir().join(format!("storypivot-harness-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create WAL scratch dir");
-    let mut table = Table::new(["mode", "fsync", "events", "ms/event", "wal KiB", "recover ms"]);
+    let mut table = Table::new([
+        Count("mode"),
+        Count("fsync"),
+        Count("events"),
+        Clock("ms/event"),
+        Count("wal KiB"),
+        Clock("recover ms"),
+    ]);
     // Flush-only pipeline: isolates journaling cost from alignment.
     let fresh = || {
         DynamicPivot::new(
@@ -111,6 +125,5 @@ pub(super) fn e12_wal(scale: &Scale, seed: u64) -> Table {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    print!("{}", table.to_markdown());
     table
 }

@@ -1,22 +1,53 @@
 //! Plain-text result tables (markdown-compatible) for the experiment
 //! harness and EXPERIMENTS.md.
+//!
+//! A table knows which of its columns are clocks — declared once, where
+//! the header is written, as [`Column::Clock`] — so the same rows render as a
+//! figure (markdown, JSON: every column) and as a gate
+//! ([`Table::to_counts`]: only the columns that repeat exactly for a
+//! seed).
 
 use std::fmt::Write as _;
+
+/// One column header of a [`Table`], saying which kind of cell it holds.
+/// A plain string converts to [`Column::Count`].
+#[derive(Debug, Clone, Copy)]
+pub enum Column<'a> {
+    /// Cells that repeat exactly for a seed: sizes, comparisons, pairs
+    /// scored, F-measures, labels.
+    Count(&'a str),
+    /// Measured cells — wall time, resident memory, anything that
+    /// depends on the machine and the scheduler. Rendered like every
+    /// other column and left out of [`Table::to_counts`].
+    Clock(&'a str),
+}
+
+impl<'a> From<&'a str> for Column<'a> {
+    fn from(name: &'a str) -> Self {
+        Column::Count(name)
+    }
+}
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
+    /// Parallel to `header`: whether the column is a clock.
+    clocks: Vec<bool>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// A table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
-        Table {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+    pub fn new<'a, C: Into<Column<'a>>, I: IntoIterator<Item = C>>(header: I) -> Self {
+        let (header, clocks) = header
+            .into_iter()
+            .map(|c| match c.into() {
+                Column::Count(name) => (name.to_string(), false),
+                Column::Clock(name) => (name.to_string(), true),
+            })
+            .unzip();
+        Table { header, clocks, rows: Vec::new() }
     }
 
     /// Append one row (must match the header width).
@@ -96,6 +127,26 @@ impl Table {
         out.push(']');
         out
     }
+
+    /// The rows as gate lines: one per row, `experiment<TAB>column=value…`
+    /// over the count columns in header order, clock columns omitted.
+    /// Empty when the table has no count column.
+    pub fn to_counts(&self, experiment: &str) -> String {
+        let mut out = String::new();
+        if self.clocks.iter().all(|&clock| clock) {
+            return out;
+        }
+        for row in &self.rows {
+            out.push_str(experiment);
+            for ((name, cell), _) in
+                self.header.iter().zip(row).zip(&self.clocks).filter(|(_, &clock)| !clock)
+            {
+                let _ = write!(out, "\t{name}={cell}");
+            }
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// A cell as a JSON value: bare if it parses as a finite JSON number
@@ -138,6 +189,7 @@ fn json_string(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::Column::{Clock, Count};
     use super::*;
 
     #[test]
@@ -151,6 +203,40 @@ mod tests {
         assert_eq!(md.lines().count(), 4);
         // Separator row present.
         assert!(md.lines().nth(1).unwrap().starts_with("|--"));
+    }
+
+    #[test]
+    fn clock_columns_render_everywhere_but_in_the_counts() {
+        let header = ["events", "ms/event", "stories", "p95 ms", "note"];
+        let rows = [["500", "0.0089", "82", "0.0152", "-"], ["1000", "0.0106", "180", "0.0184", "ok"]];
+        let mut plain = Table::new(header);
+        let mut clocked = Table::new([
+            Count("events"),
+            Clock("ms/event"),
+            Count("stories"),
+            Clock("p95 ms"),
+            Count("note"),
+        ]);
+        for row in rows {
+            plain.row(row);
+            clocked.row(row);
+        }
+        // Declaring clocks changes neither rendering.
+        assert_eq!(clocked.to_markdown(), plain.to_markdown());
+        assert_eq!(clocked.to_json(), plain.to_json());
+        // The counts hold exactly the count cells, in header order.
+        assert_eq!(
+            clocked.to_counts("e1"),
+            "e1\tevents=500\tstories=82\tnote=-\ne1\tevents=1000\tstories=180\tnote=ok\n"
+        );
+    }
+
+    #[test]
+    fn a_clock_only_table_has_no_counts() {
+        let mut t = Table::new([Clock("connect s"), Clock("p99 us")]);
+        t.row(["4.11", "393.2"]);
+        assert!(t.to_markdown().contains("| 4.11      | 393.2  |"));
+        assert_eq!(t.to_counts("conns"), "");
     }
 
     #[test]
