@@ -90,7 +90,8 @@ fn resolve(wanted: &[String]) -> Result<Vec<&'static Experiment>, &str> {
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage: harness [EXPERIMENT... | all] [--quick] [--seed <u64>] [--json <dir>]\nexperiments:\n",
+        "usage: harness [EXPERIMENT... | all] [--quick] [--seed <u64>] [--json <dir>]\n\
+         experiments:\n",
     );
     for e in &REGISTRY {
         let names = match e.alias {

@@ -275,18 +275,7 @@ impl StoryPivot {
         let timer = self.metrics.identify_duration.start();
         let decision = ident.assign(snippet, &self.store);
         drop(timer);
-        self.metrics.ingest_total.inc();
-        self.metrics.identify_compared_total.add(decision.compared as u64);
-        if decision.created {
-            self.metrics.identify_new_story_total.inc();
-        } else {
-            self.metrics.identify_assigned_total.inc();
-        }
-        self.metrics.identify_merge_total.add(decision.merged.len() as u64);
-        self.metrics.story_cache_hits_total.add(decision.cache_hits as u64);
-        self.metrics.story_cache_misses_total.add(decision.cache_misses as u64);
-        self.touched.insert(decision.story);
-        self.touched.extend(decision.merged.iter().copied());
+        Self::record_decision(&self.metrics, &mut self.touched, &decision);
         if ident.maintenance_due() {
             let report = if reference {
                 ident.maintain_reference(&self.store)
@@ -296,6 +285,29 @@ impl StoryPivot {
             Self::record_pass(&self.metrics, &mut self.touched, &report);
         }
         Ok(decision)
+    }
+
+    /// Book one identification decision: the ingest and per-decision
+    /// counters, and the joined and merged-away stories as touched. The
+    /// one booking routine of the sequential and the parallel path.
+    #[inline]
+    fn record_decision(
+        metrics: &EngineMetrics,
+        touched: &mut Touched,
+        decision: &IdentifyDecision,
+    ) {
+        metrics.ingest_total.inc();
+        metrics.identify_compared_total.add(decision.compared as u64);
+        if decision.created {
+            metrics.identify_new_story_total.inc();
+        } else {
+            metrics.identify_assigned_total.inc();
+        }
+        metrics.identify_merge_total.add(decision.merged.len() as u64);
+        metrics.story_cache_hits_total.add(decision.cache_hits as u64);
+        metrics.story_cache_misses_total.add(decision.cache_misses as u64);
+        touched.insert(decision.story);
+        touched.extend(decision.merged.iter().copied());
     }
 
     /// Book one source's maintenance pass: the counters, and every
@@ -343,33 +355,30 @@ impl StoryPivot {
         }
 
         let store = &self.store;
-        let mut touched: Vec<(Vec<StoryId>, MaintenanceReport)> = Vec::new();
+        let mut outcomes: Vec<(Vec<IdentifyDecision>, MaintenanceReport)> = Vec::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (source, ident) in self.identifiers.iter_mut() {
                 let Some(batch) = by_source.remove(source) else { continue };
                 handles.push(scope.spawn(move || {
-                    let mut touched = Vec::with_capacity(batch.len());
-                    for s in &batch {
-                        let d = ident.assign(s, store);
-                        touched.push(d.story);
-                        touched.extend(d.merged);
-                    }
-                    (touched, ident.maintain(store))
+                    let decisions: Vec<IdentifyDecision> =
+                        batch.iter().map(|s| ident.assign(s, store)).collect();
+                    (decisions, ident.maintain(store))
                 }));
             }
             for h in handles {
-                touched.push(h.join().expect("identification thread panicked"));
+                outcomes.push(h.join().expect("identification thread panicked"));
             }
         });
-        for (stories, report) in touched {
-            self.touched.extend(stories);
+        // Booked after the join, through the routine `ingest_with` uses,
+        // so an engine fed in batches exposes the same counters as one
+        // fed the same per-source order snippet by snippet.
+        for (decisions, report) in outcomes {
+            for decision in &decisions {
+                Self::record_decision(&self.metrics, &mut self.touched, decision);
+            }
             Self::record_pass(&self.metrics, &mut self.touched, &report);
         }
-        // Beyond the maintenance passes the parallel path records only
-        // the ingest count; per-decision counters stay on the sequential
-        // (serving) path.
-        self.metrics.ingest_total.add(total as u64);
         Ok(total)
     }
 

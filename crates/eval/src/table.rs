@@ -149,22 +149,57 @@ impl Table {
     }
 }
 
-/// A cell as a JSON value: bare if it parses as a finite JSON number
-/// (no leading `+`, no `1.` / `.5` forms), a string otherwise.
+/// A cell as a JSON value: bare if it is a JSON number, a string
+/// otherwise.
 fn json_cell(cell: &str) -> String {
-    let numeric = cell.parse::<f64>().is_ok_and(f64::is_finite)
-        && !cell.starts_with('+')
-        && !cell.ends_with('.')
-        && !cell.starts_with('.')
-        && !cell.starts_with("-.")
-        && !cell.eq_ignore_ascii_case("nan")
-        && !cell.contains("inf")
-        && !cell.contains("Inf");
-    if numeric {
+    if is_json_number(cell) {
         cell.to_string()
     } else {
         json_string(cell)
     }
+}
+
+/// The JSON number grammar:
+/// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`. What Rust's
+/// `f64::from_str` accepts is wider (`007`, `+1`, `1.`, `.5`, `inf`) and
+/// no JSON parser takes those bare.
+fn is_json_number(cell: &str) -> bool {
+    let b = cell.as_bytes();
+    let mut i = 0;
+    // Skips a run of digits, returning how many there were.
+    let digits = |i: &mut usize| {
+        let start = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - start
+    };
+    if b.get(i) == Some(&b'-') {
+        i += 1;
+    }
+    match b.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if b.get(i) == Some(&b'.') {
+        i += 1;
+        if digits(&mut i) == 0 {
+            return false;
+        }
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(b.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if digits(&mut i) == 0 {
+            return false;
+        }
+    }
+    i == b.len()
 }
 
 fn json_string(s: &str) -> String {
@@ -208,7 +243,8 @@ mod tests {
     #[test]
     fn clock_columns_render_everywhere_but_in_the_counts() {
         let header = ["events", "ms/event", "stories", "p95 ms", "note"];
-        let rows = [["500", "0.0089", "82", "0.0152", "-"], ["1000", "0.0106", "180", "0.0184", "ok"]];
+        let rows =
+            [["500", "0.0089", "82", "0.0152", "-"], ["1000", "0.0106", "180", "0.0184", "ok"]];
         let mut plain = Table::new(header);
         let mut clocked = Table::new([
             Count("events"),
@@ -260,5 +296,26 @@ mod tests {
         assert!(json.contains("\"f1\": \"-\""));
         assert!(json.contains("\"note\": \"inf\""));
         assert_eq!(json.matches('{').count(), 2);
+
+        // Bare exactly when the JSON number grammar says so: what
+        // `f64::from_str` also accepts (leading zeros, `+`, a bare dot,
+        // the named non-finites) must come out quoted.
+        let cell = |c: &str| {
+            let mut t = Table::new(["c"]);
+            t.row([c]);
+            t.to_json()
+        };
+        for bare in ["0", "-0", "7", "-12", "0.5", "-0.25", "1e5", "1E-5", "2.5e+10"] {
+            assert!(cell(bare).contains(&format!("\"c\": {bare}}}")), "{bare} must stay bare");
+        }
+        for quoted in
+            ["007", "-01", "00.5", "+1", "1.", ".5", "-.5", "NaN", "inf", "-inf", "1e", "1e+", "-", ""]
+        {
+            assert!(
+                cell(quoted).contains(&format!("\"c\": \"{quoted}\"}}")),
+                "{quoted:?} is not a JSON number: {}",
+                cell(quoted)
+            );
+        }
     }
 }

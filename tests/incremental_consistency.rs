@@ -4,9 +4,11 @@
 use std::collections::HashSet;
 
 use storypivot::core::config::PivotConfig;
+use storypivot::core::metrics::EngineMetrics;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
 use storypivot::store::codec::{decode_store, encode_store};
+use storypivot::substrate::metrics::Registry;
 use storypivot::types::DAY;
 
 fn corpus(target: usize, sources: u32, seed: u64) -> storypivot::gen::Corpus {
@@ -313,7 +315,50 @@ fn assignment_table_tracks_member_lists_through_every_op() {
     }
     assert!(split_on_ingest > 0, "no split during ingest");
 
-    // Parallel per-source identification of a batch.
+    // Parallel per-source identification of a batch. It books what the
+    // sequential path books: two live-registry engines off one
+    // checkpoint, one fed the batch, one fed the same per-source order
+    // snippet by snippet, expose equal per-decision counters. (Cadence
+    // off and one pass on the twin: the batch path maintains each source
+    // once at the end.)
+    let image = pivot.save_checkpoint();
+    let live_engine = || {
+        let registry = Registry::new();
+        let mut engine = StoryPivot::load_checkpoint(config.clone(), &image).unwrap();
+        engine.set_metrics(EngineMetrics::register(&registry));
+        (engine, registry)
+    };
+    let (mut batched, batched_registry) = live_engine();
+    let (mut twin, twin_registry) = live_engine();
+    batched.ingest_batch_parallel(for_batch.to_vec()).unwrap();
+    let mut in_order = for_batch.to_vec();
+    in_order.sort_by_key(|s| (s.timestamp, s.id));
+    for s in in_order {
+        twin.ingest_detailed(s).unwrap();
+    }
+    twin.run_maintenance();
+    assert_eq!(batched.story_partition(), twin.story_partition());
+    for name in [
+        "storypivot_ingest_total",
+        "storypivot_identify_compared_total",
+        "storypivot_identify_new_story_total",
+        "storypivot_identify_assigned_total",
+        "storypivot_identify_merge_total",
+        "storypivot_story_cache_hits_total",
+        "storypivot_story_cache_misses_total",
+    ] {
+        let sequential = twin_registry.snapshot().counter_value(name, &[]);
+        assert!(sequential.is_some(), "{name} is not registered");
+        assert_eq!(
+            batched_registry.snapshot().counter_value(name, &[]),
+            sequential,
+            "{name}: ingest_batch_parallel (left) vs ingest_detailed (right)"
+        );
+    }
+    assert!(
+        twin_registry.snapshot().counter_value("storypivot_identify_compared_total", &[]) > Some(0)
+    );
+
     pivot.ingest_batch_parallel(for_batch.to_vec()).unwrap();
     check(&mut pivot, &mut shadow, "ingest_batch_parallel");
 
