@@ -1,4 +1,3 @@
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{f3, Experiment, Scale};
@@ -23,18 +22,9 @@ fn e16_chaos(scale: &Scale, seed: u64) -> Table {
     use storypivot_serve::server::{serve, ServerConfig};
     use storypivot_gen::scenario;
 
-    let mut table = Table::new([
-        Count("scenario"),
-        Count("events"),
-        Count("removed"),
-        Count("segments"),
-        Count("busy"),
-        Count("shed"),
-        Clock("events_per_s"),
-        Count("pair F1"),
-        Count("precision"),
-        Count("recall"),
-    ]);
+    let mut table = Table::new(["scenario", "events", "removed", "segments", "busy", "shed"])
+        .clocks(["events_per_s"])
+        .counts(["pair F1", "precision", "recall"]);
     for name in scenario::BUILTIN {
         let script = scenario::by_name(name, scale.mid, seed ^ 0xE16)
             .expect("builtin scenario");

@@ -1,6 +1,5 @@
 use std::time::Duration;
 
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{Experiment, Scale};
@@ -63,16 +62,14 @@ fn e14_conns(scale: &Scale, _seed: u64) -> Table {
     let addr = handle.addr();
     let fd_limit = fd_soft_limit();
 
-    let mut table = Table::new([
-        Count("connections"),
-        Count("requests"),
-        Clock("connect s"),
-        Clock("storm s"),
-        Clock("peak ΔRSS KiB"),
-        Clock("KiB/conn"),
-        Clock("p50 µs"),
-        Clock("p95 µs"),
-        Clock("p99 µs"),
+    let mut table = Table::new(["connections", "requests"]).clocks([
+        "connect s",
+        "storm s",
+        "peak ΔRSS KiB",
+        "KiB/conn",
+        "p50 µs",
+        "p95 µs",
+        "p99 µs",
     ]);
     for &conns in &scale.conn_tiers {
         // In-process storm: every connection is two descriptors (client

@@ -1,7 +1,6 @@
 use storypivot_bench::{corpus_constant_density, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{ms, Experiment, Scale};
@@ -16,15 +15,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// E1 — Figure 7, performance panel: per-event identification time as
 /// the number of events grows, at constant event density.
 fn e1(scale: &Scale, seed: u64) -> Table {
-    let mut table = Table::new([
-        Count("events"),
-        Count("SI method"),
-        Clock("ms/event"),
-        Clock("p50 ms"),
-        Clock("p95 ms"),
-        Count("comparisons"),
-        Count("stories"),
-    ]);
+    let mut table = Table::new(["events", "SI method"])
+        .clocks(["ms/event", "p50 ms", "p95 ms"])
+        .counts(["comparisons", "stories"]);
     for &n in &scale.e1_sizes {
         let corpus = corpus_constant_density(n, 10, seed ^ 7);
         for (name, cfg) in [

@@ -1,7 +1,6 @@
 use storypivot_bench::corpus_fixed_period;
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_types::DAY;
 
@@ -18,13 +17,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// complete mode is the ω → ∞ limit.
 fn e3(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 10, seed ^ 13);
-    let mut table = Table::new([
-        Count("omega"),
-        Clock("ms/event"),
-        Count("comparisons"),
-        Count("SI F1"),
-        Count("SA F1"),
-    ]);
+    let mut table = Table::new(["omega"])
+        .clocks(["ms/event"])
+        .counts(["comparisons", "SI F1", "SA F1"]);
     for days in [1i64, 3, 7, 14, 30, 90] {
         let r = run(&corpus, PivotConfig::temporal(days * DAY), RunOptions::default());
         table.row([

@@ -3,7 +3,6 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::alignment_scores;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_sketch::HashFamily;
 
@@ -23,13 +22,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// more beside the pass.
 fn e4(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 20, seed ^ 17);
-    let mut table = Table::new([
-        Count("comparison"),
-        Clock("align ms"),
-        Clock("sketch build ms"),
-        Count("pairs scored"),
-        Count("SA F1"),
-    ]);
+    let mut table = Table::new(["comparison"])
+        .clocks(["align ms", "sketch build ms"])
+        .counts(["pairs scored", "SA F1"]);
     let mut configs = vec![("exact".to_string(), false, 128usize)];
     for k in [32usize, 64, 128, 256] {
         configs.push((format!("minhash k={k}"), true, k));

@@ -2,7 +2,6 @@ use std::time::Instant;
 
 use storypivot_bench::{corpus_fixed_period, pivot_for, OMEGA};
 use storypivot_core::config::PivotConfig;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{ms, Experiment, Scale};
@@ -17,13 +16,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// E6 — incremental source onboarding vs full re-alignment.
 fn e6(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid, 12, seed ^ 23);
-    let mut table = Table::new([
-        Count("step"),
-        Clock("align ms"),
-        Count("pairs scored"),
-        Count("global stories"),
-        Count("same partition"),
-    ]);
+    let mut table = Table::new(["step"])
+        .clocks(["align ms"])
+        .counts(["pairs scored", "global stories", "same partition"]);
 
     // Ingest the first 10 sources, align.
     let cfg = PivotConfig::temporal(OMEGA);

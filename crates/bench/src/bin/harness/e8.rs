@@ -3,7 +3,6 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::{run, RunOptions};
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{f3, ms, Experiment, Scale};
@@ -18,14 +17,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// E8 — scaling with the number of sources (the Figure 7 dataset panel
 /// lists 50 sources).
 fn e8(scale: &Scale, seed: u64) -> Table {
-    let mut table = Table::new([
-        Count("sources"),
-        Count("events"),
-        Clock("ingest ms/event"),
-        Clock("align ms"),
-        Count("pairs scored"),
-        Count("SA F1"),
-    ]);
+    let mut table = Table::new(["sources", "events"])
+        .clocks(["ingest ms/event", "align ms"])
+        .counts(["pairs scored", "SA F1"]);
     for &n_sources in &scale.e8_sources {
         let target = scale.per_source * n_sources as usize;
         let corpus = corpus_fixed_period(target, n_sources, seed ^ 31);

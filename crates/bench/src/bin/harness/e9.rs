@@ -3,7 +3,6 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, ingest_all, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_eval::run::identification_scores;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 
 use super::{f3, ms, Experiment, Scale};
@@ -55,7 +54,7 @@ fn e9(_scale: &Scale, seed: u64) -> Table {
     let rebuild_nanos = t.elapsed().as_nanos() as f64;
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let mut table = Table::new([Count("operation"), Clock("mean ms"), Count("SI F1 impact")]);
+    let mut table = Table::new(["operation"]).clocks(["mean ms"]).counts(["SI F1 impact"]);
     table.row([
         "remove doc + realign (incremental)".to_string(),
         ms(mean(&remove_nanos)),

@@ -2,7 +2,6 @@ use std::time::{Duration, Instant};
 
 use storypivot_bench::{corpus_fixed_period, OMEGA};
 use storypivot_core::config::PivotConfig;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_types::SnippetId;
 
@@ -125,15 +124,9 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     );
     println!("best of {TRIALS} trials per configuration\n");
 
-    let mut table = Table::new([
-        Count("config"),
-        Count("events"),
-        Clock("ns/event"),
-        Clock("speedup vs cache off"),
-        Count("cache hits"),
-        Count("cache misses"),
-        Count("hit rate"),
-    ]);
+    let mut table = Table::new(["config", "events"])
+        .clocks(["ns/event", "speedup vs cache off"])
+        .counts(["cache hits", "cache misses", "hit rate"]);
     let baseline_ns = best[0].ns_per_event;
     for (slot, &(name, _)) in configs.iter().enumerate() {
         let r = &best[slot];

@@ -13,7 +13,7 @@
 //! it. `--json DIR` writes each table as `DIR/BENCH_<name>.json` and the
 //! count columns of all of them as `DIR/counts.txt`, one line per row;
 //! `ci.sh` diffs that file against `data/expected-counts.txt`. Clock
-//! columns (`Column::Clock` in each header) are printed and written to
+//! columns (`Table::clocks` in each header) are printed and written to
 //! the JSON but never gated: timing claims are `benchmark/`'s job.
 
 use storypivot_eval::Table;

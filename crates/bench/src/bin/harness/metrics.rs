@@ -3,7 +3,6 @@ use std::time::Instant;
 use storypivot_bench::{corpus_fixed_period, pivot_for, OMEGA};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::metrics::Registry;
 
@@ -57,12 +56,7 @@ fn e13_metrics(scale: &Scale, seed: u64) -> Table {
         }
     }
     println!("best of {TRIALS} trials per configuration\n");
-    let mut table = Table::new([
-        Count("config"),
-        Count("events"),
-        Clock("ns/event"),
-        Clock("overhead vs detached"),
-    ]);
+    let mut table = Table::new(["config", "events"]).clocks(["ns/event", "overhead vs detached"]);
     for (slot, name) in names.iter().enumerate() {
         let overhead = if slot == 0 {
             "baseline".to_string()

@@ -3,7 +3,6 @@ use std::time::{Duration, Instant};
 use storypivot_bench::{corpus_fixed_period, pivot_for};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::metrics::Registry;
 
@@ -25,20 +24,17 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 fn e18_refine(scale: &Scale, seed: u64) -> Table {
     const ALIGN_EVERY: usize = 256;
     let mut table = Table::new([
-        Count("snippets"),
-        Count("refine calls"),
-        Count("sweeps"),
-        Count("moves"),
-        Count("pairs scored (reference)"),
-        Count("pairs scored"),
-        Count("cache hit ratio"),
-        Count("extended"),
-        Count("probes reused"),
-        Clock("ms/call (reference)"),
-        Clock("ms/call"),
-        Clock("final call ms (reference)"),
-        Clock("final call ms"),
-    ]);
+        "snippets",
+        "refine calls",
+        "sweeps",
+        "moves",
+        "pairs scored (reference)",
+        "pairs scored",
+        "cache hit ratio",
+        "extended",
+        "probes reused",
+    ])
+    .clocks(["ms/call (reference)", "ms/call", "final call ms (reference)", "final call ms"]);
     for &n in &scale.refine_sizes {
         let corpus = corpus_fixed_period(n, 10, seed ^ 59);
         let registries = [Registry::new(), Registry::new()];

@@ -1,6 +1,5 @@
 use std::time::{Duration, Instant};
 
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_gen::{CorpusBuilder, GenConfig};
 use storypivot_substrate::wal::SyncPolicy;
@@ -21,7 +20,7 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
     use storypivot_serve::load::{query_fanout, replay, LoadOptions, QueryOptions};
     use storypivot_serve::server::{serve, ServerConfig};
 
-    let mut table = Table::new([Count("phase"), Count("config"), Count("metric"), Clock("value")]);
+    let mut table = Table::new(["phase", "config", "metric"]).clocks(["value"]);
     let base = std::env::temp_dir().join(format!("storypivot-e15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("e15 scratch dir");

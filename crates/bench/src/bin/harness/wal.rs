@@ -4,7 +4,6 @@ use storypivot_bench::corpus_fixed_period;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::oplog::{replay_op, ReplayOp};
 use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
-use storypivot_eval::table::Column::{Clock, Count};
 use storypivot_eval::Table;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal};
 
@@ -26,14 +25,10 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
     let dir = std::env::temp_dir().join(format!("storypivot-harness-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create WAL scratch dir");
-    let mut table = Table::new([
-        Count("mode"),
-        Count("fsync"),
-        Count("events"),
-        Clock("ms/event"),
-        Count("wal KiB"),
-        Clock("recover ms"),
-    ]);
+    let mut table = Table::new(["mode", "fsync", "events"])
+        .clocks(["ms/event"])
+        .counts(["wal KiB"])
+        .clocks(["recover ms"]);
     // Flush-only pipeline: isolates journaling cost from alignment.
     let fresh = || {
         DynamicPivot::new(

@@ -2,52 +2,49 @@
 //! harness and EXPERIMENTS.md.
 //!
 //! A table knows which of its columns are clocks — declared once, where
-//! the header is written, as [`Column::Clock`] — so the same rows render as a
-//! figure (markdown, JSON: every column) and as a gate
+//! the header is written ([`Table::clocks`]) — so the same rows render
+//! as a figure (markdown, JSON: every column) and as a gate
 //! ([`Table::to_counts`]: only the columns that repeat exactly for a
 //! seed).
 
 use std::fmt::Write as _;
-
-/// One column header of a [`Table`], saying which kind of cell it holds.
-/// A plain string converts to [`Column::Count`].
-#[derive(Debug, Clone, Copy)]
-pub enum Column<'a> {
-    /// Cells that repeat exactly for a seed: sizes, comparisons, pairs
-    /// scored, F-measures, labels.
-    Count(&'a str),
-    /// Measured cells — wall time, resident memory, anything that
-    /// depends on the machine and the scheduler. Rendered like every
-    /// other column and left out of [`Table::to_counts`].
-    Clock(&'a str),
-}
-
-impl<'a> From<&'a str> for Column<'a> {
-    fn from(name: &'a str) -> Self {
-        Column::Count(name)
-    }
-}
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
     /// Parallel to `header`: whether the column is a clock.
-    clocks: Vec<bool>,
+    is_clock: Vec<bool>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// A table with the given column headers.
-    pub fn new<'a, C: Into<Column<'a>>, I: IntoIterator<Item = C>>(header: I) -> Self {
-        let (header, clocks) = header
-            .into_iter()
-            .map(|c| match c.into() {
-                Column::Count(name) => (name.to_string(), false),
-                Column::Clock(name) => (name.to_string(), true),
-            })
-            .unzip();
-        Table { header, clocks, rows: Vec::new() }
+    /// A table whose first columns are the given count columns.
+    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+        Table::default().counts(header)
+    }
+
+    /// Append count columns to the header: cells that repeat exactly for
+    /// a seed (sizes, comparisons, pairs scored, F-measures, labels).
+    pub fn counts<S: Into<String>, I: IntoIterator<Item = S>>(self, header: I) -> Self {
+        self.columns(header, false)
+    }
+
+    /// Append clock columns to the header: measured cells — wall time,
+    /// resident memory, anything that depends on the machine and the
+    /// scheduler. They render like every other column and are left out
+    /// of [`Table::to_counts`].
+    pub fn clocks<S: Into<String>, I: IntoIterator<Item = S>>(self, header: I) -> Self {
+        self.columns(header, true)
+    }
+
+    fn columns<S: Into<String>>(mut self, names: impl IntoIterator<Item = S>, clock: bool) -> Self {
+        assert!(self.rows.is_empty(), "the header is complete before the first row");
+        for name in names {
+            self.header.push(name.into());
+            self.is_clock.push(clock);
+        }
+        self
     }
 
     /// Append one row (must match the header width).
@@ -133,13 +130,13 @@ impl Table {
     /// Empty when the table has no count column.
     pub fn to_counts(&self, experiment: &str) -> String {
         let mut out = String::new();
-        if self.clocks.iter().all(|&clock| clock) {
+        if self.is_clock.iter().all(|&clock| clock) {
             return out;
         }
         for row in &self.rows {
             out.push_str(experiment);
             for ((name, cell), _) in
-                self.header.iter().zip(row).zip(&self.clocks).filter(|(_, &clock)| !clock)
+                self.header.iter().zip(row).zip(&self.is_clock).filter(|(_, &clock)| !clock)
             {
                 let _ = write!(out, "\t{name}={cell}");
             }
@@ -164,42 +161,20 @@ fn json_cell(cell: &str) -> String {
 /// `f64::from_str` accepts is wider (`007`, `+1`, `1.`, `.5`, `inf`) and
 /// no JSON parser takes those bare.
 fn is_json_number(cell: &str) -> bool {
-    let b = cell.as_bytes();
-    let mut i = 0;
-    // Skips a run of digits, returning how many there were.
-    let digits = |i: &mut usize| {
-        let start = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i - start
+    let digits = |d: &str| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = cell.strip_prefix('-').unwrap_or(cell);
+    let (mantissa, exponent) = match unsigned.split_once(['e', 'E']) {
+        Some((m, e)) => (m, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
+        None => (unsigned, None),
     };
-    if b.get(i) == Some(&b'-') {
-        i += 1;
-    }
-    match b.get(i) {
-        Some(b'0') => i += 1,
-        Some(b'1'..=b'9') => {
-            digits(&mut i);
-        }
-        _ => return false,
-    }
-    if b.get(i) == Some(&b'.') {
-        i += 1;
-        if digits(&mut i) == 0 {
-            return false;
-        }
-    }
-    if matches!(b.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        if matches!(b.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        if digits(&mut i) == 0 {
-            return false;
-        }
-    }
-    i == b.len()
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((i, f)) => (i, Some(f)),
+        None => (mantissa, None),
+    };
+    digits(int)
+        && (int == "0" || !int.starts_with('0'))
+        && frac.is_none_or(digits)
+        && exponent.is_none_or(digits)
 }
 
 fn json_string(s: &str) -> String {
@@ -224,7 +199,6 @@ fn json_string(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::Column::{Clock, Count};
     use super::*;
 
     #[test]
@@ -246,13 +220,11 @@ mod tests {
         let rows =
             [["500", "0.0089", "82", "0.0152", "-"], ["1000", "0.0106", "180", "0.0184", "ok"]];
         let mut plain = Table::new(header);
-        let mut clocked = Table::new([
-            Count("events"),
-            Clock("ms/event"),
-            Count("stories"),
-            Clock("p95 ms"),
-            Count("note"),
-        ]);
+        let mut clocked = Table::new(["events"])
+            .clocks(["ms/event"])
+            .counts(["stories"])
+            .clocks(["p95 ms"])
+            .counts(["note"]);
         for row in rows {
             plain.row(row);
             clocked.row(row);
@@ -269,7 +241,7 @@ mod tests {
 
     #[test]
     fn a_clock_only_table_has_no_counts() {
-        let mut t = Table::new([Clock("connect s"), Clock("p99 us")]);
+        let mut t = Table::default().clocks(["connect s", "p99 us"]);
         t.row(["4.11", "393.2"]);
         assert!(t.to_markdown().contains("| 4.11      | 393.2  |"));
         assert_eq!(t.to_counts("conns"), "");
@@ -309,7 +281,7 @@ mod tests {
             assert!(cell(bare).contains(&format!("\"c\": {bare}}}")), "{bare} must stay bare");
         }
         for quoted in
-            ["007", "-01", "00.5", "+1", "1.", ".5", "-.5", "NaN", "inf", "-inf", "1e", "1e+", "-", ""]
+            ["007", "-01", "00.5", "+1", "1.", ".5", "-.5", "NaN", "inf", "-inf", "1e", "1e+", "-"]
         {
             assert!(
                 cell(quoted).contains(&format!("\"c\": \"{quoted}\"}}")),
