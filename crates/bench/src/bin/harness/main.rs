@@ -16,6 +16,8 @@
 //! columns (`Table::clocks` in each header) are printed and written to
 //! the JSON but never gated: timing claims are `benchmark/`'s job.
 
+use std::fmt::Write as _;
+
 use storypivot_eval::Table;
 
 mod chaos;
@@ -98,7 +100,7 @@ fn usage() -> String {
             Some(alias) => format!("{} ({alias})", e.name),
             None => e.name.to_string(),
         };
-        out.push_str(&format!("  {names:<14} {}\n", e.title));
+        let _ = writeln!(out, "  {names:<14} {}", e.title);
     }
     out
 }

@@ -135,10 +135,10 @@ impl Table {
         }
         for row in &self.rows {
             out.push_str(experiment);
-            for ((name, cell), _) in
-                self.header.iter().zip(row).zip(&self.is_clock).filter(|(_, &clock)| !clock)
-            {
-                let _ = write!(out, "\t{name}={cell}");
+            for ((name, cell), &clock) in self.header.iter().zip(row).zip(&self.is_clock) {
+                if !clock {
+                    let _ = write!(out, "\t{name}={cell}");
+                }
             }
             out.push('\n');
         }
