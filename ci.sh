@@ -28,7 +28,7 @@ echo "==> benchmark package (separate workspace; path-depends on the crates' pub
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> gate: experiment harness counts (14 in-process experiments, --quick)"
+echo "==> gate: experiment harness counts (14 in-process experiments, --quick) + spbench counts"
 SMOKE_DIR="$(mktemp -d)"
 PIVOTD_PID=""
 REPLICA_PID=""
@@ -57,14 +57,38 @@ trap cleanup EXIT
 # the MinHash signatures alignment derives from story centroids — must
 # score the same pairs to the same F1 per signature length. A change
 # that moves a count changes data/expected-counts.txt in the same diff
-# (copy the new counts.txt over it) and says why.
+# (on a mismatch this run's file is left in data/counts.txt: copy it
+# over) and says why.
 # conns / replica / chaos are left out: their busy / shed / qps cells
 # depend on scheduling; the pivotd + loadgen legs below cover them.
 cargo run -p storypivot-bench --bin harness --release -- \
     e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 wal metrics hotpath refine \
     --quick --json "$SMOKE_DIR/bench"
 test -s "$SMOKE_DIR/bench/BENCH_e1.json"
-diff -u data/expected-counts.txt "$SMOKE_DIR/bench/counts.txt"
+# The repository benchmark's exact counts ride in the same file: what
+# identification compared, merged, split and swept and how often the hot
+# cache hit, per workload, for seed 7. They repeat exactly whatever the
+# run length, so 3 s of the binary built above is enough; a change that
+# only makes scoring cheaper must leave every one of them where it was.
+spbench_counts() { # args: workload
+    local line value name
+    line="$(benchmark/target/release/spbench --workload "$1" --seed 7 --seconds 3 --trace 1 2>/dev/null | tail -n 1)"
+    printf 'spbench\tworkload=%s' "$1"
+    for name in core.identify.compared_per_event core.identify.merges core.identify.splits \
+        core.identify.maintain_runs core.hotcache.hit_ratio core.identify.new_story_ratio; do
+        value="$(printf '%s' "$line" | grep -o "\"$name\": {\"value\": [^,]*" | sed 's/.*: //')"
+        [ -n "$value" ] || { echo "spbench $1 printed no $name" >&2; return 1; }
+        printf '\t%s=%s' "$name" "$value"
+    done
+    printf '\n'
+}
+spbench_counts identify_dense >> "$SMOKE_DIR/bench/counts.txt"
+spbench_counts identify_wide >> "$SMOKE_DIR/bench/counts.txt"
+if ! diff -u data/expected-counts.txt "$SMOKE_DIR/bench/counts.txt"; then
+    cp "$SMOKE_DIR/bench/counts.txt" data/counts.txt
+    echo "counts differ from data/expected-counts.txt; this run's are in data/counts.txt" >&2
+    exit 1
+fi
 
 # Poll a pivotd --port-file until the daemon binds; dies if the daemon does.
 wait_port() { # args: port_file pid

@@ -452,20 +452,14 @@ impl Aligner {
         // Bind the probe once: the outward scans re-score `sn` against
         // every neighbour, so probe-side state is hoisted out.
         let scorer = self.weights.probe(&sn.content);
-        let term_slice = sn.terms().as_slice();
-        let term_norm = sn.terms().norm();
         // members is sorted by timestamp: scan outwards until the lag
         // bound is exceeded in both directions.
         let check = |other: &Snippet| -> bool {
-            other.source != sn.source
-                && other.timestamp.distance(sn.timestamp) <= lag
-                && scorer.score(&other.content) >= self.cfg.counterpart_threshold
-                && storypivot_types::kernel::cosine(
-                    term_slice,
-                    term_norm,
-                    other.terms().as_slice(),
-                    other.terms().norm(),
-                ) >= self.cfg.counterpart_term_floor
+            if other.source == sn.source || other.timestamp.distance(sn.timestamp) > lag {
+                return false;
+            }
+            let (score, term) = scorer.score_and_term(&other.content);
+            score >= self.cfg.counterpart_threshold && term >= self.cfg.counterpart_term_floor
         };
         for other in members[pos + 1..].iter() {
             if other.timestamp.distance(sn.timestamp) > lag {

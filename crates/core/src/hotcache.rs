@@ -87,9 +87,9 @@ struct Slot {
 /// its slot index until it is evicted or invalidated. The scoring loop
 /// exploits this — phase 2 resolves each story's entry **once** (one
 /// hash lookup via [`HotStoryCache::get_mut_indexed`] /
-/// [`HotStoryCache::admit`]) and hands the index to the batch-scoring
-/// phase, which reads the folds back with [`HotStoryCache::by_index`]
-/// at array-index cost instead of re-hashing per story per kernel.
+/// [`HotStoryCache::admit`]) and hands the index to the scoring phase,
+/// which reads the folds back with [`HotStoryCache::by_index`] at
+/// array-index cost instead of re-hashing per story per kernel.
 #[derive(Debug, Clone)]
 pub struct HotStoryCache {
     capacity: usize,

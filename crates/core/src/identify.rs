@@ -54,7 +54,7 @@ use std::collections::HashMap;
 
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
-use storypivot_types::{kernel, mem, Error, Result, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{mem, Error, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::hotcache::{CacheEntry, HotStoryCache};
@@ -173,7 +173,7 @@ fn member_components(
 
 /// Where a candidate story's windowed fold lives for the current probe.
 /// Phase 2 sets this for every live slot; phase 3 reads the fold back
-/// at array-index cost (no per-story hashing in the batch kernels).
+/// at array-index cost (no per-story hashing while scoring).
 #[derive(Debug, Clone, Copy)]
 enum Fold {
     /// Hot-cache slab index (read with [`HotStoryCache::by_index`]).
@@ -224,10 +224,9 @@ struct ScoreScratch {
     /// Pool of fold buffers for stories that could not use the cache.
     locals: Vec<CacheEntry>,
     live_locals: usize,
-    /// Batch cosine outputs, indexed like `slots`.
-    ent_scores: Vec<f64>,
-    term_scores: Vec<f64>,
-    /// `(story, blended score)` ranking buffer.
+    /// `(story, blended score)`: the best-scoring story first, then
+    /// the stories reaching `merge_threshold` in rank order — all
+    /// [`Identifier::decide`] reads.
     ranked: Vec<(StoryId, f64)>,
 }
 
@@ -286,6 +285,29 @@ fn fold_members(entry: &mut CacheEntry, candidates: &[&Snippet], idx: &[u32]) {
         entry.terms.merge_add(c.terms());
         entry.members.push(c.id);
     }
+}
+
+/// Rank order of scored stories: descending score, ties by ascending
+/// story id. `total_cmp` keeps this a strict total order even when a
+/// degenerate weight config produces NaN scores; NaN ranks first but
+/// fails the match threshold, so the decision stays deterministic
+/// instead of depending on sort internals.
+fn by_rank(a: &(StoryId, f64), b: &(StoryId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Cut `ranked` down to what [`Identifier::decide`] reads of the full
+/// ranking: its head, then the entries reaching `merge_threshold` in
+/// rank order. [`by_rank`] is a total order over distinct stories, so
+/// both are what a full sort would have put there — the head is its
+/// minimum, and sorting a subset yields the full sort's subsequence.
+fn rank_for_decision(ranked: &mut Vec<(StoryId, f64)>, merge_threshold: f64) {
+    let Some(&head) = ranked.iter().min_by(|a, b| by_rank(a, b)) else {
+        return;
+    };
+    ranked.retain(|e| e.0 != head.0 && e.1 >= merge_threshold);
+    ranked.sort_unstable_by(by_rank);
+    ranked.insert(0, head);
 }
 
 /// Incremental story identifier for one data source.
@@ -391,8 +413,6 @@ impl Identifier {
             + s.slots.iter().map(|slot| mem::vec_bytes(&slot.cand_idx)).sum::<usize>()
             + mem::vec_bytes(&s.locals)
             + s.locals.iter().map(CacheEntry::heap_bytes).sum::<usize>()
-            + mem::vec_bytes(&s.ent_scores)
-            + mem::vec_bytes(&s.term_scores)
             + mem::vec_bytes(&s.ranked);
         [
             ("identify.stories", stories),
@@ -589,51 +609,35 @@ impl Identifier {
             }
         }
 
-        // ---- phase 3: batch-score the probe, rank stories --------------
+        // ---- phase 3: score the probe against each fold, rank stories --
+        //
+        // A fold's signature is the OR of its members' (`merge_add`), so
+        // a probe sharing no entity, or no term, with a story's whole
+        // window is answered from the two inline signatures.
         {
             let ScoreScratch {
                 slots,
                 live,
                 locals,
-                ent_scores,
-                term_scores,
                 ranked,
                 ..
             } = &mut self.scratch;
             let cache = &self.cache;
-            let fold_of = |slot: &Slot| match slot.fold {
-                Fold::Local(li) => &locals[li as usize],
-                Fold::Cached(ci) => cache.by_index(ci),
-            };
-            kernel::cosine_batch(
-                snippet.entities().as_slice(),
-                snippet.entities().norm(),
-                slots[..*live].iter().map(|slot| {
-                    let v = &fold_of(slot).entities;
-                    (v.as_slice(), v.norm())
-                }),
-                ent_scores,
-            );
-            kernel::cosine_batch(
-                snippet.terms().as_slice(),
-                snippet.terms().norm(),
-                slots[..*live].iter().map(|slot| {
-                    let v = &fold_of(slot).terms;
-                    (v.as_slice(), v.norm())
-                }),
-                term_scores,
-            );
             let w = &self.cfg.weights;
             ranked.clear();
-            for (si, slot) in slots[..*live].iter().enumerate() {
+            for slot in &slots[..*live] {
+                let fold = match slot.fold {
+                    Fold::Local(li) => &locals[li as usize],
+                    Fold::Cached(ci) => cache.by_index(ci),
+                };
                 let type_affinity = snippet.content.event_type.affinity(
                     self.stories
                         .get(&slot.story)
                         .map(|s| s.dominant_event_type())
                         .unwrap_or(snippet.content.event_type),
                 );
-                let centroid = (w.entity * ent_scores[si]
-                    + w.term * term_scores[si]
+                let centroid = (w.entity * snippet.entities().cosine(&fold.entities)
+                    + w.term * snippet.terms().cosine(&fold.terms)
                     + w.event * type_affinity)
                     / w.total();
                 ranked.push((
@@ -641,11 +645,7 @@ impl Identifier {
                     self.cfg.pair_blend * slot.pair + (1.0 - self.cfg.pair_blend) * centroid,
                 ));
             }
-            // total_cmp keeps this a strict weak order even when a
-            // degenerate weight config produces NaN scores; NaN ranks
-            // first but fails the match threshold, so the decision stays
-            // deterministic instead of depending on sort internals.
-            ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            rank_for_decision(ranked, self.cfg.merge_threshold);
         }
         (compared, cache_hits, cache_misses)
     }
@@ -1159,6 +1159,78 @@ mod tests {
         assert_eq!(a, b);
         // NaN never satisfies the threshold: every snippet opens a story.
         assert!(a.iter().all(|&(_, created)| created));
+    }
+
+    #[test]
+    fn partial_ranking_is_a_cut_of_the_full_sort() {
+        let story = StoryId::new;
+        let nan = f64::NAN;
+        let lists: [&[(u32, f64)]; 6] = [
+            &[],
+            &[(4, 0.3)],
+            &[(7, 0.7), (2, 0.9), (5, 0.7), (1, 0.2), (3, 0.9), (6, 0.61)],
+            &[(3, 0.1), (2, 0.1), (1, 0.1)],
+            &[(1, 0.8), (2, nan), (3, 0.65), (4, -nan), (5, nan)],
+            &[(9, 0.6), (8, 0.6), (7, 0.6)],
+        ];
+        for list in lists {
+            let full: Vec<(StoryId, f64)> = list.iter().map(|&(id, s)| (story(id), s)).collect();
+            let mut sorted = full.clone();
+            sorted.sort_unstable_by(by_rank);
+            let expected: Vec<(StoryId, f64)> = sorted
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(_, s))| i == 0 || s >= 0.6)
+                .map(|(_, &e)| e)
+                .collect();
+            let mut ranked = full;
+            rank_for_decision(&mut ranked, 0.6);
+            // Compare bits: NaN != NaN.
+            let bits = |v: &[(StoryId, f64)]| -> Vec<(StoryId, u64)> {
+                v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&ranked), bits(&expected), "{list:?}");
+        }
+    }
+
+    #[test]
+    fn tied_merge_candidates_decide_as_under_a_full_sort() {
+        let cfg = IdentifyConfig {
+            mode: MatchMode::Complete,
+            merge_threshold: 0.42,
+            maintenance_every: 0,
+            ..IdentifyConfig::default()
+        };
+        let mut st = store();
+        let mut id = Identifier::new(SourceId::new(0), cfg, SketchConfig::default());
+        let a = ingest(&mut st, &mut id, snip(0, 0, &[1, 2], &[10, 11])).story;
+        let b = ingest(&mut st, &mut id, snip(1, 0, &[3, 4], &[12, 13])).story;
+        let c = ingest(&mut st, &mut id, snip(2, 0, &[5, 6], &[14, 15])).story;
+        let d = ingest(&mut st, &mut id, snip(3, 0, &[7, 8], &[16, 17])).story;
+        // Matches b and c equally (0.59), a a little less (0.45: term 11
+        // is missing), d not at all (0.10).
+        let probe = snip(4, 0, &[1, 2, 3, 4, 5, 6], &[10, 12, 13, 14, 15]);
+        st.insert(probe.clone()).unwrap();
+
+        // The reference ranks with no cut — every score reaches −∞, so
+        // the whole list is kept and sorted — and decides on that.
+        let mut reference = id.clone();
+        let merge_threshold = reference.cfg.merge_threshold;
+        reference.cfg.merge_threshold = f64::NEG_INFINITY;
+        let (compared, hits, misses) = reference.score_probe(&probe, &st);
+        reference.cfg.merge_threshold = merge_threshold;
+        let full = reference.scratch.ranked.clone();
+        assert_eq!(full.iter().map(|&(s, _)| s).collect::<Vec<_>>(), vec![b, c, a, d]);
+        assert_eq!(full[0].1.to_bits(), full[1].1.to_bits(), "b and c must tie");
+        assert!(full[2].1 >= merge_threshold && full[3].1 < merge_threshold);
+        let expected = reference.decide(&probe, compared, hits, misses);
+
+        let got = id.assign(&probe, &st);
+        assert_eq!(id.scratch.ranked, full[..3], "the cut drops d only");
+        assert_eq!(got, expected);
+        assert_eq!(got.story, b);
+        assert_eq!(got.merged, vec![c, a], "rank order: the tie by id, then the lower score");
+        assert_eq!(partition(&id), partition(&reference));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! combines three signals — shared entities, shared description terms,
 //! and event-type affinity — with configurable weights.
 
-use storypivot_types::{kernel, EntityId, Error, EventType, Result, Snippet, SnippetContent, TermId};
+use storypivot_types::{EntityId, Error, EventType, Result, Snippet, SnippetContent, SparseVec, TermId};
 
 /// Weights of the similarity components. They need not sum to one; the
 /// score is normalized by the weight total.
@@ -59,17 +59,16 @@ impl SimWeights {
     }
 
     /// Bind one probe content for repeated scoring against many
-    /// counterparts. The probe-side slices, term norm, and weight total
-    /// are derived once instead of per comparison.
+    /// counterparts. The probe-side vectors and the weight total are
+    /// looked up once instead of per comparison.
     pub fn probe<'a>(&self, a: &'a SnippetContent) -> ProbeScorer<'a> {
         ProbeScorer {
             entity_w: self.entity,
             term_w: self.term,
             event_w: self.event,
             total: self.total(),
-            entities: a.entities.as_slice(),
-            terms: a.terms.as_slice(),
-            term_norm: a.terms.norm(),
+            entities: &a.entities,
+            terms: &a.terms,
             event_type: a.event_type,
         }
     }
@@ -89,19 +88,30 @@ pub struct ProbeScorer<'a> {
     term_w: f64,
     event_w: f64,
     total: f64,
-    entities: &'a [(EntityId, f32)],
-    terms: &'a [(TermId, f32)],
-    term_norm: f64,
+    entities: &'a SparseVec<EntityId>,
+    terms: &'a SparseVec<TermId>,
     event_type: EventType,
 }
 
 impl ProbeScorer<'_> {
     /// Similarity of the bound probe against `b` in `[0,1]`.
+    #[inline]
     pub fn score(&self, b: &SnippetContent) -> f64 {
-        let e = kernel::weighted_jaccard(self.entities, b.entities.as_slice());
-        let t = kernel::cosine(self.terms, self.term_norm, b.terms.as_slice(), b.terms.norm());
+        self.score_and_term(b).0
+    }
+
+    /// [`ProbeScorer::score`] together with the term component (cosine
+    /// of the description terms) it blended in, for callers that also
+    /// hold that component to a floor of its own.
+    #[inline]
+    pub fn score_and_term(&self, b: &SnippetContent) -> (f64, f64) {
+        // Both go through `SparseVec`'s guarded entry points: a pair
+        // sharing no entity (or no term) costs two inline words each,
+        // not a merge over two heap buffers.
+        let e = self.entities.weighted_jaccard(&b.entities);
+        let t = self.terms.cosine(&b.terms);
         let ev = self.event_type.affinity(b.event_type);
-        (self.entity_w * e + self.term_w * t + self.event_w * ev) / self.total
+        ((self.entity_w * e + self.term_w * t + self.event_w * ev) / self.total, t)
     }
 }
 
@@ -183,6 +193,16 @@ mod tests {
             p.score(&b.content).to_bits(),
             w.content_sim(&a.content, &b.content).to_bits()
         );
+    }
+
+    #[test]
+    fn score_and_term_hands_back_the_term_cosine() {
+        let a = snip(&[1, 2, 3], &[10, 11], EventType::Accident);
+        let b = snip(&[2, 9], &[10, 12], EventType::Protest);
+        let p = SimWeights::default().probe(&a.content);
+        let (s, t) = p.score_and_term(&b.content);
+        assert_eq!(s.to_bits(), p.score(&b.content).to_bits());
+        assert_eq!(t.to_bits(), a.terms().cosine(b.terms()).to_bits());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use storypivot_sketch::{HashFamily, MinHash, TemporalSignature};
 use storypivot_types::{
-    kernel, mem, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
+    mem, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
 };
 
 /// Map an entity id into the shared 64-bit sketch item space.
@@ -183,13 +183,8 @@ impl StoryState {
     /// Exact content similarity between two stories: weighted Jaccard of
     /// entity mass plus cosine of term mass, averaged.
     pub fn content_sim_exact(&self, other: &StoryState) -> f64 {
-        let e = kernel::weighted_jaccard(self.entities.as_slice(), other.entities.as_slice());
-        let t = kernel::cosine(
-            self.terms.as_slice(),
-            self.terms.norm(),
-            other.terms.as_slice(),
-            other.terms.norm(),
-        );
+        let e = self.entities.weighted_jaccard(&other.entities);
+        let t = self.terms.cosine(&other.terms);
         0.6 * e + 0.4 * t
     }
 

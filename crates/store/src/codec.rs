@@ -77,7 +77,7 @@ fn put_sparse<K: Copy + Ord + std::fmt::Debug + Into<u32>>(buf: &mut impl BufMut
     }
 }
 
-fn get_sparse<K: Copy + Ord + std::fmt::Debug + From<u32>>(
+fn get_sparse<K: Copy + Ord + std::fmt::Debug + From<u32> + Into<u32>>(
     buf: &mut impl Buf,
     what: &str,
 ) -> Result<SparseVec<K>> {

@@ -37,6 +37,24 @@ pub fn norm<K>(entries: &[(K, f32)]) -> f64 {
         .sqrt()
 }
 
+/// The signature bit of one key: a multiplicative (Fibonacci) hash of
+/// the key's `u32` form, its top six bits picking one of 64 positions.
+#[inline]
+pub fn key_bit<K: Into<u32>>(key: K) -> u64 {
+    1 << (key.into().wrapping_mul(0x9E37_79B1) >> 26)
+}
+
+/// Key signature of an entry slice: the OR of [`key_bit`] over its keys.
+///
+/// This is the *defining* computation for [`crate::SparseVec`]'s cached
+/// signature, as [`norm`] is for its cached norm. A pure function of the
+/// key set: two slices whose signatures share no bit share no key (the
+/// converse does not hold — distinct keys may share a bit).
+#[inline]
+pub fn sig<K: Copy + Into<u32>>(entries: &[(K, f32)]) -> u64 {
+    entries.iter().fold(0, |acc, &(k, _)| acc | key_bit(k))
+}
+
 /// Dot product of two sorted entry slices (linear merge).
 #[inline]
 pub fn dot<K: Copy + Ord>(a: &[(K, f32)], b: &[(K, f32)]) -> f64 {
@@ -54,14 +72,15 @@ pub fn dot<K: Copy + Ord>(a: &[(K, f32)], b: &[(K, f32)]) -> f64 {
 }
 
 /// Cosine similarity in `[0,1]` given precomputed norms; 0 when either
-/// norm is 0.
+/// norm is 0 — also against an overflowed (infinite) norm, where the
+/// product is NaN rather than 0.
 #[inline]
 pub fn cosine<K: Copy + Ord>(a: &[(K, f32)], norm_a: f64, b: &[(K, f32)], norm_b: f64) -> f64 {
     let denom = norm_a * norm_b;
-    if denom == 0.0 {
-        0.0
-    } else {
+    if denom > 0.0 {
         (dot(a, b) / denom).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 
@@ -120,6 +139,13 @@ pub fn weighted_jaccard<K: Copy + Ord>(a: &[(K, f32)], b: &[(K, f32)]) -> f64 {
 /// scores are appended to `out` in candidate order (one per candidate,
 /// including zeros). `out` is cleared first so callers can reuse one
 /// scratch buffer across probes.
+///
+/// Nothing in the engine calls this any more: identification scores
+/// each story fold through [`crate::SparseVec::cosine`], which can skip
+/// provably disjoint pairs, and slices carry no signature. It stays for
+/// the repository benchmark's kernel micro-loop
+/// (`types.kernel.cosine_batch_ns_per_nnz`), which times the unguarded
+/// merge.
 pub fn cosine_batch<'a, K, I>(probe: &[(K, f32)], probe_norm: f64, candidates: I, out: &mut Vec<f64>)
 where
     K: Copy + Ord + Debug + 'a,

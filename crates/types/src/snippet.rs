@@ -188,6 +188,19 @@ mod tests {
         assert!(!s.content.is_vacuous());
     }
 
+    /// Every stored snippet is one arena slot of this size (and the
+    /// repository benchmark holds two corpus copies): a new inline field
+    /// must not silently grow them all. 136 B = the content at 112 (two
+    /// sparse vectors at 40 — buffer, norm, signature — the headline at
+    /// 24, the event type padded to 8) plus three ids and the timestamp
+    /// at 24. Only 125 of them are data, but the 7 padding bytes sit
+    /// inside `SnippetContent`, out of the outer struct's reach.
+    #[test]
+    fn snippet_stays_within_136_bytes() {
+        let size = std::mem::size_of::<Snippet>();
+        assert!(size <= 136, "Snippet grew to {size} B");
+    }
+
     #[test]
     fn vacuous_content_detected() {
         let s = Snippet::builder(SnippetId::new(0), SourceId::new(0), Timestamp::EPOCH).build();

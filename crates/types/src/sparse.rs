@@ -6,7 +6,10 @@
 //! single linear merges with no hashing and no allocation, which matters
 //! because story identification evaluates millions of such comparisons.
 //! The merge loops themselves live in [`crate::kernel`]; this type adds
-//! the cached L2 norm so cosine never pays a full pass per call.
+//! the cached L2 norm so cosine never pays a full pass per call, and the
+//! key signature that lets [`SparseVec::cosine`] and
+//! [`SparseVec::weighted_jaccard`] answer `0.0` for provably disjoint
+//! vectors without touching either entry buffer.
 
 use std::fmt::Debug;
 
@@ -20,6 +23,13 @@ use crate::kernel;
 /// lists carry bit-equal norms no matter what sequence of operations
 /// produced them.
 ///
+/// It also carries a 64-bit key signature, `sig`: the OR of
+/// [`kernel::key_bit`] over its keys, kept as exactly as `norm` is
+/// (invariant: `sig == kernel::sig(&entries)`). Two vectors whose
+/// signatures share no bit share no key. The signature is derived state:
+/// it is never serialised, and decoding rebuilds it through
+/// [`SparseVec::from_pairs`].
+///
 /// ```
 /// use storypivot_types::sparse::SparseVec;
 /// let a = SparseVec::from_pairs(vec![(2u32, 1.0), (1, 2.0), (2, 3.0)]);
@@ -30,20 +40,22 @@ use crate::kernel;
 pub struct SparseVec<K> {
     entries: Vec<(K, f32)>,
     norm: f64,
+    sig: u64,
 }
 
-/// Equality is over the entry lists; the cached norm is a pure function
-/// of the entries, so it cannot disagree between equal vectors.
+/// Equality is over the entry lists; the cached norm and signature are
+/// pure functions of the entries, so they cannot disagree between equal
+/// vectors.
 impl<K: PartialEq> PartialEq for SparseVec<K> {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
     }
 }
 
-impl<K: Copy + Ord + Debug> SparseVec<K> {
+impl<K: Copy + Ord + Debug + Into<u32>> SparseVec<K> {
     /// The empty vector.
     pub const fn new() -> Self {
-        SparseVec { entries: Vec::new(), norm: 0.0 }
+        SparseVec { entries: Vec::new(), norm: 0.0, sig: 0 }
     }
 
     /// Build from arbitrary pairs; duplicate keys are summed, zero or
@@ -59,7 +71,8 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
         }
         entries.retain(|&(_, w)| w > 0.0);
         let norm = kernel::norm(&entries);
-        SparseVec { entries, norm }
+        let sig = kernel::sig(&entries);
+        SparseVec { entries, norm, sig }
     }
 
     /// Build from keys with unit weight each (duplicates sum).
@@ -67,10 +80,20 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
         Self::from_pairs(keys.into_iter().map(|k| (k, 1.0)).collect())
     }
 
-    /// Restore the norm invariant after `entries` changed.
+    /// Restore the norm invariant after `entries` changed and the
+    /// caller has already ORed in the signature of every key it added.
     #[inline]
     fn renorm(&mut self) {
         self.norm = kernel::norm(&self.entries);
+        debug_assert_eq!(self.sig, kernel::sig(&self.entries), "stale key signature");
+    }
+
+    /// Restore both invariants after `entries` may have lost keys (a
+    /// signature bit cannot be cleared without looking at every key).
+    #[inline]
+    fn refresh(&mut self) {
+        self.sig = kernel::sig(&self.entries);
+        self.renorm();
     }
 
     /// Number of non-zero entries.
@@ -108,19 +131,11 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
         self.entries.iter().map(|&(k, _)| k)
     }
 
-    /// Add `weight` to `key` (inserting if absent). `O(n)` worst case.
-    pub fn add(&mut self, key: K, weight: f32) {
-        match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => self.entries[i].1 += weight,
-            Err(i) => self.entries.insert(i, (key, weight)),
-        }
-        self.renorm();
-    }
-
     /// Drop every entry, keeping the allocation (scratch reuse).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.norm = 0.0;
+        self.sig = 0;
     }
 
     /// Sum of all weights.
@@ -134,13 +149,39 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
         self.norm
     }
 
+    /// Key signature (cached; maintained through every mutation): the OR
+    /// of [`kernel::key_bit`] over the keys.
+    #[inline]
+    pub fn sig(&self) -> u64 {
+        self.sig
+    }
+
+    /// Whether the signatures prove the two key sets disjoint. `false`
+    /// proves nothing: distinct keys may share a bit.
+    #[inline]
+    fn provably_disjoint(&self, other: &Self) -> bool {
+        self.sig & other.sig == 0
+    }
+
     /// Dot product via linear merge of the sorted entry lists.
     pub fn dot(&self, other: &Self) -> f64 {
         kernel::dot(&self.entries, &other.entries)
     }
 
     /// Cosine similarity in `[0,1]`; 0 when either vector is empty.
+    ///
+    /// Disjoint signatures short-circuit to the `+0.0` the merge would
+    /// have produced bit for bit: with no shared key `dot` never leaves
+    /// `+0.0`, and `+0.0 / denom` clamps to `+0.0`.
+    #[inline]
     pub fn cosine(&self, other: &Self) -> f64 {
+        if self.provably_disjoint(other) {
+            debug_assert_eq!(
+                kernel::cosine(&self.entries, self.norm, &other.entries, other.norm).to_bits(),
+                0f64.to_bits()
+            );
+            return 0.0;
+        }
         kernel::cosine(&self.entries, self.norm, &other.entries, other.norm)
     }
 
@@ -153,7 +194,18 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
     }
 
     /// Weighted Jaccard: `Σ min(a,b) / Σ max(a,b)`.
+    ///
+    /// Disjoint signatures short-circuit to `+0.0`, exactly what the
+    /// merge yields when no key is shared (`num` never leaves `+0.0`).
+    #[inline]
     pub fn weighted_jaccard(&self, other: &Self) -> f64 {
+        if self.provably_disjoint(other) {
+            debug_assert_eq!(
+                kernel::weighted_jaccard(&self.entries, &other.entries).to_bits(),
+                0f64.to_bits()
+            );
+            return 0.0;
+        }
         kernel::weighted_jaccard(&self.entries, &other.entries)
     }
 
@@ -171,8 +223,12 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
             self.entries.clear();
             self.entries.extend_from_slice(&other.entries);
             self.norm = other.norm;
+            self.sig = other.sig;
             return;
         }
+        // Adding never drops a key, so on every path below the merged
+        // key set is the union and its signature the OR.
+        self.sig |= other.sig;
         // Append fast path: all of `other` sorts after `self`.
         if self.entries.last().expect("non-empty").0 < other.entries[0].0 {
             self.entries.extend_from_slice(&other.entries);
@@ -244,7 +300,7 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
             }
         }
         self.entries.retain(|&(_, w)| w > 1e-6);
-        self.renorm();
+        self.refresh();
     }
 
     /// Multiply every weight by `factor` (used for temporal decay).
@@ -253,7 +309,7 @@ impl<K: Copy + Ord + Debug> SparseVec<K> {
             *w *= factor;
         }
         self.entries.retain(|&(_, w)| w > 1e-6);
-        self.renorm();
+        self.refresh();
     }
 
     /// The `k` heaviest entries, by descending weight (ties by key).
@@ -297,7 +353,7 @@ fn is_key_subset<K: Copy + Ord>(sub: &[(K, f32)], sup: &[(K, f32)]) -> bool {
     true
 }
 
-impl<K: Copy + Ord + Debug> FromIterator<(K, f32)> for SparseVec<K> {
+impl<K: Copy + Ord + Debug + Into<u32>> FromIterator<(K, f32)> for SparseVec<K> {
     fn from_iter<I: IntoIterator<Item = (K, f32)>>(iter: I) -> Self {
         Self::from_pairs(iter.into_iter().collect())
     }
@@ -311,10 +367,11 @@ mod tests {
         SparseVec::from_pairs(pairs.to_vec())
     }
 
-    /// The norm cache must equal a from-scratch recomputation, bit for
-    /// bit, after any operation.
+    /// The norm and signature caches must equal a from-scratch
+    /// recomputation, bit for bit, after any operation.
     fn assert_norm_fresh(v: &SparseVec<u32>) {
         assert_eq!(v.norm().to_bits(), kernel::norm(v.as_slice()).to_bits());
+        assert_eq!(v.sig(), kernel::sig(v.as_slice()));
     }
 
     #[test]
@@ -422,13 +479,14 @@ mod tests {
         a.clear();
         assert!(a.is_empty());
         assert_eq!(a.norm(), 0.0);
+        assert_eq!(a.sig(), 0);
     }
 
     #[test]
     fn norm_survives_every_mutation() {
         let mut a = sv(&[(1, 2.0), (2, 1.0)]);
         assert_norm_fresh(&a);
-        a.add(7, 1.5);
+        a.merge_add(&sv(&[(7, 1.5)]));
         assert_norm_fresh(&a);
         a.merge_add(&sv(&[(2, 1.0), (3, 3.0)]));
         assert_norm_fresh(&a);
@@ -465,13 +523,25 @@ mod tests {
     }
 
     #[test]
-    fn add_inserts_and_accumulates() {
+    fn merge_add_of_single_keys_inserts_and_accumulates() {
         let mut a = SparseVec::new();
-        a.add(5u32, 1.0);
-        a.add(2, 2.0);
-        a.add(5, 1.5);
+        a.merge_add(&sv(&[(5, 1.0)]));
+        a.merge_add(&sv(&[(2, 2.0)]));
+        a.merge_add(&sv(&[(5, 1.5)]));
         assert_eq!(a.as_slice(), &[(2, 2.0), (5, 2.5)]);
         assert_norm_fresh(&a);
+    }
+
+    #[test]
+    fn signature_follows_the_key_set() {
+        let mut a = sv(&[(1, 1.0), (2, 1.0)]);
+        assert_eq!(a.sig(), kernel::key_bit(1u32) | kernel::key_bit(2u32));
+        a.merge_sub(&sv(&[(2, 1.0)]));
+        assert_eq!(a.sig(), kernel::key_bit(1u32), "a dropped key gives its bit back");
+        a.scale(0.0);
+        assert_eq!(a.sig(), 0);
+        assert_eq!(SparseVec::<u32>::new().sig(), 0);
+        assert_eq!(SparseVec::<u32>::default().sig(), 0);
     }
 
     #[test]

@@ -9,14 +9,20 @@
 //! disjoint, single-entry, and heavily-overlapping — and require
 //! agreement to 1e-12. A second group proves the `merge_add` in-place
 //! fast paths (append, subset, backward merge) leave the entry list and
-//! the cached norm bit-identical to a from-scratch rebuild.
+//! the cached norm bit-identical to a from-scratch rebuild. A third
+//! holds the key signature to its two promises: it equals a recompute
+//! from the entries after any chain of mutations and a codec round trip,
+//! and the similarity methods it guards return what the unguarded
+//! kernels return, to the bit.
 
 use std::collections::BTreeSet;
 
 use storypivot::substrate::prop;
 use storypivot::substrate::rng::{RngExt, StdRng};
+use storypivot::store::codec::{decode_snippet, encode_snippet};
 use storypivot::types::kernel;
 use storypivot::types::sparse::SparseVec;
+use storypivot::types::{EntityId, Snippet, SnippetId, SourceId, TermId, Timestamp};
 
 // ---- naive references -------------------------------------------------
 //
@@ -145,26 +151,65 @@ fn kernels_agree_with_naive_references() {
     });
 }
 
+/// The `SparseVec` methods — `cosine` and `weighted_jaccard` behind the
+/// signature guard — against the unguarded slice kernels, bit for bit.
+fn assert_methods_equal_kernels(a: &SparseVec<u32>, b: &SparseVec<u32>) {
+    assert_eq!(a.dot(b).to_bits(), kernel::dot(a.as_slice(), b.as_slice()).to_bits());
+    assert_eq!(
+        a.cosine(b).to_bits(),
+        kernel::cosine(a.as_slice(), a.norm(), b.as_slice(), b.norm()).to_bits(),
+        "cosine {a:?} {b:?}"
+    );
+    assert_eq!(
+        a.jaccard(b).to_bits(),
+        kernel::jaccard(a.as_slice(), b.as_slice()).to_bits()
+    );
+    assert_eq!(
+        a.weighted_jaccard(b).to_bits(),
+        kernel::weighted_jaccard(a.as_slice(), b.as_slice()).to_bits(),
+        "weighted_jaccard {a:?} {b:?}"
+    );
+}
+
 #[test]
 fn sparse_vec_methods_delegate_to_kernels() {
     let mut case = 0u32;
     prop::run(300, |rng| {
         let (a, b) = arb_pair(rng, case);
         case += 1;
-        assert_eq!(a.dot(&b).to_bits(), kernel::dot(a.as_slice(), b.as_slice()).to_bits());
-        assert_eq!(
-            a.cosine(&b).to_bits(),
-            kernel::cosine(a.as_slice(), a.norm(), b.as_slice(), b.norm()).to_bits()
-        );
-        assert_eq!(
-            a.jaccard(&b).to_bits(),
-            kernel::jaccard(a.as_slice(), b.as_slice()).to_bits()
-        );
-        assert_eq!(
-            a.weighted_jaccard(&b).to_bits(),
-            kernel::weighted_jaccard(a.as_slice(), b.as_slice()).to_bits()
-        );
+        assert_methods_equal_kernels(&a, &b);
+        assert_methods_equal_kernels(&b, &a);
     });
+}
+
+#[test]
+fn signature_guard_is_exact_on_the_edge_cases() {
+    let sv = |pairs: &[(u32, f32)]| SparseVec::from_pairs(pairs.to_vec());
+    let empty = SparseVec::<u32>::new();
+    let some = sv(&[(3, 1.5), (9, 0.25)]);
+    // An overflowed norm: against the empty vector the norm product is
+    // inf · 0 = NaN, and the answer is still "0 when either is empty".
+    let huge = sv(&[(4, f32::MAX), (5, f32::INFINITY)]);
+    assert_eq!(huge.norm(), f64::INFINITY);
+    for (a, b) in [(&empty, &empty), (&empty, &some), (&empty, &huge), (&some, &huge)] {
+        assert_methods_equal_kernels(a, b);
+        assert_methods_equal_kernels(b, a);
+        assert_eq!(a.cosine(b).to_bits(), 0f64.to_bits());
+        assert_eq!(a.weighted_jaccard(b).to_bits(), 0f64.to_bits());
+    }
+
+    // Two distinct keys on one signature bit: the filter must say
+    // "maybe", and the merge behind it must still see the shared key.
+    let k1 = 1u32;
+    let k2 = (2..).find(|&k| kernel::key_bit(k) == kernel::key_bit(k1)).unwrap();
+    let (a, b) = (sv(&[(k1, 2.0)]), sv(&[(k2, 3.0)]));
+    assert_eq!(a.sig(), b.sig());
+    assert_methods_equal_kernels(&a, &b);
+    assert_eq!(a.cosine(&b), 0.0, "colliding keys are still different keys");
+    let both = sv(&[(k1, 2.0), (k2, 1.0)]);
+    assert_eq!(both.sig(), b.sig(), "one bit for both keys");
+    assert_methods_equal_kernels(&both, &b);
+    assert!(both.cosine(&b) > 0.0 && both.weighted_jaccard(&b) > 0.0);
 }
 
 #[test]
@@ -254,5 +299,79 @@ fn merge_add_chain_keeps_norm_fresh() {
             acc.merge_add(&v);
             assert_eq!(acc.norm().to_bits(), kernel::norm(acc.as_slice()).to_bits());
         }
+    });
+}
+
+// ---- the key signature --------------------------------------------------
+
+fn assert_sig_fresh(v: &SparseVec<u32>, after: &str) {
+    assert_eq!(v.sig(), kernel::sig(v.as_slice()), "stale signature after {after}: {v:?}");
+}
+
+#[test]
+fn signature_stays_fresh_through_every_mutation_and_the_codec() {
+    prop::run(200, |rng| {
+        let mut acc = arb_vec(rng, 10, 80);
+        assert_sig_fresh(&acc, "from_pairs");
+        for _ in 0..24 {
+            match rng.random_range(0..7u32) {
+                // Backward merge (interleaved keys), or into an empty vector.
+                0 | 1 => {
+                    acc.merge_add(&arb_vec(rng, 10, 80));
+                    assert_sig_fresh(&acc, "merge_add");
+                }
+                // Append path: every key sorts after the accumulator's.
+                2 => {
+                    let tail = prop::vec_with(rng, 1, 6, |r| {
+                        (80 + r.random_range(0..40u32), r.random_range(0.01f32..10.0))
+                    });
+                    acc.merge_add(&SparseVec::from_pairs(tail));
+                    assert_sig_fresh(&acc, "merge_add (append)");
+                }
+                // Subset path: only keys the accumulator already has.
+                3 => {
+                    let keys: Vec<u32> = acc.keys().collect();
+                    if !keys.is_empty() {
+                        let sub = prop::vec_with(rng, 1, keys.len(), |r| {
+                            (keys[r.random_range(0..keys.len())], r.random_range(0.01f32..10.0))
+                        });
+                        acc.merge_add(&SparseVec::from_pairs(sub));
+                        assert_sig_fresh(&acc, "merge_add (subset)");
+                    }
+                }
+                // Subtract some of what is there: exhausted keys drop out.
+                4 => {
+                    let part: Vec<(u32, f32)> =
+                        acc.iter().filter(|_| rng.random_range(0..2u32) == 0).collect();
+                    acc.merge_sub(&SparseVec::from_pairs(part));
+                    assert_sig_fresh(&acc, "merge_sub");
+                }
+                5 => {
+                    // 1e-7 pushes the light weights under the drop epsilon.
+                    let factor = [0.5f32, 1e-7, 0.0][rng.random_range(0..3usize)];
+                    acc.scale(factor);
+                    assert_sig_fresh(&acc, "scale");
+                }
+                _ => {
+                    if rng.random_range(0..4u32) == 0 {
+                        acc.clear();
+                        assert_sig_fresh(&acc, "clear");
+                    }
+                }
+            }
+        }
+
+        // The signature is not on the wire: decoding rebuilds it.
+        let mut b = Snippet::builder(SnippetId::new(0), SourceId::new(0), Timestamp::EPOCH);
+        for (k, w) in acc.iter() {
+            b = b.entity(EntityId::new(k), w).term(TermId::new(k + 1), w);
+        }
+        let snippet = b.build();
+        let mut buf = Vec::new();
+        encode_snippet(&mut buf, &snippet);
+        let decoded = decode_snippet(&mut &buf[..]).unwrap();
+        assert_eq!(decoded.entities().sig(), acc.sig());
+        assert_eq!(decoded.entities().sig(), kernel::sig(decoded.entities().as_slice()));
+        assert_eq!(decoded.terms().sig(), kernel::sig(decoded.terms().as_slice()));
     });
 }
