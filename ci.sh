@@ -67,23 +67,32 @@ cargo run -p storypivot-bench --bin harness --release -- \
 test -s "$SMOKE_DIR/bench/BENCH_e1.json"
 # The repository benchmark's exact counts ride in the same file: what
 # identification compared, merged, split and swept and how often the hot
-# cache hit, per workload, for seed 7. They repeat exactly whatever the
-# run length, so 3 s of the binary built above is enough; a change that
-# only makes scoring cheaper must leave every one of them where it was.
-spbench_counts() { # args: workload
-    local line value name
-    line="$(benchmark/target/release/spbench --workload "$1" --seed 7 --seconds 3 --trace 1 2>/dev/null | tail -n 1)"
-    printf 'spbench\tworkload=%s' "$1"
-    for name in core.identify.compared_per_event core.identify.merges core.identify.splits \
-        core.identify.maintain_runs core.hotcache.hit_ratio core.identify.new_story_ratio; do
+# cache hit, per workload, for seed 7; and for the served workload what
+# an ingest weighs on the wire, in the journal and in a checkpoint (not
+# its busy / shed cells, which depend on scheduling). They repeat exactly
+# whatever the run length, so 3 s of the binary built above is enough; a
+# change that only makes things cheaper must leave every one of them
+# where it was.
+spbench_counts() { # args: workload metric...
+    local line value name workload="$1"
+    shift
+    line="$(benchmark/target/release/spbench --workload "$workload" --seed 7 --seconds 3 --trace 1 2>/dev/null | tail -n 1)"
+    printf 'spbench\tworkload=%s' "$workload"
+    for name in "$@"; do
         value="$(printf '%s' "$line" | grep -o "\"$name\": {\"value\": [^,]*" | sed 's/.*: //')"
-        [ -n "$value" ] || { echo "spbench $1 printed no $name" >&2; return 1; }
+        [ -n "$value" ] || { echo "spbench $workload printed no $name" >&2; return 1; }
         printf '\t%s=%s' "$name" "$value"
     done
     printf '\n'
 }
-spbench_counts identify_dense >> "$SMOKE_DIR/bench/counts.txt"
-spbench_counts identify_wide >> "$SMOKE_DIR/bench/counts.txt"
+IDENTIFY_COUNTS=(core.identify.compared_per_event core.identify.merges core.identify.splits
+    core.identify.maintain_runs core.hotcache.hit_ratio core.identify.new_story_ratio)
+{
+    spbench_counts identify_dense "${IDENTIFY_COUNTS[@]}"
+    spbench_counts identify_wide "${IDENTIFY_COUNTS[@]}"
+    spbench_counts serve_mixed core.identify.compared_per_event core.hotcache.hit_ratio \
+        serve.proto.bytes_per_ingest substrate.wal.bytes_per_op core.checkpoint.bytes_per_snippet
+} >> "$SMOKE_DIR/bench/counts.txt"
 if ! diff -u data/expected-counts.txt "$SMOKE_DIR/bench/counts.txt"; then
     cp "$SMOKE_DIR/bench/counts.txt" data/counts.txt
     echo "counts differ from data/expected-counts.txt; this run's are in data/counts.txt" >&2
@@ -174,7 +183,7 @@ echo "==> smoke: crash recovery (kill -9, WAL replay must restore the partition)
 CRASH_DIR="$SMOKE_DIR/crash"
 mkdir -p "$CRASH_DIR"
 cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync always \
+    --addr 127.0.0.1:0 --shards 2 --fsync always \
     --wal-dir "$CRASH_DIR/wal" --checkpoint-dir "$CRASH_DIR/ckpt" \
     --port-file "$CRASH_DIR/port" &
 PIVOTD_PID=$!
@@ -187,7 +196,7 @@ kill -9 "$PIVOTD_PID"
 wait "$PIVOTD_PID" || true
 rm -f "$CRASH_DIR/port"
 cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync always \
+    --addr 127.0.0.1:0 --shards 2 --fsync always \
     --wal-dir "$CRASH_DIR/wal" --checkpoint-dir "$CRASH_DIR/ckpt" \
     --port-file "$CRASH_DIR/port" &
 PIVOTD_PID=$!
@@ -198,11 +207,32 @@ wait "$PIVOTD_PID"
 PIVOTD_PID=""
 cmp "$CRASH_DIR/before.txt" "$CRASH_DIR/after.txt"
 
+echo "==> smoke: graceful restart (SHUTDOWN + restart must serve the partition that was served)"
+# The drain publishes and checkpoints and moves no snippet: what the
+# daemon answered before SHUTDOWN is what it answers after a restart.
+RESTART_DIR="$SMOKE_DIR/restart"
+mkdir -p "$RESTART_DIR"
+for PARTITION in before after; do
+    rm -f "$RESTART_DIR/port"
+    cargo run -p storypivot-serve --bin pivotd --release -- \
+        --addr 127.0.0.1:0 --shards 2 --fsync always \
+        --wal-dir "$RESTART_DIR/wal" --checkpoint-dir "$RESTART_DIR/ckpt" \
+        --port-file "$RESTART_DIR/port" &
+    PIVOTD_PID=$!
+    PORT="$(wait_port "$RESTART_DIR/port" "$PIVOTD_PID")"
+    if [ "$PARTITION" = before ]; then LOAD=--quick; else LOAD=--query-only; fi
+    cargo run -p storypivot-serve --bin loadgen --release -- \
+        --addr "127.0.0.1:$PORT" "$LOAD" --partition-file "$RESTART_DIR/$PARTITION.txt" --shutdown
+    wait "$PIVOTD_PID"
+    PIVOTD_PID=""
+done
+cmp "$RESTART_DIR/before.txt" "$RESTART_DIR/after.txt"
+
 echo "==> smoke: replication (leader + follower, bounded lag, NOT_LEADER wall)"
 REPL_DIR="$SMOKE_DIR/repl"
 mkdir -p "$REPL_DIR"
 cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync always \
+    --addr 127.0.0.1:0 --shards 2 --fsync always \
     --wal-dir "$REPL_DIR/leader-wal" --checkpoint-dir "$REPL_DIR/leader-ckpt" \
     --port-file "$REPL_DIR/leader-port" &
 PIVOTD_PID=$!
@@ -211,8 +241,7 @@ cargo run -p storypivot-serve --bin loadgen --release -- \
     --addr "127.0.0.1:$PORT" --quick --partition-file "$REPL_DIR/leader.txt"
 test -s "$REPL_DIR/leader.txt"
 cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 \
-    --replica --leader "127.0.0.1:$PORT" \
+    --addr 127.0.0.1:0 --shards 2 --leader "127.0.0.1:$PORT" \
     --wal-dir "$REPL_DIR/replica-wal" --checkpoint-dir "$REPL_DIR/replica-ckpt" \
     --port-file "$REPL_DIR/replica-port" &
 REPLICA_PID=$!
@@ -259,7 +288,7 @@ CHAOS_DIR="$SMOKE_DIR/chaos"
 mkdir -p "$CHAOS_DIR"
 STORYPIVOT_FAULTS="seed=11,wal_enospc=15,wal_short=15,checkpoint=300" \
 cargo run -p storypivot-serve --bin pivotd -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync every:16 \
+    --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --deadline-ms 50 --checkpoint-every-bytes 32768 \
     --wal-dir "$CHAOS_DIR/wal" --checkpoint-dir "$CHAOS_DIR/ckpt" \
     --port-file "$CHAOS_DIR/port" &
@@ -284,7 +313,7 @@ rm -f "$CHAOS_DIR/port"
 # Clean restart, no fault plan: WAL replay (torn appends were repaired
 # in place, rejected appends left nothing) rebuilds the partition.
 cargo run -p storypivot-serve --bin pivotd -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync every:16 \
+    --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --wal-dir "$CHAOS_DIR/wal" --checkpoint-dir "$CHAOS_DIR/ckpt" \
     --port-file "$CHAOS_DIR/port" &
 PIVOTD_PID=$!
@@ -299,7 +328,7 @@ cmp "$CHAOS_DIR/before.txt" "$CHAOS_DIR/after.txt"
 # runs against a journaling-but-flaky checkpoint path.
 STORYPIVOT_FAULTS="seed=4,checkpoint=300" \
 cargo run -p storypivot-serve --bin pivotd -- \
-    --addr 127.0.0.1:0 --shards 2 --align-every 0 --fsync every:16 \
+    --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --deadline-ms 50 --checkpoint-every-bytes 32768 \
     --wal-dir "$CHAOS_DIR/storm-wal" --checkpoint-dir "$CHAOS_DIR/storm-ckpt" \
     --port-file "$CHAOS_DIR/storm-port" &

@@ -32,7 +32,6 @@ fn e16_chaos(scale: &Scale, seed: u64) -> Table {
             "127.0.0.1:0",
             ServerConfig {
                 shards: 2,
-                align_every: 0,
                 deadline_ms: 250,
                 ..ServerConfig::default()
             },

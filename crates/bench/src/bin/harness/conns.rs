@@ -56,7 +56,7 @@ fn e14_conns(scale: &Scale, _seed: u64) -> Table {
 
     let handle = serve(
         "127.0.0.1:0",
-        ServerConfig { shards: 2, align_every: 0, io_workers: 2, ..ServerConfig::default() },
+        ServerConfig { shards: 2, io_workers: 2, ..ServerConfig::default() },
     )
     .expect("start in-process pivotd");
     let addr = handle.addr();

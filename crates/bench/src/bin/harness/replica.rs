@@ -36,7 +36,6 @@ fn e15_replica(scale: &Scale, seed: u64) -> Table {
         std::fs::create_dir_all(&dir).expect("e15 wal dir");
         ServerConfig {
             shards,
-            align_every: 0,
             wal_dir: Some(dir),
             fsync: SyncPolicy::Never,
             leader,

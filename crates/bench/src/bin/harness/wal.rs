@@ -2,8 +2,8 @@ use std::time::Instant;
 
 use storypivot_bench::corpus_fixed_period;
 use storypivot_core::config::PivotConfig;
-use storypivot_core::oplog::{replay_op, ReplayOp};
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::oplog::{self, ReplayOp};
+use storypivot_core::StoryPivot;
 use storypivot_eval::Table;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal};
 
@@ -29,18 +29,13 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         .clocks(["ms/event"])
         .counts(["wal KiB"])
         .clocks(["recover ms"]);
-    // Flush-only pipeline: isolates journaling cost from alignment.
-    let fresh = || {
-        DynamicPivot::new(
-            PivotConfig::default(),
-            PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-        )
-    };
+    // Identification only, as on a shard.
+    let fresh = || StoryPivot::new(PivotConfig::default());
 
     // Baseline: the same ingest stream with no journal at all.
     let mut engine = fresh();
     for s in &corpus.sources {
-        engine.pivot_mut().add_source_registered(s.clone()).unwrap();
+        engine.add_source_registered(s.clone()).unwrap();
     }
     let t = Instant::now();
     for s in &corpus.snippets {
@@ -64,7 +59,7 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         let mut engine = fresh();
         for s in &corpus.sources {
             journal.append(&ReplayOp::AddSource(s.clone()).to_bytes()).unwrap();
-            engine.pivot_mut().add_source_registered(s.clone()).unwrap();
+            engine.add_source_registered(s.clone()).unwrap();
         }
         let t = Instant::now();
         for s in &corpus.snippets {
@@ -104,11 +99,11 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         let mut engine = fresh();
         for record in &scan.records {
             let op = ReplayOp::decode(record).expect("decode journaled op");
-            replay_op(&mut engine, &op).expect("replay journaled op");
+            oplog::replay(&mut engine, &op).expect("replay journaled op");
         }
         let recover_nanos = t.elapsed().as_nanos() as f64;
         assert!(!scan.damaged(), "bench journal must scan clean");
-        assert_eq!(engine.pivot().store().len(), n, "replay must restore every snippet");
+        assert_eq!(engine.store().len(), n, "replay must restore every snippet");
         table.row([
             "recover (scan+replay)".into(),
             "-".into(),

@@ -19,7 +19,7 @@
 //! Replay is **idempotent by construction**: a checkpoint is written
 //! first and the journal truncated second, so a crash between the two
 //! leaves ops in the journal that the checkpoint already contains.
-//! [`replay_op`] therefore treats "already there" (duplicate snippet or
+//! [`replay`] therefore treats "already there" (duplicate snippet or
 //! source) and "already gone" (unknown document) as successful no-ops
 //! and only propagates errors that indicate real corruption.
 
@@ -28,6 +28,7 @@ use storypivot_substrate::buf::{Buf, BufMut};
 use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
 
 use crate::pipeline::DynamicPivot;
+use crate::pivot::StoryPivot;
 
 const OP_ADD_SOURCE: u8 = 0x01;
 const OP_INGEST: u8 = 0x02;
@@ -130,23 +131,18 @@ pub enum Applied {
 /// Apply one op to an engine, consuming it. This is the only place an
 /// op meets the engine: the live serving path and recovery replay both
 /// come through here, which is what makes recovered == uninterrupted.
-pub fn apply(engine: &mut DynamicPivot, op: ReplayOp) -> Result<Applied> {
+pub fn apply(engine: &mut StoryPivot, op: ReplayOp) -> Result<Applied> {
     match op {
-        ReplayOp::AddSource(source) => {
-            engine.pivot_mut().add_source_registered(source).map(Applied::Source)
-        }
+        ReplayOp::AddSource(source) => engine.add_source_registered(source).map(Applied::Source),
         ReplayOp::Ingest(snippet) => engine.ingest(snippet).map(Applied::Story),
-        ReplayOp::RemoveDoc(doc) => engine
-            .pivot_mut()
-            .remove_document(doc)
-            .map(|n| Applied::Removed(n as u32)),
+        ReplayOp::RemoveDoc(doc) => engine.remove_document(doc).map(|n| Applied::Removed(n as u32)),
     }
 }
 
 /// Apply one op during recovery. Returns `true` when the op changed
 /// state, `false` when it was an idempotent no-op (already applied via
 /// the checkpoint it rode behind); corruption-class errors propagate.
-pub fn replay_op(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
+pub fn replay(engine: &mut StoryPivot, op: &ReplayOp) -> Result<bool> {
     match apply(engine, op.clone()) {
         Ok(_) => Ok(true),
         // The checkpoint this journal tail rides behind already holds
@@ -156,21 +152,21 @@ pub fn replay_op(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
     }
 }
 
+/// [`replay`] on the engine inside a [`DynamicPivot`], bypassing its
+/// alignment policy. Kept for the benchmark's `core.oplog.replay_us`
+/// loop, which holds one; everything else calls [`replay`].
+pub fn replay_op(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
+    replay(engine.pivot_mut(), op)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PivotConfig;
-    use crate::pipeline::PipelinePolicy;
     use storypivot_types::{EntityId, SnippetId, SourceKind, TermId, Timestamp};
 
-    fn fresh_engine() -> DynamicPivot {
-        DynamicPivot::new(
-            PivotConfig::default(),
-            PipelinePolicy {
-                align_every: 0,
-                ..PipelinePolicy::default()
-            },
-        )
+    fn fresh_engine() -> StoryPivot {
+        StoryPivot::new(PivotConfig::default())
     }
 
     fn snip(id: u32) -> Snippet {
@@ -217,22 +213,22 @@ mod tests {
     fn replay_applies_in_order_and_tolerates_duplicates() {
         let mut engine = fresh_engine();
         let source = Source::new(SourceId::new(0), "s0", SourceKind::Wire);
-        assert!(replay_op(&mut engine, &ReplayOp::AddSource(source.clone())).unwrap());
-        assert!(replay_op(&mut engine, &ReplayOp::Ingest(snip(0))).unwrap());
-        assert!(replay_op(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
+        assert!(replay(&mut engine, &ReplayOp::AddSource(source.clone())).unwrap());
+        assert!(replay(&mut engine, &ReplayOp::Ingest(snip(0))).unwrap());
+        assert!(replay(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
         // Double-applied ops (checkpoint/truncate crash window) no-op.
-        assert!(!replay_op(&mut engine, &ReplayOp::AddSource(source)).unwrap());
-        assert!(!replay_op(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
-        assert!(replay_op(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
-        assert!(!replay_op(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
-        assert_eq!(engine.pivot().store().len(), 0);
+        assert!(!replay(&mut engine, &ReplayOp::AddSource(source)).unwrap());
+        assert!(!replay(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
+        assert!(replay(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
+        assert!(!replay(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
+        assert_eq!(engine.store().len(), 0);
         // `apply` is the same match, reporting what the op produced and
         // leaving "already there / already gone" to the caller.
         let story = match apply(&mut engine, ReplayOp::Ingest(snip(2))).unwrap() {
             Applied::Story(story) => story,
             other => panic!("an ingest yields a story, got {other:?}"),
         };
-        assert_eq!(engine.pivot().story(story).unwrap().story.members, [SnippetId::new(2)]);
+        assert_eq!(engine.story(story).unwrap().story.members, [SnippetId::new(2)]);
         assert_eq!(apply(&mut engine, ReplayOp::RemoveDoc(DocId::new(1))), Ok(Applied::Removed(1)));
         assert!(matches!(
             apply(&mut engine, ReplayOp::RemoveDoc(DocId::new(1))),

@@ -62,21 +62,6 @@ impl DynamicPivot {
         }
     }
 
-    /// Wrap an already-populated engine (e.g. one restored from a
-    /// checkpoint) in a dynamic pipeline. The alignment clock starts
-    /// fresh: the first post-restore snippet anchors event time, and
-    /// count-based alignment counts from zero.
-    pub fn from_pivot(pivot: StoryPivot, policy: PipelinePolicy) -> Self {
-        DynamicPivot {
-            pivot,
-            policy,
-            since_align: 0,
-            auto_aligns: 0,
-            max_event_time: None,
-            last_align_event_time: None,
-        }
-    }
-
     /// The wrapped engine (read access).
     pub fn pivot(&self) -> &StoryPivot {
         &self.pivot
@@ -130,9 +115,8 @@ impl DynamicPivot {
         if self.policy.refine_on_align {
             self.pivot.refine();
         }
-        self.since_align = 0;
         self.auto_aligns += 1;
-        self.last_align_event_time = self.max_event_time;
+        self.aligned();
     }
 
     /// Flush: align + refine regardless of policy, returning the number
@@ -140,8 +124,15 @@ impl DynamicPivot {
     pub fn flush(&mut self) -> usize {
         self.pivot.align_incremental();
         let report = self.pivot.refine();
-        self.since_align = 0;
+        self.aligned();
         report.move_count()
+    }
+
+    /// Restart both alignment clocks: everything ingested so far is
+    /// aligned, by count and by event time.
+    fn aligned(&mut self) {
+        self.since_align = 0;
+        self.last_align_event_time = self.max_event_time;
     }
 }
 
@@ -313,6 +304,36 @@ mod event_time_policy_tests {
             dp.ingest(s).unwrap();
         }
         assert_eq!(dp.auto_align_count(), 0);
+    }
+
+    #[test]
+    fn flush_restarts_the_event_time_clock() {
+        let mut dp = DynamicPivot::new(
+            crate::config::PivotConfig::default(),
+            PipelinePolicy {
+                align_every: 0,
+                align_every_event_secs: Some(3 * DAY),
+                refine_on_align: false,
+            },
+        );
+        let a = dp.pivot_mut().add_source("a", SourceKind::Newspaper);
+        let ingest_day = |dp: &mut DynamicPivot, day: i64| {
+            let id = dp.pivot_mut().fresh_snippet_id();
+            let s = Snippet::builder(id, a, Timestamp::from_secs(day * DAY))
+                .entity(EntityId::new(1), 1.0)
+                .build();
+            dp.ingest(s).unwrap();
+        };
+        // Day 0 anchors, day 2 is inside the step; the flush aligns at
+        // day 2, so day 3 is one day past the last alignment, not three
+        // past the anchor.
+        ingest_day(&mut dp, 0);
+        ingest_day(&mut dp, 2);
+        dp.flush();
+        ingest_day(&mut dp, 3);
+        assert_eq!(dp.auto_align_count(), 0);
+        ingest_day(&mut dp, 5);
+        assert_eq!(dp.auto_align_count(), 1);
     }
 }
 

@@ -13,11 +13,11 @@
 //! shard queue, writes one checkpoint per shard, and exits 0.
 //!
 //! ```text
-//! pivotd --replica --leader 127.0.0.1:7411 --wal-dir ./rwal \
+//! pivotd --leader 127.0.0.1:7411 --wal-dir ./rwal \
 //!        --checkpoint-dir ./rckpt --addr 127.0.0.1:7412
 //! ```
 //!
-//! `--replica --leader <addr>` starts a read-only follower: it
+//! `--leader <addr>` starts a read-only follower: it
 //! bootstraps each shard from the leader's newest checkpoint, tails
 //! the leader's WAL, serves QUERY_STORIES/GET_STORY from local read
 //! snapshots, and redirects writes with NOT_LEADER. `--wal-dir` is
@@ -41,12 +41,12 @@ use storypivot_substrate::wal::SyncPolicy;
 fn usage() -> ! {
     eprintln!(
         "usage: pivotd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-         [--align-every N] [--retry-after-ms N] [--deadline-ms N] \
+         [--retry-after-ms N] [--deadline-ms N] \
          [--io-workers N] \
          [--max-pipeline N] [--idle-timeout-ms N] [--checkpoint-dir DIR] \
          [--wal-dir DIR] [--fsync always|never|every:N] \
          [--checkpoint-every-bytes N] [--port-file PATH] \
-         [--replica] [--leader HOST:PORT]"
+         [--leader HOST:PORT]"
     );
     std::process::exit(2);
 }
@@ -66,14 +66,12 @@ fn main() {
     let mut addr = "127.0.0.1:7411".to_string();
     let mut cfg = ServerConfig::default();
     let mut port_file: Option<PathBuf> = None;
-    let mut replica = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => addr = parse(&mut args, "--addr"),
             "--shards" => cfg.shards = parse(&mut args, "--shards"),
             "--queue-depth" => cfg.queue_depth = parse(&mut args, "--queue-depth"),
-            "--align-every" => cfg.align_every = parse(&mut args, "--align-every"),
             "--retry-after-ms" => cfg.retry_after_ms = parse(&mut args, "--retry-after-ms"),
             "--deadline-ms" => cfg.deadline_ms = parse(&mut args, "--deadline-ms"),
             "--io-workers" => cfg.io_workers = parse(&mut args, "--io-workers"),
@@ -91,18 +89,9 @@ fn main() {
                 cfg.checkpoint_every_bytes = parse(&mut args, "--checkpoint-every-bytes")
             }
             "--port-file" => port_file = Some(parse::<PathBuf>(&mut args, "--port-file")),
-            "--replica" => replica = true,
             "--leader" => cfg.leader = Some(parse(&mut args, "--leader")),
             _ => usage(),
         }
-    }
-    if replica && cfg.leader.is_none() {
-        eprintln!("--replica requires --leader HOST:PORT");
-        usage();
-    }
-    if cfg.leader.is_some() && !replica {
-        eprintln!("--leader only makes sense with --replica");
-        usage();
     }
     // Deterministic fault injection, debug/test builds only (the hooks
     // are inert in release binaries even when the plan is set).

@@ -11,6 +11,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use storypivot_gen::scenario::{ScenarioOp, Script};
@@ -141,280 +142,231 @@ impl LoadReport {
 ///
 /// The server allocates source ids sequentially from zero against a
 /// fresh engine, which matches the corpus's own numbering; a mismatch
-/// (server not fresh) is an error.
+/// (server not fresh) is an error. Any rejection other than BUSY / SHED
+/// is fatal.
 pub fn replay<A: ToSocketAddrs>(addr: A, corpus: &Corpus, opts: &LoadOptions) -> Result<LoadReport> {
-    if opts.connections == 0 {
-        return Err(Error::InvalidConfig("loadgen: connections must be >= 1".into()));
-    }
-    let addr: SocketAddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| Error::InvalidConfig("loadgen: address resolved to nothing".into()))?;
-
-    let mut setup = Client::connect(addr)?;
-    for source in &corpus.sources {
-        let got = setup.add_source(&source.name, source.kind, source.typical_lag)?;
-        if got != source.id {
-            return Err(Error::InvalidConfig(format!(
-                "server allocated source id {got} where the corpus expects {} — \
-                 is the server fresh?",
-                source.id
-            )));
-        }
-    }
-
-    // Partition by source, preserving delivery order within each lane.
-    let lanes = opts.connections;
-    let mut per_lane: Vec<Vec<Snippet>> = vec![Vec::new(); lanes];
-    for s in &corpus.snippets {
-        per_lane[s.source.raw() as usize % lanes].push(s.clone());
-    }
-    let per_lane_rate = opts.rate as f64 / lanes as f64;
-
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(lanes);
-    // BUSY handling: jittered exponential backoff honoring the
-    // server's retry-after hint, with a typed error on exhaustion.
-    let backoff = BackoffPolicy {
-        max_attempts: opts.max_retries.saturating_add(1),
-        ..BackoffPolicy::default()
-    };
-    for lane in per_lane {
-        handles.push(std::thread::spawn(move || -> Result<(u64, RetryStats, Histogram)> {
-            let mut client = Client::connect(addr)?;
-            let mut hist = Histogram::new();
-            let mut events = 0u64;
-            let mut retries = RetryStats::default();
-            let lane_start = Instant::now();
-            for (i, snippet) in lane.iter().enumerate() {
-                if per_lane_rate > 0.0 {
-                    // Pace against the schedule, not the previous send:
-                    // event i is due at i / rate seconds.
-                    let due = Duration::from_secs_f64(i as f64 / per_lane_rate);
-                    let elapsed = lane_start.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                }
-                let t = Instant::now();
-                let (_, r) = client.ingest_backoff(snippet, backoff)?;
-                retries.busy += r.busy;
-                retries.shed += r.shed;
-                hist.record(t.elapsed().as_nanos() as u64);
-                events += 1;
-            }
-            Ok((events, retries, hist))
-        }));
-    }
-
-    let mut report = LoadReport {
-        events: 0,
-        busy_retries: 0,
-        shed_retries: 0,
-        rejected_retries: 0,
-        wall: Duration::ZERO,
-        latency: Histogram::new(),
-    };
-    let mut failure = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok((events, retries, hist))) => {
-                report.events += events;
-                report.busy_retries += retries.busy as u64;
-                report.shed_retries += retries.shed as u64;
-                report.latency.merge(&hist);
-            }
-            Ok(Err(e)) => failure = Some(e),
-            Err(_) => failure = Some(Error::Io("loadgen connection thread panicked".into())),
-        }
-    }
-    report.wall = start.elapsed();
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    let stream =
+        Segment { rate: opts.rate, ingests: corpus.snippets.iter().collect(), ..Segment::default() };
+    run_plan(addr, &Plan { sources: &corpus.sources, segments: vec![stream], rejected_retries: 0 }, opts)
 }
 
 // ---- chaos scenario replay -------------------------------------------
 
-/// One segment's work, pre-split for the lanes: control ops run on
-/// lane 0 with barriers around them so no lane ingests a snippet of a
-/// source that is not registered yet, and no document is retracted
-/// before every lane has finished the segment's ingests.
-struct SegmentPlan {
+/// One stretch of a replay. Control ops run on lane 0 with barriers
+/// around them so no lane ingests a snippet of a source that is not
+/// registered yet, and no document is retracted before every lane has
+/// finished the segment's ingests.
+#[derive(Default)]
+struct Segment<'a> {
     rate: u64,
     gap_ms: u64,
-    adds: Vec<Source>,
-    per_lane: Vec<Vec<Snippet>>,
+    adds: Vec<&'a Source>,
+    ingests: Vec<&'a Snippet>,
     removes: Vec<DocId>,
+}
+
+/// What the lanes replay: the sources registered before anything else,
+/// the segments in order, and how many typed rejections of one snippet a
+/// lane retries before it fails.
+struct Plan<'a> {
+    sources: &'a [Source],
+    segments: Vec<Segment<'a>>,
+    rejected_retries: u32,
+}
+
+/// What one lane measured.
+#[derive(Default)]
+struct LaneTally {
+    events: u64,
+    retries: RetryStats,
+    rejected: u64,
+    latency: Histogram,
 }
 
 /// Replay a compiled chaos [`Script`] against a running server.
 ///
-/// Like [`replay`], snippets are partitioned across `opts.connections`
-/// lanes by source id, so each source's stream stays in order. The
-/// lanes advance segment by segment behind barriers: lane 0 plays the
-/// segment's mid-stream ADD_SOURCE ops (and, after everyone's ingests,
-/// its REMOVE_DOC retractions); every lane observes the segment's
-/// dormancy gap and paces toward its share of the segment's rate.
+/// Like [`replay`] — which is the one-segment case with no control ops —
+/// snippets are partitioned across `opts.connections` lanes by source
+/// id, so each source's stream stays in order. The lanes advance segment
+/// by segment behind barriers: lane 0 plays the segment's mid-stream
+/// ADD_SOURCE ops (and, after everyone's ingests, its REMOVE_DOC
+/// retractions); every lane observes the segment's dormancy gap and
+/// paces toward its share of the segment's rate.
+///
+/// A typed rejection (a chaos server failing the journal append, say)
+/// applied nothing — append-before-apply — so a straight retry is safe:
+/// each snippet gets up to 50 of them, bounded so that a dead server
+/// still fails the lane instead of spinning.
 pub fn replay_script<A: ToSocketAddrs>(
     addr: A,
     script: &Script,
     opts: &LoadOptions,
 ) -> Result<LoadReport> {
-    if opts.connections == 0 {
-        return Err(Error::InvalidConfig("loadgen: connections must be >= 1".into()));
-    }
-    let addr: SocketAddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| Error::InvalidConfig("loadgen: address resolved to nothing".into()))?;
-
-    let mut setup = Client::connect(addr)?;
-    for source in &script.sources {
-        let got = setup.add_source(&source.name, source.kind, source.typical_lag)?;
-        if got != source.id {
-            return Err(Error::InvalidConfig(format!(
-                "server allocated source id {got} where the script expects {} — \
-                 is the server fresh?",
-                source.id
-            )));
-        }
-    }
-
-    let lanes = opts.connections;
-    let plans: Vec<SegmentPlan> = script
+    let segments = script
         .segments
         .iter()
         .map(|seg| {
-            let mut plan = SegmentPlan {
-                rate: seg.rate,
-                gap_ms: seg.gap_ms,
-                adds: Vec::new(),
-                per_lane: vec![Vec::new(); lanes],
-                removes: Vec::new(),
-            };
+            let mut plan = Segment { rate: seg.rate, gap_ms: seg.gap_ms, ..Segment::default() };
             for op in &seg.ops {
                 match op {
-                    ScenarioOp::AddSource(s) => plan.adds.push(s.clone()),
-                    ScenarioOp::Ingest(s) => {
-                        plan.per_lane[s.source.raw() as usize % lanes].push(s.clone())
-                    }
+                    ScenarioOp::AddSource(s) => plan.adds.push(s),
+                    ScenarioOp::Ingest(s) => plan.ingests.push(s),
                     ScenarioOp::RemoveDoc(d) => plan.removes.push(*d),
                 }
             }
             plan
         })
         .collect();
-    let plans = std::sync::Arc::new(plans);
-    let gate = std::sync::Arc::new(std::sync::Barrier::new(lanes));
+    run_plan(addr, &Plan { sources: &script.sources, segments, rejected_retries: 50 }, opts)
+}
 
+/// Register `source` and insist on the id the replay numbered it with.
+fn register(client: &mut Client, source: &Source) -> Result<()> {
+    let got = client.add_source(&source.name, source.kind, source.typical_lag)?;
+    if got != source.id {
+        return Err(Error::InvalidConfig(format!(
+            "server allocated source id {got} where the replay expects {} — \
+             is the server fresh?",
+            source.id
+        )));
+    }
+    Ok(())
+}
+
+fn run_plan<A: ToSocketAddrs>(addr: A, plan: &Plan, opts: &LoadOptions) -> Result<LoadReport> {
+    let lanes = opts.connections;
+    if lanes == 0 {
+        return Err(Error::InvalidConfig("loadgen: connections must be >= 1".into()));
+    }
+    let addr: SocketAddr = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| Error::InvalidConfig("loadgen: address resolved to nothing".into()))?;
+
+    let mut setup = Client::connect(addr)?;
+    for source in plan.sources {
+        register(&mut setup, source)?;
+    }
+
+    // BUSY handling: jittered exponential backoff honoring the
+    // server's retry-after hint, with a typed error on exhaustion.
     let backoff = BackoffPolicy {
         max_attempts: opts.max_retries.saturating_add(1),
         ..BackoffPolicy::default()
     };
+    let gate = Barrier::new(lanes);
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(lanes);
-    for lane in 0..lanes {
-        let plans = std::sync::Arc::clone(&plans);
-        let gate = std::sync::Arc::clone(&gate);
-        handles.push(std::thread::spawn(move || -> Result<(u64, RetryStats, u64, Histogram)> {
-            let mut client = Client::connect(addr)?;
-            let mut hist = Histogram::new();
-            let mut events = 0u64;
-            let mut retries = RetryStats::default();
-            let mut rejected = 0u64;
-            for plan in plans.iter() {
-                gate.wait();
-                if plan.gap_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(plan.gap_ms));
-                }
-                // Mid-stream registrations land before any lane may
-                // ingest the new sources' snippets.
-                if lane == 0 {
-                    for source in &plan.adds {
-                        let got =
-                            client.add_source(&source.name, source.kind, source.typical_lag)?;
-                        if got != source.id {
-                            return Err(Error::InvalidConfig(format!(
-                                "server allocated source id {got} where the script expects {}",
-                                source.id
-                            )));
-                        }
-                    }
-                }
-                gate.wait();
-                let per_lane_rate = plan.rate as f64 / lanes as f64;
-                let seg_start = Instant::now();
-                for (i, snippet) in plan.per_lane[lane].iter().enumerate() {
-                    if per_lane_rate > 0.0 {
-                        let due = Duration::from_secs_f64(i as f64 / per_lane_rate);
-                        let elapsed = seg_start.elapsed();
-                        if due > elapsed {
-                            std::thread::sleep(due - elapsed);
-                        }
-                    }
-                    let t = Instant::now();
-                    let mut attempts = 0u32;
-                    let r = loop {
-                        match client.ingest_backoff(snippet, backoff) {
-                            Ok((_, r)) => break r,
-                            // A typed rejection (a chaos server failing
-                            // the journal append, say) applied nothing —
-                            // append-before-apply — so a straight retry
-                            // is safe. Bounded, so a dead server still
-                            // fails the lane instead of spinning.
-                            Err(_) if attempts < 50 => {
-                                attempts += 1;
-                                rejected += 1;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    };
-                    retries.busy += r.busy;
-                    retries.shed += r.shed;
-                    hist.record(t.elapsed().as_nanos() as u64);
-                    events += 1;
-                }
-                gate.wait();
-                // Retractions only after every lane's ingests landed.
-                if lane == 0 {
-                    for doc in &plan.removes {
-                        client.remove_doc(*doc)?;
-                    }
-                }
-            }
-            Ok((events, retries, rejected, hist))
-        }));
-    }
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let gate = &gate;
+                scope.spawn(move || run_lane(addr, plan, lane, lanes, gate, backoff))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
 
     let mut report = LoadReport {
         events: 0,
         busy_retries: 0,
         shed_retries: 0,
         rejected_retries: 0,
-        wall: Duration::ZERO,
+        wall: start.elapsed(),
         latency: Histogram::new(),
     };
     let mut failure = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok((events, retries, rejected, hist))) => {
-                report.events += events;
-                report.busy_retries += retries.busy as u64;
-                report.shed_retries += retries.shed as u64;
-                report.rejected_retries += rejected;
-                report.latency.merge(&hist);
+    for lane in joined {
+        match lane {
+            Ok(Ok(tally)) => {
+                report.events += tally.events;
+                report.busy_retries += tally.retries.busy as u64;
+                report.shed_retries += tally.retries.shed as u64;
+                report.rejected_retries += tally.rejected;
+                report.latency.merge(&tally.latency);
             }
             Ok(Err(e)) => failure = Some(e),
-            Err(_) => failure = Some(Error::Io("loadgen scenario lane panicked".into())),
+            Err(_) => failure = Some(Error::Io("loadgen connection thread panicked".into())),
         }
     }
-    report.wall = start.elapsed();
     match failure {
         Some(e) => Err(e),
         None => Ok(report),
     }
+}
+
+/// One lane of [`run_plan`]: its own connection, every `lanes`-th
+/// source. A lane that fails still meets the others at every gate, doing
+/// nothing in between, so one error ends the replay instead of hanging
+/// it.
+fn run_lane(
+    addr: SocketAddr,
+    plan: &Plan,
+    lane: usize,
+    lanes: usize,
+    gate: &Barrier,
+    backoff: BackoffPolicy,
+) -> Result<LaneTally> {
+    let mut tally = LaneTally::default();
+    let mut client = Client::connect(addr);
+    for seg in &plan.segments {
+        gate.wait();
+        client = client.and_then(|mut client| {
+            if seg.gap_ms > 0 {
+                std::thread::sleep(Duration::from_millis(seg.gap_ms));
+            }
+            // Mid-stream registrations land before any lane may ingest
+            // the new sources' snippets.
+            if lane == 0 {
+                for source in &seg.adds {
+                    register(&mut client, source)?;
+                }
+            }
+            Ok(client)
+        });
+        gate.wait();
+        client = client.and_then(|mut client| {
+            let per_lane_rate = seg.rate as f64 / lanes as f64;
+            let seg_start = Instant::now();
+            let mine = seg.ingests.iter().filter(|s| s.source.raw() as usize % lanes == lane);
+            for (i, snippet) in mine.enumerate() {
+                if per_lane_rate > 0.0 {
+                    // Pace against the schedule, not the previous send:
+                    // event i is due at i / rate seconds.
+                    let due = Duration::from_secs_f64(i as f64 / per_lane_rate);
+                    let elapsed = seg_start.elapsed();
+                    if due > elapsed {
+                        std::thread::sleep(due - elapsed);
+                    }
+                }
+                let t = Instant::now();
+                let mut rejections = 0u32;
+                let r = loop {
+                    match client.ingest_backoff(snippet, backoff) {
+                        Ok((_, r)) => break r,
+                        Err(_) if rejections < plan.rejected_retries => rejections += 1,
+                        Err(e) => return Err(e),
+                    }
+                };
+                tally.rejected += rejections as u64;
+                tally.retries.busy += r.busy;
+                tally.retries.shed += r.shed;
+                tally.latency.record(t.elapsed().as_nanos() as u64);
+                tally.events += 1;
+            }
+            Ok(client)
+        });
+        gate.wait();
+        // Retractions only after every lane's ingests landed.
+        client = client.and_then(|mut client| {
+            if lane == 0 {
+                for doc in &seg.removes {
+                    client.remove_doc(*doc)?;
+                }
+            }
+            Ok(client)
+        });
+    }
+    client.map(|_| tally)
 }
 
 // ---- read fan-out ----------------------------------------------------
@@ -825,6 +777,28 @@ mod tests {
         assert!(r.summary().contains("3 events"));
         assert!(r.summary().contains("2 shed retries"));
         assert!(r.summary().contains("4 rejected retries"));
+    }
+
+    #[test]
+    fn a_failing_lane_fails_the_replay_without_hanging_it() {
+        use crate::server::{serve, ServerConfig};
+        // A 1-deep queue drained at 5 ms/job and no BUSY retries: some
+        // lane gives up while the others still have gates to meet.
+        let cfg = ServerConfig {
+            shards: 1,
+            queue_depth: 1,
+            worker_delay: Duration::from_millis(5),
+            ..ServerConfig::default()
+        };
+        let handle = serve("127.0.0.1:0", cfg).unwrap();
+        let corpus = storypivot_gen::CorpusBuilder::new(
+            storypivot_gen::GenConfig::default().with_seed(3).with_sources(3).with_target_snippets(60),
+        )
+        .build();
+        let opts = LoadOptions { connections: 3, max_retries: 0, ..LoadOptions::default() };
+        assert!(replay(handle.addr(), &corpus, &opts).is_err());
+        Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+        handle.join();
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Topology: one acceptor thread, a fixed pool of connection-
 //! multiplexing *I/O worker* threads, and N *shard* worker threads.
-//! Each shard owns a full [`DynamicPivot`] engine holding a disjoint
+//! Each shard owns a full [`StoryPivot`] engine holding a disjoint
 //! subset of sources (`source id mod N`), so identification — which is
 //! per-source by construction (paper §2.1) — is embarrassingly
-//! parallel across shards, and alignment runs per shard over its own
-//! sources.
+//! parallel across shards. A shard identifies and nothing else:
+//! alignment and refinement are across sources (§2.3), so no shard can
+//! run them on what it holds, and no opcode serves their result yet.
 //!
 //! # The serving runtime
 //!
@@ -61,9 +62,11 @@
 //! shard.
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
-//! job behind all accepted work on every shard, each shard flushes its
-//! engine (final alignment + refinement) and writes a checkpoint
-//! generation, the queues are closed, and only then is the ack sent
+//! job behind all accepted work on every shard, each shard publishes
+//! its last snapshot and writes a checkpoint generation (the engine is
+//! left exactly as the last applied op left it, so a restart serves the
+//! partition that was being served), the queues are closed, and only
+//! then is the ack sent
 //! (to the initiator and to every connection that sent a concurrent
 //! SHUTDOWN).
 //!
@@ -95,7 +98,7 @@
 //! request handlers; `shard/recovery.rs`: recover, rebuild, checkpoints,
 //! quarantine; `shard/repl.rs`: both shard-side ends of WAL shipping.
 //!
-//! [`DynamicPivot`]: storypivot_core::pipeline::DynamicPivot
+//! [`StoryPivot`]: storypivot_core::StoryPivot
 //! [`substrate::net`]: storypivot_substrate::net
 //! [`substrate::pool`]: storypivot_substrate::pool
 //! [`frame_ready`]: crate::proto::frame_ready
@@ -152,9 +155,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Engine configuration applied to every shard.
     pub pivot: PivotConfig,
-    /// Per-shard incremental re-alignment period (snippets); see
-    /// [`PipelinePolicy::align_every`](storypivot_core::pipeline::PipelinePolicy::align_every).
-    pub align_every: usize,
     /// Where checkpoint generations are written
     /// (`shard{i}.g{N}.spvc`, atomic temp-file + rename); `None`
     /// disables checkpointing.
@@ -210,7 +210,6 @@ impl Default for ServerConfig {
             shards: 4,
             queue_depth: 1024,
             pivot: PivotConfig::default(),
-            align_every: 256,
             checkpoint_dir: None,
             wal_dir: None,
             fsync: SyncPolicy::Always,
@@ -402,7 +401,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     // WALs brought back.
     let next_source = shard_workers
         .iter()
-        .flat_map(|w| w.engine.pivot().sources().into_iter().map(|s| s.id.raw()))
+        .flat_map(|w| w.engine.sources().into_iter().map(|s| s.id.raw()))
         .max()
         .map_or(0, |m| m + 1);
 

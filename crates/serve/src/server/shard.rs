@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use storypivot_core::metrics::{self, EngineMetrics};
 use storypivot_core::oplog::{self, fingerprint_of, Applied, ReplayOp};
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::StoryPivot;
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, Snapshot};
 use storypivot_substrate::trace::TraceRing;
@@ -135,7 +135,7 @@ pub(super) struct ShardWorker {
     /// The queue this worker drains, the slot it publishes into and the
     /// counters it shares with the I/O workers.
     port: Arc<ShardPort>,
-    pub(super) engine: DynamicPivot,
+    pub(super) engine: StoryPivot,
     ingested: u64,
     /// Debug/test-gated fault consulted before each checkpoint write.
     checkpoint_fault: FaultHook,
@@ -224,7 +224,7 @@ impl ShardWorker {
 
     /// Journal, then hand the op to the engine under `catch_unwind`
     /// ([`oplog::apply`] behind the poison hook — replay runs the same
-    /// two through `oplog::replay_op`). A panic rebuilds the engine from
+    /// two through `oplog::replay`). A panic rebuilds the engine from
     /// durable state and replies with an error instead of killing the
     /// worker; the op's strike count decides quarantine.
     fn mutate(&mut self, op: ReplayOp) -> Result<Applied> {
@@ -286,7 +286,7 @@ impl ShardWorker {
     /// Refresh the serving gauges and snapshot the shard's registry.
     fn metrics_snapshot(&mut self) -> Snapshot {
         self.sync_gauges();
-        metrics::record_memory(&self.registry, &self.engine.pivot().memory_account());
+        metrics::record_memory(&self.registry, &self.engine.memory_account());
         self.registry.snapshot()
     }
 
@@ -308,14 +308,14 @@ impl ShardWorker {
     fn publish_snapshot(&mut self) {
         let timer = self.serve_metrics.snapshot_publish_duration.start();
         self.snapshot_epoch += 1;
-        let changed = self.engine.pivot_mut().drain_changes();
-        let pivot = self.engine.pivot();
-        let patched = self.stories.patch(&changed, |id| snapshot::summary_of(pivot, id));
+        let changed = self.engine.drain_changes();
+        let engine = &self.engine;
+        let patched = self.stories.patch(&changed, |id| snapshot::summary_of(engine, id));
         self.port.snapshot.publish(Arc::new(self.stories.snapshot(self.snapshot_epoch)));
         drop(timer);
         self.serve_metrics.snapshot_stories_patched.add(patched as u64);
         debug_assert!(
-            self.stories.matches(&snapshot::summaries(pivot)),
+            self.stories.matches(&snapshot::summaries(engine)),
             "shard {}: patched snapshot differs from a rebuild (changed: {changed:?})",
             self.idx
         );
@@ -400,15 +400,14 @@ impl ShardWorker {
 
     fn stats(&mut self) -> Response {
         self.sync_gauges();
-        let pivot = self.engine.pivot();
         Response::Stats(ServeStats {
             shards: vec![ShardStats {
                 shard: self.idx as u32,
-                sources: pivot.sources().len() as u32,
+                sources: self.engine.sources().len() as u32,
                 queue_depth: self.port.queue.len() as u32,
                 queue_capacity: self.port.queue.capacity() as u32,
-                stories: pivot.story_count() as u64,
-                snippets: pivot.store().len() as u64,
+                stories: self.engine.story_count() as u64,
+                snippets: self.engine.store().len() as u64,
                 ingested: self.ingested,
                 queries: self.port.queries.load(Ordering::Relaxed),
                 busy_rejections: self.port.busy.load(Ordering::Relaxed),
@@ -426,9 +425,6 @@ impl ShardWorker {
 
     fn drain(&mut self) -> Response {
         self.trace.push("drain", String::new());
-        self.engine.flush();
-        // Flushing can realign stories; publish so late readers see
-        // the final partition.
         self.publish_snapshot();
         // A replica's durable state is already exactly the leader's
         // checkpoint + WAL copy; writing a local generation would
@@ -443,18 +439,6 @@ impl ShardWorker {
         }
         Response::ShutdownAck
     }
-}
-
-/// The pipeline policy every engine of a shard runs under.
-fn pipeline_policy(cfg: &ServerConfig) -> PipelinePolicy {
-    PipelinePolicy {
-        align_every: cfg.align_every,
-        ..PipelinePolicy::default()
-    }
-}
-
-fn fresh_engine(cfg: &ServerConfig) -> DynamicPivot {
-    DynamicPivot::new(cfg.pivot.clone(), pipeline_policy(cfg))
 }
 
 fn internal_shape_error() -> Response {

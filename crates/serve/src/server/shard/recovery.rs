@@ -9,15 +9,15 @@ use std::sync::Arc;
 
 use storypivot_core::checkpoint;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_core::oplog::{replay_op, ReplayOp};
-use storypivot_core::pipeline::DynamicPivot;
+use storypivot_core::oplog::{self, ReplayOp};
+use storypivot_core::StoryPivot;
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::Registry;
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
 use storypivot_types::{Error, Result};
 
-use super::{fresh_engine, pipeline_policy, poison_check, ShardServeMetrics, ShardWorker};
+use super::{poison_check, ShardServeMetrics, ShardWorker};
 use crate::server::{ServerConfig, ShardPort};
 use crate::snapshot::{self, StoryTable};
 
@@ -62,7 +62,7 @@ impl ShardWorker {
             idx,
             cfg: Arc::clone(cfg),
             port,
-            engine: fresh_engine(cfg),
+            engine: StoryPivot::new(cfg.pivot.clone()),
             ingested: 0,
             checkpoint_fault: cfg
                 .faults
@@ -172,7 +172,7 @@ impl ShardWorker {
                 }
                 let replayed = catch_unwind(AssertUnwindSafe(|| {
                     poison_check(&op);
-                    replay_op(&mut engine, &op)
+                    oplog::replay(&mut engine, &op)
                 }));
                 match replayed {
                     Ok(Ok(_)) => {}
@@ -205,24 +205,23 @@ impl ShardWorker {
     /// handles at the shard's registry, start its change log, re-seed
     /// the story table from scratch (the old table described the old
     /// object) and publish.
-    pub(super) fn install_engine(&mut self, engine: DynamicPivot) {
+    pub(super) fn install_engine(&mut self, engine: StoryPivot) {
         self.engine = engine;
-        let pivot = self.engine.pivot_mut();
-        pivot.set_metrics(self.engine_metrics.clone());
-        pivot.log_changes();
-        self.stories.seed(snapshot::summaries(pivot));
+        self.engine.set_metrics(self.engine_metrics.clone());
+        self.engine.log_changes();
+        self.stories.seed(snapshot::summaries(&self.engine));
         self.publish_snapshot();
     }
 
     /// Newest valid checkpoint generation, or a fresh engine.
-    fn engine_from_checkpoint(&mut self) -> DynamicPivot {
+    fn engine_from_checkpoint(&mut self) -> StoryPivot {
         if let Some(dir) = &self.cfg.checkpoint_dir {
             let timer = self.engine_metrics.checkpoint_load_duration.start();
             match checkpoint::load_newest(dir, self.idx, self.cfg.pivot.clone()) {
                 Ok(Some((pivot, generation))) => {
                     drop(timer);
                     self.generation = self.generation.max(generation);
-                    return DynamicPivot::from_pivot(pivot, pipeline_policy(&self.cfg));
+                    return pivot;
                 }
                 Ok(None) => timer.discard(),
                 Err(e) => {
@@ -234,7 +233,7 @@ impl ShardWorker {
                 }
             }
         }
-        fresh_engine(&self.cfg)
+        StoryPivot::new(self.cfg.pivot.clone())
     }
 
     /// Dead-letter an op: remember its fingerprint and append its bytes
@@ -314,7 +313,7 @@ impl ShardWorker {
         // The generation advances only once its file exists: a failed
         // write must leave the in-memory number equal to the newest one
         // on disk, or `repl()` would treat every follower as stale.
-        let bytes = self.engine.pivot().save_checkpoint();
+        let bytes = self.engine.save_checkpoint();
         let next = self.generation + 1;
         checkpoint::write_generation(&dir, self.idx, next, &bytes)?;
         self.generation = next;

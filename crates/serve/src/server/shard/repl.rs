@@ -4,12 +4,12 @@
 //! apply.
 
 use storypivot_core::checkpoint;
-use storypivot_core::oplog::{replay_op, ReplayOp};
-use storypivot_core::pipeline::DynamicPivot;
+use storypivot_core::oplog::{self, ReplayOp};
+use storypivot_core::StoryPivot;
 use storypivot_substrate::wal::{self, Wal};
 use storypivot_types::{Error, Result};
 
-use super::{fresh_engine, pipeline_policy, ShardWorker};
+use super::ShardWorker;
 use crate::proto::Response;
 use crate::server::job::ReplCursor;
 
@@ -81,10 +81,9 @@ impl ShardWorker {
         bytes: Vec<u8>,
     ) -> Result<ReplCursor> {
         let engine = if bytes.is_empty() {
-            fresh_engine(&self.cfg)
+            StoryPivot::new(self.cfg.pivot.clone())
         } else {
-            let pivot = storypivot_core::StoryPivot::load_checkpoint(self.cfg.pivot.clone(), &bytes)?;
-            DynamicPivot::from_pivot(pivot, pipeline_policy(&self.cfg))
+            StoryPivot::load_checkpoint(self.cfg.pivot.clone(), &bytes)?
         };
         if let Some(dir) = &self.cfg.checkpoint_dir {
             if !bytes.is_empty() {
@@ -126,7 +125,7 @@ impl ShardWorker {
             // Same error policy as rebuild(): a record the engine
             // rejects is logged and skipped, not fatal — the leader
             // already applied (or skipped) it.
-            if let Err(e) = replay_op(&mut self.engine, &op) {
+            if let Err(e) = oplog::replay(&mut self.engine, &op) {
                 eprintln!(
                     "pivotd: shard {}: replicated op rejected (skipped): {e}",
                     self.idx

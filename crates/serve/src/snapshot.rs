@@ -29,8 +29,8 @@
 //!
 //! A snapshot is published after every applied op, before that op's
 //! reply: per snippet inside an INGEST_BATCH, once per shipped batch on
-//! a follower, once more after a drain's final flush and whenever the
-//! engine object is replaced. That ordering *is* read-your-writes — a
+//! a follower, once more per drain and whenever the engine object is
+//! replaced. That ordering *is* read-your-writes — a
 //! client that saw its write acked is guaranteed the next read, on any
 //! connection, reflects it — and it needs no clock and no knob: at
 //! ≈ 3 µs a publish there is nothing to amortise.

@@ -15,7 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use storypivot_core::config::PivotConfig;
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::StoryPivot;
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::Client;
 use storypivot_serve::proto::StorySummary;
@@ -73,9 +73,8 @@ fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
         .collect()
 }
 
-fn partition_of_engine(engine: &DynamicPivot) -> BTreeMap<u32, Vec<u32>> {
+fn partition_of_engine(engine: &StoryPivot) -> BTreeMap<u32, Vec<u32>> {
     engine
-        .pivot()
         .story_partition()
         .into_iter()
         .map(|(id, members)| {
@@ -165,13 +164,10 @@ fn ingest_with_retry(client: &mut Client, snippets: &[Snippet]) -> u64 {
 }
 
 /// The uninterrupted in-process twin of the granted-id stream.
-fn twin_of(sources: &[Source], snippets: &[Snippet]) -> DynamicPivot {
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-    );
+fn twin_of(sources: &[Source], snippets: &[Snippet]) -> StoryPivot {
+    let mut twin = StoryPivot::new(PivotConfig::default());
     for source in sources {
-        twin.pivot_mut().add_source_registered(source.clone()).unwrap();
+        twin.add_source_registered(source.clone()).unwrap();
     }
     for snippet in snippets {
         twin.ingest(snippet.clone()).unwrap();
@@ -188,7 +184,6 @@ fn injected_wal_faults_reject_cleanly_and_retries_converge() {
     let ckpt = scratch("inproc-ckpt");
     let cfg = ServerConfig {
         shards: 2,
-        align_every: 0,
         wal_dir: Some(wal.clone()),
         checkpoint_dir: Some(ckpt.clone()),
         fsync: SyncPolicy::Always,
@@ -240,8 +235,6 @@ fn sigkill_under_fault_plan_recovers_the_exact_partition() {
     let args = [
         "--shards",
         "2",
-        "--align-every",
-        "0",
         "--fsync",
         "always",
         "--checkpoint-every-bytes",

@@ -13,7 +13,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use storypivot_core::config::PivotConfig;
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::StoryPivot;
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::{Client, ReplDelivery};
 use storypivot_serve::proto::StorySummary;
@@ -61,8 +61,8 @@ fn spawn_pivotd(extra: &[&str], port_file: &Path) -> (Child, SocketAddr) {
     }
 }
 
-/// Partition as story id → sorted member ids; exact, since with
-/// `align_every 0` identification alone determines it.
+/// Partition as story id → sorted member ids; exact, since
+/// identification alone determines it.
 fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
     stories
         .iter()
@@ -74,9 +74,8 @@ fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
         .collect()
 }
 
-fn partition_of_engine(engine: &DynamicPivot) -> BTreeMap<u32, Vec<u32>> {
+fn partition_of_engine(engine: &StoryPivot) -> BTreeMap<u32, Vec<u32>> {
     engine
-        .pivot()
         .story_partition()
         .into_iter()
         .map(|(id, members)| {
@@ -97,17 +96,11 @@ fn corpus(seed: u64, events: usize) -> Corpus {
     .build()
 }
 
-/// The uninterrupted twin: one engine, same stream, never flushed.
-fn twin_of(corpus: &Corpus) -> DynamicPivot {
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy {
-            align_every: 0,
-            ..PipelinePolicy::default()
-        },
-    );
+/// The uninterrupted twin: one engine, same stream.
+fn twin_of(corpus: &Corpus) -> StoryPivot {
+    let mut twin = StoryPivot::new(PivotConfig::default());
     for source in &corpus.sources {
-        twin.pivot_mut().add_source_registered(source.clone()).unwrap();
+        twin.add_source_registered(source.clone()).unwrap();
     }
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
@@ -147,8 +140,6 @@ fn sigkill_mid_stream_recovers_the_exact_partition() {
     let flags = [
         "--shards",
         "2",
-        "--align-every",
-        "0",
         "--fsync",
         "always",
         "--wal-dir",
@@ -204,8 +195,6 @@ fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
     let args = [
         "--shards",
         "2",
-        "--align-every",
-        "0",
         "--fsync",
         "every:8",
         "--checkpoint-every-bytes",
@@ -270,7 +259,6 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
     let ckpt = scratch("ckpt-ckptfail");
     let cfg = ServerConfig {
         shards: 1,
-        align_every: 0,
         wal_dir: Some(wal.clone()),
         checkpoint_dir: Some(ckpt.clone()),
         fsync: SyncPolicy::Never,

@@ -60,7 +60,7 @@ fn visible_ids(client: &mut Client) -> BTreeSet<u32> {
 /// what the epoch gauge counts; there is no "ops since publish" series.
 #[test]
 fn acked_writes_are_visible_to_the_next_read_on_any_connection() {
-    let cfg = ServerConfig { shards: 2, align_every: 0, ..ServerConfig::default() };
+    let cfg = ServerConfig { shards: 2, ..ServerConfig::default() };
     let handle = serve("127.0.0.1:0", cfg).unwrap();
     let mut a = Client::connect(handle.addr()).unwrap();
     let mut b = Client::connect(handle.addr()).unwrap();
@@ -133,7 +133,6 @@ fn degraded_reads_never_observe_a_torn_snapshot() {
     let cfg = ServerConfig {
         shards: 1,
         queue_depth: 1,
-        align_every: 0,
         worker_delay: Duration::from_millis(10),
         ..ServerConfig::default()
     };
@@ -213,7 +212,6 @@ fn degraded_reads_never_observe_a_torn_snapshot() {
 fn expired_work_is_shed_before_it_touches_the_engine() {
     let cfg = ServerConfig {
         shards: 1,
-        align_every: 0,
         worker_delay: Duration::from_millis(25),
         deadline_ms: 1,
         ..ServerConfig::default()

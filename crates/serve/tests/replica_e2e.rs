@@ -1,4 +1,4 @@
-//! End-to-end replication: a `pivotd --replica` follower must bootstrap
+//! End-to-end replication: a `pivotd --leader` follower must bootstrap
 //! from an in-process leader, tail its WAL to the exact same story
 //! partition, redirect writes with NOT_LEADER, expose replication lag,
 //! and — after `kill -9` mid-tail — converge again on restart.
@@ -37,13 +37,10 @@ fn spawn_replica(leader: SocketAddr, dirs: &Path, shards: &str) -> (Child, Socke
             "127.0.0.1:0",
             "--port-file",
             port_file.to_str().unwrap(),
-            "--replica",
             "--leader",
             &leader.to_string(),
             "--shards",
             shards,
-            "--align-every",
-            "0",
             "--wal-dir",
             wal.to_str().unwrap(),
             "--checkpoint-dir",
@@ -69,8 +66,7 @@ fn spawn_replica(leader: SocketAddr, dirs: &Path, shards: &str) -> (Child, Socke
     }
 }
 
-/// An in-process leader with WAL + checkpoints in `dirs`, flush-only so
-/// partitions compare exactly.
+/// An in-process leader with WAL + checkpoints in `dirs`.
 fn spawn_leader(dirs: &Path, shards: usize) -> ServerHandle {
     let wal = dirs.join("wal");
     let ckpt = dirs.join("ckpt");
@@ -80,7 +76,6 @@ fn spawn_leader(dirs: &Path, shards: usize) -> ServerHandle {
         "127.0.0.1:0",
         ServerConfig {
             shards,
-            align_every: 0,
             wal_dir: Some(wal),
             checkpoint_dir: Some(ckpt),
             ..ServerConfig::default()

@@ -181,11 +181,7 @@ mod wire_faults {
     fn tiny_server() -> ServerHandle {
         serve(
             "127.0.0.1:0",
-            ServerConfig {
-                shards: 2,
-                align_every: 0,
-                ..ServerConfig::default()
-            },
+            ServerConfig { shards: 2, ..ServerConfig::default() },
         )
         .unwrap()
     }
@@ -391,7 +387,6 @@ mod shard_supervision {
     fn durable_config(wal: &Path, ckpt: &Path) -> ServerConfig {
         ServerConfig {
             shards: 2,
-            align_every: 0,
             wal_dir: Some(wal.to_path_buf()),
             checkpoint_dir: Some(ckpt.to_path_buf()),
             fsync: SyncPolicy::Always,
@@ -541,7 +536,6 @@ mod slow_loris {
             "127.0.0.1:0",
             ServerConfig {
                 shards: 2,
-                align_every: 0,
                 idle_timeout: Some(Duration::from_millis(250)),
                 ..ServerConfig::default()
             },
@@ -619,7 +613,7 @@ mod slow_loris {
         // long-lived monitoring clients depend on it).
         let handle = serve(
             "127.0.0.1:0",
-            ServerConfig { shards: 2, align_every: 0, ..ServerConfig::default() },
+            ServerConfig { shards: 2, ..ServerConfig::default() },
         )
         .unwrap();
         let mut idle = Client::connect(handle.addr()).unwrap();

@@ -6,7 +6,6 @@
 use std::path::PathBuf;
 
 use storypivot::core::config::PivotConfig;
-use storypivot::core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot::core::pivot::StoryPivot;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::serve::client::{BackoffPolicy, Client};
@@ -29,9 +28,8 @@ fn partition_of_engine(pivot: &StoryPivot) -> Partition {
 }
 
 /// The union of per-shard in-process engines' partitions.
-fn partition_of_engines(engines: &[DynamicPivot]) -> Partition {
-    let mut all: Partition =
-        engines.iter().flat_map(|dp| partition_of_engine(dp.pivot())).collect();
+fn partition_of_engines(engines: &[StoryPivot]) -> Partition {
+    let mut all: Partition = engines.iter().flat_map(partition_of_engine).collect();
     all.sort();
     all
 }
@@ -52,17 +50,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// align_every = 0 makes the pipeline flush-only, so the engine's state
-/// is a pure function of the per-shard ingest sequence — exactly what
-/// the wire adds nothing to. That makes served-vs-in-process equality
-/// exact rather than approximate.
-fn flush_only_config(shards: usize, checkpoint_dir: Option<PathBuf>) -> ServerConfig {
-    ServerConfig {
-        shards,
-        align_every: 0,
-        checkpoint_dir,
-        ..ServerConfig::default()
+/// A shard only identifies, so its engine's state is a pure function of
+/// the per-source ingest sequence — exactly what the wire adds nothing
+/// to. That makes served-vs-in-process equality exact rather than
+/// approximate, for any shard count.
+fn sharded(shards: usize) -> ServerConfig {
+    ServerConfig { shards, ..ServerConfig::default() }
+}
+
+/// An in-process engine holding the corpus' sources under their ids.
+fn twin_of(corpus: &storypivot::gen::Corpus) -> StoryPivot {
+    let mut twin = StoryPivot::new(PivotConfig::default());
+    for source in &corpus.sources {
+        twin.add_source_registered(source.clone()).unwrap();
     }
+    twin
 }
 
 #[test]
@@ -73,32 +75,23 @@ fn served_partition_matches_in_process_and_checkpoint_restores() {
     .build();
     let ckpt = scratch_dir("single");
 
-    let handle = serve("127.0.0.1:0", flush_only_config(1, Some(ckpt.clone()))).unwrap();
+    let cfg = ServerConfig { checkpoint_dir: Some(ckpt.clone()), ..sharded(1) };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
     let addr = handle.addr();
 
     let report = replay(addr, &corpus, &LoadOptions { connections: 1, ..LoadOptions::default() })
         .unwrap();
     assert_eq!(report.events as usize, corpus.len());
 
-    // In-process twin: same config, same policy, same delivery order.
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-    );
-    for source in &corpus.sources {
-        twin.pivot_mut().add_source_with_lag(
-            source.name.clone(),
-            source.kind,
-            source.typical_lag,
-        );
-    }
+    // In-process twin: same config, same delivery order.
+    let mut twin = twin_of(&corpus);
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
     }
 
     let mut client = Client::connect(addr).unwrap();
     let served = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(served, partition_of_engine(twin.pivot()), "served partition must match in-process");
+    assert_eq!(served, partition_of_engine(&twin), "served partition must match in-process");
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.total_ingested() as usize, corpus.len());
@@ -114,13 +107,11 @@ fn served_partition_matches_in_process_and_checkpoint_restores() {
             .expect("shutdown must write a shard 0 checkpoint generation");
     assert!(generation >= 1, "shutdown checkpoint must carry a generation");
 
-    // The checkpoint restores the *flushed* engine (drain runs a final
-    // align + refine before saving) — flush the twin to match.
-    twin.flush();
+    // The drain saves the engine as the last op left it.
     assert_eq!(
         partition_of_engine(&restored),
-        partition_of_engine(twin.pivot()),
-        "restored checkpoint must match the flushed in-process engine"
+        partition_of_engine(&twin),
+        "restored checkpoint must match the in-process engine"
     );
     let _ = std::fs::remove_dir_all(&ckpt);
 }
@@ -133,7 +124,7 @@ fn sharded_server_matches_sharded_in_process_replica() {
     .build();
 
     let shards = 3;
-    let handle = serve("127.0.0.1:0", flush_only_config(shards, None)).unwrap();
+    let handle = serve("127.0.0.1:0", sharded(shards)).unwrap();
     let addr = handle.addr();
 
     // Connections = shards, so lane k (sources ≡ k mod 3) feeds shard k
@@ -147,17 +138,11 @@ fn sharded_server_matches_sharded_in_process_replica() {
     assert_eq!(report.events as usize, corpus.len());
 
     // In-process replica of the sharded topology.
-    let mut replicas: Vec<DynamicPivot> = (0..shards)
-        .map(|_| {
-            DynamicPivot::new(
-                PivotConfig::default(),
-                PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-            )
-        })
-        .collect();
+    let mut replicas: Vec<StoryPivot> =
+        (0..shards).map(|_| StoryPivot::new(PivotConfig::default())).collect();
     for source in &corpus.sources {
         let shard = source.id.raw() as usize % shards;
-        replicas[shard].pivot_mut().add_source_registered(source.clone()).unwrap();
+        replicas[shard].add_source_registered(source.clone()).unwrap();
     }
     for snippet in &corpus.snippets {
         let shard = snippet.source.raw() as usize % shards;
@@ -187,7 +172,6 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
     let cfg = ServerConfig {
         shards: 1,
         queue_depth: 1,
-        align_every: 0,
         retry_after_ms: 5,
         worker_delay: std::time::Duration::from_millis(10),
         ..ServerConfig::default()
@@ -275,7 +259,7 @@ fn metrics_exposition_matches_in_process_engine() {
 
     // One shard so the served engine sees the exact same ingest
     // sequence as the in-process twin.
-    let handle = serve("127.0.0.1:0", flush_only_config(1, None)).unwrap();
+    let handle = serve("127.0.0.1:0", sharded(1)).unwrap();
     let addr = handle.addr();
     let report = replay(addr, &corpus, &LoadOptions { connections: 1, ..LoadOptions::default() })
         .unwrap();
@@ -283,22 +267,12 @@ fn metrics_exposition_matches_in_process_engine() {
 
     // Twin with its own live registry, fed identically.
     let registry = storypivot::substrate::metrics::Registry::new();
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-    );
-    twin.pivot_mut().set_metrics(storypivot::core::EngineMetrics::register(&registry));
-    for source in &corpus.sources {
-        twin.pivot_mut().add_source_with_lag(
-            source.name.clone(),
-            source.kind,
-            source.typical_lag,
-        );
-    }
+    let mut twin = twin_of(&corpus);
+    twin.set_metrics(storypivot::core::EngineMetrics::register(&registry));
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
     }
-    let twin_metrics = twin.pivot().metrics().clone();
+    let twin_metrics = twin.metrics().clone();
 
     let mut client = Client::connect(addr).unwrap();
     let text = client.metrics().unwrap();
@@ -344,7 +318,7 @@ fn metrics_merge_across_shards_sums_counters() {
     )
     .build();
     let shards = 3;
-    let handle = serve("127.0.0.1:0", flush_only_config(shards, None)).unwrap();
+    let handle = serve("127.0.0.1:0", sharded(shards)).unwrap();
     let addr = handle.addr();
     replay(addr, &corpus, &LoadOptions { connections: shards, ..LoadOptions::default() }).unwrap();
 
@@ -373,7 +347,6 @@ fn metrics_merge_across_shards_sums_counters() {
 fn shutdown_is_idempotent_and_drains_pending_work() {
     let cfg = ServerConfig {
         shards: 2,
-        align_every: 0,
         worker_delay: std::time::Duration::from_millis(2),
         ..ServerConfig::default()
     };
@@ -415,7 +388,6 @@ fn query_storm_bypasses_the_shard_write_queue() {
     let cfg = ServerConfig {
         shards: 1,
         queue_depth: 1,
-        align_every: 0,
         worker_delay: std::time::Duration::from_millis(100),
         ..ServerConfig::default()
     };
@@ -469,8 +441,7 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
         "127.0.0.1:0",
         ServerConfig {
             shards: 4,
-            align_every: 0,
-            max_pipeline: 8,
+                max_pipeline: 8,
             ..ServerConfig::default()
         },
     )
@@ -523,54 +494,42 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
 }
 
 /// The read snapshot is patched from the engine's change log, not
-/// rebuilt; every kind of change the wire can cause must reach it. (In
-/// this debug build every publish also asserts patched == rebuilt.)
+/// rebuilt; every kind of change the wire can cause must reach it, and a
+/// graceful restart must serve what was being served. The oracle is one
+/// unsharded in-process engine, whatever the shard count. (In this debug
+/// build every publish also asserts patched == rebuilt.)
 #[test]
-fn snapshot_patching_follows_merges_splits_removals_batches_and_refinement() {
+fn snapshot_patching_follows_merges_splits_removals_batches() {
+    for shards in [1, 3] {
+        patching_then_restart(shards);
+    }
+}
+
+fn patching_then_restart(shards: usize) {
     use storypivot::serve::{Request, Response};
-    use storypivot::types::{DocId, Error, EventType, SourceId, StoryId, DAY};
+    use storypivot::types::{DocId, Error, EventType, SourceId, DAY};
 
     let corpus = CorpusBuilder::new(
         GenConfig::default().with_seed(60).with_sources(6).with_target_snippets(900),
     )
     .build();
-    let shards = 2;
-    let ckpt = scratch_dir("patched");
-    let handle = serve("127.0.0.1:0", flush_only_config(shards, Some(ckpt.clone()))).unwrap();
+    let dir = scratch_dir(&format!("patched{shards}"));
+    let cfg = ServerConfig {
+        checkpoint_dir: Some(dir.join("ckpt")),
+        wal_dir: Some(dir.join("wal")),
+        fsync: storypivot::substrate::wal::SyncPolicy::Never,
+        ..sharded(shards)
+    };
+    let handle = serve("127.0.0.1:0", cfg.clone()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    // Per-shard in-process twins, each counting into its own registry.
     let registry = storypivot::substrate::metrics::Registry::new();
     let metrics = storypivot::core::EngineMetrics::register(&registry);
-    let mut twins: Vec<DynamicPivot> = (0..shards)
-        .map(|_| {
-            let mut twin = DynamicPivot::new(
-                PivotConfig::default(),
-                PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-            );
-            twin.pivot_mut().set_metrics(metrics.clone());
-            twin
-        })
-        .collect();
+    let mut twin = twin_of(&corpus);
+    twin.set_metrics(metrics.clone());
     for source in &corpus.sources {
         let id = client.add_source(&source.name, source.kind, source.typical_lag).unwrap();
         assert_eq!(id, source.id);
-        let shard = id.raw() as usize % shards;
-        twins[shard].pivot_mut().add_source_registered(source.clone()).unwrap();
-    }
-    fn ingest_twin(twins: &mut [DynamicPivot], snippet: &Snippet) {
-        let shard = snippet.source.raw() as usize % twins.len();
-        twins[shard].ingest(snippet.clone()).unwrap();
-    }
-    fn remove_doc_twin(twins: &mut [DynamicPivot], doc: DocId) -> usize {
-        twins
-            .iter_mut()
-            .map(|t| match t.pivot_mut().remove_document(doc) {
-                Ok(n) => n,
-                Err(Error::UnknownDocument(_)) => 0,
-                Err(e) => panic!("{e}"),
-            })
-            .sum()
     }
 
     // Two unrelated threads in source 0 and a bridge that merges them;
@@ -610,48 +569,45 @@ fn snapshot_patching_follows_merges_splits_removals_batches_and_refinement() {
     // generator's own).
     for snippet in prologue.iter().chain(first) {
         assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
-        ingest_twin(&mut twins, snippet);
+        twin.ingest(snippet.clone()).unwrap();
     }
     assert!(metrics.identify_merge_total.get() >= 1, "no merge");
-    assert_eq!(twins[0].pivot().story_of(left), twins[0].pivot().story_of(right));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    assert_eq!(twin.story_of(left), twin.story_of(right));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
 
     // Phase 2 — the bridge's document goes, and enough events follow on
     // source 0 for its maintenance pass to split the two threads apart.
-    assert_eq!(client.remove_doc(bridge.doc).unwrap() as usize, remove_doc_twin(&mut twins, bridge.doc));
+    assert_eq!(client.remove_doc(bridge.doc).unwrap() as usize, twin.remove_document(bridge.doc).unwrap());
     for snippet in second {
         assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
-        ingest_twin(&mut twins, snippet);
+        twin.ingest(snippet.clone()).unwrap();
     }
     assert!(metrics.identify_split_total.get() >= 1, "no maintenance split");
-    assert_ne!(twins[0].pivot().story_of(left), twins[0].pivot().story_of(right));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    assert_ne!(twin.story_of(left), twin.story_of(right));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
 
     // Phase 3 — a REMOVE_DOC that empties a story.
-    let (doomed, doc) = twins
-        .iter()
-        .flat_map(|t| {
-            t.pivot().story_partition().into_iter().filter(|(_, m)| m.len() == 1).map(|(id, m)| {
-                (id, t.pivot().store().get(m[0]).expect("member is stored").doc)
-            })
-        })
-        .next()
+    let (doomed, doc) = twin
+        .story_partition()
+        .into_iter()
+        .find(|(_, m)| m.len() == 1)
+        .map(|(id, m)| (id, twin.store().get(m[0]).expect("member is stored").doc))
         .expect("some story has a single member");
     assert!(client.get_story(doomed).is_ok());
-    assert_eq!(client.remove_doc(doc).unwrap() as usize, remove_doc_twin(&mut twins, doc));
-    assert!(twins.iter().all(|t| t.pivot().story(doomed).is_none()));
+    assert_eq!(client.remove_doc(doc).unwrap() as usize, twin.remove_document(doc).unwrap());
+    assert!(twin.story(doomed).is_none());
     assert_eq!(
         client.request(&Request::GetStory(doomed)).unwrap(),
         Response::from_error(&Error::UnknownStory(doomed)),
     );
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
 
-    // Phase 4 — one INGEST_BATCH, split across both shards.
+    // Phase 4 — one INGEST_BATCH, split across the shards.
     assert_eq!(client.ingest_batch(last.to_vec()).unwrap() as usize, last.len());
     for snippet in last {
-        ingest_twin(&mut twins, snippet);
+        twin.ingest(snippet.clone()).unwrap();
     }
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
 
     // One publish per epoch, each patching a story or two — not the
     // hundreds a rebuild per publish would touch.
@@ -667,25 +623,22 @@ fn snapshot_patching_follows_merges_splits_removals_batches_and_refinement() {
         assert!(patched >= publishes / 2 && patched < 3 * publishes, "{patched} / {publishes}");
     }
 
-    // Phase 5 — SHUTDOWN flushes: refinement moves snippets between
-    // live stories. The restarted server reads the flushed partition.
+    // Phase 5 — a graceful restart on the same directories serves the
+    // partition that was being served (the twin's, asserted just above):
+    // SHUTDOWN moves no snippet.
     client.shutdown().unwrap();
     handle.join();
-    let moves: usize = twins.iter_mut().map(DynamicPivot::flush).sum();
-    assert!(moves >= 1, "the flush must move at least one snippet");
-    let handle = serve("127.0.0.1:0", flush_only_config(shards, Some(ckpt.clone()))).unwrap();
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
-    // ...and its re-seeded snapshot keeps following writes.
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
+    // ...and its re-seeded snapshot keeps following writes: a late
+    // arrival joins the story it joins in process.
     let late = crafted(7, &[1, 2], &[10, 11]);
-    let story: StoryId = match client.ingest(&late).unwrap() {
-        IngestReply::Assigned(id) => id,
-        other => panic!("expected assignment, got {other:?}"),
-    };
-    ingest_twin(&mut twins, &late);
+    let story = twin.ingest(late.clone()).unwrap();
+    assert_eq!(client.ingest(&late).unwrap(), IngestReply::Assigned(story));
     assert!(client.get_story(story).unwrap().members.contains(&late.id));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engines(&twins));
+    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
     client.shutdown().unwrap();
     handle.join();
-    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&dir);
 }
