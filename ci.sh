@@ -153,6 +153,22 @@ grep -q '^storypivot_mem_bytes{structure="identify.stories"}' "$SMOKE_DIR/metric
 # story entries it patched, per shard.
 grep -q '^storypivot_shard_snapshot_publish_duration_ns_count{shard="0"}' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_shard_snapshot_stories_patched_total{shard="1"}' "$SMOKE_DIR/metrics.txt"
+# Everything the server reports about a shard is one series carrying its
+# shard label, so renaming one fails here. The values that do not depend
+# on scheduling are pinned: two of loadgen's four sources per shard, no
+# journal without --wal-dir, no panics, nothing quarantined.
+for SHARD in 0 1; do
+    for SERIES in sources stories snippets queue_depth queue_capacity busy_rejections_total \
+        reads_total ingest_latency_ns_count wal_bytes ops_since_checkpoint; do
+        grep -q "^storypivot_shard_$SERIES{shard=\"$SHARD\"} " "$SMOKE_DIR/metrics.txt"
+    done
+    grep -q "^storypivot_shard_ingest_latency_ns{shard=\"$SHARD\",quantile=\"0.99\"} " \
+        "$SMOKE_DIR/metrics.txt"
+    grep -qx "storypivot_shard_sources{shard=\"$SHARD\"} 2" "$SMOKE_DIR/metrics.txt"
+    grep -qx "storypivot_shard_wal_bytes{shard=\"$SHARD\"} 0" "$SMOKE_DIR/metrics.txt"
+    grep -qx "storypivot_shard_restarts_total{shard=\"$SHARD\"} 0" "$SMOKE_DIR/metrics.txt"
+    grep -qx "storypivot_shard_quarantined{shard=\"$SHARD\"} 0" "$SMOKE_DIR/metrics.txt"
+done
 # SHUTDOWN must terminate the daemon gracefully (exit 0) and leave one
 # generation-numbered checkpoint per shard.
 wait "$PIVOTD_PID"

@@ -66,10 +66,16 @@ use crate::unionfind::UnionFind;
 /// shared allocator).
 pub const STORY_ID_STRIDE: u32 = 1 << 24;
 
+/// How many sources the story-id partitioning scheme holds: source ids
+/// run `0..MAX_SOURCES` (255), so every story id stays below
+/// `u32::MAX`. The engine and the serving layer's id allocator both
+/// refuse the next one.
+pub const MAX_SOURCES: u32 = u32::MAX / STORY_ID_STRIDE;
+
 /// "No story" in [`Identifier`]'s snippet → story table. No live story
 /// id equals it: story ids are `source · 2²⁴ + n`, and
 /// `StoryPivot::add_source_with_lag` / `add_source_registered` reject
-/// sources ≥ 255, so every id is below `255 · 2²⁴ < u32::MAX`
+/// sources ≥ [`MAX_SOURCES`], so every id is below `255 · 2²⁴ < u32::MAX`
 /// (`record_assignment` asserts it for ids forced in from outside).
 const UNASSIGNED: u32 = u32::MAX;
 

@@ -12,7 +12,7 @@ use storypivot_types::{
 
 use crate::align::{AlignOutcome, Aligner};
 use crate::config::PivotConfig;
-use crate::identify::{Identifier, IdentifyDecision, MaintenanceReport, STORY_ID_STRIDE};
+use crate::identify::{Identifier, IdentifyDecision, MaintenanceReport, MAX_SOURCES};
 use crate::metrics::EngineMetrics;
 use crate::refine::{apply_moves, plan_reference, RefineReport, Refiner};
 use crate::state::StoryState;
@@ -154,9 +154,9 @@ impl StoryPivot {
     /// Register a new data source and return its id.
     ///
     /// # Panics
-    /// Panics when more than [`STORY_ID_STRIDE`]-supported sources
-    /// (2³²⁄2²⁴ = 256) are registered — story ids are partitioned by
-    /// source for lock-free parallel identification.
+    /// Panics when [`MAX_SOURCES`] (255) sources are already registered
+    /// — story ids are partitioned by source for lock-free parallel
+    /// identification.
     pub fn add_source<S: Into<String>>(&mut self, name: S, kind: SourceKind) -> SourceId {
         self.add_source_with_lag(name, kind, 0)
     }
@@ -170,7 +170,7 @@ impl StoryPivot {
     ) -> SourceId {
         let id = self.source_ids.next_id();
         assert!(
-            id.raw() < u32::MAX / STORY_ID_STRIDE,
+            id.raw() < MAX_SOURCES,
             "too many sources for the story-id partitioning scheme"
         );
         self.store
@@ -192,10 +192,9 @@ impl StoryPivot {
     /// collide with externally allocated ones.
     pub fn add_source_registered(&mut self, source: Source) -> Result<SourceId> {
         let id = source.id;
-        if id.raw() >= u32::MAX / STORY_ID_STRIDE {
+        if id.raw() >= MAX_SOURCES {
             return Err(Error::InvalidConfig(format!(
-                "source id {id} exceeds the story-id partitioning limit ({})",
-                u32::MAX / STORY_ID_STRIDE
+                "source id {id} exceeds the story-id partitioning limit ({MAX_SOURCES})"
             )));
         }
         if self.identifiers.contains_key(&id) {

@@ -8,7 +8,6 @@ use storypivot_substrate::rng::splitmix64;
 use storypivot_types::{DocId, Error, Result, Snippet, SourceId, SourceKind, StoryId};
 
 use crate::proto::{frame, read_frame, Request, Response, StorySummary};
-use crate::stats::ServeStats;
 
 /// The outcome of a single-snippet ingest: a story assignment, a BUSY
 /// push-back from a full shard queue, or a SHED drop from a write that
@@ -105,35 +104,6 @@ fn backoff_delay_ms(
     // and never return zero — a 0 ms "sleep" would let a zero hint turn
     // the retry loop into a busy spin.
     jittered.max(hint.min(cap)).max(1)
-}
-
-/// One delivery from a leader's replication stream (the decoded form
-/// of REPL_FRAME / REPL_CHECKPOINT).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplDelivery {
-    /// Whole WAL records from the subscribed offset onward; empty when
-    /// the follower is caught up.
-    Frame {
-        /// Leader checkpoint generation these records apply on top of.
-        generation: u64,
-        /// Leader WAL offset just past the shipped records.
-        next_offset: u64,
-        /// The leader's total WAL length (drives the byte-lag gauge).
-        leader_wal_len: u64,
-        /// Ops the leader has applied since its generation.
-        leader_ops: u64,
-        /// Concatenated WAL records, leader framing intact.
-        records: Vec<u8>,
-    },
-    /// The follower's generation is stale: bootstrap from these
-    /// verbatim checkpoint bytes (empty = fresh engine) and resubscribe
-    /// from offset zero.
-    Checkpoint {
-        /// The leader's newest checkpoint generation.
-        generation: u64,
-        /// Raw checkpoint file bytes, shipped unmodified.
-        checkpoint: Vec<u8>,
-    },
 }
 
 /// One connection to a pivotd server. Requests are strictly
@@ -322,14 +292,6 @@ impl Client {
         }
     }
 
-    /// Per-shard serving statistics.
-    pub fn stats(&mut self) -> Result<ServeStats> {
-        match self.request_ok(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
-
     /// Ask the server to drain, checkpoint, and stop. The ack arrives
     /// only after every shard's state is durable.
     pub fn shutdown(&mut self) -> Result<()> {
@@ -341,39 +303,21 @@ impl Client {
 
     /// One replication poll: ask the leader for shard `shard`'s WAL
     /// records past `wal_offset` on `generation`. Yields either a
-    /// frame of records or a checkpoint to re-bootstrap from; sending
-    /// this to a replica yields [`Error::NotLeader`].
+    /// [`Response::ReplFrame`] of records or a
+    /// [`Response::ReplCheckpoint`] to re-bootstrap from; sending this
+    /// to a replica yields [`Error::NotLeader`].
     pub fn repl_subscribe(
         &mut self,
         shard: u32,
         generation: u64,
         wal_offset: u64,
-    ) -> Result<ReplDelivery> {
+    ) -> Result<Response> {
         match self.request_ok(&Request::ReplSubscribe {
             shard,
             generation,
             wal_offset,
         })? {
-            Response::ReplFrame {
-                generation,
-                next_offset,
-                leader_wal_len,
-                leader_ops,
-                records,
-            } => Ok(ReplDelivery::Frame {
-                generation,
-                next_offset,
-                leader_wal_len,
-                leader_ops,
-                records,
-            }),
-            Response::ReplCheckpoint {
-                generation,
-                checkpoint,
-            } => Ok(ReplDelivery::Checkpoint {
-                generation,
-                checkpoint,
-            }),
+            r @ (Response::ReplFrame { .. } | Response::ReplCheckpoint { .. }) => Ok(r),
             other => Err(unexpected("ReplFrame or ReplCheckpoint", &other)),
         }
     }

@@ -15,13 +15,12 @@
 //!   from its newest checkpoint generation plus the WAL tail, and
 //!   worker panics are supervised (engine rebuild, two-strike
 //!   dead-letter quarantine). Graceful SHUTDOWN drains every queue and
-//!   writes a final checkpoint per shard.
-//! - [`stats`] — per-shard counters and ingest-latency percentiles
-//!   surfaced through the STATS frame. The METRICS frame goes further:
-//!   each shard's private `substrate::metrics::Registry` (engine
-//!   counters, WAL timings, per-shard serving gauges) is snapshotted
-//!   and merged — counters summed, histograms merged bucket-wise — into
-//!   one Prometheus-style text exposition.
+//!   writes a final checkpoint per shard. Everything the server
+//!   reports about itself is one METRICS exposition: each shard's
+//!   private `substrate::metrics::Registry` (engine counters, WAL
+//!   timings, per-shard serving series) and the I/O layer's are
+//!   snapshotted and merged — counters summed, histograms merged
+//!   bucket-wise — into Prometheus-style text.
 //! - [`snapshot`] — epoch-versioned, immutable per-shard read
 //!   snapshots. Shard workers publish one after every applied op,
 //!   before its reply, patching only the stories the engine reports
@@ -50,9 +49,8 @@ pub mod proto;
 pub mod replica;
 pub mod server;
 pub mod snapshot;
-pub mod stats;
 
-pub use client::{BackoffPolicy, Client, IngestReply, ReplDelivery, RetryStats};
+pub use client::{BackoffPolicy, Client, IngestReply, RetryStats};
 pub use snapshot::{ShardSnapshot, SnapshotSlot};
 pub use load::{
     conn_storm, query_fanout, replay, replay_script, LoadOptions, LoadReport, QueryOptions,
@@ -60,4 +58,3 @@ pub use load::{
 };
 pub use proto::{Request, Response, StorySummary, MAX_FRAME_LEN};
 pub use server::{serve, ServerConfig, ServerHandle, POISON_HEADLINE};
-pub use stats::{ServeStats, ShardStats};

@@ -25,7 +25,7 @@
 //!
 //! Lag is exported per shard as `storypivot_replica_lag_ops` and
 //! `storypivot_replica_lag_bytes` gauges in the METRICS exposition,
-//! and reconnect attempts as `storypivot_replica_reconnects`. Pullers
+//! and reconnect attempts as `storypivot_replica_reconnects_total`. Pullers
 //! reconnect with capped, jittered exponential backoff while the
 //! leader is away — jitter keeps a fleet of shard pullers from
 //! stampeding a recovering leader in lockstep — and exit when the
@@ -40,10 +40,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use storypivot_substrate::fault::FaultHook;
-use storypivot_substrate::metrics::Gauge;
+use storypivot_substrate::metrics::{Counter, Gauge};
 use storypivot_substrate::rng::splitmix64;
 
-use crate::client::{Client, ReplDelivery};
+use crate::client::Client;
+use crate::proto::Response;
 use crate::server::{Job, ReplAck, ReplCursor, Shared};
 
 /// How long a caught-up puller sleeps between polls.
@@ -63,7 +64,7 @@ pub(crate) struct PullerCtx {
     pub(crate) lag_bytes: Gauge,
     /// Reconnect attempts to the leader (the initial connection is not
     /// counted); failed attempts count too.
-    pub(crate) reconnects: Gauge,
+    pub(crate) reconnects: Counter,
     /// Debug/test-gated `repl_drop` fault: when it fires, the puller
     /// drops its leader connection mid-tail and goes back through the
     /// reconnect path, exercising cursor re-probing under churn.
@@ -120,7 +121,7 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
     let mut connects = 0u64;
     'reconnect: while !ctx.shared.is_done() {
         if connects > 0 {
-            ctx.reconnects.add(1);
+            ctx.reconnects.inc();
         }
         connects += 1;
         let mut client = match Client::connect(&ctx.leader) {
@@ -165,7 +166,7 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                     }
                 };
             match delivery {
-                ReplDelivery::Frame {
+                Response::ReplFrame {
                     leader_wal_len,
                     leader_ops,
                     records,
@@ -198,7 +199,7 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                         std::thread::sleep(POLL_IDLE);
                     }
                 }
-                ReplDelivery::Checkpoint {
+                Response::ReplCheckpoint {
                     generation,
                     checkpoint,
                 } => {
@@ -218,6 +219,7 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                         None => break 'reconnect,
                     }
                 }
+                other => unreachable!("repl_subscribe returned {other:?}"),
             }
         }
     }

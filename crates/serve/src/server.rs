@@ -33,7 +33,7 @@
 //! ingest hits a full queue the worker replies BUSY with a retry-after
 //! hint instead of buffering — memory is bounded by
 //! `shards × queue_depth` jobs no matter how fast clients push. Batch
-//! ingests and control frames (query/stats/shutdown) want
+//! ingests and control frames (removal/metrics/shutdown) want
 //! backpressure, not retries: their pushes park in a pending list (the
 //! connection stops parsing, preserving per-connection order) and are
 //! retried until queue space frees up.
@@ -58,8 +58,8 @@
 //! notice. An operation that panics the shard *again* during the
 //! rebuild replay is quarantined: appended to the shard's dead-letter
 //! file (`shard{i}.dead`), skipped by all future replays, and rejected
-//! if resubmitted. STATS reports `restarts` and `quarantined` per
-//! shard.
+//! if resubmitted. METRICS reports `storypivot_shard_restarts_total`
+//! and `storypivot_shard_quarantined` per shard.
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
 //! job behind all accepted work on every shard, each shard publishes
@@ -72,12 +72,17 @@
 //!
 //! # Observability
 //!
-//! Each shard owns a private [`substrate::metrics::Registry`]; its
-//! engine, WAL, and the per-shard serving gauges (queue depth,
-//! restarts, quarantined ops, BUSY rejections — labeled `shard="N"`)
-//! all record into it. The server additionally keeps one registry for
-//! the I/O layer: open connections, pipeline depth, buffer-pool
-//! checkouts and byte high-water, and transient accept failures. The
+//! Every serving number lives in one registry and nowhere else:
+//! counters are bumped where their event happens, and the gauges that
+//! are levels of state the worker already holds (queue depth, sources,
+//! stories, snippets, WAL bytes, quarantined ops) are read when METRICS
+//! is scraped. Each shard owns a private
+//! [`substrate::metrics::Registry`]; its engine, WAL and the per-shard
+//! serving series (labeled `shard="N"`) record into it. The server
+//! keeps one more registry for what the I/O layer records: open
+//! connections, pipeline depth, buffer-pool checkouts and byte
+//! high-water, transient accept failures, and each shard's BUSY
+//! rejections and snapshot reads (also labeled `shard="N"`). The
 //! `METRICS` opcode snapshots every shard's registry plus the server
 //! registry, merges the snapshots (counters add, histograms merge
 //! bucket-wise), and renders one Prometheus-style text exposition.
@@ -121,7 +126,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use storypivot_core::config::PivotConfig;
-use storypivot_substrate::metrics::Registry;
+use storypivot_substrate::metrics::{Counter, Registry};
 use storypivot_substrate::net;
 use storypivot_substrate::pool::BufferPool;
 use storypivot_substrate::queue::Bounded;
@@ -233,19 +238,17 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// What one shard worker shares with the rest of the server: its job
-/// queue, its published read snapshot, and the three counters that
-/// cross the I/O-worker / shard-worker boundary.
+/// queue, its published read snapshot, the service-time estimate behind
+/// retry hints, and the two counters I/O workers bump for it.
 pub(crate) struct ShardPort {
     pub(crate) queue: Bounded<Job>,
     /// The shard's published read snapshot; I/O workers answer
     /// QUERY_STORIES/GET_STORY from it without touching the queue.
     snapshot: SnapshotSlot,
-    /// BUSY rejections, bumped by I/O workers at admission and reported
-    /// by the shard (STATS, METRICS).
-    busy: AtomicU64,
-    /// Snapshot reads, bumped by I/O workers and folded into STATS by
-    /// the shard.
-    queries: AtomicU64,
+    /// BUSY rejections, bumped by I/O workers at admission.
+    busy: Counter,
+    /// Snapshot reads that touched this shard, bumped by I/O workers.
+    reads: Counter,
     /// EWMA of single-snippet ingest service time in nanoseconds,
     /// maintained by the shard worker. BUSY and SHED multiply it by the
     /// queue depth to turn the flat retry-after hint into one
@@ -254,12 +257,25 @@ pub(crate) struct ShardPort {
 }
 
 impl ShardPort {
-    fn new(queue_depth: usize) -> ShardPort {
+    /// Shard `shard`'s port; its counters are registered, labeled, in
+    /// the server's registry.
+    fn new(queue_depth: usize, registry: &Registry, shard: usize) -> ShardPort {
+        let id = shard.to_string();
+        let labels: &[(&str, &str)] = &[("shard", &id)];
         ShardPort {
             queue: Bounded::new(queue_depth),
             snapshot: SnapshotSlot::new(),
-            busy: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
+            busy: registry.counter_with(
+                "storypivot_shard_busy_rejections_total",
+                "Ingests rejected with BUSY because the shard's queue was full.",
+                labels,
+            ),
+            reads: registry.counter_with(
+                "storypivot_shard_reads_total",
+                "Reads answered from the shard's snapshot: a GET_STORY counts on the \
+                 story's shard, a QUERY_STORIES on every shard.",
+                labels,
+            ),
             service_ewma_ns: AtomicU64::new(0),
         }
     }
@@ -295,10 +311,6 @@ pub(crate) struct Shared {
     /// The I/O layer's own registry, merged into METRICS expositions.
     registry: Registry,
     io_metrics: IoMetrics,
-    connections: AtomicI64,
-    /// Total requests dispatched whose responses have not yet been
-    /// queued for write (the pipeline-depth gauge's source of truth).
-    inflight: AtomicI64,
     conn_ids: AtomicU64,
     /// Connections whose SHUTDOWN arrived while another connection's
     /// shutdown was already draining; each gets an ack when it's done.
@@ -386,8 +398,10 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let shards: Vec<Arc<ShardPort>> =
-        (0..cfg.shards).map(|_| Arc::new(ShardPort::new(cfg.queue_depth))).collect();
+    let registry = Registry::new();
+    let shards: Vec<Arc<ShardPort>> = (0..cfg.shards)
+        .map(|i| Arc::new(ShardPort::new(cfg.queue_depth, &registry, i)))
+        .collect();
 
     // Recover every shard before serving: clients must never observe a
     // partially recovered partition. Each worker publishes its first
@@ -418,7 +432,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         wake_rxs.push(rx);
     }
 
-    let registry = Registry::new();
     let io_metrics = IoMetrics::register(&registry);
     let shared = Arc::new(Shared {
         cfg: Arc::clone(&cfg),
@@ -430,8 +443,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         pool: BufferPool::new(8 * 1024, 1024),
         registry,
         io_metrics,
-        connections: AtomicI64::new(0),
-        inflight: AtomicI64::new(0),
         conn_ids: AtomicU64::new(0),
         shutdown_waiters: Mutex::new(Vec::new()),
     });
@@ -484,8 +495,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
                     "Leader WAL bytes not yet replicated to this shard.",
                     labels,
                 ),
-                reconnects: shared.registry.gauge_with(
-                    "storypivot_replica_reconnects",
+                reconnects: shared.registry.counter_with(
+                    "storypivot_replica_reconnects_total",
                     "Reconnect attempts to the leader by this shard's puller \
                      (the initial connection is not counted).",
                     labels,

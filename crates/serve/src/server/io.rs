@@ -104,22 +104,21 @@ impl IoMetrics {
 }
 
 impl Shared {
-    /// Degraded-read accounting: a snapshot read served while the
-    /// target shard's write queue is saturated would have stalled (or
-    /// been rejected) if reads went through the queue. Counting them
+    /// Count a snapshot read that touched `shard`. One served while the
+    /// shard's write queue is saturated would have stalled (or been
+    /// rejected) if reads went through the queue; counting those too
     /// makes the degraded mode observable at METRICS.
-    fn note_degraded_read(&self, shard: usize) {
-        let q = &self.shards[shard].queue;
-        if q.len() >= q.capacity() {
+    fn note_read(&self, shard: usize) {
+        let port = &self.shards[shard];
+        port.reads.inc();
+        if port.queue.len() >= port.queue.capacity() {
             self.io_metrics.degraded_reads.inc();
         }
     }
 
-    /// Refresh the I/O gauges from their atomic sources.
+    /// Set the buffer-pool gauges, levels read at scrape time.
     fn sync_io_gauges(&self) {
         let m = &self.io_metrics;
-        m.connections_open.set(self.connections.load(Ordering::Relaxed));
-        m.pipeline_depth.set(self.inflight.load(Ordering::Relaxed));
         let ps = self.pool.stats();
         m.pool_buffers_outstanding.set(ps.outstanding as i64);
         m.pool_bytes_highwater.set(ps.bytes_highwater as i64);
@@ -322,7 +321,7 @@ impl IoWorker {
             return;
         }
         let id = self.shared.conn_ids.fetch_add(1, Ordering::Relaxed);
-        self.shared.connections.fetch_add(1, Ordering::Relaxed);
+        self.shared.io_metrics.connections_open.add(1);
         self.conns.insert(
             id,
             Conn {
@@ -344,11 +343,9 @@ impl IoWorker {
 
     fn remove_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            let inflight = conn.inflight() as i64;
-            if inflight != 0 {
-                self.shared.inflight.fetch_sub(inflight, Ordering::Relaxed);
-            }
-            self.shared.connections.fetch_sub(1, Ordering::Relaxed);
+            let m = &self.shared.io_metrics;
+            m.pipeline_depth.add(-(conn.inflight() as i64));
+            m.connections_open.add(-1);
             self.inbox.load.fetch_sub(1, Ordering::Relaxed);
             // Parked pushes for this connection would only produce
             // replies to a dead peer; dropping them fires the guards,
@@ -439,13 +436,13 @@ impl IoWorker {
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         conn.rd = None;
-                        self.shared.inflight.fetch_add(1, Ordering::Relaxed);
+                        self.shared.io_metrics.pipeline_depth.add(1);
                         self.finish(id, seq, Response::from_error(&e), true);
                         return;
                     }
                 }
             };
-            self.shared.inflight.fetch_add(1, Ordering::Relaxed);
+            self.shared.io_metrics.pipeline_depth.add(1);
             self.handle_request(id, seq, &rd[4..total]);
             let leftover = rd.len() - total;
             if leftover > 0 {
@@ -481,7 +478,7 @@ impl IoWorker {
             while let Some((buf, close)) = conn.ready.remove(&conn.next_write) {
                 conn.outbox.push_back(buf);
                 conn.next_write += 1;
-                self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
+                self.shared.io_metrics.pipeline_depth.add(-1);
                 if close {
                     conn.closing = true;
                 }

@@ -8,6 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+use storypivot_core::identify::MAX_SOURCES;
 use storypivot_core::refine::story_source;
 use storypivot_substrate::metrics::Snapshot;
 use storypivot_substrate::queue::PushError;
@@ -16,14 +17,9 @@ use storypivot_types::{Error, Snippet, Source, SourceId};
 use super::{IoWorker, PendingPush};
 use crate::proto::{encode_stories, encode_story, Request, RequestRef, Response, StorySummary};
 use crate::server::job::{
-    direct_reply, fail_job, fail_job_closed, part_reply, Dest, FanIn, Job, MergeFn, Reply,
+    direct_reply, fail_job, fail_job_closed, part_reply, Dest, FanIn, Job, MergeFn,
 };
 use crate::server::{lock, run_shutdown};
-use crate::stats::{ServeStats, ShardStats};
-
-/// The maximum number of sources the story-id partitioning scheme
-/// supports (see `core::identify::STORY_ID_STRIDE`).
-const MAX_SOURCES: u32 = 256;
 
 impl IoWorker {
     /// Decode one frame in place and dispatch it. Every request gets a
@@ -85,7 +81,7 @@ impl IoWorker {
                 match port.queue.try_push(job) {
                     Ok(()) => {}
                     Err(PushError::Full(job)) => {
-                        port.busy.fetch_add(1, Ordering::Relaxed);
+                        port.busy.inc();
                         let retry_after_ms = port.retry_hint(self.shared.cfg.retry_after_ms);
                         fail_job(job, Response::Busy { retry_after_ms });
                     }
@@ -140,9 +136,8 @@ impl IoWorker {
             RequestRef::QueryStories => {
                 let snaps: Vec<_> =
                     self.shared.shards.iter().map(|port| port.snapshot.load()).collect();
-                for (shard, port) in self.shared.shards.iter().enumerate() {
-                    port.queries.fetch_add(1, Ordering::Relaxed);
-                    self.shared.note_degraded_read(shard);
+                for shard in 0..snaps.len() {
+                    self.shared.note_read(shard);
                 }
                 // Encoded straight from the loaded snapshots: nothing
                 // is copied but the references being sorted.
@@ -155,8 +150,7 @@ impl IoWorker {
             }
             RequestRef::GetStory(story) => {
                 let shard = self.shared.shard_of_source(story_source(story));
-                self.shared.shards[shard].queries.fetch_add(1, Ordering::Relaxed);
-                self.shared.note_degraded_read(shard);
+                self.shared.note_read(shard);
                 let snap = self.shared.shards[shard].snapshot.load();
                 match snap.get(story) {
                     Some(summary) => self.finish_with(id, seq, false, |b| encode_story(b, summary)),
@@ -208,31 +202,15 @@ impl IoWorker {
                     }
                 }),
             ),
-            RequestRef::Stats => self.broadcast(
-                id,
-                dest,
-                Job::Stats,
-                Box::new(|parts| {
-                    let mut shards = Vec::new();
-                    for r in parts {
-                        match r {
-                            Response::Stats(s) => shards.extend(s.shards),
-                            other => return other,
-                        }
-                    }
-                    shards.sort_unstable_by_key(|s: &ShardStats| s.shard);
-                    Response::Stats(ServeStats { shards })
-                }),
-            ),
             RequestRef::Shutdown => self.handle_shutdown(dest),
             RequestRef::Metrics => {
                 // Snapshot every shard's registry plus the I/O layer's
                 // own, merge, and render one exposition.
-                let n = self.shared.shards.len();
                 let shared = Arc::clone(&self.shared);
-                let fan = FanIn::new(
+                self.broadcast(
+                    id,
                     dest,
-                    n,
+                    Job::Metrics,
                     Box::new(move |snaps: Vec<Snapshot>| {
                         shared.sync_io_gauges();
                         let mut merged = shared.registry.snapshot();
@@ -244,22 +222,17 @@ impl IoWorker {
                         }
                     }),
                 );
-                let mut jobs = VecDeque::with_capacity(n);
-                for shard in 0..n {
-                    jobs.push_back((shard, Job::Metrics(part_reply(Arc::clone(&fan), shard))));
-                }
-                self.push_jobs(id, jobs);
             }
         }
     }
 
     /// Fan one job out to every shard and merge the replies.
-    fn broadcast(
+    fn broadcast<T: Send + 'static>(
         &mut self,
         conn_id: u64,
         dest: Dest,
-        make_job: impl Fn(Reply) -> Job,
-        merge: MergeFn<Response>,
+        make_job: impl Fn(Box<dyn FnOnce(T) + Send>) -> Job,
+        merge: MergeFn<T>,
     ) {
         let n = self.shared.shards.len();
         let fan = FanIn::new(dest, n, merge);

@@ -55,7 +55,6 @@ pub(crate) enum Job {
     Ingest(Snippet, Reply, Instant),
     IngestMany(Vec<Snippet>, Reply),
     RemoveDoc(DocId, Reply),
-    Stats(Reply),
     /// Snapshot the shard's metrics registry (merged by the I/O layer).
     Metrics(SnapReply),
     /// Flush + checkpoint; the shard replies once its state is durable.
@@ -235,7 +234,6 @@ pub(super) fn fail_job(job: Job, resp: Response) {
         | Job::Ingest(_, r, _)
         | Job::IngestMany(_, r)
         | Job::RemoveDoc(_, r)
-        | Job::Stats(r)
         | Job::Drain(r)
         | Job::Repl { reply: r, .. } => r(resp),
         Job::Metrics(_) => {}

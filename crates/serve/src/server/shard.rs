@@ -28,7 +28,6 @@ use super::job::Job;
 use super::{ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
-use crate::stats::{ServeStats, ShardStats};
 
 /// The debug-only failure-injection hook: runs in both the live apply
 /// path and the rebuild replay path, so an injected panic is
@@ -54,13 +53,20 @@ fn op_label(op: &ReplayOp) -> &'static str {
 }
 
 /// Per-shard serving-layer metric handles, labeled `shard="N"` so the
-/// merged exposition keeps them distinguishable across shards.
+/// merged exposition keeps them distinguishable across shards. The
+/// counters and histograms record at their event, `snapshot_epoch` is
+/// set at each publish, and the gauges above `restarts` are levels
+/// `sync_gauges` reads at scrape.
 struct ShardServeMetrics {
     queue_depth: Gauge,
     queue_capacity: Gauge,
-    restarts: Gauge,
+    sources: Gauge,
+    stories: Gauge,
+    snippets: Gauge,
+    wal_bytes: Gauge,
+    ops_since_checkpoint: Gauge,
     quarantined: Gauge,
-    busy_rejections: Gauge,
+    restarts: Counter,
     shed: Counter,
     ingest_latency: HistogramMetric,
     snapshot_epoch: Gauge,
@@ -72,30 +78,36 @@ impl ShardServeMetrics {
     fn register(registry: &Registry, shard: usize) -> Self {
         let id = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &id)];
+        let gauge = |name, help| registry.gauge_with(name, help, labels);
         ShardServeMetrics {
-            queue_depth: registry.gauge_with(
+            queue_depth: gauge(
                 "storypivot_shard_queue_depth",
                 "Jobs currently waiting in the shard's bounded queue.",
-                labels,
             ),
-            queue_capacity: registry.gauge_with(
+            queue_capacity: gauge(
                 "storypivot_shard_queue_capacity",
                 "Capacity of the shard's bounded queue.",
-                labels,
             ),
-            restarts: registry.gauge_with(
-                "storypivot_shard_restarts",
-                "Engine rebuilds after a panic on this shard.",
-                labels,
+            sources: gauge("storypivot_shard_sources", "Sources registered on this shard."),
+            stories: gauge("storypivot_shard_stories", "Per-source stories alive on this shard."),
+            snippets: gauge("storypivot_shard_snippets", "Snippets stored on this shard."),
+            wal_bytes: gauge(
+                "storypivot_shard_wal_bytes",
+                "Bytes in the shard's write-ahead log (0 without a WAL, and right after \
+                 a checkpoint truncates it).",
             ),
-            quarantined: registry.gauge_with(
+            ops_since_checkpoint: gauge(
+                "storypivot_shard_ops_since_checkpoint",
+                "Mutations applied since the shard's last checkpoint: the replay debt a \
+                 crash now would incur.",
+            ),
+            quarantined: gauge(
                 "storypivot_shard_quarantined",
                 "Operations dead-lettered on this shard.",
-                labels,
             ),
-            busy_rejections: registry.gauge_with(
-                "storypivot_shard_busy_rejections",
-                "Ingests rejected with BUSY because the queue was full.",
+            restarts: registry.counter_with(
+                "storypivot_shard_restarts_total",
+                "Engine rebuilds after a panic on this shard.",
                 labels,
             ),
             shed: registry.counter_with(
@@ -109,10 +121,9 @@ impl ShardServeMetrics {
                 "End-to-end shard-side ingest latency (journal + apply) in nanoseconds.",
                 labels,
             ),
-            snapshot_epoch: registry.gauge_with(
+            snapshot_epoch: gauge(
                 "storypivot_shard_snapshot_epoch",
-                "Publication count of the shard's lock-free read snapshot.",
-                labels,
+                "Epoch of the shard's published read snapshot (one more per publish).",
             ),
             snapshot_publish_duration: registry.histogram_with(
                 "storypivot_shard_snapshot_publish_duration_ns",
@@ -133,10 +144,9 @@ pub(super) struct ShardWorker {
     pub(super) idx: usize,
     cfg: Arc<ServerConfig>,
     /// The queue this worker drains, the slot it publishes into and the
-    /// counters it shares with the I/O workers.
+    /// service-time estimate it keeps for the I/O workers.
     port: Arc<ShardPort>,
     pub(super) engine: StoryPivot,
-    ingested: u64,
     /// Debug/test-gated fault consulted before each checkpoint write.
     checkpoint_fault: FaultHook,
     /// The story vector the next publish hands out, patched from the
@@ -166,8 +176,6 @@ pub(super) struct ShardWorker {
     /// Newest checkpoint generation written or loaded so far.
     generation: u64,
     ops_since_checkpoint: u64,
-    restarts: u64,
-    quarantined: u64,
     /// Panic count per op fingerprint; two strikes quarantine.
     strikes: HashMap<u64, u32>,
     /// Fingerprints of dead-lettered ops: skipped on replay, rejected
@@ -200,7 +208,6 @@ impl ShardWorker {
                 }
                 Job::IngestMany(batch, reply) => reply(self.ingest_many(batch)),
                 Job::RemoveDoc(doc, reply) => reply(self.remove_doc(doc)),
-                Job::Stats(reply) => reply(self.stats()),
                 Job::Metrics(reply) => reply(self.metrics_snapshot()),
                 Job::Drain(reply) => reply(self.drain()),
                 Job::Repl {
@@ -264,7 +271,7 @@ impl ShardWorker {
                 result
             }
             Err(_) => {
-                self.restarts += 1;
+                self.serve_metrics.restarts.inc();
                 *self.strikes.entry(fp).or_insert(0) += 1;
                 self.dump_trace(fp);
                 self.rebuild();
@@ -283,21 +290,26 @@ impl ShardWorker {
         }
     }
 
-    /// Refresh the serving gauges and snapshot the shard's registry.
+    /// Read the levels into their gauges and snapshot the shard's
+    /// registry.
     fn metrics_snapshot(&mut self) -> Snapshot {
         self.sync_gauges();
         metrics::record_memory(&self.registry, &self.engine.memory_account());
         self.registry.snapshot()
     }
 
+    /// Set the gauges whose value is a level of state this worker
+    /// already holds; nothing here is counted a second time.
     fn sync_gauges(&self) {
         let m = &self.serve_metrics;
         m.queue_depth.set(self.port.queue.len() as i64);
         m.queue_capacity.set(self.port.queue.capacity() as i64);
-        m.restarts.set(self.restarts as i64);
-        m.quarantined.set(self.quarantined as i64);
-        m.busy_rejections.set(self.port.busy.load(Ordering::Relaxed) as i64);
-        m.snapshot_epoch.set(self.snapshot_epoch as i64);
+        m.sources.set(self.engine.sources().len() as i64);
+        m.stories.set(self.engine.story_count() as i64);
+        m.snippets.set(self.engine.store().len() as i64);
+        m.wal_bytes.set(self.wal.as_ref().map_or(0, Wal::len) as i64);
+        m.ops_since_checkpoint.set(self.ops_since_checkpoint as i64);
+        m.quarantined.set(self.quarantine.len() as i64);
     }
 
     /// Patch the stories the engine reports changed since the last
@@ -358,7 +370,6 @@ impl ShardWorker {
                 let elapsed = t.elapsed().as_nanos() as u64;
                 self.serve_metrics.ingest_latency.record(elapsed);
                 self.note_service(elapsed);
-                self.ingested += 1;
                 Response::Ingested(story)
             }
             Ok(_) => internal_shape_error(),
@@ -375,7 +386,6 @@ impl ShardWorker {
                     let elapsed = t.elapsed().as_nanos() as u64;
                     self.serve_metrics.ingest_latency.record(elapsed);
                     self.note_service(elapsed);
-                    self.ingested += 1;
                     count += 1;
                 }
                 Ok(_) => return internal_shape_error(),
@@ -396,31 +406,6 @@ impl ShardWorker {
             Ok(_) => internal_shape_error(),
             Err(e) => Response::from_error(&e),
         }
-    }
-
-    fn stats(&mut self) -> Response {
-        self.sync_gauges();
-        Response::Stats(ServeStats {
-            shards: vec![ShardStats {
-                shard: self.idx as u32,
-                sources: self.engine.sources().len() as u32,
-                queue_depth: self.port.queue.len() as u32,
-                queue_capacity: self.port.queue.capacity() as u32,
-                stories: self.engine.story_count() as u64,
-                snippets: self.engine.store().len() as u64,
-                ingested: self.ingested,
-                queries: self.port.queries.load(Ordering::Relaxed),
-                busy_rejections: self.port.busy.load(Ordering::Relaxed),
-                ingest_count: self.serve_metrics.ingest_latency.count(),
-                ingest_p50_ns: self.serve_metrics.ingest_latency.percentile(0.50),
-                ingest_p95_ns: self.serve_metrics.ingest_latency.percentile(0.95),
-                ingest_p99_ns: self.serve_metrics.ingest_latency.percentile(0.99),
-                wal_bytes: self.wal.as_ref().map_or(0, |w| w.len()),
-                last_checkpoint_age_ops: self.ops_since_checkpoint,
-                restarts: self.restarts,
-                quarantined: self.quarantined,
-            }],
-        })
     }
 
     fn drain(&mut self) -> Response {

@@ -35,15 +35,12 @@ impl ShardWorker {
         let trace_path = state_dir.map(|d| d.join(format!("shard{idx}.trace")));
 
         let mut quarantine = HashSet::new();
-        let mut quarantined = 0u64;
         if let Some(path) = &dead_path {
             match wal::scan(path) {
                 Ok(scan) => {
                     for payload in &scan.records {
                         if let Ok(op) = ReplayOp::decode(payload) {
-                            if quarantine.insert(op.fingerprint()) {
-                                quarantined += 1;
-                            }
+                            quarantine.insert(op.fingerprint());
                         }
                     }
                 }
@@ -63,7 +60,6 @@ impl ShardWorker {
             cfg: Arc::clone(cfg),
             port,
             engine: StoryPivot::new(cfg.pivot.clone()),
-            ingested: 0,
             checkpoint_fault: cfg
                 .faults
                 .as_ref()
@@ -83,8 +79,6 @@ impl ShardWorker {
             dead: None,
             generation: 0,
             ops_since_checkpoint: 0,
-            restarts: 0,
-            quarantined,
             strikes: HashMap::new(),
             quarantine,
         };
@@ -181,7 +175,7 @@ impl ShardWorker {
                         self.idx
                     ),
                     Err(_) => {
-                        self.restarts += 1;
+                        self.serve_metrics.restarts.inc();
                         let strikes = self.strikes.entry(fp).or_insert(0);
                         *strikes += 1;
                         if *strikes >= 2 {
@@ -243,7 +237,6 @@ impl ShardWorker {
         if !self.quarantine.insert(fp) {
             return;
         }
-        self.quarantined += 1;
         eprintln!(
             "pivotd: shard {}: quarantining operation {fp:#018x} after repeated panics",
             self.idx

@@ -49,13 +49,13 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 #[test]
 fn small_frame_decode_is_allocation_free_at_steady_state() {
     // The frames the server sees per-request on the hot path. AddSource
-    // borrows its name from the frame; GetStory/RemoveDoc/Query/Stats
-    // are fixed-size.
+    // borrows its name from the frame; GetStory/RemoveDoc/Query/Metrics/
+    // Shutdown are fixed-size.
     let frames: Vec<Vec<u8>> = vec![
         frame(|b| Request::QueryStories.encode(b)),
         frame(|b| Request::GetStory(StoryId::new(7)).encode(b)),
         frame(|b| Request::RemoveDoc(DocId::new(9)).encode(b)),
-        frame(|b| Request::Stats.encode(b)),
+        frame(|b| Request::Shutdown.encode(b)),
         frame(|b| Request::Metrics.encode(b)),
         frame(|b| {
             Request::AddSource {

@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::StoryPivot;
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
-use storypivot_serve::client::{Client, ReplDelivery};
-use storypivot_serve::proto::StorySummary;
+use storypivot_serve::client::Client;
+use storypivot_serve::proto::{Response, StorySummary};
 use storypivot_serve::server::{serve, ServerConfig};
 use storypivot_substrate::wal::SyncPolicy;
 
@@ -25,6 +25,12 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Bytes in shard `shard`'s journal (every append reaches the file
+/// before its ack, whatever the fsync policy).
+fn journal_len(wal_dir: &Path, shard: usize) -> u64 {
+    std::fs::metadata(wal_dir.join(format!("shard{shard}.wal"))).unwrap().len()
 }
 
 /// Spawn the real pivotd binary and wait for its port file. The caller
@@ -210,16 +216,14 @@ fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
     let mut client = Client::connect(addr).unwrap();
     ingest_all(&mut client, &corpus);
     let before = partition_of_summaries(&client.query_stories().unwrap());
-    let stats = client.stats().unwrap();
     drop(client);
     // Size-triggered checkpoints must have fired and truncated: no
     // shard's journal holds anywhere near the whole stream.
-    for s in &stats.shards {
+    for shard in 0..2 {
+        let bytes = journal_len(&wal, shard);
         assert!(
-            s.wal_bytes < 64 * 1024,
-            "shard {} wal grew to {} bytes despite periodic checkpoints",
-            s.shard,
-            s.wal_bytes
+            bytes < 64 * 1024,
+            "shard {shard} wal grew to {bytes} bytes despite periodic checkpoints"
         );
     }
     let generations = std::fs::read_dir(&ckpt)
@@ -286,11 +290,11 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
         ingest_one(&mut client);
     }
     let n = match client.repl_subscribe(0, u64::MAX, 0).unwrap() {
-        ReplDelivery::Checkpoint { generation, checkpoint } => {
+        Response::ReplCheckpoint { generation, checkpoint } => {
             assert!(!checkpoint.is_empty());
             generation
         }
-        ReplDelivery::Frame { .. } => panic!("a stale cursor must be offered a checkpoint"),
+        other => panic!("a stale cursor must be offered a checkpoint, got {other:?}"),
     };
     assert!(generation_path(n).exists());
 
@@ -302,19 +306,17 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
         std::fs::create_dir(b).unwrap();
     }
     // The journal stops resetting while checkpoints fail.
-    while client.stats().unwrap().shards[0].wal_bytes < EVERY_BYTES * 3 / 2 {
+    while journal_len(&wal, 0) < EVERY_BYTES * 3 / 2 {
         ingest_one(&mut client);
     }
 
     // A follower on generation N is still current: it gets records.
     match client.repl_subscribe(0, n, 0).unwrap() {
-        ReplDelivery::Frame { generation, records, .. } => {
+        Response::ReplFrame { generation, records, .. } => {
             assert_eq!(generation, n);
             assert!(!records.is_empty());
         }
-        ReplDelivery::Checkpoint { generation, .. } => panic!(
-            "follower on the newest on-disk generation {n} was offered checkpoint {generation}"
-        ),
+        other => panic!("follower on the newest on-disk generation {n} was offered {other:?}"),
     }
 
     // Disk healthy again: the very next op writes N+1, not N+13.
@@ -323,7 +325,7 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
     }
     ingest_one(&mut client);
     assert!(generation_path(n + 1).exists(), "generation numbers must not skip");
-    assert!(client.stats().unwrap().shards[0].wal_bytes < EVERY_BYTES);
+    assert!(journal_len(&wal, 0) < EVERY_BYTES);
 
     client.shutdown().unwrap();
     handle.join();

@@ -9,7 +9,6 @@ use storypivot_serve::proto::{
     frame, frame_ready, read_frame, Request, RequestRef, Response, StorySummary, MAX_FRAME_LEN,
     OP_INGEST_BATCH, OP_INGEST_SNIPPET,
 };
-use storypivot_serve::stats::{ServeStats, ShardStats};
 use storypivot_substrate::prop;
 use storypivot_substrate::rng::{RngExt, StdRng};
 use storypivot_types::{
@@ -53,28 +52,6 @@ fn random_summary(rng: &mut StdRng) -> StorySummary {
     }
 }
 
-fn random_shard_stats(rng: &mut StdRng) -> ShardStats {
-    ShardStats {
-        shard: rng.random_range(0..64u32),
-        sources: rng.random_range(0..256u32),
-        queue_depth: rng.random(),
-        queue_capacity: rng.random(),
-        stories: rng.random_range(0..1u64 << 32),
-        snippets: rng.random(),
-        ingested: rng.random(),
-        queries: rng.random(),
-        busy_rejections: rng.random(),
-        ingest_count: rng.random(),
-        ingest_p50_ns: rng.random(),
-        ingest_p95_ns: rng.random(),
-        ingest_p99_ns: rng.random(),
-        wal_bytes: rng.random(),
-        last_checkpoint_age_ops: rng.random(),
-        restarts: rng.random(),
-        quarantined: rng.random(),
-    }
-}
-
 fn random_request(rng: &mut StdRng) -> Request {
     match rng.random_range(0..9u32) {
         0 => Request::AddSource {
@@ -87,7 +64,7 @@ fn random_request(rng: &mut StdRng) -> Request {
         3 => Request::QueryStories,
         4 => Request::GetStory(StoryId::new(rng.random())),
         5 => Request::RemoveDoc(DocId::new(rng.random())),
-        6 => Request::Stats,
+        6 => Request::Metrics,
         7 => Request::ReplSubscribe {
             shard: rng.random_range(0..64u32),
             generation: rng.random(),
@@ -105,9 +82,9 @@ fn random_response(rng: &mut StdRng) -> Response {
         3 => Response::Stories(prop::vec_with(rng, 0, 6, random_summary)),
         4 => Response::Story(random_summary(rng)),
         5 => Response::Removed(rng.random()),
-        6 => Response::Stats(ServeStats {
-            shards: prop::vec_with(rng, 0, 8, random_shard_stats),
-        }),
+        6 => Response::Metrics {
+            text: prop::unicode_string(rng, 0, 200),
+        },
         7 => Response::ShutdownAck,
         8 => Response::Busy {
             retry_after_ms: rng.random(),

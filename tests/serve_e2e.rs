@@ -93,9 +93,12 @@ fn served_partition_matches_in_process_and_checkpoint_restores() {
     let served = partition_of_summaries(&client.query_stories().unwrap());
     assert_eq!(served, partition_of_engine(&twin), "served partition must match in-process");
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.total_ingested() as usize, corpus.len());
-    assert_eq!(stats.shards.len(), 1);
+    let text = client.metrics().unwrap();
+    assert_eq!(
+        exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
+        Some(corpus.len() as u64)
+    );
+    assert!(!text.contains("{shard=\"1\"}"), "one shard serves");
 
     // Graceful shutdown: the ack means drained + checkpointed (a
     // generation-numbered file written atomically via temp + rename).
@@ -233,9 +236,13 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
 
     // Every snippet eventually landed, and the server counted the
     // rejections it issued.
-    let stats = setup.stats().unwrap();
-    assert_eq!(stats.total_ingested(), (producers * per_producer) as u64);
-    assert!(stats.total_busy() >= busy_total);
+    let text = setup.metrics().unwrap();
+    assert_eq!(
+        exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
+        Some((producers * per_producer) as u64)
+    );
+    let busy = exposition_value(&text, "storypivot_shard_busy_rejections_total{shard=\"0\"}");
+    assert!(busy.unwrap() >= busy_total);
 
     setup.shutdown().unwrap();
     handle.join();
@@ -301,10 +308,10 @@ fn metrics_exposition_matches_in_process_engine() {
     assert!(text.contains("# HELP storypivot_ingest_total"));
     assert!(text.contains("# TYPE storypivot_ingest_total counter"));
     assert!(text.contains("storypivot_shard_queue_capacity{shard=\"0\"}"));
-    // STATS reads the same histogram METRICS exposes, not a second one.
+    // The shard's ingest clock saw every served ingest.
     assert_eq!(
         exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
-        Some(client.stats().unwrap().shards[0].ingest_count),
+        Some(corpus.len() as u64),
     );
 
     client.shutdown().unwrap();
@@ -341,6 +348,168 @@ fn metrics_merge_across_shards_sums_counters() {
 
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// Everything the server reports about a shard is a series of the one
+/// exposition, and each is held here to a witness outside the registry:
+/// in-process engines fed each shard's sources, the journal files, the
+/// replies this client saw and the requests it sent.
+#[test]
+fn exposition_reports_every_shard_number_against_its_witness() {
+    use storypivot::serve::{Request, Response};
+    use storypivot::substrate::wal;
+    use storypivot::types::SourceId;
+
+    let corpus = CorpusBuilder::new(
+        GenConfig::default().with_seed(47).with_sources(4).with_target_snippets(240),
+    )
+    .build();
+    let shards = 2;
+    let dir = scratch_dir("numbers");
+    let cfg = ServerConfig {
+        queue_depth: 2,
+        worker_delay: std::time::Duration::from_millis(1),
+        checkpoint_dir: Some(dir.join("ckpt")),
+        wal_dir: Some(dir.join("wal")),
+        fsync: wal::SyncPolicy::Never,
+        checkpoint_every_bytes: 4096,
+        ..sharded(shards)
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let shard_of = |source: SourceId| source.raw() as usize % shards;
+    let mut twins: Vec<StoryPivot> =
+        (0..shards).map(|_| StoryPivot::new(PivotConfig::default())).collect();
+    for source in &corpus.sources {
+        let id = client.add_source(&source.name, source.kind, source.typical_lag).unwrap();
+        assert_eq!(id, source.id);
+        twins[shard_of(id)].add_source_registered(source.clone()).unwrap();
+    }
+
+    // One pipelined burst against 2-deep queues drained at 1 ms a job:
+    // most ingests bounce with BUSY and are retried one at a time. Each
+    // shard applies what it accepted in request order, then the retries.
+    let burst: Vec<Request> = corpus.snippets.iter().cloned().map(Request::IngestSnippet).collect();
+    let mut busy = vec![0u64; shards];
+    let mut bounced = Vec::new();
+    for (snippet, reply) in corpus.snippets.iter().zip(client.pipelined(&burst).unwrap()) {
+        let shard = shard_of(snippet.source);
+        match reply {
+            Response::Ingested(_) => {
+                twins[shard].ingest(snippet.clone()).unwrap();
+            }
+            Response::Busy { .. } => {
+                busy[shard] += 1;
+                bounced.push(snippet);
+            }
+            other => panic!("expected Ingested or Busy, got {other:?}"),
+        }
+    }
+    assert!(!bounced.is_empty(), "a 2-deep queue must bounce part of a pipelined burst");
+    let patient = BackoffPolicy { max_attempts: 1_000, ..Default::default() };
+    for snippet in bounced {
+        let (_, retries) = client.ingest_backoff(snippet, patient).unwrap();
+        busy[shard_of(snippet.source)] += retries.busy as u64;
+        twins[shard_of(snippet.source)].ingest(snippet.clone()).unwrap();
+    }
+
+    // Reads: every story by id, and the whole partition three times.
+    let mut gets = vec![0u64; shards];
+    for story in client.query_stories().unwrap() {
+        client.get_story(story.id).unwrap();
+        gets[shard_of(story.source)] += 1;
+    }
+    let queries = 3;
+    for _ in 1..queries {
+        client.query_stories().unwrap();
+    }
+
+    let text = client.metrics().unwrap();
+    for (shard, twin) in twins.iter().enumerate() {
+        let series = |name: &str| {
+            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}"))
+                .unwrap_or_else(|| panic!("missing {name} for shard {shard}"))
+        };
+        assert_eq!(series("storypivot_shard_sources"), twin.sources().len() as u64);
+        assert_eq!(series("storypivot_shard_stories"), twin.story_count() as u64);
+        assert_eq!(series("storypivot_shard_snippets"), twin.store().len() as u64);
+        assert_eq!(series("storypivot_shard_queue_depth"), 0);
+        assert_eq!(series("storypivot_shard_queue_capacity"), 2);
+        assert_eq!(series("storypivot_shard_busy_rejections_total"), busy[shard]);
+        assert_eq!(series("storypivot_shard_reads_total"), gets[shard] + queries);
+        let ingested = corpus.snippets.iter().filter(|s| shard_of(s.source) == shard).count();
+        assert_eq!(series("storypivot_shard_ingest_latency_ns_count"), ingested as u64);
+        let quantile = |q: &str| {
+            let name = format!(
+                "storypivot_shard_ingest_latency_ns{{shard=\"{shard}\",quantile=\"{q}\"}}"
+            );
+            exposition_value(&text, &name).unwrap_or_else(|| panic!("missing {name}"))
+        };
+        let (p50, p95, p99) = (quantile("0.5"), quantile("0.95"), quantile("0.99"));
+        assert!(0 < p50 && p50 <= p95 && p95 <= p99, "{p50} / {p95} / {p99}");
+        // The journal on disk is the WAL gauge, and holds one record per
+        // op since the last checkpoint, which the writes above crossed.
+        let journal = dir.join("wal").join(format!("shard{shard}.wal"));
+        let journal_bytes = std::fs::metadata(&journal).unwrap().len();
+        assert_eq!(series("storypivot_shard_wal_bytes"), journal_bytes);
+        let pending = wal::scan(&journal).unwrap().records.len() as u64;
+        assert_eq!(series("storypivot_shard_ops_since_checkpoint"), pending);
+        assert!(pending < (ingested + twin.sources().len()) as u64, "no checkpoint was taken");
+        assert_eq!(series("storypivot_shard_restarts_total"), 0);
+        assert_eq!(series("storypivot_shard_quarantined"), 0);
+    }
+
+    // The poison hook panics in debug builds only: a live panic plus its
+    // replay panic restart the owning shard twice and quarantine the op.
+    if cfg!(debug_assertions) {
+        let poison = Snippet::builder(SnippetId::new(1 << 30), SourceId::new(0), Timestamp::EPOCH)
+            .entity(EntityId::new(1), 1.0)
+            .headline(storypivot::serve::POISON_HEADLINE)
+            .build();
+        client.ingest(&poison).expect_err("the poison op must fail");
+        let text = client.metrics().unwrap();
+        let series = |name: &str, shard: usize| {
+            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}")).unwrap()
+        };
+        assert!(series("storypivot_shard_restarts_total", 0) >= 2);
+        assert_eq!(series("storypivot_shard_quarantined", 0), 1);
+        assert_eq!(series("storypivot_shard_restarts_total", 1), 0);
+        assert_eq!(series("storypivot_shard_quarantined", 1), 0);
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Story ids hold 255 sources: the next ADD_SOURCE is refused where ids
+/// are allocated, before any shard journals it.
+#[test]
+fn the_source_limit_is_refused_before_the_journal() {
+    let dir = scratch_dir("limit");
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.clone()),
+        fsync: storypivot::substrate::wal::SyncPolicy::Never,
+        ..sharded(2)
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for i in 0..storypivot::core::identify::MAX_SOURCES {
+        client.add_source(&format!("source {i}"), SourceKind::Wire, 0).unwrap();
+    }
+    let journals = || -> Vec<u64> {
+        (0..2)
+            .map(|i| std::fs::metadata(dir.join(format!("shard{i}.wal"))).unwrap().len())
+            .collect()
+    };
+    let before = journals();
+    let err = client.add_source("one too many", SourceKind::Wire, 0).unwrap_err();
+    assert!(err.to_string().contains("source limit reached (255)"), "{err}");
+    assert_eq!(journals(), before, "a refused source must not be journaled");
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -420,11 +589,15 @@ fn query_storm_bypasses_the_shard_write_queue() {
         "query storm took {elapsed:?} — reads are riding the write queue again"
     );
 
-    // The worker counted every snapshot-served read, and its queue was
-    // empty when it measured itself (the stats job is the only rider).
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shards[0].queries, storm);
-    assert_eq!(stats.shards[0].queue_depth, 0, "reads must not occupy the write queue");
+    // Every snapshot-served read was counted, and the queue was empty
+    // when the worker measured it (the metrics job is the only rider).
+    let text = client.metrics().unwrap();
+    assert_eq!(exposition_value(&text, "storypivot_shard_reads_total{shard=\"0\"}"), Some(storm));
+    assert_eq!(
+        exposition_value(&text, "storypivot_shard_queue_depth{shard=\"0\"}"),
+        Some(0),
+        "reads must not occupy the write queue"
+    );
 
     client.shutdown().unwrap();
     handle.join();
@@ -475,12 +648,12 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
     // pair a query with an ingest slot).
     let mixed = vec![
         storypivot::serve::Request::QueryStories,
-        storypivot::serve::Request::Stats,
+        storypivot::serve::Request::Metrics,
         storypivot::serve::Request::QueryStories,
     ];
     let replies = client.pipelined(&mixed).unwrap();
     assert!(matches!(replies[0], storypivot::serve::Response::Stories(_)));
-    assert!(matches!(replies[1], storypivot::serve::Response::Stats(_)));
+    assert!(matches!(replies[1], storypivot::serve::Response::Metrics { .. }));
     assert!(matches!(replies[2], storypivot::serve::Response::Stories(_)));
     match &replies[0] {
         storypivot::serve::Response::Stories(stories) => {
