@@ -15,11 +15,15 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> soak: the differential driver again, 4x its cases, release (≈ 4 s)"
+echo "==> soak: the differential driver again, 4x its cases, plus the fault suites, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
 STORYPIVOT_PROP_CASES_MULT=4 cargo test -q --release --test differential
+# Fault plans fire in every build, so the supervision (poison) and
+# disk-fault suites run against the release binaries that are benchmarked.
+cargo test -q --release --test failure_injection
+cargo test -q --release -p storypivot-serve --test chaos_fault
 
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -300,23 +304,23 @@ wait "$PIVOTD_PID"
 PIVOTD_PID=""
 
 echo "==> smoke: chaos (scenario replay + fault injection + crash equivalence)"
-# Fault hooks are compiled only into debug binaries (release plans are
-# inert by design), so this smoke drives the debug pivotd/loadgen the
-# test step already built. The plan tears WAL appends and fails
-# checkpoint writes while a flash-crowd scenario replays; every
-# rejection is retried, then kill -9 + a clean restart must serve the
-# byte-identical partition the faulted daemon acknowledged.
+# The fault plan is a runtime switch in every build, so this smoke drives
+# the release pivotd/loadgen built in step 1 — the serve path the
+# benchmark measures. The plan tears WAL appends and fails checkpoint
+# writes while a flash-crowd scenario replays; every rejection is
+# retried, then kill -9 + a clean restart must serve the byte-identical
+# partition the faulted daemon acknowledged.
 CHAOS_DIR="$SMOKE_DIR/chaos"
 mkdir -p "$CHAOS_DIR"
 STORYPIVOT_FAULTS="seed=11,wal_enospc=15,wal_short=15,checkpoint=300" \
-cargo run -p storypivot-serve --bin pivotd -- \
+cargo run -p storypivot-serve --bin pivotd --release -- \
     --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --deadline-ms 50 --checkpoint-every-bytes 32768 \
     --wal-dir "$CHAOS_DIR/wal" --checkpoint-dir "$CHAOS_DIR/ckpt" \
     --port-file "$CHAOS_DIR/port" &
 PIVOTD_PID=$!
 PORT="$(wait_port "$CHAOS_DIR/port" "$PIVOTD_PID")"
-cargo run -p storypivot-serve --bin loadgen -- \
+cargo run -p storypivot-serve --bin loadgen --release -- \
     --addr "127.0.0.1:$PORT" --scenario flash_crowd --events 600 --conns 2 \
     --json "$CHAOS_DIR/BENCH_flash.json" --metrics > "$CHAOS_DIR/metrics.txt"
 # The degradation ladder is registered and exported: shed and
@@ -326,7 +330,7 @@ grep -q '^storypivot_degraded_reads_total' "$CHAOS_DIR/metrics.txt"
 # The fault plan actually bit: injected journal rejections were
 # absorbed and retried by the scenario replay.
 grep -q '"rejected_retries": [1-9]' "$CHAOS_DIR/BENCH_flash.json"
-cargo run -p storypivot-serve --bin loadgen -- \
+cargo run -p storypivot-serve --bin loadgen --release -- \
     --addr "127.0.0.1:$PORT" --query-only --partition-file "$CHAOS_DIR/before.txt"
 test -s "$CHAOS_DIR/before.txt"
 kill -9 "$PIVOTD_PID"
@@ -334,13 +338,13 @@ wait "$PIVOTD_PID" || true
 rm -f "$CHAOS_DIR/port"
 # Clean restart, no fault plan: WAL replay (torn appends were repaired
 # in place, rejected appends left nothing) rebuilds the partition.
-cargo run -p storypivot-serve --bin pivotd -- \
+cargo run -p storypivot-serve --bin pivotd --release -- \
     --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --wal-dir "$CHAOS_DIR/wal" --checkpoint-dir "$CHAOS_DIR/ckpt" \
     --port-file "$CHAOS_DIR/port" &
 PIVOTD_PID=$!
 PORT="$(wait_port "$CHAOS_DIR/port" "$PIVOTD_PID")"
-cargo run -p storypivot-serve --bin loadgen -- \
+cargo run -p storypivot-serve --bin loadgen --release -- \
     --addr "127.0.0.1:$PORT" --query-only --partition-file "$CHAOS_DIR/after.txt" --shutdown
 wait "$PIVOTD_PID"
 PIVOTD_PID=""
@@ -349,14 +353,14 @@ cmp "$CHAOS_DIR/before.txt" "$CHAOS_DIR/after.txt"
 # fresh source ids), checkpoint faults only so REMOVE_DOC at volume
 # runs against a journaling-but-flaky checkpoint path.
 STORYPIVOT_FAULTS="seed=4,checkpoint=300" \
-cargo run -p storypivot-serve --bin pivotd -- \
+cargo run -p storypivot-serve --bin pivotd --release -- \
     --addr 127.0.0.1:0 --shards 2 --fsync every:16 \
     --deadline-ms 50 --checkpoint-every-bytes 32768 \
     --wal-dir "$CHAOS_DIR/storm-wal" --checkpoint-dir "$CHAOS_DIR/storm-ckpt" \
     --port-file "$CHAOS_DIR/storm-port" &
 PIVOTD_PID=$!
 PORT="$(wait_port "$CHAOS_DIR/storm-port" "$PIVOTD_PID")"
-cargo run -p storypivot-serve --bin loadgen -- \
+cargo run -p storypivot-serve --bin loadgen --release -- \
     --addr "127.0.0.1:$PORT" --scenario retraction_storm --events 600 --conns 2 \
     --json "$CHAOS_DIR/BENCH_storm_scenario.json"
 grep -q '"shed_retries"' "$CHAOS_DIR/BENCH_storm_scenario.json"

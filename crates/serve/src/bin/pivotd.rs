@@ -28,9 +28,9 @@
 //! `--deadline-ms N` turns on deadline shedding: a single-snippet
 //! ingest that waited in its shard queue longer than N milliseconds is
 //! answered with SHED (plus a retry hint) instead of being applied.
-//! Debug builds also honor `STORYPIVOT_FAULTS` (e.g.
-//! `seed=7,wal_enospc=20,wal_short=10,checkpoint=50,repl_drop=100` —
-//! rates in permille) for deterministic fault injection.
+//! `STORYPIVOT_FAULTS` (e.g. `seed=7,wal_enospc=20,checkpoint=50,poison=1000`,
+//! rates in permille) arms deterministic fault injection in any build;
+//! each site is inert unless the plan names it.
 
 use std::path::PathBuf;
 
@@ -41,8 +41,7 @@ use storypivot_substrate::wal::SyncPolicy;
 fn usage() -> ! {
     eprintln!(
         "usage: pivotd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-         [--retry-after-ms N] [--deadline-ms N] \
-         [--io-workers N] \
+         [--deadline-ms N] [--io-workers N] \
          [--max-pipeline N] [--idle-timeout-ms N] [--checkpoint-dir DIR] \
          [--wal-dir DIR] [--fsync always|never|every:N] \
          [--checkpoint-every-bytes N] [--port-file PATH] \
@@ -72,7 +71,6 @@ fn main() {
             "--addr" => addr = parse(&mut args, "--addr"),
             "--shards" => cfg.shards = parse(&mut args, "--shards"),
             "--queue-depth" => cfg.queue_depth = parse(&mut args, "--queue-depth"),
-            "--retry-after-ms" => cfg.retry_after_ms = parse(&mut args, "--retry-after-ms"),
             "--deadline-ms" => cfg.deadline_ms = parse(&mut args, "--deadline-ms"),
             "--io-workers" => cfg.io_workers = parse(&mut args, "--io-workers"),
             "--max-pipeline" => cfg.max_pipeline = parse(&mut args, "--max-pipeline"),
@@ -93,8 +91,6 @@ fn main() {
             _ => usage(),
         }
     }
-    // Deterministic fault injection, debug/test builds only (the hooks
-    // are inert in release binaries even when the plan is set).
     cfg.faults = FaultPlan::from_env();
     if let Some(plan) = &cfg.faults {
         eprintln!("pivotd: fault plan active: {plan:?}");

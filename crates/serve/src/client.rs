@@ -78,13 +78,15 @@ impl Default for BackoffPolicy {
 
 /// The sleep before retry number `attempt` (1-based), in milliseconds.
 /// Pure so callers and tests can reason about bounds; `jitter_state`
-/// threads the deterministic jitter stream.
+/// threads the deterministic jitter stream. The server's own retry loops
+/// (the acceptor, replica pullers) use it too, with a zero hint;
+/// `policy.max_attempts` is not consulted here.
 ///
 /// Hostile hints are harmless by construction: the result is clamped to
 /// `[1, cap_ms.max(1)]`, so a huge `retry-after` cannot overflow the
 /// exponential window (the shift is bounded and the multiply saturates)
 /// and a zero hint cannot produce a zero-sleep spin loop.
-fn backoff_delay_ms(
+pub(crate) fn backoff_delay_ms(
     policy: BackoffPolicy,
     hint_ms: u32,
     attempt: u32,

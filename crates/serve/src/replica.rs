@@ -41,9 +41,8 @@ use std::time::Duration;
 
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge};
-use storypivot_substrate::rng::splitmix64;
 
-use crate::client::Client;
+use crate::client::{backoff_delay_ms, BackoffPolicy, Client};
 use crate::proto::Response;
 use crate::server::{Job, ReplAck, ReplCursor, Shared};
 
@@ -65,9 +64,10 @@ pub(crate) struct PullerCtx {
     /// Reconnect attempts to the leader (the initial connection is not
     /// counted); failed attempts count too.
     pub(crate) reconnects: Counter,
-    /// Debug/test-gated `repl_drop` fault: when it fires, the puller
-    /// drops its leader connection mid-tail and goes back through the
-    /// reconnect path, exercising cursor re-probing under churn.
+    /// The `repl_drop` fault site, inert unless the plan names it: when
+    /// it fires, the puller drops its leader connection mid-tail and
+    /// goes back through the reconnect path, exercising cursor
+    /// re-probing under churn.
     pub(crate) drop_fault: FaultHook,
 }
 
@@ -103,20 +103,13 @@ impl PullerCtx {
     }
 }
 
-/// Jitter a nominal backoff into `[delay/2, delay)`: half the delay is
-/// kept so backoff still backs off, the other half is randomized so no
-/// two pullers retry on the same beat (`state` is seeded per shard, so
-/// pullers spread out without sharing any).
-fn jittered(delay_ms: u64, state: &mut u64) -> u64 {
-    let half = (delay_ms / 2).max(1);
-    half + splitmix64(state) % half
-}
-
 /// Body of one `pivot-repl-{i}` thread: bootstrap-or-tail the leader
 /// until the replica shuts down.
 pub(crate) fn run_puller(mut ctx: PullerCtx) {
     let Some(mut cursor) = ctx.local_cursor() else { return };
-    let mut backoff_ms = 50u64;
+    let backoff = BackoffPolicy { base_ms: 50, cap_ms: 2000, ..BackoffPolicy::default() };
+    let mut failures = 0u32;
+    // Seeded per shard, so no two pullers retry on the same beat.
     let mut jitter_state = 0x5bd1_e995u64 ^ ((ctx.shard as u64) << 32);
     let mut connects = 0u64;
     'reconnect: while !ctx.shared.is_done() {
@@ -131,15 +124,16 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                     "pivotd: replica shard {}: leader {} unreachable: {e}",
                     ctx.shard, ctx.leader
                 );
-                std::thread::sleep(Duration::from_millis(jittered(backoff_ms, &mut jitter_state)));
-                backoff_ms = (backoff_ms * 2).min(2000);
+                failures = failures.saturating_add(1);
+                let ms = backoff_delay_ms(backoff, 0, failures, &mut jitter_state);
+                std::thread::sleep(Duration::from_millis(ms));
                 continue;
             }
         };
         if let Err(e) = client.set_io_timeout(Some(IO_TIMEOUT)) {
             eprintln!("pivotd: replica shard {}: socket timeout: {e}", ctx.shard);
         }
-        backoff_ms = 50;
+        failures = 0;
         loop {
             if ctx.shared.is_done() {
                 break 'reconnect;

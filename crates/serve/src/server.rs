@@ -126,11 +126,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use storypivot_core::config::PivotConfig;
+use storypivot_substrate::fault::{FaultHook, FaultPlan};
 use storypivot_substrate::metrics::{Counter, Registry};
 use storypivot_substrate::net;
 use storypivot_substrate::pool::BufferPool;
 use storypivot_substrate::queue::Bounded;
-use storypivot_substrate::rng::splitmix64;
 use storypivot_substrate::wal::SyncPolicy;
 use storypivot_types::{Error, Result, SourceId};
 
@@ -138,15 +138,16 @@ use self::io::{Inbox, IoEvent, IoMetrics, IoWorker};
 use self::job::{unavailable, Dest, Reply};
 pub(crate) use self::job::{Job, ReplAck, ReplCursor};
 use self::shard::ShardWorker;
+use crate::client::{backoff_delay_ms, BackoffPolicy};
 use crate::proto::Response;
 use crate::replica;
 use crate::snapshot::SnapshotSlot;
 
 /// Ingesting a snippet with this exact headline makes the owning shard
-/// worker panic — **in debug builds only** — providing a failure
-/// injection hook for exercising the supervision path (engine restart,
-/// two-strike dead-letter quarantine) from integration tests. Release
-/// builds treat it as an ordinary headline.
+/// worker panic when the fault plan arms the `poison` site, exercising
+/// the supervision path (engine restart, two-strike dead-letter
+/// quarantine). The site is inert unless the plan names it; then this is
+/// an ordinary headline, so no client can crash a shard.
 pub const POISON_HEADLINE: &str = "__pivotd_poison_panic__";
 
 /// Server configuration.
@@ -174,8 +175,6 @@ pub struct ServerConfig {
     /// exceeds this many bytes (0 disables size-triggered checkpoints;
     /// requires both `wal_dir` and `checkpoint_dir`).
     pub checkpoint_every_bytes: u64,
-    /// The retry-after hint carried by BUSY replies, in milliseconds.
-    pub retry_after_ms: u32,
     /// Artificial per-job delay in each shard worker. Zero in
     /// production; tests use it to hold a queue full deterministically.
     pub worker_delay: Duration,
@@ -203,10 +202,21 @@ pub struct ServerConfig {
     /// shedding.
     pub deadline_ms: u64,
     /// Deterministic fault-injection plan consulted by WAL appends,
-    /// checkpoint writes, and replica-tail connections. `None` (and any
-    /// release build) injects nothing; `pivotd` fills it from the
+    /// checkpoint writes, replica-tail connections and (site `poison`)
+    /// every apply. Each site is inert unless the plan names it, in
+    /// every build; `None` injects nothing. `pivotd` fills it from the
     /// `STORYPIVOT_FAULTS` environment variable.
-    pub faults: Option<storypivot_substrate::fault::FaultPlan>,
+    pub faults: Option<FaultPlan>,
+}
+
+impl ServerConfig {
+    /// The plan's hook for one fault site on one shard; inert without a
+    /// plan.
+    fn fault_hook(&self, site: &str, shard: usize) -> FaultHook {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultHook::default, |plan| plan.hook(site, shard as u64))
+    }
 }
 
 impl Default for ServerConfig {
@@ -219,7 +229,6 @@ impl Default for ServerConfig {
             wal_dir: None,
             fsync: SyncPolicy::Always,
             checkpoint_every_bytes: 8 * 1024 * 1024,
-            retry_after_ms: 10,
             worker_delay: Duration::ZERO,
             io_workers: 2,
             max_pipeline: 64,
@@ -282,16 +291,14 @@ impl ShardPort {
 
     /// Queue-depth-proportional retry hint, in milliseconds: the
     /// estimated drain time of the jobs already queued (depth × EWMA of
-    /// observed per-snippet service time). Floored at the configured
-    /// flat `retry_after_ms` — which is also the exact hint before the
-    /// first ingest has seeded the EWMA — and capped at
-    /// `max(10 s, floor_ms)` so a hostile queue depth can never park
+    /// observed per-snippet service time). Floored at 10 ms — which is
+    /// also the exact hint before the first ingest has seeded the EWMA —
+    /// and capped at 10 s so a hostile queue depth can never park
     /// clients for minutes.
-    fn retry_hint(&self, floor_ms: u32) -> u32 {
+    fn retry_hint(&self) -> u32 {
         let ewma_ns = self.service_ewma_ns.load(Ordering::Relaxed);
         let est_ms = (self.queue.len() as u64).saturating_mul(ewma_ns) / 1_000_000;
-        let cap = 10_000u64.max(floor_ms as u64);
-        est_ms.max(floor_ms as u64).min(cap) as u32
+        est_ms.clamp(10, 10_000) as u32
     }
 }
 
@@ -501,11 +508,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
                      (the initial connection is not counted).",
                     labels,
                 ),
-                drop_fault: cfg
-                    .faults
-                    .as_ref()
-                    .map(|p| p.hook("repl_drop", i as u64))
-                    .unwrap_or_else(storypivot_substrate::fault::FaultHook::inert),
+                drop_fault: cfg.fault_hook("repl_drop", i),
             };
             workers.push(
                 std::thread::Builder::new()
@@ -526,7 +529,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut backoff = Duration::from_millis(1);
+    let backoff = BackoffPolicy { base_ms: 1, cap_ms: 100, ..BackoffPolicy::default() };
+    let mut failures = 0u32;
     // Deterministic backoff jitter: persistent accept errors (EMFILE
     // across many servers on one host) must not march every acceptor in
     // lockstep.
@@ -551,7 +555,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                backoff = Duration::from_millis(1);
+                failures = 0;
                 hand_off(&shared, stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -562,9 +566,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 // back off exponentially with jitter instead of
                 // hot-spinning the accept loop.
                 shared.io_metrics.accept_errors.inc();
-                let jitter = (splitmix64(&mut jitter_state) >> 56) as u32; // 0..=255
-                std::thread::sleep(backoff + backoff * jitter / 512); // +0..50%
-                backoff = (backoff * 2).min(Duration::from_millis(100));
+                failures = failures.saturating_add(1);
+                let ms = backoff_delay_ms(backoff, 0, failures, &mut jitter_state);
+                std::thread::sleep(Duration::from_millis(ms));
             }
         }
     }

@@ -82,8 +82,7 @@ impl IoWorker {
                     Ok(()) => {}
                     Err(PushError::Full(job)) => {
                         port.busy.inc();
-                        let retry_after_ms = port.retry_hint(self.shared.cfg.retry_after_ms);
-                        fail_job(job, Response::Busy { retry_after_ms });
+                        fail_job(job, Response::Busy { retry_after_ms: port.retry_hint() });
                     }
                     Err(PushError::Closed(job)) => fail_job_closed(job),
                 }

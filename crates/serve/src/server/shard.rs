@@ -29,16 +29,15 @@ use super::{ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
 
-/// The debug-only failure-injection hook: runs in both the live apply
-/// path and the rebuild replay path, so an injected panic is
-/// deterministic across restarts (which is what earns it a second
+/// The `poison` fault site: panics on an ingest headlined
+/// [`POISON_HEADLINE`] when the plan arms the site, and is inert
+/// otherwise. It never draws from its stream, so the live apply and the
+/// rebuild replay panic alike (which is what earns the op a second
 /// strike and the quarantine).
-fn poison_check(op: &ReplayOp) {
-    if cfg!(debug_assertions) {
-        if let ReplayOp::Ingest(snippet) = op {
-            if snippet.content.headline == POISON_HEADLINE {
-                panic!("injected poison snippet (debug-only failure hook)");
-            }
+fn poison_check(poison: &FaultHook, op: &ReplayOp) {
+    if let ReplayOp::Ingest(snippet) = op {
+        if poison.is_active() && snippet.content.headline == POISON_HEADLINE {
+            panic!("injected fault: poison snippet");
         }
     }
 }
@@ -147,8 +146,11 @@ pub(super) struct ShardWorker {
     /// service-time estimate it keeps for the I/O workers.
     port: Arc<ShardPort>,
     pub(super) engine: StoryPivot,
-    /// Debug/test-gated fault consulted before each checkpoint write.
+    /// The `checkpoint` fault site, consulted before each checkpoint
+    /// write; inert unless the plan names it.
     checkpoint_fault: FaultHook,
+    /// The `poison` fault site, checked before every apply and replay.
+    poison: FaultHook,
     /// The story vector the next publish hands out, patched from the
     /// engine's change log.
     stories: StoryTable,
@@ -250,10 +252,9 @@ impl ShardWorker {
             w.append(&self.op_buf)
                 .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
         }
-        let engine = &mut self.engine;
         let applied = catch_unwind(AssertUnwindSafe(|| {
-            poison_check(&op);
-            oplog::apply(engine, op)
+            poison_check(&self.poison, &op);
+            oplog::apply(&mut self.engine, op)
         }));
         match applied {
             Ok(result) => {
@@ -348,7 +349,7 @@ impl ShardWorker {
         self.trace.push("shed", format!("doc={}", snippet.doc.raw()));
         self.serve_metrics.shed.inc();
         Response::Shed {
-            retry_after_ms: self.port.retry_hint(self.cfg.retry_after_ms),
+            retry_after_ms: self.port.retry_hint(),
         }
     }
 

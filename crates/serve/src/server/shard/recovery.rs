@@ -11,10 +11,9 @@ use storypivot_core::checkpoint;
 use storypivot_core::metrics::EngineMetrics;
 use storypivot_core::oplog::{self, ReplayOp};
 use storypivot_core::StoryPivot;
-use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::Registry;
 use storypivot_substrate::trace::TraceRing;
-use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
+use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalFaults, WalMetrics};
 use storypivot_types::{Error, Result};
 
 use super::{poison_check, ShardServeMetrics, ShardWorker};
@@ -60,11 +59,8 @@ impl ShardWorker {
             cfg: Arc::clone(cfg),
             port,
             engine: StoryPivot::new(cfg.pivot.clone()),
-            checkpoint_fault: cfg
-                .faults
-                .as_ref()
-                .map(|p| p.hook("checkpoint", idx as u64))
-                .unwrap_or_else(FaultHook::inert),
+            checkpoint_fault: cfg.fault_hook("checkpoint", idx),
+            poison: cfg.fault_hook("poison", idx),
             stories: StoryTable::default(),
             snapshot_epoch: 0,
             registry,
@@ -115,12 +111,10 @@ impl ShardWorker {
                     scan.dropped_bytes
                 );
             }
-            if let Some(plan) = &cfg.faults {
-                wal.set_faults(storypivot_substrate::wal::WalFaults {
-                    enospc: plan.hook("wal_enospc", idx as u64),
-                    short_write: plan.hook("wal_short", idx as u64),
-                });
-            }
+            wal.set_faults(WalFaults {
+                enospc: cfg.fault_hook("wal_enospc", idx),
+                short_write: cfg.fault_hook("wal_short", idx),
+            });
             worker.wal_path = Some(path);
             worker.wal = Some(wal);
         }
@@ -165,7 +159,7 @@ impl ShardWorker {
                     continue;
                 }
                 let replayed = catch_unwind(AssertUnwindSafe(|| {
-                    poison_check(&op);
+                    poison_check(&self.poison, &op);
                     oplog::replay(&mut engine, &op)
                 }));
                 match replayed {

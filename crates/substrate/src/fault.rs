@@ -1,35 +1,33 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] is a seeded table of per-site failure rates. Code on
-//! the durability and replication paths asks the plan for a
+//! the durability, replication and apply paths asks the plan for a
 //! [`FaultHook`] at startup (one per site × instance, e.g. per shard)
 //! and consults it at each fault point. Every hook owns an independent
 //! splitmix64 stream derived from `seed ^ fnv(site) ^ instance`, so a
 //! given plan injects *exactly* the same faults at the same operations
-//! on every run — chaos tests replay bit-for-bit.
-//!
-//! Injection is debug/test-gated: in release builds [`FaultHook::fire`]
-//! is always `false` and the hooks compile down to a counter bump, the
-//! same stance as the serving layer's `POISON_HEADLINE` panic injection.
-//! Production binaries cannot be talked into failing by an environment
-//! variable.
+//! on every run — chaos tests replay bit-for-bit. The plan is the only
+//! switch, in every build profile: a hook is inert unless the plan names
+//! its site, so chaos runs exercise the binary that is benchmarked.
 //!
 //! Plan specs are comma-separated `key=value` pairs; rates are in
 //! permille (so CI smoke rates like `wal_enospc=25` read as 2.5%):
 //!
 //! ```text
-//! seed=7,wal_enospc=100,wal_short=50,checkpoint=200,repl_drop=100
+//! seed=7,wal_enospc=100,wal_short=50,checkpoint=200,repl_drop=100,poison=1000
 //! ```
-//!
-//! Site names are free-form — the plan stores whatever keys the spec
-//! carries and hands out inert hooks for sites it never mentions. The
-//! sites currently consulted in-tree are `wal_enospc` (append fails
-//! before writing), `wal_short` (append tears mid-record, then repairs
-//! to the last whole-record boundary exactly like a crash-and-reopen),
-//! `checkpoint` (generation write fails), and `repl_drop` (a follower's
-//! leader connection is dropped mid-tail).
 
 use crate::rng::splitmix64;
+
+/// Every fault site consulted in-tree; [`FaultPlan::parse`] rejects any
+/// other key but `seed`, so a misspelled site cannot quietly inject
+/// nothing. `wal_enospc`: an append fails before writing. `wal_short`:
+/// an append tears mid-record, then repairs to the last whole-record
+/// boundary like a crash-and-reopen. `checkpoint`: a generation write
+/// fails. `repl_drop`: a follower drops its leader connection mid-tail.
+/// `poison`: a shard panics applying an ingest headlined with the
+/// serving layer's `POISON_HEADLINE`.
+pub const SITES: [&str; 5] = ["wal_enospc", "wal_short", "checkpoint", "repl_drop", "poison"];
 
 /// Seeded per-site fault rates. Parsed from a spec string (see the
 /// module docs) or built empty via `Default` — an empty plan hands out
@@ -52,7 +50,7 @@ fn fnv1a(s: &str) -> u64 {
 
 impl FaultPlan {
     /// Parse a plan spec: comma-separated `key=value` pairs where
-    /// `seed=N` sets the stream seed and any other key sets that
+    /// `seed=N` sets the stream seed and a key from [`SITES`] sets that
     /// site's failure rate in permille (0..=1000).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -70,6 +68,12 @@ impl FaultPlan {
                     .parse()
                     .map_err(|_| format!("fault seed {value:?} is not a u64"))?;
                 continue;
+            }
+            if !SITES.contains(&key) {
+                return Err(format!(
+                    "unknown fault site {key:?}; the sites are {}",
+                    SITES.join(", ")
+                ));
             }
             let rate: u32 = value
                 .parse()
@@ -113,52 +117,31 @@ impl FaultPlan {
         FaultHook {
             rate_permille: self.rate(site),
             state: self.seed ^ fnv1a(site) ^ instance.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            fired: 0,
         }
     }
 }
 
 /// One fault site's injection state: a failure rate plus a private
 /// deterministic stream. Obtain via [`FaultPlan::hook`]; a
-/// default-constructed hook is inert.
+/// default-constructed hook is inert (for code paths with no plan).
 #[derive(Debug, Clone, Default)]
 pub struct FaultHook {
     rate_permille: u32,
     state: u64,
-    fired: u64,
 }
 
 impl FaultHook {
-    /// A hook that never fires (for code paths with no plan attached).
-    pub fn inert() -> FaultHook {
-        FaultHook::default()
-    }
-
-    /// Whether this hook can ever fire in this build. False for
-    /// zero-rate hooks, and always false in release builds.
+    /// Whether this hook can ever fire: the plan named its site with a
+    /// nonzero rate.
     pub fn is_active(&self) -> bool {
-        cfg!(debug_assertions) && self.rate_permille > 0
+        self.rate_permille > 0
     }
 
     /// Advance the stream one step and report whether the fault fires
-    /// at this operation. Release builds never fire (the stream does
-    /// not even advance, keeping the hot path untouched).
+    /// at this operation. An inactive hook returns `false` without
+    /// advancing its stream.
     pub fn fire(&mut self) -> bool {
-        if !self.is_active() {
-            return false;
-        }
-        let draw = splitmix64(&mut self.state) % 1000;
-        if draw < self.rate_permille as u64 {
-            self.fired += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// How many times this hook has fired.
-    pub fn fired(&self) -> u64 {
-        self.fired
+        self.is_active() && splitmix64(&mut self.state) % 1000 < self.rate_permille as u64
     }
 }
 
@@ -184,6 +167,16 @@ mod tests {
     }
 
     #[test]
+    fn a_misspelled_site_is_an_error_naming_the_sites() {
+        let err = FaultPlan::parse("seed=1,wal_enopsc=100").unwrap_err();
+        assert!(err.contains("wal_enopsc"), "{err}");
+        for site in SITES {
+            assert!(err.contains(site), "{err}");
+            assert!(FaultPlan::parse(&format!("{site}=1")).is_ok());
+        }
+    }
+
+    #[test]
     fn empty_spec_is_the_empty_plan() {
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
         assert_eq!(FaultPlan::parse(" , ,").unwrap(), FaultPlan::default());
@@ -195,7 +188,6 @@ mod tests {
         assert_eq!(p.rate("checkpoint"), 900);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn streams_are_deterministic_and_instance_separated() {
         let plan = FaultPlan::parse("seed=42,wal_short=500").unwrap();
@@ -209,38 +201,26 @@ mod tests {
         assert!(a.iter().any(|&f| !f), "and must not fire every time");
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn fire_rate_tracks_the_configured_permille() {
-        let plan = FaultPlan::parse("seed=1,site=100").unwrap();
-        let mut h = plan.hook("site", 3);
-        for _ in 0..10_000 {
-            h.fire();
-        }
-        let rate = h.fired() as f64 / 10_000.0;
+        let plan = FaultPlan::parse("seed=1,checkpoint=100").unwrap();
+        let mut h = plan.hook("checkpoint", 3);
+        let rate = (0..10_000).filter(|_| h.fire()).count() as f64 / 10_000.0;
         assert!((0.07..0.13).contains(&rate), "got {rate}, wanted ≈0.10");
     }
 
     #[test]
     fn zero_rate_and_inert_hooks_never_fire() {
-        let plan = FaultPlan::parse("seed=9,other=1000").unwrap();
-        let mut h = plan.hook("unmentioned", 0);
-        let mut i = FaultHook::inert();
+        let plan = FaultPlan::parse("seed=9,repl_drop=1000,wal_short=0").unwrap();
+        let mut unmentioned = plan.hook("checkpoint", 0);
+        let mut zero = plan.hook("wal_short", 0);
+        let mut i = FaultHook::default();
         for _ in 0..256 {
-            assert!(!h.fire());
+            assert!(!unmentioned.fire());
+            assert!(!zero.fire());
             assert!(!i.fire());
         }
-        assert!(!h.is_active());
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn release_builds_never_fire() {
-        let plan = FaultPlan::parse("seed=1,site=1000").unwrap();
-        let mut h = plan.hook("site", 0);
-        for _ in 0..256 {
-            assert!(!h.fire(), "release builds must be immune to fault plans");
-        }
-        assert!(!h.is_active());
+        assert!(!unmentioned.is_active() && !zero.is_active());
+        assert!(plan.hook("repl_drop", 0).is_active());
     }
 }

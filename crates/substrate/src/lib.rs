@@ -37,11 +37,11 @@
 //! * [`trace`] — [`trace::TraceRing`], a fixed-capacity ring buffer of
 //!   recent engine events, dumped on shard panic so supervision leaves
 //!   a diagnosable artifact behind.
-//! * [`fault`] — seeded, debug/test-gated deterministic fault
-//!   injection ([`fault::FaultPlan`]): the durability and replication
-//!   paths consult per-site hooks so chaos tests can inject
-//!   short-write/ENOSPC-style disk faults and connection drops
-//!   reproducibly.
+//! * [`fault`] — seeded deterministic fault injection
+//!   ([`fault::FaultPlan`]): the durability, replication and apply
+//!   paths consult per-site hooks, inert unless the plan names the
+//!   site, so chaos tests can inject short-write/ENOSPC-style disk
+//!   faults, connection drops and poison panics reproducibly.
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! corpus, the same property-test cases, and the same experiment tables

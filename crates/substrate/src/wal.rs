@@ -52,7 +52,8 @@ pub struct WalMetrics {
 }
 
 /// Deterministic disk-fault hooks for a [`Wal`]; see
-/// [`Wal::set_faults`]. Default (and any release build) is inert.
+/// [`Wal::set_faults`]. Default is inert; a hook is inert unless the
+/// plan names its site.
 #[derive(Debug, Clone, Default)]
 pub struct WalFaults {
     /// Fires *before* a record is written: the append fails cleanly
@@ -289,8 +290,7 @@ impl Wal {
         self.metrics = metrics;
     }
 
-    /// Attach deterministic disk-fault hooks (default: inert; release
-    /// builds are always inert regardless of what is attached).
+    /// Attach deterministic disk-fault hooks (default: inert).
     pub fn set_faults(&mut self, faults: WalFaults) {
         self.faults = faults;
     }
@@ -567,7 +567,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn injected_faults_fail_the_append_but_never_corrupt_the_journal() {
         use crate::fault::FaultPlan;

@@ -360,10 +360,10 @@ mod wire_faults {
     }
 }
 
-/// Shard supervision under injected panics. The poison hook only exists
-/// in debug builds ([`storypivot::serve::server::POISON_HEADLINE`]), so
-/// this module is compiled out of release test runs.
-#[cfg(debug_assertions)]
+/// Shard supervision under injected panics: the fault plan's `poison`
+/// site makes an ingest headlined
+/// [`storypivot::serve::server::POISON_HEADLINE`] panic its shard, in
+/// every build profile; without the site the headline is ordinary.
 mod shard_supervision {
     use std::path::{Path, PathBuf};
 
@@ -371,6 +371,7 @@ mod shard_supervision {
     use storypivot::core::pivot::StoryPivot;
     use storypivot::serve::client::{BackoffPolicy, Client};
     use storypivot::serve::server::{serve, ServerConfig, POISON_HEADLINE};
+    use storypivot::substrate::fault::FaultPlan;
     use storypivot::substrate::wal::SyncPolicy;
     use storypivot::types::{
         EntityId, Snippet, SnippetId, SourceId, SourceKind, StoryId, Timestamp,
@@ -384,12 +385,14 @@ mod shard_supervision {
         dir
     }
 
+    /// Two journaled, checkpointed shards with the `poison` site armed.
     fn durable_config(wal: &Path, ckpt: &Path) -> ServerConfig {
         ServerConfig {
             shards: 2,
             wal_dir: Some(wal.to_path_buf()),
             checkpoint_dir: Some(ckpt.to_path_buf()),
             fsync: SyncPolicy::Always,
+            faults: Some(FaultPlan::parse("poison=1000").unwrap()),
             ..ServerConfig::default()
         }
     }
@@ -512,6 +515,30 @@ mod shard_supervision {
         let stories = client.query_stories().unwrap();
         assert_eq!(stories.iter().map(|s| s.members.len()).sum::<usize>(), 1);
         client.ingest_backoff(&snippet(2, 0, "fresh"), ten_retries()).unwrap();
+        client.shutdown().unwrap();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&wal);
+        let _ = std::fs::remove_dir_all(&ckpt);
+    }
+
+    #[test]
+    fn an_unarmed_server_ignores_the_poison_headline() {
+        let wal = scratch("wal-unarmed");
+        let ckpt = scratch("ckpt-unarmed");
+        let cfg = ServerConfig { faults: None, ..durable_config(&wal, &ckpt) };
+        let handle = serve("127.0.0.1:0", cfg).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.add_source("victim", SourceKind::Wire, 0).unwrap();
+        let (story, _) =
+            client.ingest_backoff(&snippet(0, 0, POISON_HEADLINE), ten_retries()).unwrap();
+        assert!(client.get_story(story).unwrap().members.contains(&SnippetId::new(0)));
+        let text = client.metrics().unwrap();
+        for line in [
+            "storypivot_shard_restarts_total{shard=\"0\"} 0",
+            "storypivot_shard_quarantined{shard=\"0\"} 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing `{line}` in:\n{text}");
+        }
         client.shutdown().unwrap();
         handle.join();
         let _ = std::fs::remove_dir_all(&wal);

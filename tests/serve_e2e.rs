@@ -175,7 +175,6 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
     let cfg = ServerConfig {
         shards: 1,
         queue_depth: 1,
-        retry_after_ms: 5,
         worker_delay: std::time::Duration::from_millis(10),
         ..ServerConfig::default()
     };
@@ -357,6 +356,7 @@ fn metrics_merge_across_shards_sums_counters() {
 #[test]
 fn exposition_reports_every_shard_number_against_its_witness() {
     use storypivot::serve::{Request, Response};
+    use storypivot::substrate::fault::FaultPlan;
     use storypivot::substrate::wal;
     use storypivot::types::SourceId;
 
@@ -373,6 +373,7 @@ fn exposition_reports_every_shard_number_against_its_witness() {
         wal_dir: Some(dir.join("wal")),
         fsync: wal::SyncPolicy::Never,
         checkpoint_every_bytes: 4096,
+        faults: Some(FaultPlan::parse("poison=1000").unwrap()),
         ..sharded(shards)
     };
     let handle = serve("127.0.0.1:0", cfg).unwrap();
@@ -459,23 +460,21 @@ fn exposition_reports_every_shard_number_against_its_witness() {
         assert_eq!(series("storypivot_shard_quarantined"), 0);
     }
 
-    // The poison hook panics in debug builds only: a live panic plus its
-    // replay panic restart the owning shard twice and quarantine the op.
-    if cfg!(debug_assertions) {
-        let poison = Snippet::builder(SnippetId::new(1 << 30), SourceId::new(0), Timestamp::EPOCH)
-            .entity(EntityId::new(1), 1.0)
-            .headline(storypivot::serve::POISON_HEADLINE)
-            .build();
-        client.ingest(&poison).expect_err("the poison op must fail");
-        let text = client.metrics().unwrap();
-        let series = |name: &str, shard: usize| {
-            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}")).unwrap()
-        };
-        assert!(series("storypivot_shard_restarts_total", 0) >= 2);
-        assert_eq!(series("storypivot_shard_quarantined", 0), 1);
-        assert_eq!(series("storypivot_shard_restarts_total", 1), 0);
-        assert_eq!(series("storypivot_shard_quarantined", 1), 0);
-    }
+    // The armed poison site: a live panic plus its replay panic restart
+    // the owning shard twice and quarantine the op.
+    let poison = Snippet::builder(SnippetId::new(1 << 30), SourceId::new(0), Timestamp::EPOCH)
+        .entity(EntityId::new(1), 1.0)
+        .headline(storypivot::serve::POISON_HEADLINE)
+        .build();
+    client.ingest(&poison).expect_err("the poison op must fail");
+    let text = client.metrics().unwrap();
+    let series = |name: &str, shard: usize| {
+        exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}")).unwrap()
+    };
+    assert!(series("storypivot_shard_restarts_total", 0) >= 2);
+    assert_eq!(series("storypivot_shard_quarantined", 0), 1);
+    assert_eq!(series("storypivot_shard_restarts_total", 1), 0);
+    assert_eq!(series("storypivot_shard_quarantined", 1), 0);
 
     client.shutdown().unwrap();
     handle.join();
