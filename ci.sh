@@ -15,11 +15,15 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> soak: the differential driver again, 4x its cases, plus the fault suites, release"
+echo "==> soak: the differential driver again, 4x its cases, the kernels, plus the fault suites, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
 STORYPIVOT_PROP_CASES_MULT=4 cargo test -q --release --test differential
+# Likewise the assert behind every probe-table cosine: in release only
+# the explicit property test holds the table to the merge, so it runs
+# against the codegen that is benchmarked.
+cargo test -q --release --test kernel_equivalence
 # Fault plans fire in every build, so the supervision (poison) and
 # disk-fault suites run against the release binaries that are benchmarked.
 cargo test -q --release --test failure_injection

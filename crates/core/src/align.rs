@@ -47,7 +47,7 @@ use storypivot_types::{
 };
 
 use crate::config::{AlignConfig, SketchConfig};
-use crate::sim::SimWeights;
+use crate::sim::{ProbeTables, SimWeights};
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
 
@@ -110,6 +110,8 @@ pub struct Aligner {
     weights: SimWeights,
     /// `Some` iff `cfg.use_sketches`.
     sketches: Option<Sketches>,
+    /// Probe tables of the role pass's counterpart scans.
+    tables: ProbeTables,
 }
 
 impl Aligner {
@@ -120,7 +122,12 @@ impl Aligner {
             family: HashFamily::new(sketch.seed, sketch.minhash_k),
             kept: HashMap::new(),
         });
-        Aligner { cfg, weights, sketches }
+        Aligner {
+            cfg,
+            weights,
+            sketches,
+            tables: ProbeTables::default(),
+        }
     }
 
     /// The configuration in use.
@@ -134,11 +141,13 @@ impl Aligner {
         self.sketches.iter().flat_map(|s| s.kept.iter().map(|(&id, sig)| (id, sig)))
     }
 
-    /// Heap bytes of the kept signatures (the memory account).
+    /// Heap bytes of the kept signatures and the role pass's probe
+    /// tables (the memory account).
     pub fn heap_bytes(&self) -> usize {
-        self.sketches.as_ref().map_or(0, |s| {
+        let sketches = self.sketches.as_ref().map_or(0, |s| {
             mem::hash_map_bytes(&s.kept) + s.kept.values().map(MinHash::heap_bytes).sum::<usize>()
-        })
+        });
+        sketches + self.tables.heap_bytes()
     }
 
     /// Bring the kept signatures up to date for scoring `pairs`: drop
@@ -348,6 +357,8 @@ impl Aligner {
         };
 
         let mut ids = IdGen::<GlobalStoryId>::new();
+        // Out of `self` for the pass, so `integrate` can borrow both.
+        let mut tables = std::mem::take(&mut self.tables);
         for group in uf.groups() {
             let gid = ids.next_id();
             let mut member_stories: Vec<StoryId> = group.iter().map(|&i| states[i].id()).collect();
@@ -376,18 +387,20 @@ impl Aligner {
                     };
                     if cfg!(debug_assertions) {
                         let stories = global.member_stories.clone();
-                        let fresh = self.integrate(gid, stories, &group, states, store);
+                        let fresh =
+                            self.integrate(gid, stories, &group, states, store, &mut tables);
                         debug_assert_eq!(global, fresh, "reused global story differs from a recomputed one");
                     }
                     global
                 }
-                None => self.integrate(gid, member_stories, &group, states, store),
+                None => self.integrate(gid, member_stories, &group, states, store, &mut tables),
             };
             for &(m, _) in &global.members {
                 outcome.snippet_to_global.insert(m, gid);
             }
             outcome.global_stories.push(global);
         }
+        self.tables = tables;
         outcome
     }
 
@@ -401,6 +414,7 @@ impl Aligner {
         group: &[usize],
         states: &[&StoryState],
         store: &EventStore,
+        tables: &mut ProbeTables,
     ) -> GlobalStory {
         let mut sources: Vec<SourceId> = group.iter().map(|&i| states[i].source()).collect();
         sources.sort_unstable();
@@ -421,7 +435,7 @@ impl Aligner {
             .iter()
             .enumerate()
             .map(|(pos, &sn)| {
-                let role = if sources.len() > 1 && self.has_counterpart(sn, pos, &by_time) {
+                let role = if sources.len() > 1 && self.has_counterpart(sn, pos, &by_time, tables) {
                     SnippetRole::Aligning
                 } else {
                     SnippetRole::Enriching
@@ -447,11 +461,12 @@ impl Aligner {
         sn: &Snippet,
         pos: usize,
         members: &[&Snippet],
+        tables: &mut ProbeTables,
     ) -> bool {
         let lag = self.cfg.counterpart_lag;
         // Bind the probe once: the outward scans re-score `sn` against
-        // every neighbour, so probe-side state is hoisted out.
-        let scorer = self.weights.probe(&sn.content);
+        // every neighbour by table lookup.
+        let scorer = self.weights.probe(&sn.content, tables);
         // members is sorted by timestamp: scan outwards until the lag
         // bound is exceeded in both directions.
         let check = |other: &Snippet| -> bool {

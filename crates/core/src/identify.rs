@@ -58,6 +58,7 @@ use storypivot_types::{mem, Error, Result, Snippet, SnippetId, SourceId, StoryId
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::hotcache::{CacheEntry, HotStoryCache};
+use crate::sim::ProbeTables;
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
 
@@ -134,10 +135,15 @@ enum Pending {
 /// component is left, newest members first (a joiner's best pair is
 /// recent): neither can change which components come out, only how many
 /// similarities it takes.
+///
+/// Each row's member is bound in `tables` as a probe; without tables
+/// (the oracle, [`Identifier::check_pending`]) every pair is scored by
+/// [`crate::sim::SimWeights::content_sim`]'s merge, to the same bits.
 fn member_components(
     cfg: &IdentifyConfig,
     members: &[&Snippet],
     grew: Option<&[SnippetId]>,
+    mut tables: Option<&mut ProbeTables>,
 ) -> (UnionFind, usize) {
     let n = members.len();
     let mut uf = UnionFind::new(n);
@@ -156,7 +162,8 @@ fn member_components(
     for i in (0..n).rev().filter(|&i| fresh[i]) {
         // Bit-identical to `snippet_sim` per pair, in either argument
         // order: every kernel behind it is symmetric term by term.
-        let scorer = cfg.weights.probe(&members[i].content);
+        let row = &members[i].content;
+        let scorer = tables.as_deref_mut().map(|t| cfg.weights.probe(row, t));
         for j in (0..n).rev() {
             // Two fresh members meet in the row of the newer one.
             if j == i || (fresh[j] && j > i) || uf.connected(i, j) {
@@ -166,7 +173,12 @@ fn member_components(
                 continue;
             }
             pairs += 1;
-            if scorer.score(&members[j].content) >= cfg.split_threshold {
+            let other = &members[j].content;
+            let s = match &scorer {
+                Some(scorer) => scorer.score(other),
+                None => cfg.weights.content_sim(row, other),
+            };
+            if s >= cfg.split_threshold {
                 uf.union(i, j);
                 if uf.component_count() == 1 {
                     return (uf, pairs);
@@ -234,6 +246,9 @@ struct ScoreScratch {
     /// the stories reaching `merge_threshold` in rank order — all
     /// [`Identifier::decide`] reads.
     ranked: Vec<(StoryId, f64)>,
+    /// The probe's entity and term tables (phases 1 and 3), lent to
+    /// maintenance's member scans between probes.
+    tables: ProbeTables,
 }
 
 impl ScoreScratch {
@@ -419,7 +434,8 @@ impl Identifier {
             + s.slots.iter().map(|slot| mem::vec_bytes(&slot.cand_idx)).sum::<usize>()
             + mem::vec_bytes(&s.locals)
             + s.locals.iter().map(CacheEntry::heap_bytes).sum::<usize>()
-            + mem::vec_bytes(&s.ranked);
+            + mem::vec_bytes(&s.ranked)
+            + s.tables.heap_bytes();
         [
             ("identify.stories", stories),
             ("identify.hot_cache", self.cache.heap_bytes()),
@@ -521,7 +537,10 @@ impl Identifier {
             MatchMode::Complete => store.snippets_of_source(self.source),
         };
         let mut compared = 0usize;
-        let scorer = self.cfg.weights.probe(&snippet.content);
+        // The tables leave the scratch for the probe, so the scorer's
+        // borrow of them does not hold all of it.
+        let mut tables = std::mem::take(&mut self.scratch.tables);
+        let scorer = self.cfg.weights.probe(&snippet.content, &mut tables);
         let id_base = self.source.raw().wrapping_mul(STORY_ID_STRIDE);
         self.scratch.begin();
         for (ci, cand) in candidates.iter().enumerate() {
@@ -619,7 +638,8 @@ impl Identifier {
         //
         // A fold's signature is the OR of its members' (`merge_add`), so
         // a probe sharing no entity, or no term, with a story's whole
-        // window is answered from the two inline signatures.
+        // window is answered from the two inline signatures; any other
+        // fold is walked once against the probe's tables.
         {
             let ScoreScratch {
                 slots,
@@ -642,8 +662,8 @@ impl Identifier {
                         .map(|s| s.dominant_event_type())
                         .unwrap_or(snippet.content.event_type),
                 );
-                let centroid = (w.entity * snippet.entities().cosine(&fold.entities)
-                    + w.term * snippet.terms().cosine(&fold.terms)
+                let centroid = (w.entity * scorer.entity_cosine(&fold.entities)
+                    + w.term * scorer.term_cosine(&fold.terms)
                     + w.event * type_affinity)
                     / w.total();
                 ranked.push((
@@ -653,6 +673,8 @@ impl Identifier {
             }
             rank_for_decision(ranked, self.cfg.merge_threshold);
         }
+        drop(scorer);
+        self.scratch.tables = tables;
         (compared, cache_hits, cache_misses)
     }
 
@@ -835,7 +857,8 @@ impl Identifier {
                 Pending::Grew(new) if members.len() == state.len() => Some(new.as_slice()),
                 _ => None,
             };
-            let (mut uf, pairs) = member_components(&self.cfg, &members, grew);
+            let tables = Some(&mut self.scratch.tables);
+            let (mut uf, pairs) = member_components(&self.cfg, &members, grew, tables);
             report.stories_checked += 1;
             report.pairs_scored += pairs;
             if uf.component_count() == 1 {
@@ -903,7 +926,7 @@ impl Identifier {
                 .filter_map(|&m| store.get(m))
                 .collect();
             if held.len() >= claimed_from
-                && member_components(&self.cfg, &held, None).0.component_count() > 1
+                && member_components(&self.cfg, &held, None, None).0.component_count() > 1
             {
                 return Err(Error::Invariant(format!(
                     "story {story_id}: maintenance holds {} members as connected, and they are not",

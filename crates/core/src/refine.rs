@@ -32,7 +32,7 @@ use storypivot_types::{mem, EntityId, GlobalStoryId, Snippet, SnippetId, SourceI
 use crate::align::AlignOutcome;
 use crate::config::RefineConfig;
 use crate::identify::{Identifier, STORY_ID_STRIDE};
-use crate::sim::{ProbeScorer, SimWeights};
+use crate::sim::{ProbeScorer, ProbeTables, SimWeights};
 
 /// One corrective move performed by refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,6 +249,8 @@ pub(crate) struct Refiner {
     probe: u32,
     touched: Vec<u32>,
     ranked: Vec<(u64, u32)>,
+    /// The judged snippet's probe tables, for its cohesion scans.
+    tables: ProbeTables,
 }
 
 impl Refiner {
@@ -266,6 +268,7 @@ impl Refiner {
             + mem::vec_bytes(&self.story_key)
             + mem::vec_bytes(&self.touched)
             + mem::vec_bytes(&self.ranked)
+            + self.tables.heap_bytes()
     }
 
     /// Forget the previous sweep's lists and every cached cohesion: the
@@ -456,9 +459,12 @@ impl Refiner {
         let mut stats = SweepStats::default();
         let mut probes_reused = 0u64; // (`judge` holds `stats`)
         let mut planned: Vec<RefineMove> = Vec::new();
+        // Out of `self` for the sweep: a scorer borrows them while the
+        // probe below borrows the rest.
+        let mut tables = std::mem::take(&mut self.tables);
         for (gi, g) in outcome.global_stories.iter().enumerate() {
             for &v in &members[gi] {
-                let scorer = weights.probe(&v.content);
+                let scorer = weights.probe(&v.content, &mut tables);
                 let at = self.row_of[v.id.index()];
                 let last = self.rows.get(at as usize).copied().unwrap_or(Row::EMPTY);
                 let mut row = Row {
@@ -567,6 +573,7 @@ impl Refiner {
                 });
             }
         }
+        self.tables = tables;
         stats.probes_reused = probes_reused;
         (planned, stats)
     }
@@ -610,8 +617,6 @@ fn cohesion(
     weights: &SimWeights,
     stats: &mut SweepStats,
 ) -> f64 {
-    // Bind the probe once; the loop only pays the per-member merge.
-    let scorer = weights.probe(&v.content);
     let mut best = 0.0f64;
     stats.cache_misses += 1;
     for &m in members {
@@ -620,7 +625,7 @@ fn cohesion(
         }
         if let Some(other) = store.get(m) {
             stats.pairs_scored += 1;
-            let s = scorer.score(&other.content);
+            let s = weights.content_sim(&v.content, &other.content);
             if s > best {
                 best = s;
             }

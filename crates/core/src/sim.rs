@@ -6,7 +6,8 @@
 //! combines three signals — shared entities, shared description terms,
 //! and event-type affinity — with configurable weights.
 
-use storypivot_types::{EntityId, Error, EventType, Result, Snippet, SnippetContent, SparseVec, TermId};
+use storypivot_types::kernel::{BoundProbe, ProbeTable};
+use storypivot_types::{EntityId, Error, Result, Snippet, SnippetContent, SparseVec, TermId};
 
 /// Weights of the similarity components. They need not sum to one; the
 /// score is normalized by the weight total.
@@ -47,9 +48,20 @@ impl SimWeights {
         self.entity + self.term + self.event
     }
 
-    /// Similarity of two snippet contents in `[0,1]`.
+    /// The score of three component similarities: their weighted sum
+    /// over the weight total.
+    #[inline]
+    fn blend(&self, entity: f64, term: f64, event: f64) -> f64 {
+        (self.entity * entity + self.term * term + self.event * event) / self.total()
+    }
+
+    /// Similarity of two snippet contents in `[0,1]`, through the merge
+    /// kernels. This is the definition; [`ProbeScorer`] reproduces it
+    /// bit for bit.
     pub fn content_sim(&self, a: &SnippetContent, b: &SnippetContent) -> f64 {
-        self.probe(a).score(b)
+        let e = a.entities.weighted_jaccard(&b.entities);
+        let t = a.terms.cosine(&b.terms);
+        self.blend(e, t, a.event_type.affinity(b.event_type))
     }
 
     /// Similarity of two snippets (delegates to the contents).
@@ -58,39 +70,54 @@ impl SimWeights {
         self.content_sim(&a.content, &b.content)
     }
 
-    /// Bind one probe content for repeated scoring against many
-    /// counterparts. The probe-side vectors and the weight total are
-    /// looked up once instead of per comparison.
-    pub fn probe<'a>(&self, a: &'a SnippetContent) -> ProbeScorer<'a> {
+    /// Bind one probe content into `tables` for repeated scoring against
+    /// many counterparts. The probe's vectors go into the tables once,
+    /// and leave them when the scorer is dropped.
+    pub fn probe<'a>(&self, a: &'a SnippetContent, tables: &'a mut ProbeTables) -> ProbeScorer<'a> {
         ProbeScorer {
-            entity_w: self.entity,
-            term_w: self.term,
-            event_w: self.event,
-            total: self.total(),
-            entities: &a.entities,
-            terms: &a.terms,
-            event_type: a.event_type,
+            weights: *self,
+            content: a,
+            entities: tables.entities.bind(a.entities.as_slice()),
+            terms: tables.terms.bind(a.terms.as_slice()),
         }
     }
 }
 
-/// One probe snippet's content, pre-bound for scoring against many
+/// The probe tables a [`ProbeScorer`] binds its probe into, one for the
+/// entities and one for the terms ([`storypivot_types::kernel::ProbeTable`]).
+/// Whoever scores probe after probe owns one and lends it to each
+/// [`SimWeights::probe`], so binds stop allocating once the tables have
+/// grown; each table is at most 32 KiB.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeTables {
+    entities: ProbeTable,
+    terms: ProbeTable,
+}
+
+impl ProbeTables {
+    /// Heap bytes of both tables (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        self.entities.heap_bytes() + self.terms.heap_bytes()
+    }
+}
+
+/// One probe snippet's content, bound for scoring against many
 /// candidates ([`SimWeights::probe`]).
 ///
-/// `score` evaluates exactly the same expression as
-/// [`SimWeights::content_sim`] — same kernels, same term order — so a
-/// loop over candidates through a `ProbeScorer` is bit-identical to
-/// calling `content_sim` per pair, just without re-deriving the
-/// probe-side state every iteration.
-#[derive(Debug, Clone, Copy)]
+/// Every cosine against the probe — the term component of
+/// [`ProbeScorer::score`], and [`ProbeScorer::entity_cosine`] /
+/// [`ProbeScorer::term_cosine`] against story folds — looks the
+/// candidate's keys up in the probe's table instead of merging the two
+/// lists ([`SparseVec::cosine_table`]). Weighted Jaccard stays a merge.
+/// Same kernels' bits, same term order: `score` is bit-identical to
+/// [`SimWeights::content_sim`] and the cosines to
+/// [`SparseVec::cosine`], and debug builds assert it on every cosine.
+#[derive(Debug)]
 pub struct ProbeScorer<'a> {
-    entity_w: f64,
-    term_w: f64,
-    event_w: f64,
-    total: f64,
-    entities: &'a SparseVec<EntityId>,
-    terms: &'a SparseVec<TermId>,
-    event_type: EventType,
+    weights: SimWeights,
+    content: &'a SnippetContent,
+    entities: BoundProbe<'a, EntityId>,
+    terms: BoundProbe<'a, TermId>,
 }
 
 impl ProbeScorer<'_> {
@@ -105,13 +132,24 @@ impl ProbeScorer<'_> {
     /// hold that component to a floor of its own.
     #[inline]
     pub fn score_and_term(&self, b: &SnippetContent) -> (f64, f64) {
-        // Both go through `SparseVec`'s guarded entry points: a pair
-        // sharing no entity (or no term) costs two inline words each,
-        // not a merge over two heap buffers.
-        let e = self.entities.weighted_jaccard(&b.entities);
-        let t = self.terms.cosine(&b.terms);
-        let ev = self.event_type.affinity(b.event_type);
-        ((self.entity_w * e + self.term_w * t + self.event_w * ev) / self.total, t)
+        // Both are signature-guarded: a pair sharing no entity (or no
+        // term) costs two inline words each.
+        let e = self.content.entities.weighted_jaccard(&b.entities);
+        let t = self.term_cosine(&b.terms);
+        let ev = self.content.event_type.affinity(b.event_type);
+        (self.weights.blend(e, t, ev), t)
+    }
+
+    /// Cosine of the probe's entities and `other`, by table lookup.
+    #[inline]
+    pub fn entity_cosine(&self, other: &SparseVec<EntityId>) -> f64 {
+        self.content.entities.cosine_table(&self.entities, other)
+    }
+
+    /// Cosine of the probe's terms and `other`, by table lookup.
+    #[inline]
+    pub fn term_cosine(&self, other: &SparseVec<TermId>) -> f64 {
+        self.content.terms.cosine_table(&self.terms, other)
     }
 }
 
@@ -185,21 +223,45 @@ mod tests {
 
     #[test]
     fn probe_scorer_matches_content_sim_bitwise() {
-        let a = snip(&[1, 2, 3], &[10, 11], EventType::Accident);
-        let b = snip(&[2, 9], &[10, 12], EventType::Protest);
+        let snippets = [
+            snip(&[1, 2, 3], &[10, 11], EventType::Accident),
+            snip(&[2, 9], &[10, 12], EventType::Protest),
+            snip(&[9], &[12, 13, 14, u32::MAX], EventType::Protest),
+            snip(
+                &[0, 1, 2, 3, 4, 5, 6],
+                &[0, 11, 12, u32::MAX],
+                EventType::Sports,
+            ),
+            snip(&[], &[], EventType::Accident),
+        ];
         let w = SimWeights::default();
-        let p = w.probe(&a.content);
-        assert_eq!(
-            p.score(&b.content).to_bits(),
-            w.content_sim(&a.content, &b.content).to_bits()
-        );
+        // One pair of tables for every probe, as the engine holds them.
+        let mut tables = ProbeTables::default();
+        for a in &snippets {
+            let p = w.probe(&a.content, &mut tables);
+            for b in &snippets {
+                let (a, b) = (&a.content, &b.content);
+                assert_eq!(p.score(b).to_bits(), w.content_sim(a, b).to_bits());
+                assert_eq!(
+                    p.entity_cosine(&b.entities).to_bits(),
+                    a.entities.cosine(&b.entities).to_bits()
+                );
+                assert_eq!(
+                    p.term_cosine(&b.terms).to_bits(),
+                    a.terms.cosine(&b.terms).to_bits()
+                );
+            }
+            drop(p);
+            assert!(tables.entities.is_vacant() && tables.terms.is_vacant());
+        }
     }
 
     #[test]
     fn score_and_term_hands_back_the_term_cosine() {
         let a = snip(&[1, 2, 3], &[10, 11], EventType::Accident);
         let b = snip(&[2, 9], &[10, 12], EventType::Protest);
-        let p = SimWeights::default().probe(&a.content);
+        let mut tables = ProbeTables::default();
+        let p = SimWeights::default().probe(&a.content, &mut tables);
         let (s, t) = p.score_and_term(&b.content);
         assert_eq!(s.to_bits(), p.score(&b.content).to_bits());
         assert_eq!(t.to_bits(), a.terms().cosine(b.terms()).to_bits());

@@ -240,7 +240,8 @@ impl ShardWorker {
         self.op_buf.clear();
         op.encode(&mut self.op_buf);
         let fp = fingerprint_of(&self.op_buf);
-        self.trace.push(op_label(&op), format!("fp={fp:#018x}"));
+        self.trace
+            .push(op_label(&op), format_args!("fp={fp:#018x}"));
         if self.quarantine.contains(&fp) {
             return Err(Error::Invariant(format!(
                 "operation {fp:#018x} is quarantined on shard {} \
@@ -346,7 +347,8 @@ impl ShardWorker {
     /// Drop an expired ingest and tell the client when the queue should
     /// have drained enough to be worth a fresh attempt.
     fn shed(&mut self, snippet: Snippet) -> Response {
-        self.trace.push("shed", format!("doc={}", snippet.doc.raw()));
+        self.trace
+            .push("shed", format_args!("doc={}", snippet.doc.raw()));
         self.serve_metrics.shed.inc();
         Response::Shed {
             retry_after_ms: self.port.retry_hint(),
@@ -410,7 +412,7 @@ impl ShardWorker {
     }
 
     fn drain(&mut self) -> Response {
-        self.trace.push("drain", String::new());
+        self.trace.push("drain", "");
         self.publish_snapshot();
         // A replica's durable state is already exactly the leader's
         // checkpoint + WAL copy; writing a local generation would

@@ -129,7 +129,7 @@ impl ShardWorker {
     /// Terminates: every restart either quarantines an op or arms its
     /// second strike.
     pub(super) fn rebuild(&mut self) {
-        self.trace.push("rebuild", String::new());
+        self.trace.push("rebuild", "");
         loop {
             let mut engine = self.engine_from_checkpoint();
             let records = match &self.wal_path {
@@ -304,7 +304,8 @@ impl ShardWorker {
         let next = self.generation + 1;
         checkpoint::write_generation(&dir, self.idx, next, &bytes)?;
         self.generation = next;
-        self.trace.push("checkpoint", format!("generation {next}"));
+        self.trace
+            .push("checkpoint", format_args!("generation {next}"));
         if let Some(w) = &mut self.wal {
             w.reset()
                 .map_err(|e| Error::Io(format!("shard {} wal reset: {e}", self.idx)))?;

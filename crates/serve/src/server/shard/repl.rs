@@ -97,7 +97,7 @@ impl ShardWorker {
         self.generation = generation;
         self.ops_since_checkpoint = 0;
         self.trace
-            .push("repl_bootstrap", format!("generation {generation}"));
+            .push("repl_bootstrap", format_args!("generation {generation}"));
         self.install_engine(engine);
         Ok(self.repl_cursor())
     }

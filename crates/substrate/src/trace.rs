@@ -12,9 +12,12 @@
 //! The ring is bounded: pushing beyond capacity evicts the oldest
 //! event, and a monotonically increasing sequence number makes the
 //! eviction visible in the dump (`seq` gaps at the top mean history was
-//! truncated).
+//! truncated). A push into a full ring writes its detail into the
+//! evicted event's buffer, so a ring that has filled once stops
+//! allocating.
 
 use std::collections::VecDeque;
+use std::fmt::{Display, Write};
 
 /// One traced engine event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,18 +49,27 @@ impl TraceRing {
         }
     }
 
-    /// Append one event, evicting the oldest when full. Returns the
-    /// event's sequence number.
-    pub fn push(&mut self, label: &'static str, detail: impl Into<String>) -> u64 {
+    /// Append one event, evicting the oldest when full, and return its
+    /// sequence number. `detail` is formatted straight into the event's
+    /// buffer — the evicted event's, once the ring is full — so callers
+    /// pass `format_args!` rather than a `String`.
+    pub fn push(&mut self, label: &'static str, detail: impl Display) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
+        let mut buf = if self.events.len() == self.capacity {
+            self.events
+                .pop_front()
+                .expect("a full ring has an oldest event")
+                .detail
+        } else {
+            String::new()
+        };
+        buf.clear();
+        write!(buf, "{detail}").expect("formatting into a String cannot fail");
         self.events.push_back(TraceEvent {
             seq,
             label,
-            detail: detail.into(),
+            detail: buf,
         });
         seq
     }
@@ -138,6 +150,36 @@ mod tests {
         assert!(dump.starts_with("... 3 earlier events evicted ..."));
         assert!(dump.contains("#000003 ev 3"));
         assert!(dump.contains("#000004 ev 4"));
+    }
+
+    #[test]
+    fn a_full_ring_writes_into_the_evicted_buffers() {
+        let mut ring = TraceRing::new(3);
+        for i in 0..3u64 {
+            ring.push("op", format_args!("fp={i:#018x}"));
+        }
+        let buffers = |ring: &TraceRing| -> Vec<*const u8> {
+            let mut ptrs: Vec<*const u8> = ring.iter().map(|e| e.detail.as_ptr()).collect();
+            ptrs.sort_unstable();
+            ptrs
+        };
+        let filled = buffers(&ring);
+        for i in 3..50u64 {
+            ring.push("op", format_args!("fp={i:#018x}"));
+            assert_eq!(buffers(&ring), filled, "push {i} allocated");
+        }
+        let details: Vec<&str> = ring.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                "fp=0x000000000000002f",
+                "fp=0x0000000000000030",
+                "fp=0x0000000000000031"
+            ]
+        );
+        assert!(ring
+            .render()
+            .ends_with("#000049 op fp=0x0000000000000031\n"));
     }
 
     #[test]

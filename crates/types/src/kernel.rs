@@ -14,6 +14,11 @@
 //! the historical `SparseVec` implementations, so results are
 //! bit-identical to the pre-kernel code — the cache-equivalence
 //! guarantees in `storypivot-core` rely on that.
+//!
+//! One probe scored against many candidates need not merge at all: a
+//! [`ProbeTable`] holds the probe's entries for lookup, and
+//! [`dot_table`] / [`cosine_table`] walk the candidate alone, to the
+//! same bits as [`dot`] / [`cosine`].
 
 use std::fmt::Debug;
 
@@ -37,11 +42,19 @@ pub fn norm<K>(entries: &[(K, f32)]) -> f64 {
         .sqrt()
 }
 
-/// The signature bit of one key: a multiplicative (Fibonacci) hash of
-/// the key's `u32` form, its top six bits picking one of 64 positions.
+/// The multiplicative (Fibonacci) hash of a key's `u32` form. The
+/// multiplier is odd, so the hash is a bijection on `u32`: two keys
+/// share a hash iff they are equal.
+#[inline]
+pub fn key_hash<K: Into<u32>>(key: K) -> u32 {
+    key.into().wrapping_mul(0x9E37_79B1)
+}
+
+/// The signature bit of one key: the top six bits of its
+/// [`key_hash`], picking one of 64 positions.
 #[inline]
 pub fn key_bit<K: Into<u32>>(key: K) -> u64 {
-    1 << (key.into().wrapping_mul(0x9E37_79B1) >> 26)
+    1 << (key_hash(key) >> 26)
 }
 
 /// Key signature of an entry slice: the OR of [`key_bit`] over its keys.
@@ -130,6 +143,222 @@ pub fn weighted_jaccard<K: Copy + Ord>(a: &[(K, f32)], b: &[(K, f32)]) -> f64 {
         0.0
     } else {
         num / den
+    }
+}
+
+// ---- probe tables -----------------------------------------------------------
+
+/// Fewest slots a [`ProbeTable`] holds once it has been bound.
+const MIN_SLOTS: usize = 16;
+
+/// Most slots a [`ProbeTable`] grows to. A probe that does not fit
+/// under it — more than a quarter as many keys, or keys that still
+/// share a slot at this size — is scored through the merge.
+pub const MAX_SLOTS: usize = 4096;
+
+/// What vacant slot `i` holds when a hash's slot is `hash >> shift`: a
+/// hash whose top bits are the complement of `i`, so it names another
+/// slot and no key — `u32::MAX` included — can match it.
+#[inline]
+fn vacant(i: usize, shift: u32) -> (u32, f32) {
+    (!((i as u32) << shift), 0.0)
+}
+
+/// A caller-owned lookup table of one probe vector's entries, for
+/// scoring that probe against many candidates by walking each candidate
+/// alone instead of merging the two lists ([`ProbeTable::bind`],
+/// [`dot_table`], [`cosine_table`]).
+///
+/// **Layout.** A direct-mapped power-of-two array of `(key hash, probe
+/// weight)` slots, a key's slot being the top bits of its [`key_hash`]
+/// (the hash [`key_bit`] takes its six bits from). A bind sizes the table
+/// at ≥ 4 slots per probe key, at least 16, and doubles it until the
+/// probe's keys sit in distinct slots; it never shrinks, so after a few
+/// probes binds stop growing it. Past [`MAX_SLOTS`] the bind gives up
+/// and the scoring functions merge instead. A lookup is one load, one
+/// compare and one select. Memory is at most 8 B × [`MAX_SLOTS`] = 32
+/// KiB per table, whatever the key values: keys are client-chosen ids,
+/// so nothing is indexed by a raw key.
+///
+/// **Exactness.** [`dot`] adds `wa · wb` for each shared key in
+/// ascending key order, and nothing else, to an accumulator that starts
+/// at `+0.0`. [`dot_table`] walks the other side's entries in ascending
+/// order and adds the product where the slot holds that key's hash and
+/// `+0.0` where it does not: the same nonzero terms in the same order,
+/// with the same operand order in each product. Adding `+0.0` leaves
+/// the accumulator's bits unchanged, because it starts at `+0.0` and
+/// never becomes `−0.0` (weights are positive). The *product* is
+/// selected, not the weight: a miss against an infinite weight would
+/// otherwise add `0 · ∞ = NaN`. [`cosine_table`] then divides by
+/// `norm_probe · norm_other` under [`cosine`]'s `denom > 0.0` rule, so
+/// the two cosines agree to the bit. Weighted Jaccard has no table
+/// form: its denominator sums both sides' unmatched weights, interleaved
+/// with the matches and then the two tails separately, which no walk of
+/// one side reproduces.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeTable {
+    /// Slot `i` holds a probe entry iff its hash's top bits are `i`,
+    /// and [`vacant`]'s marker otherwise.
+    slots: Vec<(u32, f32)>,
+    /// `32 − log2(slots.len())`: a hash's slot is `hash >> shift`.
+    shift: u32,
+}
+
+impl ProbeTable {
+    /// Enter `probe`'s entries (sorted, distinct keys) into the table
+    /// and return the guard that scores against them and vacates their
+    /// slots when dropped.
+    pub fn bind<'t, K: Copy + Into<u32>>(&'t mut self, probe: &'t [(K, f32)]) -> BoundProbe<'t, K> {
+        let in_table = self.fill(probe);
+        BoundProbe {
+            table: self,
+            probe,
+            in_table,
+        }
+    }
+
+    /// Place every entry of `probe`, doubling the table until no two
+    /// share a slot. `false`, with the table left vacant, when that
+    /// would take more than [`MAX_SLOTS`].
+    fn fill<K: Copy + Into<u32>>(&mut self, probe: &[(K, f32)]) -> bool {
+        let wanted = (4 * probe.len()).max(MIN_SLOTS).next_power_of_two();
+        if wanted > MAX_SLOTS {
+            return false;
+        }
+        if self.slots.len() < wanted {
+            self.grow_to(wanted);
+        }
+        loop {
+            let placed = self.place(probe);
+            if placed == probe.len() {
+                return true;
+            }
+            self.vacate(&probe[..placed]);
+            if self.slots.len() == MAX_SLOTS {
+                return false;
+            }
+            self.grow_to(2 * self.slots.len());
+        }
+    }
+
+    /// Place `probe`'s entries in order up to the first whose slot is
+    /// taken; returns how many were placed.
+    fn place<K: Copy + Into<u32>>(&mut self, probe: &[(K, f32)]) -> usize {
+        for (placed, &(k, w)) in probe.iter().enumerate() {
+            let h = key_hash(k);
+            let slot = &mut self.slots[(h >> self.shift) as usize];
+            if slot.0 >> self.shift == h >> self.shift {
+                return placed;
+            }
+            *slot = (h, w);
+        }
+        probe.len()
+    }
+
+    /// Mark the slots of `entries` — all placed — vacant again.
+    fn vacate<K: Copy + Into<u32>>(&mut self, entries: &[(K, f32)]) {
+        for &(k, _) in entries {
+            let i = (key_hash(k) >> self.shift) as usize;
+            self.slots[i] = vacant(i, self.shift);
+        }
+    }
+
+    /// Resize a vacant table to `slots` (a power of two) vacant slots.
+    fn grow_to(&mut self, slots: usize) {
+        let shift = 32 - slots.trailing_zeros();
+        self.shift = shift;
+        self.slots.clear();
+        self.slots.extend((0..slots).map(|i| vacant(i, shift)));
+    }
+
+    /// Number of slots (0 before the first bind).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether every slot is vacant — true between binds.
+    pub fn is_vacant(&self) -> bool {
+        let shift = self.shift;
+        self.slots
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.0 == vacant(i, shift).0)
+    }
+
+    /// Heap bytes of the slots (the memory account).
+    pub fn heap_bytes(&self) -> usize {
+        crate::mem::vec_bytes(&self.slots)
+    }
+}
+
+/// One probe bound into a [`ProbeTable`] ([`ProbeTable::bind`]).
+/// Dropping it vacates the probe's slots.
+#[derive(Debug)]
+pub struct BoundProbe<'t, K: Copy + Into<u32>> {
+    table: &'t mut ProbeTable,
+    probe: &'t [(K, f32)],
+    /// Whether the entries are in the table; if not, scoring merges.
+    in_table: bool,
+}
+
+impl<'t, K: Copy + Into<u32>> BoundProbe<'t, K> {
+    /// The bound probe's entries.
+    pub(crate) fn entries(&self) -> &'t [(K, f32)] {
+        self.probe
+    }
+
+    /// Whether the probe fit in the table (`false`: its scores come
+    /// from the merge).
+    pub fn in_table(&self) -> bool {
+        self.in_table
+    }
+}
+
+impl<K: Copy + Into<u32>> Drop for BoundProbe<'_, K> {
+    fn drop(&mut self) {
+        if self.in_table {
+            self.table.vacate(self.probe);
+        }
+    }
+}
+
+/// [`dot`] of the bound probe and `other`, by one lookup per entry of
+/// `other` — bit-identical to `dot(probe, other)` ([`ProbeTable`]).
+#[inline]
+pub fn dot_table<K: Copy + Ord + Into<u32>>(probe: &BoundProbe<'_, K>, other: &[(K, f32)]) -> f64 {
+    if !probe.in_table {
+        return dot(probe.probe, other);
+    }
+    let (slots, shift) = (&probe.table.slots[..], probe.table.shift);
+    let mut acc = 0f64;
+    for &(k, wb) in other {
+        let h = key_hash(k);
+        let (held, wa) = slots[(h >> shift) as usize];
+        // The product or +0.0, never `0.0 · wb`: `wb` may be infinite.
+        acc += if held == h {
+            wa as f64 * wb as f64
+        } else {
+            0.0
+        };
+    }
+    acc
+}
+
+/// [`cosine`] of the bound probe (norm `norm_probe`) and `other`,
+/// through [`dot_table`] — bit-identical to `cosine(probe, norm_probe,
+/// other, norm_other)`.
+#[inline]
+pub fn cosine_table<K: Copy + Ord + Into<u32>>(
+    probe: &BoundProbe<'_, K>,
+    norm_probe: f64,
+    other: &[(K, f32)],
+    norm_other: f64,
+) -> f64 {
+    let denom = norm_probe * norm_other;
+    if denom > 0.0 {
+        (dot_table(probe, other) / denom).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 

@@ -185,6 +185,30 @@ impl<K: Copy + Ord + Debug + Into<u32>> SparseVec<K> {
         kernel::cosine(&self.entries, self.norm, &other.entries, other.norm)
     }
 
+    /// [`SparseVec::cosine`] with `self`'s entries bound in `table`
+    /// ([`kernel::ProbeTable::bind`]): the same signature guard first,
+    /// then a walk of `other`'s entries alone. The same bits as `cosine`
+    /// (the argument is on [`kernel::ProbeTable`]); debug builds run the
+    /// merge behind every call and assert it.
+    #[inline]
+    pub fn cosine_table(&self, table: &kernel::BoundProbe<'_, K>, other: &Self) -> f64 {
+        debug_assert!(
+            std::ptr::eq(table.entries(), self.as_slice()),
+            "table bound to another probe"
+        );
+        if self.provably_disjoint(other) {
+            debug_assert_eq!(self.cosine(other).to_bits(), 0f64.to_bits());
+            return 0.0;
+        }
+        let c = kernel::cosine_table(table, self.norm, &other.entries, other.norm);
+        debug_assert_eq!(
+            c.to_bits(),
+            kernel::cosine(&self.entries, self.norm, &other.entries, other.norm).to_bits(),
+            "table cosine differs from the merge: {self:?} · {other:?}"
+        );
+        c
+    }
+
     /// Set Jaccard over the key sets, ignoring weights.
     ///
     /// Both empty ⇒ 0 (two contentless snippets carry no evidence of

@@ -13,7 +13,10 @@
 //! holds the key signature to its two promises: it equals a recompute
 //! from the entries after any chain of mutations and a codec round trip,
 //! and the similarity methods it guards return what the unguarded
-//! kernels return, to the bit.
+//! kernels return, to the bit. A fourth holds the probe tables
+//! (`kernel::ProbeTable`) to the merge and the naive reference, to the
+//! bit, through growth, the fallback past the slot cap, extreme weights
+//! and ten thousand binds of one table.
 
 use std::collections::BTreeSet;
 
@@ -41,7 +44,7 @@ fn naive_dot(a: &[(u32, f32)], b: &[(u32, f32)]) -> f64 {
     key_union(a, b)
         .into_iter()
         .filter_map(|k| Some(get(a, k)? as f64 * get(b, k)? as f64))
-        .sum()
+        .fold(0.0, |acc, p| acc + p)
 }
 
 fn naive_norm(a: &[(u32, f32)]) -> f64 {
@@ -49,11 +52,11 @@ fn naive_norm(a: &[(u32, f32)]) -> f64 {
 }
 
 fn naive_cosine(a: &[(u32, f32)], b: &[(u32, f32)]) -> f64 {
-    let denom = naive_norm(a) * naive_norm(b);
-    if denom == 0.0 {
+    let (na, nb) = (naive_norm(a), naive_norm(b));
+    if na == 0.0 || nb == 0.0 {
         0.0
     } else {
-        (naive_dot(a, b) / denom).clamp(0.0, 1.0)
+        (naive_dot(a, b) / (na * nb)).clamp(0.0, 1.0)
     }
 }
 
@@ -374,4 +377,170 @@ fn signature_stays_fresh_through_every_mutation_and_the_codec() {
         assert_eq!(decoded.entities().sig(), kernel::sig(decoded.entities().as_slice()));
         assert_eq!(decoded.terms().sig(), kernel::sig(decoded.terms().as_slice()));
     });
+}
+
+// ---- probe tables vs. the merge -------------------------------------------
+
+/// The inverse of `kernel::key_hash`'s odd multiplier modulo 2³², so a
+/// test can pick a hash and derive the key that has it.
+fn hash_inverse() -> u32 {
+    let c = kernel::key_hash(1u32);
+    // Newton's step doubles the correct low bits; an odd `c` is its own
+    // inverse to three bits.
+    let mut x = c;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u32.wrapping_sub(c.wrapping_mul(x)));
+    }
+    assert_eq!(c.wrapping_mul(x), 1);
+    x
+}
+
+/// A positive weight, now and then an extreme one: `f32::MAX`, `∞` or a
+/// subnormal.
+fn arb_weight(rng: &mut StdRng) -> f32 {
+    match rng.random_range(0..16u32) {
+        0 => f32::MAX,
+        1 => f32::INFINITY,
+        2 => f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+        _ => rng.random_range(0.01f32..10.0),
+    }
+}
+
+/// Keys of one of four kinds: from a small space (0 included), from all
+/// of `u32` with `0` and `u32::MAX` thrown in, sharing the top 4–13
+/// bits of their hash (so a bind must grow the table, and past 12 bits
+/// cannot fit it), or more than a quarter of the cap's worth of them.
+fn arb_keys(rng: &mut StdRng, kind: u32, inverse: u32) -> Vec<u32> {
+    match kind {
+        0 => prop::vec_with(rng, 0, 24, |r| r.random_range(0..64u32)),
+        1 => {
+            let mut keys = prop::vec_with(rng, 0, 24, |r| r.random::<u32>());
+            keys.extend(
+                [0, u32::MAX]
+                    .into_iter()
+                    .filter(|_| rng.random_range(0..2u32) == 0),
+            );
+            keys
+        }
+        2 => {
+            let bits = rng.random_range(4..=13u32);
+            let prefix = rng.random::<u32>() >> (32 - bits) << (32 - bits);
+            prop::vec_with(rng, 2, 24, |r| {
+                let hash = prefix | r.random::<u32>() >> bits;
+                let key = hash.wrapping_mul(inverse);
+                assert_eq!(kernel::key_hash(key), hash);
+                key
+            })
+        }
+        _ => {
+            let n = kernel::MAX_SLOTS / 4 + rng.random_range(1..64usize);
+            (0..n).map(|_| rng.random::<u32>()).collect()
+        }
+    }
+}
+
+fn weighted(rng: &mut StdRng, keys: impl IntoIterator<Item = u32>) -> SparseVec<u32> {
+    SparseVec::from_pairs(keys.into_iter().map(|k| (k, arb_weight(rng))).collect())
+}
+
+/// Whether a table of at most `MAX_SLOTS` slots can hold `probe`: few
+/// enough keys, and no two hashes alike in the top 12 bits.
+fn fits_under_the_cap(probe: &SparseVec<u32>) -> bool {
+    let cap_bits = kernel::MAX_SLOTS.trailing_zeros();
+    let slots: BTreeSet<u32> = probe
+        .keys()
+        .map(|k| kernel::key_hash(k) >> (32 - cap_bits))
+        .collect();
+    4 * probe.len() <= kernel::MAX_SLOTS && slots.len() == probe.len()
+}
+
+/// The table's cosine and dot against the merge's, by bits, both behind
+/// the signature guard (`SparseVec::cosine_table`) and without it (the
+/// slice kernels walk the table for every candidate, disjoint or not);
+/// and the merge against the naive reference, by bits, where that is
+/// cheap.
+fn assert_table_is_the_merge(
+    bound: &kernel::BoundProbe<'_, u32>,
+    probe: &SparseVec<u32>,
+    other: &SparseVec<u32>,
+) {
+    let (p, o) = (probe.as_slice(), other.as_slice());
+    let merge = probe.cosine(other);
+    assert_eq!(
+        probe.cosine_table(bound, other).to_bits(),
+        merge.to_bits(),
+        "{p:?} · {o:?}"
+    );
+    assert_eq!(
+        kernel::cosine_table(bound, probe.norm(), o, other.norm()).to_bits(),
+        kernel::cosine(p, probe.norm(), o, other.norm()).to_bits(),
+        "unguarded: {p:?} · {o:?}"
+    );
+    assert_eq!(
+        kernel::dot_table(bound, o).to_bits(),
+        kernel::dot(p, o).to_bits(),
+        "{p:?} · {o:?}"
+    );
+    if p.len() <= 64 {
+        assert_eq!(
+            merge.to_bits(),
+            naive_cosine(p, o).to_bits(),
+            "naive: {p:?} · {o:?}"
+        );
+    }
+}
+
+#[test]
+fn probe_table_cosine_is_the_merge_bit_for_bit() {
+    let inverse = hash_inverse();
+    // One table for every bind, as an engine holds it.
+    let mut table = kernel::ProbeTable::default();
+    let mut binds = 0usize;
+    let mut fell_back = 0usize;
+    prop::run(1_250, |rng| {
+        for _ in 0..8 {
+            let kind = match rng.random_range(0..64u32) {
+                0 => 3,
+                r => r % 3,
+            };
+            let keys = arb_keys(rng, kind, inverse);
+            let probe = weighted(rng, keys);
+            // Candidates: some of the probe's keys plus fresh keys of the
+            // same kind, the probe itself, and nothing at all.
+            let mut others = vec![probe.clone(), SparseVec::new()];
+            for _ in 0..4 {
+                let shared: Vec<u32> = probe
+                    .keys()
+                    .filter(|_| rng.random_range(0..3u32) == 0)
+                    .collect();
+                let fresh = arb_keys(rng, kind.min(2), inverse);
+                others.push(weighted(rng, shared.into_iter().chain(fresh)));
+            }
+
+            let before = table.capacity();
+            let bound = table.bind(probe.as_slice());
+            assert_eq!(bound.in_table(), fits_under_the_cap(&probe), "{probe:?}");
+            fell_back += usize::from(!bound.in_table());
+            for other in &others {
+                assert_table_is_the_merge(&bound, &probe, other);
+            }
+            drop(bound);
+            binds += 1;
+            assert!(table.is_vacant(), "an unbind left a slot behind: {probe:?}");
+            assert!(table.capacity() >= before, "the table shrank");
+            assert!(table.capacity() <= kernel::MAX_SLOTS);
+        }
+    });
+    if std::env::var(prop::REPLAY_ENV).is_err() {
+        assert!(binds >= 10_000, "{binds} binds");
+        assert!(
+            fell_back > 0 && fell_back < binds / 2,
+            "{fell_back} of {binds} binds fell back"
+        );
+        assert_eq!(
+            table.capacity(),
+            kernel::MAX_SLOTS,
+            "colliding probes grow it to the cap"
+        );
+    }
 }
