@@ -79,32 +79,39 @@ cargo run -p storypivot-bench --bin harness --release -- \
     e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 wal metrics hotpath refine \
     --quick --json "$SMOKE_DIR/bench"
 test -s "$SMOKE_DIR/bench/BENCH_e1.json"
-# The repository benchmark's exact counts ride in the same file: what
-# identification compared, merged, split and swept and how often the hot
-# cache hit, per workload, for seed 7; and for the served workload what
-# an ingest weighs on the wire, in the journal and in a checkpoint (not
-# its busy / shed cells, which depend on scheduling). They repeat exactly
-# whatever the run length, so 3 s of the binary built above is enough; a
-# change that only makes things cheaper must leave every one of them
-# where it was.
+# The repository benchmark's exact counts ride in the same file: every
+# workload's pair_f1, for seed 7; what identification compared, merged,
+# split and swept and how often the hot cache hit; what alignment
+# rescored and integrated and what refinement moved on align_refine; and
+# for the served workload what an ingest weighs on the wire, in the
+# journal and in a checkpoint (not its busy / shed cells, which depend on
+# scheduling). They repeat exactly whatever the run length, so 3 s of the
+# binary built above is enough; a change that only makes things cheaper
+# must leave every one of them where it was.
 spbench_counts() { # args: workload metric...
-    local line value name workload="$1"
+    local lines value name workload="$1"
     shift
-    line="$(benchmark/target/release/spbench --workload "$workload" --seed 7 --seconds 3 --trace 1 2>/dev/null | tail -n 1)"
+    # pair_f1 is an end-to-end metric, which only an untraced run prints
+    # (its minimum three passes are enough); the layer counts are the
+    # traced run's.
+    lines="$(benchmark/target/release/spbench --workload "$workload" --seed 7 --seconds 0 --trace 0 2>/dev/null | tail -n 1
+        benchmark/target/release/spbench --workload "$workload" --seed 7 --seconds 3 --trace 1 2>/dev/null | tail -n 1)"
     printf 'spbench\tworkload=%s' "$workload"
     for name in "$@"; do
-        value="$(printf '%s' "$line" | grep -o "\"$name\": {\"value\": [^,]*" | sed 's/.*: //')"
+        value="$(printf '%s' "$lines" | grep -o "\"$name\": {\"value\": [^,]*" | head -n 1 | sed 's/.*: //')"
         [ -n "$value" ] || { echo "spbench $workload printed no $name" >&2; return 1; }
         printf '\t%s=%s' "$name" "$value"
     done
     printf '\n'
 }
-IDENTIFY_COUNTS=(core.identify.compared_per_event core.identify.merges core.identify.splits
+IDENTIFY_COUNTS=(pair_f1 core.identify.compared_per_event core.identify.merges core.identify.splits
     core.identify.maintain_runs core.hotcache.hit_ratio core.identify.new_story_ratio)
 {
     spbench_counts identify_dense "${IDENTIFY_COUNTS[@]}"
     spbench_counts identify_wide "${IDENTIFY_COUNTS[@]}"
-    spbench_counts serve_mixed core.identify.compared_per_event core.hotcache.hit_ratio \
+    spbench_counts align_refine pair_f1 core.align.dirty_per_round core.align.global_stories \
+        core.refine.moves
+    spbench_counts serve_mixed pair_f1 core.identify.compared_per_event core.hotcache.hit_ratio \
         serve.proto.bytes_per_ingest substrate.wal.bytes_per_op core.checkpoint.bytes_per_snippet
 } >> "$SMOKE_DIR/bench/counts.txt"
 if ! diff -u data/expected-counts.txt "$SMOKE_DIR/bench/counts.txt"; then
