@@ -35,6 +35,46 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "==> docs: every file, test target and experiment the docs name exists"
+# CHANGES.md and ROADMAP.md are history and plans and may name what is
+# gone; these describe the system as it is. A path is a word under a
+# top-level directory, or with a directory and a file extension, or a
+# bare `name.rs` (matched by file name); braces expand. It must be
+# tracked, or a directory of tracked files, or one of the build outputs
+# the docs name. `--test NAME` must be a test target, and the words
+# after `harness` experiments in its usage list.
+doc_check() {
+    local tracked experiments doc n ref path name stale=0
+    tracked="$(git ls-files; printf '%s\n' benchmark/target/release/spbench data/counts.txt)"
+    experiments=" all $( (target/release/harness --help 2>&1 || true) |
+        sed -nE 's/^  ([a-z0-9]+)( \(([a-z0-9]+)\))? .*/\1 \3/p' | tr '\n' ' ') "
+    for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+        while IFS=: read -r n ref; do
+            ref="${ref#./}" && ref="${ref%[.,]}"
+            for path in $(eval "printf '%s\n' $ref"); do
+                grep -qxF -e "$path" -e "${path%/}" <<< "$tracked" ||
+                    grep -q "^${path%/}/" <<< "$tracked" ||
+                    { [[ "$path" != */* ]] && grep -q "/$path$" <<< "$tracked"; } ||
+                    { echo "$doc:$n: no such file: $path"; stale=1; }
+            done
+        done < <(grep -noE '(^|[^A-Za-z0-9_.{},/-])(\./)?((crates|tests|benchmark|data|examples|src|\.claude)/[A-Za-z0-9_.{},/-]*|[a-z0-9_.{},-]+(/[A-Za-z0-9_.{},-]+)+\.(rs|md|sh|toml|json|txt|lock)|[a-z0-9_{},]+\.rs)' "$doc" |
+            sed -E 's/^([0-9]+):[^A-Za-z0-9_.{},\/-]/\1:/')
+        while IFS=: read -r n ref; do
+            name="${ref#--test }"
+            grep -qE "^(crates/[^/]+/)?tests/$name\.rs$" <<< "$tracked" ||
+                { echo "$doc:$n: no test target: $name"; stale=1; }
+        done < <(grep -noE -- '--test [a-z0-9_]+' "$doc")
+        while IFS=: read -r n ref; do
+            for name in ${ref#*harness}; do
+                [ "$name" = -- ] || [[ "$experiments" == *" $name "* ]] ||
+                    { echo "$doc:$n: no harness experiment: $name"; stale=1; }
+            done
+        done < <(grep -noE '`harness( [a-z0-9]+)+|harness --( [a-z0-9]+)+' "$doc")
+    done
+    return "$stale"
+}
+doc_check
+
 echo "==> benchmark package (separate workspace; path-depends on the crates' public API)"
 # Nothing above compiles benchmark/: it has its own [workspace] and
 # lockfile, so a change that removes or renames a public item it calls
@@ -42,7 +82,7 @@ echo "==> benchmark package (separate workspace; path-depends on the crates' pub
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> gate: experiment harness counts (14 in-process experiments, --quick) + spbench counts"
+echo "==> gate: experiment harness counts (13 in-process experiments, --quick) + spbench counts"
 SMOKE_DIR="$(mktemp -d)"
 PIVOTD_PID=""
 REPLICA_PID=""
@@ -67,16 +107,13 @@ trap cleanup EXIT
 # counts.txt (each header declares which columns are clocks; those are
 # left out), and that file must equal the committed one. So E18's
 # 1 721-snippet row must plan today's moves in today's sweeps and score
-# exactly this many snippet pairs doing it, and E4 — the one reader of
-# the MinHash signatures alignment derives from story centroids — must
-# score the same pairs to the same F1 per signature length. A change
-# that moves a count changes data/expected-counts.txt in the same diff
-# (on a mismatch this run's file is left in data/counts.txt: copy it
-# over) and says why.
+# exactly this many snippet pairs doing it. A change that moves a count
+# changes data/expected-counts.txt in the same diff (on a mismatch this
+# run's file is left in data/counts.txt: copy it over) and says why.
 # conns / replica / chaos are left out: their busy / shed / qps cells
 # depend on scheduling; the pivotd + loadgen legs below cover them.
 cargo run -p storypivot-bench --bin harness --release -- \
-    e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 wal metrics hotpath refine \
+    e1 e2 e3 e5 e6 e7 e8 e9 e10 wal metrics hotpath refine \
     --quick --json "$SMOKE_DIR/bench"
 test -s "$SMOKE_DIR/bench/BENCH_e1.json"
 # The repository benchmark's exact counts ride in the same file: every

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p storypivot-bench --release --bin harness -- all
 //! cargo run -p storypivot-bench --release --bin harness -- e1 e3 --quick
-//! cargo run -p storypivot-bench --release --bin harness -- e4 refine --quick --json DIR
+//! cargo run -p storypivot-bench --release --bin harness -- e2 refine --quick --json DIR
 //! ```
 //!
 //! One module per experiment, each contributing one [`Experiment`] to
@@ -26,7 +26,6 @@ mod e1;
 mod e10;
 mod e2;
 mod e3;
-mod e4;
 mod e5;
 mod e6;
 mod e7;
@@ -52,11 +51,10 @@ struct Experiment {
 }
 
 /// Every experiment, in the order `all` runs them.
-const REGISTRY: [Experiment; 17] = [
+const REGISTRY: [Experiment; 16] = [
     e1::EXPERIMENT,
     e2::EXPERIMENT,
     e3::EXPERIMENT,
-    e4::EXPERIMENT,
     e5::EXPERIMENT,
     e6::EXPERIMENT,
     e7::EXPERIMENT,

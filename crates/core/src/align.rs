@@ -27,18 +27,9 @@
 //! [`crate::pivot`]): a story that is not dirty has the member list it
 //! had when the previous outcome was computed. Debug builds recompute
 //! every reused group and compare.
-//!
-//! With `use_sketches` on (§2.4), content is compared through MinHash
-//! signatures instead of the exact centroids. A signature is derived
-//! from a story's state when a pass first scores the story
-//! ([`StoryState::sketch`]) and kept by the aligner from round to round;
-//! the same invariant says when it is stale, so a pass drops the
-//! signatures of the stories it rescores and derives them again. With
-//! the flag off — the default — no signature is ever built.
 
 use std::collections::{HashMap, HashSet};
 
-use storypivot_sketch::{HashFamily, MinHash};
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
 use storypivot_types::{
@@ -46,7 +37,7 @@ use storypivot_types::{
     TimeRange,
 };
 
-use crate::config::{AlignConfig, SketchConfig};
+use crate::config::AlignConfig;
 use crate::sim::{ProbeTables, SimWeights};
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
@@ -95,37 +86,21 @@ impl AlignOutcome {
     }
 }
 
-/// The signatures a sketching aligner has materialised.
-#[derive(Debug, Clone)]
-struct Sketches {
-    family: HashFamily,
-    /// Signature of every story scored since it last changed.
-    kept: HashMap<StoryId, MinHash>,
-}
-
 /// Cross-source story aligner.
 #[derive(Debug, Clone)]
 pub struct Aligner {
     cfg: AlignConfig,
     weights: SimWeights,
-    /// `Some` iff `cfg.use_sketches`.
-    sketches: Option<Sketches>,
     /// Probe tables of the role pass's counterpart scans.
     tables: ProbeTables,
 }
 
 impl Aligner {
-    /// Build an aligner from configuration; `sketch` is read only when
-    /// `cfg.use_sketches` is on.
-    pub fn new(cfg: AlignConfig, weights: SimWeights, sketch: SketchConfig) -> Self {
-        let sketches = cfg.use_sketches.then(|| Sketches {
-            family: HashFamily::new(sketch.seed, sketch.minhash_k),
-            kept: HashMap::new(),
-        });
+    /// Build an aligner from configuration.
+    pub fn new(cfg: AlignConfig, weights: SimWeights) -> Self {
         Aligner {
             cfg,
             weights,
-            sketches,
             tables: ProbeTables::default(),
         }
     }
@@ -135,45 +110,13 @@ impl Aligner {
         &self.cfg
     }
 
-    /// The signatures kept from the passes so far (empty unless
-    /// `use_sketches` is on), in no particular order.
-    pub fn kept_sketches(&self) -> impl Iterator<Item = (StoryId, &MinHash)> + '_ {
-        self.sketches.iter().flat_map(|s| s.kept.iter().map(|(&id, sig)| (id, sig)))
-    }
-
-    /// Heap bytes of the kept signatures and the role pass's probe
-    /// tables (the memory account).
+    /// Heap bytes of the role pass's probe tables (the memory account).
     pub fn heap_bytes(&self) -> usize {
-        let sketches = self.sketches.as_ref().map_or(0, |s| {
-            mem::hash_map_bytes(&s.kept) + s.kept.values().map(MinHash::heap_bytes).sum::<usize>()
-        });
-        sketches + self.tables.heap_bytes()
+        self.tables.heap_bytes()
     }
 
-    /// Bring the kept signatures up to date for scoring `pairs`: drop
-    /// those of rescored and vanished stories — a story that is not
-    /// rescored has the member list, hence the centroids, its signature
-    /// was derived from — and derive the missing ones among `pairs`.
-    fn materialise_sketches(
-        &mut self,
-        states: &[&StoryState],
-        rescore: &[bool],
-        index_of: &HashMap<StoryId, usize>,
-        pairs: &[(usize, usize)],
-    ) {
-        let Some(Sketches { family, kept }) = &mut self.sketches else { return };
-        kept.retain(|id, _| index_of.get(id).is_some_and(|&i| !rescore[i]));
-        for &(i, j) in pairs {
-            for state in [states[i], states[j]] {
-                let sig = kept.entry(state.id()).or_insert_with(|| state.sketch(family));
-                debug_assert_eq!(*sig, state.sketch(family), "stale signature of {}", state.id());
-            }
-        }
-    }
-
-    /// Combined story–story similarity: content (exact, or sketched from
-    /// the materialised signatures) gated by lag-tolerant evolution
-    /// similarity.
+    /// Combined story–story similarity: exact content similarity gated
+    /// by lag-tolerant evolution similarity.
     fn story_pair_score(&self, a: &StoryState, b: &StoryState) -> f64 {
         // Cheap temporal prune first: stories whose lifespans are
         // further apart than the lag tolerance cannot align.
@@ -181,10 +124,7 @@ impl Aligner {
         if a.lifespan().gap(b.lifespan()) > max_gap {
             return 0.0;
         }
-        let content = match &self.sketches {
-            Some(s) => s.kept[&a.id()].estimate_jaccard(&s.kept[&b.id()]),
-            None => a.content_sim_exact(b),
-        };
+        let content = a.content_sim_exact(b);
         if content == 0.0 {
             return 0.0;
         }
@@ -330,7 +270,6 @@ impl Aligner {
         // ---- pair scoring (incremental reuse where possible) ----------
         let to_score = self.candidate_pairs(states, &rescore);
         let pairs_scored = to_score.len();
-        self.materialise_sketches(states, &rescore, &index_of, &to_score);
         let mut accepted = self.score_pairs(states, &to_score);
         if let Some((prev, _)) = incremental {
             // Reuse accepted pairs between clean, still-live stories.
@@ -558,8 +497,7 @@ mod tests {
         }
 
         fn align(&self) -> AlignOutcome {
-            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default())
-                .align(&self.states(), &self.store)
+            Aligner::new(AlignConfig::default(), SimWeights::default()).align(&self.states(), &self.store)
         }
     }
 
@@ -668,8 +606,7 @@ mod tests {
             f.ingest(0, day, &[1, 2], &[10, 11]);
             f.ingest(1, day, &[1, 2], &[10, 11]);
         }
-        let mut aligner =
-            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
+        let mut aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
         let full0 = aligner.align(&f.states(), &f.store);
 
         // New snippets arrive in source 1 (dirtying its story).
@@ -719,7 +656,7 @@ mod tests {
                 min_shared_entities: min_shared,
                 ..AlignConfig::default()
             };
-            let mut aligner = Aligner::new(cfg, SimWeights::default(), SketchConfig::default());
+            let mut aligner = Aligner::new(cfg, SimWeights::default());
             let brute = |rescore: &[bool]| -> Vec<(usize, usize)> {
                 let mut pairs = Vec::new();
                 for i in 0..states.len() {
@@ -760,23 +697,6 @@ mod tests {
             assert_eq!(incremental.global_stories, full.global_stories);
             assert_eq!(incremental.accepted_pairs, full.accepted_pairs);
         }
-    }
-
-    #[test]
-    fn sketch_mode_agrees_on_clear_cases() {
-        let mut f = Fixture::new(2);
-        for day in 0..5 {
-            f.ingest(0, day, &[1, 2, 3, 4], &[10, 11, 12]);
-            f.ingest(1, day, &[1, 2, 3, 4], &[10, 11, 12]);
-            f.ingest(0, day, &[50, 51], &[60, 61]);
-        }
-        let cfg = AlignConfig {
-            use_sketches: true,
-            ..AlignConfig::default()
-        };
-        let out = Aligner::new(cfg, SimWeights::default(), SketchConfig::default())
-            .align(&f.states(), &f.store);
-        assert_eq!(out.cross_source_stories().count(), 1);
     }
 
     #[test]

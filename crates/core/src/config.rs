@@ -110,9 +110,6 @@ pub struct AlignConfig {
     pub counterpart_term_floor: f64,
     /// Maximum time distance (seconds) between counterpart snippets.
     pub counterpart_lag: i64,
-    /// Compare stories via MinHash sketches (`true`, §2.4) or via exact
-    /// centroid similarity (`false`). The E4 ablation toggles this.
-    pub use_sketches: bool,
     /// Minimum number of shared indexed entities for a story pair to be
     /// scored at all (candidate pruning).
     pub min_shared_entities: usize,
@@ -127,13 +124,14 @@ impl Default for AlignConfig {
             counterpart_threshold: 0.35,
             counterpart_term_floor: 0.15,
             counterpart_lag: 3 * DAY,
-            use_sketches: false,
             min_shared_entities: 1,
         }
     }
 }
 
-/// Configuration of the sketch layer (§2.4).
+/// Settings of a MinHash sketch layer (§2.4). The engine no longer
+/// reads them: stories are compared by exact content only. They stay for
+/// the callers that still pass or time them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchConfig {
     /// MinHash signature length `k` (estimation error ≈ `1/√k`).
@@ -187,7 +185,7 @@ pub struct PivotConfig {
     pub align: AlignConfig,
     /// Refinement phase settings.
     pub refine: RefineConfig,
-    /// Sketch layer settings.
+    /// Sketch layer settings (unread by the engine; see [`SketchConfig`]).
     pub sketch: SketchConfig,
 }
 
@@ -249,9 +247,6 @@ impl PivotConfig {
         if self.align.counterpart_lag < 0 {
             return Err(Error::InvalidConfig("align.counterpart_lag must be >= 0".into()));
         }
-        if self.sketch.minhash_k == 0 {
-            return Err(Error::InvalidConfig("sketch.minhash_k must be positive".into()));
-        }
         self.identify.weights.validate()?;
         Ok(())
     }
@@ -292,13 +287,6 @@ mod tests {
         let c = PivotConfig::temporal(0);
         assert!(c.validate().is_err());
         let c = PivotConfig::temporal(-DAY);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn zero_sketch_k_rejected() {
-        let mut c = PivotConfig::default();
-        c.sketch.minhash_k = 0;
         assert!(c.validate().is_err());
     }
 

@@ -352,9 +352,8 @@ pub struct Identifier {
 }
 
 impl Identifier {
-    /// A fresh identifier for `source`. Identification keeps no
-    /// sketches — alignment derives them ([`StoryState::sketch`]) — so
-    /// the sketch settings are not used here.
+    /// A fresh identifier for `source`. The sketch settings are not
+    /// used ([`SketchConfig`]).
     pub fn new(source: SourceId, cfg: IdentifyConfig, _sketch_cfg: SketchConfig) -> Self {
         Identifier {
             source,

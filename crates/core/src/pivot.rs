@@ -113,7 +113,7 @@ impl StoryPivot {
     pub fn try_new(config: PivotConfig) -> Result<Self> {
         config.validate()?;
         Ok(StoryPivot {
-            aligner: Aligner::new(config.align.clone(), config.identify.weights, config.sketch),
+            aligner: Aligner::new(config.align.clone(), config.identify.weights),
             config,
             store: EventStore::new(),
             identifiers: HashMap::new(),
@@ -584,7 +584,7 @@ impl StoryPivot {
 
     /// Heap bytes held by each part of the engine: the store's four
     /// parts, the identifiers' four summed over sources, the aligner's
-    /// materialised signatures, the cached alignment outcome and the
+    /// probe tables, the cached alignment outcome and the
     /// refiner. Computed from the collections' layouts
     /// ([`storypivot_types::mem`]) in time linear in the number of
     /// stories and snippets; `tests/memory_account.rs` holds the sum to
@@ -599,18 +599,10 @@ impl StoryPivot {
             sum
         });
         account.extend(identify.into_iter().flatten());
-        account.push(("align.sketches", self.aligner.heap_bytes()));
+        account.push(("align.tables", self.aligner.heap_bytes()));
         account.push(("align.outcome", self.outcome.as_ref().map_or(0, AlignOutcome::heap_bytes)));
         account.push(("refine.rows", self.refiner.heap_bytes()));
         account
-    }
-
-    /// The MinHash signatures the aligner has materialised and kept
-    /// (none unless `align.use_sketches` is on); for tests that hold
-    /// them to a derivation from scratch.
-    #[doc(hidden)]
-    pub fn kept_sketches(&self) -> impl Iterator<Item = (StoryId, &storypivot_sketch::MinHash)> + '_ {
-        self.aligner.kept_sketches()
     }
 
     /// Number of stories currently marked dirty (ingested/changed since

@@ -846,8 +846,7 @@ mod tests {
             ident.force_assign(&victim, wrong_story);
         }
 
-        let mut aligner =
-            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
+        let mut aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
         let states: Vec<&crate::state::StoryState> =
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);
@@ -881,8 +880,7 @@ mod tests {
             store.insert(s.clone()).unwrap();
             identifiers.get_mut(&SourceId::new(0)).unwrap().assign(&s, &store);
         }
-        let mut aligner =
-            Aligner::new(AlignConfig::default(), SimWeights::default(), SketchConfig::default());
+        let mut aligner = Aligner::new(AlignConfig::default(), SimWeights::default());
         let states: Vec<&crate::state::StoryState> =
             identifiers.values().flat_map(|i| i.stories()).collect();
         let outcome = aligner.align(&states, &store);

@@ -5,24 +5,21 @@
 //! centroid entity/term vectors, a temporal evolution signature, and the
 //! event-type histogram. All of it updates incrementally in `O(content)`
 //! per added snippet.
-//!
-//! The MinHash sketch of paper §2.4 is *not* kept here: it is a function
-//! of the centroids' key sets ([`StoryState::sketch`]), so alignment
-//! derives it for the stories it compares and identification never pays
-//! for it.
 
-use storypivot_sketch::{HashFamily, MinHash, TemporalSignature};
+use storypivot_sketch::TemporalSignature;
 use storypivot_types::{
     mem, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
 };
 
-/// Map an entity id into the shared 64-bit sketch item space.
+/// Map an entity id into the shared 64-bit sketch item space. The engine
+/// builds no sketch; the benchmark's MinHash signature loop reads this.
 #[inline]
 pub fn entity_item(e: EntityId) -> u64 {
     (1u64 << 32) | e.raw() as u64
 }
 
-/// Map a term id into the shared 64-bit sketch item space.
+/// Map a term id into the shared 64-bit sketch item space (see
+/// [`entity_item`]).
 #[inline]
 pub fn term_item(t: TermId) -> u64 {
     (2u64 << 32) | t.raw() as u64
@@ -101,25 +98,6 @@ impl StoryState {
         self.refresh_dominant();
     }
 
-    /// Remove a snippet by subtracting it from the aggregates. Float
-    /// subtraction can leave a centroid key the remaining members no
-    /// longer carry (or drop one they do), so [`StoryState::sketch`] is
-    /// not valid until [`StoryState::rebuild`] runs (the engine's removal
-    /// paths rebuild instead of calling this). Returns whether the snippet
-    /// was a member.
-    pub fn remove_snippet(&mut self, snippet: &Snippet) -> bool {
-        if !self.story.remove_member(snippet.id) {
-            return false;
-        }
-        self.entities.merge_sub(snippet.entities());
-        self.terms.merge_sub(snippet.terms());
-        self.signature.remove(snippet.timestamp, 1.0);
-        let ty = snippet.content.event_type.code() as usize;
-        self.event_types[ty] = self.event_types[ty].saturating_sub(1);
-        self.refresh_dominant();
-        true
-    }
-
     /// Rebuild every aggregate exactly from the given member snippets
     /// (used after removals and splits). The membership list is replaced
     /// by the snippets passed in.
@@ -170,34 +148,12 @@ impl StoryState {
         self.dominant = best;
     }
 
-    /// Centroid-normalized entity vector (weights divided by member
-    /// count) — used for cohesion scoring.
-    pub fn entity_centroid(&self) -> SparseVec<EntityId> {
-        let mut v = self.entities.clone();
-        if !self.is_empty() {
-            v.scale(1.0 / self.len() as f32);
-        }
-        v
-    }
-
     /// Exact content similarity between two stories: weighted Jaccard of
     /// entity mass plus cosine of term mass, averaged.
     pub fn content_sim_exact(&self, other: &StoryState) -> f64 {
         let e = self.entities.weighted_jaccard(&other.entities);
         let t = self.terms.cosine(&other.terms);
         0.6 * e + 0.4 * t
-    }
-
-    /// The story's MinHash sketch under `family` (§2.4), derived from the
-    /// centroids: a snippet's vectors hold only positive weights and
-    /// folding them in only adds, so the centroids' keys are exactly the
-    /// union of the members' entity and term sets — the item set a
-    /// signature maintained per ingest would have seen.
-    pub fn sketch(&self, family: &HashFamily) -> MinHash {
-        MinHash::from_items(
-            family,
-            self.entities.keys().map(entity_item).chain(self.terms.keys().map(term_item)),
-        )
     }
 
     /// Heap bytes held by this state (the memory account).
@@ -213,10 +169,6 @@ impl StoryState {
 mod tests {
     use super::*;
     use storypivot_types::{SnippetId, Timestamp, DAY};
-
-    fn family() -> HashFamily {
-        HashFamily::new(7, 64)
-    }
 
     fn state() -> StoryState {
         StoryState::new(StoryId::new(0), SourceId::new(0), DAY)
@@ -245,7 +197,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.entities.get(&EntityId::new(1)), Some(2.0));
         assert_eq!(s.terms.get(&TermId::new(10)), Some(2.0));
-        assert!(!s.sketch(&family()).is_empty());
         assert_eq!(s.signature.total(), 2.0);
         assert_eq!(s.dominant_event_type(), EventType::Accident);
         assert_eq!(
@@ -255,33 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn remove_subtracts() {
-        let mut s = state();
-        let a = snip(0, 0, &[1, 2], &[10]);
-        let b = snip(1, 1, &[1], &[11]);
-        s.add_snippet(&a);
-        s.add_snippet(&b);
-        assert!(s.remove_snippet(&a));
-        assert!(!s.remove_snippet(&a), "second removal is a no-op");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.entities.get(&EntityId::new(2)), None);
-        assert_eq!(s.entities.get(&EntityId::new(1)), Some(1.0));
-        assert_eq!(s.signature.total(), 1.0);
-    }
-
-    #[test]
     fn rebuild_restores_exact_state() {
         let mut s = state();
         let a = snip(0, 0, &[1], &[10]);
         let b = snip(1, 1, &[2], &[11]);
         s.add_snippet(&a);
         s.add_snippet(&b);
-        s.remove_snippet(&a);
         s.rebuild([&b]);
         let mut fresh = state();
         fresh.add_snippet(&b);
-        assert_eq!(s.sketch(&family()), fresh.sketch(&family()));
         assert_eq!(s.entities, fresh.entities);
+        assert_eq!(s.terms, fresh.terms);
+        assert_eq!(s.signature, fresh.signature);
+        assert_eq!(s.event_types, fresh.event_types);
         assert_eq!(s.story.members, fresh.story.members);
         assert_eq!(s.lifespan(), fresh.lifespan());
     }
@@ -296,10 +233,7 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(a.story.contains(SnippetId::new(1)));
         assert_eq!(a.entities.len(), 2);
-        let items = [entity_item(EntityId::new(1)), entity_item(EntityId::new(2))]
-            .into_iter()
-            .chain([term_item(TermId::new(10)), term_item(TermId::new(11))]);
-        assert_eq!(a.sketch(&family()), MinHash::from_items(&family(), items));
+        assert_eq!(a.terms.len(), 2);
         assert_eq!(a.signature.total(), 2.0);
         assert_eq!(
             a.lifespan(),
@@ -320,24 +254,12 @@ mod tests {
             b.add_snippet(&s);
         }
         assert!(a.content_sim_exact(&b) > 0.8);
-        let f = family();
-        assert!(a.sketch(&f).estimate_jaccard(&b.sketch(&f)) > 0.8);
 
         let mut c = StoryState::new(StoryId::new(2), SourceId::new(1), DAY);
         let mut s = snip(20, 0, &[7, 8], &[20]);
         s.source = SourceId::new(1);
         c.add_snippet(&s);
         assert!(a.content_sim_exact(&c) < 0.1);
-        assert!(a.sketch(&f).estimate_jaccard(&c.sketch(&f)) < 0.2);
-    }
-
-    #[test]
-    fn centroid_divides_by_member_count() {
-        let mut s = state();
-        s.add_snippet(&snip(0, 0, &[1], &[]));
-        s.add_snippet(&snip(1, 0, &[1], &[]));
-        let c = s.entity_centroid();
-        assert!((c.get(&EntityId::new(1)).unwrap() - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! This crate provides the sketch toolbox:
 //!
 //! * [`minhash`] — fixed-size MinHash signatures estimating Jaccard
-//!   similarity of entity/term sets; the engine derives a story's
-//!   signature from its centroids when alignment compares it.
+//!   similarity of entity/term sets. The engine compares stories by
+//!   exact content and builds none; the benchmark times a signature.
 //! * [`temporal`] — bucketed activity signatures whose lag-tolerant
 //!   similarity compares *story evolution* over time (paper §2.3).
 //! * [`hash`] — the seeded 64-bit hash family everything above shares.

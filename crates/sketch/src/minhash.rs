@@ -5,11 +5,9 @@
 //! two signatures is an unbiased estimate of the sets' Jaccard
 //! similarity, with standard error `≈ 1/√k`.
 //!
-//! Crucially for StoryPivot, signatures are **mergeable**: the
-//! element-wise minimum of two signatures is exactly the signature of
-//! the union. A story's sketch is therefore maintained in `O(k)` per
-//! added snippet — this is what makes story–story alignment cheap at
-//! GDELT scale (paper §2.4).
+//! Signatures are **mergeable**: the element-wise minimum of two
+//! signatures is exactly the signature of the union, so a set's sketch
+//! can be maintained in `O(k)` per added element (paper §2.4).
 
 use crate::hash::HashFamily;
 

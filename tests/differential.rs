@@ -2,7 +2,7 @@
 //! the coverage floors of the whole driver summed over its cases. The
 //! files that pin one axis of the draw — `maintain_equivalence`,
 //! `refine_equivalence`, `align_equivalence`, `alignment_invariants`,
-//! `derived_sketch`, `hotpath_equivalence` and the lockstep cases of
+//! `hotpath_equivalence` and the lockstep cases of
 //! `incremental_consistency` — run further cases of the same driver.
 //!
 //! `STORYPIVOT_PROP_SEED=<seed> cargo test --test differential` replays
@@ -16,7 +16,6 @@ fn engine_matches_the_oracle_after_every_op() {
     assert!(tally.splits > 50, "maintenance must split: {tally:?}");
     assert!(tally.moves > 100, "refinement must move: {tally:?}");
     assert!(tally.merges > 0 && tally.late > 0, "{tally:?}");
-    assert!(tally.kept > 100, "the aligner must keep signatures: {tally:?}");
     // Both kinds of refinement sweep occurred: ones that probe nearly
     // everything afresh and ones that carry most probes over.
     let [hot, _, sparse] = tally.refine;

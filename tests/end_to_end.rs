@@ -92,21 +92,6 @@ fn every_snippet_lands_in_exactly_one_global_story() {
 }
 
 #[test]
-fn sketch_alignment_quality_close_to_exact() {
-    let c = corpus(1_000, 10, 46);
-    let exact = run(&c, PivotConfig::temporal(14 * DAY), RunOptions::default());
-    let mut cfg = PivotConfig::temporal(14 * DAY);
-    cfg.align.use_sketches = true;
-    let sketched = run(&c, cfg, RunOptions::default());
-    assert!(
-        (exact.sa_f1() - sketched.sa_f1()).abs() < 0.1,
-        "sketch F1 {} vs exact {}",
-        sketched.sa_f1(),
-        exact.sa_f1()
-    );
-}
-
-#[test]
 fn out_of_order_delivery_degrades_gracefully() {
     let c = corpus(1_000, 8, 47);
     assert!(c.inversion_fraction() > 0.0, "stream should be out of order");

@@ -32,10 +32,8 @@ use std::fmt::Debug;
 use storypivot::core::identify::IdentifyDecision;
 use storypivot::core::metrics::EngineMetrics;
 use storypivot::core::refine::story_source;
-use storypivot::core::state::{entity_item, term_item, StoryState};
 use storypivot::gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
-use storypivot::sketch::{HashFamily, MinHash};
 use storypivot::substrate::metrics::Registry;
 use storypivot::substrate::prop;
 use storypivot::substrate::rng::{splitmix64, RngExt, StdRng};
@@ -58,8 +56,6 @@ pub struct Case {
     pub split_threshold: f64,
     pub maintenance_every: usize,
     pub hot_cache_capacity: usize,
-    /// `Some(k)`: alignment compares MinHash signatures of length k.
-    pub minhash_k: Option<usize>,
 }
 
 impl Case {
@@ -75,7 +71,6 @@ impl Case {
             split_threshold: if splitting { 0.45 } else { rng.random_range(0.18f64..0.5) },
             maintenance_every: rng.random_range(4usize..71),
             hot_cache_capacity: if rng.random_bool(0.5) { 2 } else { 512 },
-            minhash_k: rng.random_bool(0.3).then(|| rng.random_range(8usize..40)),
         }
     }
 
@@ -90,16 +85,11 @@ impl Case {
         CorpusBuilder::new(config.with_target_snippets(self.snippets)).build()
     }
 
-    fn config(&self, sketch_seed: u64) -> PivotConfig {
+    fn config(&self) -> PivotConfig {
         let mut config = PivotConfig::temporal(self.omega_days * DAY);
         config.identify.split_threshold = self.split_threshold;
         config.identify.maintenance_every = self.maintenance_every;
         config.identify.hot_cache_capacity = self.hot_cache_capacity;
-        if let Some(k) = self.minhash_k {
-            config.align.use_sketches = true;
-            config.sketch.minhash_k = k;
-            config.sketch.seed = sketch_seed;
-        }
         config
     }
 }
@@ -112,7 +102,6 @@ pub struct Tally {
     pub late: usize,
     pub reassigned: usize,
     pub moves: usize,
-    pub kept: usize,
     /// Sources that left, and held-back sources that came on board.
     pub left: usize,
     pub onboarded: usize,
@@ -142,7 +131,6 @@ struct Twins {
     metrics: [EngineMetrics; 2],
     /// The engine's partition, patched only from `drain_changes`.
     shadow: BTreeMap<StoryId, Vec<SnippetId>>,
-    family: Option<HashFamily>,
     /// Per source, the newest timestamp ingested (to count late arrivals).
     newest: BTreeMap<SourceId, Timestamp>,
     tally: Tally,
@@ -158,10 +146,6 @@ impl Twins {
         oracle_config.identify.hot_cache_capacity = 0;
         let mut oracle = StoryPivot::new(oracle_config);
         oracle.set_metrics(metrics[1].clone());
-        let family = config
-            .align
-            .use_sketches
-            .then(|| HashFamily::new(config.sketch.seed, config.sketch.minhash_k));
         Twins {
             seed,
             case,
@@ -171,7 +155,6 @@ impl Twins {
             config,
             metrics,
             shadow: BTreeMap::new(),
-            family,
             newest: BTreeMap::new(),
             tally,
         }
@@ -200,6 +183,13 @@ impl Twins {
             }
         }
         self.check_step(op, false);
+    }
+
+    fn remove_source(&mut self, source: SourceId) {
+        let removed: Vec<SnippetId> =
+            self.engine.store().snippets_of_source(source).iter().map(|s| s.id).collect();
+        self.remove("remove_source", &removed, |e| e.remove_source(source).unwrap());
+        self.tally.left += 1;
     }
 
     fn add_source(&mut self, source: &Source) {
@@ -309,26 +299,6 @@ impl Twins {
         let patched: Vec<(StoryId, Vec<SnippetId>)> =
             self.shadow.iter().map(|(&id, members)| (id, members.clone())).collect();
         assert_eq!(patched, partition, "{at}: the change log missed a story");
-
-        if let Some(family) = &self.family {
-            // A story's derived signature can only change with its member
-            // list, and the shadow holds the log to every such change.
-            for state in changed.iter().filter_map(|&id| self.engine.story(id)) {
-                let want = from_members(&self.engine, family, state);
-                assert_eq!(state.sketch(family), want, "{at}: derived signature of {}", state.id());
-            }
-            // Kept signatures are current right after a pass.
-            if aligned {
-                for (id, signature) in self.engine.kept_sketches() {
-                    let Some(state) = self.engine.story(id) else {
-                        panic!("{at}: kept signature of dead story {id}")
-                    };
-                    let want = from_members(&self.engine, family, state);
-                    assert_eq!(*signature, want, "{at}: kept signature of {id}");
-                    self.tally.kept += 1;
-                }
-            }
-        }
         self.step += 1;
     }
 
@@ -362,16 +332,6 @@ fn assert_well_formed(pivot: &StoryPivot, at: &str) {
             assert!(g.lifespan.contains(s.timestamp), "{at}: {} does not span {m}", g.id);
         }
     }
-}
-
-/// A story's signature by definition: every member fetched from the store.
-fn from_members(pivot: &StoryPivot, family: &HashFamily, state: &StoryState) -> MinHash {
-    let members = state.story.members.iter().map(|&m| {
-        pivot.store().get(m).unwrap_or_else(|| panic!("story {} lists missing {m}", state.id()))
-    });
-    let items = members
-        .flat_map(|s| s.entities().keys().map(entity_item).chain(s.terms().keys().map(term_item)));
-    MinHash::from_items(family, items)
 }
 
 /// Runs `cases` cases on freely drawn configs and returns what they
@@ -414,7 +374,7 @@ fn run_case(seed: u64, tally: &mut Tally) {
     let mut rng = StdRng::seed_from_u64(seed);
     let case = Case::draw(&mut rng);
     let corpus = case.corpus(rng.random());
-    let mut twins = Twins::new(seed, case, case.config(rng.random()), std::mem::take(tally));
+    let mut twins = Twins::new(seed, case, case.config(), std::mem::take(tally));
 
     // The last source comes on board mid-stream; the first may leave.
     let newcomer = (case.sources > 1).then(|| SourceId::new(case.sources - 1));
@@ -472,10 +432,7 @@ fn run_case(seed: u64, tally: &mut Tally) {
             88..=92 => {
                 // Once, and not before there is something to lose.
                 if let Some(source) = leaver.filter(|_| twins.engine.store().len() > 100) {
-                    let removed: Vec<SnippetId> =
-                        twins.engine.store().snippets_of_source(source).iter().map(|s| s.id).collect();
-                    twins.remove("remove_source", &removed, |e| e.remove_source(source).unwrap());
-                    twins.tally.left += 1;
+                    twins.remove_source(source);
                     stream.retain(|s| s.source != source);
                     late.retain(|s| s.source != source);
                     leaver = None;
@@ -493,6 +450,10 @@ fn run_case(seed: u64, tally: &mut Tally) {
                 }
             }
         }
+    }
+    // A leaver whose turn never came leaves before the flush.
+    if let Some(source) = leaver {
+        twins.remove_source(source);
     }
     // What a pipeline's flush does.
     twins.align();

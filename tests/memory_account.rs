@@ -11,8 +11,8 @@
 //!   account, and
 //! * the engine holds at most 1.2 KiB per snippet, so the next structure
 //!   built eagerly for every story fails here and not in a benchmark
-//!   (with a MinHash signature and two heavy-hitter maps per story, as
-//!   before they were derived on read, this corpus took 3.2 KiB).
+//!   (when every story was built with a signature and two heavy-hitter
+//!   maps, this corpus took 3.2 KiB).
 //!
 //! Its own binary, one test: a global allocator is process-wide.
 
@@ -107,6 +107,6 @@ fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
         per_snippet <= CEILING_PER_SNIPPET,
         "the engine holds {per_snippet:.0} B per snippet, ceiling {CEILING_PER_SNIPPET:.0}"
     );
-    // No sketching configured, so nothing was materialised.
-    assert_eq!(account.iter().find(|(s, _)| *s == "align.sketches"), Some(&("align.sketches", 0)));
+    // Nothing aligned, so the aligner's probe tables were never bound.
+    assert_eq!(account.iter().find(|(s, _)| *s == "align.tables"), Some(&("align.tables", 0)));
 }
