@@ -15,7 +15,7 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> soak: the differential driver again, 4x its cases, the kernels, plus the fault suites, release"
+echo "==> soak: the differential driver again, 4x its cases, the kernels, the fault suites and the served slices, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
@@ -25,9 +25,11 @@ STORYPIVOT_PROP_CASES_MULT=4 cargo test -q --release --test differential
 # against the codegen that is benchmarked.
 cargo test -q --release --test kernel_equivalence
 # Fault plans fire in every build, so the supervision (poison) and
-# disk-fault suites run against the release binaries that are benchmarked.
-cargo test -q --release --test failure_injection
-cargo test -q --release -p storypivot-serve --test chaos_fault
+# disk-fault suites run against the release binaries that are benchmarked;
+# so do the driver's served slices (crash, follower, in-process server),
+# which check the partition after every step against the release pivotd.
+cargo test -q --release --test failure_injection --test serve_e2e
+cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
 
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -35,17 +37,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> docs: every file, test target and experiment the docs name exists"
+echo "==> docs: every file, test target, experiment and metric series the docs name exists"
 # CHANGES.md and ROADMAP.md are history and plans and may name what is
 # gone; these describe the system as it is. A path is a word under a
 # top-level directory, or with a directory and a file extension, or a
 # bare `name.rs` (matched by file name); braces expand. It must be
 # tracked, or a directory of tracked files, or one of the build outputs
 # the docs name. `--test NAME` must be a test target, and the words
-# after `harness` experiments in its usage list.
+# after `harness` experiments in its usage list. A `storypivot_*` metric
+# series (braces expand; `_count` / `_sum` name a histogram's parts; a
+# crate name is not a series) must be a string literal in some
+# `crates/*/src` file, which is where every series is registered.
 doc_check() {
-    local tracked experiments doc n ref path name stale=0
+    local tracked experiments series doc n ref path name stale=0
     tracked="$(git ls-files; printf '%s\n' benchmark/target/release/spbench data/counts.txt)"
+    series="$(git grep -ohE '"storypivot_[a-z0-9_]+"' -- 'crates/*/src/*' | tr -d '"'
+        git ls-files 'crates/*/Cargo.toml' | sed -E 's|crates/(.*)/Cargo.toml|storypivot_\1|')"
     experiments=" all $( (target/release/harness --help 2>&1 || true) |
         sed -nE 's/^  ([a-z0-9]+)( \(([a-z0-9]+)\))? .*/\1 \3/p' | tr '\n' ' ') "
     for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
@@ -70,6 +77,13 @@ doc_check() {
                     { echo "$doc:$n: no harness experiment: $name"; stale=1; }
             done
         done < <(grep -noE '`harness( [a-z0-9]+)+|harness --( [a-z0-9]+)+' "$doc")
+        while IFS=: read -r n ref; do
+            [[ "$ref" == *[*] || "$ref" == *_ ]] && continue
+            for name in $(eval "printf '%s\n' $ref"); do
+                name="${name%_count}" && name="${name%_sum}"
+                grep -qxF "$name" <<< "$series" || { echo "$doc:$n: no such series: $name"; stale=1; }
+            done
+        done < <(grep -noE 'storypivot_[a-z0-9_*]*(\{[a-z0-9_,]*\}[a-z0-9_*]*)*' "$doc")
     done
     return "$stale"
 }
@@ -252,55 +266,6 @@ else
     test -s "$SMOKE_DIR/BENCH_storm.json"
     grep -q "\"connections\": $STORM_CONNS" "$SMOKE_DIR/BENCH_storm.json"
 fi
-
-echo "==> smoke: crash recovery (kill -9, WAL replay must restore the partition)"
-CRASH_DIR="$SMOKE_DIR/crash"
-mkdir -p "$CRASH_DIR"
-cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --fsync always \
-    --wal-dir "$CRASH_DIR/wal" --checkpoint-dir "$CRASH_DIR/ckpt" \
-    --port-file "$CRASH_DIR/port" &
-PIVOTD_PID=$!
-PORT="$(wait_port "$CRASH_DIR/port" "$PIVOTD_PID")"
-cargo run -p storypivot-serve --bin loadgen --release -- \
-    --addr "127.0.0.1:$PORT" --quick --partition-file "$CRASH_DIR/before.txt"
-test -s "$CRASH_DIR/before.txt"
-# No drain, no checkpoint, no warning: the journal is all that's left.
-kill -9 "$PIVOTD_PID"
-wait "$PIVOTD_PID" || true
-rm -f "$CRASH_DIR/port"
-cargo run -p storypivot-serve --bin pivotd --release -- \
-    --addr 127.0.0.1:0 --shards 2 --fsync always \
-    --wal-dir "$CRASH_DIR/wal" --checkpoint-dir "$CRASH_DIR/ckpt" \
-    --port-file "$CRASH_DIR/port" &
-PIVOTD_PID=$!
-PORT="$(wait_port "$CRASH_DIR/port" "$PIVOTD_PID")"
-cargo run -p storypivot-serve --bin loadgen --release -- \
-    --addr "127.0.0.1:$PORT" --query-only --partition-file "$CRASH_DIR/after.txt" --shutdown
-wait "$PIVOTD_PID"
-PIVOTD_PID=""
-cmp "$CRASH_DIR/before.txt" "$CRASH_DIR/after.txt"
-
-echo "==> smoke: graceful restart (SHUTDOWN + restart must serve the partition that was served)"
-# The drain publishes and checkpoints and moves no snippet: what the
-# daemon answered before SHUTDOWN is what it answers after a restart.
-RESTART_DIR="$SMOKE_DIR/restart"
-mkdir -p "$RESTART_DIR"
-for PARTITION in before after; do
-    rm -f "$RESTART_DIR/port"
-    cargo run -p storypivot-serve --bin pivotd --release -- \
-        --addr 127.0.0.1:0 --shards 2 --fsync always \
-        --wal-dir "$RESTART_DIR/wal" --checkpoint-dir "$RESTART_DIR/ckpt" \
-        --port-file "$RESTART_DIR/port" &
-    PIVOTD_PID=$!
-    PORT="$(wait_port "$RESTART_DIR/port" "$PIVOTD_PID")"
-    if [ "$PARTITION" = before ]; then LOAD=--quick; else LOAD=--query-only; fi
-    cargo run -p storypivot-serve --bin loadgen --release -- \
-        --addr "127.0.0.1:$PORT" "$LOAD" --partition-file "$RESTART_DIR/$PARTITION.txt" --shutdown
-    wait "$PIVOTD_PID"
-    PIVOTD_PID=""
-done
-cmp "$RESTART_DIR/before.txt" "$RESTART_DIR/after.txt"
 
 echo "==> smoke: replication (leader + follower, bounded lag, NOT_LEADER wall)"
 REPL_DIR="$SMOKE_DIR/repl"

@@ -1,131 +1,37 @@
-//! Crash-equivalence: SIGKILL a real `pivotd` process mid-stream and
-//! prove the restarted daemon serves exactly the partition an
-//! uninterrupted in-process run produces. Exercises the whole
-//! durability stack — WAL append/fsync, torn-tail repair, checkpoint
-//! generations, startup replay — through the public binary. One case
-//! runs in process instead: a checkpoint write that fails must not move
-//! the generation the leader tells its followers about.
+//! Crash-equivalence: slices of the differential driver (`lockstep`)
+//! through a real `pivotd` process that the script SIGKILLs mid-stream
+//! and restarts on the same directories. After every step the served
+//! partition equals the uninterrupted oracle engine's, which exercises
+//! the whole durability stack — WAL append/fsync, torn-tail repair,
+//! checkpoint generations, startup replay — through the public binary.
+//! Beside them: the journal's own op codec, as the driver's
+//! `oplog::apply` target; and in process, a checkpoint write that fails
+//! must not move the generation the leader tells its followers about.
 
-use std::collections::BTreeMap;
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+#[path = "../../../tests/lockstep/mod.rs"]
+mod lockstep;
 
-use storypivot_core::config::PivotConfig;
-use storypivot_core::StoryPivot;
-use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
+use std::path::PathBuf;
+use std::process::Command;
+
+use lockstep::served::{journal_len, Scratch};
+use lockstep::{Deployment, Lifecycle, Via};
+use storypivot_gen::{CorpusBuilder, GenConfig};
 use storypivot_serve::client::Client;
-use storypivot_serve::proto::{Response, StorySummary};
+use storypivot_serve::proto::Response;
 use storypivot_serve::server::{serve, ServerConfig};
 use storypivot_substrate::wal::SyncPolicy;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("storypivot-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Bytes in shard `shard`'s journal (every append reaches the file
-/// before its ack, whatever the fsync policy).
-fn journal_len(wal_dir: &Path, shard: usize) -> u64 {
-    std::fs::metadata(wal_dir.join(format!("shard{shard}.wal"))).unwrap().len()
-}
-
-/// Spawn the real pivotd binary and wait for its port file. The caller
-/// owns reaping (each test kills or shuts the daemon down and waits);
-/// on the timeout path below the child is killed and reaped here.
-#[allow(clippy::zombie_processes)]
-fn spawn_pivotd(extra: &[&str], port_file: &Path) -> (Child, SocketAddr) {
-    let _ = std::fs::remove_file(port_file);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pivotd"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--port-file",
-            port_file.to_str().unwrap(),
-        ])
-        .args(extra)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pivotd");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(raw) = std::fs::read_to_string(port_file) {
-            if let Ok(port) = raw.trim().parse::<u16>() {
-                return (child, SocketAddr::from(([127, 0, 0, 1], port)));
-            }
-        }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("pivotd did not write its port file");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Partition as story id → sorted member ids; exact, since
-/// identification alone determines it.
-fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
-    stories
-        .iter()
-        .map(|s| {
-            let mut members: Vec<u32> = s.members.iter().map(|m| m.raw()).collect();
-            members.sort_unstable();
-            (s.id.raw(), members)
-        })
-        .collect()
-}
-
-fn partition_of_engine(engine: &StoryPivot) -> BTreeMap<u32, Vec<u32>> {
-    engine
-        .story_partition()
-        .into_iter()
-        .map(|(id, members)| {
-            let mut members: Vec<u32> = members.iter().map(|m| m.raw()).collect();
-            members.sort_unstable();
-            (id.raw(), members)
-        })
-        .collect()
-}
-
-fn corpus(seed: u64, events: usize) -> Corpus {
-    CorpusBuilder::new(
-        GenConfig::default()
-            .with_seed(seed)
-            .with_sources(4)
-            .with_target_snippets(events),
-    )
-    .build()
-}
-
-/// The uninterrupted twin: one engine, same stream.
-fn twin_of(corpus: &Corpus) -> StoryPivot {
-    let mut twin = StoryPivot::new(PivotConfig::default());
-    for source in &corpus.sources {
-        twin.add_source_registered(source.clone()).unwrap();
-    }
-    for snippet in &corpus.snippets {
-        twin.ingest(snippet.clone()).unwrap();
-    }
-    twin
-}
-
-fn ingest_all(client: &mut Client, corpus: &Corpus) {
-    for source in &corpus.sources {
-        let got = client
-            .add_source(&source.name, source.kind, source.typical_lag)
-            .unwrap();
-        assert_eq!(got, source.id, "fresh server must allocate corpus ids");
-    }
-    for snippet in &corpus.snippets {
-        client
-            .ingest_backoff(snippet, Default::default())
-            .expect("acked ingest");
-    }
+/// A two-shard `pivotd` leader the script kills now and then.
+fn killed(fsync: &'static str, checkpoint_every_bytes: u64) -> Via {
+    Via::Served(Deployment {
+        shards: 2,
+        leader: Some(env!("CARGO_BIN_EXE_pivotd")),
+        fsync,
+        checkpoint_every_bytes,
+        lifecycle: &[Lifecycle::Kill],
+        ..Deployment::default()
+    })
 }
 
 /// The snapshot-freshness flags are gone, not silently accepted.
@@ -140,114 +46,29 @@ fn removed_snapshot_flags_are_usage_errors() {
 
 #[test]
 fn sigkill_mid_stream_recovers_the_exact_partition() {
-    let wal = scratch("wal-basic");
-    let ckpt = scratch("ckpt-basic");
-    let port_file = wal.join("port");
-    let flags = [
-        "--shards",
-        "2",
-        "--fsync",
-        "always",
-        "--wal-dir",
-    ];
-    let mut args: Vec<&str> = flags.to_vec();
-    let wal_s = wal.to_str().unwrap().to_string();
-    let ckpt_s = ckpt.to_str().unwrap().to_string();
-    args.push(&wal_s);
-    args.push("--checkpoint-dir");
-    args.push(&ckpt_s);
-
-    let corpus = corpus(7, 240);
-    let (mut child, addr) = spawn_pivotd(&args, &port_file);
-    let mut client = Client::connect(addr).unwrap();
-    ingest_all(&mut client, &corpus);
-    // Every snippet above was acknowledged under --fsync always; the
-    // partition served *before* the crash is the reference.
-    let before = partition_of_summaries(&client.query_stories().unwrap());
-    drop(client);
-
-    // SIGKILL: no drain, no checkpoint, no flush — only the WAL.
-    child.kill().unwrap();
-    let _ = child.wait();
-
-    let (mut child2, addr2) = spawn_pivotd(&args, &port_file);
-    let mut client = Client::connect(addr2).unwrap();
-    let after = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(after, before, "restart must reconstruct the acked partition");
-    // And both equal the uninterrupted in-process run.
-    assert_eq!(after, partition_of_engine(&twin_of(&corpus)));
-
-    // Recovered engines keep allocating past recovered source ids.
-    let extra = client.add_source("post-crash", corpus.sources[0].kind, 0).unwrap();
-    assert_eq!(extra.raw(), corpus.sources.len() as u32);
-
-    client.shutdown().unwrap();
-    let status = child2.wait().unwrap();
-    assert!(status.success());
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&ckpt);
+    let via = killed("always", Deployment::default().checkpoint_every_bytes);
+    let Some(tally) = lockstep::slice_via(via, "sigkill", 1, |c| c.sources >= 2) else { return };
+    let served = &tally.served;
+    // The newcomer registers after a crash: recovered engines keep
+    // allocating past recovered source ids.
+    assert!(served.crashes[0] > 0 && served.sources_after_crash > 0, "{tally:?}");
 }
 
+/// A checkpoint every 4 KiB of journal: recovery replays checkpoint + a
+/// short tail, and no journal grows near the whole stream.
 #[test]
 fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
-    let wal = scratch("wal-periodic");
-    let ckpt = scratch("ckpt-periodic");
-    let port_file = wal.join("port");
-    let wal_s = wal.to_str().unwrap().to_string();
-    let ckpt_s = ckpt.to_str().unwrap().to_string();
-    // A checkpoint every 4 KiB of journal: the 240-event stream crosses
-    // the threshold many times, so recovery replays checkpoint + a
-    // short tail rather than the whole history.
-    let args = [
-        "--shards",
-        "2",
-        "--fsync",
-        "every:8",
-        "--checkpoint-every-bytes",
-        "4096",
-        "--wal-dir",
-        &wal_s,
-        "--checkpoint-dir",
-        &ckpt_s,
-    ];
+    let Some(tally) = lockstep::slice_via(killed("every:8", 4096), "periodic", 1, |_| true) else { return };
+    assert!(tally.served.crashes[1] > 0, "a kill must land after a checkpoint: {tally:?}");
+}
 
-    let corpus = corpus(11, 240);
-    let (mut child, addr) = spawn_pivotd(&args, &port_file);
-    let mut client = Client::connect(addr).unwrap();
-    ingest_all(&mut client, &corpus);
-    let before = partition_of_summaries(&client.query_stories().unwrap());
-    drop(client);
-    // Size-triggered checkpoints must have fired and truncated: no
-    // shard's journal holds anywhere near the whole stream.
-    for shard in 0..2 {
-        let bytes = journal_len(&wal, shard);
-        assert!(
-            bytes < 64 * 1024,
-            "shard {shard} wal grew to {bytes} bytes despite periodic checkpoints"
-        );
-    }
-    let generations = std::fs::read_dir(&ckpt)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".spvc"))
-        .count();
-    assert!(generations >= 1, "periodic checkpoints must leave generation files");
-
-    child.kill().unwrap();
-    let _ = child.wait();
-
-    // Under fsync every:8, up to 7 acked appends per shard may be lost
-    // by the kill — but this test's writes all hit the OS page cache
-    // and the process (not the machine) died, so the journal is whole.
-    let (mut child2, addr2) = spawn_pivotd(&args, &port_file);
-    let mut client = Client::connect(addr2).unwrap();
-    let after = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(after, before, "checkpoint + wal tail must rebuild the partition");
-    client.shutdown().unwrap();
-    let status = child2.wait().unwrap();
-    assert!(status.success());
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&ckpt);
+/// Every wire op round-trips through `ReplayOp::encode`/`decode` and
+/// reaches the engine through `oplog::apply`, as the journal's replay
+/// and a follower's tail deliver it.
+#[test]
+fn journaled_ops_match_the_oracle_after_every_op() {
+    let Some(tally) = lockstep::slice_via(Via::Journal, "journal ops", 1, |c| c.sources >= 2) else { return };
+    assert!(tally.docs_removed > 0 && tally.onboarded > 0 && tally.reloads[0] > 0, "{tally:?}");
 }
 
 /// A checkpoint write that fails (ENOSPC — here: a directory squatting
@@ -259,12 +80,11 @@ fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
 #[test]
 fn failed_checkpoint_write_does_not_advance_the_generation() {
     const EVERY_BYTES: u64 = 4096;
-    let wal = scratch("wal-ckptfail");
-    let ckpt = scratch("ckpt-ckptfail");
+    let (wal, ckpt) = (Scratch::new("wal-ckptfail"), Scratch::new("ckpt-ckptfail"));
     let cfg = ServerConfig {
         shards: 1,
-        wal_dir: Some(wal.clone()),
-        checkpoint_dir: Some(ckpt.clone()),
+        wal_dir: Some(wal.to_path_buf()),
+        checkpoint_dir: Some(ckpt.to_path_buf()),
         fsync: SyncPolicy::Never,
         checkpoint_every_bytes: EVERY_BYTES,
         ..ServerConfig::default()
@@ -286,7 +106,7 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
 
     // Until the first size-triggered generation exists; a follower that
     // has nothing learns its number from the checkpoint it is offered.
-    while std::fs::read_dir(&ckpt).unwrap().count() == 0 {
+    while std::fs::read_dir(&*ckpt).unwrap().count() == 0 {
         ingest_one(&mut client);
     }
     let n = match client.repl_subscribe(0, u64::MAX, 0).unwrap() {
@@ -329,6 +149,4 @@ fn failed_checkpoint_write_does_not_advance_the_generation() {
 
     client.shutdown().unwrap();
     handle.join();
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&ckpt);
 }

@@ -1,47 +1,69 @@
-//! The differential driver: the engine under test and an oracle engine,
-//! run in lockstep through one seeded sequence of §2.4's ops — snippets
-//! arriving in waves and late, documents and snippets retracted,
-//! snippets reassigned (into an existing story or a fresh one),
-//! maintenance, incremental alignment and refinement interleaved, a
-//! source leaving, a held-back source coming on board, and checkpoint
-//! reloads of the engine under test — and compared after every op by
-//! `Twins::check_step`.
+//! The differential driver: one seeded sequence of §2.4's ops —
+//! snippets arriving in waves and late, documents and snippets
+//! retracted, snippets reassigned (into an existing story or a fresh
+//! one), maintenance, incremental alignment and refinement interleaved,
+//! a source leaving, a held-back source coming on board, and checkpoint
+//! reloads — run through a [`Target`] beside an oracle engine and
+//! compared after every op by `Twins::check_step`.
 //!
 //! The oracle runs the same configuration without a hot-story cache and
 //! through the reference paths: `ingest_reference` (every due
 //! maintenance pass sweeps every story), a full `align()` wherever the
 //! engine under test aligns incrementally, and `refine_reference()`. It
-//! is never checkpointed, so it is also the uninterrupted twin.
+//! is never checkpointed and never restarted, so it is also the
+//! uninterrupted twin.
+//!
+//! The op alphabet falls into three groups. The wire subset —
+//! `oplog::ReplayOp`'s register a source, ingest (single or as one
+//! INGEST_BATCH) and remove a document — goes to every target. The
+//! process-only rest (`remove_snippet`, `reassign_snippet`,
+//! `run_maintenance`, `align_incremental`, `refine`, `remove_source`,
+//! checkpoint reload) runs only on a target with an engine in this
+//! process. Lifecycle ops (graceful restart, `kill -9` and recovery, a
+//! follower's bootstrap, catch-up and `kill -9`) belong to the served
+//! target, which draws them from its own stream, so they never shift a
+//! case's script. [`Via`] names the three targets.
 //!
 //! `tests/differential.rs` runs the driver on freely drawn configs
 //! ([`run`]) and holds the coverage floors of the whole driver. Every
-//! other test that includes this module runs a [`slice`]: further cases
-//! on the configs one focus accepts, with the floor that slice is there
-//! for. A case is a pure function of its seed, so every failure —
-//! whichever test it came from — names the case seed, the drawn config,
-//! the step and the op, and
-//! `STORYPIVOT_PROP_SEED=<seed> cargo test --test differential` replays
-//! that one case.
+//! other test that includes this module runs a [`slice`] (or
+//! [`slice_via`] another target): further cases on the configs one focus
+//! accepts, with the floor that slice is there for. A case is a pure
+//! function of its seed, so every failure — whichever test it came from —
+//! names the case seed, the drawn config, the step and the op, and
+//! `STORYPIVOT_PROP_SEED=<seed> cargo test --test <the test's file>`
+//! replays that one case (`-p storypivot-serve` for the files under
+//! `crates/serve/tests`, which include this module by `#[path]`).
 
 // Each test binary reads only the floors of its own slice.
 #![allow(dead_code)]
 
+pub mod served;
+
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-use storypivot::core::identify::IdentifyDecision;
-use storypivot::core::metrics::EngineMetrics;
-use storypivot::core::refine::story_source;
-use storypivot::gen::{Corpus, CorpusBuilder, GenConfig};
-use storypivot::prelude::*;
-use storypivot::substrate::metrics::Registry;
-use storypivot::substrate::prop;
-use storypivot::substrate::rng::{splitmix64, RngExt, StdRng};
+use storypivot_core::config::PivotConfig;
+use storypivot_core::identify::IdentifyDecision;
+use storypivot_core::metrics::EngineMetrics;
+use storypivot_core::oplog::{self, Applied, ReplayOp};
+use storypivot_core::refine::story_source;
+use storypivot_core::StoryPivot;
+use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
+use storypivot_substrate::metrics::Registry;
+use storypivot_substrate::prop;
+use storypivot_substrate::rng::{splitmix64, RngExt, StdRng};
+use storypivot_types::{DocId, Snippet, SnippetId, Source, SourceId, StoryId, Timestamp, DAY};
+
+pub use served::{Deployment, Lifecycle};
 
 /// Entity catalogue sizes: hot (nearly every snippet shares an entity
 /// with one that moved, so refinement probes afresh), middling, and
 /// sparse (most snippets keep the alternatives of the previous sweep).
 pub const CATALOGUES: [u32; 3] = [20, 80, 400];
+
+/// A per-source partition: story ids with their sorted members, by id.
+pub type Partition = Vec<(StoryId, Vec<SnippetId>)>;
 
 /// What one case draws besides its corpus.
 #[derive(Debug, Clone, Copy)]
@@ -118,68 +140,235 @@ pub struct Tally {
     /// Per catalogue: snippets judged by refinement sweeps, probes
     /// carried over, cohesions extended.
     pub refine: [[u64; 3]; CATALOGUES.len()],
+    /// Documents removed.
+    pub docs_removed: usize,
+    /// Checkpoint reloads: all of them, those with ≥ 100 snippets held
+    /// before and ≥ 100 ingested after, and those that landed while a
+    /// source was part-way to its next maintenance pass.
+    pub reloads: [usize; 3],
+    /// Sources granted an id other than their own (a rejected
+    /// registration burns an id).
+    pub remapped: usize,
+    /// What served targets did: see [`served::Counts`].
+    pub served: served::Counts,
 }
 
-/// The engine under test, its oracle, and what is checked beside them.
+/// Which target a slice runs the script through.
+#[derive(Debug, Clone, Copy)]
+pub enum Via {
+    /// The engine called directly.
+    Direct,
+    /// The engine fed through `oplog::apply`, each op encoded and decoded
+    /// first, as the journal and a follower's tail carry it.
+    Journal,
+    /// A server reached by `Client`.
+    Served(Deployment),
+}
+
+/// What a target says about one ingested snippet.
+pub enum Reply {
+    /// The whole decision (the engine called directly).
+    Decision(IdentifyDecision),
+    /// The story the snippet joined (`oplog::apply`, a single INGEST).
+    Story(StoryId),
+    /// Nothing per snippet: an INGEST_BATCH answers with a count.
+    Batched,
+}
+
+/// Where the script's ops land beside the oracle. Every target takes
+/// the wire subset; `at` names the case, step and op for its failures.
+pub trait Target {
+    /// The engine behind the target, when it runs in this process: the
+    /// process-only ops and the engine's rows of `check_step` need it.
+    fn engine(&mut self) -> Option<&mut StoryPivot>;
+    /// Register `source`; the id the target granted it.
+    fn add_source(&mut self, at: &str, source: &Source) -> SourceId;
+    /// Ingest `wave` in order.
+    fn ingest(&mut self, at: &str, wave: &[Snippet]) -> Vec<Reply>;
+    /// Remove `doc`: how many snippets left, where the target can tell.
+    fn remove_doc(&mut self, at: &str, doc: DocId) -> Option<usize>;
+    /// The partition the target answers with.
+    fn partition(&mut self, at: &str) -> Partition;
+    /// The lifecycle op to run after this step, if any.
+    fn lifecycle(&mut self) -> Option<Lifecycle> {
+        None
+    }
+    /// Run `op`; the target must come back as `oracle` is.
+    fn run_lifecycle(&mut self, _at: &str, _op: Lifecycle, _oracle: &StoryPivot) {}
+    /// The case is over: last checks, counts folded into `tally`.
+    fn finish(&mut self, _at: &str, _oracle: &StoryPivot, _tally: &mut Tally) {}
+}
+
+/// Panic with `at` on an error.
+fn ok<T, E: std::fmt::Display>(at: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| panic!("{at}: {e}"))
+}
+
+/// The engine called directly.
+impl Target for StoryPivot {
+    fn engine(&mut self) -> Option<&mut StoryPivot> {
+        Some(self)
+    }
+
+    fn add_source(&mut self, at: &str, source: &Source) -> SourceId {
+        ok(at, self.add_source_registered(source.clone()))
+    }
+
+    fn ingest(&mut self, at: &str, wave: &[Snippet]) -> Vec<Reply> {
+        wave.iter().map(|s| Reply::Decision(ok(at, self.ingest_detailed(s.clone())))).collect()
+    }
+
+    fn remove_doc(&mut self, at: &str, doc: DocId) -> Option<usize> {
+        Some(ok(at, self.remove_document(doc)))
+    }
+
+    fn partition(&mut self, _at: &str) -> Partition {
+        self.story_partition()
+    }
+}
+
+/// The engine fed through `oplog::apply`.
+pub struct Journaled(StoryPivot);
+
+impl Journaled {
+    fn apply(&mut self, at: &str, op: ReplayOp) -> Applied {
+        let op = ok(at, ReplayOp::decode(&op.to_bytes()));
+        ok(at, oplog::apply(&mut self.0, op))
+    }
+}
+
+impl Target for Journaled {
+    fn engine(&mut self) -> Option<&mut StoryPivot> {
+        Some(&mut self.0)
+    }
+
+    fn add_source(&mut self, at: &str, source: &Source) -> SourceId {
+        match self.apply(at, ReplayOp::AddSource(source.clone())) {
+            Applied::Source(id) => id,
+            other => panic!("{at}: registering a source applied {other:?}"),
+        }
+    }
+
+    fn ingest(&mut self, at: &str, wave: &[Snippet]) -> Vec<Reply> {
+        let ingest = |s: &Snippet| match self.apply(at, ReplayOp::Ingest(s.clone())) {
+            Applied::Story(story) => Reply::Story(story),
+            other => panic!("{at}: ingesting snippet {} applied {other:?}", s.id),
+        };
+        wave.iter().map(ingest).collect()
+    }
+
+    fn remove_doc(&mut self, at: &str, doc: DocId) -> Option<usize> {
+        match self.apply(at, ReplayOp::RemoveDoc(doc)) {
+            Applied::Removed(n) => Some(n as usize),
+            other => panic!("{at}: removing document {doc} applied {other:?}"),
+        }
+    }
+
+    fn partition(&mut self, _at: &str) -> Partition {
+        self.0.story_partition()
+    }
+}
+
+/// An engine for `config` with live metrics and its change log on: the
+/// engine under test of the in-process targets.
+fn engine_for(config: &PivotConfig) -> StoryPivot {
+    let mut engine = StoryPivot::new(config.clone());
+    engine.set_metrics(EngineMetrics::register(&Registry::new()));
+    engine.log_changes();
+    engine
+}
+
+/// The uninterrupted twin for `config`: the same configuration without
+/// the hot-story cache, with live metrics.
+pub fn twin_of(config: &PivotConfig) -> StoryPivot {
+    let mut config = config.clone();
+    config.identify.hot_cache_capacity = 0;
+    let mut twin = StoryPivot::new(config);
+    twin.set_metrics(EngineMetrics::register(&Registry::new()));
+    twin
+}
+
+/// The target, its oracle, and what is checked beside them.
 struct Twins {
     seed: u64,
     case: Case,
+    /// Set when the target pins the default config instead of the drawn one.
+    pinned: bool,
     step: usize,
-    engine: StoryPivot,
+    target: Box<dyn Target>,
     oracle: StoryPivot,
     config: PivotConfig,
-    metrics: [EngineMetrics; 2],
     /// The engine's partition, patched only from `drain_changes`.
     shadow: BTreeMap<StoryId, Vec<SnippetId>>,
     /// Per source, the newest timestamp ingested (to count late arrivals).
     newest: BTreeMap<SourceId, Timestamp>,
+    /// Corpus source ids the target granted other ids.
+    remap: BTreeMap<SourceId, SourceId>,
+    /// Per source, snippets identified since its last maintenance pass.
+    phase: BTreeMap<SourceId, usize>,
+    /// Snippets ingested, and how many had been at each reload, beside
+    /// how many the engine held.
+    ingested: usize,
+    reloads: Vec<(usize, usize)>,
     tally: Tally,
 }
 
 impl Twins {
-    fn new(seed: u64, case: Case, config: PivotConfig, tally: Tally) -> Twins {
-        let metrics = [(); 2].map(|_| EngineMetrics::register(&Registry::new()));
-        let mut engine = StoryPivot::new(config.clone());
-        engine.set_metrics(metrics[0].clone());
-        engine.log_changes();
-        let mut oracle_config = config.clone();
-        oracle_config.identify.hot_cache_capacity = 0;
-        let mut oracle = StoryPivot::new(oracle_config);
-        oracle.set_metrics(metrics[1].clone());
+    fn new(seed: u64, case: Case, via: Via, tally: Tally) -> Twins {
+        let pinned = matches!(via, Via::Served(d) if d.pins_config());
+        let config = if pinned { PivotConfig::default() } else { case.config() };
+        let target: Box<dyn Target> = match via {
+            Via::Direct => Box::new(engine_for(&config)),
+            Via::Journal => Box::new(Journaled(engine_for(&config))),
+            Via::Served(deployment) => {
+                Box::new(served::Served::start(deployment, &config, seed, tally.served))
+            }
+        };
         Twins {
             seed,
             case,
+            pinned,
             step: 0,
-            engine,
-            oracle,
+            target,
+            oracle: twin_of(&config),
             config,
-            metrics,
             shadow: BTreeMap::new(),
             newest: BTreeMap::new(),
+            remap: BTreeMap::new(),
+            phase: BTreeMap::new(),
+            ingested: 0,
+            reloads: Vec::new(),
             tally,
         }
     }
 
     /// Where a failure happened: the case's seed and config, the step and the op.
     fn at(&self, op: &str) -> String {
-        format!("case seed {} {:?}, step {} ({op})", self.seed, self.case, self.step)
+        let pinned = if self.pinned { " on the default config" } else { "" };
+        format!("case seed {} {:?}{pinned}, step {} ({op})", self.seed, self.case, self.step)
     }
 
-    /// Run `f` on both engines; their results must be equal.
+    /// The target's engine; only process-only ops ask for it.
+    fn engine(&mut self) -> &mut StoryPivot {
+        self.target.engine().expect("process-only ops run on an engine in this process")
+    }
+
+    /// Run `f` on the engine and the oracle; their results must be equal.
     fn both<R: PartialEq + Debug>(&mut self, op: &str, mut f: impl FnMut(&mut StoryPivot) -> R) -> R {
-        let got = f(&mut self.engine);
+        let got = f(self.engine());
         let want = f(&mut self.oracle);
         assert_eq!(got, want, "{}", self.at(op));
         got
     }
 
-    /// Run a removal of `removed` on both engines. Reads must stop
-    /// answering for those snippets at once, not at the next alignment.
-    fn remove(&mut self, op: &str, removed: &[SnippetId], f: impl FnMut(&mut StoryPivot) -> usize) {
-        assert_eq!(self.both(op, f), removed.len(), "{}", self.at(op));
-        for (who, e) in [("engine", &self.engine), ("oracle", &self.oracle)] {
-            if let Some(id) = removed.iter().find(|&&id| e.global_of(id).is_some()) {
-                panic!("{}: {who}: the alignment still answers for removed snippet {id}", self.at(op));
+    /// `removed` left both sides. Reads must stop answering for those
+    /// snippets at once, not at the next alignment.
+    fn removed(&mut self, op: &str, removed: &[SnippetId]) {
+        let at = self.at(op);
+        let engine = self.target.engine().map(|e| &*e);
+        for (who, e) in [("engine", engine), ("oracle", Some(&self.oracle))] {
+            if let Some(id) = e.and_then(|e| removed.iter().find(|&&id| e.global_of(id).is_some())) {
+                panic!("{at}: {who}: the alignment still answers for removed snippet {id}");
             }
         }
         self.check_step(op, false);
@@ -187,31 +376,72 @@ impl Twins {
 
     fn remove_source(&mut self, source: SourceId) {
         let removed: Vec<SnippetId> =
-            self.engine.store().snippets_of_source(source).iter().map(|s| s.id).collect();
-        self.remove("remove_source", &removed, |e| e.remove_source(source).unwrap());
+            self.oracle.store().snippets_of_source(source).iter().map(|s| s.id).collect();
+        let left = self.both("remove_source", |e| e.remove_source(source).unwrap());
+        assert_eq!(left, removed.len(), "{}", self.at("remove_source"));
+        self.phase.remove(&source);
+        self.removed("remove_source", &removed);
         self.tally.left += 1;
     }
 
-    fn add_source(&mut self, source: &Source) {
-        self.both("add_source_registered", |e| e.add_source_registered(source.clone()).unwrap());
+    fn remove_doc(&mut self, doc: DocId) {
+        let at = self.at("remove_document");
+        let removed = self.oracle.store().snippets_of_doc(doc);
+        let got = self.target.remove_doc(&at, doc);
+        let want = ok(&at, self.oracle.remove_document(doc));
+        assert_eq!(want, removed.len(), "{at}");
+        if let Some(got) = got {
+            assert_eq!(got, want, "{at}: snippets removed");
+        }
+        self.tally.docs_removed += 1;
+        self.removed("remove_document", &removed);
     }
 
-    fn ingest(&mut self, op: &str, snippets: &[Snippet]) {
+    fn add_source(&mut self, source: &Source) {
+        let at = self.at("add_source_registered");
+        let granted = self.target.add_source(&at, source);
+        if granted != source.id {
+            self.remap.insert(source.id, granted);
+            self.tally.remapped += 1;
+        }
+        let want = ok(&at, self.oracle.add_source_registered(Source { id: granted, ..source.clone() }));
+        assert_eq!(granted, want, "{at}");
+    }
+
+    fn ingest(&mut self, op: &str, wave: &[Snippet]) {
+        let at = self.at(op);
         let without_cache =
             |d: IdentifyDecision| IdentifyDecision { cache_hits: 0, cache_misses: 0, ..d };
-        let pairs = |t: &Twins| [0, 1].map(|i| t.metrics[i].maintenance_pairs_scored_total.get());
+        let pairs = |t: &mut Twins| {
+            let engine = t.target.engine().map_or(0, |e| e.metrics().maintenance_pairs_scored_total.get());
+            [engine, t.oracle.metrics().maintenance_pairs_scored_total.get()]
+        };
+        let mut wave = wave.to_vec();
+        for s in &mut wave {
+            s.source = *self.remap.get(&s.source).unwrap_or(&s.source);
+        }
         let before = pairs(self);
-        for s in snippets {
-            let got = self.engine.ingest_detailed(s.clone()).unwrap();
-            let want = self.oracle.ingest_reference(s.clone()).unwrap();
-            self.tally.merges += got.merged.len();
-            self.tally.cache[0] += got.cache_hits;
-            self.tally.cache[1] += got.cache_misses;
-            assert_eq!(without_cache(got), without_cache(want), "{}: snippet {}", self.at(op), s.id);
+        let replies = self.target.ingest(&at, &wave);
+        for (s, reply) in wave.iter().zip(replies) {
+            let want = ok(&at, self.oracle.ingest_reference(s.clone()));
+            self.tally.merges += want.merged.len();
+            match reply {
+                Reply::Decision(got) => {
+                    self.tally.cache[0] += got.cache_hits;
+                    self.tally.cache[1] += got.cache_misses;
+                    assert_eq!(without_cache(got), without_cache(want), "{at}: snippet {}", s.id);
+                }
+                Reply::Story(story) => assert_eq!(story, want.story, "{at}: the story of snippet {}", s.id),
+                Reply::Batched => {}
+            }
             let newest = self.newest.entry(s.source).or_insert(s.timestamp);
             self.tally.late += usize::from(s.timestamp < *newest);
             *newest = (*newest).max(s.timestamp);
+            let every = self.config.identify.maintenance_every;
+            let phase = self.phase.entry(s.source).or_default();
+            *phase = if every > 0 && *phase + 1 >= every { 0 } else { *phase + 1 };
         }
+        self.ingested += wave.len();
         let after = pairs(self);
         for i in 0..2 {
             self.tally.maintenance_pairs[i] += after[i] - before[i];
@@ -220,8 +450,11 @@ impl Twins {
     }
 
     /// A stored snippet, picked uniformly.
-    fn pick(&self, rng: &mut StdRng) -> Option<Snippet> {
-        let store = self.engine.store();
+    fn pick(&mut self, rng: &mut StdRng) -> Option<Snippet> {
+        let store = match self.target.engine() {
+            Some(engine) => engine.store(),
+            None => self.oracle.store(),
+        };
         let n = store.len();
         (n > 0).then(|| store.iter().nth(rng.random_range(0..n)).expect("n-th of n").clone())
     }
@@ -232,7 +465,7 @@ impl Twins {
             let fresh = self.both("fresh_story_id_for", |e| e.fresh_story_id_for(s.source).unwrap());
             ("reassign_snippet into a fresh story", fresh)
         } else {
-            let stories = self.engine.stories_of_source(s.source);
+            let stories = self.engine().stories_of_source(s.source);
             ("reassign_snippet", stories[rng.random_range(0..stories.len())].id())
         };
         self.both(op, |e| e.reassign_snippet(s.id, target).unwrap());
@@ -241,75 +474,105 @@ impl Twins {
     }
 
     fn align(&mut self) {
-        self.tally.idle_aligns += usize::from(self.engine.dirty_count() == 0);
-        self.tally.align_pairs[0] += self.engine.align_incremental().pairs_scored;
+        let engine = self.engine();
+        let idle = engine.dirty_count() == 0;
+        let pairs = engine.align_incremental().pairs_scored;
+        self.tally.idle_aligns += usize::from(idle);
+        self.tally.align_pairs[0] += pairs;
         self.tally.align_pairs[1] += self.oracle.align().pairs_scored;
         self.check_step("align_incremental", true);
     }
 
     fn refine(&mut self) {
-        let report = self.engine.refine();
+        let engine = self.engine();
+        let report = engine.refine();
+        let sweeps = report.rounds * engine.store().len();
         assert_eq!(report, self.oracle.refine_reference(), "{}", self.at("refine"));
         self.oracle.align();
         self.tally.moves += report.move_count();
-        self.tally.refine[self.case.catalogue][0] += (report.rounds * self.engine.store().len()) as u64;
+        self.tally.refine[self.case.catalogue][0] += sweeps as u64;
         self.check_step("refine", true);
     }
 
     /// The engine under test restarts from its own checkpoint.
     fn reload(&mut self) {
-        let image = self.engine.save_checkpoint();
-        self.engine = StoryPivot::load_checkpoint(self.config.clone(), &image).unwrap();
-        self.engine.set_metrics(self.metrics[0].clone());
-        self.engine.log_changes();
+        let config = self.config.clone();
+        let engine = self.engine();
+        let metrics = engine.metrics().clone();
+        let image = engine.save_checkpoint();
+        *engine = StoryPivot::load_checkpoint(config, &image).unwrap();
+        engine.set_metrics(metrics);
+        engine.log_changes();
+        let held = engine.store().len();
+        self.reloads.push((held, self.ingested));
+        self.tally.reloads[0] += 1;
+        self.tally.reloads[2] += usize::from(self.phase.values().any(|&n| n > 0));
         self.check_step("checkpoint reload", false);
+    }
+
+    /// A lifecycle op, if the target draws one after this step.
+    fn lifecycle(&mut self) {
+        if let Some(op) = self.target.lifecycle() {
+            let at = self.at(op.name());
+            self.target.run_lifecycle(&at, op, &self.oracle);
+            self.check_step(op.name(), false);
+        }
     }
 
     /// Everything that must hold after every op; `aligned` when the op
     /// left both engines freshly aligned.
     fn check_step(&mut self, op: &str, aligned: bool) {
         let at = self.at(op);
-        let partition = self.engine.story_partition();
+        let partition = self.target.partition(&at);
         assert_eq!(partition, self.oracle.story_partition(), "{at}: per-source partitions");
-        if aligned {
-            let (got, want) = (self.engine.alignment().unwrap(), self.oracle.alignment().unwrap());
-            assert_eq!(got.global_stories, want.global_stories, "{at}: global stories");
-            assert_eq!(got.story_to_global, want.story_to_global, "{at}: story_to_global");
-            assert_eq!(got.snippet_to_global, want.snippet_to_global, "{at}: snippet_to_global");
-            assert_eq!(got.accepted_pairs, want.accepted_pairs, "{at}: accepted pairs");
-            assert_well_formed(&self.oracle, &at);
-        }
-        for (who, e) in [("engine", &self.engine), ("oracle", &self.oracle)] {
-            e.check_invariants().unwrap_or_else(|err| panic!("{at}: {who}: {err}"));
-        }
-
-        let changed = self.engine.drain_changes();
-        for &id in &changed {
-            match self.engine.story(id) {
-                Some(state) => {
-                    let mut members = state.story.members.clone();
-                    members.sort_unstable();
-                    self.shadow.insert(id, members);
-                }
-                None => {
-                    self.shadow.remove(&id);
+        if let Some(engine) = self.target.engine() {
+            if aligned {
+                let (got, want) = (engine.alignment().unwrap(), self.oracle.alignment().unwrap());
+                assert_eq!(got.global_stories, want.global_stories, "{at}: global stories");
+                assert_eq!(got.story_to_global, want.story_to_global, "{at}: story_to_global");
+                assert_eq!(got.snippet_to_global, want.snippet_to_global, "{at}: snippet_to_global");
+                assert_eq!(got.accepted_pairs, want.accepted_pairs, "{at}: accepted pairs");
+                assert_well_formed(&self.oracle, &at);
+            }
+            engine.check_invariants().unwrap_or_else(|err| panic!("{at}: engine: {err}"));
+            for id in engine.drain_changes() {
+                match engine.story(id) {
+                    Some(state) => {
+                        let mut members = state.story.members.clone();
+                        members.sort_unstable();
+                        self.shadow.insert(id, members);
+                    }
+                    None => {
+                        self.shadow.remove(&id);
+                    }
                 }
             }
+            let patched: Partition =
+                self.shadow.iter().map(|(&id, members)| (id, members.clone())).collect();
+            assert_eq!(patched, partition, "{at}: the change log missed a story");
         }
-        let patched: Vec<(StoryId, Vec<SnippetId>)> =
-            self.shadow.iter().map(|(&id, members)| (id, members.clone())).collect();
-        assert_eq!(patched, partition, "{at}: the change log missed a story");
+        self.oracle.check_invariants().unwrap_or_else(|err| panic!("{at}: oracle: {err}"));
         self.step += 1;
     }
 
     /// The tally, with the case's counters folded in.
     fn finish(mut self) -> Tally {
-        let engine = &self.metrics[0];
-        self.tally.splits += engine.identify_split_total.get();
-        self.tally.accepted += self.engine.alignment().map_or(0, |o| o.accepted_pairs.len());
-        let refine = &mut self.tally.refine[self.case.catalogue];
-        refine[1] += engine.refine_probes_reused_total.get();
-        refine[2] += engine.refine_cohesion_extended_total.get();
+        let at = self.at("the end of the case");
+        self.target.finish(&at, &self.oracle, &mut self.tally);
+        let ingested = self.ingested;
+        self.tally.reloads[1] += self
+            .reloads
+            .iter()
+            .filter(|&&(held, before)| held >= 100 && ingested - before >= 100)
+            .count();
+        self.tally.splits += self.oracle.metrics().identify_split_total.get();
+        if let Some(engine) = self.target.engine() {
+            self.tally.accepted += engine.alignment().map_or(0, |o| o.accepted_pairs.len());
+            let metrics = engine.metrics();
+            let refine = &mut self.tally.refine[self.case.catalogue];
+            refine[1] += metrics.refine_probes_reused_total.get();
+            refine[2] += metrics.refine_cohesion_extended_total.get();
+        }
         self.tally
     }
 }
@@ -345,11 +608,16 @@ pub fn run(cases: u32) -> Option<Tally> {
 /// case seeds (the empty label leaves them as the harness draws them),
 /// so that no two tests run the same case.
 pub fn slice(label: &str, cases: u32, focus: impl Fn(&Case) -> bool) -> Option<Tally> {
+    slice_via(Via::Direct, label, cases, focus)
+}
+
+/// [`slice`] through the target `via` names.
+pub fn slice_via(via: Via, label: &str, cases: u32, focus: impl Fn(&Case) -> bool) -> Option<Tally> {
     let salt = label.bytes().fold(0, |h, b| splitmix64(&mut (h ^ u64::from(b))));
     let mut tally = Tally::default();
     prop::run(cases, |rng| {
         for seed in case_seeds(rng, salt, &focus) {
-            run_case(seed, &mut tally);
+            run_case(seed, via, &mut tally);
         }
     });
     std::env::var_os(prop::REPLAY_ENV).is_none().then_some(tally)
@@ -370,15 +638,16 @@ fn case_seeds(rng: &mut StdRng, salt: u64, focus: impl Fn(&Case) -> bool) -> Vec
 }
 
 /// One seeded op sequence over one drawn corpus and config, added to `tally`.
-fn run_case(seed: u64, tally: &mut Tally) {
+fn run_case(seed: u64, via: Via, tally: &mut Tally) {
     let mut rng = StdRng::seed_from_u64(seed);
     let case = Case::draw(&mut rng);
     let corpus = case.corpus(rng.random());
-    let mut twins = Twins::new(seed, case, case.config(), std::mem::take(tally));
+    let mut twins = Twins::new(seed, case, via, std::mem::take(tally));
+    let process = twins.target.engine().is_some();
 
     // The last source comes on board mid-stream; the first may leave.
     let newcomer = (case.sources > 1).then(|| SourceId::new(case.sources - 1));
-    let mut leaver = (case.sources > 2).then(|| SourceId::new(0));
+    let mut leaver = (case.sources > 2 && process).then(|| SourceId::new(0));
     for s in corpus.sources.iter().filter(|s| Some(s.id) != newcomer) {
         twins.add_source(s);
     }
@@ -411,19 +680,22 @@ fn run_case(seed: u64, tally: &mut Tally) {
             }
             48..=49 => {
                 if let Some(s) = twins.pick(&mut rng) {
-                    let removed = twins.engine.store().snippets_of_doc(s.doc);
-                    twins.remove("remove_document", &removed, |e| e.remove_document(s.doc).unwrap());
+                    twins.remove_doc(s.doc);
                 }
             }
+            // The process-only ops.
+            50..=92 if !process => {}
             50..=51 => {
                 if let Some(s) = twins.pick(&mut rng) {
-                    let remove = |e: &mut StoryPivot| e.remove_snippet(s.id).map(|()| 1).unwrap();
-                    twins.remove("remove_snippet", &[s.id], remove);
+                    let removed = twins.both("remove_snippet", |e| e.remove_snippet(s.id).map(|()| 1).unwrap());
+                    assert_eq!(removed, 1, "{}", twins.at("remove_snippet"));
+                    twins.removed("remove_snippet", &[s.id]);
                 }
             }
             52..=61 => twins.reassign(&mut rng),
             62..=67 => {
                 twins.both("run_maintenance", StoryPivot::run_maintenance);
+                twins.phase.clear();
                 twins.check_step("run_maintenance", false);
             }
             68..=79 => twins.align(),
@@ -431,7 +703,7 @@ fn run_case(seed: u64, tally: &mut Tally) {
             85..=87 => twins.reload(),
             88..=92 => {
                 // Once, and not before there is something to lose.
-                if let Some(source) = leaver.filter(|_| twins.engine.store().len() > 100) {
+                if let Some(source) = leaver.filter(|_| twins.oracle.store().len() > 100) {
                     twins.remove_source(source);
                     stream.retain(|s| s.source != source);
                     late.retain(|s| s.source != source);
@@ -450,13 +722,16 @@ fn run_case(seed: u64, tally: &mut Tally) {
                 }
             }
         }
+        twins.lifecycle();
     }
-    // A leaver whose turn never came leaves before the flush.
-    if let Some(source) = leaver {
-        twins.remove_source(source);
+    if process {
+        // A leaver whose turn never came leaves before the flush.
+        if let Some(source) = leaver {
+            twins.remove_source(source);
+        }
+        // What a pipeline's flush does.
+        twins.align();
+        twins.refine();
     }
-    // What a pipeline's flush does.
-    twins.align();
-    twins.refine();
     *tally = twins.finish();
 }

@@ -1,10 +1,15 @@
-//! End-to-end serving tests: a loopback pivotd server must reach the
-//! same story partition as in-process ingest of the same corpus, BUSY
-//! backpressure must engage (and recover) under a tiny queue, and a
-//! graceful SHUTDOWN must leave a restorable checkpoint.
+//! End-to-end serving tests. Three are slices of the differential
+//! driver (`lockstep`) through an in-process server: after every step
+//! QUERY_STORIES equals the oracle engine's partition, at 1 and 3
+//! shards, across graceful restarts. The rest are what no lockstep
+//! oracle states: BUSY backpressure engages (and recovers) under a tiny
+//! queue, the exposition matches its witnesses, reads bypass the write
+//! queue, pipelined replies keep their order, and SHUTDOWN is idempotent.
 
-use std::path::PathBuf;
+mod lockstep;
 
+use lockstep::served::{exposition_value, Scratch};
+use lockstep::{Deployment, Lifecycle, Via};
 use storypivot::core::config::PivotConfig;
 use storypivot::core::pivot::StoryPivot;
 use storypivot::gen::{CorpusBuilder, GenConfig};
@@ -14,160 +19,45 @@ use storypivot::serve::server::{serve, ServerConfig};
 use storypivot::serve::IngestReply;
 use storypivot::types::{EntityId, Snippet, SnippetId, SourceKind, TermId, Timestamp};
 
-/// The story partition as (story id, sorted member ids), sorted by id —
-/// the serving layer's summaries and the engine's own partition project
-/// onto the same shape.
-type Partition = Vec<(u32, Vec<u32>)>;
-
-fn partition_of_engine(pivot: &StoryPivot) -> Partition {
-    pivot
-        .story_partition()
-        .into_iter()
-        .map(|(id, members)| (id.raw(), members.into_iter().map(|m| m.raw()).collect()))
-        .collect()
-}
-
-/// The union of per-shard in-process engines' partitions.
-fn partition_of_engines(engines: &[StoryPivot]) -> Partition {
-    let mut all: Partition = engines.iter().flat_map(partition_of_engine).collect();
-    all.sort();
-    all
-}
-
-fn partition_of_summaries(summaries: &[storypivot::serve::StorySummary]) -> Partition {
-    let mut out: Partition = summaries
-        .iter()
-        .map(|s| (s.id.raw(), s.members.iter().map(|m| m.raw()).collect()))
-        .collect();
-    out.sort();
-    out
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("storypivot-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A shard only identifies, so its engine's state is a pure function of
-/// the per-source ingest sequence — exactly what the wire adds nothing
-/// to. That makes served-vs-in-process equality exact rather than
-/// approximate, for any shard count.
 fn sharded(shards: usize) -> ServerConfig {
     ServerConfig { shards, ..ServerConfig::default() }
 }
 
-/// An in-process engine holding the corpus' sources under their ids.
-fn twin_of(corpus: &storypivot::gen::Corpus) -> StoryPivot {
-    let mut twin = StoryPivot::new(PivotConfig::default());
-    for source in &corpus.sources {
-        twin.add_source_registered(source.clone()).unwrap();
-    }
-    twin
-}
-
+/// One shard on the drawn config, WAL and checkpoints on; a graceful
+/// restart's shutdown checkpoint restores the oracle's partition, and
+/// METRICS counts every acked ingest.
 #[test]
 fn served_partition_matches_in_process_and_checkpoint_restores() {
-    let corpus = CorpusBuilder::new(
-        GenConfig::default().with_seed(42).with_sources(4).with_target_snippets(300),
-    )
-    .build();
-    let ckpt = scratch_dir("single");
-
-    let cfg = ServerConfig { checkpoint_dir: Some(ckpt.clone()), ..sharded(1) };
-    let handle = serve("127.0.0.1:0", cfg).unwrap();
-    let addr = handle.addr();
-
-    let report = replay(addr, &corpus, &LoadOptions { connections: 1, ..LoadOptions::default() })
-        .unwrap();
-    assert_eq!(report.events as usize, corpus.len());
-
-    // In-process twin: same config, same delivery order.
-    let mut twin = twin_of(&corpus);
-    for snippet in &corpus.snippets {
-        twin.ingest(snippet.clone()).unwrap();
-    }
-
-    let mut client = Client::connect(addr).unwrap();
-    let served = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(served, partition_of_engine(&twin), "served partition must match in-process");
-
-    let text = client.metrics().unwrap();
-    assert_eq!(
-        exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
-        Some(corpus.len() as u64)
-    );
-    assert!(!text.contains("{shard=\"1\"}"), "one shard serves");
-
-    // Graceful shutdown: the ack means drained + checkpointed (a
-    // generation-numbered file written atomically via temp + rename).
-    client.shutdown().unwrap();
-    handle.join();
-    let (restored, generation) =
-        storypivot::core::checkpoint::load_newest(&ckpt, 0, PivotConfig::default())
-            .unwrap()
-            .expect("shutdown must write a shard 0 checkpoint generation");
-    assert!(generation >= 1, "shutdown checkpoint must carry a generation");
-
-    // The drain saves the engine as the last op left it.
-    assert_eq!(
-        partition_of_engine(&restored),
-        partition_of_engine(&twin),
-        "restored checkpoint must match the in-process engine"
-    );
-    let _ = std::fs::remove_dir_all(&ckpt);
+    let served = Via::Served(Deployment::default());
+    let Some(tally) = lockstep::slice_via(served, "served", 1, |_| true) else { return };
+    assert!(tally.served.restarts > 0, "a restart must come back from its checkpoint: {tally:?}");
 }
 
+/// Three shards, one unsharded oracle: per-source identification is
+/// shard-invariant.
 #[test]
 fn sharded_server_matches_sharded_in_process_replica() {
-    let corpus = CorpusBuilder::new(
-        GenConfig::default().with_seed(43).with_sources(6).with_target_snippets(400),
-    )
-    .build();
+    let served = Via::Served(Deployment { shards: 3, ..Deployment::default() });
+    let Some(tally) = lockstep::slice_via(served, "sharded", 1, |c| c.sources >= 4) else { return };
+    assert!(tally.served.restarts > 0 && tally.served.batches > 0, "{tally:?}");
+}
 
-    let shards = 3;
-    let handle = serve("127.0.0.1:0", sharded(shards)).unwrap();
-    let addr = handle.addr();
-
-    // Connections = shards, so lane k (sources ≡ k mod 3) feeds shard k
-    // in exactly per-lane delivery order.
-    let report = replay(
-        addr,
-        &corpus,
-        &LoadOptions { connections: shards, ..LoadOptions::default() },
-    )
-    .unwrap();
-    assert_eq!(report.events as usize, corpus.len());
-
-    // In-process replica of the sharded topology.
-    let mut replicas: Vec<StoryPivot> =
-        (0..shards).map(|_| StoryPivot::new(PivotConfig::default())).collect();
-    for source in &corpus.sources {
-        let shard = source.id.raw() as usize % shards;
-        replicas[shard].add_source_registered(source.clone()).unwrap();
+/// The read snapshot is patched from the engine's change log, not
+/// rebuilt: merges, maintenance splits, document removals and
+/// INGEST_BATCHes must all reach it, a story that left the partition
+/// must be gone from GET_STORY, with about one story patched per
+/// publish, and a graceful restart serves what was being served. (In
+/// this debug build every publish also asserts patched == rebuilt.)
+#[test]
+fn snapshot_patching_follows_merges_splits_removals_batches() {
+    for shards in [1, 3] {
+        let served = Via::Served(Deployment { shards, lifecycle: &[Lifecycle::Restart], ..Deployment::default() });
+        let label = format!("patching {shards} ops");
+        let Some(t) = lockstep::slice_via(served, &label, 1, |c| c.splitting) else { return };
+        let s = &t.served;
+        assert!(t.merges > 0 && t.splits > 0 && t.docs_removed > 0 && s.vanished > 0, "{t:?}");
+        assert!(s.batches > 0 && s.restarts > 0, "{t:?}");
     }
-    for snippet in &corpus.snippets {
-        let shard = snippet.source.raw() as usize % shards;
-        replicas[shard].ingest(snippet.clone()).unwrap();
-    }
-    let expected = partition_of_engines(&replicas);
-
-    let mut client = Client::connect(addr).unwrap();
-    let served = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(served, expected, "sharded served partition must match the sharded replica");
-
-    // Story ids are partitioned by source, so per-source identification
-    // is shard-invariant: every source contributes the same stories it
-    // would in any other topology.
-    let single_sourced: std::collections::BTreeSet<u32> = served
-        .iter()
-        .map(|(id, _)| id / storypivot::core::identify::STORY_ID_STRIDE)
-        .collect();
-    assert!(single_sourced.len() > 1, "multiple sources must own stories");
-
-    client.shutdown().unwrap();
-    handle.join();
 }
 
 #[test]
@@ -247,15 +137,6 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
     handle.join();
 }
 
-/// Pull `name value` (no labels) out of a Prometheus-style exposition.
-fn exposition_value(text: &str, name: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        let rest = rest.strip_prefix(' ')?;
-        rest.trim().parse().ok()
-    })
-}
-
 #[test]
 fn metrics_exposition_matches_in_process_engine() {
     let corpus = CorpusBuilder::new(
@@ -272,9 +153,10 @@ fn metrics_exposition_matches_in_process_engine() {
     assert_eq!(report.events as usize, corpus.len());
 
     // Twin with its own live registry, fed identically.
-    let registry = storypivot::substrate::metrics::Registry::new();
-    let mut twin = twin_of(&corpus);
-    twin.set_metrics(storypivot::core::EngineMetrics::register(&registry));
+    let mut twin = lockstep::twin_of(&PivotConfig::default());
+    for source in &corpus.sources {
+        twin.add_source_registered(source.clone()).unwrap();
+    }
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
     }
@@ -365,7 +247,7 @@ fn exposition_reports_every_shard_number_against_its_witness() {
     )
     .build();
     let shards = 2;
-    let dir = scratch_dir("numbers");
+    let dir = Scratch::new("numbers");
     let cfg = ServerConfig {
         queue_depth: 2,
         worker_delay: std::time::Duration::from_millis(1),
@@ -478,16 +360,15 @@ fn exposition_reports_every_shard_number_against_its_witness() {
 
     client.shutdown().unwrap();
     handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Story ids hold 255 sources: the next ADD_SOURCE is refused where ids
 /// are allocated, before any shard journals it.
 #[test]
 fn the_source_limit_is_refused_before_the_journal() {
-    let dir = scratch_dir("limit");
+    let dir = Scratch::new("limit");
     let cfg = ServerConfig {
-        wal_dir: Some(dir.clone()),
+        wal_dir: Some(dir.to_path_buf()),
         fsync: storypivot::substrate::wal::SyncPolicy::Never,
         ..sharded(2)
     };
@@ -508,7 +389,6 @@ fn the_source_limit_is_refused_before_the_journal() {
 
     client.shutdown().unwrap();
     handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -663,154 +543,4 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
 
     client.shutdown().unwrap();
     handle.join();
-}
-
-/// The read snapshot is patched from the engine's change log, not
-/// rebuilt; every kind of change the wire can cause must reach it, and a
-/// graceful restart must serve what was being served. The oracle is one
-/// unsharded in-process engine, whatever the shard count. (In this debug
-/// build every publish also asserts patched == rebuilt.)
-#[test]
-fn snapshot_patching_follows_merges_splits_removals_batches() {
-    for shards in [1, 3] {
-        patching_then_restart(shards);
-    }
-}
-
-fn patching_then_restart(shards: usize) {
-    use storypivot::serve::{Request, Response};
-    use storypivot::types::{DocId, Error, EventType, SourceId, DAY};
-
-    let corpus = CorpusBuilder::new(
-        GenConfig::default().with_seed(60).with_sources(6).with_target_snippets(900),
-    )
-    .build();
-    let dir = scratch_dir(&format!("patched{shards}"));
-    let cfg = ServerConfig {
-        checkpoint_dir: Some(dir.join("ckpt")),
-        wal_dir: Some(dir.join("wal")),
-        fsync: storypivot::substrate::wal::SyncPolicy::Never,
-        ..sharded(shards)
-    };
-    let handle = serve("127.0.0.1:0", cfg.clone()).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-
-    let registry = storypivot::substrate::metrics::Registry::new();
-    let metrics = storypivot::core::EngineMetrics::register(&registry);
-    let mut twin = twin_of(&corpus);
-    twin.set_metrics(metrics.clone());
-    for source in &corpus.sources {
-        let id = client.add_source(&source.name, source.kind, source.typical_lag).unwrap();
-        assert_eq!(id, source.id);
-    }
-
-    // Two unrelated threads in source 0 and a bridge that merges them;
-    // entity/term/doc/snippet ids far above the generator's.
-    let source0 = SourceId::new(0);
-    let t0 = corpus.snippets[0].timestamp.secs();
-    let crafted = |n: u32, entities: &[u32], terms: &[u32]| {
-        let mut b = Snippet::builder(
-            SnippetId::new(1_000_000 + n),
-            source0,
-            Timestamp::from_secs(t0 + n as i64 * DAY / 4),
-        )
-        .doc(DocId::new(1_000_000 + n))
-        .event_type(EventType::Accident);
-        for &e in entities {
-            b = b.entity(EntityId::new(2_000_000 + e), 1.0);
-        }
-        for &t in terms {
-            b = b.term(TermId::new(2_000_000 + t), 1.0);
-        }
-        b.build()
-    };
-    let mut prologue = Vec::new();
-    for n in 0..3 {
-        prologue.push(crafted(2 * n, &[1, 2], &[10, 11]));
-        prologue.push(crafted(2 * n + 1, &[3, 4], &[12, 13]));
-    }
-    let bridge = crafted(6, &[1, 2, 3, 4], &[10, 11, 12, 13]);
-    prologue.push(bridge.clone());
-    let (left, right) = (prologue[0].id, prologue[1].id);
-
-    let third = corpus.len() / 3;
-    let (first, rest) = corpus.snippets.split_at(third);
-    let (second, last) = rest.split_at(third);
-
-    // Phase 1 — single ingests with merges (the bridge, and the
-    // generator's own).
-    for snippet in prologue.iter().chain(first) {
-        assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
-        twin.ingest(snippet.clone()).unwrap();
-    }
-    assert!(metrics.identify_merge_total.get() >= 1, "no merge");
-    assert_eq!(twin.story_of(left), twin.story_of(right));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-
-    // Phase 2 — the bridge's document goes, and enough events follow on
-    // source 0 for its maintenance pass to split the two threads apart.
-    assert_eq!(client.remove_doc(bridge.doc).unwrap() as usize, twin.remove_document(bridge.doc).unwrap());
-    for snippet in second {
-        assert!(matches!(client.ingest(snippet).unwrap(), IngestReply::Assigned(_)));
-        twin.ingest(snippet.clone()).unwrap();
-    }
-    assert!(metrics.identify_split_total.get() >= 1, "no maintenance split");
-    assert_ne!(twin.story_of(left), twin.story_of(right));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-
-    // Phase 3 — a REMOVE_DOC that empties a story.
-    let (doomed, doc) = twin
-        .story_partition()
-        .into_iter()
-        .find(|(_, m)| m.len() == 1)
-        .map(|(id, m)| (id, twin.store().get(m[0]).expect("member is stored").doc))
-        .expect("some story has a single member");
-    assert!(client.get_story(doomed).is_ok());
-    assert_eq!(client.remove_doc(doc).unwrap() as usize, twin.remove_document(doc).unwrap());
-    assert!(twin.story(doomed).is_none());
-    assert_eq!(
-        client.request(&Request::GetStory(doomed)).unwrap(),
-        Response::from_error(&Error::UnknownStory(doomed)),
-    );
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-
-    // Phase 4 — one INGEST_BATCH, split across the shards.
-    assert_eq!(client.ingest_batch(last.to_vec()).unwrap() as usize, last.len());
-    for snippet in last {
-        twin.ingest(snippet.clone()).unwrap();
-    }
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-
-    // One publish per epoch, each patching a story or two — not the
-    // hundreds a rebuild per publish would touch.
-    let text = client.metrics().unwrap();
-    for shard in 0..shards {
-        let series = |name: &str| {
-            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}"))
-                .unwrap_or_else(|| panic!("missing {name} for shard {shard}"))
-        };
-        let publishes = series("storypivot_shard_snapshot_publish_duration_ns_count");
-        assert_eq!(publishes, series("storypivot_shard_snapshot_epoch"));
-        let patched = series("storypivot_shard_snapshot_stories_patched_total");
-        assert!(patched >= publishes / 2 && patched < 3 * publishes, "{patched} / {publishes}");
-    }
-
-    // Phase 5 — a graceful restart on the same directories serves the
-    // partition that was being served (the twin's, asserted just above):
-    // SHUTDOWN moves no snippet.
-    client.shutdown().unwrap();
-    handle.join();
-    let handle = serve("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-    // ...and its re-seeded snapshot keeps following writes: a late
-    // arrival joins the story it joins in process.
-    let late = crafted(7, &[1, 2], &[10, 11]);
-    let story = twin.ingest(late.clone()).unwrap();
-    assert_eq!(client.ingest(&late).unwrap(), IngestReply::Assigned(story));
-    assert!(client.get_story(story).unwrap().members.contains(&late.id));
-    assert_eq!(partition_of_summaries(&client.query_stories().unwrap()), partition_of_engine(&twin));
-    client.shutdown().unwrap();
-    handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
