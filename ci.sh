@@ -26,9 +26,10 @@ STORYPIVOT_PROP_CASES_MULT=4 cargo test -q --release --test differential
 cargo test -q --release --test kernel_equivalence
 # Fault plans fire in every build, so the supervision (poison) and
 # disk-fault suites run against the release binaries that are benchmarked;
-# so do the driver's served slices (crash, follower, in-process server),
+# so do the driver's served slices (in-process server, crash, follower),
 # which check the partition after every step against the release pivotd.
-cargo test -q --release --test failure_injection --test serve_e2e
+cargo test -q --release --test failure_injection
+cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching
 cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
 
 echo "==> clippy (warnings are errors)"
@@ -81,7 +82,8 @@ doc_check() {
             [[ "$ref" == *[*] || "$ref" == *_ ]] && continue
             for name in $(eval "printf '%s\n' $ref"); do
                 name="${name%_count}" && name="${name%_sum}"
-                grep -qxF "$name" <<< "$series" || { echo "$doc:$n: no such series: $name"; stale=1; }
+                [[ $'\n'"$series"$'\n' == *$'\n'"$name"$'\n'* ]] ||
+                    { echo "$doc:$n: no such series: $name"; stale=1; }
             done
         done < <(grep -noE 'storypivot_[a-z0-9_*]*(\{[a-z0-9_,]*\}[a-z0-9_*]*)*' "$doc")
     done

@@ -9,7 +9,7 @@
 mod lockstep;
 
 use lockstep::served::{exposition_value, Scratch};
-use lockstep::{Deployment, Lifecycle, Via};
+use lockstep::{Deployment, Via};
 use storypivot::core::config::PivotConfig;
 use storypivot::core::pivot::StoryPivot;
 use storypivot::gen::{CorpusBuilder, GenConfig};
@@ -46,18 +46,24 @@ fn sharded_server_matches_sharded_in_process_replica() {
 /// rebuilt: merges, maintenance splits, document removals and
 /// INGEST_BATCHes must all reach it, a story that left the partition
 /// must be gone from GET_STORY, with about one story patched per
-/// publish, and a graceful restart serves what was being served. (In
-/// this debug build every publish also asserts patched == rebuilt.)
+/// publish, and a graceful restart serves what was being served. (Debug
+/// builds also assert patched == rebuilt on every publish.) The two
+/// shard counts run side by side: most of a case is spent waiting on
+/// SHUTDOWN.
 #[test]
 fn snapshot_patching_follows_merges_splits_removals_batches() {
-    for shards in [1, 3] {
-        let served = Via::Served(Deployment { shards, lifecycle: &[Lifecycle::Restart], ..Deployment::default() });
-        let label = format!("patching {shards} ops");
-        let Some(t) = lockstep::slice_via(served, &label, 1, |c| c.splitting) else { return };
-        let s = &t.served;
-        assert!(t.merges > 0 && t.splits > 0 && t.docs_removed > 0 && s.vanished > 0, "{t:?}");
-        assert!(s.batches > 0 && s.restarts > 0, "{t:?}");
-    }
+    std::thread::scope(|scope| {
+        for shards in [1, 3] {
+            scope.spawn(move || {
+                let served = Via::Served(Deployment { shards, ..Deployment::default() });
+                let label = format!("patching {shards} ops");
+                let Some(t) = lockstep::slice_via(served, &label, 1, |c| c.splitting) else { return };
+                let s = &t.served;
+                assert!(t.merges > 0 && t.splits > 0 && t.docs_removed > 0 && s.vanished > 0, "{t:?}");
+                assert!(s.batches > 0 && s.restarts > 0, "{t:?}");
+            });
+        }
+    });
 }
 
 #[test]
