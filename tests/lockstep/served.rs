@@ -219,6 +219,8 @@ pub struct Counts {
     pub rejected: usize,
     pub follower_syncs: usize,
     pub follower_kills: usize,
+    /// Shards held to the patched-per-publish band at a case's end.
+    pub banded: usize,
 }
 
 /// How often a lifecycle op follows a step.
@@ -251,6 +253,12 @@ pub struct Served {
     served: Partition,
     /// Ingests acked since the leader last started.
     acked: u64,
+    /// Per shard, publishes and stories patched, summed over the
+    /// leader's lives that METRICS saw to their end.
+    published: Vec<[u64; 2]>,
+    /// The id the server must grant the next source while no fault plan
+    /// runs: one past the last it granted.
+    next_source: SourceId,
     counts: Counts,
 }
 
@@ -283,6 +291,8 @@ impl Served {
             faulted: plan.faults.is_some(),
             served: Partition::new(),
             acked: 0,
+            published: vec![[0; 2]; plan.shards],
+            next_source: SourceId::new(0),
             counts,
         }
     }
@@ -294,7 +304,7 @@ impl Served {
         loop {
             match send(&mut self.client) {
                 Ok(r) => return (r, rejected),
-                Err(e) if self.plan.faults.is_some() && e.to_string().contains("injected fault") => {
+                Err(e) if self.faulted && e.to_string().contains("injected fault") => {
                     rejected = true;
                     self.counts.rejected += 1;
                     assert!(self.counts.rejected < 10_000, "{at}: the request never landed: {e}");
@@ -305,11 +315,12 @@ impl Served {
     }
 
     /// Stop the leader gracefully: the SHUTDOWN ack means drained and
-    /// checkpointed.
+    /// checkpointed. An in-process server is not joined: its I/O threads
+    /// linger a fixed 120 ms for late clients, and there are none.
     fn shutdown(&mut self, at: &str) {
         ok(at, self.client.shutdown());
         match self.leader.take() {
-            Some(Leader::InProcess(handle)) => handle.join(),
+            Some(Leader::InProcess(_)) => {}
             Some(Leader::Process(daemon)) => daemon.exits_cleanly(at),
             None => unreachable!("a leader runs between lifecycle ops"),
         }
@@ -325,7 +336,7 @@ impl Served {
         self.acked = 0;
     }
 
-    /// Everything METRICS must say of the leader's life so far.
+    /// Everything METRICS must say of the leader's life, which ends here.
     fn check_metrics(&mut self, at: &str) {
         let text = ok(at, self.client.metrics());
         let series = |name: &str, shard: usize| {
@@ -337,15 +348,26 @@ impl Served {
         let ingests: u64 = (0..shards).map(|s| series("storypivot_shard_ingest_latency_ns_count", s)).sum();
         assert_eq!(ingests, self.acked, "{at}: one ingest clock reading per acked ingest");
         for shard in 0..shards {
-            // One publish per epoch; each patches a story or two, not the
-            // hundreds a rebuild per publish would touch.
             let publishes = series("storypivot_shard_snapshot_publish_duration_ns_count", shard);
             assert_eq!(publishes, series("storypivot_shard_snapshot_epoch", shard), "{at}: shard {shard}");
             let patched = series("storypivot_shard_snapshot_stories_patched_total", shard);
-            assert!(
-                publishes < 64 || (patched >= publishes / 2 && patched < 3 * publishes),
-                "{at}: shard {shard} patched {patched} stories in {publishes} publishes"
-            );
+            let sum = &mut self.published[shard];
+            *sum = [sum[0] + publishes, sum[1] + patched];
+        }
+    }
+
+    /// One publish per op patches a story or two, not the hundreds a
+    /// rebuild per publish would touch: checked on every shard with 64
+    /// publishes or more over the case.
+    fn check_band(&mut self, at: &str) {
+        for (shard, &[publishes, patched]) in self.published.iter().enumerate() {
+            if publishes >= 64 {
+                assert!(
+                    patched >= publishes / 2 && patched < 3 * publishes,
+                    "{at}: shard {shard} patched {patched} stories in {publishes} publishes"
+                );
+                self.counts.banded += 1;
+            }
         }
     }
 
@@ -488,9 +510,14 @@ impl Target for Served {
 
     fn add_source(&mut self, at: &str, source: &Source) -> SourceId {
         let (id, _) = self.retry(at, |c| c.add_source(&source.name, source.kind, source.typical_lag));
-        if self.plan.faults.is_none() {
-            assert_eq!(id, source.id, "{at}: the server must grant the next source id");
+        // A rejected registration burns an id; a recovered server grants
+        // one past the last it recovered.
+        if self.faulted {
+            assert!(id >= self.next_source, "{at}: granted {id}, below {}", self.next_source);
+        } else {
+            assert_eq!(id, self.next_source, "{at}: the server must grant the next source id");
         }
+        self.next_source = SourceId::new(id.raw() + 1);
         self.counts.sources_after_crash += usize::from(self.crashed);
         id
     }
@@ -498,7 +525,7 @@ impl Target for Served {
     fn ingest(&mut self, at: &str, wave: &[Snippet]) -> Vec<Reply> {
         // A wave goes as one INGEST_BATCH now and then — never under a
         // fault plan, where a rejected batch may have landed in part.
-        if !wave.is_empty() && self.plan.faults.is_none() && self.side.random_bool(0.3) {
+        if !wave.is_empty() && !self.faulted && self.side.random_bool(0.3) {
             let (n, _) = self.retry(at, |c| c.ingest_batch(wave.to_vec()));
             assert_eq!(n as usize, wave.len(), "{at}: snippets INGEST_BATCH ingested");
             self.acked += u64::from(n);
@@ -566,6 +593,7 @@ impl Target for Served {
             follower.exits_cleanly(at);
         }
         self.check_metrics(at);
+        self.check_band(at);
         // Under the plan a drain's checkpoint may fail: a faulted
         // `pivotd` ends its life by `kill -9`, and comes back whole.
         if self.faulted && self.plan.leader.is_some() {

@@ -45,25 +45,32 @@ fn sharded_server_matches_sharded_in_process_replica() {
 /// The read snapshot is patched from the engine's change log, not
 /// rebuilt: merges, maintenance splits, document removals and
 /// INGEST_BATCHes must all reach it, a story that left the partition
-/// must be gone from GET_STORY, with about one story patched per
-/// publish, and a graceful restart serves what was being served. (Debug
-/// builds also assert patched == rebuilt on every publish.) The two
-/// shard counts run side by side: most of a case is spent waiting on
-/// SHUTDOWN.
+/// must be gone from GET_STORY, and a graceful restart serves what was
+/// being served. (Debug builds also assert patched == rebuilt on every
+/// publish.) At 1 and at 3 shards every shard is held to about one story
+/// patched per publish, so the cases are long and have a source for
+/// each of three shards. The two shard counts run side by side: much of
+/// a case is spent waiting on SHUTDOWN.
 #[test]
 fn snapshot_patching_follows_merges_splits_removals_batches() {
-    std::thread::scope(|scope| {
-        for shards in [1, 3] {
+    let tallies = std::thread::scope(|scope| {
+        let runs = [1, 3].map(|shards| {
             scope.spawn(move || {
                 let served = Via::Served(Deployment { shards, ..Deployment::default() });
-                let label = format!("patching {shards} ops");
-                let Some(t) = lockstep::slice_via(served, &label, 1, |c| c.splitting) else { return };
-                let s = &t.served;
-                assert!(t.merges > 0 && t.splits > 0 && t.docs_removed > 0 && s.vanished > 0, "{t:?}");
-                assert!(s.batches > 0 && s.restarts > 0, "{t:?}");
-            });
-        }
+                let focus = |c: &lockstep::Case| c.splitting && c.sources >= 3 && c.snippets >= 250;
+                let tally = lockstep::slice_via(served, &format!("patching {shards} ops"), 1, focus)?;
+                let s = &tally.served;
+                assert!(s.banded >= shards && s.batches > 0, "{shards} shards: {tally:?}");
+                Some(tally)
+            })
+        });
+        runs.into_iter().map(|run| run.join().unwrap()).collect::<Option<Vec<_>>>()
     });
+    let Some(tallies) = tallies else { return };
+    let sum = |count: fn(&lockstep::Tally) -> usize| tallies.iter().map(count).sum::<usize>();
+    assert!(sum(|t| t.merges) > 0 && sum(|t| t.splits as usize) > 0, "{tallies:?}");
+    assert!(sum(|t| t.docs_removed) > 0 && sum(|t| t.served.vanished) > 0, "{tallies:?}");
+    assert!(sum(|t| t.served.restarts) > 0, "{tallies:?}");
 }
 
 #[test]
