@@ -139,8 +139,12 @@ test -s "$SMOKE_DIR/bench/BENCH_e1.json"
 # for the served workload what an ingest weighs on the wire, in the
 # journal and in a checkpoint (not its busy / shed cells, which depend on
 # scheduling). They repeat exactly whatever the run length, so 3 s of the
-# binary built above is enough; a change that only makes things cheaper
-# must leave every one of them where it was.
+# binary built above is enough. Most of them count what the engine
+# decides, and a change that only makes things cheaper leaves those where
+# they were. The hot cache's hits and misses (the hit ratios here, the
+# hotpath rows above) count work done: a change that skips work moves
+# them, and the gate then requires the new values in data/expected-counts.txt
+# in the same diff, with the reason in CHANGES.md.
 spbench_counts() { # args: workload metric...
     local lines value name workload="$1"
     shift

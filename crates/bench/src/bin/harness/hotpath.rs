@@ -35,8 +35,12 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// disjoint, which are the pairs the engine answers without a merge.
 /// Pruned ÷ disjoint is the filter's recall; a pair counted as pruned
 /// but not disjoint would be a wrong answer, and the pass panics on it.
+/// It also counts the candidate stories (distinct stories among each
+/// probe's candidates, summed): those neither hit nor missed in the cache
+/// are the stories the reachability bound skipped, folded and scored by
+/// neither configuration.
 fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     use storypivot_core::identify::Identifier;
     use storypivot_store::EventStore;
@@ -62,6 +66,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     #[derive(Default)]
     struct Census {
         pairs: u64,
+        candidate_stories: u64,
         entity_disjoint: u64,
         entity_pruned: u64,
         term_disjoint: u64,
@@ -107,10 +112,13 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             store.insert(s.clone()).expect("valid corpus snippet");
             let ident = idents.get_mut(&s.source).expect("registered source");
             if take_census {
+                let mut stories = HashSet::new();
                 for cand in store.window(s.source, s.timestamp, OMEGA) {
-                    if cand.id == s.id || ident.story_of(cand.id).is_none() {
+                    if cand.id == s.id {
                         continue;
                     }
+                    let Some(story) = ident.story_of(cand.id) else { continue };
+                    stories.insert(story);
                     census.pairs += 1;
                     let (disjoint, pruned) = disjointness(s.entities(), cand.entities());
                     census.entity_disjoint += disjoint as u64;
@@ -119,6 +127,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
                     census.term_disjoint += disjoint as u64;
                     census.term_pruned += pruned as u64;
                 }
+                census.candidate_stories += stories.len() as u64;
             }
             let t = Instant::now();
             let (c, h, m) = ident.score_probe(s, &store);
@@ -189,6 +198,8 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             "cache hits",
             "cache misses",
             "hit rate",
+            "candidate stories",
+            "stories skipped",
             "pairs scored",
             "entity-disjoint",
             "entity-pruned",
@@ -216,6 +227,8 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             r.cache_hits.to_string(),
             r.cache_misses.to_string(),
             hit_rate,
+            census.candidate_stories.to_string(),
+            (census.candidate_stories - folds).to_string(),
             r.compared.to_string(),
             census.entity_disjoint.to_string(),
             census.entity_pruned.to_string(),

@@ -85,11 +85,11 @@ struct Slot {
 ///
 /// Entries live in an index-stable slab: once admitted, an entry keeps
 /// its slot index until it is evicted or invalidated. The scoring loop
-/// exploits this — phase 2 resolves each story's entry **once** (one
-/// hash lookup via [`HotStoryCache::get_mut_indexed`] /
-/// [`HotStoryCache::admit`]) and hands the index to the scoring phase,
-/// which reads the folds back with [`HotStoryCache::by_index`] at
-/// array-index cost instead of re-hashing per story per kernel.
+/// exploits this — it resolves each story's entry **once** (one hash
+/// lookup via [`HotStoryCache::get_mut_indexed`] /
+/// [`HotStoryCache::admit`]), folds into it, and reads the fold back
+/// with [`HotStoryCache::by_index`] at array-index cost instead of
+/// re-hashing per kernel.
 #[derive(Debug, Clone)]
 pub struct HotStoryCache {
     capacity: usize,

@@ -95,6 +95,8 @@ pub struct IdentifyDecision {
     pub compared: usize,
     /// Hot-story-cache hits while scoring this snippet (candidate
     /// stories whose windowed fold was reused or merely extended).
+    /// These and the misses count folds, so a candidate story the
+    /// reachability bound skipped counts in neither.
     pub cache_hits: usize,
     /// Hot-story-cache misses (stories folded from scratch, whether
     /// admitted to the cache or accumulated in local scratch).
@@ -189,19 +191,31 @@ fn member_components(
     (uf, pairs)
 }
 
-/// Where a candidate story's windowed fold lives for the current probe.
-/// Phase 2 sets this for every live slot; phase 3 reads the fold back
-/// at array-index cost (no per-story hashing while scoring).
+/// Where the story being scored has its windowed fold: the scoring loop
+/// resolves the cache entry once and reads the fold back at array-index
+/// cost.
 #[derive(Debug, Clone, Copy)]
 enum Fold {
     /// Hot-cache slab index (read with [`HotStoryCache::by_index`]).
     Cached(u32),
-    /// Pooled local scratch buffer index.
-    Local(u32),
+    /// The scratch's local buffer.
+    Local,
 }
 
+/// What [`Identifier::score_probe`] adds to a story's upper bound before
+/// comparing it with what the decision reads: many orders of magnitude
+/// above the few ulps by which the bound's rounding and the exact
+/// score's can differ.
+const SLACK: f64 = 1e-9;
+
+/// A story whose candidates' norms sum to this or more is never skipped:
+/// below it no entry of the fold can round to ∞ (an entry is at most the
+/// sum of the members' weights on its key, each at most its member's
+/// norm), so the exact score is finite and the bound holds for it.
+const FOLD_NORM_LIMIT: f64 = f32::MAX as f64 / 2.0;
+
 /// One candidate story's accumulation state during a probe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Slot {
     story: StoryId,
     /// Best single-pair similarity seen so far.
@@ -209,16 +223,36 @@ struct Slot {
     /// Indices into the probe's candidate list belonging to this story,
     /// in window (fold) order.
     cand_idx: Vec<u32>,
-    /// Fold location; the placeholder is always overwritten in phase 2.
-    fold: Fold,
+    /// OR of the candidates' entity and term signatures: the signatures
+    /// of the story's windowed fold, since `merge_add` ORs them.
+    entity_sig: u64,
+    term_sig: u64,
+    /// Sums of the candidates' entity and term norms ([`FOLD_NORM_LIMIT`]).
+    entity_norms: f64,
+    term_norms: f64,
 }
 
 impl Slot {
     fn reset(&mut self, story: StoryId) {
-        self.story = story;
-        self.pair = 0.0;
-        self.cand_idx.clear();
-        self.fold = Fold::Local(0);
+        let mut cand_idx = std::mem::take(&mut self.cand_idx);
+        cand_idx.clear();
+        *self = Slot {
+            story,
+            cand_idx,
+            ..Slot::default()
+        };
+    }
+
+    /// Add the candidate at `ci`, scored `pair` against the probe.
+    fn add(&mut self, ci: usize, cand: &Snippet, pair: f64) {
+        if pair > self.pair {
+            self.pair = pair;
+        }
+        self.cand_idx.push(ci as u32);
+        self.entity_sig |= cand.entities().sig();
+        self.term_sig |= cand.terms().sig();
+        self.entity_norms += cand.entities().norm();
+        self.term_norms += cand.terms().norm();
     }
 }
 
@@ -239,15 +273,14 @@ struct ScoreScratch {
     /// Slot pool; only `slots[..live]` belong to the current probe.
     slots: Vec<Slot>,
     live: usize,
-    /// Pool of fold buffers for stories that could not use the cache.
-    locals: Vec<CacheEntry>,
-    live_locals: usize,
+    /// Fold buffer for a story that could not use the cache.
+    local: CacheEntry,
     /// `(story, blended score)`: the best-scoring story first, then
     /// the stories reaching `merge_threshold` in rank order — all
     /// [`Identifier::decide`] reads.
     ranked: Vec<(StoryId, f64)>,
-    /// The probe's entity and term tables (phases 1 and 3), lent to
-    /// maintenance's member scans between probes.
+    /// The probe's entity and term tables, lent to maintenance's member
+    /// scans between probes.
     tables: ProbeTables,
 }
 
@@ -261,13 +294,11 @@ impl ScoreScratch {
             self.probe = 1;
         }
         self.live = 0;
-        self.live_locals = 0;
     }
 
     /// Index of the slot for `story` (id offset `off` from the source's
     /// story-id base), acquiring one from the pool on first sight.
-    /// Slots are issued in first-seen order, exactly as the hash-map
-    /// entry API this replaces.
+    /// Slots are issued in first-seen order.
     fn slot(&mut self, story: StoryId, off: usize) -> usize {
         if off >= self.stamp.len() {
             self.stamp.resize(off + 1, 0);
@@ -279,15 +310,9 @@ impl ScoreScratch {
         let si = self.live;
         self.live += 1;
         if si == self.slots.len() {
-            self.slots.push(Slot {
-                story,
-                pair: 0.0,
-                cand_idx: Vec::new(),
-                fold: Fold::Local(0),
-            });
-        } else {
-            self.slots[si].reset(story);
+            self.slots.push(Slot::default());
         }
+        self.slots[si].reset(story);
         self.stamp[off] = self.probe;
         self.si_of[off] = si as u32;
         si
@@ -431,8 +456,7 @@ impl Identifier {
             + mem::vec_bytes(&s.si_of)
             + mem::vec_bytes(&s.slots)
             + s.slots.iter().map(|slot| mem::vec_bytes(&slot.cand_idx)).sum::<usize>()
-            + mem::vec_bytes(&s.locals)
-            + s.locals.iter().map(CacheEntry::heap_bytes).sum::<usize>()
+            + s.local.heap_bytes()
             + mem::vec_bytes(&s.ranked)
             + s.tables.heap_bytes();
         [
@@ -505,22 +529,42 @@ impl Identifier {
     /// when due (its effect is visible through the story table, not the
     /// returned decision).
     pub fn assign(&mut self, snippet: &Snippet, store: &EventStore) -> IdentifyDecision {
-        let (compared, cache_hits, cache_misses) = self.score_probe(snippet, store);
+        self.assign_with(snippet, store, true)
+    }
+
+    /// [`Identifier::assign`]; with `skip` false every candidate story is
+    /// folded and scored, the reachability bound unused (how
+    /// [`crate::StoryPivot::ingest_reference`] identifies). The decision
+    /// is the same either way, to the bit, except the cache counts.
+    pub(crate) fn assign_with(
+        &mut self,
+        snippet: &Snippet,
+        store: &EventStore,
+        skip: bool,
+    ) -> IdentifyDecision {
+        let (compared, cache_hits, cache_misses) = self.score(snippet, store, skip);
         self.decide(snippet, compared, cache_hits, cache_misses)
     }
 
     /// The scoring phases of [`Identifier::assign`]: score `snippet`
-    /// against every candidate story and leave the ranked `(story,
-    /// score)` list in the internal scratch. Mutates only the hot-story
-    /// cache (folds, admissions, LFU popularity) — never assignments or
-    /// the story table — so running it without the subsequent decision
-    /// is harmless, and running it twice makes the second pass a
-    /// guaranteed cache hit. Returns `(compared, cache_hits,
-    /// cache_misses)`.
+    /// against every candidate story that can reach the decision and
+    /// leave the ranked `(story, score)` list in the internal scratch.
+    /// Mutates only the hot-story cache (folds, admissions, LFU
+    /// popularity) — never assignments or the story table — so running
+    /// it without the subsequent decision is harmless, and running it
+    /// twice makes the second pass a guaranteed cache hit. Returns
+    /// `(compared, cache_hits, cache_misses)`; a story the bound skips
+    /// counts in neither of the last two.
     ///
     /// Public so the benchmark harness can time the similarity hot path
     /// in isolation.
     pub fn score_probe(&mut self, snippet: &Snippet, store: &EventStore) -> (usize, usize, usize) {
+        self.score(snippet, store, true)
+    }
+
+    /// [`Identifier::score_probe`], skipping unreachable stories only
+    /// when `skip`.
+    fn score(&mut self, snippet: &Snippet, store: &EventStore, skip: bool) -> (usize, usize, usize) {
         debug_assert_eq!(snippet.source, self.source);
 
         // ---- phase 1: pair scoring, group candidates by story ----------
@@ -553,125 +597,150 @@ impl Identifier {
             let s = scorer.score(&cand.content);
             let off = story.raw().wrapping_sub(id_base) as usize;
             let si = self.scratch.slot(story, off);
-            let slot = &mut self.scratch.slots[si];
-            if s > slot.pair {
-                slot.pair = s;
-            }
-            slot.cand_idx.push(ci as u32);
+            self.scratch.slots[si].add(ci, cand, s);
         }
 
-        // ---- phase 2: bring each story's windowed fold current ---------
+        // ---- phase 2: fold and score the stories that can be read -------
+        //
+        // `decide` reads the best story and the stories at or above
+        // `merge_threshold`, nothing else. A story scores at most its
+        // bound: its exact pair term blended with the probe's bounds on
+        // the cosines against the fold's signatures
+        // (`ProbeScorer::{entity,term}_bound`). A story whose bound falls
+        // short of both `merge_threshold` and an exact score already seen
+        // can be neither merged nor the head, so it is neither folded nor
+        // scored, and the cut below ranks what scoring every story would
+        // have. The best pair's story goes first, so a high score comes
+        // early; the rest follow in first-seen order. A story is skipped
+        // only when everything the argument rests on is finite: weights
+        // are unchecked client input, a NaN score ranks first on some
+        // targets, and a NaN bound skips nothing.
         //
         // The fold (sum of the story's windowed members' vectors) is the
         // expensive part; hot stories are served from the cache, which
         // only has to extend the fold by the members that newly entered
-        // the window. Everything else is refolded into pooled scratch.
+        // the window. Everything else is refolded into local scratch.
+        let (w, pair_blend) = (&self.cfg.weights, self.cfg.pair_blend);
+        let merge_threshold = self.cfg.merge_threshold;
+        // The bound is an upper bound on the score only under
+        // non-negative weights and a blend in [0, 1]: what config
+        // validation requires and `Identifier::new` does not check.
+        let skip = skip
+            && scorer.bounds_hold()
+            && w.entity >= 0.0
+            && w.term >= 0.0
+            && w.event >= 0.0
+            && (0.0..=1.0).contains(&pair_blend);
         let mut cache_hits = 0usize;
         let mut cache_misses = 0usize;
-        {
-            let ScoreScratch {
-                stamp,
-                probe,
-                slots,
-                live,
-                locals,
-                live_locals,
-                ..
-            } = &mut self.scratch;
-            // A story is part of the current probe iff its stamp slot
-            // carries this probe's stamp — the sparse-set equivalent of
-            // the old `slot_of.contains_key`.
-            let in_probe = |s: StoryId| {
-                let off = s.raw().wrapping_sub(id_base) as usize;
-                stamp.get(off).is_some_and(|&st| st == *probe)
+        let ScoreScratch {
+            stamp,
+            probe,
+            slots,
+            live,
+            local,
+            ranked,
+            ..
+        } = &mut self.scratch;
+        let slots = &slots[..*live];
+        let top = (0..slots.len()).reduce(|a, b| if slots[b].pair > slots[a].pair { b } else { a });
+        let order = top.into_iter().chain((0..slots.len()).filter(|&si| Some(si) != top));
+        // A story is part of the current probe iff its stamp slot
+        // carries this probe's stamp; the cache evicts none of them.
+        let in_probe = |s: StoryId| {
+            let off = s.raw().wrapping_sub(id_base) as usize;
+            stamp.get(off).is_some_and(|&st| st == *probe)
+        };
+        let mut best = f64::NEG_INFINITY;
+        ranked.clear();
+        let affinity = |story: StoryId| {
+            let dominant = self.stories.get(&story).map(|s| s.dominant_event_type());
+            snippet.content.event_type.affinity(dominant.unwrap_or(snippet.content.event_type))
+        };
+        for si in order {
+            let slot = &slots[si];
+            let score = |entity: f64, term: f64, event: f64| {
+                pair_blend * slot.pair + (1.0 - pair_blend) * w.blend(entity, term, event)
             };
-            for slot in &mut slots[..*live] {
-                if let Some((idx, entry)) = self.cache.get_mut_indexed(slot.story) {
-                    let is_prefix = entry.members.len() <= slot.cand_idx.len()
-                        && entry
-                            .members
-                            .iter()
-                            .zip(&slot.cand_idx)
-                            .all(|(&m, &ci)| m == candidates[ci as usize].id);
-                    if is_prefix {
-                        // Exact hit or trailing-edge growth: fold only
-                        // the members beyond the cached list.
-                        let cached = entry.members.len();
-                        fold_members(entry, &candidates, &slot.cand_idx[cached..]);
-                        entry.uses += 1;
-                        cache_hits += 1;
-                    } else {
-                        // Window slid or membership changed: refold in
-                        // place, keeping the entry's LFU popularity.
-                        let uses = entry.uses;
-                        entry.reset();
-                        entry.uses = uses + 1;
-                        fold_members(entry, &candidates, &slot.cand_idx);
-                        cache_misses += 1;
-                    }
-                    slot.fold = Fold::Cached(idx);
-                    continue;
+            let (entity, term) = (scorer.entity_bound(slot.entity_sig), scorer.term_bound(slot.term_sig));
+            let unreachable = |bound: f64| {
+                bound.is_finite() && bound + SLACK < merge_threshold && bound + SLACK < best
+            };
+            // The bound at the largest affinity, 1, rules most stories
+            // out before their dominant type is looked up.
+            if skip
+                && slot.entity_norms < FOLD_NORM_LIMIT
+                && slot.term_norms < FOLD_NORM_LIMIT
+                && (unreachable(score(entity, term, 1.0))
+                    || unreachable(score(entity, term, affinity(slot.story))))
+            {
+                // Debug builds score the skipped story anyway, folded
+                // outside the cache so its state matches release's.
+                #[cfg(debug_assertions)]
+                {
+                    let type_affinity = affinity(slot.story);
+                    let bound = score(entity, term, type_affinity);
+                    local.reset();
+                    fold_members(local, &candidates, &slot.cand_idx);
+                    let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
+                    let exact = score(e, t, type_affinity);
+                    assert!(
+                        exact <= bound + SLACK,
+                        "story {} scores {exact}, above its bound {bound}",
+                        slot.story
+                    );
                 }
-                if let Some((idx, entry)) = self.cache.admit(slot.story, &in_probe) {
-                    entry.uses = 1;
+                continue;
+            }
+            let fold = if let Some((idx, entry)) = self.cache.get_mut_indexed(slot.story) {
+                let is_prefix = entry.members.len() <= slot.cand_idx.len()
+                    && entry
+                        .members
+                        .iter()
+                        .zip(&slot.cand_idx)
+                        .all(|(&m, &ci)| m == candidates[ci as usize].id);
+                if is_prefix {
+                    // Exact hit or trailing-edge growth: fold only the
+                    // members beyond the cached list.
+                    let cached = entry.members.len();
+                    fold_members(entry, &candidates, &slot.cand_idx[cached..]);
+                    entry.uses += 1;
+                    cache_hits += 1;
+                } else {
+                    // Window slid or membership changed: refold in place,
+                    // keeping the entry's LFU popularity.
+                    let uses = entry.uses;
+                    entry.reset();
+                    entry.uses = uses + 1;
                     fold_members(entry, &candidates, &slot.cand_idx);
                     cache_misses += 1;
-                    slot.fold = Fold::Cached(idx);
-                    continue;
                 }
-                // Cache disabled or full of protected entries: fold into
-                // a pooled local buffer. Bit-identical either way.
-                let li = *live_locals;
-                *live_locals += 1;
-                if li == locals.len() {
-                    locals.push(CacheEntry::default());
-                }
-                locals[li].reset();
-                fold_members(&mut locals[li], &candidates, &slot.cand_idx);
+                Fold::Cached(idx)
+            } else if let Some((idx, entry)) = self.cache.admit(slot.story, &in_probe) {
+                entry.uses = 1;
+                fold_members(entry, &candidates, &slot.cand_idx);
                 cache_misses += 1;
-                slot.fold = Fold::Local(li as u32);
+                Fold::Cached(idx)
+            } else {
+                // Cache disabled or full of protected entries: fold into
+                // the local buffer. Bit-identical either way.
+                local.reset();
+                fold_members(local, &candidates, &slot.cand_idx);
+                cache_misses += 1;
+                Fold::Local
+            };
+            let fold = match fold {
+                Fold::Cached(idx) => self.cache.by_index(idx),
+                Fold::Local => &*local,
+            };
+            let (e, t) = (scorer.entity_cosine(&fold.entities), scorer.term_cosine(&fold.terms));
+            let s = score(e, t, affinity(slot.story));
+            if s > best {
+                best = s;
             }
+            ranked.push((slot.story, s));
         }
-
-        // ---- phase 3: score the probe against each fold, rank stories --
-        //
-        // A fold's signature is the OR of its members' (`merge_add`), so
-        // a probe sharing no entity, or no term, with a story's whole
-        // window is answered from the two inline signatures; any other
-        // fold is walked once against the probe's tables.
-        {
-            let ScoreScratch {
-                slots,
-                live,
-                locals,
-                ranked,
-                ..
-            } = &mut self.scratch;
-            let cache = &self.cache;
-            let w = &self.cfg.weights;
-            ranked.clear();
-            for slot in &slots[..*live] {
-                let fold = match slot.fold {
-                    Fold::Local(li) => &locals[li as usize],
-                    Fold::Cached(ci) => cache.by_index(ci),
-                };
-                let type_affinity = snippet.content.event_type.affinity(
-                    self.stories
-                        .get(&slot.story)
-                        .map(|s| s.dominant_event_type())
-                        .unwrap_or(snippet.content.event_type),
-                );
-                let centroid = (w.entity * scorer.entity_cosine(&fold.entities)
-                    + w.term * scorer.term_cosine(&fold.terms)
-                    + w.event * type_affinity)
-                    / w.total();
-                ranked.push((
-                    slot.story,
-                    self.cfg.pair_blend * slot.pair + (1.0 - self.cfg.pair_blend) * centroid,
-                ));
-            }
-            rank_for_decision(ranked, self.cfg.merge_threshold);
-        }
+        rank_for_decision(ranked, merge_threshold);
         drop(scorer);
         self.scratch.tables = tables;
         (compared, cache_hits, cache_misses)
@@ -1240,24 +1309,67 @@ mod tests {
         let probe = snip(4, 0, &[1, 2, 3, 4, 5, 6], &[10, 12, 13, 14, 15]);
         st.insert(probe.clone()).unwrap();
 
-        // The reference ranks with no cut — every score reaches −∞, so
-        // the whole list is kept and sorted — and decides on that.
+        // The reference scores every story and ranks with no cut — every
+        // score reaches −∞, so the whole list is kept and sorted — and
+        // decides on that.
         let mut reference = id.clone();
         let merge_threshold = reference.cfg.merge_threshold;
         reference.cfg.merge_threshold = f64::NEG_INFINITY;
-        let (compared, hits, misses) = reference.score_probe(&probe, &st);
+        let (compared, hits, misses) = reference.score(&probe, &st, false);
         reference.cfg.merge_threshold = merge_threshold;
         let full = reference.scratch.ranked.clone();
         assert_eq!(full.iter().map(|&(s, _)| s).collect::<Vec<_>>(), vec![b, c, a, d]);
         assert_eq!(full[0].1.to_bits(), full[1].1.to_bits(), "b and c must tie");
         assert!(full[2].1 >= merge_threshold && full[3].1 < merge_threshold);
         let expected = reference.decide(&probe, compared, hits, misses);
+        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 1), "the reference folds all four");
 
+        // d's bound is below the threshold and b's score: never folded.
         let got = id.assign(&probe, &st);
         assert_eq!(id.scratch.ranked, full[..3], "the cut drops d only");
-        assert_eq!(got, expected);
+        assert_eq!((got.cache_hits, got.cache_misses), (3, 0), "d is skipped");
+        let folds = |d: &IdentifyDecision| IdentifyDecision { cache_hits: 0, cache_misses: 0, ..d.clone() };
+        assert_eq!(folds(&got), folds(&expected));
         assert_eq!(got.story, b);
         assert_eq!(got.merged, vec![c, a], "rank order: the tie by id, then the lower score");
+        assert_eq!(partition(&id), partition(&reference));
+    }
+
+    #[test]
+    fn an_overflowing_fold_is_scored_not_skipped() {
+        use storypivot_types::kernel::key_bit;
+        let (t, u) = (TermId::new(10), TermId::new(11));
+        assert_ne!(key_bit(t), key_bit(u), "the two terms must sit on different bits");
+        let weighted = |id: u32, entity: u32, terms: &[(TermId, f32)]| {
+            let at = Timestamp::from_secs(0);
+            let mut b = Snippet::builder(SnippetId::new(id), SourceId::new(0), at)
+                .event_type(EventType::Accident)
+                .entity(EntityId::new(entity), 1.0);
+            for &(term, w) in terms {
+                b = b.term(term, w);
+            }
+            b.build()
+        };
+        let mut st = store();
+        let mut id = ident(MatchMode::Complete);
+        // A story the probe matches well (entity 1, term u)...
+        let good = ingest(&mut st, &mut id, weighted(0, 1, &[(u, 1.0)])).story;
+        ingest(&mut st, &mut id, weighted(1, 1, &[(u, 1.0)]));
+        // ...and one whose fold overflows: f32::MAX + f32::MAX on t.
+        let huge = ingest(&mut st, &mut id, weighted(2, 7, &[(t, f32::MAX)])).story;
+        ingest(&mut st, &mut id, weighted(3, 7, &[(t, f32::MAX)]));
+        assert_eq!(id.story_count(), 2);
+        // The probe's weight on t is a hundredth of its term norm, so its
+        // bound against the huge story is ≈ 0.1, far under `good`'s
+        // score; yet its exact score is ∞ / ∞ = NaN.
+        let probe = weighted(4, 1, &[(t, 1.0), (u, 100.0)]);
+        st.insert(probe.clone()).unwrap();
+
+        let mut reference = id.clone();
+        let want = reference.assign_with(&probe, &st, false);
+        let got = id.assign(&probe, &st);
+        assert_eq!(got, want, "the same decision and the same folds");
+        assert_eq!((got.story, got.cache_hits + got.cache_misses), (good, 2), "{huge} is folded");
         assert_eq!(partition(&id), partition(&reference));
     }
 

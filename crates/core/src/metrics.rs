@@ -38,6 +38,8 @@ pub struct EngineMetrics {
     pub identify_split_total: Counter,
     /// `storypivot_story_cache_hits_total` — hot-story-cache hits
     /// (candidate stories whose windowed fold was reused or extended).
+    /// Hits and misses count folds: a candidate story the reachability
+    /// bound skipped counts in neither.
     pub story_cache_hits_total: Counter,
     /// `storypivot_story_cache_misses_total` — hot-story-cache misses
     /// (candidate stories folded from scratch).
@@ -131,11 +133,11 @@ impl EngineMetrics {
             ),
             story_cache_hits_total: registry.counter(
                 "storypivot_story_cache_hits_total",
-                "Hot-story-cache hits during identification scoring.",
+                "Hot-story-cache hits during identification scoring (stories folded by extending a cached fold; stories the reachability bound skipped count in neither hits nor misses).",
             ),
             story_cache_misses_total: registry.counter(
                 "storypivot_story_cache_misses_total",
-                "Hot-story-cache misses during identification scoring.",
+                "Hot-story-cache misses during identification scoring (stories folded from scratch; stories the reachability bound skipped count in neither hits nor misses).",
             ),
             maintenance_runs_total: registry.counter(
                 "storypivot_maintenance_runs_total",

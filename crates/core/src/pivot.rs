@@ -266,8 +266,9 @@ impl StoryPivot {
         self.ingest_with(snippet, false)
     }
 
-    /// [`StoryPivot::ingest_detailed`] with the maintenance pass it may
-    /// trigger run as the sweep over every story
+    /// [`StoryPivot::ingest_detailed`] scoring every candidate story (no
+    /// reachability bound), with the maintenance pass it may trigger run
+    /// as the sweep over every story
     /// ([`Identifier::maintain_reference`]); how the oracle engine of
     /// `tests/differential.rs` ingests.
     #[doc(hidden)]
@@ -284,7 +285,7 @@ impl StoryPivot {
         self.store.insert(snippet)?;
         let snippet = self.store.get(id).expect("inserted on the line above");
         let timer = self.metrics.identify_duration.start();
-        let decision = ident.assign(snippet, &self.store);
+        let decision = ident.assign_with(snippet, &self.store, !reference);
         drop(timer);
         Self::record_decision(&self.metrics, &mut self.touched, &decision);
         if ident.maintenance_due() {

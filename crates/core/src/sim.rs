@@ -51,7 +51,7 @@ impl SimWeights {
     /// The score of three component similarities: their weighted sum
     /// over the weight total.
     #[inline]
-    fn blend(&self, entity: f64, term: f64, event: f64) -> f64 {
+    pub(crate) fn blend(&self, entity: f64, term: f64, event: f64) -> f64 {
         (self.entity * entity + self.term * term + self.event * event) / self.total()
     }
 
@@ -150,6 +150,29 @@ impl ProbeScorer<'_> {
     #[inline]
     pub fn term_cosine(&self, other: &SparseVec<TermId>) -> f64 {
         self.content.terms.cosine_table(&self.terms, other)
+    }
+
+    /// An upper bound on [`ProbeScorer::entity_cosine`] against any
+    /// vector whose key signature is `sig`
+    /// ([`storypivot_types::kernel::BoundProbe::cosine_bound`]).
+    #[inline]
+    pub(crate) fn entity_bound(&self, sig: u64) -> f64 {
+        self.entities.cosine_bound(sig)
+    }
+
+    /// An upper bound on [`ProbeScorer::term_cosine`] against any vector
+    /// whose key signature is `sig`.
+    #[inline]
+    pub(crate) fn term_bound(&self, sig: u64) -> f64 {
+        self.terms.cosine_bound(sig)
+    }
+
+    /// Whether the probe's entity and term norms are both finite and
+    /// positive: the bounds are to be trusted only then.
+    #[inline]
+    pub(crate) fn bounds_hold(&self) -> bool {
+        let ok = |n: f64| n.is_finite() && n > 0.0;
+        ok(self.content.entities.norm()) && ok(self.content.terms.norm())
     }
 }
 

@@ -127,11 +127,13 @@ impl ShardWorker {
     /// WAL tail. An op that panics during replay earns a strike; at two
     /// strikes it is dead-lettered, and the replay restarts without it.
     /// Terminates: every restart either quarantines an op or arms its
-    /// second strike.
+    /// second strike. The records replayed are the ops since the
+    /// checkpoint, as a follower's applied records are.
     pub(super) fn rebuild(&mut self) {
         self.trace.push("rebuild", "");
         loop {
             let mut engine = self.engine_from_checkpoint();
+            let mut replayed = 0u64;
             let records = match &self.wal_path {
                 Some(path) => match wal::scan(path) {
                     Ok(scan) => scan.records,
@@ -158,16 +160,16 @@ impl ShardWorker {
                 if self.quarantine.contains(&fp) {
                     continue;
                 }
-                let replayed = catch_unwind(AssertUnwindSafe(|| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
                     poison_check(&self.poison, &op);
                     oplog::replay(&mut engine, &op)
                 }));
-                match replayed {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(e)) => eprintln!(
-                        "pivotd: shard {}: replay error (op skipped): {e}",
-                        self.idx
-                    ),
+                match outcome {
+                    Ok(Ok(_)) => replayed += 1,
+                    Ok(Err(e)) => {
+                        replayed += 1;
+                        eprintln!("pivotd: shard {}: replay error (op skipped): {e}", self.idx)
+                    }
                     Err(_) => {
                         self.serve_metrics.restarts.inc();
                         let strikes = self.strikes.entry(fp).or_insert(0);
@@ -183,6 +185,7 @@ impl ShardWorker {
             if !repanicked {
                 // Readers must see the rebuilt partition, not the
                 // pre-panic (or pre-recovery empty) one.
+                self.ops_since_checkpoint = replayed;
                 self.install_engine(engine);
                 return;
             }

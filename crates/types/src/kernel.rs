@@ -18,7 +18,9 @@
 //! One probe scored against many candidates need not merge at all: a
 //! [`ProbeTable`] holds the probe's entries for lookup, and
 //! [`dot_table`] / [`cosine_table`] walk the candidate alone, to the
-//! same bits as [`dot`] / [`cosine`].
+//! same bits as [`dot`] / [`cosine`]. It also holds the probe's squared
+//! weight per signature bit, from which [`BoundProbe::cosine_bound`]
+//! bounds the cosine against any vector by its signature alone.
 
 use std::fmt::Debug;
 
@@ -167,7 +169,8 @@ fn vacant(i: usize, shift: u32) -> (u32, f32) {
 /// A caller-owned lookup table of one probe vector's entries, for
 /// scoring that probe against many candidates by walking each candidate
 /// alone instead of merging the two lists ([`ProbeTable::bind`],
-/// [`dot_table`], [`cosine_table`]).
+/// [`dot_table`], [`cosine_table`]), and for bounding those scores from
+/// a signature ([`BoundProbe::cosine_bound`]).
 ///
 /// **Layout.** A direct-mapped power-of-two array of `(key hash, probe
 /// weight)` slots, a key's slot being the top bits of its [`key_hash`]
@@ -195,13 +198,36 @@ fn vacant(i: usize, shift: u32) -> (u32, f32) {
 /// form: its denominator sums both sides' unmatched weights, interleaved
 /// with the matches and then the two tails separately, which no walk of
 /// one side reproduces.
-#[derive(Debug, Clone, Default)]
+///
+/// **The bound.** Beside the slots, a bind records the probe's squared
+/// weight per signature bit (`mass`, 64 `f64`, refilled by every bind
+/// whether or not the entries fit the slots). Every key two vectors share
+/// sets its [`key_bit`] in both signatures, so the mass on `sig(p) &
+/// sig(c)` is at least `‖p_S‖²`, the probe's squared weight on the shared
+/// keys `S`, however many other keys collide on those bits. By
+/// Cauchy–Schwarz `dot(p, c) ≤ ‖p_S‖ · ‖c‖`, so `cosine(p, c) ≤ ‖p_S‖ /
+/// ‖p‖` ([`BoundProbe::cosine_bound`]) — for every `c` with that
+/// signature, whatever its weights.
+#[derive(Debug, Clone)]
 pub struct ProbeTable {
     /// Slot `i` holds a probe entry iff its hash's top bits are `i`,
     /// and [`vacant`]'s marker otherwise.
     slots: Vec<(u32, f32)>,
     /// `32 − log2(slots.len())`: a hash's slot is `hash >> shift`.
     shift: u32,
+    /// `mass[b]`: the bound probe's `Σ w²` over its keys on signature
+    /// bit `b`.
+    mass: [f64; 64],
+}
+
+impl Default for ProbeTable {
+    fn default() -> Self {
+        ProbeTable {
+            slots: Vec::new(),
+            shift: 0,
+            mass: [0.0; 64],
+        }
+    }
 }
 
 impl ProbeTable {
@@ -209,10 +235,16 @@ impl ProbeTable {
     /// and return the guard that scores against them and vacates their
     /// slots when dropped.
     pub fn bind<'t, K: Copy + Into<u32>>(&'t mut self, probe: &'t [(K, f32)]) -> BoundProbe<'t, K> {
+        self.mass = [0.0; 64];
+        for &(k, w) in probe {
+            self.mass[(key_hash(k) >> 26) as usize] += w as f64 * w as f64;
+        }
         let in_table = self.fill(probe);
         BoundProbe {
             table: self,
             probe,
+            sig: sig(probe),
+            norm: norm(probe),
             in_table,
         }
     }
@@ -297,6 +329,9 @@ impl ProbeTable {
 pub struct BoundProbe<'t, K: Copy + Into<u32>> {
     table: &'t mut ProbeTable,
     probe: &'t [(K, f32)],
+    /// The probe's [`sig`] and [`norm`] (what `SparseVec` caches).
+    sig: u64,
+    norm: f64,
     /// Whether the entries are in the table; if not, scoring merges.
     in_table: bool,
 }
@@ -311,6 +346,24 @@ impl<'t, K: Copy + Into<u32>> BoundProbe<'t, K> {
     /// from the merge).
     pub fn in_table(&self) -> bool {
         self.in_table
+    }
+
+    /// An upper bound on the probe's [`cosine`] against any vector whose
+    /// key signature is `sig`: `sqrt(Σ mass[b] over b ∈ sig(p) & sig) /
+    /// ‖p‖` ([`ProbeTable`] has the argument). It holds up to rounding,
+    /// so a caller compares it with a slack. An empty probe gives NaN
+    /// (`0 / 0`), and an infinite probe weight a bound over an overflowed
+    /// norm: trust it only when it is finite and the probe's norm is
+    /// finite and positive.
+    #[inline]
+    pub fn cosine_bound(&self, sig: u64) -> f64 {
+        let mut shared = self.sig & sig;
+        let mut mass = 0f64;
+        while shared != 0 {
+            mass += self.table.mass[shared.trailing_zeros() as usize];
+            shared &= shared - 1;
+        }
+        mass.sqrt() / self.norm
     }
 }
 

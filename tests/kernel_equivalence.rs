@@ -16,7 +16,9 @@
 //! kernels return, to the bit. A fourth holds the probe tables
 //! (`kernel::ProbeTable`) to the merge and the naive reference, to the
 //! bit, through growth, the fallback past the slot cap, extreme weights
-//! and ten thousand binds of one table.
+//! and ten thousand binds of one table. A fifth holds the tables' cosine
+//! bound (`BoundProbe::cosine_bound`) above the cosine wherever
+//! identification would skip on it.
 
 use std::collections::BTreeSet;
 
@@ -543,4 +545,122 @@ fn probe_table_cosine_is_the_merge_bit_for_bit() {
             "colliding probes grow it to the cap"
         );
     }
+}
+
+// ---- the cosine bound ---------------------------------------------------------
+
+/// What identification adds to a story's bound before skipping on it
+/// (`SLACK` in `crates/core/src/identify.rs`).
+const SLACK: f64 = 1e-9;
+
+/// Whether identification would trust the bound for this pair: a finite
+/// bound, a probe norm that is finite and positive, and an other side
+/// whose norm (a fold's: at most its members' norms summed) is under
+/// `f32::MAX / 2`.
+fn skippable(bound: f64, probe: &SparseVec<u32>, other: &SparseVec<u32>) -> bool {
+    bound.is_finite()
+        && probe.norm().is_finite()
+        && probe.norm() > 0.0
+        && other.norm() < f32::MAX as f64 / 2.0
+}
+
+/// Like `weighted`, but half the time with no `f32::MAX` or `∞` among
+/// the weights (subnormals stay), so most pairs are ones the bound is
+/// trusted on.
+fn bound_weighted(rng: &mut StdRng, keys: impl IntoIterator<Item = u32>) -> SparseVec<u32> {
+    let extreme = rng.random_range(0..2u32) == 0;
+    SparseVec::from_pairs(
+        keys.into_iter()
+            .map(|k| {
+                let w = arb_weight(rng);
+                (k, if extreme || w < 16.0 { w } else { 1.0 })
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn cosine_bound_holds_wherever_it_is_trusted() {
+    let inverse = hash_inverse();
+    let mut table = kernel::ProbeTable::default();
+    let (mut pairs, mut trusted, mut below_one, mut infinite) = (0usize, 0usize, 0usize, 0usize);
+    prop::run(1_000, |rng| {
+        // Keys from a small space, from all of `u32`, or sharing the top
+        // 4–13 bits of their hash — from 6 bits on, one signature bit.
+        let kind = rng.random_range(0..3u32);
+        let probe = match rng.random_range(0..8u32) {
+            0 => SparseVec::new(),
+            _ => {
+                let keys = arb_keys(rng, kind, inverse);
+                bound_weighted(rng, keys)
+            }
+        };
+        let bound = table.bind(probe.as_slice());
+        for _ in 0..10 {
+            let other = match rng.random_range(0..8u32) {
+                0 => SparseVec::new(),
+                1 => probe.clone(),
+                _ => {
+                    let shared: Vec<u32> = probe
+                        .keys()
+                        .filter(|_| rng.random_range(0..3u32) == 0)
+                        .collect();
+                    let fresh = arb_keys(rng, kind, inverse);
+                    bound_weighted(rng, shared.into_iter().chain(fresh))
+                }
+            };
+            pairs += 1;
+            let ub = bound.cosine_bound(other.sig());
+            let cosine = probe.cosine_table(&bound, &other);
+            let has_inf = probe.iter().chain(other.iter()).any(|(_, w)| w.is_infinite());
+            infinite += usize::from(has_inf);
+            if !skippable(ub, &probe, &other) {
+                continue;
+            }
+            assert!(!has_inf, "an infinite weight left the pair skippable: {probe:?} · {other:?}");
+            trusted += 1;
+            below_one += usize::from(ub < 1.0);
+            assert!(
+                cosine <= ub + SLACK,
+                "cosine {cosine} above its bound {ub}: {probe:?} · {other:?}"
+            );
+        }
+        drop(bound);
+        assert!(table.is_vacant());
+    });
+    if std::env::var(prop::REPLAY_ENV).is_err() {
+        assert!(pairs >= 10_000, "{pairs} pairs");
+        // Every family is exercised: pairs the bound is trusted on and
+        // tighter than the trivial 1 on, and pairs an ∞ rules out.
+        assert!(trusted > pairs / 3 && below_one > trusted / 4, "{trusted} / {below_one} of {pairs}");
+        assert!(infinite > 0, "no infinite weights drawn");
+    }
+}
+
+#[test]
+fn cosine_bound_edge_cases() {
+    let sv = |pairs: &[(u32, f32)]| SparseVec::from_pairs(pairs.to_vec());
+    let mut table = kernel::ProbeTable::default();
+    // An empty probe: 0 / 0, never trusted.
+    let empty = SparseVec::<u32>::new();
+    let bound = table.bind(empty.as_slice());
+    assert!(bound.cosine_bound(u64::MAX).is_nan());
+    drop(bound);
+    // Disjoint signatures bound the cosine by exactly 0; the probe itself
+    // by 1 (up to rounding).
+    let probe = sv(&[(1, 3.0), (2, 4.0)]);
+    let bound = table.bind(probe.as_slice());
+    assert_eq!(bound.cosine_bound(!probe.sig()), 0.0);
+    assert!((bound.cosine_bound(probe.sig()) - 1.0).abs() < 1e-12);
+    // One key's bit alone: its share of the norm, 4 / 5.
+    let two = sv(&[(2, 7.0)]);
+    if kernel::key_bit(1u32) != kernel::key_bit(2u32) {
+        assert!((bound.cosine_bound(two.sig()) - 0.8).abs() < 1e-12);
+    }
+    assert!(probe.cosine_table(&bound, &two) <= bound.cosine_bound(two.sig()) + SLACK);
+    drop(bound);
+    // An infinite probe weight: the bound rests on an infinite norm.
+    let inf = sv(&[(1, f32::INFINITY), (2, 1.0)]);
+    let bound = table.bind(inf.as_slice());
+    assert!(!skippable(bound.cosine_bound(two.sig()), &inf, &two));
 }

@@ -7,11 +7,11 @@
 //! compared after every op by `Twins::check_step`.
 //!
 //! The oracle runs the same configuration without a hot-story cache and
-//! through the reference paths: `ingest_reference` (every due
-//! maintenance pass sweeps every story), a full `align()` wherever the
-//! engine under test aligns incrementally, and `refine_reference()`. It
-//! is never checkpointed and never restarted, so it is also the
-//! uninterrupted twin.
+//! through the reference paths: `ingest_reference` (every candidate
+//! story folded and scored, and every due maintenance pass a sweep of
+//! every story), a full `align()` wherever the engine under test aligns
+//! incrementally, and `refine_reference()`. It is never checkpointed and
+//! never restarted, so it is also the uninterrupted twin.
 //!
 //! The op alphabet falls into three groups. The wire subset —
 //! `oplog::ReplayOp`'s register a source, ingest (single or as one

@@ -241,8 +241,6 @@ pub struct Served {
     addr: SocketAddr,
     client: Client,
     follower: Option<Daemon>,
-    /// Follower processes started on the follower's directories.
-    follower_lives: usize,
     /// The target's own stream: lifecycle ops, and whether a wave goes
     /// as one INGEST_BATCH.
     side: StdRng,
@@ -285,7 +283,6 @@ impl Served {
             addr,
             client: Client::connect(addr).unwrap(),
             follower: None,
-            follower_lives: 0,
             side: StdRng::seed_from_u64(seed ^ 0x5e7e_d5e7_ed5e_7ed5),
             crashed: false,
             faulted: plan.faults.is_some(),
@@ -411,15 +408,12 @@ impl Served {
     }
 
     /// Start the follower unless it runs; wait until it serves the
-    /// oracle's partition and, in its first life, reports zero lag (a
-    /// restarted follower's lag counts from its restart: recovery does
-    /// not count the journal it replayed); it redirects writes.
+    /// oracle's partition and reports zero lag, a restarted follower too
+    /// (recovery counts the journal it replayed); it redirects writes.
     fn follow(&mut self, at: &str, oracle: &StoryPivot) {
         let bin = self.plan.follower.expect("a deployment with a follower");
         let (shards, dir, leader) = (self.plan.shards, &self.dir, self.addr.to_string());
-        let lives = &mut self.follower_lives;
         let follower = self.follower.get_or_insert_with(|| {
-            *lives += 1;
             let args = [
                 "--leader".into(),
                 leader.clone(),
@@ -435,14 +429,12 @@ impl Served {
         let mut client = ok(at, Client::connect(follower.addr));
         let want = oracle.story_partition();
         let lag = |shard: usize| format!("storypivot_replica_lag_ops{{shard=\"{shard}\"}}");
-        let first_life = self.follower_lives == 1;
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            let caught_up = partition_of_summaries(&ok(at, client.query_stories())) == want
-                && (!first_life || {
-                    let text = ok(at, client.metrics());
-                    (0..shards).all(|shard| exposition_value(&text, &lag(shard)) == Some(0))
-                });
+            let caught_up = partition_of_summaries(&ok(at, client.query_stories())) == want && {
+                let text = ok(at, client.metrics());
+                (0..shards).all(|shard| exposition_value(&text, &lag(shard)) == Some(0))
+            };
             if caught_up {
                 break;
             }
