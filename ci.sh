@@ -142,9 +142,12 @@ test -s "$SMOKE_DIR/bench/BENCH_e1.json"
 # binary built above is enough. Most of them count what the engine
 # decides, and a change that only makes things cheaper leaves those where
 # they were. The hot cache's hits and misses (the hit ratios here, the
-# hotpath rows above) count work done: a change that skips work moves
-# them, and the gate then requires the new values in data/expected-counts.txt
-# in the same diff, with the reason in CHANGES.md.
+# hotpath rows above) and hotpath's `pairs scored` (the exact pair
+# similarities identification computed, beside its `candidate pairs`)
+# count work done: a change that skips work, or scores the candidate
+# stories in another order, moves them, and the gate then requires the
+# new values in data/expected-counts.txt in the same diff, with the
+# reason in CHANGES.md.
 spbench_counts() { # args: workload metric...
     local lines value name workload="$1"
     shift

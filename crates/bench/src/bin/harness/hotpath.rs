@@ -28,8 +28,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// number is a dated record in EXPERIMENTS.md E17. The run also asserts
 /// live that the cache-off and cache-on partitions are byte-identical.
 ///
-/// One more, untimed pass takes a census of the snippet pairs phase 1
-/// scores, from outside: how many share no entity (no term) at all —
+/// One more, untimed pass takes a census of the candidate pairs (each
+/// probe against every candidate in its window), from outside: how many
+/// share no entity (no term) at all —
 /// `kernel::jaccard == 0`, the pairs whose component is exactly `0.0` —
 /// and how many of those the key signatures (`SparseVec::sig`) prove
 /// disjoint, which are the pairs the engine answers without a merge.
@@ -38,7 +39,12 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// It also counts the candidate stories (distinct stories among each
 /// probe's candidates, summed): those neither hit nor missed in the cache
 /// are the stories the reachability bound skipped, folded and scored by
-/// neither configuration.
+/// neither configuration. `pairs scored` is the engine's own count of
+/// the exact pair similarities it computed (`IdentifyDecision::
+/// pairs_scored`, summed over `assign`'s decisions): the candidate pairs
+/// less those of the stories ruled out before their pairs were scored.
+/// It must not depend on the cache, and the run asserts that it does
+/// not.
 fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     use std::collections::{HashMap, HashSet};
 
@@ -56,13 +62,14 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
     struct Run {
         ns_per_event: f64,
         compared: u64,
+        pairs_scored: u64,
         cache_hits: u64,
         cache_misses: u64,
         census: Census,
         partition: Vec<(StoryId, Vec<SnippetId>)>,
     }
 
-    /// What the census pass counts over the pairs phase 1 scores.
+    /// What the census pass counts over the candidate pairs.
     #[derive(Default)]
     struct Census {
         pairs: u64,
@@ -106,7 +113,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             idents.insert(src.id, Identifier::new(src.id, cfg.identify.clone(), cfg.sketch));
         }
         let mut timed = Duration::ZERO;
-        let (mut compared, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        let (mut compared, mut pairs_scored, mut hits, mut misses) = (0u64, 0u64, 0u64, 0u64);
         let mut census = Census::default();
         for s in &corpus.snippets {
             store.insert(s.clone()).expect("valid corpus snippet");
@@ -135,7 +142,8 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             compared += c as u64;
             hits += h as u64;
             misses += m as u64;
-            ident.assign(s, &store); // untimed: commit the decision
+            // Untimed: commit the decision.
+            pairs_scored += ident.assign(s, &store).pairs_scored as u64;
             if ident.maintenance_due() {
                 ident.maintain(&store); // untimed in every configuration
             }
@@ -155,6 +163,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         Run {
             ns_per_event: timed.as_nanos() as f64 / corpus.len() as f64,
             compared,
+            pairs_scored,
             cache_hits: hits,
             cache_misses: misses,
             census,
@@ -183,6 +192,10 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         best[0].partition, best[1].partition,
         "hot-story cache changed the identification partition"
     );
+    assert_eq!(
+        best[0].pairs_scored, best[1].pairs_scored,
+        "hot-story cache changed the pairs scored"
+    );
     let census = drive(base.identify.hot_cache_capacity, true);
     assert_eq!(census.partition, best[1].partition, "the census pass changed the partition");
     for run in &best {
@@ -200,6 +213,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             "hit rate",
             "candidate stories",
             "stories skipped",
+            "candidate pairs",
             "pairs scored",
             "entity-disjoint",
             "entity-pruned",
@@ -230,6 +244,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             census.candidate_stories.to_string(),
             (census.candidate_stories - folds).to_string(),
             r.compared.to_string(),
+            r.pairs_scored.to_string(),
             census.entity_disjoint.to_string(),
             census.entity_pruned.to_string(),
             census.term_disjoint.to_string(),

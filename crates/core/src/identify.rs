@@ -54,11 +54,11 @@ use std::collections::HashMap;
 
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
-use storypivot_types::{mem, Error, Result, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{mem, Error, EventType, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::hotcache::{CacheEntry, HotStoryCache};
-use crate::sim::ProbeTables;
+use crate::sim::{ProbeScorer, ProbeTables};
 use crate::state::StoryState;
 use crate::unionfind::UnionFind;
 
@@ -91,8 +91,15 @@ pub struct IdentifyDecision {
     pub best_score: f64,
     /// Stories merged into `story` as a side effect of this snippet.
     pub merged: Vec<StoryId>,
-    /// Number of snippet comparisons performed (drives experiment E1).
+    /// Number of window candidates: the prior snippets of the source in
+    /// the comparison scope that have a story (experiment E1's
+    /// "comparisons"). Not the similarities computed: those are
+    /// [`IdentifyDecision::pairs_scored`].
     pub compared: usize,
+    /// Exact snippet-pair similarities computed, at most `compared`: a
+    /// candidate story the reachability bound rules out before its pairs
+    /// are scored adds none.
+    pub pairs_scored: usize,
     /// Hot-story-cache hits while scoring this snippet (candidate
     /// stories whose windowed fold was reused or merely extended).
     /// These and the misses count folds, so a candidate story the
@@ -208,6 +215,16 @@ enum Fold {
 /// score's can differ.
 const SLACK: f64 = 1e-9;
 
+/// What one probe's scoring did ([`Identifier::score`]): the counts an
+/// [`IdentifyDecision`] reports.
+#[derive(Debug, Clone, Copy, Default)]
+struct Work {
+    compared: usize,
+    pairs_scored: usize,
+    cache_hits: usize,
+    cache_misses: usize,
+}
+
 /// A story whose candidates' norms sum to this or more is never skipped:
 /// below it no entry of the fold can round to ∞ (an entry is at most the
 /// sum of the members' weights on its key, each at most its member's
@@ -218,15 +235,16 @@ const FOLD_NORM_LIMIT: f64 = f32::MAX as f64 / 2.0;
 #[derive(Debug, Clone, Default)]
 struct Slot {
     story: StoryId,
-    /// Best single-pair similarity seen so far.
-    pair: f64,
     /// Indices into the probe's candidate list belonging to this story,
     /// in window (fold) order.
     cand_idx: Vec<u32>,
     /// OR of the candidates' entity and term signatures: the signatures
-    /// of the story's windowed fold, since `merge_add` ORs them.
+    /// of the story's windowed fold, since `merge_add` ORs them, and a
+    /// superset of each candidate's.
     entity_sig: u64,
     term_sig: u64,
+    /// OR of `1 << code` over the candidates' event types.
+    types: u16,
     /// Sums of the candidates' entity and term norms ([`FOLD_NORM_LIMIT`]).
     entity_norms: f64,
     term_norms: f64,
@@ -243,14 +261,12 @@ impl Slot {
         };
     }
 
-    /// Add the candidate at `ci`, scored `pair` against the probe.
-    fn add(&mut self, ci: usize, cand: &Snippet, pair: f64) {
-        if pair > self.pair {
-            self.pair = pair;
-        }
+    /// Add the candidate at `ci`.
+    fn add(&mut self, ci: usize, cand: &Snippet) {
         self.cand_idx.push(ci as u32);
         self.entity_sig |= cand.entities().sig();
         self.term_sig |= cand.terms().sig();
+        self.types |= 1 << cand.content.event_type.code();
         self.entity_norms += cand.entities().norm();
         self.term_norms += cand.terms().norm();
     }
@@ -273,6 +289,9 @@ struct ScoreScratch {
     /// Slot pool; only `slots[..live]` belong to the current probe.
     slots: Vec<Slot>,
     live: usize,
+    /// `(bound at affinity 1, slot index)` of the current probe's
+    /// stories: the order the scoring loop visits them in.
+    order: Vec<(f64, u32)>,
     /// Fold buffer for a story that could not use the cache.
     local: CacheEntry,
     /// `(story, blended score)`: the best-scoring story first, then
@@ -319,8 +338,22 @@ impl ScoreScratch {
     }
 }
 
+/// The best pair similarity of the probe against the candidates at `idx`,
+/// 0 if there are none. A NaN pair score is ignored: it fails `>`.
+#[inline]
+fn best_pair(scorer: &ProbeScorer<'_>, candidates: &[&Snippet], idx: &[u32]) -> f64 {
+    idx.iter().fold(0.0, |best, &ci| {
+        let s = scorer.score(&candidates[ci as usize].content);
+        if s > best {
+            s
+        } else {
+            best
+        }
+    })
+}
+
 /// Append the candidates at `idx` (in that order) to `entry`'s fold.
-/// Every fold in phase 2 goes through here, so the order of f32
+/// Every fold in the scoring loop goes through here, so the order of f32
 /// additions — and with it every score — cannot differ between the
 /// cached, extended, refolded and local paths.
 #[inline]
@@ -456,6 +489,7 @@ impl Identifier {
             + mem::vec_bytes(&s.si_of)
             + mem::vec_bytes(&s.slots)
             + s.slots.iter().map(|slot| mem::vec_bytes(&slot.cand_idx)).sum::<usize>()
+            + mem::vec_bytes(&s.order)
             + s.local.heap_bytes()
             + mem::vec_bytes(&s.ranked)
             + s.tables.heap_bytes();
@@ -532,18 +566,19 @@ impl Identifier {
         self.assign_with(snippet, store, true)
     }
 
-    /// [`Identifier::assign`]; with `skip` false every candidate story is
-    /// folded and scored, the reachability bound unused (how
-    /// [`crate::StoryPivot::ingest_reference`] identifies). The decision
-    /// is the same either way, to the bit, except the cache counts.
+    /// [`Identifier::assign`]; with `skip` false every candidate pair is
+    /// scored and every candidate story folded, the reachability bound
+    /// unused (how [`crate::StoryPivot::ingest_reference`] identifies).
+    /// The decision is the same either way, to the bit, except the pair
+    /// and cache counts.
     pub(crate) fn assign_with(
         &mut self,
         snippet: &Snippet,
         store: &EventStore,
         skip: bool,
     ) -> IdentifyDecision {
-        let (compared, cache_hits, cache_misses) = self.score(snippet, store, skip);
-        self.decide(snippet, compared, cache_hits, cache_misses)
+        let work = self.score(snippet, store, skip);
+        self.decide(snippet, work)
     }
 
     /// The scoring phases of [`Identifier::assign`]: score `snippet`
@@ -559,31 +594,25 @@ impl Identifier {
     /// Public so the benchmark harness can time the similarity hot path
     /// in isolation.
     pub fn score_probe(&mut self, snippet: &Snippet, store: &EventStore) -> (usize, usize, usize) {
-        self.score(snippet, store, true)
+        let work = self.score(snippet, store, true);
+        (work.compared, work.cache_hits, work.cache_misses)
     }
 
     /// [`Identifier::score_probe`], skipping unreachable stories only
     /// when `skip`.
-    fn score(&mut self, snippet: &Snippet, store: &EventStore, skip: bool) -> (usize, usize, usize) {
+    fn score(&mut self, snippet: &Snippet, store: &EventStore, skip: bool) -> Work {
         debug_assert_eq!(snippet.source, self.source);
 
-        // ---- phase 1: pair scoring, group candidates by story ----------
+        // ---- phase 1: group the candidates by story --------------------
         //
-        // Score = pair_blend·best-pair + (1-pair_blend)·window-centroid.
-        // The best-pair (single-link) component lets evolving stories
-        // chain through their most recent snippets; the centroid of the
-        // story's *windowed* members keeps one spuriously similar pair
-        // from chaining unrelated stories together (the incremental
-        // record-linkage failure mode at scale). E10 ablates the blend.
+        // No pair is scored here. Each story's slot collects its
+        // candidates and ORs their signatures and event types, which is
+        // all its bound needs.
         let candidates: Vec<&Snippet> = match self.cfg.mode {
             MatchMode::Temporal { omega } => store.window(self.source, snippet.timestamp, omega),
             MatchMode::Complete => store.snippets_of_source(self.source),
         };
-        let mut compared = 0usize;
-        // The tables leave the scratch for the probe, so the scorer's
-        // borrow of them does not hold all of it.
-        let mut tables = std::mem::take(&mut self.scratch.tables);
-        let scorer = self.cfg.weights.probe(&snippet.content, &mut tables);
+        let mut work = Work::default();
         let id_base = self.source.raw().wrapping_mul(STORY_ID_STRIDE);
         self.scratch.begin();
         for (ci, cand) in candidates.iter().enumerate() {
@@ -593,35 +622,90 @@ impl Identifier {
             let Some(story) = self.story_of(cand.id) else {
                 continue; // not yet identified (later batch position)
             };
-            compared += 1;
-            let s = scorer.score(&cand.content);
+            work.compared += 1;
             let off = story.raw().wrapping_sub(id_base) as usize;
             let si = self.scratch.slot(story, off);
-            self.scratch.slots[si].add(ci, cand, s);
+            self.scratch.slots[si].add(ci, cand);
         }
 
-        // ---- phase 2: fold and score the stories that can be read -------
+        // ---- phase 2: bound every story, order by bound ----------------
+        //
+        // Score = pair_blend·best-pair + (1-pair_blend)·window-centroid.
+        // The best-pair (single-link) component lets evolving stories
+        // chain through their most recent snippets; the centroid of the
+        // story's *windowed* members keeps one spuriously similar pair
+        // from chaining unrelated stories together (the incremental
+        // record-linkage failure mode at scale). E10 ablates the blend.
+        //
+        // A story scores at most its bound: every component blended in
+        // is replaced by the probe's bound on it over the story's ORed
+        // signatures (`ProbeScorer::{entity_bounds, term_bound}`), a
+        // superset of each candidate's and the fold's, and the pair's
+        // type affinity by the largest among the candidates' types.
+        // The blend is monotone under non-negative weights. Stories are
+        // visited in descending bound at affinity 1, so high scores come
+        // early and rule out more of the rest.
+        //
+        // The tables leave the scratch for the probe, so the scorer's
+        // borrow of them does not hold all of it.
+        let mut tables = std::mem::take(&mut self.scratch.tables);
+        let scorer = self.cfg.weights.probe(&snippet.content, &mut tables);
+        let (w, pair_blend) = (&self.cfg.weights, self.cfg.pair_blend);
+        let merge_threshold = self.cfg.merge_threshold;
+        let story_score = |pair: f64, entity: f64, term: f64, affinity: f64| {
+            pair_blend * pair + (1.0 - pair_blend) * w.blend(entity, term, affinity)
+        };
+        // A story's bounds on its best pair and on its fold's entity and
+        // term cosines.
+        let affinities = EventType::ALL.map(|t| snippet.content.event_type.affinity(t));
+        let bounds_of = |slot: &Slot| {
+            let (entity, jaccard) = scorer.entity_bounds(slot.entity_sig);
+            let term = scorer.term_bound(slot.term_sig);
+            let (mut types, mut affinity) = (slot.types, 0f64);
+            while types != 0 {
+                affinity = affinity.max(affinities[types.trailing_zeros() as usize]);
+                types &= types - 1;
+            }
+            (w.blend(jaccard, term, affinity), entity, term)
+        };
+        let ScoreScratch {
+            stamp,
+            probe,
+            slots,
+            live,
+            order,
+            local,
+            ranked,
+            ..
+        } = &mut self.scratch;
+        let slots = &slots[..*live];
+        order.clear();
+        order.extend(slots.iter().enumerate().map(|(si, slot)| {
+            let (pair, entity, term) = bounds_of(slot);
+            (story_score(pair, entity, term, 1.0), si as u32)
+        }));
+        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+
+        // ---- phase 3: score the pairs, fold and score the stories ------
         //
         // `decide` reads the best story and the stories at or above
-        // `merge_threshold`, nothing else. A story scores at most its
-        // bound: its exact pair term blended with the probe's bounds on
-        // the cosines against the fold's signatures
-        // (`ProbeScorer::{entity,term}_bound`). A story whose bound falls
-        // short of both `merge_threshold` and an exact score already seen
-        // can be neither merged nor the head, so it is neither folded nor
-        // scored, and the cut below ranks what scoring every story would
-        // have. The best pair's story goes first, so a high score comes
-        // early; the rest follow in first-seen order. A story is skipped
-        // only when everything the argument rests on is finite: weights
-        // are unchecked client input, a NaN score ranks first on some
-        // targets, and a NaN bound skips nothing.
+        // `merge_threshold`, nothing else. A story whose bound falls
+        // short of both `merge_threshold` and an exact score already
+        // seen can be neither merged nor the head, so it is skipped: no
+        // pair scored, no fold, no cache access. The cut below ranks
+        // what scoring every story would have. The bound at affinity 1
+        // rules most stories out before their dominant type is looked
+        // up; the rest are tested at it, then once more with their exact
+        // best pair. A story is skipped only when everything the
+        // argument rests on is finite: weights are unchecked client
+        // input, a NaN score ranks first on some targets, and a NaN
+        // bound skips nothing.
         //
         // The fold (sum of the story's windowed members' vectors) is the
         // expensive part; hot stories are served from the cache, which
         // only has to extend the fold by the members that newly entered
         // the window. Everything else is refolded into local scratch.
-        let (w, pair_blend) = (&self.cfg.weights, self.cfg.pair_blend);
-        let merge_threshold = self.cfg.merge_threshold;
+        //
         // The bound is an upper bound on the score only under
         // non-negative weights and a blend in [0, 1]: what config
         // validation requires and `Identifier::new` does not check.
@@ -631,65 +715,59 @@ impl Identifier {
             && w.term >= 0.0
             && w.event >= 0.0
             && (0.0..=1.0).contains(&pair_blend);
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
-        let ScoreScratch {
-            stamp,
-            probe,
-            slots,
-            live,
-            local,
-            ranked,
-            ..
-        } = &mut self.scratch;
-        let slots = &slots[..*live];
-        let top = (0..slots.len()).reduce(|a, b| if slots[b].pair > slots[a].pair { b } else { a });
-        let order = top.into_iter().chain((0..slots.len()).filter(|&si| Some(si) != top));
         // A story is part of the current probe iff its stamp slot
         // carries this probe's stamp; the cache evicts none of them.
         let in_probe = |s: StoryId| {
             let off = s.raw().wrapping_sub(id_base) as usize;
             stamp.get(off).is_some_and(|&st| st == *probe)
         };
-        let mut best = f64::NEG_INFINITY;
-        ranked.clear();
         let affinity = |story: StoryId| {
             let dominant = self.stories.get(&story).map(|s| s.dominant_event_type());
             snippet.content.event_type.affinity(dominant.unwrap_or(snippet.content.event_type))
         };
-        for si in order {
-            let slot = &slots[si];
-            let score = |entity: f64, term: f64, event: f64| {
-                pair_blend * slot.pair + (1.0 - pair_blend) * w.blend(entity, term, event)
-            };
-            let (entity, term) = (scorer.entity_bound(slot.entity_sig), scorer.term_bound(slot.term_sig));
+        // Debug builds score a skipped story anyway, folded outside the
+        // cache so its state matches release's, and hold it to the bound
+        // it was skipped on.
+        #[cfg(debug_assertions)]
+        let assert_under = |slot: &Slot, local: &mut CacheEntry, bound: f64, which: &str| {
+            let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
+            local.reset();
+            fold_members(local, &candidates, &slot.cand_idx);
+            let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
+            let exact = story_score(pair, e, t, affinity(slot.story));
+            assert!(
+                exact <= bound + SLACK,
+                "story {} scores {exact}, above its {which} bound {bound}",
+                slot.story
+            );
+        };
+        let mut best = f64::NEG_INFINITY;
+        ranked.clear();
+        for &(at_one, si) in order.iter() {
+            let slot = &slots[si as usize];
+            let guarded = skip && slot.entity_norms < FOLD_NORM_LIMIT && slot.term_norms < FOLD_NORM_LIMIT;
             let unreachable = |bound: f64| {
-                bound.is_finite() && bound + SLACK < merge_threshold && bound + SLACK < best
+                guarded && bound.is_finite() && bound + SLACK < merge_threshold && bound + SLACK < best
             };
-            // The bound at the largest affinity, 1, rules most stories
-            // out before their dominant type is looked up.
-            if skip
-                && slot.entity_norms < FOLD_NORM_LIMIT
-                && slot.term_norms < FOLD_NORM_LIMIT
-                && (unreachable(score(entity, term, 1.0))
-                    || unreachable(score(entity, term, affinity(slot.story))))
-            {
-                // Debug builds score the skipped story anyway, folded
-                // outside the cache so its state matches release's.
+            if unreachable(at_one) {
                 #[cfg(debug_assertions)]
-                {
-                    let type_affinity = affinity(slot.story);
-                    let bound = score(entity, term, type_affinity);
-                    local.reset();
-                    fold_members(local, &candidates, &slot.cand_idx);
-                    let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
-                    let exact = score(e, t, type_affinity);
-                    assert!(
-                        exact <= bound + SLACK,
-                        "story {} scores {exact}, above its bound {bound}",
-                        slot.story
-                    );
-                }
+                assert_under(slot, local, at_one, "pre-pair");
+                continue;
+            }
+            let type_affinity = affinity(slot.story);
+            let (pair_bound, entity, term) = bounds_of(slot);
+            let before_pairs = story_score(pair_bound, entity, term, type_affinity);
+            if unreachable(before_pairs) {
+                #[cfg(debug_assertions)]
+                assert_under(slot, local, before_pairs, "pre-pair");
+                continue;
+            }
+            let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
+            work.pairs_scored += slot.cand_idx.len();
+            let with_pair = story_score(pair, entity, term, type_affinity);
+            if unreachable(with_pair) {
+                #[cfg(debug_assertions)]
+                assert_under(slot, local, with_pair, "pair");
                 continue;
             }
             let fold = if let Some((idx, entry)) = self.cache.get_mut_indexed(slot.story) {
@@ -705,7 +783,7 @@ impl Identifier {
                     let cached = entry.members.len();
                     fold_members(entry, &candidates, &slot.cand_idx[cached..]);
                     entry.uses += 1;
-                    cache_hits += 1;
+                    work.cache_hits += 1;
                 } else {
                     // Window slid or membership changed: refold in place,
                     // keeping the entry's LFU popularity.
@@ -713,20 +791,20 @@ impl Identifier {
                     entry.reset();
                     entry.uses = uses + 1;
                     fold_members(entry, &candidates, &slot.cand_idx);
-                    cache_misses += 1;
+                    work.cache_misses += 1;
                 }
                 Fold::Cached(idx)
             } else if let Some((idx, entry)) = self.cache.admit(slot.story, &in_probe) {
                 entry.uses = 1;
                 fold_members(entry, &candidates, &slot.cand_idx);
-                cache_misses += 1;
+                work.cache_misses += 1;
                 Fold::Cached(idx)
             } else {
                 // Cache disabled or full of protected entries: fold into
                 // the local buffer. Bit-identical either way.
                 local.reset();
                 fold_members(local, &candidates, &slot.cand_idx);
-                cache_misses += 1;
+                work.cache_misses += 1;
                 Fold::Local
             };
             let fold = match fold {
@@ -734,7 +812,7 @@ impl Identifier {
                 Fold::Local => &*local,
             };
             let (e, t) = (scorer.entity_cosine(&fold.entities), scorer.term_cosine(&fold.terms));
-            let s = score(e, t, affinity(slot.story));
+            let s = story_score(pair, e, t, type_affinity);
             if s > best {
                 best = s;
             }
@@ -743,19 +821,20 @@ impl Identifier {
         rank_for_decision(ranked, merge_threshold);
         drop(scorer);
         self.scratch.tables = tables;
-        (compared, cache_hits, cache_misses)
+        debug_assert!(work.pairs_scored <= work.compared);
+        work
     }
 
     /// The decision phase of [`Identifier::assign`]: consume the ranked
     /// list left in scratch by [`Identifier::score_probe`] and commit
     /// the assignment (story creation, merges, bookkeeping).
-    fn decide(
-        &mut self,
-        snippet: &Snippet,
-        compared: usize,
-        cache_hits: usize,
-        cache_misses: usize,
-    ) -> IdentifyDecision {
+    fn decide(&mut self, snippet: &Snippet, work: Work) -> IdentifyDecision {
+        let Work {
+            compared,
+            pairs_scored,
+            cache_hits,
+            cache_misses,
+        } = work;
         // ---- pick the best story, detect merge evidence ---------------
         let decision = match self.scratch.ranked.first().copied() {
             Some((best_story, best_score)) if best_score >= self.cfg.match_threshold => {
@@ -801,6 +880,7 @@ impl Identifier {
                     best_score,
                     merged,
                     compared,
+                    pairs_scored,
                     cache_hits,
                     cache_misses,
                 }
@@ -818,6 +898,7 @@ impl Identifier {
                     best_score,
                     merged: Vec::new(),
                     compared,
+                    pairs_scored,
                     cache_hits,
                     cache_misses,
                 }
@@ -1315,21 +1396,28 @@ mod tests {
         let mut reference = id.clone();
         let merge_threshold = reference.cfg.merge_threshold;
         reference.cfg.merge_threshold = f64::NEG_INFINITY;
-        let (compared, hits, misses) = reference.score(&probe, &st, false);
+        let work = reference.score(&probe, &st, false);
         reference.cfg.merge_threshold = merge_threshold;
         let full = reference.scratch.ranked.clone();
         assert_eq!(full.iter().map(|&(s, _)| s).collect::<Vec<_>>(), vec![b, c, a, d]);
         assert_eq!(full[0].1.to_bits(), full[1].1.to_bits(), "b and c must tie");
         assert!(full[2].1 >= merge_threshold && full[3].1 < merge_threshold);
-        let expected = reference.decide(&probe, compared, hits, misses);
+        let expected = reference.decide(&probe, work);
         assert_eq!((expected.cache_hits, expected.cache_misses), (3, 1), "the reference folds all four");
+        assert_eq!(expected.pairs_scored, 4, "and scores every pair");
 
-        // d's bound is below the threshold and b's score: never folded.
+        // d's bound is below the threshold and b's score: neither its
+        // pair scored nor its story folded.
         let got = id.assign(&probe, &st);
         assert_eq!(id.scratch.ranked, full[..3], "the cut drops d only");
-        assert_eq!((got.cache_hits, got.cache_misses), (3, 0), "d is skipped");
-        let folds = |d: &IdentifyDecision| IdentifyDecision { cache_hits: 0, cache_misses: 0, ..d.clone() };
-        assert_eq!(folds(&got), folds(&expected));
+        assert_eq!((got.pairs_scored, got.cache_hits, got.cache_misses), (3, 3, 0), "d is skipped");
+        let work = |d: &IdentifyDecision| IdentifyDecision {
+            pairs_scored: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            ..d.clone()
+        };
+        assert_eq!(work(&got), work(&expected));
         assert_eq!(got.story, b);
         assert_eq!(got.merged, vec![c, a], "rank order: the tie by id, then the lower score");
         assert_eq!(partition(&id), partition(&reference));
@@ -1370,6 +1458,61 @@ mod tests {
         let got = id.assign(&probe, &st);
         assert_eq!(got, want, "the same decision and the same folds");
         assert_eq!((got.story, got.cache_hits + got.cache_misses), (good, 2), "{huge} is folded");
+        assert_eq!(partition(&id), partition(&reference));
+    }
+
+    #[test]
+    fn a_mixed_type_story_is_bounded_by_its_best_typed_pair() {
+        // Every snippet below carries the probe's keys, so each story's
+        // signature bounds are 1 and its score is decided by weights and
+        // event types alone.
+        let typed = |id: u32, ty: EventType, entity_2: f32| {
+            Snippet::builder(SnippetId::new(id), SourceId::new(0), Timestamp::from_secs(id as i64 * DAY))
+                .event_type(ty)
+                .entity(EntityId::new(1), 1.0)
+                .entity(EntityId::new(2), entity_2)
+                .term(TermId::new(10), 1.0)
+                .term(TermId::new(11), 1.0)
+                .build()
+        };
+        let cfg = IdentifyConfig {
+            mode: MatchMode::Complete,
+            merge_threshold: 0.99,
+            maintenance_every: 0,
+            ..IdentifyConfig::default()
+        };
+        let mut st = store();
+        let mut id = Identifier::new(SourceId::new(0), cfg, SketchConfig::default());
+        // The weaker Accident story comes first in the window, so with
+        // the same bound at affinity 1 it is scored first: 0.9322.
+        let weak = id.fresh_story_id();
+        // The mixed story is mostly Sports (its dominant type, affinity 0
+        // to Accident) plus one Accident snippet equal to the probe: its
+        // best pair is 1.0 and its centroid term 0.9, so it scores 0.95,
+        // exactly its bound. Bounding its pair term at the dominant
+        // type's affinity instead would give 0.9 and skip it.
+        let mixed = id.fresh_story_id();
+        let members = [
+            (typed(0, EventType::Accident, 0.5), weak),
+            (typed(1, EventType::Sports, 1.0), mixed),
+            (typed(2, EventType::Sports, 1.0), mixed),
+            (typed(3, EventType::Sports, 1.0), mixed),
+            (typed(4, EventType::Accident, 1.0), mixed),
+        ];
+        for (s, story) in members {
+            st.insert(s.clone()).unwrap();
+            id.force_assign(&s, story);
+        }
+        assert_eq!(id.story(mixed).unwrap().dominant_event_type(), EventType::Sports);
+        let probe = typed(5, EventType::Accident, 1.0);
+        st.insert(probe.clone()).unwrap();
+
+        let mut reference = id.clone();
+        let want = reference.assign_with(&probe, &st, false);
+        let got = id.assign(&probe, &st);
+        assert_eq!(got, want, "the same decision, pairs and folds");
+        assert_eq!((got.story, got.created), (mixed, false));
+        assert!((got.best_score - 0.95).abs() < 1e-12, "{got:?}");
         assert_eq!(partition(&id), partition(&reference));
     }
 

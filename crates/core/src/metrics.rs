@@ -21,9 +21,14 @@ use storypivot_substrate::metrics::{Counter, HistogramMetric, Registry};
 pub struct EngineMetrics {
     /// `storypivot_ingest_total` — snippets ingested.
     pub ingest_total: Counter,
-    /// `storypivot_identify_compared_total` — candidate snippet
-    /// comparisons performed (the candidate-scan width of E1).
+    /// `storypivot_identify_compared_total` — window candidates
+    /// (experiment E1's comparisons, the candidate-scan width), not the
+    /// similarities computed.
     pub identify_compared_total: Counter,
+    /// `storypivot_identify_pairs_scored_total` — exact snippet-pair
+    /// similarities identification computed: the window candidates less
+    /// those of the stories the reachability bound ruled out first.
+    pub identify_pairs_scored_total: Counter,
     /// `storypivot_identify_assigned_total` — snippets that joined an
     /// existing story.
     pub identify_assigned_total: Counter,
@@ -113,7 +118,11 @@ impl EngineMetrics {
                 .counter("storypivot_ingest_total", "Snippets ingested."),
             identify_compared_total: registry.counter(
                 "storypivot_identify_compared_total",
-                "Candidate snippet comparisons performed during identification.",
+                "Window candidates of identified snippets (E1's comparisons; not the similarities computed, which storypivot_identify_pairs_scored_total counts).",
+            ),
+            identify_pairs_scored_total: registry.counter(
+                "storypivot_identify_pairs_scored_total",
+                "Exact snippet-pair similarities computed during identification (window candidates less those of stories the reachability bound ruled out before their pairs were scored).",
             ),
             identify_assigned_total: registry.counter(
                 "storypivot_identify_assigned_total",

@@ -310,6 +310,7 @@ impl StoryPivot {
     ) {
         metrics.ingest_total.inc();
         metrics.identify_compared_total.add(decision.compared as u64);
+        metrics.identify_pairs_scored_total.add(decision.pairs_scored as u64);
         if decision.created {
             metrics.identify_new_story_total.inc();
         } else {

@@ -152,12 +152,14 @@ impl ProbeScorer<'_> {
         self.content.terms.cosine_table(&self.terms, other)
     }
 
-    /// An upper bound on [`ProbeScorer::entity_cosine`] against any
-    /// vector whose key signature is `sig`
-    /// ([`storypivot_types::kernel::BoundProbe::cosine_bound`]).
+    /// Upper bounds on the entity components against any vector whose
+    /// key signature is `sig`: on [`ProbeScorer::entity_cosine`] and on
+    /// the weighted Jaccard [`ProbeScorer::score`] blends in, as
+    /// `(cosine, jaccard)`
+    /// ([`storypivot_types::kernel::BoundProbe::bounds`]).
     #[inline]
-    pub(crate) fn entity_bound(&self, sig: u64) -> f64 {
-        self.entities.cosine_bound(sig)
+    pub(crate) fn entity_bounds(&self, sig: u64) -> (f64, f64) {
+        self.entities.bounds(sig)
     }
 
     /// An upper bound on [`ProbeScorer::term_cosine`] against any vector

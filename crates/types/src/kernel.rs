@@ -18,9 +18,10 @@
 //! One probe scored against many candidates need not merge at all: a
 //! [`ProbeTable`] holds the probe's entries for lookup, and
 //! [`dot_table`] / [`cosine_table`] walk the candidate alone, to the
-//! same bits as [`dot`] / [`cosine`]. It also holds the probe's squared
-//! weight per signature bit, from which [`BoundProbe::cosine_bound`]
-//! bounds the cosine against any vector by its signature alone.
+//! same bits as [`dot`] / [`cosine`]. It also holds the probe's weight
+//! and squared weight per signature bit, from which [`BoundProbe::bounds`]
+//! bounds the weighted Jaccard and the cosine against any vector by its
+//! signature alone.
 
 use std::fmt::Debug;
 
@@ -208,6 +209,16 @@ fn vacant(i: usize, shift: u32) -> (u32, f32) {
 /// Cauchy–Schwarz `dot(p, c) ≤ ‖p_S‖ · ‖c‖`, so `cosine(p, c) ≤ ‖p_S‖ /
 /// ‖p‖` ([`BoundProbe::cosine_bound`]) — for every `c` with that
 /// signature, whatever its weights.
+///
+/// The bind also records the probe's weight per signature bit (`l1`) and
+/// its weight sum `Σ w_p`. [`weighted_jaccard`]'s numerator, `Σ min` over
+/// the shared keys, is at most the probe's weight on them, hence at most
+/// the `l1` on `sig(p) & sig(c)`; its denominator, `Σ max` over the key
+/// union, is at least `Σ w_p`. So `weighted_jaccard(p, c) ≤ Σ l1[b] over
+/// sig(p) & sig(c) / Σ w_p` ([`BoundProbe::bounds`]). Both sums are of
+/// non-negative terms (`SparseVec` keeps only positive weights), so a
+/// bound over a signature also holds for every vector whose signature is
+/// a subset of it.
 #[derive(Debug, Clone)]
 pub struct ProbeTable {
     /// Slot `i` holds a probe entry iff its hash's top bits are `i`,
@@ -218,6 +229,8 @@ pub struct ProbeTable {
     /// `mass[b]`: the bound probe's `Σ w²` over its keys on signature
     /// bit `b`.
     mass: [f64; 64],
+    /// `l1[b]`: the bound probe's `Σ w` over its keys on signature bit `b`.
+    l1: [f64; 64],
 }
 
 impl Default for ProbeTable {
@@ -226,6 +239,7 @@ impl Default for ProbeTable {
             slots: Vec::new(),
             shift: 0,
             mass: [0.0; 64],
+            l1: [0.0; 64],
         }
     }
 }
@@ -236,8 +250,13 @@ impl ProbeTable {
     /// slots when dropped.
     pub fn bind<'t, K: Copy + Into<u32>>(&'t mut self, probe: &'t [(K, f32)]) -> BoundProbe<'t, K> {
         self.mass = [0.0; 64];
+        self.l1 = [0.0; 64];
+        let mut weight = 0f64;
         for &(k, w) in probe {
-            self.mass[(key_hash(k) >> 26) as usize] += w as f64 * w as f64;
+            let b = (key_hash(k) >> 26) as usize;
+            self.mass[b] += w as f64 * w as f64;
+            self.l1[b] += w as f64;
+            weight += w as f64;
         }
         let in_table = self.fill(probe);
         BoundProbe {
@@ -245,6 +264,7 @@ impl ProbeTable {
             probe,
             sig: sig(probe),
             norm: norm(probe),
+            weight,
             in_table,
         }
     }
@@ -332,6 +352,8 @@ pub struct BoundProbe<'t, K: Copy + Into<u32>> {
     /// The probe's [`sig`] and [`norm`] (what `SparseVec` caches).
     sig: u64,
     norm: f64,
+    /// The probe's weight sum `Σ w`.
+    weight: f64,
     /// Whether the entries are in the table; if not, scoring merges.
     in_table: bool,
 }
@@ -357,13 +379,27 @@ impl<'t, K: Copy + Into<u32>> BoundProbe<'t, K> {
     /// finite and positive.
     #[inline]
     pub fn cosine_bound(&self, sig: u64) -> f64 {
+        self.bounds(sig).0
+    }
+
+    /// [`BoundProbe::cosine_bound`] and an upper bound on the probe's
+    /// [`weighted_jaccard`] against any vector whose key signature is
+    /// `sig` — `Σ l1[b] over b ∈ sig(p) & sig / Σ w_p` ([`ProbeTable`]
+    /// has the argument) — from one walk of the shared bits. The same
+    /// caveats: compare with a slack, and trust the Jaccard bound only
+    /// when it is finite (an empty probe gives `0 / 0`, an infinite
+    /// weight on a shared bit `∞ / ∞`).
+    #[inline]
+    pub fn bounds(&self, sig: u64) -> (f64, f64) {
         let mut shared = self.sig & sig;
-        let mut mass = 0f64;
+        let (mut mass, mut l1) = (0f64, 0f64);
         while shared != 0 {
-            mass += self.table.mass[shared.trailing_zeros() as usize];
+            let b = shared.trailing_zeros() as usize;
+            mass += self.table.mass[b];
+            l1 += self.table.l1[b];
             shared &= shared - 1;
         }
-        mass.sqrt() / self.norm
+        (mass.sqrt() / self.norm, l1 / self.weight)
     }
 }
 

@@ -24,6 +24,8 @@ fn engine_matches_the_oracle_after_every_op() {
     assert!(tally.refine.iter().all(|r| r[2] > 0), "cohesions must be extended: {tally:?}");
     let [maintained, swept] = tally.maintenance_pairs;
     assert!(maintained * 2 < swept, "maintenance must score under half the sweep: {tally:?}");
+    let [bounded, every] = tally.identify_pairs;
+    assert!(bounded < every, "the pair bound must skip pairs: {tally:?}");
     let [incremental, full] = tally.align_pairs;
     assert!(incremental < full, "incremental alignment must score fewer pairs: {tally:?}");
 }

@@ -186,6 +186,7 @@ fn ingest_batch_parallel_books_what_sequential_ingest_books() {
     for name in [
         "storypivot_ingest_total",
         "storypivot_identify_compared_total",
+        "storypivot_identify_pairs_scored_total",
         "storypivot_identify_new_story_total",
         "storypivot_identify_assigned_total",
         "storypivot_identify_merge_total",

@@ -17,8 +17,8 @@
 //! (`kernel::ProbeTable`) to the merge and the naive reference, to the
 //! bit, through growth, the fallback past the slot cap, extreme weights
 //! and ten thousand binds of one table. A fifth holds the tables' cosine
-//! bound (`BoundProbe::cosine_bound`) above the cosine wherever
-//! identification would skip on it.
+//! and weighted-Jaccard bounds (`BoundProbe::bounds`) above the cosine
+//! and the weighted Jaccard wherever identification would skip on them.
 
 use std::collections::BTreeSet;
 
@@ -663,4 +663,97 @@ fn cosine_bound_edge_cases() {
     let inf = sv(&[(1, f32::INFINITY), (2, 1.0)]);
     let bound = table.bind(inf.as_slice());
     assert!(!skippable(bound.cosine_bound(two.sig()), &inf, &two));
+}
+
+#[test]
+fn jaccard_bound_holds_wherever_it_is_trusted() {
+    let inverse = hash_inverse();
+    let mut table = kernel::ProbeTable::default();
+    let (mut pairs, mut trusted, mut below_one, mut infinite) = (0usize, 0usize, 0usize, 0usize);
+    prop::run(1_000, |rng| {
+        // The key families of the cosine bound's test: a small space, all
+        // of `u32`, or keys sharing the top 4–13 bits of their hash.
+        let kind = rng.random_range(0..3u32);
+        let probe = match rng.random_range(0..8u32) {
+            0 => SparseVec::new(),
+            _ => {
+                let keys = arb_keys(rng, kind, inverse);
+                bound_weighted(rng, keys)
+            }
+        };
+        let bound = table.bind(probe.as_slice());
+        for _ in 0..10 {
+            let other = match rng.random_range(0..8u32) {
+                0 => SparseVec::new(),
+                1 => probe.clone(),
+                _ => {
+                    let shared: Vec<u32> = probe
+                        .keys()
+                        .filter(|_| rng.random_range(0..3u32) == 0)
+                        .collect();
+                    let fresh = arb_keys(rng, kind, inverse);
+                    bound_weighted(rng, shared.into_iter().chain(fresh))
+                }
+            };
+            pairs += 1;
+            let (_, ub) = bound.bounds(other.sig());
+            // A story's bound is taken over the OR of its candidates'
+            // signatures: more bits never lower it (∞ weights aside, whose
+            // bounds turn NaN).
+            let (_, wider) = bound.bounds(other.sig() | rng.random::<u64>());
+            let nan = wider.is_nan() || ub.is_nan();
+            assert!(wider >= ub || nan, "{wider} < {ub}: {probe:?} · {other:?}");
+            let jaccard = probe.weighted_jaccard(&other);
+            let has_inf = probe.iter().chain(other.iter()).any(|(_, w)| w.is_infinite());
+            infinite += usize::from(has_inf);
+            if !skippable(ub, &probe, &other) {
+                continue;
+            }
+            assert!(!has_inf, "an infinite weight left the pair skippable: {probe:?} · {other:?}");
+            trusted += 1;
+            below_one += usize::from(ub < 1.0);
+            assert!(
+                jaccard <= ub + SLACK,
+                "weighted Jaccard {jaccard} above its bound {ub}: {probe:?} · {other:?}"
+            );
+        }
+        drop(bound);
+        assert!(table.is_vacant());
+    });
+    if std::env::var(prop::REPLAY_ENV).is_err() {
+        assert!(pairs >= 10_000, "{pairs} pairs");
+        assert!(trusted > pairs / 3 && below_one > trusted / 4, "{trusted} / {below_one} of {pairs}");
+        assert!(infinite > 0, "no infinite weights drawn");
+    }
+}
+
+#[test]
+fn jaccard_bound_edge_cases() {
+    let sv = |pairs: &[(u32, f32)]| SparseVec::from_pairs(pairs.to_vec());
+    let mut table = kernel::ProbeTable::default();
+    // An empty probe: 0 / 0, never trusted.
+    let empty = SparseVec::<u32>::new();
+    let bound = table.bind(empty.as_slice());
+    assert!(bound.bounds(u64::MAX).1.is_nan());
+    drop(bound);
+    // Disjoint signatures bound it by exactly 0; the probe itself by 1.
+    let probe = sv(&[(1, 3.0), (2, 1.0)]);
+    let bound = table.bind(probe.as_slice());
+    assert_eq!(bound.bounds(!probe.sig()).1, 0.0);
+    assert_eq!(bound.bounds(probe.sig()).1, 1.0);
+    // One key's bit alone: its share of the probe's weight, 1 / 4, which
+    // a counterpart holding that key at a weight of 1 or more reaches.
+    let two = sv(&[(2, 7.0)]);
+    if kernel::key_bit(1u32) != kernel::key_bit(2u32) {
+        assert_eq!(bound.bounds(two.sig()).1, 0.25);
+        assert_eq!(probe.weighted_jaccard(&sv(&[(2, 1.0)])), 0.25);
+    }
+    assert!(probe.weighted_jaccard(&two) <= bound.bounds(two.sig()).1 + SLACK);
+    drop(bound);
+    // An infinite probe weight: ∞ / ∞ on its own bit, and a norm that is
+    // never trusted elsewhere.
+    let inf = sv(&[(1, f32::INFINITY), (2, 1.0)]);
+    let bound = table.bind(inf.as_slice());
+    assert!(bound.bounds(inf.sig()).1.is_nan());
+    assert!(!skippable(bound.bounds(two.sig()).1, &inf, &two));
 }

@@ -131,6 +131,9 @@ pub struct Tally {
     pub cache: [usize; 2],
     /// Pairs scored by the passes ingest ran: engine under test, oracle.
     pub maintenance_pairs: [u64; 2],
+    /// Snippet pairs identification scored: engine under test, oracle
+    /// (which scores every window candidate).
+    pub identify_pairs: [u64; 2],
     /// Pairs scored by the align ops: incremental, full.
     pub align_pairs: [usize; 2],
     /// Align ops with nothing marked dirty since the last alignment.
@@ -404,11 +407,18 @@ impl Twins {
 
     fn ingest(&mut self, op: &str, wave: &[Snippet]) {
         let at = self.at(op);
-        let without_cache =
-            |d: IdentifyDecision| IdentifyDecision { cache_hits: 0, cache_misses: 0, ..d };
+        let without_cache = |d: IdentifyDecision| IdentifyDecision {
+            pairs_scored: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            ..d
+        };
+        // Maintenance's and identification's pairs: engine, oracle.
         let pairs = |t: &mut Twins| {
-            let engine = t.target.engine().map_or(0, |e| e.metrics().maintenance_pairs_scored_total.get());
-            [engine, t.oracle.metrics().maintenance_pairs_scored_total.get()]
+            let of = |m: &EngineMetrics| {
+                [m.maintenance_pairs_scored_total.get(), m.identify_pairs_scored_total.get()]
+            };
+            [t.target.engine().map_or([0, 0], |e| of(e.metrics())), of(t.oracle.metrics())]
         };
         let mut wave = wave.to_vec();
         for s in &mut wave {
@@ -419,8 +429,11 @@ impl Twins {
         for (s, reply) in wave.iter().zip(replies) {
             let want = ok(&at, self.oracle.ingest_reference(s.clone()));
             self.tally.merges += want.merged.len();
+            let every = want.pairs_scored == want.compared;
+            assert!(every, "{at}: the oracle skipped pairs of snippet {}: {want:?}", s.id);
             match reply {
                 Reply::Decision(got) => {
+                    assert!(got.pairs_scored <= got.compared, "{at}: snippet {}: {got:?}", s.id);
                     self.tally.cache[0] += got.cache_hits;
                     self.tally.cache[1] += got.cache_misses;
                     assert_eq!(without_cache(got), without_cache(want), "{at}: snippet {}", s.id);
@@ -435,7 +448,8 @@ impl Twins {
         self.ingested += wave.len();
         let after = pairs(self);
         for i in 0..2 {
-            self.tally.maintenance_pairs[i] += after[i] - before[i];
+            self.tally.maintenance_pairs[i] += after[i][0] - before[i][0];
+            self.tally.identify_pairs[i] += after[i][1] - before[i][1];
         }
         self.check_step(op, false);
     }
