@@ -21,7 +21,6 @@ use std::fmt::Write as _;
 use storypivot_eval::Table;
 
 mod chaos;
-mod conns;
 mod e1;
 mod e10;
 mod e2;
@@ -34,7 +33,6 @@ mod e9;
 mod hotpath;
 mod metrics;
 mod refine;
-mod replica;
 mod scale;
 mod wal;
 
@@ -51,7 +49,7 @@ struct Experiment {
 }
 
 /// Every experiment, in the order `all` runs them.
-const REGISTRY: [Experiment; 16] = [
+const REGISTRY: [Experiment; 14] = [
     e1::EXPERIMENT,
     e2::EXPERIMENT,
     e3::EXPERIMENT,
@@ -63,8 +61,6 @@ const REGISTRY: [Experiment; 16] = [
     e10::EXPERIMENT,
     wal::EXPERIMENT,
     metrics::EXPERIMENT,
-    conns::EXPERIMENT,
-    replica::EXPERIMENT,
     chaos::EXPERIMENT,
     hotpath::EXPERIMENT,
     refine::EXPERIMENT,

@@ -7,7 +7,6 @@ pub(super) struct Scale {
     pub(super) mid: usize,
     pub(super) e8_sources: Vec<u32>,
     pub(super) per_source: usize,
-    pub(super) conn_tiers: Vec<usize>,
     pub(super) refine_sizes: Vec<usize>,
 }
 
@@ -19,7 +18,6 @@ impl Scale {
             mid: 1_200,
             e8_sources: vec![2, 5, 10],
             per_source: 60,
-            conn_tiers: vec![200, 500],
             refine_sizes: vec![400, 800, 1_600],
         }
     }
@@ -31,7 +29,6 @@ impl Scale {
             mid: 4_000,
             e8_sources: vec![2, 5, 10, 20, 50],
             per_source: 120,
-            conn_tiers: vec![1_000, 5_000, 10_000],
             refine_sizes: vec![1_700, 5_000, 15_000],
         }
     }

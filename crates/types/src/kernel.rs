@@ -459,8 +459,8 @@ pub fn cosine_table<K: Copy + Ord + Into<u32>>(
 /// scratch buffer across probes.
 ///
 /// Nothing in the engine calls this any more: identification scores
-/// each story fold through [`crate::SparseVec::cosine`], which can skip
-/// provably disjoint pairs, and slices carry no signature. It stays for
+/// each story fold through [`crate::SparseVec::cosine_table`], which can
+/// skip provably disjoint pairs, and slices carry no signature. It stays for
 /// the repository benchmark's kernel micro-loop
 /// (`types.kernel.cosine_batch_ns_per_nnz`), which times the unguarded
 /// merge.

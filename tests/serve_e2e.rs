@@ -202,11 +202,40 @@ fn metrics_exposition_matches_in_process_engine() {
     assert!(text.contains("# HELP storypivot_ingest_total"));
     assert!(text.contains("# TYPE storypivot_ingest_total counter"));
     assert!(text.contains("storypivot_shard_queue_capacity{shard=\"0\"}"));
+    // Registered and exported whatever their values: the serving
+    // runtime's gauges, the hot cache's, maintenance's and refinement's
+    // work counters (zero on a server, which does not refine), and the
+    // memory account.
+    let required = [
+        "storypivot_connections_open",
+        "storypivot_pipeline_depth",
+        "storypivot_pool_buffers_outstanding",
+        "storypivot_pool_bytes_highwater",
+        "storypivot_story_cache_hits_total",
+        "storypivot_story_cache_misses_total",
+        "storypivot_maintenance_runs_total",
+        "storypivot_maintenance_stories_checked_total",
+        "storypivot_maintenance_pairs_scored_total",
+        "storypivot_refine_moves_total",
+        "storypivot_refine_rounds_total",
+        "storypivot_refine_pairs_scored_total",
+        "storypivot_refine_cohesion_cache_hits_total",
+        "storypivot_refine_cohesion_cache_misses_total",
+        "storypivot_refine_cohesion_extended_total",
+        "storypivot_refine_probes_reused_total",
+        "storypivot_mem_bytes{structure=\"store.arena\"}",
+        "storypivot_mem_bytes{structure=\"identify.stories\"}",
+    ];
+    for name in required {
+        assert!(text.lines().any(|line| line.starts_with(&format!("{name} "))), "no {name} in:\n{text}");
+    }
     // The shard's ingest clock saw every served ingest.
     assert_eq!(
         exposition_value(&text, "storypivot_shard_ingest_latency_ns_count{shard=\"0\"}"),
         Some(corpus.len() as u64),
     );
+    // No journal without a WAL directory.
+    assert_eq!(exposition_value(&text, "storypivot_shard_wal_bytes{shard=\"0\"}"), Some(0));
 
     client.shutdown().unwrap();
     handle.join();
