@@ -9,28 +9,33 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# Every `cargo test` step runs under a cap far above its usual time, so a
+# test that hangs (a dead shard thread leaves its callers waiting
+# forever) fails the run instead of stalling it.
+TEST_CAP=900
+
 echo "==> build (release, all targets)"
 cargo build --release --workspace --all-targets
 
 echo "==> tests"
-cargo test -q --workspace
+timeout "$TEST_CAP" cargo test -q --workspace
 
 echo "==> soak: the differential driver again, 4x its cases, the kernels, the fault suites and the served slices, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
-STORYPIVOT_PROP_CASES_MULT=4 cargo test -q --release --test differential
+STORYPIVOT_PROP_CASES_MULT=4 timeout "$TEST_CAP" cargo test -q --release --test differential
 # Likewise the assert behind every probe-table cosine: in release only
 # the explicit property test holds the table to the merge, so it runs
 # against the codegen that is benchmarked.
-cargo test -q --release --test kernel_equivalence
+timeout "$TEST_CAP" cargo test -q --release --test kernel_equivalence
 # Fault plans fire in every build, so the supervision (poison) and
 # disk-fault suites run against the release binaries that are benchmarked;
 # so do the driver's served slices (in-process server, crash, follower),
 # which check the partition after every step against the release pivotd.
-cargo test -q --release --test failure_injection
-cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching
-cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
+timeout "$TEST_CAP" cargo test -q --release --test failure_injection
+timeout "$TEST_CAP" cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching
+timeout "$TEST_CAP" cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
 
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -96,7 +101,7 @@ echo "==> benchmark package (separate workspace; path-depends on the crates' pub
 # lockfile, so a change that removes or renames a public item it calls
 # would otherwise only be noticed when the benchmark is next run.
 cargo build --release --manifest-path benchmark/Cargo.toml
-cargo test -q --manifest-path benchmark/Cargo.toml
+timeout "$TEST_CAP" cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "==> gate: experiment harness counts (all 14 experiments, --quick) + spbench counts"
 SMOKE_DIR="$(mktemp -d)"

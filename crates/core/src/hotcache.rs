@@ -9,25 +9,22 @@
 //!
 //! ## Correctness model
 //!
-//! A cache entry stores the member-id list it was folded from, in fold
-//! order. On lookup the caller compares that list against the current
-//! windowed member list:
-//!
-//! * **exact match** — the fold is current, reuse it (hit);
-//! * **prefix match** — the window grew at the trailing edge (window
-//!   queries return ascending `(timestamp, id)` order, so new members of
-//!   a story append); fold only the tail (hit);
-//! * **anything else** — refold from scratch (miss).
-//!
-//! Because snippets are immutable and the fold is a pure function of the
-//! member list, list equality *implies* vector validity — the cache is
-//! self-validating, and the explicit [`HotStoryCache::invalidate`] calls
-//! on merge/split/removal are hygiene (they free capacity early and keep
-//! hit accounting honest) rather than load-bearing. Fold results are
-//! bit-identical whether resumed from a prefix or rebuilt, because
+//! An entry keys its fold by the story's epoch
+//! ([`StoryState::epoch`](crate::state::StoryState::epoch)), the first
+//! member folded and how many were folded. Window queries return
+//! ascending `(timestamp, id)` order, and while its epoch holds a story
+//! gains members only after all the others in that order. So when the
+//! epoch and the first windowed member are unchanged and the window
+//! holds at least `len` of the story's members, the fold is of a prefix
+//! of them: fold only the rest (hit). Anything else refolds in place
+//! (miss). A resumed fold is bit-identical to one from scratch, because
 //! `SparseVec::merge_add` applies the same additions in the same order
-//! either way. That is what makes partitions byte-identical with the
-//! cache on or off.
+//! (debug builds check every hit); that is what makes partitions
+//! byte-identical with the cache on or off.
+//!
+//! The cache hears of one event only: a story leaving the identifier
+//! ([`HotStoryCache::remove`]), so that a dead story's entry neither
+//! holds capacity nor meets a re-created id at a stale epoch.
 //!
 //! ## Eviction
 //!
@@ -41,12 +38,16 @@ use std::collections::HashMap;
 
 use storypivot_types::{mem, EntityId, SnippetId, SparseVec, StoryId, TermId};
 
-/// One cached story: the windowed member list a fold was computed from,
-/// and the folded entity/term sums.
+/// One cached story: the folded entity/term sums of its first `len`
+/// windowed members from `first`, at story epoch `epoch`.
 #[derive(Debug, Clone, Default)]
 pub struct CacheEntry {
-    /// Member snippet ids, in window (fold) order.
-    pub members: Vec<SnippetId>,
+    /// The story's epoch when the fold was started.
+    pub epoch: u64,
+    /// The first member folded.
+    pub first: SnippetId,
+    /// Number of members folded.
+    pub len: u32,
     /// Sum of the members' entity vectors.
     pub entities: SparseVec<EntityId>,
     /// Sum of the members' term vectors.
@@ -56,46 +57,45 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Drop the fold but keep the allocations for reuse.
-    pub fn reset(&mut self) {
-        self.members.clear();
-        self.entities.clear();
-        self.terms.clear();
-        self.uses = 0;
+    /// How many of a story's `n` windowed members, led by `first`, the
+    /// fold already holds at story epoch `epoch`: `len` if they begin
+    /// with the members folded, otherwise 0.
+    pub fn covers(&self, epoch: u64, first: SnippetId, n: usize) -> usize {
+        let len = self.len as usize;
+        if self.epoch == epoch && self.first == first && len <= n {
+            len
+        } else {
+            0
+        }
     }
 
-    /// Heap bytes of the member list and both folds.
+    /// Drop the fold but keep the allocations for reuse.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.entities.clear();
+        self.terms.clear();
+    }
+
+    /// Heap bytes of both folds.
     pub fn heap_bytes(&self) -> usize {
-        mem::vec_bytes(&self.members) + self.entities.heap_bytes() + self.terms.heap_bytes()
+        self.entities.heap_bytes() + self.terms.heap_bytes()
     }
 }
 
-/// One slab slot: a cache entry plus the story it currently serves.
-///
-/// Dead slots (`live == false`) keep their `CacheEntry` allocations so
-/// the next admission reuses them instead of allocating fresh vectors.
+/// One slab slot: a cache entry plus the story it serves.
 #[derive(Debug, Clone)]
 struct Slot {
     story: StoryId,
-    live: bool,
     entry: CacheEntry,
 }
 
-/// Capacity-bounded LFU cache of pre-folded story centroids.
-///
-/// Entries live in an index-stable slab: once admitted, an entry keeps
-/// its slot index until it is evicted or invalidated. The scoring loop
-/// exploits this — it resolves each story's entry **once** (one hash
-/// lookup via [`HotStoryCache::get_mut_indexed`] /
-/// [`HotStoryCache::admit`]), folds into it, and reads the fold back
-/// with [`HotStoryCache::by_index`] at array-index cost instead of
-/// re-hashing per kernel.
+/// Capacity-bounded LFU cache of pre-folded story centroids: a slab of
+/// entries and a story → slot index.
 #[derive(Debug, Clone)]
 pub struct HotStoryCache {
     capacity: usize,
     index: HashMap<StoryId, u32>,
     slots: Vec<Slot>,
-    free: Vec<u32>,
 }
 
 impl HotStoryCache {
@@ -105,120 +105,71 @@ impl HotStoryCache {
             capacity,
             index: HashMap::with_capacity(capacity.min(1024)),
             slots: Vec::new(),
-            free: Vec::new(),
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Heap bytes of the index, the slab and every slot's buffers, live
-    /// or kept for reuse.
+    /// Heap bytes of the index, the slab and every entry's folds.
     pub fn heap_bytes(&self) -> usize {
         mem::hash_map_bytes(&self.index)
             + mem::vec_bytes(&self.slots)
-            + mem::vec_bytes(&self.free)
             + self.slots.iter().map(|s| s.entry.heap_bytes()).sum::<usize>()
     }
 
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Read a resident entry.
-    pub fn get(&self, story: StoryId) -> Option<&CacheEntry> {
-        self.index.get(&story).map(|&i| &self.slots[i as usize].entry)
-    }
-
-    /// Read an entry by the slot index returned from
-    /// [`HotStoryCache::get_mut_indexed`] or [`HotStoryCache::admit`].
-    /// The index stays valid until that story is evicted or invalidated.
-    #[inline]
-    pub fn by_index(&self, idx: u32) -> &CacheEntry {
-        let slot = &self.slots[idx as usize];
-        debug_assert!(slot.live, "stale cache index");
-        &slot.entry
-    }
-
-    /// Mutate a resident entry (lookup-and-refresh path).
-    pub fn get_mut(&mut self, story: StoryId) -> Option<&mut CacheEntry> {
-        self.get_mut_indexed(story).map(|(_, e)| e)
-    }
-
-    /// Like [`HotStoryCache::get_mut`], also yielding the entry's slot
-    /// index for later [`HotStoryCache::by_index`] reads.
-    pub fn get_mut_indexed(&mut self, story: StoryId) -> Option<(u32, &mut CacheEntry)> {
-        let &i = self.index.get(&story)?;
-        Some((i, &mut self.slots[i as usize].entry))
-    }
-
-    /// Drop a story's entry (story merged away, split, or had a member
-    /// removed).
-    pub fn invalidate(&mut self, story: StoryId) {
+    /// Drop a story's entry (the story left the identifier).
+    pub fn remove(&mut self, story: StoryId) {
         if let Some(i) = self.index.remove(&story) {
-            self.slots[i as usize].live = false;
-            self.free.push(i);
+            self.slots.swap_remove(i as usize);
+            if let Some(moved) = self.slots.get(i as usize) {
+                self.index.insert(moved.story, i);
+            }
         }
     }
 
-    /// Admit `story`, evicting the least-frequently-used unprotected
-    /// entry if the cache is full. Returns the slot index and the
-    /// (reset) entry to fold into, or `None` when the cache is disabled
-    /// or every resident entry is protected.
+    /// `story`'s entry, admitted empty (`len` 0, `uses` 0) if it is not
+    /// resident, evicting the least-frequently-used unprotected entry if
+    /// the cache is full. `None` when the cache is disabled or every
+    /// resident entry is protected.
     ///
     /// `protected` marks stories that must not be evicted — the caller
     /// passes the stories involved in the probe currently being scored,
     /// whose entries it may already have refreshed this round.
-    pub fn admit(
+    pub fn entry(
         &mut self,
         story: StoryId,
         mut protected: impl FnMut(StoryId) -> bool,
-    ) -> Option<(u32, &mut CacheEntry)> {
+    ) -> Option<&mut CacheEntry> {
         if self.capacity == 0 {
             return None;
         }
         if let Some(&i) = self.index.get(&story) {
-            let entry = &mut self.slots[i as usize].entry;
-            entry.reset();
-            return Some((i, entry));
+            return Some(&mut self.slots[i as usize].entry);
         }
-        let i = if self.index.len() >= self.capacity {
+        let i = if self.slots.len() >= self.capacity {
             // LFU victim, story id as deterministic tie-break; the min
             // is unique so scan order does not matter.
             let victim = self
                 .slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.live && !protected(s.story))
+                .filter(|(_, s)| !protected(s.story))
                 .min_by_key(|(_, s)| (s.entry.uses, s.story))
-                .map(|(i, _)| i as u32)?;
+                .map(|(i, _)| i)?;
             // Reuse the victim's slot (and allocations) in place.
-            self.index.remove(&self.slots[victim as usize].story);
+            self.index.remove(&self.slots[victim].story);
             victim
-        } else if let Some(i) = self.free.pop() {
-            i
         } else {
             self.slots.push(Slot {
                 story,
-                live: false,
                 entry: CacheEntry::default(),
             });
-            (self.slots.len() - 1) as u32
+            self.slots.len() - 1
         };
-        self.index.insert(story, i);
-        let slot = &mut self.slots[i as usize];
+        self.index.insert(story, i as u32);
+        let slot = &mut self.slots[i];
         slot.story = story;
-        slot.live = true;
-        slot.entry.reset();
-        Some((i, &mut slot.entry))
+        slot.entry.clear();
+        slot.entry.uses = 0;
+        Some(&mut slot.entry)
     }
 }
 
@@ -230,72 +181,85 @@ mod tests {
         StoryId::new(n)
     }
 
+    fn resident(c: &HotStoryCache, story: StoryId) -> bool {
+        c.index.contains_key(&story)
+    }
+
     #[test]
-    fn admit_and_get_round_trip() {
+    fn entry_is_admitted_empty_and_then_resident() {
         let mut c = HotStoryCache::new(2);
-        let e = c.admit(sid(1), |_| false).unwrap().1;
-        e.members.push(SnippetId::new(7));
+        let e = c.entry(sid(1), |_| false).unwrap();
+        assert_eq!((e.len, e.uses), (0, 0));
+        e.len = 4;
         e.uses = 3;
-        assert_eq!(c.get(sid(1)).unwrap().members, vec![SnippetId::new(7)]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entry(sid(1), |_| false).unwrap().len, 4);
+        assert_eq!(c.index.len(), 1);
+    }
+
+    #[test]
+    fn covers_only_a_prefix_at_the_same_epoch() {
+        let first = SnippetId::new(7);
+        let e = CacheEntry {
+            epoch: 3,
+            first,
+            len: 2,
+            ..CacheEntry::default()
+        };
+        assert_eq!(e.covers(3, first, 2), 2, "exact");
+        assert_eq!(e.covers(3, first, 5), 2, "grew at the trailing edge");
+        assert_eq!(e.covers(3, first, 1), 0, "window shrank");
+        assert_eq!(e.covers(4, first, 5), 0, "epoch moved");
+        assert_eq!(e.covers(3, SnippetId::new(8), 5), 0, "leading edge slid");
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = HotStoryCache::new(0);
-        assert!(c.admit(sid(1), |_| false).is_none());
-        assert!(c.is_empty());
+        assert!(c.entry(sid(1), |_| false).is_none());
+        assert_eq!(c.index.len(), 0);
     }
 
     #[test]
     fn evicts_least_frequently_used() {
         let mut c = HotStoryCache::new(2);
-        c.admit(sid(1), |_| false).unwrap().1.uses = 10;
-        c.admit(sid(2), |_| false).unwrap().1.uses = 1;
-        c.admit(sid(3), |_| false).unwrap();
-        assert!(c.get(sid(1)).is_some(), "hot entry survives");
-        assert!(c.get(sid(2)).is_none(), "cold entry evicted");
-        assert!(c.get(sid(3)).is_some());
+        c.entry(sid(1), |_| false).unwrap().uses = 10;
+        c.entry(sid(2), |_| false).unwrap().uses = 1;
+        c.entry(sid(3), |_| false).unwrap();
+        assert!(resident(&c, sid(1)), "hot entry survives");
+        assert!(!resident(&c, sid(2)), "cold entry evicted");
+        assert!(resident(&c, sid(3)));
     }
 
     #[test]
     fn tie_break_is_lowest_story_id() {
         let mut c = HotStoryCache::new(2);
-        c.admit(sid(5), |_| false).unwrap().1.uses = 1;
-        c.admit(sid(2), |_| false).unwrap().1.uses = 1;
-        c.admit(sid(9), |_| false).unwrap();
-        assert!(c.get(sid(2)).is_none(), "lowest id among equal uses goes");
-        assert!(c.get(sid(5)).is_some());
+        c.entry(sid(5), |_| false).unwrap().uses = 1;
+        c.entry(sid(2), |_| false).unwrap().uses = 1;
+        c.entry(sid(9), |_| false).unwrap();
+        assert!(!resident(&c, sid(2)), "lowest id among equal uses goes");
+        assert!(resident(&c, sid(5)));
     }
 
     #[test]
     fn protected_entries_are_never_evicted() {
         let mut c = HotStoryCache::new(1);
-        c.admit(sid(1), |_| false).unwrap().1.uses = 0;
+        c.entry(sid(1), |_| false).unwrap();
         assert!(
-            c.admit(sid(2), |s| s == sid(1)).is_none(),
+            c.entry(sid(2), |s| s == sid(1)).is_none(),
             "full of protected entries ⇒ no admission"
         );
-        assert!(c.get(sid(1)).is_some());
+        assert!(resident(&c, sid(1)));
     }
 
     #[test]
-    fn invalidate_frees_the_slot() {
-        let mut c = HotStoryCache::new(1);
-        c.admit(sid(1), |_| false).unwrap().1.uses = 99;
-        c.invalidate(sid(1));
-        assert!(c.is_empty());
-        assert!(c.admit(sid(2), |_| false).is_some());
-    }
-
-    #[test]
-    fn readmitting_resident_story_resets_it() {
+    fn remove_frees_the_slot_and_keeps_the_rest_indexed() {
         let mut c = HotStoryCache::new(2);
-        let e = c.admit(sid(1), |_| false).unwrap().1;
-        e.members.push(SnippetId::new(1));
-        e.uses = 5;
-        let e = c.admit(sid(1), |_| false).unwrap().1;
-        assert!(e.members.is_empty());
-        assert_eq!(e.uses, 0);
+        c.entry(sid(1), |_| false).unwrap().uses = 99;
+        c.entry(sid(2), |_| false).unwrap().uses = 5;
+        c.remove(sid(1));
+        assert_eq!(c.index.len(), 1);
+        assert_eq!(c.entry(sid(2), |_| false).unwrap().uses, 5, "moved slot still found");
+        assert_eq!(c.entry(sid(3), |_| false).unwrap().uses, 0, "admitted without eviction");
+        assert!(resident(&c, sid(2)));
     }
 }

@@ -198,17 +198,6 @@ fn member_components(
     (uf, pairs)
 }
 
-/// Where the story being scored has its windowed fold: the scoring loop
-/// resolves the cache entry once and reads the fold back at array-index
-/// cost.
-#[derive(Debug, Clone, Copy)]
-enum Fold {
-    /// Hot-cache slab index (read with [`HotStoryCache::by_index`]).
-    Cached(u32),
-    /// The scratch's local buffer.
-    Local,
-}
-
 /// What [`Identifier::score_probe`] adds to a story's upper bound before
 /// comparing it with what the decision reads: many orders of magnitude
 /// above the few ulps by which the bound's rounding and the exact
@@ -362,8 +351,17 @@ fn fold_members(entry: &mut CacheEntry, candidates: &[&Snippet], idx: &[u32]) {
         let c = candidates[ci as usize];
         entry.entities.merge_add(c.entities());
         entry.terms.merge_add(c.terms());
-        entry.members.push(c.id);
     }
+    entry.len += idx.len() as u32;
+}
+
+/// Whether two folds hold the same keys with the same weights, to the bit.
+#[cfg(debug_assertions)]
+fn same_bits(a: &CacheEntry, b: &CacheEntry) -> bool {
+    fn eq<K: PartialEq>(a: &[(K, f32)], b: &[(K, f32)]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+    }
+    eq(a.entities.as_slice(), b.entities.as_slice()) && eq(a.terms.as_slice(), b.terms.as_slice())
 }
 
 /// Rank order of scored stories: descending score, ties by ascending
@@ -614,6 +612,7 @@ impl Identifier {
         };
         let mut work = Work::default();
         let id_base = self.source.raw().wrapping_mul(STORY_ID_STRIDE);
+        let own = self.story_of(snippet.id);
         self.scratch.begin();
         for (ci, cand) in candidates.iter().enumerate() {
             if cand.id == snippet.id {
@@ -704,7 +703,9 @@ impl Identifier {
         // The fold (sum of the story's windowed members' vectors) is the
         // expensive part; hot stories are served from the cache, which
         // only has to extend the fold by the members that newly entered
-        // the window. Everything else is refolded into local scratch.
+        // the window. Everything else is refolded into local scratch, and
+        // so is the story of a probe that already has one: its windowed
+        // members lack the probe, so they extend no fold.
         //
         // The bound is an upper bound on the score only under
         // non-negative weights and a blend in [0, 1]: what config
@@ -721,9 +722,9 @@ impl Identifier {
             let off = s.raw().wrapping_sub(id_base) as usize;
             stamp.get(off).is_some_and(|&st| st == *probe)
         };
-        let affinity = |story: StoryId| {
-            let dominant = self.stories.get(&story).map(|s| s.dominant_event_type());
-            snippet.content.event_type.affinity(dominant.unwrap_or(snippet.content.event_type))
+        let affinity = |state: Option<&StoryState>| {
+            let dominant = state.map_or(snippet.content.event_type, StoryState::dominant_event_type);
+            snippet.content.event_type.affinity(dominant)
         };
         // Debug builds score a skipped story anyway, folded outside the
         // cache so its state matches release's, and hold it to the bound
@@ -731,10 +732,10 @@ impl Identifier {
         #[cfg(debug_assertions)]
         let assert_under = |slot: &Slot, local: &mut CacheEntry, bound: f64, which: &str| {
             let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
-            local.reset();
+            local.clear();
             fold_members(local, &candidates, &slot.cand_idx);
             let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
-            let exact = story_score(pair, e, t, affinity(slot.story));
+            let exact = story_score(pair, e, t, affinity(self.stories.get(&slot.story)));
             assert!(
                 exact <= bound + SLACK,
                 "story {} scores {exact}, above its {which} bound {bound}",
@@ -754,7 +755,8 @@ impl Identifier {
                 assert_under(slot, local, at_one, "pre-pair");
                 continue;
             }
-            let type_affinity = affinity(slot.story);
+            let state = self.stories.get(&slot.story);
+            let type_affinity = affinity(state);
             let (pair_bound, entity, term) = bounds_of(slot);
             let before_pairs = story_score(pair_bound, entity, term, type_affinity);
             if unreachable(before_pairs) {
@@ -770,46 +772,43 @@ impl Identifier {
                 assert_under(slot, local, with_pair, "pair");
                 continue;
             }
-            let fold = if let Some((idx, entry)) = self.cache.get_mut_indexed(slot.story) {
-                let is_prefix = entry.members.len() <= slot.cand_idx.len()
-                    && entry
-                        .members
-                        .iter()
-                        .zip(&slot.cand_idx)
-                        .all(|(&m, &ci)| m == candidates[ci as usize].id);
-                if is_prefix {
-                    // Exact hit or trailing-edge growth: fold only the
-                    // members beyond the cached list.
-                    let cached = entry.members.len();
-                    fold_members(entry, &candidates, &slot.cand_idx[cached..]);
-                    entry.uses += 1;
-                    work.cache_hits += 1;
-                } else {
-                    // Window slid or membership changed: refold in place,
-                    // keeping the entry's LFU popularity.
-                    let uses = entry.uses;
-                    entry.reset();
-                    entry.uses = uses + 1;
-                    fold_members(entry, &candidates, &slot.cand_idx);
-                    work.cache_misses += 1;
+            let cached = match state {
+                Some(state) if own != Some(slot.story) => {
+                    self.cache.entry(slot.story, &in_probe).map(|entry| (entry, state.epoch()))
                 }
-                Fold::Cached(idx)
-            } else if let Some((idx, entry)) = self.cache.admit(slot.story, &in_probe) {
-                entry.uses = 1;
-                fold_members(entry, &candidates, &slot.cand_idx);
-                work.cache_misses += 1;
-                Fold::Cached(idx)
-            } else {
-                // Cache disabled or full of protected entries: fold into
-                // the local buffer. Bit-identical either way.
-                local.reset();
-                fold_members(local, &candidates, &slot.cand_idx);
-                work.cache_misses += 1;
-                Fold::Local
+                _ => None,
             };
-            let fold = match fold {
-                Fold::Cached(idx) => self.cache.by_index(idx),
-                Fold::Local => &*local,
+            let fold = match cached {
+                Some((entry, epoch)) => {
+                    entry.uses += 1;
+                    let first = candidates[slot.cand_idx[0] as usize].id;
+                    let done = entry.covers(epoch, first, slot.cand_idx.len());
+                    if done == 0 {
+                        // Window slid or the story changed: refold in
+                        // place, keeping the entry's LFU popularity.
+                        entry.clear();
+                        (entry.epoch, entry.first) = (epoch, first);
+                        work.cache_misses += 1;
+                    } else {
+                        work.cache_hits += 1;
+                    }
+                    fold_members(entry, &candidates, &slot.cand_idx[done..]);
+                    // Debug builds hold every hit to a fold from scratch.
+                    #[cfg(debug_assertions)]
+                    if done > 0 {
+                        local.clear();
+                        fold_members(local, &candidates, &slot.cand_idx);
+                        assert!(same_bits(entry, local), "story {}: resumed fold != refold", slot.story);
+                    }
+                    &*entry
+                }
+                None => {
+                    // Cache disabled or full of protected entries.
+                    local.clear();
+                    fold_members(local, &candidates, &slot.cand_idx);
+                    work.cache_misses += 1;
+                    &*local
+                }
             };
             let (e, t) = (scorer.entity_cosine(&fold.entities), scorer.term_cosine(&fold.terms));
             let s = story_score(pair, e, t, type_affinity);
@@ -851,14 +850,11 @@ impl Identifier {
                                 .get_mut(&best_story)
                                 .expect("best story exists")
                                 .absorb(&other_state);
-                            self.cache.invalidate(other);
+                            self.cache.remove(other);
                             self.pending.remove(&other);
                             merged.push(other);
                         }
                     }
-                }
-                if !merged.is_empty() {
-                    self.cache.invalidate(best_story);
                 }
                 let state = self.stories.get_mut(&best_story).expect("best story exists");
                 let pending = self.pending.entry(best_story).or_insert_with(|| {
@@ -922,7 +918,6 @@ impl Identifier {
     /// becomes empty. Returns the story it was removed from.
     pub fn remove_snippet(&mut self, snippet: &Snippet, store: &EventStore) -> Option<StoryId> {
         let story_id = self.erase_assignment(snippet.id)?;
-        self.cache.invalidate(story_id);
         let Entry::Occupied(mut entry) = self.stories.entry(story_id) else {
             return None;
         };
@@ -930,6 +925,7 @@ impl Identifier {
         state.story.remove_member(snippet.id);
         if state.story.is_empty() {
             entry.remove();
+            self.cache.remove(story_id);
             self.pending.remove(&story_id);
         } else {
             let members: Vec<&Snippet> = state
@@ -949,7 +945,6 @@ impl Identifier {
     /// if it does not exist.
     pub fn force_assign(&mut self, snippet: &Snippet, story: StoryId) {
         debug_assert_eq!(snippet.source, self.source);
-        self.cache.invalidate(story);
         let state = self
             .stories
             .entry(story)
@@ -1014,7 +1009,6 @@ impl Identifier {
                 continue;
             }
             // Split: largest component keeps the id, others get new ids.
-            self.cache.invalidate(story_id);
             let mut groups = uf.groups();
             groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
             let mut fragment_ids = vec![story_id];
@@ -1560,6 +1554,139 @@ mod tests {
         id.force_assign(&s, target);
         assert_eq!(id.story_of(SnippetId::new(0)), Some(target));
         assert_eq!(id.story(target).unwrap().len(), 1);
+    }
+
+    // ---- the hot cache's epoch rule ---------------------------------------
+    //
+    // Probes are scored, never stored, so probing moves only the cache.
+    // Debug builds also refold every hit and assert the bits match.
+
+    fn x_at(id: u32, day: i64) -> Snippet {
+        snip(id, day, &[1, 2], &[10, 11])
+    }
+
+    /// Cache `(hits, misses)` of scoring a probe like `x` at `day`.
+    fn next_fold(id: &mut Identifier, st: &EventStore, day: i64) -> (usize, usize) {
+        let (_, hits, misses) = id.score_probe(&x_at(999, day), st);
+        (hits, misses)
+    }
+
+    /// One story with ids 0, 1, 5 at days 0, 2, 4, in a 5-day window,
+    /// its fold cached by a probe at day 2. 0 and 5 are `x`s, 1 is not
+    /// quite, so a fold that drops or repeats a member is a wrong fold.
+    fn cached_story() -> (EventStore, Identifier, StoryId) {
+        let mut st = store();
+        let mut id = ident(MatchMode::Temporal { omega: 5 * DAY });
+        let story = ingest(&mut st, &mut id, x_at(0, 0)).story;
+        for s in [snip(1, 2, &[1, 2, 3], &[10, 11, 12]), x_at(5, 4)] {
+            assert_eq!(ingest(&mut st, &mut id, s).story, story);
+        }
+        next_fold(&mut id, &st, 2);
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "an unchanged story hits");
+        (st, id, story)
+    }
+
+    fn force(st: &mut EventStore, id: &mut Identifier, s: Snippet, story: StoryId) {
+        st.insert(s.clone()).unwrap();
+        id.force_assign(&s, story);
+    }
+
+    #[test]
+    fn in_order_joins_extend_the_cached_fold() {
+        let (mut st, mut id, story) = cached_story();
+        // Each join's own probe (window [0, 10]) extends the fold too.
+        let d = ingest(&mut st, &mut id, x_at(6, 5));
+        assert_eq!((d.story, d.cache_hits), (story, 1));
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "a later timestamp appends");
+        assert_eq!(ingest(&mut st, &mut id, x_at(7, 5)).story, story);
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "the same timestamp and a higher id append");
+    }
+
+    #[test]
+    fn an_out_of_order_join_misses() {
+        let (mut st, mut id, story) = cached_story();
+        assert_eq!(ingest(&mut st, &mut id, x_at(3, 1)).story, story);
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn a_join_at_the_same_timestamp_with_a_lower_id_misses() {
+        let (mut st, mut id, story) = cached_story();
+        assert_eq!(ingest(&mut st, &mut id, x_at(3, 4)).story, story);
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn an_out_of_order_force_assign_misses() {
+        let (mut st, mut id, story) = cached_story();
+        force(&mut st, &mut id, x_at(3, 1), story);
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn a_removal_with_survivors_misses() {
+        let (mut st, mut id, story) = cached_story();
+        let gone = st.remove(SnippetId::new(1)).unwrap();
+        id.remove_snippet(&gone, &st);
+        // Back to three members, the first unchanged: only the epoch
+        // tells the fold of 0, 1, 5 from the window's 0, 5, 6.
+        force(&mut st, &mut id, x_at(6, 6), story);
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn a_slid_leading_edge_misses() {
+        let (mut st, mut id, story) = cached_story();
+        for (i, day) in [(6, 6), (7, 8)] {
+            force(&mut st, &mut id, x_at(i, day), story);
+        }
+        // Window [1, 11]: 1, 5, 6, 7 — at least as many as were folded,
+        // at the same epoch, but no longer led by 0.
+        assert_eq!(next_fold(&mut id, &st, 6), (0, 1));
+    }
+
+    #[test]
+    fn a_merge_survivor_misses() {
+        let mut st = store();
+        let mut id = ident(MatchMode::Temporal { omega: 5 * DAY });
+        let y_at = |id: u32, day: i64| snip(id, day, &[3, 4], &[12, 13]);
+        let survivor = ingest(&mut st, &mut id, x_at(0, 0)).story;
+        let other = ingest(&mut st, &mut id, y_at(1, 1)).story;
+        ingest(&mut st, &mut id, x_at(2, 2));
+        ingest(&mut st, &mut id, y_at(3, 3));
+        // The bridge folds the survivor as 0, 2 and appends after all
+        // members; the merge interleaves 1 and 3.
+        let d = ingest(&mut st, &mut id, snip(4, 4, &[1, 2, 3, 4], &[10, 11, 12, 13]));
+        assert_eq!((d.story, d.merged), (survivor, vec![other]));
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn a_split_survivor_misses() {
+        let (mut st, mut id, story) = cached_story();
+        // A stranger with no edge to anyone, in the window and in order.
+        force(&mut st, &mut id, snip(6, 5, &[7, 8], &[30, 31]), story);
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0));
+        assert_eq!(id.maintain(&st).splits.len(), 1);
+        // Back to four members in order: only the epoch tells the fold
+        // of 0, 1, 5, 6 from the survivor's 0, 1, 5, 7.
+        force(&mut st, &mut id, x_at(7, 6), story);
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
+    }
+
+    #[test]
+    fn a_probe_that_is_already_a_member_folds_its_story_outside_the_cache() {
+        let (mut st, mut id, _) = cached_story();
+        let mut uncached = id.clone();
+        uncached.cache = HotStoryCache::new(0);
+        let member = st.get(SnippetId::new(1)).unwrap().clone();
+        // Its story's window lacks it (0, 5): no prefix of 0, 1, 5.
+        assert_eq!(id.score_probe(&member, &st), (2, 0, 1));
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "the cached fold is untouched");
+        let probe = x_at(6, 2);
+        st.insert(probe.clone()).unwrap();
+        let (got, want) = (id.assign(&probe, &st), uncached.assign(&probe, &st));
+        assert_eq!(got.best_score.to_bits(), want.best_score.to_bits());
     }
 
     // ---- maintenance proportional to what changed ------------------------

@@ -30,7 +30,7 @@ pub mod align;
 pub mod checkpoint;
 pub mod explain;
 pub mod config;
-pub mod hotcache;
+mod hotcache;
 pub mod identify;
 pub mod metrics;
 pub mod oplog;

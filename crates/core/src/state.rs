@@ -42,6 +42,9 @@ pub struct StoryState {
     /// refreshed on every histogram mutation so the identification
     /// ranking loop reads a field instead of rescanning.
     dominant: EventType,
+    /// Bumped by every mutation except an in-order append (see
+    /// [`StoryState::epoch`]).
+    epoch: u64,
 }
 
 impl StoryState {
@@ -54,6 +57,7 @@ impl StoryState {
             signature: TemporalSignature::new(bucket_width),
             event_types: [0; EventType::COUNT],
             dominant: EventType::Other,
+            epoch: 0,
         }
     }
 
@@ -87,9 +91,27 @@ impl StoryState {
         self.story.lifespan
     }
 
+    /// The story's epoch. It changes whenever the members stop being a
+    /// `(timestamp, id)`-ordered extension of what they were: any
+    /// [`StoryState::absorb`] or [`StoryState::rebuild`], and any
+    /// [`StoryState::add_snippet`] whose snippet does not sort after
+    /// every member. While it holds, the members in any time window are
+    /// the same sequence plus, possibly, members appended at its end.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Fold a snippet into every aggregate.
     pub fn add_snippet(&mut self, snippet: &Snippet) {
         debug_assert_eq!(snippet.source, self.story.source, "cross-source story member");
+        // Members are sorted by id, so `last` is the largest.
+        let (end, last) = (self.story.lifespan.end, self.story.members.last());
+        let appends = snippet.timestamp > end
+            || (snippet.timestamp == end && last.is_some_and(|&m| snippet.id > m));
+        if !appends {
+            self.epoch += 1;
+        }
         self.story.add_member(snippet.id, snippet.timestamp);
         self.entities.merge_add(snippet.entities());
         self.terms.merge_add(snippet.terms());
@@ -105,7 +127,9 @@ impl StoryState {
     where
         I: IntoIterator<Item = &'a Snippet>,
     {
+        let epoch = self.epoch + 1;
         *self = StoryState::new(self.story.id, self.story.source, self.signature.bucket_width());
+        self.epoch = epoch;
         for s in members {
             self.add_snippet(s);
         }
@@ -114,6 +138,7 @@ impl StoryState {
     /// Absorb all aggregates of `other` (story merge). Membership and
     /// lifespan merge too; `other` should be discarded afterwards.
     pub fn absorb(&mut self, other: &StoryState) {
+        self.epoch += 1;
         for &m in &other.story.members {
             if let Err(pos) = self.story.members.binary_search(&m) {
                 self.story.members.insert(pos, m);

@@ -272,24 +272,30 @@ impl ShardWorker {
                 }
                 result
             }
-            Err(_) => {
-                self.serve_metrics.restarts.inc();
-                *self.strikes.entry(fp).or_insert(0) += 1;
-                self.dump_trace(fp);
-                self.rebuild();
-                let quarantined_now = self.quarantine.contains(&fp);
-                Err(Error::Invariant(format!(
-                    "shard {} panicked applying the operation; engine rebuilt from \
-                     checkpoint + wal{}",
-                    self.idx,
-                    if quarantined_now {
-                        " and the operation was quarantined"
-                    } else {
-                        ""
-                    }
-                )))
-            }
+            Err(_) => Err(self.restart(fp)),
         }
+    }
+
+    /// Supervise a panic applying the op with fingerprint `fp`, live or
+    /// replicated: count the restart and the op's strike, dump the
+    /// trace, rebuild the engine from durable state (which quarantines
+    /// the op at its second strike) and return the error to reply with.
+    fn restart(&mut self, fp: u64) -> Error {
+        self.serve_metrics.restarts.inc();
+        *self.strikes.entry(fp).or_insert(0) += 1;
+        self.dump_trace(fp);
+        self.rebuild();
+        let quarantined_now = self.quarantine.contains(&fp);
+        Error::Invariant(format!(
+            "shard {} panicked applying the operation; engine rebuilt from \
+             checkpoint + wal{}",
+            self.idx,
+            if quarantined_now {
+                " and the operation was quarantined"
+            } else {
+                ""
+            }
+        ))
     }
 
     /// Read the levels into their gauges and snapshot the shard's

@@ -3,13 +3,15 @@
 //! answer to one REPL_SUBSCRIBE poll, and the follower's bootstrap and
 //! apply.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use storypivot_core::checkpoint;
 use storypivot_core::oplog::{self, ReplayOp};
 use storypivot_core::StoryPivot;
 use storypivot_substrate::wal::{self, Wal};
 use storypivot_types::{Error, Result};
 
-use super::ShardWorker;
+use super::{poison_check, ShardWorker};
 use crate::proto::Response;
 use crate::server::job::ReplCursor;
 
@@ -122,14 +124,21 @@ impl ShardWorker {
                 w.append(payload)
                     .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
             }
-            // Same error policy as rebuild(): a record the engine
-            // rejects is logged and skipped, not fatal — the leader
-            // already applied (or skipped) it.
-            if let Err(e) = oplog::replay(&mut self.engine, &op) {
-                eprintln!(
+            // Same policy as rebuild(): a record the engine rejects is
+            // logged and skipped, not fatal — the leader already
+            // applied (or skipped) it; a panic is supervised as a live
+            // apply's is, and the puller re-probes the cursor.
+            let replayed = catch_unwind(AssertUnwindSafe(|| {
+                poison_check(&self.poison, &op);
+                oplog::replay(&mut self.engine, &op)
+            }));
+            match replayed {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => eprintln!(
                     "pivotd: shard {}: replicated op rejected (skipped): {e}",
                     self.idx
-                );
+                ),
+                Err(_) => return Err(self.restart(oplog::fingerprint_of(payload))),
             }
             self.ops_since_checkpoint += 1;
             applied = true;

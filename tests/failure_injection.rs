@@ -366,6 +366,7 @@ mod wire_faults {
 /// every build profile; without the site the headline is ordinary.
 mod shard_supervision {
     use std::path::{Path, PathBuf};
+    use std::time::Duration;
 
     use storypivot::core::config::PivotConfig;
     use storypivot::core::pivot::StoryPivot;
@@ -519,6 +520,63 @@ mod shard_supervision {
         handle.join();
         let _ = std::fs::remove_dir_all(&wal);
         let _ = std::fs::remove_dir_all(&ckpt);
+    }
+
+    /// Every member the server at `addr` serves, ascending.
+    fn served_members(addr: std::net::SocketAddr) -> Vec<SnippetId> {
+        let stories = Client::connect(addr).unwrap().query_stories().unwrap();
+        let mut members: Vec<SnippetId> = stories.into_iter().flat_map(|s| s.members).collect();
+        members.sort_unstable();
+        members
+    }
+
+    /// A clean leader takes the poison headline; a follower with the
+    /// site armed panics replaying it. The follower's shard is
+    /// supervised as a live apply is — restart, rebuild, quarantine, an
+    /// error to its puller — so it catches up past the op and keeps
+    /// answering. The checks run on a thread under a deadline: a shard
+    /// thread that died would leave them waiting forever.
+    #[test]
+    fn a_follower_shard_that_panics_on_a_replicated_op_restarts_and_keeps_serving() {
+        let dirs = ["wal-leader", "ckpt-leader", "wal-follower", "ckpt-follower"].map(scratch);
+        let config = ServerConfig { faults: None, ..durable_config(&dirs[0], &dirs[1]) };
+        let leader = serve("127.0.0.1:0", config).unwrap();
+        let mut client = Client::connect(leader.addr()).unwrap();
+        client.add_source("victim", SourceKind::Wire, 0).unwrap();
+        for (id, headline) in [(0, "fine"), (1, POISON_HEADLINE), (2, "fine too")] {
+            client.ingest_backoff(&snippet(id, 0, headline), ten_retries()).unwrap();
+        }
+        let config = ServerConfig {
+            leader: Some(leader.addr().to_string()),
+            ..durable_config(&dirs[2], &dirs[3])
+        };
+        let follower = serve("127.0.0.1:0", config).unwrap();
+        let addr = follower.addr();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let want = [SnippetId::new(0), SnippetId::new(2)];
+            loop {
+                let text = Client::connect(addr).unwrap().metrics().unwrap();
+                let restarted = text.lines().any(|l| l == "storypivot_shard_restarts_total{shard=\"0\"} 2");
+                let quarantined = text.lines().any(|l| l == "storypivot_shard_quarantined{shard=\"0\"} 1");
+                if restarted && quarantined && served_members(addr) == want {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the follower never restarted, quarantined the op and caught up past it");
+
+        for handle in [follower, leader] {
+            Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+            handle.join();
+        }
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]
