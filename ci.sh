@@ -132,17 +132,17 @@ cargo run -p storypivot-bench --bin harness --release -- all --quick --json "$SM
 HARNESS_PID=$!
 # The repository benchmark's exact counts ride in the same file: every
 # workload's pair_f1, for seed 7; what identification compared, merged,
-# split and swept and how often the hot cache hit; what alignment
+# split and swept and how often it resumed a story's fold; what alignment
 # rescored and integrated and what refinement moved on align_refine; and
 # for the served workload what an ingest weighs on the wire, in the
 # journal and in a checkpoint (not its busy / shed cells, which depend on
 # scheduling). They repeat exactly whatever the run length, so 3 s of the
 # binary built above is enough. Most of them count what the engine
 # decides, and a change that only makes things cheaper leaves those where
-# they were. The hot cache's hits and misses (the hit ratios here, the
-# hotpath rows above) and hotpath's `pairs scored` (the exact pair
-# similarities identification computed, beside its `candidate pairs`)
-# count work done: a change that skips work, or scores the candidate
+# they were. The resumed folds and the folds from scratch (the hit
+# ratios here, the hotpath row above) and hotpath's `pairs scored` (the
+# exact pair similarities identification computed, beside its
+# `candidate pairs`) count work done: a change that skips work, or scores the candidate
 # stories in another order, moves them, and the gate then requires the
 # new values in data/expected-counts.txt in the same diff, with the
 # reason in CHANGES.md.

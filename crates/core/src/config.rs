@@ -64,12 +64,6 @@ pub struct IdentifyConfig {
     /// resists chaining but fragments drifting stories. The E10
     /// ablation measures the trade-off.
     pub pair_blend: f64,
-    /// Capacity of the per-source hot-story cache: pre-folded windowed
-    /// centroids for the most frequently probed stories (Zipf-skewed
-    /// traffic concentrates comparisons on a few hot stories). `0`
-    /// disables the cache. Partitions are identical with the cache on or
-    /// off; only the ns/event moves.
-    pub hot_cache_capacity: usize,
 }
 
 impl Default for IdentifyConfig {
@@ -82,7 +76,6 @@ impl Default for IdentifyConfig {
             split_threshold: 0.18,
             maintenance_every: 64,
             pair_blend: 0.5,
-            hot_cache_capacity: 512,
         }
     }
 }

@@ -57,9 +57,8 @@ use storypivot_types::ids::IdGen;
 use storypivot_types::{mem, Error, EventType, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
-use crate::hotcache::{CacheEntry, HotStoryCache};
 use crate::sim::{ProbeScorer, ProbeTables};
-use crate::state::StoryState;
+use crate::state::{StoryState, WindowFold};
 use crate::unionfind::UnionFind;
 
 /// Number of story-id slots reserved per source (story ids are
@@ -100,13 +99,12 @@ pub struct IdentifyDecision {
     /// candidate story the reachability bound rules out before its pairs
     /// are scored adds none.
     pub pairs_scored: usize,
-    /// Hot-story-cache hits while scoring this snippet (candidate
-    /// stories whose windowed fold was reused or merely extended).
-    /// These and the misses count folds, so a candidate story the
-    /// reachability bound skipped counts in neither.
+    /// Candidate stories whose stored windowed fold was resumed while
+    /// scoring this snippet (reused, or extended by the members that
+    /// entered the window). These and the misses count folds, so a
+    /// candidate story the reachability bound skipped counts in neither.
     pub cache_hits: usize,
-    /// Hot-story-cache misses (stories folded from scratch, whether
-    /// admitted to the cache or accumulated in local scratch).
+    /// Candidate stories folded from scratch.
     pub cache_misses: usize,
 }
 
@@ -281,8 +279,8 @@ struct ScoreScratch {
     /// `(bound at affinity 1, slot index)` of the current probe's
     /// stories: the order the scoring loop visits them in.
     order: Vec<(f64, u32)>,
-    /// Fold buffer for a story that could not use the cache.
-    local: CacheEntry,
+    /// Fold buffer for a story whose stored fold is not used.
+    local: WindowFold,
     /// `(story, blended score)`: the best-scoring story first, then
     /// the stories reaching `merge_threshold` in rank order — all
     /// [`Identifier::decide`] reads.
@@ -341,23 +339,23 @@ fn best_pair(scorer: &ProbeScorer<'_>, candidates: &[&Snippet], idx: &[u32]) -> 
     })
 }
 
-/// Append the candidates at `idx` (in that order) to `entry`'s fold.
-/// Every fold in the scoring loop goes through here, so the order of f32
-/// additions — and with it every score — cannot differ between the
-/// cached, extended, refolded and local paths.
+/// Append the candidates at `idx` (in that order) to `fold`. Every fold
+/// in the scoring loop goes through here, so the order of f32 additions
+/// — and with it every score — cannot differ between the resumed,
+/// refolded and local paths.
 #[inline]
-fn fold_members(entry: &mut CacheEntry, candidates: &[&Snippet], idx: &[u32]) {
+fn fold_members(fold: &mut WindowFold, candidates: &[&Snippet], idx: &[u32]) {
     for &ci in idx {
         let c = candidates[ci as usize];
-        entry.entities.merge_add(c.entities());
-        entry.terms.merge_add(c.terms());
+        fold.entities.merge_add(c.entities());
+        fold.terms.merge_add(c.terms());
     }
-    entry.len += idx.len() as u32;
+    fold.len += idx.len() as u32;
 }
 
 /// Whether two folds hold the same keys with the same weights, to the bit.
 #[cfg(debug_assertions)]
-fn same_bits(a: &CacheEntry, b: &CacheEntry) -> bool {
+fn same_bits(a: &WindowFold, b: &WindowFold) -> bool {
     fn eq<K: PartialEq>(a: &[(K, f32)], b: &[(K, f32)]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
     }
@@ -403,7 +401,6 @@ pub struct Identifier {
     /// Stories not known connected (module docs). Holds at most one
     /// entry per story joined or forced since the last pass.
     pending: HashMap<StoryId, Pending>,
-    cache: HotStoryCache,
     scratch: ScoreScratch,
 }
 
@@ -419,7 +416,6 @@ impl Identifier {
             ids: IdGen::starting_at(source.raw().wrapping_mul(STORY_ID_STRIDE)),
             since_maintenance: 0,
             pending: HashMap::new(),
-            cache: HotStoryCache::new(cfg.hot_cache_capacity),
             scratch: ScoreScratch::default(),
             cfg,
         }
@@ -467,9 +463,10 @@ impl Identifier {
     }
 
     /// Heap bytes by part (the memory account): the story table with
-    /// every state's buffers and the snippet → story table, the hot-story
-    /// cache, the pending-maintenance set, and the pooled probe scratch.
-    pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
+    /// every state's buffers (its windowed fold included) and the
+    /// snippet → story table, the pending-maintenance set, and the
+    /// pooled probe scratch.
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 3] {
         let stories = mem::hash_map_bytes(&self.stories)
             + self.stories.values().map(StoryState::heap_bytes).sum::<usize>()
             + mem::vec_bytes(&self.assignment);
@@ -493,7 +490,6 @@ impl Identifier {
             + s.tables.heap_bytes();
         [
             ("identify.stories", stories),
-            ("identify.hot_cache", self.cache.heap_bytes()),
             ("identify.pending", pending),
             ("identify.scratch", scratch),
         ]
@@ -565,10 +561,11 @@ impl Identifier {
     }
 
     /// [`Identifier::assign`]; with `skip` false every candidate pair is
-    /// scored and every candidate story folded, the reachability bound
-    /// unused (how [`crate::StoryPivot::ingest_reference`] identifies).
-    /// The decision is the same either way, to the bit, except the pair
-    /// and cache counts.
+    /// scored and every candidate story folded from scratch, the
+    /// reachability bound unused and no stored fold read or written (how
+    /// [`crate::StoryPivot::ingest_reference`] identifies). The decision
+    /// is the same either way, to the bit, except the pair and fold
+    /// counts.
     pub(crate) fn assign_with(
         &mut self,
         snippet: &Snippet,
@@ -582,12 +579,12 @@ impl Identifier {
     /// The scoring phases of [`Identifier::assign`]: score `snippet`
     /// against every candidate story that can reach the decision and
     /// leave the ranked `(story, score)` list in the internal scratch.
-    /// Mutates only the hot-story cache (folds, admissions, LFU
-    /// popularity) — never assignments or the story table — so running
-    /// it without the subsequent decision is harmless, and running it
-    /// twice makes the second pass a guaranteed cache hit. Returns
-    /// `(compared, cache_hits, cache_misses)`; a story the bound skips
-    /// counts in neither of the last two.
+    /// Mutates only the stories' stored windowed folds — never
+    /// assignments or anything else of the story table — so running it
+    /// without the subsequent decision is harmless, and running it twice
+    /// resumes every fold the first pass made. Returns `(compared, folds
+    /// resumed, folds from scratch)`; a story the bound skips counts in
+    /// neither of the last two.
     ///
     /// Public so the benchmark harness can time the similarity hot path
     /// in isolation.
@@ -668,8 +665,6 @@ impl Identifier {
             (w.blend(jaccard, term, affinity), entity, term)
         };
         let ScoreScratch {
-            stamp,
-            probe,
             slots,
             live,
             order,
@@ -691,7 +686,7 @@ impl Identifier {
         // `merge_threshold`, nothing else. A story whose bound falls
         // short of both `merge_threshold` and an exact score already
         // seen can be neither merged nor the head, so it is skipped: no
-        // pair scored, no fold, no cache access. The cut below ranks
+        // pair scored, no fold. The cut below ranks
         // what scoring every story would have. The bound at affinity 1
         // rules most stories out before their dominant type is looked
         // up; the rest are tested at it, then once more with their exact
@@ -701,41 +696,36 @@ impl Identifier {
         // bound skips nothing.
         //
         // The fold (sum of the story's windowed members' vectors) is the
-        // expensive part; hot stories are served from the cache, which
-        // only has to extend the fold by the members that newly entered
-        // the window. Everything else is refolded into local scratch, and
-        // so is the story of a probe that already has one: its windowed
-        // members lack the probe, so they extend no fold.
+        // expensive part. Each story keeps the fold it was last scored
+        // with, so it only has to be extended by the members that newly
+        // entered the window (`StoryState`'s `WindowFold`). The reference
+        // path folds every story into local scratch, and so does the
+        // story of a probe that already has one: its windowed members
+        // lack the probe, so they extend no fold.
         //
         // The bound is an upper bound on the score only under
         // non-negative weights and a blend in [0, 1]: what config
         // validation requires and `Identifier::new` does not check.
-        let skip = skip
+        let prune = skip
             && scorer.bounds_hold()
             && w.entity >= 0.0
             && w.term >= 0.0
             && w.event >= 0.0
             && (0.0..=1.0).contains(&pair_blend);
-        // A story is part of the current probe iff its stamp slot
-        // carries this probe's stamp; the cache evicts none of them.
-        let in_probe = |s: StoryId| {
-            let off = s.raw().wrapping_sub(id_base) as usize;
-            stamp.get(off).is_some_and(|&st| st == *probe)
-        };
         let affinity = |state: Option<&StoryState>| {
             let dominant = state.map_or(snippet.content.event_type, StoryState::dominant_event_type);
             snippet.content.event_type.affinity(dominant)
         };
         // Debug builds score a skipped story anyway, folded outside the
-        // cache so its state matches release's, and hold it to the bound
+        // story so its state matches release's, and hold it to the bound
         // it was skipped on.
         #[cfg(debug_assertions)]
-        let assert_under = |slot: &Slot, local: &mut CacheEntry, bound: f64, which: &str| {
+        let assert_under = |slot: &Slot, local: &mut WindowFold, type_affinity: f64, bound: f64, which: &str| {
             let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
             local.clear();
             fold_members(local, &candidates, &slot.cand_idx);
             let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
-            let exact = story_score(pair, e, t, affinity(self.stories.get(&slot.story)));
+            let exact = story_score(pair, e, t, type_affinity);
             assert!(
                 exact <= bound + SLACK,
                 "story {} scores {exact}, above its {which} bound {bound}",
@@ -746,22 +736,22 @@ impl Identifier {
         ranked.clear();
         for &(at_one, si) in order.iter() {
             let slot = &slots[si as usize];
-            let guarded = skip && slot.entity_norms < FOLD_NORM_LIMIT && slot.term_norms < FOLD_NORM_LIMIT;
+            let guarded = prune && slot.entity_norms < FOLD_NORM_LIMIT && slot.term_norms < FOLD_NORM_LIMIT;
             let unreachable = |bound: f64| {
                 guarded && bound.is_finite() && bound + SLACK < merge_threshold && bound + SLACK < best
             };
             if unreachable(at_one) {
                 #[cfg(debug_assertions)]
-                assert_under(slot, local, at_one, "pre-pair");
+                assert_under(slot, local, affinity(self.stories.get(&slot.story)), at_one, "pre-pair");
                 continue;
             }
-            let state = self.stories.get(&slot.story);
-            let type_affinity = affinity(state);
+            let state = self.stories.get_mut(&slot.story);
+            let type_affinity = affinity(state.as_deref());
             let (pair_bound, entity, term) = bounds_of(slot);
             let before_pairs = story_score(pair_bound, entity, term, type_affinity);
             if unreachable(before_pairs) {
                 #[cfg(debug_assertions)]
-                assert_under(slot, local, before_pairs, "pre-pair");
+                assert_under(slot, local, type_affinity, before_pairs, "pre-pair");
                 continue;
             }
             let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
@@ -769,41 +759,36 @@ impl Identifier {
             let with_pair = story_score(pair, entity, term, type_affinity);
             if unreachable(with_pair) {
                 #[cfg(debug_assertions)]
-                assert_under(slot, local, with_pair, "pair");
+                assert_under(slot, local, type_affinity, with_pair, "pair");
                 continue;
             }
-            let cached = match state {
-                Some(state) if own != Some(slot.story) => {
-                    self.cache.entry(slot.story, &in_probe).map(|entry| (entry, state.epoch()))
-                }
+            let stored = match state {
+                Some(state) if skip && own != Some(slot.story) => Some(&mut state.fold),
                 _ => None,
             };
-            let fold = match cached {
-                Some((entry, epoch)) => {
-                    entry.uses += 1;
+            let fold = match stored {
+                Some(fold) => {
                     let first = candidates[slot.cand_idx[0] as usize].id;
-                    let done = entry.covers(epoch, first, slot.cand_idx.len());
+                    let done = fold.covers(first, slot.cand_idx.len());
                     if done == 0 {
-                        // Window slid or the story changed: refold in
-                        // place, keeping the entry's LFU popularity.
-                        entry.clear();
-                        (entry.epoch, entry.first) = (epoch, first);
+                        // Window slid or the story changed: refold in place.
+                        fold.clear();
+                        fold.first = first;
                         work.cache_misses += 1;
                     } else {
                         work.cache_hits += 1;
                     }
-                    fold_members(entry, &candidates, &slot.cand_idx[done..]);
-                    // Debug builds hold every hit to a fold from scratch.
+                    fold_members(fold, &candidates, &slot.cand_idx[done..]);
+                    // Debug builds hold every resumed fold to one from scratch.
                     #[cfg(debug_assertions)]
                     if done > 0 {
                         local.clear();
                         fold_members(local, &candidates, &slot.cand_idx);
-                        assert!(same_bits(entry, local), "story {}: resumed fold != refold", slot.story);
+                        assert!(same_bits(fold, local), "story {}: resumed fold != refold", slot.story);
                     }
-                    &*entry
+                    &*fold
                 }
                 None => {
-                    // Cache disabled or full of protected entries.
                     local.clear();
                     fold_members(local, &candidates, &slot.cand_idx);
                     work.cache_misses += 1;
@@ -850,7 +835,6 @@ impl Identifier {
                                 .get_mut(&best_story)
                                 .expect("best story exists")
                                 .absorb(&other_state);
-                            self.cache.remove(other);
                             self.pending.remove(&other);
                             merged.push(other);
                         }
@@ -925,7 +909,6 @@ impl Identifier {
         state.story.remove_member(snippet.id);
         if state.story.is_empty() {
             entry.remove();
-            self.cache.remove(story_id);
             self.pending.remove(&story_id);
         } else {
             let members: Vec<&Snippet> = state
@@ -1121,6 +1104,15 @@ mod tests {
     fn ingest(st: &mut EventStore, id: &mut Identifier, s: Snippet) -> IdentifyDecision {
         st.insert(s.clone()).unwrap();
         id.assign(&s, st)
+    }
+
+    /// `d` as the reference path reports it: every fold from scratch.
+    fn resumed_as_fresh(d: &IdentifyDecision) -> IdentifyDecision {
+        IdentifyDecision {
+            cache_hits: 0,
+            cache_misses: d.cache_hits + d.cache_misses,
+            ..d.clone()
+        }
     }
 
     #[test]
@@ -1397,7 +1389,7 @@ mod tests {
         assert_eq!(full[0].1.to_bits(), full[1].1.to_bits(), "b and c must tie");
         assert!(full[2].1 >= merge_threshold && full[3].1 < merge_threshold);
         let expected = reference.decide(&probe, work);
-        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 1), "the reference folds all four");
+        assert_eq!((expected.cache_hits, expected.cache_misses), (0, 4), "the reference folds all four");
         assert_eq!(expected.pairs_scored, 4, "and scores every pair");
 
         // d's bound is below the threshold and b's score: neither its
@@ -1450,7 +1442,7 @@ mod tests {
         let mut reference = id.clone();
         let want = reference.assign_with(&probe, &st, false);
         let got = id.assign(&probe, &st);
-        assert_eq!(got, want, "the same decision and the same folds");
+        assert_eq!(resumed_as_fresh(&got), want, "the same decision and the same folds");
         assert_eq!((got.story, got.cache_hits + got.cache_misses), (good, 2), "{huge} is folded");
         assert_eq!(partition(&id), partition(&reference));
     }
@@ -1504,14 +1496,14 @@ mod tests {
         let mut reference = id.clone();
         let want = reference.assign_with(&probe, &st, false);
         let got = id.assign(&probe, &st);
-        assert_eq!(got, want, "the same decision, pairs and folds");
+        assert_eq!(resumed_as_fresh(&got), want, "the same decision, pairs and folds");
         assert_eq!((got.story, got.created), (mixed, false));
         assert!((got.best_score - 0.95).abs() < 1e-12, "{got:?}");
         assert_eq!(partition(&id), partition(&reference));
     }
 
     #[test]
-    fn hot_cache_hits_on_repeated_probes_of_the_same_story() {
+    fn a_stored_fold_resumes_on_repeated_probes_of_the_same_story() {
         let mut st = store();
         let mut id = ident(MatchMode::Temporal { omega: 5 * DAY });
         let d0 = ingest(&mut st, &mut id, snip(0, 0, &[1, 2], &[10, 11]));
@@ -1522,25 +1514,22 @@ mod tests {
         assert_eq!(
             (d2.cache_hits, d2.cache_misses),
             (1, 0),
-            "cached fold extends at the trailing edge"
+            "the stored fold extends at the trailing edge"
         );
     }
 
     #[test]
-    fn disabled_cache_counts_only_misses() {
+    fn the_reference_path_neither_reads_nor_writes_a_stored_fold() {
         let mut st = store();
-        let cfg = IdentifyConfig {
-            mode: MatchMode::Complete,
-            maintenance_every: 0,
-            hot_cache_capacity: 0,
-            ..IdentifyConfig::default()
-        };
-        let mut id = Identifier::new(SourceId::new(0), cfg, SketchConfig::default());
-        ingest(&mut st, &mut id, snip(0, 0, &[1, 2], &[10, 11]));
+        let mut id = ident(MatchMode::Complete);
+        let story = ingest(&mut st, &mut id, snip(0, 0, &[1, 2], &[10, 11])).story;
         ingest(&mut st, &mut id, snip(1, 0, &[1, 2], &[10, 11]));
-        let d = ingest(&mut st, &mut id, snip(2, 0, &[1, 2], &[10, 11]));
-        assert_eq!(d.cache_hits, 0);
-        assert_eq!(d.cache_misses, 1, "one candidate story, folded locally");
+        assert_eq!(id.stories[&story].fold.len, 1, "the join's probe folded member 0");
+        let s = snip(2, 0, &[1, 2], &[10, 11]);
+        st.insert(s.clone()).unwrap();
+        let d = id.assign_with(&s, &st, false);
+        assert_eq!((d.story, d.cache_hits, d.cache_misses), (story, 0, 1), "folded locally");
+        assert_eq!(id.stories[&story].fold.len, 1, "and the stored fold left as it was");
     }
 
     #[test]
@@ -1556,25 +1545,31 @@ mod tests {
         assert_eq!(id.story(target).unwrap().len(), 1);
     }
 
-    // ---- the hot cache's epoch rule ---------------------------------------
+    // ---- when a story's stored fold is resumed ----------------------------
     //
-    // Probes are scored, never stored, so probing moves only the cache.
-    // Debug builds also refold every hit and assert the bits match.
+    // Probes are scored, never stored, so probing moves only the folds.
+    // Debug builds also refold every resumed fold and assert the bits
+    // match.
 
     fn x_at(id: u32, day: i64) -> Snippet {
         snip(id, day, &[1, 2], &[10, 11])
     }
 
-    /// Cache `(hits, misses)` of scoring a probe like `x` at `day`.
+    /// `(resumed, from scratch)` folds of scoring `probe`.
+    fn folds(id: &mut Identifier, st: &EventStore, probe: &Snippet) -> (usize, usize) {
+        let (_, resumed, fresh) = id.score_probe(probe, st);
+        (resumed, fresh)
+    }
+
+    /// [`folds`] of a probe like `x` at `day`.
     fn next_fold(id: &mut Identifier, st: &EventStore, day: i64) -> (usize, usize) {
-        let (_, hits, misses) = id.score_probe(&x_at(999, day), st);
-        (hits, misses)
+        folds(id, st, &x_at(999, day))
     }
 
     /// One story with ids 0, 1, 5 at days 0, 2, 4, in a 5-day window,
-    /// its fold cached by a probe at day 2. 0 and 5 are `x`s, 1 is not
+    /// its fold stored by a probe at day 2. 0 and 5 are `x`s, 1 is not
     /// quite, so a fold that drops or repeats a member is a wrong fold.
-    fn cached_story() -> (EventStore, Identifier, StoryId) {
+    fn folded_story() -> (EventStore, Identifier, StoryId) {
         let mut st = store();
         let mut id = ident(MatchMode::Temporal { omega: 5 * DAY });
         let story = ingest(&mut st, &mut id, x_at(0, 0)).story;
@@ -1582,7 +1577,7 @@ mod tests {
             assert_eq!(ingest(&mut st, &mut id, s).story, story);
         }
         next_fold(&mut id, &st, 2);
-        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "an unchanged story hits");
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "an unchanged story resumes");
         (st, id, story)
     }
 
@@ -1591,9 +1586,17 @@ mod tests {
         id.force_assign(&s, story);
     }
 
+    /// `StoryPivot::reassign_snippet` on one identifier: the stored
+    /// snippet out of its story and into `story`, creating it if need be.
+    fn reassign(st: &EventStore, id: &mut Identifier, snippet: u32, story: StoryId) {
+        let s = st.get(SnippetId::new(snippet)).unwrap().clone();
+        id.remove_snippet(&s, st);
+        id.force_assign(&s, story);
+    }
+
     #[test]
-    fn in_order_joins_extend_the_cached_fold() {
-        let (mut st, mut id, story) = cached_story();
+    fn in_order_joins_extend_the_stored_fold() {
+        let (mut st, mut id, story) = folded_story();
         // Each join's own probe (window [0, 10]) extends the fold too.
         let d = ingest(&mut st, &mut id, x_at(6, 5));
         assert_eq!((d.story, d.cache_hits), (story, 1));
@@ -1604,44 +1607,44 @@ mod tests {
 
     #[test]
     fn an_out_of_order_join_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         assert_eq!(ingest(&mut st, &mut id, x_at(3, 1)).story, story);
         assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
     }
 
     #[test]
     fn a_join_at_the_same_timestamp_with_a_lower_id_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         assert_eq!(ingest(&mut st, &mut id, x_at(3, 4)).story, story);
         assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
     }
 
     #[test]
     fn an_out_of_order_force_assign_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         force(&mut st, &mut id, x_at(3, 1), story);
         assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
     }
 
     #[test]
     fn a_removal_with_survivors_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         let gone = st.remove(SnippetId::new(1)).unwrap();
         id.remove_snippet(&gone, &st);
-        // Back to three members, the first unchanged: only the epoch
-        // tells the fold of 0, 1, 5 from the window's 0, 5, 6.
+        // Back to three members, the first unchanged: only the cleared
+        // fold tells the fold of 0, 1, 5 from the window's 0, 5, 6.
         force(&mut st, &mut id, x_at(6, 6), story);
         assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
     }
 
     #[test]
     fn a_slid_leading_edge_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         for (i, day) in [(6, 6), (7, 8)] {
             force(&mut st, &mut id, x_at(i, day), story);
         }
         // Window [1, 11]: 1, 5, 6, 7 — at least as many as were folded,
-        // at the same epoch, but no longer led by 0.
+        // all appended in order, but no longer led by 0.
         assert_eq!(next_fold(&mut id, &st, 6), (0, 1));
     }
 
@@ -1663,30 +1666,69 @@ mod tests {
 
     #[test]
     fn a_split_survivor_misses() {
-        let (mut st, mut id, story) = cached_story();
+        let (mut st, mut id, story) = folded_story();
         // A stranger with no edge to anyone, in the window and in order.
         force(&mut st, &mut id, snip(6, 5, &[7, 8], &[30, 31]), story);
         assert_eq!(next_fold(&mut id, &st, 2), (1, 0));
         assert_eq!(id.maintain(&st).splits.len(), 1);
-        // Back to four members in order: only the epoch tells the fold
-        // of 0, 1, 5, 6 from the survivor's 0, 1, 5, 7.
+        // Back to four members in order: only the cleared fold tells the
+        // fold of 0, 1, 5, 6 from the survivor's 0, 1, 5, 7.
         force(&mut st, &mut id, x_at(7, 6), story);
         assert_eq!(next_fold(&mut id, &st, 2), (0, 1));
     }
 
     #[test]
-    fn a_probe_that_is_already_a_member_folds_its_story_outside_the_cache() {
-        let (mut st, mut id, _) = cached_story();
-        let mut uncached = id.clone();
-        uncached.cache = HotStoryCache::new(0);
+    fn a_probe_that_is_already_a_member_folds_its_story_outside_it() {
+        let (mut st, mut id, _) = folded_story();
+        let mut reference = id.clone();
         let member = st.get(SnippetId::new(1)).unwrap().clone();
         // Its story's window lacks it (0, 5): no prefix of 0, 1, 5.
         assert_eq!(id.score_probe(&member, &st), (2, 0, 1));
-        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "the cached fold is untouched");
+        assert_eq!(next_fold(&mut id, &st, 2), (1, 0), "the stored fold is untouched");
         let probe = x_at(6, 2);
         st.insert(probe.clone()).unwrap();
-        let (got, want) = (id.assign(&probe, &st), uncached.assign(&probe, &st));
+        let (got, want) = (id.assign(&probe, &st), reference.assign_with(&probe, &st, false));
         assert_eq!(got.best_score.to_bits(), want.best_score.to_bits());
+    }
+
+    #[test]
+    fn a_story_that_died_hands_no_fold_to_a_later_probe() {
+        // Emptied by removal, then re-created under its id by
+        // reassignment, with the very members it had.
+        let (st, mut id, story) = folded_story();
+        let elsewhere = id.fresh_story_id();
+        for m in [0, 1, 5] {
+            reassign(&st, &mut id, m, elsewhere);
+        }
+        assert!(id.story(story).is_none(), "emptied");
+        for m in [0, 1, 5] {
+            reassign(&st, &mut id, m, story);
+        }
+        assert_eq!(next_fold(&mut id, &st, 2), (0, 1), "a re-created story starts empty");
+
+        // Merged away, then re-created under its id: led by the same
+        // member, with as many in the window, but not the same ones.
+        let mut st = store();
+        let mut id = ident(MatchMode::Temporal { omega: 5 * DAY });
+        let y_at = |id: u32, day: i64| snip(id, day, &[3, 4], &[12, 13]);
+        let bridge_at = |id: u32, day: i64| snip(id, day, &[1, 2, 3, 4], &[10, 11, 12, 13]);
+        let survivor = ingest(&mut st, &mut id, x_at(0, 0)).story;
+        let other = ingest(&mut st, &mut id, y_at(1, 1)).story;
+        ingest(&mut st, &mut id, x_at(2, 2));
+        ingest(&mut st, &mut id, y_at(3, 3));
+        // The probe scores both stories and stores their folds.
+        folds(&mut id, &st, &bridge_at(999, 2));
+        assert_eq!(folds(&mut id, &st, &bridge_at(999, 2)), (2, 0));
+        let d = ingest(&mut st, &mut id, bridge_at(4, 4));
+        assert_eq!((d.story, d.merged), (survivor, vec![other]));
+        assert!(id.story(other).is_none(), "merged away");
+        st.insert(x_at(6, 3)).unwrap();
+        for m in [1, 6] {
+            reassign(&st, &mut id, m, other);
+        }
+        // `other` is 1, 6 where its fold was of 1, 3; the survivor lost
+        // 1 and was rebuilt.
+        assert_eq!(folds(&mut id, &st, &bridge_at(999, 2)), (0, 2));
     }
 
     // ---- maintenance proportional to what changed ------------------------

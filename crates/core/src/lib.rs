@@ -30,7 +30,6 @@ pub mod align;
 pub mod checkpoint;
 pub mod explain;
 pub mod config;
-mod hotcache;
 pub mod identify;
 pub mod metrics;
 pub mod oplog;

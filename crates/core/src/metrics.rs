@@ -41,13 +41,13 @@ pub struct EngineMetrics {
     /// `storypivot_identify_split_total` — stories split by the
     /// maintenance pass.
     pub identify_split_total: Counter,
-    /// `storypivot_story_cache_hits_total` — hot-story-cache hits
-    /// (candidate stories whose windowed fold was reused or extended).
-    /// Hits and misses count folds: a candidate story the reachability
-    /// bound skipped counts in neither.
+    /// `storypivot_story_cache_hits_total` — candidate stories whose
+    /// stored windowed fold was resumed (reused or extended). Hits and
+    /// misses count folds: a candidate story the reachability bound
+    /// skipped counts in neither.
     pub story_cache_hits_total: Counter,
-    /// `storypivot_story_cache_misses_total` — hot-story-cache misses
-    /// (candidate stories folded from scratch).
+    /// `storypivot_story_cache_misses_total` — candidate stories folded
+    /// from scratch.
     pub story_cache_misses_total: Counter,
     /// `storypivot_maintenance_runs_total` — merge/split maintenance
     /// passes executed.
@@ -142,11 +142,11 @@ impl EngineMetrics {
             ),
             story_cache_hits_total: registry.counter(
                 "storypivot_story_cache_hits_total",
-                "Hot-story-cache hits during identification scoring (stories folded by extending a cached fold; stories the reachability bound skipped count in neither hits nor misses).",
+                "Story folds resumed during identification scoring (a story's stored windowed fold reused or extended; stories the reachability bound skipped count in neither hits nor misses).",
             ),
             story_cache_misses_total: registry.counter(
                 "storypivot_story_cache_misses_total",
-                "Hot-story-cache misses during identification scoring (stories folded from scratch; stories the reachability bound skipped count in neither hits nor misses).",
+                "Story folds made from scratch during identification scoring (stories the reachability bound skipped count in neither hits nor misses).",
             ),
             maintenance_runs_total: registry.counter(
                 "storypivot_maintenance_runs_total",

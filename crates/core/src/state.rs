@@ -4,11 +4,13 @@
 //! about one per-source story without touching its member snippets:
 //! centroid entity/term vectors, a temporal evolution signature, and the
 //! event-type histogram. All of it updates incrementally in `O(content)`
-//! per added snippet.
+//! per added snippet. It also keeps the story's windowed fold, the sums
+//! identification last scored it with, which the story's own mutators
+//! clear whenever it might no longer lead the story's members.
 
 use storypivot_sketch::TemporalSignature;
 use storypivot_types::{
-    mem, EntityId, EventType, Snippet, SourceId, SparseVec, StoryId, TermId, TimeRange,
+    mem, EntityId, EventType, Snippet, SnippetId, SourceId, SparseVec, StoryId, TermId, TimeRange,
 };
 
 /// Map an entity id into the shared 64-bit sketch item space. The engine
@@ -23,6 +25,56 @@ pub fn entity_item(e: EntityId) -> u64 {
 #[inline]
 pub fn term_item(t: TermId) -> u64 {
     (2u64 << 32) | t.raw() as u64
+}
+
+/// The entity and term sums of a story's first `len` windowed members,
+/// led by `first`: what identification last folded the story into when
+/// it scored a probe against it (`Identifier::score_probe`).
+///
+/// Window queries return ascending `(timestamp, id)` order, and until
+/// the fold is cleared the story gains members only after all the
+/// others in that order. So while the first windowed member is `first`
+/// and the window holds at least `len` of the story's members, the fold
+/// is of a prefix of them, and scoring folds only the rest. The
+/// story's mutators clear it whenever that could break: an
+/// [`StoryState::add_snippet`] that does not sort after every member,
+/// any [`StoryState::absorb`] and any [`StoryState::rebuild`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowFold {
+    /// The first member folded.
+    pub(crate) first: SnippetId,
+    /// Number of members folded.
+    pub(crate) len: u32,
+    /// Sum of the members' entity vectors.
+    pub(crate) entities: SparseVec<EntityId>,
+    /// Sum of the members' term vectors.
+    pub(crate) terms: SparseVec<TermId>,
+}
+
+impl WindowFold {
+    /// How many of a story's `n` windowed members, led by `first`, the
+    /// fold already holds: `len` if they begin with the members folded,
+    /// otherwise 0.
+    pub(crate) fn covers(&self, first: SnippetId, n: usize) -> usize {
+        let len = self.len as usize;
+        if self.first == first && len <= n {
+            len
+        } else {
+            0
+        }
+    }
+
+    /// Drop the fold but keep the allocations for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        self.entities.clear();
+        self.terms.clear();
+    }
+
+    /// Heap bytes of both sums.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entities.heap_bytes() + self.terms.heap_bytes()
+    }
 }
 
 /// Aggregate state of one per-source story.
@@ -42,9 +94,8 @@ pub struct StoryState {
     /// refreshed on every histogram mutation so the identification
     /// ranking loop reads a field instead of rescanning.
     dominant: EventType,
-    /// Bumped by every mutation except an in-order append (see
-    /// [`StoryState::epoch`]).
-    epoch: u64,
+    /// The windowed fold identification resumes (see [`WindowFold`]).
+    pub(crate) fold: WindowFold,
 }
 
 impl StoryState {
@@ -57,7 +108,7 @@ impl StoryState {
             signature: TemporalSignature::new(bucket_width),
             event_types: [0; EventType::COUNT],
             dominant: EventType::Other,
-            epoch: 0,
+            fold: WindowFold::default(),
         }
     }
 
@@ -91,17 +142,6 @@ impl StoryState {
         self.story.lifespan
     }
 
-    /// The story's epoch. It changes whenever the members stop being a
-    /// `(timestamp, id)`-ordered extension of what they were: any
-    /// [`StoryState::absorb`] or [`StoryState::rebuild`], and any
-    /// [`StoryState::add_snippet`] whose snippet does not sort after
-    /// every member. While it holds, the members in any time window are
-    /// the same sequence plus, possibly, members appended at its end.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Fold a snippet into every aggregate.
     pub fn add_snippet(&mut self, snippet: &Snippet) {
         debug_assert_eq!(snippet.source, self.story.source, "cross-source story member");
@@ -110,7 +150,7 @@ impl StoryState {
         let appends = snippet.timestamp > end
             || (snippet.timestamp == end && last.is_some_and(|&m| snippet.id > m));
         if !appends {
-            self.epoch += 1;
+            self.fold.clear();
         }
         self.story.add_member(snippet.id, snippet.timestamp);
         self.entities.merge_add(snippet.entities());
@@ -121,15 +161,14 @@ impl StoryState {
     }
 
     /// Rebuild every aggregate exactly from the given member snippets
-    /// (used after removals and splits). The membership list is replaced
-    /// by the snippets passed in.
+    /// (used after removals and splits), from a fresh state: the
+    /// membership list is replaced by the snippets passed in and the
+    /// fold is empty.
     pub fn rebuild<'a, I>(&mut self, members: I)
     where
         I: IntoIterator<Item = &'a Snippet>,
     {
-        let epoch = self.epoch + 1;
         *self = StoryState::new(self.story.id, self.story.source, self.signature.bucket_width());
-        self.epoch = epoch;
         for s in members {
             self.add_snippet(s);
         }
@@ -138,12 +177,8 @@ impl StoryState {
     /// Absorb all aggregates of `other` (story merge). Membership and
     /// lifespan merge too; `other` should be discarded afterwards.
     pub fn absorb(&mut self, other: &StoryState) {
-        self.epoch += 1;
-        for &m in &other.story.members {
-            if let Err(pos) = self.story.members.binary_search(&m) {
-                self.story.members.insert(pos, m);
-            }
-        }
+        self.fold.clear();
+        self.story.members = merge_sorted(&self.story.members, &other.story.members);
         self.story.lifespan = self.story.lifespan.cover(other.story.lifespan);
         self.entities.merge_add(&other.entities);
         self.terms.merge_add(&other.terms);
@@ -187,13 +222,30 @@ impl StoryState {
             + self.entities.heap_bytes()
             + self.terms.heap_bytes()
             + self.signature.heap_bytes()
+            + self.fold.heap_bytes()
     }
+}
+
+/// The union of two ascending id lists, ascending, each id once: one
+/// pass over both.
+fn merge_sorted(a: &[SnippetId], b: &[SnippetId]) -> Vec<SnippetId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storypivot_types::{SnippetId, Timestamp, DAY};
+    use storypivot_types::{Timestamp, DAY};
 
     fn state() -> StoryState {
         StoryState::new(StoryId::new(0), SourceId::new(0), DAY)
@@ -252,18 +304,40 @@ mod tests {
     fn absorb_merges_everything() {
         let mut a = state();
         a.add_snippet(&snip(0, 0, &[1], &[10]));
+        a.add_snippet(&snip(4, 1, &[1], &[10]));
         let mut b = StoryState::new(StoryId::new(1), SourceId::new(0), DAY);
         b.add_snippet(&snip(1, 5, &[2], &[11]));
+        b.add_snippet(&snip(7, 5, &[2], &[11]));
         a.absorb(&b);
-        assert_eq!(a.len(), 2);
-        assert!(a.story.contains(SnippetId::new(1)));
+        let ids = |raw: &[u32]| raw.iter().map(|&r| SnippetId::new(r)).collect::<Vec<_>>();
+        assert_eq!(a.story.members, ids(&[0, 1, 4, 7]), "one ascending list");
         assert_eq!(a.entities.len(), 2);
         assert_eq!(a.terms.len(), 2);
-        assert_eq!(a.signature.total(), 2.0);
+        assert_eq!(a.signature.total(), 4.0);
         assert_eq!(
             a.lifespan(),
             TimeRange::new(Timestamp::from_secs(0), Timestamp::from_secs(5 * DAY))
         );
+        // Absorbing a story that shares members lists each of them once.
+        let mut c = StoryState::new(StoryId::new(2), SourceId::new(0), DAY);
+        c.add_snippet(&snip(4, 1, &[1], &[10]));
+        c.add_snippet(&snip(9, 6, &[1], &[10]));
+        a.absorb(&c);
+        assert_eq!(a.story.members, ids(&[0, 1, 4, 7, 9]));
+    }
+
+    #[test]
+    fn a_fold_covers_only_a_prefix() {
+        let first = SnippetId::new(7);
+        let fold = WindowFold {
+            first,
+            len: 2,
+            ..WindowFold::default()
+        };
+        assert_eq!(fold.covers(first, 2), 2, "exact");
+        assert_eq!(fold.covers(first, 5), 2, "grew at the trailing edge");
+        assert_eq!(fold.covers(first, 1), 0, "window shrank");
+        assert_eq!(fold.covers(SnippetId::new(8), 5), 0, "leading edge slid");
     }
 
     #[test]

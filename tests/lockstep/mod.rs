@@ -6,9 +6,9 @@
 //! reloads — run through a [`Target`] beside an oracle engine and
 //! compared after every op by `Twins::check_step`.
 //!
-//! The oracle runs the same configuration without a hot-story cache and
-//! through the reference paths: `ingest_reference` (every candidate
-//! story folded and scored, and every due maintenance pass a sweep of
+//! The oracle runs the same configuration through the reference paths:
+//! `ingest_reference` (every candidate story folded from scratch and
+//! scored, no stored fold resumed, and every due maintenance pass a sweep of
 //! every story), a full `align()` wherever the engine under test aligns
 //! incrementally, and `refine_reference()`. It is never checkpointed and
 //! never restarted, so it is also the uninterrupted twin.
@@ -77,13 +77,12 @@ pub struct Case {
     pub omega_days: i64,
     pub split_threshold: f64,
     pub maintenance_every: usize,
-    pub hot_cache_capacity: usize,
 }
 
 impl Case {
     fn draw(rng: &mut StdRng) -> Case {
         let splitting = rng.random_bool(0.4);
-        Case {
+        let case = Case {
             sources: rng.random_range(1u32..11),
             splitting,
             drift: if splitting { 0.4 } else { rng.random_range(0.0f64..0.6) },
@@ -92,8 +91,11 @@ impl Case {
             omega_days: rng.random_range(2i64..15),
             split_threshold: if splitting { 0.45 } else { rng.random_range(0.18f64..0.5) },
             maintenance_every: rng.random_range(4usize..71),
-            hot_cache_capacity: if rng.random_bool(0.5) { 2 } else { 512 },
-        }
+        };
+        // Once a hot-story cache capacity; still drawn so that every
+        // case seed replays the corpus and config it always has.
+        let _ = rng.random_bool(0.5);
+        case
     }
 
     fn corpus(&self, seed: u64) -> Corpus {
@@ -111,7 +113,6 @@ impl Case {
         let mut config = PivotConfig::temporal(self.omega_days * DAY);
         config.identify.split_threshold = self.split_threshold;
         config.identify.maintenance_every = self.maintenance_every;
-        config.identify.hot_cache_capacity = self.hot_cache_capacity;
         config
     }
 }
@@ -127,7 +128,8 @@ pub struct Tally {
     /// Sources that left, and held-back sources that came on board.
     pub left: usize,
     pub onboarded: usize,
-    /// Hot-cache hits and misses of the engine under test's probes.
+    /// Folds the engine under test's probes resumed, and folded from
+    /// scratch.
     pub cache: [usize; 2],
     /// Pairs scored by the passes ingest ran: engine under test, oracle.
     pub maintenance_pairs: [u64; 2],
@@ -280,12 +282,10 @@ fn engine_for(config: &PivotConfig) -> StoryPivot {
     engine
 }
 
-/// The uninterrupted twin for `config`: the same configuration without
-/// the hot-story cache, with live metrics.
+/// The uninterrupted twin for `config`: the same configuration, with
+/// live metrics.
 pub fn twin_of(config: &PivotConfig) -> StoryPivot {
-    let mut config = config.clone();
-    config.identify.hot_cache_capacity = 0;
-    let mut twin = StoryPivot::new(config);
+    let mut twin = StoryPivot::new(config.clone());
     twin.set_metrics(EngineMetrics::register(&Registry::new()));
     twin
 }
@@ -407,7 +407,7 @@ impl Twins {
 
     fn ingest(&mut self, op: &str, wave: &[Snippet]) {
         let at = self.at(op);
-        let without_cache = |d: IdentifyDecision| IdentifyDecision {
+        let without_folds = |d: IdentifyDecision| IdentifyDecision {
             pairs_scored: 0,
             cache_hits: 0,
             cache_misses: 0,
@@ -431,12 +431,13 @@ impl Twins {
             self.tally.merges += want.merged.len();
             let every = want.pairs_scored == want.compared;
             assert!(every, "{at}: the oracle skipped pairs of snippet {}: {want:?}", s.id);
+            assert_eq!(want.cache_hits, 0, "{at}: the oracle resumed a fold for snippet {}", s.id);
             match reply {
                 Reply::Decision(got) => {
                     assert!(got.pairs_scored <= got.compared, "{at}: snippet {}: {got:?}", s.id);
                     self.tally.cache[0] += got.cache_hits;
                     self.tally.cache[1] += got.cache_misses;
-                    assert_eq!(without_cache(got), without_cache(want), "{at}: snippet {}", s.id);
+                    assert_eq!(without_folds(got), without_folds(want), "{at}: snippet {}", s.id);
                 }
                 Reply::Story(story) => assert_eq!(story, want.story, "{at}: the story of snippet {}", s.id),
                 Reply::Batched => {}

@@ -203,7 +203,7 @@ fn metrics_exposition_matches_in_process_engine() {
     assert!(text.contains("# TYPE storypivot_ingest_total counter"));
     assert!(text.contains("storypivot_shard_queue_capacity{shard=\"0\"}"));
     // Registered and exported whatever their values: the serving
-    // runtime's gauges, the hot cache's, maintenance's and refinement's
+    // runtime's gauges, the story folds', maintenance's and refinement's
     // work counters (zero on a server, which does not refine), and the
     // memory account.
     let required = [
