@@ -43,7 +43,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> docs: every file, test target, experiment and metric series the docs name exists"
+echo "==> docs: every file, test target, experiment, metric series and member the docs name exists"
 # CHANGES.md and ROADMAP.md are history and plans and may name what is
 # gone; these describe the system as it is. A path is a word under a
 # top-level directory, or with a directory and a file extension, or a
@@ -53,14 +53,21 @@ echo "==> docs: every file, test target, experiment and metric series the docs n
 # after `harness` experiments in its usage list. A `storypivot_*` metric
 # series (braces expand; `_count` / `_sum` name a histogram's parts; a
 # crate name is not a series) must be a string literal in some
-# `crates/*/src` file, which is where every series is registered.
+# `crates/*/src` file, which is where every series is registered. A
+# backticked `Type::member`, where `Type` is a workspace struct, enum or
+# trait, must name a `fn` or a field defined under `crates/*/src`.
 doc_check() {
-    local tracked experiments series doc n ref path name stale=0
+    local tracked experiments series types members doc n ref path name stale=0
     tracked="$(git ls-files; printf '%s\n' benchmark/target/release/spbench data/counts.txt)"
     series="$(git grep -ohE '"storypivot_[a-z0-9_]+"' -- 'crates/*/src/*' | tr -d '"'
         git ls-files 'crates/*/Cargo.toml' | sed -E 's|crates/(.*)/Cargo.toml|storypivot_\1|')"
     experiments=" all $( (target/release/harness --help 2>&1 || true) |
         sed -nE 's/^  ([a-z0-9]+)( \(([a-z0-9]+)\))? .*/\1 \3/p' | tr '\n' ' ') "
+    # A field is any `name: Type` line; parameters pass too.
+    types="$(git grep -hE '^\s*(pub(\([a-z]+\))? )?(struct|enum|trait) [A-Z]' -- 'crates/*/src/*' |
+        sed -E 's/^\s*(pub(\([a-z]+\))? )?(struct|enum|trait) ([A-Za-z0-9_]+).*/\4/')"
+    members="$(git grep -hoE '\bfn [a-z_][a-z0-9_]*|^\s*(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: ' -- 'crates/*/src/*' |
+        sed -E 's/^\s*(pub(\([a-z]+\))? )?//; s/^fn //; s/: $//')"
     for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
         while IFS=: read -r n ref; do
             ref="${ref#./}" && ref="${ref%[.,]}"
@@ -91,6 +98,12 @@ doc_check() {
                     { echo "$doc:$n: no such series: $name"; stale=1; }
             done
         done < <(grep -noE 'storypivot_[a-z0-9_*]*(\{[a-z0-9_,]*\}[a-z0-9_*]*)*' "$doc")
+        while IFS=: read -r n ref; do
+            ref="${ref#\`}"
+            grep -qxF "${ref%%::*}" <<< "$types" || continue
+            grep -qxF "${ref#*::}" <<< "$members" ||
+                { echo "$doc:$n: no such fn or field: $ref"; stale=1; }
+        done < <(grep -noE '`[A-Z][A-Za-z0-9]*::[a-z_][a-z0-9_]*' "$doc")
     done
     return "$stale"
 }

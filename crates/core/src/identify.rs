@@ -62,8 +62,8 @@ use crate::state::{StoryState, WindowFold};
 use crate::unionfind::UnionFind;
 
 /// Number of story-id slots reserved per source (story ids are
-/// partitioned by source so identifiers can run in parallel without a
-/// shared allocator).
+/// partitioned by source, so each identifier allocates its own without
+/// a shared allocator).
 pub const STORY_ID_STRIDE: u32 = 1 << 24;
 
 /// How many sources the story-id partitioning scheme holds: source ids
@@ -71,6 +71,12 @@ pub const STORY_ID_STRIDE: u32 = 1 << 24;
 /// `u32::MAX`. The engine and the serving layer's id allocator both
 /// refuse the next one.
 pub const MAX_SOURCES: u32 = u32::MAX / STORY_ID_STRIDE;
+
+/// Snippet ids run `0..MAX_SNIPPET_ID` (2²⁴, above the paper's ~10 M
+/// snippet stream). Each source's snippet → story table is indexed by
+/// the id, so the bound keeps one table at 64 MiB or less;
+/// `StoryPivot::ingest` refuses the next id.
+pub const MAX_SNIPPET_ID: u32 = 1 << 24;
 
 /// "No story" in [`Identifier`]'s snippet → story table. No live story
 /// id equals it: story ids are `source · 2²⁴ + n`, and
@@ -463,13 +469,12 @@ impl Identifier {
     }
 
     /// Heap bytes by part (the memory account): the story table with
-    /// every state's buffers (its windowed fold included) and the
-    /// snippet → story table, the pending-maintenance set, and the
-    /// pooled probe scratch.
-    pub fn heap_bytes(&self) -> [(&'static str, usize); 3] {
+    /// every state's buffers (its windowed fold included), the snippet →
+    /// story table (as long as the largest snippet id this source has
+    /// seen), the pending-maintenance set, and the pooled probe scratch.
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
         let stories = mem::hash_map_bytes(&self.stories)
-            + self.stories.values().map(StoryState::heap_bytes).sum::<usize>()
-            + mem::vec_bytes(&self.assignment);
+            + self.stories.values().map(StoryState::heap_bytes).sum::<usize>();
         let pending = mem::hash_map_bytes(&self.pending)
             + self
                 .pending
@@ -490,6 +495,7 @@ impl Identifier {
             + s.tables.heap_bytes();
         [
             ("identify.stories", stories),
+            ("identify.assignment", mem::vec_bytes(&self.assignment)),
             ("identify.pending", pending),
             ("identify.scratch", scratch),
         ]

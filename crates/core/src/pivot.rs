@@ -12,7 +12,9 @@ use storypivot_types::{
 
 use crate::align::{AlignOutcome, Aligner};
 use crate::config::PivotConfig;
-use crate::identify::{Identifier, IdentifyDecision, MaintenanceReport, MAX_SOURCES};
+use crate::identify::{
+    Identifier, IdentifyDecision, MaintenanceReport, MAX_SNIPPET_ID, MAX_SOURCES,
+};
 use crate::metrics::EngineMetrics;
 use crate::refine::{apply_moves, plan_reference, RefineReport, Refiner};
 use crate::state::StoryState;
@@ -155,8 +157,7 @@ impl StoryPivot {
     ///
     /// # Panics
     /// Panics when [`MAX_SOURCES`] (255) sources are already registered
-    /// — story ids are partitioned by source for lock-free parallel
-    /// identification.
+    /// — story ids are partitioned by source.
     pub fn add_source<S: Into<String>>(&mut self, name: S, kind: SourceKind) -> SourceId {
         self.add_source_with_lag(name, kind, 0)
     }
@@ -255,7 +256,9 @@ impl StoryPivot {
 
     /// Ingest one snippet: store it, identify its story within its
     /// source, and mark the touched story dirty for incremental
-    /// re-alignment. Returns the per-source story it joined.
+    /// re-alignment. Returns the per-source story it joined. Refuses an
+    /// unknown source, a stored id, and an id at or above
+    /// [`MAX_SNIPPET_ID`], before anything is stored.
     pub fn ingest(&mut self, snippet: Snippet) -> Result<StoryId> {
         Ok(self.ingest_detailed(snippet)?.story)
     }
@@ -278,6 +281,11 @@ impl StoryPivot {
 
     fn ingest_with(&mut self, snippet: Snippet, reference: bool) -> Result<IdentifyDecision> {
         let (id, source) = (snippet.id, snippet.source);
+        if id.raw() >= MAX_SNIPPET_ID {
+            return Err(Error::Invariant(format!(
+                "snippet id {id} is not below the snippet-id limit ({MAX_SNIPPET_ID})"
+            )));
+        }
         let ident = self
             .identifiers
             .get_mut(&source)
@@ -287,7 +295,20 @@ impl StoryPivot {
         let timer = self.metrics.identify_duration.start();
         let decision = ident.assign_with(snippet, &self.store, !reference);
         drop(timer);
-        Self::record_decision(&self.metrics, &mut self.touched, &decision);
+        let m = &self.metrics;
+        m.ingest_total.inc();
+        m.identify_compared_total.add(decision.compared as u64);
+        m.identify_pairs_scored_total.add(decision.pairs_scored as u64);
+        if decision.created {
+            m.identify_new_story_total.inc();
+        } else {
+            m.identify_assigned_total.inc();
+        }
+        m.identify_merge_total.add(decision.merged.len() as u64);
+        m.story_cache_hits_total.add(decision.cache_hits as u64);
+        m.story_cache_misses_total.add(decision.cache_misses as u64);
+        self.touched.insert(decision.story);
+        self.touched.extend(decision.merged.iter().copied());
         if ident.maintenance_due() {
             let report = if reference {
                 ident.maintain_reference(&self.store)
@@ -297,30 +318,6 @@ impl StoryPivot {
             Self::record_pass(&self.metrics, &mut self.touched, &report);
         }
         Ok(decision)
-    }
-
-    /// Book one identification decision: the ingest and per-decision
-    /// counters, and the joined and merged-away stories as touched. The
-    /// one booking routine of the sequential and the parallel path.
-    #[inline]
-    fn record_decision(
-        metrics: &EngineMetrics,
-        touched: &mut Touched,
-        decision: &IdentifyDecision,
-    ) {
-        metrics.ingest_total.inc();
-        metrics.identify_compared_total.add(decision.compared as u64);
-        metrics.identify_pairs_scored_total.add(decision.pairs_scored as u64);
-        if decision.created {
-            metrics.identify_new_story_total.inc();
-        } else {
-            metrics.identify_assigned_total.inc();
-        }
-        metrics.identify_merge_total.add(decision.merged.len() as u64);
-        metrics.story_cache_hits_total.add(decision.cache_hits as u64);
-        metrics.story_cache_misses_total.add(decision.cache_misses as u64);
-        touched.insert(decision.story);
-        touched.extend(decision.merged.iter().copied());
     }
 
     /// Book one source's maintenance pass: the counters, and every
@@ -334,65 +331,6 @@ impl StoryPivot {
             touched.insert(*orig);
             touched.extend(fragments.iter().copied());
         }
-    }
-
-    /// Ingest a batch sequentially (in the given order).
-    pub fn ingest_batch<I: IntoIterator<Item = Snippet>>(
-        &mut self,
-        snippets: I,
-    ) -> Result<Vec<IdentifyDecision>> {
-        snippets.into_iter().map(|s| self.ingest_detailed(s)).collect()
-    }
-
-    /// Ingest a batch with **parallel per-source identification**:
-    /// snippets are stored first, then each source's identifier runs on
-    /// its own thread (sources are independent by construction, §2.1).
-    ///
-    /// Within each source, snippets are processed in `(timestamp, id)`
-    /// order. Returns the number of snippets ingested.
-    pub fn ingest_batch_parallel(&mut self, snippets: Vec<Snippet>) -> Result<usize> {
-        let mut by_source: HashMap<SourceId, Vec<Snippet>> = HashMap::new();
-        for s in snippets {
-            if !self.identifiers.contains_key(&s.source) {
-                return Err(Error::UnknownSource(s.source));
-            }
-            by_source.entry(s.source).or_default().push(s);
-        }
-        let mut total = 0usize;
-        for batch in by_source.values_mut() {
-            batch.sort_by_key(|s| (s.timestamp, s.id));
-            for s in batch.iter() {
-                self.store.insert(s.clone())?;
-            }
-            total += batch.len();
-        }
-
-        let store = &self.store;
-        let mut outcomes: Vec<(Vec<IdentifyDecision>, MaintenanceReport)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (source, ident) in self.identifiers.iter_mut() {
-                let Some(batch) = by_source.remove(source) else { continue };
-                handles.push(scope.spawn(move || {
-                    let decisions: Vec<IdentifyDecision> =
-                        batch.iter().map(|s| ident.assign(s, store)).collect();
-                    (decisions, ident.maintain(store))
-                }));
-            }
-            for h in handles {
-                outcomes.push(h.join().expect("identification thread panicked"));
-            }
-        });
-        // Booked after the join, through the routine `ingest_with` uses,
-        // so an engine fed in batches exposes the same counters as one
-        // fed the same per-source order snippet by snippet.
-        for (decisions, report) in outcomes {
-            for decision in &decisions {
-                Self::record_decision(&self.metrics, &mut self.touched, decision);
-            }
-            Self::record_pass(&self.metrics, &mut self.touched, &report);
-        }
-        Ok(total)
     }
 
     // ---- removal ---------------------------------------------------------
@@ -986,47 +924,6 @@ mod tests {
         assert_eq!(pivot.dirty_count(), 0);
         assert_eq!(pivot.drain_changes(), vec![story]);
         assert!(pivot.drain_changes().is_empty());
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let build = |parallel: bool| -> Vec<Vec<SnippetId>> {
-            let mut pivot = StoryPivot::new(PivotConfig::default());
-            let a = pivot.add_source("a", SourceKind::Newspaper);
-            let b = pivot.add_source("b", SourceKind::Newspaper);
-            let mut batch = Vec::new();
-            for day in 0..10i64 {
-                for (src, ent) in [(a, day % 3), (b, day % 3)] {
-                    let id = pivot.fresh_snippet_id();
-                    let e = ent as u32 * 10;
-                    batch.push(
-                        Snippet::builder(id, src, Timestamp::from_secs(day * DAY))
-                            .entity(EntityId::new(e), 1.0)
-                            .entity(EntityId::new(e + 1), 1.0)
-                            .term(TermId::new(e), 1.0)
-                            .build(),
-                    );
-                }
-            }
-            if parallel {
-                pivot.ingest_batch_parallel(batch).unwrap();
-            } else {
-                // Sequential per-source in (timestamp, id) order mirrors
-                // what the parallel path does per source.
-                let mut sorted = batch;
-                sorted.sort_by_key(|s| (s.source, s.timestamp, s.id));
-                pivot.ingest_batch(sorted).unwrap();
-            }
-            pivot.align();
-            let mut partitions: Vec<Vec<SnippetId>> = pivot
-                .global_stories()
-                .iter()
-                .map(|g| g.members.iter().map(|&(m, _)| m).collect())
-                .collect();
-            partitions.sort();
-            partitions
-        };
-        assert_eq!(build(false), build(true));
     }
 
     #[test]

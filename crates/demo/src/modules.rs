@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use storypivot_core::pivot::StoryPivot;
 use storypivot_core::state::StoryState;
 use storypivot_extract::Document;
-use storypivot_types::{GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId};
+use storypivot_types::{GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId};
 
 use crate::names::NameSource;
 
@@ -295,12 +295,6 @@ pub fn statistics(
         );
     }
     out
-}
-
-/// Membership listing used by the per-source view: which story a
-/// snippet belongs to, `None` when unassigned.
-pub fn story_of_label(pivot: &StoryPivot, id: SnippetId) -> Option<StoryId> {
-    pivot.story_of(id)
 }
 
 #[cfg(test)]

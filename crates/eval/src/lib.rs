@@ -10,6 +10,6 @@ pub mod metrics;
 pub mod run;
 pub mod table;
 
-pub use metrics::{adjusted_rand_index, bcubed, nmi, pairwise, purity, Clustering, Scores};
+pub use metrics::{nmi, pairwise, purity, Clustering, Scores};
 pub use run::{run, RunOptions, RunResult};
 pub use table::Table;

@@ -3,7 +3,7 @@
 //! Story identification and alignment are clustering problems, so their
 //! quality against ground truth is measured with standard clustering
 //! metrics: pairwise precision/recall/F1 (the paper's "F-Measure" panel
-//! in Figure 7), B-Cubed, NMI, and the adjusted Rand index. All metrics
+//! in Figure 7), NMI and purity. All metrics
 //! are computed over the *intersection* of items present in both the
 //! predicted and the reference clustering.
 
@@ -176,24 +176,6 @@ pub fn pairwise(pred: &Clustering, truth: &Clustering) -> Scores {
     pairwise_counts(pred, truth).scores()
 }
 
-/// B-Cubed precision/recall/F1.
-pub fn bcubed(pred: &Clustering, truth: &Clustering) -> Scores {
-    let c = contingency(pred, truth);
-    if c.n == 0 {
-        return Scores::from_pr(1.0, 1.0);
-    }
-    // Per-item precision: |pred∩true| / |pred cluster|; averaging over
-    // items is equivalent to summing n_ij²/a_i over cells.
-    let mut p_sum = 0.0f64;
-    let mut r_sum = 0.0f64;
-    for (&(p, t), &nij) in &c.cells {
-        let nij = nij as f64;
-        p_sum += nij * nij / c.pred_sizes[&p] as f64;
-        r_sum += nij * nij / c.true_sizes[&t] as f64;
-    }
-    Scores::from_pr(p_sum / c.n as f64, r_sum / c.n as f64)
-}
-
 /// Normalized mutual information in `[0,1]` (geometric-mean
 /// normalization; 1.0 when both clusterings are the same single
 /// partition by convention).
@@ -258,25 +240,6 @@ pub fn purity(pred: &Clustering, truth: &Clustering) -> (f64, f64) {
     (one_direction(&forward), one_direction(&backward))
 }
 
-/// Adjusted Rand index in `[-1,1]` (1 = identical partitions, ~0 =
-/// random agreement).
-pub fn adjusted_rand_index(pred: &Clustering, truth: &Clustering) -> f64 {
-    let c = contingency(pred, truth);
-    if c.n < 2 {
-        return 1.0;
-    }
-    let sum_cells: f64 = c.cells.values().map(|&x| choose2(x) as f64).sum();
-    let sum_a: f64 = c.pred_sizes.values().map(|&x| choose2(x) as f64).sum();
-    let sum_b: f64 = c.true_sizes.values().map(|&x| choose2(x) as f64).sum();
-    let total = choose2(c.n) as f64;
-    let expected = sum_a * sum_b / total;
-    let max = 0.5 * (sum_a + sum_b);
-    if (max - expected).abs() < 1e-12 {
-        return 1.0;
-    }
-    (sum_cells - expected) / (max - expected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,13 +251,11 @@ mod tests {
     #[test]
     fn identical_clusterings_score_one() {
         let a = cl(&[(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)]);
-        for s in [pairwise(&a, &a), bcubed(&a, &a)] {
-            assert_eq!(s.precision, 1.0);
-            assert_eq!(s.recall, 1.0);
-            assert_eq!(s.f1, 1.0);
-        }
+        let s = pairwise(&a, &a);
+        assert_eq!(s.precision, 1.0);
+        assert_eq!(s.recall, 1.0);
+        assert_eq!(s.f1, 1.0);
         assert_eq!(nmi(&a, &a), 1.0);
-        assert!((adjusted_rand_index(&a, &a) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -303,7 +264,6 @@ mod tests {
         let pred = cl(&[(0, 77), (1, 77), (2, 5), (3, 5)]);
         assert_eq!(pairwise(&pred, &truth).f1, 1.0);
         assert_eq!(nmi(&pred, &truth), 1.0);
-        assert!((adjusted_rand_index(&pred, &truth) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -337,17 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn bcubed_known_value() {
-        // truth: {0,1} {2}; pred: {0,1,2}
-        let truth = cl(&[(0, 0), (1, 0), (2, 1)]);
-        let pred = cl(&[(0, 0), (1, 0), (2, 0)]);
-        let s = bcubed(&pred, &truth);
-        // precision: items 0,1 → 2/3 each; item 2 → 1/3. avg = 5/9.
-        assert!((s.precision - 5.0 / 9.0).abs() < 1e-12);
-        assert_eq!(s.recall, 1.0);
-    }
-
-    #[test]
     fn metrics_use_intersection_of_items() {
         let truth = cl(&[(0, 0), (1, 0)]);
         let pred = cl(&[(0, 0), (1, 0), (99, 5)]); // 99 missing from truth
@@ -360,15 +309,6 @@ mod tests {
         let pred = cl(&[(1, 0)]);
         assert_eq!(pairwise(&pred, &truth).f1, 1.0);
         assert_eq!(nmi(&pred, &truth), 1.0);
-    }
-
-    #[test]
-    fn ari_near_zero_for_random_like_split() {
-        // Orthogonal partitions of 4 items.
-        let truth = cl(&[(0, 0), (1, 0), (2, 1), (3, 1)]);
-        let pred = cl(&[(0, 0), (1, 1), (2, 0), (3, 1)]);
-        let ari = adjusted_rand_index(&pred, &truth);
-        assert!(ari.abs() < 0.5, "ari {ari}");
     }
 
     #[test]

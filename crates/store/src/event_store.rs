@@ -175,16 +175,6 @@ impl EventStore {
         Ok(snippet)
     }
 
-    /// Remove every snippet of a document; returns them sorted by id.
-    pub fn remove_document(&mut self, doc: DocId) -> Result<Vec<Snippet>> {
-        let ids = self.doc_index.get(&doc).ok_or(Error::UnknownDocument(doc))?.clone();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            out.push(self.remove(id)?);
-        }
-        Ok(out)
-    }
-
     /// Look up a snippet.
     pub fn get(&self, id: SnippetId) -> Option<&Snippet> {
         let &slot = self.slot_of.get(&id)?;
@@ -244,11 +234,6 @@ impl EventStore {
         self.range(source, TimeRange::ALL)
     }
 
-    /// Number of snippets in a source.
-    pub fn source_len(&self, source: SourceId) -> usize {
-        self.windows.get(&source).map_or(0, WindowIndex::len)
-    }
-
     /// Snippet ids of a document, ascending.
     pub fn snippets_of_doc(&self, doc: DocId) -> Vec<SnippetId> {
         self.doc_index.get(&doc).cloned().unwrap_or_default()
@@ -269,11 +254,6 @@ impl EventStore {
     /// callers that count overlaps into a table of their own.
     pub fn entity_postings(&self, entity: EntityId) -> impl Iterator<Item = SnippetId> + '_ {
         self.entity_index.postings(entity)
-    }
-
-    /// Tight time range covered by a source's snippets.
-    pub fn source_coverage(&self, source: SourceId) -> TimeRange {
-        self.windows.get(&source).map_or(TimeRange::EMPTY, WindowIndex::coverage)
     }
 
     /// Heap bytes by part (the memory account): the snippet arena with
@@ -376,8 +356,6 @@ mod tests {
             .map(|sn| sn.id.raw())
             .collect();
         assert_eq!(w, vec![0]);
-        assert_eq!(s.source_len(SourceId::new(0)), 2);
-        assert_eq!(s.source_len(SourceId::new(1)), 1);
     }
 
     #[test]
@@ -390,21 +368,6 @@ mod tests {
         assert_eq!(cands[0], (SnippetId::new(0), 2));
         assert_eq!(cands[1], (SnippetId::new(1), 1));
         assert_eq!(cands.len(), 2);
-    }
-
-    #[test]
-    fn document_removal_evicts_all_its_snippets() {
-        let mut s = store_with_sources(1);
-        s.insert(snip(0, 0, 1, &[1])).unwrap(); // doc 0
-        s.insert(snip(1, 0, 2, &[2])).unwrap(); // doc 0
-        s.insert(snip(2, 0, 3, &[3])).unwrap(); // doc 1
-        let removed = s.remove_document(DocId::new(0)).unwrap();
-        assert_eq!(removed.len(), 2);
-        assert_eq!(s.len(), 1);
-        assert!(matches!(
-            s.remove_document(DocId::new(0)),
-            Err(Error::UnknownDocument(_))
-        ));
     }
 
     #[test]

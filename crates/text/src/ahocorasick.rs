@@ -144,11 +144,6 @@ impl AhoCorasick {
         self.pattern_lens.len()
     }
 
-    /// Number of automaton states (diagnostics).
-    pub fn state_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Advance from `state` on byte `b`, following failure links.
     #[inline]
     fn step(&self, mut state: u32, b: u8) -> u32 {

@@ -124,11 +124,6 @@ impl Gazetteer {
         self.canonical.get(&id).map(String::as_str)
     }
 
-    /// All registered entity ids (unordered).
-    pub fn entity_ids(&self) -> impl Iterator<Item = EntityId> + '_ {
-        self.canonical.keys().copied()
-    }
-
     /// Recognize entity mentions in a token stream (leftmost-longest,
     /// non-overlapping).
     pub fn recognize(&self, tokens: &[Token]) -> Vec<RecognizedEntity> {

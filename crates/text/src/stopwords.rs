@@ -38,11 +38,6 @@ pub fn is_stopword(word: &str) -> bool {
     STOPWORDS.binary_search(&word).is_ok()
 }
 
-/// Number of stopwords in the built-in list (for diagnostics).
-pub fn stopword_count() -> usize {
-    STOPWORDS.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

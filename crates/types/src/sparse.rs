@@ -75,25 +75,12 @@ impl<K: Copy + Ord + Debug + Into<u32>> SparseVec<K> {
         SparseVec { entries, norm, sig }
     }
 
-    /// Build from keys with unit weight each (duplicates sum).
-    pub fn from_keys<I: IntoIterator<Item = K>>(keys: I) -> Self {
-        Self::from_pairs(keys.into_iter().map(|k| (k, 1.0)).collect())
-    }
-
     /// Restore the norm invariant after `entries` changed and the
     /// caller has already ORed in the signature of every key it added.
     #[inline]
     fn renorm(&mut self) {
         self.norm = kernel::norm(&self.entries);
         debug_assert_eq!(self.sig, kernel::sig(&self.entries), "stale key signature");
-    }
-
-    /// Restore both invariants after `entries` may have lost keys (a
-    /// signature bit cannot be cleared without looking at every key).
-    #[inline]
-    fn refresh(&mut self) {
-        self.sig = kernel::sig(&self.entries);
-        self.renorm();
     }
 
     /// Number of non-zero entries.
@@ -315,27 +302,6 @@ impl<K: Copy + Ord + Debug + Into<u32>> SparseVec<K> {
         self.renorm();
     }
 
-    /// Subtract `other` from `self`, dropping entries that reach ≤ 0
-    /// (within a small epsilon to absorb float error).
-    pub fn merge_sub(&mut self, other: &Self) {
-        for &(k, w) in &other.entries {
-            if let Ok(i) = self.entries.binary_search_by(|(ek, _)| ek.cmp(&k)) {
-                self.entries[i].1 -= w;
-            }
-        }
-        self.entries.retain(|&(_, w)| w > 1e-6);
-        self.refresh();
-    }
-
-    /// Multiply every weight by `factor` (used for temporal decay).
-    pub fn scale(&mut self, factor: f32) {
-        for (_, w) in &mut self.entries {
-            *w *= factor;
-        }
-        self.entries.retain(|&(_, w)| w > 1e-6);
-        self.refresh();
-    }
-
     /// The `k` heaviest entries, by descending weight (ties by key).
     pub fn top_k(&self, k: usize) -> Vec<(K, f32)> {
         let mut v = self.entries.clone();
@@ -445,14 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_add_then_sub_round_trips() {
+    fn merge_add_sums_shared_keys() {
         let mut a = sv(&[(1, 1.0), (3, 2.0)]);
-        let b = sv(&[(2, 5.0), (3, 1.0)]);
-        a.merge_add(&b);
+        a.merge_add(&sv(&[(2, 5.0), (3, 1.0)]));
         assert_eq!(a.as_slice(), &[(1, 1.0), (2, 5.0), (3, 3.0)]);
-        assert_norm_fresh(&a);
-        a.merge_sub(&b);
-        assert_eq!(a.as_slice(), &[(1, 1.0), (3, 2.0)]);
         assert_norm_fresh(&a);
     }
 
@@ -514,27 +476,8 @@ mod tests {
         assert_norm_fresh(&a);
         a.merge_add(&sv(&[(2, 1.0), (3, 3.0)]));
         assert_norm_fresh(&a);
-        a.merge_sub(&sv(&[(1, 2.0)]));
+        a.clear();
         assert_norm_fresh(&a);
-        a.scale(0.25);
-        assert_norm_fresh(&a);
-    }
-
-    #[test]
-    fn merge_sub_drops_exhausted_entries() {
-        let mut a = sv(&[(1, 1.0)]);
-        a.merge_sub(&sv(&[(1, 1.0)]));
-        assert!(a.is_empty());
-        assert_eq!(a.norm(), 0.0);
-    }
-
-    #[test]
-    fn scale_decays_weights() {
-        let mut a = sv(&[(1, 2.0), (2, 4.0)]);
-        a.scale(0.5);
-        assert_eq!(a.as_slice(), &[(1, 1.0), (2, 2.0)]);
-        a.scale(0.0);
-        assert!(a.is_empty());
     }
 
     #[test]
@@ -560,25 +503,18 @@ mod tests {
     fn signature_follows_the_key_set() {
         let mut a = sv(&[(1, 1.0), (2, 1.0)]);
         assert_eq!(a.sig(), kernel::key_bit(1u32) | kernel::key_bit(2u32));
-        a.merge_sub(&sv(&[(2, 1.0)]));
-        assert_eq!(a.sig(), kernel::key_bit(1u32), "a dropped key gives its bit back");
-        a.scale(0.0);
+        a.merge_add(&sv(&[(3, 1.0)]));
+        assert_eq!(a.sig(), kernel::sig(a.as_slice()), "an added key adds its bit");
+        a.clear();
         assert_eq!(a.sig(), 0);
         assert_eq!(SparseVec::<u32>::new().sig(), 0);
         assert_eq!(SparseVec::<u32>::default().sig(), 0);
     }
 
     #[test]
-    fn from_keys_unit_weights() {
-        let a = SparseVec::from_keys(vec![3u32, 1, 3]);
-        assert_eq!(a.as_slice(), &[(1, 1.0), (3, 2.0)]);
-    }
-
-    #[test]
     fn equality_ignores_capacity_history() {
-        let mut a = sv(&[(1, 1.0), (2, 2.0)]);
-        a.merge_add(&sv(&[(3, 1.0)]));
-        a.merge_sub(&sv(&[(3, 1.0)]));
+        let mut a = sv(&[(1, 1.0)]);
+        a.merge_add(&sv(&[(2, 2.0)]));
         let b = sv(&[(1, 1.0), (2, 2.0)]);
         assert_eq!(a, b);
         assert_eq!(a.norm().to_bits(), b.norm().to_bits());

@@ -1,6 +1,6 @@
 //! Failure injection: the engine must degrade gracefully, not panic, on
-//! hostile inputs — duplicates, vacuous content, unknown references,
-//! clock-skewed sources, and mid-stream mutations.
+//! hostile inputs — duplicates, out-of-range ids, vacuous content,
+//! unknown references, clock-skewed sources, and mid-stream mutations.
 
 use storypivot::core::config::PivotConfig;
 use storypivot::prelude::*;
@@ -28,6 +28,26 @@ fn duplicate_snippet_ids_are_rejected_not_corrupting() {
     assert!(pivot.ingest(s).is_err());
     assert_eq!(pivot.store().len(), 1);
     assert_eq!(pivot.story_count(), 1);
+}
+
+/// Each source's snippet → story table is indexed by the snippet id, so
+/// an id at the bound is refused before anything is stored or grown,
+/// and the engine keeps ingesting.
+#[test]
+fn snippet_ids_at_the_bound_are_refused_before_anything_grows() {
+    use storypivot::core::identify::MAX_SNIPPET_ID;
+    use storypivot::types::Error;
+
+    let (mut pivot, src) = pivot_with_sources(1);
+    pivot.ingest(snip(0, src[0], Timestamp::EPOCH)).unwrap();
+    let before = pivot.memory_account();
+    let err = pivot.ingest(snip(MAX_SNIPPET_ID, src[0], Timestamp::EPOCH)).unwrap_err();
+    assert!(matches!(err, Error::Invariant(_)), "{err}");
+    assert_eq!(pivot.memory_account(), before);
+    assert_eq!(pivot.store().len(), 1);
+    pivot.ingest(snip(1, src[0], Timestamp::EPOCH)).unwrap();
+    assert_eq!(pivot.store().len(), 2);
+    pivot.check_invariants().unwrap();
 }
 
 #[test]

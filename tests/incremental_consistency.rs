@@ -1,20 +1,17 @@
 //! Consistency of the incremental machinery. Four tests are slices of
 //! the differential driver (`lockstep`), which holds incremental ==
 //! from-scratch after every op; the rest is what no lockstep oracle
-//! states: the store image round-trips, removed-and-re-added documents
-//! converge, and the parallel batch path books the counters the
-//! sequential one does.
+//! states: the store image round-trips, and removed-and-re-added
+//! documents converge.
 
 mod lockstep;
 
 use std::collections::HashSet;
 
 use storypivot::core::config::PivotConfig;
-use storypivot::core::metrics::EngineMetrics;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
 use storypivot::store::codec::{decode_store, encode_store};
-use storypivot::substrate::metrics::Registry;
 use storypivot::types::DAY;
 
 fn corpus(target: usize, sources: u32, seed: u64) -> storypivot::gen::Corpus {
@@ -145,64 +142,4 @@ fn document_remove_then_readd_converges() {
     // must be in the same ballpark).
     let diff = (pivot.story_count() as i64 - stories_before as i64).abs();
     assert!(diff <= stories_before as i64 / 5, "story count drifted: {stories_before} -> {}", pivot.story_count());
-}
-
-/// Parallel per-source identification of a batch books what the
-/// sequential path books: two live-registry engines off one checkpoint,
-/// one fed the batch, one fed the same per-source order snippet by
-/// snippet, expose equal per-decision counters. (Cadence off and one
-/// pass on the twin: the batch path maintains each source once at the
-/// end.)
-#[test]
-fn ingest_batch_parallel_books_what_sequential_ingest_books() {
-    let c = corpus(360, 3, 54);
-    let mut config = PivotConfig::temporal(14 * DAY);
-    config.identify.maintenance_every = 0;
-    let mut pivot = StoryPivot::new(config.clone());
-    for s in &c.sources {
-        pivot.add_source_with_lag(s.name.clone(), s.kind, s.typical_lag);
-    }
-    let (stream, batch) = c.snippets.split_at(c.len() - 30);
-    for s in stream {
-        pivot.ingest(s.clone()).unwrap();
-    }
-    let image = pivot.save_checkpoint();
-    let live_engine = || {
-        let registry = Registry::new();
-        let mut engine = StoryPivot::load_checkpoint(config.clone(), &image).unwrap();
-        engine.set_metrics(EngineMetrics::register(&registry));
-        (engine, registry)
-    };
-    let (mut batched, batched_registry) = live_engine();
-    let (mut twin, twin_registry) = live_engine();
-    batched.ingest_batch_parallel(batch.to_vec()).unwrap();
-    let mut in_order = batch.to_vec();
-    in_order.sort_by_key(|s| (s.timestamp, s.id));
-    for s in in_order {
-        twin.ingest_detailed(s).unwrap();
-    }
-    twin.run_maintenance();
-    assert_eq!(batched.story_partition(), twin.story_partition());
-    for name in [
-        "storypivot_ingest_total",
-        "storypivot_identify_compared_total",
-        "storypivot_identify_pairs_scored_total",
-        "storypivot_identify_new_story_total",
-        "storypivot_identify_assigned_total",
-        "storypivot_identify_merge_total",
-        "storypivot_story_cache_hits_total",
-        "storypivot_story_cache_misses_total",
-    ] {
-        let sequential = twin_registry.snapshot().counter_value(name, &[]);
-        assert!(sequential.is_some(), "{name} is not registered");
-        assert_eq!(
-            batched_registry.snapshot().counter_value(name, &[]),
-            sequential,
-            "{name}: ingest_batch_parallel (left) vs ingest_detailed (right)"
-        );
-    }
-    assert!(
-        twin_registry.snapshot().counter_value("storypivot_identify_compared_total", &[]) > Some(0)
-    );
-    batched.check_invariants().unwrap();
 }

@@ -319,7 +319,7 @@ fn signature_stays_fresh_through_every_mutation_and_the_codec() {
         let mut acc = arb_vec(rng, 10, 80);
         assert_sig_fresh(&acc, "from_pairs");
         for _ in 0..24 {
-            match rng.random_range(0..7u32) {
+            match rng.random_range(0..5u32) {
                 // Backward merge (interleaved keys), or into an empty vector.
                 0 | 1 => {
                     acc.merge_add(&arb_vec(rng, 10, 80));
@@ -343,19 +343,6 @@ fn signature_stays_fresh_through_every_mutation_and_the_codec() {
                         acc.merge_add(&SparseVec::from_pairs(sub));
                         assert_sig_fresh(&acc, "merge_add (subset)");
                     }
-                }
-                // Subtract some of what is there: exhausted keys drop out.
-                4 => {
-                    let part: Vec<(u32, f32)> =
-                        acc.iter().filter(|_| rng.random_range(0..2u32) == 0).collect();
-                    acc.merge_sub(&SparseVec::from_pairs(part));
-                    assert_sig_fresh(&acc, "merge_sub");
-                }
-                5 => {
-                    // 1e-7 pushes the light weights under the drop epsilon.
-                    let factor = [0.5f32, 1e-7, 0.0][rng.random_range(0..3usize)];
-                    acc.scale(factor);
-                    assert_sig_fresh(&acc, "scale");
                 }
                 _ => {
                     if rng.random_range(0..4u32) == 0 {

@@ -183,29 +183,6 @@ fn sparse_similarities_are_bounded_and_symmetric() {
     });
 }
 
-#[test]
-fn sparse_merge_sub_inverts_merge_add() {
-    prop::run(256, |rng| {
-        let a = prop::vec_with(rng, 0, 14, |r| {
-            (r.random_range(0u32..40), r.random_range(0.5f32..5.0))
-        });
-        let b = prop::vec_with(rng, 0, 14, |r| {
-            (r.random_range(0u32..40), r.random_range(0.5f32..5.0))
-        });
-        let va = SparseVec::from_pairs(a);
-        let vb = SparseVec::from_pairs(b);
-        let mut merged = va.clone();
-        merged.merge_add(&vb);
-        merged.merge_sub(&vb);
-        // Compare entry-by-entry with float slack.
-        assert_eq!(merged.len(), va.len());
-        for (k, w) in va.iter() {
-            let got = merged.get(&k).unwrap_or(0.0);
-            assert!((got - w).abs() < 1e-3, "key {k:?}: {got} vs {w}");
-        }
-    });
-}
-
 // ---- store insert/remove inverses ---------------------------------------------
 
 #[test]
@@ -285,7 +262,7 @@ fn identification_always_yields_a_valid_partition() {
 
 #[test]
 fn metrics_are_bounded_and_perfect_on_self() {
-    use storypivot::eval::{adjusted_rand_index, bcubed, nmi, pairwise, Clustering};
+    use storypivot::eval::{nmi, pairwise, Clustering};
 
     prop::run(128, |rng| {
         let pairs = prop::vec_with(rng, 1, 79, |r| {
@@ -296,10 +273,7 @@ fn metrics_are_bounded_and_perfect_on_self() {
 
         let s = pairwise(&relabeled, &c);
         assert!((s.f1 - 1.0).abs() < 1e-12);
-        let b = bcubed(&relabeled, &c);
-        assert!((b.f1 - 1.0).abs() < 1e-12);
         assert!((nmi(&relabeled, &c) - 1.0).abs() < 1e-9);
-        assert!(adjusted_rand_index(&relabeled, &c) > 1.0 - 1e-9);
 
         // Against an arbitrary second clustering: bounded.
         let other = Clustering::from_pairs(pairs.iter().map(|&(i, cl)| (i, cl % 3)));
@@ -308,7 +282,5 @@ fn metrics_are_bounded_and_perfect_on_self() {
         assert!((0.0..=1.0).contains(&s.recall));
         assert!((0.0..=1.0).contains(&s.f1));
         assert!((0.0..=1.0).contains(&nmi(&other, &c)));
-        let ari = adjusted_rand_index(&other, &c);
-        assert!((-1.0..=1.0).contains(&ari));
     });
 }

@@ -225,6 +225,7 @@ fn metrics_exposition_matches_in_process_engine() {
         "storypivot_refine_probes_reused_total",
         "storypivot_mem_bytes{structure=\"store.arena\"}",
         "storypivot_mem_bytes{structure=\"identify.stories\"}",
+        "storypivot_mem_bytes{structure=\"identify.assignment\"}",
     ];
     for name in required {
         assert!(text.lines().any(|line| line.starts_with(&format!("{name} "))), "no {name} in:\n{text}");
@@ -428,6 +429,39 @@ fn the_source_limit_is_refused_before_the_journal() {
     let err = client.add_source("one too many", SourceKind::Wire, 0).unwrap_err();
     assert!(err.to_string().contains("source limit reached (255)"), "{err}");
     assert_eq!(journals(), before, "a refused source must not be journaled");
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A snippet id at the engine's bound gets an error reply from its
+/// shard, which neither grows nor restarts and serves the next ingest.
+#[test]
+fn an_out_of_range_snippet_id_is_refused_and_its_shard_keeps_serving() {
+    use storypivot::core::identify::MAX_SNIPPET_ID;
+    use storypivot::types::Error;
+
+    let handle = serve("127.0.0.1:0", sharded(2)).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let source = client.add_source("a", SourceKind::Wire, 0).unwrap();
+    let snippet = |id: u32| {
+        Snippet::builder(SnippetId::new(id), source, Timestamp::EPOCH)
+            .entity(EntityId::new(1), 1.0)
+            .build()
+    };
+    match client.ingest(&snippet(MAX_SNIPPET_ID)) {
+        Err(Error::Invariant(message)) => assert!(message.contains("snippet-id limit"), "{message}"),
+        other => panic!("an id at the bound must be refused, answered {other:?}"),
+    }
+    assert!(matches!(client.ingest(&snippet(0)).unwrap(), IngestReply::Assigned(_)));
+    let stories = client.query_stories().unwrap();
+    assert_eq!(stories.len(), 1);
+    assert_eq!(stories[0].members, vec![SnippetId::new(0)]);
+
+    let text = client.metrics().unwrap();
+    let shard = format!("{{shard=\"{}\"}}", source.raw() % 2);
+    assert_eq!(exposition_value(&text, &format!("storypivot_shard_snippets{shard}")), Some(1));
+    assert_eq!(exposition_value(&text, &format!("storypivot_shard_restarts_total{shard}")), Some(0));
 
     client.shutdown().unwrap();
     handle.join();
