@@ -116,7 +116,7 @@ echo "==> benchmark package (separate workspace; path-depends on the crates' pub
 cargo build --release --manifest-path benchmark/Cargo.toml
 timeout "$TEST_CAP" cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> gate: experiment harness counts (all 14 experiments, --quick) + spbench counts"
+echo "==> gate: experiment harness counts (all 15 experiments, --quick) + spbench counts"
 SMOKE_DIR="$(mktemp -d)"
 # If a step dies mid-script, the harness or daemon it started in the
 # background must not outlive the CI run: kill it before sweeping the

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use storypivot_eval::Table;
 
 mod chaos;
+mod costs;
 mod e1;
 mod e10;
 mod e2;
@@ -49,7 +50,7 @@ struct Experiment {
 }
 
 /// Every experiment, in the order `all` runs them.
-const REGISTRY: [Experiment; 14] = [
+const REGISTRY: [Experiment; 15] = [
     e1::EXPERIMENT,
     e2::EXPERIMENT,
     e3::EXPERIMENT,
@@ -64,6 +65,7 @@ const REGISTRY: [Experiment; 14] = [
     chaos::EXPERIMENT,
     hotpath::EXPERIMENT,
     refine::EXPERIMENT,
+    costs::EXPERIMENT,
 ];
 
 /// The experiments `wanted` names (by name or alias), in the order

@@ -26,17 +26,33 @@
 //! complete no frame for the configured window, which also bounds
 //! slow-loris readers.
 //!
-//! I/O workers never block: every frame becomes a `Job` routed to
-//! its shard through a bounded queue ([`substrate::queue::Bounded`]),
-//! and the shard replies by posting a completion event back to the
-//! owning worker's inbox (a wake-channel nudges the poller). When an
-//! ingest hits a full queue the worker replies BUSY with a retry-after
-//! hint instead of buffering — memory is bounded by
-//! `shards × queue_depth` jobs no matter how fast clients push. Batch
-//! ingests and control frames (removal/metrics/shutdown) want
-//! backpressure, not retries: their pushes park in a pending list (the
-//! connection stops parsing, preserving per-connection order) and are
-//! retried until queue space frees up.
+//! I/O workers never wait for a shard. A shard's worker (engine, WAL,
+//! snapshot table) sits behind its *owner lock* in the `ShardPort`.
+//! A single-snippet INGEST whose shard has a free owner
+//! (`try_lock`), an empty open queue and no `worker_delay` is applied
+//! by the I/O worker itself — journal, apply, publish, through the same
+//! `ShardWorker` ingest the shard thread runs — and its reply goes
+//! straight into the connection's reorder buffer: no job, no reply box,
+//! no hand-off to the shard thread and back. Every other frame becomes
+//! a `Job` routed to its shard through a bounded queue
+//! ([`substrate::queue::Bounded`]), and the shard thread replies by
+//! posting a completion event back to the owning worker's inbox (a
+//! wake-channel nudges the poller). The shard thread pops a job only
+//! while it holds the owner and keeps it until the job is applied, so
+//! an inline write, which needs the owner and an empty queue, comes
+//! after every job queued before it: per-shard order is WAL order. The
+//! lock order is owner → queue; no inbox send and no socket write
+//! happens under the owner.
+//!
+//! When an ingest hits a full queue the worker replies BUSY with a
+//! retry-after hint instead of buffering — memory is bounded by
+//! `shards × queue_depth` jobs no matter how fast clients push. An
+//! inline write found the queue empty, so it is never BUSY, and it
+//! never waited, so it is never shed. Batch ingests and control frames
+//! (removal/metrics/shutdown) want backpressure, not retries: their
+//! pushes park in a pending list (the connection stops parsing,
+//! preserving per-connection order) and are retried until queue space
+//! frees up.
 //!
 //! # Durability
 //!
@@ -53,13 +69,14 @@
 //! # Supervision
 //!
 //! A panic inside an engine apply is caught in the worker
-//! (`catch_unwind`); the shard's engine is rebuilt from checkpoint +
-//! WAL and the worker keeps draining its queue — other shards never
-//! notice. An operation that panics the shard *again* during the
-//! rebuild replay is quarantined: appended to the shard's dead-letter
-//! file (`shard{i}.dead`), skipped by all future replays, and rejected
-//! if resubmitted. METRICS reports `storypivot_shard_restarts_total`
-//! and `storypivot_shard_quarantined` per shard.
+//! (`catch_unwind`), on whichever thread holds the owner; the shard's
+//! engine is rebuilt from checkpoint + WAL and the worker keeps
+//! serving — other shards never notice. An operation that panics the
+//! shard *again* during the rebuild replay is quarantined: appended to
+//! the shard's dead-letter file (`shard{i}.dead`), skipped by all
+//! future replays, and rejected if resubmitted. METRICS reports
+//! `storypivot_shard_restarts_total` and `storypivot_shard_quarantined`
+//! per shard.
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
 //! job behind all accepted work on every shard, each shard publishes
@@ -99,9 +116,10 @@
 //! `job.rs`: `Job`, the reply callbacks with their drop-guards, `FanIn`.
 //! `io.rs`: `IoWorker` and the connection state machine;
 //! `io/dispatch.rs`: request decode and dispatch, push/park/retry.
-//! `shard.rs`: `ShardWorker` — queue loop, journal + apply, publish, the
-//! request handlers; `shard/recovery.rs`: recover, rebuild, checkpoints,
-//! quarantine; `shard/repl.rs`: both shard-side ends of WAL shipping.
+//! `shard.rs`: `ShardWorker` — the owner-locked queue loop, journal +
+//! apply, publish, the request handlers; `shard/recovery.rs`: recover,
+//! rebuild, checkpoints, quarantine; `shard/repl.rs`: both shard-side
+//! ends of WAL shipping.
 //!
 //! [`StoryPivot`]: storypivot_core::StoryPivot
 //! [`substrate::net`]: storypivot_substrate::net
@@ -121,7 +139,7 @@ mod shard;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -139,7 +157,7 @@ use self::job::{unavailable, Dest, Reply};
 pub(crate) use self::job::{Job, ReplAck, ReplCursor};
 use self::shard::ShardWorker;
 use crate::client::{backoff_delay_ms, BackoffPolicy};
-use crate::proto::Response;
+use crate::proto::{Response, SnippetRef};
 use crate::replica;
 use crate::snapshot::SnapshotSlot;
 
@@ -175,8 +193,11 @@ pub struct ServerConfig {
     /// exceeds this many bytes (0 disables size-triggered checkpoints;
     /// requires both `wal_dir` and `checkpoint_dir`).
     pub checkpoint_every_bytes: u64,
-    /// Artificial per-job delay in each shard worker. Zero in
-    /// production; tests use it to hold a queue full deterministically.
+    /// Artificial per-job delay in each shard worker, simulating a
+    /// slow shard. Zero in production; tests use it to hold a queue full
+    /// deterministically. A non-zero delay also sends every
+    /// single-snippet INGEST through the queue (none is applied inline
+    /// by an I/O worker), so BUSY, SHED and parking are exercised.
     pub worker_delay: Duration,
     /// Number of connection-multiplexing I/O worker threads. Every
     /// connection is pinned to one worker for its lifetime.
@@ -246,10 +267,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// What one shard worker shares with the rest of the server: its job
-/// queue, its published read snapshot, the service-time estimate behind
-/// retry hints, and the two counters I/O workers bump for it.
+/// What one shard worker shares with the rest of the server: its owner
+/// lock, its job queue, its published read snapshot, the service-time
+/// estimate behind retry hints, and the counters I/O workers bump for
+/// it.
 pub(crate) struct ShardPort {
+    /// The shard's worker — engine, WAL, snapshot table — behind the
+    /// owner lock. The shard thread pops queued jobs only while holding
+    /// it; an I/O worker that gets it with the queue empty applies a
+    /// single-snippet INGEST itself ([`Shared::ingest_inline`]). `None`
+    /// before the shard thread installs the worker and after it retires
+    /// it (queue closed and drained, or the thread died), when every
+    /// write takes the queue.
+    owner: Mutex<Option<ShardWorker>>,
     pub(crate) queue: Bounded<Job>,
     /// The shard's published read snapshot; I/O workers answer
     /// QUERY_STORIES/GET_STORY from it without touching the queue.
@@ -258,6 +288,9 @@ pub(crate) struct ShardPort {
     busy: Counter,
     /// Snapshot reads that touched this shard, bumped by I/O workers.
     reads: Counter,
+    /// Single-snippet ingests an I/O worker applied under the owner
+    /// lock instead of queueing.
+    inline_ingests: Counter,
     /// EWMA of single-snippet ingest service time in nanoseconds,
     /// maintained by the shard worker. BUSY and SHED multiply it by the
     /// queue depth to turn the flat retry-after hint into one
@@ -272,6 +305,7 @@ impl ShardPort {
         let id = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &id)];
         ShardPort {
+            owner: Mutex::new(None),
             queue: Bounded::new(queue_depth),
             snapshot: SnapshotSlot::new(),
             busy: registry.counter_with(
@@ -283,6 +317,12 @@ impl ShardPort {
                 "storypivot_shard_reads_total",
                 "Reads answered from the shard's snapshot: a GET_STORY counts on the \
                  story's shard, a QUERY_STORIES on every shard.",
+                labels,
+            ),
+            inline_ingests: registry.counter_with(
+                "storypivot_shard_inline_ingests_total",
+                "Single-snippet ingests an I/O worker applied under the shard's owner \
+                 lock, without a queue hand-off.",
                 labels,
             ),
             service_ewma_ns: AtomicU64::new(0),
@@ -327,6 +367,41 @@ pub(crate) struct Shared {
 impl Shared {
     fn shard_of_source(&self, source: SourceId) -> usize {
         source.raw() as usize % self.shards.len()
+    }
+
+    /// Apply a single-snippet INGEST on the calling I/O worker, or
+    /// return `None` to send it through `shard`'s queue. It runs only
+    /// when the owner lock is free (`try_lock`, never a wait), the
+    /// queue is empty and open, and `worker_delay` is zero; then it is
+    /// the same [`ShardWorker`] ingest the shard thread would run —
+    /// journal, apply under `catch_unwind`, publish — so a panic is
+    /// supervised exactly as on the shard thread.
+    ///
+    /// Per-shard order is WAL order: the shard thread pops only under
+    /// the owner and holds it until the popped job is applied, so an
+    /// empty queue seen under the owner means every job queued before
+    /// this write has been applied. The write never waited, so it is
+    /// never shed, and the queue was not full, so it is never BUSY.
+    /// The owner is released before the caller writes the reply to any
+    /// socket; the lock order is owner → queue.
+    fn ingest_inline(&self, shard: usize, snippet: &SnippetRef<'_>) -> Option<Response> {
+        if !self.cfg.worker_delay.is_zero() {
+            return None;
+        }
+        let port = &self.shards[shard];
+        let mut owner = match port.owner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let worker = owner.as_mut()?;
+        if !port.queue.is_empty() || port.queue.is_closed() {
+            return None;
+        }
+        let resp = worker.ingest(snippet.to_owned());
+        drop(owner);
+        port.inline_ingests.inc();
+        Some(resp)
     }
 
     /// Whether a SHUTDOWN has completed (replica pullers poll this to

@@ -1,7 +1,9 @@
 //! The I/O workers: each multiplexes its share of the connections
 //! through one `poll(2)` loop and a per-connection state machine —
 //! read, peel frames, dispatch ([`dispatch`]), re-sequence completions,
-//! write. Nothing here ever blocks on a shard.
+//! write. Nothing here ever waits for a shard: an uncontended
+//! single-snippet INGEST is applied under the shard's owner lock, taken
+//! with `try_lock`, and everything else is queued.
 
 mod dispatch;
 

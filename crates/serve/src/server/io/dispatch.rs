@@ -72,10 +72,17 @@ impl IoWorker {
                 self.push_one(id, shard, Job::AddSource(source, direct_reply(dest)));
             }
             RequestRef::IngestSnippet(sref) => {
+                // An uncontended shard applies the write right here,
+                // under its owner lock: no job, no reply box, no
+                // hand-off to the shard thread and back.
+                let shard = self.shared.shard_of_source(sref.source);
+                if let Some(resp) = self.shared.ingest_inline(shard, &sref) {
+                    self.finish(id, seq, resp, false);
+                    return;
+                }
                 // The BUSY fast path: one snippet, one `try_push`. A
                 // full shard queue is the client's problem (retry after
                 // the hint), never the server's memory.
-                let shard = self.shared.shard_of_source(sref.source);
                 let job = Job::Ingest(sref.to_owned(), direct_reply(dest), Instant::now());
                 let port = &self.shared.shards[shard];
                 match port.queue.try_push(job) {

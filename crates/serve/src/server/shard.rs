@@ -1,6 +1,9 @@
-//! The shard worker: one thread that owns one engine, drains the
-//! shard's queue, journals and applies each mutation under
-//! `catch_unwind`, and publishes a read snapshot before every reply.
+//! The shard worker: one engine behind its shard's owner lock, which
+//! journals and applies each mutation under `catch_unwind` and
+//! publishes a read snapshot before every reply. Its thread drains the
+//! shard's queue; an I/O worker that finds the owner free and the
+//! queue empty runs a single-snippet ingest on it directly
+//! (`Shared::ingest_inline`).
 //! Building the engine from durable state — and rebuilding it after a
 //! panic — is in [`recovery`]; both ends of WAL shipping are in
 //! [`repl`].
@@ -24,8 +27,8 @@ use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::Wal;
 use storypivot_types::{DocId, Error, Result, Snippet, Source};
 
-use super::job::Job;
-use super::{ServerConfig, ShardPort, POISON_HEADLINE};
+use super::job::{Job, ReplAck, ReplCursor, Reply, SnapReply};
+use super::{lock, ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
 
@@ -185,49 +188,99 @@ pub(super) struct ShardWorker {
     quarantine: HashSet<u64>,
 }
 
+/// A queued job's answer, held until the owner lock is released.
+enum Answer {
+    Reply(Reply, Response),
+    Metrics(SnapReply, Snapshot),
+    Repl(ReplAck, Result<ReplCursor>),
+}
+
+impl Answer {
+    fn deliver(self) {
+        match self {
+            Answer::Reply(reply, resp) => reply(resp),
+            Answer::Metrics(reply, snap) => reply(snap),
+            Answer::Repl(ack, cursor) => {
+                let _ = ack.send(cursor);
+            }
+        }
+    }
+}
+
+/// Empties the port's owner slot when the shard thread ends — the
+/// queue closed and drained, or the thread unwinding from a panic no
+/// `catch_unwind` held — so no I/O worker applies a write to a worker
+/// whose thread is gone.
+struct Retire<'a>(&'a ShardPort);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        drop(lock(&self.0.owner).take());
+    }
+}
+
 impl ShardWorker {
-    pub(super) fn run(mut self) {
-        while let Some(job) = self.port.queue.pop() {
-            if !self.cfg.worker_delay.is_zero() {
-                std::thread::sleep(self.cfg.worker_delay);
+    /// The shard thread: install this worker behind the port's owner
+    /// lock, then, until the queue is closed and drained, wait for a
+    /// job, take the owner, pop and apply the job, release the owner and
+    /// deliver the answer. A job is popped only while the owner is held,
+    /// and the owner is held until the popped job has been applied: that
+    /// is what lets an I/O worker that holds the owner and sees an empty
+    /// queue apply an INGEST in order (`Shared::ingest_inline`). The
+    /// answer goes out after the release, so a client that saw it finds
+    /// the owner free for its next write.
+    pub(super) fn run(self) {
+        let port = Arc::clone(&self.port);
+        *lock(&port.owner) = Some(self);
+        let _retire = Retire(&port);
+        while port.queue.wait_nonempty() {
+            let answer = {
+                let mut owner = lock(&port.owner);
+                let Some(job) = port.queue.try_pop() else { continue };
+                owner.as_mut().expect("the shard thread's worker is installed").handle(job)
+            };
+            answer.deliver();
+        }
+    }
+
+    /// Apply one queued job; its answer is delivered by the caller once
+    /// the owner lock is released.
+    fn handle(&mut self, job: Job) -> Answer {
+        if !self.cfg.worker_delay.is_zero() {
+            std::thread::sleep(self.cfg.worker_delay);
+        }
+        match job {
+            Job::AddSource(source, reply) => Answer::Reply(reply, self.add_source(source)),
+            Job::Ingest(snippet, reply, enqueued) => {
+                // Deadline shedding: work that waited past the
+                // client's budget is answered with SHED *before*
+                // the WAL or engine see it — under saturation the
+                // worker spends its time on requests someone is
+                // still waiting for. Only single-snippet ingests
+                // carry a budget; batches and control ops park for
+                // backpressure at admission instead.
+                let deadline = Duration::from_millis(self.cfg.deadline_ms);
+                if !deadline.is_zero() && enqueued.elapsed() > deadline {
+                    Answer::Reply(reply, self.shed(snippet))
+                } else {
+                    Answer::Reply(reply, self.ingest(snippet))
+                }
             }
-            match job {
-                Job::AddSource(source, reply) => reply(self.add_source(source)),
-                Job::Ingest(snippet, reply, enqueued) => {
-                    // Deadline shedding: work that waited past the
-                    // client's budget is answered with SHED *before*
-                    // the WAL or engine see it — under saturation the
-                    // worker spends its time on requests someone is
-                    // still waiting for. Only single-snippet ingests
-                    // carry a budget; batches and control ops park for
-                    // backpressure at admission instead.
-                    let deadline = Duration::from_millis(self.cfg.deadline_ms);
-                    if !deadline.is_zero() && enqueued.elapsed() > deadline {
-                        reply(self.shed(snippet));
-                    } else {
-                        reply(self.ingest(snippet));
-                    }
-                }
-                Job::IngestMany(batch, reply) => reply(self.ingest_many(batch)),
-                Job::RemoveDoc(doc, reply) => reply(self.remove_doc(doc)),
-                Job::Metrics(reply) => reply(self.metrics_snapshot()),
-                Job::Drain(reply) => reply(self.drain()),
-                Job::Repl {
-                    generation,
-                    wal_offset,
-                    reply,
-                } => reply(self.repl(generation, wal_offset)),
-                Job::ReplBootstrap {
-                    generation,
-                    checkpoint,
-                    ack,
-                } => {
-                    let _ = ack.send(self.repl_bootstrap(generation, checkpoint));
-                }
-                Job::ReplApply { records, ack } => {
-                    let _ = ack.send(self.repl_apply(&records));
-                }
-            }
+            Job::IngestMany(batch, reply) => Answer::Reply(reply, self.ingest_many(batch)),
+            Job::RemoveDoc(doc, reply) => Answer::Reply(reply, self.remove_doc(doc)),
+            Job::Metrics(reply) => Answer::Metrics(reply, self.metrics_snapshot()),
+            Job::Drain(reply) => Answer::Reply(reply, self.drain()),
+            Job::Repl {
+                generation,
+                wal_offset,
+                reply,
+            } => Answer::Reply(reply, self.repl(generation, wal_offset)),
+            Job::ReplBootstrap {
+                generation,
+                checkpoint,
+                ack,
+            } => Answer::Repl(ack, self.repl_bootstrap(generation, checkpoint)),
+            Job::ReplApply { records, ack } => Answer::Repl(ack, self.repl_apply(&records)),
         }
     }
 
@@ -322,9 +375,10 @@ impl ShardWorker {
 
     /// Patch the stories the engine reports changed since the last
     /// publish and swap the resulting id-sorted view into the shared
-    /// slot. Runs on the shard thread *before* the triggering op's reply
-    /// is delivered, so acked writes are always visible to the next
-    /// read.
+    /// slot. Runs under the owner lock — on the shard thread, or on the
+    /// I/O worker applying an inline write — *before* the triggering
+    /// op's reply is delivered, so acked writes are always visible to
+    /// the next read.
     fn publish_snapshot(&mut self) {
         let timer = self.serve_metrics.snapshot_publish_duration.start();
         self.snapshot_epoch += 1;
@@ -372,7 +426,10 @@ impl ShardWorker {
         self.port.service_ewma_ns.store(next, Ordering::Relaxed);
     }
 
-    fn ingest(&mut self, snippet: Snippet) -> Response {
+    /// One single-snippet INGEST, on whichever thread holds the owner:
+    /// the shard thread for a queued job, an I/O worker for an inline
+    /// one.
+    pub(super) fn ingest(&mut self, snippet: Snippet) -> Response {
         let t = Instant::now();
         match self.mutate(ReplayOp::Ingest(snippet)) {
             Ok(Applied::Story(story)) => {

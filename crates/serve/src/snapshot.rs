@@ -3,7 +3,8 @@
 //! Every QUERY_STORIES and GET_STORY used to ride the same bounded
 //! MPSC queue as ingest, so a read flash-crowd competed with writes
 //! for shard-worker time. Instead, each shard worker publishes a
-//! [`ShardSnapshot`] — an immutable, id-sorted view of its story
+//! [`ShardSnapshot`] (under its shard's owner lock: on the shard thread,
+//! or on the I/O worker applying an uncontended INGEST inline) — an immutable, id-sorted view of its story
 //! partition — into a [`SnapshotSlot`]. Publication is an `Arc` swap
 //! behind a readers–writer lock held for nanoseconds: readers clone the
 //! `Arc` and release the lock, so queries never block the writer and
@@ -150,8 +151,8 @@ impl StoryTable {
 
 /// The slot holding a shard's newest published snapshot.
 ///
-/// The shard worker is the only publisher; I/O workers (and tests) are
-/// the readers. Swap-on-publish means a reader that loaded the old
+/// The shard worker is the only publisher, whichever thread holds its
+/// owner lock; I/O workers (and tests) are the readers. Swap-on-publish means a reader that loaded the old
 /// `Arc` keeps a consistent view for as long as it likes without
 /// holding any lock. The lock is only ever held for an `Arc` clone or a
 /// `mem::replace`, so there is no half-written state behind a poisoned

@@ -47,9 +47,9 @@
 //! corpus, the same property-test cases, and the same experiment tables
 //! on every run and every machine.
 
-// `deny` rather than `forbid`: the `net` module carries one scoped
-// `#[allow(unsafe_code)]` around the `poll(2)` FFI call; everything
-// else in the crate still refuses unsafe code.
+// `deny` rather than `forbid`: the `net` module carries two scoped
+// `#[allow(unsafe_code)]`s, around the `poll(2)` and `getrusage(2)` FFI
+// calls; everything else in the crate still refuses unsafe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

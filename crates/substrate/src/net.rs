@@ -5,11 +5,11 @@
 //! "block until one of these fds is readable/writable, or a timeout
 //! elapses" — exactly `poll(2)`. There is no crates.io registry in this
 //! build environment (no `mio`, no `libc`), so this module carries the
-//! one `extern "C"` declaration the workspace needs, confined behind a
-//! safe slice-based wrapper. It is the sole `#[allow(unsafe_code)]`
-//! island in an otherwise `deny(unsafe_code)` crate.
+//! `extern "C"` declarations the workspace needs, each confined behind
+//! a safe wrapper. It is the sole `#[allow(unsafe_code)]` island in an
+//! otherwise `deny(unsafe_code)` crate.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`Poller`] — a reusable registration set: `clear` + `register`
 //!   each tick, then [`Poller::poll`] and iterate [`Poller::events`].
@@ -21,6 +21,9 @@
 //!   thread can call, and the [`WakeReceiver`]'s fd is registered in a
 //!   `Poller` so a sleeping worker wakes. `std`'s `UnixStream::pair`
 //!   gives the pair with no FFI, no listener and no port.
+//! * [`context_switches`] — the process's context switches so far, from
+//!   `getrusage(2)`: what a request's thread hand-offs cost shows up
+//!   here, so the serving layer's hand-off gate reads it around a run.
 
 use std::io;
 use std::time::Duration;
@@ -88,6 +91,35 @@ mod sys {
             Ok(rc as usize)
         }
     }
+
+    /// Mirrors `struct rusage` from `<sys/resource.h>` on LP64: two
+    /// `struct timeval`s, then fourteen `long` counters, of which
+    /// `ru_nvcsw` and `ru_nivcsw` are the last two.
+    #[repr(C)]
+    #[derive(Default)]
+    struct Rusage {
+        times: [std::os::raw::c_long; 4],
+        counters: [std::os::raw::c_long; 14],
+    }
+
+    const RUSAGE_SELF: std::os::raw::c_int = 0;
+
+    extern "C" {
+        fn getrusage(who: std::os::raw::c_int, usage: *mut Rusage) -> std::os::raw::c_int;
+    }
+
+    /// Voluntary plus involuntary context switches of every thread of
+    /// the process, live or exited.
+    #[allow(unsafe_code)]
+    pub fn context_switches() -> io::Result<u64> {
+        let mut usage = Rusage::default();
+        // The kernel fills the caller-owned struct and keeps no pointer.
+        let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok((usage.counters[12] + usage.counters[13]) as u64)
+    }
 }
 
 #[cfg(not(unix))]
@@ -114,6 +146,21 @@ mod sys {
             "readiness polling requires a unix platform",
         ))
     }
+
+    pub fn context_switches() -> io::Result<u64> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "context-switch counts require a unix platform",
+        ))
+    }
+}
+
+/// Context switches — voluntary (a thread blocked) plus involuntary (it
+/// was preempted) — of every thread of this process so far, live or
+/// exited (`getrusage(RUSAGE_SELF)`). Read it before and after a run;
+/// the difference over the run's operations is its switches per op.
+pub fn context_switches() -> io::Result<u64> {
+    sys::context_switches()
 }
 
 /// A reusable `poll(2)` registration set.
@@ -365,6 +412,21 @@ mod tests {
         assert_eq!(n, 1);
         let ev: Vec<Event> = poller.events().collect();
         assert!(ev[0].writable, "an idle TCP socket is writable");
+    }
+
+    #[test]
+    fn a_blocking_hand_off_counts_context_switches() {
+        let before = context_switches().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<u8>();
+        let echo = std::thread::spawn(move || while rx.recv().is_ok() {});
+        for i in 0..20 {
+            tx.send(i).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(tx);
+        echo.join().unwrap();
+        let after = context_switches().unwrap();
+        assert!(after >= before + 20, "{before} -> {after}: every sleep blocks once");
     }
 
     #[test]

@@ -118,20 +118,20 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Pop, blocking while the queue is empty. Returns `None` only once
-    /// the queue is closed **and** drained — a worker loop of
-    /// `while let Some(job) = q.pop()` therefore processes every job
-    /// accepted before the close.
-    pub fn pop(&self) -> Option<T> {
+    /// Block until the queue holds an item (`true`) or is closed and
+    /// drained (`false`), without taking the item: a consumer that must
+    /// take a lock of its own before popping waits here, locks, then
+    /// pops with [`Bounded::try_pop`]. A loop of
+    /// `while q.wait_nonempty() { … q.try_pop() … }` therefore processes
+    /// every item accepted before the close.
+    pub fn wait_nonempty(&self) -> bool {
         let mut state = self.lock();
         loop {
-            if let Some(v) = state.items.pop_front() {
-                drop(state);
-                self.inner.not_full.notify_one();
-                return Some(v);
+            if !state.items.is_empty() {
+                return true;
             }
             if state.closed {
-                return None;
+                return false;
             }
             state = match self.inner.not_empty.wait(state) {
                 Ok(g) => g,
@@ -167,7 +167,8 @@ impl<T> Bounded<T> {
     }
 
     /// Close the queue: future pushes fail, queued items remain
-    /// poppable, and blocked poppers wake up once drained.
+    /// poppable, and a blocked [`Bounded::wait_nonempty`] returns once
+    /// the queue is drained.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
@@ -194,10 +195,10 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.len(), 2);
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(1));
         q.try_push(3).unwrap();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), Some(3));
         assert_eq!(q.try_pop(), None);
     }
 
@@ -209,32 +210,45 @@ mod tests {
         q.close();
         assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
         assert_eq!(q.push("d"), Err("d"));
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), None);
+        assert!(q.wait_nonempty());
+        assert_eq!(q.try_pop(), Some("a"));
+        assert_eq!(q.try_pop(), Some("b"));
+        assert!(!q.wait_nonempty());
+        assert_eq!(q.try_pop(), None);
         assert!(q.is_closed());
     }
 
     #[test]
-    fn blocking_push_wakes_on_pop() {
+    fn blocking_push_wakes_on_try_pop() {
         let q = Bounded::new(1);
         q.try_push(0u32).unwrap();
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || q2.push(1).is_ok());
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.try_pop(), Some(0));
         assert!(pusher.join().unwrap());
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(1));
     }
 
     #[test]
-    fn blocked_pop_wakes_on_close() {
+    fn blocked_wait_wakes_on_close() {
         let q: Bounded<u8> = Bounded::new(1);
         let q2 = q.clone();
-        let popper = std::thread::spawn(move || q2.pop());
+        let waiter = std::thread::spawn(move || q2.wait_nonempty());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(popper.join().unwrap(), None);
+        assert!(!waiter.join().unwrap());
+    }
+
+    #[test]
+    fn wait_nonempty_wakes_on_push_and_takes_nothing() {
+        let q = Bounded::new(2);
+        let q2 = q.clone();
+        let waiter = std::thread::spawn(move || q2.wait_nonempty());
+        std::thread::sleep(Duration::from_millis(20));
+        q.try_push(7u8).unwrap();
+        assert!(waiter.join().unwrap());
+        assert_eq!(q.try_pop(), Some(7));
     }
 
     #[test]
@@ -250,8 +264,9 @@ mod tests {
             }));
         }
         let mut got = Vec::new();
-        for _ in 0..400 {
-            got.push(q.pop().unwrap());
+        while got.len() < 400 {
+            assert!(q.wait_nonempty());
+            got.extend(q.try_pop());
         }
         for h in handles {
             h.join().unwrap();

@@ -4,11 +4,14 @@
 //! shards, across graceful restarts. The rest are what no lockstep
 //! oracle states: BUSY backpressure engages (and recovers) under a tiny
 //! queue, the exposition matches its witnesses, reads bypass the write
-//! queue, pipelined replies keep their order, and SHUTDOWN is idempotent.
+//! queue, pipelined replies keep their order, SHUTDOWN is idempotent, an
+//! uncontended INGEST is applied by the I/O worker (and a slow shard's
+//! never is), and inline and queued writes racing from five connections
+//! keep each connection's order in every shard's WAL.
 
 mod lockstep;
 
-use lockstep::served::{exposition_value, Scratch};
+use lockstep::served::{exposition_value, partition_of_summaries, Scratch};
 use lockstep::{Deployment, Via};
 use storypivot::core::config::PivotConfig;
 use storypivot::core::pivot::StoryPivot;
@@ -618,5 +621,214 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
     }
 
     client.shutdown().unwrap();
+    handle.join();
+}
+
+/// The sum of a per-shard series over every shard.
+fn shard_sum(text: &str, name: &str, shards: usize) -> u64 {
+    (0..shards)
+        .map(|shard| exposition_value(text, &format!("{name}{{shard=\"{shard}\"}}")).unwrap())
+        .sum()
+}
+
+/// One sequential client on the default config: every single-snippet
+/// INGEST finds its shard's owner free and its queue empty, so the I/O
+/// worker applies it itself and no write waits in a queue.
+#[test]
+fn a_sequential_client_writes_inline() {
+    let cfg = ServerConfig::default();
+    let shards = cfg.shards;
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let sources: Vec<_> =
+        (0..3).map(|i| client.add_source(&format!("s{i}"), SourceKind::Wire, 0).unwrap()).collect();
+    let ingests = 90u32;
+    for i in 0..ingests {
+        let snippet = Snippet::builder(
+            SnippetId::new(i),
+            sources[i as usize % sources.len()],
+            Timestamp::from_secs(i as i64 * 3_600),
+        )
+        .entity(EntityId::new(i % 4), 1.0)
+        .term(TermId::new(i % 5), 1.0)
+        .build();
+        assert!(matches!(client.ingest(&snippet).unwrap(), IngestReply::Assigned(_)));
+        if i % 10 == 0 {
+            client.query_stories().unwrap();
+        }
+    }
+
+    let text = client.metrics().unwrap();
+    assert_eq!(shard_sum(&text, "storypivot_shard_ingest_latency_ns_count", shards), ingests as u64);
+    assert_eq!(shard_sum(&text, "storypivot_shard_inline_ingests_total", shards), ingests as u64);
+    assert_eq!(shard_sum(&text, "storypivot_shard_queue_depth", shards), 0);
+    assert_eq!(shard_sum(&text, "storypivot_shard_busy_rejections_total", shards), 0);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A non-zero `worker_delay` (a slow shard) sends every write through
+/// the queue, which is what the BUSY, SHED and storm tests exercise.
+#[test]
+fn a_slow_shard_takes_every_write_through_its_queue() {
+    let cfg = ServerConfig {
+        shards: 2,
+        worker_delay: std::time::Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let sources = [
+        client.add_source("a", SourceKind::Wire, 0).unwrap(),
+        client.add_source("b", SourceKind::Blog, 0).unwrap(),
+    ];
+    let ingests = 20u32;
+    for i in 0..ingests {
+        let snippet = Snippet::builder(
+            SnippetId::new(i),
+            sources[i as usize % 2],
+            Timestamp::from_secs(i as i64 * 3_600),
+        )
+        .entity(EntityId::new(i % 3), 1.0)
+        .build();
+        assert!(matches!(client.ingest(&snippet).unwrap(), IngestReply::Assigned(_)));
+    }
+
+    let text = client.metrics().unwrap();
+    assert_eq!(shard_sum(&text, "storypivot_shard_ingest_latency_ns_count", 2), ingests as u64);
+    assert_eq!(shard_sum(&text, "storypivot_shard_inline_ingests_total", 2), 0);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// Inline and queued writes race: four connections pipeline single
+/// INGESTs across both shards while a fifth pipelines INGEST_BATCHes and
+/// REMOVE_DOCs. Each connection's ops must reach each shard's WAL in the
+/// order it sent them, and the served partition must equal a replay of
+/// the WALs. (A shard thread that popped a job before taking the owner
+/// would let a connection's next write overtake it; this catches that
+/// in about half of its runs.)
+#[test]
+fn racing_inline_and_queued_writes_keep_each_connections_order() {
+    use std::collections::hash_map::{Entry, HashMap};
+    use storypivot::core::oplog::{self, ReplayOp};
+    use storypivot::serve::Request;
+    use storypivot::substrate::wal;
+
+    const SINGLES: usize = 4;
+    const BATCH: usize = 12;
+    // Short pipelined windows keep the queues emptying and refilling,
+    // so inline writes and queued jobs keep trading the owner.
+    const WINDOW: usize = 4;
+    let corpus = CorpusBuilder::new(
+        GenConfig::default().with_seed(53).with_sources(4).with_target_snippets(4_000),
+    )
+    .build();
+    let dir = Scratch::new("race");
+    let shards = 2;
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.to_path_buf()),
+        fsync: wal::SyncPolicy::Never,
+        ..sharded(shards)
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let addr = handle.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    for source in &corpus.sources {
+        let id = setup.add_source(&source.name, source.kind, source.typical_lag).unwrap();
+        assert_eq!(id, source.id);
+    }
+
+    // Snippet i goes to connection i % 5; the fifth batches its share
+    // and retracts, after each batch, the document of the batch's first
+    // snippet (once per document). `sent[c]` is connection c's request
+    // stream, and `pos` maps every snippet id and retracted document to
+    // (connection, its place in that connection's send order).
+    let key = |op: &ReplayOp| match op {
+        ReplayOp::Ingest(snippet) => Some((0, snippet.id.raw() as u64)),
+        ReplayOp::RemoveDoc(doc) => Some((1, doc.raw() as u64)),
+        ReplayOp::AddSource(_) => None,
+    };
+    let mut sent: Vec<Vec<Request>> = vec![Vec::new(); SINGLES + 1];
+    let mut pos: HashMap<(u8, u64), (usize, usize)> = HashMap::new();
+    let mut order = vec![0usize; SINGLES + 1];
+    let mut batch = Vec::new();
+    for (i, snippet) in corpus.snippets.iter().enumerate() {
+        let c = i % (SINGLES + 1);
+        pos.insert((0, snippet.id.raw() as u64), (c, order[c]));
+        order[c] += 1;
+        if c < SINGLES {
+            sent[c].push(Request::IngestSnippet(snippet.clone()));
+            continue;
+        }
+        batch.push(snippet.clone());
+        if batch.len() == BATCH {
+            let doc = batch[0].doc;
+            sent[c].push(Request::IngestBatch(std::mem::take(&mut batch)));
+            if let Entry::Vacant(slot) = pos.entry((1, doc.raw() as u64)) {
+                sent[c].push(Request::RemoveDoc(doc));
+                slot.insert((c, order[c]));
+                order[c] += 1;
+            }
+        }
+    }
+    if !batch.is_empty() {
+        sent[SINGLES].push(Request::IngestBatch(batch));
+    }
+    assert!(sent[..SINGLES].iter().all(|reqs| reqs.len() >= 200), "{order:?}");
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(SINGLES + 1));
+    let runs: Vec<_> = sent
+        .into_iter()
+        .map(|reqs| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                start.wait();
+                reqs.chunks(WINDOW).flat_map(|w| client.pipelined(w).unwrap()).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for run in runs {
+        for reply in run.join().unwrap() {
+            use storypivot::serve::Response;
+            match reply {
+                Response::Ingested(_) | Response::BatchIngested(_) | Response::Removed(_) => {}
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    let served = partition_of_summaries(&setup.query_stories().unwrap());
+    let text = setup.metrics().unwrap();
+    let inline = shard_sum(&text, "storypivot_shard_inline_ingests_total", shards);
+    let mut replayed = Vec::new();
+    let mut journaled = 0;
+    for shard in 0..shards {
+        let mut engine = StoryPivot::new(PivotConfig::default());
+        let mut last: Vec<Option<usize>> = vec![None; SINGLES + 1];
+        for record in wal::scan(&dir.join(format!("shard{shard}.wal"))).unwrap().records {
+            let op = ReplayOp::decode(&record).unwrap();
+            if let Some(&(c, at)) = key(&op).and_then(|k| pos.get(&k)) {
+                assert!(
+                    last[c].is_none_or(|prev| prev < at),
+                    "shard {shard}: connection {c}'s op #{at} journaled after its op #{}",
+                    last[c].unwrap()
+                );
+                last[c] = Some(at);
+                journaled += matches!(op, ReplayOp::Ingest(_)) as usize;
+            }
+            oplog::replay(&mut engine, &op).unwrap();
+        }
+        replayed.extend(engine.story_partition());
+    }
+    replayed.sort();
+    assert_eq!(journaled, corpus.snippets.len(), "every snippet is journaled once");
+    assert_eq!(served, replayed, "the served partition is the WALs' replay");
+    assert!(inline > 0, "no single INGEST was applied inline");
+
+    setup.shutdown().unwrap();
     handle.join();
 }
