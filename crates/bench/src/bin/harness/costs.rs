@@ -26,6 +26,11 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 const SWITCHES_PER_OP_MAX: f64 = 2.5;
 /// Floor on the share of single-snippet ingests applied inline.
 const INLINE_SHARE_MIN: f64 = 0.9;
+/// Ceiling on the story entries a read-snapshot publish clones. A
+/// publish copies the chunks it patches (at most `2 × CHUNK` = 32
+/// entries each, ≈ 1 story patched per publish); copying the whole
+/// story vector, as a flat one does, costs ≈ 300.
+const COPIED_PER_PUBLISH_MAX: f64 = 48.0;
 
 /// E22 — what a served op costs in thread hand-offs: one sequential
 /// client drives a server shaped like `spbench`'s `serve_mixed` (two
@@ -34,7 +39,8 @@ const INLINE_SHARE_MIN: f64 = 0.9;
 /// per 100, and `getrusage` counts the process's context switches
 /// around the op loop. The op count and the served partition's hash are
 /// exact; switches per op and the inline share are held to a ceiling
-/// and a floor, since the scheduler decides their last digits.
+/// and a floor, since the scheduler decides their last digits, and the
+/// entries a snapshot publish copies to a ceiling.
 fn e22_costs(scale: &Scale, seed: u64) -> Table {
     let corpus = corpus_fixed_period(scale.mid / 2, 6, seed ^ 0xE22);
     let dir = std::env::temp_dir().join(format!("storypivot-harness-costs-{}", std::process::id()));
@@ -89,6 +95,9 @@ fn e22_costs(scale: &Scale, seed: u64) -> Table {
 
     let exposition = client.metrics().expect("e22 metrics");
     let inline = exposition_sum(&exposition, "storypivot_shard_inline_ingests_total");
+    let copied = exposition_sum(&exposition, "storypivot_shard_snapshot_entries_copied_total");
+    let publishes =
+        exposition_sum(&exposition, "storypivot_shard_snapshot_publish_duration_ns_count");
     let mut stories = client.query_stories().expect("e22 partition");
     stories.sort_unstable_by_key(|s| s.id);
     let mut hash = 0u64;
@@ -107,20 +116,24 @@ fn e22_costs(scale: &Scale, seed: u64) -> Table {
 
     let per_op = switches as f64 / ops as f64;
     let share = inline as f64 / corpus.len() as f64;
+    let copied_per_publish = copied as f64 / publishes as f64;
     let mut table = Table::new(["ops", "ingests", "partition hash"])
         .counts([
             format!("switches/op <= {SWITCHES_PER_OP_MAX}"),
             format!("inline share >= {INLINE_SHARE_MIN}"),
+            format!("entries copied/publish <= {COPIED_PER_PUBLISH_MAX}"),
         ])
-        .clocks(["switches/op", "inline share", "us/op"]);
+        .clocks(["switches/op", "inline share", "entries copied/publish", "us/op"]);
     table.row([
         ops.to_string(),
         corpus.len().to_string(),
         format!("{hash:016x}"),
         (per_op <= SWITCHES_PER_OP_MAX).to_string(),
         (share >= INLINE_SHARE_MIN).to_string(),
+        (copied_per_publish <= COPIED_PER_PUBLISH_MAX).to_string(),
         format!("{per_op:.2}"),
         f3(share),
+        format!("{copied_per_publish:.1}"),
         format!("{:.1}", nanos / 1e3 / ops as f64),
     ]);
     table

@@ -26,7 +26,7 @@
 //!   | snippet_ids u32 | doc_ids u32 | source_ids u32
 //! ```
 
-use storypivot_store::codec::{decode_store, encode_store};
+use storypivot_store::codec::{decode_store, encode_store_into};
 use storypivot_types::ids::IdGen;
 use storypivot_types::{Error, Result, SnippetId, SourceId, StoryId};
 
@@ -60,12 +60,16 @@ impl StoryPivot {
     /// Serialize the engine's full state.
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let timer = self.metrics.checkpoint_save_duration.start();
-        let store_bytes = encode_store(&self.store);
-        let mut out = Vec::with_capacity(store_bytes.len() + 64);
+        let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&store_bytes);
+        // The store's length goes before it: encode in place, then
+        // fill the length in, so the snapshot is never held twice.
+        let len_at = out.len();
+        out.extend_from_slice(&0u64.to_le_bytes());
+        encode_store_into(&mut out, &self.store);
+        let store_len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&store_len.to_le_bytes());
 
         let mut sources: Vec<SourceId> = self.identifiers.keys().copied().collect();
         sources.sort_unstable();

@@ -559,17 +559,22 @@ impl StoryPivot {
         self.touched.log.get_or_insert_with(Vec::new);
     }
 
-    /// Every story whose member list or lifespan may have changed —
-    /// created, grown, shrunk, merged away, split, emptied — since the
-    /// previous drain (or since [`StoryPivot::log_changes`]), ascending
-    /// and deduplicated. A listed id that [`StoryPivot::story`] no
-    /// longer knows is a story that ceased to exist. Alignment does not
-    /// clear this. Empty when logging was never started.
-    pub fn drain_changes(&mut self) -> Vec<StoryId> {
-        let mut changed = self.touched.log.as_mut().map(std::mem::take).unwrap_or_default();
+    /// Replace `changed` with every story whose member list or lifespan
+    /// may have changed — created, grown, shrunk, merged away, split,
+    /// emptied — since the previous drain (or since
+    /// [`StoryPivot::log_changes`]), ascending and deduplicated. A
+    /// listed id that [`StoryPivot::story`] no longer knows is a story
+    /// that ceased to exist. Alignment does not clear this. Empty when
+    /// logging was never started. Both the log and `changed` keep their
+    /// capacity, so a caller that drains into the same buffer after
+    /// every op allocates nothing once the two have grown.
+    pub fn drain_changes(&mut self, changed: &mut Vec<StoryId>) {
+        changed.clear();
+        if let Some(log) = &mut self.touched.log {
+            changed.append(log);
+        }
         changed.sort_unstable();
         changed.dedup();
-        changed
     }
 
     /// Run story refinement (Figure 1d): repeatedly move snippets whose
@@ -902,8 +907,10 @@ mod tests {
         for i in 0..1000 {
             snip(&mut pivot, a, i / 50, &[i as u32 % 7, 100], &[i as u32 % 5]);
         }
+        let mut changed = vec![StoryId::new(0)];
         assert!(pivot.touched.log.is_none(), "nobody asked: nothing is retained");
-        assert!(pivot.drain_changes().is_empty());
+        pivot.drain_changes(&mut changed);
+        assert!(changed.is_empty(), "a drain replaces what the buffer held");
 
         // A checkpoint-restored engine starts detached as well, whatever
         // the engine that wrote the checkpoint was doing.
@@ -912,7 +919,8 @@ mod tests {
             StoryPivot::load_checkpoint(PivotConfig::default(), &pivot.save_checkpoint()).unwrap();
         snip(&mut restored, a, 21, &[1, 100], &[1]);
         assert!(restored.touched.log.is_none());
-        assert!(restored.drain_changes().is_empty());
+        restored.drain_changes(&mut changed);
+        assert!(changed.is_empty());
 
         // Logging: alignment clears the dirty set but not the log; a
         // drain empties it and hands the ids out sorted, once each.
@@ -922,8 +930,10 @@ mod tests {
         assert_eq!(pivot.story_of(again), Some(story));
         pivot.align();
         assert_eq!(pivot.dirty_count(), 0);
-        assert_eq!(pivot.drain_changes(), vec![story]);
-        assert!(pivot.drain_changes().is_empty());
+        pivot.drain_changes(&mut changed);
+        assert_eq!(changed, vec![story]);
+        pivot.drain_changes(&mut changed);
+        assert!(changed.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Duration;
 use storypivot_substrate::rng::splitmix64;
 use storypivot_types::{DocId, Error, Result, Snippet, SourceId, SourceKind, StoryId};
 
-use crate::proto::{frame, read_frame, Request, Response, StorySummary};
+use crate::proto::{encode_ingest, frame_into, read_frame, Request, Response, StorySummary};
 
 /// The outcome of a single-snippet ingest: a story assignment, a BUSY
 /// push-back from a full shard queue, or a SHED drop from a write that
@@ -114,6 +114,8 @@ pub(crate) fn backoff_delay_ms(
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The frame being sent, reused by every request.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -125,6 +127,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
+            frame: Vec::new(),
         })
     }
 
@@ -139,7 +142,13 @@ impl Client {
 
     /// Send one request and wait for its response frame.
     pub fn request(&mut self, req: &Request) -> Result<Response> {
-        self.writer.write_all(&frame(|b| req.encode(b)))?;
+        self.exchange(|b| req.encode(b))
+    }
+
+    /// Send the request `encode` writes and wait for its response frame.
+    fn exchange(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Response> {
+        frame_into(&mut self.frame, encode);
+        self.writer.write_all(&self.frame)?;
         self.writer.flush()?;
         match read_frame(&mut self.reader)? {
             Some(payload) => Response::decode(&payload),
@@ -151,7 +160,8 @@ impl Client {
     /// Frames accumulate in the write buffer until [`Client::flush`];
     /// responses arrive in request order via [`Client::recv`].
     pub fn send(&mut self, req: &Request) -> Result<()> {
-        self.writer.write_all(&frame(|b| req.encode(b)))?;
+        frame_into(&mut self.frame, |b| req.encode(b));
+        self.writer.write_all(&self.frame)?;
         Ok(())
     }
 
@@ -209,7 +219,7 @@ impl Client {
 
     /// Ingest one snippet, surfacing BUSY and SHED to the caller.
     pub fn ingest(&mut self, snippet: &Snippet) -> Result<IngestReply> {
-        match self.request_ok(&Request::IngestSnippet(snippet.clone()))? {
+        match self.exchange(|b| encode_ingest(b, snippet))?.into_result()? {
             Response::Ingested(story) => Ok(IngestReply::Assigned(story)),
             Response::Busy { retry_after_ms } => Ok(IngestReply::Busy { retry_after_ms }),
             Response::Shed { retry_after_ms } => Ok(IngestReply::Shed { retry_after_ms }),

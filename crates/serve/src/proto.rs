@@ -203,10 +203,7 @@ impl Request {
                 buf.put_i64_le(*lag);
                 put_str(buf, name);
             }
-            Request::IngestSnippet(s) => {
-                buf.put_u8(OP_INGEST_SNIPPET);
-                encode_snippet(buf, s);
-            }
+            Request::IngestSnippet(s) => encode_ingest(buf, s),
             Request::IngestBatch(batch) => {
                 buf.put_u8(OP_INGEST_BATCH);
                 buf.put_u32_le(batch.len() as u32);
@@ -243,6 +240,14 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Request> {
         Request::decode_borrowed(payload).map(|r| r.to_owned())
     }
+}
+
+/// Encode an INGEST_SNIPPET request from a borrowed snippet (the
+/// encoder behind `Request::IngestSnippet(..).encode`), so a client
+/// sends a snippet without copying it into a `Request` first.
+pub fn encode_ingest(buf: &mut impl BufMut, snippet: &Snippet) {
+    buf.put_u8(OP_INGEST_SNIPPET);
+    encode_snippet(buf, snippet);
 }
 
 // ---- borrowed (zero-copy) decode ------------------------------------
@@ -497,32 +502,55 @@ pub struct StorySummary {
     pub members: Vec<SnippetId>,
 }
 
+/// Member ids are copied through a stack block of this many, so a
+/// summary costs one `put_slice` per block instead of one per member.
+const MEMBER_BLOCK: usize = 64;
+
+/// A summary's fixed part: id, source, lifespan start and end, member
+/// count.
+const SUMMARY_HEAD: usize = 4 + 4 + 8 + 8 + 4;
+
 fn encode_summary(buf: &mut impl BufMut, s: &StorySummary) {
-    buf.put_u32_le(s.id.raw());
-    buf.put_u32_le(s.source.raw());
-    buf.put_i64_le(s.lifespan.start.secs());
-    buf.put_i64_le(s.lifespan.end.secs());
-    buf.put_u32_le(s.members.len() as u32);
-    for m in &s.members {
-        buf.put_u32_le(m.raw());
+    let mut head = [0u8; SUMMARY_HEAD];
+    head[..4].copy_from_slice(&s.id.raw().to_le_bytes());
+    head[4..8].copy_from_slice(&s.source.raw().to_le_bytes());
+    head[8..16].copy_from_slice(&s.lifespan.start.secs().to_le_bytes());
+    head[16..24].copy_from_slice(&s.lifespan.end.secs().to_le_bytes());
+    head[24..].copy_from_slice(&(s.members.len() as u32).to_le_bytes());
+    buf.put_slice(&head);
+    let mut block = [0u8; 4 * MEMBER_BLOCK];
+    for part in s.members.chunks(MEMBER_BLOCK) {
+        for (bytes, m) in block.chunks_exact_mut(4).zip(part) {
+            bytes.copy_from_slice(&m.raw().to_le_bytes());
+        }
+        buf.put_slice(&block[..4 * part.len()]);
     }
 }
 
-/// Encode a STORIES response from borrowed summaries. This *is* the
-/// encoder behind `Response::Stories(..).encode`, so the server can
-/// answer from shared snapshot entries without copying them into a
-/// `Response` first.
-pub fn encode_stories<'a, I>(buf: &mut impl BufMut, stories: I)
-where
-    I: IntoIterator<Item = &'a StorySummary>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let stories = stories.into_iter();
+/// The bytes [`encode_stories`] writes for `stories`: what a server
+/// reserves before encoding a STORIES response.
+pub fn stories_len<'a>(stories: impl IntoIterator<Item = &'a StorySummary>) -> usize {
+    1 + 4 + stories.into_iter().map(|s| 4 + 4 + 8 + 8 + 4 + 4 * s.members.len()).sum::<usize>()
+}
+
+/// Encode a STORIES response of `count` borrowed summaries. This *is*
+/// the encoder behind `Response::Stories(..).encode`, so the server can
+/// answer from shared snapshot entries — merged from several shards,
+/// hence the count up front — without copying them into a `Response`
+/// first.
+pub fn encode_stories<'a>(
+    buf: &mut impl BufMut,
+    count: usize,
+    stories: impl IntoIterator<Item = &'a StorySummary>,
+) {
     buf.put_u8(OP_STORIES);
-    buf.put_u32_le(stories.len() as u32);
+    buf.put_u32_le(count as u32);
+    let mut encoded = 0;
     for s in stories {
         encode_summary(buf, s);
+        encoded += 1;
     }
+    debug_assert_eq!(encoded, count, "STORIES count does not match its summaries");
 }
 
 /// Encode a STORY response from a borrowed summary (the encoder behind
@@ -533,15 +561,22 @@ pub fn encode_story(buf: &mut impl BufMut, story: &StorySummary) {
 }
 
 fn decode_summary(buf: &mut impl Buf) -> Result<StorySummary> {
-    let id = StoryId::new(get_u32(buf, "story id")?);
-    let source = SourceId::new(get_u32(buf, "story source")?);
-    let start = get_i64(buf, "story start")?;
-    let end = get_i64(buf, "story end")?;
-    let n = get_u32(buf, "member count")? as usize;
+    need(buf, SUMMARY_HEAD, "story header")?;
+    let mut head = [0u8; SUMMARY_HEAD];
+    buf.copy_to_slice(&mut head);
+    let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+    let secs = |at: usize| i64::from_le_bytes(head[at..at + 8].try_into().expect("eight bytes"));
+    let (id, source) = (StoryId::new(word(0)), SourceId::new(word(4)));
+    let (start, end, n) = (secs(8), secs(16), word(24) as usize);
     need(buf, n.saturating_mul(4), "story members")?;
     let mut members = Vec::with_capacity(n);
-    for _ in 0..n {
-        members.push(SnippetId::new(buf.get_u32_le()));
+    let mut block = [0u8; 4 * MEMBER_BLOCK];
+    for at in (0..n).step_by(MEMBER_BLOCK) {
+        let bytes = &mut block[..4 * (n - at).min(MEMBER_BLOCK)];
+        buf.copy_to_slice(bytes);
+        members.extend(
+            bytes.chunks_exact(4).map(|b| SnippetId::new(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))),
+        );
     }
     Ok(StorySummary {
         id,
@@ -694,7 +729,7 @@ impl Response {
                 buf.put_u8(OP_BATCH_INGESTED);
                 buf.put_u32_le(*n);
             }
-            Response::Stories(stories) => encode_stories(buf, stories),
+            Response::Stories(stories) => encode_stories(buf, stories.len(), stories),
             Response::Story(s) => encode_story(buf, s),
             Response::Removed(n) => {
                 buf.put_u8(OP_REMOVED);
@@ -966,14 +1001,15 @@ mod tests {
         let shared: Vec<std::sync::Arc<StorySummary>> =
             owned.iter().cloned().map(std::sync::Arc::new).collect();
 
-        let by_ref = frame(|b| encode_stories(b, shared.iter().map(|s| &**s)));
+        let by_ref = frame(|b| encode_stories(b, shared.len(), shared.iter().map(|s| &**s)));
         assert_eq!(by_ref, frame(|b| Response::Stories(owned.clone()).encode(b)));
+        assert_eq!(by_ref.len(), 4 + stories_len(&owned), "the reservation is exact");
         assert_eq!(
             Response::decode(&by_ref[4..]).unwrap(),
             Response::Stories(owned.clone())
         );
         assert_eq!(
-            frame(|b| encode_stories(b, &[])),
+            frame(|b| encode_stories(b, 0, &[])),
             frame(|b| Response::Stories(Vec::new()).encode(b))
         );
 

@@ -33,7 +33,9 @@
 //! by the I/O worker itself — journal, apply, publish, through the same
 //! `ShardWorker` ingest the shard thread runs — and its reply goes
 //! straight into the connection's reorder buffer: no job, no reply box,
-//! no hand-off to the shard thread and back. Every other frame becomes
+//! no hand-off to the shard thread and back. A REMOVE_DOC's part on
+//! each shard is tried the same way; a busy shard's part is queued, and
+//! the fan-in sums both kinds. Every other frame becomes
 //! a `Job` routed to its shard through a bounded queue
 //! ([`substrate::queue::Bounded`]), and the shard thread replies by
 //! posting a completion event back to the owning worker's inbox (a
@@ -150,7 +152,7 @@ use storypivot_substrate::net;
 use storypivot_substrate::pool::BufferPool;
 use storypivot_substrate::queue::Bounded;
 use storypivot_substrate::wal::SyncPolicy;
-use storypivot_types::{Error, Result, SourceId};
+use storypivot_types::{DocId, Error, Result, SourceId};
 
 use self::io::{Inbox, IoEvent, IoMetrics, IoWorker};
 use self::job::{unavailable, Dest, Reply};
@@ -275,7 +277,8 @@ pub(crate) struct ShardPort {
     /// The shard's worker — engine, WAL, snapshot table — behind the
     /// owner lock. The shard thread pops queued jobs only while holding
     /// it; an I/O worker that gets it with the queue empty applies a
-    /// single-snippet INGEST itself ([`Shared::ingest_inline`]). `None`
+    /// single-snippet INGEST or its part of a REMOVE_DOC itself
+    /// ([`Shared::apply_inline`]). `None`
     /// before the shard thread installs the worker and after it retires
     /// it (queue closed and drained, or the thread died), when every
     /// write takes the queue.
@@ -291,6 +294,9 @@ pub(crate) struct ShardPort {
     /// Single-snippet ingests an I/O worker applied under the owner
     /// lock instead of queueing.
     inline_ingests: Counter,
+    /// REMOVE_DOC parts an I/O worker applied under the owner lock
+    /// instead of queueing.
+    inline_removes: Counter,
     /// EWMA of single-snippet ingest service time in nanoseconds,
     /// maintained by the shard worker. BUSY and SHED multiply it by the
     /// queue depth to turn the flat retry-after hint into one
@@ -323,6 +329,12 @@ impl ShardPort {
                 "storypivot_shard_inline_ingests_total",
                 "Single-snippet ingests an I/O worker applied under the shard's owner \
                  lock, without a queue hand-off.",
+                labels,
+            ),
+            inline_removes: registry.counter_with(
+                "storypivot_shard_inline_removes_total",
+                "REMOVE_DOC parts an I/O worker applied under the shard's owner lock, \
+                 without a queue hand-off.",
                 labels,
             ),
             service_ewma_ns: AtomicU64::new(0),
@@ -369,11 +381,11 @@ impl Shared {
         source.raw() as usize % self.shards.len()
     }
 
-    /// Apply a single-snippet INGEST on the calling I/O worker, or
-    /// return `None` to send it through `shard`'s queue. It runs only
+    /// Apply a write to `shard`'s worker on the calling I/O worker, or
+    /// return `None` to send it through the shard's queue. It runs only
     /// when the owner lock is free (`try_lock`, never a wait), the
     /// queue is empty and open, and `worker_delay` is zero; then it is
-    /// the same [`ShardWorker`] ingest the shard thread would run —
+    /// the same [`ShardWorker`] method the shard thread would run —
     /// journal, apply under `catch_unwind`, publish — so a panic is
     /// supervised exactly as on the shard thread.
     ///
@@ -384,7 +396,11 @@ impl Shared {
     /// never shed, and the queue was not full, so it is never BUSY.
     /// The owner is released before the caller writes the reply to any
     /// socket; the lock order is owner → queue.
-    fn ingest_inline(&self, shard: usize, snippet: &SnippetRef<'_>) -> Option<Response> {
+    fn apply_inline(
+        &self,
+        shard: usize,
+        write: impl FnOnce(&mut ShardWorker) -> Response,
+    ) -> Option<Response> {
         if !self.cfg.worker_delay.is_zero() {
             return None;
         }
@@ -398,9 +414,22 @@ impl Shared {
         if !port.queue.is_empty() || port.queue.is_closed() {
             return None;
         }
-        let resp = worker.ingest(snippet.to_owned());
-        drop(owner);
-        port.inline_ingests.inc();
+        Some(write(worker))
+    }
+
+    /// A single-snippet INGEST, applied inline when
+    /// [`Shared::apply_inline`] can.
+    fn ingest_inline(&self, shard: usize, snippet: &SnippetRef<'_>) -> Option<Response> {
+        let resp = self.apply_inline(shard, |worker| worker.ingest(snippet.to_owned()))?;
+        self.shards[shard].inline_ingests.inc();
+        Some(resp)
+    }
+
+    /// One shard's part of a REMOVE_DOC, applied inline when
+    /// [`Shared::apply_inline`] can.
+    fn remove_doc_inline(&self, shard: usize, doc: DocId) -> Option<Response> {
+        let resp = self.apply_inline(shard, |worker| worker.remove_doc(doc))?;
+        self.shards[shard].inline_removes.inc();
         Some(resp)
     }
 

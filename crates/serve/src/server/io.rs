@@ -196,6 +196,8 @@ pub(super) struct IoWorker {
     poller: net::Poller,
     conns: HashMap<u64, Conn>,
     pending: Vec<PendingPush>,
+    /// The last poll's ready fds, a buffer every tick reuses.
+    ready_fds: Vec<net::Event>,
     events_buf: Vec<IoEvent>,
     scratch: Vec<u8>,
     last_reap: Instant,
@@ -213,6 +215,7 @@ impl IoWorker {
             poller: net::Poller::new(),
             conns: HashMap::new(),
             pending: Vec::new(),
+            ready_fds: Vec::new(),
             events_buf: Vec::new(),
             scratch: vec![0u8; 64 * 1024],
             last_reap: Instant::now(),
@@ -272,8 +275,10 @@ impl IoWorker {
                 std::thread::sleep(timeout);
             }
 
-            let events: Vec<net::Event> = self.poller.events().collect();
-            for ev in events {
+            let mut ready_fds = std::mem::take(&mut self.ready_fds);
+            ready_fds.clear();
+            ready_fds.extend(self.poller.events());
+            for &ev in &ready_fds {
                 if ev.token == WAKE_TOKEN {
                     self.wake_rx.drain();
                     continue;
@@ -286,6 +291,7 @@ impl IoWorker {
                     self.flush_conn(id);
                 }
             }
+            self.ready_fds = ready_fds;
 
             let mut inbox_events = std::mem::take(&mut self.events_buf);
             self.inbox.take_into(&mut inbox_events);
@@ -476,8 +482,17 @@ impl IoWorker {
             }
             let mut buf = self.shared.pool.checkout();
             frame_into(buf.as_mut_vec(), encode);
-            conn.ready.insert(seq, (buf, close));
-            while let Some((buf, close)) = conn.ready.remove(&conn.next_write) {
+            // An in-order completion (every one, for a client that waits
+            // for each reply) goes straight to the outbox.
+            let mut in_order = None;
+            if seq == conn.next_write {
+                in_order = Some((buf, close));
+            } else {
+                conn.ready.insert(seq, (buf, close));
+            }
+            while let Some((buf, close)) =
+                in_order.take().or_else(|| conn.ready.remove(&conn.next_write))
+            {
                 conn.outbox.push_back(buf);
                 conn.next_write += 1;
                 self.shared.io_metrics.pipeline_depth.add(-1);
@@ -508,12 +523,13 @@ impl IoWorker {
                 break;
             }
             let result = {
-                let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(conn.outbox.len().min(16));
-                for (i, buf) in conn.outbox.iter().take(16).enumerate() {
+                let mut iov = [IoSlice::new(&[]); 16];
+                let n = conn.outbox.len().min(iov.len());
+                for (i, (slot, buf)) in iov.iter_mut().zip(&conn.outbox).enumerate() {
                     let start = if i == 0 { conn.front_written } else { 0 };
-                    iov.push(IoSlice::new(&buf[start..]));
+                    *slot = IoSlice::new(&buf[start..]);
                 }
-                (&conn.stream).write_vectored(&iov)
+                (&conn.stream).write_vectored(&iov[..n])
             };
             match result {
                 Ok(0) => {

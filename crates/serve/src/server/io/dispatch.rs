@@ -15,11 +15,12 @@ use storypivot_substrate::queue::PushError;
 use storypivot_types::{Error, Snippet, Source, SourceId};
 
 use super::{IoWorker, PendingPush};
-use crate::proto::{encode_stories, encode_story, Request, RequestRef, Response, StorySummary};
+use crate::proto::{encode_stories, encode_story, stories_len, Request, RequestRef, Response};
 use crate::server::job::{
     direct_reply, fail_job, fail_job_closed, part_reply, Dest, FanIn, Job, MergeFn,
 };
 use crate::server::{lock, run_shutdown};
+use crate::snapshot::merge_by_id;
 
 impl IoWorker {
     /// Decode one frame in place and dispatch it. Every request gets a
@@ -145,14 +146,15 @@ impl IoWorker {
                 for shard in 0..snaps.len() {
                     self.shared.note_read(shard);
                 }
-                // Encoded straight from the loaded snapshots: nothing
-                // is copied but the references being sorted.
-                let mut stories: Vec<&StorySummary> = snaps
-                    .iter()
-                    .flat_map(|snap| snap.stories.iter().map(|s| &**s))
-                    .collect();
-                stories.sort_unstable_by_key(|s| s.id);
-                self.finish_with(id, seq, false, |b| encode_stories(b, stories));
+                // Encoded straight from the loaded snapshots, merging
+                // the shards' id-sorted runs into a frame reserved at
+                // its exact size: nothing is copied, sorted or regrown.
+                let count = snaps.iter().map(|snap| snap.len()).sum();
+                let bytes = stories_len(snaps.iter().flat_map(|snap| snap.stories()));
+                self.finish_with(id, seq, false, |b| {
+                    b.reserve(bytes);
+                    encode_stories(b, count, merge_by_id(snaps.iter().map(|snap| snap.stories())));
+                });
             }
             RequestRef::GetStory(story) => {
                 let shard = self.shared.shard_of_source(story_source(story));
@@ -189,11 +191,14 @@ impl IoWorker {
                     },
                 );
             }
-            RequestRef::RemoveDoc(doc) => self.broadcast(
-                id,
-                dest,
-                move |r| Job::RemoveDoc(doc, r),
-                Box::new(move |parts| {
+            RequestRef::RemoveDoc(doc) => {
+                // Each shard's part is applied right here when its
+                // owner is free, like a single INGEST; a busy shard's
+                // part is queued, and the fan-in sums both kinds.
+                let parts: Vec<Option<Response>> = (0..self.shared.shards.len())
+                    .map(|shard| self.shared.remove_doc_inline(shard, doc))
+                    .collect();
+                let merge = move |parts: Vec<Response>| {
                     let mut total = 0u32;
                     for r in parts {
                         match r {
@@ -206,8 +211,23 @@ impl IoWorker {
                     } else {
                         Response::Removed(total)
                     }
-                }),
-            ),
+                };
+                if parts.iter().all(Option::is_some) {
+                    let resp = merge(parts.into_iter().flatten().collect());
+                    self.finish(id, seq, resp, false);
+                    return;
+                }
+                let fan = FanIn::new(dest, parts.len(), Box::new(merge));
+                let mut jobs = VecDeque::new();
+                for (shard, part) in parts.into_iter().enumerate() {
+                    let reply = part_reply(Arc::clone(&fan), shard);
+                    match part {
+                        Some(resp) => reply(resp),
+                        None => jobs.push_back((shard, Job::RemoveDoc(doc, reply))),
+                    }
+                }
+                self.push_jobs(id, jobs);
+            }
             RequestRef::Shutdown => self.handle_shutdown(dest),
             RequestRef::Metrics => {
                 // Snapshot every shard's registry plus the I/O layer's

@@ -2,8 +2,8 @@
 //! journals and applies each mutation under `catch_unwind` and
 //! publishes a read snapshot before every reply. Its thread drains the
 //! shard's queue; an I/O worker that finds the owner free and the
-//! queue empty runs a single-snippet ingest on it directly
-//! (`Shared::ingest_inline`).
+//! queue empty runs a single-snippet ingest, or its shard's part of a
+//! REMOVE_DOC, on it directly (`Shared::apply_inline`).
 //! Building the engine from durable state — and rebuilding it after a
 //! panic — is in [`recovery`]; both ends of WAL shipping are in
 //! [`repl`].
@@ -25,7 +25,7 @@ use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, Snapshot};
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::Wal;
-use storypivot_types::{DocId, Error, Result, Snippet, Source};
+use storypivot_types::{DocId, Error, Result, Snippet, Source, StoryId};
 
 use super::job::{Job, ReplAck, ReplCursor, Reply, SnapReply};
 use super::{lock, ServerConfig, ShardPort, POISON_HEADLINE};
@@ -74,6 +74,7 @@ struct ShardServeMetrics {
     snapshot_epoch: Gauge,
     snapshot_publish_duration: HistogramMetric,
     snapshot_stories_patched: Counter,
+    snapshot_entries_copied: Counter,
 }
 
 impl ShardServeMetrics {
@@ -130,12 +131,18 @@ impl ShardServeMetrics {
             snapshot_publish_duration: registry.histogram_with(
                 "storypivot_shard_snapshot_publish_duration_ns",
                 "Duration of each read-snapshot publish (drain the change log, patch, \
-                 clone the story vector, swap) in nanoseconds.",
+                 list the chunks in a snapshot, swap) in nanoseconds.",
                 labels,
             ),
             snapshot_stories_patched: registry.counter_with(
                 "storypivot_shard_snapshot_stories_patched_total",
                 "Story entries replaced, inserted or removed by read-snapshot publishes.",
+                labels,
+            ),
+            snapshot_entries_copied: registry.counter_with(
+                "storypivot_shard_snapshot_entries_copied_total",
+                "Story entries read-snapshot publishes cloned to copy the chunks an \
+                 earlier snapshot still shared.",
                 labels,
             ),
         }
@@ -154,9 +161,12 @@ pub(super) struct ShardWorker {
     checkpoint_fault: FaultHook,
     /// The `poison` fault site, checked before every apply and replay.
     poison: FaultHook,
-    /// The story vector the next publish hands out, patched from the
+    /// The story table the next publish hands out, patched from the
     /// engine's change log.
     stories: StoryTable,
+    /// The ids the last publish drained from the change log; kept so
+    /// its capacity is reused.
+    changed: Vec<StoryId>,
     snapshot_epoch: u64,
     /// The shard's private metrics registry; engine, WAL, and serving
     /// gauges all record here, and `METRICS` snapshots it.
@@ -226,7 +236,7 @@ impl ShardWorker {
     /// deliver the answer. A job is popped only while the owner is held,
     /// and the owner is held until the popped job has been applied: that
     /// is what lets an I/O worker that holds the owner and sees an empty
-    /// queue apply an INGEST in order (`Shared::ingest_inline`). The
+    /// queue apply a write in order (`Shared::apply_inline`). The
     /// answer goes out after the release, so a client that saw it finds
     /// the owner free for its next write.
     pub(super) fn run(self) {
@@ -382,16 +392,19 @@ impl ShardWorker {
     fn publish_snapshot(&mut self) {
         let timer = self.serve_metrics.snapshot_publish_duration.start();
         self.snapshot_epoch += 1;
-        let changed = self.engine.drain_changes();
+        self.engine.drain_changes(&mut self.changed);
         let engine = &self.engine;
-        let patched = self.stories.patch(&changed, |id| snapshot::summary_of(engine, id));
-        self.port.snapshot.publish(Arc::new(self.stories.snapshot(self.snapshot_epoch)));
+        let patched = self.stories.patch(&self.changed, |id| snapshot::summary_of(engine, id));
+        let previous = self.port.snapshot.publish(self.stories.snapshot(self.snapshot_epoch));
+        self.stories.recycle(previous);
         drop(timer);
-        self.serve_metrics.snapshot_stories_patched.add(patched as u64);
+        self.serve_metrics.snapshot_stories_patched.add(patched.stories as u64);
+        self.serve_metrics.snapshot_entries_copied.add(patched.copied as u64);
         debug_assert!(
             self.stories.matches(&snapshot::summaries(engine)),
-            "shard {}: patched snapshot differs from a rebuild (changed: {changed:?})",
-            self.idx
+            "shard {}: patched snapshot differs from a rebuild (changed: {:?})",
+            self.idx,
+            self.changed
         );
         self.serve_metrics.snapshot_epoch.set(self.snapshot_epoch as i64);
     }
@@ -466,7 +479,9 @@ impl ShardWorker {
         Response::BatchIngested(count)
     }
 
-    fn remove_doc(&mut self, doc: DocId) -> Response {
+    /// One shard's part of a REMOVE_DOC, on whichever thread holds the
+    /// owner.
+    pub(super) fn remove_doc(&mut self, doc: DocId) -> Response {
         match self.mutate(ReplayOp::RemoveDoc(doc)) {
             Ok(Applied::Removed(n)) => Response::Removed(n),
             Ok(_) => internal_shape_error(),

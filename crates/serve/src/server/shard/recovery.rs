@@ -62,6 +62,7 @@ impl ShardWorker {
             checkpoint_fault: cfg.fault_hook("checkpoint", idx),
             poison: cfg.fault_hook("poison", idx),
             stories: StoryTable::default(),
+            changed: Vec::new(),
             snapshot_epoch: 0,
             registry,
             engine_metrics,

@@ -205,24 +205,31 @@ pub fn decode_source(buf: &mut impl Buf) -> Result<Source> {
 
 /// Encode a full store snapshot.
 pub fn encode_store(store: &EventStore) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + store.len() * 96);
+    let mut buf = Vec::new();
+    encode_store_into(&mut buf, store);
+    buf
+}
+
+/// Append a full store snapshot to `buf` — what a checkpoint does, so
+/// the snapshot is never held twice.
+pub fn encode_store_into(buf: &mut Vec<u8>, store: &EventStore) {
+    buf.reserve(64 + store.len() * 96);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
 
     let sources: Vec<&Source> = store.sources().collect();
     buf.put_u32_le(sources.len() as u32);
     for s in sources {
-        encode_source(&mut buf, s);
+        encode_source(buf, s);
     }
 
     // Deterministic order: by source, then (timestamp, id).
     buf.put_u32_le(store.len() as u32);
     for sid in store.source_ids() {
         for sn in store.snippets_of_source(sid) {
-            encode_snippet(&mut buf, sn);
+            encode_snippet(buf, sn);
         }
     }
-    buf
 }
 
 /// Decode a snapshot back into a store (rebuilding every index).

@@ -19,7 +19,8 @@
 //!
 //! Durability is not this crate's job: the journal is
 //! `storypivot_substrate::wal` and the on-disk image is
-//! `storypivot_core::checkpoint`, which embeds [`codec::encode_store`].
+//! `storypivot_core::checkpoint`, which embeds it in place
+//! ([`codec::encode_store_into`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -540,7 +540,9 @@ impl Twins {
                 assert_well_formed(&self.oracle, &at);
             }
             engine.check_invariants().unwrap_or_else(|err| panic!("{at}: engine: {err}"));
-            for id in engine.drain_changes() {
+            let mut changed = Vec::new();
+            engine.drain_changes(&mut changed);
+            for id in changed {
                 match engine.story(id) {
                     Some(state) => {
                         let mut members = state.story.members.clone();

@@ -668,6 +668,55 @@ fn a_sequential_client_writes_inline() {
     handle.join();
 }
 
+/// One sequential client's REMOVE_DOC finds every shard's owner free
+/// and its queue empty, so the I/O worker applies each shard's part
+/// itself and puts no job on either queue; the reply sums the parts,
+/// and a document no shard holds is still UNKNOWN_DOCUMENT.
+#[test]
+fn a_sequential_clients_remove_doc_queues_no_job() {
+    use storypivot::types::DocId;
+
+    let shards = 2;
+    let handle = serve("127.0.0.1:0", sharded(shards)).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let sources = [
+        client.add_source("a", SourceKind::Wire, 0).unwrap(),
+        client.add_source("b", SourceKind::Blog, 0).unwrap(),
+    ];
+    // Document d holds snippets 2d and 2d + 1, one from each source,
+    // so each removal takes a part from both shards.
+    let docs = 6u32;
+    for i in 0..2 * docs {
+        let snippet = Snippet::builder(
+            SnippetId::new(i),
+            sources[i as usize % 2],
+            Timestamp::from_secs(i as i64 * 3_600),
+        )
+        .doc(DocId::new(i / 2))
+        .entity(EntityId::new(i % 3), 1.0)
+        .build();
+        assert!(matches!(client.ingest(&snippet).unwrap(), IngestReply::Assigned(_)));
+    }
+    for d in 0..docs {
+        assert_eq!(client.remove_doc(DocId::new(d)).unwrap(), 2, "document {d}");
+    }
+    assert!(client.remove_doc(DocId::new(docs)).is_err(), "no shard holds it");
+
+    let text = client.metrics().unwrap();
+    for shard in 0..shards {
+        let series = |name: &str| {
+            exposition_value(&text, &format!("{name}{{shard=\"{shard}\"}}")).unwrap()
+        };
+        assert_eq!(series("storypivot_shard_inline_removes_total"), docs as u64 + 1);
+        assert_eq!(series("storypivot_shard_inline_ingests_total"), docs as u64);
+        assert_eq!(series("storypivot_shard_snippets"), 0);
+    }
+    assert_eq!(client.query_stories().unwrap(), Vec::new());
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// A non-zero `worker_delay` (a slow shard) sends every write through
 /// the queue, which is what the BUSY, SHED and storm tests exercise.
 #[test]
