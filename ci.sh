@@ -224,9 +224,11 @@ wait "$PIVOTD_PID"
 ls "$SMOKE_DIR"/ckpt/shard0.g*.spvc >/dev/null
 ls "$SMOKE_DIR"/ckpt/shard1.g*.spvc >/dev/null
 
-echo "==> smoke: connection storm (multiplexed runtime holds 1k sockets)"
+echo "==> smoke: connection storm (multiplexed runtime holds 1k sockets, reading and writing)"
 # Needs ~2k descriptors client-side plus the daemon's own; skip rather
-# than fail on boxes with a tight ulimit.
+# than fail on boxes with a tight ulimit. Every other storm request is a
+# single-snippet INGEST, so the I/O workers apply writes while they
+# serve the other connections; the exposition must show them.
 STORM_CONNS=1000
 FD_LIMIT="$(ulimit -n)"
 if [ "$FD_LIMIT" != "unlimited" ] && [ "$FD_LIMIT" -lt 2500 ]; then
@@ -241,10 +243,12 @@ else
         --addr "127.0.0.1:$PORT" --storm --conns "$STORM_CONNS" --rounds 3 \
         --interval-ms 20 --json "$SMOKE_DIR/BENCH_storm.json"
     cargo run -p storypivot-serve --bin loadgen --release -- \
-        --addr "127.0.0.1:$PORT" --query-only --shutdown
+        --addr "127.0.0.1:$PORT" --query-only --metrics --shutdown > "$SMOKE_DIR/storm-metrics.txt"
     wait "$PIVOTD_PID"
     test -s "$SMOKE_DIR/BENCH_storm.json"
     grep -q "\"connections\": $STORM_CONNS" "$SMOKE_DIR/BENCH_storm.json"
+    awk '$1 == "storypivot_ingest_total" && $2 > 0 { wrote = 1 } END { exit !wrote }' \
+        "$SMOKE_DIR/storm-metrics.txt"
 fi
 
 echo "CI OK"

@@ -99,7 +99,7 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         let mut engine = fresh();
         for record in &scan.records {
             let op = ReplayOp::decode(record).expect("decode journaled op");
-            oplog::replay(&mut engine, &op).expect("replay journaled op");
+            oplog::replay(&mut engine, op).expect("replay journaled op");
         }
         let recover_nanos = t.elapsed().as_nanos() as f64;
         assert!(!scan.damaged(), "bench journal must scan clean");

@@ -26,7 +26,7 @@
 //!   | snippet_ids u32 | doc_ids u32 | source_ids u32
 //! ```
 
-use storypivot_store::codec::{decode_store, encode_store_into};
+use storypivot_store::codec::{decode_store, encode_store_into, get_u32, get_u64, take};
 use storypivot_types::ids::IdGen;
 use storypivot_types::{Error, Result, SnippetId, SourceId, StoryId};
 
@@ -37,24 +37,6 @@ use crate::pivot::StoryPivot;
 pub const MAGIC: &[u8; 4] = b"SPVC";
 /// Current checkpoint format version.
 pub const VERSION: u32 = 2;
-
-fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(Error::Codec(format!("truncated checkpoint at {what}")));
-    }
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    Ok(u32::from_le_bytes(head.try_into().expect("4 bytes")))
-}
-
-fn get_u64(buf: &mut &[u8], what: &str) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(Error::Codec(format!("truncated checkpoint at {what}")));
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-}
 
 impl StoryPivot {
     /// Serialize the engine's full state.
@@ -112,12 +94,7 @@ impl StoryPivot {
             )));
         }
         let store_len = get_u64(&mut buf, "store length")? as usize;
-        if buf.len() < store_len {
-            return Err(Error::Codec("truncated checkpoint store".into()));
-        }
-        let (store_bytes, rest) = buf.split_at(store_len);
-        buf = rest;
-        let store = decode_store(store_bytes)?;
+        let store = decode_store(take(&mut buf, store_len, "checkpoint store")?)?;
 
         let mut pivot = StoryPivot::try_new(config)?;
         pivot.store = store;

@@ -23,7 +23,9 @@
 //! source) and "already gone" (unknown document) as successful no-ops
 //! and only propagates errors that indicate real corruption.
 
-use storypivot_store::codec::{decode_snippet, decode_source, encode_snippet, encode_source};
+use storypivot_store::codec::{
+    decode_snippet, decode_source, encode_snippet, encode_source, get_u32, get_u8,
+};
 use storypivot_substrate::buf::{Buf, BufMut};
 use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
 
@@ -75,18 +77,10 @@ impl ReplayOp {
     /// codec error.
     pub fn decode(mut payload: &[u8]) -> Result<ReplayOp> {
         let buf = &mut payload;
-        if !buf.has_remaining() {
-            return Err(Error::Codec("empty replay op".into()));
-        }
-        let op = match buf.get_u8() {
+        let op = match get_u8(buf, "replay op kind")? {
             OP_ADD_SOURCE => ReplayOp::AddSource(decode_source(buf)?),
             OP_INGEST => ReplayOp::Ingest(decode_snippet(buf)?),
-            OP_REMOVE_DOC => {
-                if buf.remaining() < 4 {
-                    return Err(Error::Codec("truncated remove-doc op".into()));
-                }
-                ReplayOp::RemoveDoc(DocId::new(buf.get_u32_le()))
-            }
+            OP_REMOVE_DOC => ReplayOp::RemoveDoc(DocId::new(get_u32(buf, "remove-doc op")?)),
             other => return Err(Error::Codec(format!("unknown replay op kind 0x{other:02x}"))),
         };
         if buf.has_remaining() {
@@ -139,11 +133,12 @@ pub fn apply(engine: &mut StoryPivot, op: ReplayOp) -> Result<Applied> {
     }
 }
 
-/// Apply one op during recovery. Returns `true` when the op changed
-/// state, `false` when it was an idempotent no-op (already applied via
-/// the checkpoint it rode behind); corruption-class errors propagate.
-pub fn replay(engine: &mut StoryPivot, op: &ReplayOp) -> Result<bool> {
-    match apply(engine, op.clone()) {
+/// Apply one op during recovery, consuming it. Returns `true` when the
+/// op changed state, `false` when it was an idempotent no-op (already
+/// applied via the checkpoint it rode behind); corruption-class errors
+/// propagate.
+pub fn replay(engine: &mut StoryPivot, op: ReplayOp) -> Result<bool> {
+    match apply(engine, op) {
         Ok(_) => Ok(true),
         // The checkpoint this journal tail rides behind already holds
         // the effect (crash landed between checkpoint and truncate).
@@ -156,7 +151,7 @@ pub fn replay(engine: &mut StoryPivot, op: &ReplayOp) -> Result<bool> {
 /// alignment policy. Kept for the benchmark's `core.oplog.replay_us`
 /// loop, which holds one; everything else calls [`replay`].
 pub fn replay_op(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
-    replay(engine.pivot_mut(), op)
+    replay(engine.pivot_mut(), op.clone())
 }
 
 #[cfg(test)]
@@ -213,14 +208,14 @@ mod tests {
     fn replay_applies_in_order_and_tolerates_duplicates() {
         let mut engine = fresh_engine();
         let source = Source::new(SourceId::new(0), "s0", SourceKind::Wire);
-        assert!(replay(&mut engine, &ReplayOp::AddSource(source.clone())).unwrap());
-        assert!(replay(&mut engine, &ReplayOp::Ingest(snip(0))).unwrap());
-        assert!(replay(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
+        assert!(replay(&mut engine, ReplayOp::AddSource(source.clone())).unwrap());
+        assert!(replay(&mut engine, ReplayOp::Ingest(snip(0))).unwrap());
+        assert!(replay(&mut engine, ReplayOp::Ingest(snip(1))).unwrap());
         // Double-applied ops (checkpoint/truncate crash window) no-op.
-        assert!(!replay(&mut engine, &ReplayOp::AddSource(source)).unwrap());
-        assert!(!replay(&mut engine, &ReplayOp::Ingest(snip(1))).unwrap());
-        assert!(replay(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
-        assert!(!replay(&mut engine, &ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
+        assert!(!replay(&mut engine, ReplayOp::AddSource(source)).unwrap());
+        assert!(!replay(&mut engine, ReplayOp::Ingest(snip(1))).unwrap());
+        assert!(replay(&mut engine, ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
+        assert!(!replay(&mut engine, ReplayOp::RemoveDoc(DocId::new(0))).unwrap());
         assert_eq!(engine.store().len(), 0);
         // `apply` is the same match, reporting what the op produced and
         // leaving "already there / already gone" to the caller.

@@ -5,6 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
+use storypivot_types::mem;
 use storypivot_types::{
     DocId, Error, GlobalStory, GlobalStoryId, Result, Snippet, SnippetId, Source, SourceId,
     SourceKind, StoryId,
@@ -26,6 +27,12 @@ use crate::state::StoryState;
 /// [`Touched::insert`] / [`Touched::extend`], so neither can miss one
 /// the other sees.
 ///
+/// `dirty` is `None` until the first alignment: before an outcome exists
+/// nothing reads it (incremental alignment falls back to a full pass,
+/// refinement aligns first, and both invariant (3) and `scrub_outcome`
+/// need an outcome), so an engine that never aligns — every `pivotd`
+/// shard and follower — keeps no set of every story it ever touched.
+///
 /// The invariant incremental alignment is built on: **a story absent
 /// from `dirty` has the member list it had at the last alignment** —
 /// ingest (the joined story and every story merged away), maintenance
@@ -37,7 +44,7 @@ use crate::state::StoryState;
 /// marks every story whose global story it changed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Touched {
-    pub(crate) dirty: HashSet<StoryId>,
+    pub(crate) dirty: Option<HashSet<StoryId>>,
     /// Detached by default, like [`EngineMetrics`]: `None` costs one
     /// branch per touched story and retains nothing.
     log: Option<Vec<StoryId>>,
@@ -45,7 +52,9 @@ pub(crate) struct Touched {
 
 impl Touched {
     pub(crate) fn insert(&mut self, story: StoryId) {
-        self.dirty.insert(story);
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(story);
+        }
         if let Some(log) = &mut self.log {
             log.push(story);
         }
@@ -494,7 +503,7 @@ impl StoryPivot {
         drop(timer);
         self.metrics.align_runs_total.inc();
         self.metrics.align_pairs_total.add(outcome.pairs_scored as u64);
-        self.touched.dirty.clear();
+        self.touched.dirty.get_or_insert_with(HashSet::new).clear();
         self.outcome = Some(outcome);
         self.outcome.as_ref().expect("just set")
     }
@@ -505,17 +514,16 @@ impl StoryPivot {
     pub fn align_incremental(&mut self) -> &AlignOutcome {
         let timer = self.metrics.align_duration.start();
         let states = Self::collect_states(&self.identifiers);
-        let outcome = match &self.outcome {
-            Some(prev) => {
-                self.aligner
-                    .align_incremental(&states, &self.store, prev, &self.touched.dirty)
+        let outcome = match (&self.outcome, &self.touched.dirty) {
+            (Some(prev), Some(dirty)) => {
+                self.aligner.align_incremental(&states, &self.store, prev, dirty)
             }
-            None => self.aligner.align(&states, &self.store),
+            _ => self.aligner.align(&states, &self.store),
         };
         drop(timer);
         self.metrics.align_runs_total.inc();
         self.metrics.align_pairs_total.add(outcome.pairs_scored as u64);
-        self.touched.dirty.clear();
+        self.touched.dirty.get_or_insert_with(HashSet::new).clear();
         self.outcome = Some(outcome);
         self.outcome.as_ref().expect("just set")
     }
@@ -524,8 +532,8 @@ impl StoryPivot {
 
     /// Heap bytes held by each part of the engine: the store's four
     /// parts, the identifiers' four summed over sources, the aligner's
-    /// probe tables, the cached alignment outcome and the
-    /// refiner. Computed from the collections' layouts
+    /// probe tables, the cached alignment outcome, the stories dirty
+    /// since it and the refiner. Computed from the collections' layouts
     /// ([`storypivot_types::mem`]) in time linear in the number of
     /// stories and snippets; `tests/memory_account.rs` holds the sum to
     /// what a counting allocator saw.
@@ -541,14 +549,15 @@ impl StoryPivot {
         account.extend(identify.into_iter().flatten());
         account.push(("align.tables", self.aligner.heap_bytes()));
         account.push(("align.outcome", self.outcome.as_ref().map_or(0, AlignOutcome::heap_bytes)));
+        account.push(("align.dirty", self.touched.dirty.as_ref().map_or(0, mem::hash_set_bytes)));
         account.push(("refine.rows", self.refiner.heap_bytes()));
         account
     }
 
     /// Number of stories currently marked dirty (ingested/changed since
-    /// the last alignment).
+    /// the last alignment); before the first alignment, every story.
     pub fn dirty_count(&self) -> usize {
-        self.touched.dirty.len()
+        self.touched.dirty.as_ref().map_or_else(|| self.story_count(), HashSet::len)
     }
 
     /// Start recording which stories change, for
@@ -598,7 +607,7 @@ impl StoryPivot {
         let timer = self.metrics.refine_duration.start();
         let mut report = RefineReport::default();
         for _ in 0..self.config.refine.max_rounds {
-            if self.outcome.is_none() || !self.touched.dirty.is_empty() {
+            if self.outcome.is_none() || self.dirty_count() > 0 {
                 self.align_incremental();
             }
             // Out of `self` for the sweep, so planning can borrow it
@@ -791,7 +800,7 @@ impl StoryPivot {
 
         // (3) — only meaningful right after alignment (dirty == 0).
         if let Some(outcome) = &self.outcome {
-            if self.touched.dirty.is_empty() {
+            if self.dirty_count() == 0 {
                 let mut covered = std::collections::HashSet::new();
                 for g in &outcome.global_stories {
                     for &s in &g.member_stories {
@@ -898,6 +907,27 @@ mod tests {
         assert_eq!(pivot.dirty_count(), 1);
         pivot.align_incremental();
         assert_eq!(pivot.global_stories().len(), 1);
+    }
+
+    #[test]
+    fn an_engine_that_never_aligns_keeps_no_dirty_set() {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        pivot.log_changes();
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        for i in 0..300 {
+            snip(&mut pivot, a, i / 20, &[i as u32 % 7, 100], &[i as u32 % 5]);
+        }
+        let dirty_bytes = |p: &StoryPivot| {
+            p.memory_account().into_iter().find(|(s, _)| *s == "align.dirty").map(|(_, b)| b)
+        };
+        assert!(pivot.touched.dirty.is_none(), "no outcome yet: nothing is retained");
+        assert_eq!(dirty_bytes(&pivot), Some(0));
+        assert_eq!(pivot.dirty_count(), pivot.story_count(), "every story awaits the first pass");
+
+        pivot.align();
+        snip(&mut pivot, a, 30, &[1, 100], &[1]);
+        assert_eq!(pivot.dirty_count(), 1);
+        assert!(dirty_bytes(&pivot) > Some(0), "once aligned, the set is counted");
     }
 
     #[test]

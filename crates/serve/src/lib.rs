@@ -34,8 +34,8 @@
 //! - [`load`] — `loadgen`: replays a [`storypivot_gen`] corpus at a
 //!   target rate over M connections and reports throughput and
 //!   p50/p95/p99 latency. Its storm mode ([`load::conn_storm`]) opens
-//!   thousands of mostly-idle connections that trickle traffic, to
-//!   size per-connection server memory and tail latency.
+//!   thousands of mostly-idle connections that trickle reads and
+//!   writes, to size per-connection server memory and tail latency.
 //!
 //! Everything is std-only (`std::net`, `std::thread`,
 //! `std::sync::mpsc`) per the workspace's hermetic-build guard.

@@ -17,10 +17,13 @@ use std::time::{Duration, Instant};
 use storypivot_gen::scenario::{ScenarioOp, Script};
 use storypivot_gen::Corpus;
 use storypivot_substrate::timing::Histogram;
-use storypivot_types::{DocId, Error, Result, Snippet, Source, StoryId};
+use storypivot_types::{
+    DocId, EntityId, Error, Result, Snippet, SnippetId, Source, SourceKind, StoryId, TermId,
+    Timestamp,
+};
 
 use crate::client::{BackoffPolicy, Client, RetryStats};
-use crate::proto::{frame, Request, MAX_FRAME_LEN};
+use crate::proto::{encode_ingest, frame, Request, MAX_FRAME_LEN};
 
 /// Load-generation options.
 #[derive(Debug, Clone)]
@@ -555,7 +558,7 @@ pub fn query_fanout(targets: &[String], opts: &QueryOptions) -> Result<QueryRepo
 // ---- connection storm ------------------------------------------------
 
 /// Options for the many-connection trickle mode: hold `connections`
-/// open sockets and send each one a tiny request every `interval`,
+/// open sockets and send each one a small request every `interval`,
 /// for `rounds` rounds — the workload shape the multiplexed serving
 /// runtime exists for (thread-per-connection dies here first).
 #[derive(Debug, Clone)]
@@ -658,11 +661,13 @@ fn storm_round_trip(
     Ok(())
 }
 
-/// Open `opts.connections` sockets and trickle tiny requests over all
-/// of them. The probe request is `GetStory` on a story id that cannot
-/// exist, so every round trip is a real dispatch through a shard queue
-/// and back (the typed unknown-story error response), with no server
-/// state required and no state mutated.
+/// Open `opts.connections` sockets and trickle small requests over all
+/// of them. The storm registers one source first; then each connection
+/// alternates, round by round, a GET_STORY on a story id that cannot
+/// exist (answered from the read snapshot with the typed unknown-story
+/// error) with a single-snippet INGEST whose snippet id is unique per
+/// (round, connection), so the I/O workers apply writes while they
+/// serve every other connection. Any reply counts as a round trip.
 pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<StormReport> {
     if opts.connections == 0 || opts.drivers == 0 {
         return Err(Error::InvalidConfig(
@@ -674,13 +679,31 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
         .next()
         .ok_or_else(|| Error::InvalidConfig("storm: address resolved to nothing".into()))?;
     let drivers = opts.drivers.min(opts.connections);
-    let request = frame(|b| Request::GetStory(StoryId::new(u32::MAX)).encode(b));
+    let source = Client::connect(addr)?.add_source("storm", SourceKind::Wire, 0)?;
+    let get_story = frame(|b| Request::GetStory(StoryId::new(u32::MAX)).encode(b));
+    let connections = opts.connections;
+    // Connection `lane`'s request in `round`: a write on every other one.
+    let request = move |round: usize, lane: usize| {
+        if (round + lane).is_multiple_of(2) {
+            return get_story.clone();
+        }
+        let id = (round * connections + lane) as u32;
+        let snippet = Snippet::builder(SnippetId::new(id), source, Timestamp::from_secs(id.into()))
+            .doc(DocId::new(id))
+            .entity(EntityId::new(id % 16), 1.0)
+            .term(TermId::new(id % 8), 1.0)
+            .build();
+        frame(|b| encode_ingest(b, &snippet))
+    };
 
     let start = Instant::now();
     let mut handles = Vec::with_capacity(drivers);
+    let mut first_lane = 0;
     for d in 0..drivers {
         // Spread the remainder so lane sizes differ by at most one.
         let share = opts.connections / drivers + usize::from(d < opts.connections % drivers);
+        let lanes = first_lane..first_lane + share;
+        first_lane += share;
         let request = request.clone();
         let rounds = opts.rounds;
         let interval = opts.interval;
@@ -710,7 +733,8 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
                             std::thread::sleep(due - elapsed);
                         }
                     }
-                    for stream in &mut conns {
+                    for (stream, lane) in conns.iter_mut().zip(lanes.clone()) {
+                        let request = request(round, lane);
                         let t = Instant::now();
                         storm_round_trip(stream, &request, &mut scratch)?;
                         hist.record(t.elapsed().as_nanos() as u64);
@@ -798,6 +822,20 @@ mod tests {
         let opts = LoadOptions { connections: 3, max_retries: 0, ..LoadOptions::default() };
         assert!(replay(handle.addr(), &corpus, &opts).is_err());
         Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+        handle.join();
+    }
+
+    #[test]
+    fn a_storm_writes_one_snippet_per_other_round_trip() {
+        use crate::server::{serve, ServerConfig};
+        let handle = serve("127.0.0.1:0", ServerConfig { shards: 2, ..ServerConfig::default() }).unwrap();
+        let opts = StormOptions { connections: 7, drivers: 2, rounds: 4, interval: Duration::ZERO };
+        let report = conn_storm(handle.addr(), &opts).unwrap();
+        assert_eq!((report.connections, report.requests), (7, 28));
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let stored: usize = client.query_stories().unwrap().iter().map(|s| s.members.len()).sum();
+        assert_eq!(stored, 14, "every (round, connection) with an odd sum ingests a distinct snippet");
+        client.shutdown().unwrap();
         handle.join();
     }
 

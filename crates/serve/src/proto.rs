@@ -23,7 +23,10 @@
 
 use std::io::{self, Read};
 
-use storypivot_store::codec::{decode_snippet, encode_snippet, skip_snippet};
+use storypivot_store::codec::{
+    decode_snippet, encode_snippet, get_bytes, get_i64, get_str, get_str_ref, get_u32, get_u64,
+    get_u8, need, put_bytes, put_str, skip_snippet,
+};
 use storypivot_substrate::buf::{Buf, BufMut};
 use storypivot_types::{
     DocId, Error, Result, Snippet, SnippetId, SourceId, SourceKind, StoryId, TimeRange,
@@ -89,65 +92,6 @@ pub const OP_REPL_CHECKPOINT: u8 = 0x8E;
 /// Write shed: it waited in queue past its deadline budget and was
 /// dropped unapplied (body: retry_after_ms u32).
 pub const OP_SHED: u8 = 0x8F;
-
-// ---- bounded readers -------------------------------------------------
-
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::Codec(format!(
-            "truncated frame: need {n} bytes for {what}, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(buf: &mut impl Buf, what: &str) -> Result<u8> {
-    need(buf, 1, what)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32> {
-    need(buf, 4, what)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_i64(buf: &mut impl Buf, what: &str) -> Result<i64> {
-    need(buf, 8, what)?;
-    Ok(buf.get_i64_le())
-}
-
-fn get_u64(buf: &mut impl Buf, what: &str) -> Result<u64> {
-    need(buf, 8, what)?;
-    Ok(buf.get_u64_le())
-}
-
-fn put_bytes(buf: &mut impl BufMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut impl Buf, what: &str) -> Result<Vec<u8>> {
-    let len = get_u32(buf, what)? as usize;
-    need(buf, len, what)?;
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    Ok(raw)
-}
-
-fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut impl Buf, what: &str) -> Result<String> {
-    let len = get_u32(buf, what)? as usize;
-    need(buf, len, what)?;
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
-}
 
 // ---- requests --------------------------------------------------------
 
@@ -263,24 +207,6 @@ pub fn encode_ingest(buf: &mut impl BufMut, snippet: &Snippet) {
 // `Request::decode` is this plus `to_owned()`), and responses have only
 // the owned one: each is held to the encoder by round trip, not to a
 // twin.
-
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(Error::Codec(format!(
-            "truncated frame: need {n} bytes for {what}, have {}",
-            buf.len()
-        )));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-fn get_str_ref<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a str> {
-    let len = get_u32(buf, what)? as usize;
-    let raw = take(buf, len, what)?;
-    std::str::from_utf8(raw).map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
-}
 
 /// A validated, still-encoded snippet inside a request frame. The
 /// routing header (id, source) is parsed eagerly so the server can

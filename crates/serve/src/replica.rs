@@ -7,8 +7,8 @@
 //! the replication opcodes in [`crate::proto`]:
 //!
 //! 1. **Catch-up.** The puller asks its local shard worker where its
-//!    durable copy ends (an empty `ReplApply` probe returns the
-//!    checkpoint generation plus the local WAL length). Because the
+//!    durable copy ends: the checkpoint generation plus the local WAL
+//!    length, read under the shard's owner lock. Because the
 //!    follower appends the leader's record payloads through the same
 //!    deterministic framing, its WAL is byte-identical to the
 //!    leader's, and "local WAL length" *is* the leader offset already
@@ -23,6 +23,12 @@
 //!    through the idempotent `core::oplog` path, so overlap from a
 //!    resubscribe (or replay after a crash) is a no-op.
 //!
+//! The puller does every step on its own thread: it takes the local
+//! shard's owner lock, as an I/O worker applying a write does, and
+//! calls the worker directly — no job, no queue, no reply channel. It
+//! may wait for the lock (an I/O worker never does); a shard whose
+//! worker is retired ends its puller.
+//!
 //! Lag is exported per shard as `storypivot_replica_lag_ops` and
 //! `storypivot_replica_lag_bytes` gauges in the METRICS exposition,
 //! and reconnect attempts as `storypivot_replica_reconnects_total`. Pullers
@@ -31,11 +37,11 @@
 //! stampeding a recovering leader in lockstep — and exit when the
 //! replica itself is shut down.
 //!
-//! This file is the puller; what the shard worker does with a
-//! `Repl`/`ReplBootstrap`/`ReplApply` job (it needs the worker's engine,
-//! WAL and generation) is `server/shard/repl.rs`.
+//! This file is the puller; the worker's side of both ends — the
+//! leader's answer to a poll, the follower's cursor, bootstrap and
+//! apply (they need the worker's engine, WAL and generation) — is
+//! `server/shard/repl.rs`.
 
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,7 +50,7 @@ use storypivot_substrate::metrics::{Counter, Gauge};
 
 use crate::client::{backoff_delay_ms, BackoffPolicy, Client};
 use crate::proto::Response;
-use crate::server::{Job, ReplAck, ReplCursor, Shared};
+use crate::server::Shared;
 
 /// How long a caught-up puller sleeps between polls.
 const POLL_IDLE: Duration = Duration::from_millis(25);
@@ -71,42 +77,14 @@ pub(crate) struct PullerCtx {
     pub(crate) drop_fault: FaultHook,
 }
 
-impl PullerCtx {
-    /// Hand a replication job to the local shard worker and wait for
-    /// the cursor it reached. `None` means the shard is gone (queue
-    /// closed or worker dead) and the puller should exit; an apply
-    /// error is surfaced as `Some(Err(..))` for the caller to back off
-    /// on.
-    fn submit(
-        &self,
-        make: impl FnOnce(ReplAck) -> Job,
-    ) -> Option<storypivot_types::Result<ReplCursor>> {
-        let (tx, rx) = sync_channel(1);
-        if self.shared.shards[self.shard].queue.push(make(tx)).is_err() {
-            return None; // shutting down
-        }
-        rx.recv().ok()
-    }
-
-    /// Where the local durable copy ends (empty apply = cursor probe).
-    fn local_cursor(&self) -> Option<ReplCursor> {
-        match self.submit(|ack| Job::ReplApply {
-            records: Vec::new(),
-            ack,
-        })? {
-            Ok(cursor) => Some(cursor),
-            Err(e) => {
-                eprintln!("pivotd: replica shard {}: cursor probe failed: {e}", self.shard);
-                None
-            }
-        }
-    }
-}
-
 /// Body of one `pivot-repl-{i}` thread: bootstrap-or-tail the leader
 /// until the replica shuts down.
 pub(crate) fn run_puller(mut ctx: PullerCtx) {
-    let Some(mut cursor) = ctx.local_cursor() else { return };
+    // Every call on the local worker runs under its owner lock; `None`
+    // means the worker is retired (queue closed, or its thread died),
+    // which ends the puller.
+    let port = &ctx.shared.shards[ctx.shard];
+    let Some(mut cursor) = port.with_worker(|w| w.repl_cursor()) else { return };
     let backoff = BackoffPolicy { base_ms: 50, cap_ms: 2000, ..BackoffPolicy::default() };
     let mut failures = 0u32;
     // Seeded per shard, so no two pullers retry on the same beat.
@@ -159,61 +137,46 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                         continue 'reconnect;
                     }
                 };
-            match delivery {
+            let (applied, leader) = match delivery {
                 Response::ReplFrame {
                     leader_wal_len,
                     leader_ops,
                     records,
                     ..
                 } => {
-                    if !records.is_empty() {
-                        match ctx.submit(|ack| Job::ReplApply { records, ack }) {
-                            Some(Ok(c)) => cursor = c,
-                            Some(Err(e)) => {
-                                // Partial appends may have moved the
-                                // WAL; re-probe instead of guessing.
-                                eprintln!(
-                                    "pivotd: replica shard {}: apply failed: {e}",
-                                    ctx.shard
-                                );
-                                std::thread::sleep(Duration::from_millis(500));
-                                match ctx.local_cursor() {
-                                    Some(c) => cursor = c,
-                                    None => break 'reconnect,
-                                }
-                            }
-                            None => break 'reconnect,
-                        }
-                    }
-                    ctx.lag_ops
-                        .set(leader_ops.saturating_sub(cursor.ops) as i64);
-                    ctx.lag_bytes
-                        .set(leader_wal_len.saturating_sub(cursor.wal_len) as i64);
-                    if cursor.wal_len >= leader_wal_len {
-                        std::thread::sleep(POLL_IDLE);
-                    }
+                    let applied = if records.is_empty() {
+                        Some(Ok(cursor))
+                    } else {
+                        port.with_worker(|w| w.repl_apply(&records))
+                    };
+                    (applied, Some((leader_ops, leader_wal_len)))
                 }
                 Response::ReplCheckpoint {
                     generation,
                     checkpoint,
-                } => {
-                    match ctx.submit(|ack| Job::ReplBootstrap {
-                        generation,
-                        checkpoint,
-                        ack,
-                    }) {
-                        Some(Ok(c)) => cursor = c,
-                        Some(Err(e)) => {
-                            eprintln!(
-                                "pivotd: replica shard {}: bootstrap failed: {e}",
-                                ctx.shard
-                            );
-                            std::thread::sleep(Duration::from_millis(500));
-                        }
+                } => (port.with_worker(|w| w.repl_bootstrap(generation, checkpoint)), None),
+                other => unreachable!("repl_subscribe returned {other:?}"),
+            };
+            match applied {
+                Some(Ok(c)) => cursor = c,
+                Some(Err(e)) => {
+                    // A partial apply or bootstrap may have moved the
+                    // WAL; re-read the cursor instead of guessing.
+                    eprintln!("pivotd: replica shard {}: apply failed: {e}", ctx.shard);
+                    std::thread::sleep(Duration::from_millis(500));
+                    match port.with_worker(|w| w.repl_cursor()) {
+                        Some(c) => cursor = c,
                         None => break 'reconnect,
                     }
                 }
-                other => unreachable!("repl_subscribe returned {other:?}"),
+                None => break 'reconnect,
+            }
+            if let Some((leader_ops, leader_wal_len)) = leader {
+                ctx.lag_ops.set(leader_ops.saturating_sub(cursor.ops) as i64);
+                ctx.lag_bytes.set(leader_wal_len.saturating_sub(cursor.wal_len) as i64);
+                if cursor.wal_len >= leader_wal_len {
+                    std::thread::sleep(POLL_IDLE);
+                }
             }
         }
     }

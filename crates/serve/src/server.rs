@@ -27,21 +27,26 @@
 //! slow-loris readers.
 //!
 //! I/O workers never wait for a shard. A shard's worker (engine, WAL,
-//! snapshot table) sits behind its *owner lock* in the `ShardPort`.
-//! A single-snippet INGEST whose shard has a free owner
-//! (`try_lock`), an empty open queue and no `worker_delay` is applied
-//! by the I/O worker itself — journal, apply, publish, through the same
-//! `ShardWorker` ingest the shard thread runs — and its reply goes
-//! straight into the connection's reorder buffer: no job, no reply box,
-//! no hand-off to the shard thread and back. A REMOVE_DOC's part on
-//! each shard is tried the same way; a busy shard's part is queued, and
-//! the fan-in sums both kinds. Every other frame becomes
-//! a `Job` routed to its shard through a bounded queue
-//! ([`substrate::queue::Bounded`]), and the shard thread replies by
-//! posting a completion event back to the owning worker's inbox (a
-//! wake-channel nudges the poller). The shard thread pops a job only
-//! while it holds the owner and keeps it until the job is applied, so
-//! an inline write, which needs the owner and an empty queue, comes
+//! snapshot table) sits behind its *owner lock* in the `ShardPort`,
+//! and whoever holds the owner applies. A single-snippet INGEST whose
+//! shard has a free owner (`try_lock`), an empty open queue and no
+//! `worker_delay` is applied by the I/O worker itself — journal, apply,
+//! publish, through the same `ShardWorker` ingest the shard thread runs
+//! — and its reply goes straight into the connection's reorder buffer:
+//! no job, no reply box, no hand-off to the shard thread and back. A
+//! REMOVE_DOC's part on each shard is tried the same way; a busy shard's
+//! part is queued, and the fan-in sums both kinds. Reads are answered
+//! from the published snapshots. What remains — a write that found the
+//! owner busy, and the frames an I/O worker never applies itself
+//! (INGEST_BATCH, ADD_SOURCE, METRICS, REPL_SUBSCRIBE) — becomes a
+//! `Job` routed to its shard through a bounded queue
+//! ([`substrate::queue::Bounded`]), the I/O workers' mailbox, and the
+//! shard thread replies by posting a completion event back to the
+//! owning worker's inbox (a wake-channel nudges the poller). Threads
+//! that may wait take the owner themselves instead: a follower's replica
+//! pullers ([`crate::replica`]) and the SHUTDOWN orchestrator. Jobs are
+//! popped only under the owner, which is kept until the job is applied,
+//! so an inline write, which needs the owner and an empty queue, comes
 //! after every job queued before it: per-shard order is WAL order. The
 //! lock order is owner → queue; no inbox send and no socket write
 //! happens under the owner.
@@ -51,10 +56,10 @@
 //! `shards × queue_depth` jobs no matter how fast clients push. An
 //! inline write found the queue empty, so it is never BUSY, and it
 //! never waited, so it is never shed. Batch ingests and control frames
-//! (removal/metrics/shutdown) want backpressure, not retries: their
-//! pushes park in a pending list (the connection stops parsing,
-//! preserving per-connection order) and are retried until queue space
-//! frees up.
+//! (source registration, removal, metrics, replication polls) want
+//! backpressure, not retries: their pushes park in a pending list (the
+//! connection stops parsing, preserving per-connection order) and are
+//! retried until queue space frees up.
 //!
 //! # Durability
 //!
@@ -80,14 +85,14 @@
 //! `storypivot_shard_restarts_total` and `storypivot_shard_quarantined`
 //! per shard.
 //!
-//! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
-//! job behind all accepted work on every shard, each shard publishes
-//! its last snapshot and writes a checkpoint generation (the engine is
+//! SHUTDOWN drains: a dedicated orchestrator thread takes each shard's
+//! owner in turn, applies the jobs queued before it in order, publishes
+//! the last snapshot and writes a checkpoint generation (the engine is
 //! left exactly as the last applied op left it, so a restart serves the
-//! partition that was being served), the queues are closed, and only
-//! then is the ack sent
-//! (to the initiator and to every connection that sent a concurrent
-//! SHUTDOWN).
+//! partition that was being served), releases the owner and delivers
+//! the jobs' answers. Once every shard has drained the queues are
+//! closed, and only then is the ack sent (to the initiator and to every
+//! connection that sent a concurrent SHUTDOWN).
 //!
 //! # Observability
 //!
@@ -118,10 +123,11 @@
 //! `job.rs`: `Job`, the reply callbacks with their drop-guards, `FanIn`.
 //! `io.rs`: `IoWorker` and the connection state machine;
 //! `io/dispatch.rs`: request decode and dispatch, push/park/retry.
-//! `shard.rs`: `ShardWorker` — the owner-locked queue loop, journal +
-//! apply, publish, the request handlers; `shard/recovery.rs`: recover,
-//! rebuild, checkpoints, quarantine; `shard/repl.rs`: both shard-side
-//! ends of WAL shipping.
+//! `shard.rs`: `ShardWorker` — the owner-locked queue loop, the
+//! SHUTDOWN drain, journal + apply, publish, the request handlers;
+//! `shard/recovery.rs`: recover, rebuild, the per-record replay,
+//! checkpoints, quarantine; `shard/repl.rs`: both worker-side ends of
+//! WAL shipping.
 //!
 //! [`StoryPivot`]: storypivot_core::StoryPivot
 //! [`substrate::net`]: storypivot_substrate::net
@@ -155,8 +161,7 @@ use storypivot_substrate::wal::SyncPolicy;
 use storypivot_types::{DocId, Error, Result, SourceId};
 
 use self::io::{Inbox, IoEvent, IoMetrics, IoWorker};
-use self::job::{unavailable, Dest, Reply};
-pub(crate) use self::job::{Job, ReplAck, ReplCursor};
+use self::job::{unavailable, Dest, Job};
 use self::shard::ShardWorker;
 use crate::client::{backoff_delay_ms, BackoffPolicy};
 use crate::proto::{Response, SnippetRef};
@@ -195,11 +200,12 @@ pub struct ServerConfig {
     /// exceeds this many bytes (0 disables size-triggered checkpoints;
     /// requires both `wal_dir` and `checkpoint_dir`).
     pub checkpoint_every_bytes: u64,
-    /// Artificial per-job delay in each shard worker, simulating a
-    /// slow shard. Zero in production; tests use it to hold a queue full
-    /// deterministically. A non-zero delay also sends every
+    /// Artificial delay before each queued job is applied, simulating
+    /// a slow shard. Zero in production; tests use it to hold a queue
+    /// full deterministically. A non-zero delay also sends every
     /// single-snippet INGEST through the queue (none is applied inline
-    /// by an I/O worker), so BUSY, SHED and parking are exercised.
+    /// by an I/O worker), so BUSY, SHED and parking are exercised. A
+    /// replica puller's applies are not jobs and are not delayed.
     pub worker_delay: Duration,
     /// Number of connection-multiplexing I/O worker threads. Every
     /// connection is pinned to one worker for its lifetime.
@@ -275,15 +281,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// it.
 pub(crate) struct ShardPort {
     /// The shard's worker — engine, WAL, snapshot table — behind the
-    /// owner lock. The shard thread pops queued jobs only while holding
-    /// it; an I/O worker that gets it with the queue empty applies a
-    /// single-snippet INGEST or its part of a REMOVE_DOC itself
-    /// ([`Shared::apply_inline`]). `None`
-    /// before the shard thread installs the worker and after it retires
-    /// it (queue closed and drained, or the thread died), when every
-    /// write takes the queue.
+    /// owner lock, installed by [`serve`] before any thread that takes
+    /// it starts. The shard thread pops queued jobs only while holding
+    /// it; an I/O worker that gets it with `try_lock` and the queue
+    /// empty applies a single-snippet INGEST or its part of a
+    /// REMOVE_DOC itself ([`Shared::apply_inline`]); replica pullers and
+    /// the SHUTDOWN orchestrator wait for it
+    /// ([`ShardPort::with_worker`]). `None` once the shard thread
+    /// retires the worker (queue closed and drained, or the thread
+    /// died): every write then takes the queue and the puller ends.
     owner: Mutex<Option<ShardWorker>>,
-    pub(crate) queue: Bounded<Job>,
+    /// What I/O workers found the owner busy for (or may not apply
+    /// themselves), in arrival order.
+    queue: Bounded<Job>,
     /// The shard's published read snapshot; I/O workers answer
     /// QUERY_STORIES/GET_STORY from it without touching the queue.
     snapshot: SnapshotSlot,
@@ -339,6 +349,14 @@ impl ShardPort {
             ),
             service_ewma_ns: AtomicU64::new(0),
         }
+    }
+
+    /// Run `f` on the shard's worker under the owner lock, waiting for
+    /// it — for threads that may wait (replica pullers, the SHUTDOWN
+    /// orchestrator), never an I/O worker. `None` once the worker is
+    /// retired.
+    pub(crate) fn with_worker<R>(&self, f: impl FnOnce(&mut ShardWorker) -> R) -> Option<R> {
+        lock(&self.owner).as_mut().map(f)
     }
 
     /// Queue-depth-proportional retry hint, in milliseconds: the
@@ -543,6 +561,14 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         wake_rxs.push(rx);
     }
 
+    // Every fallible step before a thread starts is behind us (an error
+    // above dropped the recovered workers with their ports): install
+    // each worker behind its owner lock, so every thread that takes it
+    // finds it there.
+    for (port, worker) in shards.iter().zip(shard_workers) {
+        *lock(&port.owner) = Some(worker);
+    }
+
     let io_metrics = IoMetrics::register(&registry);
     let shared = Arc::new(Shared {
         cfg: Arc::clone(&cfg),
@@ -559,12 +585,12 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     });
 
     let mut workers = Vec::with_capacity(cfg.shards);
-    for shard in shard_workers {
-        let idx = shard.idx;
+    for (idx, port) in shared.shards.iter().enumerate() {
+        let port = Arc::clone(port);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("pivot-shard-{idx}"))
-                .spawn(move || shard.run())
+                .spawn(move || shard::run(&port))
                 .map_err(|e| Error::Io(format!("spawn shard worker: {e}")))?,
         );
     }
@@ -587,7 +613,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         .map_err(|e| Error::Io(format!("spawn acceptor: {e}")))?;
 
     // Follower replica: one puller thread per shard tails the leader's
-    // WAL and feeds ReplBootstrap/ReplApply jobs to the local worker.
+    // WAL and applies it to the local worker under its owner lock.
     if let Some(leader) = &cfg.leader {
         for i in 0..cfg.shards {
             let sid = i.to_string();
@@ -689,30 +715,23 @@ fn hand_off(shared: &Arc<Shared>, stream: TcpStream) {
     inbox.send(IoEvent::NewConn(stream));
 }
 
-/// Drive a SHUTDOWN to completion on a dedicated thread (it blocks on
-/// full queues and on shard acks, which an I/O worker never may):
-/// push a `Drain` behind all accepted work on every shard, await the
-/// acks, close the queues, mark done, then ack the initiator and every
-/// parked waiter.
+/// Drive a SHUTDOWN to completion on a dedicated thread (it waits for
+/// each shard's owner lock, which an I/O worker never may): on each
+/// shard in turn, take the owner, apply the jobs queued before it and
+/// write the last snapshot and checkpoint ([`ShardWorker::drain`]),
+/// release, deliver the jobs' answers; then close the queues, mark
+/// done, and ack the initiator and every parked waiter.
 fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
-    let mut pending = Vec::with_capacity(shared.shards.len());
-    for port in &shared.shards {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Response>(1);
-        let reply: Reply = Box::new(move |resp| {
-            let _ = tx.send(resp);
-        });
-        // The Drain sits behind all previously accepted work: by the
-        // time a shard replies, its queue prefix has been fully applied.
-        if port.queue.push(Job::Drain(reply)).is_ok() {
-            pending.push(rx);
-        }
-    }
     let mut failure = None;
-    for rx in pending {
-        match rx.recv() {
-            Ok(Response::ShutdownAck) => {}
-            Ok(other) => failure = Some(other),
-            Err(_) => failure = Some(unavailable()),
+    for port in &shared.shards {
+        match port.with_worker(ShardWorker::drain) {
+            Some((answers, ack)) => {
+                answers.into_iter().for_each(shard::Answer::deliver);
+                if !matches!(ack, Response::ShutdownAck) {
+                    failure = Some(ack);
+                }
+            }
+            None => failure = Some(unavailable()),
         }
     }
     for port in &shared.shards {

@@ -1,16 +1,16 @@
 //! What travels between the I/O workers and the shard workers: the
-//! [`Job`] a request becomes, the reply callbacks that carry its answer
-//! back to the right pipeline slot of the right connection, and the
-//! fan-in that merges one answer out of several shards' parts. Every
-//! reply path has a drop-guard, so a job that dies with its worker still
-//! produces an error response instead of a hung client.
+//! [`Job`] a request becomes when the I/O worker cannot apply it
+//! itself, the reply callbacks that carry its answer back to the right
+//! pipeline slot of the right connection, and the fan-in that merges
+//! one answer out of several shards' parts. Every reply path has a
+//! drop-guard, so a job that dies with its worker still produces an
+//! error response instead of a hung client.
 
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use storypivot_substrate::metrics::Snapshot;
-use storypivot_types::{DocId, Error, Result, Snippet, Source};
+use storypivot_types::{DocId, Snippet, Source};
 
 use super::io::{Inbox, IoEvent};
 use super::lock;
@@ -25,28 +25,10 @@ pub(crate) type Reply = Box<dyn FnOnce(Response) + Send>;
 /// Reply callback for metrics snapshots (merged by the I/O layer).
 pub(crate) type SnapReply = Box<dyn FnOnce(Snapshot) + Send>;
 
-/// A replica shard's durable replication position: the checkpoint
-/// generation it bootstrapped from plus the byte length of its local
-/// WAL copy. Because the follower appends the leader's record payloads
-/// through the same deterministic framing, its WAL is byte-identical
-/// to the leader's — so "my WAL length" *is* "the leader offset I have
-/// everything before", and a restart recovers the cursor for free.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ReplCursor {
-    /// Checkpoint generation the WAL tail applies on top of.
-    pub(crate) generation: u64,
-    /// Local WAL length == leader WAL offset fully replicated.
-    pub(crate) wal_len: u64,
-    /// Ops applied since the generation (drives the lag-in-ops gauge).
-    pub(crate) ops: u64,
-}
-
-/// Acknowledgement channel for replication jobs: the puller thread
-/// blocks on the paired receiver until the shard worker reports the
-/// cursor it reached (or why it couldn't).
-pub(crate) type ReplAck = SyncSender<Result<ReplCursor>>;
-
-/// Work routed to one shard.
+/// Work an I/O worker routed to one shard's queue: what it may not
+/// apply itself (it never waits for the owner lock). The shard thread
+/// pops and applies it; at SHUTDOWN the orchestrator applies what is
+/// still queued.
 pub(crate) enum Job {
     AddSource(Source, Reply),
     /// A single-snippet ingest; the `Instant` is when the job was
@@ -57,8 +39,6 @@ pub(crate) enum Job {
     RemoveDoc(DocId, Reply),
     /// Snapshot the shard's metrics registry (merged by the I/O layer).
     Metrics(SnapReply),
-    /// Flush + checkpoint; the shard replies once its state is durable.
-    Drain(Reply),
     /// Leader side of REPL_SUBSCRIBE: ship WAL records from
     /// `wal_offset` (or a checkpoint if the follower's generation is
     /// stale).
@@ -69,24 +49,6 @@ pub(crate) enum Job {
         wal_offset: u64,
         /// Where the REPL_FRAME / REPL_CHECKPOINT response goes.
         reply: Reply,
-    },
-    /// Follower side: install the leader's checkpoint bytes verbatim
-    /// and reset the local WAL.
-    ReplBootstrap {
-        /// The leader's checkpoint generation.
-        generation: u64,
-        /// Raw checkpoint bytes (empty = start from a fresh engine).
-        checkpoint: Vec<u8>,
-        /// Cursor acknowledgement back to the puller.
-        ack: ReplAck,
-    },
-    /// Follower side: append + apply a batch of leader WAL records
-    /// (an empty batch is a cursor probe).
-    ReplApply {
-        /// Concatenated whole WAL records, leader framing intact.
-        records: Vec<u8>,
-        /// Cursor acknowledgement back to the puller.
-        ack: ReplAck,
     },
 }
 
@@ -226,22 +188,15 @@ impl<T> Drop for FanGuard<T> {
 
 /// Invoke a job's reply with `resp` (defusing its drop-guard); a
 /// metrics job carries a snapshot-typed reply and is simply dropped,
-/// which fails its fan through the guard. Replication acks get a
-/// typed error so the puller backs off instead of hanging.
+/// which fails its fan through the guard.
 pub(super) fn fail_job(job: Job, resp: Response) {
     match job {
         Job::AddSource(_, r)
         | Job::Ingest(_, r, _)
         | Job::IngestMany(_, r)
         | Job::RemoveDoc(_, r)
-        | Job::Drain(r)
         | Job::Repl { reply: r, .. } => r(resp),
         Job::Metrics(_) => {}
-        Job::ReplBootstrap { ack, .. } | Job::ReplApply { ack, .. } => {
-            let _ = ack.send(Err(Error::Io(
-                "shard queue rejected the replication job".into(),
-            )));
-        }
     }
 }
 

@@ -1,12 +1,14 @@
 //! The shard worker: one engine behind its shard's owner lock, which
 //! journals and applies each mutation under `catch_unwind` and
-//! publishes a read snapshot before every reply. Its thread drains the
-//! shard's queue; an I/O worker that finds the owner free and the
-//! queue empty runs a single-snippet ingest, or its shard's part of a
-//! REMOVE_DOC, on it directly (`Shared::apply_inline`).
-//! Building the engine from durable state — and rebuilding it after a
-//! panic — is in [`recovery`]; both ends of WAL shipping are in
-//! [`repl`].
+//! publishes a read snapshot before every reply. Whoever holds the
+//! owner applies: the shard thread ([`run`]) drains the queue; an I/O
+//! worker that finds the owner free and the queue empty runs a
+//! single-snippet ingest, or its shard's part of a REMOVE_DOC, on it
+//! directly (`Shared::apply_inline`); a replica puller applies the
+//! leader's records; the SHUTDOWN orchestrator drains
+//! ([`ShardWorker::drain`]). Building the engine from durable state —
+//! and rebuilding it after a panic — is in [`recovery`]; both ends of
+//! WAL shipping are in [`repl`].
 
 mod recovery;
 mod repl;
@@ -27,7 +29,7 @@ use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::Wal;
 use storypivot_types::{DocId, Error, Result, Snippet, Source, StoryId};
 
-use super::job::{Job, ReplAck, ReplCursor, Reply, SnapReply};
+use super::job::{Job, Reply, SnapReply};
 use super::{lock, ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
@@ -149,10 +151,10 @@ impl ShardServeMetrics {
     }
 }
 
-pub(super) struct ShardWorker {
-    pub(super) idx: usize,
+pub(crate) struct ShardWorker {
+    idx: usize,
     cfg: Arc<ServerConfig>,
-    /// The queue this worker drains, the slot it publishes into and the
+    /// The queue its jobs come from, the slot it publishes into and the
     /// service-time estimate it keeps for the I/O workers.
     port: Arc<ShardPort>,
     pub(super) engine: StoryPivot,
@@ -199,20 +201,16 @@ pub(super) struct ShardWorker {
 }
 
 /// A queued job's answer, held until the owner lock is released.
-enum Answer {
+pub(super) enum Answer {
     Reply(Reply, Response),
     Metrics(SnapReply, Snapshot),
-    Repl(ReplAck, Result<ReplCursor>),
 }
 
 impl Answer {
-    fn deliver(self) {
+    pub(super) fn deliver(self) {
         match self {
             Answer::Reply(reply, resp) => reply(resp),
             Answer::Metrics(reply, snap) => reply(snap),
-            Answer::Repl(ack, cursor) => {
-                let _ = ack.send(cursor);
-            }
         }
     }
 }
@@ -220,7 +218,7 @@ impl Answer {
 /// Empties the port's owner slot when the shard thread ends — the
 /// queue closed and drained, or the thread unwinding from a panic no
 /// `catch_unwind` held — so no I/O worker applies a write to a worker
-/// whose thread is gone.
+/// whose thread is gone, and the shard's replica puller ends.
 struct Retire<'a>(&'a ShardPort);
 
 impl Drop for Retire<'_> {
@@ -229,30 +227,28 @@ impl Drop for Retire<'_> {
     }
 }
 
-impl ShardWorker {
-    /// The shard thread: install this worker behind the port's owner
-    /// lock, then, until the queue is closed and drained, wait for a
-    /// job, take the owner, pop and apply the job, release the owner and
-    /// deliver the answer. A job is popped only while the owner is held,
-    /// and the owner is held until the popped job has been applied: that
-    /// is what lets an I/O worker that holds the owner and sees an empty
-    /// queue apply a write in order (`Shared::apply_inline`). The
-    /// answer goes out after the release, so a client that saw it finds
-    /// the owner free for its next write.
-    pub(super) fn run(self) {
-        let port = Arc::clone(&self.port);
-        *lock(&port.owner) = Some(self);
-        let _retire = Retire(&port);
-        while port.queue.wait_nonempty() {
-            let answer = {
-                let mut owner = lock(&port.owner);
-                let Some(job) = port.queue.try_pop() else { continue };
-                owner.as_mut().expect("the shard thread's worker is installed").handle(job)
-            };
-            answer.deliver();
-        }
+/// The shard thread: until the queue is closed and drained, wait for a
+/// job, take the owner, pop and apply the job, release the owner and
+/// deliver the answer; then retire the worker. A job is popped only
+/// while the owner is held, and the owner is held until the popped job
+/// has been applied: that is what lets whoever holds the owner and sees
+/// an empty queue apply a write in order (`Shared::apply_inline`). The
+/// answer goes out after the release, so a client that saw it finds the
+/// owner free for its next write.
+pub(super) fn run(port: &ShardPort) {
+    let _retire = Retire(port);
+    while port.queue.wait_nonempty() {
+        let answer = {
+            let mut owner = lock(&port.owner);
+            let worker = owner.as_mut().expect("serve installs the worker before the shard thread");
+            let Some(job) = port.queue.try_pop() else { continue };
+            worker.handle(job)
+        };
+        answer.deliver();
     }
+}
 
+impl ShardWorker {
     /// Apply one queued job; its answer is delivered by the caller once
     /// the owner lock is released.
     fn handle(&mut self, job: Job) -> Answer {
@@ -279,18 +275,11 @@ impl ShardWorker {
             Job::IngestMany(batch, reply) => Answer::Reply(reply, self.ingest_many(batch)),
             Job::RemoveDoc(doc, reply) => Answer::Reply(reply, self.remove_doc(doc)),
             Job::Metrics(reply) => Answer::Metrics(reply, self.metrics_snapshot()),
-            Job::Drain(reply) => Answer::Reply(reply, self.drain()),
             Job::Repl {
                 generation,
                 wal_offset,
                 reply,
             } => Answer::Reply(reply, self.repl(generation, wal_offset)),
-            Job::ReplBootstrap {
-                generation,
-                checkpoint,
-                ack,
-            } => Answer::Repl(ack, self.repl_bootstrap(generation, checkpoint)),
-            Job::ReplApply { records, ack } => Answer::Repl(ack, self.repl_apply(&records)),
         }
     }
 
@@ -459,21 +448,13 @@ impl ShardWorker {
     fn ingest_many(&mut self, batch: Vec<Snippet>) -> Response {
         let mut count = 0u32;
         for snippet in batch {
-            let t = Instant::now();
-            match self.mutate(ReplayOp::Ingest(snippet)) {
-                Ok(Applied::Story(_)) => {
-                    let elapsed = t.elapsed().as_nanos() as u64;
-                    self.serve_metrics.ingest_latency.record(elapsed);
-                    self.note_service(elapsed);
-                    count += 1;
+            match self.ingest(snippet) {
+                Response::Ingested(_) => count += 1,
+                Response::Error { code, message } => {
+                    let message = format!("{message} (after {count} snippets of the batch)");
+                    return Response::Error { code, message };
                 }
-                Ok(_) => return internal_shape_error(),
-                Err(e) => {
-                    return Response::Error {
-                        code: crate::proto::error_code(&e),
-                        message: format!("{e} (after {count} snippets of the batch)"),
-                    }
-                }
+                other => return other,
             }
         }
         Response::BatchIngested(count)
@@ -489,7 +470,18 @@ impl ShardWorker {
         }
     }
 
-    fn drain(&mut self) -> Response {
+    /// SHUTDOWN's part on this shard, run by the orchestrator under the
+    /// owner lock: apply the jobs queued before it, FIFO, as the shard
+    /// thread would (no more than were queued when it began, so clients
+    /// still pushing cannot hold it), publish the last snapshot and
+    /// write a checkpoint generation. Returns the jobs' answers, to be
+    /// delivered once the owner is released, and the shard's ack.
+    pub(super) fn drain(&mut self) -> (Vec<Answer>, Response) {
+        let port = Arc::clone(&self.port);
+        let answers = (0..port.queue.len())
+            .map_while(|_| port.queue.try_pop())
+            .map(|job| self.handle(job))
+            .collect();
         self.trace.push("drain", "");
         self.publish_snapshot();
         // A replica's durable state is already exactly the leader's
@@ -497,13 +489,14 @@ impl ShardWorker {
         // desync the replication cursor.
         if self.cfg.leader.is_none() && self.cfg.checkpoint_dir.is_some() {
             if let Err(e) = self.checkpoint_now() {
-                return Response::Error {
+                let failed = Response::Error {
                     code: 7,
                     message: format!("shard {} checkpoint failed: {e}", self.idx),
                 };
+                return (answers, failed);
             }
         }
-        Response::ShutdownAck
+        (answers, Response::ShutdownAck)
     }
 }
 

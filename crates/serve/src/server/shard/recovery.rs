@@ -1,7 +1,8 @@
 //! Where a shard's engine comes from: startup recovery (dead-letter
 //! set, WAL open and tail repair, newest valid checkpoint, WAL replay),
-//! the same rebuild after an apply panicked, the two-strike quarantine
-//! that lets a rebuild terminate, and the checkpoints that bound it.
+//! the same rebuild after an apply panicked, the per-record replay a
+//! rebuild and a follower's apply share, the two-strike quarantine that
+//! lets a rebuild terminate, and the checkpoints that bound it.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,6 +20,17 @@ use storypivot_types::{Error, Result};
 use super::{poison_check, ShardServeMetrics, ShardWorker};
 use crate::server::{ServerConfig, ShardPort};
 use crate::snapshot::{self, StoryTable};
+
+/// What replaying one journaled record did.
+pub(super) enum Replayed {
+    /// Applied, or rejected by the engine and skipped: it counts among
+    /// the ops since the checkpoint.
+    Counted,
+    /// Undecodable or quarantined: skipped, and not counted.
+    Skipped,
+    /// The apply panicked; carries the record's fingerprint.
+    Panicked(u64),
+}
 
 impl ShardWorker {
     /// Build shard `idx` from durable state: load the dead-letter set,
@@ -132,9 +144,8 @@ impl ShardWorker {
     /// checkpoint, as a follower's applied records are.
     pub(super) fn rebuild(&mut self) {
         self.trace.push("rebuild", "");
-        loop {
-            let mut engine = self.engine_from_checkpoint();
-            let mut replayed = 0u64;
+        'replay: loop {
+            self.engine = self.engine_from_checkpoint();
             let records = match &self.wal_path {
                 Some(path) => match wal::scan(path) {
                     Ok(scan) => scan.records,
@@ -148,57 +159,67 @@ impl ShardWorker {
                 },
                 None => Vec::new(),
             };
-            let mut repanicked = false;
+            let mut replayed = 0u64;
             for payload in &records {
-                let op = match ReplayOp::decode(payload) {
-                    Ok(op) => op,
-                    Err(e) => {
-                        eprintln!("pivotd: shard {}: undecodable wal record skipped: {e}", self.idx);
-                        continue;
-                    }
-                };
-                let fp = op.fingerprint();
-                if self.quarantine.contains(&fp) {
-                    continue;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    poison_check(&self.poison, &op);
-                    oplog::replay(&mut engine, &op)
-                }));
-                match outcome {
-                    Ok(Ok(_)) => replayed += 1,
-                    Ok(Err(e)) => {
-                        replayed += 1;
-                        eprintln!("pivotd: shard {}: replay error (op skipped): {e}", self.idx)
-                    }
-                    Err(_) => {
+                match self.replay_record(payload) {
+                    Replayed::Counted => replayed += 1,
+                    Replayed::Skipped => {}
+                    Replayed::Panicked(fp) => {
                         self.serve_metrics.restarts.inc();
                         let strikes = self.strikes.entry(fp).or_insert(0);
                         *strikes += 1;
                         if *strikes >= 2 {
-                            self.quarantine_op(&op);
+                            self.quarantine_op(fp, payload);
                         }
-                        repanicked = true;
-                        break;
+                        continue 'replay;
                     }
                 }
             }
-            if !repanicked {
-                // Readers must see the rebuilt partition, not the
-                // pre-panic (or pre-recovery empty) one.
-                self.ops_since_checkpoint = replayed;
-                self.install_engine(engine);
-                return;
-            }
+            // Readers must see the rebuilt partition, not the
+            // pre-panic (or pre-recovery empty) one.
+            self.ops_since_checkpoint = replayed;
+            self.install_engine();
+            return;
         }
     }
 
-    /// Adopt a replacement engine object: point its detached metric
-    /// handles at the shard's registry, start its change log, re-seed
-    /// the story table from scratch (the old table described the old
-    /// object) and publish.
-    pub(super) fn install_engine(&mut self, engine: StoryPivot) {
-        self.engine = engine;
+    /// Replay one journaled record onto the engine — a WAL record during
+    /// a rebuild, a shipped one on a follower: decode it, skip it when
+    /// it is quarantined, then [`oplog::replay`] it behind the poison
+    /// hook under `catch_unwind`. An op the engine rejects is logged and
+    /// skipped, not fatal: it was answered when it was first applied.
+    pub(super) fn replay_record(&mut self, payload: &[u8]) -> Replayed {
+        let op = match ReplayOp::decode(payload) {
+            Ok(op) => op,
+            Err(e) => {
+                eprintln!("pivotd: shard {}: undecodable wal record skipped: {e}", self.idx);
+                return Replayed::Skipped;
+            }
+        };
+        let fp = oplog::fingerprint_of(payload);
+        if self.quarantine.contains(&fp) {
+            return Replayed::Skipped;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            poison_check(&self.poison, &op);
+            oplog::replay(&mut self.engine, op)
+        }));
+        match outcome {
+            Ok(Ok(_)) => Replayed::Counted,
+            Ok(Err(e)) => {
+                eprintln!("pivotd: shard {}: replay error (op skipped): {e}", self.idx);
+                Replayed::Counted
+            }
+            Err(_) => Replayed::Panicked(fp),
+        }
+    }
+
+    /// Adopt the engine object `self.engine` now holds (recovered,
+    /// rebuilt or bootstrapped): point its detached metric handles at
+    /// the shard's registry, start its change log, re-seed the story
+    /// table from scratch (the old table described the old object) and
+    /// publish.
+    pub(super) fn install_engine(&mut self) {
         self.engine.set_metrics(self.engine_metrics.clone());
         self.engine.log_changes();
         self.stories.seed(snapshot::summaries(&self.engine));
@@ -228,10 +249,10 @@ impl ShardWorker {
         StoryPivot::new(self.cfg.pivot.clone())
     }
 
-    /// Dead-letter an op: remember its fingerprint and append its bytes
-    /// to `shard{i}.dead` so the quarantine survives restarts.
-    fn quarantine_op(&mut self, op: &ReplayOp) {
-        let fp = op.fingerprint();
+    /// Dead-letter the op journaled as `payload`, whose fingerprint is
+    /// `fp`: remember the fingerprint and append the bytes to
+    /// `shard{i}.dead` so the quarantine survives restarts.
+    fn quarantine_op(&mut self, fp: u64, payload: &[u8]) {
         if !self.quarantine.insert(fp) {
             return;
         }
@@ -239,25 +260,18 @@ impl ShardWorker {
             "pivotd: shard {}: quarantining operation {fp:#018x} after repeated panics",
             self.idx
         );
-        if let Some(path) = &self.dead_path {
-            let outcome = match self.dead.as_mut() {
-                Some(d) => d.append(&op.to_bytes()).map(|_| ()),
-                None => match Wal::open(path, SyncPolicy::Always) {
-                    Ok((mut d, _)) => {
-                        let r = d.append(&op.to_bytes()).map(|_| ());
-                        self.dead = Some(d);
-                        r
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            if let Err(e) = outcome {
-                eprintln!(
-                    "pivotd: shard {}: dead-letter write to {} failed: {e}",
-                    self.idx,
-                    path.display()
-                );
-            }
+        let Some(path) = &self.dead_path else { return };
+        let written = match &mut self.dead {
+            Some(dead) => dead.append(payload),
+            None => Wal::open(path, SyncPolicy::Always)
+                .and_then(|(dead, _)| self.dead.insert(dead).append(payload)),
+        };
+        if let Err(e) = written {
+            eprintln!(
+                "pivotd: shard {}: dead-letter write to {} failed: {e}",
+                self.idx,
+                path.display()
+            );
         }
     }
 

@@ -1,19 +1,32 @@
-//! The shard-thread half of WAL shipping (the puller threads and the
+//! The shard-worker half of WAL shipping (the puller threads and the
 //! protocol's description are in [`crate::replica`]): the leader's
-//! answer to one REPL_SUBSCRIBE poll, and the follower's bootstrap and
-//! apply.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! answer to one REPL_SUBSCRIBE poll, and the follower's cursor,
+//! bootstrap and apply, which its puller calls under the owner lock.
 
 use storypivot_core::checkpoint;
-use storypivot_core::oplog::{self, ReplayOp};
 use storypivot_core::StoryPivot;
 use storypivot_substrate::wal::{self, Wal};
 use storypivot_types::{Error, Result};
 
-use super::{poison_check, ShardWorker};
+use super::recovery::Replayed;
+use super::ShardWorker;
 use crate::proto::Response;
-use crate::server::job::ReplCursor;
+
+/// A replica shard's durable replication position: the checkpoint
+/// generation it bootstrapped from plus the byte length of its local
+/// WAL copy. Because the follower appends the leader's record payloads
+/// through the same deterministic framing, its WAL is byte-identical
+/// to the leader's — so "my WAL length" *is* "the leader offset I have
+/// everything before", and a restart recovers the cursor for free.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ReplCursor {
+    /// Checkpoint generation the WAL tail applies on top of.
+    pub(crate) generation: u64,
+    /// Local WAL length == leader WAL offset fully replicated.
+    pub(crate) wal_len: u64,
+    /// Ops applied since the generation (drives the lag-in-ops gauge).
+    pub(crate) ops: u64,
+}
 
 /// Upper bound on WAL bytes shipped per REPL_FRAME. Whole records
 /// only — the read is trimmed to the last record boundary — and well
@@ -21,9 +34,9 @@ use crate::server::job::ReplCursor;
 const REPL_BATCH_BYTES: usize = 1 << 20;
 
 impl ShardWorker {
-    /// Leader side of one replication poll. The handler runs on the
-    /// shard thread, so `generation`, `ops_since_checkpoint`, and the
-    /// WAL length are mutually consistent — there is no race with a
+    /// Leader side of one replication poll. The handler runs under the
+    /// owner lock, so `generation`, `ops_since_checkpoint`, and the WAL
+    /// length are mutually consistent — there is no race with a
     /// concurrent checkpoint.
     pub(super) fn repl(&mut self, generation: u64, wal_offset: u64) -> Response {
         let Some(wal) = self.wal.as_ref() else {
@@ -77,11 +90,7 @@ impl ShardWorker {
     /// Follower side: install the leader's checkpoint bytes verbatim
     /// (persisting the same generation locally), reset the WAL copy,
     /// and publish the bootstrapped partition.
-    pub(super) fn repl_bootstrap(
-        &mut self,
-        generation: u64,
-        bytes: Vec<u8>,
-    ) -> Result<ReplCursor> {
+    pub(crate) fn repl_bootstrap(&mut self, generation: u64, bytes: Vec<u8>) -> Result<ReplCursor> {
         let engine = if bytes.is_empty() {
             StoryPivot::new(self.cfg.pivot.clone())
         } else {
@@ -100,15 +109,19 @@ impl ShardWorker {
         self.ops_since_checkpoint = 0;
         self.trace
             .push("repl_bootstrap", format_args!("generation {generation}"));
-        self.install_engine(engine);
+        self.engine = engine;
+        self.install_engine();
         Ok(self.repl_cursor())
     }
 
     /// Follower side: append each shipped record to the local WAL
-    /// (reproducing the leader's bytes exactly), then apply it through
-    /// idempotent replay — a duplicate from a resubscribe overlap is a
-    /// no-op, same as WAL-tail replay after a crash.
-    pub(super) fn repl_apply(&mut self, records: &[u8]) -> Result<ReplCursor> {
+    /// (reproducing the leader's bytes exactly), then replay it as a
+    /// rebuild replays the WAL (`ShardWorker::replay_record`) — a
+    /// duplicate from a resubscribe overlap is a no-op, same as WAL-tail
+    /// replay after a crash — and publish once for the batch. A panic is
+    /// supervised as a live apply's is, and the puller re-probes the
+    /// cursor.
+    pub(crate) fn repl_apply(&mut self, records: &[u8]) -> Result<ReplCursor> {
         let (payloads, consumed) = wal::split_records(records);
         if consumed != records.len() {
             return Err(Error::Codec(format!(
@@ -117,39 +130,23 @@ impl ShardWorker {
                 records.len() - consumed
             )));
         }
-        let mut applied = false;
         for payload in payloads {
-            let op = ReplayOp::decode(payload)?;
             if let Some(w) = &mut self.wal {
                 w.append(payload)
                     .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
             }
-            // Same policy as rebuild(): a record the engine rejects is
-            // logged and skipped, not fatal — the leader already
-            // applied (or skipped) it; a panic is supervised as a live
-            // apply's is, and the puller re-probes the cursor.
-            let replayed = catch_unwind(AssertUnwindSafe(|| {
-                poison_check(&self.poison, &op);
-                oplog::replay(&mut self.engine, &op)
-            }));
-            match replayed {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => eprintln!(
-                    "pivotd: shard {}: replicated op rejected (skipped): {e}",
-                    self.idx
-                ),
-                Err(_) => return Err(self.restart(oplog::fingerprint_of(payload))),
+            match self.replay_record(payload) {
+                Replayed::Counted => self.ops_since_checkpoint += 1,
+                Replayed::Skipped => {}
+                Replayed::Panicked(fp) => return Err(self.restart(fp)),
             }
-            self.ops_since_checkpoint += 1;
-            applied = true;
         }
-        if applied {
-            self.publish_snapshot();
-        }
+        self.publish_snapshot();
         Ok(self.repl_cursor())
     }
 
-    fn repl_cursor(&self) -> ReplCursor {
+    /// Where the follower's durable copy ends.
+    pub(crate) fn repl_cursor(&self) -> ReplCursor {
         ReplCursor {
             generation: self.generation,
             wal_len: self.wal.as_ref().map_or(0, Wal::len),

@@ -5,11 +5,14 @@
 //! engine's partition, reports zero replication lag on every shard, and
 //! redirects INGEST and ADD_SOURCE with a NOT_LEADER naming the leader —
 //! also after a `kill -9` mid-tail and a restart on its directories.
-//! Last, the read fan-out behind `loadgen --replicas` reaches a leader
+//! A follower whose shards are slow still catches up at once, and
+//! last, the read fan-out behind `loadgen --replicas` reaches a leader
 //! and its follower.
 
 #[path = "../../../tests/lockstep/mod.rs"]
 mod lockstep;
+
+use std::time::{Duration, Instant};
 
 use lockstep::served::Scratch;
 use lockstep::{Deployment, Lifecycle, Via};
@@ -41,6 +44,50 @@ fn replica_killed_mid_tail_converges_after_restart() {
     let via = followed(&[Lifecycle::Follow, Lifecycle::KillFollower]);
     let Some(tally) = lockstep::slice_via(via, "follower kill", 1, |_| true) else { return };
     assert!(tally.served.follower_kills > 0, "the follower must be killed mid-tail: {tally:?}");
+}
+
+/// A follower whose shards take seconds per queued job (`worker_delay`)
+/// still reaches its leader's partition well inside one delay: its
+/// pullers read the cursor, bootstrap and apply under each shard's owner
+/// lock themselves, so no queued job stands between a shipped batch and
+/// the follower's read snapshot.
+#[test]
+fn a_follower_with_slow_shards_catches_up_inside_one_delay() {
+    let dir = Scratch::new("slow-follower");
+    let delay = Duration::from_secs(4);
+    let config = |wal: &str, leader: Option<String>, worker_delay| ServerConfig {
+        shards: 2,
+        wal_dir: Some(dir.join(wal)),
+        fsync: SyncPolicy::Never,
+        leader,
+        worker_delay,
+        ..ServerConfig::default()
+    };
+    let leader = serve("127.0.0.1:0", config("leader", None, Duration::ZERO)).unwrap();
+    let corpus = CorpusBuilder::new(
+        GenConfig::default().with_seed(16).with_sources(4).with_target_snippets(150),
+    )
+    .build();
+    replay(leader.addr(), &corpus, &LoadOptions { connections: 2, ..LoadOptions::default() }).unwrap();
+    let want = Client::connect(leader.addr()).unwrap().query_stories().unwrap();
+    assert!(!want.is_empty());
+
+    let started = Instant::now();
+    let follower = serve("127.0.0.1:0", config("follower", Some(leader.addr().to_string()), delay)).unwrap();
+    let mut reader = Client::connect(follower.addr()).unwrap();
+    while reader.query_stories().unwrap() != want {
+        assert!(
+            started.elapsed() < delay / 2,
+            "the follower has not reached its leader's partition after {:?}",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    for handle in [follower, leader] {
+        Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+        handle.join();
+    }
 }
 
 /// QUERY_STORIES round-robined over an in-process leader and its

@@ -27,8 +27,15 @@ pub const MAGIC: &[u8; 4] = b"SPVT";
 pub const VERSION: u32 = 1;
 
 // ---- bounded readers ----------------------------------------------
+//
+// The one checked reader set for every binary format in the workspace
+// (store snapshots, checkpoints, journal ops, the wire protocol): each
+// read checks the bytes are there first, so corrupt or truncated input
+// is an [`Error::Codec`] naming `what` was being read, never a panic.
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
+/// Fail unless `buf` holds at least `n` more bytes.
+#[inline]
+pub fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
         Err(Error::Codec(format!(
             "truncated input: need {n} bytes for {what}, have {}",
@@ -39,32 +46,79 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     }
 }
 
-fn get_u8(buf: &mut impl Buf, what: &str) -> Result<u8> {
+/// Read one byte.
+#[inline]
+pub fn get_u8(buf: &mut impl Buf, what: &str) -> Result<u8> {
     need(buf, 1, what)?;
     Ok(buf.get_u8())
 }
 
-fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32> {
+/// Read a little-endian `u32`.
+#[inline]
+pub fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32> {
     need(buf, 4, what)?;
     Ok(buf.get_u32_le())
 }
 
-fn get_i64(buf: &mut impl Buf, what: &str) -> Result<i64> {
+/// Read a little-endian `u64`.
+#[inline]
+pub fn get_u64(buf: &mut impl Buf, what: &str) -> Result<u64> {
+    need(buf, 8, what)?;
+    Ok(buf.get_u64_le())
+}
+
+/// Read a little-endian `i64`.
+#[inline]
+pub fn get_i64(buf: &mut impl Buf, what: &str) -> Result<i64> {
     need(buf, 8, what)?;
     Ok(buf.get_i64_le())
 }
 
-fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Append `b` as a `u32` length and the bytes.
+#[inline]
+pub fn put_bytes(buf: &mut impl BufMut, b: &[u8]) {
+    buf.put_u32_le(b.len() as u32);
+    buf.put_slice(b);
 }
 
-fn get_str(buf: &mut impl Buf, what: &str) -> Result<String> {
+/// Read what [`put_bytes`] wrote, into a fresh vector.
+#[inline]
+pub fn get_bytes(buf: &mut impl Buf, what: &str) -> Result<Vec<u8>> {
     let len = get_u32(buf, what)? as usize;
     need(buf, len, what)?;
     let mut raw = vec![0u8; len];
     buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
+    Ok(raw)
+}
+
+/// Append `s` as a `u32` length and its UTF-8 bytes.
+#[inline]
+pub fn put_str(buf: &mut impl BufMut, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+/// Read what [`put_str`] wrote, into a fresh string.
+#[inline]
+pub fn get_str(buf: &mut impl Buf, what: &str) -> Result<String> {
+    String::from_utf8(get_bytes(buf, what)?)
+        .map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
+}
+
+/// Split the next `n` bytes off `buf` without copying them.
+#[inline]
+pub fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    need(buf, n, what)?;
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+/// Read what [`put_str`] wrote as a view into `buf`, without copying.
+#[inline]
+pub fn get_str_ref<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a str> {
+    let len = get_u32(buf, what)? as usize;
+    let raw = take(buf, len, what)?;
+    std::str::from_utf8(raw).map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
 }
 
 // ---- sparse vectors ------------------------------------------------
@@ -139,39 +193,18 @@ pub fn decode_snippet(buf: &mut impl Buf) -> Result<Snippet> {
 /// fields a router needs — the snippet id and owning source — so the
 /// serving layer can shard a frame without materialising the snippet.
 pub fn skip_snippet(buf: &mut &[u8]) -> Result<(SnippetId, SourceId)> {
-    fn advance<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
-        if buf.len() < n {
-            return Err(Error::Codec(format!(
-                "truncated input: need {n} bytes for {what}, have {}",
-                buf.len()
-            )));
-        }
-        let (head, tail) = buf.split_at(n);
-        *buf = tail;
-        Ok(head)
-    }
-    fn skip_str(buf: &mut &[u8], what: &str) -> Result<()> {
-        let len = get_u32(buf, what)? as usize;
-        let raw = advance(buf, len, what)?;
-        std::str::from_utf8(raw)
-            .map(|_| ())
-            .map_err(|_| Error::Codec(format!("invalid utf-8 in {what}")))
-    }
-    fn skip_sparse(buf: &mut &[u8], what: &str) -> Result<()> {
-        let n = get_u32(buf, what)? as usize;
-        advance(buf, n.saturating_mul(8), what).map(|_| ())
-    }
-
     let id = SnippetId::new(get_u32(buf, "snippet id")?);
     let source = SourceId::new(get_u32(buf, "snippet source")?);
-    advance(buf, 4, "snippet doc")?;
-    advance(buf, 8, "snippet timestamp")?;
+    take(buf, 4, "snippet doc")?;
+    take(buf, 8, "snippet timestamp")?;
     let type_code = get_u8(buf, "snippet event type")?;
     EventType::from_code(type_code)
         .ok_or_else(|| Error::Codec(format!("invalid event type code {type_code}")))?;
-    skip_str(buf, "snippet headline")?;
-    skip_sparse(buf, "snippet entities")?;
-    skip_sparse(buf, "snippet terms")?;
+    get_str_ref(buf, "snippet headline")?;
+    for what in ["snippet entities", "snippet terms"] {
+        let n = get_u32(buf, what)? as usize;
+        take(buf, n.saturating_mul(8), what)?;
+    }
     Ok((id, source))
 }
 

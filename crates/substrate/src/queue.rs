@@ -13,8 +13,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at capacity (non-blocking push only); the value is
-    /// handed back so the caller can retry or reject upstream.
+    /// The queue is at capacity; the value is handed back so the
+    /// caller can retry or reject upstream.
     Full(T),
     /// The queue was closed; no further values will ever be accepted.
     Closed(T),
@@ -29,7 +29,6 @@ struct Inner<T> {
     state: Mutex<State<T>>,
     capacity: usize,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 /// A cloneable handle to a bounded FIFO queue. All clones share the
@@ -67,7 +66,6 @@ impl<T> Bounded<T> {
                 }),
                 capacity,
                 not_empty: Condvar::new(),
-                not_full: Condvar::new(),
             }),
         }
     }
@@ -97,27 +95,6 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
-    /// Push, blocking while the queue is full. Returns the value back
-    /// when the queue is (or becomes) closed.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(value);
-            }
-            if state.items.len() < self.inner.capacity {
-                state.items.push_back(value);
-                drop(state);
-                self.inner.not_empty.notify_one();
-                return Ok(());
-            }
-            state = match self.inner.not_full.wait(state) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-
     /// Block until the queue holds an item (`true`) or is closed and
     /// drained (`false`), without taking the item: a consumer that must
     /// take a lock of its own before popping waits here, locks, then
@@ -142,13 +119,7 @@ impl<T> Bounded<T> {
 
     /// Pop without blocking (`None` when empty, closed or not).
     pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        let v = state.items.pop_front();
-        drop(state);
-        if v.is_some() {
-            self.inner.not_full.notify_one();
-        }
-        v
+        self.lock().items.pop_front()
     }
 
     /// Current number of queued items (a gauge; racy by nature).
@@ -174,7 +145,6 @@ impl<T> Bounded<T> {
         state.closed = true;
         drop(state);
         self.inner.not_empty.notify_all();
-        self.inner.not_full.notify_all();
     }
 
     /// Whether [`Bounded::close`] has been called.
@@ -209,25 +179,12 @@ mod tests {
         q.try_push("b").unwrap();
         q.close();
         assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
-        assert_eq!(q.push("d"), Err("d"));
         assert!(q.wait_nonempty());
         assert_eq!(q.try_pop(), Some("a"));
         assert_eq!(q.try_pop(), Some("b"));
         assert!(!q.wait_nonempty());
         assert_eq!(q.try_pop(), None);
         assert!(q.is_closed());
-    }
-
-    #[test]
-    fn blocking_push_wakes_on_try_pop() {
-        let q = Bounded::new(1);
-        q.try_push(0u32).unwrap();
-        let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push(1).is_ok());
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.try_pop(), Some(0));
-        assert!(pusher.join().unwrap());
-        assert_eq!(q.try_pop(), Some(1));
     }
 
     #[test]
@@ -259,7 +216,13 @@ mod tests {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    q.push(p * 1000 + i).unwrap();
+                    // A full queue hands the item back: retry until the
+                    // consumer frees a slot.
+                    let mut item = p * 1000 + i;
+                    while let Err(PushError::Full(back)) = q.try_push(item) {
+                        item = back;
+                        std::thread::yield_now();
+                    }
                 }
             }));
         }

@@ -7,7 +7,7 @@
 //! `tests/memory_account.rs` holds the sum of the account to a counting
 //! allocator, so a wrong formula here fails there.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::mem::size_of;
 
 /// Bytes of a `Vec`'s buffer (its capacity, not its length).
@@ -23,12 +23,21 @@ pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
 /// `tests/memory_account.rs` holds it to what the allocator handed out
 /// for one map, so a layout change fails there by name.
 pub fn hash_map_bytes<K, V, S>(m: &HashMap<K, V, S>) -> usize {
-    let buckets = match m.capacity() {
+    table_bytes(m.capacity(), size_of::<(K, V)>())
+}
+
+/// Bytes of a `HashSet`'s table: a `HashMap` with `()` values.
+pub fn hash_set_bytes<T, S>(s: &HashSet<T, S>) -> usize {
+    table_bytes(s.capacity(), size_of::<T>())
+}
+
+fn table_bytes(capacity: usize, entry: usize) -> usize {
+    let buckets = match capacity {
         0 => return 0,
         small @ 1..=7 => small + 1,
         capacity => capacity / 7 * 8,
     };
-    (buckets * size_of::<(K, V)>()).next_multiple_of(16) + buckets + 16
+    (buckets * entry).next_multiple_of(16) + buckets + 16
 }
 
 /// Estimated bytes of a B-tree of `len` entries of `entry` bytes. Nodes

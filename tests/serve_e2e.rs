@@ -869,7 +869,7 @@ fn racing_inline_and_queued_writes_keep_each_connections_order() {
                 last[c] = Some(at);
                 journaled += matches!(op, ReplayOp::Ingest(_)) as usize;
             }
-            oplog::replay(&mut engine, &op).unwrap();
+            oplog::replay(&mut engine, op).unwrap();
         }
         replayed.extend(engine.story_partition());
     }
