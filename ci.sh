@@ -227,8 +227,9 @@ ls "$SMOKE_DIR"/ckpt/shard1.g*.spvc >/dev/null
 echo "==> smoke: connection storm (multiplexed runtime holds 1k sockets, reading and writing)"
 # Needs ~2k descriptors client-side plus the daemon's own; skip rather
 # than fail on boxes with a tight ulimit. Every other storm request is a
-# single-snippet INGEST, so the I/O workers apply writes while they
-# serve the other connections; the exposition must show them.
+# single-snippet INGEST, rotated over one source per driver thread, so
+# the I/O workers apply writes on both shards while they serve the other
+# connections; the exposition must show them, and no failed accept.
 STORM_CONNS=1000
 FD_LIMIT="$(ulimit -n)"
 if [ "$FD_LIMIT" != "unlimited" ] && [ "$FD_LIMIT" -lt 2500 ]; then
@@ -249,6 +250,12 @@ else
     grep -q "\"connections\": $STORM_CONNS" "$SMOKE_DIR/BENCH_storm.json"
     awk '$1 == "storypivot_ingest_total" && $2 > 0 { wrote = 1 } END { exit !wrote }' \
         "$SMOKE_DIR/storm-metrics.txt"
+    awk '$1 == "storypivot_accept_errors_total" { seen = 1; failed = $2 != 0 }
+         END { exit !(seen && !failed) }' "$SMOKE_DIR/storm-metrics.txt"
+    for SHARD in 0 1; do
+        awk -v series="storypivot_shard_ingest_latency_ns_count{shard=\"$SHARD\"}" \
+            '$1 == series && $2 > 0 { wrote = 1 } END { exit !wrote }' "$SMOKE_DIR/storm-metrics.txt"
+    done
 fi
 
 echo "CI OK"

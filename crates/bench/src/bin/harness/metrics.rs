@@ -15,25 +15,21 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
     run: e13_metrics,
 };
 
-/// E13 — instrumentation overhead: the same ingest stream into three
-/// engines — metrics detached (the default), attached to a *disabled*
-/// registry (one `None` branch per operation, the compiled-out
-/// configuration), and attached to a live registry (atomic counters +
-/// mutexed histograms). Best-of-N per configuration to suppress
-/// scheduler noise; DESIGN.md §8 budgets the live overhead at < 5%.
+/// E13 — instrumentation overhead: the same ingest stream into two
+/// engines — metrics detached (the default: one `None` branch per
+/// operation, the compiled-out configuration) and attached to a live
+/// registry (atomic counters + mutexed histograms). Best-of-N per
+/// configuration to suppress scheduler noise; DESIGN.md §8 budgets the
+/// live overhead at < 5%.
 fn e13_metrics(scale: &Scale, seed: u64) -> Table {
     const TRIALS: usize = 5;
     let corpus = corpus_fixed_period(scale.mid, 10, seed ^ 47);
     let cfg = PivotConfig::temporal(OMEGA);
-    let names = ["detached (default)", "disabled registry", "live registry"];
-    let mut best = [f64::INFINITY; 3];
+    let names = ["detached (default)", "live registry"];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..TRIALS {
         for (slot, best_ns) in best.iter_mut().enumerate() {
-            let registry = match slot {
-                0 => None,
-                1 => Some(Registry::disabled()),
-                _ => Some(Registry::new()),
-            };
+            let registry = (slot == 1).then(Registry::new);
             let mut pivot = pivot_for(&corpus, cfg.clone());
             if let Some(r) = &registry {
                 pivot.set_metrics(EngineMetrics::register(r));
@@ -44,7 +40,7 @@ fn e13_metrics(scale: &Scale, seed: u64) -> Table {
             }
             let nanos = t.elapsed().as_nanos() as f64 / corpus.len() as f64;
             *best_ns = best_ns.min(nanos);
-            if let Some(r) = registry.filter(Registry::is_enabled) {
+            if let Some(r) = registry {
                 // The timing is only meaningful if the live run really
                 // recorded its work.
                 assert_eq!(

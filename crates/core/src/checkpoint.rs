@@ -224,6 +224,34 @@ pub fn write_generation(
     Ok(final_path)
 }
 
+/// `shard`'s generation files under `dir`, newest first, each read
+/// whole; an unreadable file is skipped with a warning on stderr. A
+/// missing directory lists nothing.
+fn generations_newest_first(
+    dir: &std::path::Path,
+    shard: usize,
+) -> Result<impl Iterator<Item = (u64, Vec<u8>)> + '_> {
+    let mut generations: Vec<u64> = match std::fs::read_dir(dir) {
+        Ok(entries) => entries
+            .flatten()
+            .filter_map(|e| e.file_name().to_str().and_then(|n| parse_generation(n, shard)))
+            .collect(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(Error::Io(format!("read {}: {e}", dir.display()))),
+    };
+    generations.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(generations.into_iter().filter_map(move |generation| {
+        let path = dir.join(generation_file(shard, generation));
+        match std::fs::read(&path) {
+            Ok(bytes) => Some((generation, bytes)),
+            Err(e) => {
+                eprintln!("checkpoint: skipping unreadable {}: {e}", path.display());
+                None
+            }
+        }
+    }))
+}
+
 /// Load the newest generation of `shard`'s checkpoint that decodes
 /// cleanly, returning the restored engine and its generation number.
 /// Corrupt or truncated generations are skipped with a warning on
@@ -234,28 +262,11 @@ pub fn load_newest(
     shard: usize,
     config: crate::config::PivotConfig,
 ) -> Result<Option<(StoryPivot, u64)>> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(Error::Io(format!("read {}: {e}", dir.display()))),
-    };
-    let mut generations: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| e.file_name().to_str().and_then(|n| parse_generation(n, shard)))
-        .collect();
-    generations.sort_unstable_by(|a, b| b.cmp(a));
-    for generation in generations {
-        let path = dir.join(generation_file(shard, generation));
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("checkpoint: skipping unreadable {}: {e}", path.display());
-                continue;
-            }
-        };
+    for (generation, bytes) in generations_newest_first(dir, shard)? {
         match StoryPivot::load_checkpoint(config.clone(), &bytes) {
             Ok(pivot) => return Ok(Some((pivot, generation))),
             Err(e) => {
+                let path = dir.join(generation_file(shard, generation));
                 eprintln!("checkpoint: skipping corrupt {}: {e}", path.display());
             }
         }
@@ -275,26 +286,7 @@ pub fn newest_generation_bytes(
     dir: &std::path::Path,
     shard: usize,
 ) -> Result<Option<(u64, Vec<u8>)>> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(Error::Io(format!("read {}: {e}", dir.display()))),
-    };
-    let mut generations: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| e.file_name().to_str().and_then(|n| parse_generation(n, shard)))
-        .collect();
-    generations.sort_unstable_by(|a, b| b.cmp(a));
-    for generation in generations {
-        let path = dir.join(generation_file(shard, generation));
-        match std::fs::read(&path) {
-            Ok(bytes) => return Ok(Some((generation, bytes))),
-            Err(e) => {
-                eprintln!("checkpoint: skipping unreadable {}: {e}", path.display());
-            }
-        }
-    }
-    Ok(None)
+    Ok(generations_newest_first(dir, shard)?.next())
 }
 
 #[cfg(test)]

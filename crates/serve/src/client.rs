@@ -79,7 +79,8 @@ impl Default for BackoffPolicy {
 /// The sleep before retry number `attempt` (1-based), in milliseconds.
 /// Pure so callers and tests can reason about bounds; `jitter_state`
 /// threads the deterministic jitter stream. The server's own retry loops
-/// (the acceptor, replica pullers) use it too, with a zero hint;
+/// (an I/O worker's pause after a failed accept, replica pullers) use
+/// it too, with a zero hint;
 /// `policy.max_attempts` is not consulted here.
 ///
 /// Hostile hints are harmless by construction: the result is clamped to

@@ -23,7 +23,7 @@ use storypivot_types::{
 };
 
 use crate::client::{BackoffPolicy, Client, RetryStats};
-use crate::proto::{encode_ingest, frame, Request, MAX_FRAME_LEN};
+use crate::proto::{encode_ingest, frame, frame_len, Request};
 
 /// Load-generation options.
 #[derive(Debug, Clone)]
@@ -598,45 +598,55 @@ pub struct StormReport {
     pub connect_wall: Duration,
     /// Per-request round-trip latency (nanoseconds).
     pub latency: Histogram,
+    /// The GET_STORY round trips' share of `latency`.
+    pub reads: Histogram,
+    /// The single-snippet INGEST round trips' share of `latency`.
+    pub writes: Histogram,
 }
 
 impl StormReport {
-    /// One-line human-readable summary.
+    /// The overall, read and write round-trip histograms, labeled.
+    fn histograms(&self) -> [(&'static str, &Histogram); 3] {
+        [("rtt", &self.latency), ("read", &self.reads), ("write", &self.writes)]
+    }
+
+    /// One-line human-readable summary: every round trip, then reads
+    /// and writes apart.
     pub fn summary(&self) -> String {
-        format!(
-            "{} conns (opened in {:.2}s), {} reqs in {:.2}s; rtt p50/p95/p99 {:.1}/{:.1}/{:.1} µs",
+        use std::fmt::Write as _;
+        let mut out = format!(
+            "{} conns (opened in {:.2}s), {} reqs in {:.2}s;",
             self.connections,
             self.connect_wall.as_secs_f64(),
             self.requests,
             self.wall.as_secs_f64(),
-            self.latency.percentile(0.50) as f64 / 1e3,
-            self.latency.percentile(0.95) as f64 / 1e3,
-            self.latency.percentile(0.99) as f64 / 1e3,
-        )
+        );
+        for (name, h) in self.histograms() {
+            let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| h.percentile(q) as f64 / 1e3);
+            let _ = write!(out, " {name} p50/p95/p99 {p50:.1}/{p95:.1}/{p99:.1} µs");
+        }
+        out
     }
 
     /// A JSON object (same shape as the bench harness artifacts).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"connections\": {},\n",
-                "  \"requests\": {},\n",
-                "  \"wall_secs\": {:.6},\n",
-                "  \"connect_wall_secs\": {:.6},\n",
-                "  \"rtt_p50_us\": {:.2},\n",
-                "  \"rtt_p95_us\": {:.2},\n",
-                "  \"rtt_p99_us\": {:.2}\n",
-                "}}"
-            ),
+        use std::fmt::Write as _;
+        let mut out = format!(
+            "{{\n  \"connections\": {},\n  \"requests\": {},\n  \"wall_secs\": {:.6},\n  \
+             \"connect_wall_secs\": {:.6}",
             self.connections,
             self.requests,
             self.wall.as_secs_f64(),
             self.connect_wall.as_secs_f64(),
-            self.latency.percentile(0.50) as f64 / 1e3,
-            self.latency.percentile(0.95) as f64 / 1e3,
-            self.latency.percentile(0.99) as f64 / 1e3,
-        )
+        );
+        for (name, h) in self.histograms() {
+            for (q, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
+                let us = h.percentile(q) as f64 / 1e3;
+                let _ = write!(out, ",\n  \"{name}_{label}_us\": {us:.2}");
+            }
+        }
+        out.push_str("\n}");
+        out
     }
 }
 
@@ -652,22 +662,22 @@ fn storm_round_trip(
     stream.write_all(request)?;
     let mut head = [0u8; 4];
     stream.read_exact(&mut head)?;
-    let len = u32::from_le_bytes(head);
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(Error::Codec(format!("storm: bad response frame length {len}")));
-    }
+    let len = frame_len(head)?;
     scratch.resize(len as usize, 0);
     stream.read_exact(scratch)?;
     Ok(())
 }
 
 /// Open `opts.connections` sockets and trickle small requests over all
-/// of them. The storm registers one source first; then each connection
-/// alternates, round by round, a GET_STORY on a story id that cannot
-/// exist (answered from the read snapshot with the typed unknown-story
-/// error) with a single-snippet INGEST whose snippet id is unique per
-/// (round, connection), so the I/O workers apply writes while they
-/// serve every other connection. Any reply counts as a round trip.
+/// of them. The storm registers one source per driver thread (at least
+/// two) first; then each connection alternates, round by round, a
+/// GET_STORY on a story id that cannot exist (answered from the read
+/// snapshot with the typed unknown-story error) with a single-snippet
+/// INGEST whose snippet id is unique per (round, connection), so the
+/// I/O workers apply writes while they serve every other connection.
+/// A connection's successive writes rotate over the sources, so every
+/// shard of a server with as many shards as sources takes writes. Any
+/// reply counts as a round trip; reads and writes are also timed apart.
 pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<StormReport> {
     if opts.connections == 0 || opts.drivers == 0 {
         return Err(Error::InvalidConfig(
@@ -679,15 +689,21 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
         .next()
         .ok_or_else(|| Error::InvalidConfig("storm: address resolved to nothing".into()))?;
     let drivers = opts.drivers.min(opts.connections);
-    let source = Client::connect(addr)?.add_source("storm", SourceKind::Wire, 0)?;
+    let mut client = Client::connect(addr)?;
+    let sources = (0..drivers.max(2))
+        .map(|i| client.add_source(&format!("storm-{i}"), SourceKind::Wire, 0))
+        .collect::<Result<Vec<_>>>()?;
     let get_story = frame(|b| Request::GetStory(StoryId::new(u32::MAX)).encode(b));
     let connections = opts.connections;
-    // Connection `lane`'s request in `round`: a write on every other one.
+    let is_write = |round: usize, lane: usize| !(round + lane).is_multiple_of(2);
+    // Connection `lane`'s request in `round`: a write on every other
+    // one, each to the next source in turn.
     let request = move |round: usize, lane: usize| {
-        if (round + lane).is_multiple_of(2) {
+        if !is_write(round, lane) {
             return get_story.clone();
         }
         let id = (round * connections + lane) as u32;
+        let source = sources[(lane + round / 2) % sources.len()];
         let snippet = Snippet::builder(SnippetId::new(id), source, Timestamp::from_secs(id.into()))
             .doc(DocId::new(id))
             .entity(EntityId::new(id % 16), 1.0)
@@ -708,7 +724,7 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
         let rounds = opts.rounds;
         let interval = opts.interval;
         handles.push(std::thread::spawn(
-            move || -> Result<(usize, u64, Duration, Histogram)> {
+            move || -> Result<(usize, Duration, [Histogram; 2])> {
                 let mut conns = Vec::with_capacity(share);
                 for i in 0..share {
                     let stream = TcpStream::connect(addr)?;
@@ -721,8 +737,8 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
                     }
                 }
                 let connect_wall = start.elapsed();
-                let mut hist = Histogram::new();
-                let mut requests = 0u64;
+                // Reads, then writes.
+                let mut hists = [Histogram::new(), Histogram::new()];
                 let mut scratch = Vec::with_capacity(256);
                 let trickle_start = Instant::now();
                 for round in 0..rounds {
@@ -737,11 +753,11 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
                         let request = request(round, lane);
                         let t = Instant::now();
                         storm_round_trip(stream, &request, &mut scratch)?;
-                        hist.record(t.elapsed().as_nanos() as u64);
-                        requests += 1;
+                        let elapsed = t.elapsed().as_nanos() as u64;
+                        hists[usize::from(is_write(round, lane))].record(elapsed);
                     }
                 }
-                Ok((conns.len(), requests, connect_wall, hist))
+                Ok((conns.len(), connect_wall, hists))
             },
         ));
     }
@@ -752,15 +768,20 @@ pub fn conn_storm<A: ToSocketAddrs>(addr: A, opts: &StormOptions) -> Result<Stor
         wall: Duration::ZERO,
         connect_wall: Duration::ZERO,
         latency: Histogram::new(),
+        reads: Histogram::new(),
+        writes: Histogram::new(),
     };
     let mut failure = None;
     for handle in handles {
         match handle.join() {
-            Ok(Ok((conns, requests, connect_wall, hist))) => {
+            Ok(Ok((conns, connect_wall, [reads, writes]))) => {
                 report.connections += conns;
-                report.requests += requests;
+                report.requests += reads.count() + writes.count();
                 report.connect_wall = report.connect_wall.max(connect_wall);
-                report.latency.merge(&hist);
+                report.latency.merge(&reads);
+                report.latency.merge(&writes);
+                report.reads.merge(&reads);
+                report.writes.merge(&writes);
             }
             Ok(Err(e)) => failure = Some(e),
             Err(_) => failure = Some(Error::Io("storm driver thread panicked".into())),
@@ -832,9 +853,18 @@ mod tests {
         let opts = StormOptions { connections: 7, drivers: 2, rounds: 4, interval: Duration::ZERO };
         let report = conn_storm(handle.addr(), &opts).unwrap();
         assert_eq!((report.connections, report.requests), (7, 28));
+        assert_eq!((report.reads.count(), report.writes.count()), (14, 14));
         let mut client = Client::connect(handle.addr()).unwrap();
-        let stored: usize = client.query_stories().unwrap().iter().map(|s| s.members.len()).sum();
-        assert_eq!(stored, 14, "every (round, connection) with an odd sum ingests a distinct snippet");
+        let mut per_source = [0usize; 2];
+        for story in client.query_stories().unwrap() {
+            per_source[story.source.raw() as usize] += story.members.len();
+        }
+        assert_eq!(
+            per_source.iter().sum::<usize>(),
+            14,
+            "every (round, connection) with an odd sum ingests a distinct snippet"
+        );
+        assert!(per_source.iter().all(|&n| n > 0), "both shards take writes: {per_source:?}");
         client.shutdown().unwrap();
         handle.join();
     }

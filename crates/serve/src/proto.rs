@@ -797,10 +797,18 @@ pub fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
 /// arrives — before the server buffers (or a peer even sends) the
 /// body.
 pub fn frame_ready(buf: &[u8]) -> Result<Option<usize>> {
-    if buf.len() < 4 {
+    let Some(&prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    };
+    let total = 4 + frame_len(prefix)? as usize;
+    Ok(if buf.len() >= total { Some(total) } else { None })
+}
+
+/// The payload length a frame's 4-byte prefix announces. A frame holds
+/// at least an opcode and at most [`MAX_FRAME_LEN`] bytes; any other
+/// prefix is [`Error::Codec`].
+pub(crate) fn frame_len(prefix: [u8; 4]) -> Result<u32> {
+    let len = u32::from_le_bytes(prefix);
     if len == 0 {
         return Err(Error::Codec("empty frame (no opcode)".into()));
     }
@@ -809,8 +817,7 @@ pub fn frame_ready(buf: &[u8]) -> Result<Option<usize>> {
             "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let total = 4 + len as usize;
-    Ok(if buf.len() >= total { Some(total) } else { None })
+    Ok(len)
 }
 
 /// Read one frame's payload. Returns `Ok(None)` on a clean EOF at a
@@ -833,15 +840,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             Err(e) => return Err(Error::Io(e.to_string())),
         }
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 {
-        return Err(Error::Codec("empty frame (no opcode)".into()));
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Codec(format!(
-            "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
-        )));
-    }
+    let len = frame_len(len_bytes)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {

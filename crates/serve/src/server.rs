@@ -1,7 +1,8 @@
 //! The sharded, backpressured, crash-safe TCP server.
 //!
-//! Topology: one acceptor thread, a fixed pool of connection-
-//! multiplexing *I/O worker* threads, and N *shard* worker threads.
+//! Topology: a fixed pool of connection-multiplexing *I/O worker*
+//! threads and N *shard* worker threads (a follower adds one replica
+//! puller per shard; a SHUTDOWN adds its orchestrator while it drains).
 //! Each shard owns a full [`StoryPivot`] engine holding a disjoint
 //! subset of sources (`source id mod N`), so identification — which is
 //! per-source by construction (paper §2.1) — is embarrassingly
@@ -11,20 +12,23 @@
 //!
 //! # The serving runtime
 //!
-//! Connections are nonblocking sockets owned by I/O workers; each
-//! worker drives its set through a [`substrate::net`] `poll(2)` loop
-//! and a per-connection state machine: accumulate bytes into a pooled
-//! read buffer ([`substrate::pool`]), peel complete frames with
+//! An I/O worker owns its connections end to end. The listener is in
+//! the [`substrate::net`] `poll(2)` set of every worker that holds at
+//! most 1/16 more connections than the least loaded one; such a worker
+//! accepts a bounded number of sockets per readiness and keeps them,
+//! and the last worker to exit closes the listener. A failed accept is counted and
+//! keeps that worker's listener out of its poll set for a jittered
+//! backoff. Each connection runs a state machine: accumulate bytes into
+//! a pooled read buffer ([`substrate::pool`]), peel complete frames with
 //! [`frame_ready`], decode them *in place* with
 //! [`Request::decode_borrowed`] (zero heap allocations for small
 //! frames), dispatch, and stream responses back through queued
 //! vectored writes. Requests pipeline: a connection may have up to
 //! `max_pipeline` requests in flight, and responses are re-sequenced
 //! (a per-request `seq` plus a reorder map) so the wire order always
-//! matches the request order, exactly as the one-thread-per-connection
-//! runtime behaved. An optional `idle_timeout` reaps connections that
-//! complete no frame for the configured window, which also bounds
-//! slow-loris readers.
+//! matches the request order. An optional `idle_timeout` reaps
+//! connections that complete no frame for the configured window, which
+//! also bounds slow-loris readers.
 //!
 //! I/O workers never wait for a shard. A shard's worker (engine, WAL,
 //! snapshot table) sits behind its *owner lock* in the `ShardPort`,
@@ -32,24 +36,25 @@
 //! shard has a free owner (`try_lock`), an empty open queue and no
 //! `worker_delay` is applied by the I/O worker itself — journal, apply,
 //! publish, through the same `ShardWorker` ingest the shard thread runs
-//! — and its reply goes straight into the connection's reorder buffer:
-//! no job, no reply box, no hand-off to the shard thread and back. A
-//! REMOVE_DOC's part on each shard is tried the same way; a busy shard's
-//! part is queued, and the fan-in sums both kinds. Reads are answered
-//! from the published snapshots. What remains — a write that found the
-//! owner busy, and the frames an I/O worker never applies itself
-//! (INGEST_BATCH, ADD_SOURCE, METRICS, REPL_SUBSCRIBE) — becomes a
-//! `Job` routed to its shard through a bounded queue
+//! — and its reply goes straight into the connection's reorder buffer.
+//! A REMOVE_DOC's part on each shard is tried the same way. Reads are
+//! answered from the published snapshots. What remains — a write that
+//! found the owner busy, and the frames an I/O worker never applies
+//! itself (INGEST_BATCH, ADD_SOURCE, METRICS, REPL_SUBSCRIBE) — becomes
+//! a `Job` routed to its shard through a bounded queue
 //! ([`substrate::queue::Bounded`]), the I/O workers' mailbox, and the
-//! shard thread replies by posting a completion event back to the
-//! owning worker's inbox (a wake-channel nudges the poller). Threads
+//! shard thread replies by posting an event to the owning worker's
+//! inbox (a wake-channel nudges the poller). A request that spans
+//! shards (INGEST_BATCH, REMOVE_DOC, METRICS) sends each a part; the
+//! owning worker sums the parts in the connection's state and answers
+//! once the last lands, with the first failure if one failed. Threads
 //! that may wait take the owner themselves instead: a follower's replica
-//! pullers ([`crate::replica`]) and the SHUTDOWN orchestrator. Jobs are
-//! popped only under the owner, which is kept until the job is applied,
-//! so an inline write, which needs the owner and an empty queue, comes
-//! after every job queued before it: per-shard order is WAL order. The
-//! lock order is owner → queue; no inbox send and no socket write
-//! happens under the owner.
+//! pullers ([`crate::replica`]) and the SHUTDOWN orchestrator. Jobs are popped
+//! only under the owner, which is kept until the job is applied, so an
+//! inline write, which needs the owner and an empty queue, comes after
+//! every job queued before it: per-shard order is WAL order. The lock
+//! order is owner → queue; no inbox send and no socket write happens
+//! under the owner.
 //!
 //! When an ingest hits a full queue the worker replies BUSY with a
 //! retry-after hint instead of buffering — memory is bounded by
@@ -104,9 +109,10 @@
 //! [`substrate::metrics::Registry`]; its engine, WAL and the per-shard
 //! serving series (labeled `shard="N"`) record into it. The server
 //! keeps one more registry for what the I/O layer records: open
-//! connections, pipeline depth, buffer-pool checkouts and byte
-//! high-water, transient accept failures, and each shard's BUSY
-//! rejections and snapshot reads (also labeled `shard="N"`). The
+//! connections (in all and per I/O worker), pipeline depth, buffer-pool
+//! checkouts and byte high-water, transient accept failures, and each
+//! shard's BUSY rejections and snapshot reads (also labeled
+//! `shard="N"`). The
 //! `METRICS` opcode snapshots every shard's registry plus the server
 //! registry, merges the snapshots (counters add, histograms merge
 //! bucket-wise), and renders one Prometheus-style text exposition.
@@ -118,10 +124,11 @@
 //! # Where things live
 //!
 //! This file: [`ServerConfig`], the state the threads share
-//! (`Shared`, one `ShardPort` per shard), [`serve`], the acceptor and
-//! the SHUTDOWN orchestrator.
-//! `job.rs`: `Job`, the reply callbacks with their drop-guards, `FanIn`.
-//! `io.rs`: `IoWorker` and the connection state machine;
+//! (`Shared`, one `ShardPort` per shard), [`serve`] and the SHUTDOWN
+//! orchestrator.
+//! `job.rs`: `Job` and its `Reply`.
+//! `io.rs`: `IoWorker` — accept, the connection state machine, the
+//! fan that sums a request's parts;
 //! `io/dispatch.rs`: request decode and dispatch, push/park/retry.
 //! `shard.rs`: `ShardWorker` — the owner-locked queue loop, the
 //! SHUTDOWN drain, journal + apply, publish, the request handlers;
@@ -144,12 +151,12 @@ mod io;
 mod job;
 mod shard;
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use storypivot_core::config::PivotConfig;
 use storypivot_substrate::fault::{FaultHook, FaultPlan};
@@ -160,10 +167,9 @@ use storypivot_substrate::queue::Bounded;
 use storypivot_substrate::wal::SyncPolicy;
 use storypivot_types::{DocId, Error, Result, SourceId};
 
-use self::io::{Inbox, IoEvent, IoMetrics, IoWorker};
+use self::io::{Inbox, IoMetrics, IoWorker};
 use self::job::{unavailable, Dest, Job};
 use self::shard::ShardWorker;
-use crate::client::{backoff_delay_ms, BackoffPolicy};
 use crate::proto::{Response, SnippetRef};
 use crate::replica;
 use crate::snapshot::SnapshotSlot;
@@ -372,8 +378,8 @@ impl ShardPort {
     }
 }
 
-/// State shared between the acceptor, I/O workers, shard workers,
-/// replica pullers, and [`ServerHandle`].
+/// State shared between the I/O workers, shard workers and replica
+/// pullers.
 pub(crate) struct Shared {
     /// The one copy of the configuration; `cfg.leader` being `Some`
     /// makes this server a read-only follower replica.
@@ -388,7 +394,6 @@ pub(crate) struct Shared {
     /// The I/O layer's own registry, merged into METRICS expositions.
     registry: Registry,
     io_metrics: IoMetrics,
-    conn_ids: AtomicU64,
     /// Connections whose SHUTDOWN arrived while another connection's
     /// shutdown was already draining; each gets an ack when it's done.
     shutdown_waiters: Mutex<Vec<Dest>>,
@@ -451,6 +456,24 @@ impl Shared {
         Some(resp)
     }
 
+    /// Close the shard queues and mark the server done: shard threads
+    /// and replica pullers exit, and every I/O worker is nudged into
+    /// its post-shutdown lame duck.
+    fn stop(&self) {
+        for port in &self.shards {
+            port.queue.close();
+        }
+        self.done.store(true, Ordering::SeqCst);
+        self.wake_io_workers();
+    }
+
+    /// Nudge every I/O worker out of its poll to re-check its state.
+    fn wake_io_workers(&self) {
+        for inbox in &self.inboxes {
+            inbox.waker.wake();
+        }
+    }
+
     /// Whether a SHUTDOWN has completed (replica pullers poll this to
     /// know when to stop tailing the leader).
     pub(crate) fn is_done(&self) -> bool {
@@ -462,10 +485,7 @@ impl Shared {
 /// to wait for a client-driven SHUTDOWN.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    io_workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -474,25 +494,24 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Whether a SHUTDOWN has completed (queues closed, checkpoints
-    /// written, acceptor stopping).
-    pub fn is_done(&self) -> bool {
-        self.shared.done.load(Ordering::SeqCst)
-    }
-
     /// Block until the server shuts down (a client must send SHUTDOWN),
-    /// then join every shard worker, the acceptor, and the I/O workers.
-    pub fn join(mut self) {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.io_workers.drain(..) {
-            let _ = w.join();
+    /// then join every thread `serve` started: shard workers, I/O
+    /// workers (the last of which closes the listener) and replica
+    /// pullers.
+    pub fn join(self) {
+        for thread in self.threads {
+            let _ = thread.join();
         }
     }
+}
+
+/// Start a named server thread.
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
+    let what = format!("spawn {name}");
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .map_err(|e| Error::Io(format!("{what}: {e}")))
 }
 
 /// Bind and start serving. `addr` may use port 0 for an ephemeral port;
@@ -556,7 +575,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         inboxes.push(Arc::new(Inbox {
             events: Mutex::new(Vec::new()),
             waker,
-            load: AtomicI64::new(0),
         }));
         wake_rxs.push(rx);
     }
@@ -569,7 +587,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         *lock(&port.owner) = Some(worker);
     }
 
-    let io_metrics = IoMetrics::register(&registry);
+    let io_metrics = IoMetrics::register(&registry, cfg.io_workers);
     let shared = Arc::new(Shared {
         cfg: Arc::clone(&cfg),
         shards,
@@ -580,139 +598,67 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         pool: BufferPool::new(8 * 1024, 1024),
         registry,
         io_metrics,
-        conn_ids: AtomicU64::new(0),
         shutdown_waiters: Mutex::new(Vec::new()),
     });
 
-    let mut workers = Vec::with_capacity(cfg.shards);
-    for (idx, port) in shared.shards.iter().enumerate() {
-        let port = Arc::clone(port);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("pivot-shard-{idx}"))
-                .spawn(move || shard::run(&port))
-                .map_err(|e| Error::Io(format!("spawn shard worker: {e}")))?,
-        );
-    }
-
-    let mut io_workers = Vec::with_capacity(cfg.io_workers);
-    for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
-        let worker = IoWorker::new(&shared, i, wake_rx);
-        io_workers.push(
-            std::thread::Builder::new()
-                .name(format!("pivot-io-{i}"))
-                .spawn(move || worker.run())
-                .map_err(|e| Error::Io(format!("spawn io worker: {e}")))?,
-        );
-    }
-
-    let accept_shared = Arc::clone(&shared);
-    let acceptor = std::thread::Builder::new()
-        .name("pivot-accept".into())
-        .spawn(move || accept_loop(listener, accept_shared))
-        .map_err(|e| Error::Io(format!("spawn acceptor: {e}")))?;
-
-    // Follower replica: one puller thread per shard tails the leader's
-    // WAL and applies it to the local worker under its owner lock.
-    if let Some(leader) = &cfg.leader {
-        for i in 0..cfg.shards {
-            let sid = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &sid)];
-            let ctx = replica::PullerCtx {
-                shard: i,
-                leader: leader.clone(),
-                shared: Arc::clone(&shared),
-                lag_ops: shared.registry.gauge_with(
-                    "storypivot_replica_lag_ops",
-                    "Ops the leader has applied that this replica shard has not.",
-                    labels,
-                ),
-                lag_bytes: shared.registry.gauge_with(
-                    "storypivot_replica_lag_bytes",
-                    "Leader WAL bytes not yet replicated to this shard.",
-                    labels,
-                ),
-                reconnects: shared.registry.counter_with(
-                    "storypivot_replica_reconnects_total",
-                    "Reconnect attempts to the leader by this shard's puller \
-                     (the initial connection is not counted).",
-                    labels,
-                ),
-                drop_fault: cfg.fault_hook("repl_drop", i),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("pivot-repl-{i}"))
-                    .spawn(move || replica::run_puller(ctx))
-                    .map_err(|e| Error::Io(format!("spawn replica puller: {e}")))?,
-            );
+    // The shard workers, a follower's replica pullers, then the I/O
+    // workers, which poll the listener and keep what they accept.
+    let mut threads = Vec::with_capacity(cfg.shards + cfg.io_workers);
+    let start = || -> Result<()> {
+        for (idx, port) in shared.shards.iter().enumerate() {
+            let port = Arc::clone(port);
+            threads.push(spawn(format!("pivot-shard-{idx}"), move || shard::run(&port))?);
         }
-    }
 
+        // Follower replica: one puller thread per shard tails the leader's
+        // WAL and applies it to the local worker under its owner lock.
+        if let Some(leader) = &cfg.leader {
+            for i in 0..cfg.shards {
+                let sid = i.to_string();
+                let labels: &[(&str, &str)] = &[("shard", &sid)];
+                let ctx = replica::PullerCtx {
+                    shard: i,
+                    leader: leader.clone(),
+                    shared: Arc::clone(&shared),
+                    lag_ops: shared.registry.gauge_with(
+                        "storypivot_replica_lag_ops",
+                        "Ops the leader has applied that this replica shard has not.",
+                        labels,
+                    ),
+                    lag_bytes: shared.registry.gauge_with(
+                        "storypivot_replica_lag_bytes",
+                        "Leader WAL bytes not yet replicated to this shard.",
+                        labels,
+                    ),
+                    reconnects: shared.registry.counter_with(
+                        "storypivot_replica_reconnects_total",
+                        "Reconnect attempts to the leader by this shard's puller \
+                         (the initial connection is not counted).",
+                        labels,
+                    ),
+                    drop_fault: cfg.fault_hook("repl_drop", i),
+                };
+                threads.push(spawn(format!("pivot-repl-{i}"), move || replica::run_puller(ctx))?);
+            }
+        }
+
+        let listener = Arc::new(listener);
+        for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
+            let worker = IoWorker::new(&shared, i, wake_rx, Arc::clone(&listener));
+            threads.push(spawn(format!("pivot-io-{i}"), move || worker.run())?);
+        }
+        Ok(())
+    };
+    if let Err(e) = start() {
+        // Whatever did start winds down on its own, and the last I/O
+        // worker to exit closes the listener.
+        shared.stop();
+        return Err(e);
+    }
     Ok(ServerHandle {
         addr: bound,
-        shared,
-        acceptor: Some(acceptor),
-        workers,
-        io_workers,
+        threads,
     })
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let backoff = BackoffPolicy { base_ms: 1, cap_ms: 100, ..BackoffPolicy::default() };
-    let mut failures = 0u32;
-    // Deterministic backoff jitter: persistent accept errors (EMFILE
-    // across many servers on one host) must not march every acceptor in
-    // lockstep.
-    let mut jitter_state: u64 = 0x9e37_79b9_7f4a_7c15;
-    loop {
-        if shared.done.load(Ordering::SeqCst) {
-            // Grace sweep: the kernel may have completed handshakes (or
-            // have SYNs in flight) that dropping the listener would RST
-            // mid-request. Serve them for a short window — post-done
-            // dispatch acks SHUTDOWN immediately and rejects mutations
-            // with a typed shutting-down error — so a client that
-            // connected concurrently with shutdown gets a well-formed
-            // reply instead of a connection reset.
-            let grace = Instant::now() + Duration::from_millis(50);
-            while Instant::now() < grace {
-                match listener.accept() {
-                    Ok((stream, _)) => hand_off(&shared, stream),
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                failures = 0;
-                hand_off(&shared, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                // Transient accept failure (EMFILE, ECONNABORTED, …):
-                // back off exponentially with jitter instead of
-                // hot-spinning the accept loop.
-                shared.io_metrics.accept_errors.inc();
-                failures = failures.saturating_add(1);
-                let ms = backoff_delay_ms(backoff, 0, failures, &mut jitter_state);
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-        }
-    }
-}
-
-/// Assign a fresh connection to the least-loaded I/O worker.
-fn hand_off(shared: &Arc<Shared>, stream: TcpStream) {
-    let inbox = shared
-        .inboxes
-        .iter()
-        .min_by_key(|ib| ib.load.load(Ordering::Relaxed))
-        .expect("io_workers >= 1");
-    inbox.load.fetch_add(1, Ordering::Relaxed);
-    inbox.send(IoEvent::NewConn(stream));
 }
 
 /// Drive a SHUTDOWN to completion on a dedicated thread (it waits for
@@ -726,7 +672,9 @@ fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
     for port in &shared.shards {
         match port.with_worker(ShardWorker::drain) {
             Some((answers, ack)) => {
-                answers.into_iter().for_each(shard::Answer::deliver);
+                for (reply, part) in answers {
+                    reply.send(part);
+                }
                 if !matches!(ack, Response::ShutdownAck) {
                     failure = Some(ack);
                 }
@@ -734,17 +682,10 @@ fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
             None => failure = Some(unavailable()),
         }
     }
-    for port in &shared.shards {
-        port.queue.close();
-    }
-    shared.done.store(true, Ordering::SeqCst);
+    shared.stop();
     initiator.deliver(failure.unwrap_or(Response::ShutdownAck), true);
     let waiters = std::mem::take(&mut *lock(&shared.shutdown_waiters));
     for w in waiters {
         w.deliver(Response::ShutdownAck, true);
-    }
-    // Nudge every worker so it notices `done` promptly.
-    for inbox in &shared.inboxes {
-        inbox.waker.wake();
     }
 }

@@ -1,31 +1,35 @@
-//! The I/O workers: each multiplexes its share of the connections
-//! through one `poll(2)` loop and a per-connection state machine —
-//! read, peel frames, dispatch ([`dispatch`]), re-sequence completions,
-//! write. Nothing here ever waits for a shard: an uncontended
-//! single-snippet INGEST is applied under the shard's owner lock, taken
-//! with `try_lock`, and everything else is queued.
+//! The I/O workers: each owns the connections it accepts, end to end.
+//! One `poll(2)` loop per worker watches its inbox's wake channel, its
+//! connections and, while it is near the least loaded, the shared
+//! listener; a per-connection state machine reads, peels frames,
+//! dispatches ([`dispatch`]), sums the parts of fanned-out requests,
+//! re-sequences completions and writes.
+//! Nothing here ever waits for a shard: an uncontended single-snippet
+//! INGEST is applied under the shard's owner lock, taken with
+//! `try_lock`, and everything else is queued.
 
 mod dispatch;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use storypivot_substrate::metrics::{Counter, Gauge, Registry};
+use storypivot_substrate::metrics::{Counter, Gauge, Registry, Snapshot};
 use storypivot_substrate::net;
 use storypivot_substrate::pool::PooledBuf;
+use storypivot_types::{DocId, Error};
 
 use super::job::Job;
+use super::shard::internal_shape_error;
 use super::{lock, Shared};
+use crate::client::{backoff_delay_ms, BackoffPolicy};
 use crate::proto::{frame_into, frame_ready, Response};
 
-/// A completion or new-connection event posted to an I/O worker.
+/// A completion posted to an I/O worker.
 pub(super) enum IoEvent {
-    /// The acceptor handed this worker a fresh connection.
-    NewConn(TcpStream),
     /// A response for request `seq` on connection `conn` is ready;
     /// `close` ends the connection once the response is flushed.
     Deliver {
@@ -34,6 +38,70 @@ pub(super) enum IoEvent {
         resp: Response,
         close: bool,
     },
+    /// One shard's part of the fanned-out request `seq` on `conn`.
+    Part { conn: u64, seq: u64, part: Part },
+}
+
+/// What a shard answers for a queued job: a response, or its metrics
+/// snapshot as one part of METRICS.
+pub(super) enum Part {
+    Response(Response),
+    Metrics(Snapshot),
+}
+
+/// A fanned-out request's running sum, kept in its connection's state
+/// until the last part lands.
+pub(super) struct Fan {
+    /// Parts not yet landed.
+    pub(super) waiting: usize,
+    sum: Sum,
+}
+
+pub(super) enum Sum {
+    /// INGEST_BATCH: snippets ingested.
+    Ingested(u32),
+    /// REMOVE_DOC: snippets removed; 0 is the unknown-document error.
+    Removed(DocId, u32),
+    /// METRICS: the shard snapshots, merged with the server registry
+    /// when the last part lands.
+    Metrics(Snapshot),
+    /// The first failed part's response; later parts are ignored.
+    Failed(Response),
+}
+
+impl Fan {
+    pub(super) fn new(sum: Sum) -> Fan {
+        Fan { waiting: 0, sum }
+    }
+
+    /// Fold one part into the sum; the first failed part wins.
+    pub(super) fn add(&mut self, part: Part) {
+        match (&mut self.sum, part) {
+            (Sum::Ingested(total), Part::Response(Response::BatchIngested(n)))
+            | (Sum::Removed(_, total), Part::Response(Response::Removed(n))) => *total += n,
+            (Sum::Metrics(merged), Part::Metrics(snap)) => merged.merge(&snap),
+            (Sum::Failed(_), _) => {}
+            (_, Part::Response(failed)) => self.sum = Sum::Failed(failed),
+            (_, Part::Metrics(_)) => self.sum = Sum::Failed(internal_shape_error()),
+        }
+    }
+
+    pub(super) fn answer(self, shared: &Shared) -> Response {
+        match self.sum {
+            Sum::Failed(failed) => failed,
+            Sum::Ingested(total) => Response::BatchIngested(total),
+            Sum::Removed(doc, 0) => Response::from_error(&Error::UnknownDocument(doc)),
+            Sum::Removed(_, total) => Response::Removed(total),
+            Sum::Metrics(shards) => {
+                shared.sync_io_gauges();
+                let mut merged = shared.registry.snapshot();
+                merged.merge(&shards);
+                Response::Metrics {
+                    text: merged.render(),
+                }
+            }
+        }
+    }
 }
 
 /// An I/O worker's mailbox. `send` never blocks (lock, push, wake), so
@@ -42,9 +110,6 @@ pub(super) enum IoEvent {
 pub(super) struct Inbox {
     pub(super) events: Mutex<Vec<IoEvent>>,
     pub(super) waker: net::Waker,
-    /// Connections currently assigned to this worker (acceptor
-    /// load-balances on it).
-    pub(super) load: AtomicI64,
 }
 
 impl Inbox {
@@ -55,10 +120,6 @@ impl Inbox {
 
     fn take_into(&self, into: &mut Vec<IoEvent>) {
         std::mem::swap(&mut *lock(&self.events), into);
-    }
-
-    fn is_empty(&self) -> bool {
-        lock(&self.events).is_empty()
     }
 }
 
@@ -71,10 +132,13 @@ pub(super) struct IoMetrics {
     pool_bytes_highwater: Gauge,
     pub(super) accept_errors: Counter,
     degraded_reads: Counter,
+    /// Connections each I/O worker holds; only a worker near the least
+    /// loaded polls the listener.
+    worker_connections: Vec<Gauge>,
 }
 
 impl IoMetrics {
-    pub(super) fn register(registry: &Registry) -> IoMetrics {
+    pub(super) fn register(registry: &Registry, io_workers: usize) -> IoMetrics {
         IoMetrics {
             connections_open: registry.gauge(
                 "storypivot_connections_open",
@@ -101,6 +165,15 @@ impl IoMetrics {
                 "Snapshot reads answered while the target shard's write queue was \
                  saturated (degraded-read mode).",
             ),
+            worker_connections: (0..io_workers)
+                .map(|i| {
+                    registry.gauge_with(
+                        "storypivot_io_worker_connections",
+                        "Open client connections on one I/O worker.",
+                        &[("worker", &i.to_string())],
+                    )
+                })
+                .collect(),
         }
     }
 }
@@ -129,15 +202,27 @@ impl Shared {
 
 /// Poller token reserved for the worker's wake channel.
 const WAKE_TOKEN: usize = usize::MAX;
+/// Poller token reserved for the listener.
+const LISTEN_TOKEN: usize = usize::MAX - 1;
+/// A worker may accept while it holds at most 1/`ACCEPT_SLACK` more
+/// connections than the least loaded one: exact while few are open, and
+/// with many it accepts a run before the listener changes hands (a hand-off
+/// costs every worker a pass over its poll set).
+const ACCEPT_SLACK: i64 = 16;
+/// Sockets accepted per listener readiness, so a connect burst cannot
+/// starve the open connections (as `read_conn` bounds a firehose peer).
+const ACCEPTS_PER_WAKE: usize = 16;
+/// Backoff after a failed accept (EMFILE, ECONNABORTED, …), during
+/// which the listener stays out of the poll set.
+const ACCEPT_BACKOFF: BackoffPolicy = BackoffPolicy { max_attempts: 0, base_ms: 1, cap_ms: 100 };
 
 #[cfg(unix)]
-fn raw_fd(s: &TcpStream) -> i32 {
-    use std::os::unix::io::AsRawFd;
+fn raw_fd(s: &impl std::os::unix::io::AsRawFd) -> i32 {
     s.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn raw_fd(_s: &TcpStream) -> i32 {
+fn raw_fd<T>(_s: &T) -> i32 {
     -1
 }
 
@@ -174,6 +259,8 @@ struct Conn {
     /// Last time a complete frame was parsed (idle/slow-loris clock —
     /// partial reads do not count as progress).
     last_progress: Instant,
+    /// Fanned-out requests still waiting for parts, by `seq`.
+    fans: HashMap<u64, Fan>,
 }
 
 impl Conn {
@@ -187,14 +274,26 @@ struct PendingPush {
     pushes: VecDeque<(usize, Job)>,
 }
 
-/// A connection-multiplexing worker: one `poll(2)` loop over its
-/// assigned sockets plus its inbox wake channel.
+/// A connection-multiplexing worker: one `poll(2)` loop over the
+/// listener, the sockets it accepted and its inbox wake channel.
 pub(super) struct IoWorker {
     shared: Arc<Shared>,
+    /// This worker's index in the pool.
+    idx: usize,
     inbox: Arc<Inbox>,
     wake_rx: net::WakeReceiver,
+    /// Shared by every worker; the last one to exit closes it.
+    listener: Arc<TcpListener>,
+    /// Consecutive failed accepts, the backoff's jitter stream, and
+    /// when the listener rejoins the poll set after one.
+    accept_failures: u32,
+    accept_jitter: u64,
+    accept_paused_until: Instant,
     poller: net::Poller,
+    /// This worker's connections by id (a poll token); ids are never
+    /// reused.
     conns: HashMap<u64, Conn>,
+    next_conn: u64,
     pending: Vec<PendingPush>,
     /// The last poll's ready fds, a buffer every tick reuses.
     ready_fds: Vec<net::Event>,
@@ -205,15 +304,29 @@ pub(super) struct IoWorker {
 }
 
 impl IoWorker {
-    /// Worker `i` of the pool, not yet running: it will serve whatever
-    /// the acceptor posts to `shared.inboxes[i]`.
-    pub(super) fn new(shared: &Arc<Shared>, i: usize, wake_rx: net::WakeReceiver) -> IoWorker {
+    /// Worker `i` of the pool, not yet running: it will serve the
+    /// connections it accepts from `listener`, and the completions
+    /// posted to `shared.inboxes[i]`.
+    pub(super) fn new(
+        shared: &Arc<Shared>,
+        i: usize,
+        wake_rx: net::WakeReceiver,
+        listener: Arc<TcpListener>,
+    ) -> IoWorker {
         IoWorker {
             shared: Arc::clone(shared),
+            idx: i,
             inbox: Arc::clone(&shared.inboxes[i]),
             wake_rx,
+            listener,
+            accept_failures: 0,
+            // Distinct per worker, so persistent accept errors do not
+            // march every worker's retries in lockstep.
+            accept_jitter: 0x9e37_79b9_7f4a_7c15 ^ i as u64,
+            accept_paused_until: Instant::now(),
             poller: net::Poller::new(),
             conns: HashMap::new(),
+            next_conn: 0,
             pending: Vec::new(),
             ready_fds: Vec::new(),
             events_buf: Vec::new(),
@@ -229,16 +342,15 @@ impl IoWorker {
                 self.done_seen = Some(Instant::now());
             }
             if let Some(t0) = self.done_seen {
-                // Post-shutdown lame duck: keep answering (dispatch now
-                // yields typed shutting-down errors) long enough for the
-                // acceptor's grace sweep and in-flight deliveries, then
-                // exit regardless.
+                // Post-shutdown lame duck: keep accepting and answering
+                // (dispatch now yields typed shutting-down errors) long
+                // enough for late connections and in-flight deliveries,
+                // then exit regardless. Parked pushes and inbox events
+                // only ever belong to open connections.
                 let now = Instant::now();
-                let idle =
-                    self.conns.is_empty() && self.pending.is_empty() && self.inbox.is_empty();
                 let deadline = t0 + Duration::from_millis(500);
                 let idle_ok = t0 + Duration::from_millis(120);
-                if now >= deadline || (idle && now >= idle_ok) {
+                if now >= deadline || (self.conns.is_empty() && now >= idle_ok) {
                     break;
                 }
             }
@@ -257,6 +369,12 @@ impl IoWorker {
             let max_pipeline = self.shared.cfg.max_pipeline as u64;
             self.poller.clear();
             self.poller.register(self.wake_rx.fd(), WAKE_TOKEN, net::READABLE);
+            let now = Instant::now();
+            if self.accept_paused_until > now {
+                timeout = timeout.min(self.accept_paused_until - now);
+            } else if self.may_accept() {
+                self.poller.register(raw_fd(&*self.listener), LISTEN_TOKEN, net::READABLE);
+            }
             for (&id, conn) in &self.conns {
                 let mut interest = 0u8;
                 if !conn.closing && !conn.eof && !conn.stalled && conn.inflight() < max_pipeline {
@@ -283,6 +401,10 @@ impl IoWorker {
                     self.wake_rx.drain();
                     continue;
                 }
+                if ev.token == LISTEN_TOKEN {
+                    self.accept_conns();
+                    continue;
+                }
                 let id = ev.token as u64;
                 if ev.readable {
                     self.read_conn(id);
@@ -297,13 +419,13 @@ impl IoWorker {
             self.inbox.take_into(&mut inbox_events);
             for ev in inbox_events.drain(..) {
                 match ev {
-                    IoEvent::NewConn(stream) => self.add_conn(stream),
                     IoEvent::Deliver {
                         conn,
                         seq,
                         resp,
                         close,
                     } => self.finish(conn, seq, resp, close),
+                    IoEvent::Part { conn, seq, part } => self.take_part(conn, seq, part),
                 }
             }
             self.events_buf = inbox_events;
@@ -315,20 +437,71 @@ impl IoWorker {
         for id in ids {
             self.remove_conn(id);
         }
+        // Never near the least loaded again: the workers still running
+        // take the listener over.
+        self.held().set(i64::MAX);
+        self.shared.wake_io_workers();
+    }
+
+    /// Whether this worker holds at most 1/[`ACCEPT_SLACK`] more
+    /// connections than the least loaded one. Only such a worker polls
+    /// the listener, so connections spread evenly however few arrive.
+    fn may_accept(&self) -> bool {
+        let counts = self.shared.io_metrics.worker_connections.iter().map(Gauge::get);
+        let least = counts.min().unwrap_or(0);
+        self.conns.len() as i64 <= least + least / ACCEPT_SLACK
+    }
+
+    /// This worker's entry in `storypivot_io_worker_connections`.
+    fn held(&self) -> &Gauge {
+        &self.shared.io_metrics.worker_connections[self.idx]
+    }
+
+    /// Accept what the listener has queued, up to
+    /// [`ACCEPTS_PER_WAKE`], while [`IoWorker::may_accept`] holds; the
+    /// sockets stay on this worker. One that may no longer accept wakes
+    /// every worker, so the least loaded takes the listener over. A
+    /// failed accept is counted and takes the listener out of the poll
+    /// set for a jittered, exponentially growing pause.
+    fn accept_conns(&mut self) {
+        for _ in 0..ACCEPTS_PER_WAKE {
+            if !self.may_accept() {
+                self.shared.wake_io_workers();
+                return;
+            }
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    self.accept_failures = 0;
+                    self.add_conn(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.shared.io_metrics.accept_errors.inc();
+                    self.accept_failures = self.accept_failures.saturating_add(1);
+                    let ms = backoff_delay_ms(
+                        ACCEPT_BACKOFF,
+                        0,
+                        self.accept_failures,
+                        &mut self.accept_jitter,
+                    );
+                    self.accept_paused_until = Instant::now() + Duration::from_millis(ms);
+                    return;
+                }
+            }
+        }
     }
 
     fn add_conn(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
-            self.inbox.load.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let fd = raw_fd(&stream);
         if fd < 0 {
-            self.inbox.load.fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        let id = self.shared.conn_ids.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_conn;
+        self.next_conn += 1;
         self.shared.io_metrics.connections_open.add(1);
         self.conns.insert(
             id,
@@ -345,8 +518,10 @@ impl IoWorker {
                 closing: false,
                 eof: false,
                 last_progress: Instant::now(),
+                fans: HashMap::new(),
             },
         );
+        self.held().set(self.conns.len() as i64);
     }
 
     fn remove_conn(&mut self, id: u64) {
@@ -354,10 +529,10 @@ impl IoWorker {
             let m = &self.shared.io_metrics;
             m.pipeline_depth.add(-(conn.inflight() as i64));
             m.connections_open.add(-1);
-            self.inbox.load.fetch_sub(1, Ordering::Relaxed);
+            self.held().set(self.conns.len() as i64);
             // Parked pushes for this connection would only produce
-            // replies to a dead peer; dropping them fires the guards,
-            // whose deliveries no-op against the removed id.
+            // replies to a dead peer; dropping them drops their
+            // replies, whose deliveries no-op against the removed id.
             self.pending.retain(|p| p.conn != id);
         }
     }
@@ -463,6 +638,21 @@ impl IoWorker {
                 // leftover == 0: dropping `rd` checks it back into the
                 // pool — idle connections pin no buffer.
             }
+        }
+    }
+
+    /// One shard's part of the fanned-out request `(conn, seq)` landed:
+    /// fold it into the connection's running sum, and answer once the
+    /// last part is in, so the answer comes after every part's effect.
+    /// A part whose connection is gone is ignored.
+    fn take_part(&mut self, id: u64, seq: u64, part: Part) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        let Some(fan) = conn.fans.get_mut(&seq) else { return };
+        fan.waiting -= 1;
+        fan.add(part);
+        if fan.waiting == 0 {
+            let resp = conn.fans.remove(&seq).expect("looked up above").answer(&self.shared);
+            self.finish(id, seq, resp, false);
         }
     }
 

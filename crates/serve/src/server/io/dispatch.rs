@@ -1,7 +1,9 @@
 //! Request dispatch: decode one frame in place and turn it into shard
 //! jobs (or answer it on the spot — reads from the published snapshots,
-//! redirects on a replica), with the non-blocking push/park/retry that
-//! gives control frames backpressure and single ingests BUSY.
+//! redirects on a replica, uncontended writes under the owner lock),
+//! with the non-blocking push/park/retry that gives control frames
+//! backpressure and single ingests BUSY. A request that spans shards
+//! opens a [`Fan`] in its connection's state, which sums the parts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -14,12 +16,10 @@ use storypivot_substrate::metrics::Snapshot;
 use storypivot_substrate::queue::PushError;
 use storypivot_types::{Error, Snippet, Source, SourceId};
 
-use super::{IoWorker, PendingPush};
+use super::{Fan, IoWorker, Part, PendingPush, Sum};
 use crate::proto::{encode_stories, encode_story, stories_len, Request, RequestRef, Response};
-use crate::server::job::{
-    direct_reply, fail_job, fail_job_closed, part_reply, Dest, FanIn, Job, MergeFn,
-};
-use crate::server::{lock, run_shutdown};
+use crate::server::job::{fail_job, fail_job_closed, Dest, Job, Reply};
+use crate::server::{lock, run_shutdown, spawn};
 use crate::snapshot::merge_by_id;
 
 impl IoWorker {
@@ -70,12 +70,12 @@ impl IoWorker {
                 }
                 let source = Source::new(SourceId::new(sid), name.to_string(), kind).with_lag(lag);
                 let shard = self.shared.shard_of_source(source.id);
-                self.push_one(id, shard, Job::AddSource(source, direct_reply(dest)));
+                self.push_one(id, shard, Job::AddSource(source, Reply::whole(dest)));
             }
             RequestRef::IngestSnippet(sref) => {
                 // An uncontended shard applies the write right here,
-                // under its owner lock: no job, no reply box, no
-                // hand-off to the shard thread and back.
+                // under its owner lock: no job, no reply, no hand-off
+                // to the shard thread and back.
                 let shard = self.shared.shard_of_source(sref.source);
                 if let Some(resp) = self.shared.ingest_inline(shard, &sref) {
                     self.finish(id, seq, resp, false);
@@ -84,7 +84,7 @@ impl IoWorker {
                 // The BUSY fast path: one snippet, one `try_push`. A
                 // full shard queue is the client's problem (retry after
                 // the hint), never the server's memory.
-                let job = Job::Ingest(sref.to_owned(), direct_reply(dest), Instant::now());
+                let job = Job::Ingest(sref.to_owned(), Reply::whole(dest), Instant::now());
                 let port = &self.shared.shards[shard];
                 match port.queue.try_push(job) {
                     Ok(()) => {}
@@ -97,49 +97,23 @@ impl IoWorker {
             }
             RequestRef::IngestBatch(batch) => {
                 // Split by shard (preserving order within each shard);
-                // the fan-in sums the per-shard counts.
-                let n_shards = self.shared.shards.len();
-                let mut by_shard: Vec<Vec<Snippet>> = vec![Vec::new(); n_shards];
+                // the fan sums the per-shard counts.
+                let mut by_shard: Vec<Vec<Snippet>> = vec![Vec::new(); self.shared.shards.len()];
                 for sref in batch.iter() {
                     by_shard[self.shared.shard_of_source(sref.source)].push(sref.to_owned());
                 }
-                let participating: Vec<usize> =
-                    (0..n_shards).filter(|&i| !by_shard[i].is_empty()).collect();
-                if participating.is_empty() {
-                    self.finish(id, seq, Response::BatchIngested(0), false);
-                    return;
-                }
-                let fan = FanIn::new(
-                    dest,
-                    participating.len(),
-                    Box::new(|parts: Vec<Response>| {
-                        let mut total = 0u32;
-                        for r in parts {
-                            match r {
-                                Response::BatchIngested(n) => total += n,
-                                other => return other,
-                            }
-                        }
-                        Response::BatchIngested(total)
-                    }),
-                );
-                let mut jobs = VecDeque::with_capacity(participating.len());
-                for (k, &shard) in participating.iter().enumerate() {
-                    jobs.push_back((
-                        shard,
-                        Job::IngestMany(
-                            std::mem::take(&mut by_shard[shard]),
-                            part_reply(Arc::clone(&fan), k),
-                        ),
-                    ));
-                }
-                self.push_jobs(id, jobs);
+                let jobs = by_shard
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, part)| !part.is_empty())
+                    .map(|(shard, part)| (shard, Job::IngestMany(part, Reply::part(dest.clone()))))
+                    .collect();
+                self.fan_out(id, seq, Fan::new(Sum::Ingested(0)), jobs);
             }
             // Reads never touch the shard queues: they merge the
             // published snapshots right here on the I/O worker, so a
             // query flash-crowd cannot starve (or be starved by)
-            // ingest. `dest` is unused — the response is finished
-            // synchronously in this call.
+            // ingest.
             RequestRef::QueryStories => {
                 let snaps: Vec<_> =
                     self.shared.shards.iter().map(|port| port.snapshot.load()).collect();
@@ -187,92 +161,55 @@ impl IoWorker {
                     Job::Repl {
                         generation,
                         wal_offset,
-                        reply: direct_reply(dest),
+                        reply: Reply::whole(dest),
                     },
                 );
             }
             RequestRef::RemoveDoc(doc) => {
                 // Each shard's part is applied right here when its
                 // owner is free, like a single INGEST; a busy shard's
-                // part is queued, and the fan-in sums both kinds.
-                let parts: Vec<Option<Response>> = (0..self.shared.shards.len())
-                    .map(|shard| self.shared.remove_doc_inline(shard, doc))
-                    .collect();
-                let merge = move |parts: Vec<Response>| {
-                    let mut total = 0u32;
-                    for r in parts {
-                        match r {
-                            Response::Removed(n) => total += n,
-                            other => return other,
-                        }
-                    }
-                    if total == 0 {
-                        Response::from_error(&Error::UnknownDocument(doc))
-                    } else {
-                        Response::Removed(total)
-                    }
-                };
-                if parts.iter().all(Option::is_some) {
-                    let resp = merge(parts.into_iter().flatten().collect());
-                    self.finish(id, seq, resp, false);
-                    return;
-                }
-                let fan = FanIn::new(dest, parts.len(), Box::new(merge));
+                // part is queued, and the fan sums both kinds. An
+                // all-inline removal is answered on the spot.
+                let mut fan = Fan::new(Sum::Removed(doc, 0));
                 let mut jobs = VecDeque::new();
-                for (shard, part) in parts.into_iter().enumerate() {
-                    let reply = part_reply(Arc::clone(&fan), shard);
-                    match part {
-                        Some(resp) => reply(resp),
-                        None => jobs.push_back((shard, Job::RemoveDoc(doc, reply))),
+                for shard in 0..self.shared.shards.len() {
+                    if let Some(resp) = self.shared.remove_doc_inline(shard, doc) {
+                        fan.add(Part::Response(resp));
+                    } else {
+                        jobs.push_back((shard, Job::RemoveDoc(doc, Reply::part(dest.clone()))));
                     }
                 }
-                self.push_jobs(id, jobs);
+                self.fan_out(id, seq, fan, jobs);
             }
             RequestRef::Shutdown => self.handle_shutdown(dest),
             RequestRef::Metrics => {
-                // Snapshot every shard's registry plus the I/O layer's
-                // own, merge, and render one exposition.
-                let shared = Arc::clone(&self.shared);
-                self.broadcast(
-                    id,
-                    dest,
-                    Job::Metrics,
-                    Box::new(move |snaps: Vec<Snapshot>| {
-                        shared.sync_io_gauges();
-                        let mut merged = shared.registry.snapshot();
-                        for s in &snaps {
-                            merged.merge(s);
-                        }
-                        Response::Metrics {
-                            text: merged.render(),
-                        }
-                    }),
-                );
+                // Snapshot every shard's registry; the fan merges them
+                // with the I/O layer's own and renders one exposition.
+                let jobs = (0..self.shared.shards.len())
+                    .map(|shard| (shard, Job::Metrics(Reply::part(dest.clone()))))
+                    .collect();
+                self.fan_out(id, seq, Fan::new(Sum::Metrics(Snapshot::default())), jobs);
             }
         }
     }
 
-    /// Fan one job out to every shard and merge the replies.
-    fn broadcast<T: Send + 'static>(
-        &mut self,
-        conn_id: u64,
-        dest: Dest,
-        make_job: impl Fn(Box<dyn FnOnce(T) + Send>) -> Job,
-        merge: MergeFn<T>,
-    ) {
-        let n = self.shared.shards.len();
-        let fan = FanIn::new(dest, n, merge);
-        let mut jobs = VecDeque::with_capacity(n);
-        for shard in 0..n {
-            jobs.push_back((shard, make_job(part_reply(Arc::clone(&fan), shard))));
+    /// Send one part of request `seq` to each of `jobs`' shards, and
+    /// keep `fan` (holding any parts already folded in) in the
+    /// connection's state until they land. A fan with no part left to
+    /// wait for (an all-inline REMOVE_DOC) is answered now.
+    fn fan_out(&mut self, conn_id: u64, seq: u64, mut fan: Fan, jobs: VecDeque<(usize, Job)>) {
+        fan.waiting = jobs.len();
+        if fan.waiting == 0 {
+            let resp = fan.answer(&self.shared);
+            self.finish(conn_id, seq, resp, false);
+        } else if let Some(conn) = self.conns.get_mut(&conn_id) {
+            conn.fans.insert(seq, fan);
         }
         self.push_jobs(conn_id, jobs);
     }
 
     fn push_one(&mut self, conn_id: u64, shard: usize, job: Job) {
-        let mut jobs = VecDeque::with_capacity(1);
-        jobs.push_back((shard, job));
-        self.push_jobs(conn_id, jobs);
+        self.push_jobs(conn_id, VecDeque::from([(shard, job)]));
     }
 
     /// Push control-plane jobs to their shard queues without blocking:
@@ -353,11 +290,8 @@ impl IoWorker {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        if let Err(e) = std::thread::Builder::new()
-            .name("pivot-shutdown".into())
-            .spawn(move || run_shutdown(shared, dest))
-        {
-            eprintln!("pivotd: failed to spawn shutdown thread: {e}");
+        if let Err(e) = spawn("pivot-shutdown".into(), move || run_shutdown(shared, dest)) {
+            eprintln!("pivotd: {e}");
         }
     }
 }

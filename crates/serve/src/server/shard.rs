@@ -29,7 +29,8 @@ use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::Wal;
 use storypivot_types::{DocId, Error, Result, Snippet, Source, StoryId};
 
-use super::job::{Job, Reply, SnapReply};
+use super::io::Part;
+use super::job::{Job, Reply};
 use super::{lock, ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
@@ -200,21 +201,6 @@ pub(crate) struct ShardWorker {
     quarantine: HashSet<u64>,
 }
 
-/// A queued job's answer, held until the owner lock is released.
-pub(super) enum Answer {
-    Reply(Reply, Response),
-    Metrics(SnapReply, Snapshot),
-}
-
-impl Answer {
-    pub(super) fn deliver(self) {
-        match self {
-            Answer::Reply(reply, resp) => reply(resp),
-            Answer::Metrics(reply, snap) => reply(snap),
-        }
-    }
-}
-
 /// Empties the port's owner slot when the shard thread ends — the
 /// queue closed and drained, or the thread unwinding from a panic no
 /// `catch_unwind` held — so no I/O worker applies a write to a worker
@@ -238,25 +224,25 @@ impl Drop for Retire<'_> {
 pub(super) fn run(port: &ShardPort) {
     let _retire = Retire(port);
     while port.queue.wait_nonempty() {
-        let answer = {
+        let (reply, part) = {
             let mut owner = lock(&port.owner);
             let worker = owner.as_mut().expect("serve installs the worker before the shard thread");
             let Some(job) = port.queue.try_pop() else { continue };
             worker.handle(job)
         };
-        answer.deliver();
+        reply.send(part);
     }
 }
 
 impl ShardWorker {
-    /// Apply one queued job; its answer is delivered by the caller once
-    /// the owner lock is released.
-    fn handle(&mut self, job: Job) -> Answer {
+    /// Apply one queued job; its answer is sent by the caller once the
+    /// owner lock is released.
+    fn handle(&mut self, job: Job) -> (Reply, Part) {
         if !self.cfg.worker_delay.is_zero() {
             std::thread::sleep(self.cfg.worker_delay);
         }
-        match job {
-            Job::AddSource(source, reply) => Answer::Reply(reply, self.add_source(source)),
+        let (reply, resp) = match job {
+            Job::AddSource(source, reply) => (reply, self.add_source(source)),
             Job::Ingest(snippet, reply, enqueued) => {
                 // Deadline shedding: work that waited past the
                 // client's budget is answered with SHED *before*
@@ -267,20 +253,21 @@ impl ShardWorker {
                 // backpressure at admission instead.
                 let deadline = Duration::from_millis(self.cfg.deadline_ms);
                 if !deadline.is_zero() && enqueued.elapsed() > deadline {
-                    Answer::Reply(reply, self.shed(snippet))
+                    (reply, self.shed(snippet))
                 } else {
-                    Answer::Reply(reply, self.ingest(snippet))
+                    (reply, self.ingest(snippet))
                 }
             }
-            Job::IngestMany(batch, reply) => Answer::Reply(reply, self.ingest_many(batch)),
-            Job::RemoveDoc(doc, reply) => Answer::Reply(reply, self.remove_doc(doc)),
-            Job::Metrics(reply) => Answer::Metrics(reply, self.metrics_snapshot()),
+            Job::IngestMany(batch, reply) => (reply, self.ingest_many(batch)),
+            Job::RemoveDoc(doc, reply) => (reply, self.remove_doc(doc)),
+            Job::Metrics(reply) => return (reply, Part::Metrics(self.metrics_snapshot())),
             Job::Repl {
                 generation,
                 wal_offset,
                 reply,
-            } => Answer::Reply(reply, self.repl(generation, wal_offset)),
-        }
+            } => (reply, self.repl(generation, wal_offset)),
+        };
+        (reply, Part::Response(resp))
     }
 
     /// Journal, then hand the op to the engine under `catch_unwind`
@@ -476,7 +463,7 @@ impl ShardWorker {
     /// still pushing cannot hold it), publish the last snapshot and
     /// write a checkpoint generation. Returns the jobs' answers, to be
     /// delivered once the owner is released, and the shard's ack.
-    pub(super) fn drain(&mut self) -> (Vec<Answer>, Response) {
+    pub(super) fn drain(&mut self) -> (Vec<(Reply, Part)>, Response) {
         let port = Arc::clone(&self.port);
         let answers = (0..port.queue.len())
             .map_while(|_| port.queue.try_pop())
@@ -500,7 +487,7 @@ impl ShardWorker {
     }
 }
 
-fn internal_shape_error() -> Response {
+pub(super) fn internal_shape_error() -> Response {
     Response::Error {
         code: 6,
         message: "internal: mutation produced a mismatched result shape".into(),

@@ -13,10 +13,10 @@
 //! Handles are cheap clones detached from the registry: registering
 //! the same `(name, labels)` twice returns a handle to the same
 //! underlying series, so independent components can share a metric by
-//! name alone. A [`Registry::disabled`] registry hands out no-op
-//! handles whose operations compile down to a single branch on a
-//! `None` — the "metrics off" configuration costs neither atomics nor
-//! clock reads (timers skip `Instant::now` entirely).
+//! name alone. A handle that was never registered (`Default`) is a
+//! no-op whose operations compile down to a single branch on a `None` —
+//! the "metrics off" configuration costs neither atomics nor clock
+//! reads (timers skip `Instant::now` entirely).
 //!
 //! Cross-shard aggregation goes through [`Snapshot`]: each shard owns
 //! its own registry, snapshots are merged (counters and gauges add,
@@ -75,6 +75,7 @@ struct Family {
     series: BTreeMap<String, Slot>,
 }
 
+#[derive(Default)]
 struct Inner {
     families: Mutex<BTreeMap<String, Family>>,
 }
@@ -82,14 +83,12 @@ struct Inner {
 /// A handle-based metrics registry. Cloning shares the same registry.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("enabled", &self.is_enabled())
-            .finish()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
@@ -129,30 +128,12 @@ fn valid_name(name: &str) -> bool {
 impl Registry {
     /// A live registry: handles record, [`Registry::render`] exposes.
     pub fn new() -> Self {
-        Registry {
-            inner: Some(Arc::new(Inner {
-                families: Mutex::new(BTreeMap::new()),
-            })),
-        }
+        Registry::default()
     }
 
-    /// A disabled registry: every handle it hands out is a no-op, and
-    /// [`Registry::render`] returns an empty exposition. This is the
-    /// "metrics compiled out" configuration the overhead benchmark
-    /// compares against.
-    pub fn disabled() -> Self {
-        Registry { inner: None }
-    }
-
-    /// Whether handles from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn slot(&self, name: &str, help: &str, kind: Kind, labels: &[(&str, &str)]) -> Option<Slot> {
-        let inner = self.inner.as_ref()?;
+    fn slot(&self, name: &str, help: &str, kind: Kind, labels: &[(&str, &str)]) -> Slot {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut families = inner.families.lock().unwrap_or_else(|e| e.into_inner());
+        let mut families = self.inner.families.lock().unwrap_or_else(|e| e.into_inner());
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -171,7 +152,7 @@ impl Registry {
                 Kind::Gauge => Slot::Gauge(Arc::new(AtomicI64::new(0))),
                 Kind::Histogram => Slot::Histogram(Arc::new(Mutex::new(Histogram::new()))),
             });
-        Some(slot.clone())
+        slot.clone()
     }
 
     /// Register (or look up) an unlabeled counter.
@@ -182,7 +163,7 @@ impl Registry {
     /// Register (or look up) a labeled counter series.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         match self.slot(name, help, Kind::Counter, labels) {
-            Some(Slot::Counter(c)) => Counter(Some(c)),
+            Slot::Counter(c) => Counter(Some(c)),
             _ => Counter(None),
         }
     }
@@ -195,7 +176,7 @@ impl Registry {
     /// Register (or look up) a labeled gauge series.
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.slot(name, help, Kind::Gauge, labels) {
-            Some(Slot::Gauge(g)) => Gauge(Some(g)),
+            Slot::Gauge(g) => Gauge(Some(g)),
             _ => Gauge(None),
         }
     }
@@ -208,7 +189,7 @@ impl Registry {
     /// Register (or look up) a labeled histogram series.
     pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> HistogramMetric {
         match self.slot(name, help, Kind::Histogram, labels) {
-            Some(Slot::Histogram(h)) => HistogramMetric(Some(h)),
+            Slot::Histogram(h) => HistogramMetric(Some(h)),
             _ => HistogramMetric(None),
         }
     }
@@ -216,10 +197,7 @@ impl Registry {
     /// Copy the registry's current values into a mergeable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         let mut out = Snapshot::default();
-        let Some(inner) = self.inner.as_ref() else {
-            return out;
-        };
-        let families = inner.families.lock().unwrap_or_else(|e| e.into_inner());
+        let families = self.inner.families.lock().unwrap_or_else(|e| e.into_inner());
         for (name, family) in families.iter() {
             let mut snap = SnapFamily {
                 help: family.help.clone(),
@@ -540,21 +518,6 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 1);
         assert_eq!(a.get(), 2);
-    }
-
-    #[test]
-    fn disabled_registry_is_a_cheap_noop() {
-        let reg = Registry::disabled();
-        assert!(!reg.is_enabled());
-        let c = reg.counter("storypivot_off_total", "off");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        let h = reg.histogram("storypivot_off_ns", "off");
-        let t = h.start();
-        drop(t);
-        h.record(5);
-        assert_eq!(h.count(), 0);
-        assert_eq!(reg.render(), "");
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn same_document_snippets_share_doc_removal() {
 // against a real loopback pivotd: torn frames, oversized length
 // prefixes, garbage opcodes, and mid-frame disconnects must produce
 // clean protocol errors (or a clean close) — never a panic, a wedged
-// acceptor, or a leaked shard thread. Each scenario ends by proving the
+// listener, or a leaked shard thread. Each scenario ends by proving the
 // server still serves and shuts down gracefully.
 
 mod wire_faults {
@@ -208,7 +208,7 @@ mod wire_faults {
 
     /// The liveness probe every scenario ends with: a fresh client can
     /// register, ingest, query, and gracefully stop the server — and
-    /// `join` returns, i.e. no shard or acceptor thread leaked.
+    /// `join` returns, i.e. no shard or I/O worker thread leaked.
     fn assert_alive_and_shutdown(handle: ServerHandle) {
         let mut client = Client::connect(handle.addr()).unwrap();
         client.add_source("probe", SourceKind::Wire, 0).unwrap();
@@ -219,6 +219,26 @@ mod wire_faults {
         client.ingest_backoff(&snippet, policy).unwrap();
         assert_eq!(client.query_stories().unwrap().len(), 1);
         client.shutdown().unwrap();
+        handle.join();
+    }
+
+    #[test]
+    fn a_connection_opened_right_after_the_shutdown_ack_is_served() {
+        let handle = tiny_server();
+        let mut first = Client::connect(handle.addr()).unwrap();
+        let source = first.add_source("late", SourceKind::Wire, 0).unwrap();
+        first.shutdown().unwrap();
+        // The drain is over, but the listener is still open: a client
+        // that connects now gets typed replies, not a reset.
+        let mut late = Client::connect(handle.addr()).unwrap();
+        let snippet = Snippet::builder(SnippetId::new(0), source, Timestamp::EPOCH)
+            .entity(EntityId::new(1), 1.0)
+            .build();
+        match late.ingest(&snippet) {
+            Err(e) => assert!(e.to_string().contains("server is shutting down"), "{e}"),
+            Ok(reply) => panic!("an ingest after the shutdown ack was answered {reply:?}"),
+        }
+        late.shutdown().unwrap();
         handle.join();
     }
 
@@ -351,7 +371,7 @@ mod wire_faults {
     #[test]
     fn fault_barrage_then_normal_traffic() {
         // Many hostile connections in a row, mixed shapes, then the
-        // liveness probe — the acceptor must survive all of it.
+        // liveness probe — accepting must survive all of it.
         let handle = tiny_server();
         for i in 0..20u32 {
             let mut raw = TcpStream::connect(handle.addr()).unwrap();

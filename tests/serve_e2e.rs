@@ -6,8 +6,9 @@
 //! queue, the exposition matches its witnesses, reads bypass the write
 //! queue, pipelined replies keep their order, SHUTDOWN is idempotent, an
 //! uncontended INGEST is applied by the I/O worker (and a slow shard's
-//! never is), and inline and queued writes racing from five connections
-//! keep each connection's order in every shard's WAL.
+//! never is), inline and queued writes racing from five connections
+//! keep each connection's order in every shard's WAL, and connections
+//! spread evenly over the I/O workers.
 
 mod lockstep;
 
@@ -879,5 +880,32 @@ fn racing_inline_and_queued_writes_keep_each_connections_order() {
     assert!(inline > 0, "no single INGEST was applied inline");
 
     setup.shutdown().unwrap();
+    handle.join();
+}
+
+/// A burst of connections spreads evenly over the I/O workers: only a
+/// worker that holds no more connections than any other accepts, so
+/// the first worker to wake cannot take the whole burst.
+#[test]
+fn connections_spread_evenly_over_the_io_workers() {
+    let cfg = ServerConfig { shards: 1, io_workers: 2, ..ServerConfig::default() };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut clients: Vec<Client> =
+        (0..5).map(|_| Client::connect(handle.addr()).unwrap()).collect();
+    // Served, so accepted.
+    for client in &mut clients {
+        client.query_stories().unwrap();
+    }
+    let text = clients[0].metrics().unwrap();
+    let per_worker: Vec<u64> = (0..2)
+        .map(|w| {
+            let name = format!("storypivot_io_worker_connections{{worker=\"{w}\"}}");
+            exposition_value(&text, &name).unwrap()
+        })
+        .collect();
+    assert_eq!(per_worker.iter().sum::<u64>(), 5, "{per_worker:?}");
+    assert!(per_worker.iter().all(|&n| n == 2 || n == 3), "uneven split: {per_worker:?}");
+    clients.truncate(1);
+    clients[0].shutdown().unwrap();
     handle.join();
 }
