@@ -115,7 +115,8 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
             let ident = idents.get_mut(&s.source).expect("registered source");
             if take_census {
                 let mut stories = HashSet::new();
-                for cand in store.window(s.source, s.timestamp, OMEGA) {
+                for entry in store.window(s.source, s.timestamp, OMEGA) {
+                    let cand = store.resolve(entry);
                     if cand.id == s.id {
                         continue;
                     }

@@ -50,11 +50,13 @@
 //! ([`Identifier::check_pending`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
-use storypivot_store::EventStore;
+use storypivot_store::{EventStore, WindowEntry};
 use storypivot_types::ids::IdGen;
-use storypivot_types::{mem, Error, EventType, Result, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{
+    mem, Error, EventType, Result, Snippet, SnippetId, SourceId, StoryId, TimeRange,
+};
 
 use crate::config::{IdentifyConfig, MatchMode, SketchConfig};
 use crate::sim::{ProbeScorer, ProbeTables};
@@ -224,6 +226,36 @@ struct Work {
 /// norm), so the exact score is finite and the bound holds for it.
 const FOLD_NORM_LIMIT: f64 = f32::MAX as f64 / 2.0;
 
+/// A candidate story in the scoring loop's visiting order: the greatest
+/// bound at affinity 1 first (`total_cmp`), ties by the smaller slot
+/// index. A strict total order, so a max-heap pops the stories in
+/// exactly the order a full sort lists them.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    bound: f64,
+    si: u32,
+}
+
+impl Ord for Visit {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bound.total_cmp(&other.bound).then(other.si.cmp(&self.si))
+    }
+}
+
+impl PartialOrd for Visit {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Visit {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Visit {}
+
 /// One candidate story's accumulation state during a probe.
 #[derive(Debug, Clone, Default)]
 struct Slot {
@@ -255,24 +287,31 @@ impl Slot {
     }
 
     /// Add the candidate at `ci`.
-    fn add(&mut self, ci: usize, cand: &Snippet) {
+    fn add(&mut self, ci: usize, cand: &WindowEntry) {
         self.cand_idx.push(ci as u32);
-        self.entity_sig |= cand.entities().sig();
-        self.term_sig |= cand.terms().sig();
-        self.types |= 1 << cand.content.event_type.code();
-        self.entity_norms += cand.entities().norm();
-        self.term_norms += cand.terms().norm();
+        self.entity_sig |= cand.entity_sig;
+        self.term_sig |= cand.term_sig;
+        self.types |= 1 << cand.event_type.code();
+        self.entity_norms += cand.entity_norm;
+        self.term_norms += cand.term_norm;
+    }
+
+    /// Whether no entry of the story's fold can round to ∞, so its bound
+    /// holds ([`FOLD_NORM_LIMIT`]).
+    fn finite_fold(&self) -> bool {
+        self.entity_norms < FOLD_NORM_LIMIT && self.term_norms < FOLD_NORM_LIMIT
     }
 }
 
 /// Reusable per-probe scoring state. Every buffer here is pooled: a
 /// probe clears and refills them, so none allocates in steady state
 /// (the old code allocated a freshly merged vector per candidate —
-/// O(story size) allocations per probe). The probe is not
-/// allocation-free: the window candidates it is handed come from
-/// `EventStore::window`, which collects a fresh `Vec<&Snippet>` per
-/// probe (≈ 1.5 allocations and 6.5 reallocations per probe on an
-/// `identify_dense`-shaped stream).
+/// O(story size) allocations per probe). The window candidates are a
+/// slice borrowed from the store (`EventStore::window`), so what a
+/// probe still allocates is a pooled buffer or a stored fold growing
+/// past its capacity: ≈ 0.35 allocations and 0.4 reallocations per
+/// probe on an `identify_dense`-shaped stream (`tests/probe_allocations.rs`
+/// holds it to 2).
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
     /// Story → slot index as a stamped dense array ("sparse set").
@@ -286,9 +325,9 @@ struct ScoreScratch {
     /// Slot pool; only `slots[..live]` belong to the current probe.
     slots: Vec<Slot>,
     live: usize,
-    /// `(bound at affinity 1, slot index)` of the current probe's
-    /// stories: the order the scoring loop visits them in.
-    order: Vec<(f64, u32)>,
+    /// The current probe's stories by bound at affinity 1: the buffer
+    /// of the max-heap the scoring loop pops them from.
+    order: Vec<Visit>,
     /// Fold buffer for a story whose stored fold is not used.
     local: WindowFold,
     /// `(story, blended score)`: the best-scoring story first, then
@@ -338,9 +377,9 @@ impl ScoreScratch {
 /// The best pair similarity of the probe against the candidates at `idx`,
 /// 0 if there are none. A NaN pair score is ignored: it fails `>`.
 #[inline]
-fn best_pair(scorer: &ProbeScorer<'_>, candidates: &[&Snippet], idx: &[u32]) -> f64 {
+fn best_pair(scorer: &ProbeScorer<'_>, store: &EventStore, candidates: &[WindowEntry], idx: &[u32]) -> f64 {
     idx.iter().fold(0.0, |best, &ci| {
-        let s = scorer.score(&candidates[ci as usize].content);
+        let s = scorer.score(&store.resolve(&candidates[ci as usize]).content);
         if s > best {
             s
         } else {
@@ -354,9 +393,9 @@ fn best_pair(scorer: &ProbeScorer<'_>, candidates: &[&Snippet], idx: &[u32]) -> 
 /// — and with it every score — cannot differ between the resumed,
 /// refolded and local paths.
 #[inline]
-fn fold_members(fold: &mut WindowFold, candidates: &[&Snippet], idx: &[u32]) {
+fn fold_members(fold: &mut WindowFold, store: &EventStore, candidates: &[WindowEntry], idx: &[u32]) {
     for &ci in idx {
-        let c = candidates[ci as usize];
+        let c = store.resolve(&candidates[ci as usize]);
         fold.entities.merge_add(c.entities());
         fold.terms.merge_add(c.terms());
     }
@@ -612,10 +651,11 @@ impl Identifier {
         //
         // No pair is scored here. Each story's slot collects its
         // candidates and ORs their signatures and event types, which is
-        // all its bound needs.
-        let candidates: Vec<&Snippet> = match self.cfg.mode {
+        // all its bound needs; the window entries carry them, so this
+        // phase reads the entries and the snippet → story table only.
+        let candidates: &[WindowEntry] = match self.cfg.mode {
             MatchMode::Temporal { omega } => store.window(self.source, snippet.timestamp, omega),
-            MatchMode::Complete => store.snippets_of_source(self.source),
+            MatchMode::Complete => store.window_in(self.source, TimeRange::ALL),
         };
         let mut work = Work::default();
         let id_base = self.source.raw().wrapping_mul(STORY_ID_STRIDE);
@@ -650,7 +690,9 @@ impl Identifier {
         // type affinity by the largest among the candidates' types.
         // The blend is monotone under non-negative weights. Stories are
         // visited in descending bound at affinity 1, so high scores come
-        // early and rule out more of the rest.
+        // early and rule out more of the rest. They are popped from a
+        // max-heap, not sorted: most are ruled out, and once a popped
+        // bound rules out every story left, the rest is never ordered.
         //
         // The tables leave the scratch for the probe, so the scorer's
         // borrow of them does not hold all of it.
@@ -683,12 +725,18 @@ impl Identifier {
             ..
         } = &mut self.scratch;
         let slots = &slots[..*live];
+        // A story its bound at affinity 1 can never skip: the bound is
+        // not finite, or the fold may overflow.
+        let pinned = |slot: &Slot, bound: f64| !(bound.is_finite() && slot.finite_fold());
+        let mut pinned_left = 0usize;
         order.clear();
         order.extend(slots.iter().enumerate().map(|(si, slot)| {
             let (pair, entity, term) = bounds_of(slot);
-            (story_score(pair, entity, term, 1.0), si as u32)
+            let bound = story_score(pair, entity, term, 1.0);
+            pinned_left += pinned(slot, bound) as usize;
+            Visit { bound, si: si as u32 }
         }));
-        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut heap = BinaryHeap::from(std::mem::take(order));
 
         // ---- phase 3: score the pairs, fold and score the stories ------
         //
@@ -731,9 +779,9 @@ impl Identifier {
         // it was skipped on.
         #[cfg(debug_assertions)]
         let assert_under = |slot: &Slot, local: &mut WindowFold, type_affinity: f64, bound: f64, which: &str| {
-            let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
+            let pair = best_pair(&scorer, store, candidates, &slot.cand_idx);
             local.clear();
-            fold_members(local, &candidates, &slot.cand_idx);
+            fold_members(local, store, candidates, &slot.cand_idx);
             let (e, t) = (scorer.entity_cosine(&local.entities), scorer.term_cosine(&local.terms));
             let exact = story_score(pair, e, t, type_affinity);
             assert!(
@@ -744,15 +792,26 @@ impl Identifier {
         };
         let mut best = f64::NEG_INFINITY;
         ranked.clear();
-        for &(at_one, si) in order.iter() {
+        while let Some(Visit { bound: at_one, si }) = heap.pop() {
             let slot = &slots[si as usize];
-            let guarded = prune && slot.entity_norms < FOLD_NORM_LIMIT && slot.term_norms < FOLD_NORM_LIMIT;
+            pinned_left -= pinned(slot, at_one) as usize;
+            let guarded = prune && slot.finite_fold();
             let unreachable = |bound: f64| {
                 guarded && bound.is_finite() && bound + SLACK < merge_threshold && bound + SLACK < best
             };
             if unreachable(at_one) {
                 #[cfg(debug_assertions)]
                 assert_under(slot, local, affinity(self.stories.get(&slot.story)), at_one, "pre-pair");
+                if pinned_left == 0 {
+                    // Every story left bounds at most `at_one` at affinity
+                    // 1 and can be skipped on it, so each would be.
+                    #[cfg(debug_assertions)]
+                    for Visit { bound, si } in heap.drain() {
+                        let slot = &slots[si as usize];
+                        assert_under(slot, local, affinity(self.stories.get(&slot.story)), bound, "pre-pair");
+                    }
+                    break;
+                }
                 continue;
             }
             let state = self.stories.get_mut(&slot.story);
@@ -764,7 +823,7 @@ impl Identifier {
                 assert_under(slot, local, type_affinity, before_pairs, "pre-pair");
                 continue;
             }
-            let pair = best_pair(&scorer, &candidates, &slot.cand_idx);
+            let pair = best_pair(&scorer, store, candidates, &slot.cand_idx);
             work.pairs_scored += slot.cand_idx.len();
             let with_pair = story_score(pair, entity, term, type_affinity);
             if unreachable(with_pair) {
@@ -788,19 +847,19 @@ impl Identifier {
                     } else {
                         work.cache_hits += 1;
                     }
-                    fold_members(fold, &candidates, &slot.cand_idx[done..]);
+                    fold_members(fold, store, candidates, &slot.cand_idx[done..]);
                     // Debug builds hold every resumed fold to one from scratch.
                     #[cfg(debug_assertions)]
                     if done > 0 {
                         local.clear();
-                        fold_members(local, &candidates, &slot.cand_idx);
+                        fold_members(local, store, candidates, &slot.cand_idx);
                         assert!(same_bits(fold, local), "story {}: resumed fold != refold", slot.story);
                     }
                     &*fold
                 }
                 None => {
                     local.clear();
-                    fold_members(local, &candidates, &slot.cand_idx);
+                    fold_members(local, store, candidates, &slot.cand_idx);
                     work.cache_misses += 1;
                     &*local
                 }
@@ -812,6 +871,7 @@ impl Identifier {
             }
             ranked.push((slot.story, s));
         }
+        *order = heap.into_vec();
         rank_for_decision(ranked, merge_threshold);
         drop(scorer);
         self.scratch.tables = tables;
@@ -1453,6 +1513,47 @@ mod tests {
         let want = reference.assign_with(&probe, &st, false);
         let got = id.assign(&probe, &st);
         assert_eq!(resumed_as_fresh(&got), want, "the same decision and the same folds");
+        assert_eq!((got.story, got.cache_hits + got.cache_misses), (good, 2), "{huge} is folded");
+        assert_eq!(partition(&id), partition(&reference));
+    }
+
+    #[test]
+    fn a_story_ruled_out_early_does_not_rule_out_an_overflowing_one_after_it() {
+        use storypivot_types::kernel::key_bit;
+        let (t, u, v) = (TermId::new(10), TermId::new(11), TermId::new(12));
+        let bits = [key_bit(t), key_bit(u), key_bit(v)];
+        assert!(bits[0] != bits[1] && bits[1] != bits[2] && bits[0] != bits[2]);
+        let (e1, e5, e7) = (EntityId::new(1), EntityId::new(5), EntityId::new(7));
+        assert!(key_bit(e5) != key_bit(e1) && key_bit(e7) != key_bit(e1));
+        let weighted = |id: u32, entity: EntityId, terms: &[(TermId, f32)]| {
+            let mut b = Snippet::builder(SnippetId::new(id), SourceId::new(0), Timestamp::from_secs(0))
+                .event_type(EventType::Accident)
+                .entity(entity, 1.0);
+            for &(term, w) in terms {
+                b = b.term(term, w);
+            }
+            b.build()
+        };
+        let mut st = store();
+        let mut id = ident(MatchMode::Complete);
+        let good = ingest(&mut st, &mut id, weighted(0, e1, &[(u, 1.0)])).story;
+        ingest(&mut st, &mut id, weighted(1, e1, &[(u, 1.0)]));
+        // A weak story, bounded above the huge one and below `good`: the
+        // scoring loop rules it out before it reaches the huge story.
+        ingest(&mut st, &mut id, weighted(2, e5, &[(v, 1.0)]));
+        let huge = ingest(&mut st, &mut id, weighted(3, e7, &[(t, f32::MAX)])).story;
+        ingest(&mut st, &mut id, weighted(4, e7, &[(t, f32::MAX)]));
+        assert_eq!(id.story_count(), 3);
+        let probe = weighted(5, e1, &[(t, 1.0), (u, 100.0), (v, 10.0)]);
+        st.insert(probe.clone()).unwrap();
+
+        let mut reference = id.clone();
+        let want = reference.assign_with(&probe, &st, false);
+        let got = id.assign(&probe, &st);
+        assert_eq!((got.story, got.best_score.to_bits()), (want.story, want.best_score.to_bits()));
+        // The weak story's one pair is never scored; the huge story is
+        // still folded, and both of its pairs scored.
+        assert_eq!((got.pairs_scored, want.pairs_scored), (4, 5));
         assert_eq!((got.story, got.cache_hits + got.cache_misses), (good, 2), "{huge} is folded");
         assert_eq!(partition(&id), partition(&reference));
     }

@@ -738,7 +738,9 @@ impl StoryPivot {
     ///    as pending maintenance has a connected member graph, found by
     ///    a sweep from scratch ([`Identifier::check_pending`]);
     /// 5. between alignments as well, every snippet the cached outcome
-    ///    lists is stored and every source it lists is registered.
+    ///    lists is stored and every source it lists is registered;
+    /// 6. every source's window index is what a rebuild from the stored
+    ///    snippets would hold ([`EventStore::check_windows`]).
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |msg: String| Err(Error::Invariant(msg));
 
@@ -823,6 +825,9 @@ impl StoryPivot {
         for ident in self.identifiers.values() {
             ident.check_pending(&self.store)?;
         }
+
+        // (6)
+        self.store.check_windows()?;
 
         // (5)
         if let Some(outcome) = &self.outcome {

@@ -543,6 +543,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     cfg.pivot.validate()?;
     let cfg = Arc::new(cfg);
     let listener = TcpListener::bind(addr)?;
+    net::raise_backlog(&listener, net::SOMAXCONN)?;
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 

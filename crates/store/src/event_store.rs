@@ -3,7 +3,11 @@
 //! Owns every ingested [`Snippet`] plus the indexes StoryPivot's phases
 //! query:
 //!
-//! * a per-source [`WindowIndex`] for temporal identification (§2.2);
+//! * a per-source [`WindowIndex`] for temporal identification (§2.2):
+//!   a sorted `Vec` of compact [`WindowEntry`]s, so a window is a
+//!   borrowed slice ([`EventStore::window`]) and its snippets are
+//!   resolved by arena slot only where a caller needs them
+//!   ([`EventStore::resolve`]);
 //! * a global entity [`InvertedIndex`] for counterpart search during
 //!   alignment (§2.3);
 //! * a document index for the demo's add/remove-document interaction
@@ -19,7 +23,7 @@ use storypivot_types::{
 };
 
 use crate::inverted::InvertedIndex;
-use crate::window::WindowIndex;
+use crate::window::{WindowEntry, WindowIndex};
 
 /// Aggregate statistics about a store (drives the demo's dataset
 /// information panel, Figure 7 inset).
@@ -40,9 +44,11 @@ pub struct StoreStats {
 /// In-memory event store with temporal, entity, and document indexes.
 ///
 /// Snippets live in a slot arena (`arena` + `free`); the id map and the
-/// per-source window indexes both reference arena slots, so the hot
-/// window-range queries resolve snippets by direct indexing instead of
-/// a hash lookup per hit.
+/// per-source window entries both reference arena slots, so a window
+/// candidate resolves to its snippet by direct indexing instead of a
+/// hash lookup. Removing a snippet shifts its source's newer window
+/// entries ([`crate::window`]); removing a source drops its window
+/// whole.
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
     arena: Vec<Option<Snippet>>,
@@ -81,10 +87,9 @@ impl EventStore {
             return Err(Error::UnknownSource(id));
         }
         let window = self.windows.remove(&id).unwrap_or_default();
-        let ids: Vec<SnippetId> = window.iter().map(|(_, sid)| sid).collect();
-        let mut evicted = Vec::with_capacity(ids.len());
-        for sid in ids {
-            evicted.push(self.detach(sid)?);
+        let mut evicted = Vec::with_capacity(window.len());
+        for entry in window.entries() {
+            evicted.push(self.detach(entry.id)?);
         }
         Ok(evicted)
     }
@@ -127,7 +132,7 @@ impl EventStore {
                 (self.arena.len() - 1) as u32
             }
         };
-        window.insert(snippet.timestamp, snippet.id, slot);
+        window.insert(&snippet, slot);
         self.entity_index
             .insert_all(snippet.entities().keys(), snippet.id);
         let posting = self.doc_index.entry(snippet.doc).or_default();
@@ -208,25 +213,30 @@ impl EventStore {
 
     // ---- queries ---------------------------------------------------
 
-    /// Snippets of `source` inside the symmetric window `[t-ω, t+ω]`,
-    /// ascending by `(timestamp, id)`.
-    pub fn window(&self, source: SourceId, t: Timestamp, omega: i64) -> Vec<&Snippet> {
-        self.range(source, TimeRange::window(t, omega))
+    /// Window entries of `source` inside the symmetric window
+    /// `[t-ω, t+ω]`, ascending by `(timestamp, id)`: a borrowed slice,
+    /// found by two binary searches (identification's probe).
+    pub fn window(&self, source: SourceId, t: Timestamp, omega: i64) -> &[WindowEntry] {
+        self.window_in(source, TimeRange::window(t, omega))
+    }
+
+    /// Window entries of `source` inside `range`, ascending by
+    /// `(timestamp, id)`; empty for an unknown source.
+    pub fn window_in(&self, source: SourceId, range: TimeRange) -> &[WindowEntry] {
+        self.windows.get(&source).map_or(&[], |w| w.range(range))
+    }
+
+    /// The snippet a window entry of this store indexes.
+    #[inline]
+    pub fn resolve(&self, entry: &WindowEntry) -> &Snippet {
+        self.arena[entry.slot as usize]
+            .as_ref()
+            .expect("window entries point at live slots")
     }
 
     /// Snippets of `source` inside `range`, ascending by `(timestamp, id)`.
     pub fn range(&self, source: SourceId, range: TimeRange) -> Vec<&Snippet> {
-        match self.windows.get(&source) {
-            Some(w) => w
-                .query_slots(range)
-                .map(|slot| {
-                    self.arena[slot as usize]
-                        .as_ref()
-                        .expect("window entries point at live slots")
-                })
-                .collect(),
-            None => Vec::new(),
-        }
+        self.window_in(source, range).iter().map(|e| self.resolve(e)).collect()
     }
 
     /// All snippets of a source, ascending by `(timestamp, id)`.
@@ -259,7 +269,7 @@ impl EventStore {
     /// Heap bytes by part (the memory account): the snippet arena with
     /// every snippet's buffers and the id → slot map, the per-source
     /// window indexes, the entity postings, and the document index. The
-    /// B-tree parts are estimates ([`storypivot_types::mem`]).
+    /// entity postings' B-trees are estimates ([`storypivot_types::mem`]).
     pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
         let arena = mem::vec_bytes(&self.arena)
             + self.iter().map(Snippet::heap_bytes).sum::<usize>()
@@ -275,6 +285,50 @@ impl EventStore {
             ("store.entity_postings", self.entity_index.heap_bytes()),
             ("store.doc_index", doc_index),
         ]
+    }
+
+    /// Check every source's window against the snippets stored,
+    /// describing the first violation: the entries strictly ascend by
+    /// `(timestamp, id)`, there are as many as the source has stored
+    /// snippets, and each entry's slot holds the snippet with its id,
+    /// whose signatures, norms and event type it caches to the bit.
+    pub fn check_windows(&self) -> Result<()> {
+        let fail = |msg: String| Err(Error::Invariant(msg));
+        let mut stored: HashMap<SourceId, usize> = HashMap::new();
+        for sn in self.iter() {
+            *stored.entry(sn.source).or_default() += 1;
+        }
+        for (&source, window) in &self.windows {
+            let entries = window.entries();
+            if let Some(w) = entries.windows(2).find(|w| w[0].key() >= w[1].key()) {
+                return fail(format!(
+                    "source {source}: window entry {} at {} does not follow {} at {}",
+                    w[1].id, w[1].timestamp, w[0].id, w[0].timestamp
+                ));
+            }
+            let n = stored.remove(&source).unwrap_or(0);
+            if entries.len() != n {
+                return fail(format!(
+                    "source {source}: {} window entries for {n} stored snippets",
+                    entries.len()
+                ));
+            }
+            for e in entries {
+                let Some(Some(sn)) = self.arena.get(e.slot as usize) else {
+                    return fail(format!("window entry {} points at empty slot {}", e.id, e.slot));
+                };
+                if sn.id != e.id {
+                    return fail(format!("window entry {} points at snippet {}", e.id, sn.id));
+                }
+                if e.bits() != WindowEntry::of(sn, e.slot).bits() {
+                    return fail(format!("window entry {} differs from its snippet: {e:?}", e.id));
+                }
+            }
+        }
+        if let Some((source, n)) = stored.into_iter().next() {
+            return fail(format!("{n} snippets of source {source} have no window"));
+        }
+        Ok(())
     }
 
     /// Aggregate statistics.
@@ -416,6 +470,35 @@ mod tests {
             st.coverage,
             TimeRange::new(Timestamp::from_secs(100), Timestamp::from_secs(500))
         );
+    }
+
+    #[test]
+    fn check_windows_catches_a_stale_or_missing_entry() {
+        let fresh = || {
+            let mut s = store_with_sources(2);
+            s.insert(snip(0, 0, 100, &[1])).unwrap();
+            s.insert(snip(1, 0, 200, &[2])).unwrap();
+            s.insert(snip(2, 1, 100, &[3])).unwrap();
+            s.remove(SnippetId::new(1)).unwrap();
+            s.check_windows().unwrap();
+            s
+        };
+        fn window(s: &mut EventStore) -> &mut WindowIndex {
+            s.windows.get_mut(&SourceId::new(0)).unwrap()
+        }
+        // An entry pointing at a freed slot.
+        let mut s = fresh();
+        window(&mut s).insert(&snip(0, 0, 100, &[1]), 1);
+        assert!(matches!(s.check_windows(), Err(Error::Invariant(_))));
+        // An entry whose cached signature is not its snippet's.
+        let mut s = fresh();
+        let slot = s.slot_of[&SnippetId::new(0)];
+        window(&mut s).insert(&snip(0, 0, 100, &[9]), slot);
+        assert!(matches!(s.check_windows(), Err(Error::Invariant(_))));
+        // A snippet missing from its window.
+        let mut s = fresh();
+        window(&mut s).remove(Timestamp::from_secs(100), SnippetId::new(0));
+        assert!(matches!(s.check_windows(), Err(Error::Invariant(_))));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`EventStore`] — the canonical snippet repository with per-source
 //!   temporal indexes, an entity inverted index, and a document index;
 //!   supports out-of-order insertion and removal.
-//! * [`window`] — the per-source sliding-window index.
+//! * [`window`] — the per-source sliding-window index: a sorted array
+//!   of compact entries, so a window is a borrowed slice.
 //! * [`inverted`] — a generic inverted index with overlap-counted
 //!   candidate retrieval.
 //! * [`codec`] — a hand-rolled length-prefixed binary codec (on
@@ -32,4 +33,4 @@ pub mod window;
 
 pub use event_store::{EventStore, StoreStats};
 pub use inverted::InvertedIndex;
-pub use window::WindowIndex;
+pub use window::{WindowEntry, WindowIndex};

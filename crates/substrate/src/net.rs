@@ -9,7 +9,7 @@
 //! a safe wrapper. It is the sole `#[allow(unsafe_code)]` island in an
 //! otherwise `deny(unsafe_code)` crate.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`Poller`] — a reusable registration set: `clear` + `register`
 //!   each tick, then [`Poller::poll`] and iterate [`Poller::events`].
@@ -24,8 +24,12 @@
 //! * [`context_switches`] — the process's context switches so far, from
 //!   `getrusage(2)`: what a request's thread hand-offs cost shows up
 //!   here, so the serving layer's hand-off gate reads it around a run.
+//! * [`raise_backlog`] — `listen(2)` again on a bound listener, which
+//!   only raises its accept backlog: `std`'s `TcpListener::bind` listens
+//!   with 128, and a connection storm larger than that overflows it.
 
 use std::io;
+use std::net::TcpListener;
 use std::time::Duration;
 
 /// Interest in readability.
@@ -120,6 +124,24 @@ mod sys {
         }
         Ok((usage.counters[12] + usage.counters[13]) as u64)
     }
+
+    extern "C" {
+        fn listen(fd: std::os::raw::c_int, backlog: std::os::raw::c_int) -> std::os::raw::c_int;
+    }
+
+    /// `listen(2)` on `fd`; on a socket already listening it changes
+    /// only the backlog.
+    #[allow(unsafe_code)]
+    pub fn listen_fd(fd: i32, backlog: i32) -> io::Result<()> {
+        // SAFETY: `listen(2)` takes two integers and keeps no pointer;
+        // a bad fd is an error return, not undefined behaviour.
+        let rc = unsafe { listen(fd, backlog) };
+        if rc < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(())
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -161,6 +183,30 @@ mod sys {
 /// the difference over the run's operations is its switches per op.
 pub fn context_switches() -> io::Result<u64> {
     sys::context_switches()
+}
+
+/// The backlog a server asks [`raise_backlog`] for: Linux's `SOMAXCONN`.
+/// The kernel clamps it to `net.core.somaxconn`.
+pub const SOMAXCONN: i32 = 4096;
+
+/// Raise a bound listener's accept backlog to `backlog` pending
+/// connections. `std`'s `TcpListener::bind` listens with 128: a burst of
+/// more connects than the server accepts in one go overflows the queue,
+/// the kernel drops the extra SYNs, and each dropped client retries
+/// about a second later.
+#[cfg(unix)]
+pub fn raise_backlog(listener: &TcpListener, backlog: i32) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    sys::listen_fd(listener.as_raw_fd(), backlog)
+}
+
+/// Raise a bound listener's accept backlog (unix only).
+#[cfg(not(unix))]
+pub fn raise_backlog(_listener: &TcpListener, _backlog: i32) -> io::Result<()> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "raising the accept backlog requires a unix platform",
+    ))
 }
 
 /// A reusable `poll(2)` registration set.
@@ -427,6 +473,23 @@ mod tests {
         echo.join().unwrap();
         let after = context_switches().unwrap();
         assert!(after >= before + 20, "{before} -> {after}: every sleep blocks once");
+    }
+
+    #[test]
+    fn a_raised_backlog_queues_a_connect_burst() {
+        // Nothing accepts: every connect that completes sits in the
+        // queue. At std's backlog of 128 only 129 of these complete; the
+        // rest time out with their SYNs dropped.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        raise_backlog(&listener, SOMAXCONN).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut held = Vec::new();
+        for i in 0..200 {
+            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                Ok(stream) => held.push(stream),
+                Err(e) => panic!("connect {i} of 200 failed with {} queued: {e}", held.len()),
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `tests/memory_account.rs` holds the sum of the account to a counting
 //! allocator, so a wrong formula here fails there.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::mem::size_of;
 
 /// Bytes of a `Vec`'s buffer (its capacity, not its length).
@@ -46,8 +46,8 @@ fn table_bytes(capacity: usize, entry: usize) -> usize {
 /// entries is one leaf whatever its fill; past that, leaves are taken
 /// as 6½ of 11 full — an ascending insert splits a leaf 6 / 5 and leaves
 /// the left half at 6 for good, uniformly random inserts settle near
-/// 7.6, and both the window index (timestamps arrive nearly in order)
-/// and the entity postings (snippet ids ascend) sit between the two.
+/// 7.6, and the entity postings (snippet ids ascend, mostly) sit
+/// between the two.
 fn btree_bytes(len: usize, entry: usize) -> usize {
     if len == 0 {
         return 0;
@@ -60,11 +60,6 @@ fn btree_bytes(len: usize, entry: usize) -> usize {
         internal += level;
     }
     leaves * leaf + internal * (leaf + 12 * size_of::<usize>())
-}
-
-/// Estimated bytes of a `BTreeMap`'s nodes.
-pub fn btree_map_bytes<K, V>(m: &BTreeMap<K, V>) -> usize {
-    btree_bytes(m.len(), size_of::<K>() + size_of::<V>())
 }
 
 /// Estimated bytes of a `BTreeSet`'s nodes.

@@ -2,7 +2,7 @@
 
 use storypivot::sketch::{HashFamily, MinHash};
 use storypivot::store::codec::{decode_snippet, decode_store, encode_snippet, encode_store};
-use storypivot::store::{EventStore, WindowIndex};
+use storypivot::store::EventStore;
 use storypivot::substrate::prop;
 use storypivot::substrate::rng::{RngExt, StdRng};
 use storypivot::types::sparse::SparseVec;
@@ -96,33 +96,54 @@ fn codec_never_panics_on_corrupt_input() {
 // ---- window index vs naive scan ------------------------------------------
 
 #[test]
-fn window_query_equals_naive_filter() {
+fn store_window_equals_naive_filter() {
     prop::run(256, |rng| {
-        let entries = prop::vec_with(rng, 0, 59, |r| {
-            (r.random_range(-1000i64..1000), r.random_range(0..100u32))
-        });
-        let lo = rng.random_range(-1200i64..1200);
-        let width = rng.random_range(0i64..500);
-
-        let mut idx = WindowIndex::new();
-        let mut naive: Vec<(i64, u32)> = Vec::new();
-        for (t, id) in entries {
-            idx.insert(Timestamp::from_secs(t), SnippetId::new(id), 0);
-            if !naive.contains(&(t, id)) {
-                naive.push((t, id));
+        let mut store = EventStore::new();
+        for i in 0..2 {
+            store
+                .register_source(Source::new(SourceId::new(i), format!("s{i}"), SourceKind::Blog))
+                .unwrap();
+        }
+        // The model: every stored snippet, in no particular order.
+        let mut model: Vec<Snippet> = Vec::new();
+        for _ in 0..rng.random_range(0..80usize) {
+            if model.is_empty() || rng.random_bool(0.75) {
+                // Out-of-order inserts over a narrow clock, so timestamps
+                // collide and ids break ties; an id already stored is a
+                // duplicate the store must refuse without a trace.
+                let mut s = arb_snippet(rng, 60);
+                s.source = SourceId::new(rng.random_range(0..2u32));
+                s.timestamp = Timestamp::from_secs(rng.random_range(-50i64..50));
+                let dup = model.iter().any(|m| m.id == s.id);
+                assert_eq!(store.insert(s.clone()).is_err(), dup);
+                if !dup {
+                    model.push(s);
+                }
+            } else {
+                let at = rng.random_range(0..model.len());
+                let gone = model.swap_remove(at);
+                assert_eq!(store.remove(gone.id).unwrap(), gone);
             }
         }
-        let range = TimeRange::new(Timestamp::from_secs(lo), Timestamp::from_secs(lo + width));
-        let got: Vec<(i64, u32)> = idx
-            .query(range)
-            .map(|(t, id)| (t.secs(), id.raw()))
-            .collect();
-        let mut expected: Vec<(i64, u32)> = naive
-            .into_iter()
-            .filter(|&(t, _)| lo <= t && t <= lo + width)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+        store.check_windows().unwrap();
+
+        for source in [SourceId::new(0), SourceId::new(1)] {
+            let t = Timestamp::from_secs(rng.random_range(-60i64..60));
+            let omega = rng.random_range(0i64..40);
+            let got: Vec<(Timestamp, SnippetId)> =
+                store.window(source, t, omega).iter().map(|e| (e.timestamp, e.id)).collect();
+            let mut expected: Vec<(Timestamp, SnippetId)> = model
+                .iter()
+                .filter(|m| m.source == source && TimeRange::window(t, omega).contains(m.timestamp))
+                .map(|m| (m.timestamp, m.id))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(got, expected);
+            // Each entry resolves to its snippet.
+            for e in store.window(source, t, omega) {
+                assert_eq!(store.resolve(e).id, e.id);
+            }
+        }
     });
 }
 
