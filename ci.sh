@@ -45,7 +45,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> docs: every file, test target, experiment, metric series and member the docs name exists"
+echo "==> docs: every file, test target, experiment, metric series, member and memory row the docs name exists"
 # CHANGES.md and ROADMAP.md are history and plans and may name what is
 # gone; these describe the system as it is. A path is a word under a
 # top-level directory, or with a directory and a file extension, or a
@@ -57,9 +57,13 @@ echo "==> docs: every file, test target, experiment, metric series and member th
 # crate name is not a series) must be a string literal in some
 # `crates/*/src` file, which is where every series is registered. A
 # backticked `Type::member`, where `Type` is a workspace struct, enum or
-# trait, must name a `fn` or a field defined under `crates/*/src`.
+# trait, must name a `fn` or a field defined under `crates/*/src`. A
+# memory-account row (a backticked `store.*`, `identify.*`, `align.*` or
+# `refine.*` name, or a `structure="…"` label value) must be a string
+# literal under `crates/*/src` or `benchmark/src`, whose layer metrics
+# share those prefixes (`store.window_us`).
 doc_check() {
-    local tracked experiments series types members doc n ref path name stale=0
+    local tracked experiments series types members rows doc n ref path name stale=0
     tracked="$(git ls-files; printf '%s\n' benchmark/target/release/spbench data/counts.txt)"
     series="$(git grep -ohE '"storypivot_[a-z0-9_]+"' -- 'crates/*/src/*' | tr -d '"'
         git ls-files 'crates/*/Cargo.toml' | sed -E 's|crates/(.*)/Cargo.toml|storypivot_\1|')"
@@ -70,6 +74,8 @@ doc_check() {
         sed -E 's/^\s*(pub(\([a-z]+\))? )?(struct|enum|trait) ([A-Za-z0-9_]+).*/\4/')"
     members="$(git grep -hoE '\bfn [a-z_][a-z0-9_]*|^\s*(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: ' -- 'crates/*/src/*' |
         sed -E 's/^\s*(pub(\([a-z]+\))? )?//; s/^fn //; s/: $//')"
+    rows="$(git grep -ohE '"(store|identify|align|refine)\.[a-z0-9_.]+"' -- 'crates/*/src/*' 'benchmark/src/*' |
+        tr -d '"')"
     for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
         while IFS=: read -r n ref; do
             ref="${ref#./}" && ref="${ref%[.,]}"
@@ -106,6 +112,12 @@ doc_check() {
             grep -qxF "${ref#*::}" <<< "$members" ||
                 { echo "$doc:$n: no such fn or field: $ref"; stale=1; }
         done < <(grep -noE '`[A-Z][A-Za-z0-9]*::[a-z_][a-z0-9_]*' "$doc")
+        while IFS=: read -r n ref; do
+            for name in $(grep -oE '(store|identify|align|refine)\.[a-z0-9_.]+' <<< "$ref"); do
+                [[ "$name" == *.rs ]] || grep -qxF "$name" <<< "$rows" ||
+                    { echo "$doc:$n: no such memory row: $name"; stale=1; }
+            done
+        done < <(grep -noE '`(store|identify|align|refine)\.[a-z0-9_.]+`|structure=("[^"]*"\|?)+' "$doc")
     done
     return "$stale"
 }

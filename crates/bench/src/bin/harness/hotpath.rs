@@ -17,9 +17,9 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// E17 — the similarity hot path: how often a story's stored windowed
 /// fold is resumed.
 ///
-/// The default configuration (the row keeps its historical name, *flat
-/// kernels + hot cache*) over a seeded Zipf corpus, driving the store
-/// and per-source identifiers directly so only the identify inner loop
+/// The default configuration (the row *flat kernels + resumed folds*)
+/// over a seeded Zipf corpus, driving the store and per-source
+/// identifiers directly so only the identify inner loop
 /// (`Identifier::score_probe`) sits inside the timer. `cache hits` are
 /// the folds resumed (extended by the members that entered the window),
 /// `cache misses` those folded from scratch. That a resumed fold equals
@@ -199,7 +199,7 @@ fn e17_hotpath(scale: &Scale, seed: u64) -> Table {
         format!("{:.1}%", r.cache_hits as f64 / folds as f64 * 100.0)
     };
     table.row([
-        "flat kernels + hot cache".to_string(),
+        "flat kernels + resumed folds".to_string(),
         corpus.len().to_string(),
         format!("{:.0}", r.ns_per_event),
         r.cache_hits.to_string(),

@@ -530,7 +530,7 @@ impl StoryPivot {
 
     // ---- memory ------------------------------------------------------------------
 
-    /// Heap bytes held by each part of the engine: the store's four
+    /// Heap bytes held by each part of the engine: the store's three
     /// parts, the identifiers' four summed over sources, the aligner's
     /// probe tables, the cached alignment outcome, the stories dirty
     /// since it and the refiner. Computed from the collections' layouts
@@ -933,6 +933,37 @@ mod tests {
         snip(&mut pivot, a, 30, &[1, 100], &[1]);
         assert_eq!(pivot.dirty_count(), 1);
         assert!(dirty_bytes(&pivot) > Some(0), "once aligned, the set is counted");
+    }
+
+    #[test]
+    fn an_engine_that_never_refines_keeps_no_entity_postings() {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        let b = pivot.add_source("b", SourceKind::Newspaper);
+        for i in 0..200 {
+            let source = if i % 2 == 0 { a } else { b };
+            snip(&mut pivot, source, i / 20, &[i as u32 % 7, 100], &[i as u32 % 5]);
+        }
+        let doomed = Snippet::builder(pivot.fresh_snippet_id(), a, Timestamp::from_secs(3 * DAY))
+            .entity(EntityId::new(1), 1.0)
+            .doc(DocId::new(7))
+            .build();
+        pivot.ingest(doomed).unwrap();
+        pivot.align();
+        assert_eq!(pivot.remove_document(DocId::new(7)).unwrap(), 1);
+        let account = pivot.memory_account();
+        let store = account.iter().map(|&(s, _)| s).filter(|s| s.starts_with("store."));
+        assert!(
+            store.eq(["store.arena", "store.windows", "store.doc_index"]),
+            "the store indexes no entities: {account:?}"
+        );
+        let refine_bytes = |p: &StoryPivot| {
+            p.memory_account().into_iter().find(|(s, _)| *s == "refine.rows").map(|(_, b)| b)
+        };
+        assert_eq!(refine_bytes(&pivot), Some(0), "nothing refined: no postings, no rows");
+
+        pivot.refine();
+        assert!(refine_bytes(&pivot) > Some(0), "a sweep builds its postings");
     }
 
     #[test]

@@ -168,7 +168,11 @@ struct Delta {
 ///    story in that order is the smallest key of any of its snippets, so
 ///    the probe counts overlaps into a stamped dense counter, folds each
 ///    touched snippet into its story's smallest key and sorts the ≤ 40
-///    stories instead of the ~500 snippets.
+///    stories instead of the ~500 snippets. The snippets sharing an
+///    entity with `v` come from the sweep's own postings, sorted
+///    `(entity, snippet)` pairs of every listed member: alignment ran
+///    first, so every stored snippet is in exactly one list, and the
+///    answer does not depend on the order the postings are walked in.
 /// 3. **Version-keyed cohesion cache.** `cohesion(v, G)` is a pure
 ///    function of `v` and of `G`'s member-id list (a stored snippet's
 ///    content never changes). Every distinct member list gets a *version*:
@@ -238,9 +242,12 @@ pub(crate) struct Refiner {
     /// The current sweep's number; 0 is before the first.
     sweep: u32,
     /// Entity → the last sweep in which a snippet mentioning it changed
-    /// lists. Keyed like the store's entity index: entity ids are
-    /// client-chosen, not dense.
+    /// lists. A hash map: entity ids are client-chosen, not dense.
     entity_moved: HashMap<EntityId, u32>,
+    /// `(entity, raw snippet id)` for every entity of every member of
+    /// this sweep's lists, sorted, so an entity's snippets are one run.
+    /// Refilled by every sweep, kept for its allocation.
+    postings: Vec<(EntityId, u32)>,
     /// Probe scratch: per snippet `(stamp, shared entities)`, valid for
     /// the current probe iff the stamp equals `probe`.
     overlap: Vec<(u32, u32)>,
@@ -264,6 +271,7 @@ impl Refiner {
             + mem::vec_bytes(&self.row_of)
             + mem::vec_bytes(&self.rows)
             + mem::hash_map_bytes(&self.entity_moved)
+            + mem::vec_bytes(&self.postings)
             + mem::vec_bytes(&self.overlap)
             + mem::vec_bytes(&self.story_key)
             + mem::vec_bytes(&self.touched)
@@ -283,9 +291,9 @@ impl Refiner {
 
     /// Version every global story of `outcome` against the previous
     /// sweep's lists, stamp the entities of every snippet that changed
-    /// lists, and rebuild the dense tables for this sweep. Returns, per
-    /// story, what its list gained and lost — `None` for a list equal to
-    /// its parent, and for one without.
+    /// lists, and rebuild the dense tables and the postings for this
+    /// sweep. Returns, per story, what its list gained and lost — `None`
+    /// for a list equal to its parent, and for one without.
     fn begin_sweep(&mut self, outcome: &AlignOutcome, store: &EventStore) -> Vec<Option<Delta>> {
         let stories = outcome.global_stories.len();
         if u32::MAX - self.last_version < stories as u32 {
@@ -312,6 +320,11 @@ impl Refiner {
             }
             lists.push((ids, 0));
         }
+        self.postings.clear();
+        for s in lists.iter().flat_map(|(ids, _)| ids).filter_map(|&id| store.get(id)) {
+            self.postings.extend(s.entities().keys().map(|e| (e, s.id.raw())));
+        }
+        self.postings.sort_unstable();
         let mut story_of = std::mem::take(&mut self.story_of_spare);
         story_of.clear();
         story_of.resize(table_len, NONE);
@@ -387,8 +400,10 @@ impl Refiner {
 
     /// Leave in `self.ranked` the first [`MAX_ALTERNATIVES`] global
     /// stories other than `current` in the order the reference meets them
-    /// when it walks `candidates_by_entities(v)`.
-    fn probe_alternatives(&mut self, v: &Snippet, current: u32, store: &EventStore) {
+    /// when it walks its candidates ranked by shared entities: the
+    /// overlaps are counted over the runs of `v`'s entities in the
+    /// sweep's postings.
+    fn probe_alternatives(&mut self, v: &Snippet, current: u32) {
         self.probe = self.probe.wrapping_add(1);
         if self.probe == 0 {
             // Stamp wrapped: old stamps could collide, so reset them all.
@@ -400,18 +415,18 @@ impl Refiner {
 
         self.touched.clear();
         for entity in v.entities().keys() {
-            for cand in store.entity_postings(entity) {
-                let i = cand.index();
-                match self.story_of.get(i) {
-                    Some(&g) if g != NONE && g != current => {}
-                    _ => continue,
+            let run = self.postings.partition_point(|&(e, _)| e < entity);
+            for &(_, cand) in self.postings[run..].iter().take_while(|&&(e, _)| e == entity) {
+                let i = cand as usize;
+                if self.story_of[i] == current {
+                    continue;
                 }
                 let slot = &mut self.overlap[i];
                 if slot.0 == probe {
                     slot.1 += 1;
                 } else {
                     *slot = (probe, 1);
-                    self.touched.push(i as u32);
+                    self.touched.push(cand);
                 }
             }
         }
@@ -531,7 +546,7 @@ impl Refiner {
                     }
                     if cfg!(debug_assertions) {
                         let carried: Vec<u32> = self.ranked.iter().map(|&(_, g)| g).collect();
-                        self.probe_alternatives(v, gi as u32, store);
+                        self.probe_alternatives(v, gi as u32);
                         debug_assert!(
                             self.ranked.iter().map(|&(_, g)| g).eq(carried),
                             "carried-over alternatives of {} differ from a fresh probe",
@@ -539,7 +554,7 @@ impl Refiner {
                         );
                     }
                 } else {
-                    self.probe_alternatives(v, gi as u32, store);
+                    self.probe_alternatives(v, gi as u32);
                 }
                 let mut best_alt: Option<(u32, f64)> = None;
                 for (k, &(key, alt)) in self.ranked.iter().enumerate() {
@@ -645,10 +660,17 @@ pub(crate) fn plan_reference(
     cfg: &RefineConfig,
     weights: &SimWeights,
 ) -> (Vec<RefineMove>, SweepStats) {
-    // Member snippet lists per global story.
+    // Member snippet lists per global story, and the members mentioning
+    // each entity.
     let mut members_of: HashMap<GlobalStoryId, Vec<SnippetId>> = HashMap::new();
+    let mut postings: HashMap<EntityId, Vec<SnippetId>> = HashMap::new();
     for g in &outcome.global_stories {
         members_of.insert(g.id, g.members.iter().map(|&(id, _)| id).collect());
+        for s in g.members.iter().filter_map(|&(id, _)| store.get(id)) {
+            for entity in s.entities().keys() {
+                postings.entry(entity).or_default().push(s.id);
+            }
+        }
     }
 
     let mut stats = SweepStats::default();
@@ -659,10 +681,19 @@ pub(crate) fn plan_reference(
             let current = cohesion(v, &members_of[&g.id], store, weights, &mut stats);
 
             // Candidate alternative global stories: wherever snippets
-            // sharing entities with v live.
+            // sharing entities with v live, most shared entities first
+            // (ties by id).
+            let mut overlap: HashMap<SnippetId, usize> = HashMap::new();
+            for entity in v.entities().keys() {
+                for &cand in postings.get(&entity).into_iter().flatten() {
+                    *overlap.entry(cand).or_default() += 1;
+                }
+            }
+            let mut candidates: Vec<(SnippetId, usize)> = overlap.into_iter().collect();
+            candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             let mut seen: Vec<GlobalStoryId> = Vec::new();
             let mut best_alt: Option<(GlobalStoryId, f64)> = None;
-            for (cand, _overlap) in store.candidates_by_entities(v.entities().keys()) {
+            for (cand, _overlap) in candidates {
                 if cand == v.id {
                     continue;
                 }

@@ -8,21 +8,18 @@
 //!   borrowed slice ([`EventStore::window`]) and its snippets are
 //!   resolved by arena slot only where a caller needs them
 //!   ([`EventStore::resolve`]);
-//! * a global entity [`InvertedIndex`] for counterpart search during
-//!   alignment (§2.3);
 //! * a document index for the demo's add/remove-document interaction
 //!   (§4.2.1);
 //! * source registration, because "any story detection system should
 //!   allow the addition or removal of data sources" (§2.4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use storypivot_types::{
     mem, DocId, EntityId, Error, Result, Snippet, SnippetId, Source, SourceId, TimeRange,
     Timestamp,
 };
 
-use crate::inverted::InvertedIndex;
 use crate::window::{WindowEntry, WindowIndex};
 
 /// Aggregate statistics about a store (drives the demo's dataset
@@ -41,7 +38,7 @@ pub struct StoreStats {
     pub coverage: TimeRange,
 }
 
-/// In-memory event store with temporal, entity, and document indexes.
+/// In-memory event store with temporal and document indexes.
 ///
 /// Snippets live in a slot arena (`arena` + `free`); the id map and the
 /// per-source window entries both reference arena slots, so a window
@@ -56,7 +53,6 @@ pub struct EventStore {
     free: Vec<u32>,
     sources: BTreeMap<SourceId, Source>,
     windows: HashMap<SourceId, WindowIndex>,
-    entity_index: InvertedIndex<EntityId, SnippetId>,
     /// Document → its snippets, ascending by id. Most documents yield a
     /// snippet or two, so a posting is one small sorted buffer.
     doc_index: HashMap<DocId, Vec<SnippetId>>,
@@ -133,8 +129,6 @@ impl EventStore {
             }
         };
         window.insert(&snippet, slot);
-        self.entity_index
-            .insert_all(snippet.entities().keys(), snippet.id);
         let posting = self.doc_index.entry(snippet.doc).or_default();
         if let Err(at) = posting.binary_search(&snippet.id) {
             posting.insert(at, snippet.id);
@@ -167,8 +161,6 @@ impl EventStore {
             .take()
             .expect("id map and arena agree");
         self.free.push(slot);
-        self.entity_index
-            .remove_all(snippet.entities().keys(), id);
         if let Some(posting) = self.doc_index.get_mut(&snippet.doc) {
             if let Ok(at) = posting.binary_search(&id) {
                 posting.remove(at);
@@ -249,28 +241,10 @@ impl EventStore {
         self.doc_index.get(&doc).cloned().unwrap_or_default()
     }
 
-    /// Snippets sharing at least one entity with the query set, ranked
-    /// by number of shared entities (candidate generation for
-    /// counterpart search, §2.3).
-    pub fn candidates_by_entities<I: IntoIterator<Item = EntityId>>(
-        &self,
-        entities: I,
-    ) -> Vec<(SnippetId, usize)> {
-        self.entity_index.candidates(entities)
-    }
-
-    /// The snippets mentioning `entity`, ascending by id: one posting
-    /// list of the index [`Self::candidates_by_entities`] ranks over, for
-    /// callers that count overlaps into a table of their own.
-    pub fn entity_postings(&self, entity: EntityId) -> impl Iterator<Item = SnippetId> + '_ {
-        self.entity_index.postings(entity)
-    }
-
     /// Heap bytes by part (the memory account): the snippet arena with
     /// every snippet's buffers and the id → slot map, the per-source
-    /// window indexes, the entity postings, and the document index. The
-    /// entity postings' B-trees are estimates ([`storypivot_types::mem`]).
-    pub fn heap_bytes(&self) -> [(&'static str, usize); 4] {
+    /// window indexes, and the document index.
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 3] {
         let arena = mem::vec_bytes(&self.arena)
             + self.iter().map(Snippet::heap_bytes).sum::<usize>()
             + mem::hash_map_bytes(&self.slot_of)
@@ -282,7 +256,6 @@ impl EventStore {
         [
             ("store.arena", arena),
             ("store.windows", windows),
-            ("store.entity_postings", self.entity_index.heap_bytes()),
             ("store.doc_index", doc_index),
         ]
     }
@@ -331,17 +304,19 @@ impl EventStore {
         Ok(())
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics. The entity count is a scan over every
+    /// stored snippet: the store keeps no entity index.
     pub fn stats(&self) -> StoreStats {
         let coverage = self
             .windows
             .values()
             .map(WindowIndex::coverage)
             .fold(TimeRange::EMPTY, TimeRange::cover);
+        let entities: HashSet<EntityId> = self.iter().flat_map(|s| s.entities().keys()).collect();
         StoreStats {
             source_count: self.sources.len(),
             snippet_count: self.slot_of.len(),
-            entity_count: self.entity_index.key_count(),
+            entity_count: entities.len(),
             document_count: self.doc_index.len(),
             coverage,
         }
@@ -413,29 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn entity_candidates_ranked_by_overlap() {
-        let mut s = store_with_sources(1);
-        s.insert(snip(0, 0, 1, &[1, 2, 3])).unwrap();
-        s.insert(snip(1, 0, 2, &[1, 9])).unwrap();
-        s.insert(snip(2, 0, 3, &[8])).unwrap();
-        let cands = s.candidates_by_entities([EntityId::new(1), EntityId::new(2)]);
-        assert_eq!(cands[0], (SnippetId::new(0), 2));
-        assert_eq!(cands[1], (SnippetId::new(1), 1));
-        assert_eq!(cands.len(), 2);
-    }
-
-    #[test]
     fn source_removal_evicts_and_unindexes() {
         let mut s = store_with_sources(2);
-        s.insert(snip(0, 0, 1, &[1])).unwrap();
+        s.insert(snip(0, 0, 1, &[1, 2])).unwrap();
         s.insert(snip(1, 1, 2, &[1])).unwrap();
+        assert_eq!(s.stats().entity_count, 2);
         let evicted = s.remove_source(SourceId::new(0)).unwrap();
         assert_eq!(evicted.len(), 1);
         assert_eq!(s.source_count(), 1);
         assert_eq!(s.len(), 1);
-        // Entity index must no longer return the evicted snippet.
-        let cands = s.candidates_by_entities([EntityId::new(1)]);
-        assert_eq!(cands, vec![(SnippetId::new(1), 1)]);
+        // Neither the evicted snippet's entities nor its document
+        // posting outlive it.
+        assert_eq!(s.stats().entity_count, 1);
+        assert_eq!(s.snippets_of_doc(DocId::new(0)), vec![SnippetId::new(1)]);
         assert!(matches!(
             s.remove_source(SourceId::new(0)),
             Err(Error::UnknownSource(_))

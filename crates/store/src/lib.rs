@@ -2,18 +2,18 @@
 //!
 //! Repositories like GDELT and EventRegistry deliver extracted event
 //! tuples continuously (paper §1); StoryPivot needs to retrieve them by
-//! source and time window (story identification, §2.2), by shared entity
-//! (candidate generation for alignment, §2.3), and by document (the
-//! demo's add/remove interaction, §4.2.1). This crate is that storage
-//! layer:
+//! source and time window (story identification, §2.2) and by document
+//! (the demo's add/remove interaction, §4.2.1). This crate is that
+//! storage layer. It indexes no entities: alignment builds its entity →
+//! story index on every pass, and refinement its entity → snippet
+//! postings on every sweep, each from the lists it works on
+//! (`storypivot_core::align`, `storypivot_core::refine`).
 //!
 //! * [`EventStore`] — the canonical snippet repository with per-source
-//!   temporal indexes, an entity inverted index, and a document index;
-//!   supports out-of-order insertion and removal.
+//!   temporal indexes and a document index; supports out-of-order
+//!   insertion and removal.
 //! * [`window`] — the per-source sliding-window index: a sorted array
 //!   of compact entries, so a window is a borrowed slice.
-//! * [`inverted`] — a generic inverted index with overlap-counted
-//!   candidate retrieval.
 //! * [`codec`] — a hand-rolled length-prefixed binary codec (on
 //!   `storypivot_substrate::buf`) for snippets, sources and whole-store
 //!   images.
@@ -28,9 +28,7 @@
 
 pub mod codec;
 pub mod event_store;
-pub mod inverted;
 pub mod window;
 
 pub use event_store::{EventStore, StoreStats};
-pub use inverted::InvertedIndex;
 pub use window::{WindowEntry, WindowIndex};
