@@ -10,8 +10,9 @@ cd "$(dirname "$0")"
 export CARGO_NET_OFFLINE=true
 
 # Every `cargo test` step runs under a cap far above its usual time, so a
-# test that hangs (a dead shard thread leaves its callers waiting
-# forever) fails the run instead of stalling it.
+# test that hangs (a job left in a shard's queue with no owner holder to
+# look at it leaves its client waiting forever) fails the run instead of
+# stalling it.
 TEST_CAP=900
 
 echo "==> build (release, all targets)"
@@ -20,7 +21,7 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 timeout "$TEST_CAP" cargo test -q --workspace
 
-echo "==> soak: the differential driver again, 4x its cases, the kernels, the probe's heap ceiling, the fault suites and the served slices, release"
+echo "==> soak: the differential driver again, 4x its cases, the kernels, the probe's heap ceiling, the fault suites, the served slices and the sched sweep, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
@@ -34,9 +35,10 @@ timeout "$TEST_CAP" cargo test -q --release --test probe_allocations
 # Fault plans fire in every build, so the supervision (poison) and
 # disk-fault suites run against the release binaries that are benchmarked;
 # so do the driver's served slices (in-process server, crash, follower),
-# which check the partition after every step against the release pivotd.
+# which check the partition after every step against the release pivotd,
+# and the write race under its sweep of `sched` seeds.
 timeout "$TEST_CAP" cargo test -q --release --test failure_injection
-timeout "$TEST_CAP" cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching
+timeout "$TEST_CAP" cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching racing_writes_keep_each_connections_order_under_sched_seeds
 timeout "$TEST_CAP" cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
 
 echo "==> clippy (warnings are errors)"

@@ -22,7 +22,8 @@ pub(super) const EXPERIMENT: Experiment = Experiment {
 /// Ceiling on context switches per served op. One sequential client
 /// whose writes the I/O worker applies itself blocks twice per op: the
 /// client waiting for its reply, the I/O worker waiting for the next
-/// frame. A write handed to the shard thread and back adds two more.
+/// frame. A write queued behind a busy owner, applied by another holder
+/// and answered through the inbox, adds two more.
 const SWITCHES_PER_OP_MAX: f64 = 2.5;
 /// Floor on the share of single-snippet ingests applied inline.
 const INLINE_SHARE_MIN: f64 = 0.9;

@@ -24,8 +24,8 @@
 //!    resubscribe (or replay after a crash) is a no-op.
 //!
 //! The puller does every step on its own thread: it takes the local
-//! shard's owner lock, as an I/O worker applying a write does, and
-//! calls the worker directly — no job, no queue, no reply channel. It
+//! shard's owner lock, applies the jobs queued on it as every holder
+//! does, and calls the worker directly — no job, no reply channel. It
 //! may wait for the lock (an I/O worker never does); a shard whose
 //! worker is retired ends its puller.
 //!
@@ -75,16 +75,18 @@ pub(crate) struct PullerCtx {
     /// goes back through the reconnect path, exercising cursor
     /// re-probing under churn.
     pub(crate) drop_fault: FaultHook,
+    /// The `sched` fault site at this puller's owner holds.
+    pub(crate) sched: FaultHook,
 }
 
 /// Body of one `pivot-repl-{i}` thread: bootstrap-or-tail the leader
 /// until the replica shuts down.
 pub(crate) fn run_puller(mut ctx: PullerCtx) {
     // Every call on the local worker runs under its owner lock; `None`
-    // means the worker is retired (queue closed, or its thread died),
-    // which ends the puller.
+    // means the worker is retired (a holder panicked outside
+    // `catch_unwind`), which ends the puller.
     let port = &ctx.shared.shards[ctx.shard];
-    let Some(mut cursor) = port.with_worker(|w| w.repl_cursor()) else { return };
+    let Some(mut cursor) = port.with_worker(&mut ctx.sched, |w| w.repl_cursor()) else { return };
     let backoff = BackoffPolicy { base_ms: 50, cap_ms: 2000, ..BackoffPolicy::default() };
     let mut failures = 0u32;
     // Seeded per shard, so no two pullers retry on the same beat.
@@ -147,14 +149,18 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                     let applied = if records.is_empty() {
                         Some(Ok(cursor))
                     } else {
-                        port.with_worker(|w| w.repl_apply(&records))
+                        port.with_worker(&mut ctx.sched, |w| w.repl_apply(&records))
                     };
                     (applied, Some((leader_ops, leader_wal_len)))
                 }
                 Response::ReplCheckpoint {
                     generation,
                     checkpoint,
-                } => (port.with_worker(|w| w.repl_bootstrap(generation, checkpoint)), None),
+                } => {
+                    let boot = port
+                        .with_worker(&mut ctx.sched, |w| w.repl_bootstrap(generation, checkpoint));
+                    (boot, None)
+                }
                 other => unreachable!("repl_subscribe returned {other:?}"),
             };
             match applied {
@@ -164,7 +170,7 @@ pub(crate) fn run_puller(mut ctx: PullerCtx) {
                     // WAL; re-read the cursor instead of guessing.
                     eprintln!("pivotd: replica shard {}: apply failed: {e}", ctx.shard);
                     std::thread::sleep(Duration::from_millis(500));
-                    match port.with_worker(|w| w.repl_cursor()) {
+                    match port.with_worker(&mut ctx.sched, |w| w.repl_cursor()) {
                         Some(c) => cursor = c,
                         None => break 'reconnect,
                     }

@@ -1,9 +1,9 @@
 //! The sharded, backpressured, crash-safe TCP server.
 //!
 //! Topology: a fixed pool of connection-multiplexing *I/O worker*
-//! threads and N *shard* worker threads (a follower adds one replica
-//! puller per shard; a SHUTDOWN adds its orchestrator while it drains).
-//! Each shard owns a full [`StoryPivot`] engine holding a disjoint
+//! threads and N shards, which have no thread of their own (a follower
+//! adds one replica puller per shard; a SHUTDOWN adds its orchestrator
+//! while it drains). Each shard owns a full [`StoryPivot`] engine holding a disjoint
 //! subset of sources (`source id mod N`), so identification — which is
 //! per-source by construction (paper §2.1) — is embarrassingly
 //! parallel across shards. A shard identifies and nothing else:
@@ -31,36 +31,38 @@
 //! also bounds slow-loris readers.
 //!
 //! I/O workers never wait for a shard. A shard's worker (engine, WAL,
-//! snapshot table) sits behind its *owner lock* in the `ShardPort`,
-//! and whoever holds the owner applies. A single-snippet INGEST whose
-//! shard has a free owner (`try_lock`), an empty open queue and no
-//! `worker_delay` is applied by the I/O worker itself — journal, apply,
-//! publish, through the same `ShardWorker` ingest the shard thread runs
-//! — and its reply goes straight into the connection's reorder buffer.
-//! A REMOVE_DOC's part on each shard is tried the same way. Reads are
-//! answered from the published snapshots. What remains — a write that
-//! found the owner busy, and the frames an I/O worker never applies
-//! itself (INGEST_BATCH, ADD_SOURCE, METRICS, REPL_SUBSCRIBE) — becomes
-//! a `Job` routed to its shard through a bounded queue
-//! ([`substrate::queue::Bounded`]), the I/O workers' mailbox, and the
-//! shard thread replies by posting an event to the owning worker's
-//! inbox (a wake-channel nudges the poller). A request that spans
-//! shards (INGEST_BATCH, REMOVE_DOC, METRICS) sends each a part; the
-//! owning worker sums the parts in the connection's state and answers
-//! once the last lands, with the first failure if one failed. Threads
-//! that may wait take the owner themselves instead: a follower's replica
-//! pullers ([`crate::replica`]) and the SHUTDOWN orchestrator. Jobs are popped
-//! only under the owner, which is kept until the job is applied, so an
-//! inline write, which needs the owner and an empty queue, comes after
-//! every job queued before it: per-shard order is WAL order. The lock
-//! order is owner → queue; no inbox send and no socket write happens
-//! under the owner.
+//! snapshot table) sits behind its *owner lock* in the `ShardPort`, next
+//! to its mailbox, a bounded queue of `Job`s
+//! ([`substrate::queue::Bounded`]); a shard has no thread. Every thread
+//! that takes the owner — an I/O worker (only with `try_lock`), a
+//! follower's replica puller ([`crate::replica`]) or the SHUTDOWN
+//! orchestrator — follows the holder's rule (`ShardPort::hold`; flat
+//! combining, after Hendler et al.): apply, FIFO, the jobs queued when
+//! it took the owner; then its own work; release; only then post the
+//! jobs' answers to their I/O workers' inboxes; then look at the queue
+//! and, while it is not empty, `try_lock` and repeat. An I/O worker's
+//! own work is a single-snippet INGEST or a REMOVE_DOC's part (none with
+//! `worker_delay` set), answered straight into the connection's reorder
+//! buffer. Writes that found the owner busy, INGEST_BATCH, ADD_SOURCE,
+//! METRICS and REPL_SUBSCRIBE are pushed as jobs; after the tick's
+//! frames the pusher `try_lock`s each shard it pushed to once more. If
+//! that fails, a holder releases after the push and looks after it, so
+//! no job is stranded. Reads are answered from the published snapshots.
+//! A request that spans shards (INGEST_BATCH, REMOVE_DOC, METRICS) sends
+//! each a part; the owning worker sums them in the connection's state.
+//!
+//! Invariants: per-shard order is WAL order (a job is popped only under
+//! the owner and applied before its release, and a holder's own write
+//! comes after every job queued before it); the lock order is owner →
+//! queue; no inbox send and no socket write happens under the owner;
+//! every job is answered exactly once (a `Reply` dropped unsent still
+//! delivers "shard worker unavailable").
 //!
 //! When an ingest hits a full queue the worker replies BUSY with a
 //! retry-after hint instead of buffering — memory is bounded by
 //! `shards × queue_depth` jobs no matter how fast clients push. An
-//! inline write found the queue empty, so it is never BUSY, and it
-//! never waited, so it is never shed. Batch ingests and control frames
+//! I/O worker's own write takes no queue slot, so it is never BUSY, and
+//! it never waited, so it is never shed. Batch ingests and control frames
 //! (source registration, removal, metrics, replication polls) want
 //! backpressure, not retries: their pushes park in a pending list (the
 //! connection stops parsing, preserving per-connection order) and are
@@ -83,7 +85,10 @@
 //! A panic inside an engine apply is caught in the worker
 //! (`catch_unwind`), on whichever thread holds the owner; the shard's
 //! engine is rebuilt from checkpoint + WAL and the worker keeps
-//! serving — other shards never notice. An operation that panics the
+//! serving — other shards never notice. A panic outside it poisons the
+//! owner, and the next holder retires the worker: every queued job and
+//! every later write to the shard is answered "shard worker
+//! unavailable", and its puller ends. An operation that panics the
 //! shard *again* during the rebuild replay is quarantined: appended to
 //! the shard's dead-letter file (`shard{i}.dead`), skipped by all
 //! future replays, and rejected if resubmitted. METRICS reports
@@ -91,13 +96,12 @@
 //! per shard.
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread takes each shard's
-//! owner in turn, applies the jobs queued before it in order, publishes
-//! the last snapshot and writes a checkpoint generation (the engine is
+//! owner in turn, as an ordinary holder whose own work is to publish
+//! the last snapshot and write a checkpoint generation (the engine is
 //! left exactly as the last applied op left it, so a restart serves the
-//! partition that was being served), releases the owner and delivers
-//! the jobs' answers. Once every shard has drained the queues are
-//! closed, and only then is the ack sent (to the initiator and to every
-//! connection that sent a concurrent SHUTDOWN).
+//! partition that was being served). Once every shard has drained the
+//! queues are closed, and only then is the ack sent (to the initiator
+//! and to every connection that sent a concurrent SHUTDOWN).
 //!
 //! # Observability
 //!
@@ -124,14 +128,15 @@
 //! # Where things live
 //!
 //! This file: [`ServerConfig`], the state the threads share
-//! (`Shared`, one `ShardPort` per shard), [`serve`] and the SHUTDOWN
-//! orchestrator.
+//! (`Shared`, one `ShardPort` per shard), the holder's rule, [`serve`]
+//! and the SHUTDOWN orchestrator.
 //! `job.rs`: `Job` and its `Reply`.
 //! `io.rs`: `IoWorker` — accept, the connection state machine, the
 //! fan that sums a request's parts;
-//! `io/dispatch.rs`: request decode and dispatch, push/park/retry.
-//! `shard.rs`: `ShardWorker` — the owner-locked queue loop, the
-//! SHUTDOWN drain, journal + apply, publish, the request handlers;
+//! `io/dispatch.rs`: request decode and dispatch, push/park/retry and
+//! the pusher's `try_lock`.
+//! `shard.rs`: `ShardWorker` — a queued job's apply, the SHUTDOWN
+//! step, journal + apply, publish, the request handlers;
 //! `shard/recovery.rs`: recover, rebuild, the per-record replay,
 //! checkpoints, quarantine; `shard/repl.rs`: both worker-side ends of
 //! WAL shipping.
@@ -154,7 +159,7 @@ mod shard;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -165,12 +170,12 @@ use storypivot_substrate::net;
 use storypivot_substrate::pool::BufferPool;
 use storypivot_substrate::queue::Bounded;
 use storypivot_substrate::wal::SyncPolicy;
-use storypivot_types::{DocId, Error, Result, SourceId};
+use storypivot_types::{Error, Result, SourceId};
 
-use self::io::{Inbox, IoMetrics, IoWorker};
+use self::io::{Inbox, IoMetrics, IoWorker, Part};
 use self::job::{unavailable, Dest, Job};
 use self::shard::ShardWorker;
-use crate::proto::{Response, SnippetRef};
+use crate::proto::Response;
 use crate::replica;
 use crate::snapshot::SnapshotSlot;
 
@@ -184,8 +189,8 @@ pub const POISON_HEADLINE: &str = "__pivotd_poison_panic__";
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of shard worker threads (engines). Sources are routed by
-    /// `source id mod shards`.
+    /// Number of shards (engines, each behind its owner lock, with no
+    /// thread of their own). Sources are routed by `source id mod shards`.
     pub shards: usize,
     /// Bounded depth of each shard's job queue; a full queue turns
     /// single-snippet ingests into BUSY replies.
@@ -206,12 +211,13 @@ pub struct ServerConfig {
     /// exceeds this many bytes (0 disables size-triggered checkpoints;
     /// requires both `wal_dir` and `checkpoint_dir`).
     pub checkpoint_every_bytes: u64,
-    /// Artificial delay before each queued job is applied, simulating
-    /// a slow shard. Zero in production; tests use it to hold a queue
-    /// full deterministically. A non-zero delay also sends every
-    /// single-snippet INGEST through the queue (none is applied inline
-    /// by an I/O worker), so BUSY, SHED and parking are exercised. A
-    /// replica puller's applies are not jobs and are not delayed.
+    /// Artificial delay before each queued job is popped and applied, on
+    /// whichever thread holds the shard's owner, simulating a slow shard
+    /// whose queue stays full while it works. Zero in production; tests
+    /// use it to hold a queue full deterministically. A non-zero delay
+    /// also sends every single-snippet INGEST through the queue (no I/O
+    /// worker applies one as its own write), so BUSY, SHED and parking
+    /// are exercised. A replica puller's own applies are not delayed.
     pub worker_delay: Duration,
     /// Number of connection-multiplexing I/O worker threads. Every
     /// connection is pinned to one worker for its lifetime.
@@ -245,12 +251,19 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// The plan's hook for one fault site on one shard; inert without a
-    /// plan.
-    fn fault_hook(&self, site: &str, shard: usize) -> FaultHook {
+    /// The plan's hook for one fault site on one instance (a shard);
+    /// inert without a plan.
+    fn fault_hook(&self, site: &str, instance: usize) -> FaultHook {
         self.faults
             .as_ref()
-            .map_or_else(FaultHook::default, |plan| plan.hook(site, shard as u64))
+            .map_or_else(FaultHook::default, |plan| plan.hook(site, instance as u64))
+    }
+
+    /// The `sched` hook of one holder of `shard`'s owner, each on its own
+    /// stream: I/O worker `i` is holder `i`, a replica puller
+    /// `io_workers`, the SHUTDOWN orchestrator `io_workers + 1`.
+    fn sched_hook(&self, holder: usize, shard: usize) -> FaultHook {
+        self.fault_hook("sched", holder * self.shards + shard)
     }
 }
 
@@ -288,17 +301,14 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub(crate) struct ShardPort {
     /// The shard's worker — engine, WAL, snapshot table — behind the
     /// owner lock, installed by [`serve`] before any thread that takes
-    /// it starts. The shard thread pops queued jobs only while holding
-    /// it; an I/O worker that gets it with `try_lock` and the queue
-    /// empty applies a single-snippet INGEST or its part of a
-    /// REMOVE_DOC itself ([`Shared::apply_inline`]); replica pullers and
-    /// the SHUTDOWN orchestrator wait for it
-    /// ([`ShardPort::with_worker`]). `None` once the shard thread
-    /// retires the worker (queue closed and drained, or the thread
-    /// died): every write then takes the queue and the puller ends.
+    /// it starts. Whoever holds it follows [`ShardPort::hold`]. `None`
+    /// once a holder found it poisoned and retired the worker: every job
+    /// and write is then answered "shard worker unavailable", and the
+    /// puller ends.
     owner: Mutex<Option<ShardWorker>>,
-    /// What I/O workers found the owner busy for (or may not apply
-    /// themselves), in arrival order.
+    /// What I/O workers found the owner busy for (or never apply
+    /// themselves), in arrival order: the shard's mailbox, popped only
+    /// under the owner.
     queue: Bounded<Job>,
     /// The shard's published read snapshot; I/O workers answer
     /// QUERY_STORIES/GET_STORY from it without touching the queue.
@@ -319,6 +329,9 @@ pub(crate) struct ShardPort {
     /// proportional to the actual backlog drain time.
     service_ewma_ns: AtomicU64,
 }
+
+/// A shard's owner lock as `lock` or `try_lock` took it, poisoned or not.
+type Owner<'a> = LockResult<MutexGuard<'a, Option<ShardWorker>>>;
 
 impl ShardPort {
     /// Shard `shard`'s port; its counters are registered, labeled, in
@@ -357,12 +370,73 @@ impl ShardPort {
         }
     }
 
-    /// Run `f` on the shard's worker under the owner lock, waiting for
-    /// it — for threads that may wait (replica pullers, the SHUTDOWN
-    /// orchestrator), never an I/O worker. `None` once the worker is
-    /// retired.
-    pub(crate) fn with_worker<R>(&self, f: impl FnOnce(&mut ShardWorker) -> R) -> Option<R> {
-        lock(&self.owner).as_mut().map(f)
+    /// Wait for the owner and [`ShardPort::hold`] it with `own` as the
+    /// holder's work — for threads that may wait (replica pullers, the
+    /// SHUTDOWN orchestrator), never an I/O worker.
+    pub(crate) fn with_worker<R>(
+        &self,
+        sched: &mut FaultHook,
+        own: impl FnOnce(&mut ShardWorker) -> R,
+    ) -> Option<R> {
+        self.hold(Some(self.owner.lock()), sched, own)
+    }
+
+    /// The owner, if `try_lock` gets it (poisoned or not).
+    fn try_take(&self) -> Option<Owner<'_>> {
+        match self.owner.try_lock() {
+            Ok(owner) => Some(Ok(owner)),
+            Err(TryLockError::Poisoned(poisoned)) => Some(Err(poisoned)),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// The holder's rule (module docs) from the owner just `taken`, if
+    /// it was: the queued jobs, then `own`, release, the jobs' answers,
+    /// and while the queue is not empty another `try_lock`. A poisoned
+    /// owner retires the worker: the slot is emptied, each queued job is
+    /// answered "shard worker unavailable" and `own` does not run
+    /// (`None`). `sched` perturbs the schedule between the steps.
+    fn hold<'a, R>(
+        &'a self,
+        mut taken: Option<Owner<'a>>,
+        sched: &mut FaultHook,
+        own: impl FnOnce(&mut ShardWorker) -> R,
+    ) -> Option<R> {
+        let (mut own, mut result, mut answers) = (Some(own), None, Vec::new());
+        while let Some(owner) = taken {
+            let mut owner = owner.unwrap_or_else(|poisoned| {
+                let mut owner = poisoned.into_inner();
+                owner.take();
+                owner
+            });
+            for _ in 0..self.queue.len() {
+                let answer = match owner.as_mut() {
+                    Some(worker) => worker.handle_next(),
+                    None => {
+                        let failed = |job: Job| (job.into_reply(), Part::Response(unavailable()));
+                        self.queue.try_pop().map(failed)
+                    }
+                };
+                let Some(answer) = answer else { break };
+                answers.push(answer);
+            }
+            if let Some(own) = own.take() {
+                result = owner.as_mut().map(own);
+            }
+            sched.perturb();
+            drop(owner);
+            sched.perturb();
+            for (reply, part) in answers.drain(..) {
+                reply.send(part);
+            }
+            sched.perturb();
+            if self.queue.is_empty() {
+                return result;
+            }
+            taken = self.try_take();
+        }
+        sched.perturb();
+        result
     }
 
     /// Queue-depth-proportional retry hint, in milliseconds: the
@@ -378,8 +452,8 @@ impl ShardPort {
     }
 }
 
-/// State shared between the I/O workers, shard workers and replica
-/// pullers.
+/// State shared between the I/O workers, replica pullers and the
+/// SHUTDOWN orchestrator.
 pub(crate) struct Shared {
     /// The one copy of the configuration; `cfg.leader` being `Some`
     /// makes this server a read-only follower replica.
@@ -404,61 +478,9 @@ impl Shared {
         source.raw() as usize % self.shards.len()
     }
 
-    /// Apply a write to `shard`'s worker on the calling I/O worker, or
-    /// return `None` to send it through the shard's queue. It runs only
-    /// when the owner lock is free (`try_lock`, never a wait), the
-    /// queue is empty and open, and `worker_delay` is zero; then it is
-    /// the same [`ShardWorker`] method the shard thread would run —
-    /// journal, apply under `catch_unwind`, publish — so a panic is
-    /// supervised exactly as on the shard thread.
-    ///
-    /// Per-shard order is WAL order: the shard thread pops only under
-    /// the owner and holds it until the popped job is applied, so an
-    /// empty queue seen under the owner means every job queued before
-    /// this write has been applied. The write never waited, so it is
-    /// never shed, and the queue was not full, so it is never BUSY.
-    /// The owner is released before the caller writes the reply to any
-    /// socket; the lock order is owner → queue.
-    fn apply_inline(
-        &self,
-        shard: usize,
-        write: impl FnOnce(&mut ShardWorker) -> Response,
-    ) -> Option<Response> {
-        if !self.cfg.worker_delay.is_zero() {
-            return None;
-        }
-        let port = &self.shards[shard];
-        let mut owner = match port.owner.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        let worker = owner.as_mut()?;
-        if !port.queue.is_empty() || port.queue.is_closed() {
-            return None;
-        }
-        Some(write(worker))
-    }
-
-    /// A single-snippet INGEST, applied inline when
-    /// [`Shared::apply_inline`] can.
-    fn ingest_inline(&self, shard: usize, snippet: &SnippetRef<'_>) -> Option<Response> {
-        let resp = self.apply_inline(shard, |worker| worker.ingest(snippet.to_owned()))?;
-        self.shards[shard].inline_ingests.inc();
-        Some(resp)
-    }
-
-    /// One shard's part of a REMOVE_DOC, applied inline when
-    /// [`Shared::apply_inline`] can.
-    fn remove_doc_inline(&self, shard: usize, doc: DocId) -> Option<Response> {
-        let resp = self.apply_inline(shard, |worker| worker.remove_doc(doc))?;
-        self.shards[shard].inline_removes.inc();
-        Some(resp)
-    }
-
-    /// Close the shard queues and mark the server done: shard threads
-    /// and replica pullers exit, and every I/O worker is nudged into
-    /// its post-shutdown lame duck.
+    /// Close the shard queues and mark the server done: replica pullers
+    /// exit, and every I/O worker is nudged into its post-shutdown lame
+    /// duck.
     fn stop(&self) {
         for port in &self.shards {
             port.queue.close();
@@ -495,8 +517,8 @@ impl ServerHandle {
     }
 
     /// Block until the server shuts down (a client must send SHUTDOWN),
-    /// then join every thread `serve` started: shard workers, I/O
-    /// workers (the last of which closes the listener) and replica
+    /// then join every thread `serve` started: the I/O workers (the
+    /// last of which closes the listener) and a follower's replica
     /// pullers.
     pub fn join(self) {
         for thread in self.threads {
@@ -602,15 +624,10 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         shutdown_waiters: Mutex::new(Vec::new()),
     });
 
-    // The shard workers, a follower's replica pullers, then the I/O
-    // workers, which poll the listener and keep what they accept.
+    // A follower's replica pullers, then the I/O workers, which poll
+    // the listener and keep what they accept.
     let mut threads = Vec::with_capacity(cfg.shards + cfg.io_workers);
     let start = || -> Result<()> {
-        for (idx, port) in shared.shards.iter().enumerate() {
-            let port = Arc::clone(port);
-            threads.push(spawn(format!("pivot-shard-{idx}"), move || shard::run(&port))?);
-        }
-
         // Follower replica: one puller thread per shard tails the leader's
         // WAL and applies it to the local worker under its owner lock.
         if let Some(leader) = &cfg.leader {
@@ -638,6 +655,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
                         labels,
                     ),
                     drop_fault: cfg.fault_hook("repl_drop", i),
+                    sched: cfg.sched_hook(cfg.io_workers, i),
                 };
                 threads.push(spawn(format!("pivot-repl-{i}"), move || replica::run_puller(ctx))?);
             }
@@ -664,22 +682,17 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
 
 /// Drive a SHUTDOWN to completion on a dedicated thread (it waits for
 /// each shard's owner lock, which an I/O worker never may): on each
-/// shard in turn, take the owner, apply the jobs queued before it and
-/// write the last snapshot and checkpoint ([`ShardWorker::drain`]),
-/// release, deliver the jobs' answers; then close the queues, mark
-/// done, and ack the initiator and every parked waiter.
+/// shard in turn, an ordinary hold ([`ShardPort::with_worker`]) whose
+/// own work is the last snapshot and checkpoint
+/// ([`ShardWorker::shutdown`]); then close the queues, mark done, and
+/// ack the initiator and every parked waiter.
 fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
     let mut failure = None;
-    for port in &shared.shards {
-        match port.with_worker(ShardWorker::drain) {
-            Some((answers, ack)) => {
-                for (reply, part) in answers {
-                    reply.send(part);
-                }
-                if !matches!(ack, Response::ShutdownAck) {
-                    failure = Some(ack);
-                }
-            }
+    for (i, port) in shared.shards.iter().enumerate() {
+        let mut sched = shared.cfg.sched_hook(shared.cfg.io_workers + 1, i);
+        match port.with_worker(&mut sched, ShardWorker::shutdown) {
+            Some(Response::ShutdownAck) => {}
+            Some(failed) => failure = Some(failed),
             None => failure = Some(unavailable()),
         }
     }
@@ -688,5 +701,60 @@ fn run_shutdown(shared: Arc<Shared>, initiator: Dest) {
     let waiters = std::mem::take(&mut *lock(&shared.shutdown_waiters));
     for w in waiters {
         w.deliver(Response::ShutdownAck, true);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::io::IoEvent;
+    use super::job::Reply;
+    use super::*;
+    use storypivot_types::{Snippet, SnippetId, Source, SourceKind, Timestamp};
+
+    /// A thread that panics while holding a shard's owner, outside
+    /// `mutate`'s `catch_unwind`, poisons it. The next holder retires
+    /// the worker: the job queued on the shard and the next write are
+    /// both answered "shard worker unavailable", and the waiting hold a
+    /// puller would take returns `None` instead of applying.
+    #[test]
+    fn a_holder_panicking_outside_catch_unwind_retires_the_shard() {
+        let cfg = Arc::new(ServerConfig { shards: 1, ..ServerConfig::default() });
+        let port = Arc::new(ShardPort::new(4, &Registry::new(), 0));
+        *lock(&port.owner) = Some(ShardWorker::recover(0, &cfg, Arc::clone(&port)).unwrap());
+        let (waker, _wake_rx) = net::wake_pair().unwrap();
+        let inbox = Arc::new(Inbox { events: Mutex::new(Vec::new()), waker });
+        let reply = |seq| Reply::whole(Dest { inbox: Arc::clone(&inbox), conn: 0, seq });
+        let answered = |seq| {
+            lock(&inbox.events).iter().any(|ev| {
+                matches!(ev, IoEvent::Deliver { seq: s, resp: Response::Error { message, .. }, .. }
+                    if *s == seq && message == "shard worker unavailable")
+            })
+        };
+
+        let holder = Arc::clone(&port);
+        let panicked = std::thread::spawn(move || {
+            let _owner = holder.owner.lock();
+            panic!("injected: a holder panics outside catch_unwind");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let source = Source::new(SourceId::new(0), "wire", SourceKind::Wire);
+        assert!(port.queue.try_push(Job::AddSource(source, reply(0))).is_ok());
+
+        let mut sched = FaultHook::default();
+        assert!(port.with_worker(&mut sched, |_| ()).is_none(), "the worker kept applying");
+        assert!(answered(0), "the queued job was not failed");
+        assert!(lock(&port.owner).is_none(), "the slot still holds the worker");
+
+        // The next write: the I/O worker's own apply finds no worker, so
+        // it is pushed, and the pusher's `try_lock` fails it.
+        let snippet = Snippet::builder(SnippetId::new(0), SourceId::new(0), Timestamp::from_secs(0))
+            .build();
+        assert!(port.hold(port.try_take(), &mut sched, |w| w.ingest(snippet.clone())).is_none());
+        let job = Job::Ingest(snippet, reply(1), std::time::Instant::now());
+        assert!(port.queue.try_push(job).is_ok());
+        port.hold(port.try_take(), &mut sched, |_| ());
+        assert!(answered(1), "the next write was not failed");
+        assert!(port.queue.is_empty());
     }
 }

@@ -4,9 +4,9 @@
 //! listener; a per-connection state machine reads, peels frames,
 //! dispatches ([`dispatch`]), sums the parts of fanned-out requests,
 //! re-sequences completions and writes.
-//! Nothing here ever waits for a shard: an uncontended single-snippet
-//! INGEST is applied under the shard's owner lock, taken with
-//! `try_lock`, and everything else is queued.
+//! Nothing here ever waits for a shard: an I/O worker takes a shard's
+//! owner only with `try_lock`, and whatever it cannot apply under it is
+//! queued.
 
 mod dispatch;
 
@@ -17,6 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge, Registry, Snapshot};
 use storypivot_substrate::net;
 use storypivot_substrate::pool::PooledBuf;
@@ -295,6 +296,10 @@ pub(super) struct IoWorker {
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     pending: Vec<PendingPush>,
+    /// This worker's `sched` hook on each shard.
+    sched: Vec<FaultHook>,
+    /// Shards this tick pushed a job to, each owed one more `try_lock`.
+    pushed: Vec<bool>,
     /// The last poll's ready fds, a buffer every tick reuses.
     ready_fds: Vec<net::Event>,
     events_buf: Vec<IoEvent>,
@@ -328,6 +333,8 @@ impl IoWorker {
             conns: HashMap::new(),
             next_conn: 0,
             pending: Vec::new(),
+            sched: (0..shared.shards.len()).map(|s| shared.cfg.sched_hook(i, s)).collect(),
+            pushed: vec![false; shared.shards.len()],
             ready_fds: Vec::new(),
             events_buf: Vec::new(),
             scratch: vec![0u8; 64 * 1024],
@@ -431,6 +438,7 @@ impl IoWorker {
             self.events_buf = inbox_events;
 
             self.retry_pending();
+            self.combine_pushed();
             self.maybe_reap();
         }
         let ids: Vec<u64> = self.conns.keys().copied().collect();

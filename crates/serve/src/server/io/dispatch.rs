@@ -2,8 +2,9 @@
 //! jobs (or answer it on the spot — reads from the published snapshots,
 //! redirects on a replica, uncontended writes under the owner lock),
 //! with the non-blocking push/park/retry that gives control frames
-//! backpressure and single ingests BUSY. A request that spans shards
-//! opens a [`Fan`] in its connection's state, which sums the parts.
+//! backpressure and single ingests BUSY, and the pusher's `try_lock`.
+//! A request that spans shards opens a [`Fan`] in its connection's
+//! state, which sums the parts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -19,6 +20,7 @@ use storypivot_types::{Error, Snippet, Source, SourceId};
 use super::{Fan, IoWorker, Part, PendingPush, Sum};
 use crate::proto::{encode_stories, encode_story, stories_len, Request, RequestRef, Response};
 use crate::server::job::{fail_job, fail_job_closed, Dest, Job, Reply};
+use crate::server::shard::ShardWorker;
 use crate::server::{lock, run_shutdown, spawn};
 use crate::snapshot::merge_by_id;
 
@@ -74,10 +76,12 @@ impl IoWorker {
             }
             RequestRef::IngestSnippet(sref) => {
                 // An uncontended shard applies the write right here,
-                // under its owner lock: no job, no reply, no hand-off
-                // to the shard thread and back.
+                // under its owner lock, after any queued jobs: no job,
+                // no reply, no inbox event.
                 let shard = self.shared.shard_of_source(sref.source);
-                if let Some(resp) = self.shared.ingest_inline(shard, &sref) {
+                let ingest = |worker: &mut ShardWorker| worker.ingest(sref.to_owned());
+                if let Some(resp) = self.apply_inline(shard, ingest) {
+                    self.shared.shards[shard].inline_ingests.inc();
                     self.finish(id, seq, resp, false);
                     return;
                 }
@@ -87,7 +91,7 @@ impl IoWorker {
                 let job = Job::Ingest(sref.to_owned(), Reply::whole(dest), Instant::now());
                 let port = &self.shared.shards[shard];
                 match port.queue.try_push(job) {
-                    Ok(()) => {}
+                    Ok(()) => self.pushed[shard] = true,
                     Err(PushError::Full(job)) => {
                         port.busy.inc();
                         fail_job(job, Response::Busy { retry_after_ms: port.retry_hint() });
@@ -172,8 +176,10 @@ impl IoWorker {
                 // all-inline removal is answered on the spot.
                 let mut fan = Fan::new(Sum::Removed(doc, 0));
                 let mut jobs = VecDeque::new();
+                let remove = |worker: &mut ShardWorker| worker.remove_doc(doc);
                 for shard in 0..self.shared.shards.len() {
-                    if let Some(resp) = self.shared.remove_doc_inline(shard, doc) {
+                    if let Some(resp) = self.apply_inline(shard, remove) {
+                        self.shared.shards[shard].inline_removes.inc();
                         fan.add(Part::Response(resp));
                     } else {
                         jobs.push_back((shard, Job::RemoveDoc(doc, Reply::part(dest.clone()))));
@@ -191,6 +197,21 @@ impl IoWorker {
                 self.fan_out(id, seq, Fan::new(Sum::Metrics(Snapshot::default())), jobs);
             }
         }
+    }
+
+    /// Apply a write as this I/O worker's own work under `shard`'s owner,
+    /// or `None` to queue it: the owner is busy (`try_lock`), the worker
+    /// retired, the queue closed, or `worker_delay` set. Never BUSY or shed.
+    fn apply_inline(
+        &mut self,
+        shard: usize,
+        write: impl FnOnce(&mut ShardWorker) -> Response,
+    ) -> Option<Response> {
+        let port = &self.shared.shards[shard];
+        if !self.shared.cfg.worker_delay.is_zero() || port.queue.is_closed() {
+            return None;
+        }
+        port.hold(port.try_take(), &mut self.sched[shard], write)
     }
 
     /// Send one part of request `seq` to each of `jobs`' shards, and
@@ -220,7 +241,7 @@ impl IoWorker {
     fn push_jobs(&mut self, conn_id: u64, mut jobs: VecDeque<(usize, Job)>) {
         while let Some((shard, job)) = jobs.pop_front() {
             match self.shared.shards[shard].queue.try_push(job) {
-                Ok(()) => {}
+                Ok(()) => self.pushed[shard] = true,
                 Err(PushError::Full(job)) => {
                     jobs.push_front((shard, job));
                     if let Some(conn) = self.conns.get_mut(&conn_id) {
@@ -255,8 +276,22 @@ impl IoWorker {
         }
     }
 
-    /// Re-attempt parked pushes (shard workers may have drained queue
-    /// space since last tick).
+    /// The pusher's rule, once per tick for each shard pushed to: one
+    /// more `try_lock`, holding the owner if it succeeds. After the
+    /// tick's last frame, so a pipelined burst fills the queue (and
+    /// meets BUSY) as it would behind a busy holder.
+    pub(super) fn combine_pushed(&mut self) {
+        for (shard, pushed) in self.pushed.iter_mut().enumerate() {
+            if std::mem::take(pushed) {
+                let (port, sched) = (&self.shared.shards[shard], &mut self.sched[shard]);
+                sched.perturb();
+                port.hold(port.try_take(), sched, |_| ());
+            }
+        }
+    }
+
+    /// Re-attempt parked pushes (holders may have drained queue space
+    /// since last tick).
     pub(super) fn retry_pending(&mut self) {
         if self.pending.is_empty() {
             return;

@@ -1,12 +1,11 @@
-//! What travels between the I/O workers and the shard workers: the
-//! [`Job`] a request becomes when the I/O worker cannot apply it
-//! itself, and the [`Reply`] that carries its answer back to the right
-//! pipeline slot of the right connection, as an event in the owning I/O
-//! worker's inbox. A reply to a fanned-out request (INGEST_BATCH,
-//! REMOVE_DOC, METRICS) carries one shard's part; the I/O worker sums
-//! the parts in the connection's own state. A reply dropped unsent —
-//! its job died with its worker — still delivers an error, so no client
-//! hangs.
+//! What waits in a shard's mailbox: the [`Job`] a request becomes when
+//! the I/O worker cannot apply it itself, and the [`Reply`] that
+//! carries its answer, from whichever thread next holds the shard's
+//! owner, back to the right pipeline slot of the right connection, as
+//! an event in the owning I/O worker's inbox. A reply to a fanned-out
+//! request (INGEST_BATCH, REMOVE_DOC, METRICS) carries one shard's
+//! part; the I/O worker sums the parts in the connection's own state.
+//! A reply dropped unsent still delivers an error, so no client hangs.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,10 +15,9 @@ use storypivot_types::{DocId, Snippet, Source};
 use super::io::{Inbox, IoEvent, Part};
 use crate::proto::Response;
 
-/// Work an I/O worker routed to one shard's queue: what it may not
-/// apply itself (it never waits for the owner lock). The shard thread
-/// pops and applies it; at SHUTDOWN the orchestrator applies what is
-/// still queued.
+/// Work an I/O worker routed to one shard's queue: what found the owner
+/// busy, or what it never applies itself. The next thread to hold the
+/// owner pops and applies it.
 pub(crate) enum Job {
     AddSource(Source, Reply),
     /// A single-snippet ingest; the `Instant` is when the job was
@@ -114,15 +112,22 @@ pub(super) fn unavailable() -> Response {
     }
 }
 
+impl Job {
+    /// Where the job's answer goes.
+    pub(super) fn into_reply(self) -> Reply {
+        let (Job::AddSource(_, reply)
+        | Job::Ingest(_, reply, _)
+        | Job::IngestMany(_, reply)
+        | Job::RemoveDoc(_, reply)
+        | Job::Metrics(reply)
+        | Job::Repl { reply, .. }) = self;
+        reply
+    }
+}
+
 /// Answer a job with `resp` without applying it.
 pub(super) fn fail_job(job: Job, resp: Response) {
-    let (Job::AddSource(_, reply)
-    | Job::Ingest(_, reply, _)
-    | Job::IngestMany(_, reply)
-    | Job::RemoveDoc(_, reply)
-    | Job::Metrics(reply)
-    | Job::Repl { reply, .. }) = job;
-    reply.send(Part::Response(resp));
+    job.into_reply().send(Part::Response(resp));
 }
 
 pub(super) fn fail_job_closed(job: Job) {

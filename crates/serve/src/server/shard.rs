@@ -1,13 +1,12 @@
 //! The shard worker: one engine behind its shard's owner lock, which
 //! journals and applies each mutation under `catch_unwind` and
-//! publishes a read snapshot before every reply. Whoever holds the
-//! owner applies: the shard thread ([`run`]) drains the queue; an I/O
-//! worker that finds the owner free and the queue empty runs a
-//! single-snippet ingest, or its shard's part of a REMOVE_DOC, on it
-//! directly (`Shared::apply_inline`); a replica puller applies the
-//! leader's records; the SHUTDOWN orchestrator drains
-//! ([`ShardWorker::drain`]). Building the engine from durable state —
-//! and rebuilding it after a panic — is in [`recovery`]; both ends of
+//! publishes a read snapshot before every reply. It has no thread of
+//! its own: whoever holds the owner applies the queued jobs
+//! ([`ShardWorker::handle_next`]) and then its own work — an I/O worker's
+//! single-snippet ingest or REMOVE_DOC part, a replica puller's
+//! records, the SHUTDOWN orchestrator's last publish and checkpoint
+//! ([`ShardWorker::shutdown`]). Building the engine from durable state
+//! — and rebuilding it after a panic — is in [`recovery`]; both ends of
 //! WAL shipping are in [`repl`].
 
 mod recovery;
@@ -31,7 +30,7 @@ use storypivot_types::{DocId, Error, Result, Snippet, Source, StoryId};
 
 use super::io::Part;
 use super::job::{Job, Reply};
-use super::{lock, ServerConfig, ShardPort, POISON_HEADLINE};
+use super::{ServerConfig, ShardPort, POISON_HEADLINE};
 use crate::proto::Response;
 use crate::snapshot::{self, StoryTable};
 
@@ -201,47 +200,16 @@ pub(crate) struct ShardWorker {
     quarantine: HashSet<u64>,
 }
 
-/// Empties the port's owner slot when the shard thread ends — the
-/// queue closed and drained, or the thread unwinding from a panic no
-/// `catch_unwind` held — so no I/O worker applies a write to a worker
-/// whose thread is gone, and the shard's replica puller ends.
-struct Retire<'a>(&'a ShardPort);
-
-impl Drop for Retire<'_> {
-    fn drop(&mut self) {
-        drop(lock(&self.0.owner).take());
-    }
-}
-
-/// The shard thread: until the queue is closed and drained, wait for a
-/// job, take the owner, pop and apply the job, release the owner and
-/// deliver the answer; then retire the worker. A job is popped only
-/// while the owner is held, and the owner is held until the popped job
-/// has been applied: that is what lets whoever holds the owner and sees
-/// an empty queue apply a write in order (`Shared::apply_inline`). The
-/// answer goes out after the release, so a client that saw it finds the
-/// owner free for its next write.
-pub(super) fn run(port: &ShardPort) {
-    let _retire = Retire(port);
-    while port.queue.wait_nonempty() {
-        let (reply, part) = {
-            let mut owner = lock(&port.owner);
-            let worker = owner.as_mut().expect("serve installs the worker before the shard thread");
-            let Some(job) = port.queue.try_pop() else { continue };
-            worker.handle(job)
-        };
-        reply.send(part);
-    }
-}
-
 impl ShardWorker {
-    /// Apply one queued job; its answer is sent by the caller once the
-    /// owner lock is released.
-    fn handle(&mut self, job: Job) -> (Reply, Part) {
+    /// Pop and apply the next queued job (`None` when there is none),
+    /// after `worker_delay`, slept while the job still holds its queue
+    /// slot; its answer is sent by the holder once the owner lock is
+    /// released.
+    pub(super) fn handle_next(&mut self) -> Option<(Reply, Part)> {
         if !self.cfg.worker_delay.is_zero() {
             std::thread::sleep(self.cfg.worker_delay);
         }
-        let (reply, resp) = match job {
+        let (reply, resp) = match self.port.queue.try_pop()? {
             Job::AddSource(source, reply) => (reply, self.add_source(source)),
             Job::Ingest(snippet, reply, enqueued) => {
                 // Deadline shedding: work that waited past the
@@ -260,14 +228,14 @@ impl ShardWorker {
             }
             Job::IngestMany(batch, reply) => (reply, self.ingest_many(batch)),
             Job::RemoveDoc(doc, reply) => (reply, self.remove_doc(doc)),
-            Job::Metrics(reply) => return (reply, Part::Metrics(self.metrics_snapshot())),
+            Job::Metrics(reply) => return Some((reply, Part::Metrics(self.metrics_snapshot()))),
             Job::Repl {
                 generation,
                 wal_offset,
                 reply,
             } => (reply, self.repl(generation, wal_offset)),
         };
-        (reply, Part::Response(resp))
+        Some((reply, Part::Response(resp)))
     }
 
     /// Journal, then hand the op to the engine under `catch_unwind`
@@ -361,10 +329,9 @@ impl ShardWorker {
 
     /// Patch the stories the engine reports changed since the last
     /// publish and swap the resulting id-sorted view into the shared
-    /// slot. Runs under the owner lock — on the shard thread, or on the
-    /// I/O worker applying an inline write — *before* the triggering
-    /// op's reply is delivered, so acked writes are always visible to
-    /// the next read.
+    /// slot. Runs under the owner lock, on whichever thread holds it,
+    /// *before* the triggering op's reply is delivered, so acked writes
+    /// are always visible to the next read.
     fn publish_snapshot(&mut self) {
         let timer = self.serve_metrics.snapshot_publish_duration.start();
         self.snapshot_epoch += 1;
@@ -416,8 +383,7 @@ impl ShardWorker {
     }
 
     /// One single-snippet INGEST, on whichever thread holds the owner:
-    /// the shard thread for a queued job, an I/O worker for an inline
-    /// one.
+    /// as a queued job or as an I/O worker's own write.
     pub(super) fn ingest(&mut self, snippet: Snippet) -> Response {
         let t = Instant::now();
         match self.mutate(ReplayOp::Ingest(snippet)) {
@@ -457,18 +423,11 @@ impl ShardWorker {
         }
     }
 
-    /// SHUTDOWN's part on this shard, run by the orchestrator under the
-    /// owner lock: apply the jobs queued before it, FIFO, as the shard
-    /// thread would (no more than were queued when it began, so clients
-    /// still pushing cannot hold it), publish the last snapshot and
-    /// write a checkpoint generation. Returns the jobs' answers, to be
-    /// delivered once the owner is released, and the shard's ack.
-    pub(super) fn drain(&mut self) -> (Vec<(Reply, Part)>, Response) {
-        let port = Arc::clone(&self.port);
-        let answers = (0..port.queue.len())
-            .map_while(|_| port.queue.try_pop())
-            .map(|job| self.handle(job))
-            .collect();
+    /// SHUTDOWN's part on this shard, the orchestrator's own work under
+    /// the owner once its hold has applied the jobs queued before it:
+    /// publish the last snapshot and write a checkpoint generation.
+    /// Returns the shard's ack.
+    pub(super) fn shutdown(&mut self) -> Response {
         self.trace.push("drain", "");
         self.publish_snapshot();
         // A replica's durable state is already exactly the leader's
@@ -476,14 +435,13 @@ impl ShardWorker {
         // desync the replication cursor.
         if self.cfg.leader.is_none() && self.cfg.checkpoint_dir.is_some() {
             if let Err(e) = self.checkpoint_now() {
-                let failed = Response::Error {
+                return Response::Error {
                     code: 7,
                     message: format!("shard {} checkpoint failed: {e}", self.idx),
                 };
-                return (answers, failed);
             }
         }
-        (answers, Response::ShutdownAck)
+        Response::ShutdownAck
     }
 }
 

@@ -3,8 +3,8 @@
 //! Every QUERY_STORIES and GET_STORY used to ride the same bounded
 //! MPSC queue as ingest, so a read flash-crowd competed with writes
 //! for shard-worker time. Instead, each shard worker publishes a
-//! [`ShardSnapshot`] (under its shard's owner lock: on the shard thread,
-//! or on the I/O worker applying an uncontended write inline) — an
+//! [`ShardSnapshot`] (under its shard's owner lock, on whichever thread
+//! holds it: an I/O worker, a replica puller or the orchestrator) — an
 //! immutable, id-sorted view of its story partition — into a
 //! [`SnapshotSlot`]. Publication is an `Arc` swap
 //! behind a readers–writer lock held for nanoseconds: readers clone the

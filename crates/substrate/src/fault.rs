@@ -14,7 +14,7 @@
 //! permille (so CI smoke rates like `wal_enospc=25` read as 2.5%):
 //!
 //! ```text
-//! seed=7,wal_enospc=100,wal_short=50,checkpoint=200,repl_drop=100,poison=1000
+//! seed=7,wal_enospc=100,wal_short=50,checkpoint=200,repl_drop=100,poison=1000,sched=300
 //! ```
 
 use crate::rng::splitmix64;
@@ -26,8 +26,10 @@ use crate::rng::splitmix64;
 /// boundary like a crash-and-reopen. `checkpoint`: a generation write
 /// fails. `repl_drop`: a follower drops its leader connection mid-tail.
 /// `poison`: a shard panics applying an ingest headlined with the
-/// serving layer's `POISON_HEADLINE`.
-pub const SITES: [&str; 5] = ["wal_enospc", "wal_short", "checkpoint", "repl_drop", "poison"];
+/// serving layer's `POISON_HEADLINE`. `sched`: a thread taking or
+/// releasing a shard's owner lock gives up its CPU ([`FaultHook::perturb`]).
+pub const SITES: [&str; 6] =
+    ["wal_enospc", "wal_short", "checkpoint", "repl_drop", "poison", "sched"];
 
 /// Seeded per-site fault rates. Parsed from a spec string (see the
 /// module docs) or built empty via `Default` — an empty plan hands out
@@ -142,6 +144,18 @@ impl FaultHook {
     /// advancing its stream.
     pub fn fire(&mut self) -> bool {
         self.is_active() && splitmix64(&mut self.state) % 1000 < self.rate_permille as u64
+    }
+
+    /// A schedule perturbation point: when the hook fires, yield or
+    /// sleep 1–50 µs, drawn from its stream. Inactive: a load and a branch.
+    #[inline]
+    pub fn perturb(&mut self) {
+        if self.rate_permille > 0 && self.fire() {
+            match splitmix64(&mut self.state) % 51 {
+                0 => std::thread::yield_now(),
+                us => std::thread::sleep(std::time::Duration::from_micros(us)),
+            }
+        }
     }
 }
 

@@ -17,8 +17,8 @@
 //! * [`timing`] — [`timing::Histogram`], a log-bucketed, mergeable
 //!   latency histogram (the metrics registry's and the serving layer's
 //!   percentile recorder).
-//! * [`queue`] — [`queue::Bounded<T>`], a bounded MPMC queue with depth
-//!   gauges and close-and-drain semantics (the slice of
+//! * [`queue`] — [`queue::Bounded<T>`], a bounded, never-blocking MPMC
+//!   queue with a depth read and a close (the slice of
 //!   `crossbeam-channel` the serving layer needs).
 //! * [`pool`] — [`pool::BufferPool`], a checkout/checkin byte-buffer
 //!   pool with outstanding/high-water accounting, so the serving hot

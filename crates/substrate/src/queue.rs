@@ -1,14 +1,15 @@
 //! A bounded multi-producer multi-consumer queue.
 //!
 //! `std::sync::mpsc::sync_channel` is bounded but hides the current
-//! queue depth and has no close-and-drain semantics, both of which the
-//! serving layer needs: depth feeds the queue-depth gauge, and close lets a
-//! shard worker drain outstanding work before exiting. This is the
-//! narrow slice of `crossbeam-channel` the workspace actually uses,
-//! built on [`Mutex`] + [`Condvar`].
+//! queue depth and cannot be popped by whichever thread happens to hold
+//! a lock of its own, both of which the serving layer needs: depth feeds
+//! the queue-depth gauge and the holder of a shard's owner pops, and
+//! close refuses new work at SHUTDOWN while what was queued stays
+//! poppable. This is the narrow slice of `crossbeam-channel` the
+//! workspace actually uses, built on a [`Mutex`]; nothing here blocks.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -25,30 +26,17 @@ struct State<T> {
     closed: bool,
 }
 
-struct Inner<T> {
+/// A bounded FIFO queue; share it by reference (or in an `Arc`), and
+/// any thread may push, pop, or close.
+pub struct Bounded<T> {
     state: Mutex<State<T>>,
     capacity: usize,
-    not_empty: Condvar,
-}
-
-/// A cloneable handle to a bounded FIFO queue. All clones share the
-/// same queue; any handle may push, pop, or close.
-pub struct Bounded<T> {
-    inner: Arc<Inner<T>>,
-}
-
-impl<T> Clone for Bounded<T> {
-    fn clone(&self) -> Self {
-        Bounded {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 impl<T> std::fmt::Debug for Bounded<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bounded")
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.capacity)
             .field("len", &self.len())
             .finish()
     }
@@ -59,21 +47,15 @@ impl<T> Bounded<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "a bounded queue needs capacity >= 1");
         Bounded {
-            inner: Arc::new(Inner {
-                state: Mutex::new(State {
-                    items: VecDeque::with_capacity(capacity),
-                    closed: false,
-                }),
-                capacity,
-                not_empty: Condvar::new(),
-            }),
+            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            capacity,
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
         // Poisoning only matters if a holder panicked mid-mutation;
         // every critical section here is a few field accesses.
-        match self.inner.state.lock() {
+        match self.state.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -86,35 +68,11 @@ impl<T> Bounded<T> {
         if state.closed {
             return Err(PushError::Closed(value));
         }
-        if state.items.len() >= self.inner.capacity {
+        if state.items.len() >= self.capacity {
             return Err(PushError::Full(value));
         }
         state.items.push_back(value);
-        drop(state);
-        self.inner.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Block until the queue holds an item (`true`) or is closed and
-    /// drained (`false`), without taking the item: a consumer that must
-    /// take a lock of its own before popping waits here, locks, then
-    /// pops with [`Bounded::try_pop`]. A loop of
-    /// `while q.wait_nonempty() { … q.try_pop() … }` therefore processes
-    /// every item accepted before the close.
-    pub fn wait_nonempty(&self) -> bool {
-        let mut state = self.lock();
-        loop {
-            if !state.items.is_empty() {
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = match self.inner.not_empty.wait(state) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
     }
 
     /// Pop without blocking (`None` when empty, closed or not).
@@ -134,17 +92,13 @@ impl<T> Bounded<T> {
 
     /// The fixed capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.capacity
     }
 
     /// Close the queue: future pushes fail, queued items remain
-    /// poppable, and a blocked [`Bounded::wait_nonempty`] returns once
-    /// the queue is drained.
+    /// poppable.
     pub fn close(&self) {
-        let mut state = self.lock();
-        state.closed = true;
-        drop(state);
-        self.inner.not_empty.notify_all();
+        self.lock().closed = true;
     }
 
     /// Whether [`Bounded::close`] has been called.
@@ -156,7 +110,6 @@ impl<T> Bounded<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -173,67 +126,44 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_then_ends() {
+    fn close_refuses_pushes_and_keeps_the_queued() {
         let q = Bounded::new(4);
         q.try_push("a").unwrap();
         q.try_push("b").unwrap();
         q.close();
         assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
-        assert!(q.wait_nonempty());
         assert_eq!(q.try_pop(), Some("a"));
         assert_eq!(q.try_pop(), Some("b"));
-        assert!(!q.wait_nonempty());
         assert_eq!(q.try_pop(), None);
         assert!(q.is_closed());
     }
 
     #[test]
-    fn blocked_wait_wakes_on_close() {
-        let q: Bounded<u8> = Bounded::new(1);
-        let q2 = q.clone();
-        let waiter = std::thread::spawn(move || q2.wait_nonempty());
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert!(!waiter.join().unwrap());
-    }
-
-    #[test]
-    fn wait_nonempty_wakes_on_push_and_takes_nothing() {
-        let q = Bounded::new(2);
-        let q2 = q.clone();
-        let waiter = std::thread::spawn(move || q2.wait_nonempty());
-        std::thread::sleep(Duration::from_millis(20));
-        q.try_push(7u8).unwrap();
-        assert!(waiter.join().unwrap());
-        assert_eq!(q.try_pop(), Some(7));
-    }
-
-    #[test]
     fn many_producers_one_consumer() {
         let q = Bounded::new(8);
-        let mut handles = Vec::new();
-        for p in 0..4u64 {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    // A full queue hands the item back: retry until the
-                    // consumer frees a slot.
-                    let mut item = p * 1000 + i;
-                    while let Err(PushError::Full(back)) = q.try_push(item) {
-                        item = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }));
-        }
         let mut got = Vec::new();
-        while got.len() < 400 {
-            assert!(q.wait_nonempty());
-            got.extend(q.try_pop());
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        std::thread::scope(|scope| {
+            for p in 0..4u64 {
+                let q = &q;
+                scope.spawn(move || {
+                    for i in 0..100u64 {
+                        // A full queue hands the item back: retry until the
+                        // consumer frees a slot.
+                        let mut item = p * 1000 + i;
+                        while let Err(PushError::Full(back)) = q.try_push(item) {
+                            item = back;
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            while got.len() < 400 {
+                match q.try_pop() {
+                    Some(item) => got.push(item),
+                    None => std::thread::yield_now(),
+                }
+            }
+        });
         got.sort_unstable();
         got.dedup();
         assert_eq!(got.len(), 400, "every pushed item arrives exactly once");

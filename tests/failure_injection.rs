@@ -186,7 +186,7 @@ fn same_document_snippets_share_doc_removal() {
 // against a real loopback pivotd: torn frames, oversized length
 // prefixes, garbage opcodes, and mid-frame disconnects must produce
 // clean protocol errors (or a clean close) — never a panic, a wedged
-// listener, or a leaked shard thread. Each scenario ends by proving the
+// listener, or a leaked server thread. Each scenario ends by proving the
 // server still serves and shuts down gracefully.
 
 mod wire_faults {

@@ -14,6 +14,12 @@
 //!   (when every story was built with a signature and two heavy-hitter
 //!   maps, this corpus took 3.2 KiB).
 //!
+//! Then the same engine aligns and refines, and the account's growth
+//! over that step is held to the allocator's in the same band, with
+//! `align.outcome` and `refine.rows` no longer empty. The ceiling stays
+//! on the identify-only engine; the refining engine's bytes per snippet
+//! are printed.
+//!
 //! Its own binary, one test: a global allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,4 +115,26 @@ fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
     );
     // Nothing aligned, so the aligner's probe tables were never bound.
     assert_eq!(account.iter().find(|(s, _)| *s == "align.tables"), Some(&("align.tables", 0)));
+
+    let before_step = LIVE.load(Ordering::Relaxed);
+    pivot.align();
+    pivot.refine();
+    let grown = (LIVE.load(Ordering::Relaxed) - before_step) as f64;
+    let refined = pivot.memory_account();
+    let row = |name: &str| refined.iter().find(|(s, _)| *s == name).map_or(0, |&(_, b)| b);
+    let refined_sum: usize = refined.iter().map(|&(_, bytes)| bytes).sum();
+    println!(
+        "aligned and refined: align.outcome {} B, refine.rows {} B, grew {grown} B, \
+         {:.0} B/snippet",
+        row("align.outcome"),
+        row("refine.rows"),
+        (live + grown) / snippets
+    );
+    assert!(row("align.outcome") > 0 && row("refine.rows") > 0, "{refined:?}");
+    let step_ratio = (refined_sum as f64 - accounted as f64) / grown;
+    println!("the account's growth covers {step_ratio:.3} of the live bytes' growth");
+    assert!(
+        (0.85..=1.15).contains(&step_ratio),
+        "the account's growth over align + refine covers {step_ratio:.3} of the live bytes' growth"
+    );
 }

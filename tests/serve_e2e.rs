@@ -7,8 +7,9 @@
 //! queue, pipelined replies keep their order, SHUTDOWN is idempotent, an
 //! uncontended INGEST is applied by the I/O worker (and a slow shard's
 //! never is), inline and queued writes racing from five connections
-//! keep each connection's order in every shard's WAL, and connections
-//! spread evenly over the I/O workers.
+//! keep each connection's order in every shard's WAL (unperturbed and
+//! under eight `sched` seeds), and connections spread evenly over the
+//! I/O workers.
 
 mod lockstep;
 
@@ -756,22 +757,43 @@ fn a_slow_shard_takes_every_write_through_its_queue() {
 /// Inline and queued writes race: four connections pipeline single
 /// INGESTs across both shards while a fifth pipelines INGEST_BATCHes and
 /// REMOVE_DOCs. Each connection's ops must reach each shard's WAL in the
-/// order it sent them, and the served partition must equal a replay of
-/// the WALs. (A shard thread that popped a job before taking the owner
-/// would let a connection's next write overtake it; this catches that
-/// in about half of its runs.)
+/// order it sent them, every snippet must be journaled once, and the
+/// served partition must equal a replay of the WALs. (A holder that
+/// popped a job before taking the owner would let a connection's next
+/// write overtake it.) Unperturbed.
 #[test]
 fn racing_inline_and_queued_writes_keep_each_connections_order() {
+    race_inline_and_queued_writes(None);
+}
+
+/// The same race under eight `sched` seeds: every thread that takes,
+/// holds or releases a shard's owner yields or sleeps a few seeded µs at
+/// the protocol's named points, so each seed drives the owner hand-offs
+/// through schedules the unperturbed run rarely meets. A job stranded in
+/// a queue fails the clients' I/O timeout instead of hanging the test.
+#[test]
+fn racing_writes_keep_each_connections_order_under_sched_seeds() {
+    use storypivot::substrate::fault::FaultPlan;
+    for seed in 1..=8 {
+        let plan = FaultPlan::parse(&format!("seed={seed},sched=250")).unwrap();
+        race_inline_and_queued_writes(Some(plan));
+    }
+}
+
+fn race_inline_and_queued_writes(faults: Option<storypivot::substrate::fault::FaultPlan>) {
     use std::collections::hash_map::{Entry, HashMap};
     use storypivot::core::oplog::{self, ReplayOp};
     use storypivot::serve::Request;
     use storypivot::substrate::wal;
+
+    let timeout = Some(std::time::Duration::from_secs(60));
 
     const SINGLES: usize = 4;
     const BATCH: usize = 12;
     // Short pipelined windows keep the queues emptying and refilling,
     // so inline writes and queued jobs keep trading the owner.
     const WINDOW: usize = 4;
+    const PHASES: usize = 48;
     let corpus = CorpusBuilder::new(
         GenConfig::default().with_seed(53).with_sources(4).with_target_snippets(4_000),
     )
@@ -781,11 +803,13 @@ fn racing_inline_and_queued_writes_keep_each_connections_order() {
     let cfg = ServerConfig {
         wal_dir: Some(dir.to_path_buf()),
         fsync: wal::SyncPolicy::Never,
+        faults,
         ..sharded(shards)
     };
     let handle = serve("127.0.0.1:0", cfg).unwrap();
     let addr = handle.addr();
     let mut setup = Client::connect(addr).unwrap();
+    setup.set_io_timeout(timeout).unwrap();
     for source in &corpus.sources {
         let id = setup.add_source(&source.name, source.kind, source.typical_lag).unwrap();
         assert_eq!(id, source.id);
@@ -829,20 +853,38 @@ fn racing_inline_and_queued_writes_keep_each_connections_order() {
     }
     assert!(sent[..SINGLES].iter().all(|reqs| reqs.len() >= 200), "{order:?}");
 
-    let start = std::sync::Arc::new(std::sync::Barrier::new(SINGLES + 1));
+    // The connections start each of PHASES slices of their streams
+    // together, so the race goes quiet PHASES times: a job left in a
+    // queue with no holder to look at it then has no later write to
+    // rescue it, and its client times out. A client that failed keeps
+    // meeting the barrier, so the others are not left waiting.
+    let phase = std::sync::Arc::new(std::sync::Barrier::new(SINGLES + 1));
     let runs: Vec<_> = sent
         .into_iter()
         .map(|reqs| {
-            let start = std::sync::Arc::clone(&start);
+            let phase = std::sync::Arc::clone(&phase);
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                start.wait();
-                reqs.chunks(WINDOW).flat_map(|w| client.pipelined(w).unwrap()).collect::<Vec<_>>()
+                client.set_io_timeout(timeout).unwrap();
+                let mut replies = Ok(Vec::new());
+                for p in 0..PHASES {
+                    phase.wait();
+                    let slice = &reqs[p * reqs.len() / PHASES..(p + 1) * reqs.len() / PHASES];
+                    for window in slice.chunks(WINDOW) {
+                        if let Ok(got) = &mut replies {
+                            match client.pipelined(window) {
+                                Ok(more) => got.extend(more),
+                                Err(e) => replies = Err(e),
+                            }
+                        }
+                    }
+                }
+                replies
             })
         })
         .collect();
     for run in runs {
-        for reply in run.join().unwrap() {
+        for reply in run.join().unwrap().expect("a client's window failed") {
             use storypivot::serve::Response;
             match reply {
                 Response::Ingested(_) | Response::BatchIngested(_) | Response::Removed(_) => {}
