@@ -21,7 +21,7 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 timeout "$TEST_CAP" cargo test -q --workspace
 
-echo "==> soak: the differential driver again, 4x its cases, the kernels, the probe's heap ceiling, the fault suites, the served slices and the sched sweep, release"
+echo "==> soak: the differential driver again, 4x its cases, the kernels, the probe's and the engine's heap ceilings, the fault suites, the served slices and the sched sweep, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine.
@@ -30,8 +30,9 @@ STORYPIVOT_PROP_CASES_MULT=4 timeout "$TEST_CAP" cargo test -q --release --test 
 # the explicit property test holds the table to the merge, so it runs
 # against the codegen that is benchmarked.
 timeout "$TEST_CAP" cargo test -q --release --test kernel_equivalence
-# The probe's heap ceiling, held in the build that is benchmarked.
-timeout "$TEST_CAP" cargo test -q --release --test probe_allocations
+# The probe's heap ceiling and the engine's bytes per snippet, held in
+# the build that is benchmarked.
+timeout "$TEST_CAP" cargo test -q --release --test probe_allocations --test memory_account
 # Fault plans fire in every build, so the supervision (poison) and
 # disk-fault suites run against the release binaries that are benchmarked;
 # so do the driver's served slices (in-process server, crash, follower),

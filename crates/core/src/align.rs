@@ -16,25 +16,32 @@
 //! then align them with existing stories").
 //!
 //! Both are one routine over a set of stories to (re)score — every
-//! story, or the dirty ones. Candidate pairs come from walking each such
-//! story's entities through an entity → stories index (`candidate_pairs`),
-//! so finding them costs those stories' postings, not the number of
-//! pairs that exist. Incremental alignment copies the decision of every
-//! pair of clean stories from the previous outcome, and a group made of
-//! the same clean stories as one of its global stories keeps that
-//! story's member roles; only the other groups are classified again.
-//! Both reuses rest on one invariant, kept by the engine (`Touched` in
+//! story, or the dirty ones. A story is compared by its **profile**
+//! (`Profile`): the sums of its members' entity and term vectors and
+//! their activity over time, built from the members in one function and
+//! cached by story id; nothing else in the engine keeps them. Candidate
+//! pairs come from walking each such story's entities through an
+//! entity → stories index (`candidate_pairs`), so finding them costs
+//! those stories' postings, not the number of pairs that exist.
+//! Incremental alignment keeps the profile of every clean story, copies
+//! the decision of every pair of clean stories from the previous
+//! outcome, and a group made of the same clean stories as one of its
+//! global stories keeps that story's member roles; only the other
+//! profiles are built and the other groups classified again. All three
+//! reuses rest on one invariant, kept by the engine (`Touched` in
 //! [`crate::pivot`]): a story that is not dirty has the member list it
-//! had when the previous outcome was computed. Debug builds recompute
-//! every reused group and compare.
+//! had at this aligner's previous pass. Debug builds rebuild every
+//! reused profile, recompute every reused group, and compare.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
+use storypivot_sketch::TemporalSignature;
 use storypivot_store::EventStore;
 use storypivot_types::ids::IdGen;
 use storypivot_types::{
-    mem, EntityId, GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId, StoryId,
-    TimeRange,
+    mem, EntityId, GlobalStory, GlobalStoryId, Snippet, SnippetId, SnippetRole, SourceId,
+    SparseVec, StoryId, TermId, TimeRange,
 };
 
 use crate::config::AlignConfig;
@@ -86,6 +93,50 @@ impl AlignOutcome {
     }
 }
 
+/// What alignment compares of one story (§2.3): the sums of its members'
+/// entity and term vectors and their activity over time.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Profile {
+    /// Summed entity weights over the member snippets.
+    pub(crate) entities: SparseVec<EntityId>,
+    /// Summed term weights over the member snippets.
+    terms: SparseVec<TermId>,
+    /// One unit of activity per member, bucketed at `AlignConfig::bucket_width`.
+    signature: TemporalSignature,
+}
+
+impl Profile {
+    /// The profile of `state`'s members, summed in member order.
+    fn of(state: &StoryState, store: &EventStore, bucket_width: i64) -> Self {
+        let mut profile = Profile {
+            entities: SparseVec::new(),
+            terms: SparseVec::new(),
+            signature: TemporalSignature::new(bucket_width),
+        };
+        for snippet in state.story.members.iter().filter_map(|&m| store.get(m)) {
+            profile.entities.merge_add(snippet.entities());
+            profile.terms.merge_add(snippet.terms());
+            profile.signature.add(snippet.timestamp, 1.0);
+        }
+        profile
+    }
+
+    /// Content similarity of two stories: weighted Jaccard of entity
+    /// mass and cosine of term mass, blended 0.6 / 0.4.
+    fn content_sim(&self, other: &Profile) -> f64 {
+        let e = self.entities.weighted_jaccard(&other.entities);
+        let t = self.terms.cosine(&other.terms);
+        0.6 * e + 0.4 * t
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.entities.heap_bytes() + self.terms.heap_bytes() + self.signature.heap_bytes()
+    }
+}
+
+/// A story as a pass compares it: its state and its profile.
+type Compared<'a> = (&'a StoryState, &'a Profile);
+
 /// Cross-source story aligner.
 #[derive(Debug, Clone)]
 pub struct Aligner {
@@ -93,6 +144,8 @@ pub struct Aligner {
     weights: SimWeights,
     /// Probe tables of the role pass's counterpart scans.
     tables: ProbeTables,
+    /// The profile of every story of the previous pass, by story id.
+    profiles: HashMap<StoryId, Profile>,
 }
 
 impl Aligner {
@@ -102,6 +155,7 @@ impl Aligner {
             cfg,
             weights,
             tables: ProbeTables::default(),
+            profiles: HashMap::new(),
         }
     }
 
@@ -110,46 +164,50 @@ impl Aligner {
         &self.cfg
     }
 
-    /// Heap bytes of the role pass's probe tables (the memory account).
-    pub fn heap_bytes(&self) -> usize {
-        self.tables.heap_bytes()
+    /// Heap bytes of the role pass's probe tables and of the cached
+    /// story profiles (the memory account).
+    pub fn heap_bytes(&self) -> [(&'static str, usize); 2] {
+        let profiles = mem::hash_map_bytes(&self.profiles)
+            + self.profiles.values().map(Profile::heap_bytes).sum::<usize>();
+        [("align.tables", self.tables.heap_bytes()), ("align.profiles", profiles)]
+    }
+
+    /// The profile `story` had at the previous pass, if it took part.
+    pub(crate) fn profile(&self, story: StoryId) -> Option<&Profile> {
+        self.profiles.get(&story)
     }
 
     /// Combined story–story similarity: exact content similarity gated
     /// by lag-tolerant evolution similarity.
-    fn story_pair_score(&self, a: &StoryState, b: &StoryState) -> f64 {
+    fn story_pair_score(&self, (a, pa): Compared, (b, pb): Compared) -> f64 {
         // Cheap temporal prune first: stories whose lifespans are
         // further apart than the lag tolerance cannot align.
         let max_gap = (self.cfg.max_lag_buckets + 1) * self.cfg.bucket_width;
         if a.lifespan().gap(b.lifespan()) > max_gap {
             return 0.0;
         }
-        let content = a.content_sim_exact(b);
+        let content = pa.content_sim(pb);
         if content == 0.0 {
             return 0.0;
         }
         // Containment, not cosine: a sparse source's short story must be
         // able to align with a prolific source's long story; disjoint
         // lifespans still gate to zero (§2.3).
-        let evolution = a
+        let evolution = pa
             .signature
-            .containment_similarity(&b.signature, self.cfg.max_lag_buckets);
+            .containment_similarity(&pb.signature, self.cfg.max_lag_buckets);
         content * evolution
     }
 
     /// Score candidate pairs. Returns the accepted `(story, story)`
     /// pairs (unordered).
-    fn score_pairs(
-        &self,
-        states: &[&StoryState],
-        pairs: &[(usize, usize)],
-    ) -> Vec<(StoryId, StoryId)> {
+    fn score_pairs(&self, stories: &[Compared], pairs: &[(usize, usize)]) -> Vec<(StoryId, StoryId)> {
         pairs
             .iter()
             .filter(|&&(i, j)| {
-                self.story_pair_score(states[i], states[j]) >= self.cfg.align_threshold
+                self.story_pair_score(stories[i], stories[j]) >= self.cfg.align_threshold
             })
-            .map(|&(i, j)| (states[i].id(), states[j].id()))
+            .map(|&(i, j)| (stories[i].0.id(), stories[j].0.id()))
             .collect()
     }
 
@@ -158,13 +216,15 @@ impl Aligner {
         self.align_internal(states, store, None)
     }
 
-    /// Incremental alignment: pairs between two *clean* stories reuse
+    /// Incremental alignment: a clean story keeps the profile of this
+    /// aligner's previous pass, pairs between two *clean* stories reuse
     /// their accept/reject decision from `previous`, and a global story
     /// made of the same clean stories as in `previous` keeps its member
     /// roles; only pairs with at least one endpoint in `dirty` are
-    /// (re)scored and only the other groups re-classified. `dirty` must
-    /// hold every story whose member list changed since `previous` was
-    /// computed (see `Touched` in [`crate::pivot`]).
+    /// (re)scored and only the other groups re-classified. `previous`
+    /// must be the outcome of this aligner's previous call, and `dirty`
+    /// must hold every story whose member list changed since that call
+    /// (see `Touched` in [`crate::pivot`]).
     pub fn align_incremental(
         &mut self,
         states: &[&StoryState],
@@ -186,26 +246,26 @@ impl Aligner {
     /// every story, incremental alignment the dirty ones, so the cost
     /// follows the marked stories' postings, not the number of pairs
     /// that exist.
-    fn candidate_pairs(&self, states: &[&StoryState], rescore: &[bool]) -> Vec<(usize, usize)> {
+    fn candidate_pairs(&self, stories: &[Compared], rescore: &[bool]) -> Vec<(usize, usize)> {
         let mut entity_index: HashMap<EntityId, Vec<usize>> = HashMap::new();
-        for (i, s) in states.iter().enumerate() {
-            for e in s.entities.keys() {
+        for (i, (_, p)) in stories.iter().enumerate() {
+            for e in p.entities.keys() {
                 entity_index.entry(e).or_default().push(i);
             }
         }
         // Per story `(stamp, shared entities)`, valid for marked story
         // `d` iff the stamp is `d + 1`.
-        let mut shared: Vec<(usize, usize)> = vec![(0, 0); states.len()];
+        let mut shared: Vec<(usize, usize)> = vec![(0, 0); stories.len()];
         let mut touched: Vec<usize> = Vec::new();
         let mut pairs = Vec::new();
-        for (d, state) in states.iter().enumerate() {
+        for (d, (state, profile)) in stories.iter().enumerate() {
             if !rescore[d] {
                 continue;
             }
             touched.clear();
-            for e in state.entities.keys() {
+            for e in profile.entities.keys() {
                 for &j in &entity_index[&e] {
-                    if j == d || (rescore[j] && j < d) || states[j].source() == state.source() {
+                    if j == d || (rescore[j] && j < d) || stories[j].0.source() == state.source() {
                         continue;
                     }
                     let slot = &mut shared[j];
@@ -240,10 +300,31 @@ impl Aligner {
             None => vec![true; states.len()],
         };
 
+        // ---- profiles: a clean story keeps its own, the others are built
+        match incremental {
+            Some((_, dirty)) => {
+                self.profiles.retain(|id, _| !dirty.contains(id) && index_of.contains_key(id))
+            }
+            None => self.profiles.clear(),
+        }
+        for state in states {
+            let fresh = || Profile::of(state, store, self.cfg.bucket_width);
+            match self.profiles.entry(state.id()) {
+                Entry::Vacant(slot) => _ = slot.insert(fresh()),
+                // Weights are positive, so `==` on them is equality of bits.
+                Entry::Occupied(kept) => debug_assert!(
+                    *kept.get() == fresh(),
+                    "the reused profile of {} differs from a rebuilt one",
+                    state.id()
+                ),
+            }
+        }
+        let stories: Vec<Compared> = states.iter().map(|&s| (s, &self.profiles[&s.id()])).collect();
+
         // ---- pair scoring (incremental reuse where possible) ----------
-        let to_score = self.candidate_pairs(states, &rescore);
+        let to_score = self.candidate_pairs(&stories, &rescore);
         let pairs_scored = to_score.len();
-        let mut accepted = self.score_pairs(states, &to_score);
+        let mut accepted = self.score_pairs(&stories, &to_score);
         if let Some((prev, _)) = incremental {
             // Reuse accepted pairs between clean, still-live stories.
             let clean = |s: &StoryId| index_of.get(s).is_some_and(|&i| !rescore[i]);
@@ -623,6 +704,8 @@ mod tests {
         }
         let states = f.states();
         assert_eq!(states.len(), 18);
+        let profiles: Vec<Profile> = states.iter().map(|s| Profile::of(s, &f.store, DAY)).collect();
+        let stories: Vec<Compared> = states.iter().copied().zip(&profiles).collect();
 
         for min_shared in 1..=3 {
             let cfg = AlignConfig {
@@ -634,10 +717,10 @@ mod tests {
                 let mut pairs = Vec::new();
                 for i in 0..states.len() {
                     for j in i + 1..states.len() {
-                        let shared = states[i]
+                        let shared = profiles[i]
                             .entities
                             .keys()
-                            .filter(|e| states[j].entities.get(e).is_some())
+                            .filter(|e| profiles[j].entities.get(e).is_some())
                             .count();
                         if states[i].source() != states[j].source()
                             && shared >= min_shared
@@ -655,7 +738,7 @@ mod tests {
             let (a, b) = brute(&all)[0];
             let both_ends: Vec<bool> = (0..states.len()).map(|i| i == a || i == b).collect();
             for rescore in [&all, &some, &both_ends] {
-                let mut pairs = aligner.candidate_pairs(&states, rescore);
+                let mut pairs = aligner.candidate_pairs(&stories, rescore);
                 pairs.sort_unstable();
                 let expected = brute(rescore);
                 assert!(!expected.is_empty());
@@ -670,6 +753,49 @@ mod tests {
             assert_eq!(incremental.global_stories, full.global_stories);
             assert_eq!(incremental.accepted_pairs, full.accepted_pairs);
         }
+    }
+
+    #[test]
+    fn similar_stories_have_a_high_content_score() {
+        let mut f = Fixture::new(2);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for day in 0..5 {
+            a.push(f.ingest(0, day, &[1, 2, 3], &[10, 11]));
+            b.push(f.ingest(1, day, &[1, 2, 3], &[10, 11]));
+        }
+        let c = f.ingest(1, 40, &[7, 8], &[20]);
+        let profile = |snippet: SnippetId| {
+            let source = f.store.get(snippet).unwrap().source.raw() as usize;
+            let story = f.idents[source].story_of(snippet).unwrap();
+            Profile::of(f.idents[source].story(story).unwrap(), &f.store, DAY)
+        };
+        let (pa, pb, pc) = (profile(a[0]), profile(b[0]), profile(c));
+        assert_eq!(profile(a[4]), pa, "one story per source");
+        assert_eq!(pa.entities.get(&EntityId::new(1)), Some(5.0), "the members' sum");
+        assert_eq!(pa.signature.total(), 5.0, "one unit of activity per member");
+        assert!(pa.content_sim(&pb) > 0.8);
+        assert!(pa.content_sim(&pc) < 0.1);
+    }
+
+    /// The lifespan prune and the evolution comparison use one width:
+    /// stories 3 days apart are 3 buckets apart at `DAY` and in one
+    /// bucket at `4 * DAY`.
+    #[test]
+    fn the_bucket_width_sets_both_the_prune_and_the_signature() {
+        let mut f = Fixture::new(2);
+        f.ingest(0, 0, &[1, 2], &[10, 11]);
+        f.ingest(1, 3, &[1, 2], &[10, 11]);
+        let cross = |bucket_width| {
+            let cfg = AlignConfig {
+                bucket_width,
+                max_lag_buckets: 1,
+                ..AlignConfig::default()
+            };
+            let out = Aligner::new(cfg, SimWeights::default()).align(&f.states(), &f.store);
+            out.cross_source_stories().count()
+        };
+        assert_eq!(cross(DAY), 0);
+        assert_eq!(cross(4 * DAY), 1);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! store snapshot plus, per source, the snippet→story assignment, the
 //! story-id allocator position and the maintenance phase (snippets
 //! identified since the last pass — without it a restored engine would
-//! split at other events than one that kept running). Story aggregates
-//! (centroids, activity signatures, lifespans) are *recomputed* from
-//! the snippets on load — they are derived state, and rebuilding them
-//! keeps the format small and version-stable.
+//! split at other events than one that kept running). Story state
+//! (lifespans, event-type histograms) is *recomputed* from the snippets
+//! on load — it is derived state, and rebuilding it keeps the format
+//! small and version-stable. Alignment's story profiles are not part of
+//! it either: the first alignment after loading builds them.
 //!
 //! The configuration is **not** stored: the caller supplies it on load
 //! (configs contain policy, not data; loading under a different config

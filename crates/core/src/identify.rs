@@ -938,7 +938,7 @@ impl Identifier {
             other => {
                 let best_score = other.map_or(0.0, |(_, s)| s);
                 let id = self.ids.next_id();
-                let mut state = StoryState::new(id, self.source, storypivot_types::DAY);
+                let mut state = StoryState::new(id, self.source);
                 state.add_snippet(snippet);
                 self.stories.insert(id, state);
                 self.record_assignment(snippet.id, id);
@@ -968,7 +968,7 @@ impl Identifier {
     }
 
     /// Remove a snippet from its story (document removal / refinement).
-    /// Rebuilds the story's aggregates exactly; drops the story when it
+    /// Rebuilds the story's state exactly; drops the story when it
     /// becomes empty. Returns the story it was removed from.
     pub fn remove_snippet(&mut self, snippet: &Snippet, store: &EventStore) -> Option<StoryId> {
         let story_id = self.erase_assignment(snippet.id)?;
@@ -1001,7 +1001,7 @@ impl Identifier {
         let state = self
             .stories
             .entry(story)
-            .or_insert_with(|| StoryState::new(story, self.source, storypivot_types::DAY));
+            .or_insert_with(|| StoryState::new(story, self.source));
         state.add_snippet(snippet);
         self.record_assignment(snippet.id, story);
         self.pending.insert(story, Pending::Unknown);
@@ -1074,7 +1074,7 @@ impl Identifier {
 
             for group in &groups[1..] {
                 let new_id = self.ids.next_id();
-                let mut state = StoryState::new(new_id, self.source, storypivot_types::DAY);
+                let mut state = StoryState::new(new_id, self.source);
                 for &i in group {
                     state.add_snippet(members[i]);
                 }

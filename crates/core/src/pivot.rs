@@ -532,11 +532,11 @@ impl StoryPivot {
 
     /// Heap bytes held by each part of the engine: the store's three
     /// parts, the identifiers' four summed over sources, the aligner's
-    /// probe tables, the cached alignment outcome, the stories dirty
-    /// since it and the refiner. Computed from the collections' layouts
-    /// ([`storypivot_types::mem`]) in time linear in the number of
-    /// stories and snippets; `tests/memory_account.rs` holds the sum to
-    /// what a counting allocator saw.
+    /// probe tables and story profiles, the cached alignment outcome,
+    /// the stories dirty since it and the refiner. Computed from the
+    /// collections' layouts ([`storypivot_types::mem`]) in time linear
+    /// in the number of stories and snippets; `tests/memory_account.rs`
+    /// holds the sum to what a counting allocator saw.
     pub fn memory_account(&self) -> Vec<(&'static str, usize)> {
         let mut account = self.store.heap_bytes().to_vec();
         let per_source = self.identifiers.values().map(Identifier::heap_bytes);
@@ -547,7 +547,7 @@ impl StoryPivot {
             sum
         });
         account.extend(identify.into_iter().flatten());
-        account.push(("align.tables", self.aligner.heap_bytes()));
+        account.extend(self.aligner.heap_bytes());
         account.push(("align.outcome", self.outcome.as_ref().map_or(0, AlignOutcome::heap_bytes)));
         account.push(("align.dirty", self.touched.dirty.as_ref().map_or(0, mem::hash_set_bytes)));
         account.push(("refine.rows", self.refiner.heap_bytes()));
@@ -964,6 +964,35 @@ mod tests {
 
         pivot.refine();
         assert!(refine_bytes(&pivot) > Some(0), "a sweep builds its postings");
+    }
+
+    #[test]
+    fn an_engine_that_never_aligns_builds_no_story_profile() {
+        let mut pivot = StoryPivot::new(PivotConfig::default());
+        let a = pivot.add_source("a", SourceKind::Newspaper);
+        let b = pivot.add_source("b", SourceKind::Newspaper);
+        for i in 0..200 {
+            let source = if i % 2 == 0 { a } else { b };
+            snip(&mut pivot, source, i / 20, &[i as u32 % 7, 100], &[i as u32 % 5]);
+        }
+        let doomed = Snippet::builder(pivot.fresh_snippet_id(), a, Timestamp::from_secs(3 * DAY))
+            .entity(EntityId::new(1), 1.0)
+            .doc(DocId::new(7))
+            .build();
+        pivot.ingest(doomed).unwrap();
+        assert_eq!(pivot.remove_document(DocId::new(7)).unwrap(), 1);
+        pivot.run_maintenance();
+        let profile_bytes = |p: &StoryPivot| {
+            p.memory_account().into_iter().find(|(s, _)| *s == "align.profiles").map(|(_, b)| b)
+        };
+        assert_eq!(profile_bytes(&pivot), Some(0), "identification keeps no story profile");
+
+        pivot.align();
+        let aligned = profile_bytes(&pivot);
+        assert!(aligned > Some(0), "alignment builds one per story");
+        assert_eq!(pivot.dirty_count(), 0);
+        pivot.align_incremental();
+        assert_eq!(profile_bytes(&pivot), aligned, "nothing dirty: every profile is kept");
     }
 
     #[test]

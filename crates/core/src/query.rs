@@ -7,7 +7,8 @@
 //!
 //! A [`StoryQuery`] filters by entities (any-of), a time range, sources,
 //! and a minimum story size; results are global stories ranked by how
-//! strongly they feature the queried entities.
+//! strongly they feature the queried entities, read from the story
+//! profiles the last alignment compared (`Profile` in [`crate::align`]).
 
 use storypivot_types::{EntityId, GlobalStoryId, SourceId, TimeRange};
 
@@ -88,6 +89,11 @@ pub struct QueryHit {
 /// Evaluate `query` against the pivot's most recent alignment. Results
 /// are sorted by descending relevance, ties by story id. Returns an
 /// empty vector when [`StoryPivot::align`] has not run yet.
+///
+/// Relevance, like the global stories it ranks, is the last alignment's
+/// view: the queried entities' weight in the member stories' profiles
+/// as that alignment built them. A snippet ingested since then counts
+/// from the next alignment on.
 pub fn query_stories(pivot: &StoryPivot, query: &StoryQuery) -> Vec<QueryHit> {
     let mut hits = Vec::new();
     for g in pivot.global_stories() {
@@ -106,25 +112,16 @@ pub fn query_stories(pivot: &StoryPivot, query: &StoryQuery) -> Vec<QueryHit> {
             continue;
         }
         // Entity constraint: sum the queried entities' mass across the
-        // member per-source stories.
-        let relevance = if query.entities.is_empty() {
-            0.0
-        } else {
-            let mut mass = 0.0f64;
-            for &story in &g.member_stories {
-                if let Some(state) = pivot.story(story) {
-                    for e in &query.entities {
-                        if let Some(w) = state.entities.get(e) {
-                            mass += w as f64;
-                        }
-                    }
-                }
-            }
-            if mass == 0.0 {
-                continue;
-            }
-            mass
-        };
+        // member per-source stories' profiles.
+        let relevance = g
+            .member_stories
+            .iter()
+            .filter_map(|&story| pivot.aligner.profile(story))
+            .flat_map(|p| query.entities.iter().filter_map(|e| p.entities.get(e)))
+            .fold(0.0, |mass, w| mass + w as f64);
+        if !query.entities.is_empty() && relevance == 0.0 {
+            continue;
+        }
         hits.push(QueryHit {
             story: g.id,
             relevance,
@@ -186,6 +183,27 @@ mod tests {
         let g = pivot.alignment().unwrap().global_story(hits[0].story).unwrap();
         assert_eq!(g.len(), 8);
         assert!(hits[0].relevance >= 8.0);
+    }
+
+    #[test]
+    fn relevance_is_read_at_the_last_alignment() {
+        let (mut pivot, a, _) = fixture();
+        let relevance = |pivot: &StoryPivot| {
+            let hits = query_stories(pivot, &StoryQuery::entity(EntityId::new(1)));
+            assert_eq!(hits.len(), 1);
+            hits[0].relevance
+        };
+        let aligned = relevance(&pivot);
+        let late = Snippet::builder(SnippetId::new(100), a, Timestamp::from_secs(4 * DAY))
+            .entity(EntityId::new(1), 2.5)
+            .term(TermId::new(5), 1.0)
+            .event_type(EventType::Conflict)
+            .build();
+        let story = pivot.ingest(late).unwrap();
+        assert_eq!(pivot.story_of(SnippetId::new(0)), Some(story), "joined story X");
+        assert_eq!(relevance(&pivot), aligned, "not aligned yet: the last alignment's view");
+        pivot.align_incremental();
+        assert_eq!(relevance(&pivot), aligned + 2.5);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Per-story aggregate state.
 //!
-//! A [`StoryState`] carries everything the matching phases need to know
-//! about one per-source story without touching its member snippets:
-//! centroid entity/term vectors, a temporal evolution signature, and the
-//! event-type histogram. All of it updates incrementally in `O(content)`
-//! per added snippet. It also keeps the story's windowed fold, the sums
-//! identification last scored it with, which the story's own mutators
-//! clear whenever it might no longer lead the story's members.
+//! A [`StoryState`] carries what identification reads of one per-source
+//! story on every ingest: its membership and lifespan, and the event-type
+//! histogram with its dominant type, updated on every added snippet
+//! without touching the others. It also keeps the story's windowed
+//! fold, the sums identification last scored it with, which the story's
+//! own mutators clear whenever it might no longer lead the story's
+//! members. What alignment compares of a whole story — its entity and
+//! term sums and its activity over time — is built from the members by
+//! the aligner (`Profile` in [`crate::align`]), not kept here.
 
-use storypivot_sketch::TemporalSignature;
 use storypivot_types::{
     mem, EntityId, EventType, Snippet, SnippetId, SourceId, SparseVec, StoryId, TermId, TimeRange,
 };
@@ -82,12 +83,6 @@ impl WindowFold {
 pub struct StoryState {
     /// The story's membership and lifespan.
     pub story: storypivot_types::Story,
-    /// Summed entity weights over all member snippets (centroid × n).
-    pub entities: SparseVec<EntityId>,
-    /// Summed term weights over all member snippets.
-    pub terms: SparseVec<TermId>,
-    /// Bucketed activity curve of the story's evolution.
-    pub signature: TemporalSignature,
     /// Histogram of member event types.
     pub event_types: [u32; EventType::COUNT],
     /// Cached argmax of `event_types` (ties break by discriminant),
@@ -100,12 +95,9 @@ pub struct StoryState {
 
 impl StoryState {
     /// A new empty story in `source`.
-    pub fn new(id: StoryId, source: SourceId, bucket_width: i64) -> Self {
+    pub fn new(id: StoryId, source: SourceId) -> Self {
         StoryState {
             story: storypivot_types::Story::new(id, source),
-            entities: SparseVec::new(),
-            terms: SparseVec::new(),
-            signature: TemporalSignature::new(bucket_width),
             event_types: [0; EventType::COUNT],
             dominant: EventType::Other,
             fold: WindowFold::default(),
@@ -142,7 +134,7 @@ impl StoryState {
         self.story.lifespan
     }
 
-    /// Fold a snippet into every aggregate.
+    /// Add a snippet to the membership and the histogram.
     pub fn add_snippet(&mut self, snippet: &Snippet) {
         debug_assert_eq!(snippet.source, self.story.source, "cross-source story member");
         // Members are sorted by id, so `last` is the largest.
@@ -153,14 +145,11 @@ impl StoryState {
             self.fold.clear();
         }
         self.story.add_member(snippet.id, snippet.timestamp);
-        self.entities.merge_add(snippet.entities());
-        self.terms.merge_add(snippet.terms());
-        self.signature.add(snippet.timestamp, 1.0);
         self.event_types[snippet.content.event_type.code() as usize] += 1;
         self.refresh_dominant();
     }
 
-    /// Rebuild every aggregate exactly from the given member snippets
+    /// Rebuild the state exactly from the given member snippets
     /// (used after removals and splits), from a fresh state: the
     /// membership list is replaced by the snippets passed in and the
     /// fold is empty.
@@ -168,21 +157,18 @@ impl StoryState {
     where
         I: IntoIterator<Item = &'a Snippet>,
     {
-        *self = StoryState::new(self.story.id, self.story.source, self.signature.bucket_width());
+        *self = StoryState::new(self.story.id, self.story.source);
         for s in members {
             self.add_snippet(s);
         }
     }
 
-    /// Absorb all aggregates of `other` (story merge). Membership and
-    /// lifespan merge too; `other` should be discarded afterwards.
+    /// Absorb `other` (story merge): membership, lifespan and histogram.
+    /// `other` should be discarded afterwards.
     pub fn absorb(&mut self, other: &StoryState) {
         self.fold.clear();
         self.story.members = merge_sorted(&self.story.members, &other.story.members);
         self.story.lifespan = self.story.lifespan.cover(other.story.lifespan);
-        self.entities.merge_add(&other.entities);
-        self.terms.merge_add(&other.terms);
-        self.signature.merge(&other.signature);
         for (a, &b) in self.event_types.iter_mut().zip(&other.event_types) {
             *a += b;
         }
@@ -208,21 +194,9 @@ impl StoryState {
         self.dominant = best;
     }
 
-    /// Exact content similarity between two stories: weighted Jaccard of
-    /// entity mass plus cosine of term mass, averaged.
-    pub fn content_sim_exact(&self, other: &StoryState) -> f64 {
-        let e = self.entities.weighted_jaccard(&other.entities);
-        let t = self.terms.cosine(&other.terms);
-        0.6 * e + 0.4 * t
-    }
-
     /// Heap bytes held by this state (the memory account).
     pub fn heap_bytes(&self) -> usize {
-        mem::vec_bytes(&self.story.members)
-            + self.entities.heap_bytes()
-            + self.terms.heap_bytes()
-            + self.signature.heap_bytes()
-            + self.fold.heap_bytes()
+        mem::vec_bytes(&self.story.members) + self.fold.heap_bytes()
     }
 }
 
@@ -248,7 +222,7 @@ mod tests {
     use storypivot_types::{Timestamp, DAY};
 
     fn state() -> StoryState {
-        StoryState::new(StoryId::new(0), SourceId::new(0), DAY)
+        StoryState::new(StoryId::new(0), SourceId::new(0))
     }
 
     fn snip(id: u32, day: i64, entities: &[u32], terms: &[u32]) -> Snippet {
@@ -272,9 +246,7 @@ mod tests {
         s.add_snippet(&snip(0, 0, &[1, 2], &[10]));
         s.add_snippet(&snip(1, 2, &[1], &[10, 11]));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.entities.get(&EntityId::new(1)), Some(2.0));
-        assert_eq!(s.terms.get(&TermId::new(10)), Some(2.0));
-        assert_eq!(s.signature.total(), 2.0);
+        assert_eq!(s.event_types[EventType::Accident.code() as usize], 2);
         assert_eq!(s.dominant_event_type(), EventType::Accident);
         assert_eq!(
             s.lifespan(),
@@ -292,9 +264,6 @@ mod tests {
         s.rebuild([&b]);
         let mut fresh = state();
         fresh.add_snippet(&b);
-        assert_eq!(s.entities, fresh.entities);
-        assert_eq!(s.terms, fresh.terms);
-        assert_eq!(s.signature, fresh.signature);
         assert_eq!(s.event_types, fresh.event_types);
         assert_eq!(s.story.members, fresh.story.members);
         assert_eq!(s.lifespan(), fresh.lifespan());
@@ -305,21 +274,19 @@ mod tests {
         let mut a = state();
         a.add_snippet(&snip(0, 0, &[1], &[10]));
         a.add_snippet(&snip(4, 1, &[1], &[10]));
-        let mut b = StoryState::new(StoryId::new(1), SourceId::new(0), DAY);
+        let mut b = StoryState::new(StoryId::new(1), SourceId::new(0));
         b.add_snippet(&snip(1, 5, &[2], &[11]));
         b.add_snippet(&snip(7, 5, &[2], &[11]));
         a.absorb(&b);
         let ids = |raw: &[u32]| raw.iter().map(|&r| SnippetId::new(r)).collect::<Vec<_>>();
         assert_eq!(a.story.members, ids(&[0, 1, 4, 7]), "one ascending list");
-        assert_eq!(a.entities.len(), 2);
-        assert_eq!(a.terms.len(), 2);
-        assert_eq!(a.signature.total(), 4.0);
+        assert_eq!(a.event_types[EventType::Accident.code() as usize], 4);
         assert_eq!(
             a.lifespan(),
             TimeRange::new(Timestamp::from_secs(0), Timestamp::from_secs(5 * DAY))
         );
         // Absorbing a story that shares members lists each of them once.
-        let mut c = StoryState::new(StoryId::new(2), SourceId::new(0), DAY);
+        let mut c = StoryState::new(StoryId::new(2), SourceId::new(0));
         c.add_snippet(&snip(4, 1, &[1], &[10]));
         c.add_snippet(&snip(9, 6, &[1], &[10]));
         a.absorb(&c);
@@ -338,27 +305,6 @@ mod tests {
         assert_eq!(fold.covers(first, 5), 2, "grew at the trailing edge");
         assert_eq!(fold.covers(first, 1), 0, "window shrank");
         assert_eq!(fold.covers(SnippetId::new(8), 5), 0, "leading edge slid");
-    }
-
-    #[test]
-    fn similar_stories_have_high_content_sim() {
-        let mut a = state();
-        let mut b = StoryState::new(StoryId::new(1), SourceId::new(1), DAY);
-        for i in 0..5 {
-            a.add_snippet(&snip(i, i as i64, &[1, 2, 3], &[10, 11]));
-        }
-        for i in 5..10 {
-            let mut s = snip(i, (i - 5) as i64, &[1, 2, 3], &[10, 11]);
-            s.source = SourceId::new(1);
-            b.add_snippet(&s);
-        }
-        assert!(a.content_sim_exact(&b) > 0.8);
-
-        let mut c = StoryState::new(StoryId::new(2), SourceId::new(1), DAY);
-        let mut s = snip(20, 0, &[7, 8], &[20]);
-        s.source = SourceId::new(1);
-        c.add_snippet(&s);
-        assert!(a.content_sim_exact(&c) < 0.1);
     }
 
     #[test]

@@ -365,7 +365,10 @@ mod tests {
                 pivot.ingest(b.build()).unwrap();
             }
             assert_eq!(pivot.story_count(), 1);
-            assert_eq!(pivot.stories_of_source(source)[0].terms.len(), 83);
+            let members = &pivot.stories_of_source(source)[0].story.members;
+            let terms: std::collections::BTreeSet<TermId> =
+                members.iter().flat_map(|&m| pivot.store().get(m).unwrap().terms().keys()).collect();
+            assert_eq!(terms.len(), 83);
             pivot.align();
             let story = pivot.global_stories()[0].id;
             story_overview(&pivot, &RawIds) + &story_information(&pivot, story, &RawIds)

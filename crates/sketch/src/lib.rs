@@ -12,7 +12,9 @@
 //!   similarity of entity/term sets. The engine compares stories by
 //!   exact content and builds none; the benchmark times a signature.
 //! * [`temporal`] — bucketed activity signatures whose lag-tolerant
-//!   similarity compares *story evolution* over time (paper §2.3).
+//!   containment compares *story evolution* over time (paper §2.3).
+//!   Only alignment builds them, one per story it compares, from the
+//!   story's members.
 //! * [`hash`] — the seeded 64-bit hash family everything above shares.
 
 #![forbid(unsafe_code)]

@@ -5,8 +5,9 @@
 //! similar" and "it is highly unlikely that two stories c₁ and c₂ are
 //! similar if c₁ ends at tᵢ and c₂ starts at tⱼ with tᵢ ≪ tⱼ"
 //! (paper §2.3). A [`TemporalSignature`] buckets a story's snippet
-//! activity into fixed-width epochs; its lag-tolerant cosine similarity
-//! scores evolution overlap while forgiving per-source reporting delay.
+//! activity into fixed-width epochs; its lag-tolerant containment
+//! similarity scores evolution overlap while forgiving per-source
+//! reporting delay.
 
 use storypivot_types::Timestamp;
 
@@ -29,16 +30,6 @@ impl TemporalSignature {
             origin: 0,
             counts: Vec::new(),
         }
-    }
-
-    /// Bucket width in seconds.
-    pub fn bucket_width(&self) -> i64 {
-        self.bucket_width
-    }
-
-    /// Number of buckets spanned (0 when empty).
-    pub fn span(&self) -> usize {
-        self.counts.len()
     }
 
     /// Whether no activity has been recorded.
@@ -75,90 +66,9 @@ impl TemporalSignature {
         self.counts[(b - self.origin) as usize] += weight;
     }
 
-    /// Remove `weight` units of activity previously added at `t`
-    /// (floors at zero; supports document removal).
-    pub fn remove(&mut self, t: Timestamp, weight: f32) {
-        let b = self.bucket_of(t);
-        if self.counts.is_empty() || b < self.origin {
-            return;
-        }
-        let i = (b - self.origin) as usize;
-        if i < self.counts.len() {
-            self.counts[i] = (self.counts[i] - weight).max(0.0);
-        }
-    }
-
-    /// Merge another signature (same bucket width) into this one.
-    ///
-    /// # Panics
-    /// Panics on bucket-width mismatch.
-    pub fn merge(&mut self, other: &TemporalSignature) {
-        assert_eq!(self.bucket_width, other.bucket_width, "bucket width mismatch");
-        for (i, &c) in other.counts.iter().enumerate() {
-            if c > 0.0 {
-                let t = Timestamp::from_secs((other.origin + i as i64) * other.bucket_width);
-                self.add(t, c);
-            }
-        }
-    }
-
     /// Heap bytes of the bucket array (the memory account).
     pub fn heap_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<f32>()
-    }
-
-    /// Activity in the bucket containing `t`.
-    pub fn activity_at(&self, t: Timestamp) -> f32 {
-        let b = self.bucket_of(t);
-        if b < self.origin {
-            return 0.0;
-        }
-        let i = (b - self.origin) as usize;
-        self.counts.get(i).copied().unwrap_or(0.0)
-    }
-
-    /// Cosine similarity of the two activity curves when `other` is
-    /// shifted by `shift` buckets.
-    fn shifted_cosine(&self, other: &TemporalSignature, shift: i64) -> f64 {
-        let (mut dot, mut na, mut nb) = (0f64, 0f64, 0f64);
-        for (i, &a) in self.counts.iter().enumerate() {
-            na += (a as f64) * (a as f64);
-            // Global bucket of a: origin + i. In other (shifted): that
-            // bucket corresponds to other index origin + i - other.origin - shift.
-            let j = self.origin + i as i64 - other.origin - shift;
-            if j >= 0 && (j as usize) < other.counts.len() {
-                dot += a as f64 * other.counts[j as usize] as f64;
-            }
-        }
-        for &b in &other.counts {
-            nb += (b as f64) * (b as f64);
-        }
-        let denom = na.sqrt() * nb.sqrt();
-        if denom == 0.0 {
-            0.0
-        } else {
-            (dot / denom).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Lag-tolerant evolution similarity: the best cosine over shifts of
-    /// `other` by up to ±`max_lag_buckets`, linearly discounted by the
-    /// shift magnitude so that perfectly synchronous evolution scores
-    /// highest.
-    pub fn evolution_similarity(&self, other: &TemporalSignature, max_lag_buckets: i64) -> f64 {
-        assert_eq!(self.bucket_width, other.bucket_width, "bucket width mismatch");
-        if self.is_empty() || other.is_empty() {
-            return 0.0;
-        }
-        let mut best = 0.0f64;
-        for shift in -max_lag_buckets..=max_lag_buckets {
-            let discount = 1.0 - shift.abs() as f64 / (max_lag_buckets as f64 + 1.0);
-            let s = self.shifted_cosine(other, shift) * discount;
-            if s > best {
-                best = s;
-            }
-        }
-        best
     }
 
     /// Overlapping activity mass when `other` is shifted by `shift`
@@ -177,13 +87,13 @@ impl TemporalSignature {
     /// Lag-tolerant evolution **containment**: the best over shifts of
     /// `Σ min(a,b) / min(Σa, Σb)`, discounted by shift magnitude.
     ///
-    /// Unlike [`TemporalSignature::evolution_similarity`], containment
-    /// does not penalize span mismatch: a one-event story whose event
-    /// falls inside a long story's active period scores 1.0. Story
-    /// alignment uses this as its temporal compatibility gate — a short
-    /// story reported by a sparse source must still be able to align
-    /// with the full story of a prolific source (paper §2.3), while
-    /// temporally disjoint stories still score 0.
+    /// Unlike a cosine of the two curves, containment does not penalize
+    /// span mismatch: a one-event story whose event falls inside a long
+    /// story's active period scores 1.0. Story alignment uses this as
+    /// its temporal compatibility gate — a short story reported by a
+    /// sparse source must still be able to align with the full story of
+    /// a prolific source (paper §2.3), while temporally disjoint stories
+    /// still score 0.
     pub fn containment_similarity(&self, other: &TemporalSignature, max_lag_buckets: i64) -> f64 {
         assert_eq!(self.bucket_width, other.bucket_width, "bucket width mismatch");
         if self.is_empty() || other.is_empty() {
@@ -214,16 +124,19 @@ mod tests {
         Timestamp::from_secs(day * DAY)
     }
 
+    /// `(origin, counts)`: the first bucket and the curve from it.
+    fn curve(s: &TemporalSignature) -> (i64, Vec<f32>) {
+        (s.origin, s.counts.clone())
+    }
+
     #[test]
     fn add_buckets_activity() {
         let mut s = TemporalSignature::new(DAY);
+        assert!(s.is_empty());
         s.add(ts(10), 1.0);
         s.add(ts(10) + 3600, 1.0); // same day, later hour
         s.add(ts(12), 2.0);
-        assert_eq!(s.activity_at(ts(10)), 2.0);
-        assert_eq!(s.activity_at(ts(11)), 0.0);
-        assert_eq!(s.activity_at(ts(12)), 2.0);
-        assert_eq!(s.span(), 3);
+        assert_eq!(curve(&s), (10, vec![2.0, 0.0, 2.0]));
         assert_eq!(s.total(), 4.0);
     }
 
@@ -232,10 +145,7 @@ mod tests {
         let mut s = TemporalSignature::new(DAY);
         s.add(ts(10), 1.0);
         s.add(ts(5), 1.0);
-        assert_eq!(s.span(), 6);
-        assert_eq!(s.activity_at(ts(5)), 1.0);
-        assert_eq!(s.activity_at(ts(10)), 1.0);
-        assert_eq!(s.activity_at(ts(7)), 0.0);
+        assert_eq!(curve(&s), (5, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0]));
     }
 
     #[test]
@@ -243,89 +153,16 @@ mod tests {
         let mut s = TemporalSignature::new(DAY);
         s.add(Timestamp::from_secs(-1), 1.0); // belongs to day -1
         s.add(ts(0), 1.0);
-        assert_eq!(s.activity_at(Timestamp::from_secs(-10)), 1.0);
-        assert_eq!(s.activity_at(ts(0)), 1.0);
-        assert_eq!(s.span(), 2);
+        assert_eq!(curve(&s), (-1, vec![1.0, 1.0]));
     }
 
     #[test]
-    fn identical_evolution_scores_one() {
-        let mut a = TemporalSignature::new(DAY);
-        let mut b = TemporalSignature::new(DAY);
-        for d in [0, 1, 2, 5, 9] {
-            a.add(ts(d), 1.0);
-            b.add(ts(d), 1.0);
+    fn the_width_sets_the_buckets() {
+        let mut s = TemporalSignature::new(4 * DAY);
+        for d in [0, 3, 4, 9] {
+            s.add(ts(d), 1.0);
         }
-        assert!((a.evolution_similarity(&b, 2) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disjoint_evolution_scores_zero() {
-        let mut a = TemporalSignature::new(DAY);
-        let mut b = TemporalSignature::new(DAY);
-        a.add(ts(0), 1.0);
-        b.add(ts(100), 1.0);
-        assert_eq!(a.evolution_similarity(&b, 3), 0.0);
-    }
-
-    #[test]
-    fn lag_tolerance_recovers_shifted_story() {
-        // b reports the same activity curve one day late.
-        let mut a = TemporalSignature::new(DAY);
-        let mut b = TemporalSignature::new(DAY);
-        for d in [0, 1, 3, 4] {
-            a.add(ts(d), 1.0);
-            b.add(ts(d + 1), 1.0);
-        }
-        let strict = a.evolution_similarity(&b, 0);
-        let tolerant = a.evolution_similarity(&b, 2);
-        assert!(tolerant > strict, "lag tolerance must help: {tolerant} vs {strict}");
-        assert!(tolerant > 0.5);
-    }
-
-    #[test]
-    fn closer_lag_scores_higher_via_discount() {
-        let mut a = TemporalSignature::new(DAY);
-        a.add(ts(0), 1.0);
-        let mut near = TemporalSignature::new(DAY);
-        near.add(ts(1), 1.0);
-        let mut far = TemporalSignature::new(DAY);
-        far.add(ts(3), 1.0);
-        let s_near = a.evolution_similarity(&near, 3);
-        let s_far = a.evolution_similarity(&far, 3);
-        assert!(s_near > s_far, "{s_near} vs {s_far}");
-    }
-
-    #[test]
-    fn merge_combines_curves() {
-        let mut a = TemporalSignature::new(DAY);
-        a.add(ts(0), 1.0);
-        let mut b = TemporalSignature::new(DAY);
-        b.add(ts(0), 2.0);
-        b.add(ts(5), 1.0);
-        a.merge(&b);
-        assert_eq!(a.activity_at(ts(0)), 3.0);
-        assert_eq!(a.activity_at(ts(5)), 1.0);
-        assert_eq!(a.total(), 4.0);
-    }
-
-    #[test]
-    fn remove_floors_at_zero() {
-        let mut a = TemporalSignature::new(DAY);
-        a.add(ts(1), 1.0);
-        a.remove(ts(1), 5.0);
-        assert_eq!(a.activity_at(ts(1)), 0.0);
-        a.remove(ts(99), 1.0); // out of range: no-op
-        a.remove(ts(-5), 1.0);
-    }
-
-    #[test]
-    fn empty_signatures_score_zero() {
-        let a = TemporalSignature::new(DAY);
-        let mut b = TemporalSignature::new(DAY);
-        b.add(ts(0), 1.0);
-        assert_eq!(a.evolution_similarity(&b, 2), 0.0);
-        assert_eq!(b.evolution_similarity(&a, 2), 0.0);
+        assert_eq!(curve(&s), (0, vec![2.0, 1.0, 1.0]));
     }
 
     #[test]
@@ -333,7 +170,7 @@ mod tests {
     fn mismatched_widths_panic() {
         let a = TemporalSignature::new(DAY);
         let b = TemporalSignature::new(3600);
-        a.evolution_similarity(&b, 1);
+        a.containment_similarity(&b, 1);
     }
 }
 
@@ -356,8 +193,6 @@ mod containment_tests {
         short.add(ts(4), 1.0);
         assert_eq!(short.containment_similarity(&long, 0), 1.0);
         assert_eq!(long.containment_similarity(&short, 0), 1.0);
-        // Cosine, by contrast, punishes the span mismatch.
-        assert!(long.evolution_similarity(&short, 0) < 0.5);
     }
 
     #[test]

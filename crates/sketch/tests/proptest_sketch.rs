@@ -26,25 +26,6 @@ fn minhash_subset_estimate_reflects_containment() {
 // ---- temporal signature ----------------------------------------------
 
 #[test]
-fn temporal_add_remove_round_trips() {
-    prop::run(256, |rng| {
-        let adds = prop::vec_with(rng, 0, 39, |r| {
-            (r.random_range(-100i64..100), r.random_range(1u32..5))
-        });
-        let mut sig = TemporalSignature::new(DAY);
-        for &(d, w) in &adds {
-            sig.add(Timestamp::from_secs(d * DAY + 7), w as f32);
-        }
-        let total: f64 = adds.iter().map(|&(_, w)| w as f64).sum();
-        assert!((sig.total() - total).abs() < 1e-3);
-        for &(d, w) in &adds {
-            sig.remove(Timestamp::from_secs(d * DAY + 7), w as f32);
-        }
-        assert!(sig.total() < 1e-3, "residual {}", sig.total());
-    });
-}
-
-#[test]
 fn similarities_are_bounded_and_self_is_maximal() {
     prop::run(128, |rng| {
         let a = prop::vec_with(rng, 1, 29, |r| {
@@ -62,42 +43,14 @@ fn similarities_are_bounded_and_self_is_maximal() {
         for &(d, w) in &b {
             sb.add(Timestamp::from_secs(d * DAY), w as f32);
         }
-        for f in [
-            TemporalSignature::evolution_similarity,
-            TemporalSignature::containment_similarity,
-        ] {
-            let ab = f(&sa, &sb, lag);
-            assert!((0.0..=1.0).contains(&ab), "out of range: {ab}");
-            let self_sim = f(&sa, &sa, lag);
-            assert!((self_sim - 1.0).abs() < 1e-9, "self sim {self_sim}");
-        }
+        let ab = sa.containment_similarity(&sb, lag);
+        assert!((0.0..=1.0).contains(&ab), "out of range: {ab}");
+        let self_sim = sa.containment_similarity(&sa, lag);
+        assert!((self_sim - 1.0).abs() < 1e-9, "self sim {self_sim}");
         // Containment is symmetric (min-normalized); check directly.
         assert!(
             (sa.containment_similarity(&sb, lag) - sb.containment_similarity(&sa, lag)).abs()
                 < 1e-9
         );
-    });
-}
-
-#[test]
-fn merge_total_is_sum_of_totals() {
-    prop::run(256, |rng| {
-        let a = prop::vec_with(rng, 0, 19, |r| {
-            (r.random_range(-30i64..30), r.random_range(1u32..4))
-        });
-        let b = prop::vec_with(rng, 0, 19, |r| {
-            (r.random_range(-30i64..30), r.random_range(1u32..4))
-        });
-        let mut sa = TemporalSignature::new(DAY);
-        for &(d, w) in &a {
-            sa.add(Timestamp::from_secs(d * DAY), w as f32);
-        }
-        let mut sb = TemporalSignature::new(DAY);
-        for &(d, w) in &b {
-            sb.add(Timestamp::from_secs(d * DAY), w as f32);
-        }
-        let expected = sa.total() + sb.total();
-        sa.merge(&sb);
-        assert!((sa.total() - expected).abs() < 1e-3);
     });
 }
