@@ -33,6 +33,7 @@ fn e18_refine(scale: &Scale, seed: u64) -> Table {
         "cache hit ratio",
         "extended",
         "probes reused",
+        "settled",
     ])
     .clocks(["ms/call (reference)", "ms/call", "final call ms (reference)", "final call ms"]);
     for &n in &scale.refine_sizes {
@@ -89,6 +90,7 @@ fn e18_refine(scale: &Scale, seed: u64) -> Table {
             f3(hits as f64 / (hits + misses).max(1) as f64),
             count(0, "storypivot_refine_cohesion_extended_total").to_string(),
             count(0, "storypivot_refine_probes_reused_total").to_string(),
+            count(0, "storypivot_refine_settled_total").to_string(),
             per_call(spent[1]),
             per_call(spent[0]),
             ms(last[1].as_nanos() as f64),

@@ -87,6 +87,10 @@ pub struct EngineMetrics {
     /// alternative stories a sweep carried over from the previous one
     /// because nothing sharing an entity with them had moved.
     pub refine_probes_reused_total: Counter,
+    /// `storypivot_refine_settled_total` — snippets a sweep judged
+    /// against their own story only, because their cohesion there left
+    /// no room for a move.
+    pub refine_settled_total: Counter,
     /// `storypivot_identify_duration_ns` — per-snippet identification
     /// time.
     pub identify_duration: HistogramMetric,
@@ -195,6 +199,10 @@ impl EngineMetrics {
             refine_probes_reused_total: registry.counter(
                 "storypivot_refine_probes_reused_total",
                 "Snippets whose alternative stories were carried over from the previous sweep.",
+            ),
+            refine_settled_total: registry.counter(
+                "storypivot_refine_settled_total",
+                "Snippets whose own cohesion left no room for a move, so no alternative was scored.",
             ),
             identify_duration: registry.histogram(
                 "storypivot_identify_duration_ns",

@@ -1,7 +1,8 @@
 //! The differential driver: one seeded sequence of §2.4's ops —
 //! snippets arriving in waves and late, documents and snippets
 //! retracted, snippets reassigned (into an existing story or a fresh
-//! one), maintenance, incremental alignment and refinement interleaved,
+//! one, or a snippet's nearest story-mate between two refinements),
+//! maintenance, incremental alignment and refinement interleaved,
 //! a source leaving, a held-back source coming on board, and checkpoint
 //! reloads — run through a [`Target`] beside an oracle engine and
 //! compared after every op by `Twins::check_step`.
@@ -43,7 +44,7 @@ pub mod served;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-use storypivot_core::config::PivotConfig;
+use storypivot_core::config::{PivotConfig, RefineConfig};
 use storypivot_core::identify::IdentifyDecision;
 use storypivot_core::metrics::EngineMetrics;
 use storypivot_core::oplog::{self, Applied, ReplayOp};
@@ -77,6 +78,8 @@ pub struct Case {
     pub omega_days: i64,
     pub split_threshold: f64,
     pub maintenance_every: usize,
+    /// Never drawn: the defaults, unless a [`slice_refining`] pins others.
+    pub refine: RefineConfig,
 }
 
 impl Case {
@@ -91,6 +94,7 @@ impl Case {
             omega_days: rng.random_range(2i64..15),
             split_threshold: if splitting { 0.45 } else { rng.random_range(0.18f64..0.5) },
             maintenance_every: rng.random_range(4usize..71),
+            refine: RefineConfig::default(),
         };
         // Once a hot-story cache capacity; still drawn so that every
         // case seed replays the corpus and config it always has.
@@ -113,6 +117,7 @@ impl Case {
         let mut config = PivotConfig::temporal(self.omega_days * DAY);
         config.identify.split_threshold = self.split_threshold;
         config.identify.maintenance_every = self.maintenance_every;
+        config.refine = self.refine;
         config
     }
 }
@@ -124,6 +129,8 @@ pub struct Tally {
     pub merges: usize,
     pub late: usize,
     pub reassigned: usize,
+    /// Snippets' nearest story-mates reassigned just before a refine.
+    pub twins: usize,
     pub moves: usize,
     /// Sources that left, and held-back sources that came on board.
     pub left: usize,
@@ -143,8 +150,9 @@ pub struct Tally {
     /// Cross-source pairs the final alignment of each case accepted.
     pub accepted: usize,
     /// Per catalogue: snippets judged by refinement sweeps, probes
-    /// carried over, cohesions extended.
-    pub refine: [[u64; 3]; CATALOGUES.len()],
+    /// carried over, cohesions extended, snippets settled (judged
+    /// against their own story only).
+    pub refine: [[u64; 4]; CATALOGUES.len()],
     /// Documents removed.
     pub docs_removed: usize,
     /// Checkpoint reloads: all of them, and those with ≥ 100 snippets
@@ -467,6 +475,12 @@ impl Twins {
 
     fn reassign(&mut self, rng: &mut StdRng) {
         let Some(s) = self.pick(rng) else { return };
+        self.reassign_snippet(&s, rng);
+    }
+
+    /// `s` into a fresh story of its source one time in five, else into
+    /// one of its source's stories drawn uniformly (its own included).
+    fn reassign_snippet(&mut self, s: &Snippet, rng: &mut StdRng) {
         let (op, target) = if rng.random_bool(0.2) {
             let fresh = self.both("fresh_story_id_for", |e| e.fresh_story_id_for(s.source).unwrap());
             ("reassign_snippet into a fresh story", fresh)
@@ -477,6 +491,33 @@ impl Twins {
         self.both(op, |e| e.reassign_snippet(s.id, target).unwrap());
         self.tally.reassigned += 1;
         self.check_step(op, false);
+    }
+
+    /// An analyst's correction between two refinements: after a refine,
+    /// the story-mate most similar to a snippet `v` — the member `v`'s
+    /// cohesion is attained by, unless another source's member of its
+    /// global story beats it — is reassigned, and refinement runs again.
+    /// Its first sweep sees one reassignment since the sweep before,
+    /// so most snippets are clean and carry their probes over, and `v`
+    /// may have dropped out of the settled band.
+    fn reassign_twin_between_refines(&mut self, rng: &mut StdRng) {
+        self.refine();
+        let Some(v) = self.pick(rng) else { return };
+        let engine = self.engine();
+        let weights = engine.config().identify.weights;
+        let (store, mates) = (engine.store(), engine.story_of(v.id).and_then(|id| engine.story(id)));
+        let sim = |m: &&Snippet| weights.content_sim(&v.content, &m.content);
+        let twin = mates
+            .iter()
+            .flat_map(|state| &state.story.members)
+            .filter(|&&m| m != v.id)
+            .filter_map(|&m| store.get(m))
+            .max_by(|a, b| sim(a).total_cmp(&sim(b)))
+            .cloned();
+        let Some(twin) = twin else { return };
+        self.reassign_snippet(&twin, rng);
+        self.tally.twins += 1;
+        self.refine();
     }
 
     fn align(&mut self) {
@@ -579,6 +620,7 @@ impl Twins {
             let refine = &mut self.tally.refine[self.case.catalogue];
             refine[1] += metrics.refine_probes_reused_total.get();
             refine[2] += metrics.refine_cohesion_extended_total.get();
+            refine[3] += metrics.refine_settled_total.get();
         }
         self.tally
     }
@@ -620,11 +662,32 @@ pub fn slice(label: &str, cases: u32, focus: impl Fn(&Case) -> bool) -> Option<T
 
 /// [`slice`] through the target `via` names.
 pub fn slice_via(via: Via, label: &str, cases: u32, focus: impl Fn(&Case) -> bool) -> Option<Tally> {
+    run_slice(via, label, cases, RefineConfig::default(), focus)
+}
+
+/// [`slice`] with both engines refining on `refine` instead of the
+/// defaults (it shows in every failure's case).
+pub fn slice_refining(
+    label: &str,
+    cases: u32,
+    refine: RefineConfig,
+    focus: impl Fn(&Case) -> bool,
+) -> Option<Tally> {
+    run_slice(Via::Direct, label, cases, refine, focus)
+}
+
+fn run_slice(
+    via: Via,
+    label: &str,
+    cases: u32,
+    refine: RefineConfig,
+    focus: impl Fn(&Case) -> bool,
+) -> Option<Tally> {
     let salt = label.bytes().fold(0, |h, b| splitmix64(&mut (h ^ u64::from(b))));
     let mut tally = Tally::default();
     prop::run(cases, |rng| {
         for seed in case_seeds(rng, salt, &focus) {
-            run_case(seed, via, &mut tally);
+            run_case(seed, via, refine, &mut tally);
         }
     });
     std::env::var_os(prop::REPLAY_ENV).is_none().then_some(tally)
@@ -645,9 +708,9 @@ fn case_seeds(rng: &mut StdRng, salt: u64, focus: impl Fn(&Case) -> bool) -> Vec
 }
 
 /// One seeded op sequence over one drawn corpus and config, added to `tally`.
-fn run_case(seed: u64, via: Via, tally: &mut Tally) {
+fn run_case(seed: u64, via: Via, refine: RefineConfig, tally: &mut Tally) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let case = Case::draw(&mut rng);
+    let case = Case { refine, ..Case::draw(&mut rng) };
     let corpus = case.corpus(rng.random());
     let mut twins = Twins::new(seed, case, via, std::mem::take(tally));
     let process = twins.target.engine().is_some();
@@ -699,7 +762,8 @@ fn run_case(seed: u64, via: Via, tally: &mut Tally) {
                     twins.removed("remove_snippet", &[s.id]);
                 }
             }
-            52..=61 => twins.reassign(&mut rng),
+            52..=58 => twins.reassign(&mut rng),
+            59..=61 => twins.reassign_twin_between_refines(&mut rng),
             62..=67 => {
                 twins.both("run_maintenance", StoryPivot::run_maintenance);
                 twins.check_step("run_maintenance", false);
