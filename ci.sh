@@ -21,12 +21,17 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 timeout "$TEST_CAP" cargo test -q --workspace
 
-echo "==> soak: the differential driver and its refine slices again, 4x their cases, the kernels, the probe's and the engine's heap ceilings, the fault suites, the served slices and the sched sweep, release"
+echo "==> soak: the differential driver and its refine slices again (near-duplicate corpora among them), 4x their cases, the kernels, the probe's and the engine's heap ceilings, the fault suites, the served slices and the sched sweep, release"
 # The release test binary is the one the --all-targets build above made;
 # debug's engine-internal oracles are compiled out here, so what fails is
 # the driver's own comparison with its oracle engine. The refine slices
 # run here too: release is the build that skips settled snippets without
-# judging their alternatives anyway.
+# judging their alternatives anyway, and stops a settled snippet's own
+# scan at the member that settles it. About half the driver's cases, and
+# one of each off-default refine setting's two, ingest a corpus with
+# entity-less near-duplicates (the same terms, event type, source and
+# time, other entities), so a snippet can be most like a member its
+# entity postings never reach.
 STORYPIVOT_PROP_CASES_MULT=4 timeout "$TEST_CAP" cargo test -q --release --test differential --test refine_equivalence
 # Likewise the assert behind every probe-table cosine: in release only
 # the explicit property test holds the table to the merge, so it runs

@@ -22,13 +22,17 @@
 //! cached by story id; nothing else in the engine keeps them. Candidate
 //! pairs come from walking each such story's entities through an
 //! entity → stories index (`candidate_pairs`), so finding them costs
-//! those stories' postings, not the number of pairs that exist.
-//! Incremental alignment keeps the profile of every clean story, copies
-//! the decision of every pair of clean stories from the previous
-//! outcome, and a group made of the same clean stories as one of its
-//! global stories keeps that story's member roles; only the other
-//! profiles are built and the other groups classified again. All three
-//! reuses rest on one invariant, kept by the engine (`Touched` in
+//! those stories' postings, not the number of pairs that exist. A
+//! candidate pair is pruned on its lifespans first, then scored on its
+//! content, and only a pair whose content reaches `align_threshold` has
+//! its evolution scored: evolution is at most 1, so a pair below the
+//! threshold on content stays below it (debug builds score it in full
+//! and check). Incremental alignment keeps the profile of every clean
+//! story, copies the decision of every pair of clean stories from the
+//! previous outcome, and a group made of the same clean stories as one
+//! of its global stories keeps that story's member roles; only the
+//! other profiles are built and the other groups classified again. All
+//! three reuses rest on one invariant, kept by the engine (`Touched` in
 //! [`crate::pivot`]): a story that is not dirty has the member list it
 //! had at this aligner's previous pass. Debug builds rebuild every
 //! reused profile, recompute every reused group, and compare.
@@ -177,26 +181,59 @@ impl Aligner {
         self.profiles.get(&story)
     }
 
-    /// Combined story–story similarity: exact content similarity gated
-    /// by lag-tolerant evolution similarity.
-    fn story_pair_score(&self, (a, pa): Compared, (b, pb): Compared) -> f64 {
-        // Cheap temporal prune first: stories whose lifespans are
-        // further apart than the lag tolerance cannot align.
+    /// Whether two stories' lifespans are further apart than the lag
+    /// tolerance, so that they cannot align.
+    fn too_far_apart(&self, a: &StoryState, b: &StoryState) -> bool {
         let max_gap = (self.cfg.max_lag_buckets + 1) * self.cfg.bucket_width;
-        if a.lifespan().gap(b.lifespan()) > max_gap {
-            return 0.0;
-        }
-        let content = pa.content_sim(pb);
+        a.lifespan().gap(b.lifespan()) > max_gap
+    }
+
+    /// A pair's content similarity gated by its lag-tolerant evolution
+    /// similarity. Containment, not cosine: a sparse source's short
+    /// story must be able to align with a prolific source's long story;
+    /// disjoint lifespans still gate to zero (§2.3).
+    fn gated(&self, content: f64, pa: &Profile, pb: &Profile) -> f64 {
         if content == 0.0 {
             return 0.0;
         }
-        // Containment, not cosine: a sparse source's short story must be
-        // able to align with a prolific source's long story; disjoint
-        // lifespans still gate to zero (§2.3).
-        let evolution = pa
-            .signature
-            .containment_similarity(&pb.signature, self.cfg.max_lag_buckets);
-        content * evolution
+        content * pa.signature.containment_similarity(&pb.signature, self.cfg.max_lag_buckets)
+    }
+
+    /// Combined story–story similarity, scored in full: exact content
+    /// similarity gated by evolution, after the lifespan prune.
+    #[cfg(test)]
+    fn story_pair_score(&self, (a, pa): Compared, (b, pb): Compared) -> f64 {
+        if self.too_far_apart(a, b) {
+            return 0.0;
+        }
+        self.gated(pa.content_sim(pb), pa, pb)
+    }
+
+    /// Whether a pair's combined similarity reaches `align_threshold`.
+    /// The cheap lifespan prune comes first, then the content; evolution
+    /// is scored only when the content reaches the threshold. Evolution
+    /// is at most 1, so `content · evolution` is at most `content`
+    /// (rounding is monotone), and a pair whose content is below the
+    /// threshold is below it whatever its evolution. A NaN content is
+    /// below nothing and takes the full path. Debug builds score every
+    /// pair rejected on content in full.
+    fn aligns(&self, (a, pa): Compared, (b, pb): Compared) -> bool {
+        let threshold = self.cfg.align_threshold;
+        if self.too_far_apart(a, b) {
+            return 0.0 >= threshold;
+        }
+        let content = pa.content_sim(pb);
+        if content < threshold {
+            debug_assert!(
+                self.gated(content, pa, pb) < threshold,
+                "stories {} and {}, rejected on content {content}, score {} in full",
+                a.id(),
+                b.id(),
+                self.gated(content, pa, pb)
+            );
+            return false;
+        }
+        self.gated(content, pa, pb) >= threshold
     }
 
     /// Score candidate pairs. Returns the accepted `(story, story)`
@@ -204,9 +241,7 @@ impl Aligner {
     fn score_pairs(&self, stories: &[Compared], pairs: &[(usize, usize)]) -> Vec<(StoryId, StoryId)> {
         pairs
             .iter()
-            .filter(|&&(i, j)| {
-                self.story_pair_score(stories[i], stories[j]) >= self.cfg.align_threshold
-            })
+            .filter(|&&(i, j)| self.aligns(stories[i], stories[j]))
             .map(|&(i, j)| (stories[i].0.id(), stories[j].0.id()))
             .collect()
     }
@@ -796,6 +831,58 @@ mod tests {
         };
         assert_eq!(cross(DAY), 0);
         assert_eq!(cross(4 * DAY), 1);
+    }
+
+    /// Two cross-source pairs with the same evolution (1.0: the same two
+    /// days), one whose content is at the threshold and one just below
+    /// it: the first is scored in full and accepted, the second rejected
+    /// on its content alone, and the accepted pairs are those a full
+    /// scoring of every candidate accepts. `pairs_scored` still counts
+    /// the candidates.
+    #[test]
+    fn a_pair_below_the_threshold_on_content_is_rejected_as_a_full_score_rejects_it() {
+        let mut f = Fixture::new(2);
+        for day in 0..2 {
+            f.ingest(0, day, &[1, 2], &[10, 11]);
+            f.ingest(1, day, &[1, 2], &[10, 12]);
+            f.ingest(0, day, &[3, 4], &[20, 21, 22, 23]);
+            f.ingest(1, day, &[3, 4], &[20, 21, 24, 25, 26]);
+        }
+        let states = f.states();
+        assert_eq!(states.len(), 4);
+        let profiles: Vec<Profile> = states.iter().map(|s| Profile::of(s, &f.store, DAY)).collect();
+        let stories: Vec<Compared> = states.iter().copied().zip(&profiles).collect();
+        let probe = Aligner::new(AlignConfig::default(), SimWeights::default());
+        let candidates = probe.candidate_pairs(&stories, &[true; 4]);
+        assert_eq!(candidates.len(), 2);
+        let content = |&(i, j): &(usize, usize)| profiles[i].content_sim(&profiles[j]);
+        for &(i, j) in &candidates {
+            assert_eq!(probe.gated(1.0, &profiles[i], &profiles[j]), 1.0, "evolution 1");
+        }
+        let (mut at, mut below) = (candidates[0], candidates[1]);
+        if content(&at) < content(&below) {
+            std::mem::swap(&mut at, &mut below);
+        }
+        let threshold = content(&at);
+        let below_content = content(&below);
+        assert!(threshold - 0.05 < below_content && below_content < threshold, "{below_content} {threshold}");
+
+        let cfg = AlignConfig {
+            align_threshold: threshold,
+            ..AlignConfig::default()
+        };
+        let mut aligner = Aligner::new(cfg, SimWeights::default());
+        let mut full: Vec<(StoryId, StoryId)> = candidates
+            .iter()
+            .filter(|&&(i, j)| aligner.story_pair_score(stories[i], stories[j]) >= threshold)
+            .map(|&(i, j)| (states[i].id(), states[j].id()))
+            .collect();
+        full.sort_unstable();
+        assert_eq!(full, vec![(states[at.0].id(), states[at.1].id())]);
+        let out = aligner.align(&states, &f.store);
+        assert_eq!(out.accepted_pairs, full);
+        assert_eq!(out.pairs_scored, candidates.len());
+        assert_eq!(out.cross_source_stories().count(), 1);
     }
 
     #[test]

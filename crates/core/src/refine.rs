@@ -28,8 +28,13 @@
 //! beat the snippet's own cohesion by `move_margin`, and no content
 //! score exceeds 1.0, so a snippet whose own cohesion is at or above
 //! `1 − move_margin` is *settled* and no other story is scored for it.
-//! Debug builds judge a settled snippet's alternatives anyway and
-//! assert that none of them would have moved it.
+//! The scan of its own story stops at the first member that settles
+//! it, so what a settled snippet keeps as its own cohesion is only a
+//! lower bound: it is read back as that snippet's own cohesion, never
+//! as the parent an alternative's cohesion is extended from. Debug
+//! builds score a settled snippet's own story in full and its
+//! alternatives anyway, and assert that it is settled and that none of
+//! them would have moved it.
 
 use std::collections::HashMap;
 
@@ -108,6 +113,14 @@ const MAX_ALTERNATIVES: usize = 8;
 #[inline]
 fn should_move(current: f64, alternative: f64, cfg: &RefineConfig) -> bool {
     alternative >= cfg.min_target_cohesion && alternative - current > cfg.move_margin
+}
+
+/// Whether own cohesion `current` leaves no room for a move: no content
+/// score exceeds 1.0 (step 6 on [`Refiner`]). Monotone: a larger
+/// `current` settles whatever a smaller one settles.
+#[inline]
+fn settles(current: f64, cfg: &RefineConfig) -> bool {
+    !should_move(current, 1.0, cfg)
 }
 
 // ---- the production planner ----------------------------------------------
@@ -239,9 +252,23 @@ struct Delta {
 ///    (a NaN score never passes `>` either): `v` is *settled*, its row
 ///    keeps its own cohesion only, probed by no sweep (`written` 0) so
 ///    that step 5 never carries its empty key list over, and no
-///    alternative is probed or scored. Debug builds probe and score the
-///    alternatives anyway, uncounted and with the row untouched, and
-///    assert that each scores at most 1.0 and would not move `v`.
+///    alternative is probed or scored. The own scan — in full or
+///    extended — stops at the first member after which
+///    `should_move(best, 1.0)` is false; the test is monotone in `best`,
+///    so the scan settles `v` exactly when the whole list would, but
+///    the stored cohesion of a settled row is then only a *lower bound*.
+///    It is read only as `v`'s own cohesion, and only while it settles
+///    `v`: an own list that repeats is a hit that settles `v` before a
+///    scorer is bound, and an own list extended from it (at least as
+///    high) settles `v` too. It is never the parent an alternative's
+///    cohesion is extended from, which step 4 needs exact — a settled
+///    `v`'s own list becomes the parent of one of its alternatives when
+///    `v` leaves it, e.g. when alignment ungroups `v`'s global story and
+///    the other source's story keeps the first member. Debug builds
+///    score the own list in full and assert that it settles `v` too,
+///    probe and score the alternatives anyway, uncounted and with the
+///    row untouched, and assert that each scores at most 1.0 and would
+///    not move `v`.
 ///
 /// The one way a version could outlive its meaning is snippet-id reuse
 /// (remove, then ingest different content under the same id, landing in
@@ -510,26 +537,48 @@ impl Refiner {
         let mut tables = std::mem::take(&mut self.tables);
         for (gi, g) in outcome.global_stories.iter().enumerate() {
             for &v in &members[gi] {
-                let scorer = weights.probe(&v.content, &mut tables);
                 let at = self.row_of[v.id.index()];
                 let last = self.rows.get(at as usize).copied().unwrap_or(Row::EMPTY);
+                // The row's cohesion with list `wanted`, if it may be read
+                // for slot `slot`: a settled row's own cohesion may be a
+                // lower bound (step 6), so it stands only for `v`'s own
+                // story, and only while it settles `v`.
+                let known = |slot: usize, wanted: u32| {
+                    let judged = last.judged.iter().find(|j| j.version == wanted)?;
+                    (last.written != 0 || (slot == 0 && settles(judged.cohesion, cfg))).then_some(judged)
+                };
+                if let Some(&own) = known(0, versions[gi]).filter(|j| settles(j.cohesion, cfg)) {
+                    // Settled by an unchanged list: no scorer is bound.
+                    stats.cache_hits += 1;
+                    settled += 1;
+                    let mut row = Row::EMPTY;
+                    row.judged[0] = own;
+                    self.keep_row(v.id, at, row);
+                    if cfg!(debug_assertions) {
+                        let scorer = weights.probe(&v.content, &mut tables);
+                        self.check_settled(v, gi as u32, own.cohesion, &members, &scorer, cfg);
+                    }
+                    continue;
+                }
+                let scorer = weights.probe(&v.content, &mut tables);
                 let mut row = Row {
                     written: self.sweep,
                     ..Row::EMPTY
                 };
                 let mut judge = |slot: usize, story: u32| {
                     let version = versions[story as usize];
-                    let known = |wanted: u32| last.judged.iter().find(|j| j.version == wanted);
-                    let (argmax, cohesion) = if let Some(hit) = known(version) {
+                    let (argmax, cohesion) = if let Some(hit) = known(slot, version) {
                         stats.cache_hits += 1;
                         (hit.argmax, hit.cohesion)
                     } else {
                         stats.cache_misses += 1;
                         let all = &members[story as usize];
+                        // `v`'s own scan stops once `v` is settled.
+                        let until = (slot == 0).then_some(cfg);
                         // A cohesion with the parent list whose argmax
                         // is still a member.
                         let from = deltas[story as usize].as_ref().and_then(|d| {
-                            known(d.parent_version).filter(|j| {
+                            known(slot, d.parent_version).filter(|j| {
                                 d.removed.binary_search_by_key(&j.argmax, |m| m.raw()).is_err()
                             })
                         });
@@ -538,20 +587,21 @@ impl Refiner {
                                 stats.extended += 1;
                                 let start = (j.argmax, j.cohesion);
                                 let new = &gained[story as usize];
-                                let extended = score_cohesion(&scorer, v.id, start, new, &mut stats);
+                                let extended = score_cohesion(&scorer, v.id, start, new, until, &mut stats);
                                 if cfg!(debug_assertions) {
                                     let uncounted = &mut SweepStats::default();
-                                    let full = score_cohesion(&scorer, v.id, (NONE, 0.0), all, uncounted);
-                                    debug_assert_eq!(
-                                        extended.1.to_bits(),
-                                        full.1.to_bits(),
-                                        "extended cohesion of {} with story {story} differs",
+                                    let full = score_cohesion(&scorer, v.id, (NONE, 0.0), all, None, uncounted);
+                                    let (got, want) = (extended.1, full.1);
+                                    let settle = |c: f64| until.is_some_and(|cfg| settles(c, cfg));
+                                    debug_assert!(
+                                        got.to_bits() == want.to_bits() || (settle(got) && settle(want)),
+                                        "extended cohesion {got} of {} with story {story} differs from {want} in full",
                                         v.id
                                     );
                                 }
                                 extended
                             }
-                            None => score_cohesion(&scorer, v.id, (NONE, 0.0), all, &mut stats),
+                            None => score_cohesion(&scorer, v.id, (NONE, 0.0), all, until, &mut stats),
                         }
                     };
                     row.judged[slot] = Judged {
@@ -563,21 +613,11 @@ impl Refiner {
                 };
 
                 let current = judge(0, gi as u32);
-                if !should_move(current, 1.0, cfg) {
+                if settles(current, cfg) {
                     settled += 1;
                     self.keep_row(v.id, at, Row { written: 0, ..row });
                     if cfg!(debug_assertions) {
-                        self.probe_alternatives(v, gi as u32);
-                        let uncounted = &mut SweepStats::default();
-                        for &(_, alt) in &self.ranked {
-                            let all = &members[alt as usize];
-                            let (_, score) = score_cohesion(&scorer, v.id, (NONE, 0.0), all, uncounted);
-                            debug_assert!(
-                                score <= 1.0 && !should_move(current, score, cfg),
-                                "settled snippet {} (cohesion {current}) scores {score} with story {alt}",
-                                v.id
-                            );
-                        }
+                        self.check_settled(v, gi as u32, current, &members, &scorer, cfg);
                     }
                     continue;
                 }
@@ -648,20 +688,61 @@ impl Refiner {
             self.rows[at as usize] = row;
         }
     }
+
+    /// Debug builds' check of a settled snippet `v` of story `gi`, whose
+    /// own cohesion was read or scored as `current`: its own story scored
+    /// in full settles it too, and every alternative a probe finds scores
+    /// at most 1.0 and would not move it. Uncounted; the row is left as
+    /// it is.
+    fn check_settled(
+        &mut self,
+        v: &Snippet,
+        gi: u32,
+        current: f64,
+        members: &[Vec<&Snippet>],
+        scorer: &ProbeScorer<'_>,
+        cfg: &RefineConfig,
+    ) {
+        let uncounted = &mut SweepStats::default();
+        let (_, own) = score_cohesion(scorer, v.id, (NONE, 0.0), &members[gi as usize], None, uncounted);
+        debug_assert!(
+            current <= own && settles(own, cfg),
+            "settled snippet {} (cohesion {current}) scores {own} with its own story in full",
+            v.id
+        );
+        self.probe_alternatives(v, gi);
+        for &(_, alt) in &self.ranked {
+            let all = &members[alt as usize];
+            let (_, score) = score_cohesion(scorer, v.id, (NONE, 0.0), all, None, uncounted);
+            debug_assert!(
+                score <= 1.0 && !should_move(current, score, cfg),
+                "settled snippet {} (cohesion {current}) scores {score} with story {alt}",
+                v.id
+            );
+        }
+    }
 }
 
 /// The running maximum `start = (argmax, best)` carried on over
 /// `members`: content similarity of the snippet bound in `scorer` to
 /// every member other than `v` itself, with a member attaining it.
 /// Started from `(NONE, 0.0)` over a whole list this is the cohesion.
+/// With `until`, the scan stops as soon as the maximum [`settles`] `v`
+/// under those settings (before the first member if `start` does): the
+/// result is then a lower bound that settles `v` as the cohesion would.
 fn score_cohesion(
     scorer: &ProbeScorer<'_>,
     v: SnippetId,
     start: (u32, f64),
     members: &[&Snippet],
+    until: Option<&RefineConfig>,
     stats: &mut SweepStats,
 ) -> (u32, f64) {
+    let settled = |best: f64| until.is_some_and(|cfg| settles(best, cfg));
     let (mut argmax, mut best) = start;
+    if settled(best) {
+        return start;
+    }
     for m in members {
         if m.id == v {
             continue;
@@ -671,6 +752,9 @@ fn score_cohesion(
         if s > best {
             best = s;
             argmax = m.id.raw();
+            if settled(best) {
+                break;
+            }
         }
     }
     (argmax, best)
@@ -1282,6 +1366,40 @@ mod tests {
 
         pivot.reassign_snippet(SnippetId::new(11), sports).unwrap();
         let (report, _) = settled_in(&mut pivot);
+        assert_eq!(report.moves.first().map(|m| m.snippet), Some(SnippetId::new(10)), "{report:?}");
+    }
+
+    /// A settled row's own cohesion is a lower bound, and must never seed
+    /// an alternative's. `v` (snippet 10) shares source 0's story with a
+    /// report alike but for a term of its own (snippet 5, 0.85); source
+    /// 1's story holds snippet 1 (0.94 with `v`) and `v`'s exact twin,
+    /// snippet 2. The two stories align, so `v`'s own scan meets snippet
+    /// 1 first and stops there, settled at 0.94. Then source 0's story is
+    /// diluted until the two no longer align. Source 1's keeps the first
+    /// member, so the old list is its parent, and it is `v`'s one
+    /// alternative. Extended from the 0.94, it would not beat `v`'s new
+    /// 0.85 by the margin; scored, it holds the twin, and `v` moves.
+    #[test]
+    fn a_settled_snippets_own_list_becomes_the_parent_of_its_alternative() {
+        let (mut pivot, _) = engine(2);
+        let theirs = pivot.ingest(snip(1, 1, 0, &[1, 2], &[10, 11, 1010, 20])).unwrap();
+        assert_eq!(pivot.ingest(snip(2, 1, 1, &[1, 2], &[10, 11, 1010])).unwrap(), theirs);
+        let own = pivot.ingest(varied(5, 0, 0, &[1, 2], &[10, 11])).unwrap();
+        assert_eq!(pivot.ingest(varied(10, 0, 1, &[1, 2], &[10, 11])).unwrap(), own);
+        let (warm, ..) = refine_vs_reference(&mut pivot);
+        assert_eq!(warm.move_count(), 0);
+        assert_eq!(pivot.global_stories().len(), 1);
+        let row = pivot.refiner.rows[pivot.refiner.row_of[10] as usize];
+        assert_eq!((row.written, row.judged[0].argmax), (0, 1), "{row:?}");
+        assert!((0.9..0.95).contains(&row.judged[0].cohesion), "stopped at snippet 1: {row:?}");
+
+        for id in 70..82 {
+            pivot.ingest(snip(id, 0, 1, &[5, 6], &[40, 41])).unwrap();
+            pivot.reassign_snippet(SnippetId::new(id), own).unwrap();
+        }
+        pivot.align_incremental();
+        assert_ne!(pivot.global_of(SnippetId::new(10)), pivot.global_of(SnippetId::new(1)));
+        let (report, ..) = refine_vs_reference(&mut pivot);
         assert_eq!(report.moves.first().map(|m| m.snippet), Some(SnippetId::new(10)), "{report:?}");
     }
 

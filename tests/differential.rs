@@ -10,21 +10,35 @@
 
 mod lockstep;
 
+use lockstep::CATALOGUES;
+
 #[test]
 fn engine_matches_the_oracle_after_every_op() {
     let Some(tally) = lockstep::run(24) else { return };
     assert!(tally.splits > 50, "maintenance must split: {tally:?}");
     assert!(tally.moves > 100, "refinement must move: {tally:?}");
     assert!(tally.merges > 0 && tally.late > 0 && tally.twins > 0, "{tally:?}");
+    assert!(tally.near_duplicate_cases > 0, "some corpora must hold near-duplicates: {tally:?}");
     // Both kinds of refinement sweep occurred: ones that probe nearly
-    // everything afresh and ones that carry most probes over. Only the
+    // everything afresh and ones that carry many probes over. Only the
     // snippets that probed (judged less settled) could carry one over.
-    let [hot, _, sparse] = tally.refine;
-    assert!(hot[1] * 10 < hot[0] - hot[3], "hot entities leave few snippets clean: {tally:?}");
-    assert!(sparse[1] * 4 > sparse[0] - sparse[3], "sparse entities leave many clean: {tally:?}");
-    assert!(tally.refine.iter().all(|r| r[2] > 0), "cohesions must be extended: {tally:?}");
+    // Judged per case: a few large cases dominate any sum over cases,
+    // and the hot catalogue's cases straddle one carried over in ten.
+    let median_share = |catalogue: usize| {
+        let mut shares: Vec<f64> = (tally.refine_cases.iter())
+            .filter(|&&(c, [judged, _, _, settled])| c == catalogue && judged > settled)
+            .map(|&(_, [judged, reused, _, settled])| reused as f64 / (judged - settled) as f64)
+            .collect();
+        shares.sort_unstable_by(f64::total_cmp);
+        shares[shares.len() / 2]
+    };
+    let (hot, sparse) = (median_share(0), median_share(CATALOGUES.len() - 1));
+    assert!(sparse > 0.25, "sparse entities leave many snippets clean: {sparse} {tally:?}");
+    assert!(hot * 2.0 < sparse, "hot entities leave fewer clean: {hot} against {sparse} {tally:?}");
+    let refine = tally.refine();
+    assert!(refine.iter().all(|r| r[2] > 0), "cohesions must be extended: {tally:?}");
     let settled = |r: &[u64; 4]| 0 < r[3] && r[3] < r[0];
-    assert!(tally.refine.iter().all(settled), "some snippets and not all must be settled: {tally:?}");
+    assert!(refine.iter().all(settled), "some snippets and not all must be settled: {tally:?}");
     let [maintained, swept] = tally.maintenance_pairs;
     assert!(maintained * 2 < swept, "maintenance must score under half the sweep: {tally:?}");
     let [bounded, every] = tally.identify_pairs;

@@ -1,11 +1,12 @@
-//! The differential driver: one seeded sequence of §2.4's ops —
-//! snippets arriving in waves and late, documents and snippets
-//! retracted, snippets reassigned (into an existing story or a fresh
-//! one, or a snippet's nearest story-mate between two refinements),
-//! maintenance, incremental alignment and refinement interleaved,
-//! a source leaving, a held-back source coming on board, and checkpoint
-//! reloads — run through a [`Target`] beside an oracle engine and
-//! compared after every op by `Twins::check_step`.
+//! The differential driver: over a generated corpus (half the cases
+//! with entity-less near-duplicates added), one seeded sequence of
+//! §2.4's ops — snippets arriving in waves and late, documents and
+//! snippets retracted, snippets reassigned (into an existing story or a
+//! fresh one, or a snippet's nearest story-mate between two
+//! refinements), maintenance, incremental alignment and refinement
+//! interleaved, a source leaving, a held-back source coming on board,
+//! and checkpoint reloads — run through a [`Target`] beside an oracle
+//! engine and compared after every op by `Twins::check_step`.
 //!
 //! The oracle runs the same configuration through the reference paths:
 //! `ingest_reference` (every candidate story folded from scratch and
@@ -54,7 +55,7 @@ use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_substrate::metrics::Registry;
 use storypivot_substrate::prop;
 use storypivot_substrate::rng::{splitmix64, RngExt, StdRng};
-use storypivot_types::{DocId, Snippet, SnippetId, Source, SourceId, StoryId, Timestamp, DAY};
+use storypivot_types::{DocId, EntityId, Snippet, SnippetId, Source, SourceId, StoryId, Timestamp, DAY};
 
 pub use served::{Deployment, Lifecycle};
 
@@ -80,12 +81,14 @@ pub struct Case {
     pub maintenance_every: usize,
     /// Never drawn: the defaults, unless a [`slice_refining`] pins others.
     pub refine: RefineConfig,
+    /// Entity-less near-duplicates in the corpus ([`add_near_duplicates`]).
+    pub near_duplicates: bool,
 }
 
 impl Case {
     fn draw(rng: &mut StdRng) -> Case {
         let splitting = rng.random_bool(0.4);
-        let case = Case {
+        Case {
             sources: rng.random_range(1u32..11),
             splitting,
             drift: if splitting { 0.4 } else { rng.random_range(0.0f64..0.6) },
@@ -95,11 +98,10 @@ impl Case {
             split_threshold: if splitting { 0.45 } else { rng.random_range(0.18f64..0.5) },
             maintenance_every: rng.random_range(4usize..71),
             refine: RefineConfig::default(),
-        };
-        // Once a hot-story cache capacity; still drawn so that every
-        // case seed replays the corpus and config it always has.
-        let _ = rng.random_bool(0.5);
-        case
+            // Drawn where a hot-story cache capacity once was, so that
+            // every case seed keeps the config and corpus seed it had.
+            near_duplicates: rng.random_bool(0.5),
+        }
     }
 
     fn corpus(&self, seed: u64) -> Corpus {
@@ -110,7 +112,11 @@ impl Case {
             drift: self.drift,
             ..GenConfig::default()
         };
-        CorpusBuilder::new(config.with_target_snippets(self.snippets)).build()
+        let mut corpus = CorpusBuilder::new(config.with_target_snippets(self.snippets)).build();
+        if self.near_duplicates {
+            add_near_duplicates(&mut corpus, seed);
+        }
+        corpus
     }
 
     fn config(&self) -> PivotConfig {
@@ -119,6 +125,34 @@ impl Case {
         config.identify.maintenance_every = self.maintenance_every;
         config.refine = self.refine;
         config
+    }
+}
+
+/// Beside about one snippet in six, an entity-less near-duplicate of it,
+/// delivered right after it: the same source, document, time, terms and
+/// event type, about other entities of the same catalogue — each entity
+/// `e` becomes `(e + k) mod catalogue` for a `k` that leaves the two
+/// sharing none. Under the default weights such a pair scores at most
+/// 0.55, so a snippet can be most like a member that its entity
+/// postings never reach. Ids are renumbered to stay in delivery order.
+fn add_near_duplicates(corpus: &mut Corpus, seed: u64) {
+    let catalogue = corpus.config.entities;
+    let mut rng = StdRng::seed_from_u64(splitmix64(&mut (seed ^ 0x6475_7073)));
+    let originals = std::mem::take(&mut corpus.snippets);
+    for s in originals {
+        let k = rng.random_range(1..catalogue);
+        let moved = |e: EntityId| EntityId::new((e.raw() + k) % catalogue);
+        let disjoint = s.entities().keys().all(|e| !s.entities().contains(&moved(e)));
+        let twin = (rng.random_bool(1.0 / 6.0) && disjoint).then(|| {
+            let mut twin = s.clone();
+            twin.content.entities = s.entities().iter().map(|(e, w)| (moved(e), w)).collect();
+            twin
+        });
+        corpus.snippets.push(s);
+        corpus.snippets.extend(twin);
+    }
+    for (i, s) in corpus.snippets.iter_mut().enumerate() {
+        s.id = SnippetId::new(i as u32);
     }
 }
 
@@ -149,10 +183,10 @@ pub struct Tally {
     pub idle_aligns: usize,
     /// Cross-source pairs the final alignment of each case accepted.
     pub accepted: usize,
-    /// Per catalogue: snippets judged by refinement sweeps, probes
-    /// carried over, cohesions extended, snippets settled (judged
-    /// against their own story only).
-    pub refine: [[u64; 4]; CATALOGUES.len()],
+    /// Per case, its catalogue and what its refinement sweeps did:
+    /// snippets judged, probes carried over, cohesions extended,
+    /// snippets settled (judged against their own story only).
+    pub refine_cases: Vec<(usize, [u64; 4])>,
     /// Documents removed.
     pub docs_removed: usize,
     /// Checkpoint reloads: all of them, and those with ≥ 100 snippets
@@ -161,8 +195,23 @@ pub struct Tally {
     /// Sources granted an id other than their own (a rejected
     /// registration burns an id).
     pub remapped: usize,
+    /// Cases whose corpus holds entity-less near-duplicates.
+    pub near_duplicate_cases: usize,
     /// What served targets did: see [`served::Counts`].
     pub served: served::Counts,
+}
+
+impl Tally {
+    /// [`Tally::refine_cases`] summed per catalogue.
+    pub fn refine(&self) -> [[u64; 4]; CATALOGUES.len()] {
+        let mut sums = [[0; 4]; CATALOGUES.len()];
+        for &(catalogue, case) in &self.refine_cases {
+            for (sum, n) in sums[catalogue].iter_mut().zip(case) {
+                *sum += n;
+            }
+        }
+        sums
+    }
 }
 
 /// Which target a slice runs the script through.
@@ -318,6 +367,8 @@ struct Twins {
     /// how many the engine held.
     ingested: usize,
     reloads: Vec<(usize, usize)>,
+    /// Snippets judged by this case's refinement sweeps.
+    judged: u64,
     tally: Tally,
 }
 
@@ -345,6 +396,7 @@ impl Twins {
             remap: BTreeMap::new(),
             ingested: 0,
             reloads: Vec::new(),
+            judged: 0,
             tally,
         }
     }
@@ -537,7 +589,7 @@ impl Twins {
         assert_eq!(report, self.oracle.refine_reference(), "{}", self.at("refine"));
         self.oracle.align();
         self.tally.moves += report.move_count();
-        self.tally.refine[self.case.catalogue][0] += sweeps as u64;
+        self.judged += sweeps as u64;
         self.check_step("refine", true);
     }
 
@@ -617,10 +669,13 @@ impl Twins {
         if let Some(engine) = self.target.engine() {
             self.tally.accepted += engine.alignment().map_or(0, |o| o.accepted_pairs.len());
             let metrics = engine.metrics();
-            let refine = &mut self.tally.refine[self.case.catalogue];
-            refine[1] += metrics.refine_probes_reused_total.get();
-            refine[2] += metrics.refine_cohesion_extended_total.get();
-            refine[3] += metrics.refine_settled_total.get();
+            let refine = [
+                self.judged,
+                metrics.refine_probes_reused_total.get(),
+                metrics.refine_cohesion_extended_total.get(),
+                metrics.refine_settled_total.get(),
+            ];
+            self.tally.refine_cases.push((self.case.catalogue, refine));
         }
         self.tally
     }
@@ -804,4 +859,5 @@ fn run_case(seed: u64, via: Via, refine: RefineConfig, tally: &mut Tally) {
         twins.refine();
     }
     *tally = twins.finish();
+    tally.near_duplicate_cases += usize::from(case.near_duplicates);
 }

@@ -1,5 +1,6 @@
 //! `refine()` plans the moves `refine_reference()` plans: one case on
-//! each entity catalogue at the default settings, and one on each of
+//! each entity catalogue at the default settings, and two — one with
+//! entity-less near-duplicates in its corpus, one without — on each of
 //! three settings that move where a snippet is settled (own cohesion at
 //! or above `1 − move_margin`) or what a move must clear. The
 //! differential driver (`lockstep`) compares the two reports at every
@@ -15,7 +16,7 @@ fn refine_plans_what_the_reference_sweep_plans() {
     for catalogue in 0..CATALOGUES.len() {
         let label = format!("refine {catalogue}");
         let Some(tally) = lockstep::slice(&label, 1, |c| c.catalogue == catalogue) else { return };
-        let [_, _, extended, _] = tally.refine[catalogue];
+        let [_, _, extended, _] = tally.refine()[catalogue];
         assert!(tally.moves > 0 && extended > 0, "catalogue {catalogue}: {tally:?}");
     }
 }
@@ -28,8 +29,14 @@ fn refine_plans_what_the_reference_sweep_plans_off_the_default_settings() {
         ("refine margin 0.3", RefineConfig { move_margin: 0.3, ..defaults }),
         ("refine target 0.95", RefineConfig { min_target_cohesion: 0.95, ..defaults }),
     ] {
-        let Some(tally) = lockstep::slice_refining(label, 1, refine, |_| true) else { return };
-        let [judged, settled] = tally.refine.iter().fold([0, 0], |[j, s], r| [j + r[0], s + r[3]]);
-        assert!(0 < settled && settled < judged, "{refine:?}: some snippets and not all settled: {tally:?}");
+        // One case on a generated corpus and one with entity-less
+        // near-duplicates in it.
+        for near_duplicates in [false, true] {
+            let focus = |c: &lockstep::Case| c.near_duplicates == near_duplicates;
+            let label = format!("{label}{}", if near_duplicates { " near-duplicates" } else { "" });
+            let Some(tally) = lockstep::slice_refining(&label, 1, refine, focus) else { return };
+            let [judged, settled] = tally.refine().iter().fold([0, 0], |[j, s], r| [j + r[0], s + r[3]]);
+            assert!(0 < settled && settled < judged, "{refine:?}: some snippets and not all settled: {tally:?}");
+        }
     }
 }
