@@ -258,8 +258,8 @@ struct Delta {
 ///    so the scan settles `v` exactly when the whole list would, but
 ///    the stored cohesion of a settled row is then only a *lower bound*.
 ///    It is read only as `v`'s own cohesion, and only while it settles
-///    `v`: an own list that repeats is a hit that settles `v` before a
-///    scorer is bound, and an own list extended from it (at least as
+///    `v`: an own list that repeats is a hit that settles `v` with no
+///    scorer bound, and an own list extended from it (at least as
 ///    high) settles `v` too. It is never the parent an alternative's
 ///    cohesion is extended from, which step 4 needs exact — a settled
 ///    `v`'s own list becomes the parent of one of its alternatives when
@@ -547,20 +547,10 @@ impl Refiner {
                     let judged = last.judged.iter().find(|j| j.version == wanted)?;
                     (last.written != 0 || (slot == 0 && settles(judged.cohesion, cfg))).then_some(judged)
                 };
-                if let Some(&own) = known(0, versions[gi]).filter(|j| settles(j.cohesion, cfg)) {
-                    // Settled by an unchanged list: no scorer is bound.
-                    stats.cache_hits += 1;
-                    settled += 1;
-                    let mut row = Row::EMPTY;
-                    row.judged[0] = own;
-                    self.keep_row(v.id, at, row);
-                    if cfg!(debug_assertions) {
-                        let scorer = weights.probe(&v.content, &mut tables);
-                        self.check_settled(v, gi as u32, own.cohesion, &members, &scorer, cfg);
-                    }
-                    continue;
-                }
-                let scorer = weights.probe(&v.content, &mut tables);
+                // An unchanged own list that settles `v` is read back as a
+                // hit: no member is scored, so no scorer is bound.
+                let settled_by_hit = known(0, versions[gi]).is_some_and(|j| settles(j.cohesion, cfg));
+                let scorer = (!settled_by_hit).then(|| weights.probe(&v.content, &mut tables));
                 let mut row = Row {
                     written: self.sweep,
                     ..Row::EMPTY
@@ -572,6 +562,7 @@ impl Refiner {
                         (hit.argmax, hit.cohesion)
                     } else {
                         stats.cache_misses += 1;
+                        let scorer = scorer.as_ref().expect("only a settling hit binds no scorer");
                         let all = &members[story as usize];
                         // `v`'s own scan stops once `v` is settled.
                         let until = (slot == 0).then_some(cfg);
@@ -587,10 +578,10 @@ impl Refiner {
                                 stats.extended += 1;
                                 let start = (j.argmax, j.cohesion);
                                 let new = &gained[story as usize];
-                                let extended = score_cohesion(&scorer, v.id, start, new, until, &mut stats);
+                                let extended = score_cohesion(scorer, v.id, start, new, until, &mut stats);
                                 if cfg!(debug_assertions) {
                                     let uncounted = &mut SweepStats::default();
-                                    let full = score_cohesion(&scorer, v.id, (NONE, 0.0), all, None, uncounted);
+                                    let full = score_cohesion(scorer, v.id, (NONE, 0.0), all, None, uncounted);
                                     let (got, want) = (extended.1, full.1);
                                     let settle = |c: f64| until.is_some_and(|cfg| settles(c, cfg));
                                     debug_assert!(
@@ -601,7 +592,7 @@ impl Refiner {
                                 }
                                 extended
                             }
-                            None => score_cohesion(&scorer, v.id, (NONE, 0.0), all, until, &mut stats),
+                            None => score_cohesion(scorer, v.id, (NONE, 0.0), all, until, &mut stats),
                         }
                     };
                     row.judged[slot] = Judged {
@@ -617,6 +608,8 @@ impl Refiner {
                     settled += 1;
                     self.keep_row(v.id, at, Row { written: 0, ..row });
                     if cfg!(debug_assertions) {
+                        drop(scorer); // none after a settling hit: the check binds one
+                        let scorer = weights.probe(&v.content, &mut tables);
                         self.check_settled(v, gi as u32, current, &members, &scorer, cfg);
                     }
                     continue;

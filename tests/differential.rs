@@ -1,5 +1,6 @@
 //! The differential driver (`lockstep`) on configs drawn freely, with
-//! the coverage floors of the whole driver summed over its cases. The
+//! the coverage floors of the whole driver taken over its cases: summed,
+//! except the refiner's carry-over share, taken in the median case. The
 //! files that pin one axis of the draw — `maintain_equivalence`,
 //! `refine_equivalence`, `align_equivalence`, `alignment_invariants`,
 //! `hotpath_equivalence` and the lockstep cases of
@@ -22,19 +23,20 @@ fn engine_matches_the_oracle_after_every_op() {
     // Both kinds of refinement sweep occurred: ones that probe nearly
     // everything afresh and ones that carry many probes over. Only the
     // snippets that probed (judged less settled) could carry one over.
-    // Judged per case: a few large cases dominate any sum over cases,
-    // and the hot catalogue's cases straddle one carried over in ten.
+    // The share carried over is a catalogue's median case: a few large
+    // cases dominate any sum over cases.
     let median_share = |catalogue: usize| {
         let mut shares: Vec<f64> = (tally.refine_cases.iter())
             .filter(|&&(c, [judged, _, _, settled])| c == catalogue && judged > settled)
             .map(|&(_, [judged, reused, _, settled])| reused as f64 / (judged - settled) as f64)
             .collect();
+        assert!(!shares.is_empty(), "catalogue {catalogue}: no case probed a snippet: {tally:?}");
         shares.sort_unstable_by(f64::total_cmp);
         shares[shares.len() / 2]
     };
     let (hot, sparse) = (median_share(0), median_share(CATALOGUES.len() - 1));
-    assert!(sparse > 0.25, "sparse entities leave many snippets clean: {sparse} {tally:?}");
-    assert!(hot * 2.0 < sparse, "hot entities leave fewer clean: {hot} against {sparse} {tally:?}");
+    assert!(hot * 10.0 < 1.0, "hot entities leave few snippets clean: {hot} {tally:?}");
+    assert!(sparse * 4.0 > 1.0, "sparse entities leave many clean: {sparse} {tally:?}");
     let refine = tally.refine();
     assert!(refine.iter().all(|r| r[2] > 0), "cohesions must be extended: {tally:?}");
     let settled = |r: &[u64; 4]| 0 < r[3] && r[3] < r[0];

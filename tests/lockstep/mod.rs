@@ -51,7 +51,7 @@ use storypivot_core::metrics::EngineMetrics;
 use storypivot_core::oplog::{self, Applied, ReplayOp};
 use storypivot_core::refine::story_source;
 use storypivot_core::StoryPivot;
-use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
+use storypivot_gen::{Corpus, CorpusBuilder, GenConfig, GroundTruth};
 use storypivot_substrate::metrics::Registry;
 use storypivot_substrate::prop;
 use storypivot_substrate::rng::{splitmix64, RngExt, StdRng};
@@ -129,17 +129,20 @@ impl Case {
 }
 
 /// Beside about one snippet in six, an entity-less near-duplicate of it,
-/// delivered right after it: the same source, document, time, terms and
-/// event type, about other entities of the same catalogue — each entity
-/// `e` becomes `(e + k) mod catalogue` for a `k` that leaves the two
-/// sharing none. Under the default weights such a pair scores at most
-/// 0.55, so a snippet can be most like a member that its entity
-/// postings never reach. Ids are renumbered to stay in delivery order.
+/// delivered right after it: the same source, document, time, terms,
+/// event type and true story, about other entities of the same
+/// catalogue — each entity `e` becomes `(e + k) mod catalogue` for a `k`
+/// that leaves the two sharing none. Under the default weights such a
+/// pair scores at most 0.55, so a snippet can be most like a member that
+/// its entity postings never reach. Ids are renumbered to stay in
+/// delivery order, and the truth with them.
 fn add_near_duplicates(corpus: &mut Corpus, seed: u64) {
     let catalogue = corpus.config.entities;
     let mut rng = StdRng::seed_from_u64(splitmix64(&mut (seed ^ 0x6475_7073)));
     let originals = std::mem::take(&mut corpus.snippets);
+    let mut truth = GroundTruth::new();
     for s in originals {
+        let label = corpus.truth.label_of(s.id);
         let k = rng.random_range(1..catalogue);
         let moved = |e: EntityId| EntityId::new((e.raw() + k) % catalogue);
         let disjoint = s.entities().keys().all(|e| !s.entities().contains(&moved(e)));
@@ -148,12 +151,15 @@ fn add_near_duplicates(corpus: &mut Corpus, seed: u64) {
             twin.content.entities = s.entities().iter().map(|(e, w)| (moved(e), w)).collect();
             twin
         });
-        corpus.snippets.push(s);
-        corpus.snippets.extend(twin);
+        for mut s in std::iter::once(s).chain(twin) {
+            s.id = SnippetId::new(corpus.snippets.len() as u32);
+            if let Some(label) = label {
+                truth.record(s.id, label, s.source);
+            }
+            corpus.snippets.push(s);
+        }
     }
-    for (i, s) in corpus.snippets.iter_mut().enumerate() {
-        s.id = SnippetId::new(i as u32);
-    }
+    corpus.truth = truth;
 }
 
 /// What the cases did, summed: the coverage floors are asserted on it.
