@@ -32,7 +32,6 @@ fn e18_refine(scale: &Scale, seed: u64) -> Table {
         "pairs scored",
         "cache hit ratio",
         "extended",
-        "probes reused",
         "settled",
     ])
     .clocks(["ms/call (reference)", "ms/call", "final call ms (reference)", "final call ms"]);
@@ -89,7 +88,6 @@ fn e18_refine(scale: &Scale, seed: u64) -> Table {
             count(0, "storypivot_refine_pairs_scored_total").to_string(),
             f3(hits as f64 / (hits + misses).max(1) as f64),
             count(0, "storypivot_refine_cohesion_extended_total").to_string(),
-            count(0, "storypivot_refine_probes_reused_total").to_string(),
             count(0, "storypivot_refine_settled_total").to_string(),
             per_call(spent[1]),
             per_call(spent[0]),

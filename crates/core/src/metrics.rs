@@ -83,10 +83,6 @@ pub struct EngineMetrics {
     /// previous member list, by scoring only the members the story
     /// gained.
     pub refine_cohesion_extended_total: Counter,
-    /// `storypivot_refine_probes_reused_total` — snippets whose
-    /// alternative stories a sweep carried over from the previous one
-    /// because nothing sharing an entity with them had moved.
-    pub refine_probes_reused_total: Counter,
     /// `storypivot_refine_settled_total` — snippets a sweep judged
     /// against their own story only, because their cohesion there left
     /// no room for a move.
@@ -195,10 +191,6 @@ impl EngineMetrics {
             refine_cohesion_extended_total: registry.counter(
                 "storypivot_refine_cohesion_extended_total",
                 "Cohesion cache misses answered by scoring only the members a story gained.",
-            ),
-            refine_probes_reused_total: registry.counter(
-                "storypivot_refine_probes_reused_total",
-                "Snippets whose alternative stories were carried over from the previous sweep.",
             ),
             refine_settled_total: registry.counter(
                 "storypivot_refine_settled_total",

@@ -550,7 +550,7 @@ impl StoryPivot {
         account.extend(self.aligner.heap_bytes());
         account.push(("align.outcome", self.outcome.as_ref().map_or(0, AlignOutcome::heap_bytes)));
         account.push(("align.dirty", self.touched.dirty.as_ref().map_or(0, mem::hash_set_bytes)));
-        account.push(("refine.rows", self.refiner.heap_bytes()));
+        account.extend(self.refiner.heap_bytes());
         account
     }
 
@@ -627,7 +627,6 @@ impl StoryPivot {
             self.metrics.refine_cohesion_cache_hits_total.add(stats.cache_hits);
             self.metrics.refine_cohesion_cache_misses_total.add(stats.cache_misses);
             self.metrics.refine_cohesion_extended_total.add(stats.extended);
-            self.metrics.refine_probes_reused_total.add(stats.probes_reused);
             self.metrics.refine_settled_total.add(stats.settled);
             report.rounds += 1;
             if moves.is_empty() {
@@ -958,13 +957,15 @@ mod tests {
             store.eq(["store.arena", "store.windows", "store.doc_index"]),
             "the store indexes no entities: {account:?}"
         );
-        let refine_bytes = |p: &StoryPivot| {
-            p.memory_account().into_iter().find(|(s, _)| *s == "refine.rows").map(|(_, b)| b)
+        let refine_bytes = |p: &StoryPivot, row: &str| {
+            p.memory_account().into_iter().find(|(s, _)| *s == row).map(|(_, b)| b)
         };
-        assert_eq!(refine_bytes(&pivot), Some(0), "nothing refined: no postings, no rows");
+        assert_eq!(refine_bytes(&pivot, "refine.rows"), Some(0), "nothing refined: no rows");
+        assert_eq!(refine_bytes(&pivot, "refine.scratch"), Some(0), "nothing refined: no postings");
 
         pivot.refine();
-        assert!(refine_bytes(&pivot) > Some(0), "a sweep builds its postings");
+        assert!(refine_bytes(&pivot, "refine.rows") > Some(0), "a sweep keeps what it judged");
+        assert!(refine_bytes(&pivot, "refine.scratch") > Some(0), "a sweep builds its postings");
     }
 
     #[test]

@@ -15,14 +15,11 @@
 //! snippet sorted — and runs only as the oracle. The private `Refiner`
 //! plans the identical move list at a cost that follows what changed
 //! since the previous sweep rather than what exists: a cohesion with an
-//! unchanged member list is read from a version-keyed cache, one with a
-//! changed list is extended over the members the list gained (a maximum
-//! does not care in which order it is taken), and a snippet none of
-//! whose entity-sharing neighbours changed lists keeps the alternatives
-//! it was last judged against without walking a posting list. Why each
-//! of these is exact is argued step by step on `Refiner`; in debug
-//! builds every extended cohesion is re-scored in full and every
-//! carried-over probe is run anyway, and both must agree.
+//! unchanged member list is read from a version-keyed cache, and one
+//! with a changed list is extended over the members the list gained (a
+//! maximum does not care in which order it is taken). Why each of these
+//! is exact is argued step by step on `Refiner`; in debug builds every
+//! extended cohesion is re-scored in full, and both must agree.
 //!
 //! Most snippets cannot move at all: a move needs the alternative to
 //! beat the snippet's own cohesion by `move_margin`, and no content
@@ -31,8 +28,9 @@
 //! The scan of its own story stops at the first member that settles
 //! it, so what a settled snippet keeps as its own cohesion is only a
 //! lower bound: it is read back as that snippet's own cohesion, never
-//! as the parent an alternative's cohesion is extended from. Debug
-//! builds score a settled snippet's own story in full and its
+//! as the parent an alternative's cohesion is extended from. Only a
+//! snippet that can move keeps the alternatives it was judged against.
+//! Debug builds score a settled snippet's own story in full and its
 //! alternatives anyway, and assert that it is settled and that none of
 //! them would have moved it.
 
@@ -97,9 +95,6 @@ pub(crate) struct SweepStats {
     /// The misses among them answered by extending the cohesion with
     /// the story's parent list over the members the story gained.
     pub extended: u64,
-    /// Snippets whose alternative stories were carried over from the
-    /// previous sweep instead of probed.
-    pub probes_reused: u64,
     /// Snippets whose own cohesion left no room for a move, so no
     /// alternative was probed or scored for them.
     pub settled: u64,
@@ -116,7 +111,7 @@ fn should_move(current: f64, alternative: f64, cfg: &RefineConfig) -> bool {
 }
 
 /// Whether own cohesion `current` leaves no room for a move: no content
-/// score exceeds 1.0 (step 6 on [`Refiner`]). Monotone: a larger
+/// score exceeds 1.0 (step 5 on [`Refiner`]). Monotone: a larger
 /// `current` settles whatever a smaller one settles.
 #[inline]
 fn settles(current: f64, cfg: &RefineConfig) -> bool {
@@ -139,30 +134,33 @@ struct Judged {
     cohesion: f64,
 }
 
-/// What a sweep remembers of one snippet: 184 B.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    /// The stories it was judged against — its own, then its
-    /// alternatives in rank order. 16 B a slot, 144 B.
-    judged: [Judged; MAX_ALTERNATIVES + 1],
-    /// The key snippet (smallest `(overlap desc, id asc)` candidate) of
-    /// each of those alternatives, [`NONE`]-padded.
-    keys: [u32; MAX_ALTERNATIVES],
-    /// The sweep that probed the row's alternatives; 0 for none (a
-    /// settled snippet's row, whose empty `keys` must never be carried
-    /// over as "no alternatives"). No sweep is number 0.
-    written: u32,
+impl Judged {
+    const EMPTY: Judged = Judged {
+        version: 0,
+        argmax: NONE,
+        cohesion: 0.0,
+    };
 }
 
-impl Row {
-    const EMPTY: Row = Row {
-        judged: [Judged {
-            version: 0,
-            argmax: NONE,
-            cohesion: 0.0,
-        }; MAX_ALTERNATIVES + 1],
-        keys: [NONE; MAX_ALTERNATIVES],
-        written: 0,
+/// What a sweep remembers of one snippet besides its alternatives:
+/// 24 B.
+#[derive(Debug, Clone, Copy)]
+struct Own {
+    /// Its cohesion with its own story.
+    judged: Judged,
+    /// Its alternatives block in [`Refiner::blocks`]; [`NONE`] when its
+    /// last judgment settled it or found no alternative.
+    block: u32,
+    /// Its last judgment settled it, so `judged`'s cohesion may be a
+    /// lower bound (step 5).
+    settled: bool,
+}
+
+impl Own {
+    const EMPTY: Own = Own {
+        judged: Judged::EMPTY,
+        block: NONE,
+        settled: false,
     };
 }
 
@@ -182,7 +180,7 @@ struct Delta {
 /// cohesion cache survives from sweep to sweep and from call to call.
 ///
 /// It produces exactly the move list of [`plan_reference`] (the old
-/// sweep, kept as the test oracle) from four changes:
+/// sweep, kept as the test oracle) from five changes:
 ///
 /// 1. **Dense tables.** One `snippet → global-story index` table and one
 ///    resolved `&Snippet` list per global story are built once per sweep;
@@ -203,15 +201,15 @@ struct Delta {
 ///    content never changes). Every distinct member list gets a *version*:
 ///    a list that is element-for-element equal to a list of the previous
 ///    sweep keeps that list's version, any other list gets a number never
-///    issued before. A snippet's row keeps the cohesions of the versions
-///    it was last judged against; a version found there is reused, any
+///    issued before. A snippet keeps the cohesions of the versions it was
+///    last judged against; a version found there is reused, any
 ///    other is scored. The move *decision* is recomputed from the scores
 ///    on every sweep — nothing remembers a decision.
 /// 4. **Deltas.** `cohesion(v, G) = max over G's members other than v`,
 ///    and a maximum does not care in which order it is taken. A changed
 ///    list records what it gained and lost against its parent
-///    ([`Delta`]), a row remembers a member each cohesion is attained by,
-///    and a miss on a list whose parent's version is in the row — with
+///    ([`Delta`]), a snippet remembers a member each cohesion is attained
+///    by, and a miss on a list whose parent's version it keeps — with
 ///    that member not among the lost — is answered by continuing the
 ///    same `if s > best` loop over the gained members only. The old
 ///    maximum is attained by a member that stayed, so
@@ -220,26 +218,8 @@ struct Delta {
 ///    both and is never its own argmax, so `v` having just joined or
 ///    left the list changes nothing. When the remembered member left
 ///    (or a tied one did and happened to be the one remembered) the
-///    list is scored in full, as is one with no parent in the row.
-/// 5. **Clean snippets.** The probe's answer for `v` is a function of
-///    which snippets share an entity with `v` and of how they are
-///    grouped into lists. Every sweep stamps the entities of every
-///    snippet that changed lists: those in some [`Delta`], the members of
-///    a changed list without a parent, and the members of a previous
-///    list that no current list has as parent. A snippet whose row the
-///    previous sweep wrote and none of whose entities is stamped is
-///    *clean*: no snippet sharing an entity with it — itself included —
-///    is in any delta, so all of a previous list's `v`-sharing members
-///    sit in the one child that has it as parent, no two previous lists
-///    with `v`-sharing members merged, and none moved into or out of
-///    `v`'s own story. The partition of `v`'s candidates, their overlaps
-///    and ids — hence every key and the first eight — repeat, so the
-///    alternatives are the stories now holding the *key snippets*
-///    remembered beside the row, in the remembered order, and the
-///    posting walk is skipped. They are still judged through the row: a
-///    clean snippet's alternative can have gained members that share
-///    nothing with it, which is what step 4 is for.
-/// 6. **Settled snippets.** A move needs `alt − current > move_margin`
+///    list is scored in full, as is one with no parent kept.
+/// 5. **Settled snippets.** A move needs `alt − current > move_margin`
 ///    ([`should_move`], monotone in `alt`), and under non-negative
 ///    [`SimWeights`] (which [`SimWeights::validate`] requires of every
 ///    engine) no content score exceeds 1.0 — to the bit, with no
@@ -249,14 +229,14 @@ struct Delta {
 ///    and `blend`'s numerator sums the same weights as `total()`, in the
 ///    same order, each times a factor of at most 1. So when
 ///    `should_move(current, 1.0)` is false no alternative can move `v`
-///    (a NaN score never passes `>` either): `v` is *settled*, its row
-///    keeps its own cohesion only, probed by no sweep (`written` 0) so
-///    that step 5 never carries its empty key list over, and no
-///    alternative is probed or scored. The own scan — in full or
-///    extended — stops at the first member after which
-///    `should_move(best, 1.0)` is false; the test is monotone in `best`,
-///    so the scan settles `v` exactly when the whole list would, but
-///    the stored cohesion of a settled row is then only a *lower bound*.
+///    (a NaN score never passes `>` either): `v` is *settled*: it keeps
+///    its own cohesion only, marked settled, and releases its
+///    alternatives block; no alternative is probed or scored. The own
+///    scan — in full or extended — stops at the first member after
+///    which `should_move(best, 1.0)` is false; the test is monotone in
+///    `best`, so the scan settles `v` exactly when the whole list would,
+///    but the stored cohesion of a settled snippet is then only a
+///    *lower bound*.
 ///    It is read only as `v`'s own cohesion, and only while it settles
 ///    `v`: an own list that repeats is a hit that settles `v` with no
 ///    scorer bound, and an own list extended from it (at least as
@@ -266,9 +246,9 @@ struct Delta {
 ///    `v` leaves it, e.g. when alignment ungroups `v`'s global story and
 ///    the other source's story keeps the first member. Debug builds
 ///    score the own list in full and assert that it settles `v` too,
-///    probe and score the alternatives anyway, uncounted and with the
-///    row untouched, and assert that each scores at most 1.0 and would
-///    not move `v`.
+///    probe and score the alternatives anyway, uncounted and with what
+///    `v` keeps untouched, and assert that each scores at most 1.0 and
+///    would not move `v`.
 ///
 /// The one way a version could outlive its meaning is snippet-id reuse
 /// (remove, then ingest different content under the same id, landing in
@@ -288,17 +268,20 @@ pub(crate) struct Refiner {
     story_of_spare: Vec<u32>,
     /// The last version issued; 0 ("never judged") is not one.
     last_version: u32,
-    /// Snippet (raw id) → its row in `rows`, [`NONE`] before the snippet
-    /// is first judged. The indirection keeps the 184 B rows to snippets
-    /// this engine refined (a shard sees a fraction of the id space).
+    /// Snippet (raw id) → its slot in `own`, [`NONE`] before the
+    /// snippet is first judged. The indirection keeps the slots to
+    /// snippets this engine refined (a shard sees a fraction of the id
+    /// space).
     row_of: Vec<u32>,
-    /// What each snippet was last judged against.
-    rows: Vec<Row>,
-    /// The current sweep's number; 0 is before the first.
-    sweep: u32,
-    /// Entity → the last sweep in which a snippet mentioning it changed
-    /// lists. A hash map: entity ids are client-chosen, not dense.
-    entity_moved: HashMap<EntityId, u32>,
+    /// What each snippet was last judged against: its own story.
+    own: Vec<Own>,
+    /// The alternatives each snippet whose last judgment left it free
+    /// to move was judged against, in rank order, [`Judged::EMPTY`]-
+    /// padded (128 B), by [`Own::block`]. A judgment that settles a
+    /// snippet puts its block on `free_blocks`, for the next snippet
+    /// that needs one.
+    blocks: Vec<[Judged; MAX_ALTERNATIVES]>,
+    free_blocks: Vec<u32>,
     /// `(entity, raw snippet id)` for every entity of every member of
     /// this sweep's lists, sorted, so an entity's snippets are one run.
     /// Refilled by every sweep, kept for its allocation.
@@ -316,22 +299,25 @@ pub(crate) struct Refiner {
 }
 
 impl Refiner {
-    /// Heap bytes of the remembered lists, tables, rows and probe
-    /// scratch (the memory account).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        mem::vec_bytes(&self.lists)
+    /// Heap bytes of what each snippet was last judged against, and of
+    /// the previous sweep's lists with the tables and probe scratch
+    /// every sweep rebuilds (the memory account).
+    pub(crate) fn heap_bytes(&self) -> [(&'static str, usize); 2] {
+        let rows = mem::vec_bytes(&self.row_of)
+            + mem::vec_bytes(&self.own)
+            + mem::vec_bytes(&self.blocks)
+            + mem::vec_bytes(&self.free_blocks);
+        let scratch = mem::vec_bytes(&self.lists)
             + self.lists.iter().map(|(ids, _)| mem::vec_bytes(ids)).sum::<usize>()
             + mem::vec_bytes(&self.story_of)
             + mem::vec_bytes(&self.story_of_spare)
-            + mem::vec_bytes(&self.row_of)
-            + mem::vec_bytes(&self.rows)
-            + mem::hash_map_bytes(&self.entity_moved)
             + mem::vec_bytes(&self.postings)
             + mem::vec_bytes(&self.overlap)
             + mem::vec_bytes(&self.story_key)
             + mem::vec_bytes(&self.touched)
             + mem::vec_bytes(&self.ranked)
-            + self.tables.heap_bytes()
+            + self.tables.heap_bytes();
+        [("refine.rows", rows), ("refine.scratch", scratch)]
     }
 
     /// Forget the previous sweep's lists and every cached cohesion: the
@@ -340,27 +326,21 @@ impl Refiner {
         self.lists.clear();
         self.story_of.clear();
         self.row_of.clear();
-        self.rows.clear();
-        self.entity_moved.clear();
+        self.own.clear();
+        self.blocks.clear();
+        self.free_blocks.clear();
     }
 
     /// Version every global story of `outcome` against the previous
-    /// sweep's lists, stamp the entities of every snippet that changed
-    /// lists, and rebuild the dense tables and the postings for this
-    /// sweep. Returns, per story, what its list gained and lost — `None`
-    /// for a list equal to its parent, and for one without.
+    /// sweep's lists, and rebuild the dense tables and the postings for
+    /// this sweep. Returns, per story, what its list gained and lost —
+    /// `None` for a list equal to its parent, and for one without.
     fn begin_sweep(&mut self, outcome: &AlignOutcome, store: &EventStore) -> Vec<Option<Delta>> {
         let stories = outcome.global_stories.len();
         if u32::MAX - self.last_version < stories as u32 {
             // Version space exhausted (once per 2³² changed lists).
             self.forget();
             self.last_version = 0;
-        }
-        self.sweep = self.sweep.wrapping_add(1);
-        if self.sweep == 0 {
-            // Stamp wrapped: old stamps could collide, so drop them all.
-            self.forget();
-            self.sweep = 1;
         }
 
         // The new snippet → story table first: a list's losses are its
@@ -389,17 +369,7 @@ impl Refiner {
             }
         }
 
-        let sweep = self.sweep;
-        let entity_moved = &mut self.entity_moved;
-        let mut moved = |ids: &[SnippetId]| {
-            for s in ids.iter().filter_map(|&id| store.get(id)) {
-                for entity in s.entities().keys() {
-                    entity_moved.insert(entity, sweep);
-                }
-            }
-        };
         let previously = |id: &SnippetId| self.story_of.get(id.index()).copied().unwrap_or(NONE);
-        let mut has_child = vec![false; self.lists.len()];
         let mut deltas = Vec::with_capacity(stories);
         for (gi, (ids, version)) in lists.iter_mut().enumerate() {
             // Non-empty lists partition the snippets, so the list of the
@@ -407,9 +377,6 @@ impl Refiner {
             // that can be equal.
             let parent_at = ids.first().map_or(NONE, previously);
             let parent = self.lists.get(parent_at as usize);
-            if parent.is_some() {
-                has_child[parent_at as usize] = true;
-            }
             if let Some(&(_, unchanged)) = parent.filter(|(parent_ids, _)| parent_ids == ids) {
                 *version = unchanged;
                 deltas.push(None);
@@ -418,7 +385,6 @@ impl Refiner {
             self.last_version += 1;
             *version = self.last_version;
             let Some((parent_ids, parent_version)) = parent else {
-                moved(ids);
                 deltas.push(None);
                 continue;
             };
@@ -431,12 +397,7 @@ impl Refiner {
                     .filter(|m| story_of.get(m.index()) != Some(&(gi as u32)))
                     .collect(),
             };
-            moved(&delta.added);
-            moved(&delta.removed);
             deltas.push(Some(delta));
-        }
-        for ((orphaned, _), _) in self.lists.iter().zip(&has_child).filter(|&(_, &child)| !child) {
-            moved(orphaned);
         }
         self.lists = lists;
         self.story_of_spare = std::mem::replace(&mut self.story_of, story_of);
@@ -526,11 +487,11 @@ impl Refiner {
             .collect();
         let versions: Vec<u32> = self.lists.iter().map(|&(_, version)| version).collect();
 
-        // Step 6 holds only while no score can exceed 1.0, which
+        // Step 5 holds only while no score can exceed 1.0, which
         // `SimWeights::validate` guarantees for every engine.
         debug_assert!(weights.validate().is_ok(), "{weights:?}");
         let mut stats = SweepStats::default();
-        let (mut probes_reused, mut settled) = (0u64, 0u64); // (`judge` holds `stats`)
+        let mut settled = 0u64; // (`judge` holds `stats`)
         let mut planned: Vec<RefineMove> = Vec::new();
         // Out of `self` for the sweep: a scorer borrows them while the
         // probe below borrows the rest.
@@ -538,23 +499,25 @@ impl Refiner {
         for (gi, g) in outcome.global_stories.iter().enumerate() {
             for &v in &members[gi] {
                 let at = self.row_of[v.id.index()];
-                let last = self.rows.get(at as usize).copied().unwrap_or(Row::EMPTY);
-                // The row's cohesion with list `wanted`, if it may be read
-                // for slot `slot`: a settled row's own cohesion may be a
-                // lower bound (step 6), so it stands only for `v`'s own
-                // story, and only while it settles `v`.
+                let last = self.own.get(at as usize).copied().unwrap_or(Own::EMPTY);
+                let alternatives = self.blocks.get(last.block as usize).copied();
+                // `v`'s kept cohesion with list `wanted`, if it may be
+                // read for slot `slot`: a settled snippet's own cohesion
+                // may be a lower bound (step 5), so it stands only for
+                // `v`'s own story, and only while it settles `v`.
                 let known = |slot: usize, wanted: u32| {
-                    let judged = last.judged.iter().find(|j| j.version == wanted)?;
-                    (last.written != 0 || (slot == 0 && settles(judged.cohesion, cfg))).then_some(judged)
+                    if last.judged.version == wanted {
+                        let readable = !last.settled || (slot == 0 && settles(last.judged.cohesion, cfg));
+                        return readable.then_some(&last.judged);
+                    }
+                    alternatives.iter().flatten().find(|j| j.version == wanted)
                 };
                 // An unchanged own list that settles `v` is read back as a
                 // hit: no member is scored, so no scorer is bound.
                 let settled_by_hit = known(0, versions[gi]).is_some_and(|j| settles(j.cohesion, cfg));
                 let scorer = (!settled_by_hit).then(|| weights.probe(&v.content, &mut tables));
-                let mut row = Row {
-                    written: self.sweep,
-                    ..Row::EMPTY
-                };
+                // Its own story, then its alternatives in rank order.
+                let mut judged = [Judged::EMPTY; MAX_ALTERNATIVES + 1];
                 let mut judge = |slot: usize, story: u32| {
                     let version = versions[story as usize];
                     let (argmax, cohesion) = if let Some(hit) = known(slot, version) {
@@ -595,7 +558,7 @@ impl Refiner {
                             None => score_cohesion(scorer, v.id, (NONE, 0.0), all, until, &mut stats),
                         }
                     };
-                    row.judged[slot] = Judged {
+                    judged[slot] = Judged {
                         version,
                         argmax,
                         cohesion,
@@ -606,7 +569,7 @@ impl Refiner {
                 let current = judge(0, gi as u32);
                 if settles(current, cfg) {
                     settled += 1;
-                    self.keep_row(v.id, at, Row { written: 0, ..row });
+                    self.keep(v.id, at, judged, true);
                     if cfg!(debug_assertions) {
                         drop(scorer); // none after a settling hit: the check binds one
                         let scorer = weights.probe(&v.content, &mut tables);
@@ -614,39 +577,15 @@ impl Refiner {
                     }
                     continue;
                 }
-                // Probed by the previous sweep, and nothing sharing an
-                // entity with `v` changed lists since: the alternatives
-                // are where the remembered key snippets are now.
-                let clean = at != NONE
-                    && last.written == self.sweep - 1
-                    && v.entities().keys().all(|e| self.entity_moved.get(&e) != Some(&self.sweep));
-                if clean {
-                    probes_reused += 1;
-                    self.ranked.clear();
-                    for &key in last.keys.iter().take_while(|&&key| key != NONE) {
-                        self.ranked.push((u64::from(key), self.story_of[key as usize]));
-                    }
-                    if cfg!(debug_assertions) {
-                        let carried: Vec<u32> = self.ranked.iter().map(|&(_, g)| g).collect();
-                        self.probe_alternatives(v, gi as u32);
-                        debug_assert!(
-                            self.ranked.iter().map(|&(_, g)| g).eq(carried),
-                            "carried-over alternatives of {} differ from a fresh probe",
-                            v.id
-                        );
-                    }
-                } else {
-                    self.probe_alternatives(v, gi as u32);
-                }
+                self.probe_alternatives(v, gi as u32);
                 let mut best_alt: Option<(u32, f64)> = None;
-                for (k, &(key, alt)) in self.ranked.iter().enumerate() {
+                for (k, &(_, alt)) in self.ranked.iter().enumerate() {
                     let score = judge(k + 1, alt);
                     if best_alt.is_none_or(|(_, s)| score > s) {
                         best_alt = Some((alt, score));
                     }
-                    row.keys[k] = key as u32; // the low half: the key snippet
                 }
-                self.keep_row(v.id, at, row);
+                self.keep(v.id, at, judged, false);
 
                 let Some((alt, alt_score)) = best_alt else { continue };
                 if !should_move(current, alt_score, cfg) {
@@ -666,27 +605,50 @@ impl Refiner {
             }
         }
         self.tables = tables;
-        stats.probes_reused = probes_reused;
         stats.settled = settled;
         (planned, stats)
     }
 
-    /// Store `row` as snippet `id`'s, at `at` in `rows` ([`NONE`] for a
-    /// snippet judged for the first time).
-    fn keep_row(&mut self, id: SnippetId, at: u32, row: Row) {
-        if at == NONE {
-            self.row_of[id.index()] = self.rows.len() as u32;
-            self.rows.push(row);
+    /// Keep what snippet `id` was just judged against: its own slot at
+    /// `at` in `own` ([`NONE`] for a snippet judged for the first time)
+    /// and its alternatives in the block it holds or a free one. A
+    /// snippet left with none — settled, or nothing to probe — frees
+    /// the block it held.
+    fn keep(&mut self, id: SnippetId, at: u32, judged: [Judged; MAX_ALTERNATIVES + 1], settled: bool) {
+        let [own, alternatives @ ..] = judged;
+        let mut block = self.own.get(at as usize).map_or(NONE, |o| o.block);
+        if alternatives[0].version == 0 {
+            if block != NONE {
+                self.free_blocks.push(block);
+                block = NONE;
+            }
         } else {
-            self.rows[at as usize] = row;
+            if block == NONE {
+                block = self.free_blocks.pop().unwrap_or_else(|| {
+                    self.blocks.push(alternatives);
+                    (self.blocks.len() - 1) as u32
+                });
+            }
+            self.blocks[block as usize] = alternatives;
+        }
+        let own = Own {
+            judged: own,
+            block,
+            settled,
+        };
+        if at == NONE {
+            self.row_of[id.index()] = self.own.len() as u32;
+            self.own.push(own);
+        } else {
+            self.own[at as usize] = own;
         }
     }
 
     /// Debug builds' check of a settled snippet `v` of story `gi`, whose
     /// own cohesion was read or scored as `current`: its own story scored
     /// in full settles it too, and every alternative a probe finds scores
-    /// at most 1.0 and would not move it. Uncounted; the row is left as
-    /// it is.
+    /// at most 1.0 and would not move it. Uncounted; what `v` keeps is
+    /// left as it is.
     fn check_settled(
         &mut self,
         v: &Snippet,
@@ -1090,7 +1052,7 @@ mod tests {
         assert_eq!(pivot.global_stories().len(), 2, "the member lists repeat");
     }
 
-    // ---- what extending a cohesion and carrying a probe over can get wrong ----
+    // ---- what extending a cohesion and keeping alternatives can get wrong ----
 
     /// An engine with counters attached and `n` newspaper sources.
     fn engine(n: u32) -> (StoryPivot, Vec<SourceId>) {
@@ -1122,21 +1084,34 @@ mod tests {
         stories[0]
     }
 
-    /// What the production planner's sweeps of one `refine()` did:
-    /// `(cohesions extended, probes carried over)`.
-    fn refine_vs_reference(pivot: &mut StoryPivot) -> (RefineReport, u64, u64) {
+    /// One `refine()` against its reference, with the cohesions the
+    /// production planner's sweeps extended.
+    fn refine_vs_reference(pivot: &mut StoryPivot) -> (RefineReport, u64) {
         let mut reference = pivot.clone();
         reference.set_metrics(crate::metrics::EngineMetrics::default());
         let m = pivot.metrics().clone();
-        let before = (m.refine_cohesion_extended_total.get(), m.refine_probes_reused_total.get());
+        let before = m.refine_cohesion_extended_total.get();
         let report = pivot.refine();
         assert_eq!(report, reference.refine_reference());
         assert_eq!(pivot.story_partition(), reference.story_partition());
         assert_eq!(pivot.global_stories(), reference.global_stories());
         pivot.check_invariants().unwrap();
-        let extended = m.refine_cohesion_extended_total.get() - before.0;
-        let reused = m.refine_probes_reused_total.get() - before.1;
-        (report, extended, reused)
+        assert_blocks_accounted(&pivot.refiner);
+        (report, m.refine_cohesion_extended_total.get() - before)
+    }
+
+    /// Every alternatives block is held by exactly one snippet that is
+    /// not settled, or is free: none is lost, none is shared.
+    fn assert_blocks_accounted(refiner: &Refiner) {
+        let mut holders = vec![0; refiner.blocks.len()];
+        for own in refiner.own.iter().filter(|own| own.block != NONE) {
+            assert!(!own.settled, "a settled snippet holds a block: {own:?}");
+            holders[own.block as usize] += 1;
+        }
+        for &free in &refiner.free_blocks {
+            holders[free as usize] += 1;
+        }
+        assert!(holders.iter().all(|&n| n == 1), "holders per block: {holders:?}");
     }
 
     /// Sports (snippets 0–2 and 30–32) and crash stories in two sources.
@@ -1209,7 +1184,7 @@ mod tests {
             let (cfg, weights) = (RefineConfig::default(), SimWeights::default());
             let refiner = &mut one_sweep.refiner;
             let (_, stats) = refiner.plan(&one_sweep.store, &one_sweep.identifiers, &outcome, &cfg, &weights);
-            let own = refiner.rows[refiner.row_of[10] as usize].judged[0];
+            let own = refiner.own[refiner.row_of[10] as usize].judged;
             assert!((0.8..0.9).contains(&own.cohesion), "the other is still there: {own:?}");
             assert_eq!(own.argmax, stayer);
             let (extended, pairs) = if leaver == 11 { (11, 4 + 47) } else { (12, 47) };
@@ -1242,8 +1217,8 @@ mod tests {
 
     /// A story in a fourth source bridges G1 and G2 into one global
     /// story without mentioning entity 1. G2's members keep their list
-    /// mates but arrive in `v`'s own list: `v` must probe again, or it
-    /// would weigh its own story as an alternative.
+    /// mates but arrive in `v`'s own list: `v` kept a cohesion with G2
+    /// as an alternative, and must now have no alternative there.
     #[test]
     fn an_alternative_merges_into_the_snippets_own_story() {
         let (mut pivot, s) = crash_story_with_an_unaligned_neighbour();
@@ -1251,19 +1226,19 @@ mod tests {
         pivot.align_incremental();
         assert_eq!(pivot.global_stories().len(), 2);
         assert_eq!(pivot.global_of(SnippetId::new(0)), pivot.global_of(SnippetId::new(40)));
-        let (_, _, reused) = refine_vs_reference(&mut pivot);
-        // The sports story is untouched: its four snippets are clean in
-        // every sweep; nobody in the merged story is in the first.
-        assert!(reused >= 4, "probes reused: {reused}");
+        refine_vs_reference(&mut pivot);
+        // All lists repeat: every cohesion is read back, none scored.
         let mut again = pivot.clone();
         again.config.refine.max_rounds = 1;
-        assert_eq!(refine_vs_reference(&mut again).2, 4 + 13, "all lists repeat");
+        let before = again.metrics().refine_pairs_scored_total.get();
+        refine_vs_reference(&mut again);
+        assert_eq!(again.metrics().refine_pairs_scored_total.get(), before);
     }
 
     /// G2 grows to two aligned stories (sources 2 and 3), both sharing
     /// entity 1 with `v`; then source 3's is diluted by reports about
-    /// something else until the two no longer align. `v` remembers one
-    /// key snippet for the pair and now faces two alternatives.
+    /// something else until the two no longer align. `v` kept one
+    /// cohesion for the pair and now faces two alternatives.
     #[test]
     fn an_alternative_splits_and_both_children_share_an_entity_with_the_snippet() {
         let (mut pivot, s) = crash_story_with_an_unaligned_neighbour();
@@ -1279,31 +1254,27 @@ mod tests {
         pivot.align_incremental();
         assert_eq!(pivot.global_stories().len(), 4);
         assert_ne!(pivot.global_of(SnippetId::new(40)), pivot.global_of(SnippetId::new(50)));
-        let (_, _, reused) = refine_vs_reference(&mut pivot);
-        assert!(reused >= 4, "the sports story is clean; probes reused: {reused}");
+        refine_vs_reference(&mut pivot);
     }
 
     /// A report that shares no entity with `v` joins `v`'s alternative:
-    /// `v` is clean (its alternatives are carried over) and the
-    /// alternative's version is new (its cohesion is extended by the
-    /// one newcomer).
+    /// the alternative's version is new, and its cohesion is extended by
+    /// the one newcomer.
     #[test]
     fn a_newcomer_sharing_nothing_with_the_snippet_joins_its_alternative() {
         let (mut pivot, _) = crash_story_with_an_unaligned_neighbour();
         let neighbour = pivot.story_of(SnippetId::new(40)).unwrap();
         assert_eq!(pivot.ingest(varied(43, 2, 3, &[3], &[20, 21])).unwrap(), neighbour);
         pivot.config.refine.max_rounds = 1;
-        let (_, extended, reused) = refine_vs_reference(&mut pivot);
-        // Entity 3 moved: G2's old members re-probe, everyone else is
-        // clean. G2 is an alternative of all seven crash reports (each
-        // extends by the newcomer) and its own three members extend too.
-        assert_eq!(reused, 7 + 4);
+        let (_, extended) = refine_vs_reference(&mut pivot);
+        // G2 is an alternative of all seven crash reports (each extends
+        // by the newcomer) and its own three members extend too.
         assert_eq!(extended, 7 + 3);
     }
 
     /// Snippet ids are the client's: a late report with an id below all
     /// of its story's becomes the list's first member, so the list has
-    /// no parent — everything about it is scored and probed afresh.
+    /// no parent — every cohesion with it is scored afresh.
     #[test]
     fn a_list_whose_first_member_is_new_has_no_parent() {
         let (mut pivot, s) = engine(2);
@@ -1315,9 +1286,8 @@ mod tests {
 
         assert_eq!(pivot.ingest(varied(0, 0, 3, &[1, 2], &[10, 11])).unwrap(), crash);
         pivot.config.refine.max_rounds = 1;
-        let (_, extended, reused) = refine_vs_reference(&mut pivot);
+        let (_, extended) = refine_vs_reference(&mut pivot);
         assert_eq!(extended, 0);
-        assert_eq!(reused, 4, "the sports story only");
     }
 
     // ---- settled snippets ----------------------------------------------------
@@ -1329,16 +1299,13 @@ mod tests {
         (report, pivot.metrics().refine_settled_total.get() - before)
     }
 
-    /// A settled snippet keeps no alternatives, so a row it wrote must
-    /// never be carried over, even when the snippet is clean. `v`
-    /// (snippet 10) can only lose the member it is settled by without
-    /// anything sharing an entity with it changing lists if that member
-    /// shares no entity with it; under the default weights such a pair
-    /// scores at most 0.55, so the margin is 0.5 here. `v`'s twin has its
-    /// words and no entity of it; a story in another source matches `v`
-    /// exactly, three months later, so the two never align. When the twin
-    /// is thrown into the sports story, `v` is clean, alone and not
-    /// settled: it must probe and move.
+    /// A settled snippet that loses its twin moves. `v` (snippet 10) is
+    /// settled by a twin that has its words and no entity of it, and
+    /// keeps no alternatives; under the default weights such a pair
+    /// scores at most 0.55, so the margin is 0.5 here. A story in
+    /// another source matches `v` exactly, three months later, so the
+    /// two never align. When the twin is thrown into the sports story,
+    /// `v` is alone and not settled: it must probe and move.
     #[test]
     fn a_settled_snippet_that_loses_its_twin_probes_afresh() {
         let (mut pivot, s) = engine(2);
@@ -1353,8 +1320,8 @@ mod tests {
         assert_eq!(pivot.global_stories().len(), 3);
         let (warm, settled) = settled_in(&mut pivot);
         assert_eq!((warm.move_count(), warm.rounds), (0, 1));
-        let row = pivot.refiner.rows[pivot.refiner.row_of[10] as usize];
-        assert!(row.written == 0 && row.judged[0].cohesion >= 0.5, "{row:?}");
+        let kept = pivot.refiner.own[pivot.refiner.row_of[10] as usize];
+        assert!(kept.settled && kept.judged.cohesion >= 0.5, "{kept:?}");
         assert_eq!(settled, 7, "no cohesion is below 0.5");
 
         pivot.reassign_snippet(SnippetId::new(11), sports).unwrap();
@@ -1362,7 +1329,7 @@ mod tests {
         assert_eq!(report.moves.first().map(|m| m.snippet), Some(SnippetId::new(10)), "{report:?}");
     }
 
-    /// A settled row's own cohesion is a lower bound, and must never seed
+    /// A settled snippet's own cohesion is a lower bound, and must never seed
     /// an alternative's. `v` (snippet 10) shares source 0's story with a
     /// report alike but for a term of its own (snippet 5, 0.85); source
     /// 1's story holds snippet 1 (0.94 with `v`) and `v`'s exact twin,
@@ -1382,9 +1349,9 @@ mod tests {
         let (warm, ..) = refine_vs_reference(&mut pivot);
         assert_eq!(warm.move_count(), 0);
         assert_eq!(pivot.global_stories().len(), 1);
-        let row = pivot.refiner.rows[pivot.refiner.row_of[10] as usize];
-        assert_eq!((row.written, row.judged[0].argmax), (0, 1), "{row:?}");
-        assert!((0.9..0.95).contains(&row.judged[0].cohesion), "stopped at snippet 1: {row:?}");
+        let kept = pivot.refiner.own[pivot.refiner.row_of[10] as usize];
+        assert_eq!((kept.settled, kept.judged.argmax), (true, 1), "{kept:?}");
+        assert!((0.9..0.95).contains(&kept.judged.cohesion), "stopped at snippet 1: {kept:?}");
 
         for id in 70..82 {
             pivot.ingest(snip(id, 0, 1, &[5, 6], &[40, 41])).unwrap();
@@ -1394,6 +1361,34 @@ mod tests {
         assert_ne!(pivot.global_of(SnippetId::new(10)), pivot.global_of(SnippetId::new(1)));
         let (report, ..) = refine_vs_reference(&mut pivot);
         assert_eq!(report.moves.first().map(|m| m.snippet), Some(SnippetId::new(10)), "{report:?}");
+    }
+
+    /// Alternatives blocks follow the snippets that can move. With a
+    /// margin of 1.0 every snippet is settled, and none holds a block
+    /// although each has an alternative. Then `v` (snippet 0) of
+    /// [`crash_story_with_an_unaligned_neighbour`] holds one; an exact
+    /// twin joins its story and settles it, and its block is freed for
+    /// the next snippet that needs one.
+    #[test]
+    fn alternatives_blocks_follow_the_snippets_that_can_move() {
+        let (mut pivot, s) = engine(2);
+        pivot.config.refine.move_margin = 1.0;
+        story(&mut pivot, s[0], &[0, 1, 2], &[1, 2], &[10, 11]);
+        story(&mut pivot, s[1], &[20, 21, 22], &[1, 3], &[20, 21]);
+        let (_, settled) = settled_in(&mut pivot);
+        assert_eq!(settled, pivot.store().len() as u64);
+        assert!(pivot.refiner.blocks.is_empty(), "{:?}", pivot.refiner.blocks);
+
+        let (mut pivot, _) = crash_story_with_an_unaligned_neighbour();
+        let v = |p: &StoryPivot| p.refiner.own[p.refiner.row_of[0] as usize];
+        let held = v(&pivot).block;
+        assert!(!v(&pivot).settled && held != NONE, "{:?}", v(&pivot));
+        let crash = pivot.story_of(SnippetId::new(0)).unwrap();
+        assert_eq!(pivot.ingest(snip(5, 0, 4, &[1], &[10, 11, 1000])).unwrap(), crash);
+        refine_vs_reference(&mut pivot);
+        assert!(v(&pivot).settled && v(&pivot).block == NONE, "{:?}", v(&pivot));
+        let refiner = &pivot.refiner;
+        assert!(refiner.free_blocks.contains(&held) || refiner.own.iter().any(|o| o.block == held));
     }
 
     /// The rule at the edges of the settings, each against the reference:

@@ -190,9 +190,9 @@ pub struct Tally {
     /// Cross-source pairs the final alignment of each case accepted.
     pub accepted: usize,
     /// Per case, its catalogue and what its refinement sweeps did:
-    /// snippets judged, probes carried over, cohesions extended,
-    /// snippets settled (judged against their own story only).
-    pub refine_cases: Vec<(usize, [u64; 4])>,
+    /// snippets judged, cohesions extended, snippets settled (judged
+    /// against their own story only).
+    pub refine_cases: Vec<(usize, [u64; 3])>,
     /// Documents removed.
     pub docs_removed: usize,
     /// Checkpoint reloads: all of them, and those with ≥ 100 snippets
@@ -209,8 +209,8 @@ pub struct Tally {
 
 impl Tally {
     /// [`Tally::refine_cases`] summed per catalogue.
-    pub fn refine(&self) -> [[u64; 4]; CATALOGUES.len()] {
-        let mut sums = [[0; 4]; CATALOGUES.len()];
+    pub fn refine(&self) -> [[u64; 3]; CATALOGUES.len()] {
+        let mut sums = [[0; 3]; CATALOGUES.len()];
         for &(catalogue, case) in &self.refine_cases {
             for (sum, n) in sums[catalogue].iter_mut().zip(case) {
                 *sum += n;
@@ -677,7 +677,6 @@ impl Twins {
             let metrics = engine.metrics();
             let refine = [
                 self.judged,
-                metrics.refine_probes_reused_total.get(),
                 metrics.refine_cohesion_extended_total.get(),
                 metrics.refine_settled_total.get(),
             ];

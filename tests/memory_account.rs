@@ -17,9 +17,10 @@
 //!
 //! Then the same engine aligns and refines, and the account's growth
 //! over that step is held to the allocator's in the same band, with
-//! `align.profiles`, `align.outcome` and `refine.rows` no longer empty.
-//! The ceiling stays on the identify-only engine; the refining engine's
-//! bytes per snippet are printed.
+//! `align.profiles`, `align.outcome`, `refine.rows` and `refine.scratch`
+//! no longer empty, and the aligned and refined engine is held to
+//! 1.15 KiB per snippet (≈ 1 140 B today; when the refiner kept a 184 B
+//! row for every snippet it judged, 1 364 B).
 //!
 //! Its own binary, one test: a global allocator is process-wide.
 
@@ -62,6 +63,9 @@ static GLOBAL: Counting = Counting;
 
 /// Engine bytes per ingested snippet the build must stay under.
 const CEILING_PER_SNIPPET: f64 = 0.9 * 1024.0;
+
+/// The same once the engine has aligned and refined.
+const REFINED_CEILING_PER_SNIPPET: f64 = 1.15 * 1024.0;
 
 /// `mem::hash_map_bytes` restates hashbrown's table layout; hold it to
 /// one real allocation per size class so a `std` that lays tables out
@@ -127,15 +131,10 @@ fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
     let refined = pivot.memory_account();
     let row = |name: &str| refined.iter().find(|(s, _)| *s == name).map_or(0, |&(_, b)| b);
     let refined_sum: usize = refined.iter().map(|&(_, bytes)| bytes).sum();
-    println!(
-        "aligned and refined: align.profiles {} B, align.outcome {} B, refine.rows {} B, \
-         grew {grown} B, {:.0} B/snippet",
-        row("align.profiles"),
-        row("align.outcome"),
-        row("refine.rows"),
-        (live + grown) / snippets
-    );
-    for name in ["align.profiles", "align.outcome", "refine.rows"] {
+    let refined_per_snippet = (live + grown) / snippets;
+    println!("aligned and refined: grew {grown} B, {refined_per_snippet:.0} B/snippet");
+    for name in ["align.profiles", "align.outcome", "refine.rows", "refine.scratch"] {
+        println!("{name:<24} {:>10} B {:>8.1} B/snippet", row(name), row(name) as f64 / snippets);
         assert!(row(name) > 0, "{name}: {refined:?}");
     }
     let step_ratio = (refined_sum as f64 - accounted as f64) / grown;
@@ -143,5 +142,10 @@ fn account_sums_to_live_bytes_and_stays_under_the_per_snippet_ceiling() {
     assert!(
         (0.85..=1.15).contains(&step_ratio),
         "the account's growth over align + refine covers {step_ratio:.3} of the live bytes' growth"
+    );
+    assert!(
+        refined_per_snippet <= REFINED_CEILING_PER_SNIPPET,
+        "the aligned and refined engine holds {refined_per_snippet:.0} B per snippet, \
+         ceiling {REFINED_CEILING_PER_SNIPPET:.0}"
     );
 }

@@ -16,7 +16,7 @@ fn refine_plans_what_the_reference_sweep_plans() {
     for catalogue in 0..CATALOGUES.len() {
         let label = format!("refine {catalogue}");
         let Some(tally) = lockstep::slice(&label, 1, |c| c.catalogue == catalogue) else { return };
-        let [_, _, extended, _] = tally.refine()[catalogue];
+        let [_, extended, _] = tally.refine()[catalogue];
         assert!(tally.moves > 0 && extended > 0, "catalogue {catalogue}: {tally:?}");
     }
 }
@@ -35,7 +35,7 @@ fn refine_plans_what_the_reference_sweep_plans_off_the_default_settings() {
             let focus = |c: &lockstep::Case| c.near_duplicates == near_duplicates;
             let label = format!("{label}{}", if near_duplicates { " near-duplicates" } else { "" });
             let Some(tally) = lockstep::slice_refining(&label, 1, refine, focus) else { return };
-            let [judged, settled] = tally.refine().iter().fold([0, 0], |[j, s], r| [j + r[0], s + r[3]]);
+            let [judged, settled] = tally.refine().iter().fold([0, 0], |[j, s], r| [j + r[0], s + r[2]]);
             assert!(0 < settled && settled < judged, "{refine:?}: some snippets and not all settled: {tally:?}");
         }
     }

@@ -227,7 +227,6 @@ fn metrics_exposition_matches_in_process_engine() {
         "storypivot_refine_cohesion_cache_hits_total",
         "storypivot_refine_cohesion_cache_misses_total",
         "storypivot_refine_cohesion_extended_total",
-        "storypivot_refine_probes_reused_total",
         "storypivot_refine_settled_total",
         "storypivot_mem_bytes{structure=\"store.arena\"}",
         "storypivot_mem_bytes{structure=\"identify.stories\"}",
