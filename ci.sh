@@ -44,9 +44,11 @@ timeout "$TEST_CAP" cargo test -q --release --test probe_allocations --test memo
 # disk-fault suites run against the release binaries that are benchmarked;
 # so do the driver's served slices (in-process server, crash, follower),
 # which check the partition after every step against the release pivotd,
-# and the write race under its sweep of `sched` seeds.
+# the write race under its sweep of `sched` seeds, and pipelined replies
+# that complete out of order, parked and then written past the pipeline
+# cap through each connection's one write buffer.
 timeout "$TEST_CAP" cargo test -q --release --test failure_injection
-timeout "$TEST_CAP" cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching racing_writes_keep_each_connections_order_under_sched_seeds
+timeout "$TEST_CAP" cargo test -q --release --test serve_e2e -- served_partition sharded_server snapshot_patching racing_writes_keep_each_connections_order_under_sched_seeds pipelined_requests_return_in_order_past_the_pipeline_cap
 timeout "$TEST_CAP" cargo test -q --release -p storypivot-serve --test chaos_fault --test crash_recovery --test replica_e2e
 
 echo "==> clippy (warnings are errors)"

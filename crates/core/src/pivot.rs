@@ -740,7 +740,9 @@ impl StoryPivot {
     /// 5. between alignments as well, every snippet the cached outcome
     ///    lists is stored and every source it lists is registered;
     /// 6. every source's window index is what a rebuild from the stored
-    ///    snippets would hold ([`EventStore::check_windows`]).
+    ///    snippets would hold ([`EventStore::check_windows`]);
+    /// 7. every alternatives block the refiner keeps is free or held by
+    ///    exactly one snippet its last judgment left free to move.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |msg: String| Err(Error::Invariant(msg));
 
@@ -828,6 +830,9 @@ impl StoryPivot {
 
         // (6)
         self.store.check_windows()?;
+
+        // (7)
+        self.refiner.check_blocks()?;
 
         // (5)
         if let Some(outcome) = &self.outcome {

@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 
 use storypivot_store::EventStore;
-use storypivot_types::{mem, EntityId, GlobalStoryId, Snippet, SnippetId, SourceId, StoryId};
+use storypivot_types::{mem, EntityId, Error, GlobalStoryId, Result, Snippet, SnippetId, SourceId, StoryId};
 
 use crate::align::AlignOutcome;
 use crate::config::RefineConfig;
@@ -320,6 +320,29 @@ impl Refiner {
         [("refine.rows", rows), ("refine.scratch", scratch)]
     }
 
+    /// Invariant 7 of [`StoryPivot::check_invariants`]: every
+    /// alternatives block is free or held by exactly one snippet that is
+    /// not settled, so none is lost and none is shared.
+    ///
+    /// [`StoryPivot::check_invariants`]: crate::StoryPivot::check_invariants
+    pub(crate) fn check_blocks(&self) -> Result<()> {
+        let fail = |msg: String| Err(Error::Invariant(msg));
+        let mut holders = vec![0u32; self.blocks.len()];
+        for own in self.own.iter().filter(|own| own.block != NONE) {
+            if own.settled {
+                return fail(format!("a settled snippet holds alternatives block {}", own.block));
+            }
+            holders[own.block as usize] += 1;
+        }
+        for &free in &self.free_blocks {
+            holders[free as usize] += 1;
+        }
+        match holders.iter().position(|&n| n != 1) {
+            Some(block) => fail(format!("alternatives block {block} has {} holders", holders[block])),
+            None => Ok(()),
+        }
+    }
+
     /// Forget the previous sweep's lists and every cached cohesion: the
     /// next sweep issues new versions and scores everything afresh.
     pub(crate) fn forget(&mut self) {
@@ -356,10 +379,15 @@ impl Refiner {
             lists.push((ids, 0));
         }
         self.postings.clear();
+        // The sweep judges every member in the store; those judged for
+        // the first time each add a row, reserved exactly.
+        let mut new_rows = 0;
         for s in lists.iter().flat_map(|(ids, _)| ids).filter_map(|&id| store.get(id)) {
             self.postings.extend(s.entities().keys().map(|e| (e, s.id.raw())));
+            new_rows += usize::from(self.row_of.get(s.id.index()).is_none_or(|&at| at == NONE));
         }
         self.postings.sort_unstable();
+        self.own.reserve_exact(new_rows);
         let mut story_of = std::mem::take(&mut self.story_of_spare);
         story_of.clear();
         story_of.resize(table_len, NONE);
@@ -605,6 +633,9 @@ impl Refiner {
             }
         }
         self.tables = tables;
+        // Trimmed to the blocks held or free: the spare capacity a push
+        // doubled into would outlive the sweep unused.
+        self.blocks.shrink_to_fit();
         stats.settled = settled;
         (planned, stats)
     }
@@ -1096,22 +1127,7 @@ mod tests {
         assert_eq!(pivot.story_partition(), reference.story_partition());
         assert_eq!(pivot.global_stories(), reference.global_stories());
         pivot.check_invariants().unwrap();
-        assert_blocks_accounted(&pivot.refiner);
         (report, m.refine_cohesion_extended_total.get() - before)
-    }
-
-    /// Every alternatives block is held by exactly one snippet that is
-    /// not settled, or is free: none is lost, none is shared.
-    fn assert_blocks_accounted(refiner: &Refiner) {
-        let mut holders = vec![0; refiner.blocks.len()];
-        for own in refiner.own.iter().filter(|own| own.block != NONE) {
-            assert!(!own.settled, "a settled snippet holds a block: {own:?}");
-            holders[own.block as usize] += 1;
-        }
-        for &free in &refiner.free_blocks {
-            holders[free as usize] += 1;
-        }
-        assert!(holders.iter().all(|&n| n == 1), "holders per block: {holders:?}");
     }
 
     /// Sports (snippets 0–2 and 30–32) and crash stories in two sources.

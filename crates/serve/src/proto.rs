@@ -197,7 +197,7 @@ pub fn encode_ingest(buf: &mut impl BufMut, snippet: &Snippet) {
 // ---- borrowed (zero-copy) decode ------------------------------------
 //
 // The multiplexed server decodes every inbound frame directly out of
-// the connection's pooled read buffer. For the small control frames
+// the connection's own read buffer. For the small control frames
 // that dominate steady-state traffic (GET_STORY, QUERY, METRICS, …) the
 // borrowed path performs zero heap allocations: strings stay `&str`
 // views into the frame, and snippets and batches are *validated* in
@@ -773,21 +773,31 @@ impl Response {
 
 /// Encode a request or response into a ready-to-send frame.
 pub fn frame(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    frame_into(&mut payload, encode);
+    let mut payload = Vec::new();
+    frame_onto(&mut payload, encode);
     payload
 }
 
-/// Encode a frame into a reusable buffer (cleared first): the pooled
-/// zero-allocation analogue of [`frame`], used by the multiplexed
-/// server so steady-state responses never touch the allocator.
+/// Encode a frame into a reusable buffer (cleared first), which
+/// allocates nothing while the buffer's capacity suffices: the client
+/// frames every request this way.
 pub fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     out.clear();
+    frame_onto(out, encode);
+}
+
+/// Append one frame to `out`: the server frames an in-order reply
+/// straight onto its connection's write buffer, behind the replies not
+/// yet written. Reserves 64 bytes first, so a small frame costs at most
+/// one allocation.
+pub fn frame_onto(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    out.reserve(64);
+    let start = out.len();
     out.extend_from_slice(&[0, 0, 0, 0]);
     encode(out);
-    let len = (out.len() - 4) as u32;
+    let len = (out.len() - start - 4) as u32;
     debug_assert!(len <= MAX_FRAME_LEN);
-    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Peek at a read-accumulation buffer: `Ok(Some(total))` when a
@@ -1118,5 +1128,16 @@ mod tests {
         frame_into(&mut buf, |b| Response::Ingested(StoryId::new(9)).encode(b));
         assert_eq!(buf, first);
         assert_eq!(buf, frame(|b| Response::Ingested(StoryId::new(9)).encode(b)));
+    }
+
+    #[test]
+    fn frame_onto_appends_frames_that_peel_back_in_order() {
+        let first = frame(|b| Response::Ingested(StoryId::new(9)).encode(b));
+        let second = frame(|b| Response::Removed(3).encode(b));
+        let mut buf = Vec::new();
+        frame_onto(&mut buf, |b| Response::Ingested(StoryId::new(9)).encode(b));
+        frame_onto(&mut buf, |b| Response::Removed(3).encode(b));
+        assert_eq!(frame_ready(&buf).unwrap(), Some(first.len()));
+        assert_eq!(buf, [first, second].concat());
     }
 }

@@ -19,11 +19,17 @@
 //! and the last worker to exit closes the listener. A failed accept is counted and
 //! keeps that worker's listener out of its poll set for a jittered
 //! backoff. Each connection runs a state machine: accumulate bytes into
-//! a pooled read buffer ([`substrate::pool`]), peel complete frames with
-//! [`frame_ready`], decode them *in place* with
-//! [`Request::decode_borrowed`] (zero heap allocations for small
-//! frames), dispatch, and stream responses back through queued
-//! vectored writes. Requests pipeline: a connection may have up to
+//! its read buffer, peel complete frames with [`frame_ready`], decode
+//! them *in place* with [`Request::decode_borrowed`] (zero heap
+//! allocations for small frames), dispatch, and frame the replies onto
+//! its one write buffer, flushed with one `write` per call. A
+//! connection never leaves the worker that accepted it, so both
+//! buffers are its own, and each is released once drained: an idle
+//! connection holds no heap bytes, and a served op costs the I/O layer
+//! two allocations (its frame's read buffer and its reply's write
+//! buffer; a reply longer than 64 bytes regrows the write buffer, and
+//! one that completes out of order adds its parked frame). Requests
+//! pipeline: a connection may have up to
 //! `max_pipeline` requests in flight, and responses are re-sequenced
 //! (a per-request `seq` plus a reorder map) so the wire order always
 //! matches the request order. An optional `idle_timeout` reaps
@@ -113,8 +119,8 @@
 //! [`substrate::metrics::Registry`]; its engine, WAL and the per-shard
 //! serving series (labeled `shard="N"`) record into it. The server
 //! keeps one more registry for what the I/O layer records: open
-//! connections (in all and per I/O worker), pipeline depth, buffer-pool
-//! checkouts and byte high-water, transient accept failures, and each
+//! connections (in all and per I/O worker), pipeline depth, transient
+//! accept failures, and each
 //! shard's BUSY rejections and snapshot reads (also labeled
 //! `shard="N"`). The
 //! `METRICS` opcode snapshots every shard's registry plus the server
@@ -143,7 +149,6 @@
 //!
 //! [`StoryPivot`]: storypivot_core::StoryPivot
 //! [`substrate::net`]: storypivot_substrate::net
-//! [`substrate::pool`]: storypivot_substrate::pool
 //! [`frame_ready`]: crate::proto::frame_ready
 //! [`Request::decode_borrowed`]: crate::proto::Request::decode_borrowed
 //! [`substrate::queue::Bounded`]: storypivot_substrate::queue::Bounded
@@ -167,7 +172,6 @@ use storypivot_core::config::PivotConfig;
 use storypivot_substrate::fault::{FaultHook, FaultPlan};
 use storypivot_substrate::metrics::{Counter, Registry};
 use storypivot_substrate::net;
-use storypivot_substrate::pool::BufferPool;
 use storypivot_substrate::queue::Bounded;
 use storypivot_substrate::wal::SyncPolicy;
 use storypivot_types::{Error, Result, SourceId};
@@ -463,8 +467,6 @@ pub(crate) struct Shared {
     shutting_down: AtomicBool,
     done: AtomicBool,
     inboxes: Vec<Arc<Inbox>>,
-    /// Frame buffers for reads and encoded responses.
-    pool: BufferPool,
     /// The I/O layer's own registry, merged into METRICS expositions.
     registry: Registry,
     io_metrics: IoMetrics,
@@ -618,7 +620,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         shutting_down: AtomicBool::new(false),
         done: AtomicBool::new(false),
         inboxes,
-        pool: BufferPool::new(8 * 1024, 1024),
         registry,
         io_metrics,
         shutdown_waiters: Mutex::new(Vec::new()),

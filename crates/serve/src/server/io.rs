@@ -11,7 +11,7 @@
 mod dispatch;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -20,14 +20,13 @@ use std::time::{Duration, Instant};
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge, Registry, Snapshot};
 use storypivot_substrate::net;
-use storypivot_substrate::pool::PooledBuf;
 use storypivot_types::{DocId, Error};
 
 use super::job::Job;
 use super::shard::internal_shape_error;
 use super::{lock, Shared};
 use crate::client::{backoff_delay_ms, BackoffPolicy};
-use crate::proto::{frame_into, frame_ready, Response};
+use crate::proto::{frame_onto, frame_ready, Response};
 
 /// A completion posted to an I/O worker.
 pub(super) enum IoEvent {
@@ -94,7 +93,6 @@ impl Fan {
             Sum::Removed(doc, 0) => Response::from_error(&Error::UnknownDocument(doc)),
             Sum::Removed(_, total) => Response::Removed(total),
             Sum::Metrics(shards) => {
-                shared.sync_io_gauges();
                 let mut merged = shared.registry.snapshot();
                 merged.merge(&shards);
                 Response::Metrics {
@@ -129,8 +127,6 @@ impl Inbox {
 pub(super) struct IoMetrics {
     connections_open: Gauge,
     pipeline_depth: Gauge,
-    pool_buffers_outstanding: Gauge,
-    pool_bytes_highwater: Gauge,
     pub(super) accept_errors: Counter,
     degraded_reads: Counter,
     /// Connections each I/O worker holds; only a worker near the least
@@ -148,14 +144,6 @@ impl IoMetrics {
             pipeline_depth: registry.gauge(
                 "storypivot_pipeline_depth",
                 "Requests dispatched whose responses are not yet queued for write.",
-            ),
-            pool_buffers_outstanding: registry.gauge(
-                "storypivot_pool_buffers_outstanding",
-                "Frame buffers currently checked out of the serving buffer pool.",
-            ),
-            pool_bytes_highwater: registry.gauge(
-                "storypivot_pool_bytes_highwater",
-                "High-water mark of bytes charged to checked-out frame buffers.",
             ),
             accept_errors: registry.counter(
                 "storypivot_accept_errors_total",
@@ -191,14 +179,6 @@ impl Shared {
             self.io_metrics.degraded_reads.inc();
         }
     }
-
-    /// Set the buffer-pool gauges, levels read at scrape time.
-    fn sync_io_gauges(&self) {
-        let m = &self.io_metrics;
-        let ps = self.pool.stats();
-        m.pool_buffers_outstanding.set(ps.outstanding as i64);
-        m.pool_bytes_highwater.set(ps.bytes_highwater as i64);
-    }
 }
 
 /// Poller token reserved for the worker's wake channel.
@@ -227,31 +207,34 @@ fn raw_fd<T>(_s: &T) -> i32 {
     -1
 }
 
-/// An encoded response waiting for its pipeline turn, plus whether the
+/// A framed response waiting for its pipeline turn, plus whether the
 /// connection closes once it is flushed.
-type ReadyFrame = (PooledBuf, bool);
+type ReadyFrame = (Vec<u8>, bool);
 
-/// One multiplexed connection's state machine.
+/// One multiplexed connection's state machine. It never leaves the I/O
+/// worker that accepted it, so its buffers are its own: each is
+/// released (`Vec::new()`) once drained, and an idle connection holds
+/// no heap bytes.
 struct Conn {
     stream: TcpStream,
     fd: i32,
-    /// Accumulated unparsed bytes; `None` between frames, so idle
-    /// connections hold no pool buffer.
-    rd: Option<PooledBuf>,
-    /// Encoded responses queued for the socket, in wire order.
-    outbox: VecDeque<PooledBuf>,
-    /// Bytes of `outbox.front()` already written.
-    front_written: usize,
-    /// Out-of-order completions parked until their sequence turn.
+    /// Accumulated unparsed bytes.
+    rd: Vec<u8>,
+    /// Framed responses for the socket, in wire order; `wr[..written]`
+    /// is already written.
+    wr: Vec<u8>,
+    written: usize,
+    /// Out-of-order completions, framed, parked until their sequence
+    /// turn.
     ready: BTreeMap<u64, ReadyFrame>,
     /// Next sequence number to assign to a parsed request.
     next_seq: u64,
-    /// Next sequence number to move into the outbox.
+    /// Next sequence number to frame onto `wr`.
     next_write: u64,
     /// Parsing paused: a control push is waiting for queue space
     /// (preserves per-connection request order under backpressure).
     stalled: bool,
-    /// A close-flagged response entered the outbox (or the stream
+    /// A close-flagged response was framed onto `wr` (or the stream
     /// desynchronised); flush what's queued, then drop the connection.
     closing: bool,
     /// The peer half-closed its write side; parse what's buffered,
@@ -267,6 +250,11 @@ struct Conn {
 impl Conn {
     fn inflight(&self) -> u64 {
         self.next_seq - self.next_write
+    }
+
+    /// Nothing framed is left to write.
+    fn flushed(&self) -> bool {
+        self.written == self.wr.len()
     }
 }
 
@@ -383,11 +371,19 @@ impl IoWorker {
                 self.poller.register(raw_fd(&*self.listener), LISTEN_TOKEN, net::READABLE);
             }
             for (&id, conn) in &self.conns {
+                debug_assert!(
+                    !conn.rd.is_empty() || conn.rd.capacity() == 0,
+                    "a connection with no buffered input holds read capacity"
+                );
+                debug_assert!(
+                    !conn.flushed() || conn.wr.capacity() == 0,
+                    "a connection with nothing left to write holds write capacity"
+                );
                 let mut interest = 0u8;
                 if !conn.closing && !conn.eof && !conn.stalled && conn.inflight() < max_pipeline {
                     interest |= net::READABLE;
                 }
-                if !conn.outbox.is_empty() {
+                if !conn.flushed() {
                     interest |= net::WRITABLE;
                 }
                 if interest != 0 {
@@ -516,9 +512,9 @@ impl IoWorker {
             Conn {
                 stream,
                 fd,
-                rd: None,
-                outbox: VecDeque::new(),
-                front_written: 0,
+                rd: Vec::new(),
+                wr: Vec::new(),
+                written: 0,
                 ready: BTreeMap::new(),
                 next_seq: 0,
                 next_write: 0,
@@ -548,7 +544,7 @@ impl IoWorker {
     /// Drop the connection once everything owed to the peer is out.
     fn close_if_drained(&mut self, id: u64) {
         let drained = match self.conns.get(&id) {
-            Some(c) => (c.closing || c.eof) && c.outbox.is_empty() && c.inflight() == 0,
+            Some(c) => (c.closing || c.eof) && c.flushed() && c.inflight() == 0,
             None => false,
         };
         if drained {
@@ -556,7 +552,7 @@ impl IoWorker {
         }
     }
 
-    /// Pull bytes off the socket into the pooled read buffer, then
+    /// Pull bytes off the socket into the connection's read buffer, then
     /// parse. Bounded per event (4 × scratch) so one firehose client
     /// cannot starve the rest of the poll set.
     fn read_conn(&mut self, id: u64) {
@@ -573,11 +569,7 @@ impl IoWorker {
                         break;
                     }
                     Ok(n) => {
-                        let rd = match conn.rd.as_mut() {
-                            Some(rd) => rd,
-                            None => conn.rd.insert(self.shared.pool.checkout()),
-                        };
-                        rd.extend_from_slice(&self.scratch[..n]);
+                        conn.rd.extend_from_slice(&self.scratch[..n]);
                         if n < self.scratch.len() {
                             break;
                         }
@@ -610,15 +602,13 @@ impl IoWorker {
                 if conn.stalled || conn.closing || conn.inflight() >= max_pipeline {
                     return;
                 }
-                let Some(buf) = conn.rd.as_ref() else { return };
-                match frame_ready(buf) {
+                match frame_ready(&conn.rd) {
                     Ok(None) => return,
                     Ok(Some(total)) => {
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         conn.last_progress = Instant::now();
-                        let rd = conn.rd.take().expect("checked above");
-                        (seq, total, rd)
+                        (seq, total, std::mem::take(&mut conn.rd))
                     }
                     Err(e) => {
                         // Torn/oversized frame: the stream position is
@@ -626,7 +616,7 @@ impl IoWorker {
                         // buffered bytes are garbage now.
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
-                        conn.rd = None;
+                        conn.rd = Vec::new();
                         self.shared.io_metrics.pipeline_depth.add(1);
                         self.finish(id, seq, Response::from_error(&e), true);
                         return;
@@ -635,16 +625,12 @@ impl IoWorker {
             };
             self.shared.io_metrics.pipeline_depth.add(1);
             self.handle_request(id, seq, &rd[4..total]);
-            let leftover = rd.len() - total;
-            if leftover > 0 {
-                rd.drain(..total);
-            }
             if let Some(conn) = self.conns.get_mut(&id) {
-                if leftover > 0 {
-                    conn.rd = Some(rd);
+                // A drained buffer is dropped here, released.
+                if rd.len() > total {
+                    rd.drain(..total);
+                    conn.rd = rd;
                 }
-                // leftover == 0: dropping `rd` checks it back into the
-                // pool — idle connections pin no buffer.
             }
         }
     }
@@ -664,39 +650,37 @@ impl IoWorker {
         }
     }
 
-    /// A response landed for `(conn, seq)`: encode it into a pooled
-    /// buffer, park it in the reorder map, move every in-order entry to
-    /// the outbox, and opportunistically flush.
+    /// A response landed for `(conn, seq)`: frame it onto the write
+    /// buffer if it is next in order, with every parked frame whose turn
+    /// that brings, and opportunistically flush; otherwise frame it into
+    /// the reorder map.
     fn finish(&mut self, id: u64, seq: u64, resp: Response, close: bool) {
         self.finish_with(id, seq, close, |b| resp.encode(b));
     }
 
     /// [`IoWorker::finish`] for a response encoded from borrowed data.
-    fn finish_with(&mut self, id: u64, seq: u64, close: bool, encode: impl FnOnce(&mut Vec<u8>)) {
+    fn finish_with(&mut self, id: u64, seq: u64, mut close: bool, encode: impl FnOnce(&mut Vec<u8>)) {
         {
             let Some(conn) = self.conns.get_mut(&id) else { return };
             if seq < conn.next_write || conn.ready.contains_key(&seq) {
                 return; // stale or duplicate completion
             }
-            let mut buf = self.shared.pool.checkout();
-            frame_into(buf.as_mut_vec(), encode);
-            // An in-order completion (every one, for a client that waits
-            // for each reply) goes straight to the outbox.
-            let mut in_order = None;
-            if seq == conn.next_write {
-                in_order = Some((buf, close));
-            } else {
-                conn.ready.insert(seq, (buf, close));
+            if seq > conn.next_write {
+                let mut frame = Vec::new();
+                frame_onto(&mut frame, encode);
+                conn.ready.insert(seq, (frame, close));
+                return;
             }
-            while let Some((buf, close)) =
-                in_order.take().or_else(|| conn.ready.remove(&conn.next_write))
-            {
-                conn.outbox.push_back(buf);
+            // An in-order completion (every one, for a client that waits
+            // for each reply) is framed straight onto the write buffer.
+            frame_onto(&mut conn.wr, encode);
+            loop {
                 conn.next_write += 1;
                 self.shared.io_metrics.pipeline_depth.add(-1);
-                if close {
-                    conn.closing = true;
-                }
+                conn.closing |= close;
+                let Some((frame, then_close)) = conn.ready.remove(&conn.next_write) else { break };
+                conn.wr.extend_from_slice(&frame);
+                close = then_close;
             }
         }
         self.flush_conn(id);
@@ -704,7 +688,7 @@ impl IoWorker {
         // frames (no-op while a parse is already on the stack — it
         // holds the read buffer).
         let resume = match self.conns.get(&id) {
-            Some(c) => !c.stalled && !c.closing && c.rd.is_some(),
+            Some(c) => !c.stalled && !c.closing && !c.rd.is_empty(),
             None => false,
         };
         if resume {
@@ -712,41 +696,36 @@ impl IoWorker {
         }
     }
 
-    /// Write as much of the outbox as the socket accepts, gathering up
-    /// to 16 frames per `write_vectored` call.
+    /// Write as much of the write buffer as the socket accepts, one
+    /// `write` per call. A fully written buffer is released; one the
+    /// socket keeps refusing sheds its written front once that is the
+    /// larger part, so a peer that never quite catches up does not pin
+    /// what it has already read.
     fn flush_conn(&mut self, id: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&id) else { return };
-            if conn.outbox.is_empty() {
+            if conn.flushed() {
                 break;
             }
-            let result = {
-                let mut iov = [IoSlice::new(&[]); 16];
-                let n = conn.outbox.len().min(iov.len());
-                for (i, (slot, buf)) in iov.iter_mut().zip(&conn.outbox).enumerate() {
-                    let start = if i == 0 { conn.front_written } else { 0 };
-                    *slot = IoSlice::new(&buf[start..]);
-                }
-                (&conn.stream).write_vectored(&iov[..n])
-            };
-            match result {
+            match (&conn.stream).write(&conn.wr[conn.written..]) {
                 Ok(0) => {
                     self.remove_conn(id);
                     return;
                 }
                 Ok(n) => {
-                    let mut n = n + conn.front_written;
-                    while let Some(front) = conn.outbox.front() {
-                        if n >= front.len() {
-                            n -= front.len();
-                            conn.outbox.pop_front();
-                        } else {
-                            break;
-                        }
+                    conn.written += n;
+                    if conn.flushed() {
+                        conn.wr = Vec::new();
+                        conn.written = 0;
                     }
-                    conn.front_written = n;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if conn.written > conn.wr.len() / 2 {
+                        conn.wr.drain(..conn.written);
+                        conn.written = 0;
+                    }
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.remove_conn(id);
@@ -775,7 +754,7 @@ impl IoWorker {
             .filter(|(_, c)| {
                 !c.closing
                     && c.inflight() == 0
-                    && c.outbox.is_empty()
+                    && c.flushed()
                     && now.duration_since(c.last_progress) > idle
             })
             .map(|(&id, _)| id)

@@ -94,8 +94,10 @@ fn small_frame_decode_is_allocation_free_at_steady_state() {
 
 #[test]
 fn small_response_encode_into_warm_buffer_is_allocation_free() {
-    // The server's reply path: frame_into re-encodes into a pooled
-    // buffer whose capacity survives from the previous checkout.
+    // frame_into re-encodes into a buffer whose capacity survives from
+    // the previous frame, as the client's request buffer does. (The
+    // server frames replies onto a write buffer it releases once
+    // written, so there a small reply costs one allocation.)
     let responses = [
         Response::Ingested(StoryId::new(3)),
         Response::Removed(12),

@@ -7,7 +7,7 @@
 //! actually uses, built only on `std`:
 //!
 //! * [`rng`] — a deterministic pseudo-random generator (SplitMix64
-//!   seeding + xoshiro256\*\* core) with uniform/weighted/Zipf/shuffle
+//!   seeding + xoshiro256\*\* core) with uniform/Zipf/shuffle
 //!   helpers. Replaces `rand`.
 //! * [`buf`] — little-endian, length-prefixed byte reading/writing via
 //!   the [`buf::Buf`]/[`buf::BufMut`] traits. Replaces `bytes`.
@@ -20,9 +20,6 @@
 //! * [`queue`] — [`queue::Bounded<T>`], a bounded, never-blocking MPMC
 //!   queue with a depth read and a close (the slice of
 //!   `crossbeam-channel` the serving layer needs).
-//! * [`pool`] — [`pool::BufferPool`], a checkout/checkin byte-buffer
-//!   pool with outstanding/high-water accounting, so the serving hot
-//!   path recycles frame buffers instead of allocating per request.
 //! * [`net`] — a minimal `poll(2)` readiness poller plus a socketpair
 //!   wake channel (the slice of `mio` the connection-multiplexing
 //!   serving runtime needs). This module contains the workspace's only
@@ -57,7 +54,6 @@ pub mod buf;
 pub mod fault;
 pub mod metrics;
 pub mod net;
-pub mod pool;
 pub mod prop;
 pub mod queue;
 pub mod rng;
@@ -68,7 +64,6 @@ pub mod wal;
 pub use buf::{Buf, BufMut, ByteBuf};
 pub use fault::{FaultHook, FaultPlan};
 pub use metrics::Registry;
-pub use pool::BufferPool;
 pub use queue::Bounded;
 pub use timing::Histogram;
 pub use rng::{RngCore, RngExt, SliceRandom, StdRng, Zipf};

@@ -9,8 +9,7 @@
 //!
 //! The surface mirrors the parts of `rand` the workspace used:
 //! [`RngExt::random`], [`RngExt::random_range`], [`RngExt::random_bool`],
-//! and [`SliceRandom::shuffle`], plus the heavy-tailed [`Zipf`] sampler
-//! and a [`WeightedIndex`] for ad-hoc discrete distributions.
+//! and [`SliceRandom::shuffle`], plus the heavy-tailed [`Zipf`] sampler.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -240,50 +239,6 @@ impl<T> SliceRandom for [T] {
     }
 }
 
-/// A discrete distribution over `0..weights.len()` proportional to the
-/// given non-negative weights; `O(log n)` sampling via the cumulative
-/// table.
-#[derive(Debug, Clone)]
-pub struct WeightedIndex {
-    cdf: Vec<f64>,
-}
-
-impl WeightedIndex {
-    /// Build from weights.
-    ///
-    /// # Panics
-    /// Panics when `weights` is empty, contains a negative or non-finite
-    /// weight, or sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "WeightedIndex needs at least one weight");
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            assert!(w >= 0.0 && w.is_finite(), "weights must be finite and >= 0");
-            acc += w;
-            cdf.push(acc);
-        }
-        assert!(acc > 0.0, "total weight must be positive");
-        for c in &mut cdf {
-            *c /= acc;
-        }
-        WeightedIndex { cdf }
-    }
-
-    /// Draw one index.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_cdf(&self.cdf, rng)
-    }
-}
-
-fn sample_cdf<R: RngCore + ?Sized>(cdf: &[f64], rng: &mut R) -> usize {
-    let u = f64::sample(rng);
-    match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
-        Ok(i) => i,
-        Err(i) => i.min(cdf.len() - 1),
-    }
-}
-
 /// A Zipf distribution over ranks `0..n` with exponent `s`:
 /// `P(k) ∝ 1 / (k+1)^s`. Entity popularity in news follows a
 /// heavy-tailed law — a few entities (major countries, leaders) appear
@@ -328,7 +283,11 @@ impl Zipf {
 
     /// Draw one rank.
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_cdf(&self.cdf, rng)
+        let u = f64::sample(rng);
+        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
+            Ok(i) => i,
+            Err(i) => i.min(self.cdf.len() - 1),
+        }
     }
 
     /// Draw `k` *distinct* ranks (by rejection; `k` must not exceed the
@@ -459,18 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_weights() {
-        let w = WeightedIndex::new(&[1.0, 0.0, 3.0]);
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut counts = [0u32; 3];
-        for _ in 0..8000 {
-            counts[w.sample(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        assert!(counts[2] > counts[0] * 2, "{counts:?}");
-    }
-
-    #[test]
     fn zipf_skews_toward_low_ranks() {
         let z = Zipf::new(100, 1.2);
         let mut rng = StdRng::seed_from_u64(9);
@@ -490,5 +437,49 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((1600..=2400).contains(&c), "rank {i}: {c}");
         }
+    }
+
+    #[test]
+    fn zipf_samples_stay_in_range() {
+        let z = Zipf::new(10, 1.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..1000 {
+            assert!(z.sample(&mut rng) < 10);
+        }
+    }
+
+    #[test]
+    fn zipf_distinct_sampling_has_no_duplicates() {
+        let z = Zipf::new(20, 1.0);
+        let mut rng = StdRng::seed_from_u64(4);
+        let got = z.sample_distinct(&mut rng, 10);
+        assert_eq!(got.len(), 10);
+        let set: std::collections::HashSet<usize> = got.iter().copied().collect();
+        assert_eq!(set.len(), 10);
+    }
+
+    #[test]
+    fn zipf_distinct_sampling_full_range() {
+        let z = Zipf::new(5, 2.0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut got = z.sample_distinct(&mut rng, 5);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one rank")]
+    fn zipf_empty_rejected() {
+        Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    fn zipf_deterministic_under_seed() {
+        let z = Zipf::new(50, 1.1);
+        let mut a = StdRng::seed_from_u64(9);
+        let mut b = StdRng::seed_from_u64(9);
+        let sa: Vec<usize> = (0..100).map(|_| z.sample(&mut a)).collect();
+        let sb: Vec<usize> = (0..100).map(|_| z.sample(&mut b)).collect();
+        assert_eq!(sa, sb);
     }
 }

@@ -214,8 +214,6 @@ fn metrics_exposition_matches_in_process_engine() {
     let required = [
         "storypivot_connections_open",
         "storypivot_pipeline_depth",
-        "storypivot_pool_buffers_outstanding",
-        "storypivot_pool_bytes_highwater",
         "storypivot_story_cache_hits_total",
         "storypivot_story_cache_misses_total",
         "storypivot_maintenance_runs_total",
